@@ -9,7 +9,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: install test bench bench-full figures examples lint perf-smoke \
 	pipeline-smoke faults-smoke telemetry-smoke serve-smoke chaos-smoke \
-	shard-smoke obs-smoke ci clean
+	shard-smoke obs-smoke determinism ci clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -183,6 +183,29 @@ obs-smoke:
 	$(PYTHON) -m repro serve top --replay generated/ops_fleet.jsonl \
 	  --frames 3 --no-clear
 	$(PYTHON) tools/telemetry_overhead.py --serve --max-overhead-pct 10
+
+# The one determinism check every report harness shares: run the smoke
+# matrix serially and over two spawn workers, load both reports through
+# the report kernel and require byte-identical deterministic views
+# (tools/report_determinism.py; perf, faults, serve, chaos, scaling and
+# the 4-shard chaos fleet, whose merged trace must also `cmp` equal).
+DET := generated/determinism
+determinism:
+	@set -e; for h in "perf run" "faults run" "serve bench" "serve chaos" \
+	    "serve scaling"; do \
+	  out=$(DET)/$$(echo $$h | tr ' ' '_'); \
+	  echo "== $$h: serial vs --workers 2"; \
+	  $(PYTHON) -m repro $$h --smoke --out $$out.json > /dev/null; \
+	  $(PYTHON) -m repro $$h --smoke --workers 2 --out $${out}_w2.json \
+	    > /dev/null; \
+	  $(PYTHON) tools/report_determinism.py $$out.json $${out}_w2.json; \
+	done
+	$(PYTHON) -m repro serve chaos --smoke --shards 4 \
+	  --out $(DET)/fleet.json --trace-out $(DET)/trace.json > /dev/null
+	$(PYTHON) -m repro serve chaos --smoke --shards 4 --workers 2 \
+	  --out $(DET)/fleet_w2.json --trace-out $(DET)/trace_w2.json > /dev/null
+	$(PYTHON) tools/report_determinism.py $(DET)/fleet.json $(DET)/fleet_w2.json
+	cmp $(DET)/trace.json $(DET)/trace_w2.json
 
 # Mirror of the CI pipeline: lint, tier-1 tests, perf/pipeline/faults/
 # telemetry/serve/chaos/shard/observability smoke.

@@ -19,8 +19,9 @@ import json
 
 from _common import GENERATED_DIR, emit, once
 from repro.serve.chaos import chaos_check, run_chaos, smoke_config
-from repro.serve.report import render_chaos_report
-from repro.serve.schema import deterministic_bytes, validate_chaos_report
+from repro.serve.schema import (
+    CHAOS, render_chaos_report, validate_chaos_report,
+)
 
 
 def test_chaos_smoke_campaign(benchmark):
@@ -53,4 +54,4 @@ def test_chaos_smoke_campaign(benchmark):
     # Determinism: a second same-seed run reproduces every
     # non-wall-clock byte.
     again = run_chaos(smoke_config())
-    assert deterministic_bytes(again) == deterministic_bytes(doc)
+    assert CHAOS.deterministic_bytes(again) == CHAOS.deterministic_bytes(doc)

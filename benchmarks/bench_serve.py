@@ -20,8 +20,7 @@ import json
 
 from _common import GENERATED_DIR, emit, once
 from repro.serve.bench import dedup_check, run_serve, smoke_config
-from repro.serve.report import render_report
-from repro.serve.schema import deterministic_bytes, validate_report
+from repro.serve.schema import SERVE, render_report, validate_report
 
 #: Smoke-scale bound on |success - 1/L| for the guessing attacker.
 ADVANTAGE_TOL = 0.05
@@ -58,4 +57,4 @@ def test_serve_smoke_matrix(benchmark):
     # Determinism: a second same-seed run reproduces every
     # non-wall-clock byte.
     again = run_serve(smoke_config())
-    assert deterministic_bytes(again) == deterministic_bytes(doc)
+    assert SERVE.deterministic_bytes(again) == SERVE.deterministic_bytes(doc)

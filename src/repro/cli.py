@@ -62,7 +62,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -396,36 +397,117 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf_run(args: argparse.Namespace) -> int:
-    from repro.perf import run_perf, smoke_config, full_config
-    from repro.perf.report import render_report
-    import json
+@dataclass(frozen=True)
+class _Harness:
+    """One report-emitting sub-command, as data for :func:`cmd_harness_run`.
 
-    factory = smoke_config if args.smoke else full_config
-    overrides = {}
-    if args.schemes:
-        overrides["schemes"] = tuple(args.schemes)
-    if args.benchmarks:
-        overrides["benchmarks"] = tuple(args.benchmarks)
-    if args.levels is not None:
-        overrides["levels"] = args.levels
-    if args.requests is not None:
-        overrides["n_requests"] = args.requests
-    if args.warmup is not None:
-        overrides["warmup_requests"] = args.warmup
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    cfg = factory(progress=stderr_progress, workers=args.workers,
-                  telemetry=args.telemetry, **overrides)
-    doc = run_perf(cfg)
-    _ensure_out_dir(args.out)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(render_report(doc))
+    ``module`` owns ``smoke_config`` / ``full_config`` / the ``run``
+    function / the gate's check function (resolved by name at call
+    time); ``fields`` are the config fields a same-named argparse dest
+    overrides (a ``*_out`` field names an artifact the run writes).
+    The report's spec validates, writes and renders the result.
+    """
+
+    module: str
+    run: str
+    fields: Tuple[str, ...]
+    #: (flag, check function, finding prefix, pass message).
+    gate: Optional[Tuple[str, str, str, str]] = None
+    #: Optional consistency check on the built config (ValueError).
+    precheck: Optional[Callable[[Any], None]] = None
+
+
+def _chaos_precheck(cfg: Any) -> None:
+    if cfg.num_shards <= 1 and (cfg.slo_out or cfg.ops_out):
+        raise ValueError("--slo-out/--ops-out require --shards > 1")
+
+
+_HARNESSES: Dict[str, _Harness] = {
+    "perf": _Harness(
+        "repro.perf.runner", "run_perf",
+        fields=("schemes", "benchmarks", "levels", "n_requests",
+                "warmup_requests", "seed", "repeats", "telemetry"),
+    ),
+    "faults": _Harness(
+        "repro.faults.campaign", "run_campaign",
+        fields=("kinds", "rates", "levels", "n_requests", "seed",
+                "retry_budget", "quarantine", "integrity", "telemetry"),
+        gate=("require_detection", "detection_check", "DETECTION GAP",
+              "detection check: all tampering faults detected"),
+    ),
+    "serve": _Harness(
+        "repro.serve.bench", "run_serve",
+        fields=("levels", "scheme", "seed", "max_batch", "trace_out"),
+        gate=("require_dedup_win", "dedup_check", "DEDUP GAP",
+              "dedup check: batch policy beats naive FIFO"),
+    ),
+    "chaos": _Harness(
+        "repro.serve.chaos", "run_chaos",
+        fields=("levels", "scheme", "seed", "max_batch", "trace_out",
+                "num_shards", "slo_out", "ops_out"),
+        gate=("require_detection", "chaos_check", "CHAOS GAP",
+              "chaos check: availability floors held, all tampering "
+              "faults detected under live load"),
+        precheck=_chaos_precheck,
+    ),
+    "scaling": _Harness(
+        "repro.serve.scaling", "run_scaling",
+        fields=("seed", "max_batch", "measured_levels"),
+        gate=("require_speedup", "scaling_check", "SCALING GAP",
+              "scaling check: fleet speedup >= {:g}x at 4 shards, drills "
+              "recovered above their availability floors, control plane "
+              "healthy"),
+    ),
+}
+
+
+def cmd_harness_run(args: argparse.Namespace) -> int:
+    """Every ``<harness> run``: factory -> overrides -> run -> self-check
+    -> write -> render -> gate, driven by the :data:`_HARNESSES` row."""
+    from importlib import import_module
+
+    from repro.report import save_report, spec_for
+
+    harness = _HARNESSES[args.harness]
+    module = import_module(harness.module)
+    overrides = {
+        name: tuple(value) if isinstance(value, list) else value
+        for name in harness.fields
+        if (value := getattr(args, name)) is not None
+    }
+    factory = module.smoke_config if args.smoke else module.full_config
+    try:
+        cfg = factory(progress=stderr_progress, workers=args.workers,
+                      **overrides)
+        if harness.precheck is not None:
+            harness.precheck(cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    doc = getattr(module, harness.run)(cfg)
+    errors = save_report(doc, args.out)
+    if errors:
+        for e in errors:
+            print(f"error: report self-check failed: {e}", file=sys.stderr)
+        return 2
+    print(spec_for(doc).render(doc))
     print(f"\nwrote {args.out}")
+    for name in harness.fields:
+        if name.endswith("_out") and getattr(args, name):
+            print(f"wrote {getattr(args, name)}")
+    if harness.gate is not None:
+        flag, check, prefix, passed = harness.gate
+        level = getattr(args, flag)
+        if level is not None and level is not False:
+            # A boolean gate flag takes no argument; a valued one
+            # (--require-speedup RATIO) hands its value to the check.
+            extra = () if level is True else (level,)
+            problems = getattr(module, check)(doc, *extra)
+            if problems:
+                for line in problems:
+                    print(f"{prefix} {line}")
+                return 1
+            print(passed.format(*extra))
     return 0
 
 
@@ -467,209 +549,18 @@ def cmd_perf_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf_compare(args: argparse.Namespace) -> int:
-    from repro.perf.compare import EXIT_OK, compare_files
+def cmd_compare(args: argparse.Namespace) -> int:
+    """``perf compare`` / ``serve compare``: gate two reports by kind."""
+    from repro.report import EXIT_OK, compare_files
 
     code, messages = compare_files(args.baseline, args.new,
-                                   threshold_pct=args.threshold)
+                                   args.threshold, args.kinds)
     for msg in messages:
         print(msg)
     if args.warn_only and code != EXIT_OK:
         print(f"(warn-only: suppressing exit code {code})")
         return EXIT_OK
     return code
-
-
-#: Campaign cells whose faults tamper with sealed state; with the
-#: integrity tree on, CI requires every one of them to be detected.
-_TAMPER_KINDS = ("bit_flip", "replay")
-
-
-def cmd_faults_run(args: argparse.Namespace) -> int:
-    from repro.faults.campaign import full_config, run_campaign, smoke_config
-    from repro.faults.report import render_report
-    from repro.faults.schema import validate_report
-    import json
-
-    factory = smoke_config if args.smoke else full_config
-    overrides = {}
-    if args.kinds:
-        overrides["kinds"] = tuple(args.kinds)
-    if args.rates:
-        overrides["rates"] = tuple(args.rates)
-    if args.levels is not None:
-        overrides["levels"] = args.levels
-    if args.requests is not None:
-        overrides["n_requests"] = args.requests
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.retry_budget is not None:
-        overrides["retry_budget"] = args.retry_budget
-    if args.no_quarantine:
-        overrides["quarantine"] = False
-    if args.no_integrity:
-        overrides["integrity"] = False
-    try:
-        cfg = factory(progress=stderr_progress, workers=args.workers,
-                      telemetry=args.telemetry, **overrides)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    doc = run_campaign(cfg)
-    errors = validate_report(doc)
-    if errors:
-        for e in errors:
-            print(f"error: report self-check failed: {e}", file=sys.stderr)
-        return 2
-    _ensure_out_dir(args.out)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(render_report(doc))
-    print(f"\nwrote {args.out}")
-    if args.require_detection:
-        bad = []
-        for cell in doc["cells"]:
-            if cell["fault"] not in _TAMPER_KINDS:
-                continue
-            if "error" in cell:
-                # An errored tampering cell means detection went
-                # unverified; that is a gap, not a pass.
-                bad.append(f"{cell['fault']}@{cell['rate']:g}: cell errored")
-                continue
-            if cell["undetected"] or cell["detected"] != cell["injected"]:
-                bad.append(
-                    f"{cell['fault']}@{cell['rate']:g}: "
-                    f"injected={cell['injected']} "
-                    f"detected={cell['detected']} "
-                    f"undetected={cell['undetected']}"
-                )
-        if bad:
-            for line in bad:
-                print(f"DETECTION GAP {line}")
-            return 1
-        print("detection check: all tampering faults detected")
-    return 0
-
-
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve.bench import (
-        dedup_check, full_config, run_serve, smoke_config,
-    )
-    from repro.serve.report import render_report
-    from repro.serve.schema import validate_report
-    import json
-
-    factory = smoke_config if args.smoke else full_config
-    overrides = {}
-    if args.levels is not None:
-        overrides["levels"] = args.levels
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.max_batch is not None:
-        overrides["max_batch"] = args.max_batch
-    if args.trace_out is not None:
-        overrides["trace_out"] = args.trace_out
-    cfg = factory(progress=stderr_progress, workers=args.workers,
-                  **overrides)
-    doc = run_serve(cfg)
-    errors = validate_report(doc)
-    if errors:
-        for e in errors:
-            print(f"error: report self-check failed: {e}", file=sys.stderr)
-        return 2
-    _ensure_out_dir(args.out)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(render_report(doc))
-    print(f"\nwrote {args.out}")
-    if args.trace_out:
-        print(f"wrote {args.trace_out}")
-    if args.require_dedup_win:
-        problems = dedup_check(doc)
-        if problems:
-            for line in problems:
-                print(f"DEDUP GAP {line}")
-            return 1
-        print("dedup check: batch policy beats naive FIFO")
-    return 0
-
-
-def cmd_serve_compare(args: argparse.Namespace) -> int:
-    from repro.serve.compare import EXIT_OK, compare_files
-
-    code, messages = compare_files(args.baseline, args.new,
-                                   threshold_pct=args.threshold)
-    for msg in messages:
-        print(msg)
-    if args.warn_only and code != EXIT_OK:
-        print(f"(warn-only: suppressing exit code {code})")
-        return EXIT_OK
-    return code
-
-
-def cmd_serve_chaos(args: argparse.Namespace) -> int:
-    from repro.serve.chaos import (
-        chaos_check, full_config, run_chaos, smoke_config,
-    )
-    from repro.serve.report import render_chaos_report
-    from repro.serve.schema import validate_chaos_report
-    import json
-
-    factory = smoke_config if args.smoke else full_config
-    overrides = {}
-    if args.levels is not None:
-        overrides["levels"] = args.levels
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.max_batch is not None:
-        overrides["max_batch"] = args.max_batch
-    if args.trace_out is not None:
-        overrides["trace_out"] = args.trace_out
-    if args.shards is not None:
-        overrides["num_shards"] = args.shards
-    if args.slo_out is not None:
-        overrides["slo_out"] = args.slo_out
-    if args.ops_out is not None:
-        overrides["ops_out"] = args.ops_out
-    cfg = factory(progress=stderr_progress, workers=args.workers,
-                  **overrides)
-    if cfg.num_shards <= 1 and (cfg.slo_out or cfg.ops_out):
-        print("error: --slo-out/--ops-out require --shards > 1",
-              file=sys.stderr)
-        return 2
-    doc = run_chaos(cfg)
-    errors = validate_chaos_report(doc)
-    if errors:
-        for e in errors:
-            print(f"error: report self-check failed: {e}", file=sys.stderr)
-        return 2
-    _ensure_out_dir(args.out)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(render_chaos_report(doc))
-    print(f"\nwrote {args.out}")
-    if args.trace_out:
-        print(f"wrote {args.trace_out}")
-    if args.slo_out:
-        print(f"wrote {args.slo_out}")
-    if args.ops_out:
-        print(f"wrote {args.ops_out}")
-    if args.require_detection:
-        problems = chaos_check(doc)
-        if problems:
-            for line in problems:
-                print(f"CHAOS GAP {line}")
-            return 1
-        print("chaos check: availability floors held, all tampering "
-              "faults detected under live load")
-    return 0
 
 
 def cmd_serve_top(args: argparse.Namespace) -> int:
@@ -694,48 +585,6 @@ def cmd_serve_top(args: argparse.Namespace) -> int:
     if frames == 0:
         print(f"error: {path}: no renderable frames", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_serve_scaling(args: argparse.Namespace) -> int:
-    from repro.serve.report import render_scaling_report
-    from repro.serve.scaling import (
-        full_config, run_scaling, scaling_check, smoke_config,
-    )
-    from repro.serve.schema import validate_scaling_report
-    import json
-
-    factory = smoke_config if args.smoke else full_config
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.max_batch is not None:
-        overrides["max_batch"] = args.max_batch
-    if args.measured_levels is not None:
-        overrides["measured_levels"] = args.measured_levels
-    cfg = factory(progress=stderr_progress, workers=args.workers,
-                  **overrides)
-    doc = run_scaling(cfg)
-    errors = validate_scaling_report(doc)
-    if errors:
-        for e in errors:
-            print(f"error: report self-check failed: {e}", file=sys.stderr)
-        return 2
-    _ensure_out_dir(args.out)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(render_scaling_report(doc))
-    print(f"\nwrote {args.out}")
-    if args.require_speedup is not None:
-        problems = scaling_check(doc, min_speedup=args.require_speedup)
-        if problems:
-            for line in problems:
-                print(f"SCALING GAP {line}")
-            return 1
-        print(f"scaling check: fleet speedup >= {args.require_speedup:g}x "
-              "at 4 shards, drills recovered above their availability "
-              "floors, control plane healthy")
     return 0
 
 
@@ -816,6 +665,22 @@ def cmd_security(args: argparse.Namespace) -> int:
 
 
 # ------------------------------------------------------------------ parser
+
+def _harness_parser(
+    sub: Any, command: str, harness: str, title: str,
+    smoke_help: str, workers_help: str,
+) -> argparse.ArgumentParser:
+    """A report-emitting sub-command: the flags all five share."""
+    p = sub.add_parser(command, help=title)
+    out = f"generated/BENCH_{harness}.json"
+    p.add_argument("--smoke", action="store_true", help=smoke_help)
+    p.add_argument("--out", default=out,
+                   help=f"report path (default: {out}; the directory is "
+                        "created if missing)")
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
+    p.set_defaults(func=cmd_harness_run, harness=harness)
+    return p
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -916,22 +781,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perf", help="performance harness (run / compare)")
     perf_sub = p.add_subparsers(dest="perf_command", required=True)
 
-    pr = perf_sub.add_parser("run", help="run the perf matrix")
-    pr.add_argument("--smoke", action="store_true",
-                    help="seconds-scale matrix for CI")
-    pr.add_argument("--out", default="generated/BENCH_perf.json",
-                    help="report path (default: generated/BENCH_perf.json; "
-                         "the directory is created if missing)")
-    pr.add_argument("--workers", type=int, default=1,
-                    help="process-pool width for the matrix cells; the "
-                         "sim blocks are identical to --workers 1, only "
-                         "wall_s/accesses_per_s are host-dependent")
+    pr = _harness_parser(
+        perf_sub, "run", "perf", "run the perf matrix",
+        smoke_help="seconds-scale matrix for CI",
+        workers_help="process-pool width for the matrix cells; the "
+                     "sim blocks are identical to --workers 1, only "
+                     "wall_s/accesses_per_s are host-dependent")
     pr.add_argument("--schemes", nargs="+", default=None,
                     choices=ALL_SCHEMES)
     pr.add_argument("--benchmarks", nargs="+", default=None)
     pr.add_argument("--levels", type=int, default=None)
-    pr.add_argument("--requests", type=int, default=None)
-    pr.add_argument("--warmup", type=int, default=None)
+    pr.add_argument("--requests", type=int, default=None,
+                    dest="n_requests", metavar="REQUESTS")
+    pr.add_argument("--warmup", type=int, default=None,
+                    dest="warmup_requests", metavar="WARMUP")
     pr.add_argument("--seed", type=int, default=None)
     pr.add_argument("--repeats", type=int, default=None,
                     help="per-cell repeats; wall time is the best run")
@@ -939,7 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="attach a metrics registry to every cell and add "
                          "a merged 'telemetry' block to the report "
                          "(deterministic; identical for any --workers)")
-    pr.set_defaults(func=cmd_perf_run)
 
     pp = perf_sub.add_parser(
         "profile",
@@ -977,32 +839,31 @@ def build_parser() -> argparse.ArgumentParser:
                     help="max tolerated throughput drop, percent")
     pc.add_argument("--warn-only", action="store_true",
                     help="report regressions but exit 0 (CI soft gate)")
-    pc.set_defaults(func=cmd_perf_compare)
+    pc.set_defaults(func=cmd_compare, kinds=("repro-perf-report",))
 
     p = sub.add_parser("faults", help="fault-injection campaign harness")
     faults_sub = p.add_subparsers(dest="faults_command", required=True)
 
-    fr = faults_sub.add_parser("run", help="sweep fault kind x rate")
-    fr.add_argument("--smoke", action="store_true",
-                    help="seconds-scale campaign for CI")
-    fr.add_argument("--out", default="generated/BENCH_faults.json",
-                    help="report path (default: generated/BENCH_faults.json; "
-                         "the directory is created if missing)")
-    fr.add_argument("--workers", type=int, default=1,
-                    help="process-pool width for the kind x rate cells; "
-                         "the report is byte-identical to --workers 1")
+    fr = _harness_parser(
+        faults_sub, "run", "faults", "sweep fault kind x rate",
+        smoke_help="seconds-scale campaign for CI",
+        workers_help="process-pool width for the kind x rate cells; "
+                     "the report is byte-identical to --workers 1")
     fr.add_argument("--kinds", nargs="+", default=None,
                     choices=list(FAULT_KINDS))
     fr.add_argument("--rates", nargs="+", type=float, default=None,
                     help="per-operation fault probabilities to sweep")
     fr.add_argument("--levels", type=int, default=None)
-    fr.add_argument("--requests", type=int, default=None)
+    fr.add_argument("--requests", type=int, default=None,
+                    dest="n_requests", metavar="REQUESTS")
     fr.add_argument("--seed", type=int, default=None)
     fr.add_argument("--retry-budget", type=int, default=None,
                     help="transient-fault retries before quarantine")
-    fr.add_argument("--no-quarantine", action="store_true",
+    fr.add_argument("--no-quarantine", action="store_false", default=None,
+                    dest="quarantine",
                     help="disable quarantine-and-rebuild (detect only)")
-    fr.add_argument("--no-integrity", action="store_true",
+    fr.add_argument("--no-integrity", action="store_false", default=None,
+                    dest="integrity",
                     help="drop the Merkle tree (replays go undetected; "
                         "for demonstrating why integrity matters)")
     fr.add_argument("--require-detection", action="store_true",
@@ -1012,24 +873,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="attach a metrics registry to every cell and add "
                          "a merged 'telemetry' block to the report "
                          "(deterministic; identical for any --workers)")
-    fr.set_defaults(func=cmd_faults_run)
 
     p = sub.add_parser("serve", help="serving harness (bench / compare / "
                                      "demo)")
     serve_sub = p.add_subparsers(dest="serve_command", required=True)
 
-    sb = serve_sub.add_parser("bench", help="replay open-loop workloads "
-                                            "through the batching scheduler")
-    sb.add_argument("--smoke", action="store_true",
-                    help="seconds-scale matrix for CI")
-    sb.add_argument("--out", default="generated/BENCH_serve.json",
-                    help="report path (default: generated/BENCH_serve.json; "
-                         "the directory is created if missing)")
-    sb.add_argument("--workers", type=int, default=1,
-                    help="process-pool width for the workload x policy "
-                         "cells; the sim blocks are byte-identical to "
-                         "--workers 1, only wall_* fields are "
-                         "host-dependent")
+    sb = _harness_parser(
+        serve_sub, "bench", "serve",
+        "replay open-loop workloads through the batching scheduler",
+        smoke_help="seconds-scale matrix for CI",
+        workers_help="process-pool width for the workload x policy "
+                     "cells; the sim blocks are byte-identical to "
+                     "--workers 1, only wall_* fields are host-dependent")
     sb.add_argument("--scheme", default=None, choices=ALL_SCHEMES)
     sb.add_argument("--levels", type=int, default=None)
     sb.add_argument("--seed", type=int, default=None)
@@ -1044,19 +899,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit 1 unless the batch policy issues fewer "
                          "oblivious accesses than naive FIFO on workloads "
                          "that expect it -- the CI gate")
-    sb.set_defaults(func=cmd_serve_bench)
 
-    sx = serve_sub.add_parser("chaos", help="fault-injection campaign "
-                                            "under live serving load")
-    sx.add_argument("--smoke", action="store_true",
-                    help="seconds-scale campaign for CI")
-    sx.add_argument("--out", default="generated/BENCH_chaos.json",
-                    help="report path (default: generated/BENCH_chaos.json; "
-                         "the directory is created if missing)")
-    sx.add_argument("--workers", type=int, default=1,
-                    help="process-pool width for the campaign cells; the "
-                         "sim blocks are byte-identical to --workers 1, "
-                         "only wall_* fields are host-dependent")
+    sx = _harness_parser(
+        serve_sub, "chaos", "chaos",
+        "fault-injection campaign under live serving load",
+        smoke_help="seconds-scale campaign for CI",
+        workers_help="process-pool width for the campaign cells; the "
+                     "sim blocks are byte-identical to --workers 1, "
+                     "only wall_* fields are host-dependent")
     sx.add_argument("--scheme", default=None, choices=ALL_SCHEMES)
     sx.add_argument("--levels", type=int, default=None)
     sx.add_argument("--seed", type=int, default=None)
@@ -1069,6 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "--shards: one merged fleet trace with per-shard "
                          "process tracks and router flow events)")
     sx.add_argument("--shards", type=int, default=None, metavar="N",
+                    dest="num_shards",
                     help="partition every cell over an N-shard fleet of "
                          "independently seeded stacks; the report gains "
                          "per-shard, control-plane and SLO blocks, all "
@@ -1083,7 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit 1 unless every cell held its availability "
                          "floor and every injected tampering fault was "
                          "detected while serving -- the CI gate")
-    sx.set_defaults(func=cmd_serve_chaos)
 
     st = serve_sub.add_parser("top", help="live ops console: per-shard "
                                           "health/queue/latency table over "
@@ -1107,19 +957,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="never clear the screen between frames")
     st.set_defaults(func=cmd_serve_top)
 
-    ss = serve_sub.add_parser("scaling", help="capacity curve over 1..N "
-                                              "shard AB-ORAM fleets")
-    ss.add_argument("--smoke", action="store_true",
-                    help="seconds-scale curve for CI (2^16 blocks, "
-                         "shards 1/2/4, plus the kill-a-shard drill)")
-    ss.add_argument("--out", default="generated/BENCH_scaling.json",
-                    help="report path (default: generated/"
-                         "BENCH_scaling.json; the directory is created "
-                         "if missing)")
-    ss.add_argument("--workers", type=int, default=1,
-                    help="process-pool width for each fleet's shards; "
-                         "the report is byte-identical to --workers 1 "
-                         "except the wall_s fields")
+    ss = _harness_parser(
+        serve_sub, "scaling", "scaling",
+        "capacity curve over 1..N shard AB-ORAM fleets",
+        smoke_help="seconds-scale curve for CI (2^16 blocks, "
+                   "shards 1/2/4, plus the kill-a-shard drill)",
+        workers_help="process-pool width for each fleet's shards; "
+                     "the report is byte-identical to --workers 1 "
+                     "except the wall_s fields")
     ss.add_argument("--seed", type=int, default=None)
     ss.add_argument("--max-batch", type=int, default=None,
                     help="admission batch cap per shard scheduler round")
@@ -1134,7 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "ns/request, every drill recovers above its "
                          "availability floor and the control plane ends "
                          "healthy -- the CI gate")
-    ss.set_defaults(func=cmd_serve_scaling)
 
     sc = serve_sub.add_parser("compare", help="diff two serve, chaos or "
                                               "scaling reports "
@@ -1149,7 +993,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "availability and tamper detection)")
     sc.add_argument("--warn-only", action="store_true",
                     help="report regressions but exit 0 (CI soft gate)")
-    sc.set_defaults(func=cmd_serve_compare)
+    sc.set_defaults(func=cmd_compare, kinds=(
+        "repro-serve-report", "repro-chaos-report", "repro-scaling-report",
+    ))
 
     sd = serve_sub.add_parser("demo", help="threaded KV server demo with "
                                            "live client threads")

@@ -26,7 +26,7 @@ count, which is what lets reports embed it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 REGISTERED = "registered"
 HEALTHY = "healthy"
@@ -219,9 +219,13 @@ def control_metrics(summary: Dict[str, Any], registry: Any) -> Any:
 
 
 def heartbeat_events(
-    shard: int, start_ns: float, end_ns: float, heartbeat_ns: float
+    shard: int, start_ns: float, end_ns: float, heartbeat_ns: float,
+    episodes: Sequence[Dict[str, Any]] = (),
 ) -> List[ShardEvent]:
-    """The deterministic heartbeat train of one shard's serving window."""
+    """The deterministic event stream of one shard's serving window:
+    its heartbeat train, then an enter/exit marker pair per degraded
+    episode (``{"enter_ns", "exit_ns"}`` records of the resilient loop).
+    """
     events = [ShardEvent(shard, "register", start_ns)]
     k = 1
     while start_ns + k * heartbeat_ns < end_ns:
@@ -230,4 +234,7 @@ def heartbeat_events(
         )
         k += 1
     events.append(ShardEvent(shard, "complete", end_ns))
+    for episode in episodes:
+        events.append(ShardEvent(shard, "degraded_enter", episode["enter_ns"]))
+        events.append(ShardEvent(shard, "degraded_exit", episode["exit_ns"]))
     return events

@@ -55,9 +55,9 @@ from repro.faults.plan import FaultPlan
 from repro.oram.recovery import RobustnessConfig
 from repro.parallel.executor import Cell, derive_seed, report_progress, run_cells
 from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
-from repro.serve.replay import replay
+from repro.serve.replay import serve_slice
 from repro.serve.request import OK, STATUSES, Completion, Request
-from repro.serve.resilience import ResilienceConfig, resilient_replay
+from repro.serve.resilience import ResilienceConfig
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.stack import ServedStack, build_stack
 from repro.telemetry.metrics import merge_snapshots
@@ -287,6 +287,16 @@ def shard_requests(
     return items, reqs
 
 
+#: The served-slice counters a shard's ``sim`` block carries (the
+#: degraded-mode ones exist on the drilled shard only).
+_SHARD_SIM_FIELDS = (
+    "requests", "completions", "status", "availability", "accesses_issued",
+    "dedup_hits", "coalesced_puts", "absent_gets", "sim_ns",
+    "degraded_reads", "retries", "journal", "episodes", "faults",
+    "detection",
+)
+
+
 def _percentile_block(latencies: Sequence[float]) -> Dict[str, float]:
     from repro.serve.bench import _percentiles
     return _percentiles(latencies)
@@ -309,80 +319,28 @@ def _fleet_shard_task(payload: Tuple[FleetConfig, int]) -> Dict[str, Any]:
         f"shard {shard}/{cfg.num_shards}{' [drill]' if drilled else ''} ..."
     )
     items, reqs = shard_requests(cfg, shard)
-    stack_seed = derive_seed(cfg.seed, f"shard:{shard}")
-    if drilled:
-        stack = build_stack(
-            scheme=cfg.scheme, levels=cfg.levels, seed=stack_seed,
-            observer=True, robustness=cfg.drill.robustness,
-            fault_plan=cfg.drill.faults,
-        )
-        # Sealed stacks cannot bulk-preload: populate through real puts
-        # while the fault wrapper is disarmed, then arm it so faults
-        # fire only on the live-serving portion.
-        for key, value in items:
-            stack.kv.put(key, value)
-        stack.arm_faults()
-        t0 = stack.dram_sink.now
-        reqs = [replace(r, arrival_ns=r.arrival_ns + t0) for r in reqs]
-    else:
-        stack = build_stack(
-            scheme=cfg.scheme, levels=cfg.levels, seed=stack_seed,
-            observer=True,
-        )
-        stack.kv.preload(items)
-    scheduler = BatchScheduler(
-        stack.kv, policy=cfg.policy, seed=stack_seed,
-        clock=lambda: stack.dram_sink.now,
-    )
-    if drilled:
-        result = resilient_replay(
-            stack, reqs, scheduler, cfg.drill.resilience,
-            max_batch=cfg.max_batch,
-        )
-    else:
-        result = replay(stack, reqs, scheduler, max_batch=cfg.max_batch)
-    comps = result.completions
-    served = [c for c in comps if c.status == OK]
-    status: Dict[str, int] = {s: 0 for s in STATUSES}
-    for c in comps:
-        status[c.status] += 1
-    stats = scheduler.stats()
-    sim: Dict[str, Any] = {
-        "requests": len(reqs),
-        "completions": len(comps),
-        "status": status,
-        "availability": status[OK] / len(comps) if comps else 1.0,
-        "accesses_issued": stats["accesses_issued"],
-        "dedup_hits": stats["dedup_hits"],
-        "coalesced_puts": stats["coalesced_puts"],
-        "absent_gets": stats["absent_gets"],
-        "sim_ns": result.sim_ns,
-        "latency_ns": _percentile_block([c.latency_ns for c in served]),
+    # The drilled shard is a sealed stack served by the resilient loop;
+    # every other shard serves plainly.
+    armed: Dict[str, Any] = {} if not drilled else {
+        "robustness": cfg.drill.robustness,
+        "fault_plan": cfg.drill.faults,
+        "resilience": cfg.drill.resilience,
     }
-    events = heartbeat_events(
-        shard, result.start_ns, result.end_ns, cfg.heartbeat_ns
+    served = serve_slice(
+        items, reqs, scheme=cfg.scheme, levels=cfg.levels,
+        seed=derive_seed(cfg.seed, f"shard:{shard}"),
+        policy=cfg.policy, max_batch=cfg.max_batch, **armed,
     )
-    if drilled:
-        from repro.serve.chaos import _detection_block, _episode_block
-        sim["degraded_reads"] = result.degraded_reads
-        sim["retries"] = result.retries
-        sim["journal"] = {
-            "appends": result.journal_appends,
-            "replayed": result.journal_replayed,
-            "sheds": result.journal_sheds,
-        }
-        sim["episodes"] = _episode_block(result.episodes)
-        if stack.faulty is not None:
-            summary = stack.faulty.summary()
-            sim["faults"] = summary
-            sim["detection"] = _detection_block(summary)
-        for episode in result.episodes:
-            events.append(
-                ShardEvent(shard, "degraded_enter", episode["enter_ns"])
-            )
-            events.append(
-                ShardEvent(shard, "degraded_exit", episode["exit_ns"])
-            )
+    result, counters = served.result, served.counters
+    latencies = served.served_latencies
+    sim: Dict[str, Any] = {
+        k: counters[k] for k in _SHARD_SIM_FIELDS if k in counters
+    }
+    sim["latency_ns"] = _percentile_block(latencies)
+    events = heartbeat_events(
+        shard, result.start_ns, result.end_ns, cfg.heartbeat_ns,
+        result.episodes if drilled else (),
+    )
     return {
         "cell": {
             "shard": shard,
@@ -391,7 +349,7 @@ def _fleet_shard_task(payload: Tuple[FleetConfig, int]) -> Dict[str, Any]:
             "sim": sim,
         },
         "events": [e.to_dict() for e in events],
-        "latencies": [c.latency_ns for c in served],
+        "latencies": latencies,
     }
 
 
@@ -453,7 +411,9 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
         "requests": requests,
         "completions": completions,
         "status": status,
-        "availability": served / completions if completions else 1.0,
+        # Answered over *attempted*: an errored shard's requests stay
+        # in the denominator (they were asked and not served).
+        "availability": served / cfg.workload.n_requests,
         "makespan_ns": makespan,
         "ns_per_request": makespan / completions if completions else 0.0,
         "requests_per_s_sim": (

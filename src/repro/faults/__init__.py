@@ -13,18 +13,19 @@ the way :mod:`repro.perf` made its speed measurable:
   outages, and attributes each detection to its injected fault.
 - :mod:`repro.faults.campaign` -- the fault type x rate sweep behind
   ``python -m repro faults run``, producing ``BENCH_faults.json``.
-- :mod:`repro.faults.schema` / :mod:`repro.faults.report` -- the report
-  format (validation without third-party libraries) and its rendering.
+- :mod:`repro.faults.schema` -- the report format and its rendering,
+  declared as a :class:`repro.report.ReportSpec` (validation without
+  third-party libraries). Not imported here: every ``FaultPlan`` user
+  (the serving stack, the fleet) imports this package, and none of
+  them needs the campaign's report machinery.
 """
 
 from repro.faults.memory import FaultyMemory
-from repro.faults.plan import FAULT_KINDS, FaultPlan
-from repro.faults.schema import SCHEMA_VERSION, validate_report
+from repro.faults.plan import FAULT_KINDS, TAMPER_KINDS, FaultPlan
 
 __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultyMemory",
-    "SCHEMA_VERSION",
-    "validate_report",
+    "TAMPER_KINDS",
 ]

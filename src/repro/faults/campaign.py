@@ -20,13 +20,13 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core import schemes as schemes_mod
-from repro.faults.plan import FAULT_KINDS, FaultPlan
+from repro.faults.plan import FAULT_KINDS, TAMPER_KINDS, FaultPlan
+from repro.faults.schema import FAULTS
 from repro.parallel.executor import Cell, report_progress, run_cells, worker_registry
-from repro.faults.schema import REPORT_KIND, SCHEMA_VERSION
+from repro.report import assemble
 from repro.telemetry.metrics import merge_snapshots
 from repro.oram.recovery import RobustnessConfig
 from repro.oram.validate import diagnose_robustness
-from repro.perf.runner import _environment
 from repro.sim.engine import SimConfig, Simulation
 from repro.sim.results import SimResult
 from repro.sim.runner import make_trace
@@ -250,35 +250,24 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> Dict[str, Any]:
     # What ships to workers must be progress-free (callbacks do not
     # pickle; report_progress routes through the pool's queue).
     worker_cfg = replace(cfg, progress=None, workers=1)
-    pairs = [(kind, rate) for kind in cfg.kinds for rate in cfg.rates]
+    identities = [
+        {"fault": kind, "rate": float(rate)}
+        for kind in cfg.kinds for rate in cfg.rates
+    ]
     outputs = run_cells(
         _campaign_cell_task,
         [
-            Cell(f"{kind}@{rate:g}", (worker_cfg, kind, rate, baseline["exec_ns"]))
-            for kind, rate in pairs
+            Cell(FAULTS.cell_key(ident),
+                 (worker_cfg, ident["fault"], ident["rate"], baseline["exec_ns"]))
+            for ident in identities
         ],
         workers=cfg.workers,
         progress=cfg.progress,
     )
-    cells: List[Dict[str, Any]] = []
-    for (kind, rate), res in zip(pairs, outputs):
-        if res.ok:
-            cells.append(res.value)
-        else:
-            cells.append({
-                "fault": kind,
-                "rate": float(rate),
-                "error": res.error,
-            })
-    doc: Dict[str, Any] = {
-        "kind": REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "environment": _environment(),
-        "doctor": [str(fd) for fd in doctor],
-        "baseline": baseline,
-        "cells": cells,
-    }
+    doc = assemble(
+        FAULTS, cfg.to_dict(), identities, outputs,
+        doctor=[str(fd) for fd in doctor], baseline=baseline,
+    )
     if cfg.telemetry:
         # Per-cell snapshots fold in submission order, so the merged
         # block is independent of worker count and scheduling.
@@ -286,3 +275,29 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> Dict[str, Any]:
             [r.metrics for r in outputs if r.metrics is not None]
         )
     return doc
+
+
+def detection_check(doc: Dict[str, Any]) -> List[str]:
+    """CI gate: every tampering fault must have been detected.
+
+    Quantifies over the cells whose faults tamper with sealed state
+    (:data:`~repro.faults.plan.TAMPER_KINDS`); with the integrity tree
+    on, each injected one must be detected. Returns findings (empty =
+    pass).
+    """
+    problems: List[str] = []
+    for cell in doc["cells"]:
+        if cell["fault"] not in TAMPER_KINDS:
+            continue
+        if "error" in cell:
+            # An errored tampering cell means detection went
+            # unverified; that is a gap, not a pass.
+            problems.append(f"{FAULTS.cell_key(cell)}: cell errored")
+        elif cell["undetected"] or cell["detected"] != cell["injected"]:
+            problems.append(
+                f"{FAULTS.cell_key(cell)}: "
+                f"injected={cell['injected']} "
+                f"detected={cell['detected']} "
+                f"undetected={cell['undetected']}"
+            )
+    return problems

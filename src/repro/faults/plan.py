@@ -28,6 +28,13 @@ from typing import Any, Dict, Mapping, Optional
 
 FAULT_KINDS = ("bit_flip", "replay", "dropped_write", "unavailable")
 
+#: Kinds that tamper with sealed state and whose detection is
+#: synchronous at the injection site -- the 100%-detection CI gates
+#: quantify over these. ``dropped_write`` detection is lazy (a later
+#: read of the bucket) and ``unavailable`` is overt (the error *is* the
+#: fault), so neither belongs in the gate.
+TAMPER_KINDS = ("bit_flip", "replay")
+
 #: Kinds injected on ``open_slot`` (read-side), in priority order: at
 #: most one fault fires per operation.
 _OPEN_KINDS = ("unavailable", "bit_flip", "replay")

@@ -1,7 +1,7 @@
 """The ``BENCH_faults.json`` report format.
 
-Mirrors :mod:`repro.perf.schema`: machine-checkable with the stock
-interpreter, no third-party schema library. Unlike the perf report,
+Mirrors :mod:`repro.perf.schema`: a :class:`repro.report.ReportSpec`
+run by the shared report kernel. Unlike the perf report,
 every field here is *deterministic* -- there are no wall-clock numbers
 and no timestamps -- so two back-to-back runs of the same campaign
 produce byte-identical files, and CI can diff them directly.
@@ -50,144 +50,94 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-SCHEMA_VERSION = 1
-REPORT_KIND = "repro-faults-report"
-
-_CONFIG_FIELDS = {
-    "scheme": str,
-    "suite": str,
-    "bench": str,
-    "levels": int,
-    "n_requests": int,
-    "warmup_requests": int,
-    "seed": int,
-    "kinds": list,
-    "rates": list,
-    "retry_budget": int,
-    "backoff_base_ns": (int, float),
-    "quarantine": bool,
-    "integrity": bool,
-    "max_outage_ops": int,
-    "smoke": bool,
-}
-
-_BASELINE_FIELDS = {
-    "exec_ns": (int, float),
-    "stash_peak": int,
-    "seals": int,
-    "opens": int,
-}
-
-_CELL_FIELDS = {
-    "fault": str,
-    "rate": (int, float),
-    "injected": int,
-    "detected": int,
-    "undetected": int,
-    "masked": int,
-    "latent": int,
-    "detection_rate": (int, float),
-    "recovered": int,
-    "unrecovered": int,
-    "recovery_rate": (int, float),
-    "retries": int,
-    "rebuilds": int,
-    "quarantines": int,
-    "payload_resets": int,
-    "stash_served": int,
-    "exec_ns": (int, float),
-    "overhead_x": (int, float),
-    "stash_peak": int,
-}
-
-_ERROR_CELL_FIELDS = {
-    "fault": str,
-    "rate": (int, float),
-    "error": str,
-}
+from repro.report import FRACTION, NUM, ReportSpec
 
 
-def _check_fields(
-    obj: Dict[str, Any], fields: Dict[str, Any], where: str, errors: List[str]
-) -> None:
-    for name, typ in fields.items():
-        if name not in obj:
-            errors.append(f"{where}: missing field {name!r}")
-            continue
-        val = obj[name]
-        if typ is bool:
-            ok = isinstance(val, bool)
-        elif isinstance(val, bool):
-            # bool subclasses int; reject it where a number is expected.
-            ok = False
-        else:
-            ok = isinstance(val, typ)
-        if not ok:
-            errors.append(
-                f"{where}: field {name!r} has type "
-                f"{type(val).__name__}, expected {typ}"
-            )
+def _title(doc: Dict[str, Any], flavor: str) -> str:
+    cfg = doc["config"]
+    return (
+        f"fault campaign ({flavor}): {cfg['scheme']}/{cfg['bench']} "
+        f"L={cfg['levels']} requests={cfg['n_requests']} "
+        f"seed={cfg['seed']} integrity={'on' if cfg['integrity'] else 'off'} "
+        f"| baseline exec_ns={doc['baseline']['exec_ns']:.0f}"
+    )
 
 
-def validate_report(doc: Any) -> List[str]:
-    """Validate a parsed report; returns a list of problems (empty = ok)."""
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return [f"report root is {type(doc).__name__}, expected object"]
-    if doc.get("kind") != REPORT_KIND:
-        errors.append(f"kind is {doc.get('kind')!r}, expected {REPORT_KIND!r}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        errors.append(
-            f"schema_version is {doc.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        errors.append("config: missing or not an object")
-    else:
-        _check_fields(config, _CONFIG_FIELDS, "config", errors)
-    env = doc.get("environment")
-    if not isinstance(env, dict):
-        errors.append("environment: missing or not an object")
-    doctor = doc.get("doctor")
-    if not isinstance(doctor, list):
-        errors.append("doctor: missing or not a list")
-    baseline = doc.get("baseline")
-    if not isinstance(baseline, dict):
-        errors.append("baseline: missing or not an object")
-    else:
-        _check_fields(baseline, _BASELINE_FIELDS, "baseline", errors)
-    cells = doc.get("cells")
-    if not isinstance(cells, list) or not cells:
-        errors.append("cells: missing, not a list, or empty")
-        return errors
-    seen = set()
-    for i, cell in enumerate(cells):
-        where = f"cells[{i}]"
-        if not isinstance(cell, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        if "error" in cell:
-            _check_fields(cell, _ERROR_CELL_FIELDS, where, errors)
-        else:
-            _check_fields(cell, _CELL_FIELDS, where, errors)
-            det = cell.get("detection_rate")
-            if isinstance(det, (int, float)) and not isinstance(det, bool):
-                if not 0.0 <= det <= 1.0:
-                    errors.append(
-                        f"{where}: detection_rate must be in [0, 1], got {det}"
-                    )
-        key = (cell.get("fault"), cell.get("rate"))
-        if key in seen:
-            errors.append(f"{where}: duplicate cell {key}")
-        seen.add(key)
-        rate = cell.get("rate")
-        if isinstance(rate, (int, float)) and not isinstance(rate, bool):
-            if not 0.0 <= rate <= 1.0:
-                errors.append(f"{where}: rate must be in [0, 1], got {rate}")
-    return errors
+def _doctor_lines(doc: Dict[str, Any]) -> List[str]:
+    if not doc.get("doctor"):
+        return []
+    return ["doctor findings:"] + [f"  {finding}" for finding in doc["doctor"]]
 
 
-def cell_key(cell: Dict[str, Any]) -> str:
-    """Stable identity of one campaign cell."""
-    return f"{cell['fault']}@{cell['rate']:g}"
+FAULTS = ReportSpec(
+    kind="repro-faults-report",
+    config={
+        "scheme": str,
+        "suite": str,
+        "bench": str,
+        "levels": int,
+        "n_requests": int,
+        "warmup_requests": int,
+        "seed": int,
+        "kinds": list,
+        "rates": list,
+        "retry_budget": int,
+        "backoff_base_ns": NUM,
+        "quarantine": bool,
+        "integrity": bool,
+        "max_outage_ops": int,
+        "smoke": bool,
+    },
+    blocks={
+        "doctor": list,
+        "baseline": {
+            "exec_ns": NUM,
+            "stash_peak": int,
+            "seals": int,
+            "opens": int,
+        },
+    },
+    cell={
+        "fault": str,
+        "rate": FRACTION,
+        "injected": int,
+        "detected": int,
+        "undetected": int,
+        "masked": int,
+        "latent": int,
+        "detection_rate": FRACTION,
+        "recovered": int,
+        "unrecovered": int,
+        "recovery_rate": NUM,
+        "retries": int,
+        "rebuilds": int,
+        "quarantines": int,
+        "payload_resets": int,
+        "stash_served": int,
+        "exec_ns": NUM,
+        "overhead_x": NUM,
+        "stash_peak": int,
+    },
+    key="{fault}@{rate:g}",
+    noun="campaign",
+    title=_title,
+    summary=(
+        ("inj", "injected"),
+        ("det", "detected"),
+        ("undet", "undetected"),
+        ("masked", "masked"),
+        ("latent", "latent"),
+        ("det_rate", "detection_rate"),
+        ("recov", "recovered"),
+        ("unrec", "unrecovered"),
+        ("rebuilds", "rebuilds"),
+        ("retries", "retries"),
+        ("overhead_x", "overhead_x"),
+        ("stash_peak", "stash_peak"),
+    ),
+    footer=_doctor_lines,
+)
+
+validate_report = FAULTS.validate
+cell_key = FAULTS.cell_key
+render_report = FAULTS.render

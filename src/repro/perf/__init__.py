@@ -6,11 +6,11 @@ fixed, seed-pinned matrix of (scheme x trace) cells is replayed through
 throughput (accesses/sec) and deterministic simulation metrics are
 written to a machine-readable JSON report (``BENCH_perf.json``).
 
-- :mod:`repro.perf.schema` defines and validates the report format;
-- :mod:`repro.perf.runner` runs the matrix (full or ``--smoke``);
-- :mod:`repro.perf.compare` diffs two reports and fails on throughput
-  regressions beyond a threshold (the CI gate);
-- :mod:`repro.perf.report` renders reports for humans.
+- :mod:`repro.perf.schema` declares the report format, its
+  throughput-regression gate (the CI gate) and its text rendering as
+  a :class:`repro.report.ReportSpec`; the shared kernel validates,
+  keys, compares and renders;
+- :mod:`repro.perf.runner` runs the matrix (full or ``--smoke``).
 
 Simulation metrics (``cells[*].sim``) are bit-deterministic for a given
 (code version, config, seed); wall-clock metrics (``wall_s``,
@@ -18,10 +18,10 @@ Simulation metrics (``cells[*].sim``) are bit-deterministic for a given
 only throughput as a gate and the ``sim`` block as an identity check.
 """
 
-from repro.perf.compare import compare_reports
 from repro.perf.profile import profile_cell
 from repro.perf.runner import PerfConfig, full_config, run_perf, smoke_config
-from repro.perf.schema import SCHEMA_VERSION, validate_report
+from repro.perf.schema import compare_reports, validate_report
+from repro.report import SCHEMA_VERSION
 
 __all__ = [
     "PerfConfig",

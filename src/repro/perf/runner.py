@@ -10,15 +10,14 @@ comparable across commits.
 
 from __future__ import annotations
 
-import platform
-import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core import schemes as schemes_mod
 from repro.parallel.executor import Cell, report_progress, run_cells, worker_registry
-from repro.perf.schema import REPORT_KIND, SCHEMA_VERSION
+from repro.perf.schema import PERF
+from repro.report import assemble
 from repro.telemetry.metrics import merge_snapshots
 from repro.sim.engine import SimConfig
 from repro.sim.results import SimResult
@@ -127,17 +126,6 @@ def smoke_config(**overrides: Any) -> PerfConfig:
     return _prune_extras(replace(base, **overrides), overrides)
 
 
-def _environment() -> Dict[str, str]:
-    import numpy
-
-    return {
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "platform": platform.platform(),
-        "implementation": sys.implementation.name,
-    }
-
-
 def _sim_block(result: SimResult) -> Dict[str, Any]:
     return {
         "exec_ns": result.exec_ns,
@@ -156,40 +144,44 @@ def _sim_block(result: SimResult) -> Dict[str, Any]:
     }
 
 
-def _run_one_cell(
-    cfg: PerfConfig, scheme_name: str, bench: str, depth: int = 1
-) -> Tuple[float, SimResult]:
-    """Best-of-``repeats`` wall time plus the (deterministic) result."""
-    scheme = schemes_mod.by_name(scheme_name, cfg.levels)
-    best = None
-    result: Optional[SimResult] = None
-    for _ in range(max(1, cfg.repeats)):
+def _best_of(repeats: int, run: Callable[[], Any]) -> Tuple[float, Any]:
+    """Best-of-``repeats`` wall time plus the (deterministic) value."""
+    best, value = None, None
+    for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        out = run_suite(
-            [scheme],
-            suite=cfg.suite,
-            benchmarks=[bench],
-            n_requests=cfg.n_requests,
-            warmup_requests=cfg.warmup_requests,
-            seed=cfg.seed,
-            sim=SimConfig(
-                seed=cfg.seed,
-                warmup_requests=cfg.warmup_requests,
-                pipeline_depth=depth,
-            ),
-        )
+        value = run()
         wall = time.perf_counter() - t0
         if best is None or wall < best:
             best = wall
-        result = out[scheme.name][bench]
-    assert best is not None and result is not None
-    return best, result
+    assert best is not None
+    return best, value
+
+
+def _run_one_cell(
+    cfg: PerfConfig, scheme_name: str, bench: str, depth: int = 1
+) -> Tuple[float, SimResult]:
+    """Best wall time plus the result of one serial/pipelined cell."""
+    scheme = schemes_mod.by_name(scheme_name, cfg.levels)
+    wall, out = _best_of(cfg.repeats, lambda: run_suite(
+        [scheme],
+        suite=cfg.suite,
+        benchmarks=[bench],
+        n_requests=cfg.n_requests,
+        warmup_requests=cfg.warmup_requests,
+        seed=cfg.seed,
+        sim=SimConfig(
+            seed=cfg.seed,
+            warmup_requests=cfg.warmup_requests,
+            pipeline_depth=depth,
+        ),
+    ))
+    return wall, out[scheme.name][bench]
 
 
 def _run_sharded_cell(
     cfg: PerfConfig, scheme_name: str, bench: str, num_shards: int
 ) -> Tuple[float, Dict[str, Any]]:
-    """Best-of-``repeats`` wall time plus the merged fleet sim block.
+    """Best wall time plus the merged fleet sim block of a sharded cell.
 
     The trace is the serial twin's trace exactly (same suite, block
     count, request count and seed), partitioned over ``num_shards``
@@ -203,20 +195,11 @@ def _run_sharded_cell(
         cfg.suite, bench, scheme.n_real_blocks, cfg.n_requests,
         seed=cfg.seed,
     )
-    best = None
-    merged: Optional[Dict[str, Any]] = None
-    for _ in range(max(1, cfg.repeats)):
-        t0 = time.perf_counter()
-        outcome = run_sharded_sim(
-            scheme_name, trace, scheme.n_real_blocks, num_shards,
-            warmup_requests=cfg.warmup_requests, seed=cfg.seed,
-        )
-        wall = time.perf_counter() - t0
-        if best is None or wall < best:
-            best = wall
-        merged = outcome.merged_sim_block()
-    assert best is not None and merged is not None
-    return best, merged
+    wall, outcome = _best_of(cfg.repeats, lambda: run_sharded_sim(
+        scheme_name, trace, scheme.n_real_blocks, num_shards,
+        warmup_requests=cfg.warmup_requests, seed=cfg.seed,
+    ))
+    return wall, outcome.merged_sim_block()
 
 
 def _record_telemetry(cfg: PerfConfig, sim: Dict[str, Any]) -> None:
@@ -249,7 +232,8 @@ def _perf_cell_task(
     the process boundary never pickles a SimResult or a callback).
     """
     cfg, scheme_name, bench, depth, num_shards = payload
-    report_progress(f"running {_cell_label(scheme_name, bench, depth, num_shards)} ...")
+    identity = _identity(scheme_name, bench, depth, num_shards)
+    report_progress(f"running {PERF.cell_key(identity)} ...")
     if num_shards > 1:
         wall, sim = _run_sharded_cell(cfg, scheme_name, bench, num_shards)
     else:
@@ -257,27 +241,24 @@ def _perf_cell_task(
         sim = _sim_block(result)
     if cfg.telemetry:
         _record_telemetry(cfg, sim)
-    cell = {
-        "scheme": scheme_name,
-        "trace": bench,
+    return {
+        **identity,
         "wall_s": wall,
         "accesses_per_s": cfg.n_requests / wall if wall > 0 else 0.0,
         "sim": sim,
     }
-    if depth > 1:
-        cell["pipeline_depth"] = depth
-    if num_shards > 1:
-        cell["shards"] = num_shards
-    return cell
 
 
-def _cell_label(scheme: str, bench: str, depth: int, num_shards: int) -> str:
-    label = f"{scheme}/{bench}"
+def _identity(
+    scheme: str, bench: str, depth: int, num_shards: int
+) -> Dict[str, Any]:
+    """A cell's identity fields (serial cells omit depth and width)."""
+    identity: Dict[str, Any] = {"scheme": scheme, "trace": bench}
     if depth > 1:
-        label += f"@p{depth}"
+        identity["pipeline_depth"] = depth
     if num_shards > 1:
-        label += f"@s{num_shards}"
-    return label
+        identity["shards"] = num_shards
+    return identity
 
 
 def run_perf(cfg: Optional[PerfConfig] = None) -> Dict[str, Any]:
@@ -298,37 +279,17 @@ def run_perf(cfg: Optional[PerfConfig] = None) -> Dict[str, Any]:
     quads = [(s, b, 1, 1) for s in cfg.schemes for b in cfg.benchmarks]
     quads += [(s, b, int(d), 1) for s, b, d in cfg.pipeline]
     quads += [(s, b, 1, int(n)) for s, b, n in cfg.shards]
+    identities = [_identity(*quad) for quad in quads]
     outputs = run_cells(
         _perf_cell_task,
         [
-            Cell(_cell_label(s, b, d, n), (worker_cfg, s, b, d, n))
-            for s, b, d, n in quads
+            Cell(PERF.cell_key(identity), (worker_cfg, *quad))
+            for identity, quad in zip(identities, quads)
         ],
         workers=cfg.workers,
         progress=cfg.progress,
     )
-    cells: List[Dict[str, Any]] = []
-    for (scheme_name, bench, depth, num_shards), res in zip(quads, outputs):
-        if res.ok:
-            cells.append(res.value)
-        else:
-            err = {
-                "scheme": scheme_name,
-                "trace": bench,
-                "error": res.error,
-            }
-            if depth > 1:
-                err["pipeline_depth"] = depth
-            if num_shards > 1:
-                err["shards"] = num_shards
-            cells.append(err)
-    doc: Dict[str, Any] = {
-        "kind": REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "environment": _environment(),
-        "cells": cells,
-    }
+    doc = assemble(PERF, cfg.to_dict(), identities, outputs)
     if cfg.telemetry:
         # Fold per-cell registry snapshots in submission order; the
         # result is independent of worker count and scheduling.

@@ -2,7 +2,8 @@
 
 The report must stay machine-checkable without third-party schema
 libraries (CI and the test suite validate it with the stock
-interpreter), so the schema is expressed as plain validation code.
+interpreter), so the schema is a :class:`repro.report.ReportSpec`: the
+tables below, run by the shared report kernel.
 
 Top-level document::
 
@@ -29,8 +30,11 @@ One cell per (scheme, trace) pair::
       }
     }
 
-``wall_s``/``accesses_per_s`` are what :mod:`repro.perf.compare` gates
-on; the ``sim`` block lets tests assert run-to-run determinism.
+``accesses_per_s`` is what the compare gate checks (exit 1 when a cell
+drops more than ``threshold`` percent); the ``sim`` block lets tests
+assert run-to-run determinism and is diffed for the summary text but
+never gates -- it legitimately changes when simulator behaviour
+changes, and such changes must be reviewed, not blocked.
 
 A cell whose worker failed (crashed process, raised exception) is
 recorded as an *error cell* instead of silently shrinking the matrix::
@@ -44,197 +48,80 @@ gate treats a baseline cell that errored in the new report as an ERROR
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from repro.report import AT_LEAST_ONE, NUM, POSITIVE, Gate, ReportSpec
 
-SCHEMA_VERSION = 1
-REPORT_KIND = "repro-perf-report"
+PERF = ReportSpec(
+    kind="repro-perf-report",
+    config={
+        "schemes": list,
+        "benchmarks": list,
+        "suite": str,
+        "levels": int,
+        "n_requests": int,
+        "warmup_requests": int,
+        "seed": int,
+        "repeats": int,
+        "smoke": bool,
+        # Optional (reports written before they existed stay valid):
+        # extra pipelined cells as [scheme, trace, depth] triples and
+        # extra sharded cells as [scheme, trace, shards] triples.
+        "pipeline_cells?": list,
+        "shard_cells?": list,
+    },
+    cell={
+        "scheme": str,
+        "trace": str,
+        "wall_s": POSITIVE,
+        "accesses_per_s": NUM,
+        # A pipelined cell carries the depth it ran at and a sharded
+        # cell the fleet width (serial cells omit both, keeping
+        # historical reports byte-identical).
+        "pipeline_depth?": AT_LEAST_ONE,
+        "shards?": AT_LEAST_ONE,
+        "sim": {
+            "exec_ns": NUM,
+            "ns_per_access": NUM,
+            "stash_peak": int,
+            "reshuffles_total": int,
+            "reshuffles_by_level": list,
+            "dram_reads": int,
+            "dram_writes": int,
+            "row_hit_rate": NUM,
+            "online_accesses": int,
+            "background_accesses": int,
+            "evictions": int,
+            "dead_blocks": int,
+            "remote_accesses": int,
+        },
+    },
+    # Pipelined and sharded cells are distinct from their serial twin:
+    # ``scheme/trace@p<depth>@s<shards>`` (depth/width 1 or absent
+    # keeps the historical two-part key).
+    key="{scheme}/{trace}",
+    key_suffixes=(("pipeline_depth", "@p{}"), ("shards", "@s{}")),
+    host_fields=("wall_s", "accesses_per_s"),
+    gates=(
+        Gate("accesses_per_s", "higher", "pct",
+             show="{old:.1f} -> {new:.1f} acc/s ({delta:+.1f}%)",
+             fail=" exceeds -{limit:g}% threshold", positive=True),
+    ),
+    drift=("sim.*",),
+    drift_label="sim metrics drifted",
+    title=("perf matrix ({flavor}): L={levels} requests={n_requests} "
+           "warmup={warmup_requests} seed={seed}"),
+    summary=(
+        ("wall_s", "wall_s"),
+        ("acc_per_s", "accesses_per_s"),
+        ("ns_per_access", "sim.ns_per_access"),
+        ("stash_peak", "sim.stash_peak"),
+        ("reshuffles", "sim.reshuffles_total"),
+        ("row_hit", "sim.row_hit_rate"),
+    ),
+)
 
-_CONFIG_FIELDS = {
-    "schemes": list,
-    "benchmarks": list,
-    "suite": str,
-    "levels": int,
-    "n_requests": int,
-    "warmup_requests": int,
-    "seed": int,
-    "repeats": int,
-    "smoke": bool,
-}
-
-# Optional config fields (reports written before they existed stay
-# valid): extra pipelined cells as [scheme, trace, depth] triples and
-# extra sharded cells as [scheme, trace, shards] triples.
-_CONFIG_OPTIONAL_FIELDS = {
-    "pipeline_cells": list,
-    "shard_cells": list,
-}
-
-_CELL_FIELDS = {
-    "scheme": str,
-    "trace": str,
-    "wall_s": (int, float),
-    "accesses_per_s": (int, float),
-    "sim": dict,
-}
-
-_ERROR_CELL_FIELDS = {
-    "scheme": str,
-    "trace": str,
-    "error": str,
-}
-
-# Optional cell fields: a pipelined cell carries the depth it ran at
-# and a sharded cell the fleet width (serial cells omit both, keeping
-# historical reports byte-identical).
-_CELL_OPTIONAL_FIELDS = {
-    "pipeline_depth": int,
-    "shards": int,
-}
-
-_SIM_FIELDS = {
-    "exec_ns": (int, float),
-    "ns_per_access": (int, float),
-    "stash_peak": int,
-    "reshuffles_total": int,
-    "reshuffles_by_level": list,
-    "dram_reads": int,
-    "dram_writes": int,
-    "row_hit_rate": (int, float),
-    "online_accesses": int,
-    "background_accesses": int,
-    "evictions": int,
-    "dead_blocks": int,
-    "remote_accesses": int,
-}
-
-
-def _check_fields(
-    obj: Dict[str, Any], fields: Dict[str, Any], where: str, errors: List[str]
-) -> None:
-    for name, typ in fields.items():
-        if name not in obj:
-            errors.append(f"{where}: missing field {name!r}")
-            continue
-        val = obj[name]
-        if typ is bool:
-            ok = isinstance(val, bool)
-        elif isinstance(val, bool):
-            # bool subclasses int; reject it where a number is expected.
-            ok = False
-        else:
-            ok = isinstance(val, typ)
-        if not ok:
-            errors.append(
-                f"{where}: field {name!r} has type "
-                f"{type(val).__name__}, expected {typ}"
-            )
-
-
-def validate_report(doc: Any) -> List[str]:
-    """Validate a parsed report; returns a list of problems (empty = ok)."""
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return [f"report root is {type(doc).__name__}, expected object"]
-    if doc.get("kind") != REPORT_KIND:
-        errors.append(f"kind is {doc.get('kind')!r}, expected {REPORT_KIND!r}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        errors.append(
-            f"schema_version is {doc.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        errors.append("config: missing or not an object")
-    else:
-        _check_fields(config, _CONFIG_FIELDS, "config", errors)
-        for name, typ in _CONFIG_OPTIONAL_FIELDS.items():
-            if name in config and not isinstance(config[name], typ):
-                errors.append(
-                    f"config: field {name!r} has type "
-                    f"{type(config[name]).__name__}, expected {typ}"
-                )
-    env = doc.get("environment")
-    if not isinstance(env, dict):
-        errors.append("environment: missing or not an object")
-    cells = doc.get("cells")
-    if not isinstance(cells, list) or not cells:
-        errors.append("cells: missing, not a list, or empty")
-        return errors
-    seen = set()
-    for i, cell in enumerate(cells):
-        where = f"cells[{i}]"
-        if not isinstance(cell, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        if "error" in cell:
-            _check_fields(cell, _ERROR_CELL_FIELDS, where, errors)
-        else:
-            _check_fields(cell, _CELL_FIELDS, where, errors)
-            sim = cell.get("sim")
-            if isinstance(sim, dict):
-                _check_fields(sim, _SIM_FIELDS, f"{where}.sim", errors)
-            wall = cell.get("wall_s")
-            if isinstance(wall, (int, float)) and wall <= 0:
-                errors.append(f"{where}: wall_s must be positive, got {wall}")
-        for field in ("pipeline_depth", "shards"):
-            val = cell.get(field)
-            if val is not None and (
-                isinstance(val, bool) or not isinstance(val, int) or val < 1
-            ):
-                errors.append(
-                    f"{where}: {field} must be an int >= 1, got {val!r}"
-                )
-        key = (cell.get("scheme"), cell.get("trace"),
-               cell.get("pipeline_depth", 1), cell.get("shards", 1))
-        if key in seen:
-            errors.append(f"{where}: duplicate cell {key}")
-        seen.add(key)
-    return errors
-
-
-def cell_key(cell: Dict[str, Any]) -> str:
-    """Stable identity of one matrix cell.
-
-    Pipelined and sharded cells are distinct from their serial twin:
-    the depth is appended as ``@p<depth>`` and the fleet width as
-    ``@s<shards>`` (depth 1 / absent keeps the historical two-part
-    key).
-    """
-    key = f"{cell['scheme']}/{cell['trace']}"
-    depth = cell.get("pipeline_depth", 1)
-    if depth > 1:
-        key += f"@p{depth}"
-    shards = cell.get("shards", 1)
-    if shards > 1:
-        key += f"@s{shards}"
-    return key
-
-
-def deterministic_view(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """The report reduced to its run-to-run deterministic content.
-
-    Strips host-dependent fields (``wall_s``, ``accesses_per_s``, the
-    ``environment`` block) so two runs of the same code -- serial or
-    with any worker count -- agree byte-for-byte on the result.
-    """
-    out: Dict[str, Any] = {
-        k: v for k, v in doc.items()
-        if k not in ("environment",)
-    }
-    cells = []
-    for cell in doc.get("cells", []):
-        cells.append({
-            k: v for k, v in cell.items()
-            if k not in ("wall_s", "accesses_per_s")
-        })
-    out["cells"] = cells
-    return out
-
-
-def deterministic_bytes(doc: Dict[str, Any]) -> bytes:
-    """Canonical JSON encoding of :func:`deterministic_view`."""
-    import json
-
-    return json.dumps(
-        deterministic_view(doc), sort_keys=True, separators=(",", ":")
-    ).encode()
+validate_report = PERF.validate
+cell_key = PERF.cell_key
+deterministic_view = PERF.deterministic_view
+deterministic_bytes = PERF.deterministic_bytes
+compare_reports = PERF.compare
+render_report = PERF.render

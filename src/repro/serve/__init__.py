@@ -18,9 +18,10 @@ The serving layer turns the single-caller
 - :mod:`repro.serve.server` -- a thread-pool front-end for wall-clock
   serving: clients submit concurrently, one scheduler thread services
   batches;
-- :mod:`repro.serve.bench` / :mod:`~repro.serve.schema` /
-  :mod:`~repro.serve.compare` / :mod:`~repro.serve.report` -- the
-  ``BENCH_serve.json`` harness (the tail-latency yardstick CI gates);
+- :mod:`repro.serve.bench` / :mod:`~repro.serve.schema` -- the
+  ``BENCH_serve.json`` harness (the tail-latency yardstick CI gates;
+  the schema module declares the serve, chaos and scaling formats,
+  gates and renderings as :class:`repro.report.ReportSpec` tables);
 - :mod:`repro.serve.tracing` -- per-request Perfetto traces splitting
   queueing vs. ORAM vs. DRAM time;
 - :mod:`repro.serve.resilience` -- the chaos-hardened serving loop:

@@ -16,19 +16,17 @@ evidence that dedup/coalescing buys real access savings
 
 from __future__ import annotations
 
-import platform
-import sys
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.parallel.executor import Cell, report_progress, run_cells
+from repro.report import assemble
 from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
-from repro.serve.replay import replay
-from repro.serve.scheduler import POLICIES, BatchScheduler
-from repro.serve.schema import REPORT_KIND, SCHEMA_VERSION
-from repro.serve.stack import attacker_block, build_stack
+from repro.serve.replay import serve_slice
+from repro.serve.scheduler import POLICIES
+from repro.serve.schema import SERVE
 from repro.serve.tracing import request_trace_doc, write_trace
 
 
@@ -153,17 +151,6 @@ def full_config(**overrides: Any) -> ServeConfig:
 
 # ----------------------------------------------------------------- helpers
 
-def _environment() -> Dict[str, str]:
-    import numpy
-
-    return {
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "platform": platform.platform(),
-        "implementation": sys.implementation.name,
-    }
-
-
 def _percentiles(values: Sequence[float]) -> Dict[str, float]:
     if not len(values):
         return {"p50": 0.0, "p99": 0.0, "p999": 0.0, "mean": 0.0, "max": 0.0}
@@ -194,41 +181,30 @@ def _serve_cell_task(
             "workload": workload.name, "policy": policy,
             "scheme": cfg.scheme, "levels": cfg.levels, "seed": cfg.seed,
         })
-    stack = build_stack(
+    served = serve_slice(
+        initial_items(workload), generate_requests(workload),
         scheme=cfg.scheme, levels=cfg.levels, seed=cfg.seed,
-        telemetry=telemetry, observer=True,
+        policy=policy, max_batch=cfg.max_batch, telemetry=telemetry,
     )
-    stack.kv.preload(initial_items(workload))
-    requests = generate_requests(workload)
-    scheduler = BatchScheduler(
-        stack.kv, policy=policy, seed=cfg.seed,
-        clock=lambda: stack.dram_sink.now,
-    )
-    result = replay(stack, requests, scheduler, max_batch=cfg.max_batch)
+    result, counters = served.result, served.counters
     comps = result.completions
-    stats = scheduler.stats()
     sim_s = result.sim_ns / 1e9
     sim: Dict[str, Any] = {
-        "requests": stats["requests"],
-        "accesses_issued": stats["accesses_issued"],
-        "dedup_hits": stats["dedup_hits"],
-        "coalesced_puts": stats["coalesced_puts"],
-        "absent_gets": stats["absent_gets"],
+        **{k: counters[k] for k in (
+            "requests", "accesses_issued", "dedup_hits", "coalesced_puts",
+            "absent_gets", "ops", "batch_size_hist", "sim_ns",
+        )},
         "accesses_per_request": (
-            stats["accesses_issued"] / stats["requests"]
-            if stats["requests"] else 0.0
+            counters["accesses_issued"] / counters["requests"]
+            if counters["requests"] else 0.0
         ),
-        "ops": stats["ops"],
-        "batch_size_hist": stats["batch_size_hist"],
-        "sim_ns": result.sim_ns,
         "requests_per_s_sim": len(comps) / sim_s if sim_s > 0 else 0.0,
         "latency_ns": _percentiles([c.latency_ns for c in comps]),
         "queue_ns": _percentiles([c.queue_ns for c in comps]),
         "service_ns": _percentiles([c.service_ns for c in comps]),
     }
-    security = attacker_block(stack.attacker)
-    if security is not None:
-        sim["security"] = security
+    if "security" in counters:
+        sim["security"] = counters["security"]
     if want_trace:
         doc = request_trace_doc(
             comps, telemetry.spans, meta=telemetry.meta,
@@ -277,23 +253,10 @@ def run_serve(cfg: Optional[ServeConfig] = None) -> Dict[str, Any]:
         workers=cfg.workers,
         progress=cfg.progress,
     )
-    cells: List[Dict[str, Any]] = []
-    for (workload, policy), res in zip(pairs, outputs):
-        if res.ok:
-            cells.append(res.value)
-        else:
-            cells.append({
-                "workload": workload.name,
-                "policy": policy,
-                "error": res.error,
-            })
-    return {
-        "kind": REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "environment": _environment(),
-        "cells": cells,
-    }
+    return assemble(
+        SERVE, cfg.to_dict(),
+        [{"workload": w.name, "policy": p} for w, p in pairs], outputs,
+    )
 
 
 # ------------------------------------------------------------- dedup gate

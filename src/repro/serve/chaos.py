@@ -30,30 +30,27 @@ deterministic view is byte-identical across runs and worker counts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.sharding.control import ControlPlane, ShardEvent, heartbeat_events
+from repro.core.sharding.control import ControlPlane, heartbeat_events
 from repro.core.sharding.partition import PartitionMap
-from repro.faults.plan import FAULT_KINDS, FaultPlan
+from repro.faults.plan import FAULT_KINDS, TAMPER_KINDS, FaultPlan
 from repro.oram.recovery import RobustnessConfig
-from repro.parallel.executor import Cell, derive_seed, report_progress, run_cells
-from repro.serve.bench import _environment, _percentiles
+from repro.parallel.executor import (
+    Cell, CellResult, derive_seed, report_progress, run_cells,
+)
+from repro.report import SCHEMA_VERSION, assemble
+from repro.serve.bench import _percentiles
 from repro.serve.loadgen import (
     WorkloadConfig, generate_requests, initial_items,
 )
-from repro.serve.request import OK, STATUSES
-from repro.serve.resilience import ResilienceConfig, resilient_replay
-from repro.serve.scheduler import BatchScheduler
-from repro.serve.schema import CHAOS_REPORT_KIND, SCHEMA_VERSION
-from repro.serve.stack import attacker_block, build_stack
+from repro.serve.request import OK
+from repro.serve.replay import detection_block, episode_block, serve_slice
+from repro.serve.resilience import ResilienceConfig
+from repro.serve.schema import CHAOS
 from repro.serve.tracing import request_trace_doc, write_trace
-
-#: Fault kinds whose detection is synchronous at the injection site --
-#: the 100%-detection CI gate quantifies over these. ``dropped_write``
-#: detection is lazy (a later read of the bucket) and ``unavailable``
-#: is overt (the error *is* the fault), so neither belongs in the gate.
-TAMPER_KINDS = ("bit_flip", "replay")
 
 
 @dataclass(frozen=True)
@@ -241,31 +238,39 @@ def full_config(**overrides: Any) -> ChaosConfig:
 
 # ------------------------------------------------------------------ runner
 
-def _episode_block(episodes: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    spans = [e["exit_ns"] - e["enter_ns"] for e in episodes]
-    return {
-        "count": len(episodes),
-        "recover_ns_mean": sum(spans) / len(spans) if spans else 0.0,
-        "recover_ns_max": max(spans) if spans else 0.0,
-        "rebuilt": sum(e["rebuilt"] for e in episodes),
-        "journal_replayed": sum(e["journal_replayed"] for e in episodes),
-    }
+#: The per-slice counters a report ``sim`` block sums across slices.
+_SUMMED = (
+    "requests", "completions", "status", "accesses_issued", "dedup_hits",
+    "coalesced_puts", "absent_gets", "scheduler_timeouts", "degraded_reads",
+    "journal", "retries", "robust",
+)
 
 
-def _detection_block(summary: Dict[str, Any]) -> Dict[str, Any]:
-    injected = sum(summary["injected"][k] for k in TAMPER_KINDS)
-    detected = sum(summary["detected"][k] for k in TAMPER_KINDS)
-    return {
-        "tamper_injected": injected,
-        "tamper_detected": detected,
-        "rate": detected / injected if injected else 1.0,
-    }
+def _chaos_slice(
+    cfg: ChaosConfig, cell: ChaosCell, shard: Optional[int]
+) -> Dict[str, Any]:
+    """Serve one cell's slice: the whole cell, or one shard of it.
 
-
-def _chaos_cell_task(payload: Tuple[ChaosConfig, ChaosCell]) -> Dict[str, Any]:
-    """One campaign cell, runnable in-process or in a spawn worker."""
-    cfg, cell = payload
-    report_progress(f"chaos {cell.name} ...")
+    ``shard=None`` is the single-stack campaign (stack and fault plan
+    seeded from the config). A shard serves exactly the keys the
+    fleet-wide keyed-PRF partition map assigns it, on an independently
+    seeded stack with an independently seeded fault plan -- the same
+    discipline the sharded simulator uses, so the split never depends
+    on which process runs it.
+    """
+    seed, faults = cfg.seed, cell.faults
+    items, requests = initial_items(cell.workload), generate_requests(cell.workload)
+    if shard is not None:
+        pmap = PartitionMap(cfg.num_shards, seed=cfg.seed)
+        seed = derive_seed(cfg.seed, f"shard:{shard}")
+        if faults is not None:
+            faults = replace(
+                faults, seed=derive_seed(faults.seed, f"shard:{shard}"),
+            )
+        items = [kv for kv in items if pmap.shard_of_bytes(kv[0]) == shard]
+        requests = [
+            r for r in requests if pmap.shard_of_bytes(r.key) == shard
+        ]
     want_trace = cfg.trace_out is not None and cfg.trace_cell == cell.name
     telemetry = None
     if want_trace:
@@ -274,89 +279,125 @@ def _chaos_cell_task(payload: Tuple[ChaosConfig, ChaosCell]) -> Dict[str, Any]:
             "cell": cell.name, "scheme": cfg.scheme,
             "levels": cfg.levels, "seed": cfg.seed,
         })
-    stack = build_stack(
-        scheme=cfg.scheme, levels=cfg.levels, seed=cfg.seed,
-        telemetry=telemetry, observer=True,
-        robustness=cfg.robustness, fault_plan=cell.faults,
-    )
-    kv = stack.kv
-    # Sealed stacks cannot bulk-preload: populate through real puts
-    # while the fault wrapper is still disarmed, then arm it -- faults
-    # fire only on the measured, live-serving portion of the run.
-    for key, value in initial_items(cell.workload):
-        kv.put(key, value)
-    stack.arm_faults()
-    # The population advanced the simulated clock; shift arrivals so
-    # the open-loop workload starts "now" instead of in the past.
-    t0 = stack.dram_sink.now
-    requests = [
-        replace(r, arrival_ns=r.arrival_ns + t0)
-        for r in generate_requests(cell.workload)
-    ]
-    scheduler = BatchScheduler(
-        kv, policy="batch", seed=cfg.seed,
-        clock=lambda: stack.dram_sink.now,
-    )
-    result = resilient_replay(
-        stack, requests, scheduler, cell.resilience, max_batch=cfg.max_batch,
-    )
-    comps = result.completions
-    served = [c for c in comps if c.status == OK]
-    status = result.status_counts()
-    stats = scheduler.stats()
-    sim_s = result.sim_ns / 1e9
-    sim: Dict[str, Any] = {
-        "requests": len(requests),
-        "completions": len(comps),
-        "status": {s: status.get(s, 0) for s in STATUSES},
-        "availability": (
-            status.get(OK, 0) / len(comps) if comps else 0.0
-        ),
-        "accesses_issued": stats["accesses_issued"],
-        "dedup_hits": stats["dedup_hits"],
-        "coalesced_puts": stats["coalesced_puts"],
-        "absent_gets": stats["absent_gets"],
-        "scheduler_timeouts": stats["timeouts"],
-        "degraded_reads": result.degraded_reads,
-        "journal": {
-            "appends": result.journal_appends,
-            "replayed": result.journal_replayed,
-            "sheds": result.journal_sheds,
-        },
-        "retries": result.retries,
-        "episodes": _episode_block(result.episodes),
-        "sim_ns": result.sim_ns,
-        "requests_per_s_sim": len(comps) / sim_s if sim_s > 0 else 0.0,
-        "latency_ns": _percentiles([c.latency_ns for c in served]),
-        "robust": {
-            "counters": kv.oram.robust.to_dict(),
-            "backoff_stalled_ns": stack.dram_sink.dram.stats.stalled_ns,
-        },
-    }
-    if stack.faulty is not None:
-        summary = stack.faulty.summary()
-        sim["faults"] = summary
-        sim["detection"] = _detection_block(summary)
-    security = attacker_block(stack.attacker)
-    if security is not None:
-        sim["security"] = security
-    if want_trace:
-        doc = request_trace_doc(
-            comps, telemetry.spans, meta=telemetry.meta,
-            resilience_events=result.events,
+    sampler = None
+    if cfg.ops_out is not None and shard is not None:
+        from repro.telemetry import OpsSampler
+        sampler = functools.partial(
+            OpsSampler, cell.name, shard, cfg.slo_window_ns,
         )
-        write_trace(doc, cfg.trace_out)
+    served = serve_slice(
+        items, requests, scheme=cfg.scheme, levels=cfg.levels, seed=seed,
+        max_batch=cfg.max_batch, robustness=cfg.robustness,
+        fault_plan=faults, resilience=cell.resilience,
+        telemetry=telemetry, sampler=sampler,
+    )
+    result, counters = served.result, served.counters
+    partial: Dict[str, Any] = {
+        "shard": shard or 0,
+        **{k: counters[k] for k in _SUMMED},
+        "availability": counters["availability"],
+        "episodes": counters["episodes"]["count"],
+        "start_ns": result.start_ns,
+        "end_ns": result.end_ns,
+    }
+    if "faults" in counters:
+        partial["faults"] = counters["faults"]
     return {
-        "name": cell.name,
-        "wall_s": result.wall_s,
-        "requests_per_s_wall": (
-            len(comps) / result.wall_s if result.wall_s > 0 else 0.0
+        "partial": partial,
+        "episode_list": list(result.episodes),
+        "latencies": served.served_latencies,
+        "completions": result.completions,
+        "spans": list(telemetry.spans) if want_trace else None,
+        "events": list(result.events) if want_trace else None,
+        "trace_meta": telemetry.meta if want_trace else None,
+        "ops_records": (
+            list(served.sampler.records) if served.sampler is not None else []
         ),
+        "security": counters.get("security"),
+        "wall_s": result.wall_s,
+    }
+
+
+def _sum_tree(blocks: Sequence[Any]) -> Any:
+    """Element-wise sum of parallel dict-of-numbers trees."""
+    if isinstance(blocks[0], dict):
+        return {k: _sum_tree([b[k] for b in blocks]) for k in blocks[0]}
+    return sum(blocks)
+
+
+def _fold_slices(
+    name: str, outputs: Sequence[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """Fold a cell's slice outputs (one, or one per shard) into its cell.
+
+    Counts sum; latency percentiles re-derive from the concatenated
+    served latencies (slice order, so the fold is a pure function of
+    the outputs); the serving window spans the earliest start to the
+    latest end. Everything the ``sim`` block carries is derived from
+    worker-returned simulated state only -- byte-identical at any
+    worker count.
+    """
+    partials = [o["partial"] for o in outputs]
+    sim: Dict[str, Any] = _sum_tree([
+        {k: p[k] for k in _SUMMED} for p in partials
+    ])
+    n_comps = sim["completions"]
+    sim_ns = (max(p["end_ns"] for p in partials)
+              - min(p["start_ns"] for p in partials))
+    sim_s = sim_ns / 1e9
+    sim.update({
+        "availability": (
+            sim["status"][OK] / sim["requests"] if sim["requests"] else 1.0
+        ),
+        "episodes": episode_block(
+            [e for o in outputs for e in o["episode_list"]]
+        ),
+        "sim_ns": sim_ns,
+        "requests_per_s_sim": n_comps / sim_s if sim_s > 0 else 0.0,
+        "latency_ns": _percentiles(
+            [lat for o in outputs for lat in o["latencies"]]
+        ),
+    })
+    if any("faults" in p for p in partials):
+        sim["faults"] = _sum_tree(
+            [p["faults"] for p in partials if "faults" in p]
+        )
+        sim["detection"] = detection_block(sim["faults"])
+    wall_s = sum(o["wall_s"] for o in outputs)
+    return {
+        "name": name,
+        "wall_s": wall_s,
+        "requests_per_s_wall": n_comps / wall_s if wall_s > 0 else 0.0,
         "sim": sim,
     }
 
 
+def _chaos_cell_task(payload: Tuple[ChaosConfig, ChaosCell]) -> Dict[str, Any]:
+    """One campaign cell, runnable in-process or in a spawn worker."""
+    cfg, cell = payload
+    report_progress(f"chaos {cell.name} ...")
+    out = _chaos_slice(cfg, cell, None)
+    doc = _fold_slices(cell.name, [out])
+    if out["security"] is not None:
+        doc["sim"]["security"] = out["security"]
+    if out["spans"] is not None:
+        write_trace(request_trace_doc(
+            out["completions"], out["spans"], meta=out["trace_meta"],
+            resilience_events=out["events"],
+        ), cfg.trace_out)
+    return doc
+
+
 # ----------------------------------------------------------- sharded runner
+
+def _chaos_shard_task(
+    payload: Tuple[ChaosConfig, ChaosCell, int],
+) -> Dict[str, Any]:
+    """One shard of one campaign cell, runnable in a spawn worker."""
+    cfg, cell, shard = payload
+    report_progress(f"chaos {cell.name}/s{shard} ...")
+    return _chaos_slice(cfg, cell, shard)
+
 
 def _cell_slo_rules(cell: ChaosCell) -> Tuple[Any, ...]:
     """Derive a cell's SLO rule set from its CI gate fields."""
@@ -369,114 +410,6 @@ def _cell_slo_rules(cell: ChaosCell) -> Tuple[Any, ...]:
     )
 
 
-def _sum_tree(blocks: Sequence[Any]) -> Any:
-    """Element-wise sum of parallel dict-of-numbers trees."""
-    if isinstance(blocks[0], dict):
-        return {k: _sum_tree([b[k] for b in blocks]) for k in blocks[0]}
-    return sum(blocks)
-
-
-def _chaos_shard_task(
-    payload: Tuple[ChaosConfig, ChaosCell, int],
-) -> Dict[str, Any]:
-    """One shard of one campaign cell, runnable in a spawn worker.
-
-    The shard serves exactly the keys the fleet-wide keyed-PRF
-    partition map assigns it, on an independently seeded stack with an
-    independently seeded fault plan -- the same discipline the sharded
-    simulator uses, so the split never depends on which process runs it.
-    """
-    cfg, cell, shard = payload
-    report_progress(f"chaos {cell.name}/s{shard} ...")
-    pmap = PartitionMap(cfg.num_shards, seed=cfg.seed)
-    stack_seed = derive_seed(cfg.seed, f"shard:{shard}")
-    faults = cell.faults
-    if faults is not None:
-        faults = replace(
-            faults, seed=derive_seed(faults.seed, f"shard:{shard}"),
-        )
-    want_trace = cfg.trace_out is not None and cfg.trace_cell == cell.name
-    telemetry = None
-    if want_trace:
-        from repro.telemetry import Telemetry
-        telemetry = Telemetry(meta={
-            "cell": cell.name, "shard": shard, "scheme": cfg.scheme,
-            "levels": cfg.levels, "seed": cfg.seed,
-        })
-    stack = build_stack(
-        scheme=cfg.scheme, levels=cfg.levels, seed=stack_seed,
-        telemetry=telemetry, observer=True,
-        robustness=cfg.robustness, fault_plan=faults,
-    )
-    kv = stack.kv
-    for key, value in initial_items(cell.workload):
-        if pmap.shard_of_bytes(key) == shard:
-            kv.put(key, value)
-    stack.arm_faults()
-    t0 = stack.dram_sink.now
-    requests = [
-        replace(r, arrival_ns=r.arrival_ns + t0)
-        for r in generate_requests(cell.workload)
-        if pmap.shard_of_bytes(r.key) == shard
-    ]
-    scheduler = BatchScheduler(
-        kv, policy="batch", seed=stack_seed,
-        clock=lambda: stack.dram_sink.now,
-    )
-    sampler = None
-    if cfg.ops_out is not None:
-        from repro.telemetry import OpsSampler
-        sampler = OpsSampler(cell.name, shard, cfg.slo_window_ns, stack)
-    result = resilient_replay(
-        stack, requests, scheduler, cell.resilience,
-        max_batch=cfg.max_batch, sampler=sampler,
-    )
-    comps = result.completions
-    served = [c for c in comps if c.status == OK]
-    status = result.status_counts()
-    stats = scheduler.stats()
-    partial: Dict[str, Any] = {
-        "shard": shard,
-        "requests": len(requests),
-        "completions": len(comps),
-        "status": {s: status.get(s, 0) for s in STATUSES},
-        "availability": (
-            status.get(OK, 0) / len(comps) if comps else 0.0
-        ),
-        "accesses_issued": stats["accesses_issued"],
-        "dedup_hits": stats["dedup_hits"],
-        "coalesced_puts": stats["coalesced_puts"],
-        "absent_gets": stats["absent_gets"],
-        "scheduler_timeouts": stats["timeouts"],
-        "degraded_reads": result.degraded_reads,
-        "journal": {
-            "appends": result.journal_appends,
-            "replayed": result.journal_replayed,
-            "sheds": result.journal_sheds,
-        },
-        "retries": result.retries,
-        "episodes": len(result.episodes),
-        "robust": {
-            "counters": kv.oram.robust.to_dict(),
-            "backoff_stalled_ns": stack.dram_sink.dram.stats.stalled_ns,
-        },
-        "start_ns": result.start_ns,
-        "end_ns": result.end_ns,
-    }
-    if stack.faulty is not None:
-        partial["faults"] = stack.faulty.summary()
-    return {
-        "partial": partial,
-        "episode_list": list(result.episodes),
-        "latencies": [c.latency_ns for c in served],
-        "completions": comps,
-        "spans": list(telemetry.spans) if want_trace else None,
-        "events": list(result.events) if want_trace else None,
-        "ops_records": list(sampler.records) if sampler is not None else [],
-        "wall_s": result.wall_s,
-    }
-
-
 def _merge_shard_cell(
     cfg: ChaosConfig,
     cell: ChaosCell,
@@ -484,86 +417,34 @@ def _merge_shard_cell(
 ) -> Tuple[Dict[str, Any], Any]:
     """Fold one cell's shard outputs into a report cell + SLO engine.
 
-    Counts sum; latency percentiles re-derive from the concatenated
-    per-shard served latencies (shard order, so the fold is a pure
-    function of the outputs); the control plane replays every shard's
-    heartbeat train and degraded markers on one merged timeline; the
-    SLO engine folds the fleet's completion stream in ``(done_ns,
-    rid)`` order. Everything the ``sim`` block carries is derived from
-    worker-returned simulated state only -- byte-identical at any
-    worker count.
+    :func:`_fold_slices` plus the fleet-only blocks: the per-shard
+    partials; the control plane replaying every shard's heartbeat
+    train and degraded markers on one merged timeline; the SLO engine
+    folding the fleet's completion stream in ``(done_ns, rid)`` order.
     """
     from repro.telemetry import SloEngine, fold_completions
 
     outputs = sorted(outputs, key=lambda o: o["partial"]["shard"])
-    partials = [o["partial"] for o in outputs]
-    episodes = [e for o in outputs for e in o["episode_list"]]
-    latencies = [lat for o in outputs for lat in o["latencies"]]
-    n_requests = sum(p["requests"] for p in partials)
-    n_comps = sum(p["completions"] for p in partials)
-    status = {
-        s: sum(p["status"][s] for p in partials) for s in STATUSES
-    }
-    start_ns = min(p["start_ns"] for p in partials)
-    end_ns = max(p["end_ns"] for p in partials)
-    sim_ns = end_ns - start_ns
-    sim_s = sim_ns / 1e9
-    sim: Dict[str, Any] = {
-        "requests": n_requests,
-        "completions": n_comps,
-        "status": status,
-        "availability": status.get(OK, 0) / n_comps if n_comps else 0.0,
-        "accesses_issued": sum(p["accesses_issued"] for p in partials),
-        "dedup_hits": sum(p["dedup_hits"] for p in partials),
-        "coalesced_puts": sum(p["coalesced_puts"] for p in partials),
-        "absent_gets": sum(p["absent_gets"] for p in partials),
-        "scheduler_timeouts": sum(
-            p["scheduler_timeouts"] for p in partials
-        ),
-        "degraded_reads": sum(p["degraded_reads"] for p in partials),
-        "journal": _sum_tree([p["journal"] for p in partials]),
-        "retries": sum(p["retries"] for p in partials),
-        "episodes": _episode_block(episodes),
-        "sim_ns": sim_ns,
-        "requests_per_s_sim": n_comps / sim_s if sim_s > 0 else 0.0,
-        "latency_ns": _percentiles(latencies),
-        "robust": _sum_tree([p["robust"] for p in partials]),
-        "shards": partials,
-    }
-    if any("faults" in p for p in partials):
-        faults = _sum_tree([p["faults"] for p in partials if "faults" in p])
-        sim["faults"] = faults
-        sim["detection"] = _detection_block(faults)
+    merged = _fold_slices(cell.name, outputs)
+    sim = merged["sim"]
+    sim["shards"] = [o["partial"] for o in outputs]
     # Control plane: every shard's deterministic heartbeat train plus
     # its degraded-episode markers, merged into one fleet timeline.
-    plane_events: List[ShardEvent] = []
-    for o in outputs:
-        p = o["partial"]
-        plane_events.extend(heartbeat_events(
-            p["shard"], p["start_ns"], p["end_ns"], cfg.heartbeat_ns,
-        ))
-        for e in o["episode_list"]:
-            plane_events.append(ShardEvent(
-                p["shard"], "degraded_enter", e["enter_ns"],
-            ))
-            plane_events.append(ShardEvent(
-                p["shard"], "degraded_exit", e["exit_ns"],
-            ))
     control = ControlPlane(cfg.heartbeat_ns, miss_after=3)
-    control.run(plane_events)
+    control.run([
+        event for o in outputs for event in heartbeat_events(
+            o["partial"]["shard"], o["partial"]["start_ns"],
+            o["partial"]["end_ns"], cfg.heartbeat_ns, o["episode_list"],
+        )
+    ])
     sim["control"] = control.summary()
     engine = SloEngine(_cell_slo_rules(cell), cfg.slo_window_ns)
     fold_completions(
         engine, [c for o in outputs for c in o["completions"]],
     )
+    end_ns = max(o["partial"]["end_ns"] for o in outputs)
     sim["slo"] = engine.finish(end_ns, detection=sim.get("detection"))
-    wall_s = sum(o["wall_s"] for o in outputs)
-    return {
-        "name": cell.name,
-        "wall_s": wall_s,
-        "requests_per_s_wall": n_comps / wall_s if wall_s > 0 else 0.0,
-        "sim": sim,
-    }, engine
+    return merged, engine
 
 
 def _write_jsonl(path: str, records: Sequence[Dict[str, Any]]) -> None:
@@ -573,8 +454,12 @@ def _write_jsonl(path: str, records: Sequence[Dict[str, Any]]) -> None:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _run_chaos_sharded(cfg: ChaosConfig) -> Dict[str, Any]:
-    """The fleet campaign: every cell partitioned over ``num_shards``."""
+def _run_chaos_sharded(cfg: ChaosConfig) -> List[CellResult]:
+    """The fleet campaign: every cell partitioned over ``num_shards``.
+
+    Returns one folded result per campaign cell (an errored shard fails
+    its whole cell) and writes the trace / SLO / ops artifacts.
+    """
     from repro.telemetry import ShardFragment, fleet_trace_doc
     from repro.telemetry.fleet import SLO_TID
 
@@ -587,27 +472,27 @@ def _run_chaos_sharded(cfg: ChaosConfig) -> Dict[str, Any]:
         _chaos_shard_task, tasks,
         workers=cfg.workers, progress=cfg.progress,
     )
-    cells: List[Dict[str, Any]] = []
-    slo_stream: List[Dict[str, Any]] = [{
-        "type": "meta", "kind": "repro-slo-stream",
-        "schema_version": SCHEMA_VERSION, "seed": cfg.seed,
+    folded: List[CellResult] = []
+    stream_meta = {
+        "type": "meta", "schema_version": SCHEMA_VERSION, "seed": cfg.seed,
         "num_shards": cfg.num_shards, "window_ns": cfg.slo_window_ns,
-    }]
-    ops_stream: List[Dict[str, Any]] = [{
-        "type": "meta", "kind": "repro-ops-stream",
-        "schema_version": SCHEMA_VERSION, "seed": cfg.seed,
-        "num_shards": cfg.num_shards, "window_ns": cfg.slo_window_ns,
-    }]
+    }
+    slo_stream: List[Dict[str, Any]] = [
+        {**stream_meta, "kind": "repro-slo-stream"}
+    ]
+    ops_stream: List[Dict[str, Any]] = [
+        {**stream_meta, "kind": "repro-ops-stream"}
+    ]
     slo_summaries: Dict[str, Any] = {}
     for i, cell in enumerate(cfg.cells):
         chunk = outputs[i * cfg.num_shards:(i + 1) * cfg.num_shards]
         errors = [res.error for res in chunk if not res.ok]
         if errors:
-            cells.append({"name": cell.name, "error": errors[0]})
+            folded.append(CellResult(cell.name, False, error=errors[0]))
             continue
         shard_outputs = [res.value for res in chunk]
         merged, engine = _merge_shard_cell(cfg, cell, shard_outputs)
-        cells.append(merged)
+        folded.append(CellResult(cell.name, True, merged))
         alerts = [
             {**r, "cell": cell.name} for r in engine.records
             if r["type"] == "slo_alert"
@@ -651,13 +536,7 @@ def _run_chaos_sharded(cfg: ChaosConfig) -> Dict[str, Any]:
         _write_jsonl(cfg.slo_out, slo_stream)
     if cfg.ops_out is not None:
         _write_jsonl(cfg.ops_out, ops_stream)
-    return {
-        "kind": CHAOS_REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "environment": _environment(),
-        "cells": cells,
-    }
+    return folded
 
 
 def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
@@ -684,27 +563,18 @@ def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
         )
         cfg = replace(cfg, trace_cell=interesting.name)
     if cfg.num_shards > 1:
-        return _run_chaos_sharded(cfg)
-    worker_cfg = replace(cfg, progress=None, workers=1)
-    outputs = run_cells(
-        _chaos_cell_task,
-        [Cell(c.name, (worker_cfg, c)) for c in cfg.cells],
-        workers=cfg.workers,
-        progress=cfg.progress,
+        outputs = _run_chaos_sharded(cfg)
+    else:
+        worker_cfg = replace(cfg, progress=None, workers=1)
+        outputs = run_cells(
+            _chaos_cell_task,
+            [Cell(c.name, (worker_cfg, c)) for c in cfg.cells],
+            workers=cfg.workers,
+            progress=cfg.progress,
+        )
+    return assemble(
+        CHAOS, cfg.to_dict(), [{"name": c.name} for c in cfg.cells], outputs,
     )
-    cells: List[Dict[str, Any]] = []
-    for cell, res in zip(cfg.cells, outputs):
-        if res.ok:
-            cells.append(res.value)
-        else:
-            cells.append({"name": cell.name, "error": res.error})
-    return {
-        "kind": CHAOS_REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "environment": _environment(),
-        "cells": cells,
-    }
 
 
 # -------------------------------------------------------------------- gate

@@ -38,9 +38,8 @@ to all-healthy) ride in the config like the chaos campaign's do.
 from __future__ import annotations
 
 import time
-import traceback
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import schemes as schemes_mod
 # NOTE: repro.core.sharding.fleet is imported lazily inside the
@@ -50,10 +49,11 @@ from repro.core import schemes as schemes_mod
 # ``repro.core.sharding`` is the first package imported.
 from repro.core.sharding.sharded import levels_for_blocks
 from repro.faults.plan import FaultPlan
-from repro.serve.bench import _environment
+from repro.parallel.executor import Cell, report_progress, run_cells
+from repro.report import assemble
 from repro.serve.loadgen import WorkloadConfig
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.schema import SCALING_REPORT_KIND, SCHEMA_VERSION
+from repro.serve.schema import SCALING
 
 #: Extra per-shard capacity provisioned over the even split, absorbing
 #: the PRF's occupancy imbalance (a 5% margin covers the multinomial
@@ -238,8 +238,13 @@ def memory_block(
     }
 
 
-def _run_one_cell(cfg: ScalingConfig, cell: ScalingCell) -> Dict[str, Any]:
+def _scaling_cell_task(
+    payload: Tuple[ScalingConfig, ScalingCell]
+) -> Dict[str, Any]:
+    """One capacity point: a whole fleet run (fans out inside)."""
     from repro.core.sharding.fleet import FleetConfig, run_fleet
+    cfg, cell = payload
+    report_progress(f"scaling {cell.name}@s{cell.shards} ...")
     fleet_cfg = FleetConfig(
         workload=cell.workload,
         scheme=cfg.scheme,
@@ -290,26 +295,14 @@ def run_scaling(cfg: Optional[ScalingConfig] = None) -> Dict[str, Any]:
     cfg = cfg or smoke_config()
     if not cfg.cells:
         raise ValueError("config has no cells")
-    cells: List[Dict[str, Any]] = []
-    for cell in cfg.cells:
-        if cfg.progress is not None:
-            cfg.progress(f"scaling {cell.name}@s{cell.shards} ...")
-        try:
-            cells.append(_run_one_cell(cfg, cell))
-        except Exception as exc:
-            cells.append({
-                "name": cell.name,
-                "shards": cell.shards,
-                "error": f"{type(exc).__name__}: {exc}\n"
-                         f"{traceback.format_exc()}",
-            })
-    return {
-        "kind": SCALING_REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "environment": _environment(),
-        "cells": cells,
-    }
+    identities = [{"name": c.name, "shards": c.shards} for c in cfg.cells]
+    outputs = run_cells(
+        _scaling_cell_task,
+        [Cell(SCALING.cell_key(ident), (cfg, cell))
+         for ident, cell in zip(identities, cfg.cells)],
+        progress=cfg.progress,
+    )
+    return assemble(SCALING, cfg.to_dict(), identities, outputs)
 
 
 # --------------------------------------------------------------------- gate

@@ -1,7 +1,9 @@
-"""The ``BENCH_serve.json`` report format.
+"""The ``BENCH_serve.json`` / ``BENCH_chaos.json`` / ``BENCH_scaling.json``
+report formats.
 
-Plain validation code, no third-party schema libraries (same rule as
-:mod:`repro.perf.schema`). Top-level document::
+Three :class:`repro.report.ReportSpec` tables run by the shared report
+kernel, no third-party schema libraries (same rule as
+:mod:`repro.perf.schema`). The serve document::
 
     {
       "kind": "repro-serve-report",
@@ -36,490 +38,324 @@ One cell per (workload, policy) pair::
 The ``sim`` block is a pure function of the config (seeded workload
 generation, seeded ORAM, event-based DRAM timing), so CI asserts it is
 byte-identical across runs and worker counts; ``wall_*`` fields are
-the only host-dependent numbers, and :func:`deterministic_view` strips
+the only host-dependent numbers, and the deterministic view strips
 exactly those (plus ``environment``) for the identity check.
 
 Error cells mirror the perf schema::
 
     { "workload": "...", "policy": "...", "error": "<traceback>" }
+
+The compare gate runs on the *simulated* metrics -- deterministic for a
+code version, so any delta is a real behavioural change, not runner
+noise: simulated throughput dropping, or simulated p99 rising, by more
+than ``threshold`` percent is a regression; other deterministic drift
+(dedup hits, access counts) is reported but never gates -- scheduler
+changes legitimately move it and must be reviewed, not blocked. CI
+runs the smoke compare with ``--warn-only`` so a reviewed improvement
+can land alongside its baseline refresh.
+
+Chaos cells (:mod:`repro.serve.chaos`) key by ``name`` and gate on what
+clients saw: availability dropping more than ``availability_drop_pp``
+points, served p99 rising more than ``threshold`` percent, or tamper
+detection falling below a baseline that had it perfect. Beyond field
+shapes their accounting must close: every generated request completed
+with exactly one terminal status. Sharded campaigns add the per-shard,
+control-plane and SLO blocks.
+
+Scaling cells (:mod:`repro.serve.scaling`) key by ``name@s<shards>`` and
+gate on the fleet: aggregate ns-per-request rising, availability
+dropping, a fleet that was all-healthy no longer ending so, or the
+analytic per-shard memory growing (a capacity regression is as real as
+a throughput one). The per-shard detail must cover exactly ``shards``
+entries and ``fleet_bytes`` must equal shards times per-shard bytes.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List
 
-SCHEMA_VERSION = 1
-REPORT_KIND = "repro-serve-report"
-CHAOS_REPORT_KIND = "repro-chaos-report"
-SCALING_REPORT_KIND = "repro-scaling-report"
+from repro.report import (
+    FRACTION, NUM, PERCENTILES, POSITIVE, Gate, ReportSpec,
+)
 
-_CONFIG_FIELDS = {
-    "scheme": str,
-    "levels": int,
-    "seed": int,
-    "max_batch": int,
-    "policies": list,
-    "workloads": list,
-    "smoke": bool,
+SERVE = ReportSpec(
+    kind="repro-serve-report",
+    config={
+        "scheme": str,
+        "levels": int,
+        "seed": int,
+        "max_batch": int,
+        "policies": list,
+        "workloads": list,
+        "smoke": bool,
+    },
+    cell={
+        "workload": str,
+        "policy": str,
+        "wall_s": POSITIVE,
+        "requests_per_s_wall": NUM,
+        "wall_latency_us": dict,
+        "sim": {
+            "requests": int,
+            "accesses_issued": int,
+            "dedup_hits": int,
+            "coalesced_puts": int,
+            "absent_gets": int,
+            "accesses_per_request": NUM,
+            "ops": dict,
+            "batch_size_hist": list,
+            "sim_ns": NUM,
+            "requests_per_s_sim": NUM,
+            "latency_ns": PERCENTILES,
+            "queue_ns": PERCENTILES,
+            "service_ns": PERCENTILES,
+        },
+    },
+    key="{workload}/{policy}",
+    host_fields=("wall_s", "requests_per_s_wall", "wall_latency_us"),
+    gates=(
+        Gate("sim.requests_per_s_sim", "higher", "pct",
+             show="{old:.0f} -> {new:.0f} req/s sim ({delta:+.1f}%)",
+             fail=" -- throughput drop exceeds -{limit:g}%", positive=True),
+        Gate("sim.latency_ns.p99", "lower", "pct",
+             show="p99 {old:.0f} -> {new:.0f} ns ({delta:+.1f}%)",
+             fail=" -- p99 latency rise exceeds +{limit:g}%", positive=True),
+    ),
+    drift=("sim.accesses_issued", "sim.dedup_hits", "sim.coalesced_puts",
+           "sim.absent_gets", "sim.requests"),
+    title=("serve matrix ({flavor}): {scheme} L={levels} "
+           "max_batch={max_batch} seed={seed}"),
+    summary=(
+        ("req_per_s_sim", "sim.requests_per_s_sim"),
+        ("acc_per_req", "sim.accesses_per_request"),
+        ("dedup", "sim.dedup_hits"),
+        ("coalesced", "sim.coalesced_puts"),
+        ("p50_us", "sim.latency_ns.p50", 1000.0),
+        ("p99_us", "sim.latency_ns.p99", 1000.0),
+        ("p999_us", "sim.latency_ns.p999", 1000.0),
+        ("wall_s", "wall_s"),
+    ),
+)
+
+#: Terminal statuses: every ``status`` block carries all four counts.
+_STATUS = {"ok": int, "timed_out": int, "shed": int, "failed": int}
+_KIND_COUNTS = {
+    "bit_flip": int, "replay": int, "dropped_write": int, "unavailable": int,
 }
 
-_CELL_FIELDS = {
-    "workload": str,
-    "policy": str,
-    "wall_s": (int, float),
-    "requests_per_s_wall": (int, float),
-    "wall_latency_us": dict,
-    "sim": dict,
+#: The blocks only a fault-armed (sealed, resilient) slice emits.
+_DETECTION = {"tamper_injected": int, "tamper_detected": int, "rate": FRACTION}
+_FAULTS = {
+    "injected": _KIND_COUNTS, "detected": _KIND_COUNTS,
+    "undetected": _KIND_COUNTS,
 }
-
-_ERROR_CELL_FIELDS = {
-    "workload": str,
-    "policy": str,
-    "error": str,
+_EPISODES = {"count": int, "recover_ns_mean": NUM, "recover_ns_max": NUM}
+_SECURITY = {
+    "guesses": int, "success_rate": NUM, "expected_rate": NUM,
+    "advantage": NUM,
 }
-
-_SIM_FIELDS = {
-    "requests": int,
-    "accesses_issued": int,
-    "dedup_hits": int,
-    "coalesced_puts": int,
-    "absent_gets": int,
-    "accesses_per_request": (int, float),
-    "ops": dict,
-    "batch_size_hist": list,
-    "sim_ns": (int, float),
-    "requests_per_s_sim": (int, float),
-    "latency_ns": dict,
-    "queue_ns": dict,
-    "service_ns": dict,
-}
-
-_PCTL_FIELDS = ("p50", "p99", "p999")
-
-#: Host-dependent per-cell fields, stripped by :func:`deterministic_view`.
-HOST_DEPENDENT_CELL_FIELDS = ("wall_s", "requests_per_s_wall",
-                              "wall_latency_us")
+_CONTROL = {"all_healthy": bool, "shards": list}
 
 
-def _check_fields(
-    obj: Dict[str, Any], fields: Dict[str, Any], where: str, errors: List[str]
-) -> None:
-    for name, typ in fields.items():
-        if name not in obj:
-            errors.append(f"{where}: missing field {name!r}")
-            continue
-        val = obj[name]
-        if typ is bool:
-            ok = isinstance(val, bool)
-        elif isinstance(val, bool):
-            ok = False
-        else:
-            ok = isinstance(val, typ)
-        if not ok:
-            errors.append(
-                f"{where}: field {name!r} has type "
-                f"{type(val).__name__}, expected {typ}"
-            )
-
-
-def _check_percentiles(
-    obj: Any, where: str, errors: List[str]
-) -> None:
-    if not isinstance(obj, dict):
-        errors.append(f"{where}: must be an object")
-        return
-    for name in _PCTL_FIELDS:
-        val = obj.get(name)
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            errors.append(f"{where}: missing numeric {name!r}")
-        elif val < 0:
-            errors.append(f"{where}: {name} is negative ({val})")
-
-
-def validate_report(doc: Any) -> List[str]:
-    """Validate a parsed report; returns a list of problems (empty = ok)."""
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return [f"report root is {type(doc).__name__}, expected object"]
-    if doc.get("kind") != REPORT_KIND:
-        errors.append(f"kind is {doc.get('kind')!r}, expected {REPORT_KIND!r}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+def _accounting_closes(cell: Dict[str, Any], where: str, errors: List[str]) -> None:
+    sim = cell["sim"]
+    if sim["completions"] != sim["requests"]:
         errors.append(
-            f"schema_version is {doc.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
+            f"{where}.sim: {sim['completions']} completions for "
+            f"{sim['requests']} requests"
         )
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        errors.append("config: missing or not an object")
-    else:
-        _check_fields(config, _CONFIG_FIELDS, "config", errors)
-    if not isinstance(doc.get("environment"), dict):
-        errors.append("environment: missing or not an object")
-    cells = doc.get("cells")
-    if not isinstance(cells, list) or not cells:
-        errors.append("cells: missing, not a list, or empty")
-        return errors
-    seen = set()
-    for i, cell in enumerate(cells):
-        where = f"cells[{i}]"
-        if not isinstance(cell, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        if "error" in cell:
-            _check_fields(cell, _ERROR_CELL_FIELDS, where, errors)
-        else:
-            _check_fields(cell, _CELL_FIELDS, where, errors)
-            sim = cell.get("sim")
-            if isinstance(sim, dict):
-                _check_fields(sim, _SIM_FIELDS, f"{where}.sim", errors)
-                for name in ("latency_ns", "queue_ns", "service_ns"):
-                    _check_percentiles(
-                        sim.get(name), f"{where}.sim.{name}", errors
-                    )
-            wall = cell.get("wall_s")
-            if isinstance(wall, (int, float)) and wall <= 0:
-                errors.append(f"{where}: wall_s must be positive, got {wall}")
-        key = (cell.get("workload"), cell.get("policy"))
-        if key in seen:
-            errors.append(f"{where}: duplicate cell {key}")
-        seen.add(key)
-    return errors
-
-
-_CHAOS_CONFIG_FIELDS = {
-    "scheme": str,
-    "levels": int,
-    "seed": int,
-    "max_batch": int,
-    "robustness": dict,
-    "cells": list,
-    "smoke": bool,
-}
-
-_CHAOS_CELL_FIELDS = {
-    "name": str,
-    "wall_s": (int, float),
-    "requests_per_s_wall": (int, float),
-    "sim": dict,
-}
-
-_CHAOS_ERROR_CELL_FIELDS = {
-    "name": str,
-    "error": str,
-}
-
-_CHAOS_SIM_FIELDS = {
-    "requests": int,
-    "completions": int,
-    "status": dict,
-    "availability": (int, float),
-    "accesses_issued": int,
-    "dedup_hits": int,
-    "coalesced_puts": int,
-    "absent_gets": int,
-    "scheduler_timeouts": int,
-    "degraded_reads": int,
-    "journal": dict,
-    "retries": int,
-    "episodes": dict,
-    "sim_ns": (int, float),
-    "requests_per_s_sim": (int, float),
-    "latency_ns": dict,
-    "robust": dict,
-}
-
-#: Completion statuses every chaos ``sim.status`` block must carry.
-_CHAOS_STATUSES = ("ok", "timed_out", "shed", "failed")
-
-
-def validate_chaos_report(doc: Any) -> List[str]:
-    """Validate a parsed chaos report; returns problems (empty = ok).
-
-    Beyond field shapes, checks the campaign's accounting closes:
-    every generated request completed with exactly one terminal status
-    (``completions == requests`` and the status counts sum to it), and
-    availability lies in [0, 1].
-    """
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return [f"report root is {type(doc).__name__}, expected object"]
-    if doc.get("kind") != CHAOS_REPORT_KIND:
+    total = sum(v for v in sim["status"].values() if isinstance(v, int))
+    if total != sim["completions"]:
         errors.append(
-            f"kind is {doc.get('kind')!r}, expected {CHAOS_REPORT_KIND!r}"
+            f"{where}.sim.status: counts sum to {total}, "
+            f"expected {sim['completions']}"
         )
-    if doc.get("schema_version") != SCHEMA_VERSION:
+
+
+CHAOS = ReportSpec(
+    kind="repro-chaos-report",
+    config={
+        "scheme": str,
+        "levels": int,
+        "seed": int,
+        "max_batch": int,
+        "robustness": dict,
+        "cells": list,
+        "smoke": bool,
+    },
+    cell={
+        "name": str,
+        "wall_s": POSITIVE,
+        "requests_per_s_wall": NUM,
+        "sim": {
+            "requests": int,
+            "completions": int,
+            "status": _STATUS,
+            "availability": FRACTION,
+            "accesses_issued": int,
+            "dedup_hits": int,
+            "coalesced_puts": int,
+            "absent_gets": int,
+            "scheduler_timeouts": int,
+            "degraded_reads": int,
+            "journal": dict,
+            "retries": int,
+            "episodes": _EPISODES,
+            "sim_ns": NUM,
+            "requests_per_s_sim": NUM,
+            "latency_ns": PERCENTILES,
+            "robust": dict,
+            "faults?": _FAULTS,
+            "detection?": _DETECTION,
+            "security?": _SECURITY,
+            # Sharded campaigns only (``config.num_shards > 1``).
+            "shards?": [{"shard": int, "requests": int, "status": _STATUS}],
+            "control?": _CONTROL,
+            "slo?": {"alerts": int, "availability": FRACTION, "rules": list},
+        },
+    },
+    key="{name}",
+    host_fields=("wall_s", "requests_per_s_wall"),
+    checks=(_accounting_closes,),
+    gates=(
+        Gate("sim.availability", "higher", "pp",
+             show="availability {old:.4f} -> {new:.4f} ({delta:+.2f}pp)",
+             fail=" -- availability drop exceeds -{limit:g}pp"),
+        Gate("sim.latency_ns.p99", "lower", "pct",
+             show="served p99 {old:.0f} -> {new:.0f} ns",
+             fail=" -- p99-under-fault rise exceeds +{limit:g}%"),
+        Gate("sim.detection.rate", "higher", "flag",
+             fail="tamper detection fell from 100% to {pct:.1f}%"),
+    ),
+    drift=("sim.accesses_issued", "sim.degraded_reads", "sim.retries",
+           "sim.scheduler_timeouts"),
+    noun="campaign",
+    title=("chaos campaign ({flavor}): {scheme} L={levels} "
+           "max_batch={max_batch} seed={seed}"),
+    summary=(
+        ("avail", "sim.availability"),
+        ("p99_us", "sim.latency_ns.p99", 1000.0),
+        ("shed", "sim.status.shed"),
+        ("timeout", lambda cell: (cell["sim"]["status"]["timed_out"]
+                                  + cell["sim"]["scheduler_timeouts"])),
+        ("failed", "sim.status.failed"),
+        ("degr_reads", "sim.degraded_reads"),
+        ("episodes", "sim.episodes.count"),
+        ("recover_us", "sim.episodes.recover_ns_max", 1000.0),
+        ("detect", lambda cell: (
+            "{tamper_detected}/{tamper_injected}".format(
+                **cell["sim"]["detection"]
+            ) if "detection" in cell["sim"] else "-"
+        )),
+    ),
+)
+
+
+def _fleet_adds_up(cell: Dict[str, Any], where: str, errors: List[str]) -> None:
+    memory = cell["memory"]
+    if memory["fleet_bytes"] != memory["per_shard_bytes"] * cell["shards"]:
         errors.append(
-            f"schema_version is {doc.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
+            f"{where}.memory: fleet_bytes is not shards * per_shard_bytes"
         )
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        errors.append("config: missing or not an object")
-    else:
-        _check_fields(config, _CHAOS_CONFIG_FIELDS, "config", errors)
-    if not isinstance(doc.get("environment"), dict):
-        errors.append("environment: missing or not an object")
-    cells = doc.get("cells")
-    if not isinstance(cells, list) or not cells:
-        errors.append("cells: missing, not a list, or empty")
-        return errors
-    seen = set()
-    for i, cell in enumerate(cells):
-        where = f"cells[{i}]"
-        if not isinstance(cell, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        if "error" in cell:
-            _check_fields(cell, _CHAOS_ERROR_CELL_FIELDS, where, errors)
-        else:
-            _check_fields(cell, _CHAOS_CELL_FIELDS, where, errors)
-            sim = cell.get("sim")
-            if isinstance(sim, dict):
-                _check_fields(sim, _CHAOS_SIM_FIELDS, f"{where}.sim", errors)
-                _check_percentiles(
-                    sim.get("latency_ns"), f"{where}.sim.latency_ns", errors
-                )
-                status = sim.get("status")
-                if isinstance(status, dict):
-                    for s in _CHAOS_STATUSES:
-                        if not isinstance(status.get(s), int):
-                            errors.append(
-                                f"{where}.sim.status: missing count {s!r}"
-                            )
-                    if (
-                        isinstance(sim.get("requests"), int)
-                        and isinstance(sim.get("completions"), int)
-                    ):
-                        total = sum(
-                            v for v in status.values() if isinstance(v, int)
-                        )
-                        if sim["completions"] != sim["requests"]:
-                            errors.append(
-                                f"{where}.sim: {sim['completions']} "
-                                f"completions for {sim['requests']} requests"
-                            )
-                        if total != sim["completions"]:
-                            errors.append(
-                                f"{where}.sim.status: counts sum to {total}, "
-                                f"expected {sim['completions']}"
-                            )
-                avail = sim.get("availability")
-                if (
-                    isinstance(avail, (int, float))
-                    and not isinstance(avail, bool)
-                    and not 0.0 <= avail <= 1.0
-                ):
-                    errors.append(
-                        f"{where}.sim: availability {avail} outside [0, 1]"
-                    )
-            wall = cell.get("wall_s")
-            if isinstance(wall, (int, float)) and wall <= 0:
-                errors.append(f"{where}: wall_s must be positive, got {wall}")
-        name = cell.get("name")
-        if name in seen:
-            errors.append(f"{where}: duplicate cell {name!r}")
-        seen.add(name)
-    return errors
-
-
-_SCALING_CONFIG_FIELDS = {
-    "scheme": str,
-    "measured_levels": int,
-    "seed": int,
-    "max_batch": int,
-    "policy": str,
-    "min_speedup": (int, float),
-    "heartbeat_ns": (int, float),
-    "miss_after": int,
-    "cells": list,
-    "smoke": bool,
-}
-
-_SCALING_CELL_FIELDS = {
-    "name": str,
-    "shards": int,
-    "total_blocks": int,
-    "drill": bool,
-    "wall_s": (int, float),
-    "memory": dict,
-    "sim": dict,
-}
-
-_SCALING_ERROR_CELL_FIELDS = {
-    "name": str,
-    "shards": int,
-    "error": str,
-}
-
-_SCALING_MEMORY_FIELDS = {
-    "per_shard_capacity": int,
-    "shard_levels": int,
-    "per_shard_bytes": int,
-    "fleet_bytes": int,
-    "single_tree_levels": int,
-    "single_tree_bytes": int,
-}
-
-_SCALING_FLEET_FIELDS = {
-    "requests": int,
-    "completions": int,
-    "status": dict,
-    "availability": (int, float),
-    "makespan_ns": (int, float),
-    "ns_per_request": (int, float),
-    "requests_per_s_sim": (int, float),
-    "latency_ns": dict,
-}
-
-
-def validate_scaling_report(doc: Any) -> List[str]:
-    """Validate a parsed scaling report; returns problems (empty = ok).
-
-    Beyond field shapes: the per-shard detail blocks and the control
-    summary must cover exactly ``shards`` entries, fleet availability
-    must lie in [0, 1], and the memory block's fleet total must equal
-    shards times the per-shard bytes.
-    """
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return [f"report root is {type(doc).__name__}, expected object"]
-    if doc.get("kind") != SCALING_REPORT_KIND:
+    if len(cell["sim"]["shards"]) != cell["shards"]:
         errors.append(
-            f"kind is {doc.get('kind')!r}, expected {SCALING_REPORT_KIND!r}"
+            f"{where}.sim.shards: {len(cell['sim']['shards'])} entries for "
+            f"{cell['shards']} shards"
         )
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        errors.append(
-            f"schema_version is {doc.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        errors.append("config: missing or not an object")
-    else:
-        _check_fields(config, _SCALING_CONFIG_FIELDS, "config", errors)
-    if not isinstance(doc.get("environment"), dict):
-        errors.append("environment: missing or not an object")
-    cells = doc.get("cells")
-    if not isinstance(cells, list) or not cells:
-        errors.append("cells: missing, not a list, or empty")
-        return errors
-    seen = set()
-    for i, cell in enumerate(cells):
-        where = f"cells[{i}]"
-        if not isinstance(cell, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        if "error" in cell:
-            _check_fields(cell, _SCALING_ERROR_CELL_FIELDS, where, errors)
-        else:
-            _check_fields(cell, _SCALING_CELL_FIELDS, where, errors)
-            memory = cell.get("memory")
-            if isinstance(memory, dict):
-                _check_fields(
-                    memory, _SCALING_MEMORY_FIELDS, f"{where}.memory", errors
-                )
-                if (
-                    isinstance(memory.get("per_shard_bytes"), int)
-                    and isinstance(memory.get("fleet_bytes"), int)
-                    and isinstance(cell.get("shards"), int)
-                    and memory["fleet_bytes"]
-                    != memory["per_shard_bytes"] * cell["shards"]
-                ):
-                    errors.append(
-                        f"{where}.memory: fleet_bytes is not "
-                        f"shards * per_shard_bytes"
-                    )
-            sim = cell.get("sim")
-            if isinstance(sim, dict):
-                fleet = sim.get("fleet")
-                if not isinstance(fleet, dict):
-                    errors.append(f"{where}.sim.fleet: missing or not object")
-                else:
-                    _check_fields(
-                        fleet, _SCALING_FLEET_FIELDS,
-                        f"{where}.sim.fleet", errors,
-                    )
-                    _check_percentiles(
-                        fleet.get("latency_ns"),
-                        f"{where}.sim.fleet.latency_ns", errors,
-                    )
-                    avail = fleet.get("availability")
-                    if (
-                        isinstance(avail, (int, float))
-                        and not isinstance(avail, bool)
-                        and not 0.0 <= avail <= 1.0
-                    ):
-                        errors.append(
-                            f"{where}.sim.fleet: availability {avail} "
-                            f"outside [0, 1]"
-                        )
-                shards = sim.get("shards")
-                if not isinstance(shards, list):
-                    errors.append(f"{where}.sim.shards: missing or not list")
-                elif (
-                    isinstance(cell.get("shards"), int)
-                    and len(shards) != cell["shards"]
-                ):
-                    errors.append(
-                        f"{where}.sim.shards: {len(shards)} entries for "
-                        f"{cell['shards']} shards"
-                    )
-                control = sim.get("control")
-                if not isinstance(control, dict):
-                    errors.append(f"{where}.sim.control: missing or not object")
-                elif not isinstance(control.get("all_healthy"), bool):
-                    errors.append(
-                        f"{where}.sim.control: missing boolean all_healthy"
-                    )
-            wall = cell.get("wall_s")
-            if isinstance(wall, (int, float)) and wall <= 0:
-                errors.append(f"{where}: wall_s must be positive, got {wall}")
-        key = (cell.get("name"), cell.get("shards"))
-        if key in seen:
-            errors.append(f"{where}: duplicate cell {key}")
-        seen.add(key)
-    return errors
 
 
-def cell_key(cell: Dict[str, Any]) -> str:
-    """Stable identity of one matrix cell."""
-    return f"{cell['workload']}/{cell['policy']}"
+SCALING = ReportSpec(
+    kind="repro-scaling-report",
+    config={
+        "scheme": str,
+        "measured_levels": int,
+        "seed": int,
+        "max_batch": int,
+        "policy": str,
+        "min_speedup": NUM,
+        "heartbeat_ns": NUM,
+        "miss_after": int,
+        "cells": list,
+        "smoke": bool,
+    },
+    cell={
+        "name": str,
+        "shards": int,
+        "total_blocks": int,
+        "drill": bool,
+        "wall_s": POSITIVE,
+        "memory": {
+            "per_shard_capacity": int,
+            "shard_levels": int,
+            "per_shard_bytes": int,
+            "fleet_bytes": int,
+            "single_tree_levels": int,
+            "single_tree_bytes": int,
+        },
+        "sim": {
+            "fleet": {
+                "requests": int,
+                "completions": int,
+                "status": dict,
+                "availability": FRACTION,
+                "makespan_ns": NUM,
+                "ns_per_request": NUM,
+                "requests_per_s_sim": NUM,
+                "latency_ns": PERCENTILES,
+            },
+            # Per-shard detail; a drilled shard adds the fault-armed
+            # blocks the scaling gate reads.
+            "shards": [{
+                "shard": int,
+                "sim?": {
+                    "episodes?": _EPISODES,
+                    "faults?": _FAULTS,
+                    "detection?": _DETECTION,
+                },
+            }],
+            "control": _CONTROL,
+        },
+    },
+    key="{name}@s{shards}",
+    host_fields=("wall_s",),
+    checks=(_fleet_adds_up,),
+    gates=(
+        Gate("sim.fleet.ns_per_request", "lower", "pct",
+             show="{old:.1f} -> {new:.1f} ns/req aggregate ({delta:+.1f}%)",
+             fail=" -- aggregate ns/req rise exceeds +{limit:g}%",
+             positive=True),
+        Gate("sim.fleet.availability", "higher", "pp",
+             show="availability {old:.4f} -> {new:.4f} ({delta:+.2f}pp)",
+             fail=" -- availability drop exceeds -{limit:g}pp"),
+        Gate("sim.control.all_healthy", "higher", "flag",
+             fail="fleet no longer ends all-healthy"),
+        Gate("memory.per_shard_bytes", "lower", "abs",
+             fail="per-shard memory grew {old} -> {new} bytes"),
+    ),
+    drift=("sim.fleet.requests", "sim.fleet.completions",
+           "memory.per_shard_bytes"),
+    noun="curve",
+    title=("capacity curve ({flavor}): {scheme} measured "
+           "L={measured_levels} max_batch={max_batch} seed={seed}"),
+    summary=(
+        ("blocks", "total_blocks"),
+        ("ns_per_req", "sim.fleet.ns_per_request"),
+        ("req_per_s_sim", "sim.fleet.requests_per_s_sim"),
+        ("avail", "sim.fleet.availability"),
+        ("p99_us", "sim.fleet.latency_ns.p99", 1000.0),
+        ("shard_MiB", "memory.per_shard_bytes", 2 ** 20),
+        ("fleet_MiB", "memory.fleet_bytes", 2 ** 20),
+        ("healthy", "sim.control.all_healthy"),
+        ("drill", "drill"),
+    ),
+)
 
-
-def scaling_cell_key(cell: Dict[str, Any]) -> str:
-    """Stable identity of one capacity-curve cell."""
-    return f"{cell['name']}@s{cell['shards']}"
-
-
-def chaos_cell_key(cell: Dict[str, Any]) -> str:
-    """Stable identity of one chaos-campaign cell."""
-    return cell["name"]
-
-
-def deterministic_view(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """The report minus every host-dependent field.
-
-    Two runs with the same config -- on any machine, at any worker
-    count -- must produce identical views; CI serializes both with
-    ``sort_keys`` and compares bytes.
-    """
-    cells = []
-    for cell in doc.get("cells", []):
-        cells.append({
-            k: v for k, v in cell.items()
-            if k not in HOST_DEPENDENT_CELL_FIELDS
-        })
-    return {
-        "kind": doc.get("kind"),
-        "schema_version": doc.get("schema_version"),
-        "config": doc.get("config"),
-        "cells": cells,
-    }
-
-
-def deterministic_bytes(doc: Dict[str, Any]) -> bytes:
-    """Canonical serialization of :func:`deterministic_view`."""
-    return json.dumps(
-        deterministic_view(doc), sort_keys=True, indent=1,
-    ).encode()
+validate_report = SERVE.validate
+validate_chaos_report = CHAOS.validate
+validate_scaling_report = SCALING.validate
+cell_key = SERVE.cell_key
+chaos_cell_key = CHAOS.cell_key
+scaling_cell_key = SCALING.cell_key
+render_report = SERVE.render
+render_chaos_report = CHAOS.render
+render_scaling_report = SCALING.render

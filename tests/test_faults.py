@@ -18,8 +18,7 @@ from repro.faults.campaign import (
 )
 from repro.faults.memory import FaultyMemory
 from repro.faults.plan import FAULT_KINDS, FaultPlan
-from repro.faults.report import render_report
-from repro.faults.schema import cell_key, validate_report
+from repro.faults.schema import cell_key, render_report, validate_report
 from repro.oram.datastore import EncryptedTreeStore, pad_block
 from repro.oram.recovery import RobustnessConfig, TransientBackendError
 from repro.sim.engine import SimConfig, Simulation

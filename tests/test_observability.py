@@ -36,7 +36,7 @@ from repro.serve.chaos import (
 )
 from repro.serve.request import Completion
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.schema import deterministic_bytes, validate_chaos_report
+from repro.serve.schema import CHAOS, validate_chaos_report
 from repro.telemetry import (
     MetricsRegistry,
     OpsSampler,
@@ -448,8 +448,8 @@ class TestShardedChaos:
 
     def test_serial_vs_workers_byte_identical(self, artifacts):
         serial, fanned = artifacts["serial"], artifacts["fanned"]
-        assert deterministic_bytes(serial["doc"]) \
-            == deterministic_bytes(fanned["doc"])
+        assert CHAOS.deterministic_bytes(serial["doc"]) \
+            == CHAOS.deterministic_bytes(fanned["doc"])
         for kind in ("trace", "slo", "ops"):
             assert serial[kind] == fanned[kind], f"{kind} stream differs"
 

@@ -15,9 +15,10 @@ from repro.faults.campaign import run_campaign
 from repro.faults.campaign import smoke_config as faults_smoke_config
 from repro.parallel import Cell, CellResult, derive_seed, run_cells
 from repro.parallel import testing as ptasks
-from repro.perf.compare import EXIT_ERROR, compare_reports
+from repro.perf import compare_reports
 from repro.perf.runner import run_perf, smoke_config
 from repro.perf.schema import validate_report
+from repro.report import EXIT_ERROR
 
 
 class TestDeriveSeed:

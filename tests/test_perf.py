@@ -13,13 +13,13 @@ from repro.perf import (
     smoke_config,
     validate_report,
 )
-from repro.perf.compare import (
+from repro.report import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_REGRESSION,
     compare_files,
 )
-from repro.perf.report import render_report
+from repro.perf.schema import render_report
 from repro.perf.runner import PerfConfig
 
 

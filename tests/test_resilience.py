@@ -23,18 +23,15 @@ from repro.serve import (
 from repro.serve.chaos import (
     ChaosCell, ChaosConfig, chaos_check, run_chaos,
 )
-from repro.serve.compare import (
-    EXIT_ERROR, EXIT_OK, EXIT_REGRESSION, compare_chaos_reports,
-    compare_files,
+from repro.report import (
+    EXIT_ERROR, EXIT_OK, EXIT_REGRESSION, compare_files,
 )
 from repro.serve.loadgen import WorkloadConfig
 from repro.serve.request import FAILED, OK, SHED, STATUSES, TIMED_OUT
 from repro.serve.resilience import (
     ResilienceConfig, _journal_view, resilient_replay,
 )
-from repro.serve.schema import (
-    CHAOS_REPORT_KIND, deterministic_bytes, validate_chaos_report,
-)
+from repro.serve.schema import CHAOS, validate_chaos_report
 
 LEVELS = 8
 
@@ -519,14 +516,14 @@ def mini_chaos_doc():
 
 class TestChaosReport:
     def test_schema_valid_and_gate_clean(self, mini_chaos_doc):
-        assert mini_chaos_doc["kind"] == CHAOS_REPORT_KIND
+        assert mini_chaos_doc["kind"] == CHAOS.kind
         assert validate_chaos_report(mini_chaos_doc) == []
         assert chaos_check(mini_chaos_doc) == []
 
     def test_deterministic_across_runs(self, mini_chaos_doc):
         again = run_chaos(_mini_config())
-        assert (deterministic_bytes(mini_chaos_doc)
-                == deterministic_bytes(again))
+        assert (CHAOS.deterministic_bytes(mini_chaos_doc)
+                == CHAOS.deterministic_bytes(again))
 
     def test_status_accounting(self, mini_chaos_doc):
         for cell in mini_chaos_doc["cells"]:
@@ -591,7 +588,7 @@ class TestChaosCheck:
 
 class TestChaosCompare:
     def test_identical_reports_pass(self, mini_chaos_doc):
-        code, messages = compare_chaos_reports(
+        code, messages = CHAOS.compare(
             mini_chaos_doc, mini_chaos_doc,
         )
         assert code == EXIT_OK
@@ -600,7 +597,7 @@ class TestChaosCompare:
     def test_availability_drop_regresses(self, mini_chaos_doc):
         new = copy.deepcopy(mini_chaos_doc)
         new["cells"][0]["sim"]["availability"] -= 0.05
-        code, messages = compare_chaos_reports(mini_chaos_doc, new)
+        code, messages = CHAOS.compare(mini_chaos_doc, new)
         assert code == EXIT_REGRESSION
         assert any("availability drop" in m for m in messages)
 
@@ -608,7 +605,7 @@ class TestChaosCompare:
         new = copy.deepcopy(mini_chaos_doc)
         sim = new["cells"][0]["sim"]
         sim["latency_ns"]["p99"] *= 2.0
-        code, messages = compare_chaos_reports(mini_chaos_doc, new)
+        code, messages = CHAOS.compare(mini_chaos_doc, new)
         assert code == EXIT_REGRESSION
         assert any("p99-under-fault" in m for m in messages)
 
@@ -617,21 +614,21 @@ class TestChaosCompare:
         new["cells"][1]["sim"]["detection"] = {
             "tamper_injected": 2, "tamper_detected": 1, "rate": 0.5,
         }
-        code, messages = compare_chaos_reports(mini_chaos_doc, new)
+        code, messages = CHAOS.compare(mini_chaos_doc, new)
         assert code == EXIT_REGRESSION
         assert any("detection fell" in m for m in messages)
 
     def test_errored_cell_is_an_error(self, mini_chaos_doc):
         new = copy.deepcopy(mini_chaos_doc)
         new["cells"][1] = {"name": "mini-tamper", "error": "worker died"}
-        code, messages = compare_chaos_reports(mini_chaos_doc, new)
+        code, messages = CHAOS.compare(mini_chaos_doc, new)
         assert code == EXIT_ERROR
         assert any("errored in new report" in m for m in messages)
 
     def test_missing_cell_is_an_error(self, mini_chaos_doc):
         new = copy.deepcopy(mini_chaos_doc)
         del new["cells"][1]
-        code, messages = compare_chaos_reports(mini_chaos_doc, new)
+        code, messages = CHAOS.compare(mini_chaos_doc, new)
         assert code == EXIT_ERROR
         assert any("missing" in m for m in messages)
 
@@ -672,7 +669,7 @@ class TestChaosCli:
         ])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["kind"] == CHAOS_REPORT_KIND
+        assert doc["kind"] == CHAOS.kind
         assert validate_chaos_report(doc) == []
         captured = capsys.readouterr()
         assert "chaos campaign" in captured.out

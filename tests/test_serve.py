@@ -28,11 +28,7 @@ from repro.serve.loadgen import (
     with_seed,
 )
 from repro.serve.replay import replay
-from repro.serve.schema import (
-    deterministic_bytes,
-    deterministic_view,
-    validate_report,
-)
+from repro.serve.schema import SERVE, validate_report
 from repro.serve.tracing import assign_lanes, request_trace_doc
 
 
@@ -499,7 +495,7 @@ class TestBenchAndSchema:
             assert abs(sec["advantage"]) < 0.12   # tiny-sample tolerance
 
     def test_deterministic_view_strips_wall_fields(self, doc):
-        view = deterministic_view(doc)
+        view = SERVE.deterministic_view(doc)
         for cell in view["cells"]:
             assert "wall_s" not in cell
             assert "wall_latency_us" not in cell
@@ -508,7 +504,7 @@ class TestBenchAndSchema:
 
     def test_workers_do_not_change_deterministic_bytes(self, doc):
         par = run_serve(tiny_serve_config(workers=2))
-        assert deterministic_bytes(par) == deterministic_bytes(doc)
+        assert SERVE.deterministic_bytes(par) == SERVE.deterministic_bytes(doc)
 
     def test_validator_catches_corruption(self, doc):
         bad = json.loads(json.dumps(doc))

@@ -248,8 +248,8 @@ class TestShardedSim:
         merged = out.merged_sim_block()
         assert merged["exec_ns"] == out.exec_ns
         # The merged block carries exactly the serial sim fields.
-        from repro.perf.schema import _SIM_FIELDS
-        assert set(merged) == set(_SIM_FIELDS)
+        from repro.perf.schema import PERF
+        assert set(merged) == set(PERF.cell["sim"])
 
     def test_run_twice_is_byte_identical(self):
         n_blocks = schemes_mod.by_name("ab", 8).n_real_blocks
@@ -340,6 +340,38 @@ class TestFleetVsSerial:
             s["sim"]["sim_ns"] for s in doc["shards"]
         )
         assert doc["control"]["all_healthy"] is True
+
+    def test_errored_shard_counts_against_availability(self, monkeypatch):
+        # One definition of availability: answered over *attempted*. A
+        # shard whose task raises answered nothing, but its requests
+        # were still asked -- they stay in the denominator.
+        import repro.core.sharding.fleet as fleet_mod
+        from repro.parallel.executor import derive_seed
+        cfg = tiny_fleet()
+        dead_seed = derive_seed(cfg.seed, "shard:1")
+        real = fleet_mod.serve_slice
+
+        def flaky(items, requests, **kwargs):
+            if kwargs["seed"] == dead_seed:
+                raise RuntimeError("shard fell over")
+            return real(items, requests, **kwargs)
+
+        monkeypatch.setattr(fleet_mod, "serve_slice", flaky)
+        doc = run_fleet(cfg)
+        assert "error" in doc["shards"][1]
+        lost = len(shard_requests(cfg, 1)[1])
+        fleet = doc["fleet"]
+        assert lost > 0 and fleet["completions"] == 150 - lost
+        assert fleet["availability"] == (150 - lost) / 150 < 1.0
+        # A shard that was asked nothing failed nothing.
+        monkeypatch.undo()
+        lone = run_fleet(
+            replace(cfg, workload=replace(cfg.workload, n_requests=1))
+        )
+        idle = [s for s in lone["shards"] if s["sim"]["requests"] == 0]
+        assert len(idle) == 2
+        assert all(s["sim"]["availability"] == 1.0 for s in idle)
+        assert lone["fleet"]["availability"] == 1.0
 
     def test_workers_do_not_change_the_fleet_block(self):
         serial = run_fleet(tiny_fleet())
@@ -620,11 +652,9 @@ class TestScalingHarness:
         assert single["per_shard_bytes"] == single["single_tree_bytes"]
 
     def test_tiny_curve_end_to_end(self):
-        from repro.serve.report import render_scaling_report
+        from repro.serve.schema import render_scaling_report
         from repro.serve.scaling import run_scaling, scaling_check
-        from repro.serve.schema import (
-            deterministic_bytes, validate_scaling_report,
-        )
+        from repro.serve.schema import SCALING, validate_scaling_report
         doc = run_scaling(tiny_scaling_config())
         assert validate_scaling_report(doc) == []
         assert scaling_check(doc) == []
@@ -636,13 +666,14 @@ class TestScalingHarness:
         assert "cap-1k" in text
         # The deterministic view is a pure function of the config.
         again = run_scaling(tiny_scaling_config())
-        assert deterministic_bytes(doc) == deterministic_bytes(again)
+        assert (SCALING.deterministic_bytes(doc)
+                == SCALING.deterministic_bytes(again))
 
     def test_compare_accepts_self(self):
-        from repro.serve.compare import compare_scaling_reports
+        from repro.serve.schema import SCALING
         from repro.serve.scaling import run_scaling
         doc = run_scaling(tiny_scaling_config())
-        rc, lines = compare_scaling_reports(doc, doc)
+        rc, lines = SCALING.compare(doc, doc)
         assert rc == 0
         assert all(line.startswith("OK") for line in lines)
 

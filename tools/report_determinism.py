@@ -1,22 +1,17 @@
 #!/usr/bin/env python
 """Require two benchmark reports to have identical deterministic views.
 
-The serve/chaos harnesses promise their ``sim`` blocks are pure
-functions of the config -- byte-identical across repeat runs and any
-``--workers`` width. CI enforces that promise by running a harness
-twice (e.g. serial and ``--workers 2``) and feeding both artifacts to
-this checker, which strips the host-dependent fields and compares the
-canonical JSON encodings byte for byte. Dispatch is by the report's
-``kind``: serve, chaos and scaling reports
-(``repro-serve-report`` / ``repro-chaos-report`` /
-``repro-scaling-report`` -- the last is the fleet capacity curve,
-whose per-shard ``sim`` blocks must agree byte-for-byte between a
-serial run and a ``--workers N`` fleet) reduce via
-:func:`repro.serve.schema.deterministic_view`; perf-matrix reports
-(``"kind": "repro-perf-report"``, including their pipelined ``@pN``
-and sharded ``@sN`` cells) via
-:func:`repro.perf.schema.deterministic_view`. An unrecognized kind is
-an error, not a silent pass.
+Every harness promises its deterministic content is a pure function of
+the config -- byte-identical across repeat runs and any ``--workers``
+width. CI enforces that promise by running a harness twice (e.g. serial
+and ``--workers 2``) and feeding both artifacts to this checker, which
+loads them through the report kernel (:mod:`repro.report`): each file
+is validated against the spec its ``kind`` names (perf, faults, serve,
+chaos or scaling -- pipelined ``@pN`` / sharded ``@sN`` perf cells and
+per-shard fleet blocks included), reduced to that spec's deterministic
+view (host-dependent fields stripped) and compared by canonical JSON
+bytes. An unreadable, truncated, schema-invalid or unrecognized report
+is a one-line error, not a silent pass.
 
 Usage: ``python tools/report_determinism.py A.json B.json`` -- exits
 non-zero with the first differing path when the reports diverge.
@@ -25,7 +20,6 @@ non-zero with the first differing path when the reports diverge.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any, Sequence
 
@@ -54,37 +48,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("reports", nargs=2, metavar="REPORT",
                         help="two report JSON files to compare")
     args = parser.parse_args(argv)
+    from repro.report import load_report, spec_for
+
     docs = []
     for path in args.reports:
-        try:
-            with open(path) as f:
-                docs.append(json.load(f))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
+        doc, errors = load_report(path)
+        if errors:
+            print(errors[0], file=sys.stderr)
             return 2
+        docs.append(doc)
     a, b = docs
-    from repro.perf.schema import REPORT_KIND as PERF_KIND
-    from repro.serve.schema import (
-        CHAOS_REPORT_KIND, REPORT_KIND as SERVE_KIND, SCALING_REPORT_KIND,
-    )
-    if a.get("kind") != b.get("kind"):
-        print(f"report kinds differ: {a.get('kind')!r} vs {b.get('kind')!r}",
+    if a["kind"] != b["kind"]:
+        print(f"report kinds differ: {a['kind']!r} vs {b['kind']!r}",
               file=sys.stderr)
         return 1
-    kind = a.get("kind")
-    if kind == PERF_KIND:
-        from repro.perf.schema import deterministic_bytes, deterministic_view
-    elif kind in (SERVE_KIND, CHAOS_REPORT_KIND, SCALING_REPORT_KIND):
-        from repro.serve.schema import deterministic_bytes, deterministic_view
-    else:
-        print(f"unrecognized report kind {kind!r}; cannot reduce to a "
-              f"deterministic view", file=sys.stderr)
-        return 2
-    if deterministic_bytes(a) == deterministic_bytes(b):
+    spec = spec_for(a)
+    if spec.deterministic_bytes(a) == spec.deterministic_bytes(b):
         print(f"deterministic views identical: {args.reports[0]} == "
               f"{args.reports[1]}")
         return 0
-    where = _first_divergence(deterministic_view(a), deterministic_view(b))
+    where = _first_divergence(
+        spec.deterministic_view(a), spec.deterministic_view(b)
+    )
     print(f"deterministic views differ at {where}", file=sys.stderr)
     return 1
 
