@@ -9,7 +9,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: install test bench bench-full figures examples lint perf-smoke \
 	pipeline-smoke faults-smoke telemetry-smoke serve-smoke chaos-smoke \
-	shard-smoke obs-smoke determinism ci clean
+	shard-smoke obs-smoke determinism e2e-quick ci clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -207,10 +207,17 @@ determinism:
 	$(PYTHON) tools/report_determinism.py $(DET)/fleet.json $(DET)/fleet_w2.json
 	cmp $(DET)/trace.json $(DET)/trace_w2.json
 
+# Smoke-sized end-to-end benchmark (~20 s, one interpreter). Run for
+# its correctness checks, not its timings: reference-model answers,
+# every Merkle path on the sealed workloads, 100% tamper detection on
+# serve-chaos, fleet-vs-serial identity. Exits non-zero if one fails.
+e2e-quick:
+	python3 benchmarks/e2e/run.py --quick
+
 # Mirror of the CI pipeline: lint, tier-1 tests, perf/pipeline/faults/
-# telemetry/serve/chaos/shard/observability smoke.
+# telemetry/serve/chaos/shard/observability smoke, e2e correctness.
 ci: lint test perf-smoke pipeline-smoke faults-smoke telemetry-smoke \
-	serve-smoke chaos-smoke shard-smoke obs-smoke
+	serve-smoke chaos-smoke shard-smoke obs-smoke e2e-quick
 
 # Removes only regenerated artifacts. Committed reference outputs
 # (benchmarks/out/, benchmarks/baselines/, BENCH_perf.json) survive.

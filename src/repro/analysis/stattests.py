@@ -20,7 +20,6 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 def chi_square_uniform(counts: Sequence[int]) -> Tuple[float, float]:
@@ -29,7 +28,19 @@ def chi_square_uniform(counts: Sequence[int]) -> Tuple[float, float]:
     Returns ``(statistic, p_value)``; a small p-value rejects
     uniformity. Bins with tiny expectations make the test unreliable,
     so at least 5 expected observations per bin are required.
+
+    Needs scipy (the ``dev`` extra) for the chi-square tail; it is
+    imported here, not at module scope, so the package itself imports
+    without it.
     """
+    try:
+        from scipy.stats import chi2
+    except ImportError as exc:
+        raise ImportError(
+            "chi_square_uniform needs scipy for the chi-square tail "
+            "probability; install it with `pip install scipy` "
+            "(or `pip install -e .[dev]`)"
+        ) from exc
     arr = np.asarray(counts, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-D array of >= 2 bins")
@@ -42,7 +53,7 @@ def chi_square_uniform(counts: Sequence[int]) -> Tuple[float, float]:
             f"too few observations ({total}) for {arr.size} bins"
         )
     stat = float(((arr - expected) ** 2 / expected).sum())
-    p = float(_scipy_stats.chi2.sf(stat, df=arr.size - 1))
+    p = float(chi2.sf(stat, df=arr.size - 1))
     return stat, p
 
 

@@ -6,11 +6,12 @@ secure engine; only access *patterns* remain observable, which is what
 the ORAM then hides. This package implements that boundary:
 
 - :mod:`repro.crypto.chacha` -- the ChaCha20 stream cipher (RFC 8439),
-  implemented from scratch and validated against the RFC test vectors;
+  implemented from scratch -- a scalar block and a lane-parallel numpy
+  kernel for batches -- and validated against the RFC test vectors;
 - :mod:`repro.crypto.auth` -- keyed block authentication (HMAC-SHA256
   tags with domain separation per slot address and version);
-- :mod:`repro.crypto.engine` -- the per-block seal/open engine
-  combining both, with version-based nonces;
+- :mod:`repro.crypto.engine` -- the seal/open engine combining both,
+  per block or per batch, with version-based nonces;
 - :mod:`repro.crypto.integrity` -- a Merkle tree over the ORAM tree's
   buckets providing freshness (anti-replay), with the root held
   on-chip.

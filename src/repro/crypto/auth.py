@@ -29,14 +29,24 @@ class BlockAuthenticator:
         if len(key) < 16:
             raise ValueError("authentication key must be >= 16 bytes")
         self._key = key
+        # The keyed state (both HMAC pads absorbed) is built once and
+        # copied per tag.
+        self._keyed = hmac.new(key, digestmod=hashlib.sha256)
+
+    # hashlib states do not pickle; checkpoints carry the key alone.
+    def __getstate__(self) -> dict:
+        return {"_key": self._key}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["_key"])
 
     def tag(self, addr: int, version: int, ciphertext: bytes) -> bytes:
         """Compute the truncated tag for one sealed block."""
         if addr < 0 or version < 0:
             raise ValueError("addr and version must be non-negative")
-        msg = struct.pack("<QQ", addr, version) + ciphertext
-        digest = hmac.new(self._key, msg, hashlib.sha256).digest()
-        return digest[: self.TAG_BYTES]
+        mac = self._keyed.copy()
+        mac.update(struct.pack("<QQ", addr, version) + ciphertext)
+        return mac.digest()[: self.TAG_BYTES]
 
     def verify(self, addr: int, version: int, ciphertext: bytes,
                tag: bytes) -> None:

@@ -19,7 +19,7 @@ is exactly the set of buckets an ORAM operation touches anyway.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.oram import tree as tree_mod
 
@@ -59,7 +59,7 @@ class BucketMerkleTree:
         self.updates = 0
         self.verifications = 0
 
-    def _children(self, bucket: int) -> (int, int):
+    def _children(self, bucket: int) -> Tuple[int, int]:
         left, right = tree_mod.children_of(bucket)
         if left >= self.n_buckets:
             return -1, -1
@@ -91,6 +91,34 @@ class BucketMerkleTree:
         self._root_onchip = self._digest[0]
         self.updates += 1
 
+    def update_buckets(self, contents: Dict[int, bytes], updates: int) -> None:
+        """Set several buckets' content digests, rehashing once.
+
+        Equivalent to ``updates`` calls of :meth:`update_bucket` whose
+        last call per bucket carried ``contents[bucket]`` (a batch that
+        seals a bucket's slots one after another only needs the final
+        digest): the stored digests depend on the final contents alone,
+        so every affected node is recombined once, children first.
+        """
+        dirty = set()
+        for bucket, content_digest in contents.items():
+            if not 0 <= bucket < self.n_buckets:
+                raise ValueError(f"bucket {bucket} out of range")
+            if len(content_digest) != self.DIGEST_BYTES:
+                raise ValueError("content digest must be 32 bytes")
+            self._content[bucket] = content_digest
+            b = bucket
+            while b not in dirty:
+                dirty.add(b)
+                if b == 0:
+                    break
+                b = tree_mod.parent_of(b)
+        # Level order numbers children above their parent.
+        for b in sorted(dirty, reverse=True):
+            self._digest[b] = self._combine(b)
+        self._root_onchip = self._digest[0]
+        self.updates += updates
+
     # -------------------------------------------------------------- verify
 
     def verify_path(self, leaf: int) -> None:
@@ -104,7 +132,10 @@ class BucketMerkleTree:
             raise IntegrityError("root digest does not match on-chip copy")
 
     def verify_bucket(
-        self, bucket: int, content_digest: Optional[bytes] = None
+        self,
+        bucket: int,
+        content_digest: Optional[bytes] = None,
+        opens: int = 1,
     ) -> None:
         """Check one bucket's digest (and its ancestors) to the root.
 
@@ -112,11 +143,12 @@ class BucketMerkleTree:
         recomputation of the bucket's content (from the untrusted tags
         and versions it just fetched); a mismatch against the stored
         content digest catches dropped writes the hash chain alone
-        would miss.
+        would miss. ``opens`` is how many slot opens of one batch this
+        check stands for (``verifications`` counts per open).
         """
         if not 0 <= bucket < self.n_buckets:
             raise ValueError(f"bucket {bucket} out of range")
-        self.verifications += 1
+        self.verifications += opens
         if content_digest is not None and content_digest != self._content[bucket]:
             raise IntegrityError(
                 f"content digest mismatch at bucket {bucket}", bucket=bucket

@@ -19,7 +19,7 @@ it draws no randomness and performs exactly the inner store's work.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.crypto.auth import AuthenticationError
 from repro.crypto.integrity import IntegrityError
@@ -103,6 +103,19 @@ class FaultyMemory:
                 self.seal_slot(bucket, slot, plaintext)
 
     # ------------------------------------------------------------- opening
+
+    def open_many(self, slots: Any) -> Iterator[Any]:
+        # Explicit for the same reason as seal_many. Lazy on purpose:
+        # each slot is opened (and takes its op index) only when the
+        # caller asks for its outcome, so a caller that retries a
+        # transient failure through open_slot before moving on sees
+        # the op sequence of the scalar loop.
+        for bucket, slot in slots:
+            try:
+                yield self.open_slot(bucket, slot)
+            except (TransientBackendError, AuthenticationError,
+                    IntegrityError) as exc:
+                yield exc
 
     def open_slot(self, bucket: int, slot: int) -> bytes:
         op = self.op_index

@@ -8,33 +8,37 @@ sealed 64B block -- ChaCha20-encrypted, MAC'd against its physical
 address and write version, and covered by a bucket-granular Merkle
 tree whose root stays on-chip (:mod:`repro.crypto`).
 
-The Ring ORAM controller drives it through two calls:
+The Ring ORAM controller drives it through two calls, each with a
+batch form that does the same work for many slots at once:
 
-- ``seal_slot(bucket, slot, plaintext)`` whenever a reshuffle (or a
-  remote allocation) writes a slot;
-- ``open_slot(bucket, slot)`` whenever a readPath/eviction consumes a
-  slot whose plaintext matters (the real target, a green block, or a
-  resident collected for eviction). Dummy reads are discarded
-  unverified, exactly as a real controller discards them undecrypted.
+- ``seal_slot(bucket, slot, plaintext)`` / ``seal_many(items)``
+  whenever a reshuffle (or a remote allocation) writes slots;
+- ``open_slot(bucket, slot)`` / ``open_many(slots)`` whenever a
+  readPath/eviction consumes a slot whose plaintext matters (the real
+  target, a green block, or a resident collected for eviction). Dummy
+  reads are discarded unverified, exactly as a real controller
+  discards them undecrypted.
 
 Tamper anywhere -- payload bytes, a tag, a version, a Merkle digest --
-and the next ``open_slot`` of an affected block raises.
+and the next open of an affected block raises (``open_slot``) or comes
+back as that exception in the block's place (``open_many``).
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.crypto.auth import AuthenticationError
 from repro.crypto.engine import SecureBlockEngine
 from repro.crypto.integrity import BucketMerkleTree, IntegrityError
 from repro.mem.layout import TreeLayout
 from repro.oram import tree as tree_mod
 from repro.oram.config import OramConfig
-
-import hashlib
 
 
 @dataclass(frozen=True)
@@ -122,18 +126,49 @@ class EncryptedTreeStore:
     ) -> None:
         """Seal a batch of slots in order; ``None`` payload means dummy.
 
-        One reshuffle's write-back arrives as a single call instead of
-        one ``seal_slot``/``seal_dummy`` per slot. Deliberately a plain
-        in-order loop: the dummy-filler RNG draws, the per-slot version
-        bumps, the Merkle updates and the ``seals`` counter must all
-        land exactly as the scalar calls would, because fault campaigns
-        and integrity counters pin that sequence.
+        A whole evictPath's (or one reshuffle's) write-back in one
+        call. The end state -- memory, tags, versions, Merkle root,
+        dummy-filler RNG stream, ``seals`` and ``integrity.updates`` --
+        is what ``seal_slot``/``seal_dummy`` item by item would leave;
+        fault campaigns and integrity counters pin that. What the batch
+        shares is the keystream computation (one lane-kernel call) and
+        the Merkle work: one content digest and one rehash per distinct
+        bucket instead of one per slot.
         """
-        for bucket, slot, plaintext in items:
+        if not items:
+            return
+        bb = self.cfg.block_bytes
+        data_addr = self.layout.data_addr
+        version = self._version
+        # Reject a bad payload before any version or RNG state moves.
+        padded = [
+            None if plaintext is None else pad_block(plaintext, bb)
+            for _, _, plaintext in items
+        ]
+        requests = []
+        for (bucket, slot, _), plaintext in zip(items, padded):
             if plaintext is None:
-                self.seal_dummy(bucket, slot)
-            else:
-                self.seal_slot(bucket, slot, plaintext)
+                plaintext = self._dummy_plaintext()
+            # A slot repeated inside the batch gets a fresh version
+            # each time, exactly as back-to-back seal_slot calls would.
+            v = int(version[bucket, slot]) + 1
+            version[bucket, slot] = v
+            requests.append((data_addr(bucket, slot), v, plaintext))
+        base = self.layout.base_addr
+        for (bucket, slot, _), (addr, _, _), (ciphertext, tag) in zip(
+            items, requests, self.engine.seal_many(requests)
+        ):
+            off = addr - base
+            self._memory[off:off + bb] = ciphertext
+            self._tags[(bucket, slot)] = tag
+        buckets = {bucket for bucket, _, _ in items}
+        self._sealed_buckets |= buckets
+        if self.integrity is not None:
+            self.integrity.update_buckets(
+                {b: self._content_digest(b) for b in buckets},
+                updates=len(items),
+            )
+        self.seals += len(items)
 
     # ------------------------------------------------------------- opening
 
@@ -155,6 +190,56 @@ class EncryptedTreeStore:
         version = int(self._version[bucket, slot])
         self.opens += 1
         return self.engine.open(addr, version, ciphertext, self._tags[key])
+
+    def open_many(
+        self, slots: Sequence[Tuple[int, int]]
+    ) -> List[Union[bytes, AuthenticationError, IntegrityError]]:
+        """Verify and decrypt a batch of ``(bucket, slot)``, in order.
+
+        Per slot, the plaintext -- or, in its place, the
+        :class:`IntegrityError` / :class:`AuthenticationError` that
+        ``open_slot`` would have raised, so one bad slot costs the
+        caller that slot only. Each bucket's Merkle check runs once for
+        all of its slots in the batch (nothing changes in between);
+        every MAC is checked before any plaintext of the batch exists
+        (:meth:`SecureBlockEngine.open_many`). Counters land as the
+        scalar calls would leave them.
+        """
+        if not slots:
+            return []
+        for key in slots:
+            if key not in self._tags:
+                raise KeyError(f"slot {key} was never sealed")
+        bb = self.cfg.block_bytes
+        base = self.layout.base_addr
+        broken: Dict[int, IntegrityError] = {}
+        if self.integrity is not None:
+            for bucket, n in Counter(b for b, _ in slots).items():
+                try:
+                    self.integrity.verify_bucket(
+                        bucket,
+                        content_digest=self._content_digest(bucket),
+                        opens=n,
+                    )
+                except IntegrityError as exc:
+                    broken[bucket] = exc
+        outcomes: list = [broken.get(bucket) for bucket, _ in slots]
+        intact = [i for i, exc in enumerate(outcomes) if exc is None]
+        requests = []
+        for i in intact:
+            bucket, slot = slots[i]
+            addr = self.layout.data_addr(bucket, slot)
+            off = addr - base
+            requests.append((
+                addr,
+                int(self._version[bucket, slot]),
+                bytes(self._memory[off:off + bb]),
+                self._tags[(bucket, slot)],
+            ))
+        self.opens += len(intact)
+        for i, outcome in zip(intact, self.engine.open_many(requests)):
+            outcomes[i] = outcome
+        return outcomes
 
     # ----------------------------------------------------------- integrity
 

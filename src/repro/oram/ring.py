@@ -33,7 +33,10 @@ levels are flagged on-chip.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -56,6 +59,14 @@ from repro.oram.stats import (
 # evictPath rounds; this many dummy accesses in a single drain means the
 # configuration is unsound.
 _MAX_BACKGROUND_BURST = 2000
+
+
+# What a sealed-slot open can fail with and the recovery ladder absorbs.
+_OPEN_FAILURES = (TransientBackendError, AuthenticationError, IntegrityError)
+
+#: One resident's open, as ``_open_residents`` hands it on: the block,
+#: where it sat, and its plaintext or the failure the open raised.
+_Opened = Tuple[int, int, int, Union[bytes, Exception]]
 
 
 class ProtocolError(RuntimeError):
@@ -565,38 +576,70 @@ class RingOram:
             self._evict_path()
         self._background_evict()
 
-    def _collect_residents(self, b: int) -> None:
+    def _sealed_residents(
+        self, b: int
+    ) -> Tuple[List[int], List[Tuple[int, int]]]:
+        """``b``'s real blocks and the sealed slots holding them.
+
+        Local slots in ascending order, then unconsumed remote slots in
+        rental order: the order ``_collect_residents`` admits them in.
+        """
+        slots = self.store.valid_real_slots(b).tolist()
+        blocks = self.store.row(b)[slots].tolist()
+        where = [(b, slot) for slot in slots]
+        if self.ext is not None:
+            for hb, hs, content in self.ext.rentals_of(b):
+                if content >= 0:
+                    blocks.append(content)
+                    where.append((hb, hs))
+        return blocks, where
+
+    def _open_residents(
+        self, blocks: List[int], where: List[Tuple[int, int]]
+    ) -> Iterator[_Opened]:
+        """One datastore open batch over ``where``, paired with its blocks.
+
+        Lazy when the datastore's ``open_many`` is (``FaultyMemory``):
+        an outcome is produced when it is asked for, not before.
+        """
+        return (
+            (block, bucket, slot, outcome)
+            for block, (bucket, slot), outcome in zip(
+                blocks, where, self.datastore.open_many(where)
+            )
+        )
+
+    def _collect_residents(
+        self, b: int, opened: Optional[Iterable[_Opened]] = None
+    ) -> None:
         """Move all of ``b``'s remaining real blocks into the stash.
 
         Covers both local slots and (for AB) unconsumed remote slots,
-        whose rental round ends here.
+        whose rental round ends here. On the sealed path ``opened`` is
+        the bucket's share of a batch the caller already opened
+        (evictPath opens its whole path at once); without it the bucket
+        is its own batch.
         """
         store = self.store
         ext = self.ext
         has_rentals = ext is not None and ext.has_rentals(b)
-        if self.datastore is None:
-            # No payloads to capture: pull the resident ids straight
-            # out of the bucket row. Same ascending-slot insertion
-            # order as the payload-capturing path below.
-            blocks = store.resident_blocks(b)
-            if not has_rentals:
-                # Nothing rented either (reclaim would be a no-op):
-                # one vectorized position-map gather and we are done.
-                if blocks.size:
-                    self.stash.add_many(
-                        blocks.tolist(), self.posmap.peek_many(blocks).tolist()
-                    )
-                return
-            residents = blocks.tolist()
-        else:
-            resident_slots = store.valid_real_slots(b)
-            residents = [int(x) for x in store.row(b)[resident_slots]]
-            for blk, slot in zip(residents, resident_slots):
-                self._capture_payload(blk, b, int(slot))
+        # Resident ids straight out of the bucket row, ascending slots.
+        blocks = store.resident_blocks(b)
+        if self.datastore is None and not has_rentals:
+            # Nothing rented either (reclaim would be a no-op): one
+            # vectorized position-map gather and we are done.
+            if blocks.size:
+                self.stash.add_many(
+                    blocks.tolist(), self.posmap.peek_many(blocks).tolist()
+                )
+            return
+        residents = blocks.tolist()
+        if self.datastore is not None:
+            if opened is None:
+                opened = self._open_residents(*self._sealed_residents(b))
+            for block, bucket, slot, outcome in opened:
+                self._admit_payload(block, bucket, slot, outcome)
         if ext is not None:
-            if self.datastore is not None:
-                for hb, hs, content in ext.rentals_of(b):
-                    self._capture_payload(content, hb, hs)
             remote_reals, released = ext.reclaim(b)
             residents.extend(remote_reals)
             for hb, hs in released:
@@ -698,31 +741,64 @@ class RingOram:
         z_real = self._z_real_by_level
         treetop = cfg.treetop_levels
         mblocks = self.metadata_blocks
+        # Sealed path: every resident of the path is known before the
+        # first bucket is read (collecting one bucket never changes
+        # what another path bucket holds), so the whole read phase is
+        # one open batch. Its outcomes are consumed bucket by bucket
+        # below, where the scalar opens used to sit, so a retry stall
+        # or a quarantine lands at the same point of the operation.
+        opened: Optional[Iterator[_Opened]] = None
+        shares: List[int] = []
+        if self.datastore is not None:
+            blocks: List[int] = []
+            where: List[Tuple[int, int]] = []
+            for b in buckets:
+                b_blocks, b_where = self._sealed_residents(b)
+                blocks += b_blocks
+                where += b_where
+                shares.append(len(b_blocks))
+            opened = self._open_residents(blocks, where)
         for lv, b in enumerate(buckets):
             onchip = lv < treetop
             sink.metadata_access(b, lv, write=False, onchip=onchip,
                                  blocks=mblocks)
             sink.data_access_repeat(b, 0, lv, z_real[lv],
                                     write=False, onchip=onchip)
-            self._collect_residents(b)
-        # Write phase: leaf to root, greedy deepest placement.
+            self._collect_residents(
+                b, None if opened is None else islice(opened, shares[lv])
+            )
+        # Write phase: leaf to root, greedy deepest placement. The
+        # sealed writes of all levels go to the datastore as one batch.
+        seal_items: Optional[List[Tuple[int, int, Optional[bytes]]]] = (
+            None if self.datastore is None else []
+        )
         for lv in range(cfg.levels - 1, -1, -1):
             b = buckets[lv]
-            self._refill_bucket(b, lv)
+            self._refill_bucket(b, lv, seal_items)
             sink.metadata_access(b, lv, write=True, onchip=lv < treetop,
                                  blocks=mblocks)
+        if seal_items:
+            self.datastore.seal_many(seal_items)
         sink.end_op()
         for obs in self.observers:
             obs.on_evict_path(leaf)
             for b in buckets:
                 obs.on_reshuffle(b, store.level(b), OpKind.EVICT_PATH)
 
-    def _refill_bucket(self, b: int, lv: int) -> None:
+    def _refill_bucket(
+        self,
+        b: int,
+        lv: int,
+        seal_batch: Optional[List[Tuple[int, int, Optional[bytes]]]] = None,
+    ) -> None:
         """Shared write phase of evictPath / earlyReshuffle for bucket ``b``.
 
         Renews the AB remote extension, picks stash blocks that may live
         in ``b``, scatters them uniformly over local + remote positions,
-        rewrites every usable slot, and reports the writes.
+        rewrites every usable slot, and reports the writes. On the
+        sealed path the slots to seal are appended to ``seal_batch``
+        for the caller to hand to the datastore, or sealed here as the
+        bucket's own batch when none is given.
 
         One code path for every scheme: the AB/DR bookkeeping costs O(1)
         counter lookups (usable-slot count, lazy DeadQ reclamation
@@ -804,7 +880,7 @@ class RingOram:
         # updates are bit-identical.
         pop_payload = self._stash_payload.pop
         slots_row = store.slots[b]
-        seal_items: List[Tuple[int, int, Optional[bytes]]] = []
+        seal_items = [] if seal_batch is None else seal_batch
         write_items: List[Tuple[int, int, int, bool, bool]] = []
         for slot in written:
             content = int(slots_row[slot])
@@ -824,7 +900,8 @@ class RingOram:
                 )
                 hlv = store.level(hb)
                 write_items.append((hb, hs, hlv, hlv < treetop, True))
-        datastore.seal_many(seal_items)
+        if seal_batch is None:
+            datastore.seal_many(seal_items)
         sink.data_access_many(write_items, write=True)
 
     def _pick_stash_blocks(self, b: int, lv: int, capacity: int) -> List[int]:
@@ -869,19 +946,35 @@ class RingOram:
             obs.on_slot_dead(b, slot, lv)
 
     def _capture_payload(self, block: int, bucket: int, slot: int) -> None:
-        """Decrypt+verify a consumed real block into the stash payloads.
+        """Decrypt+verify a consumed real block into the stash payloads."""
+        if self.datastore is None or block < 0:
+            return
+        self._admit_payload(block, bucket, slot, self._try_open(bucket, slot))
+
+    def _try_open(self, bucket: int, slot: int) -> Union[bytes, Exception]:
+        """One scalar open, its failure returned the way a batch does."""
+        try:
+            return self.datastore.open_slot(bucket, slot)
+        except _OPEN_FAILURES as exc:
+            return exc
+
+    def _admit_payload(
+        self, block: int, bucket: int, slot: int,
+        outcome: Union[bytes, Exception],
+    ) -> None:
+        """Take one opened slot's outcome into the stash payloads.
 
         Without a robustness policy, crypto failures propagate (tamper
         experiments rely on that). With one, the recovery ladder runs:
         retries for transient faults, quarantine for corruption, then a
         stash-served read or -- the last rung -- a zeroed payload.
         """
-        if self.datastore is None or block < 0:
-            return
         if not self._recovery_active:
-            self._stash_payload[block] = self.datastore.open_slot(bucket, slot)
+            if isinstance(outcome, Exception):
+                raise outcome
+            self._stash_payload[block] = outcome
             return
-        payload = self._open_slot_recovering(bucket, slot)
+        payload = self._recover_open(bucket, slot, outcome)
         if payload is None:
             if block in self._stash_payload:
                 # The stash already holds this block's bytes (it was
@@ -892,8 +985,11 @@ class RingOram:
             self.robust.payload_resets += 1
         self._stash_payload[block] = payload
 
-    def _open_slot_recovering(self, bucket: int, slot: int) -> Optional[bytes]:
-        """Open one slot through the recovery ladder.
+    def _recover_open(
+        self, bucket: int, slot: int, outcome: Union[bytes, Exception]
+    ) -> Optional[bytes]:
+        """Run one slot's first open ``outcome`` through the recovery
+        ladder, retrying transient failures with scalar opens.
 
         Returns the plaintext, or ``None`` when the slot is lost to
         persistent corruption (the bucket is then quarantined).
@@ -901,32 +997,31 @@ class RingOram:
         rc = self.robust
         rcfg = self.robustness
         attempts = 0
-        while True:
-            try:
-                payload = self.datastore.open_slot(bucket, slot)
-            except TransientBackendError:
-                rc.transient_faults += 1
-                if attempts >= rcfg.retry_budget:
-                    rc.retry_exhausted += 1
-                    self._quarantine(bucket)
-                    return None
-                attempts += 1
-                rc.retries += 1
-                self.sink.stall(
-                    rcfg.backoff_base_ns * rcfg.backoff_factor ** (attempts - 1)
-                )
-                continue
-            except AuthenticationError:
-                rc.auth_failures += 1
+        while isinstance(outcome, TransientBackendError):
+            rc.transient_faults += 1
+            if attempts >= rcfg.retry_budget:
+                rc.retry_exhausted += 1
                 self._quarantine(bucket)
                 return None
-            except IntegrityError as exc:
-                rc.integrity_failures += 1
-                self._quarantine(exc.bucket if exc.bucket is not None else bucket)
-                return None
-            if attempts:
-                rc.transient_recovered += 1
-            return payload
+            attempts += 1
+            rc.retries += 1
+            self.sink.stall(
+                rcfg.backoff_base_ns * rcfg.backoff_factor ** (attempts - 1)
+            )
+            outcome = self._try_open(bucket, slot)
+        if isinstance(outcome, AuthenticationError):
+            rc.auth_failures += 1
+            self._quarantine(bucket)
+            return None
+        if isinstance(outcome, IntegrityError):
+            rc.integrity_failures += 1
+            self._quarantine(
+                outcome.bucket if outcome.bucket is not None else bucket
+            )
+            return None
+        if attempts:
+            rc.transient_recovered += 1
+        return outcome
 
     def _verify_path_integrity(self, leaf: int, buckets: Sequence[int]) -> None:
         """Verify the fetched path's hash chain (recovery ladder entry).

@@ -8,11 +8,15 @@ raise.
 """
 
 import hashlib
+import pickle
+import struct
 
 import pytest
 
 from repro.crypto.auth import AuthenticationError, BlockAuthenticator
-from repro.crypto.chacha import ChaCha20, chacha20_xor
+from repro.crypto.chacha import (
+    LANE_MIN_BLOCKS, ChaCha20, chacha20_xor, keystream_lanes, xor_blocks,
+)
 from repro.crypto.engine import SecureBlockEngine
 from repro.crypto.integrity import BucketMerkleTree, IntegrityError
 
@@ -65,6 +69,93 @@ class TestChaCha20Rfc8439:
             "6a43b8f41518a11cc387b669b2ee6586"
         )
         assert block == expect
+
+
+class TestChaCha20Lanes:
+    """The lane kernel against the RFC vectors and the scalar block."""
+
+    KEY = bytes(range(32))
+
+    def test_block_function_vector(self):
+        """RFC 8439 section 2.3.2, one lane."""
+        nonce = bytes.fromhex("000000090000004a00000000")
+        assert keystream_lanes(self.KEY, [nonce], [1]) == bytes.fromhex(
+            "10f1e7e4d13b5915500fdd1fa32071c4"
+            "c7d1f4c733c068030422aa9ac3d46c4e"
+            "d2826446079faa0914c2d705d98b02a2"
+            "b5129cd1de164eb9cbd083e8a2503c4e"
+        )
+
+    def test_encryption_vector(self):
+        """RFC 8439 section 2.4.2: two blocks from counter 1, two lanes."""
+        nonce = bytes.fromhex("000000000000004a00000000")
+        plaintext = (
+            b"Ladies and Gentlemen of the class of '99: If I could offer you "
+            b"only one tip for the future, sunscreen would be it."
+        )
+        keystream = keystream_lanes(self.KEY, [nonce, nonce], [1, 2])
+        ciphertext = bytes(p ^ k for p, k in zip(plaintext, keystream))
+        assert ciphertext == bytes.fromhex(
+            "6e2e359a2568f98041ba0728dd0d6981"
+            "e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b357"
+            "1639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e"
+            "52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42"
+            "874d"
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 68])
+    def test_lanes_match_scalar_block(self, n):
+        """Every lane has its own nonce *and* counter."""
+        nonces = [struct.pack("<QI", 0x1000 + 64 * i, i + 1) for i in range(n)]
+        counters = [(i * 0x01000193 + 7) & 0xFFFFFFFF for i in range(n)]
+        counters[-1] = 0xFFFFFFFF
+        out = keystream_lanes(self.KEY, nonces, counters)
+        assert len(out) == 64 * n
+        for i in range(n):
+            assert out[64 * i:64 * i + 64] == ChaCha20(
+                self.KEY, nonces[i]
+            ).block(counters[i]), f"lane {i}"
+
+    def test_no_lanes(self):
+        assert keystream_lanes(self.KEY, [], []) == b""
+
+    @pytest.mark.parametrize("counter", [-1, 2**32])
+    def test_counter_range_same_on_both_paths(self, counter):
+        nonce = b"n" * 12
+        with pytest.raises(ValueError, match="counter out of range") as scalar:
+            ChaCha20(self.KEY, nonce).block(counter)
+        with pytest.raises(ValueError, match="counter out of range") as lanes:
+            keystream_lanes(self.KEY, [nonce, nonce], [0, counter])
+        assert str(scalar.value) == str(lanes.value)
+
+    def test_lane_arguments_validated(self):
+        with pytest.raises(ValueError):
+            keystream_lanes(b"short", [b"n" * 12], [0])
+        with pytest.raises(ValueError):
+            keystream_lanes(self.KEY, [b"short"], [0])
+        with pytest.raises(ValueError):
+            keystream_lanes(self.KEY, [b"n" * 12], [0, 1])
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 100]
+    )
+    def test_xor_blocks_matches_scalar_xor(self, n):
+        """Same bytes on both sides of the scalar/lanes cut-over."""
+        nonces = [struct.pack("<QI", 64 * i, 3 * i) for i in range(n)]
+        blocks = [bytes([i % 251]) * 64 for i in range(n)]
+        assert xor_blocks(self.KEY, nonces, blocks) == [
+            ChaCha20(self.KEY, nonce).xor(block)
+            for nonce, block in zip(nonces, blocks)
+        ]
+
+    def test_xor_blocks_validates(self):
+        with pytest.raises(ValueError):
+            xor_blocks(self.KEY, [b"n" * 12], [b"short"])
+        with pytest.raises(ValueError):
+            xor_blocks(self.KEY, [b"n" * 12], [])
 
 
 class TestChaCha20Api:
@@ -140,6 +231,13 @@ class TestBlockAuthenticator:
         with pytest.raises(ValueError):
             BlockAuthenticator(b"tiny")
 
+    def test_pickle_roundtrip_keeps_the_key(self):
+        """Checkpoints pickle the engine; the cached HMAC state cannot
+        be pickled and must be rebuilt from the key."""
+        auth = BlockAuthenticator(b"k" * 16)
+        clone = pickle.loads(pickle.dumps(auth))
+        assert clone.tag(64, 3, b"c" * 64) == auth.tag(64, 3, b"c" * 64)
+
     def test_negative_inputs_rejected(self):
         auth = BlockAuthenticator(b"x" * 32)
         with pytest.raises(ValueError):
@@ -187,6 +285,42 @@ class TestSecureBlockEngine:
     def test_short_master_key_rejected(self):
         with pytest.raises(ValueError):
             SecureBlockEngine(b"short")
+
+    @pytest.mark.parametrize("n", [0, 1, LANE_MIN_BLOCKS, 40])
+    def test_batch_equals_scalar(self, n):
+        eng = SecureBlockEngine(b"master key bytes")
+        items = [(64 * i, i + 1, bytes([i]) * 64) for i in range(n)]
+        sealed = eng.seal_many(items)
+        assert sealed == [eng.seal(*item) for item in items]
+        opened = eng.open_many([
+            (addr, version, ct, tag)
+            for (addr, version, _), (ct, tag) in zip(items, sealed)
+        ])
+        assert opened == [pt for _, _, pt in items]
+
+    def test_batch_failure_is_per_item(self):
+        """A tampered item comes back as its exception; its neighbours
+        are still checked and still decrypted."""
+        eng = SecureBlockEngine(b"master key bytes")
+        items = [(64 * i, 1, bytes([i]) * 64) for i in range(10)]
+        requests = [
+            (addr, version, ct, tag)
+            for (addr, version, _), (ct, tag) in zip(items, eng.seal_many(items))
+        ]
+        addr, version, ct, tag = requests[4]
+        requests[4] = (addr, version, bytes([ct[0] ^ 1]) + ct[1:], tag)
+        opened = eng.open_many(requests)
+        assert isinstance(opened[4], AuthenticationError)
+        assert [o for i, o in enumerate(opened) if i != 4] == [
+            pt for i, (_, _, pt) in enumerate(items) if i != 4
+        ]
+
+    def test_batch_wrong_size_rejected(self):
+        eng = SecureBlockEngine(b"master key bytes")
+        with pytest.raises(ValueError):
+            eng.seal_many([(0, 0, bytes(64)), (64, 0, b"short")])
+        with pytest.raises(ValueError):
+            eng.open_many([(0, 0, b"short", b"t" * 8)])
 
 
 class TestBucketMerkleTree:
@@ -247,6 +381,36 @@ class TestBucketMerkleTree:
             t.update_bucket(100, bytes(32))
         with pytest.raises(ValueError):
             t.update_bucket(0, b"short")
+
+    def test_update_buckets_equals_update_sequence(self):
+        """One batched rehash lands where the per-call rehashes do,
+        including a bucket written twice and a parent/child pair."""
+        seq, batch = self.make(), self.make()
+        writes = [(9, b"a"), (4, b"b"), (9, b"c"), (14, b"d"), (0, b"e")]
+        for bucket, label in writes:
+            seq.update_bucket(bucket, self.digest(label))
+        batch.update_buckets(
+            {bucket: self.digest(label) for bucket, label in writes},
+            updates=len(writes),
+        )
+        assert batch.root == seq.root
+        assert batch._digest == seq._digest
+        assert batch._content == seq._content
+        assert batch.updates == seq.updates == 5
+        for leaf in range(8):
+            batch.verify_path(leaf)
+
+    def test_update_buckets_validates_args(self):
+        t = self.make()
+        with pytest.raises(ValueError):
+            t.update_buckets({100: bytes(32)}, updates=1)
+        with pytest.raises(ValueError):
+            t.update_buckets({0: b"short"}, updates=1)
+
+    def test_verify_bucket_counts_opens(self):
+        t = self.make()
+        t.verify_bucket(9, opens=3)
+        assert t.verifications == 3
 
     def test_two_level_tree(self):
         t = BucketMerkleTree(2)

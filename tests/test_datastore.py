@@ -8,8 +8,10 @@ from conftest import tiny_ab_config, tiny_config
 
 from repro.core.remote import RemoteAllocator
 from repro.crypto.auth import AuthenticationError
+from repro.crypto.chacha import LANE_MIN_BLOCKS
 from repro.crypto.integrity import IntegrityError
 from repro.oram.datastore import EncryptedTreeStore, pad_block
+from repro.oram.recovery import RobustnessConfig
 from repro.oram.ring import RingOram
 
 KEY = b"test master key."
@@ -103,6 +105,178 @@ class TestEncryptedTreeStore:
         store.open_slot(0, 0)
         assert store.seals == 1
         assert store.opens == 1
+
+
+def _everything(store):
+    """All state a batch must leave exactly as the scalar calls do."""
+    tree = store.integrity
+    return {
+        "memory": bytes(store._memory),
+        "tags": dict(store._tags),
+        "version": store._version.tobytes(),
+        "sealed_buckets": set(store._sealed_buckets),
+        "merkle": None if tree is None else (
+            tree.root, list(tree._digest), list(tree._content),
+            tree.updates, tree.verifications,
+        ),
+        "counters": (store.seals, store.opens),
+        "dummy_rng": store._rng.bit_generator.state,
+    }
+
+
+def _batch_items(cfg, n):
+    """``n`` seals over random slots: every third a dummy, payload
+    lengths mixed, and the first slot sealed again at the end."""
+    rng = np.random.default_rng(n)
+    items = [
+        (int(rng.integers(cfg.n_buckets)), int(rng.integers(cfg.z_max)),
+         None if i % 3 == 0 else bytes([i % 256]) * (1 + i % 64))
+        for i in range(n)
+    ]
+    if n >= 2:
+        items[-1] = (items[0][0], items[0][1], b"sealed twice in one batch")
+    return items
+
+
+def _scalar_opens(store, slots):
+    """``open_slot`` per slot, failures kept in place like ``open_many``."""
+    outcomes = []
+    for bucket, slot in slots:
+        try:
+            outcomes.append(store.open_slot(bucket, slot))
+        except (AuthenticationError, IntegrityError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _comparable(outcomes):
+    return [
+        (type(o), str(o)) if isinstance(o, Exception) else o for o in outcomes
+    ]
+
+
+class TestBatchEqualsScalar:
+    """``seal_many``/``open_many`` against the scalar calls they batch."""
+
+    SIZES = [0, 1, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 100]
+
+    def _pair(self, cfg, with_integrity=True):
+        return [
+            EncryptedTreeStore(cfg, KEY, seed=5, with_integrity=with_integrity)
+            for _ in range(2)
+        ]
+
+    @pytest.mark.parametrize("with_integrity", [True, False])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_same_state_and_plaintexts(self, cfg_small, n, with_integrity):
+        batch, scalar = self._pair(cfg_small, with_integrity)
+        items = _batch_items(cfg_small, n)
+        batch.seal_many(items)
+        for bucket, slot, payload in items:
+            if payload is None:
+                scalar.seal_dummy(bucket, slot)
+            else:
+                scalar.seal_slot(bucket, slot, payload)
+        assert _everything(batch) == _everything(scalar)
+        slots = [(bucket, slot) for bucket, slot, _ in items]
+        assert batch.open_many(slots) == _scalar_opens(scalar, slots)
+        assert _everything(batch) == _everything(scalar)
+
+    @pytest.mark.parametrize("n", [LANE_MIN_BLOCKS - 1, 40])
+    @pytest.mark.parametrize("attack", ["payload", "version"])
+    def test_tampered_slot_fails_alone(self, cfg_small, n, attack):
+        batch, scalar = self._pair(cfg_small)
+        # One slot per bucket, so a bucket-wide Merkle failure is one item.
+        slots = [(bucket, bucket % cfg_small.z_max) for bucket in range(n)]
+        victim = n // 2
+        for store in (batch, scalar):
+            store.seal_many([(b, s, bytes([b]) * 8) for b, s in slots])
+            if attack == "payload":
+                store.tamper_payload(*slots[victim], flip_byte=9)
+            else:
+                store.tamper_version(*slots[victim])
+        outcomes = batch.open_many(slots)
+        assert isinstance(
+            outcomes[victim],
+            AuthenticationError if attack == "payload" else IntegrityError,
+        )
+        assert [
+            o for i, o in enumerate(outcomes) if i != victim
+        ] == [
+            pad_block(bytes([b]) * 8, 64)
+            for i, (b, _) in enumerate(slots) if i != victim
+        ]
+        assert _comparable(outcomes) == _comparable(
+            _scalar_opens(scalar, slots)
+        )
+        assert _everything(batch) == _everything(scalar)
+
+    def test_never_sealed_slot_rejected(self, store):
+        store.seal_slot(0, 0, b"x")
+        with pytest.raises(KeyError):
+            store.open_many([(0, 0), (1, 1)])
+
+    def test_bad_payload_rejected_before_anything_moves(self, store):
+        before = _everything(store)
+        with pytest.raises(ValueError):
+            store.seal_many([(0, 0, None), (0, 1, b"x" * 65)])
+        assert _everything(store) == before
+
+
+class _PerSlotStore(EncryptedTreeStore):
+    """The store as it was before batches: loops of the scalar calls."""
+
+    def seal_many(self, items):
+        for bucket, slot, payload in items:
+            if payload is None:
+                self.seal_dummy(bucket, slot)
+            else:
+                self.seal_slot(bucket, slot, payload)
+
+    def open_many(self, slots):
+        return iter(_scalar_opens(self, slots))
+
+
+class TestControllerBatchesEqualPerSlot:
+    """evictPath's two batches against the per-slot controller, with
+    corrupted slots in the middle of them and the ladder switched on."""
+
+    def _run(self, store_cls):
+        cfg = tiny_ab_config(levels=5)
+        ds = store_cls(cfg, KEY, seed=7)
+        oram = RingOram(
+            cfg, seed=7, extensions=RemoteAllocator(cfg), datastore=ds,
+            robustness=RobustnessConfig(integrity=True),
+        )
+        oram.warm_fill()
+        rng = np.random.default_rng(3)
+        answers = []
+        for i in range(240):
+            if i % 40 == 20:
+                # Corrupt two resident blocks where they lie.
+                for b, s in np.argwhere(oram.store.slots >= 0)[[5, -5]]:
+                    ds.tamper_payload(int(b), int(s))
+            blk = int(rng.integers(cfg.n_real_blocks))
+            if rng.random() < 0.5:
+                oram.write(blk, f"v{i}".encode())
+            else:
+                answers.append(oram.read(blk))
+        oram.flush_recovery()
+        oram.check_invariants()
+        for leaf in range(cfg.n_leaves):
+            ds.verify_path(leaf)
+        return oram, ds, answers
+
+    def test_same_run_either_way(self):
+        oram, ds, answers = self._run(EncryptedTreeStore)
+        ref_oram, ref_ds, ref_answers = self._run(_PerSlotStore)
+        assert oram.robust.auth_failures > 0      # the ladder did run
+        assert oram.robust.rebuilds > 0
+        assert oram.robust == ref_oram.robust
+        assert answers == ref_answers
+        assert _everything(ds) == _everything(ref_ds)
+        assert oram.sink.summary() == ref_oram.sink.summary()
+        assert oram.rng.bit_generator.state == ref_oram.rng.bit_generator.state
 
 
 class TestEncryptedOramEndToEnd:

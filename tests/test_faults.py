@@ -173,6 +173,48 @@ class TestFaultyMemoryDetection:
         with pytest.raises(AttributeError):
             mem._no_such_private  # noqa: B018 -- pickling relies on this
 
+    def test_every_seal_and_open_entry_point_is_intercepted(self):
+        """A seal/open method the store grows must be defined on the
+        wrapper too: ``__getattr__`` would hand it to the inner store
+        and the traffic through it would escape fault injection."""
+        entry_points = [
+            name for name, attr in vars(EncryptedTreeStore).items()
+            if name.startswith(("seal_", "open_")) and callable(attr)
+        ]
+        assert {"seal_slot", "seal_dummy", "seal_many",
+                "open_slot", "open_many"} <= set(entry_points)
+        missing = [n for n in entry_points if n not in vars(FaultyMemory)]
+        assert not missing, f"FaultyMemory passes {missing} straight through"
+
+    def test_open_many_injects_per_slot(self):
+        mem = FaultyMemory(_store(), _only("bit_flip"))
+        slots = [(3, 0), (3, 1), (4, 0)]
+        mem.seal_many([(b, s, b"x") for b, s in slots])
+        outcomes = list(mem.open_many(slots))
+        assert all(isinstance(o, AuthenticationError) for o in outcomes)
+        assert mem.injected["bit_flip"] == mem.detected["bit_flip"] == 3
+
+    def test_open_many_is_lazy_so_retries_keep_their_op_index(self):
+        """Each slot takes its op index when its outcome is asked for:
+        a retry between two outcomes sits between them in the op
+        sequence, as in a loop of scalar opens."""
+        batch = FaultyMemory(_store(), _only("unavailable", max_outage_ops=1))
+        scalar = FaultyMemory(_store(), _only("unavailable", max_outage_ops=1))
+        slots = [(3, 0), (3, 1)]
+        for mem in (batch, scalar):
+            mem.seal_many([(b, s, b"x") for b, s in slots])
+        outcomes = batch.open_many(slots)
+        assert batch.op_index == 2          # nothing opened yet
+        assert isinstance(next(outcomes), TransientBackendError)
+        assert batch.op_index == 3
+        with pytest.raises(TransientBackendError):
+            batch.open_slot(3, 0)           # the caller's retry
+        assert isinstance(next(outcomes), TransientBackendError)
+        for b, s in ((3, 0), (3, 0), (3, 1)):
+            with pytest.raises(TransientBackendError):
+                scalar.open_slot(b, s)
+        assert batch.summary() == scalar.summary()
+
     def test_summary_shape(self):
         mem = FaultyMemory(_store(), FaultPlan())
         s = mem.summary()

@@ -1,9 +1,14 @@
 """Tests for the statistical helpers, plus the protocol randomness
 checks they enable."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.stattests import (
     binomial_interval,
     chi_square_uniform,
@@ -33,6 +38,24 @@ class TestChiSquare:
             chi_square_uniform([-1, 5])
         with pytest.raises(ValueError):
             chi_square_uniform([1, 1, 1])  # too few observations
+
+
+class TestScipyIsOptional:
+    """scipy is a dev extra: one helper needs it, the package does not."""
+
+    def test_missing_scipy_is_a_clear_import_error(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        with pytest.raises(ImportError, match="needs scipy"):
+            chi_square_uniform([50, 50])
+
+    def test_package_import_does_not_load_scipy(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import repro.serve, repro.sim.engine, sys; "
+             "assert 'scipy' not in sys.modules"],
+            check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
 
 
 class TestBinomialInterval:
