@@ -13,9 +13,10 @@ How it works
 ------------
 
 Every protocol operation (``begin_op`` .. ``end_op``) is *buffered*:
-data/metadata touches are recorded as (kind, addresses, phase) events
-instead of being issued to the DRAM model immediately. At ``end_op``
-the operation is scheduled as a unit:
+the sink is a :class:`~repro.sim.engine.DramSink` whose issue stage
+records each translated request (addresses, direction, phase) instead
+of handing it to the DRAM model immediately. At ``end_op`` the
+operation is scheduled as a unit:
 
 - Operations are grouped into *transactions*: one online operation
   (readPath or posMap) plus the maintenance work (evictPath,
@@ -35,12 +36,13 @@ the operation is scheduled as a unit:
   an in-flight reshuffle) has not completed waits for *that bucket*
   only; on-chip treetop levels never conflict. Stalls are counted as
   ``pipeline.conflict_stalls`` / ``conflict_stall_ns``.
-- Within an operation the serial sink's phase rules are replayed
-  verbatim (metadata read -> data reads -> data writes -> metadata
-  write-back), so at ``depth=1`` every float operation matches
-  :class:`~repro.sim.engine.DramSink` and the schedule is
-  bit-identical (production configs route depth 1 through the serial
-  sink anyway).
+- Within an operation the buffered requests are replayed through the
+  serial sink's own issue stage (metadata read -> data reads -> data
+  writes -> metadata write-back), so at ``depth=1`` every float
+  operation matches :class:`~repro.sim.engine.DramSink` and the
+  schedule is bit-identical (``tests/test_sim.py`` pins it; production
+  configs route depth 1 through the serial sink anyway, which pays
+  nothing for buffering).
 
 Operations are issued to the DRAM model in program order with
 possibly-earlier arrival stamps; the model's bank/bus frontiers only
@@ -55,19 +57,26 @@ lands on top of the frontier.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.mem.dram import DramModel
 from repro.mem.layout import TreeLayout
-from repro.oram.stats import MemorySink, OpKind
+from repro.oram.stats import OpKind
+from repro.sim.engine import DramSink
 
 #: Online (latency-critical) operation kinds; everything else is
 #: maintenance that a later transaction's read may overlap with.
 ONLINE_KINDS = frozenset((OpKind.READ_PATH, OpKind.POSMAP))
 
 
-class PipelinedDramSink(MemorySink):
-    """Schedule buffered protocol ops with bounded-depth overlap."""
+class PipelinedDramSink(DramSink):
+    """Schedule buffered protocol ops with bounded-depth overlap.
+
+    A :class:`~repro.sim.engine.DramSink` whose issue stage buffers:
+    translated requests are recorded per operation and replayed onto
+    the DRAM model at ``end_op``, at the start time the transaction
+    table and the bucket conflict tracker allow.
+    """
 
     def __init__(
         self,
@@ -78,23 +87,8 @@ class PipelinedDramSink(MemorySink):
     ) -> None:
         if depth < 1:
             raise ValueError(f"pipeline depth must be >= 1, got {depth}")
-        self.layout = layout
-        self.dram = dram
+        super().__init__(layout, dram, telemetry)
         self.depth = depth
-        self.telemetry = telemetry
-        # Address computation mirrors DramSink (plain-int arithmetic
-        # over a materialized offset list).
-        self._data_base = layout.base_addr
-        self._data_off = layout._offsets.tolist()
-        self._block_bytes = layout.cfg.block_bytes
-        self._meta_base = layout.meta_base
-        self._meta_stride = layout.meta_stride
-        #: Completion frontier advanced by CPU pacing (see module doc).
-        self.now = 0.0
-        self.time_by_kind: Dict[OpKind, float] = {k: 0.0 for k in OpKind}
-        self.ops_by_kind: Dict[OpKind, int] = {k: 0 for k in OpKind}
-        self.readpath_latencies: List[float] = []
-        self.remote_accesses = 0
         # ---------------------------------------- transaction table
         #: Start time of the last transaction's first op (in-order issue).
         self._issue_frontier = 0.0
@@ -115,23 +109,25 @@ class PipelinedDramSink(MemorySink):
         #: draining must stall the transactions that touch it.
         self._bucket_free: Dict[int, float] = {}
         # ---------------------------------------- per-op buffering
-        self._op_kind: Optional[OpKind] = None
         self._op_new_txn = False
-        self._ev: List[Tuple] = []
+        self._ev: List[Tuple[Callable[..., None], Tuple]] = []
         self._op_buckets: Set[int] = set()
         self._op_wbuckets: Set[int] = set()
         # ---------------------------------------- pipeline metrics
+        self._reset_pipeline_metrics()
+        if telemetry is not None:
+            tracks = getattr(telemetry, "track_names", None)
+            if tracks is not None:
+                for lane in range(depth):
+                    tracks.setdefault(1 + lane, f"pipeline lane {lane}")
+
+    def _reset_pipeline_metrics(self) -> None:
         self.txns = 0
         self.conflict_stalls = 0
         self.conflict_stall_ns = 0.0
         self.inflight_peak = 0
         self.inflight_sum = 0
         self.inflight_samples = 0
-        if telemetry is not None:
-            tracks = getattr(telemetry, "track_names", None)
-            if tracks is not None:
-                for lane in range(depth):
-                    tracks.setdefault(1 + lane, f"pipeline lane {lane}")
 
     # ------------------------------------------------------------- clocking
 
@@ -140,25 +136,12 @@ class PipelinedDramSink(MemorySink):
 
         The gap is banked and added once at the next transaction's
         start, so pacing constrains issue order without serializing
-        against in-flight maintenance drain.
+        against in-flight maintenance drain. ``now`` is the completion
+        frontier advanced by CPU pacing (see module doc).
         """
-        if ns < 0:
-            raise ValueError(f"cannot advance time by {ns}")
+        super().advance(ns)
         self._pending_gap += ns
-        self.now += ns
         self._boundary = True
-
-    def stall(self, ns: float) -> None:
-        """Charge controller stall time (retry backoff) to the clock."""
-        if ns < 0:
-            raise ValueError(f"cannot stall for {ns}")
-        self.dram.stats.stalled_ns += ns
-        if self._op_kind is None:
-            self._pending_gap += ns
-            self.now += ns
-            self._boundary = True
-        else:
-            self._ev.append(("t", ns))
 
     def reset_measurement(self) -> float:
         """Zero the attribution counters (end of warm-up).
@@ -169,150 +152,47 @@ class PipelinedDramSink(MemorySink):
         measured transactions may overlap warm-up work -- the same
         boundary approximation the serial model makes for open rows.
         """
-        self.time_by_kind = {k: 0.0 for k in OpKind}
-        self.ops_by_kind = {k: 0 for k in OpKind}
-        self.readpath_latencies = []
-        self.remote_accesses = 0
-        self.txns = 0
-        self.conflict_stalls = 0
-        self.conflict_stall_ns = 0.0
-        self.inflight_peak = 0
-        self.inflight_sum = 0
-        self.inflight_samples = 0
-        self.dram.stats.__init__()
-        busy = self.dram.channel_busy_ns
-        busy[:] = [0.0] * len(busy)
-        bank = self.dram.bank_busy_ns
-        bank[:] = [0.0] * len(bank)
-        return self.now
-
-    # ------------------------------------------------------------ sink API
+        self._reset_pipeline_metrics()
+        return super().reset_measurement()
 
     def begin_op(self, kind: OpKind) -> None:
-        if self._op_kind is not None:
-            raise RuntimeError(f"nested op {kind} inside {self._op_kind}")
-        self._op_kind = kind
+        super().begin_op(kind)
         self._op_new_txn = kind in ONLINE_KINDS and (
             self._boundary or self._txn_has_online
         )
-        self._ev = []
-        self._op_buckets = set()
-        self._op_wbuckets = set()
 
-    def data_access(self, bucket, slot, level, write, onchip=False,
-                    remote=False):
-        if onchip:
-            return
-        if remote:
-            self.remote_accesses += 1
-        addr = (self._data_base + self._data_off[bucket]
-                + slot * self._block_bytes)
-        self._ev.append(("s", addr, write, 2 if write else 1))
-        self._op_buckets.add(bucket)
-        if write:
-            self._op_wbuckets.add(bucket)
+    # ---------------------------------------------------------- issue stage
 
-    def metadata_access(self, bucket, level, write, onchip=False, blocks=1):
-        if onchip:
-            return
-        addr = self._meta_base + bucket * self._meta_stride
-        phase = 3 if write else 0
-        if blocks == 1:
-            self._ev.append(("s", addr, write, phase))
-        else:
-            bb = self._block_bytes
-            self._ev.append(
-                ("b", [addr + i * bb for i in range(blocks)], write, phase)
-            )
-        self._op_buckets.add(bucket)
+    # Each hook buffers the serial sink's own stage call, bound, for
+    # :meth:`_replay` to make once the operation's start is known.
 
-    def data_access_many(self, items, write):
-        # Same all-onchip phase rule as the serial sink: an empty
-        # off-chip batch records nothing, so later lower-phase events
-        # replay before any phase transition.
-        base = self._data_base
-        off = self._data_off
-        bb = self._block_bytes
-        addrs = []
-        append = addrs.append
-        buckets = self._op_buckets
-        remotes = 0
-        wbuckets = self._op_wbuckets
-        for bucket, slot, level, onchip, remote in items:
-            if onchip:
-                continue
-            if remote:
-                remotes += 1
-            append(base + off[bucket] + slot * bb)
-            buckets.add(bucket)
-            if write:
-                wbuckets.add(bucket)
-        if not addrs:
-            return
-        self.remote_accesses += remotes
-        self._ev.append(("b", addrs, write, 2 if write else 1))
+    def _issue(self, addrs, write, phase, items, onchip_at) -> None:
+        self._ev.append((super()._issue, (addrs, write, phase, (), 0)))
+        touched = [it[0] for it in items if not it[onchip_at]]
+        self._op_buckets.update(touched)
+        if phase == 2:
+            self._op_wbuckets.update(touched)
 
-    def data_access_repeat(self, bucket, slot, level, count, write,
-                           onchip=False, remote=False):
-        if onchip or count <= 0:
-            return
-        if remote:
-            self.remote_accesses += count
-        addr = (self._data_base + self._data_off[bucket]
-                + slot * self._block_bytes)
-        self._ev.append(("r", addr, count, write, 2 if write else 1))
-        self._op_buckets.add(bucket)
-        if write:
-            self._op_wbuckets.add(bucket)
-
-    def data_access_block(self, bucket, slots, level, write,
-                          onchip=False, remote=False):
-        if onchip or not slots:
-            return
-        if remote:
-            self.remote_accesses += len(slots)
-        base = self._data_base + self._data_off[bucket]
-        bb = self._block_bytes
+    def _issue_repeat(self, addr, count, write, phase, bucket) -> None:
         self._ev.append(
-            ("b", [base + slot * bb for slot in slots], write,
-             2 if write else 1)
+            (super()._issue_repeat, (addr, count, write, phase, bucket))
         )
         self._op_buckets.add(bucket)
         if write:
             self._op_wbuckets.add(bucket)
 
-    def metadata_access_many(self, items, write, blocks=1):
-        base = self._meta_base
-        stride = self._meta_stride
-        bb = self._block_bytes
-        addrs = []
-        append = addrs.append
-        buckets = self._op_buckets
-        if blocks == 1:
-            for bucket, level, onchip in items:
-                if not onchip:
-                    append(base + bucket * stride)
-                    buckets.add(bucket)
-        else:
-            for bucket, level, onchip in items:
-                if onchip:
-                    continue
-                addr = base + bucket * stride
-                for _ in range(blocks):
-                    append(addr)
-                    addr += bb
-                buckets.add(bucket)
-        if not addrs:
-            return
-        self._ev.append(("b", addrs, write, 3 if write else 0))
+    def _issue_stall(self, ns: float) -> None:
+        self._ev.append((super()._issue_stall, (ns,)))
 
     # ----------------------------------------------------------- scheduling
 
     def end_op(self) -> None:
-        kind = self._op_kind
-        if kind is None:
-            raise RuntimeError("end_op without begin_op")
-        self._op_kind = None
+        if self._op_kind is not None:
+            self._schedule(self._op_kind)
+        super().end_op()
+
+    def _schedule(self, kind: OpKind) -> None:
+        """Place the buffered op as a unit and replay it there."""
         if self._op_new_txn:
             # Finalize the previous transaction into the in-flight
             # window; entries pushed past the depth bound retire into
@@ -370,17 +250,9 @@ class PipelinedDramSink(MemorySink):
             # Maintenance finished: the next online op is a new access
             # even if the driver never advances the clock (serving).
             self._boundary = True
-        if end > self.now:
-            self.now = end
-        duration = end - start
-        self.time_by_kind[kind] += duration
-        self.ops_by_kind[kind] += 1
-        if kind is OpKind.READ_PATH:
-            self.readpath_latencies.append(duration)
-        t = self.telemetry
-        if t is not None:
-            t.record_span(str(kind), start, duration)
-            t.extra_events.append({
+        if self.telemetry is not None:
+            duration = end - start
+            self.telemetry.extra_events.append({
                 "name": str(kind),
                 "cat": "pipeline",
                 "ph": "X",
@@ -391,6 +263,8 @@ class PipelinedDramSink(MemorySink):
                 "args": {"start_ns": start, "dur_ns": duration,
                          "txn": self._txn_index},
             })
+        # Cleared here, not at begin_op: between operations the sink
+        # must hold no buffered calls (checkpoints pickle it).
         self._ev = []
         self._op_buckets = set()
         self._op_wbuckets = set()
@@ -398,31 +272,14 @@ class PipelinedDramSink(MemorySink):
     def _replay(self, start: float) -> float:
         """Issue the buffered op at ``start``; returns its completion.
 
-        Phase chaining is verbatim from the serial sink: entering a
-        later phase waits for every earlier request of the operation.
+        The buffered calls are the serial sink's issue stage, so the
+        phase rule exists once and depth 1 is the serial schedule.
         """
-        dram = self.dram
-        op_end = start
-        phase = 0
-        phase_start = start
-        for ev in self._ev:
-            tag = ev[0]
-            if tag == "t":
-                op_end += ev[1]
-                continue
-            p = ev[-1]
-            if p > phase:
-                phase = p
-                phase_start = op_end
-            if tag == "b":
-                done = dram.access_batch(ev[1], ev[2], phase_start)
-            elif tag == "s":
-                done = dram.access(ev[1], ev[2], phase_start)
-            else:
-                done = dram.access_repeat(ev[1], ev[2], ev[3], phase_start)
-            if done > op_end:
-                op_end = done
-        return op_end
+        self._op_start = self._op_end = self._phase_start = start
+        self._phase = 0
+        for issue, args in self._ev:
+            issue(*args)
+        return self._op_end
 
     # -------------------------------------------------------------- metrics
 

@@ -1,8 +1,8 @@
 """Event-based DRAM channel/bank timing model.
 
 One :class:`DramModel` holds per-bank open-row state and availability
-times plus a per-channel data-bus availability time. ``access`` computes
-when one 64B request completes:
+times plus a per-channel data-bus availability time. ``access_batch``
+computes when each 64B request completes:
 
 1. the request waits for its bank (earlier requests to the same bank)
    and, on a row-buffer miss, pays precharge + activate;
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.mem.address_map import AddressMapping
 from repro.mem.timing import DDR3_1600, DramTiming
@@ -327,120 +327,19 @@ class DramModel:
 
     def access(self, byte_addr: int, write: bool, arrival_ns: float) -> float:
         """Service one 64B request; returns its completion time (ns)."""
-        # Inline address decomposition (see AddressMapping.decompose);
-        # this runs once per simulated memory request.
-        line = byte_addr // self._line_bytes
-        channel = line % self._n_channels
-        rest = (line // self._n_channels) // self._lines_per_row
-        bank = rest % self._n_banks
-        row = rest // self._n_banks
-        t_refi = self._t_refi
-        if t_refi > 0 and arrival_ns >= (self._refresh_epoch[channel] + 1) * t_refi:
-            self._apply_refresh(channel, arrival_ns)
-        # Refresh is accounted at the nominal arrival time; window
-        # admission (pipelined mode only) may then push the request
-        # later without re-triggering refresh bookkeeping.
-        if self._win_q is not None:
-            arrival_ns = self._window_admit(channel, arrival_ns)
-        bank_idx = channel * self._n_banks + bank
-        row_hit = self._open_row[bank_idx] == row
-        t_hit = self._t_cwd if write else self._t_cas
-        t_wr = self._t_wr if write else 0.0
-        if self._busy is not None:
-            # Out-of-order placement: the request holds its bank for
-            # the latency chain + burst + recovery at the earliest free
-            # slot, then its burst takes the earliest bus slot at or
-            # after the chain -- neither queues behind a monotone
-            # frontier, so overlapped pipeline stages interleave.
-            burst = self._burst_ns
-            if row_hit:
-                s = self._bank_place(
-                    bank_idx, arrival_ns, t_hit + burst + t_wr
-                )
-                ready = s + t_hit
-            else:
-                s = self._bank_place(
-                    bank_idx, arrival_ns,
-                    self._t_rp + self._t_rcd + t_hit + burst + t_wr,
-                )
-                precharged = s + self._t_rp
-                rated = self._last_activate[channel] + self._t_rrd
-                activate = precharged if precharged > rated else rated
-                self._last_activate[channel] = activate
-                ready = activate + self._t_rcd + t_hit
-            burst_start = self._bus_place(channel, ready, burst, write)
-            completion = burst_start + self._burst_ns
-            recovered = completion + t_wr
-            if recovered > self._bank_ready[bank_idx]:
-                self._bank_ready[bank_idx] = recovered
-            self._open_row[bank_idx] = row
-            self.channel_busy_ns[channel] += self._burst_ns
-            self.bank_busy_ns[bank_idx] += self._burst_ns + t_wr
-            if completion > self._bus_free[channel]:
-                self._bus_free[channel] = completion
-            self._window_track(channel, completion)
-            st = self.stats
-            if write:
-                st.writes += 1
-            else:
-                st.reads += 1
-            if row_hit:
-                st.row_hits += 1
-            else:
-                st.row_misses += 1
-            st.total_service_ns += completion - arrival_ns
-            return completion
-        bank_ready = self._bank_ready[bank_idx]
-        if row_hit:
-            col_ready = arrival_ns if arrival_ns > bank_ready else bank_ready
-            ready = col_ready + t_hit
-        else:
-            # Precharge, then an activate constrained by the channel's
-            # activation rate (tRRD / tFAW window).
-            precharged = (
-                arrival_ns if arrival_ns > bank_ready else bank_ready
-            ) + self._t_rp
-            rated = self._last_activate[channel] + self._t_rrd
-            activate = precharged if precharged > rated else rated
-            self._last_activate[channel] = activate
-            ready = activate + self._t_rcd + t_hit
-        bus_free = self._bus_free[channel]
-        prev_write = self._last_was_write[channel]
-        if prev_write != write:
-            bus_free += self._t_wtr if prev_write else self._t_rtw
-        burst_start = ready if ready > bus_free else bus_free
-        completion = burst_start + self._burst_ns
-        self._bus_free[channel] = completion
-        self._last_was_write[channel] = write
-        self._bank_ready[bank_idx] = completion + t_wr
-        self._open_row[bank_idx] = row
-        self.channel_busy_ns[channel] += completion - burst_start
-        self.bank_busy_ns[bank_idx] += completion - burst_start + t_wr
-        if self._win_q is not None:
-            self._window_track(channel, completion)
-        st = self.stats
-        if write:
-            st.writes += 1
-        else:
-            st.reads += 1
-        if row_hit:
-            st.row_hits += 1
-        else:
-            st.row_misses += 1
-        st.total_service_ns += completion - arrival_ns
-        return completion
+        return self.access_batch((byte_addr,), write, arrival_ns)
 
     def access_batch(
-        self, byte_addrs: List[int], write: bool, arrival_ns: float
+        self, byte_addrs: Sequence[int], write: bool, arrival_ns: float
     ) -> float:
         """Service several same-direction requests arriving together.
 
-        Bit-identical to one :meth:`access` call per address in order;
-        returns the latest completion time. The sink's batched entry
-        points use this to shed the per-request method dispatch and
-        attribute traffic -- all mutable channel/bank state is bound to
-        locals once per batch (the lists are mutated in place, so
-        :meth:`_apply_refresh` stays coherent).
+        The one DDR request body: each request waits for its bank, pays
+        precharge + activate on a row miss, then takes the channel bus
+        (module docstring). Requests are processed in order; returns
+        the latest completion time. All mutable channel/bank state is
+        bound to locals once per batch (the lists are mutated in place,
+        so :meth:`_apply_refresh` stays coherent).
         """
         line_bytes = self._line_bytes
         n_channels = self._n_channels
@@ -468,6 +367,8 @@ class DramModel:
         service = 0.0
         latest = 0.0
         for byte_addr in byte_addrs:
+            # Inline address decomposition (see AddressMapping.decompose);
+            # this runs once per simulated memory request.
             line = byte_addr // line_bytes
             channel = line % n_channels
             rest = (line // n_channels) // lines_per_row
@@ -475,9 +376,10 @@ class DramModel:
             row = rest // n_banks
             if t_refi > 0 and arrival_ns >= (refresh_epoch[channel] + 1) * t_refi:
                 self._apply_refresh(channel, arrival_ns)
-            # ``arr`` is the (possibly window-delayed) effective arrival;
-            # with the window disabled it is exactly ``arrival_ns`` so
-            # every float op below matches the historical model.
+            # Refresh is accounted at the nominal arrival time; ``arr``
+            # is the (possibly window-delayed) effective arrival, which
+            # never re-triggers refresh bookkeeping. With the window
+            # disabled it is exactly ``arrival_ns``.
             arr = (
                 self._window_admit(channel, arrival_ns)
                 if win_q is not None else arrival_ns
@@ -487,6 +389,12 @@ class DramModel:
             if row_hit:
                 hits += 1
             if windowed:
+                # Out-of-order placement: the request holds its bank
+                # for the latency chain + burst + recovery at the
+                # earliest free slot, then its burst takes the earliest
+                # bus slot at or after the chain -- neither queues
+                # behind a monotone frontier, so overlapped pipeline
+                # stages interleave.
                 if row_hit:
                     s = self._bank_place(
                         bank_idx, arr, t_hit + burst_ns + t_wr
@@ -520,6 +428,8 @@ class DramModel:
             if row_hit:
                 ready = (arr if arr > brdy else brdy) + t_hit
             else:
+                # Precharge, then an activate constrained by the
+                # channel's activation rate (tRRD / tFAW window).
                 precharged = (arr if arr > brdy else brdy) + t_rp
                 rated = last_activate[channel] + t_rrd
                 activate = precharged if precharged > rated else rated
@@ -528,7 +438,7 @@ class DramModel:
             bus_free = bus_free_l[channel]
             if last_was_write[channel] != write:
                 # Direction turnaround: tWTR after a write on the
-                # channel, tRTW after a read (mirrors ``access``).
+                # channel, tRTW after a read.
                 bus_free += t_turn
             burst_start = ready if ready > bus_free else bus_free
             completion = burst_start + burst_ns
@@ -559,7 +469,7 @@ class DramModel:
     ) -> float:
         """Service the same address ``count`` times arriving together.
 
-        Bit-identical to ``access_batch([byte_addr] * count, ...)``, but
+        The closed form of ``access_batch([byte_addr] * count, ...)``:
         after the first request the chain collapses: the row is open,
         the bank/bus dependencies are the previous completion, and the
         refresh check cannot fire again (``_apply_refresh`` advances the
@@ -567,7 +477,11 @@ class DramModel:
         read bursts (reshuffle read phase) all take this shape, which is
         why the generic per-address loop is worth bypassing. Every
         floating-point operation matches the generic loop's order, so
-        completion times and stat accumulations agree to the last bit.
+        completion times and stat accumulations agree to the last bit
+        -- always on the unwindowed frontier; under a window only while
+        nothing overlaps the chain, because there it is reserved as one
+        bank and one bus interval (see below) where the loop would
+        leave the gaps between its bursts open to backfill.
         """
         if count <= 0:
             return 0.0
@@ -670,6 +584,13 @@ class DramModel:
         st.row_misses += count - hits
         st.total_service_ns += service
         return completion
+
+    def reset_measurement(self) -> None:
+        """Zero the counters and busy tallies (end of warm-up); bank,
+        bus and row-buffer state are preserved."""
+        self.stats = DramStats()
+        self.channel_busy_ns[:] = [0.0] * len(self.channel_busy_ns)
+        self.bank_busy_ns[:] = [0.0] * len(self.bank_busy_ns)
 
     def access_burst(
         self, byte_addrs: List[int], writes: List[bool], arrival_ns: float

@@ -20,8 +20,8 @@ Events:
   bucket) or ``"remote"`` (rented to another bucket).
 - ``on_slots_reclaimed(bucket, slots, level, how)`` -- the batched form
   of the above for one bucket's reshuffle, mirroring the batched sink
-  calls (``data_access_block``/``data_access_many``) the controller
-  already issues for the same event. The default implementation fans
+  call (``data_access_many``) the controller already issues for the
+  same event. The default implementation fans
   out to ``on_slot_reclaimed`` per slot in ascending order, so scalar
   observers keep working unchanged; hot observers may override it.
 - ``on_reshuffle(bucket, level, kind)`` -- a bucket was rewritten.

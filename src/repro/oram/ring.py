@@ -711,17 +711,16 @@ class RingOram:
         sink = self.sink
         lv = store.level(b)
         onchip = lv < cfg.treetop_levels
+        meta = ((b, lv, onchip),)
         sink.begin_op(kind)
-        sink.metadata_access(b, lv, write=False, onchip=onchip,
-                             blocks=self.metadata_blocks)
+        sink.metadata_access_many(meta, False, self.metadata_blocks)
         # Read phase: Z' reads (valid real blocks padded with dummies --
         # the read count, not the real count, is what memory sees).
         sink.data_access_repeat(b, 0, lv, self._z_real_by_level[lv],
                                 write=False, onchip=onchip)
         self._collect_residents(b)
         self._refill_bucket(b, lv)
-        sink.metadata_access(b, lv, write=True, onchip=onchip,
-                             blocks=self.metadata_blocks)
+        sink.metadata_access_many(meta, True, self.metadata_blocks)
         sink.end_op()
         for obs in self.observers:
             obs.on_reshuffle(b, lv, kind)
@@ -758,10 +757,13 @@ class RingOram:
                 where += b_where
                 shares.append(len(b_blocks))
             opened = self._open_residents(blocks, where)
+        # Metadata is reported bucket by bucket, not as one path batch:
+        # each bucket's record is read right before its blocks and
+        # written right after them, and that issue order is timing.
+        metas = [((b, lv, lv < treetop),) for lv, b in enumerate(buckets)]
         for lv, b in enumerate(buckets):
             onchip = lv < treetop
-            sink.metadata_access(b, lv, write=False, onchip=onchip,
-                                 blocks=mblocks)
+            sink.metadata_access_many(metas[lv], False, mblocks)
             sink.data_access_repeat(b, 0, lv, z_real[lv],
                                     write=False, onchip=onchip)
             self._collect_residents(
@@ -775,8 +777,7 @@ class RingOram:
         for lv in range(cfg.levels - 1, -1, -1):
             b = buckets[lv]
             self._refill_bucket(b, lv, seal_items)
-            sink.metadata_access(b, lv, write=True, onchip=lv < treetop,
-                                 blocks=mblocks)
+            sink.metadata_access_many(metas[lv], True, mblocks)
         if seal_items:
             self.datastore.seal_many(seal_items)
         sink.end_op()
@@ -858,50 +859,41 @@ class RingOram:
         if observers and reclaimed_dead.size:
             for obs in observers:
                 obs.on_slots_reclaimed(b, reclaimed_dead, lv, "reshuffle")
-        if datastore is None:
-            # Local writes are one same-bucket batch; remote-host writes
-            # (bottom levels only, never on-chip) share the same DRAM
-            # write phase, so splitting the sink call leaves arrival
-            # times -- and therefore exec_ns -- untouched.
-            sink.data_access_block(b, written, lv, write=True, onchip=onchip)
-            if hosts:
-                ext.write_remote_all(b, remote_contents)
-                treetop = cfg.treetop_levels
-                sink.data_access_many(
-                    [(hb, hs, store.level(hb),
-                      store.level(hb) < treetop, True)
-                     for hb, hs in hosts],
-                    write=True,
-                )
-            return
-        # Payload path: one ordered seal batch (locals then remote
-        # hosts) and one sink batch, same per-slot sequence as the
-        # scalar calls so versions, dummy-filler draws and Merkle
-        # updates are bit-identical.
-        pop_payload = self._stash_payload.pop
-        slots_row = store.slots[b]
-        seal_items = [] if seal_batch is None else seal_batch
-        write_items: List[Tuple[int, int, int, bool, bool]] = []
-        for slot in written:
-            content = int(slots_row[slot])
-            seal_items.append(
-                (b, slot,
-                 pop_payload(content, b"\x00" * 64) if content >= 0 else None)
-            )
-            write_items.append((b, slot, lv, onchip, False))
+        # One sink batch for the whole write phase: local slots, then
+        # remote hosts (bottom levels only, never on-chip). They share
+        # the same DRAM write phase, so they arrive together.
+        write_items: List[Tuple[int, int, int, bool, bool]] = [
+            (b, slot, lv, onchip, False) for slot in written
+        ]
         if hosts:
             ext.write_remote_all(b, remote_contents)
             treetop = cfg.treetop_levels
+            for hb, hs in hosts:
+                hlv = store.level(hb)
+                write_items.append((hb, hs, hlv, hlv < treetop, True))
+        if datastore is not None:
+            # Payload path: one ordered seal batch (locals then remote
+            # hosts), same per-slot sequence as scalar seals so
+            # versions, dummy-filler draws and Merkle updates are
+            # bit-identical.
+            pop_payload = self._stash_payload.pop
+            slots_row = store.slots[b]
+            seal_items = [] if seal_batch is None else seal_batch
+            for slot in written:
+                content = int(slots_row[slot])
+                seal_items.append(
+                    (b, slot,
+                     pop_payload(content, b"\x00" * 64)
+                     if content >= 0 else None)
+                )
             for (hb, hs), content in zip(hosts, remote_contents):
                 seal_items.append(
                     (hb, hs,
                      pop_payload(content, b"\x00" * 64)
                      if content >= 0 else None)
                 )
-                hlv = store.level(hb)
-                write_items.append((hb, hs, hlv, hlv < treetop, True))
-        if seal_batch is None:
-            datastore.seal_many(seal_items)
+            if seal_batch is None:
+                datastore.seal_many(seal_items)
         sink.data_access_many(write_items, write=True)
 
     def _pick_stash_blocks(self, b: int, lv: int, capacity: int) -> List[int]:

@@ -46,9 +46,16 @@ class OpKind(enum.Enum):
 
 class MemorySink:
     """Interface controllers talk to. Base implementation counts nothing
-    but still enforces operation bracketing: a nested ``begin_op`` or an
-    ``end_op`` without a matching ``begin_op`` is a controller bug every
-    sink must surface, not just the counting ones.
+    but owns operation bracketing for the whole sink family: a nested
+    ``begin_op`` or an ``end_op`` without a matching ``begin_op`` is a
+    controller bug, raised here and nowhere else (subclasses call
+    ``super()``).
+
+    The unit of memory work is a batch (a whole path of buckets), so the
+    protocol is the three batch primitives -- :meth:`data_access_many`,
+    :meth:`data_access_repeat`, :meth:`metadata_access_many` -- and a
+    sink implements only those. The scalar :meth:`data_access` /
+    :meth:`metadata_access` are the batch of one, defined once, here.
     """
 
     _op_kind: Optional[OpKind] = None
@@ -61,38 +68,8 @@ class MemorySink:
             )
         self._op_kind = kind
 
-    def data_access(
-        self,
-        bucket: int,
-        slot: int,
-        level: int,
-        write: bool,
-        onchip: bool = False,
-        remote: bool = False,
-    ) -> None:
-        """One data-block touch at ``(bucket, slot)``."""
-
-    def metadata_access(
-        self,
-        bucket: int,
-        level: int,
-        write: bool,
-        onchip: bool = False,
-        blocks: int = 1,
-    ) -> None:
-        """One bucket-metadata touch (``blocks`` 64B units)."""
-
     def data_access_many(self, items: Sequence[DataItem], write: bool) -> None:
-        """Batched data touches sharing one direction and protocol phase.
-
-        Semantically identical to calling :meth:`data_access` once per
-        item in order; the batch exists so hot sinks can amortize
-        per-call overhead. Subclasses may override; the default simply
-        loops.
-        """
-        for bucket, slot, level, onchip, remote in items:
-            self.data_access(bucket, slot, level, write,
-                             onchip=onchip, remote=remote)
+        """Data touches sharing one direction and protocol phase."""
 
     def data_access_repeat(
         self,
@@ -105,38 +82,39 @@ class MemorySink:
         remote: bool = False,
     ) -> None:
         """``count`` identical data touches of one slot (reshuffle read
-        phases report Z' reads against slot 0). Equivalent to calling
-        :meth:`data_access` ``count`` times; hot sinks override to
-        compute the address and phase transition once.
+        phases report Z' reads against slot 0). Equivalent to
+        :meth:`data_access_many` over ``count`` copies of the item; a
+        primitive of its own because timing sinks have a closed form
+        for it.
         """
-        for _ in range(count):
-            self.data_access(bucket, slot, level, write,
-                             onchip=onchip, remote=remote)
 
-    def data_access_block(
+    def metadata_access_many(
+        self, items: Sequence[MetaItem], write: bool, blocks: int = 1
+    ) -> None:
+        """Bucket-metadata touches, ``blocks`` 64B units per bucket."""
+
+    def data_access(
         self,
         bucket: int,
-        slots: Sequence[int],
+        slot: int,
         level: int,
         write: bool,
         onchip: bool = False,
         remote: bool = False,
     ) -> None:
-        """Batched data touches of several slots of *one* bucket
-        (reshuffle write-back). Equivalent to one :meth:`data_access`
-        per slot in order; overrides hoist the per-bucket address base.
-        """
-        for slot in slots:
-            self.data_access(bucket, slot, level, write,
-                             onchip=onchip, remote=remote)
+        """One data-block touch at ``(bucket, slot)``."""
+        self.data_access_many(((bucket, slot, level, onchip, remote),), write)
 
-    def metadata_access_many(
-        self, items: Sequence[MetaItem], write: bool, blocks: int = 1
+    def metadata_access(
+        self,
+        bucket: int,
+        level: int,
+        write: bool,
+        onchip: bool = False,
+        blocks: int = 1,
     ) -> None:
-        """Batched metadata touches (one whole path at a time)."""
-        for bucket, level, onchip in items:
-            self.metadata_access(bucket, level, write,
-                                 onchip=onchip, blocks=blocks)
+        """One bucket-metadata touch (``blocks`` 64B units)."""
+        self.metadata_access_many(((bucket, level, onchip),), write, blocks)
 
     def stall(self, ns: float) -> None:
         """Charge ``ns`` of controller stall time (retry backoff) to the
@@ -201,14 +179,18 @@ class OpCounters:
 
 
 class CountingSink(MemorySink):
-    """Tally sink: counts per operation class and per tree level."""
+    """Tally sink: counts per operation class and per tree level.
+
+    A touch outside any operation (e.g. initialization fill) is
+    tolerated but flagged: it is counted in ``unattributed_accesses``
+    and nowhere else.
+    """
 
     def __init__(self, levels: int) -> None:
         self.levels = levels
         self.by_kind: Dict[OpKind, OpCounters] = {k: OpCounters() for k in OpKind}
         self.data_reads_by_level = np.zeros(levels, dtype=np.int64)
         self.data_writes_by_level = np.zeros(levels, dtype=np.int64)
-        self._current: Optional[OpKind] = None
         self._cur_counters: Optional[OpCounters] = None
         self.unattributed_accesses = 0
 
@@ -218,64 +200,15 @@ class CountingSink(MemorySink):
         self.data_reads_by_level[:] = 0
         self.data_writes_by_level[:] = 0
         self.unattributed_accesses = 0
-        if self._current is not None:
-            self._cur_counters = self.by_kind[self._current]
+        if self._op_kind is not None:
+            self._cur_counters = self.by_kind[self._op_kind]
 
     def begin_op(self, kind: OpKind) -> None:
-        if self._current is not None:
-            raise RuntimeError(f"nested operation: {kind} inside {self._current}")
-        self._current = kind
+        super().begin_op(kind)
         c = self.by_kind[kind]
         c.ops += 1
         # Cached so per-access paths skip the enum-keyed dict lookup.
         self._cur_counters = c
-
-    def _counters(self) -> OpCounters:
-        c = self._cur_counters
-        if c is None:
-            # Tolerate stray accesses (e.g. initialization fill) but flag them.
-            self.unattributed_accesses += 1
-            return OpCounters()
-        return c
-
-    def data_access(
-        self,
-        bucket: int,
-        slot: int,
-        level: int,
-        write: bool,
-        onchip: bool = False,
-        remote: bool = False,
-    ) -> None:
-        c = self._counters()
-        if onchip:
-            c.onchip_accesses += 1
-            return
-        if remote:
-            c.remote_accesses += 1
-        if write:
-            c.data_writes += 1
-            self.data_writes_by_level[level] += 1
-        else:
-            c.data_reads += 1
-            self.data_reads_by_level[level] += 1
-
-    def metadata_access(
-        self,
-        bucket: int,
-        level: int,
-        write: bool,
-        onchip: bool = False,
-        blocks: int = 1,
-    ) -> None:
-        c = self._counters()
-        if onchip:
-            c.onchip_accesses += blocks
-            return
-        if write:
-            c.meta_writes += blocks
-        else:
-            c.meta_reads += blocks
 
     def data_access_many(self, items: Sequence[DataItem], write: bool) -> None:
         c = self._cur_counters
@@ -323,20 +256,6 @@ class CountingSink(MemorySink):
             c.data_reads += count
             self.data_reads_by_level[level] += count
 
-    def data_access_block(
-        self,
-        bucket: int,
-        slots: Sequence[int],
-        level: int,
-        write: bool,
-        onchip: bool = False,
-        remote: bool = False,
-    ) -> None:
-        # Same-bucket/same-level batch: the tallies only depend on the
-        # item count.
-        self.data_access_repeat(bucket, 0, level, len(slots), write,
-                                onchip=onchip, remote=remote)
-
     def metadata_access_many(
         self, items: Sequence[MetaItem], write: bool, blocks: int = 1
     ) -> None:
@@ -356,9 +275,7 @@ class CountingSink(MemorySink):
             c.meta_reads += n
 
     def end_op(self) -> None:
-        if self._current is None:
-            raise RuntimeError("end_op without begin_op")
-        self._current = None
+        super().end_op()
         self._cur_counters = None
 
     # ------------------------------------------------------------- queries
@@ -397,24 +314,11 @@ class TeeSink(MemorySink):
         if not sinks:
             raise ValueError("TeeSink needs at least one sink")
         self.sinks = list(sinks)
-        self._current: Optional[OpKind] = None
 
     def begin_op(self, kind: OpKind) -> None:
-        if self._current is not None:
-            raise RuntimeError(
-                f"nested operation: {kind} inside {self._current}"
-            )
-        self._current = kind
+        super().begin_op(kind)
         for s in self.sinks:
             s.begin_op(kind)
-
-    def data_access(self, bucket, slot, level, write, onchip=False, remote=False):
-        for s in self.sinks:
-            s.data_access(bucket, slot, level, write, onchip=onchip, remote=remote)
-
-    def metadata_access(self, bucket, level, write, onchip=False, blocks=1):
-        for s in self.sinks:
-            s.metadata_access(bucket, level, write, onchip=onchip, blocks=blocks)
 
     def data_access_many(self, items, write):
         for s in self.sinks:
@@ -426,12 +330,6 @@ class TeeSink(MemorySink):
             s.data_access_repeat(bucket, slot, level, count, write,
                                  onchip=onchip, remote=remote)
 
-    def data_access_block(self, bucket, slots, level, write,
-                          onchip=False, remote=False):
-        for s in self.sinks:
-            s.data_access_block(bucket, slots, level, write,
-                                onchip=onchip, remote=remote)
-
     def metadata_access_many(self, items, write, blocks=1):
         for s in self.sinks:
             s.metadata_access_many(items, write, blocks=blocks)
@@ -441,8 +339,6 @@ class TeeSink(MemorySink):
             s.stall(ns)
 
     def end_op(self) -> None:
-        if self._current is None:
-            raise RuntimeError("end_op without begin_op")
-        self._current = None
+        super().end_op()
         for s in self.sinks:
             s.end_op()

@@ -1,33 +1,26 @@
 """Assemble the served-KV stack: ORAM + DRAM timing + telemetry.
 
-Mirrors :class:`~repro.sim.engine.Simulation`'s stack construction (the
+The stack under the store is :func:`repro.sim.engine.build_oram_stack`
+-- the same recipe :class:`~repro.sim.engine.Simulation` uses (the
 metadata-aware tree layout, the event-based DRAM model behind a
-:class:`~repro.sim.engine.DramSink`) but puts an
+:class:`~repro.sim.engine.DramSink` that records per-operation DRAM-ns
+spans into ``telemetry``). This module puts an
 :class:`~repro.app.kvstore.ObliviousKV` on top instead of a trace
-replayer, optionally wrapping the sink in PR 5's
-:class:`~repro.telemetry.spans.TracingSink` (per-operation DRAM-ns
-spans) and attaching the section VI-C
+replayer and attaches the section VI-C
 :class:`~repro.core.security.GuessingAttacker` so every serve run can
 report that batching left per-access indistinguishability intact.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.app.kvstore import ObliviousKV
 from repro.core import schemes as schemes_mod
-from repro.core.ab_oram import build_oram, needs_extensions
 from repro.core.security import GuessingAttacker
-from repro.mem.address_map import AddressMapping
-from repro.mem.dram import DramModel
-from repro.mem.layout import TreeLayout
-from repro.mem.timing import DDR3_1600
-from repro.oram import metadata as md
 from repro.oram.recovery import RobustnessConfig
-from repro.sim.engine import DramSink
+from repro.sim.engine import build_oram_stack
 
 
 @dataclass
@@ -97,8 +90,6 @@ def build_stack(
     keyword arguments apply per shard; ``telemetry`` is rejected
     (per-operation tracing assumes one clock, a fleet has N).
     """
-    if pipeline_depth < 1:
-        raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     if num_shards > 1:
@@ -111,54 +102,18 @@ def build_stack(
             pipeline_depth=pipeline_depth, dram_window=dram_window,
         )
     cfg = schemes_mod.by_name(scheme, levels)
-    fields = (
-        md.ab_metadata_fields(cfg) if needs_extensions(cfg)
-        else md.ring_metadata_fields(cfg)
-    )
-    layout = TreeLayout(cfg, metadata_blocks=md.metadata_blocks(cfg, fields))
-    if pipeline_depth > 1:
-        from repro.core.pipeline import PipelinedDramSink
-        dram = DramModel(DDR3_1600, AddressMapping(),
-                         window=dram_window if dram_window > 0 else None)
-        # The pipelined sink stamps its own overlapped op spans; a
-        # TracingSink wrapper would re-stamp them off a serial clock
-        # (mirrors Simulation's stack construction).
-        dram_sink = PipelinedDramSink(
-            layout, dram, depth=pipeline_depth, telemetry=telemetry
-        )
-        sink: Any = dram_sink
-    else:
-        dram_sink = DramSink(layout, DramModel(DDR3_1600, AddressMapping()))
-        sink = (dram_sink if telemetry is None
-                else telemetry.tracing_sink(dram_sink))
     attacker = GuessingAttacker(cfg.levels, seed=seed + 1) if observer else None
-    if robustness is None and fault_plan is not None:
-        robustness = RobustnessConfig(integrity=True)
-    datastore = None
-    faulty = None
-    if robustness is not None:
-        from repro.faults.memory import FaultyMemory
-        from repro.oram.datastore import EncryptedTreeStore
-        master_key = hashlib.sha256(
-            b"repro/serve|" + str(seed).encode()
-        ).digest()
-        datastore = EncryptedTreeStore(
-            cfg, master_key, seed=seed, with_integrity=robustness.integrity,
-        )
-        if fault_plan is not None:
-            faulty = FaultyMemory(datastore, fault_plan, armed=False)
-    oram = build_oram(
-        cfg, sink=sink, seed=seed,
+    stack = build_oram_stack(
+        cfg, seed=seed, key_domain=b"repro/serve|",
+        pipeline_depth=pipeline_depth, dram_window=dram_window,
+        telemetry=telemetry, robustness=robustness, fault_plan=fault_plan,
         observers=[attacker] if attacker is not None else [],
-        store_data=datastore is None,
-        datastore=faulty if faulty is not None else datastore,
-        robustness=robustness,
+        store_data=True,
     )
-    oram.warm_fill()
-    kv = ObliviousKV(oram, pad_chunks=pad_chunks)
     return ServedStack(
-        kv=kv, dram_sink=dram_sink, telemetry=telemetry, attacker=attacker,
-        datastore=datastore, faulty=faulty,
+        kv=ObliviousKV(stack.oram, pad_chunks=pad_chunks),
+        dram_sink=stack.dram_sink, telemetry=telemetry, attacker=attacker,
+        datastore=stack.datastore, faulty=stack.faulty,
     )
 
 

@@ -5,8 +5,8 @@ resulting Chrome trace-event document has:
 
 * **tid 0** (``oram-ops``): one span per protocol operation
   (``readPath`` / ``evictPath`` / ``earlyReshuffle``) from
-  :class:`~repro.telemetry.spans.TracingSink` -- where the DRAM time
-  actually goes.
+  the stack's :class:`~repro.sim.engine.DramSink` -- where the DRAM
+  time actually goes.
 * **tid 1..N** (``requests-k``): per-request lanes. Each request
   contributes a ``queue`` span (cat ``serve.queue``, arrival to
   admission) and a service span named after its op (cat

@@ -26,26 +26,52 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
-from repro.core.ab_oram import build_oram
+import numpy as np
+
+from repro.core.ab_oram import build_oram, needs_extensions
 from repro.mem.address_map import AddressMapping
 from repro.mem.dram import DramModel
 from repro.mem.layout import TreeLayout
 from repro.mem.timing import DDR3_1600, DramTiming
+from repro.oram import metadata as md
 from repro.oram.config import OramConfig
 from repro.oram.recovery import RobustnessConfig
+from repro.oram.ring import RingOram
 from repro.oram.stats import MemorySink, OpKind
 from repro.sim.results import SimResult
 from repro.traces.trace import Trace
 
 
 class DramSink(MemorySink):
-    """Forwards a controller's off-chip accesses to the DRAM model."""
+    """The timed sink: translates a controller's off-chip touches to
+    physical addresses and issues them, phase by phase, to the DRAM
+    model.
 
-    def __init__(self, layout: TreeLayout, dram: DramModel) -> None:
+    This class owns everything every timed run shares -- address
+    translation, per-kind attribution, the measurement reset and span
+    recording (``telemetry``) -- and hands each translated request to a
+    small *issue stage*: :meth:`_issue` (a batch of addresses),
+    :meth:`_issue_repeat` (one address ``count`` times) and
+    :meth:`_issue_stall` (in-op backoff), which move the operation's
+    ``_op_start``/``_op_end`` that ``end_op`` attributes. Here the
+    stage is immediate (the request goes to the DRAM model as it is
+    reported); :class:`~repro.core.pipeline.PipelinedDramSink` overrides
+    only the stage to buffer, and replays it at ``end_op``. Phases:
+    0 = metadata read, 1 = data reads, 2 = data writes, 3 = metadata
+    write-back.
+    """
+
+    def __init__(
+        self,
+        layout: TreeLayout,
+        dram: DramModel,
+        telemetry: Optional[Any] = None,
+    ) -> None:
         self.layout = layout
         self.dram = dram
+        self.telemetry = telemetry
         # Address computation inlined from TreeLayout.data_addr /
         # meta_addr: plain-int arithmetic over a materialized offset
         # list, since this runs for every simulated memory request.
@@ -59,7 +85,6 @@ class DramSink(MemorySink):
         self.ops_by_kind: Dict[OpKind, int] = {k: 0 for k in OpKind}
         self.readpath_latencies: List[float] = []
         self.remote_accesses = 0
-        self._op_kind: Optional[OpKind] = None
         self._op_start = 0.0
         self._op_end = 0.0
         self._phase = 0
@@ -77,16 +102,16 @@ class DramSink(MemorySink):
         """Charge controller stall time (retry backoff) to the clock.
 
         Unlike :meth:`advance`, this is safe *inside* an operation:
-        ``end_op`` rewinds ``now`` to the operation's completion time,
-        so mid-op waiting must extend ``_op_end`` instead.
+        ``end_op`` moves ``now`` to the operation's completion time, so
+        mid-op waiting must extend the operation instead.
         """
         if ns < 0:
             raise ValueError(f"cannot stall for {ns}")
         self.dram.stats.stalled_ns += ns
         if self._op_kind is None:
-            self.now += ns
+            self.advance(ns)
         else:
-            self._op_end += ns
+            self._issue_stall(ns)
 
     def reset_measurement(self) -> float:
         """Zero the attribution counters (end of warm-up).
@@ -98,72 +123,22 @@ class DramSink(MemorySink):
         self.ops_by_kind = {k: 0 for k in OpKind}
         self.readpath_latencies = []
         self.remote_accesses = 0
-        self.dram.stats.__init__()
-        busy = self.dram.channel_busy_ns
-        busy[:] = [0.0] * len(busy)
-        bank = self.dram.bank_busy_ns
-        bank[:] = [0.0] * len(bank)
+        self.dram.reset_measurement()
         return self.now
 
     # ------------------------------------------------------------ sink API
 
     def begin_op(self, kind: OpKind) -> None:
-        if self._op_kind is not None:
-            raise RuntimeError(f"nested op {kind} inside {self._op_kind}")
-        self._op_kind = kind
+        super().begin_op(kind)
         self._op_start = self.now
         self._op_end = self.now
         self._phase = 0
         self._phase_start = self.now
 
-    def _arrival(self, phase: int) -> float:
-        """Phase-ordered arrival time within the current operation.
-
-        Phases: 0 = metadata read, 1 = data reads, 2 = data writes,
-        3 = metadata write-back. Entering a later phase waits for every
-        earlier request of the operation to complete.
-        """
-        if phase > self._phase:
-            self._phase = phase
-            self._phase_start = self._op_end
-        return self._phase_start
-
-    def data_access(self, bucket, slot, level, write, onchip=False, remote=False):
-        if onchip:
-            return
-        if remote:
-            self.remote_accesses += 1
-        addr = self._data_base + self._data_off[bucket] + slot * self._block_bytes
-        arrival = self._arrival(2 if write else 1)
-        done = self.dram.access(addr, write, arrival)
-        if done > self._op_end:
-            self._op_end = done
-
-    def metadata_access(self, bucket, level, write, onchip=False, blocks=1):
-        if onchip:
-            return
-        arrival = self._arrival(3 if write else 0)
-        addr = self._meta_base + bucket * self._meta_stride
-        if blocks == 1:
-            # Common case (metadata fits one 64B line): no burst loop.
-            done = self.dram.access(addr, write, arrival)
-            if done > self._op_end:
-                self._op_end = done
-            return
-        bb = self._block_bytes
-        done = self.dram.access_batch(
-            [addr + i * bb for i in range(blocks)], write, arrival
-        )
-        if done > self._op_end:
-            self._op_end = done
-
     def data_access_many(self, items, write):
-        # The phase transition must happen only when the batch has an
-        # *off-chip* item, exactly as in the scalar path: an all-onchip
-        # batch leaves the phase untouched, so later lower-phase
-        # requests still extend ``_op_end`` before the transition
-        # samples it. Collecting addresses first is equivalent -- the
-        # transition reads state no collection step mutates.
+        # A batch with no off-chip item issues nothing, so it leaves
+        # the phase untouched: later lower-phase requests still extend
+        # the operation before the next transition samples its end.
         base = self._data_base
         off = self._data_off
         bb = self._block_bytes
@@ -179,43 +154,18 @@ class DramSink(MemorySink):
         if not addrs:
             return
         self.remote_accesses += remotes
-        arrival = self._arrival(2 if write else 1)
-        done = self.dram.access_batch(addrs, write, arrival)
-        if done > self._op_end:
-            self._op_end = done
+        self._issue(addrs, write, 2 if write else 1, items, 3)
 
     def data_access_repeat(self, bucket, slot, level, count, write,
                            onchip=False, remote=False):
         if onchip or count <= 0:
-            # Empty/on-chip batches must leave the phase untouched,
-            # exactly like data_access_many over the same items.
             return
-        arrival = self._arrival(2 if write else 1)
         if remote:
             self.remote_accesses += count
         addr = self._data_base + self._data_off[bucket] + slot * self._block_bytes
-        done = self.dram.access_repeat(addr, count, write, arrival)
-        if done > self._op_end:
-            self._op_end = done
-
-    def data_access_block(self, bucket, slots, level, write,
-                          onchip=False, remote=False):
-        if onchip or not slots:
-            return
-        arrival = self._arrival(2 if write else 1)
-        if remote:
-            self.remote_accesses += len(slots)
-        base = self._data_base + self._data_off[bucket]
-        bb = self._block_bytes
-        done = self.dram.access_batch(
-            [base + slot * bb for slot in slots], write, arrival
-        )
-        if done > self._op_end:
-            self._op_end = done
+        self._issue_repeat(addr, count, write, 2 if write else 1, bucket)
 
     def metadata_access_many(self, items, write, blocks=1):
-        # Same all-onchip phase rule as data_access_many; addresses are
-        # collected first, then timed in one DRAM batch.
         base = self._meta_base
         stride = self._meta_stride
         bb = self._block_bytes
@@ -235,23 +185,51 @@ class DramSink(MemorySink):
                     addr += bb
         if not addrs:
             return
-        arrival = self._arrival(3 if write else 0)
-        done = self.dram.access_batch(addrs, write, arrival)
-        if done > self._op_end:
-            self._op_end = done
+        self._issue(addrs, write, 3 if write else 0, items, 2)
 
     def end_op(self) -> None:
-        if self._op_kind is None:
-            raise RuntimeError("end_op without begin_op")
-        duration = self._op_end - self._op_start
-        self.time_by_kind[self._op_kind] += duration
-        self.ops_by_kind[self._op_kind] += 1
-        if self._op_kind is OpKind.READ_PATH:
+        kind = self._op_kind
+        super().end_op()
+        start, end = self._op_start, self._op_end
+        duration = end - start
+        self.time_by_kind[kind] += duration
+        self.ops_by_kind[kind] += 1
+        if kind is OpKind.READ_PATH:
             # Online latency is the user-facing metric: each entry is
             # one request's memory critical path.
             self.readpath_latencies.append(duration)
-        self.now = self._op_end
-        self._op_kind = None
+        if end > self.now:
+            self.now = end
+        if self.telemetry is not None:
+            self.telemetry.record_span(str(kind), start, duration)
+
+    # --------------------------------------------------------- issue stage
+
+    def _enter(self, phase: int) -> float:
+        """The phase rule: requests of one phase arrive together at the
+        phase's start, and entering a later phase waits for every
+        earlier request of the operation to complete."""
+        if phase > self._phase:
+            self._phase = phase
+            self._phase_start = self._op_end
+        return self._phase_start
+
+    def _issue(self, addrs, write, phase, items, onchip_at) -> None:
+        """Issue translated ``addrs`` in ``phase``. ``items`` is the
+        reported batch behind them and ``onchip_at`` the index of its
+        items' on-chip flag (bucket ids sit at index 0) -- unused here,
+        read by the buffering stage's conflict tracker."""
+        done = self.dram.access_batch(addrs, write, self._enter(phase))
+        if done > self._op_end:
+            self._op_end = done
+
+    def _issue_repeat(self, addr, count, write, phase, bucket) -> None:
+        done = self.dram.access_repeat(addr, count, write, self._enter(phase))
+        if done > self._op_end:
+            self._op_end = done
+
+    def _issue_stall(self, ns: float) -> None:
+        self._op_end += ns
 
 
 @dataclass
@@ -288,6 +266,93 @@ class SimConfig:
     dram_window: int = 32
 
 
+class OramStack(NamedTuple):
+    """What :func:`build_oram_stack` assembles."""
+
+    oram: RingOram
+    dram_sink: DramSink
+    robustness: Optional[RobustnessConfig]
+    #: Sealed data path and its fault wrapper (None when not requested).
+    datastore: Optional[Any]
+    faulty: Optional[Any]
+
+
+def build_oram_stack(
+    cfg: OramConfig,
+    seed: int,
+    key_domain: bytes,
+    timing: DramTiming = DDR3_1600,
+    mapping: AddressMapping = AddressMapping(),
+    pipeline_depth: int = 1,
+    dram_window: int = 32,
+    telemetry: Optional[Any] = None,
+    robustness: Optional[RobustnessConfig] = None,
+    fault_plan: Optional[Any] = None,
+    observers: Sequence[Any] = (),
+    store_data: bool = False,
+    warm_fill: bool = True,
+) -> OramStack:
+    """The one stack recipe behind :class:`Simulation` and
+    :func:`repro.serve.stack.build_stack`: layout, DRAM model, timed
+    sink, optional sealed data path, controller, warm-fill.
+
+    Depth 1 builds exactly :class:`DramSink` on the unwindowed model;
+    depth > 1 builds the pipelined sink on a windowed one (see
+    ``SimConfig``). A ``fault_plan`` without an explicit ``robustness``
+    policy implies ``RobustnessConfig(integrity=True)``; the sealed
+    store's master key is derived from ``key_domain`` + ``seed``, and
+    the fault wrapper is returned disarmed so the caller decides when
+    injection starts. ``store_data`` keeps plaintext payloads when no
+    sealed store is attached.
+    """
+    if pipeline_depth < 1:
+        raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
+    # The layout must account for the scheme's metadata record width.
+    fields = (
+        md.ab_metadata_fields(cfg) if needs_extensions(cfg)
+        else md.ring_metadata_fields(cfg)
+    )
+    layout = TreeLayout(cfg, metadata_blocks=md.metadata_blocks(cfg, fields))
+    if pipeline_depth > 1:
+        from repro.core.pipeline import PipelinedDramSink
+        dram_sink: DramSink = PipelinedDramSink(
+            layout,
+            DramModel(timing, mapping,
+                      window=dram_window if dram_window > 0 else None),
+            depth=pipeline_depth, telemetry=telemetry,
+        )
+    else:
+        dram_sink = DramSink(layout, DramModel(timing, mapping), telemetry)
+    if robustness is None and fault_plan is not None:
+        robustness = RobustnessConfig(integrity=True)
+    datastore = None
+    faulty = None
+    if robustness is not None:
+        from repro.oram.datastore import EncryptedTreeStore
+        master_key = hashlib.sha256(key_domain + str(seed).encode()).digest()
+        datastore = EncryptedTreeStore(
+            cfg, master_key, seed=seed, with_integrity=robustness.integrity,
+        )
+        if fault_plan is not None:
+            # Imported lazily: repro.faults imports this module.
+            from repro.faults.memory import FaultyMemory
+            faulty = FaultyMemory(datastore, fault_plan, armed=False)
+    # The controller talks straight to the timed sink: the op/time
+    # breakdown comes from the sink itself, and a tee'd CountingSink
+    # would cost one extra dispatch per memory touch. Drivers that want
+    # protocol tallies attach their own TeeSink(CountingSink(...),
+    # DramSink(...)) to a RingOram.
+    oram = build_oram(
+        cfg, sink=dram_sink, seed=seed, observers=observers,
+        store_data=store_data and datastore is None,
+        datastore=faulty if faulty is not None else datastore,
+        robustness=robustness,
+    )
+    if warm_fill:
+        oram.warm_fill()
+    return OramStack(oram, dram_sink, robustness, datastore, faulty)
+
+
 class Simulation:
     """A stepwise, checkpointable simulation of one (scheme, trace) pair.
 
@@ -312,76 +377,25 @@ class Simulation:
         self.trace = trace
         self.sim = sim
         self.telemetry = telemetry
-        # The layout must account for the scheme's metadata record width.
-        from repro.core.ab_oram import needs_extensions
-        from repro.oram import metadata as md
-        fields = (
-            md.ab_metadata_fields(cfg) if needs_extensions(cfg)
-            else md.ring_metadata_fields(cfg)
-        )
-        layout = TreeLayout(cfg, metadata_blocks=md.metadata_blocks(cfg, fields))
-        depth = sim.pipeline_depth
-        if depth < 1:
-            raise ValueError(f"pipeline_depth must be >= 1, got {depth}")
-        if depth > 1:
-            from repro.core.pipeline import PipelinedDramSink
-            self.dram = DramModel(
-                sim.timing, sim.mapping,
-                window=sim.dram_window if sim.dram_window > 0 else None,
-            )
-            # The pipelined sink records its own (overlapped) op spans,
-            # so telemetry must not wrap it in a TracingSink -- the
-            # wrapper would stamp spans off the serial-looking clock.
-            self.dram_sink = PipelinedDramSink(
-                layout, self.dram, depth=depth, telemetry=telemetry
-            )
-        else:
-            self.dram = DramModel(sim.timing, sim.mapping)
-            self.dram_sink = DramSink(layout, self.dram)
-        # The controller talks straight to the DramSink: SimResult's
-        # op/time breakdown comes from the sink itself, and a tee'd
-        # CountingSink would cost one extra dispatch per memory touch.
-        # Drivers that want protocol tallies attach their own
-        # TeeSink(CountingSink(...), DramSink(...)) to a RingOram.
-        # Telemetry wraps the DramSink in a forwarding TracingSink; the
-        # DRAM model sees the identical request stream, so results stay
-        # bit-identical (SimResult reads self.dram_sink either way).
-        sink: MemorySink = self.dram_sink
         observers = sim.observers
-        if telemetry is not None:
-            if depth == 1:
-                sink = telemetry.tracing_sink(self.dram_sink)
-            if telemetry.observe_events:
-                observers = list(observers) + [telemetry.observer()]
-        robustness = sim.robustness
-        if robustness is None and sim.fault_plan is not None:
-            robustness = RobustnessConfig(integrity=True)
-        self.robustness = robustness
-        self.datastore = None
-        self.faulty = None
-        if robustness is not None:
-            from repro.oram.datastore import EncryptedTreeStore
-            master_key = hashlib.sha256(
-                b"repro/simulate|" + str(sim.seed).encode()
-            ).digest()
-            self.datastore = EncryptedTreeStore(
-                cfg, master_key, seed=sim.seed,
-                with_integrity=robustness.integrity,
-            )
-            if sim.fault_plan is not None:
-                # Imported lazily: repro.faults imports this module.
-                from repro.faults.memory import FaultyMemory
-                self.faulty = FaultyMemory(
-                    self.datastore, sim.fault_plan, armed=False
-                )
-        self.oram = build_oram(
-            cfg, sink=sink, seed=sim.seed, observers=observers,
-            datastore=self.faulty if self.faulty is not None else self.datastore,
-            robustness=robustness,
+        if telemetry is not None and telemetry.observe_events:
+            observers = list(observers) + [telemetry.observer()]
+        stack = build_oram_stack(
+            cfg, seed=sim.seed, key_domain=b"repro/simulate|",
+            timing=sim.timing, mapping=sim.mapping,
+            pipeline_depth=sim.pipeline_depth, dram_window=sim.dram_window,
+            telemetry=telemetry, robustness=sim.robustness,
+            fault_plan=sim.fault_plan, observers=observers,
+            warm_fill=sim.warm_fill,
         )
-        if sim.warm_fill:
-            self.oram.warm_fill()
+        self.oram = stack.oram
+        self.dram_sink = stack.dram_sink
+        self.dram = stack.dram_sink.dram
+        self.robustness = stack.robustness
+        self.datastore = stack.datastore
+        self.faulty = stack.faulty
         if self.faulty is not None:
+            # Faults are injected only once warm-fill is over.
             self.faulty.armed = True
         self._i = 0
         self._measure_start = 0.0
@@ -536,10 +550,9 @@ class Simulation:
         dram = self.dram
         measured_requests = self._i - self._counted_from
         exec_ns = dram_sink.now - self._measure_start
-        import numpy as _np
         lats = dram_sink.readpath_latencies
-        readpath_p50 = float(_np.percentile(lats, 50)) if lats else 0.0
-        readpath_p99 = float(_np.percentile(lats, 99)) if lats else 0.0
+        readpath_p50 = float(np.percentile(lats, 50)) if lats else 0.0
+        readpath_p99 = float(np.percentile(lats, 99)) if lats else 0.0
         return SimResult(
             scheme=cfg.name,
             trace=self.trace.name,

@@ -7,9 +7,9 @@ The observability layer of the simulator:
 - :class:`MetricsRegistry` / :func:`merge_snapshots` -- counters,
   gauges, fixed-bucket histograms, and the process-safe snapshot/merge
   protocol parallel sweeps use (:mod:`repro.telemetry.metrics`);
-- :class:`TracingSink` / :class:`TelemetryObserver` -- the
-  MemorySink/BaseObserver pair bracketing protocol operations
-  (:mod:`repro.telemetry.spans`);
+- :class:`TelemetryObserver` / :func:`trace_event_doc` -- protocol
+  event tallies and the Chrome trace document of the op spans the
+  timed sink records (:mod:`repro.telemetry.spans`);
 - :func:`stderr_progress` -- the shared progress callback with the
   ``REPRO_QUIET`` escape hatch (:mod:`repro.telemetry.progress`).
 
@@ -45,7 +45,7 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.progress import quiet, stderr_progress
 from repro.telemetry.slo import SloEngine, SloRule, default_slo_rules, fold_completions
-from repro.telemetry.spans import TelemetryObserver, TracingSink, trace_event_doc
+from repro.telemetry.spans import TelemetryObserver, trace_event_doc
 from repro.telemetry.view import load_stream, render_stream
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "Telemetry",
     "TelemetryObserver",
     "TraceContext",
-    "TracingSink",
     "control_instants",
     "default_slo_rules",
     "default_time_buckets",

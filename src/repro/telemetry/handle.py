@@ -27,9 +27,7 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.telemetry.metrics import Histogram, MetricsRegistry
-from repro.telemetry.spans import (
-    Span, TelemetryObserver, TracingSink, trace_event_doc,
-)
+from repro.telemetry.spans import Span, TelemetryObserver, trace_event_doc
 
 
 class Telemetry:
@@ -67,10 +65,6 @@ class Telemetry:
         self._closed = False
 
     # ------------------------------------------------------------ plumbing
-
-    def tracing_sink(self, inner: Any) -> TracingSink:
-        """Wrap the run's clocked sink; spans land in this handle."""
-        return TracingSink(inner, self)
 
     def observer(self) -> TelemetryObserver:
         """An observer tallying protocol events into this registry."""

@@ -1,13 +1,11 @@
-"""Op-span tracing: bracket every protocol operation into a timed span.
+"""Op-span tracing: every protocol operation becomes a timed span.
 
-:class:`TracingSink` wraps the simulation's timing sink (any
-:class:`~repro.oram.stats.MemorySink` with a ``now`` clock attribute,
-i.e. :class:`~repro.sim.engine.DramSink`). It forwards every call
-unchanged -- the DRAM model sees the identical request stream, so
-simulation statistics stay bit-identical -- and stamps each
-``begin_op``/``end_op`` pair with the DRAM-model nanosecond clock:
-``begin_op`` samples the operation's start, ``end_op`` (which rewinds
-the inner clock to the operation's completion time) samples its end.
+The spans themselves are recorded by the sink that owns the clock:
+:class:`~repro.sim.engine.DramSink` (built with ``telemetry=``) calls
+:meth:`Telemetry.record_span` from ``end_op`` with the operation's
+start and duration in DRAM-model nanoseconds -- the same two floats it
+attributes to ``time_by_kind``, so recording never touches the request
+stream and simulation statistics stay bit-identical.
 
 :class:`TelemetryObserver` is the observer-side half of the pair: a
 :class:`~repro.oram.observer.BaseObserver` that tallies protocol events
@@ -27,69 +25,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.oram.observer import BaseObserver
-from repro.oram.stats import MemorySink, OpKind
 
 #: One finished span: (op-kind name, start ns, duration ns).
 Span = Tuple[str, float, float]
-
-
-class TracingSink(MemorySink):
-    """Forwarding sink that records one span per protocol operation."""
-
-    def __init__(self, inner: Any, telemetry: Any) -> None:
-        if not hasattr(inner, "now"):
-            raise TypeError(
-                f"TracingSink needs a clocked sink (with .now), "
-                f"got {type(inner).__name__}"
-            )
-        self.inner = inner
-        self.telemetry = telemetry
-        self._kind: Optional[OpKind] = None
-        self._start = 0.0
-
-    def begin_op(self, kind: OpKind) -> None:
-        if self._kind is not None:
-            raise RuntimeError(f"nested operation: {kind} inside {self._kind}")
-        self.inner.begin_op(kind)
-        self._kind = kind
-        self._start = self.inner.now
-
-    def data_access(self, bucket, slot, level, write, onchip=False, remote=False):
-        self.inner.data_access(bucket, slot, level, write,
-                               onchip=onchip, remote=remote)
-
-    def metadata_access(self, bucket, level, write, onchip=False, blocks=1):
-        self.inner.metadata_access(bucket, level, write,
-                                   onchip=onchip, blocks=blocks)
-
-    def data_access_many(self, items, write):
-        self.inner.data_access_many(items, write)
-
-    def data_access_repeat(self, bucket, slot, level, count, write,
-                           onchip=False, remote=False):
-        self.inner.data_access_repeat(bucket, slot, level, count, write,
-                                      onchip=onchip, remote=remote)
-
-    def data_access_block(self, bucket, slots, level, write,
-                          onchip=False, remote=False):
-        self.inner.data_access_block(bucket, slots, level, write,
-                                     onchip=onchip, remote=remote)
-
-    def metadata_access_many(self, items, write, blocks=1):
-        self.inner.metadata_access_many(items, write, blocks=blocks)
-
-    def stall(self, ns: float) -> None:
-        self.inner.stall(ns)
-
-    def end_op(self) -> None:
-        if self._kind is None:
-            raise RuntimeError("end_op without begin_op")
-        self.inner.end_op()
-        # end_op set the inner clock to the operation's completion time.
-        end = self.inner.now
-        kind = self._kind
-        self._kind = None
-        self.telemetry.record_span(str(kind), self._start, end - self._start)
 
 
 class TelemetryObserver(BaseObserver):

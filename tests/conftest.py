@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.core import schemes
+from repro.core.ab_oram import build_oram
 from repro.oram.config import BucketGeometry, OramConfig, uniform_geometry
+from repro.oram.stats import MemorySink, OpKind
 
 
 def tiny_config(
@@ -66,3 +70,104 @@ def cfg_ab_small():
 def paper_schemes():
     """The five main schemes at the paper's 24-level geometry."""
     return schemes.main_schemes(24)
+
+
+# ------------------------------------------------- sink-protocol streams
+
+class RecordingSink(MemorySink):
+    """Records the protocol calls a controller makes, in order, as
+    ``(method name, positional args)``."""
+
+    def __init__(self) -> None:
+        self.calls: list = []
+
+    def begin_op(self, kind):
+        super().begin_op(kind)
+        self.calls.append(("begin_op", (kind,)))
+
+    def end_op(self):
+        super().end_op()
+        self.calls.append(("end_op", ()))
+
+    def stall(self, ns):
+        self.calls.append(("stall", (ns,)))
+
+    def data_access_many(self, items, write):
+        self.calls.append(("data_access_many", (list(items), write)))
+
+    def data_access_repeat(self, bucket, slot, level, count, write,
+                           onchip=False, remote=False):
+        self.calls.append((
+            "data_access_repeat",
+            (bucket, slot, level, count, write, onchip, remote),
+        ))
+
+    def metadata_access_many(self, items, write, blocks=1):
+        self.calls.append(
+            ("metadata_access_many", (list(items), write, blocks))
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def recorded_ab_stream(accesses: int = 300) -> tuple:
+    """One op stream for the sink-protocol tests (read-only: cached).
+
+    Recorded from an AB controller with a treetop and live rentals
+    (on-chip items, remote items and all-on-chip batches occur
+    naturally), followed by one hand-written operation holding the
+    shapes that run never produces: ``blocks=2`` metadata, an empty
+    batch, ``count=0`` repeats, a mid-op stall.
+    """
+    cfg = tiny_ab_config(levels=7, treetop_levels=2)
+    rec = RecordingSink()
+    oram = build_oram(cfg, sink=rec, seed=5)
+    oram.warm_fill()
+    rng = np.random.default_rng(1)
+    for i in range(accesses):
+        oram.access(int(rng.integers(cfg.n_real_blocks)), write=i % 3 == 0)
+    assert oram.ext.active_rentals() > 0
+    bottom = cfg.n_buckets - 1
+    lv = cfg.levels - 1
+    return tuple(rec.calls) + (
+        ("begin_op", (OpKind.EARLY_RESHUFFLE,)),
+        ("metadata_access_many",
+         ([(bottom, lv, False), (0, 0, True)], False, 2)),
+        ("data_access_many", ([], False)),
+        ("data_access_repeat", (bottom, 0, lv, 0, False, False, False)),
+        ("data_access_repeat", (bottom, 0, lv, 3, False, False, True)),
+        ("stall", (12.5,)),
+        ("data_access_repeat", (0, 0, 0, 2, True, True, False)),
+        ("data_access_many",
+         ([(bottom, 1, lv, False, True), (0, 0, 0, True, False)], True)),
+        ("data_access_repeat", (bottom, 0, lv, 0, True, False, False)),
+        ("metadata_access_many", ([(bottom, lv, False)], True, 2)),
+        ("end_op", ()),
+    )
+
+
+def replay_stream(sink, stream, scalar: bool = False) -> None:
+    """Drive ``stream`` into ``sink`` through the three primitives, or
+    (``scalar``) one ``data_access``/``metadata_access`` per touch.
+    Clocked sinks get a CPU gap before every operation; 37.5 ns keeps
+    every timestamp on the DDR timings' 1/4-ns grid, where float sums
+    are exact however they are grouped."""
+    for name, args in stream:
+        if name == "begin_op" and hasattr(sink, "advance"):
+            sink.advance(37.5)
+        if not scalar or name in ("begin_op", "end_op", "stall"):
+            getattr(sink, name)(*args)
+        elif name == "data_access_many":
+            items, write = args
+            for bucket, slot, level, onchip, remote in items:
+                sink.data_access(bucket, slot, level, write,
+                                 onchip=onchip, remote=remote)
+        elif name == "data_access_repeat":
+            bucket, slot, level, count, write, onchip, remote = args
+            for _ in range(count):
+                sink.data_access(bucket, slot, level, write,
+                                 onchip=onchip, remote=remote)
+        else:
+            items, write, blocks = args
+            for bucket, level, onchip in items:
+                sink.metadata_access(bucket, level, write,
+                                     onchip=onchip, blocks=blocks)

@@ -255,3 +255,101 @@ class TestTreeLayout:
             start = lay.data_addr(b, 0)
             assert start == prev_end
             prev_end = start + cfg.geometry[level_of(b)].z_total * 64
+
+
+class TestEntryPointsAgree:
+    """``access``, ``access_batch`` and ``access_repeat`` are one model.
+
+    Seeded random streams of same-direction groups arriving together
+    are driven through each entry point on fresh models; completion
+    times, every ``DramStats`` field and the busy tallies must agree
+    with ``==``. Arrivals sit on a 1/4-ns grid (as the DDR timings do):
+    there float sums are exact, so regrouping ``total_service_ns`` per
+    batch instead of per request cannot move the last bit.
+    """
+
+    @staticmethod
+    def _stream(seed, n_groups=400):
+        import random
+
+        rng = random.Random(seed)
+        m = AddressMapping()
+        row_stride = m.row_bytes * m.n_channels * m.n_banks
+        groups = []
+        now = 0.0
+        write = False
+        for _ in range(n_groups):
+            # Mostly small steps (queues build up), sometimes a jump
+            # across one or more refresh epochs.
+            now += (rng.randrange(0, 400) * 0.25 if rng.random() < 0.9
+                    else rng.randrange(1, 4) * DDR3_1600.t_refi)
+            if rng.random() < 0.4:
+                write = not write
+            base = rng.randrange(0, 1 << 14) * 64
+            shape = rng.random()
+            if shape < 0.3:      # the same line, repeatedly
+                addrs = [base] * rng.randrange(1, 9)
+            elif shape < 0.6:    # one bank, alternating rows
+                addrs = [base + (i % 2) * row_stride
+                         for i in range(rng.randrange(2, 9))]
+            else:                # scattered over channels and banks
+                addrs = [rng.randrange(0, 1 << 14) * 64
+                         for _ in range(rng.randrange(1, 12))]
+            groups.append((addrs, write, now))
+        return groups
+
+    @staticmethod
+    def _drive(groups, window, how, drained=False):
+        from dataclasses import asdict
+
+        dram = DramModel(window=window)
+        done = []
+        for addrs, write, arrival in groups:
+            if drained:
+                arrival = max(arrival, dram.frontier_ns)
+            if how == "access":
+                done.append(max(dram.access(a, write, arrival)
+                                for a in addrs))
+            elif how == "repeat" and len(set(addrs)) == 1:
+                done.append(dram.access_repeat(addrs[0], len(addrs),
+                                               write, arrival))
+            else:
+                done.append(dram.access_batch(addrs, write, arrival))
+        return (done, asdict(dram.stats), dram.channel_busy_ns,
+                dram.bank_busy_ns)
+
+    @pytest.mark.parametrize("window", [None, 8], ids=["frontier", "window8"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_access_is_the_batch_of_one(self, seed, window):
+        groups = self._stream(seed)
+        batch = self._drive(groups, window, "batch")
+        assert self._drive(groups, window, "access") == batch
+        stats = batch[1]
+        assert stats["refreshes"] > 0
+        assert stats["row_hits"] > 0 and stats["row_misses"] > 0
+        assert stats["reads"] > 0 and stats["writes"] > 0
+        if window is not None:
+            assert stats["backfills"] > 0 and stats["queue_depth_peak"] > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_repeat_is_the_closed_form_of_the_loop(self, seed):
+        groups = self._stream(seed)
+        assert (self._drive(groups, None, "repeat")
+                == self._drive(groups, None, "batch"))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_windowed_repeat_matches_the_loop_on_a_drained_bus(self, seed):
+        # Under a window the closed form reserves the whole chain as
+        # one bank and one bus interval, where the loop leaves the
+        # column-latency gaps between its bursts open to backfill --
+        # deliberately different once operations overlap. With nothing
+        # left to interleave (each group arrives at or after the bus
+        # frontier) the two must agree to the last bit.
+        groups = self._stream(seed)
+        assert (self._drive(groups, 8, "repeat", drained=True)
+                == self._drive(groups, 8, "batch", drained=True))
+
+    def test_repeat_of_nothing_is_free(self):
+        dram = DramModel()
+        assert dram.access_repeat(0, 0, False, 5.0) == 0.0
+        assert dram.stats.accesses == 0

@@ -10,6 +10,7 @@ from repro.sim.engine import DramSink, SimConfig, simulate
 from repro.sim.results import breakdown_fractions, geomean, normalize
 from repro.sim.runner import make_trace, run_schemes, run_suite, suite_benchmarks
 from repro.traces.spec import spec_trace
+from tests.conftest import recorded_ab_stream, replay_stream, tiny_ab_config
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,46 @@ class TestDramSink:
         assert start == now
         assert sink.time_by_kind[OpKind.READ_PATH] == 0.0
         assert sink.dram.stats.reads == 0
+
+
+class TestSinkProtocolTiming:
+    """One recorded op stream (see ``recorded_ab_stream``) through the
+    three primitives, through the scalar conveniences and through the
+    buffered sink at depth 1: same clock, same attribution, same DRAM
+    counters, compared with ``==``."""
+
+    @staticmethod
+    def _timed(cls=DramSink, scalar=False, **kw):
+        from dataclasses import asdict
+
+        cfg = tiny_ab_config(levels=7, treetop_levels=2)
+        sink = cls(TreeLayout(cfg, metadata_blocks=2), DramModel(), **kw)
+        replay_stream(sink, recorded_ab_stream(), scalar=scalar)
+        dram = sink.dram
+        return {
+            "now": sink.now,
+            "time_by_kind": sink.time_by_kind,
+            "ops_by_kind": sink.ops_by_kind,
+            "readpath_latencies": sink.readpath_latencies,
+            "remote_accesses": sink.remote_accesses,
+            "stats": asdict(dram.stats),
+            "channel_busy_ns": dram.channel_busy_ns,
+            "bank_busy_ns": dram.bank_busy_ns,
+        }
+
+    def test_primitives_equal_scalar_conveniences(self):
+        batched = self._timed()
+        assert batched == self._timed(scalar=True)
+        assert batched["remote_accesses"] > 0
+        assert batched["stats"]["stalled_ns"] == 12.5
+        assert batched["stats"]["refreshes"] > 0
+
+    def test_pipelined_depth_one_is_the_serial_sink(self):
+        from repro.core.pipeline import PipelinedDramSink
+
+        serial = self._timed()
+        assert self._timed(PipelinedDramSink, depth=1) == serial
+        assert self._timed(PipelinedDramSink, scalar=True, depth=1) == serial
 
 
 class TestSimulate:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.oram.stats import CountingSink, MemorySink, OpKind, TeeSink
+from tests.conftest import recorded_ab_stream, replay_stream
 
 
 @pytest.fixture
@@ -73,6 +74,22 @@ class TestCountingSink:
         sink.data_access(0, 0, 0, write=False)
         assert sink.unattributed_accesses == 1
 
+    def test_stray_touch_counted_in_unattributed_only(self, sink):
+        # One rule for every entry point: outside an operation a touch
+        # lands in ``unattributed_accesses`` and nowhere else (the old
+        # scalar path also bumped the per-level arrays).
+        sink.data_access(0, 0, 1, write=False)
+        sink.data_access(0, 0, 1, write=True)
+        sink.metadata_access(0, 1, write=False, blocks=2)
+        sink.data_access_many([(0, 0, 1, False, False)] * 2, write=False)
+        sink.data_access_repeat(0, 0, 1, 3, write=True)
+        sink.metadata_access_many([(0, 1, False)], write=True)
+        assert sink.unattributed_accesses == 9
+        assert not sink.data_reads_by_level.any()
+        assert not sink.data_writes_by_level.any()
+        assert sink.total_offchip == 0
+        assert sink.total("onchip_accesses") == 0
+
     def test_total_offchip_and_bytes(self, sink):
         sink.begin_op(OpKind.READ_PATH)
         sink.data_access(0, 0, 0, write=False)
@@ -134,10 +151,10 @@ class TestOpBracketGuards:
     """
 
     def _sinks(self):
+        from repro.core.pipeline import PipelinedDramSink
         from repro.mem.dram import DramModel
         from repro.mem.layout import TreeLayout
         from repro.sim.engine import DramSink
-        from repro.telemetry import Telemetry, TracingSink
         from tests.conftest import tiny_config
 
         cfg = tiny_config()
@@ -147,8 +164,7 @@ class TestOpBracketGuards:
             CountingSink(levels=4),
             TeeSink(MemorySink(), MemorySink()),
             dram,
-            TracingSink(DramSink(TreeLayout(cfg), DramModel()),
-                        Telemetry()),
+            PipelinedDramSink(TreeLayout(cfg), DramModel(), depth=2),
         ]
 
     def test_end_without_begin_raises_everywhere(self):
@@ -170,3 +186,72 @@ class TestOpBracketGuards:
             s.end_op()
             s.begin_op(OpKind.EVICT_PATH)
             s.end_op()
+
+
+class TestSinkProtocol:
+    """The three primitives are the protocol; the scalar calls are the
+    batch of one, defined once on the base class."""
+
+    def test_stream_covers_every_item_shape(self):
+        stream = recorded_ab_stream()
+
+        def calls(name):
+            return [args for n, args in stream if n == name]
+
+        batches = [items for items, _write in calls("data_access_many")]
+        items = [it for batch in batches for it in batch]
+        assert any(it[3] for it in items), "no on-chip item"
+        assert any(it[4] for it in items), "no remote item"
+        assert any(b and all(it[3] for it in b) for b in batches)
+        assert any(not b for b in batches), "no empty batch"
+        assert any(a[3] == 0 for a in calls("data_access_repeat"))
+        assert any(a[2] == 2 for a in calls("metadata_access_many"))
+        assert {OpKind.READ_PATH, OpKind.EVICT_PATH,
+                OpKind.EARLY_RESHUFFLE} <= {a[0] for a in calls("begin_op")}
+
+    def test_counting_sink_batch_equals_scalar(self):
+        stream = recorded_ab_stream()
+        batched, scalar = CountingSink(levels=7), CountingSink(levels=7)
+        replay_stream(batched, stream)
+        replay_stream(scalar, stream, scalar=True)
+        assert batched.summary() == scalar.summary()
+        assert batched.total_offchip > 0
+        assert (batched.data_reads_by_level
+                == scalar.data_reads_by_level).all()
+        assert (batched.data_writes_by_level
+                == scalar.data_writes_by_level).all()
+        assert batched.unattributed_accesses == 0
+        assert scalar.unattributed_accesses == 0
+
+    def test_tee_forwards_scalar_calls_as_batches(self):
+        stream = recorded_ab_stream(accesses=50)
+        a, b = CountingSink(levels=7), CountingSink(levels=7)
+        replay_stream(TeeSink(a, b), stream, scalar=True)
+        direct = CountingSink(levels=7)
+        replay_stream(direct, stream)
+        assert a.summary() == b.summary() == direct.summary()
+
+    def test_no_sink_overrides_the_scalar_conveniences(self):
+        import importlib
+        import pkgutil
+
+        import repro
+
+        for mod in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not mod.name.endswith("__main__"):
+                importlib.import_module(mod.name)
+        pending, seen = [MemorySink], set()
+        while pending:
+            for sub in pending.pop().__subclasses__():
+                if sub not in seen:
+                    seen.add(sub)
+                    pending.append(sub)
+        sinks = {c for c in seen if c.__module__.startswith("repro.")}
+        assert {"CountingSink", "TeeSink", "DramSink",
+                "PipelinedDramSink"} <= {c.__name__ for c in sinks}
+        for cls in sinks:
+            for name in ("data_access", "metadata_access"):
+                assert name not in vars(cls), (
+                    f"{cls.__module__}.{cls.__name__} overrides {name}: "
+                    "implement the *_many/_repeat primitives instead"
+                )

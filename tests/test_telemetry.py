@@ -1,12 +1,13 @@
 """Tests for the telemetry subsystem (repro.telemetry).
 
 Covers the metrics registry and its snapshot/merge protocol, the
-Telemetry handle's JSONL + Chrome-trace outputs, the TracingSink's
+Telemetry handle's JSONL + Chrome-trace outputs, the traced DramSink's
 observe-only guarantee (bit-identical simulation results), the
 executor-level worker-registry merge, and the shared stderr progress
 helper.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -18,7 +19,6 @@ from repro.sim.engine import SimConfig, Simulation, simulate
 from repro.sim.runner import make_trace
 from repro.telemetry import (
     Telemetry,
-    TracingSink,
     load_stream,
     merge_snapshots,
     quantiles_from_snapshot,
@@ -176,10 +176,15 @@ class TestWorkerRegistryMerge:
 
 
 class TestTracingSink:
-    def test_requires_clocked_inner(self):
-        from repro.oram.stats import MemorySink
-        with pytest.raises(TypeError, match="clocked"):
-            TracingSink(MemorySink(), Telemetry())
+    """Span recording by ``DramSink(telemetry=...)`` (the class name
+    predates the move: spans used to come from a forwarding wrapper)."""
+
+    #: sha256 of ``json.dumps(t.spans)`` for ``_small_sim`` at depth 1,
+    #: generated from the last commit that recorded spans through the
+    #: TracingSink wrapper (234 spans).
+    SPANS_SHA256 = (
+        "3a3678d0d071438320bd5a06867fb1621e65ab3d14f4ca302bb43386e6fc670a"
+    )
 
     def test_results_bit_identical_with_telemetry(self):
         bare = _small_sim().run()
@@ -187,6 +192,13 @@ class TestTracingSink:
             traced = _small_sim(telemetry=t).run()
         assert traced == bare
         assert len(t.spans) > 0
+
+    def test_span_list_matches_pinned_golden(self):
+        with Telemetry() as t:
+            _small_sim(telemetry=t).run()
+        assert len(t.spans) == 234
+        digest = hashlib.sha256(json.dumps(t.spans).encode()).hexdigest()
+        assert digest == self.SPANS_SHA256
 
     def test_spans_cover_operation_kinds(self):
         with Telemetry() as t:
