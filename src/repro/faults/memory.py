@@ -19,7 +19,7 @@ it draws no randomness and performs exactly the inner store's work.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.crypto.auth import AuthenticationError
 from repro.crypto.integrity import IntegrityError
@@ -59,14 +59,18 @@ class FaultyMemory:
 
     # ------------------------------------------------------------- sealing
 
-    def seal_slot(self, bucket: int, slot: int, plaintext: bytes) -> None:
-        op = self.op_index
-        self.op_index += 1
-        key = (bucket, slot)
-        prev: Optional[SlotSnapshot] = None
-        if (bucket, slot) in self.inner._tags:
-            prev = self.inner.snapshot_slot(bucket, slot)
-        self.inner.seal_slot(bucket, slot, plaintext)
+    def _snapshot(self, key: SlotKey) -> Optional[SlotSnapshot]:
+        """The sealed triple a seal of ``key`` is about to overwrite."""
+        return self.inner.snapshot_slot(*key) if key in self.inner._tags else None
+
+    def _drops(self, op: int, key: SlotKey, prev: Optional[SlotSnapshot]) -> bool:
+        """Whether the plan drops this seal (a first write cannot be:
+        there is no older triple to survive it)."""
+        return (self.armed and prev is not None
+                and self.plan.pick_seal_fault(op, *key) == "dropped_write")
+
+    def _sealed_over(self, key: SlotKey, prev: Optional[SlotSnapshot]) -> None:
+        """Ledger work once the store has resealed ``key`` over ``prev``."""
         if key in self._outstanding_drops:
             # The reseal overwrote the dropped write before anything
             # could notice it -- the fault is masked, not detected.
@@ -74,9 +78,15 @@ class FaultyMemory:
             self.masked_drops += 1
         if prev is not None:
             self._history[key] = prev
-        if not self.armed or prev is None:
-            return
-        if self.plan.pick_seal_fault(op, bucket, slot) == "dropped_write":
+
+    def seal_slot(self, bucket: int, slot: int, plaintext: bytes) -> None:
+        op = self.op_index
+        self.op_index += 1
+        key = (bucket, slot)
+        prev = self._snapshot(key)
+        self.inner.seal_slot(bucket, slot, plaintext)
+        self._sealed_over(key, prev)
+        if self._drops(op, key, prev):
             # The write never lands: old ciphertext + tag survive in
             # memory while the trusted version and the Merkle content
             # digest already moved on.
@@ -90,32 +100,105 @@ class FaultyMemory:
         # RNG exactly as an unwrapped seal_dummy would draw it.
         self.seal_slot(bucket, slot, self.inner._dummy_plaintext())
 
-    def seal_many(self, items: Any) -> None:
-        # Must be implemented here, not left to __getattr__: the
-        # passthrough would hand the batch to the inner store and the
-        # whole reshuffle write-back would escape fault injection.
-        # Looping our own seal_slot/seal_dummy keeps the per-seal op
-        # indices, injections and RNG draws identical to scalar calls.
-        for bucket, slot, plaintext in items:
-            if plaintext is None:
-                self.seal_dummy(bucket, slot)
+    def seal_many(
+        self, items: Sequence[Tuple[int, int, Optional[bytes]]]
+    ) -> None:
+        """Seal a batch in order, cut only where the plan strikes.
+
+        Must be implemented here, not left to ``__getattr__``: the
+        passthrough would hand the whole batch to the inner store and
+        a reshuffle's write-back would escape fault injection. The plan
+        is a pure function of ``(seed, kind, op, bucket, slot)``, so
+        from ``op_index`` the wrapper can tell which seals ahead are
+        fault-free; each such run goes to the store's own ``seal_many``
+        (one keystream computation, one Merkle rehash) and a write the
+        plan drops goes through :meth:`seal_slot`. Op indices, ledgers,
+        dummy-filler draws and the store's end state are those of
+        ``seal_slot``/``seal_dummy`` item by item.
+        """
+        start = 0
+        while start < len(items):
+            # slot -> the triple this run overwrites. The run stops
+            # before a dropped write (the bucket's leaf has to be
+            # digested with that write's tag before it is undone, and
+            # later seals of the bucket digest the stale one) and
+            # before a slot it already holds (a repeat's snapshot, and
+            # whether it can be dropped at all, depend on the seal
+            # before it).
+            prevs: Dict[SlotKey, Optional[SlotSnapshot]] = {}
+            for i in range(start, len(items)):
+                bucket, slot, _ = items[i]
+                key = (bucket, slot)
+                if key in prevs:
+                    break
+                prev = self._snapshot(key)
+                if self._drops(self.op_index + i - start, key, prev):
+                    break
+                prevs[key] = prev
+            if prevs:
+                end = start + len(prevs)
+                self.op_index += len(prevs)
+                self.inner.seal_many(items[start:end])
+                for key, prev in prevs.items():
+                    self._sealed_over(key, prev)
+                start = end
             else:
-                self.seal_slot(bucket, slot, plaintext)
+                bucket, slot, plaintext = items[start]
+                if plaintext is None:
+                    self.seal_dummy(bucket, slot)
+                else:
+                    self.seal_slot(bucket, slot, plaintext)
+                start += 1
 
     # ------------------------------------------------------------- opening
 
-    def open_many(self, slots: Any) -> Iterator[Any]:
-        # Explicit for the same reason as seal_many. Lazy on purpose:
-        # each slot is opened (and takes its op index) only when the
-        # caller asks for its outcome, so a caller that retries a
-        # transient failure through open_slot before moving on sees
-        # the op sequence of the scalar loop.
-        for bucket, slot in slots:
-            try:
-                yield self.open_slot(bucket, slot)
-            except (TransientBackendError, AuthenticationError,
-                    IntegrityError) as exc:
-                yield exc
+    def _struck(self, op: int, key: SlotKey) -> bool:
+        """Whether this open may do anything but what the store does:
+        an outage holds the slot, the plan strikes the op, or the slot
+        was never sealed (the ``KeyError`` must surface at this op)."""
+        return (
+            (self._outage is not None and self._outage[0] == key)
+            or key not in self.inner._tags
+            or (self.armed
+                and self.plan.pick_open_fault(op, *key) is not None)
+        )
+
+    def open_many(self, slots: Sequence[SlotKey]) -> Iterator[Any]:
+        """Open a batch in order, cut only where the plan strikes.
+
+        Explicit for the same reason as ``seal_many``, and cut the same
+        way: the fault-free run ahead of ``op_index`` goes to the
+        store's ``open_many`` (one Merkle check per bucket, one
+        keystream computation), a struck slot through :meth:`open_slot`.
+        Lazy on purpose: only a struck open can come back as the
+        ``TransientBackendError`` a caller answers with retry
+        ``open_slot`` calls of its own, so a run is planned when the
+        caller asks for its first outcome -- after the retries the
+        outcome before it caused -- and every op keeps the index the
+        scalar loop gives it.
+        """
+        start = 0
+        while start < len(slots):
+            end = start
+            while end < len(slots) and not self._struck(
+                self.op_index + end - start, slots[end]
+            ):
+                end += 1
+            if end > start:
+                run = slots[start:end]
+                self.op_index += len(run)
+                for (bucket, _), outcome in zip(run, self.inner.open_many(run)):
+                    if isinstance(outcome, (AuthenticationError, IntegrityError)):
+                        self._credit_drops(bucket)
+                    yield outcome
+                start = end
+            else:
+                try:
+                    yield self.open_slot(*slots[start])
+                except (TransientBackendError, AuthenticationError,
+                        IntegrityError) as exc:
+                    yield exc
+                start += 1
 
     def open_slot(self, bucket: int, slot: int) -> bytes:
         op = self.op_index
@@ -171,13 +254,15 @@ class FaultyMemory:
         try:
             return self.inner.open_slot(bucket, slot)
         except (AuthenticationError, IntegrityError):
-            credited = [
-                k for k in self._outstanding_drops if k[0] == bucket
-            ]
-            for k in credited:
-                del self._outstanding_drops[k]
-                self.detected["dropped_write"] += 1
+            self._credit_drops(bucket)
             raise
+
+    def _credit_drops(self, bucket: int) -> None:
+        """An unstruck open of ``bucket`` failed: its dropped writes
+        have surfaced."""
+        for key in [k for k in self._outstanding_drops if k[0] == bucket]:
+            del self._outstanding_drops[key]
+            self.detected["dropped_write"] += 1
 
     # ------------------------------------------------------------- queries
 

@@ -76,6 +76,12 @@ class EncryptedTreeStore:
         seed: int = 0,
         with_integrity: bool = True,
     ) -> None:
+        if cfg.block_bytes != SecureBlockEngine.BLOCK_BYTES:
+            raise ValueError(
+                f"a sealed store needs {SecureBlockEngine.BLOCK_BYTES}-byte "
+                f"blocks (one cipher block per slot), got "
+                f"block_bytes={cfg.block_bytes}"
+            )
         self.cfg = cfg
         self.layout = TreeLayout(cfg)
         self.engine = SecureBlockEngine(master_key)

@@ -72,6 +72,32 @@ def paper_schemes():
     return schemes.main_schemes(24)
 
 
+def sealed_store_state(store):
+    """All state of an ``EncryptedTreeStore`` a batch must leave exactly
+    as the scalar calls do."""
+    tree = store.integrity
+    return {
+        "memory": bytes(store._memory),
+        "tags": dict(store._tags),
+        "version": store._version.tobytes(),
+        "sealed_buckets": set(store._sealed_buckets),
+        "merkle": None if tree is None else (
+            tree.root, list(tree._digest), list(tree._content),
+            tree.updates, tree.verifications,
+        ),
+        "counters": (store.seals, store.opens),
+        "dummy_rng": store._rng.bit_generator.state,
+    }
+
+
+def comparable_outcomes(outcomes):
+    """Open outcomes with exceptions reduced to (type, message), so two
+    runs' lists compare by value."""
+    return [
+        (type(o), str(o)) if isinstance(o, Exception) else o for o in outcomes
+    ]
+
+
 # ------------------------------------------------- sink-protocol streams
 
 class RecordingSink(MemorySink):

@@ -4,6 +4,8 @@ path (controller + EncryptedTreeStore)."""
 import numpy as np
 import pytest
 
+from conftest import comparable_outcomes as _comparable
+from conftest import sealed_store_state as _everything
 from conftest import tiny_ab_config, tiny_config
 
 from repro.core.remote import RemoteAllocator
@@ -54,6 +56,11 @@ class TestEncryptedTreeStore:
     def test_never_sealed_slot_rejected(self, store):
         with pytest.raises(KeyError):
             store.open_slot(0, 0)
+
+    @pytest.mark.parametrize("block_bytes", [32, 128])
+    def test_unsupported_block_size_rejected_up_front(self, block_bytes):
+        with pytest.raises(ValueError, match="64-byte blocks"):
+            EncryptedTreeStore(tiny_config(block_bytes=block_bytes), KEY)
 
     def test_ciphertext_is_not_plaintext(self, store):
         store.seal_slot(0, 0, b"secret")
@@ -107,23 +114,6 @@ class TestEncryptedTreeStore:
         assert store.opens == 1
 
 
-def _everything(store):
-    """All state a batch must leave exactly as the scalar calls do."""
-    tree = store.integrity
-    return {
-        "memory": bytes(store._memory),
-        "tags": dict(store._tags),
-        "version": store._version.tobytes(),
-        "sealed_buckets": set(store._sealed_buckets),
-        "merkle": None if tree is None else (
-            tree.root, list(tree._digest), list(tree._content),
-            tree.updates, tree.verifications,
-        ),
-        "counters": (store.seals, store.opens),
-        "dummy_rng": store._rng.bit_generator.state,
-    }
-
-
 def _batch_items(cfg, n):
     """``n`` seals over random slots: every third a dummy, payload
     lengths mixed, and the first slot sealed again at the end."""
@@ -147,12 +137,6 @@ def _scalar_opens(store, slots):
         except (AuthenticationError, IntegrityError) as exc:
             outcomes.append(exc)
     return outcomes
-
-
-def _comparable(outcomes):
-    return [
-        (type(o), str(o)) if isinstance(o, Exception) else o for o in outcomes
-    ]
 
 
 class TestBatchEqualsScalar:
@@ -266,6 +250,20 @@ class TestControllerBatchesEqualPerSlot:
         for leaf in range(cfg.n_leaves):
             ds.verify_path(leaf)
         return oram, ds, answers
+
+    def test_warm_fill_chunks_equal_per_slot_seals(self, monkeypatch):
+        # A chunk size that leaves a partial last chunk.
+        monkeypatch.setattr("repro.oram.ring._WARM_FILL_SEAL_CHUNK", 7)
+        cfg = tiny_config(levels=5)
+        states = []
+        for store_cls in (EncryptedTreeStore, _PerSlotStore):
+            ds = store_cls(cfg, KEY, seed=4)
+            oram = RingOram(cfg, seed=4, datastore=ds)
+            overflow = oram.warm_fill()
+            assert ds.seals == cfg.n_real_blocks - overflow
+            assert ds.seals % 7
+            states.append(_everything(ds))
+        assert states[0] == states[1]
 
     def test_same_run_either_way(self):
         oram, ds, answers = self._run(EncryptedTreeStore)

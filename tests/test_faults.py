@@ -5,8 +5,10 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import tiny_config
+from conftest import comparable_outcomes, sealed_store_state, tiny_config
 
 from repro.core import schemes as schemes_mod
 from repro.crypto.auth import AuthenticationError
@@ -21,10 +23,18 @@ from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.faults.schema import cell_key, render_report, validate_report
 from repro.oram.datastore import EncryptedTreeStore, pad_block
 from repro.oram.recovery import RobustnessConfig, TransientBackendError
+from repro.serve.loadgen import (
+    WorkloadConfig, generate_requests, initial_items,
+)
+from repro.serve.replay import serve_slice
+from repro.serve.resilience import ResilienceConfig
 from repro.sim.engine import SimConfig, Simulation
 from repro.sim.runner import make_trace
 
 KEY = b"test master key."
+
+#: What an open can come back as in place of a plaintext.
+OPEN_FAILURES = (TransientBackendError, AuthenticationError, IntegrityError)
 
 
 def _store(with_integrity=True):
@@ -221,6 +231,259 @@ class TestFaultyMemoryDetection:
         assert set(s) == {"ops", "injected", "detected", "undetected",
                           "masked_drops", "latent_drops"}
         assert set(s["injected"]) == set(FAULT_KINDS)
+
+
+class PerSlotFaultyMemory(FaultyMemory):
+    """The wrapper as it was before it cut batches: ``seal_many`` and
+    ``open_many`` loop its own scalar calls. The reference the cut
+    batches are held equal to."""
+
+    def seal_many(self, items):
+        for bucket, slot, plaintext in items:
+            if plaintext is None:
+                self.seal_dummy(bucket, slot)
+            else:
+                self.seal_slot(bucket, slot, plaintext)
+
+    def open_many(self, slots):
+        for bucket, slot in slots:
+            try:
+                yield self.open_slot(bucket, slot)
+            except OPEN_FAILURES as exc:
+                yield exc
+
+
+def _wrapper_state(mem):
+    return {
+        "store": sealed_store_state(mem.inner),
+        "summary": mem.summary(),
+        "op_index": mem.op_index,
+        "history": dict(mem._history),
+        "drops": dict(mem._outstanding_drops),
+        "outage": mem._outage,
+    }
+
+
+def _consume(mem, slots, retry_budget):
+    """Drain ``open_many`` the way the controller does: a transient
+    outcome is retried through ``open_slot`` before the next is asked
+    for. A never-sealed slot ends the batch with the store's KeyError."""
+    outcomes = []
+    try:
+        for (bucket, slot), outcome in zip(slots, mem.open_many(slots)):
+            for _ in range(retry_budget):
+                if not isinstance(outcome, TransientBackendError):
+                    break
+                try:
+                    outcome = mem.open_slot(bucket, slot)
+                except OPEN_FAILURES as exc:
+                    outcome = exc
+            outcomes.append(outcome)
+    except KeyError as exc:
+        outcomes.append(exc)
+    return comparable_outcomes(outcomes)
+
+
+def _play(mem, steps):
+    """Run a script of batches against one wrapper; the state after
+    every step (and what every open batch returned)."""
+    trail = []
+    for step in steps:
+        if step[0] == "seal":
+            mem.seal_many(step[1])
+            trail.append(None)
+        elif step[0] == "open":
+            trail.append(_consume(mem, step[1], step[2]))
+        else:
+            mem.armed = step[1]
+            trail.append(None)
+        trail.append(_wrapper_state(mem))
+    return trail
+
+
+def _assert_cut_equals_per_slot(plan, steps, with_integrity=True, armed=True):
+    cut = FaultyMemory(_store(with_integrity), plan, armed=armed)
+    ref = PerSlotFaultyMemory(_store(with_integrity), plan, armed=armed)
+    assert _play(cut, steps) == _play(ref, steps)
+
+
+# A small corner of the tiny tree, so that a batch revisits slots (and
+# buckets) and every slot collects history.
+_SLOT = st.tuples(st.integers(0, 5), st.integers(0, 2))
+_SEAL_STEP = st.tuples(
+    st.just("seal"),
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 2),
+                  st.one_of(st.none(), st.binary(min_size=0, max_size=64))),
+        max_size=24,
+    ),
+)
+_OPEN_STEP = st.tuples(
+    st.just("open"), st.lists(_SLOT, max_size=24), st.integers(0, 3),
+)
+_ARM_STEP = st.tuples(st.just("arm"), st.booleans())
+_RATE = st.sampled_from([0.0, 0.02, 0.1, 0.3])
+
+
+class TestCutBatchesEqualPerSlot:
+    """``seal_many``/``open_many`` hand fault-free runs to the store's
+    batches; everything observable must be what the per-slot loop
+    leaves, after every batch."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        rates=st.fixed_dictionaries({k: _RATE for k in FAULT_KINDS}),
+        max_outage_ops=st.integers(1, 3),
+        start_op=st.integers(0, 20),
+        with_integrity=st.booleans(),
+        armed=st.booleans(),
+        steps=st.lists(st.one_of(_SEAL_STEP, _OPEN_STEP, _ARM_STEP),
+                       min_size=1, max_size=10),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_scripts_of_batches(self, seed, rates, max_outage_ops, start_op,
+                                with_integrity, armed, steps):
+        plan = FaultPlan(seed=seed, rates=rates, start_op=start_op,
+                         max_outage_ops=max_outage_ops)
+        # Most of the corner starts sealed (bucket 5 does not), so
+        # drawn opens mostly get past the never-sealed KeyError.
+        _assert_cut_equals_per_slot(
+            plan, [self._fill(b"fill")] + steps, with_integrity, armed
+        )
+
+    ALL = [(b, s) for b in range(5) for s in range(3)]
+
+    def _fill(self, tag):
+        return ("seal", [(b, s, b"%s-%d-%d" % (tag, b, s))
+                         for b, s in self.ALL])
+
+    @pytest.mark.parametrize("rate", [0.3, 1.0])
+    def test_dropped_write_in_the_middle_of_a_bucket(self, rate):
+        """The leaf is digested with the dropped write's tag, and
+        re-digested with the stale one by the bucket's later seals."""
+        plan = FaultPlan(seed=5, rates={"dropped_write": rate})
+        _assert_cut_equals_per_slot(plan, [
+            self._fill(b"a"), self._fill(b"b"), ("open", self.ALL, 0),
+            self._fill(b"c"), ("open", self.ALL, 0),
+        ])
+
+    def test_slot_repeated_inside_a_seal_batch(self):
+        """The repeat's snapshot is the first seal's triple, and only
+        the repeat of a never-sealed slot can be dropped."""
+        plan = FaultPlan(seed=1, rates={"dropped_write": 0.5, "replay": 0.3})
+        twice = [(2, 1, b"first"), (3, 0, None), (2, 1, b"second"),
+                 (2, 1, None), (3, 0, b"third")]
+        _assert_cut_equals_per_slot(plan, [
+            ("seal", twice), ("open", [(2, 1), (3, 0)], 0),
+            ("seal", twice), ("open", [(2, 1), (3, 0)], 0),
+        ])
+
+    @pytest.mark.parametrize("retry_budget", [0, 1, 3])
+    def test_outage_spanning_cuts_and_batches(self, retry_budget):
+        """With fewer retries than the outage is long, the outage stays
+        on its slot across the rest of the batch and into the next."""
+        plan = FaultPlan(seed=3, rates={"unavailable": 0.2, "bit_flip": 0.1},
+                         max_outage_ops=3)
+        _assert_cut_equals_per_slot(plan, [
+            self._fill(b"a"),
+            ("open", self.ALL + self.ALL[::-1], retry_budget),
+            ("open", self.ALL, retry_budget),
+        ])
+
+    def test_never_sealed_slot_fails_at_its_own_op(self):
+        plan = FaultPlan(seed=2, rates={"bit_flip": 0.2})
+        _assert_cut_equals_per_slot(plan, [
+            ("seal", [(0, 0, b"x"), (0, 1, None)]),
+            ("open", [(0, 0), (0, 1), (5, 2), (0, 0)], 0),
+            ("open", [(0, 0)], 0),
+        ])
+
+    def test_whole_controller_under_a_mixed_plan(self, monkeypatch):
+        """The resilient serving loop over a sealed ``ab`` stack: same
+        completions, same ladder, same fault ledger either way."""
+        workload = WorkloadConfig(
+            name="cut-vs-per-slot", n_requests=150, stored_keys=40,
+            read_fraction=0.6, seed=4,
+        )
+
+        def served():
+            return serve_slice(
+                initial_items(workload), generate_requests(workload),
+                scheme="ab", levels=8, seed=2,
+                fault_plan=FaultPlan(
+                    seed=9, max_outage_ops=3,
+                    rates={"bit_flip": 0.01, "replay": 0.01,
+                           "dropped_write": 0.01, "unavailable": 0.02},
+                ),
+                resilience=ResilienceConfig(
+                    deadline_ns=4e6, retry_budget=4, repair_ns=30_000.0,
+                ),
+            )
+
+        cut = served()
+        monkeypatch.setattr("repro.faults.memory.FaultyMemory",
+                            PerSlotFaultyMemory)
+        ref = served()
+        faults = cut.counters["faults"]
+        assert all(faults["injected"][k] > 0 for k in FAULT_KINDS)
+        assert cut.counters["robust"]["counters"]["rebuilds"] > 0
+        # wall_s is host time, the one field that may differ.
+        assert [dataclasses.replace(c, wall_s=0.0)
+                for c in cut.result.completions] == [
+            dataclasses.replace(c, wall_s=0.0)
+            for c in ref.result.completions
+        ]
+        assert cut.counters == ref.counters
+
+
+class TestBatchesReachTheStore:
+    def test_tamper_plan_leaves_batches_whole(self, monkeypatch):
+        """Under the end-to-end benchmark's tamper plan what the
+        controller hands over as a batch reaches the store as batches:
+        a strike costs its batch one cut, not its batching."""
+        workload = WorkloadConfig(
+            name="batches-reach-the-store", n_requests=300, stored_keys=160,
+            value_bytes=40, seed=1,
+        )
+        handed, arrived = [], []
+
+        class CountingFaultyMemory(FaultyMemory):
+            def seal_many(self, items):
+                handed.append(len(items))
+                super().seal_many(items)
+
+            def open_many(self, slots):
+                handed.append(len(slots))
+                return super().open_many(slots)
+
+        class SpyStore(EncryptedTreeStore):
+            def seal_many(self, items):
+                arrived.append(len(items))
+                super().seal_many(items)
+
+            def open_many(self, slots):
+                arrived.append(len(slots))
+                return super().open_many(slots)
+
+        monkeypatch.setattr("repro.faults.memory.FaultyMemory",
+                            CountingFaultyMemory)
+        monkeypatch.setattr("repro.oram.datastore.EncryptedTreeStore",
+                            SpyStore)
+        served = serve_slice(
+            initial_items(workload), generate_requests(workload),
+            scheme="ab", levels=10, seed=0,
+            fault_plan=FaultPlan(
+                seed=202, rates={"bit_flip": 0.00075, "replay": 0.000625},
+            ),
+            resilience=ResilienceConfig(),
+        )
+        faults = served.counters["faults"]
+        assert sum(faults["injected"].values()) > 0
+        in_runs = sum(n for n in arrived if n > 1)
+        assert in_runs >= 0.98 * sum(n for n in handed if n > 1)
+        # The rest of the wrapper's ops are readPath's scalar opens
+        # (target + green blocks), which were never part of a batch.
+        assert in_runs >= 0.85 * faults["ops"]
 
 
 class TestZeroRatePassthrough:
