@@ -7,7 +7,8 @@ PYTHON ?= python
 # src/ layout, so the package root just needs to be importable.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test bench bench-full figures examples lint loc perf-smoke \
+.PHONY: install test bench bench-full figures examples lint loc \
+	chacha-cutover perf-smoke \
 	pipeline-smoke faults-smoke telemetry-smoke serve-smoke chaos-smoke \
 	shard-smoke obs-smoke determinism e2e-quick ci clean
 
@@ -58,6 +59,13 @@ loc:
 	    "$$(find $$d -name '*.py' | xargs cat | wc -l)"; \
 	done
 	@printf '  %-12s %6d\n' "(top level)" "$$(cat src/repro/*.py | wc -l)"
+
+# The measurement behind crypto.chacha.LANE_MIN_BLOCKS: N x {reference,
+# wide, lanes} us per call and the break-even (docs/perf.md quotes this
+# table). Fails only if the three functions disagree; timings are
+# reported, not gated.
+chacha-cutover:
+	$(PYTHON) tools/chacha_cutover.py
 
 # CI smoke: seconds-scale perf matrix (two workers: also exercises the
 # parallel executor) + soft-gated comparison against the committed

@@ -6,8 +6,9 @@ secure engine; only access *patterns* remain observable, which is what
 the ORAM then hides. This package implements that boundary:
 
 - :mod:`repro.crypto.chacha` -- the ChaCha20 stream cipher (RFC 8439),
-  implemented from scratch -- a scalar block and a lane-parallel numpy
-  kernel for batches -- and validated against the RFC test vectors;
+  implemented from scratch -- the RFC's reference block plus a
+  wide-integer kernel for short batches and a lane-parallel numpy
+  kernel for long ones -- and validated against the RFC test vectors;
 - :mod:`repro.crypto.auth` -- keyed block authentication (HMAC-SHA256
   tags with domain separation per slot address and version);
 - :mod:`repro.crypto.engine` -- the seal/open engine combining both,

@@ -7,15 +7,20 @@ ARX (add/rotate/xor) so a dependency-free implementation stays short,
 and RFC 8439 ships official test vectors the test suite checks this
 code against.
 
-Two implementations of the same block function live here, pinned to
+Three implementations of the same block function live here, pinned to
 the RFC vectors and to each other by the tests:
 
-- :meth:`ChaCha20.block` -- the scalar reference: one block, plain
-  Python integers, the 20 rounds unrolled over local variables;
+- :meth:`ChaCha20.block` -- the reference: one block, the quarter
+  round of RFC 8439 2.1 looped as in 2.3. On no data path; the two
+  kernels below are checked against it;
+- :func:`keystream_wide` -- the wide-integer kernel: each state row is
+  one Python int holding every block's four words in 64-bit lanes, so
+  its ~900 int operations cost little more for a handful of blocks
+  than for one (a single slot, a readPath's opens, one reshuffle);
 - :func:`keystream_lanes` -- the lane-parallel kernel: N independent
   ``(nonce, counter)`` blocks at once on numpy ``uint32`` rows. Its
   cost is a fixed few hundred numpy calls whatever N is, so it wins
-  from :data:`LANE_MIN_BLOCKS` blocks up and loses below.
+  from :data:`LANE_MIN_BLOCKS` blocks up (evictPath, warm fill).
 
 Only encryption/keystream generation is provided (stream ciphers are
 symmetric: decryption is the same XOR).
@@ -24,7 +29,8 @@ symmetric: decryption is the same XOR).
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,10 +41,12 @@ KEY_BYTES = 32
 NONCE_BYTES = 12
 BLOCK_BYTES = 64
 
-#: Batches of at least this many blocks go through the lane kernel.
-#: Measured (docs/perf.md): one kernel call costs ~220 us from N=1 to
-#: N=100, a scalar block ~70 us, so the two break even between 3 and 4.
-LANE_MIN_BLOCKS = 4
+#: Batches of at least this many blocks go through the lane kernel,
+#: shorter ones through the wide kernel. Measured by
+#: ``tools/chacha_cutover.py`` (docs/perf.md): a lane-kernel call costs
+#: ~215 us from N=1 to N=48, a wide-kernel call 35 us at N=1 growing
+#: ~5 us per block, so the two break even at about 40.
+LANE_MIN_BLOCKS = 40
 
 
 def _check_key(key: bytes) -> None:
@@ -54,6 +62,37 @@ def _check_nonce(nonce: bytes) -> None:
 def _check_counter(counter: int) -> None:
     if not 0 <= counter <= _MASK:
         raise ValueError(f"counter out of range: {counter}")
+
+
+def _check_lanes(
+    key: bytes, nonces: Sequence[bytes], counters: Sequence[int]
+) -> int:
+    """Validate one kernel call's arguments; returns the block count."""
+    _check_key(key)
+    n = len(nonces)
+    if len(counters) != n:
+        raise ValueError(f"{n} nonces but {len(counters)} counters")
+    for nonce in nonces:
+        _check_nonce(nonce)
+    for counter in counters:
+        _check_counter(counter)
+    return n
+
+
+def _rotl(v: int, n: int) -> int:
+    return ((v << n) | (v >> (32 - n))) & _MASK
+
+
+def _quarter_round(x: List[int], a: int, b: int, c: int, d: int) -> None:
+    """RFC 8439 2.1 on words ``a, b, c, d`` of the state ``x``."""
+    x[a] = (x[a] + x[b]) & _MASK
+    x[d] = _rotl(x[d] ^ x[a], 16)
+    x[c] = (x[c] + x[d]) & _MASK
+    x[b] = _rotl(x[b] ^ x[c], 12)
+    x[a] = (x[a] + x[b]) & _MASK
+    x[d] = _rotl(x[d] ^ x[a], 8)
+    x[c] = (x[c] + x[d]) & _MASK
+    x[b] = _rotl(x[b] ^ x[c], 7)
 
 
 class ChaCha20:
@@ -72,125 +111,19 @@ class ChaCha20:
     def block(self, counter: int) -> bytes:
         """The 64-byte keystream block at ``counter`` (RFC 8439 2.3)."""
         _check_counter(counter)
-        m = _MASK
-        s0, s1, s2, s3 = _CONSTANTS
-        s4, s5, s6, s7, s8, s9, s10, s11 = self._key_words
-        s12 = counter
-        s13, s14, s15 = self._nonce_words
-        x0, x1, x2, x3, x4, x5, x6, x7 = s0, s1, s2, s3, s4, s5, s6, s7
-        x8, x9, x10, x11, x12, x13, x14, x15 = (
-            s8, s9, s10, s11, s12, s13, s14, s15
-        )
-        # 20 rounds: 10 column+diagonal double rounds, each quarter
-        # round (a += b; d ^= a; d <<<= 16; c += d; b ^= c; b <<<= 12;
-        # a += b; d ^= a; d <<<= 8; c += d; b ^= c; b <<<= 7) written
-        # out over locals -- no list indexing, no helper calls.
-        for _ in range(10):
-            # column round
-            x0 = (x0 + x4) & m
-            x12 ^= x0
-            x12 = ((x12 << 16) & m) | (x12 >> 16)
-            x8 = (x8 + x12) & m
-            x4 ^= x8
-            x4 = ((x4 << 12) & m) | (x4 >> 20)
-            x0 = (x0 + x4) & m
-            x12 ^= x0
-            x12 = ((x12 << 8) & m) | (x12 >> 24)
-            x8 = (x8 + x12) & m
-            x4 ^= x8
-            x4 = ((x4 << 7) & m) | (x4 >> 25)
-            x1 = (x1 + x5) & m
-            x13 ^= x1
-            x13 = ((x13 << 16) & m) | (x13 >> 16)
-            x9 = (x9 + x13) & m
-            x5 ^= x9
-            x5 = ((x5 << 12) & m) | (x5 >> 20)
-            x1 = (x1 + x5) & m
-            x13 ^= x1
-            x13 = ((x13 << 8) & m) | (x13 >> 24)
-            x9 = (x9 + x13) & m
-            x5 ^= x9
-            x5 = ((x5 << 7) & m) | (x5 >> 25)
-            x2 = (x2 + x6) & m
-            x14 ^= x2
-            x14 = ((x14 << 16) & m) | (x14 >> 16)
-            x10 = (x10 + x14) & m
-            x6 ^= x10
-            x6 = ((x6 << 12) & m) | (x6 >> 20)
-            x2 = (x2 + x6) & m
-            x14 ^= x2
-            x14 = ((x14 << 8) & m) | (x14 >> 24)
-            x10 = (x10 + x14) & m
-            x6 ^= x10
-            x6 = ((x6 << 7) & m) | (x6 >> 25)
-            x3 = (x3 + x7) & m
-            x15 ^= x3
-            x15 = ((x15 << 16) & m) | (x15 >> 16)
-            x11 = (x11 + x15) & m
-            x7 ^= x11
-            x7 = ((x7 << 12) & m) | (x7 >> 20)
-            x3 = (x3 + x7) & m
-            x15 ^= x3
-            x15 = ((x15 << 8) & m) | (x15 >> 24)
-            x11 = (x11 + x15) & m
-            x7 ^= x11
-            x7 = ((x7 << 7) & m) | (x7 >> 25)
-            # diagonal round
-            x0 = (x0 + x5) & m
-            x15 ^= x0
-            x15 = ((x15 << 16) & m) | (x15 >> 16)
-            x10 = (x10 + x15) & m
-            x5 ^= x10
-            x5 = ((x5 << 12) & m) | (x5 >> 20)
-            x0 = (x0 + x5) & m
-            x15 ^= x0
-            x15 = ((x15 << 8) & m) | (x15 >> 24)
-            x10 = (x10 + x15) & m
-            x5 ^= x10
-            x5 = ((x5 << 7) & m) | (x5 >> 25)
-            x1 = (x1 + x6) & m
-            x12 ^= x1
-            x12 = ((x12 << 16) & m) | (x12 >> 16)
-            x11 = (x11 + x12) & m
-            x6 ^= x11
-            x6 = ((x6 << 12) & m) | (x6 >> 20)
-            x1 = (x1 + x6) & m
-            x12 ^= x1
-            x12 = ((x12 << 8) & m) | (x12 >> 24)
-            x11 = (x11 + x12) & m
-            x6 ^= x11
-            x6 = ((x6 << 7) & m) | (x6 >> 25)
-            x2 = (x2 + x7) & m
-            x13 ^= x2
-            x13 = ((x13 << 16) & m) | (x13 >> 16)
-            x8 = (x8 + x13) & m
-            x7 ^= x8
-            x7 = ((x7 << 12) & m) | (x7 >> 20)
-            x2 = (x2 + x7) & m
-            x13 ^= x2
-            x13 = ((x13 << 8) & m) | (x13 >> 24)
-            x8 = (x8 + x13) & m
-            x7 ^= x8
-            x7 = ((x7 << 7) & m) | (x7 >> 25)
-            x3 = (x3 + x4) & m
-            x14 ^= x3
-            x14 = ((x14 << 16) & m) | (x14 >> 16)
-            x9 = (x9 + x14) & m
-            x4 ^= x9
-            x4 = ((x4 << 12) & m) | (x4 >> 20)
-            x3 = (x3 + x4) & m
-            x14 ^= x3
-            x14 = ((x14 << 8) & m) | (x14 >> 24)
-            x9 = (x9 + x14) & m
-            x4 ^= x9
-            x4 = ((x4 << 7) & m) | (x4 >> 25)
+        state = [*_CONSTANTS, *self._key_words, counter, *self._nonce_words]
+        x = list(state)
+        for _ in range(10):  # 20 rounds: 10 column+diagonal double rounds
+            _quarter_round(x, 0, 4, 8, 12)
+            _quarter_round(x, 1, 5, 9, 13)
+            _quarter_round(x, 2, 6, 10, 14)
+            _quarter_round(x, 3, 7, 11, 15)
+            _quarter_round(x, 0, 5, 10, 15)
+            _quarter_round(x, 1, 6, 11, 12)
+            _quarter_round(x, 2, 7, 8, 13)
+            _quarter_round(x, 3, 4, 9, 14)
         return struct.pack(
-            "<16I",
-            (x0 + s0) & m, (x1 + s1) & m, (x2 + s2) & m, (x3 + s3) & m,
-            (x4 + s4) & m, (x5 + s5) & m, (x6 + s6) & m, (x7 + s7) & m,
-            (x8 + s8) & m, (x9 + s9) & m, (x10 + s10) & m, (x11 + s11) & m,
-            (x12 + s12) & m, (x13 + s13) & m, (x14 + s14) & m,
-            (x15 + s15) & m,
+            "<16I", *[(w + s) & _MASK for w, s in zip(x, state)]
         )
 
     def keystream(self, length: int, counter: int = 0) -> bytes:
@@ -220,6 +153,104 @@ def _xor_bytes(data: bytes, keystream: bytes) -> bytes:
 def chacha20_xor(key: bytes, nonce: bytes, data: bytes, counter: int = 0) -> bytes:
     """One-shot ChaCha20 encryption/decryption."""
     return ChaCha20(key, nonce).xor(data, counter)
+
+
+# ------------------------------------------------------------ wide kernel
+
+_LANE_PAD = bytes(4)  # the upper half of a 64-bit lane
+
+
+def _uniform_row(words: bytes, n: int) -> int:
+    """The state row holding the four 32-bit ``words`` in all ``n`` blocks.
+
+    A row is one int of ``4 * n`` 64-bit lanes, column-major: word
+    ``col`` of block ``i`` is the low half of lane ``col * n + i``.
+    """
+    return int.from_bytes(
+        b"".join((words[i:i + 4] + _LANE_PAD) * n for i in (0, 4, 8, 12)),
+        "little",
+    )
+
+
+@lru_cache(maxsize=LANE_MIN_BLOCKS)
+def _wide_consts(n: int) -> Tuple[int, ...]:
+    """What the wide kernel needs that depends on N alone: the mask of
+    every lane's low half, the constants row, and the shift and low-bits
+    mask that rotate a row left by one, two and three columns."""
+    col = 64 * n
+    return (
+        _uniform_row(b"\xff" * 16, n),
+        _uniform_row(struct.pack("<4I", *_CONSTANTS), n),
+        col, 2 * col, 3 * col,
+        (1 << col) - 1, (1 << 2 * col) - 1, (1 << 3 * col) - 1,
+    )
+
+
+def _wide_quarter_rounds(a: int, b: int, c: int, d: int, m: int):
+    """Four quarter rounds in every block: one per column of the rows.
+
+    Lane-wise ``mod 2**32`` arithmetic on whole rows: a lane's zero
+    upper half takes the carry of an add and the spill of a shift
+    (from this lane going up, from the next one coming down), and the
+    mask clears it again.
+    """
+    a = (a + b) & m
+    d ^= a
+    d = ((d << 16) | (d >> 16)) & m
+    c = (c + d) & m
+    b ^= c
+    b = ((b << 12) | (b >> 20)) & m
+    a = (a + b) & m
+    d ^= a
+    d = ((d << 8) | (d >> 24)) & m
+    c = (c + d) & m
+    b ^= c
+    b = ((b << 7) | (b >> 25)) & m
+    return a, b, c, d
+
+
+def keystream_wide(
+    key: bytes, nonces: Sequence[bytes], counters: Sequence[int]
+) -> bytes:
+    """:func:`keystream_lanes` on Python ints: same arguments, same bytes.
+
+    Each of the four state rows is one int (see :func:`_uniform_row`),
+    so the 20 rounds are ~900 int operations whatever N is, and CPython
+    does a 256-bit operation at nearly the price of a 32-bit one: about
+    35 us for one block, 46 for four. The cost grows with the row width
+    and passes the lane kernel's flat one at :data:`LANE_MIN_BLOCKS`.
+    """
+    n = _check_lanes(key, nonces, counters)
+    if not n:
+        return b""
+    m, a0, s1, s2, s3, low1, low2, low3 = _wide_consts(n)
+    b0 = _uniform_row(key[:16], n)
+    c0 = _uniform_row(key[16:], n)
+    words = struct.unpack(f"<{3 * n}I", b"".join(nonces))
+    d0 = int.from_bytes(
+        struct.pack(f"<{4 * n}Q", *counters,
+                    *words[0::3], *words[1::3], *words[2::3]),
+        "little",
+    )
+    a, b, c, d = a0, b0, c0, d0
+    for _ in range(10):
+        a, b, c, d = _wide_quarter_rounds(a, b, c, d, m)
+        # Line the diagonals up as columns: row r left by r columns.
+        b = (b >> s1) | ((b & low1) << s3)
+        c = (c >> s2) | ((c & low2) << s2)
+        d = (d >> s3) | ((d & low3) << s1)
+        a, b, c, d = _wide_quarter_rounds(a, b, c, d, m)
+        b = (b >> s3) | ((b & low3) << s1)
+        c = (c >> s2) | ((c & low2) << s2)
+        d = (d >> s1) | ((d & low1) << s3)
+    # 16 * n lanes, word w of block i at w * n + i; out block by block.
+    lanes = struct.unpack(f"<{16 * n}Q", b"".join(
+        ((x + x0) & m).to_bytes(32 * n, "little")
+        for x, x0 in ((a, a0), (b, b0), (c, c0), (d, d0))
+    ))
+    return struct.pack(
+        f"<{16 * n}I", *[w for i in range(n) for w in lanes[i::n]]
+    )
 
 
 # ------------------------------------------------------------ lane kernel
@@ -278,14 +309,7 @@ def keystream_lanes(
     :func:`_quarter_rounds` call over all lanes and a diagonal round is
     the same call between two row rotations.
     """
-    _check_key(key)
-    n = len(nonces)
-    if len(counters) != n:
-        raise ValueError(f"{n} nonces but {len(counters)} counters")
-    for nonce in nonces:
-        _check_nonce(nonce)
-    for counter in counters:
-        _check_counter(counter)
+    n = _check_lanes(key, nonces, counters)
     if not n:
         return b""
     init = np.empty((16, n), dtype=np.uint32)
@@ -311,9 +335,9 @@ def xor_blocks(
 ) -> List[bytes]:
     """Encrypt/decrypt one 64B block per nonce (each at counter 0).
 
-    The batch form of ``ChaCha20(key, nonce).xor(block)``: short
-    batches loop the scalar block, longer ones share one lane-kernel
-    call. Both produce the same bytes.
+    The batch form of ``ChaCha20(key, nonce).xor(block)``: batches
+    under :data:`LANE_MIN_BLOCKS` share one wide-kernel call, longer
+    ones one lane-kernel call. Both produce the same bytes.
     """
     n = len(blocks)
     if len(nonces) != n:
@@ -323,10 +347,6 @@ def xor_blocks(
             raise ValueError(
                 f"blocks must be {BLOCK_BYTES} bytes, got {len(block)}"
             )
-    if n < LANE_MIN_BLOCKS:
-        return [
-            ChaCha20(key, nonce).xor(block)
-            for nonce, block in zip(nonces, blocks)
-        ]
-    out = _xor_bytes(b"".join(blocks), keystream_lanes(key, nonces, [0] * n))
+    kernel = keystream_wide if n < LANE_MIN_BLOCKS else keystream_lanes
+    out = _xor_bytes(b"".join(blocks), kernel(key, nonces, [0] * n))
     return [out[i:i + BLOCK_BYTES] for i in range(0, len(out), BLOCK_BYTES)]

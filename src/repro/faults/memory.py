@@ -61,7 +61,7 @@ class FaultyMemory:
 
     def _snapshot(self, key: SlotKey) -> Optional[SlotSnapshot]:
         """The sealed triple a seal of ``key`` is about to overwrite."""
-        return self.inner.snapshot_slot(*key) if key in self.inner._tags else None
+        return self.inner.snapshot_slot(*key) if self.inner.is_sealed(*key) else None
 
     def _drops(self, op: int, key: SlotKey, prev: Optional[SlotSnapshot]) -> bool:
         """Whether the plan drops this seal (a first write cannot be:
@@ -158,7 +158,7 @@ class FaultyMemory:
         was never sealed (the ``KeyError`` must surface at this op)."""
         return (
             (self._outage is not None and self._outage[0] == key)
-            or key not in self.inner._tags
+            or not self.inner.is_sealed(*key)
             or (self.armed
                 and self.plan.pick_open_fault(op, *key) is not None)
         )

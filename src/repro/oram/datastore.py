@@ -87,7 +87,15 @@ class EncryptedTreeStore:
         self.engine = SecureBlockEngine(master_key)
         self._memory = bytearray(self.layout.data_bytes)
         self._version = np.zeros((cfg.n_buckets, cfg.z_max), dtype=np.uint32)
-        self._tags: Dict[Tuple[int, int], bytes] = {}
+        # Tags in one flat table, slot (b, s) at (b * z_max + s) *
+        # tag_bytes, so a bucket's tags are one slice. A never-sealed
+        # slot's tag is zero bytes (what the content digest has always
+        # hashed in its place); the mask tells it from a sealed one.
+        self._z_max = cfg.z_max
+        self._tag_bytes = self.engine.tag_bytes
+        self._tags = bytearray(cfg.n_buckets * self._z_max * self._tag_bytes)
+        self._sealed = bytearray(cfg.n_buckets * self._z_max)
+        self._z_by_level = [g.z_total for g in cfg.geometry]
         self.integrity: Optional[BucketMerkleTree] = (
             BucketMerkleTree(cfg.levels) if with_integrity else None
         )
@@ -101,6 +109,22 @@ class EncryptedTreeStore:
     def _offset(self, bucket: int, slot: int) -> int:
         return self.layout.data_addr(bucket, slot) - self.layout.base_addr
 
+    def is_sealed(self, bucket: int, slot: int) -> bool:
+        """Whether the slot has ever been sealed (and so can be opened)."""
+        return bool(self._sealed[bucket * self._z_max + slot])
+
+    def _tag(self, bucket: int, slot: int) -> bytes:
+        """The slot's MAC tag; ``KeyError`` for a slot never sealed."""
+        i = bucket * self._z_max + slot
+        if not self._sealed[i]:
+            raise KeyError(f"slot {(bucket, slot)} was never sealed")
+        return bytes(self._tags[i * self._tag_bytes:(i + 1) * self._tag_bytes])
+
+    def _set_tag(self, bucket: int, slot: int, tag: bytes) -> None:
+        i = bucket * self._z_max + slot
+        self._tags[i * self._tag_bytes:(i + 1) * self._tag_bytes] = tag
+        self._sealed[i] = 1
+
     def seal_slot(self, bucket: int, slot: int, plaintext: bytes) -> None:
         """Encrypt + authenticate one slot and update the Merkle path."""
         plaintext = pad_block(plaintext, self.cfg.block_bytes)
@@ -110,7 +134,7 @@ class EncryptedTreeStore:
         ciphertext, tag = self.engine.seal(addr, version, plaintext)
         off = self._offset(bucket, slot)
         self._memory[off:off + self.cfg.block_bytes] = ciphertext
-        self._tags[(bucket, slot)] = tag
+        self._set_tag(bucket, slot, tag)
         self._sealed_buckets.add(bucket)
         if self.integrity is not None:
             self.integrity.update_bucket(bucket, self._content_digest(bucket))
@@ -166,7 +190,7 @@ class EncryptedTreeStore:
         ):
             off = addr - base
             self._memory[off:off + bb] = ciphertext
-            self._tags[(bucket, slot)] = tag
+            self._set_tag(bucket, slot, tag)
         buckets = {bucket for bucket, _, _ in items}
         self._sealed_buckets |= buckets
         if self.integrity is not None:
@@ -180,9 +204,7 @@ class EncryptedTreeStore:
 
     def open_slot(self, bucket: int, slot: int) -> bytes:
         """Verify (MAC + Merkle) and decrypt one slot."""
-        key = (bucket, slot)
-        if key not in self._tags:
-            raise KeyError(f"slot {key} was never sealed")
+        tag = self._tag(bucket, slot)
         if self.integrity is not None:
             # Recomputing the content digest from the (untrusted) tags
             # and versions just fetched catches dropped writes whose
@@ -195,7 +217,7 @@ class EncryptedTreeStore:
         ciphertext = bytes(self._memory[off:off + self.cfg.block_bytes])
         version = int(self._version[bucket, slot])
         self.opens += 1
-        return self.engine.open(addr, version, ciphertext, self._tags[key])
+        return self.engine.open(addr, version, ciphertext, tag)
 
     def open_many(
         self, slots: Sequence[Tuple[int, int]]
@@ -213,9 +235,7 @@ class EncryptedTreeStore:
         """
         if not slots:
             return []
-        for key in slots:
-            if key not in self._tags:
-                raise KeyError(f"slot {key} was never sealed")
+        tags = [self._tag(bucket, slot) for bucket, slot in slots]
         bb = self.cfg.block_bytes
         base = self.layout.base_addr
         broken: Dict[int, IntegrityError] = {}
@@ -240,7 +260,7 @@ class EncryptedTreeStore:
                 addr,
                 int(self._version[bucket, slot]),
                 bytes(self._memory[off:off + bb]),
-                self._tags[(bucket, slot)],
+                tags[i],
             ))
         self.opens += len(intact)
         for i, outcome in zip(intact, self.engine.open_many(requests)):
@@ -251,14 +271,12 @@ class EncryptedTreeStore:
 
     def _content_digest(self, bucket: int) -> bytes:
         """Digest of a bucket's tags + versions (Merkle leaf content)."""
-        z = self.cfg.geometry[
-            (bucket + 1).bit_length() - 1
-        ].z_total
-        h = hashlib.sha256()
-        h.update(self._version[bucket, :z].tobytes())
-        for s in range(z):
-            h.update(self._tags.get((bucket, s), b"\x00" * 8))
-        return h.digest()
+        z = self._z_by_level[(bucket + 1).bit_length() - 1]
+        at = bucket * self._z_max * self._tag_bytes
+        return hashlib.sha256(
+            self._version[bucket, :z].tobytes()
+            + self._tags[at:at + z * self._tag_bytes]
+        ).digest()
 
     def verify_path(self, leaf: int) -> None:
         """Verify one path's buckets end to end (readPath prefetch check).
@@ -285,12 +303,9 @@ class EncryptedTreeStore:
 
     def snapshot_slot(self, bucket: int, slot: int) -> SlotSnapshot:
         """Capture a slot's off-chip state (what an adversary could keep)."""
-        key = (bucket, slot)
-        if key not in self._tags:
-            raise KeyError(f"slot {key} was never sealed")
         return SlotSnapshot(
             ciphertext=self.raw_ciphertext(bucket, slot),
-            tag=self._tags[key],
+            tag=self._tag(bucket, slot),
             version=int(self._version[bucket, slot]),
         )
 
@@ -311,7 +326,7 @@ class EncryptedTreeStore:
         """
         off = self._offset(bucket, slot)
         self._memory[off:off + self.cfg.block_bytes] = snap.ciphertext
-        self._tags[(bucket, slot)] = snap.tag
+        self._set_tag(bucket, slot, snap.tag)
         if restore_version:
             self._version[bucket, slot] = snap.version
         if rehash and self.integrity is not None:

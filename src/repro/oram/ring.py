@@ -399,6 +399,14 @@ class RingOram:
             [] if self.observers else None
         )
         sink_items: List[Tuple[int, int, int, bool, bool]] = []
+        # Sealed path: the real blocks this read returns (the target,
+        # every green block) as ``(block, bucket, slot)`` in level
+        # order, opened as one batch once the block pass has chosen
+        # them -- nothing on a path read seals, so the bytes are the
+        # ones a per-level open would see.
+        opens: Optional[List[Tuple[int, int, int]]] = (
+            None if self.datastore is None else []
+        )
         # Consumes of the inlined no-rental paths are deferred into one
         # batched write-back; each bucket appears at most once, nothing
         # in the loop reads the affected state (observers only get the
@@ -408,14 +416,14 @@ class RingOram:
         cons_s: List[int] = []
         integers = self.rng.integers
         observers = self.observers
-        datastore = self.datastore
         item = rows.item
         has_rentals = ext.has_rentals if ext is not None else None
         for lv, b in enumerate(buckets):
             if b == target_bucket:
                 if target_remote is not None:
                     hb, hs = target_remote
-                    self._capture_payload(target, hb, hs)
+                    if opens is not None:
+                        opens.append((target, hb, hs))
                     blockval = ext.consume_remote(b, target_remote)
                     hlv = store.level(hb)
                     self._notify_dead(hb, hs, hlv)
@@ -423,7 +431,8 @@ class RingOram:
                     if reads is not None:
                         reads.append((b, hs, hlv, True))
                 else:
-                    self._capture_payload(target, b, target_slot)
+                    if opens is not None:
+                        opens.append((target, b, target_slot))
                     blockval = target
                     cons_b.append(b)
                     cons_s.append(target_slot)
@@ -469,8 +478,8 @@ class RingOram:
                     )
                 slot = green_slot[gstarts[lv] + int(integers(n_g))]
                 blockval = item(lv, slot)
-                if datastore is not None:
-                    self._capture_payload(blockval, b, slot)
+                if opens is not None:
+                    opens.append((blockval, b, slot))
                 cons_b.append(b)
                 cons_s.append(slot)
                 for obs in observers:
@@ -481,13 +490,19 @@ class RingOram:
                 self.stash.add(blockval, self.posmap.peek(blockval))
                 continue
             self._read_nontarget(
-                b, lv, reads, sink_items,
+                b, lv, reads, sink_items, opens,
                 n_d,
                 dummy_slot[dstarts[lv]:dstarts[lv + 1]],
                 rows[lv],
             )
         if cons_b:
             store.consume_path(cons_b, cons_s)
+        if opens:
+            # Admitted before the block reads are issued, where the
+            # per-level opens sat: a retry stall extends the same
+            # phase, quarantines queue in level order.
+            for one in self._open_residents(opens):
+                self._admit_payload(*one)
         sink.data_access_many(sink_items, write=False)
         # -- metadata write-back
         sink.metadata_access_many(meta_items, write=True, blocks=mblocks)
@@ -504,6 +519,7 @@ class RingOram:
         lv: int,
         reads: Optional[List[Tuple[int, int, int, bool]]],
         sink_items: List[Tuple[int, int, int, bool, bool]],
+        opens: Optional[List[Tuple[int, int, int]]],
         n_local_dummies: int,
         local_dummies: List[int],
         row: np.ndarray,
@@ -515,7 +531,8 @@ class RingOram:
         whose block spills to the stash). The sustain accounting
         guarantees at least one valid slot exists. ``local_dummies``
         and ``row`` come from the caller's whole-path snapshot; the
-        memory touch goes into ``sink_items`` for the caller's batch.
+        memory touch goes into ``sink_items`` and a green block's
+        sealed slot into ``opens`` for the caller's batches.
         """
         store = self.store
         treetop = self.cfg.treetop_levels
@@ -561,9 +578,9 @@ class RingOram:
         pick = int(self.rng.integers(n_greens))
         if pick < local_greens.size:
             slot = int(local_greens[pick])
-            if self.datastore is not None:
-                self._capture_payload(int(store.slots[b, slot]), b, slot)
             blockval = store.consume(b, slot)
+            if opens is not None:
+                opens.append((blockval, b, slot))
             self._notify_dead(b, slot, lv)
             sink_items.append((b, slot, lv, onchip, False))
             if reads is not None:
@@ -572,9 +589,9 @@ class RingOram:
             i = remote_greens[pick - local_greens.size]
             host = (hb_row.item(i), hs_row.item(i))
             hb, hs = host
-            if self.datastore is not None:
-                self._capture_payload(citem(i), hb, hs)
             blockval = self.ext.consume_remote(b, host)
+            if opens is not None:
+                opens.append((blockval, hb, hs))
             hlv = store.level(hb)
             self._notify_dead(hb, hs, hlv)
             sink_items.append((hb, hs, hlv, hlv < treetop, True))
@@ -592,28 +609,30 @@ class RingOram:
             self._evict_path()
         self._background_evict()
 
-    def _sealed_residents(
-        self, b: int
-    ) -> Tuple[List[int], List[Tuple[int, int]]]:
-        """``b``'s real blocks and the sealed slots holding them.
+    def _sealed_residents(self, b: int) -> List[Tuple[int, int, int]]:
+        """``b``'s real blocks with the sealed slots holding them, as
+        ``(block, bucket, slot)``.
 
         Local slots in ascending order, then unconsumed remote slots in
         rental order: the order ``_collect_residents`` admits them in.
         """
         slots = self.store.valid_real_slots(b).tolist()
-        blocks = self.store.row(b)[slots].tolist()
-        where = [(b, slot) for slot in slots]
+        residents = [
+            (block, b, slot)
+            for block, slot in zip(self.store.row(b)[slots].tolist(), slots)
+        ]
         if self.ext is not None:
-            for hb, hs, content in self.ext.rentals_of(b):
-                if content >= 0:
-                    blocks.append(content)
-                    where.append((hb, hs))
-        return blocks, where
+            residents += [
+                (content, hb, hs)
+                for hb, hs, content in self.ext.rentals_of(b) if content >= 0
+            ]
+        return residents
 
     def _open_residents(
-        self, blocks: List[int], where: List[Tuple[int, int]]
+        self, residents: List[Tuple[int, int, int]]
     ) -> Iterator[_Opened]:
-        """One datastore open batch over ``where``, paired with its blocks.
+        """One datastore open batch over ``(block, bucket, slot)`` items,
+        each handed on with its outcome.
 
         Lazy when the datastore's ``open_many`` is (``FaultyMemory``):
         an outcome is produced no earlier than the first outcome of its
@@ -622,10 +641,11 @@ class RingOram:
         that came back a ``TransientBackendError``; the wrapper plans
         the next run after them, so every op keeps its index.
         """
+        where = [(bucket, slot) for _, bucket, slot in residents]
         return (
-            (block, bucket, slot, outcome)
-            for block, (bucket, slot), outcome in zip(
-                blocks, where, self.datastore.open_many(where)
+            (*resident, outcome)
+            for resident, outcome in zip(
+                residents, self.datastore.open_many(where)
             )
         )
 
@@ -656,9 +676,9 @@ class RingOram:
         residents = blocks.tolist()
         if self.datastore is not None:
             if opened is None:
-                opened = self._open_residents(*self._sealed_residents(b))
-            for block, bucket, slot, outcome in opened:
-                self._admit_payload(block, bucket, slot, outcome)
+                opened = self._open_residents(self._sealed_residents(b))
+            for one in opened:
+                self._admit_payload(*one)
         if ext is not None:
             remote_reals, released = ext.reclaim(b)
             residents.extend(remote_reals)
@@ -769,14 +789,12 @@ class RingOram:
         opened: Optional[Iterator[_Opened]] = None
         shares: List[int] = []
         if self.datastore is not None:
-            blocks: List[int] = []
-            where: List[Tuple[int, int]] = []
+            residents: List[Tuple[int, int, int]] = []
             for b in buckets:
-                b_blocks, b_where = self._sealed_residents(b)
-                blocks += b_blocks
-                where += b_where
-                shares.append(len(b_blocks))
-            opened = self._open_residents(blocks, where)
+                share = self._sealed_residents(b)
+                residents += share
+                shares.append(len(share))
+            opened = self._open_residents(residents)
         # Metadata is reported bucket by bucket, not as one path batch:
         # each bucket's record is read right before its blocks and
         # written right after them, and that issue order is timing.
@@ -957,12 +975,6 @@ class RingOram:
     def _notify_dead(self, b: int, slot: int, lv: int) -> None:
         for obs in self.observers:
             obs.on_slot_dead(b, slot, lv)
-
-    def _capture_payload(self, block: int, bucket: int, slot: int) -> None:
-        """Decrypt+verify a consumed real block into the stash payloads."""
-        if self.datastore is None or block < 0:
-            return
-        self._admit_payload(block, bucket, slot, self._try_open(bucket, slot))
 
     def _try_open(self, bucket: int, slot: int) -> Union[bytes, Exception]:
         """One scalar open, its failure returned the way a batch does."""

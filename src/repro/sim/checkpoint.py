@@ -26,7 +26,11 @@ from repro.sim.engine import Simulation
 
 PathLike = Union[str, Path]
 
-CHECKPOINT_FORMAT = 1
+#: Bumped whenever the pickled layout of anything inside a Simulation
+#: moves, so an older file is refused here instead of failing later on
+#: a missing attribute. 2: the sealed store's tags are a flat table
+#: plus a sealed mask (was a dict).
+CHECKPOINT_FORMAT = 2
 _MAGIC = "repro-sim-checkpoint"
 
 

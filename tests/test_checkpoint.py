@@ -4,16 +4,21 @@ import pickle
 
 import pytest
 
+from conftest import sealed_store_state
+
 from repro.core import schemes as schemes_mod
+from repro.crypto import chacha
 from repro.faults.plan import FaultPlan
 from repro.oram.recovery import RobustnessConfig
-from repro.sim.checkpoint import load_checkpoint, save_checkpoint
+from repro.sim.checkpoint import (
+    CHECKPOINT_FORMAT, load_checkpoint, save_checkpoint,
+)
 from repro.sim.engine import SimConfig, Simulation
 from repro.sim.runner import make_trace
 
 
-def _fresh(requests=120, fault_plan=None, robustness=None):
-    scheme = schemes_mod.by_name("ring", 7)
+def _fresh(requests=120, fault_plan=None, robustness=None, scheme="ring"):
+    scheme = schemes_mod.by_name(scheme, 7)
     trace = make_trace("spec", "mcf", scheme.n_real_blocks, requests, seed=0)
     sim = SimConfig(seed=0, robustness=robustness, fault_plan=fault_plan)
     return Simulation(scheme, trace, sim)
@@ -48,6 +53,37 @@ class TestCheckpointRoundtrip:
         result = load_checkpoint(path).run()
         assert result.to_dict() == baseline.to_dict()
 
+    def test_sealed_store_rides_the_checkpoint_kernel_cache_does_not(
+        self, tmp_path
+    ):
+        """A sealed, fault-armed ``ab`` run stopped mid-way: the flat
+        tag table and the sealed mask come back byte for byte and the
+        run finishes bit-identically, while the wide kernel's per-N
+        constants -- module state -- are neither in the file nor needed
+        from it."""
+        plan = FaultPlan(
+            seed=1, max_outage_ops=2,
+            rates={"bit_flip": 0.01, "replay": 0.01, "unavailable": 0.02},
+        )
+        rcfg = RobustnessConfig(integrity=True)
+        baseline = _fresh(fault_plan=plan, robustness=rcfg, scheme="ab").run()
+        assert baseline.robustness["counters"]["rebuilds"] > 0
+        sim = _fresh(fault_plan=plan, robustness=rcfg, scheme="ab")
+        for _ in range(70):
+            sim.step()
+        assert chacha._wide_consts.cache_info().currsize > 0
+        path = tmp_path / "ck.pkl"
+        save_checkpoint(sim, path)
+        lane_mask = b"\xff\xff\xff\xff\x00\x00\x00\x00"
+        assert lane_mask * 3 not in path.read_bytes()
+        chacha._wide_consts.cache_clear()
+        resumed = load_checkpoint(path)
+        assert sealed_store_state(resumed.datastore) == sealed_store_state(
+            sim.datastore
+        )
+        assert resumed.faulty.summary() == sim.faulty.summary()
+        assert resumed.run().to_dict() == baseline.to_dict()
+
     def test_run_emits_periodic_checkpoints(self, tmp_path):
         path = tmp_path / "ck.pkl"
         sim = _fresh()
@@ -76,17 +112,25 @@ class TestCheckpointValidation:
             load_checkpoint(path)
 
     def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "future.pkl"
-        path.write_bytes(pickle.dumps({
-            "magic": "repro-sim-checkpoint", "format": 99,
-        }))
-        with pytest.raises(ValueError, match="unsupported checkpoint format"):
-            load_checkpoint(path)
+        """A future format, and format 1: the sealed store's tags were
+        a dict then, so the file would load and the run die later on a
+        missing attribute."""
+        for fmt in (99, 1):
+            assert fmt != CHECKPOINT_FORMAT
+            path = tmp_path / f"format-{fmt}.pkl"
+            path.write_bytes(pickle.dumps({
+                "magic": "repro-sim-checkpoint", "format": fmt,
+                "simulation": _fresh(requests=1),
+            }))
+            with pytest.raises(
+                ValueError, match="unsupported checkpoint format"
+            ):
+                load_checkpoint(path)
 
     def test_non_simulation_payload_rejected(self, tmp_path):
         path = tmp_path / "shape.pkl"
         path.write_bytes(pickle.dumps({
-            "magic": "repro-sim-checkpoint", "format": 1,
+            "magic": "repro-sim-checkpoint", "format": CHECKPOINT_FORMAT,
             "simulation": "not a Simulation",
         }))
         with pytest.raises(ValueError, match="expected Simulation"):

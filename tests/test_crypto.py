@@ -8,14 +8,19 @@ raise.
 """
 
 import hashlib
+import importlib.util
 import pickle
 import struct
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.auth import AuthenticationError, BlockAuthenticator
 from repro.crypto.chacha import (
-    LANE_MIN_BLOCKS, ChaCha20, chacha20_xor, keystream_lanes, xor_blocks,
+    LANE_MIN_BLOCKS, ChaCha20, chacha20_xor, keystream_lanes, keystream_wide,
+    xor_blocks,
 )
 from repro.crypto.engine import SecureBlockEngine
 from repro.crypto.integrity import BucketMerkleTree, IntegrityError
@@ -140,10 +145,11 @@ class TestChaCha20Lanes:
             keystream_lanes(self.KEY, [b"n" * 12], [0, 1])
 
     @pytest.mark.parametrize(
-        "n", [0, 1, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 100]
+        "n", [0, 1, 3, 4, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 100]
     )
     def test_xor_blocks_matches_scalar_xor(self, n):
-        """Same bytes on both sides of the scalar/lanes cut-over."""
+        """Same bytes on both sides of the wide/lanes cut-over, and at
+        the 3-4 blocks a readPath batch holds."""
         nonces = [struct.pack("<QI", 64 * i, 3 * i) for i in range(n)]
         blocks = [bytes([i % 251]) * 64 for i in range(n)]
         assert xor_blocks(self.KEY, nonces, blocks) == [
@@ -156,6 +162,148 @@ class TestChaCha20Lanes:
             xor_blocks(self.KEY, [b"n" * 12], [b"short"])
         with pytest.raises(ValueError):
             xor_blocks(self.KEY, [b"n" * 12], [])
+
+
+class TestChaCha20Wide:
+    """The wide-integer kernel against the RFC vectors, the reference
+    block and the lane kernel: three functions, one keystream."""
+
+    KEY = bytes(range(32))
+
+    def test_block_function_vector(self):
+        """RFC 8439 section 2.3.2, one block."""
+        nonce = bytes.fromhex("000000090000004a00000000")
+        assert keystream_wide(self.KEY, [nonce], [1]) == bytes.fromhex(
+            "10f1e7e4d13b5915500fdd1fa32071c4"
+            "c7d1f4c733c068030422aa9ac3d46c4e"
+            "d2826446079faa0914c2d705d98b02a2"
+            "b5129cd1de164eb9cbd083e8a2503c4e"
+        )
+
+    def test_encryption_vector(self):
+        """RFC 8439 section 2.4.2: two blocks from counter 1."""
+        nonce = bytes.fromhex("000000000000004a00000000")
+        plaintext = (
+            b"Ladies and Gentlemen of the class of '99: If I could offer you "
+            b"only one tip for the future, sunscreen would be it."
+        )
+        keystream = keystream_wide(self.KEY, [nonce, nonce], [1, 2])
+        ciphertext = bytes(p ^ k for p, k in zip(plaintext, keystream))
+        assert ciphertext == bytes.fromhex(
+            "6e2e359a2568f98041ba0728dd0d6981"
+            "e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b357"
+            "1639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e"
+            "52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42"
+            "874d"
+        )
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 100]
+    )
+    def test_three_functions_one_keystream(self, n):
+        """Every block has its own nonce *and* counter."""
+        nonces = [struct.pack("<QI", 0x1000 + 64 * i, i + 1) for i in range(n)]
+        counters = [(i * 0x01000193 + 7) & 0xFFFFFFFF for i in range(n)]
+        if n:
+            counters[-1] = 0xFFFFFFFF
+        wide = keystream_wide(self.KEY, nonces, counters)
+        assert wide == b"".join(
+            ChaCha20(self.KEY, nonce).block(counter)
+            for nonce, counter in zip(nonces, counters)
+        )
+        assert wide == keystream_lanes(self.KEY, nonces, counters)
+
+    def test_all_ones_words_stay_in_their_lanes(self):
+        """Key, nonce and counter words all 0xFFFFFFFF: every add
+        carries and every rotate spills, in every lane at once."""
+        key, nonce, counter = b"\xff" * 32, b"\xff" * 12, 0xFFFFFFFF
+        block = ChaCha20(key, nonce).block(counter)
+        for n in (1, 2, 5):
+            assert keystream_wide(key, [nonce] * n, [counter] * n) == block * n
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 9),
+        first=st.booleans(),
+        key=st.sampled_from([bytes(32), b"\xff" * 32, bytes(range(32))]),
+        odd=st.integers(0, 8),
+        nonce=st.binary(min_size=12, max_size=12),
+        counter=st.integers(0, 0xFFFFFFFF),
+    )
+    def test_extreme_neighbours_do_not_leak(
+        self, n, first, key, odd, nonce, counter
+    ):
+        """Neighbouring lanes alternate all-zero / all-ones words (with
+        one arbitrary block among them): a carry or a shifted-out bit
+        crossing a lane boundary would change some block."""
+        extremes = [(bytes(12), 0), (b"\xff" * 12, 0xFFFFFFFF)]
+        lanes = [extremes[(i + first) % 2] for i in range(n)]
+        lanes[odd % n] = (nonce, counter)
+        nonces = [lane[0] for lane in lanes]
+        counters = [lane[1] for lane in lanes]
+        assert keystream_wide(key, nonces, counters) == b"".join(
+            ChaCha20(key, nc).block(ct) for nc, ct in lanes
+        )
+
+    @pytest.mark.parametrize("counter", [-1, 2**32])
+    def test_counter_range_as_the_lane_kernel(self, counter):
+        nonce = b"n" * 12
+        with pytest.raises(ValueError, match="counter out of range") as lanes:
+            keystream_lanes(self.KEY, [nonce, nonce], [0, counter])
+        with pytest.raises(ValueError, match="counter out of range") as wide:
+            keystream_wide(self.KEY, [nonce, nonce], [0, counter])
+        assert str(lanes.value) == str(wide.value)
+
+    @pytest.mark.parametrize("args", [
+        (b"short", [b"n" * 12], [0]),
+        (bytes(range(32)), [b"short"], [0]),
+        (bytes(range(32)), [b"n" * 12], [0, 1]),
+    ])
+    def test_arguments_validated_as_the_lane_kernel(self, args):
+        with pytest.raises(ValueError) as lanes:
+            keystream_lanes(*args)
+        with pytest.raises(ValueError) as wide:
+            keystream_wide(*args)
+        assert str(lanes.value) == str(wide.value)
+
+
+class TestCutoverTool:
+    """``tools/chacha_cutover.py``: the table behind LANE_MIN_BLOCKS."""
+
+    @pytest.fixture
+    def tool(self):
+        path = Path(__file__).resolve().parents[1] / "tools/chacha_cutover.py"
+        spec = importlib.util.spec_from_file_location("chacha_cutover", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    ARGS = ["--repeats", "1", "--budget-ms", "0.1", "--sizes", "1", "3"]
+
+    def test_prints_the_table_and_the_constant(self, tool, capsys):
+        assert tool.main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "reference" in out and "wide" in out and "lanes" in out
+        assert f"LANE_MIN_BLOCKS = {LANE_MIN_BLOCKS}" in out
+
+    def test_disagreement_on_one_lane_fails(self, tool, capsys, monkeypatch):
+        def wrong_last_lane(key, nonces, counters):
+            good = keystream_wide(key, nonces, counters)
+            return good[:-1] + bytes([good[-1] ^ 1])
+
+        monkeypatch.setattr(tool, "keystream_wide", wrong_last_lane)
+        assert tool.main(self.ARGS) == 1
+        assert "N=3: wide lane 2 differs" in capsys.readouterr().err
+
+    def test_break_even_needs_lanes_ahead_from_there_on(self, tool):
+        sizes = [1, 8, 32, 40, 48]
+        assert tool.break_even(sizes, [3, 6, 19, 21, 25], [20] * 5) == 40
+        # One noisy early win for lanes is not the break-even.
+        assert tool.break_even(sizes, [3, 21, 19, 21, 25], [20] * 5) == 40
+        assert tool.break_even(sizes, [3, 6, 9, 12, 15], [20] * 5) is None
 
 
 class TestChaCha20Api:
@@ -286,7 +434,7 @@ class TestSecureBlockEngine:
         with pytest.raises(ValueError):
             SecureBlockEngine(b"short")
 
-    @pytest.mark.parametrize("n", [0, 1, LANE_MIN_BLOCKS, 40])
+    @pytest.mark.parametrize("n", sorted({0, 1, 4, LANE_MIN_BLOCKS, 40}))
     def test_batch_equals_scalar(self, n):
         eng = SecureBlockEngine(b"master key bytes")
         items = [(64 * i, i + 1, bytes([i]) * 64) for i in range(n)]

@@ -1,6 +1,8 @@
 """Tests for the encrypted tree store and the end-to-end secure data
 path (controller + EncryptedTreeStore)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.remote import RemoteAllocator
 from repro.crypto.auth import AuthenticationError
 from repro.crypto.chacha import LANE_MIN_BLOCKS
 from repro.crypto.integrity import IntegrityError
+from repro.oram import tree as tree_mod
 from repro.oram.datastore import EncryptedTreeStore, pad_block
 from repro.oram.recovery import RobustnessConfig
 from repro.oram.ring import RingOram
@@ -88,19 +91,46 @@ class TestEncryptedTreeStore:
         """Restore a consistent old (ciphertext, tag, version) triple
         AND rebuild the hash chain: the on-chip root still disagrees."""
         store.seal_slot(3, 1, b"old")
-        old_ct = store.raw_ciphertext(3, 1)
-        old_tag = store._tags[(3, 1)]
-        old_ver = int(store._version[3, 1])
+        old = store.snapshot_slot(3, 1)
         store.seal_slot(3, 1, b"new")
         # Attacker restores everything off-chip, consistently.
-        off = store._offset(3, 1)
-        store._memory[off:off + 64] = old_ct
-        store._tags[(3, 1)] = old_tag
-        store._version[3, 1] = old_ver
-        store.integrity.tamper_content(3, store._content_digest(3))
-        store.integrity.tamper_rehash(3)
+        store.restore_slot(3, 1, old, restore_version=True, rehash=True)
+        assert store.snapshot_slot(3, 1) == old
         with pytest.raises(IntegrityError):
             store.open_slot(3, 1)
+
+    def test_content_digest_is_the_per_slot_loop_byte_for_byte(self, store):
+        """The flat tag table hashes exactly what the per-slot form did:
+        the version row, then each slot's tag, eight zero bytes for a
+        slot never sealed."""
+        cfg = store.cfg
+        store.seal_slot(3, 1, b"once")
+        store.seal_slot(3, 2, b"first")
+        stale = store.snapshot_slot(3, 2)
+        store.seal_slot(3, 2, b"resealed")
+        store.seal_slot(4, 0, b"old")
+        old = store.snapshot_slot(4, 0)
+        store.seal_slot(4, 0, b"new")
+        store.restore_slot(4, 0, old)
+        store.seal_many([(5, s, None) for s in range(cfg.z_max)])
+        assert store.snapshot_slot(3, 2).tag != stale.tag
+        assert store.snapshot_slot(4, 0).tag == old.tag
+        for bucket in (0, 3, 4, 5, cfg.n_buckets - 1):
+            z = cfg.z_total_at(tree_mod.level_of(bucket))
+            h = hashlib.sha256()
+            h.update(store._version[bucket, :z].tobytes())
+            for slot in range(z):
+                h.update(
+                    store.snapshot_slot(bucket, slot).tag
+                    if store.is_sealed(bucket, slot) else b"\x00" * 8
+                )
+            assert store._content_digest(bucket) == h.digest(), bucket
+
+    def test_is_sealed(self, store):
+        assert not store.is_sealed(3, 1)
+        store.seal_slot(3, 1, b"x")
+        assert store.is_sealed(3, 1)
+        assert not store.is_sealed(3, 0) and not store.is_sealed(3, 2)
 
     def test_without_integrity_tree(self, cfg_small):
         s = EncryptedTreeStore(cfg_small, KEY, with_integrity=False)
@@ -142,7 +172,9 @@ def _scalar_opens(store, slots):
 class TestBatchEqualsScalar:
     """``seal_many``/``open_many`` against the scalar calls they batch."""
 
-    SIZES = [0, 1, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 100]
+    # Both sides of the kernel cut-over, and the 3-4 slots of a
+    # readPath batch.
+    SIZES = [0, 1, 3, 4, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 100]
 
     def _pair(self, cfg, with_integrity=True):
         return [
@@ -166,7 +198,7 @@ class TestBatchEqualsScalar:
         assert batch.open_many(slots) == _scalar_opens(scalar, slots)
         assert _everything(batch) == _everything(scalar)
 
-    @pytest.mark.parametrize("n", [LANE_MIN_BLOCKS - 1, 40])
+    @pytest.mark.parametrize("n", [3, LANE_MIN_BLOCKS - 1, 40])
     @pytest.mark.parametrize("attack", ["payload", "version"])
     def test_tampered_slot_fails_alone(self, cfg_small, n, attack):
         batch, scalar = self._pair(cfg_small)
