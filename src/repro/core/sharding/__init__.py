@@ -2,47 +2,35 @@
 
 - :mod:`~repro.core.sharding.partition` -- the keyed-PRF partition map
   (block/key -> shard; the security-relevant piece).
-- :mod:`~repro.core.sharding.sharded` -- ``ShardedOram`` and the
-  partitioned trace simulator with its merged fleet ``sim`` block.
-- :mod:`~repro.core.sharding.fleet` -- the serving fleet: per-shard
-  worker processes, batched cross-shard routing, the kill-a-shard
-  drill.
+- :mod:`~repro.core.sharding.sharded` -- the partitioned trace
+  simulator with its merged fleet ``sim`` block.
 - :mod:`~repro.core.sharding.control` -- shard registration,
   heartbeats, and the health state machine.
 
-See ``docs/design/sharding.md`` for the partition-map security
-argument and the control-plane state diagram.
+The serving fleet built on these (per-shard worker processes, the
+kill-a-shard drill) is :mod:`repro.serve.fleet`: this package imports
+nothing from ``repro.serve``, and ``fleet.py`` here is only a
+compatibility import for the end-to-end benchmark. See
+``docs/design/sharding.md`` for the partition-map security argument
+and the control-plane state diagram.
 """
 
 from repro.core.sharding.control import (
     ControlPlane, ShardEvent, ShardHealth, heartbeat_events,
 )
-from repro.core.sharding.fleet import (
-    FleetConfig, KillShardDrill, ShardRouter, ShardedStack,
-    build_sharded_stack, run_fleet, shard_requests,
-)
 from repro.core.sharding.partition import PartitionMap
 from repro.core.sharding.sharded import (
-    ShardedOram, ShardedSimOutcome, levels_for_blocks, run_sharded_sim,
-    split_trace,
+    ShardedSimOutcome, levels_for_blocks, run_sharded_sim, split_trace,
 )
 
 __all__ = [
     "ControlPlane",
-    "FleetConfig",
-    "KillShardDrill",
     "PartitionMap",
     "ShardEvent",
     "ShardHealth",
-    "ShardRouter",
-    "ShardedOram",
     "ShardedSimOutcome",
-    "ShardedStack",
-    "build_sharded_stack",
     "heartbeat_events",
     "levels_for_blocks",
-    "run_fleet",
     "run_sharded_sim",
-    "shard_requests",
     "split_trace",
 ]

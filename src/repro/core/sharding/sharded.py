@@ -1,4 +1,4 @@
-"""``ShardedOram``: N independent AB-ORAM subtrees behind one map.
+"""The partitioned simulator: N independent AB-ORAM subtrees behind one map.
 
 Horizontal scale for the single-controller bottleneck: every logical
 block routes to one of N subtrees through the keyed-PRF
@@ -8,17 +8,13 @@ RNG stream and clock, and nothing is ever shared between shards -- so
 per-shard security arguments are untouched and shards can run in
 separate processes.
 
-Two layers live here:
-
-- :class:`ShardedOram` -- the in-process object: build N subtrees,
-  route ``access(block)`` calls, merge stats. Each shard's behaviour
-  is *identical by construction* to running that shard alone, because
-  the only cross-shard state is the stateless partition map.
-- :func:`run_sharded_sim` -- the harness form: partition a trace by
-  block id, simulate every shard independently (optionally over the
-  spawn pool of :mod:`repro.parallel`), and merge the per-shard
-  results into one fleet-level ``sim`` block where ``exec_ns`` is the
-  makespan (shards drain concurrently) and the counters are sums.
+:func:`run_sharded_sim` partitions a trace by block id, simulates
+every shard independently (optionally over the spawn pool of
+:mod:`repro.parallel`), and merges the per-shard results into one
+fleet-level ``sim`` block where ``exec_ns`` is the makespan (shards
+drain concurrently) and the counters are sums. Each shard's behaviour
+is *identical by construction* to running that shard alone, because
+the only cross-shard state is the stateless partition map.
 
 Because the partition covers the whole block universe -- not just the
 ids a trace touches -- each shard's local address space is dense and
@@ -30,12 +26,11 @@ subtree run at the smallest tree depth that fits its slice:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
 from repro.core import schemes as schemes_mod
-from repro.core.ab_oram import build_oram
 from repro.core.sharding.partition import PartitionMap
 from repro.parallel.executor import Cell, derive_seed, report_progress, run_cells
 from repro.sim.engine import SimConfig, simulate
@@ -55,77 +50,6 @@ def levels_for_blocks(scheme: str, n_blocks: int, max_levels: int = 26) -> int:
     raise ValueError(
         f"no {scheme} tree up to L={max_levels} holds {n_blocks} blocks"
     )
-
-
-class ShardedOram:
-    """N independent subtrees routing one logical block space."""
-
-    def __init__(
-        self,
-        scheme: str,
-        levels: int,
-        num_shards: int,
-        seed: int = 0,
-        total_blocks: Optional[int] = None,
-    ) -> None:
-        """Build a fleet whose union capacity covers ``total_blocks``.
-
-        ``levels`` is the *reference* single-tree depth: by default the
-        fleet protects exactly the block space of one ``scheme`` tree
-        at that depth, while each shard runs at the smallest depth that
-        fits its PRF slice of it.
-        """
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        self.scheme = scheme
-        self.seed = int(seed)
-        self.num_shards = int(num_shards)
-        reference = schemes_mod.by_name(scheme, levels)
-        self.n_real_blocks = (
-            int(total_blocks) if total_blocks is not None
-            else reference.n_real_blocks
-        )
-        self.pmap = PartitionMap(num_shards, seed=seed)
-        self.shard_ids, self.local_ids = self.pmap.split_blocks(
-            self.n_real_blocks
-        )
-        counts = np.bincount(self.shard_ids, minlength=num_shards)
-        self.shard_blocks = [int(c) for c in counts]
-        self.shard_levels = levels_for_blocks(
-            scheme, max(1, int(counts.max())) if self.n_real_blocks else 1
-        )
-        self.shard_cfg = schemes_mod.by_name(scheme, self.shard_levels)
-        self.shards = []
-        for i in range(num_shards):
-            oram = build_oram(
-                self.shard_cfg, seed=derive_seed(self.seed, f"shard:{i}")
-            )
-            oram.warm_fill()
-            self.shards.append(oram)
-
-    def access(self, block: int, write: bool = False) -> Any:
-        """Route one logical access to its shard's subtree."""
-        if not 0 <= block < self.n_real_blocks:
-            raise IndexError(
-                f"block {block} outside [0, {self.n_real_blocks})"
-            )
-        shard = int(self.shard_ids[block])
-        local = int(self.local_ids[block])
-        return self.shards[shard].access(local, write=write)
-
-    def stats_by_shard(self) -> List[Dict[str, Any]]:
-        """Per-shard DRAM counter summaries, shard order."""
-        return [oram.sink.summary() for oram in self.shards]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scheme": self.scheme,
-            "num_shards": self.num_shards,
-            "n_real_blocks": self.n_real_blocks,
-            "shard_levels": self.shard_levels,
-            "shard_blocks": self.shard_blocks,
-            "partition": self.pmap.to_dict(),
-        }
 
 
 # ----------------------------------------------------------- trace splitting
@@ -300,7 +224,6 @@ def run_sharded_sim(
 
 __all__: Sequence[str] = (
     "MIN_SHARD_LEVELS",
-    "ShardedOram",
     "ShardedSimOutcome",
     "levels_for_blocks",
     "run_sharded_sim",

@@ -12,9 +12,9 @@ The serving layer turns the single-caller
 - :mod:`repro.serve.loadgen` -- the open-loop load generator:
   seed-pinned Poisson and bursty arrivals, zipf key popularity over
   key universes up to millions of keys;
-- :mod:`repro.serve.replay` -- drives a generated workload through the
-  scheduler on the simulated DRAM-ns clock (open loop: arrivals never
-  wait for service, so queueing is measured honestly);
+- :mod:`repro.serve.replay` -- ``serve_slice``, the one recipe every
+  report cell is cut from, and ``replay``, the serving loop under its
+  null policy;
 - :mod:`repro.serve.server` -- a thread-pool front-end for wall-clock
   serving: clients submit concurrently, one scheduler thread services
   batches;
@@ -24,16 +24,21 @@ The serving layer turns the single-caller
   gates and renderings as :class:`repro.report.ReportSpec` tables);
 - :mod:`repro.serve.tracing` -- per-request Perfetto traces splitting
   queueing vs. ORAM vs. DRAM time;
-- :mod:`repro.serve.resilience` -- the chaos-hardened serving loop:
-  per-request deadlines, bounded admission with load shedding, and
-  degraded-mode serving (stash-resident reads + a write journal) while
-  quarantined buckets rebuild;
+- :mod:`repro.serve.resilience` -- the one serving loop, on the
+  simulated DRAM-ns clock (open loop: arrivals never wait for service,
+  so queueing is measured honestly): per-request deadlines, bounded
+  admission with load shedding, and degraded-mode serving
+  (stash-resident reads + a write journal) while quarantined buckets
+  rebuild;
+- :mod:`repro.serve.fleet` -- the serving fleet: one spawn-pool cell
+  per shard behind the keyed-PRF partition map
+  (:mod:`repro.core.sharding`), the health control plane, the
+  kill-a-shard drill;
 - :mod:`repro.serve.chaos` -- the ``BENCH_chaos.json`` campaign: fault
   injection under live load, gated on availability and detection;
 - :mod:`repro.serve.scaling` -- the ``BENCH_scaling.json`` capacity
-  curve: one workload served by 1..16 AB-ORAM shards
-  (:mod:`repro.core.sharding`), gated on fleet speedup, drill
-  availability, and control-plane health.
+  curve: one workload served by 1..16-shard fleets, gated on fleet
+  speedup, drill availability, and control-plane health.
 """
 
 from repro.serve.chaos import ChaosCell, ChaosConfig, run_chaos
@@ -43,22 +48,22 @@ from repro.serve.scaling import (
 from repro.serve.loadgen import WorkloadConfig, generate_requests, key_name, value_for
 from repro.serve.request import DELETE, GET, PUT, Completion, Request
 from repro.serve.resilience import (
-    ChaosReplayResult, ResilienceConfig, resilient_replay,
+    ReplayResult, ResilienceConfig, resilient_replay,
 )
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.server import KVServer
-from repro.serve.stack import ServedStack, build_stack, preload_keys
+from repro.serve.stack import ServedStack, build_stack
 
 __all__ = [
     "BatchScheduler",
     "ChaosCell",
     "ChaosConfig",
-    "ChaosReplayResult",
     "Completion",
     "DELETE",
     "GET",
     "KVServer",
     "PUT",
+    "ReplayResult",
     "Request",
     "ResilienceConfig",
     "ScalingCell",
@@ -70,7 +75,6 @@ __all__ = [
     "scaling_check",
     "generate_requests",
     "key_name",
-    "preload_keys",
     "resilient_replay",
     "run_chaos",
     "value_for",

@@ -43,6 +43,7 @@ from repro.parallel.executor import (
 )
 from repro.report import SCHEMA_VERSION, assemble
 from repro.serve.bench import _percentiles
+from repro.serve.fleet import DRILL_ROBUSTNESS, shard_share
 from repro.serve.loadgen import (
     WorkloadConfig, generate_requests, initial_items,
 )
@@ -94,9 +95,7 @@ class ChaosConfig:
     #: retry budget comfortably exceeds the transient cell's longest
     #: outage so short blips recover inline, never via quarantine.
     robustness: RobustnessConfig = field(
-        default_factory=lambda: RobustnessConfig(
-            integrity=True, retry_budget=6,
-        )
+        default_factory=lambda: DRILL_ROBUSTNESS
     )
     cells: Sequence[ChaosCell] = ()
     smoke: bool = False
@@ -155,6 +154,16 @@ def _mix(name: str, n_requests: int, stored_keys: int, **kw: Any) -> WorkloadCon
     return WorkloadConfig(**base)
 
 
+#: The ``tamper`` cell's fault plan and survival policy -- also what
+#: the capacity curve's kill-a-shard drill arms under its one shard.
+TAMPER_FAULTS = FaultPlan(seed=202, rates={"bit_flip": 0.006, "replay": 0.005})
+TAMPER_RESILIENCE = ResilienceConfig(
+    deadline_ns=4_000_000.0, queue_limit=128,
+    retry_budget=8, backoff_base_ns=5_000.0, backoff_factor=1.6,
+    journal_limit=96, repair_ns=30_000.0,
+)
+
+
 def _smoke_cells() -> Tuple[ChaosCell, ...]:
     wl = _mix("chaos-mix", 240, 64)
     return (
@@ -180,15 +189,8 @@ def _smoke_cells() -> Tuple[ChaosCell, ...]:
         ChaosCell(
             name="tamper",
             workload=wl,
-            faults=FaultPlan(
-                seed=202, rates={"bit_flip": 0.006, "replay": 0.005},
-            ),
-            resilience=ResilienceConfig(
-                deadline_ns=4_000_000.0, queue_limit=128,
-                retry_budget=8, backoff_base_ns=5_000.0,
-                backoff_factor=1.6,
-                journal_limit=96, repair_ns=30_000.0,
-            ),
+            faults=TAMPER_FAULTS,
+            resilience=TAMPER_RESILIENCE,
             min_availability=0.90,
             expect_faults=True,
             expect_episodes=True,
@@ -261,16 +263,15 @@ def _chaos_slice(
     seed, faults = cfg.seed, cell.faults
     items, requests = initial_items(cell.workload), generate_requests(cell.workload)
     if shard is not None:
-        pmap = PartitionMap(cfg.num_shards, seed=cfg.seed)
         seed = derive_seed(cfg.seed, f"shard:{shard}")
         if faults is not None:
             faults = replace(
                 faults, seed=derive_seed(faults.seed, f"shard:{shard}"),
             )
-        items = [kv for kv in items if pmap.shard_of_bytes(kv[0]) == shard]
-        requests = [
-            r for r in requests if pmap.shard_of_bytes(r.key) == shard
-        ]
+        items, requests = shard_share(
+            items, requests, PartitionMap(cfg.num_shards, seed=cfg.seed),
+            shard,
+        )
     want_trace = cfg.trace_out is not None and cfg.trace_cell == cell.name
     telemetry = None
     if want_trace:

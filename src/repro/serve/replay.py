@@ -1,52 +1,33 @@
 """Open-loop replay: drive a generated workload on the DRAM-ns clock.
 
-The replay is a discrete-event serving loop over the simulated clock
-(:attr:`DramSink.now`): requests *arrive* at their generated
-timestamps whether or not the server is ready (open loop), the
-scheduler admits everything that has arrived (up to ``max_batch``)
-whenever it goes idle, and service advances the clock through the
-event-based DRAM model. Queueing therefore emerges exactly as it
-would in a real single-controller deployment: bursts outrun the
-controller, queues deepen, batches fatten, and the scheduler's dedup
-gets more to work with.
-
-Everything the loop records is deterministic in (workload seed, stack
-seed) -- the latency percentiles in ``BENCH_serve.json`` are exact,
-not sampled.
+The serving loop itself is
+:func:`repro.serve.resilience.resilient_replay` -- a discrete-event
+loop over the simulated clock (:attr:`DramSink.now`) in which requests
+*arrive* at their generated timestamps whether or not the server is
+ready (open loop) and service advances the clock through the
+event-based DRAM model. :func:`replay` is that loop under its null
+policy. Everything it records is deterministic in (workload seed,
+stack seed) -- the latency percentiles in ``BENCH_serve.json`` are
+exact, not sampled.
 
 :func:`serve_slice` is the one recipe every report cell is cut from
 (serve, chaos, chaos-shard and fleet-shard cells alike): build a stack,
-populate it, serve a request slice through this loop or its resilient
-sibling, and count what happened.
+populate it, serve a request slice through the loop, and count what
+happened.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import TAMPER_KINDS
-from repro.serve.request import OK, STATUSES, Completion, Request
-from repro.serve.resilience import ResilienceConfig, resilient_replay
+from repro.serve.request import OK, STATUSES, Request
+from repro.serve.resilience import (
+    ReplayResult, ResilienceConfig, resilient_replay,
+)
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.stack import ServedStack, attacker_block, build_stack
-
-
-@dataclass
-class ReplayResult:
-    """One replayed workload: completions plus clock bookkeeping."""
-
-    completions: List[Completion]
-    #: Simulated serving window (first admission to last completion).
-    start_ns: float
-    end_ns: float
-    #: Host wall time of the serving loop (host-dependent).
-    wall_s: float
-
-    @property
-    def sim_ns(self) -> float:
-        return self.end_ns - self.start_ns
 
 
 def replay(
@@ -57,40 +38,12 @@ def replay(
 ) -> ReplayResult:
     """Serve ``requests`` (arrival-ordered) through ``scheduler``.
 
-    ``max_batch`` caps admission per scheduling round; the ``fifo``
-    policy still admits batches (admission is just queue drainage) but
-    serves them strictly one request at a time, so its latencies are
-    identical to single-request admission.
+    The serving loop under its null policy: no deadline, no queue
+    bound, and -- on an unsealed stack, which cannot raise a
+    quarantine -- no degraded mode.
     """
-    if max_batch < 1:
-        raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-    sink = stack.dram_sink
-    completions: List[Completion] = []
-    i, n = 0, len(requests)
-    wall0 = time.perf_counter()
-    start_ns = sink.now
-    while i < n:
-        now = sink.now
-        next_arrival = requests[i].arrival_ns
-        if next_arrival > now:
-            # Idle until the next arrival: open loop never back-fills.
-            sink.advance(next_arrival - now)
-            now = next_arrival
-        batch = [requests[i]]
-        i += 1
-        while (
-            i < n
-            and len(batch) < max_batch
-            and requests[i].arrival_ns <= now
-        ):
-            batch.append(requests[i])
-            i += 1
-        completions.extend(scheduler.serve_batch(batch))
-    return ReplayResult(
-        completions=completions,
-        start_ns=start_ns,
-        end_ns=sink.now,
-        wall_s=time.perf_counter() - wall0,
+    return resilient_replay(
+        stack, requests, scheduler, ResilienceConfig(), max_batch=max_batch,
     )
 
 
@@ -127,14 +80,14 @@ class ServedSlice:
     from: ``requests / completions / status / availability /
     accesses_issued / dedup_hits / coalesced_puts / absent_gets /
     scheduler_timeouts / ops / batch_size_hist / sim_ns`` always, and
-    -- when the resilient loop ran -- ``degraded_reads / journal /
-    retries / episodes / robust`` plus ``faults`` and ``detection`` if
-    a fault plan was armed; ``security`` when the guessing observer saw
-    accesses. Callers pick the keys their report format carries.
+    -- when a resilience policy was passed -- ``degraded_reads /
+    journal / retries / episodes / robust`` plus ``faults`` and
+    ``detection`` if a fault plan was armed; ``security`` when the
+    guessing observer saw accesses. Callers pick the keys their report
+    format carries.
     """
 
-    #: ``ReplayResult``, or ``ChaosReplayResult`` from the resilient loop.
-    result: Any
+    result: ReplayResult
     counters: Dict[str, Any]
     sampler: Optional[Any] = None
 
@@ -166,11 +119,12 @@ def serve_slice(
     ``seed`` seeds both the stack and the scheduler (callers derive it:
     a single-stack cell passes its config seed, a shard
     ``derive_seed(seed, "shard:k")``). A ``robustness`` policy or a
-    ``fault_plan`` builds the sealed stack; ``resilience`` selects
-    :func:`~repro.serve.resilience.resilient_replay` over :func:`replay`
-    (``sampler``, a factory over the built stack, is probed by that
-    loop only). Pure in its arguments: the counters are identical
-    whether the slice runs in-process or in a spawn worker.
+    ``fault_plan`` builds the sealed stack; ``resilience`` is the
+    loop's policy (``None`` serves under the null policy and leaves the
+    degraded-mode counters out); ``sampler``, a factory over the built
+    stack, is probed once per scheduling round. Pure in its arguments:
+    the counters are identical whether the slice runs in-process or in
+    a spawn worker.
     """
     stack = build_stack(
         scheme=scheme, levels=levels, seed=seed, telemetry=telemetry,
@@ -193,15 +147,11 @@ def serve_slice(
         stack.kv, policy=policy, seed=seed,
         clock=lambda: stack.dram_sink.now,
     )
-    probe = None
-    if resilience is None:
-        result: Any = replay(stack, requests, scheduler, max_batch=max_batch)
-    else:
-        probe = sampler(stack) if sampler is not None else None
-        result = resilient_replay(
-            stack, requests, scheduler, resilience,
-            max_batch=max_batch, sampler=probe,
-        )
+    probe = sampler(stack) if sampler is not None else None
+    result = resilient_replay(
+        stack, requests, scheduler, resilience or ResilienceConfig(),
+        max_batch=max_batch, sampler=probe,
+    )
     status = {s: 0 for s in STATUSES}
     for c in result.completions:
         status[c.status] += 1

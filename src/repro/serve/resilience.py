@@ -1,11 +1,13 @@
 """Chaos-hardened serving: deadlines, backpressure, degraded mode.
 
-:func:`resilient_replay` is the fault-tolerant sibling of
-:func:`repro.serve.replay.replay`: the same open-loop discrete-event
-serving loop on the simulated DRAM clock, but built to keep answering
-while a :class:`~repro.faults.memory.FaultyMemory` fires bit flips,
-replays, dropped writes and outages underneath the store. Three
-mechanisms, layered:
+:func:`resilient_replay` is the one open-loop discrete-event serving
+loop on the simulated DRAM clock (:func:`repro.serve.replay.replay` is
+a call of it under the null policy ``ResilienceConfig()``: no deadline,
+no queue bound, and degraded mode needs a quarantine that an unsealed
+stack cannot raise). It is built to keep answering while a
+:class:`~repro.faults.memory.FaultyMemory` fires bit flips, replays,
+dropped writes and outages underneath the store. Three mechanisms,
+layered:
 
 - **Deadlines + bounded retry.** Every request carries an absolute
   deadline (``arrival + deadline_ns``) on the simulated clock; a
@@ -55,7 +57,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.oram.recovery import RobustnessConfig
 from repro.serve.request import (
     DELETE, FAILED, GET, PUT, SHED, TIMED_OUT, Completion, Request,
 )
@@ -108,19 +109,6 @@ class ResilienceConfig:
         if self.repair_ns <= 0:
             raise ValueError("repair_ns must be positive")
 
-    @classmethod
-    def with_retry_policy(
-        cls, policy: RobustnessConfig, **overrides: Any
-    ) -> "ResilienceConfig":
-        """Lift an ORAM-level retry policy to request scope."""
-        base = {
-            "retry_budget": policy.retry_budget,
-            "backoff_base_ns": policy.backoff_base_ns,
-            "backoff_factor": policy.backoff_factor,
-        }
-        base.update(overrides)
-        return cls(**base)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "deadline_ns": self.deadline_ns,
@@ -133,18 +121,17 @@ class ResilienceConfig:
             "repair_ns": self.repair_ns,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ResilienceConfig":
-        return cls(**data)
-
 
 @dataclass
-class ChaosReplayResult:
-    """One resiliently-served workload."""
+class ReplayResult:
+    """One served workload: completions, clock bookkeeping, and what
+    degraded mode did (all empty / zero under the null policy)."""
 
     completions: List[Completion]
+    #: Simulated serving window (loop entry to last completion).
     start_ns: float
     end_ns: float
+    #: Host wall time of the serving loop (host-dependent).
     wall_s: float
     #: One entry per degraded episode: ``{"enter_ns", "exit_ns",
     #: "rebuilt", "journal_replayed"}`` (exit includes the rebuild and
@@ -162,12 +149,6 @@ class ChaosReplayResult:
     @property
     def sim_ns(self) -> float:
         return self.end_ns - self.start_ns
-
-    def status_counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for c in self.completions:
-            out[c.status] = out.get(c.status, 0) + 1
-        return out
 
 
 def _journal_view(
@@ -195,14 +176,29 @@ def resilient_replay(
     rcfg: ResilienceConfig,
     max_batch: int = 32,
     sampler: Optional[Any] = None,
-) -> ChaosReplayResult:
-    """Serve ``requests`` open-loop, surviving injected faults.
+) -> ReplayResult:
+    """Serve ``requests`` (arrival-ordered) open-loop, surviving faults.
+
+    Requests *arrive* at their timestamps whether or not the server is
+    ready; whenever the controller goes idle the loop admits everything
+    that has arrived and serves the first ``max_batch`` eligible
+    requests as one scheduler batch (the ``fifo`` policy still admits
+    batches -- admission is just queue drainage -- but serves them one
+    request at a time). Queueing therefore emerges as it would in a
+    single-controller deployment: bursts outrun the controller, queues
+    deepen, batches fatten.
 
     The loop owns rebuild scheduling: ``defer_rebuilds`` is switched on
     so a quarantine detected mid-batch holds until the repair window,
     during which the store serves degraded. Deterministic in (workload
     seed, stack seed, config) -- every decision runs off the simulated
     clock.
+
+    Queue handling is O(batch) while nothing is backing off -- always,
+    outside a degraded episode: the batch is the queue head, taken and
+    removed by position. The per-request scans (backoff eligibility,
+    deadline expiry, the idle wake-up) run only while a request is
+    backing off or can expire.
 
     ``sampler`` (an :class:`~repro.telemetry.console.OpsSampler`) is
     probed once per scheduling round with the live queue/journal state;
@@ -216,7 +212,7 @@ def resilient_replay(
     oram.defer_rebuilds = True
     faulty = stack.faulty
 
-    result = ChaosReplayResult(
+    result = ReplayResult(
         completions=[], start_ns=sink.now, end_ns=sink.now, wall_s=0.0,
     )
     completions = result.completions
@@ -229,6 +225,9 @@ def resilient_replay(
     repair_due = 0.0
     quarantined_at_enter = 0
     injected0 = dict(faulty.injected) if faulty is not None else {}
+    can_expire = rcfg.deadline_ns > 0 or any(
+        r.deadline_ns is not None for r in requests
+    )
 
     def terminal(req: Request, status: str, ns: float) -> None:
         retry_meta.pop(req.rid, None)
@@ -363,28 +362,35 @@ def resilient_replay(
                 terminal(victim, SHED, now)
             queue.append(req)
         # ---- expire queued deadlines
-        expired = [
-            r for r in queue
-            if r.deadline_ns is not None and now >= r.deadline_ns
-        ]
-        if expired:
-            queue = [r for r in queue if r not in expired]
-            for req in expired:
-                terminal(req, TIMED_OUT, now)
+        if can_expire:
+            expired = [
+                r for r in queue
+                if r.deadline_ns is not None and now >= r.deadline_ns
+            ]
+            if expired:
+                gone = {id(r) for r in expired}
+                queue = [r for r in queue if id(r) not in gone]
+                for req in expired:
+                    terminal(req, TIMED_OUT, now)
         # ---- repair window over?
         if degraded_since is not None and now >= repair_due:
             repair()
             continue
         # ---- serve what is eligible
-        eligible = [
-            r for r in queue
-            if retry_meta.get(r.rid, (0, 0.0))[1] <= now
-        ][:max_batch]
+        if retry_meta:
+            eligible = [
+                r for r in queue
+                if retry_meta.get(r.rid, (0, 0.0))[1] <= now
+            ][:max_batch]
+        else:
+            eligible = queue[:max_batch]
         if eligible:
             if degraded_since is None:
-                queue = [r for r in queue if r not in eligible]
-                for r in eligible:
-                    retry_meta.pop(r.rid, None)
+                # Backoffs exist only inside a degraded episode
+                # (repair() clears them on the way out), so here the
+                # batch is the queue head and leaves by position.
+                assert not retry_meta, "backoff outside degraded mode"
+                del queue[:len(eligible)]
                 completions.extend(scheduler.serve_batch(eligible))
                 after = sink.now
                 note_faults(after)
@@ -432,12 +438,13 @@ def resilient_replay(
             wake.append(requests[i].arrival_ns)
         if degraded_since is not None:
             wake.append(repair_due)
-        for r in queue:
-            meta = retry_meta.get(r.rid)
-            if meta is not None:
-                wake.append(meta[1])
-            if r.deadline_ns is not None:
-                wake.append(r.deadline_ns)
+        if can_expire or retry_meta:
+            for r in queue:
+                meta = retry_meta.get(r.rid)
+                if meta is not None:
+                    wake.append(meta[1])
+                if r.deadline_ns is not None:
+                    wake.append(r.deadline_ns)
         if not wake:
             break
         target = min(wake)
@@ -454,7 +461,7 @@ def resilient_replay(
 
 
 __all__ = [
-    "ChaosReplayResult",
+    "ReplayResult",
     "ResilienceConfig",
     "SHED_POLICIES",
     "resilient_replay",

@@ -3,7 +3,7 @@
 ``BENCH_scaling.json`` answers the horizontal-scale question the
 serving harness cannot: how does served throughput grow, and per-shard
 memory shrink, as one workload spreads over 1..16 AB-ORAM shards?
-Every cell is one fleet run (:func:`repro.core.sharding.fleet.run_fleet`)
+Every cell is one fleet run (:func:`repro.serve.fleet.run_fleet`)
 of the *same* workload at a given ``(total_blocks, shards)`` point:
 
 - **Throughput** is measured: the fleet's simulated-DRAM makespan for
@@ -29,7 +29,7 @@ depth. Workloads drive arrivals at a rate far above any shard's
 service rate, so cells are service-bound and the makespan measures
 capacity, not arrival spacing.
 
-One row carries a :class:`~repro.core.sharding.fleet.KillShardDrill`:
+One row carries a :class:`~repro.serve.fleet.KillShardDrill`:
 the kill-a-shard-under-load cell, whose gates (availability floor,
 degraded episodes happened, tamper detection 100%, control plane back
 to all-healthy) ride in the config like the chaos campaign's do.
@@ -42,17 +42,12 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import schemes as schemes_mod
-# NOTE: repro.core.sharding.fleet is imported lazily inside the
-# functions that need it. fleet.py imports the serve layer's workload
-# and stack machinery, and this module is part of ``repro.serve``'s
-# package surface -- a module-level import here closes the cycle when
-# ``repro.core.sharding`` is the first package imported.
 from repro.core.sharding.sharded import levels_for_blocks
-from repro.faults.plan import FaultPlan
 from repro.parallel.executor import Cell, report_progress, run_cells
 from repro.report import assemble
+from repro.serve.chaos import TAMPER_FAULTS, TAMPER_RESILIENCE
+from repro.serve.fleet import FleetConfig, KillShardDrill, run_fleet
 from repro.serve.loadgen import WorkloadConfig
-from repro.serve.resilience import ResilienceConfig
 from repro.serve.schema import SCALING
 
 #: Extra per-shard capacity provisioned over the even split, absorbing
@@ -150,19 +145,11 @@ def _capacity_workload(
     )
 
 
-def _drill(shard: int, min_availability: float = 0.90) -> "KillShardDrill":
-    """The standard kill-a-shard drill: tamper faults under one shard."""
-    from repro.core.sharding.fleet import KillShardDrill
+def _drill(shard: int, min_availability: float = 0.90) -> KillShardDrill:
+    """The standard kill-a-shard drill: the chaos campaign's ``tamper``
+    cell (plan and policy) under one shard."""
     return KillShardDrill(
-        shard=shard,
-        faults=FaultPlan(
-            seed=202, rates={"bit_flip": 0.006, "replay": 0.005},
-        ),
-        resilience=ResilienceConfig(
-            deadline_ns=4_000_000.0, queue_limit=128,
-            retry_budget=8, backoff_base_ns=5_000.0, backoff_factor=1.6,
-            journal_limit=96, repair_ns=30_000.0,
-        ),
+        shard=shard, faults=TAMPER_FAULTS, resilience=TAMPER_RESILIENCE,
         min_availability=min_availability,
     )
 
@@ -242,7 +229,6 @@ def _scaling_cell_task(
     payload: Tuple[ScalingConfig, ScalingCell]
 ) -> Dict[str, Any]:
     """One capacity point: a whole fleet run (fans out inside)."""
-    from repro.core.sharding.fleet import FleetConfig, run_fleet
     cfg, cell = payload
     report_progress(f"scaling {cell.name}@s{cell.shards} ...")
     fleet_cfg = FleetConfig(

@@ -14,7 +14,7 @@ report that batching left per-access indistinguishability intact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional
 
 from repro.app.kvstore import ObliviousKV
 from repro.core import schemes as schemes_mod
@@ -59,8 +59,7 @@ def build_stack(
     fault_plan: Optional[Any] = None,
     pipeline_depth: int = 1,
     dram_window: int = 32,
-    num_shards: int = 1,
-) -> Any:
+) -> ServedStack:
     """Build a timed, observable KV store over a fresh ORAM.
 
     The default payload path is the plaintext ``store_data`` dict:
@@ -82,25 +81,7 @@ def build_stack(
     controller (:mod:`repro.core.pipeline`): path reads of request k+1
     overlap the reshuffle drain of request k on a windowed DRAM model.
     Timing only -- responses are identical at every depth.
-
-    ``num_shards > 1`` returns a
-    :class:`~repro.core.sharding.fleet.ShardedStack` instead: a fleet
-    of ``num_shards`` independent stacks (each an L-``levels`` subtree
-    seeded per shard) behind a keyed-PRF partition map. All other
-    keyword arguments apply per shard; ``telemetry`` is rejected
-    (per-operation tracing assumes one clock, a fleet has N).
     """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if num_shards > 1:
-        # Lazy import: fleet.py imports build_stack from this module.
-        from repro.core.sharding.fleet import build_sharded_stack
-        return build_sharded_stack(
-            scheme=scheme, levels=levels, num_shards=num_shards, seed=seed,
-            pad_chunks=pad_chunks, telemetry=telemetry, observer=observer,
-            robustness=robustness, fault_plan=fault_plan,
-            pipeline_depth=pipeline_depth, dram_window=dram_window,
-        )
     cfg = schemes_mod.by_name(scheme, levels)
     attacker = GuessingAttacker(cfg.levels, seed=seed + 1) if observer else None
     stack = build_oram_stack(
@@ -115,25 +96,6 @@ def build_stack(
         dram_sink=stack.dram_sink, telemetry=telemetry, attacker=attacker,
         datastore=stack.datastore, faulty=stack.faulty,
     )
-
-
-def preload_keys(
-    kv: ObliviousKV, items: Sequence[Tuple[bytes, bytes]]
-) -> int:
-    """Bulk-load the initial key set without oblivious accesses.
-
-    Serving benchmarks start from a populated store; issuing one full
-    ORAM access per preloaded chunk would dwarf the measured workload
-    (and for million-key stores, take hours). Returns the block count
-    consumed.
-    """
-    return kv.preload(items)
-
-
-def capacity_keys(kv: ObliviousKV, value_bytes: int) -> int:
-    """How many keys of ~``value_bytes`` values the store can hold."""
-    chunks = max(1, -(-value_bytes // kv.chunk_payload))
-    return kv.free_blocks // chunks
 
 
 def attacker_block(attacker: Optional[GuessingAttacker]) -> Optional[dict]:
@@ -152,6 +114,4 @@ __all__: List[str] = [
     "ServedStack",
     "attacker_block",
     "build_stack",
-    "capacity_keys",
-    "preload_keys",
 ]

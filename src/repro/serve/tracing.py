@@ -137,7 +137,7 @@ def request_trace_doc(
     """Combine op spans and per-request spans into one trace document.
 
     ``resilience_events`` (from
-    :class:`~repro.serve.resilience.ChaosReplayResult`) adds one more
+    :class:`~repro.serve.resilience.ReplayResult`) adds one more
     track carrying degraded-mode windows and fault/shed/timeout
     markers, so the chaos timeline shows *when* serving degraded
     alongside *what* each request experienced.

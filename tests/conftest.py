@@ -202,3 +202,34 @@ def replay_stream(sink, stream, scalar: bool = False) -> None:
             for bucket, level, onchip in items:
                 sink.metadata_access(bucket, level, write,
                                      onchip=onchip, blocks=blocks)
+
+
+# ------------------------------------------------- serving-loop reference
+
+def reference_replay(stack, requests, scheduler, max_batch=32):
+    """The plain open-loop serving loop ``repro.serve.replay.replay``
+    was before it became ``resilient_replay`` under the null policy:
+    idle to the next arrival, admit what has arrived up to
+    ``max_batch``, serve it as one batch. Returns the completions; the
+    final clock is ``stack.dram_sink.now``."""
+    sink = stack.dram_sink
+    completions = []
+    i, n = 0, len(requests)
+    while i < n:
+        now = sink.now
+        next_arrival = requests[i].arrival_ns
+        if next_arrival > now:
+            # Idle until the next arrival: open loop never back-fills.
+            sink.advance(next_arrival - now)
+            now = next_arrival
+        batch = [requests[i]]
+        i += 1
+        while (
+            i < n
+            and len(batch) < max_batch
+            and requests[i].arrival_ns <= now
+        ):
+            batch.append(requests[i])
+            i += 1
+        completions.extend(scheduler.serve_batch(batch))
+    return completions

@@ -8,6 +8,9 @@ import os
 
 import numpy as np
 import pytest
+from conftest import reference_replay
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     DELETE,
@@ -28,6 +31,7 @@ from repro.serve.loadgen import (
     with_seed,
 )
 from repro.serve.replay import replay
+from repro.serve.resilience import ResilienceConfig, resilient_replay
 from repro.serve.schema import SERVE, validate_report
 from repro.serve.tracing import assign_lanes, request_trace_doc
 
@@ -345,6 +349,96 @@ class TestReplay:
         sched = BatchScheduler(stack.kv)
         with pytest.raises(ValueError):
             replay(stack, [], sched, max_batch=0)
+
+
+# ---------------------------------------------------------------- one loop
+
+LOOP_KEYS = [b"lk%d" % i for i in range(5)]
+
+loop_ops = st.one_of(
+    st.tuples(st.just(GET), st.sampled_from(LOOP_KEYS), st.none()),
+    st.tuples(st.just(PUT), st.sampled_from(LOOP_KEYS),
+              st.binary(min_size=1, max_size=40)),
+    st.tuples(st.just(DELETE), st.sampled_from(LOOP_KEYS), st.none()),
+)
+
+#: Inter-arrival gaps in quarter-ns ticks -- the grid the DDR timings
+#: keep the clock on, where ``now + (arrival - now)`` is exact. (Off
+#: it the reference can leave the clock one ulp short of an arrival it
+#: idled to; the loop lands on the arrival.) 0 is a same-instant burst,
+#: the long gaps outlast a batch's service so the loop goes idle.
+loop_gaps = st.one_of(
+    st.just(0), st.integers(1, 2_000), st.integers(20_000, 400_000),
+)
+
+#: Hypothesis favours short lists; this pins a queue deeper than any
+#: ``max_batch`` (as one t=0 backlog, or as bursts of three between
+#: idle gaps).
+DEEP_ARRIVALS = [
+    ((PUT, LOOP_KEYS[i % 5], b"v%d" % i) if i % 3 == 0
+     else (DELETE if i % 7 == 0 else GET, LOOP_KEYS[i % 5], None),
+     (0, 0, 0, 40_000)[i % 4])
+    for i in range(48)
+]
+
+
+class TestOneLoop:
+    """``replay`` is ``resilient_replay`` under the null policy; the
+    plain loop it used to be lives on as ``conftest.reference_replay``."""
+
+    @staticmethod
+    def _serve(loop, reqs, max_batch, policy):
+        stack = small_stack()
+        stack.kv.preload([(LOOP_KEYS[0], b"seed0"), (LOOP_KEYS[1], b"seed1")])
+        sched = BatchScheduler(stack.kv, policy=policy, seed=3,
+                               clock=lambda: stack.dram_sink.now)
+        return [
+            (c.rid, c.status, c.value, c.start_ns, c.done_ns, c.accesses)
+            for c in loop(stack, reqs, sched, max_batch)
+        ], stack.dram_sink.now
+
+    @given(
+        arrivals=st.lists(st.tuples(loop_ops, loop_gaps),
+                          min_size=1, max_size=48),
+        all_at_zero=st.booleans(),
+        max_batch=st.sampled_from([1, 16, 32]),
+        policy=st.sampled_from(["batch", "fifo"]),
+    )
+    @example(DEEP_ARRIVALS, True, 16, "batch")
+    @example(DEEP_ARRIVALS, True, 32, "fifo")
+    @example(DEEP_ARRIVALS, False, 1, "batch")
+    @example(DEEP_ARRIVALS, False, 32, "batch")
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_replay_matches_the_reference_loop(
+        self, arrivals, all_at_zero, max_batch, policy
+    ):
+        reqs, tick = [], 0
+        for rid, ((op, key, value), gap) in enumerate(arrivals):
+            tick += 0 if all_at_zero else gap
+            reqs.append(req(rid, op, key, value, arrival=tick / 4))
+        assert (
+            self._serve(lambda *a: replay(*a).completions,
+                        reqs, max_batch, policy)
+            == self._serve(reference_replay, reqs, max_batch, policy)
+        )
+
+    def test_healthy_path_compares_no_requests(self, monkeypatch):
+        # The whole workload queued at t=0: every round takes its batch
+        # off a deep queue, by position.
+        reqs = [
+            req(i, GET, LOOP_KEYS[i % len(LOOP_KEYS)]) for i in range(100)
+        ]
+        stack = small_stack()
+        sched = BatchScheduler(stack.kv, clock=lambda: stack.dram_sink.now)
+
+        def no_compare(self, other):
+            raise AssertionError("the serving loop compared two requests")
+
+        monkeypatch.setattr(Request, "__eq__", no_compare)
+        result = resilient_replay(
+            stack, reqs, sched, ResilienceConfig(), max_batch=16,
+        )
+        assert sorted(c.rid for c in result.completions) == list(range(100))
 
 
 # ----------------------------------------------------------------- preload

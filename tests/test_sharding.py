@@ -11,13 +11,22 @@ Three contracts carry the sharding subsystem's correctness story:
    width. The same holds for the partitioned trace simulator.
 3. **Per-key FIFO survives routing** (hypothesis): against a
    plain-dict reference model replaying operations in arrival order,
-   every get through the cross-shard router returns the reference
-   value no matter how the window is cut.
+   every get served from its shard's share (``shard_share`` +
+   ``serve_slice``, the path the fleet serves on) returns the
+   reference value no matter how admission cuts the stream.
+
+And one layering contract: ``repro.core`` and ``repro.core.sharding``
+load nothing from ``repro.serve`` (the fleet lives in
+``repro.serve.fleet``; ``repro.core.sharding.fleet`` is a compatibility
+import of the same objects).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import schemes as schemes_mod
 from repro.core.sharding.control import (
     DEAD,
@@ -36,25 +46,26 @@ from repro.core.sharding.control import (
     ShardEvent,
     heartbeat_events,
 )
-from repro.core.sharding.fleet import (
-    FleetConfig,
-    KillShardDrill,
-    _fleet_shard_task,
-    build_sharded_stack,
-    run_fleet,
-    shard_requests,
-)
 from repro.core.sharding.partition import PartitionMap
 from repro.core.sharding.sharded import (
     MIN_SHARD_LEVELS,
-    ShardedOram,
     levels_for_blocks,
     run_sharded_sim,
     split_trace,
 )
 from repro.faults.plan import FaultPlan
+from repro.parallel.executor import derive_seed
 from repro.serve import DELETE, GET, PUT, Request
+from repro.serve.fleet import (
+    FleetConfig,
+    KillShardDrill,
+    _fleet_shard_task,
+    run_fleet,
+    shard_requests,
+    shard_share,
+)
 from repro.serve.loadgen import WorkloadConfig
+from repro.serve.replay import serve_slice
 from repro.serve.resilience import ResilienceConfig
 from repro.sim.runner import make_trace
 
@@ -185,34 +196,7 @@ class TestLevelsForBlocks:
             levels_for_blocks("ab", 10**12, max_levels=10)
 
 
-# -------------------------------------------------------- sharded ORAM
-
-class TestShardedOram:
-    def test_routing_and_shape(self):
-        oram = ShardedOram("ab", 8, 3, seed=1)
-        ref = schemes_mod.by_name("ab", 8)
-        assert oram.n_real_blocks == ref.n_real_blocks
-        assert sum(oram.shard_blocks) == oram.n_real_blocks
-        assert len(oram.stats_by_shard()) == 3
-        # Every shard fits its slice at the shared depth.
-        assert oram.shard_cfg.n_real_blocks >= max(oram.shard_blocks)
-        for block in range(0, oram.n_real_blocks, 97):
-            oram.access(block, write=block % 2 == 0)
-        d = oram.to_dict()
-        assert d["num_shards"] == 3
-        assert d["partition"]["kind"] == "keyed-prf"
-
-    def test_out_of_range_access_raises(self):
-        oram = ShardedOram("ab", 8, 2, seed=0)
-        with pytest.raises(IndexError):
-            oram.access(oram.n_real_blocks)
-        with pytest.raises(IndexError):
-            oram.access(-1)
-
-    def test_invalid_shards_raise(self):
-        with pytest.raises(ValueError):
-            ShardedOram("ab", 8, 0)
-
+# --------------------------------------------------- sharded simulator
 
 class TestShardedSim:
     def _trace(self, n_blocks, n_requests=240):
@@ -345,8 +329,7 @@ class TestFleetVsSerial:
         # One definition of availability: answered over *attempted*. A
         # shard whose task raises answered nothing, but its requests
         # were still asked -- they stay in the denominator.
-        import repro.core.sharding.fleet as fleet_mod
-        from repro.parallel.executor import derive_seed
+        import repro.serve.fleet as fleet_mod
         cfg = tiny_fleet()
         dead_seed = derive_seed(cfg.seed, "shard:1")
         real = fleet_mod.serve_slice
@@ -363,6 +346,11 @@ class TestFleetVsSerial:
         fleet = doc["fleet"]
         assert lost > 0 and fleet["completions"] == 150 - lost
         assert fleet["availability"] == (150 - lost) / 150 < 1.0
+        # An errored shard emitted no events; the control plane still
+        # names it, registered and never healthy.
+        assert doc["control"]["all_healthy"] is False
+        assert [(s["shard"], s["state"]) for s in doc["control"]["shards"]] \
+            == [(0, HEALTHY), (1, "registered"), (2, HEALTHY)]
         # A shard that was asked nothing failed nothing.
         monkeypatch.undo()
         lone = run_fleet(
@@ -437,68 +425,110 @@ fifo_ops = st.one_of(
 
 
 class TestRouterPerKeyFifo:
+    """The router is the partition map: ``shard_share`` is its one
+    rule and ``serve_slice`` on the derived seed is the shard, exactly
+    as ``_fleet_shard_task`` composes them."""
+
+    SEED = 0
+    SHARDS = 3
+
     @given(
         raw=st.lists(fifo_ops, min_size=1, max_size=14),
-        cuts=st.lists(st.integers(1, 5), max_size=4),
+        max_batch=st.sampled_from([1, 3, 32]),
     )
     @settings(**settings_kw)
-    def test_matches_dict_reference_model(self, raw, cuts):
+    def test_matches_dict_reference_model(self, raw, max_batch):
+        # A trailing GET per key reads back the final values:
+        # serve_slice does not hand out its stack.
+        ops = list(raw) + [(GET, key, None) for key in FIFO_KEYS]
         reqs = [
             Request(rid=i, op=op, key=key, value=value, arrival_ns=float(i))
-            for i, (op, key, value) in enumerate(raw)
+            for i, (op, key, value) in enumerate(ops)
         ]
-        stack = build_sharded_stack(
-            levels=8, num_shards=3, seed=0, observer=False
-        )
-        stack.preload([(FIFO_KEYS[0], b"seed0"), (FIFO_KEYS[1], b"seed1")])
-        router = stack.router(policy="batch", seed=3)
-        model = {FIFO_KEYS[0]: b"seed0", FIFO_KEYS[1]: b"seed1"}
+        items = [(FIFO_KEYS[0], b"seed0"), (FIFO_KEYS[1], b"seed1")]
+        pmap = PartitionMap(self.SHARDS, seed=self.SEED)
+        comps = {}
+        for shard in range(self.SHARDS):
+            share_items, share_reqs = shard_share(items, reqs, pmap, shard)
+            served = serve_slice(
+                share_items, share_reqs, scheme="ab", levels=8,
+                seed=derive_seed(self.SEED, f"shard:{shard}"),
+                max_batch=max_batch,
+            )
+            done = {c.rid: c for c in served.result.completions}
+            assert set(done) == {r.rid for r in share_reqs}
+            comps.update(done)
+        assert set(comps) == {r.rid for r in reqs}
 
-        windows, i = [], 0
-        for cut in cuts:
-            if i >= len(reqs):
-                break
-            windows.append(reqs[i:i + cut])
-            i += cut
-        if i < len(reqs):
-            windows.append(reqs[i:])
-
-        for window in windows:
-            comps = {c.rid: c for c in router.serve_window(window)}
-            assert set(comps) == {r.rid for r in window}
-            for req in window:
-                comp = comps[req.rid]
-                if req.op == GET:
-                    expect = model.get(req.key)
-                    assert comp.value == expect, (req, comp)
-                    assert comp.ok is (expect is not None)
-                elif req.op == PUT:
-                    model[req.key] = req.value
-                    assert comp.ok
-                else:
-                    existed = req.key in model
-                    model.pop(req.key, None)
-                    assert comp.ok is existed
-        for key in FIFO_KEYS:
-            shard = stack.shard_of(key)
-            assert stack.stacks[shard].kv.get(key) == model.get(key)
+        model = dict(items)
+        for req in reqs:
+            comp = comps[req.rid]
+            if req.op == GET:
+                expect = model.get(req.key)
+                assert comp.value == expect, (req, comp)
+                assert comp.ok is (expect is not None)
+            elif req.op == PUT:
+                model[req.key] = req.value
+                assert comp.ok
+            else:
+                existed = req.key in model
+                model.pop(req.key, None)
+                assert comp.ok is existed
 
     def test_route_is_a_stable_partition(self):
-        stack = build_sharded_stack(
-            levels=8, num_shards=3, seed=0, observer=False
-        )
-        router = stack.router()
+        pmap = PartitionMap(self.SHARDS, seed=self.SEED)
         window = [
             Request(rid=i, op=GET, key=b"q%d" % (i % 9), value=None,
                     arrival_ns=float(i))
             for i in range(30)
         ]
-        batches = router.route(window)
-        assert sum(len(b) for b in batches) == len(window)
-        for shard, batch in enumerate(batches):
-            assert [r.rid for r in batch] == [
-                r.rid for r in window if stack.shard_of(r.key) == shard
+        items = [(b"q%d" % i, b"v%d" % i) for i in range(9)]
+        shares = [
+            shard_share(items, window, pmap, shard)
+            for shard in range(self.SHARDS)
+        ]
+        # Disjoint and covering ...
+        assert sorted(kv for its, _ in shares for kv in its) == sorted(items)
+        assert sorted(r.rid for _, rs in shares for r in rs) == list(range(30))
+        # ... and each share is the window's own requests (same
+        # objects, same rids) in arrival order.
+        for shard, (its, rs) in enumerate(shares):
+            assert its == [
+                kv for kv in items if pmap.shard_of_bytes(kv[0]) == shard
             ]
+            want = [r for r in window if pmap.shard_of_bytes(r.key) == shard]
+            assert len(rs) == len(want)
+            assert all(a is b for a, b in zip(rs, want))
+
+
+# ------------------------------------------------------------- layering
+
+class TestLayering:
+    def test_core_loads_nothing_from_serve(self):
+        # A fresh interpreter: this process imported repro.serve long ago.
+        code = (
+            "import repro.core, repro.core.sharding, sys; "
+            "assert not [m for m in sys.modules "
+            "if m == 'repro.serve' or m.startswith('repro.serve.')]"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run(
+            [sys.executable, "-c", code], check=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+
+    def test_shim_is_the_serve_fleet(self):
+        import repro.core.sharding.fleet as shim
+        import repro.serve.fleet as home
+        assert shim.__all__
+        for name in shim.__all__:
+            assert getattr(shim, name) is getattr(home, name), name
+        # The spawn pool pickles the shard task by its home module, so
+        # a fleet started through the shim fans out like any other.
+        serial = run_fleet(tiny_fleet())
+        fanned = shim.run_fleet(tiny_fleet(workers=2))
+        for field in ("num_shards", "shards", "fleet", "control"):
+            assert canon(serial[field]) == canon(fanned[field]), field
 
 
 # -------------------------------------------------------- control plane
