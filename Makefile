@@ -8,7 +8,7 @@ PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: install test bench bench-full figures examples lint loc \
-	chacha-cutover perf-smoke \
+	chacha-cutover fingerprint perf-smoke \
 	pipeline-smoke faults-smoke telemetry-smoke serve-smoke chaos-smoke \
 	shard-smoke obs-smoke determinism e2e-quick ci clean
 
@@ -66,6 +66,14 @@ loc:
 # reported, not gated.
 chacha-cutover:
 	$(PYTHON) tools/chacha_cutover.py
+
+# One SHA-256 per configuration over the ring controller's state after
+# a fixed run (result, RNG, slots/status/generation, stash, DeadQ and
+# rental counters, observers, Merkle root, recovery counters): the net
+# under controller refactors. tests/test_controller_goldens.py holds
+# the tree to tests/goldens/controller_state.json (~6 s).
+fingerprint:
+	$(PYTHON) tools/controller_fingerprint.py
 
 # CI smoke: seconds-scale perf matrix (two workers: also exercises the
 # parallel executor) + soft-gated comparison against the committed

@@ -65,11 +65,15 @@ def main() -> None:
     chain = kv._directory[b"ssh-key"]
     # Find where the first chunk currently lives and flip one byte.
     import numpy as np
-    rows_arr = kv.oram.store.slots
-    loc = np.argwhere(rows_arr == chain[0])
+    store = kv.oram.store
+    loc = np.argwhere(store.slots == chain[0])
     tampered = False
     if loc.size:
         b, s = map(int, loc[0])
+        if s >= store.z_max:
+            # A slot the bucket rents: its bytes live at the host.
+            ext, i = kv.oram.ext, s - store.z_max
+            b, s = int(ext.host_bucket[b, i]), int(ext.host_slot[b, i])
         ds.tamper_payload(b, s)
         try:
             kv.get(b"ssh-key")

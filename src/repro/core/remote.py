@@ -14,32 +14,37 @@ exclude them from guessing).
 Lifecycle of a rented slot:
 
 1. some bucket's slot dies (a readPath consumes it) -> status DEAD;
-2. ``gather`` sees it during a later readPath's metadata pass and
-   queues it in its level's DeadQ -> status QUEUED;
+2. ``gather_path`` sees it during a later readPath's metadata pass
+   and queues it in its level's DeadQ -> status QUEUED;
 3. a reshuffling bucket rents it (``acquire``) -> status IN_USE; the
    renter writes fresh content (real block or dummy) to the host
-   address. The *logical* content is tracked here -- the host bucket's
-   own slot row keeps showing CONSUMED so host-side scans never touch
-   the rented slot;
-4. either a readPath of the renter consumes the remote slot (it turns
-   DEAD again and may be gathered anew), or the renter's next reshuffle
-   returns it unconsumed to the DeadQ (``reclaim`` -> QUEUED).
+   address (``write_remote_all``). The *logical* content sits in the
+   renter's row -- the host bucket's own slot keeps showing CONSUMED so
+   host-side scans never touch the rented slot;
+4. either a readPath of the renter consumes the remote slot
+   (``consume_remote``: it turns DEAD again and may be gathered anew),
+   or the renter's next reshuffle returns it unconsumed to the DeadQ
+   (``reclaim`` -> QUEUED).
 
 Extension is all-or-nothing per bucket ("dynamicS is extended to S+2
 only for the buckets that allocate their two logical tree blocks in
 reclaimed dead blocks"); the grant/attempt ratio is the paper's Fig. 14
 metric.
 
-Rental bookkeeping is a pooled struct-of-arrays host table: three
-``(rows, r_max)`` numpy columns (host bucket, host slot, logical
-content) where each row is one active renter, found through a
-``renter -> row`` dict. Rows are recycled through a free list and the
-table doubles on demand, so memory stays proportional to *concurrent*
-renters (a handful) rather than the tree size. Batched entry points --
-``gather_path`` over the tracked levels only, ``push_many`` into the
-DeadQ, ``set_status_many`` on the host bucket, ``write_remote_all`` for
-a reshuffle's scatter -- replace the per-slot call chains that dominated
-the AB profile.
+Rental bookkeeping is dense, one row per bucket, because renting is
+the normal state of a DR-level bucket, not the exception: at the end of
+an ``ab`` L12 run 86% of the DR-level buckets hold a rental and a third
+of every readPath's buckets have one. The *content* of bucket ``b``'s
+``i``-th rented slot is column ``z_max + i`` of ``b``'s own row in the
+:class:`~repro.oram.bucket.BucketStore` (block id, ``DUMMY``, or
+``UNALLOCATED`` while nothing is rented there), so every scan the
+controller runs over a bucket's slots covers local and rented ones
+alike. This module keeps only *where the bytes live*: ``host_bucket`` /
+``host_slot``, two ``(n_buckets, r_max)`` arrays (the paper's Table I
+``remoteAddr`` / ``remoteInd`` fields), valid wherever the column is
+rented, and ``n_active``, how many columns each bucket rents. A round's
+columns are filled from 0 in DeadQ pop order and cleared in place as
+they are consumed, so ascending column order is rental order.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from repro.oram.bucket import (
     ST_DEAD,
     ST_IN_USE,
     ST_QUEUED,
+    UNALLOCATED,
     BucketStore,
 )
 from repro.oram.config import OramConfig
@@ -66,23 +72,19 @@ class RemoteAllocator:
     def __init__(self, cfg: OramConfig) -> None:
         self.cfg = cfg
         self.queues = DeadQueueSet(cfg.deadq_levels, cfg.deadq_capacity)
-        #: Levels with a DeadQ, ascending -- the only levels gather
-        #: visits (gather on any other level is a guaranteed no-op).
-        self._tracked: Tuple[int, ...] = self.queues.tracked_levels()
-        #: (level, queue) pairs for the tracked levels -- gather_path
-        #: iterates this to skip the per-access queue dict lookups.
+        #: (level, queue) pairs for the levels with a DeadQ, ascending
+        #: -- the only levels gather_path visits (gathering on any
+        #: other level is a guaranteed no-op).
         self._tracked_queues = [
-            (lv, self.queues.get(lv)) for lv in self._tracked
+            (lv, self.queues.get(lv)) for lv in self.queues.tracked_levels()
         ]
-        r_max = max((g.remote_extension for g in cfg.geometry), default=0)
-        self._r_max = max(1, int(r_max))
-        rows = 8
-        self._host_bucket = np.full((rows, self._r_max), -1, dtype=np.int64)
-        self._host_slot = np.full((rows, self._r_max), -1, dtype=np.int64)
-        self._content = np.full((rows, self._r_max), DUMMY, dtype=np.int64)
-        self._n_active: List[int] = [0] * rows
-        self._row_of: Dict[int, int] = {}     # renter bucket -> table row
-        self._free: List[int] = list(range(rows - 1, -1, -1))
+        r_max = max(g.remote_extension for g in cfg.geometry)
+        #: Physical (bucket, slot) behind rented column ``i`` of each
+        #: bucket; meaningful only while that column is rented.
+        self.host_bucket = np.full((cfg.n_buckets, r_max), -1, dtype=np.int64)
+        self.host_slot = np.full((cfg.n_buckets, r_max), -1, dtype=np.int64)
+        #: Rented columns per bucket (a plain list: O(1) unboxed reads).
+        self.n_active: List[int] = [0] * cfg.n_buckets
         self._store: Optional[BucketStore] = None
         self.extension_attempts = 0
         self.extension_grants = 0
@@ -102,75 +104,35 @@ class RemoteAllocator:
             raise RuntimeError("RemoteAllocator not bound to a controller")
         return self._store
 
-    # ---------------------------------------------------------- host table
-
-    def _grow(self) -> None:
-        rows = len(self._n_active)
-        new_rows = rows * 2
-        for name in ("_host_bucket", "_host_slot", "_content"):
-            old = getattr(self, name)
-            grown = np.full((new_rows, self._r_max), -1, dtype=np.int64)
-            grown[:rows] = old
-            setattr(self, name, grown)
-        self._n_active.extend([0] * rows)
-        self._free.extend(range(new_rows - 1, rows - 1, -1))
-
-    def _alloc_row(self, bucket: int) -> int:
-        if not self._free:
-            self._grow()
-        row = self._free.pop()
-        self._row_of[bucket] = row
-        return row
-
-    def _release_row(self, bucket: int, row: int) -> None:
-        del self._row_of[bucket]
-        self._n_active[row] = 0
-        self._free.append(row)
-
     # -------------------------------------------------------------- gather
-
-    def gather(self, bucket: int, level: int) -> int:
-        """gatherDEADs: queue the DEAD slots of ``bucket`` (readPath hook).
-
-        Only tracked levels participate; a bucket always keeps at least
-        one non-ALLOCATED slot so it can serve a readPath even when no
-        extension is granted. Returns how many slots were queued.
-        """
-        queue = self.queues.get(level)
-        if queue is None or queue.is_full:
-            return 0
-        store = self.store
-        if not store.dead_count[bucket]:
-            return 0
-        return self._gather_ready(queue, bucket, store)
-
-    def _gather_ready(self, queue, bucket: int, store: BucketStore) -> int:
-        """gather() after the no-op early-outs (queue usable, dead > 0)."""
-        dead = store.dead_slots(bucket)
-        z = store.z_phys(bucket)
-        allocated = store.queued_count[bucket] + store.in_use_count[bucket]
-        n = min(int(dead.size), z - 1 - allocated, queue.space)
-        if n <= 0:
-            return 0
-        take = dead[:n]
-        queue.push_many(bucket, take, store.generation[bucket, take])
-        store.queue_dead(bucket, take)
-        return n
 
     def gather_path(self, buckets: Sequence[int]) -> int:
         """gatherDEADs over one whole path (``buckets[lv]`` at level lv).
 
         Visits only the levels that have a DeadQ; untracked levels
         cannot queue anything, so skipping them is behaviour-neutral,
-        as is skipping buckets with no DEAD slot (O(1) tally check).
+        as is skipping buckets with no DEAD slot (O(1) tally check). A
+        bucket always keeps at least one non-ALLOCATED slot so it can
+        serve a readPath even when no extension is granted. Returns how
+        many slots were queued.
         """
         total = 0
         store = self.store
         dead_count = store.dead_count
         for lv, queue in self._tracked_queues:
             b = buckets[lv]
-            if dead_count[b] and not queue.is_full:
-                total += self._gather_ready(queue, b, store)
+            if not dead_count[b] or queue.is_full:
+                continue
+            dead = store.dead_slots(b)
+            allocated = store.queued_count[b] + store.in_use_count[b]
+            n = min(int(dead.size), store.z_phys(b) - 1 - allocated,
+                    queue.space)
+            if n <= 0:
+                continue
+            take = dead[:n]
+            queue.push_many(b, take, store.generation[b, take])
+            store.queue_dead(b, take)
+            total += n
         return total
 
     # ---------------------------------------------------------- extension
@@ -179,13 +141,19 @@ class RemoteAllocator:
         """Try to rent ``remote_extension`` dead slots for ``bucket``.
 
         Returns ``(granted_extension, host_slots)``. All-or-nothing: on
-        shortage every popped entry goes back and the grant is 0. The
-        caller assigns contents via :meth:`write_remote` /
-        :meth:`write_remote_all` and reports the memory writes.
+        shortage every popped entry goes back and the grant is 0. A
+        grant fills the bucket's rented columns from 0, each holding a
+        dummy; the caller assigns contents via :meth:`write_remote_all`
+        and reports the memory writes. The previous round must be over
+        (:meth:`reclaim`).
         """
         r = self.cfg.geometry[level].remote_extension
         if r == 0:
             return 0, []
+        if self.n_active[bucket]:
+            raise RuntimeError(
+                f"bucket {bucket} still rents {self.n_active[bucket]} slots"
+            )
         queue = self.queues.get(level)
         self.extension_attempts += 1
         if queue is None or not len(queue):
@@ -214,75 +182,52 @@ class RemoteAllocator:
                 for hb, hs in got:
                     queue.requeue_front(hb, hs, int(gen[hb, hs]))
                 return 0, []
-        row = self._row_of.get(bucket)
-        if row is None:
-            row = self._alloc_row(bucket)
         for i, (hb, hs) in enumerate(got):
+            # A QUEUED slot already reads CONSUMED in its own bucket's
+            # row and keeps doing so: the host never sees what the
+            # renter stores there.
             store.set_status(hb, hs, ST_IN_USE)
-            # The host's own row must never expose the rented slot.
-            store.set_slot(hb, hs, CONSUMED)
-            self._host_bucket[row, i] = hb
-            self._host_slot[row, i] = hs
-        self._content[row, :r] = DUMMY
-        self._n_active[row] = r
+            self.host_bucket[bucket, i] = hb
+            self.host_slot[bucket, i] = hs
+        store.slots[bucket, store.z_max:store.z_max + r] = DUMMY
+        self.n_active[bucket] = r
         self.extension_grants += 1
-        return r, list(got)
-
-    def write_remote(self, bucket: int, host: Tuple[int, int], content: int) -> None:
-        """Set the logical content (block id or DUMMY) of a rented slot."""
-        row = self._row_of.get(bucket)
-        if row is not None:
-            hb_row = self._host_bucket[row]
-            hs_row = self._host_slot[row]
-            for i in range(self._n_active[row]):
-                if hb_row[i] == host[0] and hs_row[i] == host[1]:
-                    self._content[row, i] = content
-                    return
-        raise KeyError(f"bucket {bucket} does not rent slot {host}")
+        return r, got
 
     def write_remote_all(self, bucket: int, contents: Sequence[int]) -> None:
-        """Set every rented slot's content in one store (rental order).
+        """Set the content (block id or DUMMY) of every slot ``bucket``
+        rented this round, in one store.
 
-        ``contents[i]`` goes to the i-th host slot of the bucket's
-        current rental (the order :meth:`acquire` returned them);
-        equivalent to one :meth:`write_remote` per host.
+        ``contents[i]`` goes to column ``i``, the i-th host
+        :meth:`acquire` returned; called once, right after it.
         """
-        row = self._row_of.get(bucket)
-        if row is None:
-            raise KeyError(f"bucket {bucket} rents no slots")
-        n = self._n_active[row]
+        n = self.n_active[bucket]
         if len(contents) != n:
             raise ValueError(
                 f"bucket {bucket} rents {n} slots, got {len(contents)} contents"
             )
-        self._content[row, :n] = contents
+        z_max = self.store.z_max
+        self.store.slots[bucket, z_max:z_max + n] = contents
 
-    def reclaim(self, bucket: int) -> Tuple[List[int], List[Tuple[int, int]]]:
+    def reclaim(self, bucket: int) -> List[Tuple[int, int]]:
         """End ``bucket``'s rental round (its reshuffle begins).
 
-        Unconsumed rented slots return to their level's DeadQ; any real
-        blocks they held are handed back for the caller to stash.
-        Returns ``(real_blocks, released_host_slots)``.
+        Unconsumed rented slots return to their level's DeadQ and their
+        columns are cleared; whatever real blocks they held the caller
+        has already read out of the row
+        (:meth:`~repro.oram.bucket.BucketStore.resident_blocks`).
+        Returns the released host slots in rental order.
         """
-        row = self._row_of.get(bucket)
-        if row is None:
-            return [], []
+        if not self.n_active[bucket]:
+            return []
         store = self.store
-        n = self._n_active[row]
-        hb_row = self._host_bucket[row]
-        hs_row = self._host_slot[row]
-        c_row = self._content[row]
-        reals: List[int] = []
+        cols = store.slots[bucket, store.z_max:]
         released: List[Tuple[int, int]] = []
-        for i in range(n):
-            hb = int(hb_row[i])
-            hs = int(hs_row[i])
-            content = int(c_row[i])
-            if content >= 0:
-                reals.append(content)
+        for i in (cols != UNALLOCATED).nonzero()[0].tolist():
+            hb = self.host_bucket.item(bucket, i)
+            hs = self.host_slot.item(bucket, i)
             released.append((hb, hs))
-            level = store.level(hb)
-            queue = self.queues.get(level)
+            queue = self.queues.get(store.level(hb))
             store.set_status(hb, hs, ST_QUEUED)
             gen = int(store.generation[hb, hs])
             if queue is None or not queue.push(hb, hs, gen):
@@ -290,95 +235,96 @@ class RemoteAllocator:
                 # reshuffles over it.
                 store.set_status(hb, hs, ST_DEAD)
             self.reclaimed_slots += 1
-        self._release_row(bucket, row)
-        return reals, released
+        cols[:] = UNALLOCATED
+        self.n_active[bucket] = 0
+        return released
 
     # ------------------------------------------------------- readPath side
 
-    def has_rentals(self, bucket: int) -> bool:
-        """O(1): does ``bucket`` currently rent any unconsumed slot?"""
-        return bucket in self._row_of
+    def consume_remote(self, bucket: int, i: int) -> Tuple[int, int]:
+        """Serve a readPath from ``bucket``'s ``i``-th rented slot;
+        returns the host ``(bucket, slot)`` the read goes to.
 
-    def has_any_rentals(self) -> bool:
-        """O(1): does *any* bucket currently rent a slot?"""
-        return bool(self._row_of)
-
-    def rental_view(
-        self, bucket: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Raw host-table row of ``bucket``: (hosts, slots, contents, n).
-
-        The readPath hot loop inspects a couple of rented slots per
-        call; handing out the backing arrays (entries ``[:n]`` valid,
-        rental order) avoids the per-call list building of
-        :meth:`rentals_of`. Callers must not mutate them.
+        The column is cleared in place (the others keep their order),
+        the host slot turns DEAD (gatherable again) and the renter's
+        access count advances exactly as for a local read.
         """
-        row = self._row_of[bucket]
-        return (
-            self._host_bucket[row],
-            self._host_slot[row],
-            self._content[row],
-            self._n_active[row],
-        )
+        store = self.store
+        col = store.z_max + i
+        content = store.slots.item(bucket, col)
+        if content < DUMMY:
+            raise RuntimeError(f"bucket {bucket} rents no slot in column {i}")
+        store.slots[bucket, col] = UNALLOCATED
+        self.n_active[bucket] -= 1
+        hb = self.host_bucket.item(bucket, i)
+        hs = self.host_slot.item(bucket, i)
+        store.set_status(hb, hs, ST_DEAD)
+        store.count[bucket] += 1
+        self.remote_reads += 1
+        if content >= 0:
+            self.remote_real_reads += 1
+        return hb, hs
 
-    def rentals_of(self, bucket: int) -> List[List[int]]:
-        """Unconsumed rented slots of ``bucket`` as [hb, hs, content]."""
-        row = self._row_of.get(bucket)
-        if row is None:
-            return []
-        hb_row = self._host_bucket[row].tolist()
-        hs_row = self._host_slot[row].tolist()
-        c_row = self._content[row].tolist()
-        return [
-            [hb_row[i], hs_row[i], c_row[i]]
-            for i in range(self._n_active[row])
-        ]
+    # ------------------------------------------------------------ checking
 
-    def find_remote_block(self, bucket: int, block: int) -> Optional[Tuple[int, int]]:
-        """Host location of ``block`` if ``bucket`` stores it remotely."""
-        row = self._row_of.get(bucket)
-        if row is None:
-            return None
-        c_row = self._content[row]
-        for i in range(self._n_active[row]):
-            if c_row[i] == block:
-                return int(self._host_bucket[row, i]), int(self._host_slot[row, i])
-        return None
+    def check_invariants(self) -> None:
+        """Rental ownership and DeadQ validity over the whole tree (test
+        hook; raises ``AssertionError``).
 
-    def consume_remote(self, bucket: int, host: Tuple[int, int]) -> int:
-        """Serve a readPath from a rented slot; returns its content.
-
-        The host slot turns DEAD (gatherable again); the renter's access
-        count advances exactly as for a local read.
+        Every rented column's host is IN_USE, reads CONSUMED in its own
+        row, sits at the renter's level and is not the renter; no two
+        columns share a host; IN_USE slots, rented columns and
+        ``n_active`` agree. Per tracked level the DeadQ's live entries
+        (generation unchanged, status QUEUED) are distinct and are
+        exactly that level's QUEUED slots; no other level has one.
         """
-        row = self._row_of.get(bucket)
-        if row is None or self._n_active[row] == 0:
-            raise RuntimeError(f"bucket {bucket} has no unconsumed remote slots")
-        n = self._n_active[row]
-        hb_row = self._host_bucket[row]
-        hs_row = self._host_slot[row]
-        c_row = self._content[row]
-        for i in range(n):
-            if hb_row[i] == host[0] and hs_row[i] == host[1]:
-                content = int(c_row[i])
-                if i < n - 1:
-                    # Shift the tail left so rental order is preserved.
-                    hb_row[i:n - 1] = hb_row[i + 1:n].copy()
-                    hs_row[i:n - 1] = hs_row[i + 1:n].copy()
-                    c_row[i:n - 1] = c_row[i + 1:n].copy()
-                self._n_active[row] = n - 1
-                if n == 1:
-                    self._release_row(bucket, row)
-                store = self.store
-                hb, hs = host
-                store.set_slot(hb, hs, CONSUMED)
-                store.set_status(hb, hs, ST_DEAD)
-                store.count[bucket] += 1
-                self.remote_reads += 1
-                if content >= 0:
-                    self.remote_real_reads += 1
-                return content
-        raise KeyError(f"bucket {bucket} does not rent slot {host}")
+        store = self.store
+        width = store.slots.shape[1]
+        level_of = store.level_of_bucket
+        rented = store.slots[:, store.z_max:] != UNALLOCATED
+        if rented.sum(axis=1).tolist() != self.n_active:
+            raise AssertionError("n_active disagrees with the rented columns")
+        renter, col = rented.nonzero()
+        hb = self.host_bucket[renter, col]
+        hs = self.host_slot[renter, col]
+        bad = (
+            (store.status[hb, hs] != ST_IN_USE)
+            | (store.slots[hb, hs] != CONSUMED)
+            | (level_of[hb] != level_of[renter])
+            | (hb == renter)
+        ).nonzero()[0]
+        if bad.size:
+            k = bad[0]
+            raise AssertionError(
+                f"bucket {renter[k]} column {col[k]}: host ({hb[k]}, {hs[k]}) "
+                f"is not an IN_USE, CONSUMED slot of another bucket at its level"
+            )
+        in_use = store.status == ST_IN_USE
+        if (np.unique(hb * width + hs).size != renter.size
+                or renter.size != int(in_use.sum())):
+            raise AssertionError(
+                f"{renter.size} rented columns over {int(in_use.sum())} "
+                f"IN_USE slots: a host is shared or orphaned"
+            )
+        queued = store.status == ST_QUEUED
+        tracked = np.zeros(self.cfg.levels, dtype=bool)
+        for lv, queue in self._tracked_queues:
+            tracked[lv] = True
+            qb, qs, gen = np.array(queue.entries(), dtype=np.int64).reshape(-1, 3).T
+            live = (store.generation[qb, qs] == gen) & queued[qb, qs]
+            entries = np.sort((qb * width + qs)[live])
+            lo = (1 << lv) - 1
+            at_level = lo * width + queued[lo:2 * lo + 1].ravel().nonzero()[0]
+            if not np.array_equal(entries, at_level):
+                raise AssertionError(
+                    f"level {lv}: {entries.size} live DeadQ entries for "
+                    f"{at_level.size} QUEUED slots (duplicate, lost or foreign)"
+                )
+        stray = (queued.any(axis=1) & ~tracked[level_of]).nonzero()[0]
+        if stray.size:
+            raise AssertionError(
+                f"bucket {stray[0]} has a QUEUED slot at a level with no DeadQ"
+            )
 
     # ------------------------------------------------------------- metrics
 
@@ -390,17 +336,7 @@ class RemoteAllocator:
         return self.extension_grants / self.extension_attempts
 
     def active_rentals(self) -> int:
-        return sum(self._n_active[row] for row in self._row_of.values())
-
-    def remote_real_blocks(self) -> List[Tuple[int, int]]:
-        """(renter bucket, block) pairs currently stored remotely."""
-        out: List[Tuple[int, int]] = []
-        for bucket, row in self._row_of.items():
-            c_row = self._content[row]
-            for i in range(self._n_active[row]):
-                if c_row[i] >= 0:
-                    out.append((bucket, int(c_row[i])))
-        return out
+        return sum(self.n_active)
 
     def stats(self) -> Dict[str, object]:
         return {

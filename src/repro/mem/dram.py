@@ -592,22 +592,6 @@ class DramModel:
         self.channel_busy_ns[:] = [0.0] * len(self.channel_busy_ns)
         self.bank_busy_ns[:] = [0.0] * len(self.bank_busy_ns)
 
-    def access_burst(
-        self, byte_addrs: List[int], writes: List[bool], arrival_ns: float
-    ) -> float:
-        """Issue a batch arriving together; returns the last completion."""
-        if len(byte_addrs) != len(writes):
-            raise ValueError("byte_addrs and writes length mismatch")
-        done = arrival_ns
-        for addr, w in zip(byte_addrs, writes):
-            done = max(done, self.access(addr, w, arrival_ns))
-        return done
-
-    @property
-    def frontier_ns(self) -> float:
-        """Earliest time a fresh request could complete everywhere."""
-        return max(self._bus_free, default=0.0)
-
     def bandwidth_gbps(self, elapsed_ns: float) -> float:
         """Average consumed bandwidth over ``elapsed_ns``."""
         if elapsed_ns <= 0:

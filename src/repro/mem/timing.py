@@ -63,20 +63,6 @@ class DramTiming:
         if self.t_ck <= 0 or self.burst_ns <= 0:
             raise ValueError("t_ck and burst_ns must be positive")
 
-    def column_ns(self, write: bool) -> float:
-        """Column command to data latency."""
-        return self.t_cwd if write else self.t_cas
-
-    def recovery_ns(self, write: bool) -> float:
-        """Bank busy time after the burst completes."""
-        return self.t_wr if write else 0.0
-
-    def turnaround_ns(self, prev_write: bool, write: bool) -> float:
-        """Bus penalty when the channel switches transfer direction."""
-        if prev_write == write:
-            return 0.0
-        return self.t_wtr if prev_write else self.t_rtw
-
 
 #: DDR3-1600 (11-11-11), 64-bit channel: one 64B line = BL8 = 4 bus clocks.
 #: tRRD folds the tFAW window (4 activates / 30ns) into 7.5ns/activate.

@@ -1,8 +1,15 @@
 """Physical storage of the ORAM tree's buckets.
 
 State is numpy-backed so that trees with millions of buckets stay
-affordable: one row per bucket (padded to the widest level's ``Z``),
-plus per-bucket counters and per-slot status/generation words.
+affordable: one row per bucket, plus per-bucket counters and per-slot
+status/generation words. A row is the bucket's local slots (padded to
+the widest level's ``Z``, ``cfg.z_max`` columns) followed by one column
+per slot it may rent from a dead block elsewhere (``r_max`` = the
+largest ``remote_extension``; none for schemes without extension).
+Column ``z_max + i`` is the bucket's ``i``-th rented slot: its content
+lives here like any local slot's, its status stays REFRESHED, and
+:class:`repro.core.remote.RemoteAllocator` records which physical
+(bucket, slot) hosts the bytes.
 
 Slot contents are encoded in a single int64:
 
@@ -10,7 +17,8 @@ Slot contents are encoded in a single int64:
 - ``DUMMY`` (-1): a valid dummy block;
 - ``CONSUMED`` (-2): the slot was read since the last refresh -- this is
   a *dead block* in the paper's vocabulary;
-- ``UNALLOCATED`` (-3): padding column beyond this level's physical Z.
+- ``UNALLOCATED`` (-3): padding column beyond this level's physical Z,
+  or a rented-slot column with nothing rented in it.
 
 Slot status (AB-ORAM, Table I's 2-bit ``status`` field) tracks the
 remote-allocation lifecycle. ``QUEUED`` and ``IN_USE`` both map onto the
@@ -25,7 +33,7 @@ generation, and a stale entry is discarded at dequeue time.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +67,9 @@ class BucketStore:
     def __init__(self, cfg: OramConfig) -> None:
         self.cfg = cfg
         n = cfg.n_buckets
-        zmax = cfg.z_max
+        #: Local columns; column ``z_max + i`` is the i-th rented slot.
+        self.z_max = cfg.z_max
+        width = self.z_max + max(g.remote_extension for g in cfg.geometry)
         self.level_of_bucket = np.empty(n, dtype=np.uint8)
         self.z_of_bucket = np.empty(n, dtype=np.uint8)
         for lv in range(cfg.levels):
@@ -67,7 +77,7 @@ class BucketStore:
             hi = (1 << (lv + 1)) - 1
             self.level_of_bucket[lo:hi] = lv
             self.z_of_bucket[lo:hi] = cfg.geometry[lv].z_total
-        self.slots = np.full((n, zmax), UNALLOCATED, dtype=np.int64)
+        self.slots = np.full((n, width), UNALLOCATED, dtype=np.int64)
         for lv in range(cfg.levels):
             lo = (1 << lv) - 1
             hi = (1 << (lv + 1)) - 1
@@ -80,15 +90,9 @@ class BucketStore:
             lo = (1 << lv) - 1
             hi = (1 << (lv + 1)) - 1
             self.sustain[lo:hi] = cfg.geometry[lv].sustain_unextended
-        self.status = np.zeros((n, zmax), dtype=np.uint8)
-        self.generation = np.zeros((n, zmax), dtype=np.uint32)
+        self.status = np.zeros((n, width), dtype=np.uint8)
+        self.generation = np.zeros((n, width), dtype=np.uint32)
         self.reshuffles_by_level = np.zeros(cfg.levels, dtype=np.int64)
-        # Memoized per-bucket slot-scan results (valid dummies, usable,
-        # dead, real), invalidated whenever the bucket mutates. Scans
-        # dominate readPath/warm-fill cost otherwise. Writers that poke
-        # ``slots``/``status`` directly must go through ``set_slot`` /
-        # ``set_status`` or call ``invalidate_bucket``.
-        self._scan_cache: Dict[int, Dict[str, np.ndarray]] = {}
         # Plain-list mirrors of the (immutable) per-bucket geometry:
         # scalar numpy indexing boxes a fresh object per lookup, which
         # is measurable at one ``level()``/``z_phys()`` per slot touch.
@@ -97,26 +101,19 @@ class BucketStore:
         self._sustain_list: List[int] = [
             g.sustain_unextended for g in cfg.geometry
         ]
-        # True once any slot has ever entered the remote-allocation
-        # lifecycle (QUEUED / IN_USE). While False, every slot of every
-        # bucket is usable at reshuffle and no DeadQ generation bumps
-        # are needed, which lets ``refresh`` skip the status scans
-        # entirely. Flipped by ``set_status`` and never cleared.
-        self.has_lifecycle = False
         # Per-bucket tallies of QUEUED / IN_USE slots, maintained by
-        # ``set_status``/``set_status_many``/``refresh`` (``consume``
-        # only ever moves REFRESHED -> DEAD, so it never touches them).
-        # They make "how many slots are ALLOCATED" an O(1) lookup and
-        # let ``refresh`` keep its whole-bucket fast path for buckets
-        # whose lifecycle state has drained back to zero. Plain lists:
-        # scalar numpy indexing would box a fresh object per lookup.
+        # ``set_status``/``queue_dead``/``refresh`` (``consume`` only
+        # ever moves REFRESHED -> DEAD, so it never touches them). They
+        # make "how many slots are ALLOCATED" an O(1) lookup and keep
+        # ``refresh`` on contiguous slice stores for every bucket with
+        # no slot rented out. Plain lists: scalar numpy indexing would
+        # box a fresh object per lookup.
         self.queued_count: List[int] = [0] * n
         self.in_use_count: List[int] = [0] * n
         # Per-bucket tally of DEAD slots (consumed, not yet queued or
         # reused), maintained by ``consume``/``refresh``/``set_status``/
-        # ``set_status_many``/``queue_dead``. gatherDEADs checks it to
-        # skip the dead-slot scan on the (common) buckets with nothing
-        # to gather.
+        # ``queue_dead``. gatherDEADs checks it to skip the dead-slot
+        # scan on the (common) buckets with nothing to gather.
         self.dead_count: List[int] = [0] * n
 
     # ------------------------------------------------------------ geometry
@@ -131,107 +128,47 @@ class BucketStore:
         """Physical slot contents of ``bucket`` (length = its Z)."""
         return self.slots[bucket, : self.z_of_bucket[bucket]]
 
-    # ----------------------------------------------------------- scan cache
-
-    def invalidate_bucket(self, bucket: int) -> None:
-        """Drop memoized scans of ``bucket`` after a direct array write."""
-        self._scan_cache.pop(bucket, None)
-
-    def _cached(
-        self, bucket: int, key: str
-    ) -> Tuple[Dict[str, np.ndarray], "np.ndarray | None"]:
-        c = self._scan_cache.get(bucket)
-        if c is None:
-            c = self._scan_cache[bucket] = {}
-            return c, None
-        return c, c.get(key)
-
     # ------------------------------------------------------------- queries
 
-    def find_block(self, bucket: int, block: int) -> int:
-        """Slot index of ``block`` in ``bucket``, or -1."""
-        row = self.row(bucket)
-        hits = np.nonzero(row == block)[0]
-        return int(hits[0]) if hits.size else -1
-
-    def valid_dummy_slots(self, bucket: int) -> np.ndarray:
-        """Dummy slots the bucket itself may serve reads from.
-
-        Slots rented to another bucket (IN_USE) or parked in a DeadQ
-        (QUEUED) are excluded: the paper marks them ALLOCATED precisely
-        so that "no one else will use" them. The result is memoized
-        until the bucket next mutates; callers must not modify it.
-        """
-        c, hit = self._cached(bucket, "dummy")
-        if hit is not None:
-            return hit
-        z = self._z_list[bucket]
-        row = self.slots[bucket, :z]
-        st = self.status[bucket, :z]
-        res = ((row == DUMMY) & (st == ST_REFRESHED)).nonzero()[0]
-        c["dummy"] = res
-        return res
-
     def valid_real_slots(self, bucket: int) -> np.ndarray:
-        c, hit = self._cached(bucket, "real")
-        if hit is not None:
-            return hit
-        res = (self.row(bucket) >= 0).nonzero()[0]
-        c["real"] = res
-        return res
+        """Local slots of ``bucket`` holding a real block, ascending."""
+        return (self.row(bucket) >= 0).nonzero()[0]
 
     def dead_slots(self, bucket: int) -> np.ndarray:
         """Slots whose status is DEAD (consumed, not yet queued/reused)."""
-        c, hit = self._cached(bucket, "dead")
-        if hit is not None:
-            return hit
         z = self._z_list[bucket]
-        res = (self.status[bucket, :z] == ST_DEAD).nonzero()[0]
-        c["dead"] = res
-        return res
-
-    def real_count(self, bucket: int) -> int:
-        return int(self.valid_real_slots(bucket).size)
+        return (self.status[bucket, :z] == ST_DEAD).nonzero()[0]
 
     def resident_blocks(self, bucket: int) -> np.ndarray:
-        """Real block ids stored in ``bucket``, in ascending slot order.
-
-        The content-only companion of :meth:`valid_real_slots` for
-        callers that never need the slot indices (reshuffle resident
-        collection); skips the scan cache since its callers mutate the
-        bucket right afterwards anyway.
-        """
-        row = self.slots[bucket, : self._z_list[bucket]]
+        """Real block ids ``bucket`` holds: its local slots in ascending
+        order, then its rented slots in rental order (padding and empty
+        rental columns are negative, so the whole row is scanned)."""
+        row = self.slots[bucket]
         return row[row >= 0]
 
     def usable_slots(self, bucket: int) -> np.ndarray:
         """Slots this bucket may rewrite at reshuffle (not rented out)."""
-        c, hit = self._cached(bucket, "usable")
-        if hit is not None:
-            return hit
         z = self._z_list[bucket]
-        st = self.status[bucket, :z]
-        res = (st != ST_IN_USE).nonzero()[0]
-        c["usable"] = res
-        return res
-
-    # ------------------------------------------------------- batched queries
+        return (self.status[bucket, :z] != ST_IN_USE).nonzero()[0]
 
     def path_slot_views(self, buckets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Slot contents and statuses of a whole path at once.
 
-        Returns ``(slots, status)`` as two ``(len(buckets), z_max)``
+        Returns ``(slots, status)`` as two ``(len(buckets), width)``
         arrays (fancy-index copies, so later mutation of the store does
-        not affect them). Padding columns beyond a level's physical Z
-        hold ``UNALLOCATED`` and status REFRESHED, so content-based
-        masks (``== DUMMY``, ``>= 0``) need no extra Z masking.
+        not affect them), local columns first, rented ones from
+        ``z_max`` on. Padding columns and empty rental columns hold
+        ``UNALLOCATED``, and every column that is not a local slot has
+        status REFRESHED, so content-based masks (``== DUMMY``,
+        ``>= 0``) classify local and rented slots alike with no extra
+        masking.
         """
         return self.slots[buckets], self.status[buckets]
 
     # ------------------------------------------------------------- updates
 
     def consume(self, bucket: int, slot: int) -> int:
-        """Read a slot: return its content, mark it consumed/dead."""
+        """Read a local slot: return its content, mark it consumed/dead."""
         if not 0 <= slot < self._z_list[bucket]:
             raise ValueError(
                 f"slot {slot} out of range for bucket {bucket} "
@@ -251,7 +188,6 @@ class BucketStore:
         self.status[bucket, slot] = ST_DEAD
         self.dead_count[bucket] += 1
         self.count[bucket] += 1
-        self._scan_cache.pop(bucket, None)
         return content
 
     def consume_path(
@@ -271,10 +207,8 @@ class BucketStore:
         self.status[b_arr, s_arr] = ST_DEAD
         self.count[b_arr] += 1
         dc = self.dead_count
-        pop = self._scan_cache.pop
         for b in buckets:
             dc[b] += 1
-            pop(b, None)
 
     def refresh(
         self,
@@ -282,7 +216,8 @@ class BucketStore:
         real_blocks: Sequence[int],
         granted_extension: int = 0,
     ) -> List[int]:
-        """Rewrite ``bucket`` with ``real_blocks`` plus dummies.
+        """Rewrite ``bucket``'s local slots with ``real_blocks`` plus
+        dummies.
 
         Every usable slot (not rented out via remote allocation) is
         rewritten; QUEUED slots are reclaimed by bumping their
@@ -292,80 +227,43 @@ class BucketStore:
         exist (checked here).
         """
         z = self._z_list[bucket]
-        if not self.has_lifecycle:
-            # No slot anywhere has ever been QUEUED/IN_USE, so every
-            # slot is usable and there are no DeadQ generations to
-            # bump: skip the status scans outright. This is the
-            # steady-state path for ring/CB/NS configurations.
-            if len(real_blocks) > z:
-                raise RuntimeError(
-                    f"bucket {bucket}: {len(real_blocks)} real blocks but "
-                    f"only {z} usable slots"
-                )
-            row = self.slots[bucket]
-            row[:z] = DUMMY
-            for i, blk in enumerate(real_blocks):
-                row[i] = blk
-            self.status[bucket, :z] = ST_REFRESHED
-            self.dead_count[bucket] = 0
-            self.count[bucket] = 0
-            self._scan_cache.pop(bucket, None)
-            lvl = self._level_list[bucket]
-            self.sustain[bucket] = (
-                min(self._sustain_list[lvl], z) + granted_extension
-            )
-            self.reshuffles_by_level[lvl] += 1
-            return list(range(z))
         if self.in_use_count[bucket] == 0:
-            # Whole-bucket fast path, now independent of the global
-            # ``has_lifecycle`` latch: as long as no slot of *this*
-            # bucket is rented out, every slot is usable (QUEUED and
-            # DEAD slots get rewritten), so the rewrite is contiguous
-            # slice stores. Lifecycle transitions are unchanged --
-            # QUEUED slots still take a generation bump (their DeadQ
-            # entries turn stale) before going REFRESHED.
-            if len(real_blocks) > z:
-                raise RuntimeError(
-                    f"bucket {bucket}: {len(real_blocks)} real blocks but only "
-                    f"{z} usable slots"
-                )
-            st = self.status[bucket, :z]
-            if self.queued_count[bucket]:
-                queued = (st == ST_QUEUED).nonzero()[0]
-                self.generation[bucket, queued] += 1
-                self.queued_count[bucket] = 0
-            row = self.slots[bucket]
-            row[:z] = DUMMY
-            for i, blk in enumerate(real_blocks):
-                row[i] = blk
-            st[:] = ST_REFRESHED
-            written = list(range(z))
+            # No slot of this bucket is rented out, so every slot is
+            # usable (QUEUED and DEAD ones get rewritten) and the
+            # rewrite is contiguous slice stores. The only case for
+            # schemes without a DeadQ, whose queued tally stays zero.
+            usable = None
             n_usable = z
         else:
             usable = self.usable_slots(bucket)
             n_usable = int(usable.size)
-            if len(real_blocks) > n_usable:
-                raise RuntimeError(
-                    f"bucket {bucket}: {len(real_blocks)} real blocks but only "
-                    f"{n_usable} usable slots"
-                )
+        if len(real_blocks) > n_usable:
+            raise RuntimeError(
+                f"bucket {bucket}: {len(real_blocks)} real blocks but only "
+                f"{n_usable} usable slots"
+            )
+        row = self.slots[bucket]
+        st = self.status[bucket]
+        if self.queued_count[bucket]:
             # Reclaim queued slots (lazy DeadQ invalidation). QUEUED
             # slots are never IN_USE, so they are all usable and the
             # bucket's queued tally drains to zero here.
-            queued = usable[self.status[bucket, usable] == ST_QUEUED]
-            if queued.size:
-                self.generation[bucket, queued] += 1
-                self.queued_count[bucket] -= int(queued.size)
-            self.slots[bucket, usable] = DUMMY
-            for i, blk in enumerate(real_blocks):
-                self.slots[bucket, usable[i]] = blk
-            self.status[bucket, usable] = ST_REFRESHED
+            self.generation[bucket, (st[:z] == ST_QUEUED).nonzero()[0]] += 1
+            self.queued_count[bucket] = 0
+        if usable is None:
+            row[:z] = DUMMY
+            row[:len(real_blocks)] = real_blocks
+            st[:z] = ST_REFRESHED
+            written = list(range(z))
+        else:
+            row[usable] = DUMMY
+            row[usable[:len(real_blocks)]] = real_blocks
+            st[usable] = ST_REFRESHED
             written = usable.tolist()
         # DEAD slots are never IN_USE, so every one of them was just
         # rewritten (on both branches above): the tally drains to zero.
         self.dead_count[bucket] = 0
         self.count[bucket] = 0
-        self._scan_cache.pop(bucket, None)
         lvl = self._level_list[bucket]
         # Every sustained read consumes a distinct valid slot, so the
         # policy sustain (S + Y) is capped by the slots actually
@@ -382,87 +280,37 @@ class BucketStore:
     def set_status(self, bucket: int, slot: int, status: SlotStatus) -> None:
         s = int(status)
         old = int(self.status[bucket, slot])
-        if old != s:
-            if old == ST_QUEUED:
-                self.queued_count[bucket] -= 1
-            elif old == ST_IN_USE:
-                self.in_use_count[bucket] -= 1
-            elif old == ST_DEAD:
-                self.dead_count[bucket] -= 1
-            if s == ST_QUEUED:
-                self.queued_count[bucket] += 1
-            elif s == ST_IN_USE:
-                self.in_use_count[bucket] += 1
-            elif s == ST_DEAD:
-                self.dead_count[bucket] += 1
-            self.status[bucket, slot] = s
-        if s == ST_QUEUED or s == ST_IN_USE:
-            self.has_lifecycle = True
-        self._scan_cache.pop(bucket, None)
-
-    def set_status_many(
-        self, bucket: int, slots: np.ndarray, status: SlotStatus
-    ) -> None:
-        """Set ``status`` on several slots of one bucket at once.
-
-        Equivalent to one :meth:`set_status` per slot; the per-bucket
-        QUEUED/IN_USE tallies are adjusted from a single vectorized
-        count of the previous statuses.
-        """
-        s = int(status)
-        st = self.status[bucket]
-        old = st[slots]
-        nq = int((old == ST_QUEUED).sum())
-        ni = int((old == ST_IN_USE).sum())
-        nd = int((old == ST_DEAD).sum())
-        if nq:
-            self.queued_count[bucket] -= nq
-        if ni:
-            self.in_use_count[bucket] -= ni
-        if nd:
-            self.dead_count[bucket] -= nd
-        st[slots] = s
-        n = len(slots)
+        if old == s:
+            return
+        if old == ST_QUEUED:
+            self.queued_count[bucket] -= 1
+        elif old == ST_IN_USE:
+            self.in_use_count[bucket] -= 1
+        elif old == ST_DEAD:
+            self.dead_count[bucket] -= 1
         if s == ST_QUEUED:
-            self.queued_count[bucket] += n
-            self.has_lifecycle = True
+            self.queued_count[bucket] += 1
         elif s == ST_IN_USE:
-            self.in_use_count[bucket] += n
-            self.has_lifecycle = True
+            self.in_use_count[bucket] += 1
         elif s == ST_DEAD:
-            self.dead_count[bucket] += n
-        self._scan_cache.pop(bucket, None)
+            self.dead_count[bucket] += 1
+        self.status[bucket, slot] = s
 
     def queue_dead(self, bucket: int, slots: np.ndarray) -> None:
         """DEAD -> QUEUED for several slots of one bucket (gatherDEADs).
 
-        Equivalent to :meth:`set_status_many` with status QUEUED when
-        the caller guarantees every slot is currently DEAD (which
-        gatherDEADs does: it takes them from :meth:`dead_slots`), so
-        the previous-status scan collapses to counter arithmetic.
+        The caller guarantees every slot is currently DEAD (gatherDEADs
+        takes them from :meth:`dead_slots`), so the tallies move by
+        counter arithmetic, without a scan of the previous statuses.
         """
         n = len(slots)
         self.status[bucket][slots] = ST_QUEUED
         self.dead_count[bucket] -= n
         self.queued_count[bucket] += n
-        self.has_lifecycle = True
-        self._scan_cache.pop(bucket, None)
-
-    def get_status(self, bucket: int, slot: int) -> SlotStatus:
-        return SlotStatus(int(self.status[bucket, slot]))
-
-    def slot_generation(self, bucket: int, slot: int) -> int:
-        return int(self.generation[bucket, slot])
 
     def set_slot(self, bucket: int, slot: int, value: int) -> None:
-        """Write one slot's content directly (warm fill, remote hosting)."""
+        """Write one slot's content directly (warm fill)."""
         self.slots[bucket, slot] = value
-        self._scan_cache.pop(bucket, None)
-
-    def write_dummy(self, bucket: int, slot: int) -> None:
-        """Write a fresh dummy into a specific slot (remote allocation)."""
-        self.slots[bucket, slot] = DUMMY
-        self._scan_cache.pop(bucket, None)
 
     # --------------------------------------------------------- global scans
 
@@ -487,7 +335,17 @@ class BucketStore:
             out[lv] = per_bucket[lo:hi].sum()
         return out
 
-    def real_blocks_resident(self) -> np.ndarray:
-        """Ids of every real block currently stored in the tree."""
-        flat = self.slots.ravel()
-        return flat[flat >= 0]
+    def check_tallies(self) -> None:
+        """The per-bucket DEAD / QUEUED / IN_USE tallies equal a recount
+        of ``status`` (test hook; raises ``AssertionError``)."""
+        for name, code in (("dead_count", ST_DEAD),
+                           ("queued_count", ST_QUEUED),
+                           ("in_use_count", ST_IN_USE)):
+            recount = (self.status == code).sum(axis=1)
+            off = (recount != getattr(self, name)).nonzero()[0]
+            if off.size:
+                b = int(off[0])
+                raise AssertionError(
+                    f"bucket {b}: {name}={getattr(self, name)[b]} but "
+                    f"{int(recount[b])} slots have status {SlotStatus(code).name}"
+                )

@@ -165,14 +165,6 @@ class OramConfig:
         self._check_level(level)
         return 1 << level
 
-    def z_total_at(self, level: int) -> int:
-        self._check_level(level)
-        return self.geometry[level].z_total
-
-    def z_real_at(self, level: int) -> int:
-        self._check_level(level)
-        return self.geometry[level].z_real
-
     @property
     def z_max(self) -> int:
         """Largest physical bucket across levels (array column count)."""

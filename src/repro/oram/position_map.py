@@ -35,10 +35,6 @@ class PositionMap:
     def __len__(self) -> int:
         return self.n_blocks
 
-    def is_mapped(self, block: int) -> bool:
-        self._check(block)
-        return self._leaf[block] != UNMAPPED
-
     def lookup(self, block: int) -> int:
         """Current leaf of ``block``, assigning a random one on first use."""
         self._check(block)

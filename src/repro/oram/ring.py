@@ -20,11 +20,15 @@ evictPath schedule and therefore drain the stash).
 
 With AB-ORAM extensions attached (:class:`repro.core.remote
 .RemoteAllocator`), a bucket at a DR level owns up to ``r`` additional
-*remote* slots rented from dead blocks of its level. Reshuffles scatter
-the bucket's contents uniformly over local + remote positions, so a
-remote read (real or dummy) is indistinguishable from a local one; the
-only observable difference is the redirected address -- which is public
-by design.
+*remote* slots rented from dead blocks of its level. They are columns
+of the bucket's own row in the :class:`~repro.oram.bucket.BucketStore`,
+past its local slots, so every operation here has one body: readPath
+draws one slot out of the row and only then asks whether the bytes
+live in the bucket or at a rented host; a reshuffle collects the row's
+real blocks, ends the rental round and scatters the refill uniformly
+over local + remote positions. A remote read (real or dummy) is
+therefore indistinguishable from a local one; the only observable
+difference is the redirected address -- which is public by design.
 
 The controller narrates every memory touch to a
 :class:`~repro.oram.stats.MemorySink`; accesses to treetop-cached
@@ -318,10 +322,12 @@ class RingOram:
         """One Ring ORAM path read. Returns buckets now due a reshuffle.
 
         The metadata work is batched: one whole-path snapshot of slot
-        contents and statuses replaces the per-bucket ``np.where``
-        chains the scalar implementation performed, so the Python-level
-        cost per access is O(levels) dict/sink work instead of
-        O(levels) array-scan pipelines.
+        contents and statuses (local slots and rented ones alike)
+        replaces per-bucket scans, so the Python-level cost per access
+        is O(levels) list/sink work instead of O(levels) array-scan
+        pipelines. The block pass below is the only one: per level one
+        slot of the row, then one tail whether the bytes are local or
+        at a rented host.
         """
         cfg = self.cfg
         sink = self.sink
@@ -350,29 +356,26 @@ class RingOram:
             # gatherDEADs visits only the levels that own a DeadQ.
             ext.gather_path(buckets)
         # -- whole-path snapshot, taken after gather() so DeadQ status
-        # flips are visible. Path buckets are distinct and each is read
+        # flips are visible: one row per bucket, its local slots then
+        # the slots it rents. Path buckets are distinct and each is read
         # exactly once below, so the snapshot stays valid while slots
         # are consumed; remote hosts are never path buckets (a renter's
         # host sits at the renter's own level, different position).
         rows, sts = store.path_slot_views(bks)
+        z_max = store.z_max
         # -- locate the target (the metadata identifies its bucket + slot)
         target_bucket = -1
         target_slot = -1
-        target_remote: Optional[Tuple[int, int]] = None
         if target is not None:
             hit_lv, hit_slot = (rows == target).nonzero()
             if hit_lv.size:
                 target_bucket = buckets[int(hit_lv[0])]
                 target_slot = int(hit_slot[0])
-            elif ext is not None and ext.has_any_rentals():
-                for b in buckets:
-                    host = ext.find_remote_block(b, target)
-                    if host is not None:
-                        target_bucket, target_remote = b, host
-                        break
         # -- valid dummies of every bucket in one vectorized pass;
         # np.nonzero is row-major, so per-bucket slot lists are
-        # contiguous runs of ``dummy_slot`` in ascending order.
+        # contiguous runs of ``dummy_slot``, local slots ascending and
+        # then rented ones in rental order. A rented column's status is
+        # always REFRESHED, so the one mask covers both.
         dmask = (rows == DUMMY) & (sts == ST_REFRESHED)
         dcounts = dmask.sum(axis=1).tolist()
         dummy_slot = dmask.nonzero()[1].tolist()
@@ -386,8 +389,8 @@ class RingOram:
         # way, but lazily: most accesses find a dummy at every level, so
         # the scan runs only once a bucket turns up dry. A slot with
         # real content is necessarily REFRESHED, so the content test
-        # alone is the population _read_nontarget would scan; ``rows``
-        # is a snapshot, so deferring the scan changes nothing.
+        # alone suffices; ``rows`` is a snapshot, so deferring the scan
+        # changes nothing.
         gcounts = None
         green_slot: List[int] = []
         gstarts: List[int] = []
@@ -407,60 +410,28 @@ class RingOram:
         opens: Optional[List[Tuple[int, int, int]]] = (
             None if self.datastore is None else []
         )
-        # Consumes of the inlined no-rental paths are deferred into one
-        # batched write-back; each bucket appears at most once, nothing
-        # in the loop reads the affected state (observers only get the
-        # coordinates, _read_nontarget/consume_remote touch other
-        # buckets), and the batch lands before the ``due`` scan below.
+        # Local consumes are deferred into one batched write-back; each
+        # bucket appears at most once, nothing in the loop reads the
+        # affected state (observers only get the coordinates,
+        # consume_remote touches the renter's count and a host off the
+        # path), and the batch lands before the ``due`` scan below.
         cons_b: List[int] = []
         cons_s: List[int] = []
         integers = self.rng.integers
         observers = self.observers
         item = rows.item
-        has_rentals = ext.has_rentals if ext is not None else None
         for lv, b in enumerate(buckets):
+            # One slot of the bucket's row: the target's, else a valid
+            # dummy, else (dry bucket) a green block, which spills to
+            # the stash (CB, paper section III-C). One uniform draw over
+            # local + rented candidates.
             if b == target_bucket:
-                if target_remote is not None:
-                    hb, hs = target_remote
-                    if opens is not None:
-                        opens.append((target, hb, hs))
-                    blockval = ext.consume_remote(b, target_remote)
-                    hlv = store.level(hb)
-                    self._notify_dead(hb, hs, hlv)
-                    sink_items.append((hb, hs, hlv, hlv < treetop, True))
-                    if reads is not None:
-                        reads.append((b, hs, hlv, True))
-                else:
-                    if opens is not None:
-                        opens.append((target, b, target_slot))
-                    blockval = target
-                    cons_b.append(b)
-                    cons_s.append(target_slot)
-                    self._notify_dead(b, target_slot, lv)
-                    sink_items.append((b, target_slot, lv, lv < treetop, False))
-                    if reads is not None:
-                        reads.append((b, target_slot, lv, False))
-                self.stash.add(blockval, self.posmap.peek(blockval))
-                continue
-            n_d = dcounts[lv]
-            if ext is None or not has_rentals(b):
-                # No remote slots rented by this bucket (the
-                # overwhelmingly common case, inlined): the dummy and
-                # green populations are exactly the local ones, so the
-                # single ``integers`` draw here is the same draw
-                # _read_nontarget would take.
-                if n_d:
-                    slot = dummy_slot[dstarts[lv] + int(integers(n_d))]
-                    cons_b.append(b)
-                    cons_s.append(slot)
-                    for obs in observers:
-                        obs.on_slot_dead(b, slot, lv)
-                    sink_items.append((b, slot, lv, lv < treetop, False))
-                    if reads is not None:
-                        reads.append((b, slot, lv, False))
-                    continue
-                # Green block: a valid real slot spills to the stash
-                # (CB, paper section III-C).
+                slot = target_slot
+                blockval = target
+            elif dcounts[lv]:
+                slot = dummy_slot[dstarts[lv] + int(integers(dcounts[lv]))]
+                blockval = DUMMY
+            else:
                 if gcounts is None:
                     gmask = rows >= 0
                     gcounts = gmask.sum(axis=1).tolist()
@@ -478,23 +449,24 @@ class RingOram:
                     )
                 slot = green_slot[gstarts[lv] + int(integers(n_g))]
                 blockval = item(lv, slot)
-                if opens is not None:
-                    opens.append((blockval, b, slot))
+            # Where the bytes live: the bucket's own slot, or the host
+            # of a rented column (same level, never on this path).
+            remote = slot >= z_max
+            if remote:
+                at, slot = ext.consume_remote(b, slot - z_max)
+            else:
+                at = b
                 cons_b.append(b)
                 cons_s.append(slot)
-                for obs in observers:
-                    obs.on_slot_dead(b, slot, lv)
-                sink_items.append((b, slot, lv, lv < treetop, False))
-                if reads is not None:
-                    reads.append((b, slot, lv, False))
+            for obs in observers:
+                obs.on_slot_dead(at, slot, lv)
+            sink_items.append((at, slot, lv, lv < treetop, remote))
+            if reads is not None:
+                reads.append((b, slot, lv, remote))
+            if blockval >= 0:
+                if opens is not None:
+                    opens.append((blockval, at, slot))
                 self.stash.add(blockval, self.posmap.peek(blockval))
-                continue
-            self._read_nontarget(
-                b, lv, reads, sink_items, opens,
-                n_d,
-                dummy_slot[dstarts[lv]:dstarts[lv + 1]],
-                rows[lv],
-            )
         if cons_b:
             store.consume_path(cons_b, cons_s)
         if opens:
@@ -513,92 +485,6 @@ class RingOram:
         sitem = store.sustain.item
         return [b for b in buckets if citem(b) >= sitem(b)]
 
-    def _read_nontarget(
-        self,
-        b: int,
-        lv: int,
-        reads: Optional[List[Tuple[int, int, int, bool]]],
-        sink_items: List[Tuple[int, int, int, bool, bool]],
-        opens: Optional[List[Tuple[int, int, int]]],
-        n_local_dummies: int,
-        local_dummies: List[int],
-        row: np.ndarray,
-    ) -> None:
-        """Read a non-target block from bucket ``b``.
-
-        Dummies first (uniformly among local + remote ones), then green
-        blocks (a valid slot holding real content -- local or remote --
-        whose block spills to the stash). The sustain accounting
-        guarantees at least one valid slot exists. ``local_dummies``
-        and ``row`` come from the caller's whole-path snapshot; the
-        memory touch goes into ``sink_items`` and a green block's
-        sealed slot into ``opens`` for the caller's batches.
-        """
-        store = self.store
-        treetop = self.cfg.treetop_levels
-        onchip = lv < treetop
-        # The caller only routes buckets with live rentals here, so the
-        # raw host-table row (rental order) replaces the list-building
-        # rentals_of(); n_act is at most remote_extension (a couple).
-        hb_row, hs_row, c_row, n_act = self.ext.rental_view(b)
-        citem = c_row.item
-        remote_dummies = [i for i in range(n_act) if citem(i) == DUMMY]
-        n_dummies = n_local_dummies + len(remote_dummies)
-        if n_dummies:
-            pick = int(self.rng.integers(n_dummies))
-            if pick < n_local_dummies:
-                slot = local_dummies[pick]
-                store.consume(b, slot)
-                self._notify_dead(b, slot, lv)
-                sink_items.append((b, slot, lv, onchip, False))
-                if reads is not None:
-                    reads.append((b, slot, lv, False))
-            else:
-                i = remote_dummies[pick - n_local_dummies]
-                host = (hb_row.item(i), hs_row.item(i))
-                self.ext.consume_remote(b, host)
-                hb, hs = host
-                hlv = store.level(hb)
-                self._notify_dead(hb, hs, hlv)
-                sink_items.append((hb, hs, hlv, hlv < treetop, True))
-                if reads is not None:
-                    reads.append((b, hs, hlv, True))
-            return
-        # Green block: a valid real slot is consumed; the real block
-        # returns to the processor and must stay in the stash (CB,
-        # paper section III-C).
-        local_greens = (row >= 0).nonzero()[0]
-        remote_greens = [i for i in range(n_act) if citem(i) >= 0]
-        n_greens = local_greens.size + len(remote_greens)
-        if not n_greens:
-            raise ProtocolError(
-                f"bucket {b} (level {lv}) has no readable slot: "
-                f"count={store.count[b]} sustain={store.sustain[b]}"
-            )
-        pick = int(self.rng.integers(n_greens))
-        if pick < local_greens.size:
-            slot = int(local_greens[pick])
-            blockval = store.consume(b, slot)
-            if opens is not None:
-                opens.append((blockval, b, slot))
-            self._notify_dead(b, slot, lv)
-            sink_items.append((b, slot, lv, onchip, False))
-            if reads is not None:
-                reads.append((b, slot, lv, False))
-        else:
-            i = remote_greens[pick - local_greens.size]
-            host = (hb_row.item(i), hs_row.item(i))
-            hb, hs = host
-            blockval = self.ext.consume_remote(b, host)
-            if opens is not None:
-                opens.append((blockval, hb, hs))
-            hlv = store.level(hb)
-            self._notify_dead(hb, hs, hlv)
-            sink_items.append((hb, hs, hlv, hlv < treetop, True))
-            if reads is not None:
-                reads.append((b, hs, hlv, True))
-        self.stash.add(blockval, self.posmap.peek(blockval))
-
     # ---------------------------------------------------------- maintenance
 
     def _run_maintenance(self, pending_reshuffles: List[int]) -> None:
@@ -613,19 +499,23 @@ class RingOram:
         """``b``'s real blocks with the sealed slots holding them, as
         ``(block, bucket, slot)``.
 
-        Local slots in ascending order, then unconsumed remote slots in
-        rental order: the order ``_collect_residents`` admits them in.
+        Local slots in ascending order, then unconsumed rented slots in
+        rental order (each at its host's address): the order
+        ``_collect_residents`` admits them in.
         """
-        slots = self.store.valid_real_slots(b).tolist()
-        residents = [
-            (block, b, slot)
-            for block, slot in zip(self.store.row(b)[slots].tolist(), slots)
-        ]
-        if self.ext is not None:
-            residents += [
-                (content, hb, hs)
-                for hb, hs, content in self.ext.rentals_of(b) if content >= 0
-            ]
+        row = self.store.slots[b]
+        cols = (row >= 0).nonzero()[0]
+        z_max = self.store.z_max
+        residents = []
+        for block, col in zip(row[cols].tolist(), cols.tolist()):
+            if col < z_max:
+                residents.append((block, b, col))
+            else:
+                residents.append((
+                    block,
+                    self.ext.host_bucket.item(b, col - z_max),
+                    self.ext.host_slot.item(b, col - z_max),
+                ))
         return residents
 
     def _open_residents(
@@ -654,39 +544,29 @@ class RingOram:
     ) -> None:
         """Move all of ``b``'s remaining real blocks into the stash.
 
-        Covers both local slots and (for AB) unconsumed remote slots,
+        Covers both local slots and (for AB) unconsumed rented slots,
         whose rental round ends here. On the sealed path ``opened`` is
         the bucket's share of a batch the caller already opened
         (evictPath opens its whole path at once); without it the bucket
         is its own batch.
         """
-        store = self.store
-        ext = self.ext
-        has_rentals = ext is not None and ext.has_rentals(b)
-        # Resident ids straight out of the bucket row, ascending slots.
-        blocks = store.resident_blocks(b)
-        if self.datastore is None and not has_rentals:
-            # Nothing rented either (reclaim would be a no-op): one
-            # vectorized position-map gather and we are done.
-            if blocks.size:
-                self.stash.add_many(
-                    blocks.tolist(), self.posmap.peek_many(blocks).tolist()
-                )
-            return
-        residents = blocks.tolist()
+        # Resident ids straight out of the bucket row: local slots
+        # ascending, then rented ones in rental order.
+        blocks = self.store.resident_blocks(b)
         if self.datastore is not None:
             if opened is None:
                 opened = self._open_residents(self._sealed_residents(b))
             for one in opened:
                 self._admit_payload(*one)
-        if ext is not None:
-            remote_reals, released = ext.reclaim(b)
-            residents.extend(remote_reals)
-            for hb, hs in released:
+        if self.ext is not None:
+            lv = self.store.level(b)
+            for hb, hs in self.ext.reclaim(b):
                 # The released host slot holds stale data again.
-                self._notify_dead(hb, hs, store.level(hb))
-        for blk in residents:
-            self.stash.add(blk, self.posmap.peek(blk))
+                self._notify_dead(hb, hs, lv)
+        if blocks.size:
+            self.stash.add_many(
+                blocks.tolist(), self.posmap.peek_many(blocks).tolist()
+            )
 
     def _service_reshuffles(self, pending: List[int]) -> None:
         """Run every due earlyReshuffle, then rebuild quarantined buckets.
@@ -871,10 +751,10 @@ class RingOram:
         if ext is not None:
             granted, hosts = ext.acquire(b, lv)
             if hosts and observers:
+                # A host sits at its renter's level.
                 for hb, hs in hosts:
-                    hlv = store.level(hb)
                     for obs in observers:
-                        obs.on_slot_reclaimed(hb, hs, hlv, "remote")
+                        obs.on_slot_reclaimed(hb, hs, lv, "remote")
         capacity = min(self._z_real_by_level[lv], n_usable + granted)
         chosen = self._pick_stash_blocks(b, lv, capacity)
         # Scatter real blocks uniformly across local + remote positions
@@ -898,17 +778,14 @@ class RingOram:
             for obs in observers:
                 obs.on_slots_reclaimed(b, reclaimed_dead, lv, "reshuffle")
         # One sink batch for the whole write phase: local slots, then
-        # remote hosts (bottom levels only, never on-chip). They share
-        # the same DRAM write phase, so they arrive together.
+        # remote hosts. They share the same DRAM write phase, so they
+        # arrive together.
         write_items: List[Tuple[int, int, int, bool, bool]] = [
             (b, slot, lv, onchip, False) for slot in written
         ]
         if hosts:
             ext.write_remote_all(b, remote_contents)
-            treetop = cfg.treetop_levels
-            for hb, hs in hosts:
-                hlv = store.level(hb)
-                write_items.append((hb, hs, hlv, hlv < treetop, True))
+            write_items += [(hb, hs, lv, onchip, True) for hb, hs in hosts]
         if datastore is not None:
             # Payload path: one ordered seal batch (locals then remote
             # hosts), same per-slot sequence as scalar seals so
@@ -1066,12 +943,19 @@ class RingOram:
     def check_invariants(self) -> None:
         """Verify global protocol invariants (test hook).
 
-        Every mapped block lives in exactly one place (stash, a tree
-        slot, or a rented remote slot); every tree-resident block lies
-        on the path of its mapped leaf; no bucket holds more than Z'
-        real blocks.
+        Every mapped block lives in exactly one place (the stash or
+        one slot, local or rented, of one bucket row); every
+        tree-resident block's bucket lies on the path of its mapped
+        leaf; no bucket holds more than Z' real blocks; the store's
+        status tallies and, with an allocator attached, rental
+        ownership and DeadQ validity hold (see
+        ``BucketStore.check_tallies`` and
+        ``RemoteAllocator.check_invariants``).
         """
         cfg = self.cfg
+        self.store.check_tallies()
+        if self.ext is not None:
+            self.ext.check_invariants()
         seen: Dict[int, str] = {}
         for blk, _leaf in self.stash.blocks():
             seen[blk] = "stash"
@@ -1090,19 +974,6 @@ class RingOram:
                 raise AssertionError(
                     f"block {blk} in bucket {int(b)} off its path (leaf {leaf})"
                 )
-        if self.ext is not None:
-            for owner, blk in self.ext.remote_real_blocks():
-                if blk in seen:
-                    raise AssertionError(
-                        f"block {blk} duplicated: {seen[blk]} and remote "
-                        f"slot of bucket {owner}"
-                    )
-                seen[blk] = f"remote of {owner}"
-                leaf = self.posmap.peek(blk)
-                if not tree_mod.bucket_on_path(owner, leaf, cfg.levels):
-                    raise AssertionError(
-                        f"remote block {blk} owned by off-path bucket {owner}"
-                    )
         reals_per_bucket = (rows >= 0).sum(axis=1)
         z_real_per_bucket = np.array(
             [g.z_real for g in cfg.geometry], dtype=np.int64

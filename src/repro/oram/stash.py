@@ -15,9 +15,7 @@ the paper's CB baseline keys background eviction off it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.oram.tree import intersection_level
+from typing import Dict, Iterable, List, Tuple
 
 
 class StashOverflowError(RuntimeError):
@@ -125,29 +123,4 @@ class Stash:
                 found.append(block)
                 if len(found) >= capacity:
                     break
-        return found
-
-    def candidates_for(
-        self,
-        evict_leaf: int,
-        min_level: int,
-        levels: int,
-        limit: Optional[int] = None,
-    ) -> List[Tuple[int, int]]:
-        """Resident blocks placeable at ``min_level`` or deeper on a path.
-
-        A block labelled ``leaf`` may live in any bucket shared by the
-        paths of ``leaf`` and ``evict_leaf``, i.e. at levels up to their
-        intersection level. Returns ``(block, intersection_level)``
-        pairs, deepest-eligible first, which is the greedy order
-        evictPath uses to push blocks toward the leaves.
-        """
-        found: List[Tuple[int, int]] = []
-        for block, leaf in self._blocks.items():
-            deepest = intersection_level(leaf, evict_leaf, levels)
-            if deepest >= min_level:
-                found.append((block, deepest))
-        found.sort(key=lambda item: -item[1])
-        if limit is not None:
-            return found[:limit]
         return found

@@ -14,7 +14,7 @@ chosen exactly once per ``2**(L-1)`` evictions.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 
 def bucket_id(level: int, position: int) -> int:
@@ -103,13 +103,3 @@ def reverse_lexicographic_leaf(counter: int, levels: int) -> int:
     return bit_reverse(counter % (1 << bits), bits)
 
 
-def reverse_lexicographic_order(levels: int) -> Iterator[int]:
-    """Yield one full round of eviction leaves (all paths, each once)."""
-    for g in range(1 << (levels - 1)):
-        yield reverse_lexicographic_leaf(g, levels)
-
-
-def deepest_common_bucket(leaf_a: int, leaf_b: int, levels: int) -> int:
-    """Deepest bucket common to both leaves' paths."""
-    lv = intersection_level(leaf_a, leaf_b, levels)
-    return bucket_id(lv, leaf_a >> (levels - 1 - lv))

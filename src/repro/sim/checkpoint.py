@@ -29,8 +29,10 @@ PathLike = Union[str, Path]
 #: Bumped whenever the pickled layout of anything inside a Simulation
 #: moves, so an older file is refused here instead of failing later on
 #: a missing attribute. 2: the sealed store's tags are a flat table
-#: plus a sealed mask (was a dict).
-CHECKPOINT_FORMAT = 2
+#: plus a sealed mask (was a dict). 3: a bucket's rented slots are
+#: columns of its own ``BucketStore`` row and the allocator's host
+#: table is dense (was a pooled side table).
+CHECKPOINT_FORMAT = 3
 _MAGIC = "repro-sim-checkpoint"
 
 

@@ -50,7 +50,7 @@ class TestFacade:
     def test_warm_start(self, cfg_ab_small):
         oram = AbOram(cfg_ab_small, warm=True)
         oram.check()
-        resident = len(oram.oram.store.real_blocks_resident())
+        resident = int((oram.oram.store.slots >= 0).sum())
         assert resident + oram.oram.stash.occupancy == cfg_ab_small.n_real_blocks
 
     def test_space_report(self, cfg_ab_small):

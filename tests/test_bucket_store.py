@@ -1,9 +1,14 @@
 """Unit tests for the bucket store (repro.oram.bucket)."""
 
+import numpy as np
 import pytest
 
-from repro.oram.bucket import CONSUMED, DUMMY, UNALLOCATED, BucketStore, SlotStatus
+from repro.core import schemes
+from repro.oram.bucket import (
+    CONSUMED, DUMMY, ST_REFRESHED, UNALLOCATED, BucketStore, SlotStatus,
+)
 from repro.oram.config import BucketGeometry, OramConfig, override_levels, uniform_geometry
+from repro.oram.path import path_oram_config
 
 
 @pytest.fixture
@@ -61,7 +66,7 @@ class TestConsume:
 
     def test_consume_sets_dead_status(self, store):
         store.consume(0, 0)
-        assert store.get_status(0, 0) == SlotStatus.DEAD
+        assert store.status[0, 0] == SlotStatus.DEAD
 
     def test_double_consume_raises(self, store):
         store.consume(0, 0)
@@ -77,22 +82,25 @@ class TestConsume:
         assert store.consume(2, 1) == 42
 
 
-class TestQueries:
-    def test_find_block(self, store):
-        store.slots[3, 2] = 9
-        assert store.find_block(3, 9) == 2
-        assert store.find_block(3, 8) == -1
+def valid_dummy_slots(store, bucket):
+    """The dummies readPath may serve from ``bucket``, by the mask it
+    runs over the path snapshot."""
+    rows, sts = store.path_slot_views(np.array([bucket]))
+    return ((rows == DUMMY) & (sts == ST_REFRESHED)).nonzero()[1].tolist()
 
+
+class TestQueries:
     def test_valid_dummy_slots_excludes_consumed(self, store):
         store.consume(0, 0)
-        assert 0 not in store.valid_dummy_slots(0)
+        assert valid_dummy_slots(store, 0) == [1, 2, 3, 4]
 
     def test_valid_dummy_slots_excludes_allocated(self, store):
+        """Slots rented to another bucket (IN_USE) or parked in a DeadQ
+        (QUEUED) are not the bucket's to read: the paper marks them
+        ALLOCATED precisely so that "no one else will use" them."""
         store.set_status(0, 1, SlotStatus.QUEUED)
         store.set_status(0, 2, SlotStatus.IN_USE)
-        dummies = store.valid_dummy_slots(0)
-        assert 1 not in dummies
-        assert 2 not in dummies
+        assert valid_dummy_slots(store, 0) == [0, 3, 4]
 
     def test_valid_real_slots(self, store):
         store.slots[4, 0] = 10
@@ -102,7 +110,7 @@ class TestQueries:
     def test_real_count(self, store):
         store.slots[4, 0] = 10
         store.slots[4, 3] = 11
-        assert store.real_count(4) == 2
+        assert store.resident_blocks(4).tolist() == [10, 11]
 
     def test_dead_slots(self, store):
         store.consume(1, 0)
@@ -131,14 +139,15 @@ class TestRefresh:
     def test_refresh_restores_status(self, store):
         store.consume(0, 0)
         store.refresh(0, [])
-        assert store.get_status(0, 0) == SlotStatus.REFRESHED
+        assert store.status[0, 0] == SlotStatus.REFRESHED
 
     def test_refresh_bumps_generation_of_queued(self, store):
         store.consume(0, 0)
-        gen = store.slot_generation(0, 0)
+        gen = int(store.generation[0, 0])
         store.set_status(0, 0, SlotStatus.QUEUED)
         store.refresh(0, [])
-        assert store.slot_generation(0, 0) == gen + 1
+        assert store.generation[0, 0] == gen + 1
+        assert store.queued_count[0] == 0
 
     def test_refresh_skips_in_use(self, store):
         store.slots[0, 0] = CONSUMED
@@ -146,7 +155,7 @@ class TestRefresh:
         written = store.refresh(0, [])
         assert 0 not in written
         assert store.slots[0, 0] == CONSUMED
-        assert store.get_status(0, 0) == SlotStatus.IN_USE
+        assert store.status[0, 0] == SlotStatus.IN_USE
 
     def test_refresh_sustain_with_extension(self, store):
         store.refresh(0, [], granted_extension=2)
@@ -202,12 +211,69 @@ class TestGlobalScans:
         assert per[1] == 2
         assert per.sum() == 3
 
-    def test_real_blocks_resident(self, store):
-        store.slots[0, 0] = 5
-        store.slots[8, 2] = 6
-        assert sorted(store.real_blocks_resident()) == [5, 6]
-
     def test_write_dummy(self, store):
         store.slots[0, 0] = CONSUMED
-        store.write_dummy(0, 0)
+        store.set_slot(0, 0, DUMMY)
         assert store.slots[0, 0] == DUMMY
+
+    def test_tallies_follow_every_transition(self, store):
+        store.consume(0, 0)
+        store.consume(0, 1)
+        store.consume(0, 2)
+        store.queue_dead(0, np.array([0, 1]))
+        store.set_status(0, 1, SlotStatus.IN_USE)
+        assert (store.dead_count[0], store.queued_count[0],
+                store.in_use_count[0]) == (1, 1, 1)
+        store.check_tallies()
+        store.refresh(0, [])
+        assert (store.dead_count[0], store.queued_count[0],
+                store.in_use_count[0]) == (0, 0, 1)
+        store.check_tallies()
+        store.status[0, 3] = SlotStatus.DEAD      # behind the tallies' back
+        with pytest.raises(AssertionError, match="dead_count"):
+            store.check_tallies()
+
+
+class TestWideRows:
+    """A row is the bucket's local slots, then one column per slot it
+    may rent; schemes without extension pay for none."""
+
+    @pytest.mark.parametrize("name", ["ring", "baseline", "ir", "ns"])
+    def test_no_extension_no_extra_columns(self, name):
+        cfg = schemes.by_name(name, 8)
+        store = BucketStore(cfg)
+        for arr in (store.slots, store.status, store.generation):
+            assert arr.shape == (cfg.n_buckets, cfg.z_max)
+        assert store.z_max == cfg.z_max
+
+    def test_path_oram_no_extra_columns(self):
+        cfg = path_oram_config(6)
+        assert BucketStore(cfg).slots.shape == (cfg.n_buckets, cfg.z_max)
+
+    @pytest.mark.parametrize("name", ["dr", "dr-perf", "ab"])
+    def test_extension_adds_r_max_columns(self, name):
+        cfg = schemes.by_name(name, 8)
+        r_max = max(g.remote_extension for g in cfg.geometry)
+        assert r_max == 2
+        store = BucketStore(cfg)
+        for arr in (store.slots, store.status, store.generation):
+            assert arr.shape == (cfg.n_buckets, cfg.z_max + r_max)
+        # Nothing rented yet: the columns are empty, REFRESHED, and in
+        # no scan's way.
+        assert (store.slots[:, store.z_max:] == UNALLOCATED).all()
+        assert (store.status[:, store.z_max:] == ST_REFRESHED).all()
+        assert store.total_dead_slots() == 0
+
+    def test_rented_columns_read_like_local_slots(self, cfg_ab_small):
+        store = BucketStore(cfg_ab_small)
+        b = cfg_ab_small.n_buckets - 1
+        store.slots[b, 1] = 7
+        store.slots[b, store.z_max] = 9          # a rented real block
+        assert store.resident_blocks(b).tolist() == [7, 9]
+        assert store.valid_real_slots(b).tolist() == [1]    # local only
+        store.slots[b, store.z_max] = DUMMY      # a rented dummy
+        assert valid_dummy_slots(store, b)[-1] == store.z_max
+        rows, _ = store.path_slot_views(np.array([0, b]))
+        assert [list(h) for h in (rows == 7).nonzero()] == [[1], [1]]
+        with pytest.raises(ValueError):
+            store.consume(b, store.z_max)        # not a local slot

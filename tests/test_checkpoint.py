@@ -71,6 +71,11 @@ class TestCheckpointRoundtrip:
         sim = _fresh(fault_plan=plan, robustness=rcfg, scheme="ab")
         for _ in range(70):
             sim.step()
+        # Rentals are live at the cut: the rented columns of the bucket
+        # rows and the allocator's host table ride the file too.
+        store, ext = sim.oram.store, sim.oram.ext
+        assert ext.active_rentals() > 0
+        assert (store.slots[:, store.z_max:] >= 0).any()
         assert chacha._wide_consts.cache_info().currsize > 0
         path = tmp_path / "ck.pkl"
         save_checkpoint(sim, path)
@@ -82,7 +87,12 @@ class TestCheckpointRoundtrip:
             sim.datastore
         )
         assert resumed.faulty.summary() == sim.faulty.summary()
+        assert (resumed.oram.store.slots == store.slots).all()
+        assert (resumed.oram.ext.host_bucket == ext.host_bucket).all()
+        assert (resumed.oram.ext.host_slot == ext.host_slot).all()
+        assert resumed.oram.ext.n_active == ext.n_active
         assert resumed.run().to_dict() == baseline.to_dict()
+        resumed.oram.check_invariants()
 
     def test_run_emits_periodic_checkpoints(self, tmp_path):
         path = tmp_path / "ck.pkl"
@@ -112,10 +122,11 @@ class TestCheckpointValidation:
             load_checkpoint(path)
 
     def test_wrong_format_rejected(self, tmp_path):
-        """A future format, and format 1: the sealed store's tags were
-        a dict then, so the file would load and the run die later on a
-        missing attribute."""
-        for fmt in (99, 1):
+        """A future format, format 1 (the sealed store's tags were a
+        dict then) and format 2 (rentals sat in a pooled side table,
+        not in the bucket rows): the file would load and the run die
+        later on a missing attribute."""
+        for fmt in (99, 1, 2):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

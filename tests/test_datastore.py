@@ -116,7 +116,7 @@ class TestEncryptedTreeStore:
         assert store.snapshot_slot(3, 2).tag != stale.tag
         assert store.snapshot_slot(4, 0).tag == old.tag
         for bucket in (0, 3, 4, 5, cfg.n_buckets - 1):
-            z = cfg.z_total_at(tree_mod.level_of(bucket))
+            z = cfg.geometry[tree_mod.level_of(bucket)].z_total
             h = hashlib.sha256()
             h.update(store._version[bucket, :z].tobytes())
             for slot in range(z):

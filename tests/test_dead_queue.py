@@ -19,7 +19,7 @@ def kill_slot(store, bucket, slot, queued=True):
     store.consume(bucket, slot)
     if queued:
         store.set_status(bucket, slot, SlotStatus.QUEUED)
-    return store.slot_generation(bucket, slot)
+    return int(store.generation[bucket, slot])
 
 
 class TestDeadQueue:
@@ -75,7 +75,7 @@ class TestDeadQueue:
         q.push(31, 0, g1)
         q.push(32, 0, g2)
         hb, hs = q.pop_valid(store)
-        q.requeue_front(hb, hs, store.slot_generation(hb, hs))
+        q.requeue_front(hb, hs, int(store.generation[hb, hs]))
         assert q.pop_valid(store) == (31, 0)
 
     def test_counters(self, store):

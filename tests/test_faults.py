@@ -509,14 +509,12 @@ def _with_opens_inside_the_level_loop(method):
 
 class PerLevelOpenRingOram(RingOram):
     """readPath as it was before it batched its opens: every real block
-    the read returns (the target, a green block, local or remote) is
+    the read returns (the target, a green block, local or rented) is
     opened and admitted inside the level loop, at the bucket that
     holds it. The reference the batch is held equal to."""
 
     _read_path, _path_sites = _with_opens_inside_the_level_loop(
         RingOram._read_path)
-    _read_nontarget, _nontarget_sites = _with_opens_inside_the_level_loop(
-        RingOram._read_nontarget)
 
     def _open_now(self, item):
         block, bucket, slot = item
@@ -528,9 +526,8 @@ class TestBatchedReadPathEqualsPerLevel:
     everything observable must be what per-level opens leave."""
 
     def test_reference_really_opens_per_level(self):
-        # Target local + remote, inlined green; green local + remote.
-        assert PerLevelOpenRingOram._path_sites == 3
-        assert PerLevelOpenRingOram._nontarget_sites == 2
+        # One block pass, one tail: target or green, local or rented.
+        assert PerLevelOpenRingOram._path_sites == 1
 
     def _run(self, controller, batches=None):
         cfg = schemes_mod.by_name("ab", 8)

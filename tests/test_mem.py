@@ -9,22 +9,50 @@ from repro.mem.layout import TreeLayout
 from repro.mem.timing import DDR3_1066, DDR3_1600, IDEAL_BUS, DramTiming
 
 
+def _two_open_rows(first_write, second_write):
+    """Two requests arriving together for two banks of one channel whose
+    rows are already open, so only the shared bus orders them; returns
+    the gap between their completions."""
+    dram = DramModel()
+    m = dram.mapping
+    other_bank = m.row_bytes * m.n_channels
+    dram.access(0, False, 0.0)
+    dram.access(other_bank, False, 0.0)
+    first = dram.access(0, first_write, 1000.0)
+    return dram.access(other_bank, second_write, 1000.0) - first
+
+
 class TestTiming:
+    """The timing set as the model applies it (DDR3-1600 preset)."""
+
     def test_column_latency_read_vs_write(self):
-        assert DDR3_1600.column_ns(False) == 13.75
-        assert DDR3_1600.column_ns(True) == 10.0
+        t = DDR3_1600
+        assert (t.t_cas, t.t_cwd) == (13.75, 10.0)
+        # Idle model, closed row: precharge + activate + column + burst.
+        assert DramModel().access(0, False, 0.0) == (
+            t.t_rp + t.t_rcd + t.t_cas + t.burst_ns)
+        assert DramModel().access(0, True, 0.0) == (
+            t.t_rp + t.t_rcd + t.t_cwd + t.burst_ns)
 
     def test_recovery_only_for_writes(self):
-        assert DDR3_1600.recovery_ns(False) == 0.0
-        assert DDR3_1600.recovery_ns(True) == 15.0
+        """Back-to-back row hits on one bank: a write holds the bank
+        for tWR past its burst, a read for nothing."""
+        t = DDR3_1600
+        assert t.t_wr == 15.0
+        reads, writes = DramModel(), DramModel()
+        r1, r2 = (reads.access(0, False, 0.0) for _ in range(2))
+        w1, w2 = (writes.access(0, True, 0.0) for _ in range(2))
+        assert r2 - r1 == t.t_cas + t.burst_ns
+        assert w2 - w1 == t.t_wr + t.t_cwd + t.burst_ns
 
     def test_turnaround_same_direction_free(self):
-        assert DDR3_1600.turnaround_ns(False, False) == 0.0
-        assert DDR3_1600.turnaround_ns(True, True) == 0.0
+        assert _two_open_rows(False, False) == DDR3_1600.burst_ns
+        assert _two_open_rows(True, True) == DDR3_1600.burst_ns
 
     def test_turnaround_switching(self):
-        assert DDR3_1600.turnaround_ns(True, False) == DDR3_1600.t_wtr
-        assert DDR3_1600.turnaround_ns(False, True) == DDR3_1600.t_rtw
+        t = DDR3_1600
+        assert _two_open_rows(True, False) == t.t_wtr + t.burst_ns
+        assert _two_open_rows(False, True) == t.t_rtw + t.burst_ns
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -139,9 +167,7 @@ class TestDramModel:
         m.n_channels * m.row_bytes * m.n_banks  # new row, same-ish
         # Hit different banks to avoid bank serialization; all misses.
         addrs = [m.row_bytes * m.n_channels * b for b in range(8)]
-        for a in addrs:
-            dram.access(a, False, 0.0)
-        busy_span = dram.frontier_ns
+        busy_span = max(dram.access(a, False, 0.0) for a in addrs)
         assert busy_span >= DDR3_1600.t_rrd * (len(addrs) - 1)
 
     def test_stats_bytes(self):
@@ -152,13 +178,9 @@ class TestDramModel:
 
     def test_burst_batch(self):
         dram = DramModel()
-        done = dram.access_burst([0, 64, 128], [False] * 3, 10.0)
+        done = dram.access_batch([0, 64, 128], False, 10.0)
         assert done > 10.0
         assert dram.stats.reads == 3
-
-    def test_burst_length_mismatch(self):
-        with pytest.raises(ValueError):
-            DramModel().access_burst([0], [False, True], 0.0)
 
     def test_bandwidth(self):
         dram = DramModel()
@@ -306,7 +328,8 @@ class TestEntryPointsAgree:
         done = []
         for addrs, write, arrival in groups:
             if drained:
-                arrival = max(arrival, dram.frontier_ns)
+                # Nothing in flight: arrive after every completion.
+                arrival = max([arrival] + done)
             if how == "access":
                 done.append(max(dram.access(a, write, arrival)
                                 for a in addrs))

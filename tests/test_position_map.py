@@ -15,18 +15,20 @@ class TestLookup:
     def test_first_lookup_assigns_random_leaf(self, pm):
         leaf = pm.lookup(5)
         assert 0 <= leaf < 16
-        assert pm.is_mapped(5)
+        assert pm.peek(5) == leaf
+        assert pm.mapped_blocks().tolist() == [5]
 
     def test_lookup_is_stable(self, pm):
         assert pm.lookup(5) == pm.lookup(5)
 
     def test_peek_unmapped(self, pm):
         assert pm.peek(7) == UNMAPPED
-        assert not pm.is_mapped(7)
+        assert 7 not in pm.mapped_blocks()
 
     def test_peek_does_not_map(self, pm):
         pm.peek(7)
-        assert not pm.is_mapped(7)
+        assert pm.peek(7) == UNMAPPED
+        assert pm.mapped_blocks().size == 0
 
     def test_lookup_counts(self, pm):
         pm.lookup(1)

@@ -50,7 +50,8 @@ class TestTreeProperties:
 
     @given(levels=LEVELS)
     def test_reverse_lex_is_permutation(self, levels):
-        leaves = list(tree.reverse_lexicographic_order(levels))
+        leaves = [tree.reverse_lexicographic_leaf(g, levels)
+                  for g in range(1 << (levels - 1))]
         assert sorted(leaves) == list(range(1 << (levels - 1)))
 
     @given(levels=LEVELS, g=st.integers(0, 10**6))
@@ -155,6 +156,56 @@ class TestProtocolProperties:
         in_use = np.argwhere(oram.store.status == SlotStatus.IN_USE)
         for b, s in in_use:
             assert oram.store.slots[b, s] == -2  # CONSUMED
+        oram.check_invariants()
+
+    @pytest.mark.parametrize("corruption", [
+        "tally", "host-not-in-use", "host-shared", "host-is-renter",
+        "n-active", "deadq-duplicate", "deadq-lost", "queued-untracked",
+    ])
+    def test_check_invariants_sees_bucket_state_corruption(self, corruption):
+        """``check_invariants`` covers the status tallies, rental
+        ownership and DeadQ validity: each corrupted by hand."""
+        from repro.oram.bucket import ST_DEAD, ST_QUEUED, UNALLOCATED
+        cfg = tiny_ab_config(levels=6)
+        oram = build_oram(cfg, seed=3)
+        oram.warm_fill()
+        rng = np.random.default_rng(3)
+        for _ in range(150):
+            oram.access(int(rng.integers(cfg.n_real_blocks)))
+        oram.check_invariants()
+        store, ext = oram.store, oram.ext
+        renters = np.argwhere(store.slots[:, store.z_max:] != UNALLOCATED)
+        assert len(renters) >= 2
+        (r1, c1), (r2, c2) = renters[0], renters[1]
+        lv = cfg.levels - 1
+        queue = ext.queues.get(lv)
+        qb, qs, qg = next(
+            e for e in queue.entries()
+            if store.status[e[0], e[1]] == ST_QUEUED
+            and store.generation[e[0], e[1]] == e[2]
+        )
+        if corruption == "tally":
+            store.dead_count[cfg.n_buckets - 1] += 1
+        elif corruption == "host-not-in-use":
+            store.status[ext.host_bucket[r1, c1], ext.host_slot[r1, c1]] = ST_DEAD
+            store.dead_count[ext.host_bucket[r1, c1]] += 1
+            store.in_use_count[ext.host_bucket[r1, c1]] -= 1
+        elif corruption == "host-shared":
+            ext.host_bucket[r2, c2] = ext.host_bucket[r1, c1]
+            ext.host_slot[r2, c2] = ext.host_slot[r1, c1]
+        elif corruption == "host-is-renter":
+            ext.host_bucket[r1, c1] = r1
+        elif corruption == "n-active":
+            ext.n_active[r1] += 1
+        elif corruption == "deadq-duplicate":
+            queue.push(qb, qs, qg)
+        elif corruption == "deadq-lost":
+            store.generation[qb, qs] += 1
+        else:
+            store.status[0, 0] = ST_QUEUED
+            store.queued_count[0] += 1
+        with pytest.raises(AssertionError):
+            oram.check_invariants()
 
 
 class TestAggregationProperties:

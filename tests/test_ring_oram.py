@@ -182,7 +182,7 @@ class TestWarmFill:
     def test_every_block_placed(self):
         oram = make_oram(seed=4)
         overflow = oram.warm_fill()
-        resident = len(oram.store.real_blocks_resident()) + oram.stash.occupancy
+        resident = int((oram.store.slots >= 0).sum()) + oram.stash.occupancy
         assert resident == oram.cfg.n_real_blocks
         assert overflow == oram.stash.occupancy
 

@@ -83,33 +83,52 @@ class TestOverflowAndPeak:
 
 
 class TestCandidates:
+    """``pick_for_bucket``, the picker the reshuffle refill uses: in a
+    4-level tree the bucket at ``position`` of level ``3 - shift`` may
+    hold a block iff ``leaf >> shift == position``."""
+
     def test_same_leaf_block_is_deepest(self):
         s = Stash(10)
         s.add(1, 5)
-        cands = s.candidates_for(5, 0, levels=4)
-        assert cands == [(1, 3)]
+        # The block's own leaf bucket takes it ...
+        assert s.pick_for_bucket(5, 0, 4) == [1]
+        # ... as does every ancestor on its path, and no other bucket.
+        assert s.pick_for_bucket(5 >> 1, 1, 4) == [1]
+        assert s.pick_for_bucket(0, 3, 4) == [1]
+        assert s.pick_for_bucket(4, 0, 4) == []
+        assert s.pick_for_bucket((5 >> 1) ^ 1, 1, 4) == []
 
     def test_min_level_filters(self):
         s = Stash(10)
         s.add(1, 0)   # leaf 0
         s.add(2, 7)   # opposite half for evict leaf 0
-        cands = s.candidates_for(0, 1, levels=4)
-        assert [b for b, _ in cands] == [1]
+        # Level 1 on leaf 0's path (position 0): path membership only.
+        assert s.pick_for_bucket(0, 2, 4) == [1]
+        # The root holds either.
+        assert s.pick_for_bucket(0, 3, 4) == [1, 2]
 
     def test_sorted_deepest_first(self):
+        """Refilling leaf to root, each block lands in the deepest
+        bucket of the eviction path (leaf 0) its own path crosses."""
         s = Stash(10)
-        s.add(1, 0)
-        s.add(2, 1)
         s.add(3, 4)
-        cands = s.candidates_for(0, 0, levels=4)
-        depths = [d for _, d in cands]
-        assert depths == sorted(depths, reverse=True)
+        s.add(2, 1)
+        s.add(1, 0)
+        placed = {}
+        for shift in range(4):           # leaf level first
+            for block in s.pick_for_bucket(0 >> shift, shift, 4):
+                placed[block] = 3 - shift
+                s.remove(block)
+        assert placed == {1: 3, 2: 2, 3: 0}
 
     def test_limit(self):
         s = Stash(10)
-        for i in range(6):
+        for i in (4, 2, 5, 0, 3, 1):
             s.add(i, 0)
-        assert len(s.candidates_for(0, 0, levels=4, limit=3)) == 3
+        # Capacity cuts the scan off, in insertion order.
+        assert s.pick_for_bucket(0, 0, 3) == [4, 2, 5]
+        assert s.pick_for_bucket(0, 0, 0) == []
+        assert s.pick_for_bucket(0, 0, 9) == [4, 2, 5, 0, 3, 1]
 
     def test_blocks_iteration(self):
         s = Stash(10)

@@ -132,7 +132,7 @@ class TestProtocolRandomness:
 
     def test_eviction_leaf_coverage_uniform_by_construction(self):
         """One reverse-lex round hits every leaf exactly once."""
-        from repro.oram.tree import reverse_lexicographic_order
-        leaves = list(reverse_lexicographic_order(9))
+        from repro.oram.tree import reverse_lexicographic_leaf
+        leaves = [reverse_lexicographic_leaf(g, 9) for g in range(1 << 8)]
         counts = np.bincount(leaves, minlength=1 << 8)
         assert (counts == 1).all()

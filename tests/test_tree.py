@@ -153,7 +153,8 @@ class TestBitReverse:
 class TestReverseLexicographicOrder:
     def test_full_round_covers_all_paths(self):
         levels = 6
-        leaves = list(tree.reverse_lexicographic_order(levels))
+        leaves = [tree.reverse_lexicographic_leaf(g, levels)
+                  for g in range(1 << (levels - 1))]
         assert sorted(leaves) == list(range(1 << (levels - 1)))
 
     def test_wraps_around(self):
@@ -177,16 +178,27 @@ class TestReverseLexicographicOrder:
         assert tree.reverse_lexicographic_leaf(1, 2) == 1
 
 
+def deepest_common_bucket(leaf_a, leaf_b, levels):
+    """The bucket both leaves' paths hold at their intersection level
+    (what the refill greedy's ``leaf >> shift == position`` selects)."""
+    lv = tree.intersection_level(leaf_a, leaf_b, levels)
+    return tree.path_buckets(leaf_a, levels)[lv]
+
+
 class TestDeepestCommonBucket:
     def test_same_leaf_gives_leaf_bucket(self):
-        assert tree.deepest_common_bucket(3, 3, 4) == tree.bucket_id(3, 3)
+        assert deepest_common_bucket(3, 3, 4) == tree.bucket_id(3, 3)
 
     def test_opposite_halves_give_root(self):
-        assert tree.deepest_common_bucket(0, 7, 4) == 0
+        assert deepest_common_bucket(0, 7, 4) == 0
 
     def test_on_both_paths(self):
         levels = 6
         for a, b in [(0, 31), (4, 6), (20, 21)]:
-            d = tree.deepest_common_bucket(a, b, levels)
+            d = deepest_common_bucket(a, b, levels)
             assert tree.bucket_on_path(d, a, levels)
             assert tree.bucket_on_path(d, b, levels)
+            # ... and it is the deepest such: one level down they part.
+            lv = tree.level_of(d)
+            assert (tree.path_buckets(a, levels)[lv + 1]
+                    != tree.path_buckets(b, levels)[lv + 1])
