@@ -35,7 +35,7 @@ class DeadBlockCensus(BaseObserver):
     def attach(self, oram) -> "DeadBlockCensus":
         """Bind to a controller and register as its observer."""
         self._oram = oram
-        oram.observers.append(self)
+        oram.add_observer(self)
         return self
 
     def on_access_start(self, access_no: int) -> None:

@@ -32,7 +32,7 @@ class StashStats(BaseObserver):
     def attach(self, oram) -> "StashStats":
         """Bind to a controller and register as its observer."""
         self._oram = oram
-        oram.observers.append(self)
+        oram.add_observer(self)
         return self
 
     def on_access_start(self, access_no: int) -> None:

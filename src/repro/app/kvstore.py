@@ -119,12 +119,14 @@ class ObliviousKV:
         value = bytes(value)
         need = self._chunks_for(len(value))
         chain = self._directory.get(key, [])
+        # Refused before chain or free list is touched: a put that
+        # cannot fit leaves the store as it found it.
+        if need - len(chain) > len(self._free):
+            raise KVFullError(
+                f"no free blocks ({len(self._directory)} keys stored)"
+            )
         # Grow or shrink the chain to the required length.
         while len(chain) < need:
-            if not self._free:
-                raise KVFullError(
-                    f"no free blocks ({len(self._directory)} keys stored)"
-                )
             chain.append(self._free.pop())
         while len(chain) > need:
             self._free.append(chain.pop())

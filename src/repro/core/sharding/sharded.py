@@ -26,6 +26,7 @@ subtree run at the smallest tree depth that fits its slice:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Any, Dict, List, Sequence
 
 import numpy as np
@@ -116,39 +117,29 @@ class ShardedSimOutcome:
         ``stash_peak`` the worst shard, and ``row_hit_rate`` the
         traffic-weighted mean.
         """
-        results = self.per_shard
-        exec_ns = self.exec_ns
-        requests = self.requests
-        depth = max(
-            (len(r.reshuffles_by_level) for r in results), default=0
-        )
-        by_level = [0] * depth
-        for r in results:
-            for lv, count in enumerate(r.reshuffles_by_level):
-                by_level[lv] += int(count)
-        traffic = [int(r.dram_reads) + int(r.dram_writes) for r in results]
+        blocks = [r.sim_block() for r in self.per_shard]
+        traffic = [b["dram_reads"] + b["dram_writes"] for b in blocks]
         total_traffic = sum(traffic)
-        row_hit = (
-            sum(r.row_hit_rate * t for r, t in zip(results, traffic))
+        requests = self.requests
+        merged: Dict[str, Any] = {}
+        for key in blocks[0]:
+            values = [b[key] for b in blocks]
+            if key in ("exec_ns", "stash_peak"):
+                merged[key] = max(values)
+            elif key == "reshuffles_by_level":
+                merged[key] = [
+                    sum(level) for level in zip_longest(*values, fillvalue=0)
+                ]
+            else:
+                merged[key] = sum(values)
+        merged["ns_per_access"] = (
+            merged["exec_ns"] / requests if requests else 0.0
+        )
+        merged["row_hit_rate"] = (
+            sum(b["row_hit_rate"] * t for b, t in zip(blocks, traffic))
             / total_traffic if total_traffic else 0.0
         )
-        return {
-            "exec_ns": exec_ns,
-            "ns_per_access": exec_ns / requests if requests else 0.0,
-            "stash_peak": max((r.stash_peak for r in results), default=0),
-            "reshuffles_total": sum(by_level),
-            "reshuffles_by_level": by_level,
-            "dram_reads": sum(int(r.dram_reads) for r in results),
-            "dram_writes": sum(int(r.dram_writes) for r in results),
-            "row_hit_rate": row_hit,
-            "online_accesses": sum(int(r.online_accesses) for r in results),
-            "background_accesses": sum(
-                int(r.background_accesses) for r in results
-            ),
-            "evictions": sum(int(r.evictions) for r in results),
-            "dead_blocks": sum(int(r.dead_blocks) for r in results),
-            "remote_accesses": sum(int(r.remote_accesses) for r in results),
-        }
+        return merged
 
 
 def _shard_sim_task(payload: Any) -> SimResult:

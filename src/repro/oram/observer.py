@@ -4,7 +4,9 @@ Controllers broadcast protocol events to attached observers; the
 security attacker (:mod:`repro.core.security`) and the dead-block
 analyses (:mod:`repro.analysis.deadblocks`) are implemented on top of
 this. Subclass :class:`BaseObserver` and override what you need -- all
-hooks default to no-ops.
+hooks default to no-ops, and a controller calls a hook only on the
+observers that override it (``RingOram.add_observer`` records which),
+so an event nobody listens to is not emitted at all.
 
 Events:
 
@@ -30,7 +32,7 @@ Events:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 
 class BaseObserver:
@@ -71,3 +73,23 @@ class BaseObserver:
 
     def on_evict_path(self, leaf: int) -> None:
         pass
+
+
+#: Every event hook of the protocol, in declaration order.
+HOOKS = tuple(name for name in vars(BaseObserver) if name.startswith("on_"))
+
+
+def hears(obs: Any, hook: str) -> bool:
+    """Whether emitting ``hook`` to ``obs`` can do anything.
+
+    False only when the call would land in :class:`BaseObserver`'s own
+    no-op. An override, an attribute set on the instance and a
+    duck-typed observer all hear -- one that lacks the hook still fails
+    at the first emission, not silently.
+    """
+    bound = getattr(obs, hook, None)
+    if getattr(bound, "__func__", None) is not getattr(BaseObserver, hook):
+        return True
+    # The batched hook's default fans out to the scalar one.
+    return hook == "on_slots_reclaimed" and hears(obs, "on_slot_reclaimed")
+

@@ -15,7 +15,7 @@ leaf-to-root with greedy deepest placement, padding with dummies.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -100,9 +100,11 @@ class PathOram:
         for b in buckets:
             lv = self.store.level(b)
             onchip = lv < cfg.treetop_levels
-            z = self.store.z_phys(b)
-            for slot in range(z):
-                self.sink.data_access(b, slot, lv, write=False, onchip=onchip)
+            self.sink.data_access_many(
+                [(b, slot, lv, onchip, False)
+                 for slot in range(self.store.z_phys(b))],
+                write=False,
+            )
             for slot in self.store.valid_real_slots(b):
                 blk = self.store.consume(b, int(slot))
                 self.stash.add(blk, self.posmap.peek(blk))
@@ -114,20 +116,16 @@ class PathOram:
         for b in reversed(buckets):
             lv = self.store.level(b)
             onchip = lv < cfg.treetop_levels
-            z = self.store.z_phys(b)
-            position = tree_mod.position_of(b)
-            shift = cfg.levels - 1 - lv
-            chosen: List[int] = []
-            for blk, blk_leaf in self.stash.blocks():
-                if (blk_leaf >> shift) == position:
-                    chosen.append(blk)
-                    if len(chosen) >= z:
-                        break
-            for blk in chosen:
-                self.stash.remove(blk)
+            chosen = self.stash.pick_for_bucket(
+                tree_mod.position_of(b), cfg.levels - 1 - lv,
+                self.store.z_phys(b),
+            )
+            self.stash.remove_many(chosen)
             written = self.store.refresh(b, chosen)
-            for slot in written:
-                self.sink.data_access(b, slot, lv, write=True, onchip=onchip)
+            self.sink.data_access_many(
+                [(b, slot, lv, onchip, False) for slot in written],
+                write=True,
+            )
         self.sink.end_op()
 
     def check_invariants(self) -> None:

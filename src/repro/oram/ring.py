@@ -51,6 +51,7 @@ from repro.oram.bucket import (
     BucketStore, DUMMY, ST_DEAD, ST_QUEUED, ST_REFRESHED,
 )
 from repro.oram.config import OramConfig
+from repro.oram.observer import HOOKS, hears
 from repro.oram.position_map import PositionMap
 from repro.oram.plb import RecursivePosMap
 from repro.oram.recovery import RobustnessConfig, TransientBackendError
@@ -106,7 +107,10 @@ class RingOram:
         self.stash = Stash(cfg.stash_capacity)
         self.posmap = PositionMap(cfg.n_real_blocks, cfg.n_leaves, self.rng)
         self.ext = extensions
-        self.observers = list(observers)
+        self.observers: List[Any] = []
+        self._heard: Dict[str, List[Any]] = {hook: [] for hook in HOOKS}
+        for obs in observers:
+            self.add_observer(obs)
         # Payload handling: `datastore` (an EncryptedTreeStore) routes
         # real byte payloads through the sealed memory image; plain
         # `store_data` keeps a convenience plaintext dict instead.
@@ -179,16 +183,11 @@ class RingOram:
             # protocol-complete ORAM access of its own (Freecursive).
             for _ in range(self.posmap_model.access(block)):
                 pm_leaf = int(self.rng.integers(self.cfg.n_leaves))
-                pm_pending = self._read_path(pm_leaf, target=None,
-                                             kind=OpKind.POSMAP)
-                self._service_reshuffles(pm_pending)
-                self.accesses_since_evict += 1
-                if self.accesses_since_evict >= self.cfg.evict_rate:
-                    self.accesses_since_evict = 0
-                    self._evict_path()
+                self._tick(self._read_path(pm_leaf, target=None,
+                                           kind=OpKind.POSMAP))
         leaf = self.posmap.lookup(block)
         self.online_accesses += 1
-        for obs in self.observers:
+        for obs in self._heard["on_access_start"]:
             obs.on_access_start(self.online_accesses)
         pending = self._read_path(leaf, target=block, kind=OpKind.READ_PATH)
         # Remap to a fresh path; the block stays in the stash until an
@@ -210,8 +209,22 @@ class RingOram:
             if write and self._data is not None:
                 self._data[block] = value
             result = self._data.get(block) if self._data is not None else None
-        self._run_maintenance(pending)
+        self._tick(pending)
+        self._background_evict()
         return result
+
+    def add_observer(self, obs: Any) -> None:
+        """Attach ``obs`` (after any already attached).
+
+        Records per hook whether ``obs`` overrides it: every emission
+        site iterates only the observers that do, so an event nobody
+        listens to costs neither the call nor the work of building its
+        arguments.
+        """
+        self.observers.append(obs)
+        for hook in HOOKS:
+            if hears(obs, hook):
+                self._heard[hook].append(obs)
 
     def read(self, block: int) -> Any:
         return self.access(block, write=False)
@@ -396,10 +409,12 @@ class RingOram:
         gstarts: List[int] = []
         # -- block pass: one read per bucket. Sink touches are collected
         # and issued as one batch (same order, one phase transition).
-        # ``reads`` feeds only on_read_path, so without observers the
-        # per-level tuples are never built (``None`` disables tracking).
+        # ``reads`` feeds only on_read_path, so unless someone hears it
+        # the per-level tuples are never built (``None`` disables
+        # tracking).
+        path_obs = self._heard["on_read_path"]
         reads: Optional[List[Tuple[int, int, int, bool]]] = (
-            [] if self.observers else None
+            [] if path_obs else None
         )
         sink_items: List[Tuple[int, int, int, bool, bool]] = []
         # Sealed path: the real blocks this read returns (the target,
@@ -418,7 +433,7 @@ class RingOram:
         cons_b: List[int] = []
         cons_s: List[int] = []
         integers = self.rng.integers
-        observers = self.observers
+        dead_obs = self._heard["on_slot_dead"]
         item = rows.item
         for lv, b in enumerate(buckets):
             # One slot of the bucket's row: the target's, else a valid
@@ -458,7 +473,7 @@ class RingOram:
                 at = b
                 cons_b.append(b)
                 cons_s.append(slot)
-            for obs in observers:
+            for obs in dead_obs:
                 obs.on_slot_dead(at, slot, lv)
             sink_items.append((at, slot, lv, lv < treetop, remote))
             if reads is not None:
@@ -479,7 +494,7 @@ class RingOram:
         # -- metadata write-back
         sink.metadata_access_many(meta_items, write=True, blocks=mblocks)
         sink.end_op()
-        for obs in self.observers:
+        for obs in path_obs:
             obs.on_read_path(leaf, reads, target_bucket)
         citem = store.count.item
         sitem = store.sustain.item
@@ -487,13 +502,32 @@ class RingOram:
 
     # ---------------------------------------------------------- maintenance
 
-    def _run_maintenance(self, pending_reshuffles: List[int]) -> None:
-        self._service_reshuffles(pending_reshuffles)
+    def _tick(self, pending: List[int]) -> None:
+        """What follows every path read -- the main access's, a
+        position-map fetch's, a background dummy read's.
+
+        The earlyReshuffles the read made due, then the quarantine
+        rebuilds (forced reshuffles ride the same window: they must
+        never nest inside an in-flight operation), then one count on
+        the evictPath schedule and, every ``A`` counts, the evictPath
+        of the next path in reverse-lexicographic order.
+        """
+        for b in pending:
+            if self.store.needs_reshuffle(b):
+                self._reshuffle((b,), OpKind.EARLY_RESHUFFLE)
+        if self._quarantined and not self.defer_rebuilds:
+            self._rebuild_quarantined()
         self.accesses_since_evict += 1
         if self.accesses_since_evict >= self.cfg.evict_rate:
             self.accesses_since_evict = 0
-            self._evict_path()
-        self._background_evict()
+            levels = self.cfg.levels
+            leaf = tree_mod.reverse_lexicographic_leaf(
+                self.evict_counter, levels
+            )
+            self.evict_counter += 1
+            self._reshuffle(
+                tree_mod.path_buckets(leaf, levels), OpKind.EVICT_PATH, leaf
+            )
 
     def _sealed_residents(self, b: int) -> List[Tuple[int, int, int]]:
         """``b``'s real blocks with the sealed slots holding them, as
@@ -539,48 +573,29 @@ class RingOram:
             )
         )
 
-    def _collect_residents(
-        self, b: int, opened: Optional[Iterable[_Opened]] = None
-    ) -> None:
+    def _collect_residents(self, b: int, opened: Iterable[_Opened]) -> None:
         """Move all of ``b``'s remaining real blocks into the stash.
 
         Covers both local slots and (for AB) unconsumed rented slots,
-        whose rental round ends here. On the sealed path ``opened`` is
-        the bucket's share of a batch the caller already opened
-        (evictPath opens its whole path at once); without it the bucket
-        is its own batch.
+        whose rental round ends here. ``opened`` is the bucket's share
+        of the reshuffle's open batch (nothing off the sealed path).
         """
         # Resident ids straight out of the bucket row: local slots
         # ascending, then rented ones in rental order.
         blocks = self.store.resident_blocks(b)
-        if self.datastore is not None:
-            if opened is None:
-                opened = self._open_residents(self._sealed_residents(b))
-            for one in opened:
-                self._admit_payload(*one)
+        for one in opened:
+            self._admit_payload(*one)
         if self.ext is not None:
             lv = self.store.level(b)
+            dead_obs = self._heard["on_slot_dead"]
             for hb, hs in self.ext.reclaim(b):
                 # The released host slot holds stale data again.
-                self._notify_dead(hb, hs, lv)
+                for obs in dead_obs:
+                    obs.on_slot_dead(hb, hs, lv)
         if blocks.size:
             self.stash.add_many(
                 blocks.tolist(), self.posmap.peek_many(blocks).tolist()
             )
-
-    def _service_reshuffles(self, pending: List[int]) -> None:
-        """Run every due earlyReshuffle, then rebuild quarantined buckets.
-
-        The shared maintenance step of the main access path, the
-        recursive position-map path and background eviction. Quarantine
-        rebuilds ride the same window: they are forced reshuffles and
-        must never nest inside an in-flight operation.
-        """
-        for b in pending:
-            if self.store.needs_reshuffle(b):
-                self._early_reshuffle(b)
-        if self._quarantined and not self.defer_rebuilds:
-            self._rebuild_quarantined()
 
     def flush_recovery(self) -> None:
         """Drain any still-quarantined buckets outside an access.
@@ -616,147 +631,124 @@ class RingOram:
             del self._quarantined[b]
             self._rebuilding = b
             try:
-                self._early_reshuffle(b, kind=OpKind.RECOVERY)
+                self._reshuffle((b,), OpKind.RECOVERY)
             finally:
                 self._rebuilding = None
             self.robust.rebuilds += 1
             self.robust.recovered += 1
 
-    def _early_reshuffle(
-        self, b: int, kind: OpKind = OpKind.EARLY_RESHUFFLE
+    def _reshuffle(
+        self, buckets: Sequence[int], kind: OpKind, leaf: Optional[int] = None
     ) -> None:
-        """Reshuffle one saturated (or quarantined) bucket (offline)."""
-        cfg = self.cfg
-        store = self.store
-        sink = self.sink
-        lv = store.level(b)
-        onchip = lv < cfg.treetop_levels
-        meta = ((b, lv, onchip),)
-        sink.begin_op(kind)
-        sink.metadata_access_many(meta, False, self.metadata_blocks)
-        # Read phase: Z' reads (valid real blocks padded with dummies --
-        # the read count, not the real count, is what memory sees).
-        sink.data_access_repeat(b, 0, lv, self._z_real_by_level[lv],
-                                write=False, onchip=onchip)
-        self._collect_residents(b)
-        self._refill_bucket(b, lv)
-        sink.metadata_access_many(meta, True, self.metadata_blocks)
-        sink.end_op()
-        for obs in self.observers:
-            obs.on_reshuffle(b, lv, kind)
+        """The one reshuffle (offline): evictPath over the whole path of
+        ``leaf``, earlyReshuffle and the quarantine rebuild over one
+        saturated (or quarantined) bucket.
 
-    def _evict_path(self) -> None:
-        """Scheduled path reshuffle in reverse-lexicographic order."""
-        cfg = self.cfg
+        ``buckets`` run root side first. Read phase in that order: per
+        bucket its metadata, Z' reads (valid real blocks padded with
+        dummies -- the read count, not the real count, is what memory
+        sees), its reals into the stash. Write phase in reverse, so the
+        classic deepest-placement greedy of evictPath emerges from
+        refilling leaf to root.
+        """
         store = self.store
         sink = self.sink
-        leaf = tree_mod.reverse_lexicographic_leaf(self.evict_counter, cfg.levels)
-        self.evict_counter += 1
-        buckets = tree_mod.path_buckets(leaf, cfg.levels)
-        sink.begin_op(OpKind.EVICT_PATH)
-        # Read phase: Z' reads per bucket; reals move to the stash.
-        # ``buckets`` holds one bucket per level, root first, so the
-        # enumeration index is the level.
         z_real = self._z_real_by_level
-        treetop = cfg.treetop_levels
+        treetop = self.cfg.treetop_levels
         mblocks = self.metadata_blocks
-        # Sealed path: every resident of the path is known before the
-        # first bucket is read (collecting one bucket never changes
-        # what another path bucket holds), so the whole read phase is
-        # one open batch. Its outcomes are consumed bucket by bucket
-        # below, where the scalar opens used to sit, so a retry stall
-        # or a quarantine lands at the same point of the operation.
-        opened: Optional[Iterator[_Opened]] = None
-        shares: List[int] = []
-        if self.datastore is not None:
-            residents: List[Tuple[int, int, int]] = []
-            for b in buckets:
-                share = self._sealed_residents(b)
-                residents += share
-                shares.append(len(share))
-            opened = self._open_residents(residents)
-        # Metadata is reported bucket by bucket, not as one path batch:
-        # each bucket's record is read right before its blocks and
-        # written right after them, and that issue order is timing.
-        metas = [((b, lv, lv < treetop),) for lv, b in enumerate(buckets)]
-        for lv, b in enumerate(buckets):
-            onchip = lv < treetop
-            sink.metadata_access_many(metas[lv], False, mblocks)
+        sink.begin_op(kind)
+        # Sealed path: every resident is known before the first bucket
+        # is read (collecting one bucket never changes what another
+        # holds), so the whole read phase is one open batch. Its
+        # outcomes are consumed bucket by bucket below, where scalar
+        # opens would sit, so a retry stall or a quarantine lands at
+        # the same point of the operation.
+        sealed = self.datastore is not None
+        residents: List[Tuple[int, int, int]] = []
+        plan = []       # (bucket, level, metadata item, residents to open)
+        for b in buckets:
+            lv = store.level(b)
+            share = self._sealed_residents(b) if sealed else ()
+            residents += share
+            plan.append((b, lv, ((b, lv, lv < treetop),), len(share)))
+        opened = self._open_residents(residents) if sealed else iter(())
+        # Metadata is reported bucket by bucket, not as one batch: each
+        # bucket's record is read right before its blocks and written
+        # right after them, and that issue order is timing.
+        for b, lv, meta, n_share in plan:
+            sink.metadata_access_many(meta, False, mblocks)
             sink.data_access_repeat(b, 0, lv, z_real[lv],
-                                    write=False, onchip=onchip)
-            self._collect_residents(
-                b, None if opened is None else islice(opened, shares[lv])
-            )
-        # Write phase: leaf to root, greedy deepest placement. The
-        # sealed writes of all levels go to the datastore as one batch.
-        seal_items: Optional[List[Tuple[int, int, Optional[bytes]]]] = (
-            None if self.datastore is None else []
-        )
-        for lv in range(cfg.levels - 1, -1, -1):
-            b = buckets[lv]
+                                    write=False, onchip=lv < treetop)
+            self._collect_residents(b, islice(opened, n_share))
+        # The sealed writes of all buckets go to the datastore as one
+        # batch.
+        seal_items: List[Tuple[int, int, Optional[bytes]]] = []
+        for b, lv, meta, _ in reversed(plan):
             self._refill_bucket(b, lv, seal_items)
-            sink.metadata_access_many(metas[lv], True, mblocks)
+            sink.metadata_access_many(meta, True, mblocks)
         if seal_items:
             self.datastore.seal_many(seal_items)
         sink.end_op()
-        for obs in self.observers:
-            obs.on_evict_path(leaf)
-            for b in buckets:
-                obs.on_reshuffle(b, store.level(b), OpKind.EVICT_PATH)
+        if leaf is not None:
+            for obs in self._heard["on_evict_path"]:
+                obs.on_evict_path(leaf)
+        for obs in self._heard["on_reshuffle"]:
+            for b, lv, _, _ in plan:
+                obs.on_reshuffle(b, lv, kind)
 
     def _refill_bucket(
         self,
         b: int,
         lv: int,
-        seal_batch: Optional[List[Tuple[int, int, Optional[bytes]]]] = None,
+        seal_batch: List[Tuple[int, int, Optional[bytes]]],
     ) -> None:
-        """Shared write phase of evictPath / earlyReshuffle for bucket ``b``.
+        """A reshuffle's write phase for bucket ``b``.
 
         Renews the AB remote extension, picks stash blocks that may live
         in ``b``, scatters them uniformly over local + remote positions,
         rewrites every usable slot, and reports the writes. On the
-        sealed path the slots to seal are appended to ``seal_batch``
-        for the caller to hand to the datastore, or sealed here as the
-        bucket's own batch when none is given.
+        sealed path the slots to seal are appended to ``seal_batch``,
+        the reshuffle's one seal batch.
 
         One code path for every scheme: the AB/DR bookkeeping costs O(1)
         counter lookups (usable-slot count, lazy DeadQ reclamation
         inside ``refresh``) plus batched calls (``remove_many``,
-        ``write_remote_all``, ``seal_many``, coalesced sink/observer
-        events), so the general case runs at the speed the old
-        ring/CB/NS-only fast path did. The scatter draw is taken
-        whenever blocks are chosen -- even with no remote hosts, where
-        its result is irrelevant -- so the RNG stream never depends on
-        which scheme is active.
+        ``write_remote_all``, coalesced sink/observer events). The
+        scatter draw is taken whenever blocks are chosen -- even with no
+        remote hosts, where its result is irrelevant -- so the RNG
+        stream never depends on which scheme is active.
         """
         cfg = self.cfg
         store = self.store
-        sink = self.sink
         ext = self.ext
-        datastore = self.datastore
-        observers = self.observers
         onchip = lv < cfg.treetop_levels
+        # Usable = not rented out; the IN_USE tally makes the count O(1)
+        # and ``refresh`` recovers the slot indices itself.
+        n_usable = store.z_phys(b) - store.in_use_count[b]
+        reclaimed_obs = self._heard["on_slots_reclaimed"]
         reclaimed_dead = None
-        if observers:
+        if reclaimed_obs:
+            # The dead slots this rewrite reclaims, read before
+            # ``refresh`` turns them REFRESHED.
             usable = store.usable_slots(b)
             st = store.status[b, usable]
             reclaimed_dead = usable[(st == ST_DEAD) | (st == ST_QUEUED)]
-            n_usable = int(usable.size)
-        else:
-            # Usable = not rented out; the IN_USE tally makes the count
-            # O(1) and ``refresh`` recovers the slot indices itself.
-            n_usable = store.z_phys(b) - store.in_use_count[b]
         granted = 0
         hosts: List[Tuple[int, int]] = []
         if ext is not None:
             granted, hosts = ext.acquire(b, lv)
-            if hosts and observers:
-                # A host sits at its renter's level.
+            # A host sits at its renter's level.
+            for obs in self._heard["on_slot_reclaimed"]:
                 for hb, hs in hosts:
-                    for obs in observers:
-                        obs.on_slot_reclaimed(hb, hs, lv, "remote")
+                    obs.on_slot_reclaimed(hb, hs, lv, "remote")
         capacity = min(self._z_real_by_level[lv], n_usable + granted)
-        chosen = self._pick_stash_blocks(b, lv, capacity)
+        # Path membership is the whole test: the deepest-placement
+        # greedy of evictPath emerges from refilling leaf to root -- a
+        # block eligible for a deeper bucket on the path was already
+        # taken by that bucket.
+        chosen = self.stash.pick_for_bucket(
+            tree_mod.position_of(b), cfg.levels - 1 - lv, capacity
+        )
         # Scatter real blocks uniformly across local + remote positions
         # so a remote read is indistinguishable from a local one.
         n_hosts = len(hosts)
@@ -774,8 +766,8 @@ class RingOram:
                         remote_contents[int(pos) - n_usable] = blk
             self.stash.remove_many(chosen)
         written = store.refresh(b, local_reals, granted_extension=granted)
-        if observers and reclaimed_dead.size:
-            for obs in observers:
+        if reclaimed_dead is not None and reclaimed_dead.size:
+            for obs in reclaimed_obs:
                 obs.on_slots_reclaimed(b, reclaimed_dead, lv, "reshuffle")
         # One sink batch for the whole write phase: local slots, then
         # remote hosts. They share the same DRAM write phase, so they
@@ -786,46 +778,27 @@ class RingOram:
         if hosts:
             ext.write_remote_all(b, remote_contents)
             write_items += [(hb, hs, lv, onchip, True) for hb, hs in hosts]
-        if datastore is not None:
-            # Payload path: one ordered seal batch (locals then remote
-            # hosts), same per-slot sequence as scalar seals so
-            # versions, dummy-filler draws and Merkle updates are
-            # bit-identical.
+        if self.datastore is not None:
+            # Payload path: locals then remote hosts, the per-slot
+            # sequence scalar seals would follow, so versions,
+            # dummy-filler draws and Merkle updates are bit-identical.
             pop_payload = self._stash_payload.pop
             blank = bytes(cfg.block_bytes)
             slots_row = store.slots[b]
-            seal_items = [] if seal_batch is None else seal_batch
             for slot in written:
                 content = int(slots_row[slot])
-                seal_items.append(
+                seal_batch.append(
                     (b, slot,
                      pop_payload(content, blank)
                      if content >= 0 else None)
                 )
             for (hb, hs), content in zip(hosts, remote_contents):
-                seal_items.append(
+                seal_batch.append(
                     (hb, hs,
                      pop_payload(content, blank)
                      if content >= 0 else None)
                 )
-            if seal_batch is None:
-                datastore.seal_many(seal_items)
-        sink.data_access_many(write_items, write=True)
-
-    def _pick_stash_blocks(self, b: int, lv: int, capacity: int) -> List[int]:
-        """Stash blocks placeable in bucket ``b`` (path membership).
-
-        The classic deepest-placement greedy of evictPath emerges from
-        refilling leaf-to-root: a block eligible for a deeper bucket on
-        the eviction path was already taken by that bucket.
-        """
-        if capacity <= 0 or not len(self.stash):
-            # Nothing to place (empty stash is the common case right
-            # after an evictPath): skip the position math and the call.
-            return []
-        return self.stash.pick_for_bucket(
-            tree_mod.position_of(b), self.cfg.levels - 1 - lv, capacity
-        )
+        self.sink.data_access_many(write_items, write=True)
 
     def _background_evict(self) -> None:
         """CB background eviction: dummy accesses until the stash drains."""
@@ -840,18 +813,10 @@ class RingOram:
                 )
             self.background_accesses += 1
             leaf = int(self.rng.integers(cfg.n_leaves))
-            pending = self._read_path(leaf, target=None, kind=OpKind.BACKGROUND)
-            self._service_reshuffles(pending)
-            self.accesses_since_evict += 1
-            if self.accesses_since_evict >= cfg.evict_rate:
-                self.accesses_since_evict = 0
-                self._evict_path()
+            self._tick(self._read_path(leaf, target=None,
+                                       kind=OpKind.BACKGROUND))
 
     # ------------------------------------------------------------ internals
-
-    def _notify_dead(self, b: int, slot: int, lv: int) -> None:
-        for obs in self.observers:
-            obs.on_slot_dead(b, slot, lv)
 
     def _try_open(self, bucket: int, slot: int) -> Union[bytes, Exception]:
         """One scalar open, its failure returned the way a batch does."""

@@ -126,22 +126,7 @@ def smoke_config(**overrides: Any) -> PerfConfig:
     return _prune_extras(replace(base, **overrides), overrides)
 
 
-def _sim_block(result: SimResult) -> Dict[str, Any]:
-    return {
-        "exec_ns": result.exec_ns,
-        "ns_per_access": result.ns_per_access,
-        "stash_peak": result.stash_peak,
-        "reshuffles_total": int(sum(result.reshuffles_by_level)),
-        "reshuffles_by_level": [int(x) for x in result.reshuffles_by_level],
-        "dram_reads": int(result.dram_reads),
-        "dram_writes": int(result.dram_writes),
-        "row_hit_rate": result.row_hit_rate,
-        "online_accesses": int(result.online_accesses),
-        "background_accesses": int(result.background_accesses),
-        "evictions": int(result.evictions),
-        "dead_blocks": int(result.dead_blocks),
-        "remote_accesses": int(result.remote_accesses),
-    }
+_sim_block = SimResult.sim_block
 
 
 def _best_of(repeats: int, run: Callable[[], Any]) -> Tuple[float, Any]:

@@ -128,8 +128,10 @@ class BatchScheduler:
             self.ops_served[req.op] += 1
         out: List[Completion] = []
         if self.policy == "fifo":
+            # Every request is its own group: nothing to dedup against,
+            # nothing to coalesce with.
             for req in batch:
-                self._execute(req, out)
+                self._serve_group([req], out)
             return out
         # Group by key; each group serves in arrival order (per-key
         # FIFO holds even if the submission queue was out of order).
@@ -164,35 +166,7 @@ class BatchScheduler:
             accesses=0, status=TIMED_OUT,
         ))
 
-    # ------------------------------------------------------- naive execute
-
-    def _execute(self, req: Request, out: List[Completion]) -> None:
-        """Serve one request with its own oblivious accesses (FIFO path)."""
-        if self._expired(req):
-            self._timeout(req, out)
-            return
-        kv = self.kv
-        t0 = self.clock()
-        a0 = kv.oram.online_accesses
-        w0 = time.perf_counter()
-        if req.op == GET:
-            value = kv.get(req.key)
-            ok = value is not None
-            if not ok:
-                self.absent_gets += 1
-        elif req.op == PUT:
-            kv.put(req.key, req.value)
-            value, ok = None, True
-        else:
-            value, ok = None, kv.delete(req.key)
-        wall = time.perf_counter() - w0
-        out.append(Completion(
-            rid=req.rid, op=req.op, key=req.key, value=value, ok=ok,
-            arrival_ns=req.arrival_ns, start_ns=t0, done_ns=self.clock(),
-            accesses=kv.oram.online_accesses - a0, wall_s=wall,
-        ))
-
-    # ------------------------------------------------------- batched group
+    # ----------------------------------------------------------- one group
 
     def _serve_group(self, reqs: List[Request], out: List[Completion]) -> None:
         """Serve one key's requests in arrival order, dedup + coalesce.

@@ -31,8 +31,9 @@ PathLike = Union[str, Path]
 #: a missing attribute. 2: the sealed store's tags are a flat table
 #: plus a sealed mask (was a dict). 3: a bucket's rented slots are
 #: columns of its own ``BucketStore`` row and the allocator's host
-#: table is dense (was a pooled side table).
-CHECKPOINT_FORMAT = 3
+#: table is dense (was a pooled side table). 4: the controller keeps,
+#: per observer hook, the observers that override it (``_heard``).
+CHECKPOINT_FORMAT = 4
 _MAGIC = "repro-sim-checkpoint"
 
 

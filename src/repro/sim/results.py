@@ -56,6 +56,24 @@ class SimResult:
             return 0.0
         return self.exec_ns / self.requests
 
+    def sim_block(self) -> Dict[str, Any]:
+        """The perf report's deterministic ``sim`` block of one cell."""
+        return {
+            "exec_ns": self.exec_ns,
+            "ns_per_access": self.ns_per_access,
+            "stash_peak": self.stash_peak,
+            "reshuffles_total": int(sum(self.reshuffles_by_level)),
+            "reshuffles_by_level": [int(x) for x in self.reshuffles_by_level],
+            "dram_reads": int(self.dram_reads),
+            "dram_writes": int(self.dram_writes),
+            "row_hit_rate": self.row_hit_rate,
+            "online_accesses": int(self.online_accesses),
+            "background_accesses": int(self.background_accesses),
+            "evictions": int(self.evictions),
+            "dead_blocks": int(self.dead_blocks),
+            "remote_accesses": int(self.remote_accesses),
+        }
+
     def to_dict(self) -> Dict[str, object]:
         d = asdict(self)
         d["bandwidth_gbps"] = self.bandwidth_gbps

@@ -13,6 +13,7 @@ boundaries, so parallel runs require an observer-free ``SimConfig``.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.oram.config import OramConfig
@@ -101,16 +102,9 @@ def run_suite(
         raise ValueError(
             "observers cannot cross process boundaries; run with workers=1"
         )
-    run_sim = SimConfig(
-        timing=base_sim.timing,
-        mapping=base_sim.mapping,
+    run_sim = replace(
+        base_sim,
         warmup_requests=warmup_requests or base_sim.warmup_requests,
-        warm_fill=base_sim.warm_fill,
-        seed=base_sim.seed,
-        observers=base_sim.observers,
-        check_invariants=base_sim.check_invariants,
-        pipeline_depth=base_sim.pipeline_depth,
-        dram_window=base_sim.dram_window,
     )
     cells: List[Tuple[str, str, Tuple[OramConfig, Trace, SimConfig]]] = []
     for bench in names:

@@ -6,10 +6,12 @@ of ``slots`` / ``status`` / ``generation``, ``count`` / ``sustain``,
 the stash, ``ext.stats()``, observer state, the Merkle root and the
 recovery counters. ``tests/goldens/controller_state.json`` was recorded
 at the commit before the bucket-row collapse (rentals in a pooled side
-table, two readPath bodies); a refactor of the controller must
-reproduce it. The report goldens cannot see a swapped pair of slots or
-an RNG stream shifted by one draw that costs the same DRAM ns -- this
-can. After an intended change of behaviour, regenerate with
+table, two readPath bodies) -- its ``model/ab-recursive`` and
+``sim/ab/deferred`` entries at the commit before the one-body collapse
+(two reshuffle bodies, three copies of the post-read step); a refactor
+of the controller must reproduce it. The report goldens cannot see a
+swapped pair of slots or an RNG stream shifted by one draw that costs
+the same DRAM ns -- this can. After an intended change of behaviour, regenerate with
 ``PYTHONPATH=src python tools/controller_fingerprint.py --json >
 tests/goldens/controller_state.json`` and review the diff like a
 baseline refresh.
@@ -43,8 +45,8 @@ with open(os.path.join(HERE, "goldens", "controller_state.json")) as _f:
 def test_golden_covers_the_whole_matrix():
     names = list(TOOL.matrix())
     assert sorted(names) == sorted(GOLDEN)
-    assert sum(n.startswith("sim/") for n in names) == 19
-    assert sum(n.startswith("model/") for n in names) == 6
+    assert sum(n.startswith("sim/") for n in names) == 20
+    assert sum(n.startswith("model/") for n in names) == 7
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -116,6 +116,32 @@ class TestCapacity:
             for i in range(10**6):
                 kv.put(f"k{i}".encode(), b"x" * 300)
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_refused_put_leaves_the_store_as_it_was(self, existing):
+        """A put that does not fit takes nothing off the free list and
+        grows no chain -- on a new key and on one that already has a
+        (shorter) chain -- and a put that fits still succeeds after."""
+        kv = fresh(levels=6, encrypted=False)
+        if existing:
+            kv.put(b"big", b"v" * kv.chunk_payload)       # one chunk
+        filler = 0
+        while kv.free_blocks > 2:
+            kv.put(b"fill%d" % filler, b"f")
+            filler += 1
+        before = (kv.free_blocks, kv.used_blocks, kv.chain_of(b"big"),
+                  kv.get(b"big"), len(kv))
+        assert before[0] == 2
+        # New key: three chunks into two free blocks. Existing key: its
+        # one block plus the two free ones still fall one short of four.
+        chunks = 4 if existing else 3
+        with pytest.raises(KVFullError):
+            kv.put(b"big", b"w" * (chunks * kv.chunk_payload))
+        assert (kv.free_blocks, kv.used_blocks, kv.chain_of(b"big"),
+                kv.get(b"big"), len(kv)) == before
+        kv.put(b"big", b"w" * ((chunks - 1) * kv.chunk_payload))
+        assert kv.get(b"big") == b"w" * ((chunks - 1) * kv.chunk_payload)
+        assert kv.free_blocks == 0
+
     def test_stats_shape(self, kv):
         s = kv.stats()
         for field in ("keys", "used_blocks", "free_blocks", "puts", "gets",

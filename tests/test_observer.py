@@ -182,3 +182,165 @@ class TestBatchedReclaimFanout:
             BaseObserver.on_slots_reclaimed(replay, bucket, slots, level, how)
         expected = [r for r in scalar.reclaims if r[3] == "reshuffle"]
         assert replay.reclaims == expected
+
+
+# ------------------------------------------------------- per-hook dispatch
+
+HOOKS = ("on_access_start", "on_read_path", "on_slot_dead",
+         "on_slot_reclaimed", "on_slots_reclaimed", "on_reshuffle",
+         "on_evict_path")
+
+
+def test_the_protocol_has_these_seven_hooks():
+    from repro.oram import observer
+    assert observer.HOOKS == HOOKS
+
+
+def _plain(value):
+    """An event argument as plain data (slot batches arrive as arrays)."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
+    return str(value) if isinstance(value, OpKind) else value
+
+
+def event_log(*hooks):
+    """An observer overriding exactly ``hooks``, all of them appending
+    ``(hook, args)`` to the one list ``events``."""
+    def recorder(hook):
+        def record(self, *args):
+            self.events.append((hook, _plain(args)))
+        return record
+    cls = type("EventLog", (BaseObserver,), {h: recorder(h) for h in hooks})
+    log = cls()
+    log.events = []
+    return log
+
+
+#: Every scalar hook; ``on_slots_reclaimed`` keeps its default fan-out.
+SCALAR_HOOKS = tuple(h for h in HOOKS if h != "on_slots_reclaimed")
+
+
+def drive_ab(cfg, observers, n=250, seed=3, attach_late=()):
+    oram = build_oram(cfg, seed=seed, observers=observers)
+    for obs in attach_late:
+        oram.add_observer(obs)
+    oram.warm_fill()
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        oram.access(int(rng.integers(cfg.n_real_blocks)))
+    return oram
+
+
+class TestPerHookDispatch:
+    """An event reaches exactly the observers that override its hook,
+    each of which sees what it saw when every event reached everyone."""
+
+    #: sha256 over the full event list of ``drive_ab`` with one
+    #: all-hooks log attached, recorded at the commit where every
+    #: emission site looped over every observer.
+    FULL_LOG_DIGEST = (
+        "f0aef67ac81e54b9b2c2b7e5bd0d0f34fd98695df888f700e2c1eb84337b0edc"
+    )
+
+    @staticmethod
+    def _digest(events):
+        import hashlib
+        import json
+        return hashlib.sha256(json.dumps(events).encode()).hexdigest()
+
+    def test_full_event_list_is_the_recorded_one(self, cfg_ab_small):
+        log = event_log(*SCALAR_HOOKS)
+        drive_ab(cfg_ab_small, [log])
+        assert {hook for hook, _ in log.events} == set(SCALAR_HOOKS)
+        assert self._digest(log.events) == self.FULL_LOG_DIGEST
+
+    def test_same_events_beside_an_attacker(self, cfg_ab_small):
+        from repro.core.security import GuessingAttacker
+        alone = event_log(*SCALAR_HOOKS)
+        drive_ab(cfg_ab_small, [alone])
+        for order in (0, 1):
+            beside = event_log(*SCALAR_HOOKS)
+            attacker = GuessingAttacker(cfg_ab_small.levels, seed=1)
+            pair = [attacker, beside] if order else [beside, attacker]
+            drive_ab(cfg_ab_small, pair)
+            assert beside.events == alone.events
+            assert attacker.guesses > 0
+
+    def test_one_hook_observer_sees_that_hooks_events(self, cfg_ab_small):
+        """Every single-hook observer, all riding one run beside the
+        all-hooks log, sees exactly the log's entries for its hook."""
+        full = event_log(*SCALAR_HOOKS)
+        singles = {hook: event_log(hook) for hook in HOOKS}
+        oram = drive_ab(cfg_ab_small, [full, *singles.values()])
+        assert oram.observers == [full, *singles.values()]
+        for hook in SCALAR_HOOKS:
+            assert singles[hook].events == [
+                e for e in full.events if e[0] == hook
+            ], hook
+        # The batched hook carries the reshuffle reclaims the scalar
+        # one receives fanned out, in the same order.
+        fanned = [
+            ("on_slot_reclaimed", [bucket, slot, level, how])
+            for _, (bucket, slots, level, how) in
+            singles["on_slots_reclaimed"].events for slot in slots
+        ]
+        assert fanned and fanned == [
+            e for e in full.events
+            if e[0] == "on_slot_reclaimed" and e[1][3] == "reshuffle"
+        ]
+
+    def test_add_observer_is_the_constructor_argument(self, cfg_ab_small):
+        given, added = event_log(*SCALAR_HOOKS), event_log(*SCALAR_HOOKS)
+        drive_ab(cfg_ab_small, [given])
+        drive_ab(cfg_ab_small, [], attach_late=[added])
+        assert added.events == given.events
+
+    def test_instance_and_duck_typed_hooks_are_heard(self, cfg_small):
+        patched = BaseObserver()
+        seen = []
+        patched.on_evict_path = seen.append
+
+        class Duck:                      # no BaseObserver in sight
+            def __getattr__(self, name):
+                if not name.startswith("on_"):
+                    raise AttributeError(name)
+                return lambda *args: seen.append(name)
+
+        oram = build_oram(cfg_small, seed=0, observers=[patched, Duck()])
+        for i in range(2 * cfg_small.evict_rate):
+            oram.access(i % cfg_small.n_real_blocks)
+        assert [e for e in seen if isinstance(e, int)], "instance hook unheard"
+        assert {"on_access_start", "on_read_path", "on_slot_dead",
+                "on_reshuffle", "on_evict_path"} <= set(seen)
+
+    def test_served_run_calls_no_unheard_hook(self, monkeypatch):
+        """``build_stack`` attaches a GuessingAttacker, which overrides
+        ``on_read_path`` only: a served run reaches no other hook."""
+        from repro.serve import BatchScheduler, build_stack
+        from repro.serve.loadgen import (
+            WorkloadConfig, generate_requests, initial_items,
+        )
+        from repro.serve.replay import replay
+
+        def unheard(hook):
+            def raiser(self, *args):
+                raise AssertionError(f"BaseObserver.{hook} was called")
+            return raiser
+
+        for hook in HOOKS:
+            monkeypatch.setattr(BaseObserver, hook, unheard(hook))
+        stack = build_stack(levels=8, seed=0)
+        load = WorkloadConfig("unheard", n_requests=150, stored_keys=40,
+                              read_fraction=0.7, seed=5)
+        stack.kv.preload(initial_items(load))
+        reqs = generate_requests(load)
+        sched = BatchScheduler(stack.kv, policy="batch", seed=0,
+                               clock=lambda: stack.now_ns)
+        result = replay(stack, reqs, sched, 8)
+        assert len(result.completions) == len(reqs)
+        oram = stack.kv.oram
+        assert oram.evict_counter > 0
+        assert int(oram.store.reshuffles_by_level.sum()) > oram.evict_counter
+        assert stack.attacker.guesses > 0

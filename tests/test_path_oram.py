@@ -107,3 +107,51 @@ class TestInvariants:
         for i in range(5):
             oram.access(i)
         assert oram.accesses == 5
+
+
+class TestPinnedRun:
+    """One fixed run, recorded at the commit whose write phase still
+    scanned the stash itself and reported slot by slot: the shared
+    ``pick_for_bucket`` / ``remove_many`` / batch-sink body must leave
+    every tally, the stash and every slot where that one did."""
+
+    DIGEST = (
+        "209e18374571b5b33ca9fefd1c303c9471f3051382ae35740b5cde400508bc1c"
+    )
+
+    def test_run_matches_the_recording(self):
+        import hashlib
+        import json
+
+        # Z=2 at 95% utilization: blocks outlive the write-back in the
+        # stash, so the pick order under a full bucket is on the record.
+        cfg = path_oram_config(7, z=2, stash_capacity=500, treetop_levels=2,
+                               utilization=0.95)
+        sink = CountingSink(cfg.levels)
+        oram = PathOram(cfg, sink=sink, seed=11, store_data=True)
+        rng = np.random.default_rng(5)
+        shadow = {}
+        for i in range(400):
+            block = int(rng.integers(cfg.n_real_blocks))
+            if rng.random() < 0.5:
+                shadow[block] = i
+                oram.write(block, i)
+            else:
+                assert oram.read(block) == shadow.get(block)
+        oram.check_invariants()
+        assert oram.stash.occupancy > 0
+        state = [
+            sink.summary(),
+            sink.data_reads_by_level.tolist(),
+            sink.data_writes_by_level.tolist(),
+            sink.unattributed_accesses,
+            list(oram.stash.blocks()),
+            oram.stash.peak_occupancy,
+            oram.store.slots.tolist(),
+            oram.store.status.tolist(),
+            oram.rng.bit_generator.state["state"],
+        ]
+        digest = hashlib.sha256(
+            json.dumps(state, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.DIGEST

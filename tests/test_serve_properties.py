@@ -114,3 +114,39 @@ class TestPerKeyFifo:
                     assert comp.ok is existed
         for key in KEYS:
             assert stack.kv.get(key) == model.get(key)
+
+
+class TestFifoIsAGroupOfOne:
+    """The ``fifo`` policy has no body of its own: serving a batch under
+    it is serving every request, in arrival order, as its own
+    one-request ``batch`` group."""
+
+    @given(raw=batches, deadline_at=st.sets(st.integers(0, 13), max_size=3))
+    @settings(derandomize=True, **settings_kw)
+    def test_fifo_equals_one_request_batches(self, raw, deadline_at):
+        reqs = make_requests(raw)
+        for i in deadline_at:
+            if i < len(reqs):
+                # Already past on the stack's clock: refused unserved.
+                reqs[i].deadline_ns = -1.0
+
+        def served(policy):
+            stack = build_stack(levels=8, seed=0, observer=False)
+            stack.kv.preload([(KEYS[0], b"seed0"), (KEYS[1], b"seed1")])
+            sched = BatchScheduler(stack.kv, policy=policy, seed=0,
+                                   clock=lambda: stack.now_ns)
+            if policy == "fifo":
+                comps = sched.serve_batch(list(reqs))
+            else:
+                comps = [c for req in reqs for c in sched.serve_batch([req])]
+            counters = sched.stats()
+            del counters["batches"], counters["batch_size_hist"]
+            stamped = [
+                {k: v for k, v in vars(c).items() if k != "wall_s"}
+                for c in comps
+            ]
+            return stamped, counters, {k: stack.kv.get(k) for k in KEYS}
+
+        fifo, batch = served("fifo"), served("batch")
+        assert fifo == batch
+        assert fifo[1]["dedup_hits"] == fifo[1]["coalesced_puts"] == 0

@@ -244,6 +244,25 @@ class TestRunner:
         for scheme in serial:
             assert parallel[scheme]["gcc"] == serial[scheme]["gcc"]
 
+    def test_run_suite_keeps_every_sim_field(self, small_schemes):
+        """The caller's SimConfig reaches the cells whole: robustness
+        and the fault plan used to be dropped on the way."""
+        from repro.faults.plan import FaultPlan
+        from repro.oram.recovery import RobustnessConfig
+        sim = SimConfig(
+            seed=3, warmup_requests=5,
+            robustness=RobustnessConfig(integrity=True),
+            fault_plan=FaultPlan(seed=1, rates={"bit_flip": 0.05}),
+        )
+        res = run_suite(small_schemes[:1], benchmarks=["mcf"],
+                        n_requests=60, sim=sim)["Baseline"]["mcf"]
+        assert res.robustness is not None
+        assert res.robustness["faults"]["injected"]["bit_flip"] > 0
+        assert sim.warmup_requests == 5      # the caller's copy is its own
+        override = run_suite(small_schemes[:1], benchmarks=["mcf"],
+                             n_requests=60, warmup_requests=20, sim=sim)
+        assert override["Baseline"]["mcf"].requests == 40
+
     def test_run_suite_parallel_rejects_observers(self, small_schemes):
         from repro.core.security import GuessingAttacker
         with pytest.raises(ValueError, match="observers"):

@@ -12,12 +12,15 @@ runs, every answer), the controller's RNG state, the local columns of
 sorted stash, ``ext.stats()``, observer state, the Merkle root and the
 recovery counters.
 
-The matrix: nineteen simulations -- {ring, baseline, ir, ns, dr, ab}
+The matrix: twenty simulations -- {ring, baseline, ir, ns, dr, ab}
 plain, then subsets with three observers attached, on the sealed data
-path, sealed with faults armed, and at pipeline depth 4 -- and six
-dict-model runs (a ``store_data`` controller checked against a dict)
-on the shapes the simulations do not reach: ``dr-perf``, DeadQ
-capacity 2 and 3, ``evict_rate`` 3, background eviction.
+path, sealed with faults armed, at pipeline depth 4, and ``ab`` armed
+with its quarantine rebuilds deferred to one final
+``flush_recovery()`` -- and seven dict-model runs (a ``store_data``
+controller checked against a dict) on the shapes the simulations do
+not reach: ``dr-perf``, DeadQ capacity 2 and 3, ``evict_rate`` 3,
+background eviction, a recursive position map behind a PLB small
+enough to miss.
 
 Only ``[:, :cfg.z_max]`` of the per-slot arrays is hashed, so the tool
 runs unmodified on either side of a change to what lies past those
@@ -44,8 +47,10 @@ from repro.core import schemes
 from repro.core.ab_oram import build_oram
 from repro.core.security import GuessingAttacker, RemoteMappingCollector
 from repro.faults.plan import FaultPlan
+from repro.oram.plb import RecursivePosMap
 from repro.oram.recovery import RobustnessConfig
 from repro.oram.ring import RingOram
+from repro.oram.stats import OpKind
 from repro.sim.engine import SimConfig, Simulation
 from repro.sim.runner import make_trace
 
@@ -129,24 +134,39 @@ def _simulation(scheme: str, variant: str) -> Callable[[], Dict[str, Any]]:
             sim.observers = _observers(cfg)
         elif variant == "sealed":
             sim.robustness = RobustnessConfig(integrity=True)
-        elif variant == "armed":
+        elif variant in ("armed", "deferred"):
             sim.robustness = RobustnessConfig(integrity=True)
             sim.fault_plan = FaultPlan(seed=5, max_outage_ops=2,
                                        rates=_FAULTS)
         elif variant == "depth4":
             sim.pipeline_depth = 4
         simulation = Simulation(cfg, trace, sim)
+        if variant == "deferred":
+            # The serving layer's degraded mode: quarantines pile up
+            # over the whole run and drain in the ``flush_recovery()``
+            # that ``run`` ends with.
+            simulation.oram.defer_rebuilds = True
         result = simulation.run()
+        if variant == "deferred" and not result.ops_by_kind["recovery"]:
+            raise AssertionError("the deferred run rebuilt no bucket")
         state = controller_state(simulation.oram)
         state["result"] = result.to_dict()
         return state
     return run
 
 
-def _dict_model(cfg_factory: Callable[[], Any]) -> Callable[[], Dict[str, Any]]:
+def _dict_model(
+    cfg_factory: Callable[[], Any], recursive: bool = False
+) -> Callable[[], Dict[str, Any]]:
     def run() -> Dict[str, Any]:
         cfg = cfg_factory()
-        oram = build_oram(cfg, seed=6, store_data=True)
+        oram = build_oram(cfg, seed=6, store_data=True,
+                          posmap_mode="recursive" if recursive else "onchip")
+        if recursive:
+            # A tree this small fits the default on-chip budget whole;
+            # shrink it (and the PLB) so position-map fetches happen.
+            oram.posmap_model = RecursivePosMap(
+                cfg.n_real_blocks, plb_entries=4, fanout=4, onchip_entries=8)
         oram.warm_fill()
         rng = np.random.default_rng(7)
         shadow: Dict[int, int] = {}
@@ -166,6 +186,8 @@ def _dict_model(cfg_factory: Callable[[], Any]) -> Callable[[], Dict[str, Any]]:
                 answers.append(answer)
             if i % 50 == 49:
                 oram.check_invariants()
+        if recursive and not oram.sink.by_kind[OpKind.POSMAP].ops:
+            raise AssertionError("the recursive run fetched no posmap block")
         state = controller_state(oram)
         state["answers"] = answers
         state["counters"] = [
@@ -189,6 +211,7 @@ def matrix() -> Dict[str, Callable[[], Dict[str, Any]]]:
     ):
         for scheme in names:
             runs[f"sim/{scheme}/{variant}"] = _simulation(scheme, variant)
+    runs["sim/ab/deferred"] = _simulation("ab", "deferred")
     runs["model/dr-perf"] = _dict_model(lambda: schemes.by_name("dr-perf", 8))
     runs["model/dr-deadq2"] = _dict_model(
         lambda: schemes.dr_scheme(7, deadq_capacity=2))
@@ -201,6 +224,8 @@ def matrix() -> Dict[str, Callable[[], Dict[str, Any]]]:
     runs["model/ab-background"] = _dict_model(
         lambda: dataclasses.replace(schemes.ab_scheme(8), stash_capacity=60,
                                     background_evict_threshold=12))
+    runs["model/ab-recursive"] = _dict_model(
+        lambda: schemes.ab_scheme(8), recursive=True)
     return runs
 
 
@@ -229,6 +254,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         width = max(map(len, prints))
         for name, digest in prints.items():
             print(f"{name:<{width}}  {digest}")
+        print(f"{len(prints)} configurations")
     return 0
 
 
