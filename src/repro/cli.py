@@ -426,12 +426,12 @@ _HARNESSES: Dict[str, _Harness] = {
     "perf": _Harness(
         "repro.perf.runner", "run_perf",
         fields=("schemes", "benchmarks", "levels", "n_requests",
-                "warmup_requests", "seed", "repeats", "telemetry"),
+                "warmup_requests", "seed", "repeats"),
     ),
     "faults": _Harness(
         "repro.faults.campaign", "run_campaign",
         fields=("kinds", "rates", "levels", "n_requests", "seed",
-                "retry_budget", "quarantine", "integrity", "telemetry"),
+                "retry_budget", "quarantine", "integrity"),
         gate=("require_detection", "detection_check", "DETECTION GAP",
               "detection check: all tampering faults detected"),
     ),
@@ -798,10 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, default=None)
     pr.add_argument("--repeats", type=int, default=None,
                     help="per-cell repeats; wall time is the best run")
-    pr.add_argument("--telemetry", action="store_true",
-                    help="attach a metrics registry to every cell and add "
-                         "a merged 'telemetry' block to the report "
-                         "(deterministic; identical for any --workers)")
 
     pp = perf_sub.add_parser(
         "profile",
@@ -869,10 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--require-detection", action="store_true",
                     help="exit 1 unless every tampering fault (bit flip, "
                         "replay) was detected -- the CI gate")
-    fr.add_argument("--telemetry", action="store_true",
-                    help="attach a metrics registry to every cell and add "
-                         "a merged 'telemetry' block to the report "
-                         "(deterministic; identical for any --workers)")
 
     p = sub.add_parser("serve", help="serving harness (bench / compare / "
                                      "demo)")

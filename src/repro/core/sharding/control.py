@@ -34,7 +34,6 @@ DEGRADED = "degraded"
 REBUILDING = "rebuilding"
 DEAD = "dead"
 
-STATES = (REGISTERED, HEALTHY, DEGRADED, REBUILDING, DEAD)
 
 #: Event kinds a shard stream may carry, in tie-break order for events
 #: sharing a timestamp (an exit processes before the heartbeat that
@@ -186,38 +185,6 @@ class ControlPlane:
         }
 
 
-def control_metrics(summary: Dict[str, Any], registry: Any) -> Any:
-    """Fold a control summary into a metrics registry.
-
-    The observability bridge for health transitions: every ``from ->
-    to`` edge becomes a ``control.transitions.<from>_to_<to>`` counter,
-    each shard's terminal state a ``control.shard.<k>.state`` gauge
-    (indexed into :data:`STATES`, so dashboards can threshold on it),
-    plus fleet-level ``control.all_healthy`` / ``control.completed`` /
-    ``control.deaths``. ``registry`` is a
-    :class:`~repro.telemetry.metrics.MetricsRegistry`; passed in rather
-    than imported so the control plane stays telemetry-agnostic.
-    """
-    registry.gauge("control.all_healthy").set(
-        1.0 if summary.get("all_healthy") else 0.0
-    )
-    registry.gauge("control.shards").set(float(len(summary.get("shards", []))))
-    for entry in summary.get("shards", []):
-        shard = entry["shard"]
-        registry.gauge(f"control.shard.{shard}.state").set(
-            float(STATES.index(entry["state"]))
-        )
-        if entry.get("completed"):
-            registry.counter("control.completed").inc()
-        for t in entry.get("transitions", []):
-            registry.counter(
-                f"control.transitions.{t['from']}_to_{t['to']}"
-            ).inc()
-            if t["to"] == DEAD:
-                registry.counter("control.deaths").inc()
-    return registry
-
-
 def heartbeat_events(
     shard: int, start_ns: float, end_ns: float, heartbeat_ns: float,
     episodes: Sequence[Dict[str, Any]] = (),
@@ -226,6 +193,8 @@ def heartbeat_events(
     its heartbeat train, then an enter/exit marker pair per degraded
     episode (``{"enter_ns", "exit_ns"}`` records of the resilient loop).
     """
+    if heartbeat_ns <= 0:
+        raise ValueError("heartbeat_ns must be positive")
     events = [ShardEvent(shard, "register", start_ns)]
     k = 1
     while start_ns + k * heartbeat_ns < end_ns:

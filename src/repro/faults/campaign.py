@@ -22,9 +22,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core import schemes as schemes_mod
 from repro.faults.plan import FAULT_KINDS, TAMPER_KINDS, FaultPlan
 from repro.faults.schema import FAULTS
-from repro.parallel.executor import Cell, report_progress, run_cells, worker_registry
+from repro.parallel.executor import Cell, report_progress, run_cells
 from repro.report import assemble
-from repro.telemetry.metrics import merge_snapshots
 from repro.oram.recovery import RobustnessConfig
 from repro.oram.validate import diagnose_robustness
 from repro.sim.engine import SimConfig, Simulation
@@ -56,11 +55,6 @@ class CampaignConfig:
     #: *content*, which worker count must never change.
     workers: int = 1
     progress: Any = field(default=None, repr=False)  # callable(str)
-    #: Collect a merged metrics-registry snapshot across the sweep.
-    #: Excluded from to_dict() like workers/progress: the report's
-    #: config block is compared byte-for-byte across runs and telemetry
-    #: never changes what the cells compute.
-    telemetry: bool = False
 
     def __post_init__(self) -> None:
         unknown = sorted(set(self.kinds).difference(FAULT_KINDS))
@@ -200,26 +194,7 @@ def _campaign_cell_task(payload: Any) -> Dict[str, Any]:
         max_outage_ops=cfg.max_outage_ops,
     )
     result = _run_one(cfg, plan)
-    cell = _cell(kind, rate, result, baseline_exec_ns)
-    if cfg.telemetry:
-        # Every recorded quantity is deterministic (seed-pinned fault
-        # draws, no wall clock), so serial and parallel sweeps merge to
-        # the identical snapshot.
-        reg = worker_registry()
-        reg.counter("faults.cells").inc()
-        reg.counter("faults.injected").inc(cell["injected"])
-        reg.counter("faults.detected").inc(cell["detected"])
-        reg.counter("faults.undetected").inc(cell["undetected"])
-        reg.counter("faults.retries").inc(cell["retries"])
-        reg.counter("faults.rebuilds").inc(cell["rebuilds"])
-        reg.counter("faults.quarantines").inc(cell["quarantines"])
-        reg.counter("faults.recovered").inc(cell["recovered"])
-        reg.counter("faults.unrecovered").inc(cell["unrecovered"])
-        reg.gauge("faults.stash_peak").set(cell["stash_peak"])
-        reg.histogram("faults.overhead_x", bounds=tuple(
-            1.0 + 0.25 * i for i in range(1, 41)
-        )).observe(cell["overhead_x"])
-    return cell
+    return _cell(kind, rate, result, baseline_exec_ns)
 
 
 def run_campaign(cfg: Optional[CampaignConfig] = None) -> Dict[str, Any]:
@@ -264,17 +239,10 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> Dict[str, Any]:
         workers=cfg.workers,
         progress=cfg.progress,
     )
-    doc = assemble(
+    return assemble(
         FAULTS, cfg.to_dict(), identities, outputs,
         doctor=[str(fd) for fd in doctor], baseline=baseline,
     )
-    if cfg.telemetry:
-        # Per-cell snapshots fold in submission order, so the merged
-        # block is independent of worker count and scheduling.
-        doc["telemetry"] = merge_snapshots(
-            [r.metrics for r in outputs if r.metrics is not None]
-        )
-    return doc
 
 
 def detection_check(doc: Dict[str, Any]) -> List[str]:

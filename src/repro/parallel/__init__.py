@@ -16,7 +16,6 @@ from repro.parallel.executor import (
     derive_seed,
     report_progress,
     run_cells,
-    worker_registry,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "derive_seed",
     "report_progress",
     "run_cells",
-    "worker_registry",
 ]

@@ -42,7 +42,6 @@ __all__ = [
     "derive_seed",
     "report_progress",
     "run_cells",
-    "worker_registry",
 ]
 
 
@@ -65,16 +64,13 @@ class CellResult:
 
     ``ok`` distinguishes a value from a failure; ``error`` carries the
     formatted traceback (worker exception) or a crash note (worker
-    death) so sweep reports can embed it. ``metrics`` is the cell's
-    telemetry-registry snapshot, present only when the task recorded
-    into :func:`worker_registry` (see the merge protocol there).
+    death) so sweep reports can embed it.
     """
 
     key: str
     ok: bool
     value: Any = None
     error: Optional[str] = None
-    metrics: Optional[dict] = None
 
 
 def derive_seed(base_seed: int, key: str) -> int:
@@ -138,60 +134,23 @@ def _drain_progress(queue: Any, progress: Callable[[str], None]) -> None:
             pass
 
 
-# --------------------------------------------------------------- telemetry
-
-# Process-local metrics registry for the cell currently executing.
-# ``_call_cell`` installs a fresh registry before each cell and ships
-# its snapshot (a plain dict -- picklable) back with the result, so the
-# parent can fold per-cell snapshots in submission order regardless of
-# which worker ran which cell. That ordering rule is what makes a
-# merged parallel sweep byte-identical to its serial run.
-_worker_registry: Any = None
-
-
-def worker_registry() -> Any:
-    """The metrics registry for the currently-executing cell.
-
-    Task functions call this to record counters/gauges/histograms; the
-    executor snapshots the registry when the cell finishes and attaches
-    it to the cell's :class:`CellResult` as ``metrics``. Outside a cell
-    (plain library use) this lazily creates a standalone registry, so
-    task code never needs to branch on execution mode.
-    """
-    global _worker_registry
-    if _worker_registry is None:
-        from repro.telemetry.metrics import MetricsRegistry
-        _worker_registry = MetricsRegistry()
-    return _worker_registry
-
-
 # --------------------------------------------------------------- execution
 
 def _call_cell(task: Callable[[Any], Any], key: str, payload: Any) -> Tuple[
-    bool, Any, Optional[str], Optional[dict]
+    bool, Any, Optional[str]
 ]:
     """Worker entry: run one cell, never let an exception escape.
 
     Runs in the worker process (or inline in serial mode); converting
     failures to values here is what keeps one bad cell from aborting
-    the pool's whole future set. Each cell starts with a fresh worker
-    registry; the snapshot rides home with the result (None when the
-    cell recorded nothing, so metrics-free sweeps pay nothing).
+    the pool's whole future set.
     """
-    global _worker_registry
-    from repro.telemetry.metrics import MetricsRegistry
-    prev = _worker_registry
-    registry = _worker_registry = MetricsRegistry()
     try:
-        value = task(payload)
-        snap = registry.snapshot() if len(registry) else None
-        return True, value, None, snap
+        return True, task(payload), None
     except Exception as exc:
         return False, None, (
             f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        ), None
-    finally:
-        _worker_registry = prev
+        )
 
 
 def _run_serial(
@@ -213,8 +172,9 @@ def _run_serial(
     try:
         out: List[CellResult] = []
         for cell in cells:
-            ok, value, error, metrics = _call_cell(task, cell.key, cell.payload)
-            out.append(CellResult(cell.key, ok, value, error, metrics))
+            out.append(CellResult(cell.key, *_call_cell(
+                task, cell.key, cell.payload
+            )))
         return out
     finally:
         _progress_sink = prev
@@ -239,10 +199,10 @@ def _run_isolated(
                 max_workers=1, mp_context=ctx,
                 initializer=_pool_init, initargs=(queue,),
             ) as pool:
-                ok, value, error, metrics = pool.submit(
+                outcome = pool.submit(
                     _call_cell, task, cell.key, cell.payload
                 ).result()
-            results[i] = CellResult(cell.key, ok, value, error, metrics)
+            results[i] = CellResult(cell.key, *outcome)
         except BrokenProcessPool:
             results[i] = CellResult(
                 cell.key, False, None,
@@ -299,19 +259,16 @@ def run_cells(
                     # before the crash, leave the rest for isolation.
                     if fut.done() and not fut.cancelled():
                         try:
-                            ok, value, error, metrics = fut.result()
-                            results[i] = CellResult(
-                                cell.key, ok, value, error, metrics
-                            )
+                            results[i] = CellResult(cell.key, *fut.result())
                         except Exception:
                             pass
                     continue
                 try:
-                    ok, value, error, metrics = fut.result()
+                    outcome = fut.result()
                 except BrokenProcessPool:
                     broken = True
                     continue
-                results[i] = CellResult(cell.key, ok, value, error, metrics)
+                results[i] = CellResult(cell.key, *outcome)
         if broken:
             pending = [
                 (i, cell) for i, (cell, res) in

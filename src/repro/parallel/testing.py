@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Tuple
 
-from repro.parallel.executor import derive_seed, report_progress, worker_registry
+from repro.parallel.executor import derive_seed, report_progress
 
 
 def echo_task(payload: Any) -> Any:
@@ -54,22 +54,3 @@ def progress_task(payload: Any) -> Any:
     report_progress(f"cell {payload} running")
     return payload
 
-
-def metrics_task(payload: Tuple[str, int]) -> int:
-    """Record deterministic metrics into the worker registry.
-
-    Used by the telemetry merge tests: the per-cell snapshots must fold
-    to the same merged result whatever the worker count.
-    """
-    name, n = payload
-    reg = worker_registry()
-    reg.counter("cells").inc()
-    reg.counter(f"by_name.{name}").inc(n)
-    reg.gauge("last_n").set(n)
-    reg.histogram("values", bounds=(1.0, 10.0, 100.0)).observe(float(n))
-    return n * 2
-
-
-def plain_task(payload: int) -> int:
-    """Touch no metrics at all (metrics-free cells must ship None)."""
-    return payload + 1

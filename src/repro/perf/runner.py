@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core import schemes as schemes_mod
-from repro.parallel.executor import Cell, report_progress, run_cells, worker_registry
+from repro.parallel.executor import Cell, report_progress, run_cells
 from repro.perf.schema import PERF
 from repro.report import assemble
-from repro.telemetry.metrics import merge_snapshots
 from repro.sim.engine import SimConfig
 from repro.sim.results import SimResult
 from repro.sim.runner import make_trace, run_suite
@@ -49,11 +48,10 @@ class PerfConfig:
     shards: Sequence[Tuple[str, str, int]] = ()
     workers: int = 1
     progress: Any = None  # callable(str) for live cell updates
-    # Collect a merged metrics-registry snapshot across the sweep.
-    # Excluded from to_dict() (like workers/progress): the config block
-    # is embedded in committed baselines, which must stay byte-stable,
-    # and telemetry never changes what the cells compute.
-    telemetry: bool = False
+
+    def __post_init__(self) -> None:
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -132,7 +130,7 @@ _sim_block = SimResult.sim_block
 def _best_of(repeats: int, run: Callable[[], Any]) -> Tuple[float, Any]:
     """Best-of-``repeats`` wall time plus the (deterministic) value."""
     best, value = None, None
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         value = run()
         wall = time.perf_counter() - t0
@@ -187,27 +185,6 @@ def _run_sharded_cell(
     return wall, outcome.merged_sim_block()
 
 
-def _record_telemetry(cfg: PerfConfig, sim: Dict[str, Any]) -> None:
-    """Fold one cell's deterministic counters into the worker registry.
-
-    Only deterministic quantities go into the registry (never wall
-    time), so the merged snapshot is identical for serial and parallel
-    sweeps.
-    """
-    reg = worker_registry()
-    reg.counter("perf.cells").inc()
-    reg.counter("perf.requests").inc(cfg.n_requests)
-    reg.counter("perf.reshuffles").inc(sim["reshuffles_total"])
-    reg.counter("perf.dram_reads").inc(sim["dram_reads"])
-    reg.counter("perf.dram_writes").inc(sim["dram_writes"])
-    reg.counter("perf.remote_accesses").inc(sim["remote_accesses"])
-    reg.counter("perf.evictions").inc(sim["evictions"])
-    reg.counter("perf.background_accesses").inc(sim["background_accesses"])
-    reg.gauge("perf.stash_peak").set(sim["stash_peak"])
-    reg.gauge("perf.dead_blocks").set(sim["dead_blocks"])
-    reg.histogram("perf.exec_ns").observe(sim["exec_ns"])
-
-
 def _perf_cell_task(
     payload: Tuple[PerfConfig, str, str, int, int]
 ) -> Dict[str, Any]:
@@ -224,8 +201,6 @@ def _perf_cell_task(
     else:
         wall, result = _run_one_cell(cfg, scheme_name, bench, depth)
         sim = _sim_block(result)
-    if cfg.telemetry:
-        _record_telemetry(cfg, sim)
     return {
         **identity,
         "wall_s": wall,
@@ -274,11 +249,4 @@ def run_perf(cfg: Optional[PerfConfig] = None) -> Dict[str, Any]:
         workers=cfg.workers,
         progress=cfg.progress,
     )
-    doc = assemble(PERF, cfg.to_dict(), identities, outputs)
-    if cfg.telemetry:
-        # Fold per-cell registry snapshots in submission order; the
-        # result is independent of worker count and scheduling.
-        doc["telemetry"] = merge_snapshots(
-            [r.metrics for r in outputs if r.metrics is not None]
-        )
-    return doc
+    return assemble(PERF, cfg.to_dict(), identities, outputs)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.sharding.control import (
-    ControlPlane, ShardEvent, control_metrics, heartbeat_events,
+    ControlPlane, ShardEvent, heartbeat_events,
 )
 from repro.core.sharding.partition import PartitionMap
 from repro.faults.plan import FaultPlan
@@ -56,7 +56,6 @@ from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
 from repro.serve.replay import serve_slice
 from repro.serve.request import OK, STATUSES, Request
 from repro.serve.resilience import ResilienceConfig
-from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
 
 #: ORAM-level recovery policy of every armed sealed stack -- a drilled
 #: shard's and the chaos campaign's alike: a retry budget past the
@@ -246,6 +245,8 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
             f"drill shard {cfg.drill.shard} outside fleet of "
             f"{cfg.num_shards}"
         )
+    if cfg.heartbeat_ns <= 0:
+        raise ValueError("heartbeat_ns must be positive")
     worker_cfg = replace(cfg, progress=None, workers=1)
     outputs = run_cells(
         _fleet_shard_task,
@@ -256,7 +257,6 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
     shards: List[Dict[str, Any]] = []
     events: List[ShardEvent] = []
     latencies: List[float] = []
-    snapshots: List[dict] = []
     failed = False
     for i, res in enumerate(outputs):
         if not res.ok:
@@ -268,8 +268,6 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
             ShardEvent(**e) for e in res.value["events"]
         )
         latencies.extend(res.value["latencies"])
-        if res.metrics:
-            snapshots.append(res.metrics)
     control = ControlPlane(cfg.heartbeat_ns, miss_after=cfg.miss_after)
     control.run(events)
     for cell in shards:
@@ -306,11 +304,6 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
     }
     if failed:
         doc["error"] = "one or more shards failed"
-    # The control plane's health story rides along as metrics: shard
-    # telemetry snapshots (when any) merged with the transition
-    # counters and state gauges derived from the summary above.
-    registry = control_metrics(doc["control"], MetricsRegistry())
-    doc["metrics"] = merge_snapshots(snapshots + [registry.snapshot()])
     return doc
 
 

@@ -377,15 +377,12 @@ class Simulation:
         self.trace = trace
         self.sim = sim
         self.telemetry = telemetry
-        observers = sim.observers
-        if telemetry is not None and telemetry.observe_events:
-            observers = list(observers) + [telemetry.observer()]
         stack = build_oram_stack(
             cfg, seed=sim.seed, key_domain=b"repro/simulate|",
             timing=sim.timing, mapping=sim.mapping,
             pipeline_depth=sim.pipeline_depth, dram_window=sim.dram_window,
             telemetry=telemetry, robustness=sim.robustness,
-            fault_plan=sim.fault_plan, observers=observers,
+            fault_plan=sim.fault_plan, observers=sim.observers,
             warm_fill=sim.warm_fill,
         )
         self.oram = stack.oram

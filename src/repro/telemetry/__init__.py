@@ -4,12 +4,10 @@ The observability layer of the simulator:
 
 - :class:`Telemetry` -- one run's handle: span list, metrics registry,
   Chrome trace-event + JSONL outputs (see :mod:`repro.telemetry.handle`);
-- :class:`MetricsRegistry` / :func:`merge_snapshots` -- counters,
-  gauges, fixed-bucket histograms, and the process-safe snapshot/merge
-  protocol parallel sweeps use (:mod:`repro.telemetry.metrics`);
-- :class:`TelemetryObserver` / :func:`trace_event_doc` -- protocol
-  event tallies and the Chrome trace document of the op spans the
-  timed sink records (:mod:`repro.telemetry.spans`);
+- :class:`MetricsRegistry` -- counters, gauges and fixed-bucket
+  histograms with sorted-name snapshots (:mod:`repro.telemetry.metrics`);
+- :func:`trace_event_doc` -- the Chrome trace document of the op spans
+  the timed sink records (:mod:`repro.telemetry.spans`);
 - :func:`stderr_progress` -- the shared progress callback with the
   ``REPRO_QUIET`` escape hatch (:mod:`repro.telemetry.progress`).
 
@@ -40,12 +38,11 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     default_time_buckets,
-    merge_snapshots,
     quantiles_from_snapshot,
 )
 from repro.telemetry.progress import quiet, stderr_progress
 from repro.telemetry.slo import SloEngine, SloRule, default_slo_rules, fold_completions
-from repro.telemetry.spans import TelemetryObserver, trace_event_doc
+from repro.telemetry.spans import trace_event_doc
 from repro.telemetry.view import load_stream, render_stream
 
 __all__ = [
@@ -58,7 +55,6 @@ __all__ = [
     "SloEngine",
     "SloRule",
     "Telemetry",
-    "TelemetryObserver",
     "TraceContext",
     "control_instants",
     "default_slo_rules",
@@ -67,7 +63,6 @@ __all__ = [
     "fold_completions",
     "frames_from_stream",
     "load_stream",
-    "merge_snapshots",
     "mint_context",
     "mint_trace_id",
     "quantiles_from_snapshot",

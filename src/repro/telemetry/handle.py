@@ -27,7 +27,7 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.telemetry.metrics import Histogram, MetricsRegistry
-from repro.telemetry.spans import Span, TelemetryObserver, trace_event_doc
+from repro.telemetry.spans import Span, trace_event_doc
 
 
 class Telemetry:
@@ -38,7 +38,6 @@ class Telemetry:
         trace_path: Optional[str] = None,
         metrics_path: Optional[str] = None,
         metrics_every: int = 100,
-        observe_events: bool = False,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
         if metrics_every < 0:
@@ -46,10 +45,6 @@ class Telemetry:
         self.trace_path = trace_path
         self.metrics_path = metrics_path
         self.metrics_every = metrics_every
-        #: Attach a TelemetryObserver to the controller. Off by default:
-        #: a non-empty observer list makes the controller assemble
-        #: per-read event tuples, which costs more than the tallies.
-        self.observe_events = observe_events
         self.meta: Dict[str, Any] = dict(meta or {})
         self.registry = MetricsRegistry()
         self.spans: List[Span] = []
@@ -65,10 +60,6 @@ class Telemetry:
         self._closed = False
 
     # ------------------------------------------------------------ plumbing
-
-    def observer(self) -> TelemetryObserver:
-        """An observer tallying protocol events into this registry."""
-        return TelemetryObserver(self.registry)
 
     def record_span(self, name: str, start_ns: float, dur_ns: float) -> None:
         """One finished protocol operation (called by the sink)."""

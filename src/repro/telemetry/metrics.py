@@ -11,24 +11,17 @@ Design constraints, in order:
    returns a plain JSON-able dict with instruments in sorted-name
    order, so two runs that made the same updates produce byte-identical
    serializations regardless of creation order.
-3. **Process-safe merging.** Snapshots -- not registries -- cross
-   process boundaries (they are plain dicts, hence picklable), and
-   :func:`merge_snapshots` folds any number of per-worker snapshots
-   into one. Merging is order-deterministic: counters and histogram
-   bins sum (commutative), gauges keep the last merged value plus the
-   running max, so folding per-cell snapshots in submission order
-   yields the same result a serial run would have produced in place.
 
 Histograms use *fixed* bucket bounds chosen at creation; quantiles are
 estimated by linear interpolation inside the bucket that crosses the
-requested rank. That trades exactness for O(1) memory and a merge that
-is a plain elementwise sum -- the classic serving-stack compromise.
+requested rank. That trades exactness for O(1) memory -- the classic
+serving-stack compromise.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 def default_time_buckets() -> Tuple[float, ...]:
@@ -179,49 +172,6 @@ class MetricsRegistry:
                 for name, h in sorted(self._histograms.items())
             },
         }
-
-    def merge_snapshot(self, snap: Dict[str, Any]) -> None:
-        """Fold one :meth:`snapshot` dict into this registry.
-
-        Counters and histogram bins add; gauges adopt the snapshot's
-        value (last-merged-wins) while the max accumulates. Histogram
-        bounds must agree -- merging incompatible shapes is a caller
-        bug, not something to paper over.
-        """
-        for name, value in snap.get("counters", {}).items():
-            self.counter(name).inc(int(value))
-        for name, g in snap.get("gauges", {}).items():
-            gauge = self.gauge(name)
-            if g.get("max") is not None:
-                gauge.set(float(g["max"]))
-            if g.get("value") is not None:
-                gauge.value = float(g["value"])
-        for name, h in snap.get("histograms", {}).items():
-            hist = self.histogram(name, h["bounds"])
-            if len(h["counts"]) != len(hist.counts):
-                raise ValueError(
-                    f"histogram {name!r}: cannot merge {len(h['counts'])} "
-                    f"bins into {len(hist.counts)}"
-                )
-            for i, c in enumerate(h["counts"]):
-                hist.counts[i] += int(c)
-            hist.count += int(h["count"])
-            hist.sum += float(h["sum"])
-
-
-def merge_snapshots(snaps: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold per-worker snapshots (in the given order) into one snapshot.
-
-    The canonical merge protocol for parallel sweeps: each worker's
-    registry crosses the process boundary as a snapshot dict, and the
-    parent folds them in submission order -- so the merged result is
-    identical to what a serial run accumulating into one registry would
-    have produced, regardless of worker count or scheduling.
-    """
-    reg = MetricsRegistry()
-    for snap in snaps:
-        reg.merge_snapshot(snap)
-    return reg.snapshot()
 
 
 def quantiles_from_snapshot(

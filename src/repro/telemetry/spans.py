@@ -7,13 +7,6 @@ start and duration in DRAM-model nanoseconds -- the same two floats it
 attributes to ``time_by_kind``, so recording never touches the request
 stream and simulation statistics stay bit-identical.
 
-:class:`TelemetryObserver` is the observer-side half of the pair: a
-:class:`~repro.oram.observer.BaseObserver` that tallies protocol events
-(slot deaths, reclaims by mechanism, reshuffles by kind) into a metrics
-registry. It is attached only on request -- observers make the
-controller build per-read event tuples, which costs more than the
-metrics themselves.
-
 Spans are exported as Chrome trace-event JSON (the ``traceEvents``
 array format), directly loadable in Perfetto / ``chrome://tracing``.
 Trace-event timestamps are microseconds by convention; the nanosecond
@@ -24,44 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.oram.observer import BaseObserver
-
 #: One finished span: (op-kind name, start ns, duration ns).
 Span = Tuple[str, float, float]
-
-
-class TelemetryObserver(BaseObserver):
-    """Tally controller protocol events into a metrics registry."""
-
-    def __init__(self, registry: Any) -> None:
-        self._deaths = registry.counter("events.slot_dead")
-        self._reclaim_reshuffle = registry.counter("events.reclaimed.reshuffle")
-        self._reclaim_remote = registry.counter("events.reclaimed.remote")
-        self._evictions = registry.counter("events.evict_path")
-        self._reshuffles: Dict[Any, Any] = {}
-        self._registry = registry
-
-    def on_slot_dead(self, bucket: int, slot: int, level: int) -> None:
-        self._deaths.inc()
-
-    def on_slot_reclaimed(self, bucket, slot, level, how) -> None:
-        (self._reclaim_remote if how == "remote"
-         else self._reclaim_reshuffle).inc()
-
-    def on_slots_reclaimed(self, bucket, slots: Sequence[int], level, how) -> None:
-        (self._reclaim_remote if how == "remote"
-         else self._reclaim_reshuffle).inc(len(slots))
-
-    def on_reshuffle(self, bucket, level, kind) -> None:
-        c = self._reshuffles.get(kind)
-        if c is None:
-            c = self._reshuffles[kind] = self._registry.counter(
-                f"events.reshuffle.{kind}"
-            )
-        c.inc()
-
-    def on_evict_path(self, leaf: int) -> None:
-        self._evictions.inc()
 
 
 def trace_event_doc(

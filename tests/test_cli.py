@@ -227,16 +227,11 @@ class TestTelemetryCli:
         assert rc == 2
         assert "cannot be combined" in capsys.readouterr().err
 
-    def test_perf_telemetry_block(self, capsys, tmp_path):
-        import json
-        out_path = str(tmp_path / "perf.json")
-        rc = main(["perf", "run", "--smoke", "--schemes", "ab",
-                   "--requests", "120", "--warmup", "30",
-                   "--telemetry", "--out", out_path])
-        assert rc == 0
-        doc = json.loads(open(out_path).read())
-        # ab/mcf plus its sharded twin ab/mcf@s4 (the smoke matrix's
-        # tracked shard cell survives the --schemes narrowing).
-        assert doc["telemetry"]["counters"]["perf.cells"] == 2
-        # The config block stays telemetry-free (baseline stability).
-        assert "telemetry" not in doc["config"]
+    @pytest.mark.parametrize("harness", ["perf", "faults"])
+    def test_sweep_telemetry_flag_is_gone(self, capsys, tmp_path, harness):
+        # Report numbers live in cells; sweeps carry no side channel.
+        with pytest.raises(SystemExit) as exc:
+            main([harness, "run", "--smoke", "--telemetry",
+                  "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --telemetry" in capsys.readouterr().err

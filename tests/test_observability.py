@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sharding.control import (
-    ControlPlane, ShardEvent, control_metrics, heartbeat_events,
+    ControlPlane, ShardEvent, heartbeat_events,
 )
 from repro.serve.chaos import (
     ChaosCell, _mix, chaos_check, run_chaos, smoke_config,
@@ -38,7 +38,6 @@ from repro.serve.request import Completion
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.schema import CHAOS, validate_chaos_report
 from repro.telemetry import (
-    MetricsRegistry,
     OpsSampler,
     ShardFragment,
     SloEngine,
@@ -344,44 +343,6 @@ class TestFleetTraceDoc:
         a = fleet_trace_doc(self._fragments(), seed=3)
         b = fleet_trace_doc(list(reversed(self._fragments())), seed=3)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-# -------------------------------------------------------- control metrics
-
-class TestControlMetrics:
-    def _summary(self):
-        control = ControlPlane(heartbeat_ns=100.0, miss_after=3)
-        events = heartbeat_events(0, 0.0, 1000.0, 100.0)
-        events.append(ShardEvent(1, "register", 0.0))
-        events.append(ShardEvent(1, "heartbeat", 100.0))
-        events.append(ShardEvent(1, "degraded_enter", 150.0))
-        events.append(ShardEvent(1, "degraded_exit", 250.0))
-        events.append(ShardEvent(1, "heartbeat", 300.0))
-        # then silence: shard 1 dies when shard 0's timeline advances.
-        control.run(events)
-        return control.summary()
-
-    def test_transition_counters_and_state_gauges(self):
-        summary = self._summary()
-        snap = control_metrics(summary, MetricsRegistry()).snapshot()
-        counters = snap["counters"]
-        assert counters["control.transitions.registered_to_healthy"] == 2
-        assert counters["control.transitions.healthy_to_degraded"] == 1
-        assert counters["control.transitions.degraded_to_rebuilding"] == 1
-        assert counters["control.deaths"] == 1
-        assert counters["control.completed"] == 1
-        gauges = snap["gauges"]
-        assert gauges["control.all_healthy"]["value"] == 0.0
-        assert gauges["control.shard.0.state"]["value"] == 1.0  # HEALTHY
-        assert gauges["control.shard.1.state"]["value"] == 4.0  # DEAD
-
-    def test_healthy_fleet_gauge(self):
-        control = ControlPlane(heartbeat_ns=100.0)
-        control.run(heartbeat_events(0, 0.0, 500.0, 100.0))
-        snap = control_metrics(control.summary(),
-                               MetricsRegistry()).snapshot()
-        assert snap["gauges"]["control.all_healthy"]["value"] == 1.0
-        assert "control.deaths" not in snap["counters"]
 
 
 # --------------------------------------------------------- sharded chaos

@@ -217,6 +217,17 @@ class TestDeterminism:
         assert doc["config"]["smoke"] is True
         assert doc["config"]["schemes"] == ["ring"]
 
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_repeats_below_one_rejected(self, repeats, tmp_path, capsys):
+        # The config block records the repeats the cells ran, so a
+        # value no loop honours is refused up front.
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            smoke_config(repeats=repeats)
+        code = cli_main(["perf", "run", "--smoke", "--repeats", str(repeats),
+                         "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "repeats must be >= 1" in capsys.readouterr().err
+
     def test_default_matrix_shape(self):
         cfg = PerfConfig()
         assert cfg.schemes[0] == "ring"

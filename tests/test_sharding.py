@@ -367,6 +367,10 @@ class TestFleetVsSerial:
         for field in ("num_shards", "shards", "fleet", "control"):
             assert canon(serial[field]) == canon(fanned[field]), field
 
+    def test_document_keys(self):
+        doc = run_fleet(tiny_fleet())
+        assert set(doc) == {"num_shards", "shards", "fleet", "control"}
+
     def test_drill_shard_validation(self):
         drill = KillShardDrill(
             shard=7,
@@ -628,6 +632,36 @@ class TestControlPlane:
             plane.register(0)
         with pytest.raises(ValueError):
             plane.observe(ShardEvent(5, "heartbeat", 10.0))
+
+    def test_zero_heartbeat_raises_instead_of_hanging(self):
+        # A non-positive cadence never advances the heartbeat train, so
+        # an unchecked loop would append forever: run it in a child with
+        # a memory cap and a timeout, so a regression fails, not hangs.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+            "from repro.core.sharding.control import heartbeat_events\n"
+            "from repro.serve.fleet import FleetConfig, run_fleet\n"
+            "from repro.serve.loadgen import WorkloadConfig\n"
+            "wl = WorkloadConfig(name='tiny', n_requests=20, n_keys=200,\n"
+            "                    stored_keys=16, arrival='poisson')\n"
+            "for call in (lambda: heartbeat_events(0, 0.0, 1000.0, 0.0),\n"
+            "             lambda: run_fleet(FleetConfig(\n"
+            "                 workload=wl, levels=8, num_shards=2,\n"
+            "                 heartbeat_ns=0.0))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        assert str(exc) == 'heartbeat_ns must be positive'\n"
+            "    else:\n"
+            "        raise AssertionError('no ValueError')\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src,
+                 "OPENBLAS_NUM_THREADS": "1"},
+        )
 
     def test_summary_is_deterministic(self):
         def build():

@@ -1,10 +1,9 @@
 """Tests for the telemetry subsystem (repro.telemetry).
 
-Covers the metrics registry and its snapshot/merge protocol, the
-Telemetry handle's JSONL + Chrome-trace outputs, the traced DramSink's
-observe-only guarantee (bit-identical simulation results), the
-executor-level worker-registry merge, and the shared stderr progress
-helper.
+Covers the metrics registry and its snapshots, the Telemetry handle's
+JSONL + Chrome-trace outputs, the traced DramSink's observe-only
+guarantee (bit-identical simulation results), and the shared stderr
+progress helper.
 """
 
 import hashlib
@@ -13,14 +12,11 @@ import json
 import pytest
 
 from repro.core import schemes as schemes_mod
-from repro.parallel import Cell, run_cells
-from repro.parallel import testing as ptasks
 from repro.sim.engine import SimConfig, Simulation, simulate
 from repro.sim.runner import make_trace
 from repro.telemetry import (
     Telemetry,
     load_stream,
-    merge_snapshots,
     quantiles_from_snapshot,
     render_stream,
     stderr_progress,
@@ -107,35 +103,6 @@ class TestSnapshotMerge:
         assert list(snap["counters"]) == ["alpha", "zeta"]
         json.dumps(snap)  # plain data, round-trippable
 
-    def test_merge_equals_serial_accumulation(self):
-        """Splitting updates across registries then merging in order
-        must equal one registry taking every update in place."""
-        serial = MetricsRegistry()
-        parts = [MetricsRegistry() for _ in range(3)]
-        for i, part in enumerate(parts):
-            for reg in (serial, part):
-                reg.counter("n").inc(i + 1)
-                reg.gauge("last").set(i)
-                reg.histogram("h", bounds=(1.0, 4.0)).observe(float(i))
-        merged = merge_snapshots([p.snapshot() for p in parts])
-        assert merged == serial.snapshot()
-
-    def test_merge_order_sets_gauge_value(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("g").set(10)
-        b.gauge("g").set(3)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["gauges"]["g"] == {"value": 3.0, "max": 10.0}
-
-    def test_merge_rejects_shape_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", bounds=(1.0,)).observe(0.5)
-        b.histogram("h", bounds=(1.0, 2.0)).observe(0.5)
-        reg = MetricsRegistry()
-        reg.merge_snapshot(a.snapshot())
-        with pytest.raises(ValueError, match="bounds"):
-            reg.merge_snapshot(b.snapshot())
-
     def test_quantiles_from_snapshot(self):
         reg = MetricsRegistry()
         h = reg.histogram("h", bounds=(10.0, 20.0))
@@ -144,35 +111,6 @@ class TestSnapshotMerge:
         entry = reg.snapshot()["histograms"]["h"]
         p50, p95, p99 = quantiles_from_snapshot(entry)
         assert 10.0 <= p50 <= p95 <= p99 <= 20.0
-
-
-class TestWorkerRegistryMerge:
-    PAYLOADS = [("a", 1), ("b", 7), ("a", 30)]
-
-    def _run(self, workers):
-        cells = [Cell(f"c{i}", p) for i, p in enumerate(self.PAYLOADS)]
-        return run_cells(ptasks.metrics_task, cells, workers=workers)
-
-    def test_cells_ship_snapshots(self):
-        out = self._run(workers=1)
-        assert all(r.ok and r.metrics is not None for r in out)
-        assert out[0].metrics["counters"]["cells"] == 1
-
-    def test_parallel_merge_identical_to_serial(self):
-        serial = self._run(workers=1)
-        par = self._run(workers=2)
-        merged_s = merge_snapshots([r.metrics for r in serial])
-        merged_p = merge_snapshots([r.metrics for r in par])
-        assert merged_s == merged_p
-        assert merged_s["counters"]["cells"] == 3
-        assert merged_s["counters"]["by_name.a"] == 31
-        assert merged_s["gauges"]["last_n"]["max"] == 30.0
-
-    def test_metrics_free_cells_ship_none(self):
-        cells = [Cell(f"c{i}", i) for i in range(3)]
-        for workers in (1, 2):
-            out = run_cells(ptasks.plain_task, cells, workers=workers)
-            assert all(r.ok and r.metrics is None for r in out)
 
 
 class TestTracingSink:
