@@ -116,10 +116,9 @@ class PipelinedDramSink(DramSink):
         # ---------------------------------------- pipeline metrics
         self._reset_pipeline_metrics()
         if telemetry is not None:
-            tracks = getattr(telemetry, "track_names", None)
-            if tracks is not None:
-                for lane in range(depth):
-                    tracks.setdefault(1 + lane, f"pipeline lane {lane}")
+            tracks = telemetry.process.tracks
+            for lane in range(depth):
+                tracks.setdefault(1 + lane, f"pipeline lane {lane}")
 
     def _reset_pipeline_metrics(self) -> None:
         self.txns = 0
@@ -251,18 +250,10 @@ class PipelinedDramSink(DramSink):
             # even if the driver never advances the clock (serving).
             self._boundary = True
         if self.telemetry is not None:
-            duration = end - start
-            self.telemetry.extra_events.append({
-                "name": str(kind),
-                "cat": "pipeline",
-                "ph": "X",
-                "pid": 0,
-                "tid": 1 + self._txn_index % self.depth,
-                "ts": start / 1000.0,
-                "dur": duration / 1000.0,
-                "args": {"start_ns": start, "dur_ns": duration,
-                         "txn": self._txn_index},
-            })
+            self.telemetry.process.span(
+                str(kind), "pipeline", 1 + self._txn_index % self.depth,
+                start, end - start, {"txn": self._txn_index},
+            )
         # Cleared here, not at begin_op: between operations the sink
         # must hold no buffered calls (checkpoints pickle it).
         self._ev = []

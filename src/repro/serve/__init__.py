@@ -22,8 +22,6 @@ The serving layer turns the single-caller
   ``BENCH_serve.json`` harness (the tail-latency yardstick CI gates;
   the schema module declares the serve, chaos and scaling formats,
   gates and renderings as :class:`repro.report.ReportSpec` tables);
-- :mod:`repro.serve.tracing` -- per-request Perfetto traces splitting
-  queueing vs. ORAM vs. DRAM time;
 - :mod:`repro.serve.resilience` -- the one serving loop, on the
   simulated DRAM-ns clock (open loop: arrivals never wait for service,
   so queueing is measured honestly): per-request deadlines, bounded

@@ -27,7 +27,7 @@ from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
 from repro.serve.replay import serve_slice
 from repro.serve.scheduler import POLICIES
 from repro.serve.schema import SERVE
-from repro.serve.tracing import request_trace_doc, write_trace
+from repro.telemetry import request_trace_doc, write_trace
 
 
 @dataclass

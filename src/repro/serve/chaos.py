@@ -51,7 +51,7 @@ from repro.serve.request import OK
 from repro.serve.replay import detection_block, episode_block, serve_slice
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.schema import CHAOS
-from repro.serve.tracing import request_trace_doc, write_trace
+from repro.telemetry import request_trace_doc, write_trace
 
 
 @dataclass(frozen=True)
@@ -515,8 +515,6 @@ def _run_chaos_sharded(cfg: ChaosConfig) -> List[CellResult]:
                     completions=o["completions"],
                     spans=o["spans"] or [],
                     events=o["events"] or [],
-                    start_ns=o["partial"]["start_ns"],
-                    end_ns=o["partial"]["end_ns"],
                 )
                 for o in shard_outputs
             ]

@@ -6,8 +6,10 @@ The observability layer of the simulator:
   Chrome trace-event + JSONL outputs (see :mod:`repro.telemetry.handle`);
 - :class:`MetricsRegistry` -- counters, gauges and fixed-bucket
   histograms with sorted-name snapshots (:mod:`repro.telemetry.metrics`);
-- :func:`trace_event_doc` -- the Chrome trace document of the op spans
-  the timed sink records (:mod:`repro.telemetry.spans`);
+- :func:`trace_doc` / :class:`Process` -- the one Chrome trace builder
+  every Perfetto file goes through (:mod:`repro.telemetry.spans`);
+- :func:`request_trace_doc` / :func:`fleet_trace_doc` -- the serving
+  and fleet layouts it renders (:mod:`repro.telemetry.fleet`);
 - :func:`stderr_progress` -- the shared progress callback with the
   ``REPRO_QUIET`` escape hatch (:mod:`repro.telemetry.progress`).
 
@@ -25,11 +27,11 @@ from repro.telemetry.console import (
 )
 from repro.telemetry.fleet import (
     ShardFragment,
-    TraceContext,
+    assign_lanes,
     control_instants,
     fleet_trace_doc,
-    mint_context,
     mint_trace_id,
+    request_trace_doc,
 )
 from repro.telemetry.handle import Telemetry
 from repro.telemetry.metrics import (
@@ -42,7 +44,7 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.progress import quiet, stderr_progress
 from repro.telemetry.slo import SloEngine, SloRule, default_slo_rules, fold_completions
-from repro.telemetry.spans import trace_event_doc
+from repro.telemetry.spans import Process, trace_doc, write_trace
 from repro.telemetry.view import load_stream, render_stream
 
 __all__ = [
@@ -51,11 +53,12 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "OpsSampler",
+    "Process",
     "ShardFragment",
     "SloEngine",
     "SloRule",
     "Telemetry",
-    "TraceContext",
+    "assign_lanes",
     "control_instants",
     "default_slo_rules",
     "default_time_buckets",
@@ -63,14 +66,15 @@ __all__ = [
     "fold_completions",
     "frames_from_stream",
     "load_stream",
-    "mint_context",
     "mint_trace_id",
     "quantiles_from_snapshot",
     "quiet",
     "render_frame",
     "render_replay",
     "render_stream",
+    "request_trace_doc",
     "run_console",
     "stderr_progress",
-    "trace_event_doc",
+    "trace_doc",
+    "write_trace",
 ]

@@ -1,36 +1,48 @@
-"""Fleet-wide distributed tracing: one merged Perfetto timeline.
+"""Request and fleet traces: the serving layouts of the trace builder.
 
-A sharded run executes in N spawn-pool worker processes, each on its
-own simulated clock, with a router in the parent deciding where every
-request goes. This module stitches those hops back into a single trace:
+Two producers hand :func:`repro.telemetry.spans.trace_doc` processes:
 
-- **Trace contexts.** :func:`mint_trace_id` derives a request's trace
-  id purely from ``(seed, rid)``, so the router and the shard worker
-  agree on the id without communicating -- the distributed-tracing
-  trick that keeps the merge deterministic.
-- **Shard fragments.** Each worker returns a picklable
-  :class:`ShardFragment` -- its op spans, completions and resilience
-  events, all stamped in its simulated ns. Nothing host-dependent
-  crosses the process boundary.
-- **The merged document.** :func:`fleet_trace_doc` lays the router,
-  control-plane and SLO tracks on pid 0 and each shard on its own
-  process track (pid ``1 + shard``), and binds every request's router
-  decision to its shard-side service span with a cross-process flow
-  event pair (``ph "s"`` at the route, ``ph "f"`` at the service
-  start) keyed by the minted trace id.
+- **The request process** (:func:`request_process`): one served stack's
+  op spans on tid 0 (``oram-ops``), its per-request lanes above
+  (``requests-k``: a ``queue`` span from arrival to admission, then a
+  service span named after the op until completion; overlapping
+  requests take different lanes by :func:`assign_lanes`), and a
+  ``resilience`` track last (degraded windows, fault / shed / timeout
+  markers). :func:`request_trace_doc` is the single-stack document.
+- **The fleet** (:func:`fleet_trace_doc`): each spawn-pool worker
+  returns a picklable :class:`ShardFragment` stamped in its simulated
+  ns. pid 0 carries the router, control-plane and SLO tracks, pid
+  ``1 + shard`` that shard's request process, and a flow pair (``s`` at
+  the route, ``f`` at the service start) keyed by :func:`mint_trace_id`
+  binds each router decision to its service span. The id is a pure
+  function of ``(seed, rid)``, so the parent tags every span at merge
+  time and no tracing state crosses the process boundary.
 
-Event order in the emitted array is a pure function of the fragments,
-so a serial run and a ``--workers N`` run of the same config produce
-byte-identical trace files -- CI-gated like every other artifact.
+Timestamps are simulated DRAM ns and event order is a pure function of
+the inputs, so a serial and a ``--workers N`` run write byte-identical
+trace files -- CI-gated like every other artifact.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.telemetry.spans import Span
+from repro.telemetry.spans import (
+    Event,
+    Process,
+    Span,
+    complete_event,
+    flow_event,
+    instant_event,
+    trace_doc,
+)
+
+#: Event categories of the request lanes and the resilience track.
+CAT_QUEUE = "serve.queue"
+CAT_SERVICE = "serve.oram"
+CAT_RESILIENCE = "serve.resilience"
 
 #: Event categories of the fleet-level tracks.
 CAT_ROUTER = "fleet.router"
@@ -55,20 +67,6 @@ def mint_trace_id(seed: int, rid: int) -> str:
     return digest[:16]
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The context the router stamps on a request before dispatch."""
-
-    trace_id: str
-    rid: int
-    shard: int
-
-
-def mint_context(seed: int, rid: int, shard: int) -> TraceContext:
-    return TraceContext(trace_id=mint_trace_id(seed, rid), rid=rid,
-                        shard=shard)
-
-
 @dataclass
 class ShardFragment:
     """One shard's contribution to the merged fleet trace.
@@ -83,23 +81,153 @@ class ShardFragment:
     #: Resilience-loop timeline events (degraded windows, fault
     #: markers) in the :mod:`repro.serve.resilience` dict shape.
     events: List[Dict[str, Any]] = field(default_factory=list)
-    start_ns: float = 0.0
-    end_ns: float = 0.0
 
 
-def _meta_event(name: str, pid: int, tid: int, label: str) -> Dict[str, Any]:
+# ----------------------------------------------------------- request lanes
+
+def assign_lanes(completions: Sequence[Any]) -> Dict[int, int]:
+    """Greedy interval coloring: rid -> lane with no intra-lane overlap.
+
+    Requests are laid down in arrival order; each takes the first lane
+    whose previous occupant finished by this request's arrival. The
+    lane count equals the maximum number of simultaneously in-flight
+    requests -- itself a useful visual of queue depth.
+    """
+    lane_ends: List[float] = []
+    lanes: Dict[int, int] = {}
+    for comp in sorted(completions, key=lambda c: (c.arrival_ns, c.rid)):
+        for lane, end in enumerate(lane_ends):
+            if end <= comp.arrival_ns:
+                lane_ends[lane] = comp.done_ns
+                lanes[comp.rid] = lane
+                break
+        else:
+            lanes[comp.rid] = len(lane_ends)
+            lane_ends.append(comp.done_ns)
+    return lanes
+
+
+def _resilience_track(
+    events: Sequence[Dict[str, Any]], pid: int, tid: int,
+) -> List[Event]:
+    """Render resilience-loop events onto one timeline track.
+
+    Degraded-mode windows become ``X`` spans (paired ``degraded_exit``
+    events carry their ``enter_ns``); everything else -- fault
+    injections, sheds, timeouts, fails -- becomes an instant marker at
+    its simulated timestamp.
+    """
+    out: List[Event] = []
+    for ev in events:
+        kind = ev["kind"]
+        args = {k: v for k, v in ev.items() if k not in ("kind", "ns")}
+        if kind == "degraded_exit":
+            out.append(complete_event(
+                "degraded", CAT_RESILIENCE, pid, tid,
+                ev["enter_ns"], ev["ns"] - ev["enter_ns"], args,
+            ))
+        elif kind == "degraded_enter":
+            # Rendered as the paired exit's span; an unpaired enter
+            # (run ended degraded) still gets a marker.
+            out.append(instant_event(
+                "degraded_enter", CAT_RESILIENCE, pid, tid, ev["ns"],
+                {"quarantined": ev.get("quarantined", 0)},
+            ))
+        else:
+            out.append(instant_event(
+                kind, CAT_RESILIENCE, pid, tid, ev["ns"], args,
+            ))
+    return out
+
+
+def _request_args(comp: Any) -> Dict[str, Any]:
+    """The args every request span carries, in either layout."""
     return {
-        "name": name,
-        "ph": "M",
-        "pid": pid,
-        "tid": tid,
-        "args": {"name": label},
+        "rid": comp.rid,
+        "op": comp.op,
+        "key": comp.key.decode("latin-1"),
+        "ok": comp.ok,
+        "accesses": comp.accesses,
     }
 
 
+def _stack_args(comp: Any) -> Dict[str, Any]:
+    """A single stack's request args: the batching outcome too."""
+    return {
+        **_request_args(comp),
+        "dedup": comp.dedup,
+        "coalesced": comp.coalesced,
+    }
+
+
+def request_process(
+    completions: Sequence[Any],
+    spans: Sequence[Span],
+    resilience_events: Optional[Sequence[Dict[str, Any]]] = None,
+    pid: int = 0,
+    name: str = "repro-sim",
+    args_of: Callable[[Any], Dict[str, Any]] = _stack_args,
+    flow_ids: Optional[Mapping[int, str]] = None,
+) -> Process:
+    """One served stack's process: op spans, request lanes, resilience.
+
+    ``args_of(comp)`` gives a request's span args (a non-ok ``status``
+    and a ``degraded`` flag are appended). With ``flow_ids`` (rid ->
+    trace id), each service span is followed by the flow finish that
+    binds it to its router decision.
+    """
+    lanes = assign_lanes(completions)
+    n_lanes = max(lanes.values(), default=-1) + 1
+    proc = Process(pid, name, {0: "oram-ops"}, list(spans))
+    for k in range(n_lanes):
+        proc.tracks[k + 1] = f"requests-{k}"
+    for comp in completions:
+        tid = lanes[comp.rid] + 1
+        args = args_of(comp)
+        if comp.status != "ok":
+            args["status"] = comp.status
+        if comp.degraded:
+            args["degraded"] = True
+        if comp.queue_ns > 0:
+            proc.span("queue", CAT_QUEUE, tid,
+                      comp.arrival_ns, comp.queue_ns, args)
+        proc.span(comp.op, CAT_SERVICE, tid,
+                  comp.start_ns, comp.service_ns, args)
+        if flow_ids is not None:
+            proc.events.append(flow_event(
+                "f", "req", CAT_FLOW, flow_ids[comp.rid], pid, tid,
+                comp.start_ns,
+            ))
+    if resilience_events:
+        tid = n_lanes + 1
+        proc.tracks[tid] = "resilience"
+        proc.events.extend(_resilience_track(resilience_events, pid, tid))
+    return proc
+
+
+def request_trace_doc(
+    completions: Sequence[Any],
+    spans: Sequence[Span],
+    meta: Optional[Dict[str, Any]] = None,
+    resilience_events: Optional[Sequence[Dict[str, Any]]] = None,
+) -> Dict[str, Any]:
+    """One stack's op spans and per-request spans as one document.
+
+    ``resilience_events`` (from
+    :class:`~repro.serve.resilience.ReplayResult`) adds the resilience
+    track, so the chaos timeline shows *when* serving degraded
+    alongside *what* each request experienced.
+    """
+    return trace_doc(
+        [request_process(completions, spans, resilience_events)], meta,
+    )
+
+
+# ------------------------------------------------------------------ fleet
+
 def control_instants(
-    control: Dict[str, Any], tid: int = CONTROL_TID, pid: int = 0,
-) -> List[Dict[str, Any]]:
+    control: Dict[str, Any], tid: int = CONTROL_TID,
+) -> List[Event]:
     """Health-state transitions as instant events on one timeline.
 
     ``control`` is a :meth:`~repro.core.sharding.control.ControlPlane
@@ -107,143 +235,21 @@ def control_instants(
     named after the state entered, so Perfetto shows the fleet's
     REGISTERED -> HEALTHY -> DEGRADED -> ... story on a single track.
     """
-    out: List[Dict[str, Any]] = []
     marks = []
     for entry in control.get("shards", []):
         for t in entry.get("transitions", []):
             marks.append((t["ns"], entry["shard"], t))
+    out: List[Event] = []
     for ns, shard, t in sorted(marks, key=lambda m: (m[0], m[1])):
-        out.append({
-            "name": f"shard{shard}:{t['to']}",
-            "cat": CAT_CONTROL,
-            "ph": "i",
-            "s": "t",
-            "pid": pid,
-            "tid": tid,
-            "ts": ns / 1000.0,
-            "args": {
+        out.append(instant_event(
+            f"shard{shard}:{t['to']}", CAT_CONTROL, 0, tid, ns, {
                 "shard": shard,
                 "from": t["from"],
                 "to": t["to"],
                 "event": t["event"],
             },
-        })
+        ))
     return out
-
-
-def _route_events(
-    comp: Any, ctx: TraceContext,
-) -> List[Dict[str, Any]]:
-    """The router-side pair for one request: route span + flow start."""
-    ts = comp.arrival_ns / 1000.0
-    args = {
-        "start_ns": comp.arrival_ns,
-        "dur_ns": 0.0,
-        "trace_id": ctx.trace_id,
-        "rid": comp.rid,
-        "shard": ctx.shard,
-        "op": comp.op,
-    }
-    return [
-        {
-            "name": "route",
-            "cat": CAT_ROUTER,
-            "ph": "X",
-            "pid": 0,
-            "tid": ROUTER_TID,
-            "ts": ts,
-            "dur": 0.0,
-            "args": args,
-        },
-        {
-            "name": "req",
-            "cat": CAT_FLOW,
-            "ph": "s",
-            "id": ctx.trace_id,
-            "pid": 0,
-            "tid": ROUTER_TID,
-            "ts": ts,
-        },
-    ]
-
-
-def _shard_events(
-    frag: ShardFragment, seed: int,
-) -> List[Dict[str, Any]]:
-    """One shard's process track: op spans, request lanes, resilience."""
-    from repro.serve.tracing import (
-        _x_event, assign_lanes, resilience_track_events,
-    )
-    pid = 1 + frag.shard
-    events: List[Dict[str, Any]] = []
-    for name, start_ns, dur_ns in frag.spans:
-        events.append({
-            "name": name,
-            "cat": "oram",
-            "ph": "X",
-            "pid": pid,
-            "tid": 0,
-            "ts": start_ns / 1000.0,
-            "dur": dur_ns / 1000.0,
-            "args": {"start_ns": start_ns, "dur_ns": dur_ns},
-        })
-    lanes = assign_lanes(frag.completions)
-    for comp in frag.completions:
-        tid = lanes[comp.rid] + 1
-        trace_id = mint_trace_id(seed, comp.rid)
-        args = {
-            "trace_id": trace_id,
-            "rid": comp.rid,
-            "op": comp.op,
-            "key": comp.key.decode("latin-1"),
-            "ok": comp.ok,
-            "accesses": comp.accesses,
-            "shard": frag.shard,
-        }
-        if comp.status != "ok":
-            args["status"] = comp.status
-        if comp.degraded:
-            args["degraded"] = True
-        if comp.queue_ns > 0:
-            events.append({
-                **_x_event("queue", "serve.queue", tid,
-                           comp.arrival_ns, comp.queue_ns, args),
-                "pid": pid,
-            })
-        events.append({
-            **_x_event(comp.op, "serve.oram", tid,
-                       comp.start_ns, comp.service_ns, args),
-            "pid": pid,
-        })
-        events.append({
-            "name": "req",
-            "cat": CAT_FLOW,
-            "ph": "f",
-            "bp": "e",
-            "id": trace_id,
-            "pid": pid,
-            "tid": tid,
-            "ts": comp.start_ns / 1000.0,
-        })
-    if frag.events:
-        tid = max(lanes.values(), default=-1) + 2
-        events.extend(
-            {**e, "pid": pid}
-            for e in resilience_track_events(frag.events, tid)
-        )
-    return events
-
-
-def _shard_track_names(frag: ShardFragment) -> Dict[int, str]:
-    from repro.serve.tracing import assign_lanes
-    names = {0: "oram-ops"}
-    lanes = assign_lanes(frag.completions)
-    n_lanes = max(lanes.values(), default=-1) + 1
-    for k in range(n_lanes):
-        names[k + 1] = f"requests-{k}"
-    if frag.events:
-        names[n_lanes + 1] = "resilience"
-    return names
 
 
 def fleet_trace_doc(
@@ -251,65 +257,76 @@ def fleet_trace_doc(
     seed: int,
     meta: Optional[Dict[str, Any]] = None,
     control: Optional[Dict[str, Any]] = None,
-    slo_instants: Optional[Sequence[Dict[str, Any]]] = None,
+    slo_instants: Optional[Sequence[Event]] = None,
 ) -> Dict[str, Any]:
     """Merge shard fragments into one deterministic Perfetto document.
 
     Process layout: pid 0 is the fleet front (router lane, control
     timeline, SLO alert timeline), pid ``1 + shard`` is that shard's
-    worker (op spans on tid 0, request lanes above, the resilience
-    track last). Every request is stitched across the boundary by a
-    flow-event pair keyed on its minted trace id.
+    request process. Every request is stitched across the boundary by
+    a flow-event pair keyed on its minted trace id.
     """
     fragments = sorted(fragments, key=lambda f: f.shard)
-    events: List[Dict[str, Any]] = [
-        _meta_event("process_name", 0, 0, "fleet-router"),
-        _meta_event("thread_name", 0, ROUTER_TID, "router"),
-        _meta_event("thread_name", 0, CONTROL_TID, "control"),
-        _meta_event("thread_name", 0, SLO_TID, "slo"),
-    ]
-    for frag in fragments:
-        pid = 1 + frag.shard
-        events.append(
-            _meta_event("process_name", pid, 0, f"shard-{frag.shard}")
-        )
-        for tid, label in sorted(_shard_track_names(frag).items()):
-            events.append(_meta_event("thread_name", pid, tid, label))
+    trace_ids = {
+        comp.rid: mint_trace_id(seed, comp.rid)
+        for frag in fragments for comp in frag.completions
+    }
+    front = Process(0, "fleet-router", {
+        ROUTER_TID: "router", CONTROL_TID: "control", SLO_TID: "slo",
+    })
     # Router track: every request's dispatch decision, in arrival order
     # across the whole fleet (rids are fleet-unique tie-breakers).
     routed = [
-        (comp, mint_context(seed, comp.rid, frag.shard))
+        (comp, frag.shard)
         for frag in fragments for comp in frag.completions
     ]
     routed.sort(key=lambda pair: (pair[0].arrival_ns, pair[0].rid))
-    for comp, ctx in routed:
-        events.extend(_route_events(comp, ctx))
+    for comp, shard in routed:
+        trace_id = trace_ids[comp.rid]
+        front.span("route", CAT_ROUTER, ROUTER_TID, comp.arrival_ns, 0.0, {
+            "trace_id": trace_id,
+            "rid": comp.rid,
+            "shard": shard,
+            "op": comp.op,
+        })
+        front.events.append(flow_event(
+            "s", "req", CAT_FLOW, trace_id, 0, ROUTER_TID, comp.arrival_ns,
+        ))
     if control is not None:
-        events.extend(control_instants(control))
+        front.events.extend(control_instants(control))
     if slo_instants:
-        events.extend(slo_instants)
+        front.events.extend(slo_instants)
+    processes = [front]
     for frag in fragments:
-        events.extend(_shard_events(frag, seed))
-    doc: Dict[str, Any] = {
-        "displayTimeUnit": "ns",
-        "traceEvents": events,
-    }
-    if meta:
-        doc["otherData"] = dict(meta)
-    return doc
+        def shard_args(comp: Any, shard: int = frag.shard) -> Dict[str, Any]:
+            return {
+                "trace_id": trace_ids[comp.rid],
+                **_request_args(comp),
+                "shard": shard,
+            }
+        processes.append(request_process(
+            frag.completions, frag.spans, frag.events,
+            pid=1 + frag.shard, name=f"shard-{frag.shard}",
+            args_of=shard_args, flow_ids=trace_ids,
+        ))
+    return trace_doc(processes, meta)
 
 
 __all__ = [
     "CAT_CONTROL",
     "CAT_FLOW",
+    "CAT_QUEUE",
+    "CAT_RESILIENCE",
     "CAT_ROUTER",
+    "CAT_SERVICE",
     "CONTROL_TID",
     "ROUTER_TID",
     "SLO_TID",
     "ShardFragment",
-    "TraceContext",
+    "assign_lanes",
     "control_instants",
     "fleet_trace_doc",
-    "mint_context",
     "mint_trace_id",
+    "request_process",
+    "request_trace_doc",
 ]

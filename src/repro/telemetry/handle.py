@@ -27,7 +27,7 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.telemetry.metrics import Histogram, MetricsRegistry
-from repro.telemetry.spans import Span, trace_event_doc
+from repro.telemetry.spans import Process, Span, trace_doc, write_trace
 
 
 class Telemetry:
@@ -47,12 +47,10 @@ class Telemetry:
         self.metrics_every = metrics_every
         self.meta: Dict[str, Any] = dict(meta or {})
         self.registry = MetricsRegistry()
-        self.spans: List[Span] = []
-        #: Pre-built trace events appended verbatim to the Chrome trace
-        #: (the pipelined sink lays per-lane op spans here) and the
-        #: thread_name labels for the extra tids they live on.
-        self.extra_events: List[Dict[str, Any]] = []
-        self.track_names: Dict[int, str] = {}
+        #: The run's one trace process: the sink's op spans on tid 0,
+        #: plus any tracks a producer adds (the pipelined sink's lanes).
+        self.process = Process(0, "repro-sim")
+        self.spans: List[Span] = self.process.spans
         self.snapshots = 0
         self._span_counters: Dict[str, Any] = {}
         self._span_hists: Dict[str, Histogram] = {}
@@ -153,19 +151,10 @@ class Telemetry:
             self._metrics_file.close()
             self._metrics_file = None
         if self.trace_path is not None:
-            parent = os.path.dirname(self.trace_path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(self.trace_path, "w") as f:
-                json.dump(
-                    trace_event_doc(
-                        self.spans, meta=self.meta,
-                        extra_events=self.extra_events,
-                        track_names=self.track_names,
-                    ),
-                    f,
-                )
-                f.write("\n")
+            write_trace(
+                trace_doc([self.process], self.meta), self.trace_path,
+                indent=None,
+            )
 
     def __enter__(self) -> "Telemetry":
         return self

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.metrics import Histogram, default_time_buckets
+from repro.telemetry.spans import Event, instant_event
 
 #: Rule kinds the engine evaluates.
 RULE_KINDS = ("latency_p99", "availability", "detection_rate")
@@ -277,26 +278,19 @@ class SloEngine:
             "sum": self.hist.sum,
         }
 
-    def trace_instants(self, tid: int, pid: int = 0) -> List[Dict[str, Any]]:
+    def trace_instants(self, tid: int) -> List[Event]:
         """One Perfetto instant per alert, for the fleet trace's SLO track."""
-        out: List[Dict[str, Any]] = []
+        out: List[Event] = []
         for alert in self.alerts:
-            out.append({
-                "name": f"slo:{alert['rule']}",
-                "cat": CAT_SLO,
-                "ph": "i",
-                "s": "t",
-                "pid": pid,
-                "tid": tid,
-                "ts": alert["ns"] / 1000.0,
-                "args": {
+            out.append(instant_event(
+                f"slo:{alert['rule']}", CAT_SLO, 0, tid, alert["ns"], {
                     "rule": alert["rule"],
                     "kind": alert["kind"],
                     "value": alert["value"],
                     "threshold": alert["threshold"],
                     "burn": alert["burn"],
                 },
-            })
+            ))
         return out
 
 

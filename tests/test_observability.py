@@ -62,6 +62,54 @@ def _load_check_trace():
     return module
 
 
+def _malformed_trace(case):
+    """A valid one-span trace broken one way, then JSON round-tripped
+    (``json`` writes and reads NaN / Infinity)."""
+    meta = {"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
+            "args": {"name": "repro-sim"}}
+    span = {"name": "readPath", "cat": "oram", "ph": "X", "pid": 0,
+            "tid": 0, "ts": 1.0, "dur": 2.0,
+            "args": {"start_ns": 1000.0, "dur_ns": 2000.0}}
+    events = [meta, span]
+    if case == "nan-start":
+        span["ts"] = span["args"]["start_ns"] = float("nan")
+    elif case == "inf-dur":
+        span["dur"] = span["args"]["dur_ns"] = float("inf")
+    elif case == "list-process-args":
+        meta["args"] = ["repro-sim"]
+    elif case == "string-start-ns":
+        span["args"]["start_ns"] = "1000.0"
+    elif case == "list-flow-id":
+        events.append({"name": "req", "cat": "fleet.flow", "ph": "s",
+                       "id": ["a"], "pid": 0, "tid": 0, "ts": 0.0})
+    doc = {"displayTimeUnit": "ns", "traceEvents": events}
+    return json.loads(json.dumps(doc))
+
+
+_MALFORMED = {
+    "nan-start": "ts must be a finite number",
+    "inf-dur": "dur must be a finite number",
+    "list-process-args": "process_name metadata without args.name",
+    "string-start-ns": "args.start_ns must be a finite number",
+    "list-flow-id": "flow id must be a string or integer",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_check_trace_rejects_malformed(case, tmp_path, capsys):
+    """Non-finite numbers are findings; malformed events are one finding
+    line each and ``main`` exits 1, never with a traceback."""
+    check = _load_check_trace()
+    doc = _malformed_trace(case)
+    finding = _MALFORMED[case]
+    errors = check.validate_trace(doc)
+    assert len(errors) == 1 and finding in errors[0], errors
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))
+    assert check.main([str(path)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def _stub_stack(occupancy):
     # The minimal object graph OpsSampler reads: kv.oram.stash.occupancy
     # and kv.oram.ext (None = no DeadQ extension).
@@ -282,8 +330,6 @@ class TestFleetTraceDoc:
                 events=[{"kind": "degraded_exit", "ns": 90.0,
                          "enter_ns": 50.0, "rebuilt": 1,
                          "journal_replayed": 0}],
-                start_ns=0.0,
-                end_ns=700.0,
             ))
         return frags
 

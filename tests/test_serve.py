@@ -33,7 +33,7 @@ from repro.serve.loadgen import (
 from repro.serve.replay import replay
 from repro.serve.resilience import ResilienceConfig, resilient_replay
 from repro.serve.schema import SERVE, validate_report
-from repro.serve.tracing import assign_lanes, request_trace_doc
+from repro.telemetry import assign_lanes, request_trace_doc
 
 
 def small_stack(levels: int = 8, seed: int = 0, observer: bool = False):

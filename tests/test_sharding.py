@@ -521,6 +521,22 @@ class TestLayering:
             env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
 
+    def test_telemetry_loads_nothing_from_serve(self):
+        # The trace builder, the request lanes and the fleet layout all
+        # live in repro.telemetry; building a fleet document is what
+        # once reached up into repro.serve, so build one first.
+        code = (
+            "import repro.telemetry as t, sys; "
+            "t.fleet_trace_doc([t.ShardFragment(0)], seed=0); "
+            "assert not [m for m in sys.modules "
+            "if m == 'repro.serve' or m.startswith('repro.serve.')]"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run(
+            [sys.executable, "-c", code], check=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+
     def test_shim_is_the_serve_fleet(self):
         import repro.core.sharding.fleet as shim
         import repro.serve.fleet as home

@@ -3,8 +3,9 @@
 
 A schema checker for the telemetry smoke gate: loads the trace, checks
 the document shape (``traceEvents`` array, ``displayTimeUnit``), checks
-every event against the trace-event format rules the exporters promise
-(complete "X" events with numeric non-negative ``ts``/``dur``, matching
+every event against the trace-event format rules the builder in
+``repro.telemetry.spans`` promises (complete "X" events with finite
+non-negative ``ts``/``dur``, matching finite
 ``args.start_ns``/``args.dur_ns``; thread-scoped "i" instants for the
 resilience timeline and SLO alert markers; "s"/"f" flow-event pairs
 stitching router decisions to shard-side service spans), and optionally
@@ -12,10 +13,16 @@ requires specific operation kinds (``--require-kinds readPath``),
 matched flow bindings (``--require-flows N``) or named process tracks
 (``--require-process fleet-router shard-0``) to be present.
 
+Every number the rules read must be finite: NaN and +-Infinity (which
+Python's ``json`` reads and writes) are findings, as in the report
+kernel. A malformed event -- a non-dict ``args``, a string ns field, a
+list flow ``id`` -- is one finding line too, not a traceback.
+
 Flow rules for merged fleet traces: every flow event needs a ``name``,
-``cat``, ``id`` and a non-negative numeric ``ts``; a finish ("f") must
-reference a ``(cat, id)`` some start ("s") opened, and every pid that
-carries X/i events must be named by a ``process_name`` metadata event.
+a string or integer ``cat`` and ``id``, and a finite non-negative
+``ts``; a finish ("f") must reference a ``(cat, id)`` some start ("s")
+opened, and every pid that carries X/i events must be named by a
+``process_name`` metadata event.
 
 Dependency-free by design so it runs in any environment CI does; also
 importable (``validate_trace``) from the test suite.
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Dict, List, Sequence
 
@@ -40,6 +48,12 @@ _SPAN_FIELDS = ("name", "ph", "pid", "tid", "ts", "dur")
 _FLOW_FIELDS = ("name", "cat", "id", "pid", "tid", "ts")
 
 
+def _finite(value: Any) -> bool:
+    """A JSON number that is neither NaN nor +-Infinity (bools are not)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _check_span(event: Dict[str, Any], where: str, errors: List[str]) -> None:
     for field in _SPAN_FIELDS:
         if field not in event:
@@ -47,9 +61,9 @@ def _check_span(event: Dict[str, Any], where: str, errors: List[str]) -> None:
             return
     for field in ("ts", "dur"):
         value = event[field]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{where}: {field} must be a number, "
-                          f"got {type(value).__name__}")
+        if not _finite(value):
+            errors.append(f"{where}: {field} must be a finite number, "
+                          f"got {value!r}")
             return
         if value < 0:
             errors.append(f"{where}: {field} is negative ({value})")
@@ -61,6 +75,10 @@ def _check_span(event: Dict[str, Any], where: str, errors: List[str]) -> None:
         if ns_key not in args:
             errors.append(f"{where}: args missing {ns_key!r}")
             continue
+        if not _finite(args[ns_key]):
+            errors.append(f"{where}: args.{ns_key} must be a finite "
+                          f"number, got {args[ns_key]!r}")
+            continue
         expect = args[ns_key] / 1000.0
         if abs(event[us_key] - expect) > 1e-6:
             errors.append(
@@ -69,18 +87,26 @@ def _check_span(event: Dict[str, Any], where: str, errors: List[str]) -> None:
             )
 
 
-def _check_flow(event: Dict[str, Any], where: str, errors: List[str]) -> None:
+def _check_flow(event: Dict[str, Any], where: str, errors: List[str]) -> bool:
+    """Check one flow event; False when it cannot key a binding."""
     for field in _FLOW_FIELDS:
         if field not in event:
             errors.append(f"{where}: flow event missing field {field!r}")
-            return
+            return False
+    for field in ("cat", "id"):
+        value = event[field]
+        if not isinstance(value, (str, int)) or isinstance(value, bool):
+            errors.append(f"{where}: flow {field} must be a string or "
+                          f"integer, got {value!r}")
+            return False
     ts = event["ts"]
-    if not isinstance(ts, (int, float)) or isinstance(ts, bool) or ts < 0:
-        errors.append(f"{where}: flow ts must be a non-negative number, "
-                      f"got {ts!r}")
+    if not _finite(ts) or ts < 0:
+        errors.append(f"{where}: flow ts must be a finite non-negative "
+                      f"number, got {ts!r}")
     if event["ph"] == "f" and event.get("bp") not in (None, "e"):
         errors.append(f"{where}: flow finish binding point must be 'e' "
                       f"when present, got {event.get('bp')!r}")
+    return True
 
 
 def validate_trace(
@@ -119,7 +145,8 @@ def validate_trace(
             if "name" not in event:
                 errors.append(f"{where}: metadata event without a name")
             elif event["name"] == "process_name":
-                label = event.get("args", {}).get("name")
+                args = event.get("args")
+                label = args.get("name") if isinstance(args, dict) else None
                 if not label:
                     errors.append(f"{where}: process_name metadata "
                                   "without args.name")
@@ -134,16 +161,16 @@ def validate_trace(
                               f"got {event.get('s')!r}")
             else:
                 ts = event.get("ts")
-                if (not isinstance(ts, (int, float))
-                        or isinstance(ts, bool) or ts < 0):
-                    errors.append(f"{where}: instant ts must be a "
+                if not _finite(ts) or ts < 0:
+                    errors.append(f"{where}: instant ts must be a finite "
                                   f"non-negative number, got {ts!r}")
                 kinds.add(event.get("name"))
                 event_pids.add(event.get("pid"))
             continue
         if ph in ("s", "f"):              # flow bindings (fleet traces)
-            _check_flow(event, where, errors)
-            key = (event.get("cat"), event.get("id"))
+            if not _check_flow(event, where, errors):
+                continue
+            key = (event["cat"], event["id"])
             if ph == "s":
                 flow_starts.add(key)
             else:
