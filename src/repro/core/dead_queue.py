@@ -13,19 +13,16 @@ generations at pop time and silently discards stale entries. This keeps
 both ends of the queue O(1), matching the paper's "since they are FIFO
 queues, the maintenance cost is low".
 
-The storage is a struct-of-arrays ring buffer: three preallocated
-``capacity``-sized numpy columns (host bucket, host slot, generation)
-plus a head index and a size. ``gatherDEADs`` appends whole batches with
-``push_many`` (two slice stores at most, one per wrap segment) instead
-of one Python call per slot, which is what keeps the per-readPath gather
-cost flat on DR/AB configurations.
+The storage is a ``collections.deque`` of ``(host bucket, host slot,
+generation)`` tuples, bounded by ``capacity`` by hand (a ``maxlen``
+deque would silently drop the oldest entry).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from collections import deque
+from itertools import repeat
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.oram.bucket import BucketStore, ST_QUEUED
 
@@ -37,40 +34,30 @@ class DeadQueue:
         if capacity < 1:
             raise ValueError(f"DeadQueue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._bucket = np.zeros(capacity, dtype=np.int64)
-        self._slot = np.zeros(capacity, dtype=np.int64)
-        self._gen = np.zeros(capacity, dtype=np.int64)
-        self._head = 0
-        self._size = 0
+        self._q: Deque[Tuple[int, int, int]] = deque()
         self.pushed = 0
         self.dropped_full = 0
         self.popped = 0
         self.stale_discarded = 0
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._q)
 
     @property
     def is_full(self) -> bool:
-        return self._size >= self.capacity
+        return len(self._q) >= self.capacity
 
     @property
     def space(self) -> int:
         """Free entries left before the queue is full."""
-        return self.capacity - self._size
+        return self.capacity - len(self._q)
 
     def push(self, bucket: int, slot: int, generation: int) -> bool:
         """Queue a dead slot; False if the queue is full (slot skipped)."""
-        if self._size >= self.capacity:
+        if len(self._q) >= self.capacity:
             self.dropped_full += 1
             return False
-        tail = self._head + self._size
-        if tail >= self.capacity:
-            tail -= self.capacity
-        self._bucket[tail] = bucket
-        self._slot[tail] = slot
-        self._gen[tail] = generation
-        self._size += 1
+        self._q.append((bucket, slot, generation))
         self.pushed += 1
         return True
 
@@ -88,31 +75,11 @@ class DeadQueue:
         caller bug, not an expected event.
         """
         n = len(slots)
-        if n == 0:
-            return
-        cap = self.capacity
-        if n > cap - self._size:
+        if n > self.space:
             raise ValueError(
-                f"push_many of {n} entries exceeds free space "
-                f"{cap - self._size}"
+                f"push_many of {n} entries exceeds free space {self.space}"
             )
-        start = self._head + self._size
-        if start >= cap:
-            start -= cap
-        end = start + n
-        if end <= cap:
-            self._bucket[start:end] = bucket
-            self._slot[start:end] = slots
-            self._gen[start:end] = generations
-        else:
-            k = cap - start
-            self._bucket[start:] = bucket
-            self._slot[start:] = slots[:k]
-            self._gen[start:] = generations[:k]
-            self._bucket[:end - cap] = bucket
-            self._slot[:end - cap] = slots[k:]
-            self._gen[:end - cap] = generations[k:]
-        self._size += n
+        self._q.extend(zip(repeat(bucket, n), slots, generations))
         self.pushed += n
 
     def pop_valid(self, store: BucketStore) -> Optional[Tuple[int, int]]:
@@ -122,19 +89,12 @@ class DeadQueue:
         status is still QUEUED (i.e. the host bucket has not reshuffled
         it away and nobody else consumed it).
         """
-        cap = self.capacity
-        bkt_col, slt_col, gen_col = self._bucket, self._slot, self._gen
-        gen_arr = store.generation
-        st_arr = store.status
-        while self._size:
-            h = self._head
-            b = int(bkt_col[h])
-            s = int(slt_col[h])
-            g = int(gen_col[h])
-            h += 1
-            self._head = h if h < cap else 0
-            self._size -= 1
-            if gen_arr[b, s] == g and st_arr[b, s] == ST_QUEUED:
+        q = self._q
+        gen = store.generation.item
+        status = store.status.item
+        while q:
+            b, s, g = q.popleft()
+            if gen(b, s) == g and status(b, s) == ST_QUEUED:
                 self.popped += 1
                 return b, s
             self.stale_discarded += 1
@@ -142,28 +102,14 @@ class DeadQueue:
 
     def requeue_front(self, bucket: int, slot: int, generation: int) -> None:
         """Put an entry back at the head (used when a pop must be undone)."""
-        if self._size >= self.capacity:
+        if len(self._q) >= self.capacity:
             raise RuntimeError("requeue_front on a full DeadQueue")
-        h = self._head - 1
-        if h < 0:
-            h += self.capacity
-        self._head = h
-        self._bucket[h] = bucket
-        self._slot[h] = slot
-        self._gen[h] = generation
-        self._size += 1
+        self._q.appendleft((bucket, slot, generation))
         self.popped -= 1
 
     def entries(self) -> List[Tuple[int, int, int]]:
         """Snapshot of (bucket, slot, generation) entries, oldest first."""
-        if not self._size:
-            return []
-        idx = (self._head + np.arange(self._size)) % self.capacity
-        return list(zip(
-            self._bucket[idx].tolist(),
-            self._slot[idx].tolist(),
-            self._gen[idx].tolist(),
-        ))
+        return list(self._q)
 
 
 class DeadQueueSet:

@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dead_queue import DeadQueueSet
+from repro.core.dead_queue import DeadQueue, DeadQueueSet
 from repro.oram.bucket import (
     CONSUMED,
     DUMMY,
@@ -113,27 +113,43 @@ class RemoteAllocator:
         cannot queue anything, so skipping them is behaviour-neutral,
         as is skipping buckets with no DEAD slot (O(1) tally check). A
         bucket always keeps at least one non-ALLOCATED slot so it can
-        serve a readPath even when no extension is granted. Returns how
-        many slots were queued.
+        serve a readPath even when no extension is granted: a bucket
+        queues its first ``min(dead, Z - 1 - allocated, space)`` DEAD
+        slots, ascending. The amounts come from the tallies, so the
+        path costs one status fetch, then per queued slot one
+        generation read and one status store. Returns how many slots
+        were queued.
         """
-        total = 0
         store = self.store
         dead_count = store.dead_count
+        todo: List[Tuple[DeadQueue, int, int]] = []     # (queue, bucket, n)
         for lv, queue in self._tracked_queues:
             b = buckets[lv]
-            if not dead_count[b] or queue.is_full:
-                continue
-            dead = store.dead_slots(b)
-            allocated = store.queued_count[b] + store.in_use_count[b]
-            n = min(int(dead.size), store.z_phys(b) - 1 - allocated,
-                    queue.space)
-            if n <= 0:
-                continue
-            take = dead[:n]
-            queue.push_many(b, take, store.generation[b, take])
-            store.queue_dead(b, take)
-            total += n
-        return total
+            if dead_count[b]:
+                allocated = store.queued_count[b] + store.in_use_count[b]
+                n = min(dead_count[b], store.z_phys(b) - 1 - allocated,
+                        queue.space)
+                if n > 0:
+                    todo.append((queue, b, n))
+        if not todo:
+            return 0
+        # Row-major nonzero: per bucket one ascending run of exactly
+        # ``dead_count[b]`` columns (no column past a bucket's local
+        # slots is ever DEAD).
+        dead_cols = (
+            store.status[[b for _, b, _ in todo]] == ST_DEAD
+        ).nonzero()[1].tolist()
+        start = 0
+        for queue, b, n in todo:
+            slots = dead_cols[start:start + n]
+            start += dead_count[b]
+            queue.push_many(b, slots,
+                            [store.generation.item(b, s) for s in slots])
+            for s in slots:
+                store.status[b, s] = ST_QUEUED
+            dead_count[b] -= n
+            store.queued_count[b] += n
+        return sum(n for _, _, n in todo)
 
     # ---------------------------------------------------------- extension
 

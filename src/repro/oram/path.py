@@ -113,13 +113,13 @@ class PathOram:
     def _write_phase(self, buckets: Sequence[int], leaf: int) -> None:
         cfg = self.cfg
         self.sink.begin_op(OpKind.EVICT_PATH)
-        for b in reversed(buckets):
+        leaf_first = buckets[::-1]
+        picks = self.stash.pick_path(
+            leaf, [self.store.z_phys(b) for b in leaf_first]
+        )
+        for b, chosen in zip(leaf_first, picks):
             lv = self.store.level(b)
             onchip = lv < cfg.treetop_levels
-            chosen = self.stash.pick_for_bucket(
-                tree_mod.position_of(b), cfg.levels - 1 - lv,
-                self.store.z_phys(b),
-            )
             self.stash.remove_many(chosen)
             written = self.store.refresh(b, chosen)
             self.sink.data_access_many(

@@ -37,9 +37,9 @@ levels are flagged on-chip.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
 from typing import (
-    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+    Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -82,6 +82,47 @@ _Opened = Tuple[int, int, int, Union[bytes, Exception]]
 
 class ProtocolError(RuntimeError):
     """An invariant of the Ring ORAM protocol was violated."""
+
+
+def _draw(rng: np.random.Generator, bounds: List[int]) -> List[int]:
+    """One uniform draw below each bound, in order, in at most one
+    generator call; the array form draws element by element as the
+    scalar one does (DESIGN.md section 14), the cheaper for one."""
+    if len(bounds) == 1:
+        return [int(rng.integers(bounds[0]))]
+    return rng.integers(0, bounds).tolist() if bounds else []
+
+
+def _scatter_draws(
+    rng: np.random.Generator, jobs: List[Tuple[int, int]]
+) -> List[List[int]]:
+    """What ``rng.choice`` of ``n`` with ``size=k, replace=False``
+    returns for each ``(n, k)`` of ``jobs``, from one bounded-draw call.
+
+    numpy's ``choice`` (n <= 10000) is Floyd's algorithm (k draws,
+    bounds n-k+1 ... n), then a Fisher-Yates shuffle of the k results
+    (k-1 draws, bounds k ... 2); replaying both over the same draws
+    leaves results and generator as the calls would
+    (``tests/test_rng_identities.py``).
+    """
+    bounds: List[int] = []
+    for n, k in jobs:
+        bounds += range(n - k + 1, n + 1)
+        bounds += range(k, 1, -1)
+    draws = _draw(rng, bounds)
+    out = []
+    at = 0
+    for n, k in jobs:
+        end = at + 2 * k - 1 if k else at
+        floyd, shuffle = draws[at:at + k], draws[at + k:end]
+        at = end
+        picked: List[int] = []
+        for j, v in zip(range(n - k, n), floyd):
+            picked.append(j if v in picked else v)
+        for i, r in zip(range(k - 1, 0, -1), shuffle):
+            picked[i], picked[r] = picked[r], picked[i]
+        out.append(picked)
+    return out
 
 
 class RingOram:
@@ -178,6 +219,11 @@ class RingOram:
             raise ValueError(
                 f"block {block} out of range [0, {self.cfg.n_real_blocks})"
             )
+        if write and self.datastore is not None:
+            # Validated before anything moves: a refused payload must
+            # leave no half-run access behind.
+            from repro.oram.datastore import pad_block
+            value = pad_block(value, self.cfg.block_bytes)
         if self.posmap_model is not None:
             # Each PLB miss fetches one position-map block: a full,
             # protocol-complete ORAM access of its own (Freecursive).
@@ -200,10 +246,7 @@ class RingOram:
             self.stash.add(block, new_leaf)
         if self.datastore is not None:
             if write:
-                from repro.oram.datastore import pad_block
-                self._stash_payload[block] = pad_block(
-                    value, self.cfg.block_bytes
-                )
+                self._stash_payload[block] = value
             result = self._stash_payload.get(block)
         else:
             if write and self._data is not None:
@@ -392,12 +435,7 @@ class RingOram:
         dmask = (rows == DUMMY) & (sts == ST_REFRESHED)
         dcounts = dmask.sum(axis=1).tolist()
         dummy_slot = dmask.nonzero()[1].tolist()
-        n_lv = len(buckets)
-        dstarts = [0] * (n_lv + 1)
-        dacc = 0
-        for i in range(n_lv):
-            dacc += dcounts[i]
-            dstarts[i + 1] = dacc
+        dstarts = [0, *accumulate(dcounts)]
         # -- green candidates (valid real slots) are computed the same
         # way, but lazily: most accesses find a dummy at every level, so
         # the scan runs only once a bucket turns up dry. A slot with
@@ -407,6 +445,29 @@ class RingOram:
         gcounts = None
         green_slot: List[int] = []
         gstarts: List[int] = []
+        # -- the snapshot fixes what every level reads: the target's
+        # slot, else a uniform draw over its valid dummies, else (dry
+        # bucket) over its green blocks, which spill to the stash (CB,
+        # paper section III-C). One call draws every bound in order.
+        bounds: List[int] = []
+        for lv, b in enumerate(buckets):
+            if b == target_bucket:
+                continue
+            if dcounts[lv]:
+                bounds.append(dcounts[lv])
+                continue
+            if gcounts is None:
+                gmask = rows >= 0
+                gcounts = gmask.sum(axis=1).tolist()
+                green_slot = gmask.nonzero()[1].tolist()
+                gstarts = [0, *accumulate(gcounts)]
+            if not gcounts[lv]:
+                raise ProtocolError(
+                    f"bucket {b} (level {lv}) has no readable slot: "
+                    f"count={store.count[b]} sustain={store.sustain[b]}"
+                )
+            bounds.append(gcounts[lv])
+        draws = iter(_draw(self.rng, bounds))
         # -- block pass: one read per bucket. Sink touches are collected
         # and issued as one batch (same order, one phase transition).
         # ``reads`` feeds only on_read_path, so unless someone hears it
@@ -432,37 +493,19 @@ class RingOram:
         # path), and the batch lands before the ``due`` scan below.
         cons_b: List[int] = []
         cons_s: List[int] = []
-        integers = self.rng.integers
         dead_obs = self._heard["on_slot_dead"]
         item = rows.item
         for lv, b in enumerate(buckets):
-            # One slot of the bucket's row: the target's, else a valid
-            # dummy, else (dry bucket) a green block, which spills to
-            # the stash (CB, paper section III-C). One uniform draw over
-            # local + rented candidates.
+            # One slot of the bucket's row, local and rented candidates
+            # alike.
             if b == target_bucket:
                 slot = target_slot
                 blockval = target
             elif dcounts[lv]:
-                slot = dummy_slot[dstarts[lv] + int(integers(dcounts[lv]))]
+                slot = dummy_slot[dstarts[lv] + next(draws)]
                 blockval = DUMMY
             else:
-                if gcounts is None:
-                    gmask = rows >= 0
-                    gcounts = gmask.sum(axis=1).tolist()
-                    green_slot = gmask.nonzero()[1].tolist()
-                    gstarts = [0] * (n_lv + 1)
-                    gacc = 0
-                    for i in range(n_lv):
-                        gacc += gcounts[i]
-                        gstarts[i + 1] = gacc
-                n_g = gcounts[lv]
-                if not n_g:
-                    raise ProtocolError(
-                        f"bucket {b} (level {lv}) has no readable slot: "
-                        f"count={store.count[b]} sustain={store.sustain[b]}"
-                    )
-                slot = green_slot[gstarts[lv] + int(integers(n_g))]
+                slot = green_slot[gstarts[lv] + next(draws)]
                 blockval = item(lv, slot)
             # Where the bytes live: the bucket's own slot, or the host
             # of a rented column (same level, never on this path).
@@ -529,29 +572,6 @@ class RingOram:
                 tree_mod.path_buckets(leaf, levels), OpKind.EVICT_PATH, leaf
             )
 
-    def _sealed_residents(self, b: int) -> List[Tuple[int, int, int]]:
-        """``b``'s real blocks with the sealed slots holding them, as
-        ``(block, bucket, slot)``.
-
-        Local slots in ascending order, then unconsumed rented slots in
-        rental order (each at its host's address): the order
-        ``_collect_residents`` admits them in.
-        """
-        row = self.store.slots[b]
-        cols = (row >= 0).nonzero()[0]
-        z_max = self.store.z_max
-        residents = []
-        for block, col in zip(row[cols].tolist(), cols.tolist()):
-            if col < z_max:
-                residents.append((block, b, col))
-            else:
-                residents.append((
-                    block,
-                    self.ext.host_bucket.item(b, col - z_max),
-                    self.ext.host_slot.item(b, col - z_max),
-                ))
-        return residents
-
     def _open_residents(
         self, residents: List[Tuple[int, int, int]]
     ) -> Iterator[_Opened]:
@@ -572,30 +592,6 @@ class RingOram:
                 residents, self.datastore.open_many(where)
             )
         )
-
-    def _collect_residents(self, b: int, opened: Iterable[_Opened]) -> None:
-        """Move all of ``b``'s remaining real blocks into the stash.
-
-        Covers both local slots and (for AB) unconsumed rented slots,
-        whose rental round ends here. ``opened`` is the bucket's share
-        of the reshuffle's open batch (nothing off the sealed path).
-        """
-        # Resident ids straight out of the bucket row: local slots
-        # ascending, then rented ones in rental order.
-        blocks = self.store.resident_blocks(b)
-        for one in opened:
-            self._admit_payload(*one)
-        if self.ext is not None:
-            lv = self.store.level(b)
-            dead_obs = self._heard["on_slot_dead"]
-            for hb, hs in self.ext.reclaim(b):
-                # The released host slot holds stale data again.
-                for obs in dead_obs:
-                    obs.on_slot_dead(hb, hs, lv)
-        if blocks.size:
-            self.stash.add_many(
-                blocks.tolist(), self.posmap.peek_many(blocks).tolist()
-            )
 
     def flush_recovery(self) -> None:
         """Drain any still-quarantined buckets outside an access.
@@ -647,45 +643,103 @@ class RingOram:
         ``buckets`` run root side first. Read phase in that order: per
         bucket its metadata, Z' reads (valid real blocks padded with
         dummies -- the read count, not the real count, is what memory
-        sees), its reals into the stash. Write phase in reverse, so the
-        classic deepest-placement greedy of evictPath emerges from
-        refilling leaf to root.
+        sees), the end of its rental round; the reals of all buckets
+        then enter the stash as one batch. Write phase in reverse, so
+        the classic deepest-placement greedy of evictPath emerges from
+        refilling leaf to root, with every decision fixed before the
+        first bucket is written (DESIGN.md section 14).
         """
         store = self.store
         sink = self.sink
+        ext = self.ext
         z_real = self._z_real_by_level
         treetop = self.cfg.treetop_levels
         mblocks = self.metadata_blocks
         sink.begin_op(kind)
-        # Sealed path: every resident is known before the first bucket
-        # is read (collecting one bucket never changes what another
-        # holds), so the whole read phase is one open batch. Its
-        # outcomes are consumed bucket by bucket below, where scalar
-        # opens would sit, so a retry stall or a quarantine lands at
-        # the same point of the operation.
-        sealed = self.datastore is not None
-        residents: List[Tuple[int, int, int]] = []
-        plan = []       # (bucket, level, metadata item, residents to open)
-        for b in buckets:
-            lv = store.level(b)
-            share = self._sealed_residents(b) if sealed else ()
-            residents += share
-            plan.append((b, lv, ((b, lv, lv < treetop),), len(share)))
-        opened = self._open_residents(residents) if sealed else iter(())
+        plan = [(b, store.level(b)) for b in buckets]
+        # The residents of all rows, row-major: bucket order, local
+        # slots ascending, then rented ones in rental order. Read before
+        # ``reclaim`` clears the rented columns.
+        rows = store.slots.take(buckets, axis=0)
+        real = rows >= 0
+        blocks = rows[real]
+        shares = [0] * len(plan)
+        opened: Iterator[_Opened] = iter(())
+        if self.datastore is not None:
+            # Every resident is known before the first bucket is read,
+            # so the whole read phase is one open batch. Its outcomes
+            # are consumed bucket by bucket below, where scalar opens
+            # would sit, so a retry stall or a quarantine lands at the
+            # same point of the operation. A rented slot is opened at
+            # its host.
+            z_max = store.z_max
+            residents = []
+            at_row, at_col = real.nonzero()
+            for block, i, col in zip(blocks.tolist(), at_row.tolist(),
+                                     at_col.tolist()):
+                b = buckets[i]
+                residents.append((block, b, col) if col < z_max else (
+                    block, ext.host_bucket.item(b, col - z_max),
+                    ext.host_slot.item(b, col - z_max)))
+            shares = real.sum(axis=1).tolist()
+            opened = self._open_residents(residents)
+        dead_obs = self._heard["on_slot_dead"]
         # Metadata is reported bucket by bucket, not as one batch: each
         # bucket's record is read right before its blocks and written
         # right after them, and that issue order is timing.
-        for b, lv, meta, n_share in plan:
-            sink.metadata_access_many(meta, False, mblocks)
+        for (b, lv), n_share in zip(plan, shares):
+            sink.metadata_access_many(((b, lv, lv < treetop),), False, mblocks)
             sink.data_access_repeat(b, 0, lv, z_real[lv],
                                     write=False, onchip=lv < treetop)
-            self._collect_residents(b, islice(opened, n_share))
+            for one in islice(opened, n_share):
+                self._admit_payload(*one)
+            if ext is not None:
+                for hb, hs in ext.reclaim(b):
+                    # The released host slot holds stale data again.
+                    for obs in dead_obs:
+                        obs.on_slot_dead(hb, hs, lv)
+        if blocks.size:
+            self.stash.add_many(
+                blocks.tolist(), self.posmap.peek_many(blocks).tolist()
+            )
+        # Rentals, leaf side first. Each level's DeadQ is popped only by
+        # its own path bucket and a refill touches only its own level,
+        # so renting every bucket first pops what renting each right
+        # before its refill would. Usable = not rented out (O(1) from
+        # the IN_USE tally; ``refresh`` recovers the slot indices).
+        refills = []    # (bucket, level, usable, granted, hosts)
+        caps = []
+        for b, lv in reversed(plan):
+            n_usable = store.z_phys(b) - store.in_use_count[b]
+            granted, hosts = ext.acquire(b, lv) if ext is not None else (0, [])
+            refills.append((b, lv, n_usable, granted, hosts))
+            caps.append(min(z_real[lv], n_usable + granted))
+        # Path membership is the whole test: refilling leaf to root, a
+        # block eligible for a deeper bucket was already taken by it.
+        # The deepest bucket names the leaf (any leaf under a lone
+        # bucket will do).
+        deepest, deepest_lv = plan[-1]
+        height = self.cfg.levels - 1 - deepest_lv
+        picks = self.stash.pick_path(
+            (deepest + 1 - (1 << deepest_lv)) << height, caps, height
+        )
+        # Scatter each bucket's picks uniformly across its local +
+        # remote positions so a remote read is indistinguishable from a
+        # local one. Drawn whenever blocks are chosen -- even with no
+        # remote hosts -- so the RNG stream is the same for every scheme.
+        scatter = _scatter_draws(self.rng, [
+            (n_usable + len(hosts), len(chosen))
+            for (_, _, n_usable, _, hosts), chosen in zip(refills, picks)
+        ])
         # The sealed writes of all buckets go to the datastore as one
         # batch.
         seal_items: List[Tuple[int, int, Optional[bytes]]] = []
-        for b, lv, meta, _ in reversed(plan):
-            self._refill_bucket(b, lv, seal_items)
-            sink.metadata_access_many(meta, True, mblocks)
+        for (b, lv, n_usable, granted, hosts), chosen, positions in zip(
+            refills, picks, scatter
+        ):
+            self._refill_bucket(b, lv, n_usable, granted, hosts, chosen,
+                                positions, seal_items)
+            sink.metadata_access_many(((b, lv, lv < treetop),), True, mblocks)
         if seal_items:
             self.datastore.seal_many(seal_items)
         sink.end_op()
@@ -693,38 +747,23 @@ class RingOram:
             for obs in self._heard["on_evict_path"]:
                 obs.on_evict_path(leaf)
         for obs in self._heard["on_reshuffle"]:
-            for b, lv, _, _ in plan:
+            for b, lv in plan:
                 obs.on_reshuffle(b, lv, kind)
 
     def _refill_bucket(
-        self,
-        b: int,
-        lv: int,
+        self, b: int, lv: int, n_usable: int, granted: int,
+        hosts: List[Tuple[int, int]], chosen: List[int], positions: List[int],
         seal_batch: List[Tuple[int, int, Optional[bytes]]],
     ) -> None:
-        """A reshuffle's write phase for bucket ``b``.
-
-        Renews the AB remote extension, picks stash blocks that may live
-        in ``b``, scatters them uniformly over local + remote positions,
-        rewrites every usable slot, and reports the writes. On the
-        sealed path the slots to seal are appended to ``seal_batch``,
-        the reshuffle's one seal batch.
-
-        One code path for every scheme: the AB/DR bookkeeping costs O(1)
-        counter lookups (usable-slot count, lazy DeadQ reclamation
-        inside ``refresh``) plus batched calls (``remove_many``,
-        ``write_remote_all``, coalesced sink/observer events). The
-        scatter draw is taken whenever blocks are chosen -- even with no
-        remote hosts, where its result is irrelevant -- so the RNG
-        stream never depends on which scheme is active.
+        """A reshuffle's write phase for bucket ``b`` as ``_reshuffle``
+        fixed it (``granted`` rented columns at ``hosts``; ``chosen`` at
+        ``positions`` among the ``n_usable`` local then the rented
+        slots): rewrites every usable and rented slot, reports the
+        writes and, on the sealed path, appends the slots to seal to
+        ``seal_batch``, the reshuffle's one seal batch.
         """
-        cfg = self.cfg
         store = self.store
-        ext = self.ext
-        onchip = lv < cfg.treetop_levels
-        # Usable = not rented out; the IN_USE tally makes the count O(1)
-        # and ``refresh`` recovers the slot indices itself.
-        n_usable = store.z_phys(b) - store.in_use_count[b]
+        onchip = lv < self.cfg.treetop_levels
         reclaimed_obs = self._heard["on_slots_reclaimed"]
         reclaimed_dead = None
         if reclaimed_obs:
@@ -733,37 +772,20 @@ class RingOram:
             usable = store.usable_slots(b)
             st = store.status[b, usable]
             reclaimed_dead = usable[(st == ST_DEAD) | (st == ST_QUEUED)]
-        granted = 0
-        hosts: List[Tuple[int, int]] = []
-        if ext is not None:
-            granted, hosts = ext.acquire(b, lv)
-            # A host sits at its renter's level.
-            for obs in self._heard["on_slot_reclaimed"]:
-                for hb, hs in hosts:
-                    obs.on_slot_reclaimed(hb, hs, lv, "remote")
-        capacity = min(self._z_real_by_level[lv], n_usable + granted)
-        # Path membership is the whole test: the deepest-placement
-        # greedy of evictPath emerges from refilling leaf to root -- a
-        # block eligible for a deeper bucket on the path was already
-        # taken by that bucket.
-        chosen = self.stash.pick_for_bucket(
-            tree_mod.position_of(b), cfg.levels - 1 - lv, capacity
-        )
-        # Scatter real blocks uniformly across local + remote positions
-        # so a remote read is indistinguishable from a local one.
-        n_hosts = len(hosts)
+        # A host sits at its renter's level.
+        for obs in self._heard["on_slot_reclaimed"]:
+            for hb, hs in hosts:
+                obs.on_slot_reclaimed(hb, hs, lv, "remote")
         local_reals = chosen
-        remote_contents = [DUMMY] * n_hosts
+        remote_contents = [DUMMY] * len(hosts)
         if chosen:
-            positions = self.rng.choice(n_usable + n_hosts,
-                                        size=len(chosen), replace=False)
-            if n_hosts:
+            if hosts:
                 local_reals = []
                 for blk, pos in zip(chosen, positions):
                     if pos < n_usable:
                         local_reals.append(blk)
                     else:
-                        remote_contents[int(pos) - n_usable] = blk
+                        remote_contents[pos - n_usable] = blk
             self.stash.remove_many(chosen)
         written = store.refresh(b, local_reals, granted_extension=granted)
         if reclaimed_dead is not None and reclaimed_dead.size:
@@ -776,27 +798,20 @@ class RingOram:
             (b, slot, lv, onchip, False) for slot in written
         ]
         if hosts:
-            ext.write_remote_all(b, remote_contents)
+            self.ext.write_remote_all(b, remote_contents)
             write_items += [(hb, hs, lv, onchip, True) for hb, hs in hosts]
         if self.datastore is not None:
             # Payload path: locals then remote hosts, the per-slot
             # sequence scalar seals would follow, so versions,
             # dummy-filler draws and Merkle updates are bit-identical.
             pop_payload = self._stash_payload.pop
-            blank = bytes(cfg.block_bytes)
-            slots_row = store.slots[b]
-            for slot in written:
-                content = int(slots_row[slot])
+            blank = bytes(self.cfg.block_bytes)
+            where = [(b, slot) for slot in written] + hosts
+            contents = store.slots[b, written].tolist() + remote_contents
+            for (at, slot), content in zip(where, contents):
                 seal_batch.append(
-                    (b, slot,
-                     pop_payload(content, blank)
-                     if content >= 0 else None)
-                )
-            for (hb, hs), content in zip(hosts, remote_contents):
-                seal_batch.append(
-                    (hb, hs,
-                     pop_payload(content, blank)
-                     if content >= 0 else None)
+                    (at, slot, pop_payload(content, blank) if content >= 0
+                     else None)
                 )
         self.sink.data_access_many(write_items, write=True)
 

@@ -15,7 +15,7 @@ the paper's CB baseline keys background eviction off it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class StashOverflowError(RuntimeError):
@@ -107,20 +107,38 @@ class Stash:
         """Iterate over ``(block, leaf)`` pairs (snapshot order unspecified)."""
         return self._blocks.items()
 
-    def pick_for_bucket(self, position: int, shift: int, capacity: int) -> List[int]:
-        """Up to ``capacity`` resident blocks placeable in the bucket at
-        ``position`` of level ``levels - 1 - shift`` (their leaf path
-        crosses it, i.e. ``leaf >> shift == position``), in insertion
-        order -- the order the reshuffle refill greedy depends on.
+    def pick_path(
+        self, leaf: int, caps: Sequence[int], height: int = 0
+    ) -> List[List[int]]:
+        """The write-back picks of consecutive buckets on ``leaf``'s path,
+        one list per bucket in ``caps`` order (nothing is removed).
+
+        ``caps[i] >= 0`` is the room of the bucket ``height + i`` levels
+        above the leaf, leaf side first. Filled in that order, each
+        bucket takes the first blocks (insertion order) whose leaf path
+        crosses it and no deeper bucket took: Path ORAM's greedy
+        write-back. That is one pass: each block goes to the deepest
+        bucket it may live in (``(block_leaf ^ leaf).bit_length()``
+        levels up) or the next one up with room.
         """
-        if capacity <= 0 or not self._blocks:
-            # Nothing can match: skip the O(stash) scan outright (the
-            # common case right after an evictPath drained the stash).
-            return []
-        found: List[int] = []
-        for block, leaf in self._blocks.items():
-            if (leaf >> shift) == position:
-                found.append(block)
-                if len(found) >= capacity:
-                    break
-        return found
+        n = len(caps)
+        room = [*caps, 1]           # a sentinel above the top bucket
+        left = sum(caps)
+        picks: List[List[int]] = [[] for _ in caps]
+        top = height + n - 1        # the shift of the highest bucket
+        at_top = leaf >> top
+        for block, bl in self._blocks.items():
+            if not left:
+                break
+            if bl >> top != at_top:
+                continue            # its path misses every bucket
+            h = (bl ^ leaf).bit_length() - height
+            if h < 0:
+                h = 0
+            while not room[h]:
+                h += 1
+            if h < n:
+                picks[h].append(block)
+                room[h] -= 1
+                left -= 1
+        return picks

@@ -33,7 +33,8 @@ PathLike = Union[str, Path]
 #: columns of its own ``BucketStore`` row and the allocator's host
 #: table is dense (was a pooled side table). 4: the controller keeps,
 #: per observer hook, the observers that override it (``_heard``).
-CHECKPOINT_FORMAT = 4
+#: 5: a DeadQ is a deque of entry tuples (was three numpy columns).
+CHECKPOINT_FORMAT = 5
 _MAGIC = "repro-sim-checkpoint"
 
 

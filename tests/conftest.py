@@ -72,6 +72,23 @@ def paper_schemes():
     return schemes.main_schemes(24)
 
 
+def pick_for_bucket(stash, position, shift, capacity):
+    """The per-bucket write-back pick ``Stash.pick_path`` replaced, kept
+    as its reference: up to ``capacity`` resident blocks of ``stash``
+    whose leaf path crosses the bucket at ``position`` of level
+    ``levels - 1 - shift`` (``leaf >> shift == position``), in insertion
+    order."""
+    if capacity <= 0:
+        return []
+    found = []
+    for block, leaf in stash.blocks():
+        if (leaf >> shift) == position:
+            found.append(block)
+            if len(found) >= capacity:
+                break
+    return found
+
+
 def sealed_store_state(store):
     """All state of an ``EncryptedTreeStore`` a batch must leave exactly
     as the scalar calls do."""

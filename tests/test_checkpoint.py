@@ -124,10 +124,11 @@ class TestCheckpointValidation:
     def test_wrong_format_rejected(self, tmp_path):
         """A future format, format 1 (the sealed store's tags were a
         dict then), format 2 (rentals sat in a pooled side table, not
-        in the bucket rows) and format 3 (a controller without its
-        per-hook observer lists): the file would load and the run die
-        later on a missing attribute."""
-        for fmt in (99, 1, 2, 3):
+        in the bucket rows), format 3 (a controller without its
+        per-hook observer lists) and format 4 (DeadQs as numpy ring
+        buffers): the file would load and the run die later on a
+        missing attribute."""
+        for fmt in (99, 1, 2, 3, 4):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

@@ -45,7 +45,7 @@ with open(os.path.join(HERE, "goldens", "controller_state.json")) as _f:
 def test_golden_covers_the_whole_matrix():
     names = list(TOOL.matrix())
     assert sorted(names) == sorted(GOLDEN)
-    assert sum(n.startswith("sim/") for n in names) == 20
+    assert sum(n.startswith("sim/") for n in names) == 21
     assert sum(n.startswith("model/") for n in names) == 7
 
 

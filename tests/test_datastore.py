@@ -43,6 +43,53 @@ class TestPadBlock:
             pad_block("not bytes")
 
 
+class TestRefusedWrite:
+    """A write whose payload ``pad_block`` refuses is refused before the
+    access starts: no path read, no remap, no access count. A half-run
+    access used to consume a slot on every level and skip the
+    maintenance that follows, until a bucket ran dry."""
+
+    @staticmethod
+    def _oram():
+        from repro.core import schemes
+        from repro.sim.engine import build_oram_stack
+
+        return build_oram_stack(
+            schemes.by_name("ab", 7), seed=0, key_domain=b"refused-write",
+            robustness=RobustnessConfig(integrity=True),
+        ).oram
+
+    @staticmethod
+    def _state(oram):
+        store = oram.store
+        return (
+            oram.rng.bit_generator.state, oram.online_accesses,
+            store.slots.tobytes(), store.status.tobytes(),
+            store.generation.tobytes(), store.count.tobytes(),
+            sorted(oram.stash.blocks()),
+        )
+
+    def test_refused_write_touches_nothing(self):
+        oram = self._oram()
+        for block in range(40):
+            oram.read(block)
+        before = self._state(oram)
+        with pytest.raises(ValueError, match="exceeds"):
+            oram.write(3, b"x" * (oram.cfg.block_bytes + 1))
+        assert self._state(oram) == before
+
+    def test_interleaved_refusals_keep_the_controller_alive(self):
+        oram = self._oram()
+        rng = np.random.default_rng(0)
+        n = oram.cfg.n_real_blocks
+        oversize = b"x" * (oram.cfg.block_bytes + 1)
+        for _ in range(3000):
+            with pytest.raises(ValueError):
+                oram.write(int(rng.integers(n)), oversize)
+            oram.read(int(rng.integers(n)))
+        oram.check_invariants()
+
+
 class TestEncryptedTreeStore:
     def test_seal_open_roundtrip(self, store):
         store.seal_slot(3, 1, b"payload")

@@ -92,13 +92,12 @@ class TestDeadQueue:
 
 
 class TestDeadQueueFifoProperties:
-    """Model-based FIFO checks for the struct-of-arrays ring buffer.
+    """Model-based FIFO checks for the bounded DeadQ.
 
-    The SoA rewrite replaced a per-entry object deque with three
-    preallocated numpy columns plus head/size indices; these tests
-    replay randomized push/push_many/pop/requeue interleavings against
-    a ``collections.deque`` reference so wrap-around and batch-split
-    bookkeeping can never silently reorder or drop entries. The store
+    These tests replay randomized push/push_many/pop/requeue
+    interleavings against a plain ``collections.deque`` reference, so
+    the capacity bound and the batch and undo paths can never silently
+    reorder or drop entries. The store
     is a stand-in whose (generation, QUEUED) checks always pass, so
     every pop must return exactly the reference's head.
     """
@@ -110,8 +109,14 @@ class TestDeadQueueFifoProperties:
             def __getitem__(self, key):
                 return 0
 
+            def item(self, *key):
+                return 0
+
         class _Queued:
             def __getitem__(self, key):
+                return int(SlotStatus.QUEUED)
+
+            def item(self, *key):
                 return int(SlotStatus.QUEUED)
 
         generation = _Zero()

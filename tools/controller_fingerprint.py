@@ -12,11 +12,12 @@ runs, every answer), the controller's RNG state, the local columns of
 sorted stash, ``ext.stats()``, observer state, the Merkle root and the
 recovery counters.
 
-The matrix: twenty simulations -- {ring, baseline, ir, ns, dr, ab}
+The matrix: twenty-one simulations -- {ring, baseline, ir, ns, dr, ab}
 plain, then subsets with three observers attached, on the sealed data
-path, sealed with faults armed, at pipeline depth 4, and ``ab`` armed
+path, sealed with faults armed, at pipeline depth 4, ``ab`` armed
 with its quarantine rebuilds deferred to one final
-``flush_recovery()`` -- and seven dict-model runs (a ``store_data``
+``flush_recovery()``, and ``ab`` at L10 over 6,000 requests -- and
+seven dict-model runs (a ``store_data``
 controller checked against a dict) on the shapes the simulations do
 not reach: ``dr-perf``, DeadQ capacity 2 and 3, ``evict_rate`` 3,
 background eviction, a recursive position map behind a PLB small
@@ -57,6 +58,11 @@ from repro.sim.runner import make_trace
 SIM_LEVELS = 9
 SIM_REQUESTS = 400
 MODEL_ACCESSES = 600
+# ``sim/ab/horizon``: long enough that the stash holds 100+ blocks and
+# the write-back picks of one path compete for room (peak 138, 1,200
+# evictPaths), which the L9 x 400 runs (peak 66) rarely reach.
+HORIZON_LEVELS = 10
+HORIZON_REQUESTS = 6000
 
 _FAULTS = {"bit_flip": 0.01, "replay": 0.01, "unavailable": 0.02}
 
@@ -126,9 +132,12 @@ def _observers(cfg) -> List[Any]:
 
 def _simulation(scheme: str, variant: str) -> Callable[[], Dict[str, Any]]:
     def run() -> Dict[str, Any]:
-        cfg = schemes.by_name(scheme, SIM_LEVELS)
-        trace = make_trace("spec", "mcf", cfg.n_real_blocks, SIM_REQUESTS,
-                           seed=2)
+        if variant == "horizon":
+            levels, requests = HORIZON_LEVELS, HORIZON_REQUESTS
+        else:
+            levels, requests = SIM_LEVELS, SIM_REQUESTS
+        cfg = schemes.by_name(scheme, levels)
+        trace = make_trace("spec", "mcf", cfg.n_real_blocks, requests, seed=2)
         sim = SimConfig(seed=4, check_invariants=True)
         if variant == "observers":
             sim.observers = _observers(cfg)
@@ -212,6 +221,7 @@ def matrix() -> Dict[str, Callable[[], Dict[str, Any]]]:
         for scheme in names:
             runs[f"sim/{scheme}/{variant}"] = _simulation(scheme, variant)
     runs["sim/ab/deferred"] = _simulation("ab", "deferred")
+    runs["sim/ab/horizon"] = _simulation("ab", "horizon")
     runs["model/dr-perf"] = _dict_model(lambda: schemes.by_name("dr-perf", 8))
     runs["model/dr-deadq2"] = _dict_model(
         lambda: schemes.dr_scheme(7, deadq_capacity=2))
