@@ -7,7 +7,7 @@ PYTHON ?= python
 # src/ layout, so the package root just needs to be importable.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test bench bench-full figures examples lint loc \
+.PHONY: install test bench bench-full figures examples lint loc reach \
 	chacha-cutover fingerprint perf-smoke \
 	pipeline-smoke faults-smoke telemetry-smoke serve-smoke chaos-smoke \
 	shard-smoke obs-smoke determinism e2e-quick ci clean
@@ -59,6 +59,14 @@ loc:
 	    "$$(find $$d -name '*.py' | xargs cat | wc -l)"; \
 	done
 	@printf '  %-12s %6d\n' "(top level)" "$$(cat src/repro/*.py | wc -l)"
+
+# Reach audit (ROADMAP item 8): runs tier-1, the paper benchmarks at a
+# small scale, every smoke command above at --workers 1 and the e2e
+# quick run under a function-entry recorder, then lists the src/
+# functions nothing entered and the ones only tests/ entered. The last
+# two lines are the counts. Not a gate (~15 min).
+reach:
+	$(PYTHON) tools/reach.py run --list
 
 # The measurement behind crypto.chacha.LANE_MIN_BLOCKS: N x {reference,
 # wide, lanes} us per call and the break-even (docs/perf.md quotes this

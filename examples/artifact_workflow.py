@@ -11,12 +11,13 @@ Run:  python examples/artifact_workflow.py [--outdir /tmp/ab-oram-artifact]
 """
 
 import argparse
+import json
 from pathlib import Path
 
 from repro.analysis.report import render_mapping_table
 from repro.core import schemes
 from repro.oram.config_io import load_config, save_config
-from repro.sim import SimConfig, load_results, results_to_csv, save_results, simulate
+from repro.sim import SimConfig, simulate
 from repro.traces.io import load_trace, save_trace
 from repro.traces.spec import spec_trace
 
@@ -38,8 +39,8 @@ def main() -> None:
 
     save_config(cfg, outdir / "config.json")
     save_trace(trace, outdir / "trace.usimm")
-    save_results({cfg.name: {trace.name: result}}, outdir / "results.json")
-    results_to_csv({cfg.name: {trace.name: result}}, outdir / "results.csv")
+    (outdir / "results.json").write_text(
+        json.dumps(result.to_dict(), indent=1, sort_keys=True))
     print(f"bundle written to {outdir}:")
     for f in sorted(outdir.iterdir()):
         print(f"  {f.name:14s} {f.stat().st_size:8d} bytes")
@@ -49,7 +50,7 @@ def main() -> None:
     cfg2 = load_config(outdir / "config.json")
     trace2 = load_trace(outdir / "trace.usimm", trace.name, cfg2.n_real_blocks)
     result2 = simulate(cfg2, trace2, sim)
-    stored = load_results(outdir / "results.json")[cfg.name][trace.name]
+    stored = json.loads((outdir / "results.json").read_text())
 
     rows = [
         {"source": "original run", "exec_ns": result.exec_ns,
@@ -58,15 +59,15 @@ def main() -> None:
         {"source": "reloaded bundle re-run", "exec_ns": result2.exec_ns,
          "dram_reads": result2.dram_reads,
          "readpath_p99_ns": result2.readpath_p99_ns},
-        {"source": "stored results.json", "exec_ns": stored.exec_ns,
-         "dram_reads": stored.dram_reads,
-         "readpath_p99_ns": stored.readpath_p99_ns},
+        {"source": "stored results.json", "exec_ns": stored["exec_ns"],
+         "dram_reads": stored["dram_reads"],
+         "readpath_p99_ns": stored["readpath_p99_ns"]},
     ]
     print(render_mapping_table(rows, title="Replay check"))
     # Stored results reload bit-identically; the re-run matches up to
     # the USIMM text format's integer instruction gaps (it quantizes
     # the CPU time between requests, a <0.1% effect on wall time).
-    assert stored.exec_ns == result.exec_ns
+    assert stored["exec_ns"] == result.exec_ns
     assert result2.dram_reads == result.dram_reads
     assert abs(result2.exec_ns - result.exec_ns) < 0.001 * result.exec_ns
     print("\nreplay: results identical; timing within trace-format "

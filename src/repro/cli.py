@@ -73,7 +73,6 @@ from repro.core import schemes as schemes_mod
 from repro.core.ab_oram import build_oram
 from repro.core.security import GuessingAttacker
 from repro.faults.plan import FAULT_KINDS
-from repro.perf.profile import SORT_KEYS as PROFILE_SORT_KEYS
 from repro.sim import SimConfig
 from repro.sim.results import breakdown_fractions
 from repro.sim.runner import run_suite, suite_benchmarks
@@ -511,44 +510,6 @@ def cmd_harness_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf_profile(args: argparse.Namespace) -> int:
-    from repro.perf.profile import parse_cell, profile_cell
-
-    scheme, benchmark, depth = args.scheme, args.benchmark, args.pipeline_depth
-    if args.cell:
-        try:
-            sel = parse_cell(args.cell)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        scheme, benchmark = sel["scheme"], sel["benchmark"]
-        depth = sel["pipeline_depth"]
-        if scheme not in ALL_SCHEMES:
-            print(f"error: unknown scheme {scheme!r} in --cell "
-                  f"(choose from {', '.join(ALL_SCHEMES)})", file=sys.stderr)
-            return 2
-    suffix = f"_p{depth}" if depth > 1 else ""
-    out = args.out or f"generated/PROFILE_{scheme}_{benchmark}{suffix}.txt"
-    report = profile_cell(
-        scheme=scheme,
-        benchmark=benchmark,
-        suite=args.suite,
-        levels=args.levels,
-        n_requests=args.requests,
-        warmup_requests=args.warmup,
-        seed=args.seed,
-        top_n=args.top,
-        sort=args.sort,
-        pipeline_depth=depth,
-    )
-    _ensure_out_dir(out)
-    with open(out, "w") as f:
-        f.write(report["text"])
-    print(report["text"])
-    print(f"wrote {out}")
-    return 0
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     """``perf compare`` / ``serve compare``: gate two reports by kind."""
     from repro.report import EXIT_OK, compare_files
@@ -798,35 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, default=None)
     pr.add_argument("--repeats", type=int, default=None,
                     help="per-cell repeats; wall time is the best run")
-
-    pp = perf_sub.add_parser(
-        "profile",
-        help="cProfile one matrix cell (hot-path work starts from data)")
-    pp.add_argument("--scheme", default="ab", choices=ALL_SCHEMES,
-                    help="matrix cell scheme (default: ab, the slowest)")
-    pp.add_argument("--benchmark", default="mcf",
-                    help="matrix cell trace (default: mcf)")
-    pp.add_argument("--cell", default=None, metavar="SCHEME/TRACE[@pN]",
-                    help="cell selector in report-key form (e.g. ns/mcf@p4 "
-                         "profiles the pipelined perf cell at depth 4); "
-                         "overrides --scheme/--benchmark/--pipeline-depth")
-    pp.add_argument("--pipeline-depth", type=int, default=1, metavar="D",
-                    help="profile the cell on the pipelined controller at "
-                         "this depth (default 1 = serial)")
-    pp.add_argument("--suite", default="spec", choices=["spec", "parsec"])
-    pp.add_argument("--levels", type=int, default=12)
-    pp.add_argument("--requests", type=int, default=2000)
-    pp.add_argument("--warmup", type=int, default=400)
-    pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--top", type=int, default=30,
-                    help="functions to show (default: 30)")
-    pp.add_argument("--sort", default="cumulative",
-                    choices=list(PROFILE_SORT_KEYS),
-                    help="pstats sort key (default: cumulative)")
-    pp.add_argument("--out", default=None,
-                    help="report path (default: generated/"
-                         "PROFILE_<scheme>_<benchmark>.txt)")
-    pp.set_defaults(func=cmd_perf_profile)
 
     pc = perf_sub.add_parser("compare", help="diff two perf reports")
     pc.add_argument("baseline", help="baseline BENCH_perf.json")

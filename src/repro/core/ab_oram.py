@@ -110,10 +110,6 @@ class AbOram:
     def allocator(self) -> Optional[RemoteAllocator]:
         return self.oram.ext
 
-    @property
-    def sink(self) -> MemorySink:
-        return self.oram.sink
-
     def space_report(self) -> Dict[str, object]:
         """Space metrics in the paper's terms."""
         cfg = self.cfg

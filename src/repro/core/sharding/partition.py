@@ -99,6 +99,3 @@ class PartitionMap:
             "num_shards": self.num_shards,
             "seed": self.seed,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PartitionMap(num_shards={self.num_shards}, seed={self.seed})"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.mem.address_map import AddressMapping
 from repro.mem.timing import DDR3_1600, DramTiming
@@ -597,12 +597,3 @@ class DramModel:
         if elapsed_ns <= 0:
             return 0.0
         return self.stats.bytes_transferred / elapsed_ns
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "reads": float(self.stats.reads),
-            "writes": float(self.stats.writes),
-            "row_hit_rate": self.stats.row_hit_rate,
-            "bytes": float(self.stats.bytes_transferred),
-            "channel_busy_ns": [float(x) for x in self.channel_busy_ns],
-        }

@@ -154,12 +154,6 @@ class RobustnessCounters:
     def to_dict(self) -> Dict[str, int]:
         return asdict(self)
 
-    @property
-    def detections(self) -> int:
-        """All fault detections, transient or persistent."""
-        return (self.transient_faults + self.auth_failures
-                + self.integrity_failures)
-
 
 @dataclass
 class OpCounters:

@@ -18,7 +18,6 @@ Simulation metrics (``cells[*].sim``) are bit-deterministic for a given
 only throughput as a gate and the ``sim`` block as an identity check.
 """
 
-from repro.perf.profile import profile_cell
 from repro.perf.runner import PerfConfig, full_config, run_perf, smoke_config
 from repro.perf.schema import compare_reports, validate_report
 from repro.report import SCHEMA_VERSION
@@ -28,7 +27,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "compare_reports",
     "full_config",
-    "profile_cell",
     "run_perf",
     "smoke_config",
     "validate_report",

@@ -116,20 +116,6 @@ class FleetConfig:
     workers: int = 1
     progress: Any = None   # callable(str) for live shard updates
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload.to_dict(),
-            "scheme": self.scheme,
-            "levels": self.levels,
-            "num_shards": self.num_shards,
-            "seed": self.seed,
-            "max_batch": self.max_batch,
-            "policy": self.policy,
-            "drill": None if self.drill is None else self.drill.to_dict(),
-            "heartbeat_ns": self.heartbeat_ns,
-            "miss_after": self.miss_after,
-        }
-
 
 def shard_share(
     items: Sequence[Tuple[bytes, bytes]],

@@ -16,12 +16,8 @@ from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.engine import DramSink, SimConfig, Simulation, simulate
 from repro.sim.results import SimResult, geomean, normalize
 from repro.sim.runner import run_suite, run_schemes
-from repro.sim.persist import load_results, results_to_csv, save_results
 
 __all__ = [
-    "load_results",
-    "save_results",
-    "results_to_csv",
     "DramSink",
     "SimConfig",
     "Simulation",

@@ -147,9 +147,6 @@ class MetricsRegistry:
             )
         return h
 
-    def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
-
     # ------------------------------------------------------------ snapshot
 
     def snapshot(self) -> Dict[str, Any]:

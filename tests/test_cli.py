@@ -53,6 +53,15 @@ class TestSimulate:
         assert "Memory-time breakdown" in out
         assert "readPath" in out
 
+    def test_sharded_fleet(self, capsys):
+        # README's horizontal-scale step; nothing else reaches it.
+        rc = main(["simulate", "--scheme", "ab", "--shards", "2",
+                   "--levels", "9", "--requests", "200", "--warmup", "50"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "Sharded simulation (fleet of 2)" in out
+        assert "Per-shard results" in out
+
     def test_parsec_suite(self, capsys):
         rc = main(["simulate", "--suite", "parsec", "--bench", "canneal",
                    "--scheme", "dr", "--levels", "9",

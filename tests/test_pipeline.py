@@ -27,7 +27,6 @@ from repro.perf.schema import (
     deterministic_view,
     validate_report,
 )
-from repro.perf.profile import parse_cell
 from repro.sim.engine import SimConfig, Simulation
 from repro.traces.spec import spec_trace
 
@@ -359,15 +358,6 @@ class TestSchema:
         doc2["cells"][0]["wall_s"] = 99.0
         doc2["environment"] = {"python": "y"}
         assert deterministic_bytes(doc) == deterministic_bytes(doc2)
-
-    def test_parse_cell(self):
-        assert parse_cell("ns/mcf") == {
-            "scheme": "ns", "benchmark": "mcf", "pipeline_depth": 1}
-        assert parse_cell("ns/mcf@p4") == {
-            "scheme": "ns", "benchmark": "mcf", "pipeline_depth": 4}
-        for bad in ("nsmcf", "ns/", "/mcf", "ns/mcf@px", "ns/mcf@p0"):
-            with pytest.raises(ValueError):
-                parse_cell(bad)
 
 
 class TestServeStack:
