@@ -60,13 +60,13 @@ loc:
 	done
 	@printf '  %-12s %6d\n' "(top level)" "$$(cat src/repro/*.py | wc -l)"
 
-# Reach audit (ROADMAP item 8): runs tier-1, the paper benchmarks at a
-# small scale, every smoke command above at --workers 1 and the e2e
-# quick run under a function-entry recorder, then lists the src/
-# functions nothing entered and the ones only tests/ entered. The last
-# two lines are the counts. Not a gate (~15 min).
+# Reach audit (ROADMAP item 8): runs `make -k ci bench examples
+# fingerprint chacha-cutover` (bench at a small scale) with every
+# interpreter recording function entries, then lists the src/ functions
+# nothing entered and the ones only tests/ entered. The last two lines
+# are the counts. Not a gate.
 reach:
-	$(PYTHON) tools/reach.py run --list
+	$(PYTHON) tools/reach.py --list
 
 # The measurement behind crypto.chacha.LANE_MIN_BLOCKS: N x {reference,
 # wide, lanes} us per call and the break-even (docs/perf.md quotes this

@@ -1,0 +1,55 @@
+"""``tools/reach.py`` and its recorder, ``tools/reach_site/sitecustomize.py``.
+
+A process started with the recorder's directory on ``PYTHONPATH`` records
+the ``src/repro`` functions it enters, and so does every child it starts;
+the report sorts functions by the labels that entered them.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core import schemes
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CHILD = """
+import subprocess, sys
+from repro.core import schemes
+schemes.classic_ring(8)
+subprocess.run([sys.executable, "-c",
+                "from repro.core import schemes; schemes.baseline_cb(8)"],
+               check=True)
+"""
+
+
+@pytest.fixture
+def reach():
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "tools/reach.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _where(fn):
+    code = fn.__code__
+    return f"{Path(code.co_filename).relative_to(ROOT / 'src/repro').as_posix()}:{code.co_firstlineno}"
+
+
+def test_a_child_and_its_child_record_under_the_inherited_label(reach, tmp_path):
+    env = dict(os.environ, REACH_RECORDS=str(tmp_path), REACH_LABEL="tests/test_fake.py",
+               PYTHONPATH=os.pathsep.join([str(reach.SITE), str(ROOT / "src")]))
+    subprocess.run([sys.executable, "-c", CHILD], check=True, env=env, timeout=120)
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+    (tmp_path / "driver.json").write_text('{"labels": {"make": [["core/schemes.py", %d]]}}'
+                                          % schemes.classic_ring.__code__.co_firstlineno)
+    out = reach.report(tmp_path, list_all=True)
+    tests_only = out.split("tests-only functions:\n")[1]
+    assert f"{_where(schemes.baseline_cb)} baseline_cb" in tests_only
+    assert f"{_where(schemes.classic_ring)} classic_ring" not in out
+    assert f"{_where(schemes.ir_oram)} ir_oram" in out.split("tests-only functions:\n")[0]

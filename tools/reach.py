@@ -2,27 +2,26 @@
 """Reach audit: which ``src/repro`` functions does anything run?
 
 ``coverage`` is not a dependency, so this records function *entries*
-with the interpreter's own hooks (``sys.monitoring`` on Python >= 3.12,
-``sys.setprofile`` before it) and compares them with every function the
-source defines (an AST walk of ``src/repro``).
+with ``sys.setprofile`` and compares them with every function the source
+defines (an AST walk of ``src/repro``).
 
-A run is a list of drivers: tier-1, the paper benchmarks at a small
-scale, every CI / Makefile smoke command at ``--workers 1``, the e2e
-quick run and the e2e harness tests. Each driver runs in its own
-recording interpreter (``reach.py record``); under pytest every entry
-is labelled with the test file that ran it, which is what separates a
-function a workflow runs from one that only tests run. Processes a
-driver starts (subprocesses, spawn workers) are not recorded::
+It runs the Makefile targets ``ci`` (lint, tier-1, every smoke target,
+the e2e quick run), ``bench`` (the paper benchmarks, at a small scale),
+``examples``, ``fingerprint`` and ``chacha-cutover`` with
+``tools/reach_site`` first on ``PYTHONPATH``,
+so every interpreter they start, subprocesses and spawn workers
+included, loads the recorder in its ``sitecustomize.py``. Under pytest
+each entry is labelled with the test file that ran it, which is what
+separates a function a workflow runs from one that only tests run::
 
-    python tools/reach.py run [--out DIR] [--only LABEL ...] [--list]
-    python tools/reach.py report DIR [--list]
+    python tools/reach.py [--out DIR] [--list]
 
 The report has one row per module with functions nothing entered
 ("unreached") or only ``tests/`` files entered ("tests-only", with those
 files named). Bodies that are only a docstring, ``...``, ``pass`` or
 ``raise NotImplementedError`` are interface stubs and are not counted.
-The last two lines are the two counts; CI prints them. A gate failing
-inside a driver (a noisy overhead bound, say) is reported, not fatal:
+The last two lines are the two counts; CI prints them. A target failing
+under the recorder (a noisy overhead bound, say) is reported, not fatal:
 the audit is about what ran.
 """
 
@@ -32,199 +31,37 @@ import argparse
 import ast
 import json
 import os
-import runpy
 import subprocess
 import sys
-import threading
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+SITE = ROOT / "tools" / "reach_site"
+
+TARGETS = ("ci", "bench", "examples", "fingerprint", "chacha-cutover")
 
 #: The paper benchmarks at a size that runs in minutes.
 _SMALL_BENCH = {"REPRO_BENCH_LEVELS": "10", "REPRO_BENCH_REQUESTS": "300",
                 "REPRO_BENCH_SUITE": "mcf"}
 
-#: (label, argv after the interpreter, extra environment). ``{out}`` is
-#: the artifact dir. A label starting with ``tests/`` marks a tier-1
-#: driver; pytest drivers relabel per test file, the label here covers
-#: collection.
-DRIVERS: Tuple[Tuple[str, Tuple[str, ...], Dict[str, str]], ...] = (
-    ("tests/(collection)", ("-m", "pytest", "-q", "-p", "no:cacheprovider",
-                            "tests"), {}),
-    ("benchmarks/(collection)", ("-m", "pytest", "-q", "-p",
-                                 "no:cacheprovider", "benchmarks",
-                                 "--benchmark-only",
-                                 "--ignore=benchmarks/e2e"), _SMALL_BENCH),
-    ("benchmarks/e2e/(collection)", ("-m", "pytest", "-q", "-p",
-                                     "no:cacheprovider", "benchmarks/e2e"),
-     {}),
-    ("e2e-quick", ("benchmarks/e2e/run.py", "--quick"), {}),
-    ("perf-smoke", ("-m", "repro", "perf", "run", "--smoke",
-                    "--out", "{out}/perf.json"), {}),
-    ("perf-compare", ("-m", "repro", "perf", "compare",
-                      "benchmarks/baselines/BENCH_perf_smoke.json",
-                      "{out}/perf.json", "--warn-only"), {}),
-    ("report-determinism", ("tools/report_determinism.py",
-                            "{out}/perf.json", "{out}/perf.json"), {}),
-    ("pipeline-trace", ("-m", "repro", "simulate", "--scheme", "ns",
-                        "--levels", "10", "--requests", "500", "--warmup",
-                        "100", "--pipeline-depth", "4",
-                        "--trace-out", "{out}/trace_pipeline.json"), {}),
-    ("pipeline-overhead", ("tools/telemetry_overhead.py",
-                           "--max-overhead-pct", "10",
-                           "--pipeline-depth", "4"), {}),
-    ("faults-smoke", ("-m", "repro", "faults", "run", "--smoke",
-                      "--out", "{out}/faults.json", "--require-detection"),
-     {}),
-    ("telemetry-smoke", ("-m", "repro", "simulate", "--scheme", "ab",
-                         "--levels", "12", "--requests", "600", "--warmup",
-                         "0", "--trace-out", "{out}/trace.json"), {}),
-    ("telemetry-view", ("-m", "repro", "telemetry", "view",
-                        "{out}/trace.jsonl"), {}),
-    ("telemetry-overhead", ("tools/telemetry_overhead.py",
-                            "--max-overhead-pct", "10"), {}),
-    ("serve-smoke", ("-m", "repro", "serve", "bench", "--smoke",
-                     "--out", "{out}/serve.json",
-                     "--trace-out", "{out}/trace_serve.json",
-                     "--require-dedup-win"), {}),
-    ("serve-compare", ("-m", "repro", "serve", "compare",
-                       "benchmarks/baselines/BENCH_serve_smoke.json",
-                       "{out}/serve.json", "--warn-only"), {}),
-    ("chaos-smoke", ("-m", "repro", "serve", "chaos", "--smoke",
-                     "--out", "{out}/chaos.json",
-                     "--trace-out", "{out}/trace_chaos.json",
-                     "--require-detection"), {}),
-    ("chaos-compare", ("-m", "repro", "serve", "compare",
-                       "benchmarks/baselines/BENCH_chaos_smoke.json",
-                       "{out}/chaos.json", "--warn-only"), {}),
-    ("shard-smoke", ("-m", "repro", "serve", "scaling", "--smoke",
-                     "--out", "{out}/scaling.json",
-                     "--require-speedup", "3.0"), {}),
-    ("shard-compare", ("-m", "repro", "serve", "compare",
-                       "benchmarks/baselines/BENCH_scaling_smoke.json",
-                       "{out}/scaling.json", "--warn-only"), {}),
-    ("obs-smoke", ("-m", "repro", "serve", "chaos", "--smoke", "--shards",
-                   "4", "--out", "{out}/chaos_fleet.json",
-                   "--trace-out", "{out}/trace_fleet.json",
-                   "--slo-out", "{out}/slo_fleet.jsonl",
-                   "--ops-out", "{out}/ops_fleet.jsonl",
-                   "--require-detection"), {}),
-    ("serve-top", ("-m", "repro", "serve", "top", "--replay",
-                   "{out}/ops_fleet.jsonl", "--frames", "3", "--no-clear"),
-     {}),
-    ("obs-overhead", ("tools/telemetry_overhead.py", "--serve",
-                      "--max-overhead-pct", "10"), {}),
-    ("fingerprint", ("tools/controller_fingerprint.py",), {}),
-    ("chacha-cutover", ("tools/chacha_cutover.py",), {}),
-)
 
-
-class Recorder:
-    """Function entries under ``src/repro``, per label, in one process."""
-
-    def __init__(self, label: str) -> None:
-        self.prefix = str(SRC) + os.sep
-        self.reached: Dict[str, Set[Tuple[str, int, str]]] = defaultdict(set)
-        self.current = self.reached[label]
-        self.label = label
-        self.lock = threading.Lock()
-
-    def note(self, code) -> None:
-        if code.co_filename.startswith(self.prefix):
-            rel = code.co_filename[len(self.prefix):].replace(os.sep, "/")
-            name = getattr(code, "co_qualname", code.co_name)
-            self.current.add((rel, code.co_firstlineno, name))
-
-    def start(self) -> None:
-        if hasattr(sys, "monitoring"):
-            mon = sys.monitoring
-
-            def on_start(code, offset):
-                self.note(code)
-                return mon.DISABLE
-
-            mon.use_tool_id(mon.COVERAGE_ID, "reach")
-            mon.register_callback(mon.COVERAGE_ID, mon.events.PY_START,
-                                  on_start)
-            mon.set_events(mon.COVERAGE_ID, mon.events.PY_START)
-        else:
-            def on_call(frame, event, arg):
-                if event == "call":
-                    self.note(frame.f_code)
-
-            sys.setprofile(on_call)
-            threading.setprofile(on_call)
-
-    def relabel(self, label: str) -> None:
-        with self.lock:
-            if label == self.label:
-                return
-            self.label, self.current = label, self.reached[label]
-            if hasattr(sys, "monitoring"):
-                # Entries were disabled after their first hit; re-arm
-                # them so the new label sees its own first hits.
-                sys.monitoring.restart_events()
-
-    # pytest plugin hook: label entries with the running test's file.
-    def pytest_runtest_setup(self, item) -> None:
-        self.relabel(item.nodeid.split("::")[0])
-
-    def dump(self, path: Path) -> None:
-        records = {lb: sorted(hits) for lb, hits in self.reached.items()}
-        path.write_text(json.dumps({"labels": records}))
-
-
-def record(label: str, argv: List[str], out: Path) -> int:
-    """Run one driver in this process under a :class:`Recorder`."""
-    rec = Recorder(label)
-    rec.start()
-    code = 0
-    # ``python -m`` puts the working directory first on sys.path and a
-    # script run puts the script's; do the same for the driver.
-    sys.path[0] = (os.getcwd() if argv[0] == "-m"
-                   else str(Path(argv[0]).resolve().parent))
-    try:
-        if argv[:2] == ["-m", "pytest"]:
-            import pytest
-            code = int(pytest.main(argv[2:], plugins=[rec]))
-        elif argv[0] == "-m":
-            sys.argv = argv[1:]
-            runpy.run_module(argv[1], run_name="__main__", alter_sys=True)
-        else:
-            sys.argv = list(argv)
-            runpy.run_path(argv[0], run_name="__main__")
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else int(bool(exc.code))
-    finally:
-        rec.dump(out / f"{os.getpid()}.json")
-    return code
-
-
-def run_drivers(out: Path, only: Optional[Sequence[str]]) -> List[str]:
-    """Run every driver in a recording child; return the failed ones."""
-    records = out / "records"
+def run_targets(records: Path) -> int:
+    """``make -k TARGETS`` with every interpreter recording; make's exit."""
     records.mkdir(parents=True, exist_ok=True)
     for stale in records.glob("*.json"):
         stale.unlink()
-    env = dict(os.environ)
+    env = dict(os.environ, **_SMALL_BENCH)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    failed = []
-    for label, argv, extra in DRIVERS:
-        if only and not any(label.startswith(o) for o in only):
-            continue
-        args = [a.format(out=out) for a in argv]
-        print(f"== {label}: {' '.join(args)}", file=sys.stderr, flush=True)
-        proc = subprocess.run(
-            [sys.executable, __file__, "record", "--label", label,
-             "--out", str(records), "--", *args],
-            cwd=ROOT, stdout=subprocess.DEVNULL, env={**env, **extra})
-        if proc.returncode != 0:
-            failed.append(f"{label} (exit {proc.returncode})")
-    return failed
+        [str(SITE)] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["PYTEST_PLUGINS"] = ",".join(
+        [p for p in [env.get("PYTEST_PLUGINS")] if p] + ["sitecustomize"])
+    env["REACH_RECORDS"] = str(records)
+    env["REACH_LABEL"] = "make"
+    return subprocess.run(["make", "-k", *TARGETS], cwd=ROOT,
+                          stdout=subprocess.DEVNULL, env=env).returncode
 
 
 # --------------------------------------------------------------- report
@@ -281,7 +118,7 @@ def load_records(records: Path) -> Dict[Tuple[str, int], Set[str]]:
     by_fn: Dict[Tuple[str, int], Set[str]] = defaultdict(set)
     for path in sorted(records.glob("*.json")):
         for label, hits in json.loads(path.read_text())["labels"].items():
-            for rel, line, _name in hits:
+            for rel, line in hits:
                 by_fn[(rel, line)].add(label)
     return by_fn
 
@@ -298,7 +135,7 @@ def report(records: Path, list_all: bool) -> str:
             stubs += 1
         elif not labels:
             rows[rel]["unreached"].append(f"{rel}:{line} {qual}")
-        elif all(lb.startswith("tests/") for lb in labels):
+        elif all(lb.split("/")[0] == "tests" for lb in labels):
             rows[rel]["tests_only"].append(f"{rel}:{line} {qual}")
             rows[rel]["readers"].update(labels)
     n_unreached = sum(len(r["unreached"]) for r in rows.values())
@@ -310,7 +147,7 @@ def report(records: Path, list_all: bool) -> str:
         "tests reaching the tests-only ones",
     ]
     for rel, r in sorted(rows.items()):
-        readers = " ".join(sorted(lb.split("/", 1)[1]
+        readers = " ".join(sorted(lb.partition("/")[2] or lb
                                   for lb in r["readers"]))
         lines.append(f"{rel:34s} {len(r['unreached']):9d} "
                      f"{len(r['tests_only']):10d}  {readers}")
@@ -325,33 +162,17 @@ def report(records: Path, list_all: bool) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    pr = sub.add_parser("run", help="run every driver, then report")
-    pr.add_argument("--out", default="generated/reach",
-                    help="record + artifact directory "
-                         "(default: generated/reach)")
-    pr.add_argument("--only", nargs="+", metavar="LABEL",
-                    help="run only the drivers whose label starts so")
-    pp = sub.add_parser("report", help="report on an existing run")
-    pp.add_argument("out", help="the run's --out directory")
-    for p in (pr, pp):
-        p.add_argument("--list", action="store_true",
-                       help="also list every unreached / tests-only "
-                            "function")
-    pc = sub.add_parser("record", help="run one driver under the recorder")
-    pc.add_argument("--label", required=True)
-    pc.add_argument("--out", required=True, help="records directory")
-    pc.add_argument("target", nargs=argparse.REMAINDER,
-                    help="-- then '-m module args' or 'script args'")
+    parser.add_argument("--out", default="generated/reach",
+                        help="records directory (default: generated/reach)")
+    parser.add_argument("--list", action="store_true",
+                        help="also list every unreached / tests-only function")
     args = parser.parse_args(argv)
-    if args.cmd == "record":
-        target = args.target[1:] if args.target[:1] == ["--"] else args.target
-        return record(args.label, target, Path(args.out))
     out = Path(args.out).resolve()
-    failed = run_drivers(out, args.only) if args.cmd == "run" else []
-    print(report(out / "records", args.list))
-    for f in failed:
-        print(f"warning: driver {f}", file=sys.stderr)
+    code = run_targets(out)
+    print(report(out, args.list))
+    if code:
+        print(f"warning: make -k {' '.join(TARGETS)} exited {code}",
+              file=sys.stderr)
     return 0
 
 
