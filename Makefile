@@ -10,7 +10,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 .PHONY: install test bench bench-full figures examples lint loc reach \
 	chacha-cutover fingerprint perf-smoke \
 	pipeline-smoke faults-smoke telemetry-smoke serve-smoke chaos-smoke \
-	shard-smoke obs-smoke determinism e2e-quick ci clean
+	shard-smoke obs-smoke readme-smoke determinism e2e-quick ci clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -196,8 +196,9 @@ shard-smoke:
 # replays. Gates: the merged trace must pass the flow/process schema
 # checks; a --workers 2 rerun must reproduce the deterministic report
 # view AND the trace file byte-for-byte; the recorded ops stream must
-# replay through `serve top`; and the observability plane must cost
-# <= 10% wall time on the serving loop.
+# replay through `serve top` and render through `telemetry view`; and
+# the observability plane must cost <= 10% wall time on the serving
+# loop.
 obs-smoke:
 	$(PYTHON) -m repro serve chaos --smoke --shards 4 \
 	  --out generated/BENCH_chaos_fleet.json \
@@ -216,7 +217,31 @@ obs-smoke:
 	cmp generated/trace_fleet.json generated/trace_fleet_w2.json
 	$(PYTHON) -m repro serve top --replay generated/ops_fleet.jsonl \
 	  --frames 3 --no-clear
+	$(PYTHON) -m repro telemetry view generated/ops_fleet.jsonl > /dev/null
 	$(PYTHON) tools/telemetry_overhead.py --serve --max-overhead-pct 10
+
+# The README / EXPERIMENTS.md reproduction steps no other target runs,
+# at small scale (~7 s): the space tables, a one-benchmark sweep, a
+# traced simulation rendered by `telemetry view`, a sealed checkpointed
+# run resumed from its last checkpoint (its result tables must equal
+# the uninterrupted run's), a two-shard simulation and the threaded
+# serve demo.
+RS := generated/readme
+readme-smoke:
+	@mkdir -p $(RS)
+	$(PYTHON) -m repro space
+	$(PYTHON) -m repro sweep --levels 8 --requests 200 --benchmarks mcf
+	$(PYTHON) -m repro simulate --scheme ab --levels 9 --requests 300 \
+	  --warmup 50 --trace-out $(RS)/trace.json
+	$(PYTHON) -m repro telemetry view $(RS)/trace.jsonl
+	$(PYTHON) -m repro simulate --scheme ring --levels 8 --requests 300 \
+	  --warmup 0 --integrity --checkpoint $(RS)/ck.pkl \
+	  --checkpoint-every 100 > $(RS)/full.txt
+	$(PYTHON) -m repro simulate --resume $(RS)/ck.pkl > $(RS)/resumed.txt
+	diff $(RS)/full.txt $(RS)/resumed.txt
+	$(PYTHON) -m repro simulate --scheme ab --shards 2 --levels 9 \
+	  --requests 300 --warmup 50
+	$(PYTHON) -m repro serve demo --clients 2
 
 # The one determinism check every report harness shares: run the smoke
 # matrix serially and over two spawn workers, load both reports through
@@ -249,9 +274,10 @@ e2e-quick:
 	python3 benchmarks/e2e/run.py --quick
 
 # Mirror of the CI pipeline: lint, tier-1 tests, perf/pipeline/faults/
-# telemetry/serve/chaos/shard/observability smoke, e2e correctness.
+# telemetry/serve/chaos/shard/observability smoke, the README steps,
+# e2e correctness.
 ci: lint test perf-smoke pipeline-smoke faults-smoke telemetry-smoke \
-	serve-smoke chaos-smoke shard-smoke obs-smoke e2e-quick
+	serve-smoke chaos-smoke shard-smoke obs-smoke readme-smoke e2e-quick
 
 # Removes only regenerated artifacts. Committed reference outputs
 # (benchmarks/out/, benchmarks/baselines/, BENCH_perf.json) survive.

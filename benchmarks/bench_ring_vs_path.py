@@ -38,6 +38,9 @@ def test_ring_vs_path_bandwidth(benchmark):
         for req in trace:
             ring.access(req.block, write=req.write)
             path.access(req.block, write=req.write)
+        # Both controllers must end the run in a sound state.
+        ring.check_invariants()
+        path.check_invariants()
         return ring_sink, path_sink
 
     ring_sink, path_sink = once(benchmark, run)

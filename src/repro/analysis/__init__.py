@@ -7,8 +7,6 @@
   populations over time/levels and dead-block lifetimes (Figs. 2, 3, 12).
 - :mod:`repro.analysis.stash_stats` -- stash occupancy distributions
   (sizing the stash and the background-eviction threshold).
-- :mod:`repro.analysis.figures` -- the paper's analytic figures as a
-  library API (instant, no simulation).
 - :mod:`repro.analysis.stattests` -- statistical tests backing the
   security claims (chi-square uniformity, binomial CIs).
 - :mod:`repro.analysis.report` -- plain-text table and bar rendering
@@ -22,7 +20,7 @@ from repro.analysis.space import (
 )
 from repro.analysis.deadblocks import DeadBlockCensus, LifetimeTracker
 from repro.analysis.stash_stats import StashStats
-from repro.analysis import figures, report, stattests
+from repro.analysis import report, stattests
 
 __all__ = [
     "normalized_space",
@@ -31,7 +29,6 @@ __all__ = [
     "DeadBlockCensus",
     "LifetimeTracker",
     "StashStats",
-    "figures",
     "report",
     "stattests",
 ]

@@ -118,7 +118,3 @@ class LifetimeTracker(BaseObserver):
                 "max": float(self.maximum[lv]),
             })
         return out
-
-    def pending_dead(self) -> int:
-        """Slots currently dead (death seen, reclamation not yet)."""
-        return len(self._death_time)

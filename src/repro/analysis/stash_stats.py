@@ -45,10 +45,6 @@ class StashStats(BaseObserver):
 
     # ------------------------------------------------------------- queries
 
-    @property
-    def n_samples(self) -> int:
-        return len(self._samples)
-
     def percentile(self, q: float) -> float:
         if not self._samples:
             raise ValueError("no samples collected")

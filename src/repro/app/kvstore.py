@@ -167,15 +167,6 @@ class ObliviousKV:
             pieces.append(bytes(raw[_HEADER.size: _HEADER.size + length]))
         return True, b"".join(pieces)
 
-    def chain_of(self, key) -> Optional[List[int]]:
-        """Client-side chain lookup (never touches the server).
-
-        The serving scheduler uses this to reason about chain lengths
-        (e.g. coalescing multi-chunk reads) without issuing accesses.
-        """
-        chain = self._directory.get(self._normalize(key))
-        return list(chain) if chain is not None else None
-
     def preload(self, items) -> int:
         """Bulk-load ``(key, value)`` pairs without oblivious accesses.
 
@@ -224,16 +215,6 @@ class ObliviousKV:
             self._free.append(block)
         self.deletes += 1
         return True
-
-    def __contains__(self, key) -> bool:
-        return self._normalize(key) in self._directory
-
-    def __len__(self) -> int:
-        return len(self._directory)
-
-    def keys(self) -> List[bytes]:
-        """Client-side key listing (never touches the server)."""
-        return list(self._directory)
 
     # ------------------------------------------------------------- capacity
 

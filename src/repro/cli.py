@@ -2,7 +2,6 @@
 
 Commands:
 
-- ``schemes``  -- list the paper's schemes and their geometries;
 - ``space``    -- closed-form space/utilization tables (exact at any L);
 - ``simulate`` -- run one (scheme, benchmark) timing simulation;
   ``--integrity`` seals the data path and verifies it on every read,
@@ -17,9 +16,6 @@ Commands:
 - ``telemetry`` -- ``telemetry view FILE`` renders a telemetry JSONL
   stream as summary tables;
 - ``sweep``    -- scheme x benchmark matrix with normalized exec times;
-- ``security`` -- the section VI-C guessing-attacker experiment;
-- ``doctor``   -- validate configurations against the soundness rules;
-- ``figures``  -- regenerate the paper's analytic (space-side) figures;
 - ``perf``     -- the performance harness: ``perf run [--smoke]``
   emits a machine-readable report (default generated/BENCH_perf.json),
   ``perf compare`` diffs two reports and fails on throughput
@@ -44,8 +40,10 @@ Commands:
   -- the capacity curve: fleet throughput, per-shard memory, the
   kill-a-shard drill and the control-plane health summary, with
   ``--require-speedup`` as its CI gate; ``serve compare`` diffs two
-  reports of any serve kind; ``serve demo`` runs the threaded KV
-  server front-end against live client threads.
+  reports of any serve kind; ``serve top --replay FILE`` plays the ops
+  stream ``serve chaos --shards N --ops-out FILE`` recorded; ``serve
+  demo`` runs the threaded KV server front-end against live client
+  threads.
 
 ``sweep``, ``perf run``, ``faults run``, ``serve bench``, ``serve
 chaos``, ``serve scaling`` and ``simulate --shards`` all accept
@@ -54,7 +52,9 @@ process pool; the deterministic report content never depends on the
 worker count.
 
 Every command prints the same text tables the benchmarks emit, so the
-CLI doubles as a quick reproduction console.
+CLI doubles as a quick reproduction console. The paper's figures,
+Table I and the section VI-C guessing attacker are reproduced by
+``benchmarks/`` (``make bench``).
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ import numpy as np
 from repro.analysis.report import render_mapping_table
 from repro.analysis.space import space_table, utilization_table
 from repro.core import schemes as schemes_mod
-from repro.core.ab_oram import build_oram
-from repro.core.security import GuessingAttacker
 from repro.faults.plan import FAULT_KINDS
 from repro.sim import SimConfig
 from repro.sim.results import breakdown_fractions
@@ -89,14 +87,6 @@ def _resolve(names: Sequence[str], levels: int):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_schemes(args: argparse.Namespace) -> int:
-    for name in args.schemes:
-        cfg = schemes_mod.by_name(name, args.levels)
-        print(cfg.describe())
-        print()
-    return 0
-
-
 def cmd_space(args: argparse.Namespace) -> int:
     cfgs = _resolve(args.schemes, args.levels)
     print(render_mapping_table(
@@ -109,14 +99,6 @@ def cmd_space(args: argparse.Namespace) -> int:
         title="Space utilization",
     ))
     return 0
-
-
-def _ensure_out_dir(path: str) -> None:
-    """Create the report's parent directory (default outs live under
-    ``generated/``, which is gitignored scratch space)."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
 
 
 def _make_trace(suite: str, bench: str, n_blocks: int, requests: int,
@@ -321,7 +303,14 @@ def cmd_telemetry_view(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfgs = _resolve(args.schemes, args.levels)
-    benches = args.benchmarks or suite_benchmarks(args.suite)
+    known = suite_benchmarks(args.suite)
+    benches = args.benchmarks or known
+    unknown = [b for b in benches if b not in known]
+    if unknown:
+        print(f"error: unknown {args.suite} benchmark(s) "
+              f"{', '.join(unknown)}; choose from {', '.join(known)}",
+              file=sys.stderr)
+        return 2
     results = run_suite(
         cfgs,
         suite=args.suite,
@@ -344,55 +333,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows,
         title=f"Execution time normalized to {baseline} (L={args.levels})",
     ))
-    return 0
-
-
-def cmd_doctor(args: argparse.Namespace) -> int:
-    from repro.oram.validate import diagnose
-    rc = 0
-    for name in args.schemes:
-        cfg = schemes_mod.by_name(name, args.levels)
-        findings = diagnose(cfg)
-        print(f"{cfg.name} (L={args.levels}):")
-        if not findings:
-            print("  no findings")
-        for f in findings:
-            print(f"  {f}")
-            if f.severity == "ERROR":
-                rc = 1
-        print()
-    return rc
-
-
-def cmd_figures(args: argparse.Namespace) -> int:
-    from repro.analysis import figures
-    which = args.which
-    emitters = {
-        "fig4": lambda: render_mapping_table(
-            figures.fig4_space_curve(args.levels),
-            title="Fig 4 (top): classic Ring, S-3 for the last x levels"),
-        "fig8": lambda: "\n\n".join([
-            render_mapping_table(figures.fig8_space(args.levels),
-                                 title="Fig 8a: normalized space"),
-            render_mapping_table(figures.fig8_utilization(args.levels),
-                                 title="Fig 8b: utilization"),
-        ]),
-        "fig11": lambda: render_mapping_table(
-            figures.fig11_space_curve(args.levels),
-            title="Fig 11 (space): DR starting-level sweep"),
-        "fig13": lambda: render_mapping_table(
-            figures.fig13_space_grid(args.levels),
-            title="Fig 13 (space): NS Ly-Sx grid"),
-        "table1": lambda: render_mapping_table(
-            figures.table1_rows(args.levels),
-            title="Table I: metadata bits"),
-        "overheads": lambda: render_mapping_table(
-            [figures.overheads(args.levels)],
-            title="Section VIII-H overheads"),
-    }
-    for name in (emitters if which == "all" else [which]):
-        print(emitters[name]())
-        print()
     return 0
 
 
@@ -525,26 +465,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_top(args: argparse.Namespace) -> int:
-    """The ops console: ``top(1)`` over a fleet ops stream."""
+    """The ops console: ``top(1)`` over a recorded fleet ops stream."""
     from repro.telemetry import run_console
 
-    path = args.replay
-    if path is None:
-        # Live mode: record a small sharded campaign, then play it.
-        from repro.serve.chaos import run_chaos, smoke_config
-
-        path = args.out
-        _ensure_out_dir(path)
-        cfg = smoke_config(
-            num_shards=args.shards, workers=args.workers,
-            ops_out=path, progress=stderr_progress,
-        )
-        run_chaos(cfg)
-        print(f"wrote {path}", file=sys.stderr)
-    frames = run_console(path, interval=args.interval,
-                         max_frames=args.frames, clear=not args.no_clear)
+    try:
+        frames = run_console(args.replay, interval=args.interval,
+                             max_frames=args.frames,
+                             clear=not args.no_clear)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if frames == 0:
-        print(f"error: {path}: no renderable frames", file=sys.stderr)
+        print(f"error: {args.replay}: no renderable frames", file=sys.stderr)
         return 1
     return 0
 
@@ -600,31 +532,6 @@ def cmd_serve_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_security(args: argparse.Namespace) -> int:
-    rows = []
-    for name in args.schemes:
-        cfg = schemes_mod.by_name(name, args.levels)
-        attacker = GuessingAttacker(cfg.levels, seed=args.seed)
-        oram = build_oram(cfg, seed=args.seed, observers=[attacker])
-        oram.warm_fill()
-        rng = np.random.default_rng(args.seed + 1)
-        for _ in range(args.accesses):
-            oram.access(int(rng.integers(cfg.n_real_blocks)))
-        rows.append({
-            "scheme": name,
-            "guesses": attacker.guesses,
-            "success_rate": attacker.success_rate,
-            "expected_1_over_L": attacker.expected_rate,
-            "advantage": attacker.advantage(),
-        })
-    print(render_mapping_table(
-        rows,
-        title=f"Guessing attacker, {args.accesses} accesses (L={args.levels})",
-        precision=4,
-    ))
-    return 0
-
-
 # ------------------------------------------------------------------ parser
 
 def _harness_parser(
@@ -649,12 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="AB-ORAM reproduction console",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("schemes", help="describe scheme geometries")
-    p.add_argument("--levels", type=int, default=24)
-    p.add_argument("--schemes", nargs="+", default=ALL_SCHEMES,
-                   choices=ALL_SCHEMES)
-    p.set_defaults(func=cmd_schemes)
 
     p = sub.add_parser("space", help="closed-form space tables")
     p.add_argument("--levels", type=int, default=24)
@@ -725,19 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process-pool width for the matrix cells "
                         "(results are identical to --workers 1)")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("figures", help="regenerate analytic figures")
-    p.add_argument("--which", default="all",
-                   choices=["all", "fig4", "fig8", "fig11", "fig13",
-                            "table1", "overheads"])
-    p.add_argument("--levels", type=int, default=24)
-    p.set_defaults(func=cmd_figures)
-
-    p = sub.add_parser("doctor", help="validate scheme configurations")
-    p.add_argument("--levels", type=int, default=24)
-    p.add_argument("--schemes", nargs="+", default=ALL_SCHEMES,
-                   choices=ALL_SCHEMES)
-    p.set_defaults(func=cmd_doctor)
 
     p = sub.add_parser("perf", help="performance harness (run / compare)")
     perf_sub = p.add_subparsers(dest="perf_command", required=True)
@@ -859,20 +747,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "floor and every injected tampering fault was "
                          "detected while serving -- the CI gate")
 
-    st = serve_sub.add_parser("top", help="live ops console: per-shard "
+    st = serve_sub.add_parser("top", help="ops console: per-shard "
                                           "health/queue/latency table over "
-                                          "a fleet ops stream")
-    st.add_argument("--replay", default=None, metavar="FILE",
+                                          "a recorded fleet ops stream")
+    st.add_argument("--replay", required=True, metavar="FILE",
                     help="replay a recorded ops JSONL stream (written by "
                          "'serve chaos --shards N --ops-out FILE'); the "
                          "rendered frames are deterministic")
-    st.add_argument("--out", default="generated/ops_stream.jsonl",
-                    help="live mode: where the recorded stream lands "
-                         "(default: generated/ops_stream.jsonl)")
-    st.add_argument("--shards", type=int, default=4,
-                    help="live mode: fleet width of the recorded campaign")
-    st.add_argument("--workers", type=int, default=1,
-                    help="live mode: process-pool width")
     st.add_argument("--frames", type=int, default=None,
                     help="render at most N frames")
     st.add_argument("--interval", type=float, default=0.0, metavar="SECONDS",
@@ -939,14 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     tv.add_argument("file", help="JSONL stream written by --metrics-out "
                                  "(or derived from --trace-out)")
     tv.set_defaults(func=cmd_telemetry_view)
-
-    p = sub.add_parser("security", help="guessing-attacker experiment")
-    p.add_argument("--schemes", nargs="+", default=["baseline", "ab"],
-                   choices=ALL_SCHEMES)
-    p.add_argument("--levels", type=int, default=10)
-    p.add_argument("--accesses", type=int, default=3000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_security)
 
     return parser
 

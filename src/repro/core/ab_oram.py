@@ -94,10 +94,6 @@ class AbOram:
         """Number of protected user blocks."""
         return self.cfg.n_real_blocks
 
-    @property
-    def block_bytes(self) -> int:
-        return self.cfg.block_bytes
-
     def read(self, block: int) -> Any:
         return self.oram.access(block, write=False)
 
@@ -105,10 +101,6 @@ class AbOram:
         self.oram.access(block, write=True, value=value)
 
     # --------------------------------------------------------------- stats
-
-    @property
-    def allocator(self) -> Optional[RemoteAllocator]:
-        return self.oram.ext
 
     def space_report(self) -> Dict[str, object]:
         """Space metrics in the paper's terms."""

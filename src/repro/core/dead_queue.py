@@ -44,10 +44,6 @@ class DeadQueue:
         return len(self._q)
 
     @property
-    def is_full(self) -> bool:
-        return len(self._q) >= self.capacity
-
-    @property
     def space(self) -> int:
         """Free entries left before the queue is full."""
         return self.capacity - len(self._q)
@@ -119,9 +115,6 @@ class DeadQueueSet:
         self.queues: Dict[int, DeadQueue] = {
             int(lv): DeadQueue(capacity) for lv in levels
         }
-
-    def __contains__(self, level: int) -> bool:
-        return level in self.queues
 
     def get(self, level: int) -> Optional[DeadQueue]:
         return self.queues.get(level)

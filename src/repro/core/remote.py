@@ -230,8 +230,7 @@ class RemoteAllocator:
 
         Unconsumed rented slots return to their level's DeadQ and their
         columns are cleared; whatever real blocks they held the caller
-        has already read out of the row
-        (:meth:`~repro.oram.bucket.BucketStore.resident_blocks`).
+        has already read out of the row (its ``>= 0`` entries).
         Returns the released host slots in rental order.
         """
         if not self.n_active[bucket]:

@@ -81,8 +81,9 @@ class GuessingAttacker(BaseObserver):
         return self.success_rate - self.expected_rate
 
     def summary(self) -> Dict[str, float]:
+        """The report's ``security`` block."""
         return {
-            "guesses": float(self.guesses),
+            "guesses": int(self.guesses),
             "success_rate": self.success_rate,
             "expected_rate": self.expected_rate,
             "advantage": self.advantage(),
@@ -139,10 +140,6 @@ class RemoteMappingCollector(BaseObserver):
                 else:
                     st[2] += 1
                     st[3] += int(remote)
-
-    @property
-    def remote_fraction(self) -> float:
-        return self.remote_reads / self.total_reads if self.total_reads else 0.0
 
     def level_bias(self, level: int) -> Optional[float]:
         """P(remote|real) - P(remote|dummy) at one level (None if unseen)."""

@@ -14,7 +14,7 @@ parent merges all streams into one global timeline (ordered by
     HEALTHY    --degraded_enter--> DEGRADED        (quarantine hit)
     DEGRADED   --degraded_exit--> REBUILDING       (repair + journal)
     REBUILDING --heartbeat--> HEALTHY              (back in rotation)
-    any live   --heartbeat gap > miss_after*interval--> DEAD
+    any live   --heartbeat gap > MISS_AFTER*interval--> DEAD
     DEAD       --heartbeat--> REBUILDING           (rejoin)
 
 Because the event streams are pure functions of each shard's seeded
@@ -34,6 +34,8 @@ DEGRADED = "degraded"
 REBUILDING = "rebuilding"
 DEAD = "dead"
 
+#: Heartbeat intervals a shard may miss before it is declared DEAD.
+MISS_AFTER = 3
 
 #: Event kinds a shard stream may carry, in tie-break order for events
 #: sharing a timestamp (an exit processes before the heartbeat that
@@ -111,13 +113,10 @@ class ShardHealth:
 class ControlPlane:
     """Fleet-scope registry driven by merged shard event streams."""
 
-    def __init__(self, heartbeat_ns: float, miss_after: int = 3) -> None:
+    def __init__(self, heartbeat_ns: float) -> None:
         if heartbeat_ns <= 0:
             raise ValueError("heartbeat_ns must be positive")
-        if miss_after < 1:
-            raise ValueError("miss_after must be >= 1")
         self.heartbeat_ns = float(heartbeat_ns)
-        self.miss_after = int(miss_after)
         self.shards: Dict[int, ShardHealth] = {}
 
     def register(self, shard: int, ns: float = 0.0) -> ShardHealth:
@@ -137,7 +136,7 @@ class ControlPlane:
         # A long silence is noticed when the *next* event (from any
         # shard) advances the timeline past the miss window.
         self.shards[event.shard].miss_check(
-            event.ns, self.miss_after * self.heartbeat_ns
+            event.ns, MISS_AFTER * self.heartbeat_ns
         )
         self.shards[event.shard].observe(event)
 
@@ -154,7 +153,7 @@ class ControlPlane:
     def finalize(self, end_ns: float) -> None:
         """End-of-run sweep: shards that fell silent are DEAD."""
         for health in self.shards.values():
-            health.miss_check(end_ns, self.miss_after * self.heartbeat_ns)
+            health.miss_check(end_ns, MISS_AFTER * self.heartbeat_ns)
 
     # -------------------------------------------------------------- report
 
@@ -179,7 +178,7 @@ class ControlPlane:
             })
         return {
             "heartbeat_ns": self.heartbeat_ns,
-            "miss_after": self.miss_after,
+            "miss_after": MISS_AFTER,
             "all_healthy": self.all_healthy(),
             "shards": shards,
         }

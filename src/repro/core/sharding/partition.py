@@ -19,7 +19,7 @@ process computed the split.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -73,29 +73,3 @@ class PartitionMap:
             local_ids[b] = counts[s]
             counts[s] += 1
         return shard_ids, local_ids
-
-    def split_keys(
-        self, keys: Iterable[bytes]
-    ) -> List[List[bytes]]:
-        """Group byte-string keys by shard, preserving input order."""
-        out: List[List[bytes]] = [[] for _ in range(self.num_shards)]
-        for key in keys:
-            out[self.shard_of_bytes(key)].append(key)
-        return out
-
-    def occupancy(self, keys: Sequence[bytes]) -> List[int]:
-        """Per-shard key counts (balance diagnostics and tests)."""
-        counts = [0] * self.num_shards
-        for key in keys:
-            counts[self.shard_of_bytes(key)] += 1
-        return counts
-
-    # -------------------------------------------------------------- report
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "keyed-prf",
-            "hash": "sha256",
-            "num_shards": self.num_shards,
-            "seed": self.seed,
-        }

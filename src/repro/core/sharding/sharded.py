@@ -101,11 +101,6 @@ class ShardedSimOutcome:
     per_shard: List[SimResult]
 
     @property
-    def exec_ns(self) -> float:
-        """Fleet makespan: shards drain concurrently."""
-        return max((r.exec_ns for r in self.per_shard), default=0.0)
-
-    @property
     def requests(self) -> int:
         return sum(r.requests for r in self.per_shard)
 

@@ -77,10 +77,6 @@ class FaultPlan:
 
     # ------------------------------------------------------------- queries
 
-    @property
-    def any_enabled(self) -> bool:
-        return any(rate > 0.0 for rate in self.rates.values())
-
     def _fires(self, kind: str, op: int, bucket: int, slot: int) -> bool:
         rate = self.rates.get(kind, 0.0)
         if rate <= 0.0 or op < self.start_op:
@@ -119,12 +115,3 @@ class FaultPlan:
             "start_op": self.start_op,
             "max_outage_ops": self.max_outage_ops,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        return cls(
-            seed=int(data.get("seed", 0)),
-            rates=dict(data.get("rates", {})),
-            start_op=int(data.get("start_op", 0)),
-            max_outage_ops=int(data.get("max_outage_ops", 2)),
-        )

@@ -48,6 +48,3 @@ class AddressMapping:
         bank = rest % self.n_banks
         row = rest // self.n_banks
         return channel, bank, row, column
-
-    def channel_of(self, byte_addr: int) -> int:
-        return (byte_addr // self.line_bytes) % self.n_channels

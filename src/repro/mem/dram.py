@@ -591,9 +591,3 @@ class DramModel:
         self.stats = DramStats()
         self.channel_busy_ns[:] = [0.0] * len(self.channel_busy_ns)
         self.bank_busy_ns[:] = [0.0] * len(self.bank_busy_ns)
-
-    def bandwidth_gbps(self, elapsed_ns: float) -> float:
-        """Average consumed bandwidth over ``elapsed_ns``."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.stats.bytes_transferred / elapsed_ns

@@ -46,11 +46,6 @@ class TreeLayout:
         self.meta_stride = metadata_blocks * cfg.block_bytes
         self.meta_bytes = cfg.n_buckets * self.meta_stride
 
-    @property
-    def total_bytes(self) -> int:
-        """Data tree plus metadata tree."""
-        return self.data_bytes + self.meta_bytes
-
     def data_addr(self, bucket: int, slot: int) -> int:
         """Byte address of one slot."""
         if not 0 <= bucket < self.cfg.n_buckets:

@@ -28,7 +28,7 @@ from repro.oram.ring import RingOram
 from repro.oram.path import PathOram
 from repro.oram.plb import RecursivePosMap
 from repro.oram.datastore import EncryptedTreeStore
-from repro.oram.validate import assert_sound, diagnose
+from repro.oram.validate import diagnose
 from repro.oram.linear import LinearScanOram
 from repro.oram.config_io import load_config, save_config
 
@@ -38,7 +38,6 @@ __all__ = [
     "save_config",
     "RecursivePosMap",
     "EncryptedTreeStore",
-    "assert_sound",
     "diagnose",
     "BucketGeometry",
     "OramConfig",

@@ -102,7 +102,7 @@ class BucketStore:
             g.sustain_unextended for g in cfg.geometry
         ]
         # Per-bucket tallies of QUEUED / IN_USE slots, maintained by
-        # ``set_status``/``queue_dead``/``refresh`` (``consume`` only
+        # ``set_status``/``refresh`` and gatherDEADs (``consume`` only
         # ever moves REFRESHED -> DEAD, so it never touches them). They
         # make "how many slots are ALLOCATED" an O(1) lookup and keep
         # ``refresh`` on contiguous slice stores for every bucket with
@@ -111,8 +111,8 @@ class BucketStore:
         self.queued_count: List[int] = [0] * n
         self.in_use_count: List[int] = [0] * n
         # Per-bucket tally of DEAD slots (consumed, not yet queued or
-        # reused), maintained by ``consume``/``refresh``/``set_status``/
-        # ``queue_dead``. gatherDEADs checks it to skip the dead-slot
+        # reused), maintained by ``consume``/``refresh``/``set_status``
+        # and gatherDEADs, which checks it to skip the dead-slot
         # scan on the (common) buckets with nothing to gather.
         self.dead_count: List[int] = [0] * n
 
@@ -138,13 +138,6 @@ class BucketStore:
         """Slots whose status is DEAD (consumed, not yet queued/reused)."""
         z = self._z_list[bucket]
         return (self.status[bucket, :z] == ST_DEAD).nonzero()[0]
-
-    def resident_blocks(self, bucket: int) -> np.ndarray:
-        """Real block ids ``bucket`` holds: its local slots in ascending
-        order, then its rented slots in rental order (padding and empty
-        rental columns are negative, so the whole row is scanned)."""
-        row = self.slots[bucket]
-        return row[row >= 0]
 
     def usable_slots(self, bucket: int) -> np.ndarray:
         """Slots this bucket may rewrite at reshuffle (not rented out)."""
@@ -295,18 +288,6 @@ class BucketStore:
         elif s == ST_DEAD:
             self.dead_count[bucket] += 1
         self.status[bucket, slot] = s
-
-    def queue_dead(self, bucket: int, slots: np.ndarray) -> None:
-        """DEAD -> QUEUED for several slots of one bucket (gatherDEADs).
-
-        The caller guarantees every slot is currently DEAD (gatherDEADs
-        takes them from :meth:`dead_slots`), so the tallies move by
-        counter arithmetic, without a scan of the previous statuses.
-        """
-        n = len(slots)
-        self.status[bucket][slots] = ST_QUEUED
-        self.dead_count[bucket] -= n
-        self.queued_count[bucket] += n
 
     def set_slot(self, bucket: int, slot: int, value: int) -> None:
         """Write one slot's content directly (warm fill)."""

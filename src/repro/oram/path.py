@@ -88,12 +88,6 @@ class PathOram:
         self._write_phase(buckets, leaf)
         return result
 
-    def read(self, block: int) -> Any:
-        return self.access(block, write=False)
-
-    def write(self, block: int, value: Any) -> None:
-        self.access(block, write=True, value=value)
-
     def _read_phase(self, buckets: Sequence[int]) -> None:
         cfg = self.cfg
         self.sink.begin_op(OpKind.READ_PATH)

@@ -29,7 +29,7 @@ survive position-map realism.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 
 class RecursivePosMap:
@@ -66,11 +66,6 @@ class RecursivePosMap:
         self.hits = 0
         self.misses = 0
         self.accesses = 0
-
-    @property
-    def is_flat(self) -> bool:
-        """True when the whole map fits on-chip (no recursion)."""
-        return self.depth == 0
 
     def _touch(self, key: Tuple[int, int]) -> bool:
         """LRU lookup+insert; returns True on hit."""
@@ -113,12 +108,3 @@ class RecursivePosMap:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "depth": self.depth,
-            "plb_entries": self.plb_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-        }

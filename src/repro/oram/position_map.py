@@ -32,9 +32,6 @@ class PositionMap:
         self.lookups = 0
         self.remaps = 0
 
-    def __len__(self) -> int:
-        return self.n_blocks
-
     def lookup(self, block: int) -> int:
         """Current leaf of ``block``, assigning a random one on first use."""
         self._check(block)

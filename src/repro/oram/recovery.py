@@ -61,7 +61,3 @@ class RobustnessConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RobustnessConfig":
-        return cls(**data)

@@ -34,19 +34,12 @@ class Stash:
         self.total_inserts = 0
         self.overflow_events = 0
 
-    def __len__(self) -> int:
-        return len(self._blocks)
-
     def __contains__(self, block: int) -> bool:
         return block in self._blocks
 
     @property
     def occupancy(self) -> int:
         return len(self._blocks)
-
-    def leaf_of(self, block: int) -> int:
-        """Current leaf label of a resident block."""
-        return self._blocks[block]
 
     def add(self, block: int, leaf: int) -> None:
         """Insert (or update) a resident block."""

@@ -7,7 +7,7 @@ inside it is reported with its tree coordinates. Sinks decide what to do
 with that stream:
 
 - :class:`CountingSink` tallies counts (used by unit tests and the
-  analytic figures);
+  count-based benchmarks);
 - ``repro.sim.engine.DramSink`` forwards off-chip touches to the DRAM
   timing model to produce execution times.
 
@@ -274,17 +274,9 @@ class CountingSink(MemorySink):
 
     # ------------------------------------------------------------- queries
 
-    def total(self, attr: str) -> int:
-        return sum(getattr(c, attr) for c in self.by_kind.values())
-
     @property
     def total_offchip(self) -> int:
         return sum(c.offchip_accesses for c in self.by_kind.values())
-
-    @property
-    def total_bytes(self) -> int:
-        """Off-chip traffic assuming 64B per access unit."""
-        return self.total_offchip * 64
 
     def summary(self) -> Dict[str, Dict[str, int]]:
         return {

@@ -5,8 +5,8 @@ surface as protocol errors deep into a run (a bucket with no readable
 slot) or as silent performance cliffs (a stash threshold that forces a
 dummy access per request). ``diagnose`` inspects an
 :class:`~repro.oram.config.OramConfig` and returns a list of findings;
-``assert_sound`` raises on any ERROR-severity finding. Wired into the
-CLI as ``python -m repro doctor``.
+``simulate`` prints :func:`diagnose_robustness`'s findings before a
+run.
 
 Checks implemented (each encodes an invariant discussed in DESIGN.md
 or the paper):
@@ -46,10 +46,6 @@ class Finding:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.severity}] {self.code}: {self.message}"
-
-
-class UnsoundConfigError(ValueError):
-    """Raised by :func:`assert_sound` when ERROR findings exist."""
 
 
 def diagnose(cfg: OramConfig) -> List[Finding]:
@@ -209,15 +205,4 @@ def diagnose_robustness(
             f"fault cannot discard the whole run",
         ))
 
-    return findings
-
-
-def assert_sound(cfg: OramConfig) -> List[Finding]:
-    """Raise :class:`UnsoundConfigError` on ERROR findings; return all."""
-    findings = diagnose(cfg)
-    errors = [f for f in findings if f.severity == ERROR]
-    if errors:
-        raise UnsoundConfigError(
-            "; ".join(str(f) for f in errors)
-        )
     return findings

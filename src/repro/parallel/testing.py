@@ -15,11 +15,6 @@ from typing import Any, Dict, Tuple
 from repro.parallel.executor import derive_seed, report_progress
 
 
-def echo_task(payload: Any) -> Any:
-    """Return the payload unchanged (ordering/merge tests)."""
-    return payload
-
-
 def square_task(payload: int) -> int:
     """Deterministic arithmetic with the pid attached nowhere."""
     return payload * payload

@@ -431,7 +431,7 @@ def _merge_shard_cell(
     sim["shards"] = [o["partial"] for o in outputs]
     # Control plane: every shard's deterministic heartbeat train plus
     # its degraded-episode markers, merged into one fleet timeline.
-    control = ControlPlane(cfg.heartbeat_ns, miss_after=3)
+    control = ControlPlane(cfg.heartbeat_ns)
     control.run([
         event for o in outputs for event in heartbeat_events(
             o["partial"]["shard"], o["partial"]["start_ns"],

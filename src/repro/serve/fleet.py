@@ -112,7 +112,6 @@ class FleetConfig:
     drill: Optional[KillShardDrill] = None
     #: Heartbeat cadence on the shards' simulated clocks.
     heartbeat_ns: float = 100_000.0
-    miss_after: int = 3
     workers: int = 1
     progress: Any = None   # callable(str) for live shard updates
 
@@ -254,7 +253,7 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
             ShardEvent(**e) for e in res.value["events"]
         )
         latencies.extend(res.value["latencies"])
-    control = ControlPlane(cfg.heartbeat_ns, miss_after=cfg.miss_after)
+    control = ControlPlane(cfg.heartbeat_ns)
     control.run(events)
     for cell in shards:
         if "error" in cell:

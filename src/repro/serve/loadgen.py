@@ -31,7 +31,7 @@ exactly the value per-key FIFO semantics dictate.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List
 
 import numpy as np
@@ -106,11 +106,6 @@ class WorkloadConfig:
             "seed": self.seed,
             "expect_dedup": self.expect_dedup,
         }
-
-
-def with_seed(cfg: WorkloadConfig, seed: int) -> WorkloadConfig:
-    """The same workload re-pinned on another seed."""
-    return replace(cfg, seed=seed)
 
 
 # ------------------------------------------------------------------ pieces

@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import schemes as schemes_mod
+from repro.core.sharding.control import MISS_AFTER
 from repro.core.sharding.sharded import levels_for_blocks
 from repro.parallel.executor import Cell, report_progress, run_cells
 from repro.report import assemble
@@ -97,7 +98,6 @@ class ScalingConfig:
     #: to every block row that carries both shard counts.
     min_speedup: float = 3.0
     heartbeat_ns: float = 100_000.0
-    miss_after: int = 3
     cells: Sequence[ScalingCell] = ()
     smoke: bool = False
     workers: int = 1
@@ -112,7 +112,7 @@ class ScalingConfig:
             "policy": self.policy,
             "min_speedup": self.min_speedup,
             "heartbeat_ns": self.heartbeat_ns,
-            "miss_after": self.miss_after,
+            "miss_after": MISS_AFTER,
             "cells": [c.to_dict() for c in self.cells],
             "smoke": self.smoke,
         }
@@ -241,7 +241,6 @@ def _scaling_cell_task(
         policy=cfg.policy,
         drill=cell.drill,
         heartbeat_ns=cfg.heartbeat_ns,
-        miss_after=cfg.miss_after,
         workers=cfg.workers,
         progress=cfg.progress,
     )

@@ -22,7 +22,7 @@ from concurrent.futures import Future
 from typing import Any, Dict, List, Optional
 
 from repro.app.kvstore import ObliviousKV
-from repro.serve.request import DELETE, GET, PUT, Completion, Request
+from repro.serve.request import PUT, Completion, Request
 from repro.serve.scheduler import BatchScheduler
 
 
@@ -90,17 +90,9 @@ class KVServer:
             self._work.notify()
         return future
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Blocking convenience get."""
-        return self.submit(GET, key).result().value
-
     def put(self, key: bytes, value: bytes) -> Completion:
         """Blocking convenience put."""
         return self.submit(PUT, key, value).result()
-
-    def delete(self, key: bytes) -> bool:
-        """Blocking convenience delete; True if the key existed."""
-        return self.submit(DELETE, key).result().ok
 
     # ------------------------------------------------------------- serving
 

@@ -38,10 +38,6 @@ class ServedStack:
     datastore: Optional[Any] = None
     faulty: Optional[Any] = None
 
-    @property
-    def now_ns(self) -> float:
-        return self.dram_sink.now
-
     def arm_faults(self) -> None:
         """Start injecting the fault plan (call after population)."""
         if self.faulty is not None:
@@ -58,7 +54,6 @@ def build_stack(
     robustness: Optional[RobustnessConfig] = None,
     fault_plan: Optional[Any] = None,
     pipeline_depth: int = 1,
-    dram_window: int = 32,
 ) -> ServedStack:
     """Build a timed, observable KV store over a fresh ORAM.
 
@@ -86,8 +81,7 @@ def build_stack(
     attacker = GuessingAttacker(cfg.levels, seed=seed + 1) if observer else None
     stack = build_oram_stack(
         cfg, seed=seed, key_domain=b"repro/serve|",
-        pipeline_depth=pipeline_depth, dram_window=dram_window,
-        telemetry=telemetry, robustness=robustness, fault_plan=fault_plan,
+        pipeline_depth=pipeline_depth, telemetry=telemetry, robustness=robustness, fault_plan=fault_plan,
         observers=[attacker] if attacker is not None else [],
         store_data=True,
     )
@@ -102,12 +96,7 @@ def attacker_block(attacker: Optional[GuessingAttacker]) -> Optional[dict]:
     """The report's ``security`` block (None when no observer ran)."""
     if attacker is None or attacker.guesses == 0:
         return None
-    return {
-        "guesses": int(attacker.guesses),
-        "success_rate": attacker.success_rate,
-        "expected_rate": attacker.expected_rate,
-        "advantage": attacker.advantage(),
-    }
+    return attacker.summary()
 
 
 __all__: List[str] = [

@@ -7,15 +7,15 @@
 - :mod:`repro.sim.checkpoint` -- atomic checkpoint save/load for
   crash-resumable runs.
 - :mod:`repro.sim.results` -- result records and aggregation
-  (normalization, geometric means).
+  (geometric means, time breakdowns).
 - :mod:`repro.sim.runner` -- scheme x benchmark sweep drivers used by
   the figure benchmarks.
 """
 
 from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.engine import DramSink, SimConfig, Simulation, simulate
-from repro.sim.results import SimResult, geomean, normalize
-from repro.sim.runner import run_suite, run_schemes
+from repro.sim.results import SimResult, geomean
+from repro.sim.runner import run_suite
 
 __all__ = [
     "DramSink",
@@ -26,7 +26,5 @@ __all__ = [
     "load_checkpoint",
     "SimResult",
     "geomean",
-    "normalize",
     "run_suite",
-    "run_schemes",
 ]

@@ -25,13 +25,12 @@ warm-up exclusion and returns a :class:`~repro.sim.results.SimResult`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.core.ab_oram import build_oram, needs_extensions
-from repro.mem.address_map import AddressMapping
 from repro.mem.dram import DramModel
 from repro.mem.layout import TreeLayout
 from repro.mem.timing import DDR3_1600, DramTiming
@@ -42,6 +41,10 @@ from repro.oram.ring import RingOram
 from repro.oram.stats import MemorySink, OpKind
 from repro.sim.results import SimResult
 from repro.traces.trace import Trace
+
+#: Outstanding requests per DRAM channel on the pipelined controller's
+#: model (depth > 1); the serial model is unwindowed.
+DRAM_WINDOW = 32
 
 
 class DramSink(MemorySink):
@@ -247,7 +250,6 @@ class SimConfig:
     """
 
     timing: DramTiming = DDR3_1600
-    mapping: AddressMapping = field(default_factory=AddressMapping)
     warmup_requests: int = 0
     warm_fill: bool = True
     seed: int = 0
@@ -261,9 +263,6 @@ class SimConfig:
     #: reshuffle/eviction drain (timing only; logical results are
     #: identical at every depth).
     pipeline_depth: int = 1
-    #: Outstanding-request window per DRAM channel in pipelined mode
-    #: (0 disables admission bounding). Ignored at depth 1.
-    dram_window: int = 32
 
 
 class OramStack(NamedTuple):
@@ -282,9 +281,7 @@ def build_oram_stack(
     seed: int,
     key_domain: bytes,
     timing: DramTiming = DDR3_1600,
-    mapping: AddressMapping = AddressMapping(),
     pipeline_depth: int = 1,
-    dram_window: int = 32,
     telemetry: Optional[Any] = None,
     robustness: Optional[RobustnessConfig] = None,
     fault_plan: Optional[Any] = None,
@@ -297,8 +294,8 @@ def build_oram_stack(
     sink, optional sealed data path, controller, warm-fill.
 
     Depth 1 builds exactly :class:`DramSink` on the unwindowed model;
-    depth > 1 builds the pipelined sink on a windowed one (see
-    ``SimConfig``). A ``fault_plan`` without an explicit ``robustness``
+    depth > 1 builds the pipelined sink on one windowed to
+    :data:`DRAM_WINDOW`. A ``fault_plan`` without an explicit ``robustness``
     policy implies ``RobustnessConfig(integrity=True)``; the sealed
     store's master key is derived from ``key_domain`` + ``seed``, and
     the fault wrapper is returned disarmed so the caller decides when
@@ -317,12 +314,11 @@ def build_oram_stack(
         from repro.core.pipeline import PipelinedDramSink
         dram_sink: DramSink = PipelinedDramSink(
             layout,
-            DramModel(timing, mapping,
-                      window=dram_window if dram_window > 0 else None),
+            DramModel(timing, window=DRAM_WINDOW),
             depth=pipeline_depth, telemetry=telemetry,
         )
     else:
-        dram_sink = DramSink(layout, DramModel(timing, mapping), telemetry)
+        dram_sink = DramSink(layout, DramModel(timing), telemetry)
     if robustness is None and fault_plan is not None:
         robustness = RobustnessConfig(integrity=True)
     datastore = None
@@ -379,8 +375,7 @@ class Simulation:
         self.telemetry = telemetry
         stack = build_oram_stack(
             cfg, seed=sim.seed, key_domain=b"repro/simulate|",
-            timing=sim.timing, mapping=sim.mapping,
-            pipeline_depth=sim.pipeline_depth, dram_window=sim.dram_window,
+            timing=sim.timing, pipeline_depth=sim.pipeline_depth,
             telemetry=telemetry, robustness=sim.robustness,
             fault_plan=sim.fault_plan, observers=sim.observers,
             warm_fill=sim.warm_fill,

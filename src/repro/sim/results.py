@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 
 @dataclass
@@ -89,38 +89,6 @@ def geomean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in vals):
         raise ValueError("geomean requires positive values")
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def normalize(
-    results: Mapping[str, Mapping[str, SimResult]],
-    metric: str,
-    baseline: str = "Baseline",
-) -> Dict[str, Dict[str, float]]:
-    """Per-trace normalization of ``metric`` against ``baseline``.
-
-    ``results`` is scheme -> trace -> SimResult; the return value is
-    scheme -> trace -> metric(scheme)/metric(baseline), with a
-    ``"geomean"`` entry per scheme.
-    """
-    if baseline not in results:
-        raise KeyError(f"baseline scheme {baseline!r} missing from results")
-    base = results[baseline]
-    out: Dict[str, Dict[str, float]] = {}
-    for scheme, by_trace in results.items():
-        ratios: Dict[str, float] = {}
-        for trace, res in by_trace.items():
-            if trace not in base:
-                raise KeyError(f"trace {trace!r} missing for baseline")
-            denom = getattr(base[trace], metric)
-            num = getattr(res, metric)
-            if callable(denom) or callable(num):
-                raise TypeError(f"{metric} is not a plain attribute")
-            ratios[trace] = num / denom if denom else float("nan")
-        ratios["geomean"] = geomean(
-            [v for k, v in ratios.items() if k != "geomean"]
-        )
-        out[scheme] = ratios
-    return out
 
 
 def breakdown_fractions(result: SimResult) -> Dict[str, float]:

@@ -52,15 +52,6 @@ def make_trace(
     return _SUITES[suite](name, n_oram_blocks, n_requests, seed=seed)
 
 
-def run_schemes(
-    schemes: Sequence[OramConfig],
-    trace: Trace,
-    sim: Optional[SimConfig] = None,
-) -> Dict[str, SimResult]:
-    """Simulate one trace against several schemes; keyed by scheme name."""
-    return {cfg.name: simulate(cfg, trace, sim) for cfg in schemes}
-
-
 def _run_cell(args: Tuple[OramConfig, Trace, SimConfig]) -> SimResult:
     """Picklable worker entry for one (scheme, trace) simulation."""
     cfg, trace, sim = args

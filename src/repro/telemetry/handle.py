@@ -155,9 +155,3 @@ class Telemetry:
                 trace_doc([self.process], self.meta), self.trace_path,
                 indent=None,
             )
-
-    def __enter__(self) -> "Telemetry":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()

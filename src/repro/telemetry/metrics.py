@@ -83,10 +83,6 @@ class Histogram:
         self.count += 1
         self.sum += value
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (0 <= q <= 1) from the bucket counts.
 

@@ -269,15 +269,6 @@ class SloEngine:
             "alerts": len(self.alerts),
         }
 
-    def snapshot(self) -> Dict[str, Any]:
-        """The cumulative histogram in registry-snapshot shape."""
-        return {
-            "bounds": list(self.hist.bounds),
-            "counts": list(self.hist.counts),
-            "count": self.hist.count,
-            "sum": self.hist.sum,
-        }
-
     def trace_instants(self, tid: int) -> List[Event]:
         """One Perfetto instant per alert, for the fleet trace's SLO track."""
         out: List[Event] = []

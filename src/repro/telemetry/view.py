@@ -38,6 +38,9 @@ def load_stream(path: str) -> Dict[str, Any]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: not JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{path}:{line_no}: record is not a JSON object")
             kind = record.get("type")
             if kind == "meta":
                 meta = record

@@ -15,13 +15,10 @@ from repro.traces.generator import SyntheticTraceGenerator
 from repro.traces.spec import SPEC_CPU2017, spec_trace, spec_benchmarks
 from repro.traces.parsec import PARSEC, parsec_trace, parsec_benchmarks
 from repro.traces.io import load_trace, save_trace
-from repro.traces.mix import concat, interleave
 
 __all__ = [
     "load_trace",
     "save_trace",
-    "concat",
-    "interleave",
     "Trace",
     "TraceRequest",
     "SyntheticTraceGenerator",

@@ -53,10 +53,6 @@ class Trace:
         return self.read_mpki + self.write_mpki
 
     @property
-    def write_fraction(self) -> float:
-        return self.write_mpki / self.total_mpki
-
-    @property
     def instructions_per_access(self) -> float:
         """Committed instructions between consecutive LLC misses."""
         return 1000.0 / self.total_mpki

@@ -36,7 +36,7 @@ class TestFacade:
         oram = AbOram.from_scheme("ab", levels=8)
         assert oram.cfg.name == "AB"
         assert oram.n_blocks == oram.cfg.n_real_blocks
-        assert oram.block_bytes == 64
+        assert oram.cfg.block_bytes == 64
 
     def test_unknown_scheme(self):
         with pytest.raises(KeyError):
@@ -76,8 +76,8 @@ class TestFacade:
         assert "remote" not in oram.runtime_report()
 
     def test_allocator_property(self, cfg_ab_small, cfg_small):
-        assert AbOram(cfg_ab_small).allocator is not None
-        assert AbOram(cfg_small).allocator is None
+        assert AbOram(cfg_ab_small).oram.ext is not None
+        assert AbOram(cfg_small).oram.ext is None
 
     def test_check_delegates(self, cfg_ab_small):
         oram = AbOram(cfg_ab_small, warm=True)

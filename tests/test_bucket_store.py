@@ -110,7 +110,7 @@ class TestQueries:
     def test_real_count(self, store):
         store.slots[4, 0] = 10
         store.slots[4, 3] = 11
-        assert store.resident_blocks(4).tolist() == [10, 11]
+        assert store.slots[4][store.slots[4] >= 0].tolist() == [10, 11]
 
     def test_dead_slots(self, store):
         store.consume(1, 0)
@@ -220,7 +220,8 @@ class TestGlobalScans:
         store.consume(0, 0)
         store.consume(0, 1)
         store.consume(0, 2)
-        store.queue_dead(0, np.array([0, 1]))
+        store.set_status(0, 0, SlotStatus.QUEUED)
+        store.set_status(0, 1, SlotStatus.QUEUED)
         store.set_status(0, 1, SlotStatus.IN_USE)
         assert (store.dead_count[0], store.queued_count[0],
                 store.in_use_count[0]) == (1, 1, 1)
@@ -269,7 +270,7 @@ class TestWideRows:
         b = cfg_ab_small.n_buckets - 1
         store.slots[b, 1] = 7
         store.slots[b, store.z_max] = 9          # a rented real block
-        assert store.resident_blocks(b).tolist() == [7, 9]
+        assert store.slots[b][store.slots[b] >= 0].tolist() == [7, 9]
         assert store.valid_real_slots(b).tolist() == [1]    # local only
         store.slots[b, store.z_max] = DUMMY      # a rented dummy
         assert valid_dummy_slots(store, b)[-1] == store.z_max

@@ -34,14 +34,6 @@ class TestSpace:
         assert "Baseline" in out and "AB" in out
 
 
-class TestSchemes:
-    def test_describes_geometry(self, capsys):
-        assert main(["schemes", "--levels", "12", "--schemes", "ab"]) == 0
-        out = capsys.readouterr().out
-        assert "AB" in out
-        assert "sustain" in out
-
-
 class TestSimulate:
     def test_runs_and_reports(self, capsys):
         rc = main(["simulate", "--scheme", "ab", "--bench", "gcc",
@@ -80,42 +72,10 @@ class TestSweep:
         assert "gcc" in out and "mcf" in out
         assert "normalized to Baseline" in out
 
-
-class TestSecurity:
-    def test_rates_near_1_over_l(self, capsys):
-        rc = main(["security", "--levels", "8", "--accesses", "1500"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Guessing attacker" in out
-        assert "0.125" in out  # expected_1_over_L column
-
-
-class TestDoctor:
-    def test_paper_schemes_clean(self, capsys):
-        rc = main(["doctor", "--levels", "24", "--schemes", "ab", "dr"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "AB (L=24):" in out
-
-    def test_reports_findings(self, capsys):
-        main(["doctor", "--levels", "24", "--schemes", "baseline"])
-        out = capsys.readouterr().out
-        assert "stash-headroom" in out or "no findings" in out
-
-
-class TestFigures:
-    def test_all_figures_render(self, capsys):
-        rc = main(["figures", "--levels", "24"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Fig 8a" in out and "Table I" in out and "0.645" in out
-
-    def test_single_figure(self, capsys):
-        rc = main(["figures", "--which", "fig13", "--levels", "24"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "L2-S2" in out
-        assert "Fig 8a" not in out
+    def test_unknown_benchmark_is_a_clean_error(self, capsys):
+        rc = main(["sweep", "--benchmarks", "mcf", "nope", "--levels", "6"])
+        assert rc == 2
+        assert "unknown spec benchmark(s) nope" in capsys.readouterr().err
 
 
 class TestSimulateRobustness:
@@ -228,6 +188,17 @@ class TestTelemetryCli:
         assert main(["telemetry", "view",
                      str(tmp_path / "missing.jsonl")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["telemetry", "view"],
+                                         ["serve", "top", "--replay"]])
+    @pytest.mark.parametrize("record", ["3", "[1]"])
+    def test_non_object_record_errors(self, capsys, tmp_path, command,
+                                      record):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text('{"type": "meta"}\n' + record + "\n")
+        assert main(command + [str(stream)]) == 2
+        err = capsys.readouterr().err
+        assert f"{stream}:2: record is not a JSON object" in err
 
     def test_telemetry_rejects_checkpointing(self, capsys, tmp_path):
         rc, _ = self._simulate(

@@ -38,7 +38,7 @@ class TestDeadQueue:
         assert q.push(31, 1, 0)
         assert not q.push(31, 2, 0)
         assert q.dropped_full == 1
-        assert q.is_full
+        assert len(q) == q.capacity
 
     def test_pop_empty_returns_none(self, store):
         q = DeadQueue(4)
@@ -190,9 +190,8 @@ class TestDeadQueueFifoProperties:
 class TestDeadQueueSet:
     def test_one_queue_per_level(self):
         qs = DeadQueueSet([4, 5], capacity=8)
-        assert 4 in qs
-        assert 5 in qs
-        assert 3 not in qs
+        assert qs.get(4) is not None
+        assert qs.get(5) is not None
         assert qs.get(3) is None
 
     def test_tracked_levels_sorted(self):

@@ -14,7 +14,6 @@ from repro.core import schemes
 from repro.core.ab_oram import build_oram
 from repro.core.security import GuessingAttacker
 from repro.sim import SimConfig, simulate
-from repro.sim.runner import run_schemes
 from repro.traces.spec import spec_trace
 
 LEVELS = 12
@@ -26,7 +25,8 @@ WARMUP = 300
 def matrix():
     cfgs = schemes.main_schemes(LEVELS)
     trace = spec_trace("mcf", cfgs[0].n_real_blocks, N_REQUESTS, seed=3)
-    return run_schemes(cfgs, trace, SimConfig(seed=3, warmup_requests=WARMUP))
+    sim = SimConfig(seed=3, warmup_requests=WARMUP)
+    return {cfg.name: simulate(cfg, trace, sim) for cfg in cfgs}
 
 
 class TestSpaceClaims:

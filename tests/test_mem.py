@@ -90,7 +90,7 @@ class TestTiming:
 class TestAddressMapping:
     def test_channel_interleaving_at_line_granularity(self):
         m = AddressMapping(n_channels=4)
-        channels = [m.channel_of(64 * i) for i in range(8)]
+        channels = [m.decompose(64 * i)[0] for i in range(8)]
         assert channels == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_same_line_same_coordinates(self):
@@ -182,12 +182,6 @@ class TestDramModel:
         assert done > 10.0
         assert dram.stats.reads == 3
 
-    def test_bandwidth(self):
-        dram = DramModel()
-        dram.access(0, False, 0.0)
-        assert dram.bandwidth_gbps(64.0) == pytest.approx(1.0)
-        assert dram.bandwidth_gbps(0.0) == 0.0
-
     def test_refresh_closes_rows(self):
         dram = DramModel()
         t = dram.timing
@@ -256,7 +250,7 @@ class TestTreeLayout:
 
     def test_total_bytes(self, cfg):
         lay = TreeLayout(cfg, metadata_blocks=1)
-        assert lay.total_bytes == lay.data_bytes + cfg.n_buckets * 64
+        assert lay.meta_bytes == cfg.n_buckets * 64
 
     def test_base_addr_offset(self, cfg):
         lay = TreeLayout(cfg, base_addr=1 << 20)

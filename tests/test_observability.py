@@ -271,7 +271,8 @@ class TestSloMergeProperty:
 
         assert merged.records == serial.records
         assert merged_summary == serial_summary
-        assert merged.snapshot() == serial.snapshot()
+        assert ([getattr(merged.hist, f) for f in merged.hist.__slots__]
+                == [getattr(serial.hist, f) for f in serial.hist.__slots__])
 
     @settings(max_examples=60, deadline=None)
     @given(completion_streams())
@@ -289,13 +290,13 @@ class TestSloMergeProperty:
                 eng, [c for c, s in zip(comps, shard_of) if s == k],
             )
             eng.finish(1_000.0)
-            parts.append(eng.snapshot())
+            parts.append(eng.hist)
         summed = [
-            sum(p["counts"][i] for p in parts)
-            for i in range(len(parts[0]["counts"]))
+            sum(p.counts[i] for p in parts)
+            for i in range(len(parts[0].counts))
         ]
-        assert summed == fleet.snapshot()["counts"]
-        assert sum(p["count"] for p in parts) == fleet.snapshot()["count"]
+        assert summed == fleet.hist.counts
+        assert sum(p.count for p in parts) == fleet.hist.count
 
 
 # ------------------------------------------------------ distributed tracing

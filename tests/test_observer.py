@@ -337,7 +337,7 @@ class TestPerHookDispatch:
         stack.kv.preload(initial_items(load))
         reqs = generate_requests(load)
         sched = BatchScheduler(stack.kv, policy="batch", seed=0,
-                               clock=lambda: stack.now_ns)
+                               clock=lambda: stack.dram_sink.now)
         result = replay(stack, reqs, sched, 8)
         assert len(result.completions) == len(reqs)
         oram = stack.kv.oram

@@ -79,14 +79,14 @@ class TestRunCells:
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError, match="unique"):
-            run_cells(ptasks.echo_task, [Cell("x", 1), Cell("x", 2)])
+            run_cells(ptasks.square_task, [Cell("x", 1), Cell("x", 2)])
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            run_cells(ptasks.echo_task, [Cell("x", 1)], workers=0)
+            run_cells(ptasks.square_task, [Cell("x", 1)], workers=0)
 
     def test_empty_cells(self):
-        assert run_cells(ptasks.echo_task, [], workers=2) == []
+        assert run_cells(ptasks.square_task, [], workers=2) == []
 
     def test_progress_lambda_never_pickled(self):
         # A lambda cannot cross a process boundary; delivery proves the

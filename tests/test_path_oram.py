@@ -32,16 +32,16 @@ class TestConfig:
 class TestDataPath:
     def test_roundtrip(self):
         oram, _ = make(store_data=True)
-        oram.write(3, "v")
-        assert oram.read(3) == "v"
+        oram.access(3, write=True, value="v")
+        assert oram.access(3) == "v"
 
     def test_many_roundtrips(self):
         oram, cfg = make(store_data=True, seed=2)
         n = min(30, cfg.n_real_blocks)
         for i in range(n):
-            oram.write(i, i)
+            oram.access(i, write=True, value=i)
         for i in range(n):
-            assert oram.read(i) == i
+            assert oram.access(i) == i
 
     def test_out_of_range(self):
         oram, cfg = make()
@@ -90,9 +90,9 @@ class TestInvariants:
             blk = int(rng.integers(cfg.n_real_blocks))
             if rng.random() < 0.5:
                 shadow[blk] = i
-                oram.write(blk, i)
+                oram.access(blk, write=True, value=i)
             else:
-                assert oram.read(blk) == shadow.get(blk)
+                assert oram.access(blk) == shadow.get(blk)
         oram.check_invariants()
 
     def test_stash_stays_bounded(self):
@@ -135,9 +135,9 @@ class TestPinnedRun:
             block = int(rng.integers(cfg.n_real_blocks))
             if rng.random() < 0.5:
                 shadow[block] = i
-                oram.write(block, i)
+                oram.access(block, write=True, value=i)
             else:
-                assert oram.read(block) == shadow.get(block)
+                assert oram.access(block) == shadow.get(block)
         oram.check_invariants()
         assert oram.stash.occupancy > 0
         state = [

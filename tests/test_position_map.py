@@ -72,7 +72,7 @@ class TestMappedBlocks:
         assert set(pm.mapped_blocks()) == {3, 7}
 
     def test_len(self, pm):
-        assert len(pm) == 100
+        assert pm.n_blocks == 100
 
 
 class TestConstruction:

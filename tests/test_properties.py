@@ -100,9 +100,7 @@ class TestStashProperties:
             else:
                 stash.add(block, leaf)
                 shadow[block] = leaf
-            assert len(stash) == len(shadow)
-            for blk, lf in shadow.items():
-                assert stash.leaf_of(blk) == lf
+            assert dict(stash.blocks()) == shadow
 
 
 class TestProtocolProperties:

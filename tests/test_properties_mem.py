@@ -38,7 +38,8 @@ class TestLayoutProperties:
         last_data = lay.data_addr(cfg.n_buckets - 1,
                                   cfg.geometry[-1].z_total - 1)
         assert last_data + cfg.block_bytes <= lay.meta_addr(0)
-        assert lay.meta_addr(cfg.n_buckets - 1, 1) < lay.total_bytes
+        assert (lay.meta_addr(cfg.n_buckets - 1, 1)
+                < lay.data_bytes + lay.meta_bytes)
 
     @settings(max_examples=20, deadline=None)
     @given(levels=st.integers(3, 10))
@@ -75,6 +76,19 @@ class TestAddressMappingProperties:
         assert 0 <= b < m.n_banks
         assert 0 <= col < m.lines_per_row
         assert r >= 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(addr=st.integers(0, 2**40),
+           channels=st.sampled_from([1, 2, 4]),
+           banks=st.sampled_from([4, 8]))
+    def test_dram_model_opens_the_row_decompose_names(self, addr, channels,
+                                                      banks):
+        """The DRAM model inlines the decomposition; it must agree."""
+        m = AddressMapping(n_channels=channels, n_banks=banks)
+        dram = DramModel(mapping=m)
+        dram.access(addr, False, 0.0)
+        c, b, r, _ = m.decompose(addr)
+        assert dram._open_row[c * banks + b] == r
 
 
 class TestDramProperties:

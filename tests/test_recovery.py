@@ -32,7 +32,7 @@ class TestRobustnessConfig:
     def test_roundtrip(self):
         cfg = RobustnessConfig(integrity=True, retry_budget=5,
                                backoff_base_ns=100.0, quarantine=False)
-        assert RobustnessConfig.from_dict(cfg.to_dict()) == cfg
+        assert RobustnessConfig(**cfg.to_dict()) == cfg
 
 
 class TestTransientRecovery:

@@ -53,10 +53,12 @@ class TestGather:
         b = leaf_bucket(cfg, 0)
         lv = cfg.levels - 1
         make_dead(oram.store, b, [0, 1])
+        expected = [(b, int(s)) for s in oram.store.dead_slots(b)]
         queued = gather(alloc, cfg, b)
         assert queued == 2
         assert oram.store.status[b, 0] == SlotStatus.QUEUED
-        assert len(alloc.queues.get(lv)) == 2
+        entries = alloc.queues.get(lv).entries()
+        assert [(bk, s) for bk, s, _ in entries] == expected
 
     def test_untracked_level_ignored(self, setup):
         cfg, oram, alloc = setup
@@ -234,7 +236,8 @@ class TestRentalLifecycle:
         cfg, oram, alloc, donor, renter = self._rent(setup)
         alloc.write_remote_all(renter, [99])
         # The reals leave with the row; reclaim hands back the hosts.
-        assert oram.store.resident_blocks(renter).tolist() == [99]
+        row = oram.store.slots[renter]
+        assert row[row >= 0].tolist() == [99]
         assert alloc.reclaim(renter) == [(donor, 0)]
         assert rented(oram, renter) == [UNALLOCATED]
         assert oram.store.status[donor, 0] == SlotStatus.QUEUED

@@ -156,7 +156,7 @@ def test_ab_with_datastore_and_observers_matches_goldens():
     # Observer counters: one event per reclaimed slot, batched or not.
     assert int(tracker.count.sum()) == 3477
     assert float(tracker.total.sum()) == 93810.0
-    assert tracker.pending_dead() == 397
+    assert len(tracker._death_time) == 397
     assert attacker.guesses == 400
     assert attacker.correct == 36
     assert attacker.guess_histogram.tolist() == [

@@ -59,8 +59,8 @@ class TestPathOramDifferential:
         for i in range(250):
             blk = int(rng.integers(cfg.n_real_blocks))
             if rng.random() < 0.5:
-                path.write(blk, i)
+                path.access(blk, write=True, value=i)
                 scan.write(blk, i)
             else:
-                assert path.read(blk) == scan.read(blk)
+                assert path.access(blk) == scan.read(blk)
         path.check_invariants()

@@ -172,6 +172,10 @@ class TestRingSReduced:
         cfg = schemes.ring_s_reduced(24, bottom=3, reduce_by=3)
         assert cfg.geometry[23].s_reserved == 4
         assert cfg.geometry[20].s_reserved == 7
+        # Fig. 4 (top): S-3 on the last three levels keeps 78.1% of
+        # classic Ring's space.
+        ratio = cfg.tree_bytes / schemes.classic_ring(24).tree_bytes
+        assert ratio == pytest.approx(0.781, abs=0.002)
 
     def test_space_monotone_in_bottom(self):
         sizes = [schemes.ring_s_reduced(24, bottom=x).tree_bytes

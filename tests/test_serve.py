@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -28,7 +29,6 @@ from repro.serve.loadgen import (
     initial_items,
     key_name,
     value_for,
-    with_seed,
 )
 from repro.serve.replay import replay
 from repro.serve.resilience import ResilienceConfig, resilient_replay
@@ -249,7 +249,7 @@ class TestLoadgen:
         cfg = WorkloadConfig(name="w", n_requests=300, stored_keys=50,
                              n_keys=10_000)
         a = generate_requests(cfg)
-        b = generate_requests(with_seed(cfg, 1))
+        b = generate_requests(dataclasses.replace(cfg, seed=1))
         assert [r.key for r in a] != [r.key for r in b]
 
     def test_million_key_universe_folds_onto_store(self):
@@ -466,9 +466,9 @@ class TestKVServer:
         stack = small_stack()
         with KVServer(stack.kv, policy="batch", max_batch=8) as server:
             server.put(b"k", b"v1")
-            assert server.get(b"k") == b"v1"
-            assert server.delete(b"k") is True
-            assert server.get(b"k") is None
+            assert server.submit(GET, b"k").result().value == b"v1"
+            assert server.submit(DELETE, b"k").result().ok is True
+            assert server.submit(GET, b"k").result().value is None
 
     def test_concurrent_clients(self):
         import threading
@@ -482,7 +482,7 @@ class TestKVServer:
                 key = b"client-%d" % cid
                 for i in range(5):
                     server.put(key, b"%d:%d" % (cid, i))
-                    got = server.get(key)
+                    got = server.submit(GET, key).result().value
                     assert got == b"%d:%d" % (cid, i), (cid, i, got)
             except Exception as exc:   # noqa: BLE001 - collected for assert
                 errors.append(exc)

@@ -134,7 +134,7 @@ class TestFifoIsAGroupOfOne:
             stack = build_stack(levels=8, seed=0, observer=False)
             stack.kv.preload([(KEYS[0], b"seed0"), (KEYS[1], b"seed1")])
             sched = BatchScheduler(stack.kv, policy=policy, seed=0,
-                                   clock=lambda: stack.now_ns)
+                                   clock=lambda: stack.dram_sink.now)
             if policy == "fifo":
                 comps = sched.serve_batch(list(reqs))
             else:

@@ -148,18 +148,6 @@ class TestPartitionMap:
             share[pmap.shard_of_bytes(b"key|%d" % i)] += w
         assert share.max() < 0.40
 
-    def test_split_keys_preserves_order(self):
-        pmap = PartitionMap(3, seed=1)
-        keys = [b"k%d" % i for i in range(60)]
-        groups = pmap.split_keys(keys)
-        assert sum(len(g) for g in groups) == len(keys)
-        for shard, group in enumerate(groups):
-            assert group == [
-                k for k in keys if pmap.shard_of_bytes(k) == shard
-            ]
-        occ = pmap.occupancy(keys)
-        assert list(occ) == [len(g) for g in groups]
-
     def test_single_shard_routes_everything_to_zero(self):
         pmap = PartitionMap(1, seed=9)
         assert {pmap.shard_of_block(b) for b in range(128)} == {0}
@@ -169,13 +157,6 @@ class TestPartitionMap:
             PartitionMap(0)
         with pytest.raises(ValueError):
             PartitionMap(2).split_blocks(-1)
-
-    def test_to_dict_names_the_prf(self):
-        d = PartitionMap(4, seed=5).to_dict()
-        assert d == {
-            "kind": "keyed-prf", "hash": "sha256",
-            "num_shards": 4, "seed": 5,
-        }
 
 
 class TestLevelsForBlocks:
@@ -228,9 +209,8 @@ class TestShardedSim:
         trace = self._trace(n_blocks)
         out = run_sharded_sim("ab", trace, n_blocks, 2, seed=4)
         assert sum(out.shard_requests) == len(trace.requests)
-        assert out.exec_ns == max(r.exec_ns for r in out.per_shard)
         merged = out.merged_sim_block()
-        assert merged["exec_ns"] == out.exec_ns
+        assert merged["exec_ns"] == max(r.exec_ns for r in out.per_shard)
         # The merged block carries exactly the serial sim fields.
         from repro.perf.schema import PERF
         assert set(merged) == set(PERF.cell["sim"])
@@ -557,7 +537,7 @@ class TestControlPlane:
     HB = 100.0
 
     def plane(self):
-        return ControlPlane(self.HB, miss_after=3)
+        return ControlPlane(self.HB)
 
     def test_heartbeat_train_shape(self):
         events = heartbeat_events(2, 50.0, 420.0, self.HB)
@@ -640,8 +620,6 @@ class TestControlPlane:
             ShardEvent(0, "reboot", 0.0)
         with pytest.raises(ValueError):
             ControlPlane(0.0)
-        with pytest.raises(ValueError):
-            ControlPlane(100.0, miss_after=0)
         plane = self.plane()
         plane.register(0)
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ from repro.mem.dram import DramModel
 from repro.mem.layout import TreeLayout
 from repro.oram.stats import OpKind
 from repro.sim.engine import DramSink, SimConfig, simulate
-from repro.sim.results import breakdown_fractions, geomean, normalize
-from repro.sim.runner import make_trace, run_schemes, run_suite, suite_benchmarks
+from repro.sim.results import breakdown_fractions, geomean
+from repro.sim.runner import make_trace, run_suite, suite_benchmarks
 from repro.traces.spec import spec_trace
 from tests.conftest import recorded_ab_stream, replay_stream, tiny_ab_config
 
@@ -33,6 +33,23 @@ class TestDramSink:
     def sink(self, small_schemes):
         cfg = small_schemes[0]
         return DramSink(TreeLayout(cfg), DramModel())
+
+    def test_sink_issues_the_layout_addresses(self, small_schemes):
+        """The sink inlines the layout's address math; it must agree."""
+        layout = TreeLayout(small_schemes[0], metadata_blocks=2)
+        issued = []
+
+        class Capture(DramSink):
+            def _issue(self, addrs, write, phase, items, onchip_at):
+                issued.extend(addrs)
+
+        sink = Capture(layout, DramModel())
+        sink.begin_op(OpKind.READ_PATH)
+        sink.data_access_many([(5, 3, 2, False, False)], write=False)
+        sink.metadata_access_many([(5, 2, False)], write=False, blocks=2)
+        sink.end_op()
+        assert issued == [layout.data_addr(5, 3), layout.meta_addr(5, 0),
+                          layout.meta_addr(5, 1)]
 
     def test_clock_advances_with_ops(self, sink):
         sink.begin_op(OpKind.READ_PATH)
@@ -192,18 +209,6 @@ class TestAggregation:
             geomean([])
         with pytest.raises(ValueError):
             geomean([1.0, 0.0])
-
-    def test_normalize(self, small_schemes, small_trace):
-        results = run_schemes(small_schemes[:2], small_trace, SimConfig(seed=1))
-        wrapped = {k: {"mcf": v} for k, v in results.items()}
-        norm = normalize(wrapped, "exec_ns")
-        assert norm["Baseline"]["mcf"] == pytest.approx(1.0)
-        assert norm["Baseline"]["geomean"] == pytest.approx(1.0)
-        assert norm["IR"]["mcf"] > 0
-
-    def test_normalize_missing_baseline(self):
-        with pytest.raises(KeyError):
-            normalize({}, "exec_ns")
 
 
 class TestRunner:

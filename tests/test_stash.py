@@ -13,21 +13,21 @@ from repro.oram.stash import Stash, StashOverflowError
 class TestBasics:
     def test_empty(self):
         s = Stash(10)
-        assert len(s) == 0
+        assert s.occupancy == 0
         assert 3 not in s
 
     def test_add_and_contains(self):
         s = Stash(10)
         s.add(3, 7)
         assert 3 in s
-        assert s.leaf_of(3) == 7
+        assert dict(s.blocks())[3] == 7
         assert s.occupancy == 1
 
     def test_add_updates_leaf(self):
         s = Stash(10)
         s.add(3, 7)
         s.add(3, 9)
-        assert s.leaf_of(3) == 9
+        assert dict(s.blocks())[3] == 9
         assert s.occupancy == 1
 
     def test_remove(self):
@@ -45,7 +45,7 @@ class TestBasics:
         s = Stash(10)
         s.add(3, 7)
         s.remap(3, 1)
-        assert s.leaf_of(3) == 1
+        assert dict(s.blocks())[3] == 1
 
     def test_remap_missing_raises(self):
         s = Stash(10)

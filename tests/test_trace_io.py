@@ -33,8 +33,8 @@ class TestSave:
         save_trace(t, path)
         back = load_trace(path, "x264", 4096)
         assert back.total_mpki == pytest.approx(t.total_mpki, rel=0.05)
-        assert back.write_fraction == pytest.approx(t.write_fraction,
-                                                    abs=0.02)
+        assert back.write_mpki / back.total_mpki == pytest.approx(
+            t.write_mpki / t.total_mpki, abs=0.02)
 
 
 class TestLoad:
@@ -56,7 +56,7 @@ class TestLoad:
         path.write_text("10 R 0x0\n10 R 0x40\n")
         t = load_trace(path, "r", 100)
         assert t.write_mpki > 0  # epsilon keeps Trace invariants
-        assert t.write_fraction < 1e-6
+        assert t.write_mpki / t.total_mpki < 1e-6
 
     def test_bad_op_rejected(self, tmp_path):
         path = tmp_path / "b.trc"

@@ -22,7 +22,7 @@ class TestTrace:
     def test_mpki_aggregates(self):
         t = self.make(r=2.0, w=6.0)
         assert t.total_mpki == 8.0
-        assert t.write_fraction == pytest.approx(0.75)
+        assert t.write_mpki / t.total_mpki == pytest.approx(0.75)
 
     def test_cpu_gap_inverse_in_mpki(self):
         slow = self.make(r=0.1, w=0.0)

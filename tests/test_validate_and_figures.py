@@ -1,10 +1,7 @@
-"""Tests for the configuration doctor and the analytic figures API."""
+"""Tests for the configuration doctor."""
 
 import dataclasses
 
-import pytest
-
-from repro.analysis import figures
 from repro.core import schemes
 from repro.oram.config import BucketGeometry, OramConfig, override_levels, uniform_geometry
 from repro.oram.recovery import RobustnessConfig
@@ -12,8 +9,6 @@ from repro.oram.validate import (
     ERROR,
     INFO,
     WARNING,
-    UnsoundConfigError,
-    assert_sound,
     diagnose,
     diagnose_robustness,
 )
@@ -74,59 +69,6 @@ class TestDiagnose:
         infos = [f for f in diagnose(schemes.ab_scheme(24))
                  if f.severity == INFO]
         assert any(f.code == "deadq-pressure" for f in infos)
-
-
-class TestAssertSound:
-    def test_passes_paper_config(self):
-        findings = assert_sound(schemes.ab_scheme(24))
-        assert all(f.severity != ERROR for f in findings)
-
-    def test_raises_on_error(self):
-        cfg = OramConfig(levels=4,
-                         geometry=uniform_geometry(4, 5, 0, overlap=0))
-        with pytest.raises(UnsoundConfigError, match="sustain-zero"):
-            assert_sound(cfg)
-
-
-class TestFiguresApi:
-    def test_fig8_space_values(self):
-        rows = {r["scheme"]: r for r in figures.fig8_space()}
-        assert rows["AB"]["normalized"] == pytest.approx(0.645, abs=0.003)
-
-    def test_fig8_utilization_values(self):
-        rows = {r["scheme"]: r for r in figures.fig8_utilization()}
-        assert rows["AB"]["utilization"] == pytest.approx(0.485, abs=0.003)
-
-    def test_fig4_curve_shape(self):
-        rows = figures.fig4_space_curve()
-        assert rows[0]["space_norm"] == 1.0
-        values = [r["space_norm"] for r in rows]
-        assert values == sorted(values, reverse=True)
-        assert values[3] == pytest.approx(0.781, abs=0.002)  # L-3
-
-    def test_fig11_curve(self):
-        rows = figures.fig11_space_curve()
-        assert rows[-1]["config"] == "DR-L18"
-        assert rows[-1]["space_norm"] == pytest.approx(0.754, abs=0.002)
-
-    def test_fig13_grid_complete(self):
-        rows = figures.fig13_space_grid()
-        assert len(rows) == 9
-        by = {r["config"]: r["space_norm"] for r in rows}
-        assert by["L2-S2"] == pytest.approx(0.8125, abs=0.002)
-
-    def test_table1_rows(self):
-        rows = figures.table1_rows()
-        names = {r["field"] for r in rows}
-        assert {"count", "remote", "status", "TOTAL bytes"} <= names
-
-    def test_overheads(self):
-        over = figures.overheads()
-        assert over["ab_metadata_fits_block"]
-
-    def test_scaled_levels_supported(self):
-        rows = figures.fig8_space(levels=10)
-        assert len(rows) == 5
 
 
 class TestDiagnoseRobustness:
