@@ -221,16 +221,18 @@ obs-smoke:
 	$(PYTHON) tools/telemetry_overhead.py --serve --max-overhead-pct 10
 
 # The README / EXPERIMENTS.md reproduction steps no other target runs,
-# at small scale (~7 s): the space tables, a one-benchmark sweep, a
+# at small scale (~10 s): the space tables, a one-benchmark sweep, a
 # traced simulation rendered by `telemetry view`, a sealed checkpointed
 # run resumed from its last checkpoint (its result tables must equal
-# the uninterrupted run's), a two-shard simulation and the threaded
-# serve demo.
+# the uninterrupted run's), a two-shard simulation, the threaded serve
+# demo, and a fault campaign without the integrity tree, which must
+# fail its detection gate (replays go undetected).
 RS := generated/readme
 readme-smoke:
 	@mkdir -p $(RS)
 	$(PYTHON) -m repro space
-	$(PYTHON) -m repro sweep --levels 8 --requests 200 --benchmarks mcf
+	$(PYTHON) -m repro sweep --levels 8 --requests 200 --warmup 50 \
+	  --benchmarks mcf
 	$(PYTHON) -m repro simulate --scheme ab --levels 9 --requests 300 \
 	  --warmup 50 --trace-out $(RS)/trace.json
 	$(PYTHON) -m repro telemetry view $(RS)/trace.jsonl
@@ -242,6 +244,8 @@ readme-smoke:
 	$(PYTHON) -m repro simulate --scheme ab --shards 2 --levels 9 \
 	  --requests 300 --warmup 50
 	$(PYTHON) -m repro serve demo --clients 2
+	! $(PYTHON) -m repro faults run --smoke --no-integrity \
+	  --require-detection --out $(RS)/faults_no_integrity.json
 
 # The one determinism check every report harness shares: run the smoke
 # matrix serially and over two spawn workers, load both reports through

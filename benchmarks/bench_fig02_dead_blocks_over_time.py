@@ -12,7 +12,6 @@ rise-then-plateau shape.
 import numpy as np
 
 from _common import bench_levels, bench_requests, emit, once
-from repro.analysis.deadblocks import DeadBlockCensus
 from repro.analysis.report import render_series
 from repro.core import schemes
 from repro.core.ab_oram import build_oram
@@ -28,13 +27,18 @@ BENCHES = ["mcf", "lbm", "x264"]
 
 
 def _run_one(cfg, bench, n_requests, interval):
+    """(online access, dead blocks) at the start of every
+    ``interval``-th access."""
     trace = spec_trace(bench, cfg.n_real_blocks, n_requests, seed=11)
     oram = build_oram(cfg, seed=11)
     oram.warm_fill()
-    census = DeadBlockCensus(interval=interval).attach(oram)
+    samples = []
     for req in trace:
+        access_no = oram.online_accesses + 1
+        if access_no % interval == 0:
+            samples.append((access_no, oram.store.total_dead_slots()))
         oram.access(req.block, write=req.write)
-    return census
+    return samples
 
 
 def test_fig02_dead_blocks_over_time(benchmark):
@@ -45,11 +49,11 @@ def test_fig02_dead_blocks_over_time(benchmark):
     def run():
         return {b: _run_one(cfg, b, n, interval) for b in BENCHES}
 
-    censuses = once(benchmark, run)
+    samples = once(benchmark, run)
 
     series = {}
-    for bench, census in censuses.items():
-        series[bench] = {x: d for x, d in census.samples}
+    for bench, pairs in samples.items():
+        series[bench] = {x: d for x, d in pairs}
     xs = sorted(next(iter(series.values())).keys())
     series["average"] = {
         x: float(np.mean([series[b][x] for b in BENCHES])) for x in xs
@@ -61,14 +65,14 @@ def test_fig02_dead_blocks_over_time(benchmark):
             series,
             title=(f"Fig 2: dead blocks over time (Baseline, L={cfg.levels}; "
                    "paper shape: fast rise, then plateau)"),
-            precision=0,
         ),
     )
 
-    for bench, census in censuses.items():
-        pops = [d for _, d in census.samples]
+    for bench, pairs in samples.items():
+        pops = [d for _, d in pairs]
         early = np.mean(pops[: max(1, len(pops) // 5)])
-        late = census.stabilized_population
+        # The plateau: the mean of the last quarter of samples.
+        late = float(np.mean(pops[-max(1, len(pops) // 4):]))
         assert late > early, f"{bench}: population did not grow"
         tail = pops[-5:]
         assert max(tail) - min(tail) < 0.5 * late + 50, (

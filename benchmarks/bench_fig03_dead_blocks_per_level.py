@@ -8,7 +8,6 @@ allocation at the bottom levels.
 """
 
 from _common import bench_levels, bench_requests, emit, once
-from repro.analysis.deadblocks import DeadBlockCensus
 from repro.analysis.report import render_mapping_table
 from repro.core import schemes
 from repro.core.ab_oram import build_oram
@@ -29,10 +28,9 @@ def test_fig03_dead_blocks_per_level(benchmark):
         trace = spec_trace("mcf", cfg.n_real_blocks, n, seed=7)
         oram = build_oram(cfg, seed=7)
         oram.warm_fill()
-        census = DeadBlockCensus(interval=n).attach(oram)
         for req in trace:
             oram.access(req.block, write=req.write)
-        return census.per_level_snapshot()
+        return oram.store.dead_slots_by_level()
 
     snapshot = once(benchmark, run)
 

@@ -56,7 +56,6 @@ def test_fig10_reshuffles_per_level(benchmark):
             series,
             title=(f"Fig 10: reshuffles per level (L={lv}, {n} accesses; "
                    "paper: DR ~ Baseline, NS spikes at its bottom 2 levels)"),
-            precision=0,
         ),
     )
 

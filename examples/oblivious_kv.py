@@ -34,7 +34,7 @@ def main() -> None:
     args = parser.parse_args()
 
     kv = ObliviousKV.create(scheme=args.scheme, levels=args.levels, seed=1,
-                            encrypted=True, pad_chunks=args.pad_chunks)
+                            pad_chunks=args.pad_chunks)
 
     rows = []
     for key, value in DOCUMENTS.items():

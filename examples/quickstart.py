@@ -26,8 +26,7 @@ def main() -> None:
                         help="random accesses to drive after the demo")
     args = parser.parse_args()
 
-    oram = AbOram.from_scheme(args.scheme, levels=args.levels, seed=1,
-                              store_data=True, warm=True)
+    oram = AbOram.from_scheme(args.scheme, levels=args.levels, seed=1)
     print(oram.cfg.describe())
     print()
 

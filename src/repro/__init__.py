@@ -12,7 +12,7 @@ Entry points most users want::
     from repro import AbOram, schemes
     from repro.sim import simulate
 
-    oram = AbOram.from_scheme("ab", levels=14, store_data=True)
+    oram = AbOram.from_scheme("ab", levels=14)
     oram.write(0, b"hello")
     print(oram.read(0))
 """

@@ -1,16 +1,11 @@
-"""Dead-block measurement observers (paper Figs. 2, 3, 12).
+"""Dead-block lifetimes (paper Fig. 12).
 
-- :class:`DeadBlockCensus` samples the total dead-block population at a
-  fixed online-access interval (Fig. 2's rise-then-plateau curve) and
-  can snapshot the per-level census (Fig. 3).
-- :class:`LifetimeTracker` measures how long each slot stays dead --
-  from the readPath that consumed it to the reshuffle or remote rental
-  that reused its space -- per level (Fig. 12's min/avg/max lines,
-  which spread over orders of magnitude between middle and leaf
-  levels).
-
-Both attach to a controller as observers; the census additionally needs
-``attach(oram)`` to read the bucket store for snapshots.
+:class:`LifetimeTracker` measures how long each slot stays dead -- from
+the readPath that consumed it to the reshuffle or remote rental that
+reused its space -- per level (Fig. 12's min/avg/max lines, which spread
+over orders of magnitude between middle and leaf levels). The dead-block
+populations of Figs. 2 and 3 are the bucket store's own counts
+(``total_dead_slots`` / ``dead_slots_by_level``).
 """
 
 from __future__ import annotations
@@ -20,45 +15,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.oram.observer import BaseObserver
-
-
-class DeadBlockCensus(BaseObserver):
-    """Periodic sampling of the dead-block population."""
-
-    def __init__(self, interval: int = 100) -> None:
-        if interval < 1:
-            raise ValueError("interval must be >= 1")
-        self.interval = interval
-        self.samples: List[Tuple[int, int]] = []  # (online access, dead blocks)
-        self._oram = None
-
-    def attach(self, oram) -> "DeadBlockCensus":
-        """Bind to a controller and register as its observer."""
-        self._oram = oram
-        oram.add_observer(self)
-        return self
-
-    def on_access_start(self, access_no: int) -> None:
-        if self._oram is None:
-            return
-        if access_no % self.interval == 0:
-            self.samples.append(
-                (access_no, self._oram.store.total_dead_slots())
-            )
-
-    def per_level_snapshot(self) -> np.ndarray:
-        """Current per-level dead-block counts (Fig. 3)."""
-        if self._oram is None:
-            raise RuntimeError("census not attached to a controller")
-        return self._oram.store.dead_slots_by_level()
-
-    @property
-    def stabilized_population(self) -> float:
-        """Mean of the last quarter of samples (the plateau level)."""
-        if not self.samples:
-            return 0.0
-        tail = self.samples[-max(1, len(self.samples) // 4):]
-        return float(np.mean([d for _, d in tail]))
 
 
 class LifetimeTracker(BaseObserver):

@@ -11,6 +11,9 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 Cell = Union[str, int, float, None]
 
+#: Columns of the longest bar in :func:`render_bars`.
+BAR_WIDTH = 40
+
 
 def format_cell(value: Cell, precision: int = 3) -> str:
     if value is None:
@@ -54,15 +57,14 @@ def render_table(
 
 def render_mapping_table(
     rows: Sequence[Mapping[str, Cell]],
-    headers: Optional[Sequence[str]] = None,
     title: Optional[str] = None,
     precision: int = 3,
 ) -> str:
-    """Render dict rows; headers default to the first row's keys."""
+    """Render dict rows; the headers are the first row's keys."""
     rows = list(rows)
     if not rows:
         return title or "(empty table)"
-    cols = list(headers) if headers else list(rows[0].keys())
+    cols = list(rows[0].keys())
     return render_table(
         cols,
         [[row.get(c) for c in cols] for row in rows],
@@ -73,16 +75,16 @@ def render_mapping_table(
 
 def render_bars(
     values: Mapping[str, float],
-    width: int = 40,
-    title: Optional[str] = None,
-    precision: int = 3,
-    reference: Optional[float] = None,
+    title: Optional[str],
+    reference: Optional[float],
 ) -> str:
-    """Render a horizontal ASCII bar chart (the paper's bar figures).
+    """Render a horizontal ASCII bar chart, ``BAR_WIDTH`` columns wide.
 
     Bars scale to the largest value; ``reference`` (e.g. 1.0 for
-    normalized metrics) draws a ``|`` marker at that value's position.
+    normalized metrics; None for none) draws a ``|`` marker at that
+    value's position.
     """
+    width = BAR_WIDTH
     values = dict(values)
     if not values:
         return title or "(no data)"
@@ -101,7 +103,7 @@ def render_bars(
         bar = "#" * n + " " * (width - n)
         if ref_pos is not None and 0 <= ref_pos < len(bar):
             bar = bar[:ref_pos] + "|" + bar[ref_pos + 1:]
-        lines.append(f"{key.ljust(label_w)}  {bar}  {format_cell(val, precision)}")
+        lines.append(f"{key.ljust(label_w)}  {bar}  {format_cell(val)}")
     return "\n".join(lines)
 
 
@@ -109,9 +111,9 @@ def render_series(
     x_label: str,
     series: Mapping[str, Mapping[object, Cell]],
     title: Optional[str] = None,
-    precision: int = 3,
 ) -> str:
-    """Render {series name -> {x -> y}} with one column per series."""
+    """Render {series name -> {x -> y}} with one column per series,
+    values rounded to integers (the series are counts)."""
     xs: List[object] = []
     for vals in series.values():
         for x in vals:
@@ -119,4 +121,4 @@ def render_series(
                 xs.append(x)
     headers = [x_label] + list(series.keys())
     rows = [[x] + [series[s].get(x) for s in series] for x in xs]
-    return render_table(headers, rows, title=title, precision=precision)
+    return render_table(headers, rows, title=title, precision=0)

@@ -15,7 +15,7 @@ are checked against the paper's numbers in the test suite.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.oram.config import OramConfig
 from repro.oram.metadata import (
@@ -26,20 +26,11 @@ from repro.oram.metadata import (
 )
 
 
-def normalized_space(
-    schemes: Sequence[OramConfig], baseline: Optional[str] = None
-) -> Dict[str, float]:
-    """Tree bytes of each scheme normalized to the baseline's.
-
-    ``baseline`` defaults to the first scheme in the list.
-    """
+def normalized_space(schemes: Sequence[OramConfig]) -> Dict[str, float]:
+    """Tree bytes of each scheme normalized to the first scheme's."""
     if not schemes:
         raise ValueError("need at least one scheme")
-    by_name = {cfg.name: cfg for cfg in schemes}
-    base_name = baseline or schemes[0].name
-    if base_name not in by_name:
-        raise KeyError(f"baseline {base_name!r} not among schemes")
-    base = by_name[base_name].tree_bytes
+    base = schemes[0].tree_bytes
     return {cfg.name: cfg.tree_bytes / base for cfg in schemes}
 
 

@@ -64,23 +64,18 @@ class ObliviousKV:
         scheme: str = "ab",
         levels: int = 10,
         seed: int = 0,
-        encrypted: bool = True,
         master_key: bytes = b"oblivious-kv default key",
         pad_chunks: int = 1,
     ) -> "ObliviousKV":
-        """Build a store over a fresh ORAM of the named paper scheme.
-
-        ``encrypted=True`` routes payloads through the sealed memory
-        image (ChaCha20 + MAC + Merkle tree); otherwise payloads live
-        in a plaintext dict (faster, for experiments).
+        """Build a sealed store over a fresh ORAM of the named paper
+        scheme: payloads go through the encrypted memory image (ChaCha20
+        + MAC + Merkle tree). A store over a plaintext ORAM is
+        ``ObliviousKV(build_oram(cfg, store_data=True))``, as the served
+        stack builds it.
         """
         cfg = schemes_mod.by_name(scheme, levels)
-        datastore = (
-            EncryptedTreeStore(cfg, master_key, seed=seed)
-            if encrypted else None
-        )
-        oram = build_oram(cfg, seed=seed, store_data=not encrypted,
-                          datastore=datastore)
+        datastore = EncryptedTreeStore(cfg, master_key, seed=seed)
+        oram = build_oram(cfg, seed=seed, datastore=datastore)
         return cls(oram, pad_chunks=pad_chunks)
 
     # -------------------------------------------------------------- helpers

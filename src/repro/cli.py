@@ -133,6 +133,20 @@ def _simulate_telemetry(args: argparse.Namespace):
     )
 
 
+def _simulate_arg_error(args: argparse.Namespace) -> Optional[str]:
+    """What is wrong with a fresh run's flags, if anything."""
+    known = suite_benchmarks(args.suite)
+    if args.bench not in known:
+        return (f"unknown {args.suite} benchmark {args.bench}; "
+                f"choose from {', '.join(known)}")
+    for flag, value, least in (("--requests", args.requests, 1),
+                               ("--pipeline-depth", args.pipeline_depth, 1),
+                               ("--metrics-every", args.metrics_every, 0)):
+        if value < least:
+            return f"{flag} must be >= {least}, got {value}"
+    return None
+
+
 def _simulate_sharded(args: argparse.Namespace) -> int:
     """The ``simulate --shards N`` path: a partitioned fleet run."""
     from repro.core.sharding import run_sharded_sim
@@ -155,12 +169,16 @@ def _simulate_sharded(args: argparse.Namespace) -> int:
     cfg = schemes_mod.by_name(args.scheme, args.levels)
     trace = _make_trace(args.suite, args.bench, cfg.n_real_blocks,
                         args.requests, args.seed)
-    outcome = run_sharded_sim(
-        args.scheme, trace, cfg.n_real_blocks, args.shards,
-        warmup_requests=args.warmup, seed=args.seed,
-        pipeline_depth=args.pipeline_depth, workers=args.workers,
-        progress=stderr_progress,
-    )
+    try:
+        outcome = run_sharded_sim(
+            args.scheme, trace, cfg.n_real_blocks, args.shards,
+            warmup_requests=args.warmup, seed=args.seed,
+            pipeline_depth=args.pipeline_depth, workers=args.workers,
+            progress=stderr_progress,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     merged = outcome.merged_sim_block()
     print(render_mapping_table(
         [{
@@ -197,6 +215,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}",
               file=sys.stderr)
+        return 2
+    problem = None if args.resume else _simulate_arg_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     if args.shards > 1:
         return _simulate_sharded(args)
@@ -235,13 +257,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg = schemes_mod.by_name(args.scheme, args.levels)
         trace = _make_trace(args.suite, args.bench, cfg.n_real_blocks,
                             args.requests, args.seed)
-        simulation = Simulation(cfg, trace, SimConfig(
-            seed=args.seed,
-            warmup_requests=args.warmup,
-            check_invariants=args.check,
-            robustness=robustness,
-            pipeline_depth=args.pipeline_depth,
-        ), telemetry=telemetry)
+        try:
+            simulation = Simulation(cfg, trace, SimConfig(
+                seed=args.seed,
+                warmup_requests=args.warmup,
+                check_invariants=args.check,
+                robustness=robustness,
+                pipeline_depth=args.pipeline_depth,
+            ), telemetry=telemetry)
+        except ValueError as exc:
+            if telemetry is not None:
+                telemetry.close()
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         result = simulation.run(
             checkpoint_every=args.checkpoint_every,
@@ -310,6 +338,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: unknown {args.suite} benchmark(s) "
               f"{', '.join(unknown)}; choose from {', '.join(known)}",
               file=sys.stderr)
+        return 2
+    if 0 < args.warmup >= args.requests:
+        print(f"error: --warmup ({args.warmup}) must be below --requests "
+              f"({args.requests})", file=sys.stderr)
         return 2
     results = run_suite(
         cfgs,

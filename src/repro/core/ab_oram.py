@@ -9,7 +9,7 @@ Quick start::
 
     from repro.core.ab_oram import AbOram
 
-    oram = AbOram.from_scheme("ab", levels=14, seed=7, store_data=True)
+    oram = AbOram.from_scheme("ab", levels=14, seed=7)
     oram.write(42, b"secret payload")
     assert oram.read(42) == b"secret payload"
     print(oram.space_report())
@@ -59,23 +59,13 @@ def build_oram(
 
 
 class AbOram:
-    """High-level facade over a (possibly AB-extended) Ring ORAM."""
+    """High-level facade over a (possibly AB-extended) Ring ORAM: a
+    warm-filled tree that keeps block payloads."""
 
-    def __init__(
-        self,
-        cfg: OramConfig,
-        sink: Optional[MemorySink] = None,
-        seed: int = 0,
-        observers: Sequence[Any] = (),
-        store_data: bool = True,
-        warm: bool = False,
-    ) -> None:
+    def __init__(self, cfg: OramConfig, seed: int = 0) -> None:
         self.cfg = cfg
-        self.oram = build_oram(
-            cfg, sink=sink, seed=seed, observers=observers, store_data=store_data
-        )
-        if warm:
-            self.oram.warm_fill()
+        self.oram = build_oram(cfg, seed=seed, store_data=True)
+        self.oram.warm_fill()
 
     @classmethod
     def from_scheme(

@@ -14,7 +14,7 @@ parent merges all streams into one global timeline (ordered by
     HEALTHY    --degraded_enter--> DEGRADED        (quarantine hit)
     DEGRADED   --degraded_exit--> REBUILDING       (repair + journal)
     REBUILDING --heartbeat--> HEALTHY              (back in rotation)
-    any live   --heartbeat gap > MISS_AFTER*interval--> DEAD
+    any live   --heartbeat gap > MISS_AFTER*HEARTBEAT_NS--> DEAD
     DEAD       --heartbeat--> REBUILDING           (rejoin)
 
 Because the event streams are pure functions of each shard's seeded
@@ -34,6 +34,8 @@ DEGRADED = "degraded"
 REBUILDING = "rebuilding"
 DEAD = "dead"
 
+#: Simulated ns between two heartbeats of a serving shard.
+HEARTBEAT_NS = 100_000.0
 #: Heartbeat intervals a shard may miss before it is declared DEAD.
 MISS_AFTER = 3
 
@@ -113,10 +115,7 @@ class ShardHealth:
 class ControlPlane:
     """Fleet-scope registry driven by merged shard event streams."""
 
-    def __init__(self, heartbeat_ns: float) -> None:
-        if heartbeat_ns <= 0:
-            raise ValueError("heartbeat_ns must be positive")
-        self.heartbeat_ns = float(heartbeat_ns)
+    def __init__(self) -> None:
         self.shards: Dict[int, ShardHealth] = {}
 
     def register(self, shard: int, ns: float = 0.0) -> ShardHealth:
@@ -136,7 +135,7 @@ class ControlPlane:
         # A long silence is noticed when the *next* event (from any
         # shard) advances the timeline past the miss window.
         self.shards[event.shard].miss_check(
-            event.ns, MISS_AFTER * self.heartbeat_ns
+            event.ns, MISS_AFTER * HEARTBEAT_NS
         )
         self.shards[event.shard].observe(event)
 
@@ -153,7 +152,7 @@ class ControlPlane:
     def finalize(self, end_ns: float) -> None:
         """End-of-run sweep: shards that fell silent are DEAD."""
         for health in self.shards.values():
-            health.miss_check(end_ns, MISS_AFTER * self.heartbeat_ns)
+            health.miss_check(end_ns, MISS_AFTER * HEARTBEAT_NS)
 
     # -------------------------------------------------------------- report
 
@@ -177,7 +176,7 @@ class ControlPlane:
                 ],
             })
         return {
-            "heartbeat_ns": self.heartbeat_ns,
+            "heartbeat_ns": HEARTBEAT_NS,
             "miss_after": MISS_AFTER,
             "all_healthy": self.all_healthy(),
             "shards": shards,
@@ -185,20 +184,18 @@ class ControlPlane:
 
 
 def heartbeat_events(
-    shard: int, start_ns: float, end_ns: float, heartbeat_ns: float,
+    shard: int, start_ns: float, end_ns: float,
     episodes: Sequence[Dict[str, Any]] = (),
 ) -> List[ShardEvent]:
     """The deterministic event stream of one shard's serving window:
     its heartbeat train, then an enter/exit marker pair per degraded
     episode (``{"enter_ns", "exit_ns"}`` records of the resilient loop).
     """
-    if heartbeat_ns <= 0:
-        raise ValueError("heartbeat_ns must be positive")
     events = [ShardEvent(shard, "register", start_ns)]
     k = 1
-    while start_ns + k * heartbeat_ns < end_ns:
+    while start_ns + k * HEARTBEAT_NS < end_ns:
         events.append(
-            ShardEvent(shard, "heartbeat", start_ns + k * heartbeat_ns)
+            ShardEvent(shard, "heartbeat", start_ns + k * HEARTBEAT_NS)
         )
         k += 1
     events.append(ShardEvent(shard, "complete", end_ns))

@@ -41,15 +41,18 @@ from repro.traces.trace import Trace, TraceRequest
 #: Smallest per-shard tree depth ``levels_for_blocks`` will pick; the
 #: schemes' bottom-level special cases are all calibrated at L >= 6.
 MIN_SHARD_LEVELS = 6
+#: Deepest tree ``levels_for_blocks`` will pick.
+MAX_SHARD_LEVELS = 26
 
 
-def levels_for_blocks(scheme: str, n_blocks: int, max_levels: int = 26) -> int:
+def levels_for_blocks(scheme: str, n_blocks: int) -> int:
     """Smallest tree depth whose scheme instance holds ``n_blocks``."""
-    for levels in range(MIN_SHARD_LEVELS, max_levels + 1):
+    for levels in range(MIN_SHARD_LEVELS, MAX_SHARD_LEVELS + 1):
         if schemes_mod.by_name(scheme, levels).n_real_blocks >= n_blocks:
             return levels
     raise ValueError(
-        f"no {scheme} tree up to L={max_levels} holds {n_blocks} blocks"
+        f"no {scheme} tree up to L={MAX_SHARD_LEVELS} holds {n_blocks} "
+        "blocks"
     )
 
 
@@ -172,6 +175,11 @@ def run_sharded_sim(
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+    if 0 < warmup_requests >= len(trace.requests):
+        raise ValueError(
+            f"warmup_requests ({warmup_requests}) must be below the "
+            f"trace length ({len(trace.requests)}): nothing would be "
+            "measured")
     pmap = PartitionMap(num_shards, seed=seed)
     sub_traces = split_trace(trace, pmap, n_blocks)
     shard_ids, _ = pmap.split_blocks(n_blocks)
@@ -182,7 +190,8 @@ def run_sharded_sim(
     for i, sub in enumerate(sub_traces):
         share = len(sub.requests) / total if total else 0.0
         warmup = int(round(warmup_requests * share))
-        warmup = min(warmup, len(sub.requests))
+        # Below the shard's request count, or its Simulation refuses.
+        warmup = min(warmup, max(len(sub.requests) - 1, 0))
         payloads.append(
             (scheme, shard_levels, sub, warmup, seed, i, pipeline_depth)
         )

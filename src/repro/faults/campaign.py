@@ -24,31 +24,32 @@ from repro.faults.plan import FAULT_KINDS, TAMPER_KINDS, FaultPlan
 from repro.faults.schema import FAULTS
 from repro.parallel.executor import Cell, report_progress, run_cells
 from repro.report import assemble
-from repro.oram.recovery import RobustnessConfig
+from repro.oram.recovery import BACKOFF_BASE_NS, RobustnessConfig
 from repro.oram.validate import diagnose_robustness
 from repro.sim.engine import SimConfig, Simulation
 from repro.sim.results import SimResult
 from repro.sim.runner import make_trace
 
 
+#: Every campaign replays one SPEC benchmark on classic Ring ORAM,
+#: measured from the first request; an outage lasts up to two operations.
+SCHEME, SUITE, BENCH = "ring", "spec", "mcf"
+WARMUP_REQUESTS = 0
+MAX_OUTAGE_OPS = 2
+
+
 @dataclass
 class CampaignConfig:
     """One campaign invocation (the report's ``config`` block)."""
 
-    scheme: str = "ring"
-    suite: str = "spec"
-    bench: str = "mcf"
     levels: int = 10
     n_requests: int = 600
-    warmup_requests: int = 0
     seed: int = 0
     kinds: Sequence[str] = FAULT_KINDS
     rates: Sequence[float] = (0.002, 0.01)
     retry_budget: int = 3
-    backoff_base_ns: float = 200.0
     quarantine: bool = True
     integrity: bool = True
-    max_outage_ops: int = 2
     smoke: bool = False
     #: Process-pool width for the kind x rate cells. Not part of
     #: to_dict(): the report's config block describes the sweep's
@@ -72,20 +73,20 @@ class CampaignConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "scheme": self.scheme,
-            "suite": self.suite,
-            "bench": self.bench,
+            "scheme": SCHEME,
+            "suite": SUITE,
+            "bench": BENCH,
             "levels": self.levels,
             "n_requests": self.n_requests,
-            "warmup_requests": self.warmup_requests,
+            "warmup_requests": WARMUP_REQUESTS,
             "seed": self.seed,
             "kinds": list(self.kinds),
             "rates": [float(r) for r in self.rates],
             "retry_budget": self.retry_budget,
-            "backoff_base_ns": float(self.backoff_base_ns),
+            "backoff_base_ns": BACKOFF_BASE_NS,
             "quarantine": self.quarantine,
             "integrity": self.integrity,
-            "max_outage_ops": self.max_outage_ops,
+            "max_outage_ops": MAX_OUTAGE_OPS,
             "smoke": self.smoke,
         }
 
@@ -110,7 +111,6 @@ def _robustness(cfg: CampaignConfig) -> RobustnessConfig:
     return RobustnessConfig(
         integrity=cfg.integrity,
         retry_budget=cfg.retry_budget,
-        backoff_base_ns=cfg.backoff_base_ns,
         quarantine=cfg.quarantine,
     )
 
@@ -118,14 +118,12 @@ def _robustness(cfg: CampaignConfig) -> RobustnessConfig:
 def _run_one(
     cfg: CampaignConfig, plan: Optional[FaultPlan]
 ) -> SimResult:
-    scheme = schemes_mod.by_name(cfg.scheme, cfg.levels)
-    trace = make_trace(
-        cfg.suite, cfg.bench, scheme.n_real_blocks, cfg.n_requests,
-        seed=cfg.seed,
-    )
+    scheme = schemes_mod.by_name(SCHEME, cfg.levels)
+    trace = make_trace(SUITE, BENCH, scheme.n_real_blocks, cfg.n_requests,
+                       seed=cfg.seed)
     sim = SimConfig(
         seed=cfg.seed,
-        warmup_requests=cfg.warmup_requests,
+        warmup_requests=WARMUP_REQUESTS,
         robustness=_robustness(cfg),
         fault_plan=plan,
     )
@@ -191,7 +189,7 @@ def _campaign_cell_task(payload: Any) -> Dict[str, Any]:
     plan = FaultPlan(
         seed=cfg.seed,
         rates={kind: float(rate)},
-        max_outage_ops=cfg.max_outage_ops,
+        max_outage_ops=MAX_OUTAGE_OPS,
     )
     result = _run_one(cfg, plan)
     return _cell(kind, rate, result, baseline_exec_ns)

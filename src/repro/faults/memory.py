@@ -33,10 +33,11 @@ SlotKey = Tuple[int, int]
 class FaultyMemory:
     """Deterministic adversary-in-the-middle for the sealed data path."""
 
-    def __init__(self, inner: Any, plan: FaultPlan, armed: bool = True) -> None:
+    def __init__(self, inner: Any, plan: FaultPlan) -> None:
         self.inner = inner
         self.plan = plan
-        self.armed = armed
+        # Disarmed until its owner sets ``armed`` (after warm-fill).
+        self.armed = False
         self.op_index = 0
         self.injected: Dict[str, int] = {k: 0 for k in FAULT_KINDS}
         self.detected: Dict[str, int] = {k: 0 for k in FAULT_KINDS}

@@ -53,13 +53,12 @@ class FaultPlan:
     """Which operations fail, decided by hashing, never by state.
 
     ``rates`` maps a fault kind to its per-eligible-operation
-    probability; kinds absent from the mapping never fire. ``start_op``
-    suppresses injection for the first operations (e.g. warm-fill).
+    probability; kinds absent from the mapping never fire. Warm-fill is
+    kept fault-free by the wrapper, which its owner arms only after it.
     """
 
     seed: int = 0
     rates: Mapping[str, float] = field(default_factory=dict)
-    start_op: int = 0
     max_outage_ops: int = 2
 
     def __post_init__(self) -> None:
@@ -79,7 +78,7 @@ class FaultPlan:
 
     def _fires(self, kind: str, op: int, bucket: int, slot: int) -> bool:
         rate = self.rates.get(kind, 0.0)
-        if rate <= 0.0 or op < self.start_op:
+        if rate <= 0.0:
             return False
         return _unit(self.seed, kind, op, bucket, slot) < rate
 
@@ -112,6 +111,6 @@ class FaultPlan:
         return {
             "seed": self.seed,
             "rates": dict(sorted(self.rates.items())),
-            "start_op": self.start_op,
+            "start_op": 0,
             "max_outage_ops": self.max_outage_ops,
         }

@@ -15,14 +15,12 @@ exactly; absolute cycle counts are not.
 """
 
 from repro.mem.timing import DramTiming, DDR3_1600
-from repro.mem.address_map import AddressMapping
 from repro.mem.dram import DramModel, DramStats
 from repro.mem.layout import TreeLayout
 
 __all__ = [
     "DramTiming",
     "DDR3_1600",
-    "AddressMapping",
     "DramModel",
     "DramStats",
     "TreeLayout",

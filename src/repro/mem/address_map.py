@@ -13,38 +13,24 @@ Address bit layout, from least significant:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
+N_CHANNELS = 4
+N_BANKS = 16          # banks per channel (ranks folded in)
+ROW_BYTES = 8192      # row-buffer size per bank
+LINE_BYTES = 64
+LINES_PER_ROW = ROW_BYTES // LINE_BYTES
 
-@dataclass(frozen=True)
-class AddressMapping:
-    """Channel/bank/row/column decomposition of byte addresses."""
 
-    n_channels: int = 4
-    n_banks: int = 16          # banks per channel (ranks folded in)
-    row_bytes: int = 8192      # row-buffer size per bank
-    line_bytes: int = 64
-
-    def __post_init__(self) -> None:
-        if self.n_channels < 1 or self.n_banks < 1:
-            raise ValueError("need at least one channel and one bank")
-        if self.row_bytes % self.line_bytes:
-            raise ValueError("row_bytes must be a multiple of line_bytes")
-
-    @property
-    def lines_per_row(self) -> int:
-        return self.row_bytes // self.line_bytes
-
-    def decompose(self, byte_addr: int) -> Tuple[int, int, int, int]:
-        """Return (channel, bank, row, column) of ``byte_addr``."""
-        if byte_addr < 0:
-            raise ValueError(f"negative address {byte_addr:#x}")
-        line = byte_addr // self.line_bytes
-        channel = line % self.n_channels
-        rest = line // self.n_channels
-        column = rest % self.lines_per_row
-        rest //= self.lines_per_row
-        bank = rest % self.n_banks
-        row = rest // self.n_banks
-        return channel, bank, row, column
+def decompose(byte_addr: int) -> Tuple[int, int, int, int]:
+    """Return (channel, bank, row, column) of ``byte_addr``."""
+    if byte_addr < 0:
+        raise ValueError(f"negative address {byte_addr:#x}")
+    line = byte_addr // LINE_BYTES
+    channel = line % N_CHANNELS
+    rest = line // N_CHANNELS
+    column = rest % LINES_PER_ROW
+    rest //= LINES_PER_ROW
+    bank = rest % N_BANKS
+    row = rest // N_BANKS
+    return channel, bank, row, column

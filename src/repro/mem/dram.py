@@ -22,7 +22,9 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.mem.address_map import AddressMapping
+from repro.mem.address_map import (
+    LINE_BYTES, LINES_PER_ROW, N_BANKS, N_CHANNELS,
+)
 from repro.mem.timing import DDR3_1600, DramTiming
 
 
@@ -76,29 +78,27 @@ class DramModel:
     def __init__(
         self,
         timing: DramTiming = DDR3_1600,
-        mapping: AddressMapping = AddressMapping(),
         window: Optional[int] = None,
     ) -> None:
         if window is not None and window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.timing = timing
-        self.mapping = mapping
-        n_banks_total = mapping.n_channels * mapping.n_banks
+        n_banks_total = N_CHANNELS * N_BANKS
         # Per-bank/per-channel state lives in plain Python lists: the
         # model is driven one scalar access at a time, and list indexing
         # avoids the numpy-scalar boxing that dominated the profile.
         self._open_row = [-1] * n_banks_total
         self._bank_ready = [0.0] * n_banks_total
-        self._bus_free = [0.0] * mapping.n_channels
-        self._last_activate = [-1e18] * mapping.n_channels
-        self._last_was_write = [False] * mapping.n_channels
-        self._refresh_epoch = [0] * mapping.n_channels
+        self._bus_free = [0.0] * N_CHANNELS
+        self._last_activate = [-1e18] * N_CHANNELS
+        self._last_was_write = [False] * N_CHANNELS
+        self._refresh_epoch = [0] * N_CHANNELS
         self.stats = DramStats()
         # Plain list, not ndarray: one scalar += per access makes numpy
         # boxing measurable at millions of requests.
-        self.channel_busy_ns = [0.0] * mapping.n_channels
+        self.channel_busy_ns = [0.0] * N_CHANNELS
         # Per-bank occupancy (burst + write recovery), same plain-list
-        # rationale. Banks fold ranks in (see AddressMapping), so this
+        # rationale. Banks fold ranks in (see repro.mem.address_map), so this
         # is the rank/bank busy breakdown telemetry exports.
         self.bank_busy_ns = [0.0] * n_banks_total
         # Outstanding-request window: with ``window`` set, at most that
@@ -108,7 +108,7 @@ class DramModel:
         # timestamp bit-identical to the historical model.
         self._window = window
         self._win_q: Optional[List[List[float]]] = (
-            [[] for _ in range(mapping.n_channels)]
+            [[] for _ in range(N_CHANNELS)]
             if window is not None else None
         )
         # Bus busy-interval ledger (windowed mode only): per channel, a
@@ -122,12 +122,12 @@ class DramModel:
         # opposite-direction neighbours; same-direction bursts pack
         # back-to-back exactly like the unwindowed frontier does.
         self._busy: Optional[List[List[List[float]]]] = (
-            [[] for _ in range(mapping.n_channels)]
+            [[] for _ in range(N_CHANNELS)]
             if window is not None else None
         )
         # Placement never reaches before the floor; it rises as old
         # intervals age out of the bounded ledger.
-        self._busy_floor = [0.0] * mapping.n_channels
+        self._busy_floor = [0.0] * N_CHANNELS
         self._bus_pad = max(timing.t_wtr, timing.t_rtw)
         self._busy_cap = 64
         # Per-bank busy intervals (windowed mode only), same idea as
@@ -145,12 +145,8 @@ class DramModel:
         )
         self._bank_floor = [0.0] * n_banks_total
         self._bank_cap = 16
-        # Address-decomposition and timing constants hoisted out of the
-        # hot loop (dataclass attribute fetches add up per request).
-        self._line_bytes = mapping.line_bytes
-        self._n_channels = mapping.n_channels
-        self._lines_per_row = mapping.lines_per_row
-        self._n_banks = mapping.n_banks
+        # Timing constants hoisted out of the hot loop (dataclass
+        # attribute fetches add up per request).
         self._t_refi = timing.t_refi
         self._t_rp = timing.t_rp
         self._t_rrd = timing.t_rrd
@@ -175,9 +171,9 @@ class DramModel:
         if epoch <= self._refresh_epoch[channel]:
             return
         self._refresh_epoch[channel] = epoch
-        lo = channel * self._n_banks
-        hi = lo + self._n_banks
-        self._open_row[lo:hi] = [-1] * self._n_banks
+        lo = channel * N_BANKS
+        hi = lo + N_BANKS
+        self._open_row[lo:hi] = [-1] * N_BANKS
         stall_end = epoch * t.t_refi + t.t_rfc
         ready = self._bank_ready
         for i in range(lo, hi):
@@ -341,10 +337,10 @@ class DramModel:
         bound to locals once per batch (the lists are mutated in place,
         so :meth:`_apply_refresh` stays coherent).
         """
-        line_bytes = self._line_bytes
-        n_channels = self._n_channels
-        lines_per_row = self._lines_per_row
-        n_banks = self._n_banks
+        line_bytes = LINE_BYTES
+        n_channels = N_CHANNELS
+        lines_per_row = LINES_PER_ROW
+        n_banks = N_BANKS
         t_refi = self._t_refi
         t_rp = self._t_rp
         t_rrd = self._t_rrd
@@ -367,7 +363,7 @@ class DramModel:
         service = 0.0
         latest = 0.0
         for byte_addr in byte_addrs:
-            # Inline address decomposition (see AddressMapping.decompose);
+            # Inline address decomposition (see address_map.decompose);
             # this runs once per simulated memory request.
             line = byte_addr // line_bytes
             channel = line % n_channels
@@ -485,11 +481,11 @@ class DramModel:
         """
         if count <= 0:
             return 0.0
-        line = byte_addr // self._line_bytes
-        channel = line % self._n_channels
-        rest = (line // self._n_channels) // self._lines_per_row
-        bank = rest % self._n_banks
-        row = rest // self._n_banks
+        line = byte_addr // LINE_BYTES
+        channel = line % N_CHANNELS
+        rest = (line // N_CHANNELS) // LINES_PER_ROW
+        bank = rest % N_BANKS
+        row = rest // N_BANKS
         t_refi = self._t_refi
         if t_refi > 0 and arrival_ns >= (self._refresh_epoch[channel] + 1) * t_refi:
             self._apply_refresh(channel, arrival_ns)
@@ -499,7 +495,7 @@ class DramModel:
             if win_q is not None else arrival_ns
         )
         t_hit = self._t_cwd if write else self._t_cas
-        bank_idx = channel * self._n_banks + bank
+        bank_idx = channel * N_BANKS + bank
         row_hit = self._open_row[bank_idx] == row
         burst_ns = self._burst_ns
         t_wr = self._t_wr if write else 0.0

@@ -29,11 +29,9 @@ class TreeLayout:
         self,
         cfg: OramConfig,
         metadata_blocks: int = 1,
-        base_addr: int = 0,
     ) -> None:
         self.cfg = cfg
         self.metadata_blocks = metadata_blocks
-        self.base_addr = base_addr
         bucket_bytes = np.empty(cfg.n_buckets, dtype=np.int64)
         for lv in range(cfg.levels):
             lo = (1 << lv) - 1
@@ -42,7 +40,7 @@ class TreeLayout:
         self._offsets = np.zeros(cfg.n_buckets, dtype=np.int64)
         np.cumsum(bucket_bytes[:-1], out=self._offsets[1:])
         self.data_bytes = int(bucket_bytes.sum())
-        self.meta_base = base_addr + self.data_bytes
+        self.meta_base = self.data_bytes
         self.meta_stride = metadata_blocks * cfg.block_bytes
         self.meta_bytes = cfg.n_buckets * self.meta_stride
 
@@ -50,7 +48,7 @@ class TreeLayout:
         """Byte address of one slot."""
         if not 0 <= bucket < self.cfg.n_buckets:
             raise ValueError(f"bucket {bucket} out of range")
-        return self.base_addr + int(self._offsets[bucket]) + slot * self.cfg.block_bytes
+        return int(self._offsets[bucket]) + slot * self.cfg.block_bytes
 
     def meta_addr(self, bucket: int, block: int = 0) -> int:
         """Byte address of one 64B line of a bucket's metadata record."""

@@ -246,9 +246,9 @@ def override_levels(
     return tuple(out)
 
 
-def scaled_treetop(levels: int, paper_levels: int = 24, paper_top: int = 10) -> int:
+def scaled_treetop(levels: int) -> int:
     """Scale the paper's 10-of-24 treetop cache to an ``levels``-deep tree."""
-    return max(1, min(levels - 1, round(levels * paper_top / paper_levels)))
+    return max(1, min(levels - 1, round(levels * 10 / 24)))
 
 
 def bottom_range(levels: int, count: int) -> Tuple[int, ...]:

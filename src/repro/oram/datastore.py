@@ -106,9 +106,6 @@ class EncryptedTreeStore:
 
     # ------------------------------------------------------------- sealing
 
-    def _offset(self, bucket: int, slot: int) -> int:
-        return self.layout.data_addr(bucket, slot) - self.layout.base_addr
-
     def is_sealed(self, bucket: int, slot: int) -> bool:
         """Whether the slot has ever been sealed (and so can be opened)."""
         return bool(self._sealed[bucket * self._z_max + slot])
@@ -132,8 +129,7 @@ class EncryptedTreeStore:
         version = int(self._version[bucket, slot]) + 1
         self._version[bucket, slot] = version
         ciphertext, tag = self.engine.seal(addr, version, plaintext)
-        off = self._offset(bucket, slot)
-        self._memory[off:off + self.cfg.block_bytes] = ciphertext
+        self._memory[addr:addr + self.cfg.block_bytes] = ciphertext
         self._set_tag(bucket, slot, tag)
         self._sealed_buckets.add(bucket)
         if self.integrity is not None:
@@ -184,12 +180,10 @@ class EncryptedTreeStore:
             v = int(version[bucket, slot]) + 1
             version[bucket, slot] = v
             requests.append((data_addr(bucket, slot), v, plaintext))
-        base = self.layout.base_addr
         for (bucket, slot, _), (addr, _, _), (ciphertext, tag) in zip(
             items, requests, self.engine.seal_many(requests)
         ):
-            off = addr - base
-            self._memory[off:off + bb] = ciphertext
+            self._memory[addr:addr + bb] = ciphertext
             self._set_tag(bucket, slot, tag)
         buckets = {bucket for bucket, _, _ in items}
         self._sealed_buckets |= buckets
@@ -213,8 +207,7 @@ class EncryptedTreeStore:
                 bucket, content_digest=self._content_digest(bucket)
             )
         addr = self.layout.data_addr(bucket, slot)
-        off = self._offset(bucket, slot)
-        ciphertext = bytes(self._memory[off:off + self.cfg.block_bytes])
+        ciphertext = bytes(self._memory[addr:addr + self.cfg.block_bytes])
         version = int(self._version[bucket, slot])
         self.opens += 1
         return self.engine.open(addr, version, ciphertext, tag)
@@ -237,7 +230,6 @@ class EncryptedTreeStore:
             return []
         tags = [self._tag(bucket, slot) for bucket, slot in slots]
         bb = self.cfg.block_bytes
-        base = self.layout.base_addr
         broken: Dict[int, IntegrityError] = {}
         if self.integrity is not None:
             for bucket, n in Counter(b for b, _ in slots).items():
@@ -255,11 +247,10 @@ class EncryptedTreeStore:
         for i in intact:
             bucket, slot = slots[i]
             addr = self.layout.data_addr(bucket, slot)
-            off = addr - base
             requests.append((
                 addr,
                 int(self._version[bucket, slot]),
-                bytes(self._memory[off:off + bb]),
+                bytes(self._memory[addr:addr + bb]),
                 tags[i],
             ))
         self.opens += len(intact)
@@ -324,7 +315,7 @@ class EncryptedTreeStore:
         chain consistently -- everything an off-chip adversary controls.
         The on-chip root copy is never touched.
         """
-        off = self._offset(bucket, slot)
+        off = self.layout.data_addr(bucket, slot)
         self._memory[off:off + self.cfg.block_bytes] = snap.ciphertext
         self._set_tag(bucket, slot, snap.tag)
         if restore_version:
@@ -337,7 +328,7 @@ class EncryptedTreeStore:
 
     def tamper_payload(self, bucket: int, slot: int, flip_byte: int = 0) -> None:
         """Flip one ciphertext byte in memory (for tamper tests)."""
-        off = self._offset(bucket, slot) + flip_byte
+        off = self.layout.data_addr(bucket, slot) + flip_byte
         self._memory[off] ^= 0xFF
 
     def tamper_version(self, bucket: int, slot: int) -> None:
@@ -345,5 +336,5 @@ class EncryptedTreeStore:
         self._version[bucket, slot] = max(0, int(self._version[bucket, slot]) - 1)
 
     def raw_ciphertext(self, bucket: int, slot: int) -> bytes:
-        off = self._offset(bucket, slot)
+        off = self.layout.data_addr(bucket, slot)
         return bytes(self._memory[off:off + self.cfg.block_bytes])

@@ -39,14 +39,13 @@ class MetadataField:
     function: str
 
 
-def ring_metadata_fields(cfg: OramConfig, level: int = -1) -> List[MetadataField]:
-    """Baseline Ring ORAM per-bucket metadata fields at ``level``.
+def ring_metadata_fields(cfg: OramConfig) -> List[MetadataField]:
+    """Baseline Ring ORAM per-bucket metadata fields at the leaf level.
 
-    ``level`` defaults to the leaf level, whose buckets dominate the
-    tree; Table I is written for the uniform-geometry baseline where all
-    levels agree.
+    Leaf buckets dominate the tree; Table I is written for the
+    uniform-geometry baseline where all levels agree.
     """
-    g = cfg.geometry[level]
+    g = cfg.geometry[-1]
     s_bits = _log2ceil(max(2, g.sustain_unextended + 1))
     n_block = cfg.n_real_blocks
     label_bits = cfg.levels  # L + 1 in the paper's 0..L level convention
@@ -65,10 +64,10 @@ def ring_metadata_fields(cfg: OramConfig, level: int = -1) -> List[MetadataField
     ]
 
 
-def ab_metadata_fields(cfg: OramConfig, level: int = -1) -> List[MetadataField]:
+def ab_metadata_fields(cfg: OramConfig) -> List[MetadataField]:
     """AB-ORAM per-bucket metadata: Ring fields plus the five additions."""
-    g = cfg.geometry[level]
-    fields = ring_metadata_fields(cfg, level)
+    g = cfg.geometry[-1]
+    fields = ring_metadata_fields(cfg)
     r = cfg.max_remote_slots
     bucket_bits = _log2ceil(cfg.n_buckets)
     z_bits = _log2ceil(max(2, g.z_total))
@@ -101,10 +100,10 @@ def metadata_blocks(cfg: OramConfig, fields: List[MetadataField]) -> int:
     return max(1, math.ceil(metadata_bytes(fields) / cfg.block_bytes))
 
 
-def table1(cfg: OramConfig, level: int = -1) -> Dict[str, Dict[str, object]]:
+def table1(cfg: OramConfig) -> Dict[str, Dict[str, object]]:
     """Reproduce Table I: field -> {ring_bits, ab_bits, category, function}."""
-    ring = {f.name: f for f in ring_metadata_fields(cfg, level)}
-    ab = {f.name: f for f in ab_metadata_fields(cfg, level)}
+    ring = {f.name: f for f in ring_metadata_fields(cfg)}
+    ab = {f.name: f for f in ab_metadata_fields(cfg)}
     rows: Dict[str, Dict[str, object]] = {}
     for name, f in ab.items():
         rows[name] = {
@@ -116,10 +115,10 @@ def table1(cfg: OramConfig, level: int = -1) -> Dict[str, Dict[str, object]]:
     return rows
 
 
-def summarize(cfg: OramConfig, level: int = -1) -> Dict[str, object]:
-    """Byte/block budget for Ring vs AB metadata at ``level``."""
-    ring = ring_metadata_fields(cfg, level)
-    ab = ab_metadata_fields(cfg, level)
+def summarize(cfg: OramConfig) -> Dict[str, object]:
+    """Byte/block budget for Ring vs AB metadata at the leaf level."""
+    ring = ring_metadata_fields(cfg)
+    ab = ab_metadata_fields(cfg)
     ring_b = metadata_bytes(ring)
     ab_b = metadata_bytes(ab)
     return {

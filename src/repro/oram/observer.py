@@ -19,20 +19,17 @@ Events:
   (it now holds useless data).
 - ``on_slot_reclaimed(bucket, slot, level, how)`` -- a dead slot's
   space was reused: ``how`` is ``"reshuffle"`` (rewritten by its own
-  bucket) or ``"remote"`` (rented to another bucket).
-- ``on_slots_reclaimed(bucket, slots, level, how)`` -- the batched form
-  of the above for one bucket's reshuffle, mirroring the batched sink
-  call (``data_access_many``) the controller already issues for the
-  same event. The default implementation fans
-  out to ``on_slot_reclaimed`` per slot in ascending order, so scalar
-  observers keep working unchanged; hot observers may override it.
-- ``on_reshuffle(bucket, level, kind)`` -- a bucket was rewritten.
-- ``on_evict_path(leaf)`` -- an evictPath completed.
+  bucket; one call per slot, in ascending slot order) or ``"remote"``
+  (rented to another bucket).
+
+Which buckets an operation rewrites, and which path an evictPath
+takes, is what the memory sink sees between ``begin_op`` and
+``end_op``.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Tuple
 
 
 class BaseObserver:
@@ -57,23 +54,6 @@ class BaseObserver:
     ) -> None:
         pass
 
-    def on_slots_reclaimed(
-        self, bucket: int, slots: Sequence[int], level: int, how: str
-    ) -> None:
-        """Batched reclamation of several slots of one bucket.
-
-        Semantically one :meth:`on_slot_reclaimed` per slot in order;
-        the controller emits this coalesced form on the reshuffle path.
-        """
-        for slot in slots:
-            self.on_slot_reclaimed(bucket, int(slot), level, how)
-
-    def on_reshuffle(self, bucket: int, level: int, kind) -> None:
-        pass
-
-    def on_evict_path(self, leaf: int) -> None:
-        pass
-
 
 #: Every event hook of the protocol, in declaration order.
 HOOKS = tuple(name for name in vars(BaseObserver) if name.startswith("on_"))
@@ -88,8 +68,5 @@ def hears(obs: Any, hook: str) -> bool:
     at the first emission, not silently.
     """
     bound = getattr(obs, hook, None)
-    if getattr(bound, "__func__", None) is not getattr(BaseObserver, hook):
-        return True
-    # The batched hook's default fans out to the scalar one.
-    return hook == "on_slots_reclaimed" and hears(obs, "on_slot_reclaimed")
+    return getattr(bound, "__func__", None) is not getattr(BaseObserver, hook)
 

@@ -54,7 +54,6 @@ class PathOram:
         cfg: OramConfig,
         sink: Optional[MemorySink] = None,
         seed: int = 0,
-        store_data: bool = False,
     ) -> None:
         if any(g.s_reserved or g.overlap or g.remote_extension for g in cfg.geometry):
             raise ValueError("Path ORAM buckets have no reserved dummies/overlap")
@@ -64,7 +63,7 @@ class PathOram:
         self.store = BucketStore(cfg)
         self.stash = Stash(cfg.stash_capacity)
         self.posmap = PositionMap(cfg.n_real_blocks, cfg.n_leaves, self.rng)
-        self._data: Optional[Dict[int, Any]] = {} if store_data else None
+        self._data: Dict[int, Any] = {}
         self.accesses = 0
 
     def access(self, block: int, write: bool = False, value: Any = None) -> Any:
@@ -82,9 +81,9 @@ class PathOram:
             self.stash.remap(block, new_leaf)
         else:
             self.stash.add(block, new_leaf)
-        if write and self._data is not None:
+        if write:
             self._data[block] = value
-        result = self._data.get(block) if self._data is not None else None
+        result = self._data.get(block)
         self._write_phase(buckets, leaf)
         return result
 

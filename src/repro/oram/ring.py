@@ -54,7 +54,12 @@ from repro.oram.config import OramConfig
 from repro.oram.observer import HOOKS, hears
 from repro.oram.position_map import PositionMap
 from repro.oram.plb import RecursivePosMap
-from repro.oram.recovery import RobustnessConfig, TransientBackendError
+from repro.oram.recovery import (
+    BACKOFF_BASE_NS,
+    BACKOFF_FACTOR,
+    RobustnessConfig,
+    TransientBackendError,
+)
 from repro.oram.stash import Stash
 from repro.oram.stats import (
     CountingSink, MemorySink, OpKind, RobustnessCounters,
@@ -175,7 +180,6 @@ class RingOram:
         self._verify_paths = bool(
             self._recovery_active
             and robustness.integrity
-            and robustness.verify_paths
             and getattr(datastore, "integrity", None) is not None
         )
         self._quarantined: Dict[int, None] = {}   # insertion-ordered set
@@ -569,7 +573,7 @@ class RingOram:
             )
             self.evict_counter += 1
             self._reshuffle(
-                tree_mod.path_buckets(leaf, levels), OpKind.EVICT_PATH, leaf
+                tree_mod.path_buckets(leaf, levels), OpKind.EVICT_PATH
             )
 
     def _open_residents(
@@ -633,12 +637,10 @@ class RingOram:
             self.robust.rebuilds += 1
             self.robust.recovered += 1
 
-    def _reshuffle(
-        self, buckets: Sequence[int], kind: OpKind, leaf: Optional[int] = None
-    ) -> None:
-        """The one reshuffle (offline): evictPath over the whole path of
-        ``leaf``, earlyReshuffle and the quarantine rebuild over one
-        saturated (or quarantined) bucket.
+    def _reshuffle(self, buckets: Sequence[int], kind: OpKind) -> None:
+        """The one reshuffle (offline): evictPath over one whole path,
+        earlyReshuffle and the quarantine rebuild over one saturated (or
+        quarantined) bucket.
 
         ``buckets`` run root side first. Read phase in that order: per
         bucket its metadata, Z' reads (valid real blocks padded with
@@ -743,12 +745,6 @@ class RingOram:
         if seal_items:
             self.datastore.seal_many(seal_items)
         sink.end_op()
-        if leaf is not None:
-            for obs in self._heard["on_evict_path"]:
-                obs.on_evict_path(leaf)
-        for obs in self._heard["on_reshuffle"]:
-            for b, lv in plan:
-                obs.on_reshuffle(b, lv, kind)
 
     def _refill_bucket(
         self, b: int, lv: int, n_usable: int, granted: int,
@@ -764,7 +760,7 @@ class RingOram:
         """
         store = self.store
         onchip = lv < self.cfg.treetop_levels
-        reclaimed_obs = self._heard["on_slots_reclaimed"]
+        reclaimed_obs = self._heard["on_slot_reclaimed"]
         reclaimed_dead = None
         if reclaimed_obs:
             # The dead slots this rewrite reclaims, read before
@@ -773,7 +769,7 @@ class RingOram:
             st = store.status[b, usable]
             reclaimed_dead = usable[(st == ST_DEAD) | (st == ST_QUEUED)]
         # A host sits at its renter's level.
-        for obs in self._heard["on_slot_reclaimed"]:
+        for obs in reclaimed_obs:
             for hb, hs in hosts:
                 obs.on_slot_reclaimed(hb, hs, lv, "remote")
         local_reals = chosen
@@ -788,9 +784,10 @@ class RingOram:
                         remote_contents[pos - n_usable] = blk
             self.stash.remove_many(chosen)
         written = store.refresh(b, local_reals, granted_extension=granted)
-        if reclaimed_dead is not None and reclaimed_dead.size:
+        if reclaimed_dead is not None:
             for obs in reclaimed_obs:
-                obs.on_slots_reclaimed(b, reclaimed_dead, lv, "reshuffle")
+                for slot in reclaimed_dead.tolist():
+                    obs.on_slot_reclaimed(b, slot, lv, "reshuffle")
         # One sink batch for the whole write phase: local slots, then
         # remote hosts. They share the same DRAM write phase, so they
         # arrive together.
@@ -887,9 +884,7 @@ class RingOram:
                 return None
             attempts += 1
             rc.retries += 1
-            self.sink.stall(
-                rcfg.backoff_base_ns * rcfg.backoff_factor ** (attempts - 1)
-            )
+            self.sink.stall(BACKOFF_BASE_NS * BACKOFF_FACTOR ** (attempts - 1))
             outcome = self._try_open(bucket, slot)
         if isinstance(outcome, AuthenticationError):
             rc.auth_failures += 1

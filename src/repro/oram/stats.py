@@ -79,10 +79,10 @@ class MemorySink:
         count: int,
         write: bool,
         onchip: bool = False,
-        remote: bool = False,
     ) -> None:
         """``count`` identical data touches of one slot (reshuffle read
-        phases report Z' reads against slot 0). Equivalent to
+        phases report Z' reads against slot 0; never a rented slot).
+        Equivalent to
         :meth:`data_access_many` over ``count`` copies of the item; a
         primitive of its own because timing sinks have a closed form
         for it.
@@ -232,7 +232,6 @@ class CountingSink(MemorySink):
         count: int,
         write: bool,
         onchip: bool = False,
-        remote: bool = False,
     ) -> None:
         c = self._cur_counters
         if c is None:
@@ -241,8 +240,6 @@ class CountingSink(MemorySink):
         if onchip:
             c.onchip_accesses += count
             return
-        if remote:
-            c.remote_accesses += count
         if write:
             c.data_writes += count
             self.data_writes_by_level[level] += count
@@ -311,10 +308,10 @@ class TeeSink(MemorySink):
             s.data_access_many(items, write)
 
     def data_access_repeat(self, bucket, slot, level, count, write,
-                           onchip=False, remote=False):
+                           onchip=False):
         for s in self.sinks:
             s.data_access_repeat(bucket, slot, level, count, write,
-                                 onchip=onchip, remote=remote)
+                                 onchip=onchip)
 
     def metadata_access_many(self, items, write, blocks=1):
         for s in self.sinks:

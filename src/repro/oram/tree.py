@@ -69,18 +69,6 @@ def bucket_on_path(bucket: int, leaf: int, levels: int) -> bool:
     return position_of(bucket) == (leaf >> (levels - 1 - lv))
 
 
-def intersection_level(leaf_a: int, leaf_b: int, levels: int) -> int:
-    """Deepest level shared by the paths of two leaves.
-
-    Equals ``levels - 1`` when the leaves coincide and ``0`` when the
-    paths diverge immediately below the root.
-    """
-    if leaf_a == leaf_b:
-        return levels - 1
-    diverge = (leaf_a ^ leaf_b).bit_length()  # bits below divergence point
-    return (levels - 1) - diverge
-
-
 def bit_reverse(value: int, bits: int) -> int:
     """Reverse the low ``bits`` bits of ``value``."""
     out = 0

@@ -189,13 +189,6 @@ def diagnose_robustness(
             "slots will be accepted undetected",
         ))
 
-    if robustness.retry_budget > 0 and robustness.backoff_base_ns <= 0:
-        findings.append(Finding(
-            WARNING, "backoff-zero",
-            "retries are enabled with zero backoff; retry storms are "
-            "free in simulated time, hiding their real cost",
-        ))
-
     if (robustness.integrity and n_requests is not None
             and n_requests >= LONG_RUN_REQUESTS and checkpoint_every <= 0):
         findings.append(Finding(

@@ -23,13 +23,16 @@ from repro.sim.results import SimResult
 from repro.sim.runner import make_trace, run_suite
 
 
+#: Every perf cell replays a SPEC trace.
+SUITE = "spec"
+
+
 @dataclass
 class PerfConfig:
     """One perf-harness invocation (the report's ``config`` block)."""
 
     schemes: Sequence[str] = ("ring", "baseline", "dr", "ab")
     benchmarks: Sequence[str] = ("mcf", "xz", "x264")
-    suite: str = "spec"
     levels: int = 12
     n_requests: int = 2000
     warmup_requests: int = 400
@@ -57,7 +60,7 @@ class PerfConfig:
         return {
             "schemes": list(self.schemes),
             "benchmarks": list(self.benchmarks),
-            "suite": self.suite,
+            "suite": SUITE,
             "levels": self.levels,
             "n_requests": self.n_requests,
             "warmup_requests": self.warmup_requests,
@@ -147,7 +150,7 @@ def _run_one_cell(
     scheme = schemes_mod.by_name(scheme_name, cfg.levels)
     wall, out = _best_of(cfg.repeats, lambda: run_suite(
         [scheme],
-        suite=cfg.suite,
+        suite=SUITE,
         benchmarks=[bench],
         n_requests=cfg.n_requests,
         warmup_requests=cfg.warmup_requests,
@@ -175,7 +178,7 @@ def _run_sharded_cell(
 
     scheme = schemes_mod.by_name(scheme_name, cfg.levels)
     trace = make_trace(
-        cfg.suite, bench, scheme.n_real_blocks, cfg.n_requests,
+        SUITE, bench, scheme.n_real_blocks, cfg.n_requests,
         seed=cfg.seed,
     )
     wall, outcome = _best_of(cfg.repeats, lambda: run_sharded_sim(

@@ -417,7 +417,6 @@ class ReportSpec:
         baseline: Dict[str, Any],
         new: Dict[str, Any],
         threshold_pct: float = DEFAULT_THRESHOLD_PCT,
-        availability_drop_pp: float = DEFAULT_AVAILABILITY_DROP_PP,
     ) -> Tuple[int, List[str]]:
         """Gate two validated reports; returns (exit_code, messages).
 
@@ -428,7 +427,7 @@ class ReportSpec:
         degenerate -- a matrix that silently shrank is an error, never
         a pass. Cells only in ``new`` are informational.
         """
-        limits = {"pct": threshold_pct, "pp": availability_drop_pp}
+        limits = {"pct": threshold_pct, "pp": DEFAULT_AVAILABILITY_DROP_PP}
         base_cells = {self.cell_key(c): c for c in baseline["cells"]}
         new_cells = {self.cell_key(c): c for c in new["cells"]}
         messages: List[str] = []

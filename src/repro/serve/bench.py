@@ -38,7 +38,6 @@ class ServeConfig:
     levels: int = 10
     seed: int = 0
     max_batch: int = 32
-    policies: Sequence[str] = POLICIES
     workloads: Sequence[WorkloadConfig] = ()
     smoke: bool = False
     workers: int = 1
@@ -54,7 +53,7 @@ class ServeConfig:
             "levels": self.levels,
             "seed": self.seed,
             "max_batch": self.max_batch,
-            "policies": list(self.policies),
+            "policies": list(POLICIES),
             "workloads": [w.to_dict() for w in self.workloads],
             "smoke": self.smoke,
         }
@@ -243,10 +242,9 @@ def run_serve(cfg: Optional[ServeConfig] = None) -> Dict[str, Any]:
         interesting = next(
             (w for w in cfg.workloads if w.expect_dedup), cfg.workloads[0]
         )
-        policy = "batch" if "batch" in cfg.policies else cfg.policies[0]
-        cfg = replace(cfg, trace_cell=(interesting.name, policy))
+        cfg = replace(cfg, trace_cell=(interesting.name, "batch"))
     worker_cfg = replace(cfg, progress=None, workers=1)
-    pairs = [(w, p) for w in cfg.workloads for p in cfg.policies]
+    pairs = [(w, p) for w in cfg.workloads for p in POLICIES]
     outputs = run_cells(
         _serve_cell_task,
         [Cell(f"{w.name}/{p}", (worker_cfg, w, p)) for w, p in pairs],

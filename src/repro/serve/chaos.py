@@ -34,7 +34,9 @@ import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.sharding.control import ControlPlane, heartbeat_events
+from repro.core.sharding.control import (
+    HEARTBEAT_NS, ControlPlane, heartbeat_events,
+)
 from repro.core.sharding.partition import PartitionMap
 from repro.faults.plan import FAULT_KINDS, TAMPER_KINDS, FaultPlan
 from repro.oram.recovery import RobustnessConfig
@@ -52,6 +54,9 @@ from repro.serve.replay import detection_block, episode_block, serve_slice
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.schema import CHAOS
 from repro.telemetry import request_trace_doc, write_trace
+
+#: Simulated window the SLO engine and the ops sampler fold on.
+SLO_WINDOW_NS = 50_000.0
 
 
 @dataclass(frozen=True)
@@ -111,9 +116,6 @@ class ChaosConfig:
     #: the distributed trace. ``num_shards == 1`` is the exact PR-7
     #: single-stack path.
     num_shards: int = 1
-    heartbeat_ns: float = 100_000.0
-    #: Simulated window the SLO engine and ops sampler fold on.
-    slo_window_ns: float = 50_000.0
     #: JSONL output paths (sharded campaigns only): the SLO event
     #: stream and the per-shard ops stream ``serve top`` replays.
     slo_out: Optional[str] = None
@@ -129,8 +131,8 @@ class ChaosConfig:
             "cells": [c.to_dict() for c in self.cells],
             "smoke": self.smoke,
             "num_shards": self.num_shards,
-            "heartbeat_ns": self.heartbeat_ns,
-            "slo_window_ns": self.slo_window_ns,
+            "heartbeat_ns": HEARTBEAT_NS,
+            "slo_window_ns": SLO_WINDOW_NS,
         }
 
 
@@ -284,7 +286,7 @@ def _chaos_slice(
     if cfg.ops_out is not None and shard is not None:
         from repro.telemetry import OpsSampler
         sampler = functools.partial(
-            OpsSampler, cell.name, shard, cfg.slo_window_ns,
+            OpsSampler, cell.name, shard, SLO_WINDOW_NS,
         )
     served = serve_slice(
         items, requests, scheme=cfg.scheme, levels=cfg.levels, seed=seed,
@@ -431,15 +433,15 @@ def _merge_shard_cell(
     sim["shards"] = [o["partial"] for o in outputs]
     # Control plane: every shard's deterministic heartbeat train plus
     # its degraded-episode markers, merged into one fleet timeline.
-    control = ControlPlane(cfg.heartbeat_ns)
+    control = ControlPlane()
     control.run([
         event for o in outputs for event in heartbeat_events(
             o["partial"]["shard"], o["partial"]["start_ns"],
-            o["partial"]["end_ns"], cfg.heartbeat_ns, o["episode_list"],
+            o["partial"]["end_ns"], o["episode_list"],
         )
     ])
     sim["control"] = control.summary()
-    engine = SloEngine(_cell_slo_rules(cell), cfg.slo_window_ns)
+    engine = SloEngine(_cell_slo_rules(cell), SLO_WINDOW_NS)
     fold_completions(
         engine, [c for o in outputs for c in o["completions"]],
     )
@@ -476,7 +478,7 @@ def _run_chaos_sharded(cfg: ChaosConfig) -> List[CellResult]:
     folded: List[CellResult] = []
     stream_meta = {
         "type": "meta", "schema_version": SCHEMA_VERSION, "seed": cfg.seed,
-        "num_shards": cfg.num_shards, "window_ns": cfg.slo_window_ns,
+        "num_shards": cfg.num_shards, "window_ns": SLO_WINDOW_NS,
     }
     slo_stream: List[Dict[str, Any]] = [
         {**stream_meta, "kind": "repro-slo-stream"}

@@ -42,7 +42,7 @@ exercised at fleet scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.sharding.control import (
     ControlPlane, ShardEvent, heartbeat_events,
@@ -62,11 +62,16 @@ from repro.serve.resilience import ResilienceConfig
 #: longest transient outage, so blips recover inline and only
 #: persistent tamper escalates to quarantine-and-rebuild.
 DRILL_ROBUSTNESS = RobustnessConfig(integrity=True, retry_budget=6)
+#: The shard a kill-a-shard drill arms, and the fleet availability it
+#: must stay above.
+DRILL_SHARD = 0
+DRILL_MIN_AVAILABILITY = 0.90
 
 
 @dataclass(frozen=True)
 class KillShardDrill:
-    """Kill-a-shard-under-load: one shard serves through a fault plan.
+    """Kill-a-shard-under-load: shard ``DRILL_SHARD`` serves through a
+    fault plan.
 
     The drilled shard is built as a sealed chaos stack
     (ChaCha20 + MAC + Merkle with a
@@ -78,20 +83,18 @@ class KillShardDrill:
     above the floor) while it happened?
     """
 
-    shard: int = 0
     faults: Optional[FaultPlan] = None
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    min_availability: float = 0.0
     robustness: RobustnessConfig = field(
         default_factory=lambda: DRILL_ROBUSTNESS
     )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "shard": self.shard,
+            "shard": DRILL_SHARD,
             "faults": None if self.faults is None else self.faults.to_dict(),
             "resilience": self.resilience.to_dict(),
-            "min_availability": self.min_availability,
+            "min_availability": DRILL_MIN_AVAILABILITY,
             "robustness": self.robustness.to_dict(),
         }
 
@@ -101,17 +104,17 @@ class FleetConfig:
     """One fleet serving run: workload, shard count, optional drill."""
 
     workload: WorkloadConfig
-    scheme: str = "ab"
+    #: Every shard serves an AB tree under the batch policy
+    #: (class constants, not settings).
+    scheme: ClassVar[str] = "ab"
+    policy: ClassVar[str] = "batch"
     #: Per-shard tree depth (every subtree runs at the same depth so
     #: per-access costs are comparable across shard counts).
     levels: int = 9
     num_shards: int = 4
     seed: int = 0
     max_batch: int = 32
-    policy: str = "batch"
     drill: Optional[KillShardDrill] = None
-    #: Heartbeat cadence on the shards' simulated clocks.
-    heartbeat_ns: float = 100_000.0
     workers: int = 1
     progress: Any = None   # callable(str) for live shard updates
 
@@ -171,7 +174,7 @@ def _fleet_shard_task(payload: Tuple[FleetConfig, int]) -> Dict[str, Any]:
     fields: everything here lands in the deterministic view.
     """
     cfg, shard = payload
-    drilled = cfg.drill is not None and cfg.drill.shard == shard
+    drilled = cfg.drill is not None and shard == DRILL_SHARD
     report_progress(
         f"shard {shard}/{cfg.num_shards}{' [drill]' if drilled else ''} ..."
     )
@@ -186,7 +189,7 @@ def _fleet_shard_task(payload: Tuple[FleetConfig, int]) -> Dict[str, Any]:
     served = serve_slice(
         items, reqs, scheme=cfg.scheme, levels=cfg.levels,
         seed=derive_seed(cfg.seed, f"shard:{shard}"),
-        policy=cfg.policy, max_batch=cfg.max_batch, **armed,
+        max_batch=cfg.max_batch, **armed,
     )
     result, counters = served.result, served.counters
     latencies = served.served_latencies
@@ -195,7 +198,7 @@ def _fleet_shard_task(payload: Tuple[FleetConfig, int]) -> Dict[str, Any]:
     }
     sim["latency_ns"] = _percentiles(latencies)
     events = heartbeat_events(
-        shard, result.start_ns, result.end_ns, cfg.heartbeat_ns,
+        shard, result.start_ns, result.end_ns,
         result.episodes if drilled else (),
     )
     return {
@@ -223,15 +226,6 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
     """
     if cfg.num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {cfg.num_shards}")
-    if cfg.drill is not None and not (
-        0 <= cfg.drill.shard < cfg.num_shards
-    ):
-        raise ValueError(
-            f"drill shard {cfg.drill.shard} outside fleet of "
-            f"{cfg.num_shards}"
-        )
-    if cfg.heartbeat_ns <= 0:
-        raise ValueError("heartbeat_ns must be positive")
     worker_cfg = replace(cfg, progress=None, workers=1)
     outputs = run_cells(
         _fleet_shard_task,
@@ -253,7 +247,7 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
             ShardEvent(**e) for e in res.value["events"]
         )
         latencies.extend(res.value["latencies"])
-    control = ControlPlane(cfg.heartbeat_ns)
+    control = ControlPlane()
     control.run(events)
     for cell in shards:
         if "error" in cell:

@@ -10,9 +10,10 @@ what lets ``BENCH_serve.json`` commit deterministic fields.
 - ``poisson`` -- i.i.d. exponential gaps at ``rate_rps`` (simulated
   requests per second, i.e. a mean gap of ``1e9 / rate_rps`` ns);
 - ``bursty`` -- a two-state modulated Poisson process: exponential-length
-  burst and idle phases, arriving at ``rate_rps * burst_factor``
-  inside bursts and ``rate_rps * idle_factor`` outside. Bursts model
-  flash crowds; they are what drives deep queues and fat batches.
+  burst and idle phases (means ``BURST_NS`` and ``IDLE_NS``), arriving
+  at ``rate_rps * burst_factor`` inside bursts and ``rate_rps *
+  IDLE_FACTOR`` outside. Bursts model flash crowds; they are what
+  drives deep queues and fat batches.
 
 **Key popularity** is a bounded zipf over a key *universe* of
 ``n_keys`` ranks (vectorized inverse-CDF sampling, so universes of
@@ -39,6 +40,11 @@ import numpy as np
 from repro.serve.request import DELETE, GET, PUT, Request
 
 ARRIVALS = ("poisson", "bursty")
+#: The bursty process's idle-phase rate (a share of ``rate_rps``) and
+#: its mean burst / idle phase lengths (simulated ns).
+IDLE_FACTOR = 0.25
+BURST_NS = 50_000.0
+IDLE_NS = 200_000.0
 
 
 @dataclass(frozen=True)
@@ -56,10 +62,6 @@ class WorkloadConfig:
     #: Mean offered load, simulated requests per second.
     rate_rps: float = 1_200_000.0
     burst_factor: float = 5.0
-    idle_factor: float = 0.25
-    #: Mean burst / idle phase lengths (simulated ns).
-    burst_ns: float = 50_000.0
-    idle_ns: float = 200_000.0
     zipf_s: float = 0.99
     read_fraction: float = 0.85
     delete_fraction: float = 0.0
@@ -96,9 +98,9 @@ class WorkloadConfig:
             "arrival": self.arrival,
             "rate_rps": self.rate_rps,
             "burst_factor": self.burst_factor,
-            "idle_factor": self.idle_factor,
-            "burst_ns": self.burst_ns,
-            "idle_ns": self.idle_ns,
+            "idle_factor": IDLE_FACTOR,
+            "burst_ns": BURST_NS,
+            "idle_ns": IDLE_NS,
             "zipf_s": self.zipf_s,
             "read_fraction": self.read_fraction,
             "delete_fraction": self.delete_fraction,
@@ -146,9 +148,9 @@ def _arrival_times(cfg: WorkloadConfig, rng: np.random.Generator) -> np.ndarray:
     in_burst = True
     while filled < n:
         phase_len = float(rng.exponential(
-            cfg.burst_ns if in_burst else cfg.idle_ns
+            BURST_NS if in_burst else IDLE_NS
         ))
-        factor = cfg.burst_factor if in_burst else cfg.idle_factor
+        factor = cfg.burst_factor if in_burst else IDLE_FACTOR
         gap = mean_gap / factor if factor > 0 else None
         if gap is not None:
             # Expected arrivals this phase, padded; unused draws are

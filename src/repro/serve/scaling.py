@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import schemes as schemes_mod
-from repro.core.sharding.control import MISS_AFTER
+from repro.core.sharding.control import HEARTBEAT_NS, MISS_AFTER
 from repro.core.sharding.sharded import levels_for_blocks
 from repro.parallel.executor import Cell, report_progress, run_cells
 from repro.report import assemble
@@ -83,21 +83,20 @@ class ScalingCell:
         }
 
 
+#: The s1-over-s4 ns-per-request gate :func:`scaling_check` applies to
+#: every block row that carries both shard counts.
+MIN_SPEEDUP = 3.0
+
+
 @dataclass
 class ScalingConfig:
     """One capacity-curve invocation (the report's ``config`` block)."""
 
-    scheme: str = "ab"
     #: Tree depth every measured shard serves at (uniform across shard
     #: counts so the throughput ratio isolates the fleet effect).
     measured_levels: int = 9
     seed: int = 0
     max_batch: int = 32
-    policy: str = "batch"
-    #: The s1-over-s4 ns-per-request gate :func:`scaling_check` applies
-    #: to every block row that carries both shard counts.
-    min_speedup: float = 3.0
-    heartbeat_ns: float = 100_000.0
     cells: Sequence[ScalingCell] = ()
     smoke: bool = False
     workers: int = 1
@@ -105,13 +104,13 @@ class ScalingConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "scheme": self.scheme,
+            "scheme": FleetConfig.scheme,
             "measured_levels": self.measured_levels,
             "seed": self.seed,
             "max_batch": self.max_batch,
-            "policy": self.policy,
-            "min_speedup": self.min_speedup,
-            "heartbeat_ns": self.heartbeat_ns,
+            "policy": FleetConfig.policy,
+            "min_speedup": MIN_SPEEDUP,
+            "heartbeat_ns": HEARTBEAT_NS,
             "miss_after": MISS_AFTER,
             "cells": [c.to_dict() for c in self.cells],
             "smoke": self.smoke,
@@ -145,13 +144,9 @@ def _capacity_workload(
     )
 
 
-def _drill(shard: int, min_availability: float = 0.90) -> KillShardDrill:
-    """The standard kill-a-shard drill: the chaos campaign's ``tamper``
-    cell (plan and policy) under one shard."""
-    return KillShardDrill(
-        shard=shard, faults=TAMPER_FAULTS, resilience=TAMPER_RESILIENCE,
-        min_availability=min_availability,
-    )
+#: The standard kill-a-shard drill: the chaos campaign's ``tamper``
+#: cell (plan and policy) under one shard.
+_DRILL = KillShardDrill(faults=TAMPER_FAULTS, resilience=TAMPER_RESILIENCE)
 
 
 def smoke_config(**overrides: Any) -> ScalingConfig:
@@ -166,7 +161,7 @@ def smoke_config(**overrides: Any) -> ScalingConfig:
     ) + (
         ScalingCell(
             name="drill-64k", total_blocks=blocks, shards=4, workload=wl,
-            drill=_drill(shard=0),
+            drill=_DRILL,
         ),
     )
     base = ScalingConfig(cells=cells, smoke=True)
@@ -193,7 +188,7 @@ def full_config(**overrides: Any) -> ScalingConfig:
     cells.append(ScalingCell(
         name="drill-1m", total_blocks=2 ** 20, shards=8,
         workload=_capacity_workload("drill-1m", 2000, 1000),
-        drill=_drill(shard=0),
+        drill=_DRILL,
     ))
     base = ScalingConfig(
         measured_levels=10, cells=tuple(cells), smoke=False,
@@ -233,14 +228,11 @@ def _scaling_cell_task(
     report_progress(f"scaling {cell.name}@s{cell.shards} ...")
     fleet_cfg = FleetConfig(
         workload=cell.workload,
-        scheme=cfg.scheme,
         levels=cfg.measured_levels,
         num_shards=cell.shards,
         seed=cfg.seed,
         max_batch=cfg.max_batch,
-        policy=cfg.policy,
         drill=cell.drill,
-        heartbeat_ns=cfg.heartbeat_ns,
         workers=cfg.workers,
         progress=cfg.progress,
     )
@@ -259,7 +251,8 @@ def _scaling_cell_task(
         "total_blocks": cell.total_blocks,
         "drill": cell.drill is not None,
         "wall_s": wall_s,
-        "memory": memory_block(cfg.scheme, cell.total_blocks, cell.shards),
+        "memory": memory_block(FleetConfig.scheme, cell.total_blocks,
+                               cell.shards),
         "sim": {
             "fleet": doc["fleet"],
             "shards": doc["shards"],

@@ -26,6 +26,11 @@ from repro.serve.request import PUT, Completion, Request
 from repro.serve.scheduler import BatchScheduler
 
 
+#: Seconds ``close`` waits for the serving thread before failing what
+#: is still pending.
+JOIN_TIMEOUT_S = 30.0
+
+
 class KVServer:
     """Concurrent front-end: many submitters, one serving thread."""
 
@@ -35,16 +40,10 @@ class KVServer:
         policy: str = "batch",
         max_batch: int = 32,
         seed: int = 0,
-        join_timeout_s: float = 30.0,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if join_timeout_s <= 0:
-            raise ValueError(
-                f"join_timeout_s must be positive, got {join_timeout_s}"
-            )
         self.max_batch = max_batch
-        self.join_timeout_s = join_timeout_s
         #: The exception that killed the serve loop, if it died.
         self._worker_error: Optional[BaseException] = None
         self._t0 = time.perf_counter_ns()
@@ -142,34 +141,26 @@ class KVServer:
 
     # ------------------------------------------------------------ lifecycle
 
-    def close(self, drain: bool = True) -> None:
-        """Stop the serving thread (after draining the queue by default).
+    def close(self) -> None:
+        """Stop the serving thread after draining the queue.
 
-        Never hangs: the join is bounded by ``join_timeout_s``, and if
+        Never hangs: the join is bounded by ``JOIN_TIMEOUT_S``, and if
         the serve loop died (or wedged) any still-pending futures are
         failed with the worker's exception instead of waiting forever.
         """
         with self._work:
             if self._closed:
                 return
-            if not drain:
-                dropped, self._queue = self._queue, []
-                for req in dropped:
-                    future = self._futures.pop(req.rid, None)
-                    if future is not None:
-                        future.set_exception(
-                            RuntimeError("server closed before serving")
-                        )
             self._closed = True
             self._work.notify_all()
-        self._thread.join(timeout=self.join_timeout_s)
+        self._thread.join(timeout=JOIN_TIMEOUT_S)
         with self._work:
             if self._futures or self._queue:
                 exc = self._worker_error
                 if exc is None:
                     exc = RuntimeError(
                         "server closed with the serve loop "
-                        f"unresponsive after {self.join_timeout_s:g}s"
+                        f"unresponsive after {JOIN_TIMEOUT_S:g}s"
                     )
                 self._fail_pending_locked(exc)
 

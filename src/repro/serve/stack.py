@@ -48,12 +48,10 @@ def build_stack(
     scheme: str = "ab",
     levels: int = 10,
     seed: int = 0,
-    pad_chunks: int = 1,
     telemetry: Optional[Any] = None,
     observer: bool = True,
     robustness: Optional[RobustnessConfig] = None,
     fault_plan: Optional[Any] = None,
-    pipeline_depth: int = 1,
 ) -> ServedStack:
     """Build a timed, observable KV store over a fresh ORAM.
 
@@ -71,22 +69,18 @@ def build_stack(
     faults. The wrapper starts disarmed so the store can be populated
     cleanly; call :meth:`ServedStack.arm_faults` before the measured
     run. Sealed stacks cannot ``preload`` -- populate with real puts.
-
-    ``pipeline_depth > 1`` serves on the transaction-pipelined
-    controller (:mod:`repro.core.pipeline`): path reads of request k+1
-    overlap the reshuffle drain of request k on a windowed DRAM model.
-    Timing only -- responses are identical at every depth.
+    The stack serves on the serial controller (depth 1).
     """
     cfg = schemes_mod.by_name(scheme, levels)
     attacker = GuessingAttacker(cfg.levels, seed=seed + 1) if observer else None
     stack = build_oram_stack(
         cfg, seed=seed, key_domain=b"repro/serve|",
-        pipeline_depth=pipeline_depth, telemetry=telemetry, robustness=robustness, fault_plan=fault_plan,
+        telemetry=telemetry, robustness=robustness, fault_plan=fault_plan,
         observers=[attacker] if attacker is not None else [],
         store_data=True,
     )
     return ServedStack(
-        kv=ObliviousKV(stack.oram, pad_chunks=pad_chunks),
+        kv=ObliviousKV(stack.oram),
         dram_sink=stack.dram_sink, telemetry=telemetry, attacker=attacker,
         datastore=stack.datastore, faulty=stack.faulty,
     )

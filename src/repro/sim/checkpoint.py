@@ -34,7 +34,9 @@ PathLike = Union[str, Path]
 #: table is dense (was a pooled side table). 4: the controller keeps,
 #: per observer hook, the observers that override it (``_heard``).
 #: 5: a DeadQ is a deque of entry tuples (was three numpy columns).
-CHECKPOINT_FORMAT = 5
+#: 6: the DRAM model holds no ``AddressMapping`` (the interleaving is
+#: module constants), so an older file no longer unpickles.
+CHECKPOINT_FORMAT = 6
 _MAGIC = "repro-sim-checkpoint"
 
 

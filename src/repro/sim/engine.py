@@ -78,7 +78,6 @@ class DramSink(MemorySink):
         # Address computation inlined from TreeLayout.data_addr /
         # meta_addr: plain-int arithmetic over a materialized offset
         # list, since this runs for every simulated memory request.
-        self._data_base = layout.base_addr
         self._data_off = layout._offsets.tolist()
         self._block_bytes = layout.cfg.block_bytes
         self._meta_base = layout.meta_base
@@ -142,7 +141,6 @@ class DramSink(MemorySink):
         # A batch with no off-chip item issues nothing, so it leaves
         # the phase untouched: later lower-phase requests still extend
         # the operation before the next transition samples its end.
-        base = self._data_base
         off = self._data_off
         bb = self._block_bytes
         addrs = []
@@ -153,19 +151,17 @@ class DramSink(MemorySink):
                 continue
             if remote:
                 remotes += 1
-            append(base + off[bucket] + slot * bb)
+            append(off[bucket] + slot * bb)
         if not addrs:
             return
         self.remote_accesses += remotes
         self._issue(addrs, write, 2 if write else 1, items, 3)
 
     def data_access_repeat(self, bucket, slot, level, count, write,
-                           onchip=False, remote=False):
+                           onchip=False):
         if onchip or count <= 0:
             return
-        if remote:
-            self.remote_accesses += count
-        addr = self._data_base + self._data_off[bucket] + slot * self._block_bytes
+        addr = self._data_off[bucket] + slot * self._block_bytes
         self._issue_repeat(addr, count, write, 2 if write else 1, bucket)
 
     def metadata_access_many(self, items, write, blocks=1):
@@ -251,7 +247,6 @@ class SimConfig:
 
     timing: DramTiming = DDR3_1600
     warmup_requests: int = 0
-    warm_fill: bool = True
     seed: int = 0
     observers: Sequence[Any] = ()
     check_invariants: bool = False
@@ -287,7 +282,6 @@ def build_oram_stack(
     fault_plan: Optional[Any] = None,
     observers: Sequence[Any] = (),
     store_data: bool = False,
-    warm_fill: bool = True,
 ) -> OramStack:
     """The one stack recipe behind :class:`Simulation` and
     :func:`repro.serve.stack.build_stack`: layout, DRAM model, timed
@@ -332,7 +326,7 @@ def build_oram_stack(
         if fault_plan is not None:
             # Imported lazily: repro.faults imports this module.
             from repro.faults.memory import FaultyMemory
-            faulty = FaultyMemory(datastore, fault_plan, armed=False)
+            faulty = FaultyMemory(datastore, fault_plan)
     # The controller talks straight to the timed sink: the op/time
     # breakdown comes from the sink itself, and a tee'd CountingSink
     # would cost one extra dispatch per memory touch. Drivers that want
@@ -344,8 +338,7 @@ def build_oram_stack(
         datastore=faulty if faulty is not None else datastore,
         robustness=robustness,
     )
-    if warm_fill:
-        oram.warm_fill()
+    oram.warm_fill()
     return OramStack(oram, dram_sink, robustness, datastore, faulty)
 
 
@@ -369,6 +362,11 @@ class Simulation:
         telemetry: Optional[Any] = None,
     ) -> None:
         sim = sim or SimConfig()
+        if 0 < sim.warmup_requests >= len(trace):
+            raise ValueError(
+                f"warmup_requests ({sim.warmup_requests}) must be below "
+                f"the trace length ({len(trace)}): nothing would be "
+                "measured")
         self.cfg = cfg
         self.trace = trace
         self.sim = sim
@@ -378,7 +376,6 @@ class Simulation:
             timing=sim.timing, pipeline_depth=sim.pipeline_depth,
             telemetry=telemetry, robustness=sim.robustness,
             fault_plan=sim.fault_plan, observers=sim.observers,
-            warm_fill=sim.warm_fill,
         )
         self.oram = stack.oram
         self.dram_sink = stack.dram_sink
@@ -575,10 +572,7 @@ class Simulation:
 
 
 def simulate(
-    cfg: OramConfig,
-    trace: Trace,
-    sim: Optional[SimConfig] = None,
-    telemetry: Optional[Any] = None,
+    cfg: OramConfig, trace: Trace, sim: Optional[SimConfig] = None,
 ) -> SimResult:
     """Replay ``trace`` against scheme ``cfg`` and measure everything."""
-    return Simulation(cfg, trace, sim, telemetry=telemetry).run()
+    return Simulation(cfg, trace, sim).run()

@@ -225,10 +225,8 @@ def request_trace_doc(
 
 # ------------------------------------------------------------------ fleet
 
-def control_instants(
-    control: Dict[str, Any], tid: int = CONTROL_TID,
-) -> List[Event]:
-    """Health-state transitions as instant events on one timeline.
+def control_instants(control: Dict[str, Any]) -> List[Event]:
+    """Health-state transitions as instant events on the control track.
 
     ``control`` is a :meth:`~repro.core.sharding.control.ControlPlane
     .summary` block; each transition becomes one thread-scoped instant
@@ -242,7 +240,7 @@ def control_instants(
     out: List[Event] = []
     for ns, shard, t in sorted(marks, key=lambda m: (m[0], m[1])):
         out.append(instant_event(
-            f"shard{shard}:{t['to']}", CAT_CONTROL, 0, tid, ns, {
+            f"shard{shard}:{t['to']}", CAT_CONTROL, 0, CONTROL_TID, ns, {
                 "shard": shard,
                 "from": t["from"],
                 "to": t["to"],

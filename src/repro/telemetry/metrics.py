@@ -37,8 +37,8 @@ class Counter:
     def __init__(self) -> None:
         self.value = 0
 
-    def inc(self, n: int = 1) -> None:
-        self.value += n
+    def inc(self) -> None:
+        self.value += 1
 
 
 class Gauge:
@@ -131,16 +131,11 @@ class MetricsRegistry:
             g = self._gauges[name] = Gauge()
         return g
 
-    def histogram(
-        self, name: str, bounds: Optional[Sequence[float]] = None
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
+        """The ``name`` histogram, on :func:`default_time_buckets`."""
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(bounds)
-        elif bounds is not None and tuple(float(b) for b in bounds) != h.bounds:
-            raise ValueError(
-                f"histogram {name!r} already exists with different bounds"
-            )
+            h = self._histograms[name] = Histogram()
         return h
 
     # ------------------------------------------------------------ snapshot
@@ -167,12 +162,10 @@ class MetricsRegistry:
         }
 
 
-def quantiles_from_snapshot(
-    hist: Dict[str, Any], qs: Sequence[float] = (0.5, 0.95, 0.99)
-) -> List[float]:
-    """Estimate quantiles from one snapshot's histogram entry."""
+def quantiles_from_snapshot(hist: Dict[str, Any]) -> List[float]:
+    """Estimate p50, p95 and p99 from one snapshot's histogram entry."""
     h = Histogram(hist["bounds"])
     h.counts = [int(c) for c in hist["counts"]]
     h.count = int(hist["count"])
     h.sum = float(hist["sum"])
-    return [h.quantile(q) for q in qs]
+    return [h.quantile(q) for q in (0.5, 0.95, 0.99)]

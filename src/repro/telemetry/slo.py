@@ -41,20 +41,22 @@ RULE_KINDS = ("latency_p99", "availability", "detection_rate")
 #: Category for SLO alert instants on the merged fleet trace.
 CAT_SLO = "fleet.slo"
 
+#: Burn rate at which a window trips an alert: any budget overspend.
+BURN_ALERT = 1.0
+
 
 @dataclass(frozen=True)
 class SloRule:
     """One service-level objective.
 
     ``threshold`` is nanoseconds for ``latency_p99`` and a fraction in
-    [0, 1] for the other kinds. ``burn_alert`` is the burn-rate level
-    at which a window trips an alert (1.0 = any budget overspend).
+    [0, 1] for the other kinds. A window trips an alert at burn rate
+    ``BURN_ALERT``.
     """
 
     name: str
     kind: str
     threshold: float
-    burn_alert: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in RULE_KINDS:
@@ -64,8 +66,6 @@ class SloRule:
             )
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
-        if self.burn_alert <= 0:
-            raise ValueError("burn_alert must be positive")
         if self.kind != "latency_p99" and self.threshold > 1.0:
             raise ValueError(
                 f"{self.kind} threshold is a fraction, got {self.threshold}"
@@ -76,7 +76,7 @@ class SloRule:
             "name": self.name,
             "kind": self.kind,
             "threshold": self.threshold,
-            "burn_alert": self.burn_alert,
+            "burn_alert": BURN_ALERT,
         }
 
 
@@ -113,7 +113,6 @@ class SloEngine:
         self,
         rules: Sequence[SloRule],
         window_ns: float,
-        bounds: Optional[Sequence[float]] = None,
     ) -> None:
         if window_ns <= 0:
             raise ValueError("window_ns must be positive")
@@ -122,7 +121,7 @@ class SloEngine:
             raise ValueError(f"duplicate rule names: {names}")
         self.rules = tuple(rules)
         self.window_ns = float(window_ns)
-        self._bounds = tuple(bounds or default_time_buckets())
+        self._bounds = default_time_buckets()
         #: Cumulative served-latency histogram (the merge-property
         #: anchor: shard-wise folds of this must equal a serial fold).
         self.hist = Histogram(self._bounds)
@@ -199,7 +198,7 @@ class SloEngine:
             if rule.kind == "detection_rate":
                 continue
             burn = burns[rule.name]
-            if burn >= rule.burn_alert and (
+            if burn >= BURN_ALERT and (
                 rule.kind != "availability" or availability < rule.threshold
             ):
                 value = p99 if rule.kind == "latency_p99" else availability

@@ -73,7 +73,7 @@ def _span_rows(summary: Dict[str, Any]) -> List[Dict[str, Any]]:
         }
         hist = hists.get(f"op_ns.{op}")
         if hist:
-            p50, p95, p99 = quantiles_from_snapshot(hist, (0.5, 0.95, 0.99))
+            p50, p95, p99 = quantiles_from_snapshot(hist)
             row.update({"p50_ns": p50, "p95_ns": p95, "p99_ns": p99})
         rows.append(row)
     return rows

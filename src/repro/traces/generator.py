@@ -3,12 +3,13 @@
 Produces block-granular LLC-miss streams with the locality structure
 real workloads exhibit past the cache hierarchy:
 
-- a private *working set* of ``working_set_blocks`` blocks inside the
-  protected address space;
-- *zipf-distributed* popularity (hot blocks are re-touched; this is
-  what produces ORAM stash hits);
-- *stride runs*: with probability ``stride_prob`` the next request
-  continues a sequential run (streaming phases of compute kernels);
+- a private *working set* of ``WORKING_SET_FRACTION`` of the protected
+  address space;
+- *zipf-distributed* popularity with exponent ``ZIPF_ALPHA`` (hot
+  blocks are re-touched; this is what produces ORAM stash hits);
+- *stride runs*: with probability ``STRIDE_PROB`` the next request
+  continues a sequential run of mean length ``STRIDE_RUN_MEAN``
+  (streaming phases of compute kernels);
 - a read/write mix taken from the benchmark's read/write MPKI split.
 
 The generator is deterministic per (name, seed): two simulations of
@@ -24,37 +25,25 @@ import numpy as np
 
 from repro.traces.trace import Trace, TraceRequest
 
+WORKING_SET_FRACTION = 0.5
+ZIPF_ALPHA = 0.8
+STRIDE_PROB = 0.35
+STRIDE_RUN_MEAN = 8.0
+
 
 class SyntheticTraceGenerator:
-    """Configurable workload-model trace factory."""
+    """The workload-model trace factory."""
 
-    def __init__(
-        self,
-        n_oram_blocks: int,
-        working_set_fraction: float = 0.5,
-        zipf_alpha: float = 0.8,
-        stride_prob: float = 0.35,
-        stride_run_mean: float = 8.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, n_oram_blocks: int, seed: int = 0) -> None:
         if n_oram_blocks < 1:
             raise ValueError("n_oram_blocks must be >= 1")
-        if not 0 < working_set_fraction <= 1.0:
-            raise ValueError("working_set_fraction must be in (0, 1]")
-        if not 0 <= stride_prob < 1.0:
-            raise ValueError("stride_prob must be in [0, 1)")
-        if zipf_alpha < 0:
-            raise ValueError("zipf_alpha must be >= 0")
         self.n_oram_blocks = n_oram_blocks
-        self.working_set = max(1, int(n_oram_blocks * working_set_fraction))
-        self.zipf_alpha = zipf_alpha
-        self.stride_prob = stride_prob
-        self.stride_run_mean = stride_run_mean
+        self.working_set = max(1, int(n_oram_blocks * WORKING_SET_FRACTION))
         self.seed = seed
 
     def _zipf_cdf(self, n: int) -> np.ndarray:
         ranks = np.arange(1, n + 1, dtype=np.float64)
-        weights = ranks ** (-self.zipf_alpha)
+        weights = ranks ** (-ZIPF_ALPHA)
         cdf = np.cumsum(weights)
         return cdf / cdf[-1]
 
@@ -87,8 +76,8 @@ class SyntheticTraceGenerator:
             else:
                 u = rng.random()
                 cursor = int(np.searchsorted(cdf, u))
-                if rng.random() < self.stride_prob:
-                    stride_left = int(rng.geometric(1.0 / self.stride_run_mean))
+                if rng.random() < STRIDE_PROB:
+                    stride_left = int(rng.geometric(1.0 / STRIDE_RUN_MEAN))
             block = int(perm[cursor])
             write = bool(rng.random() < write_frac)
             requests.append(TraceRequest(block=block, write=write))

@@ -21,8 +21,11 @@ from repro.traces.trace import Trace, TraceRequest
 
 PathLike = Union[str, Path]
 
+#: Bytes per trace address unit: one 64B block.
+BLOCK_BYTES = 64
 
-def save_trace(trace: Trace, path: PathLike, block_bytes: int = 64) -> int:
+
+def save_trace(trace: Trace, path: PathLike) -> int:
     """Write ``trace`` in USIMM text format; returns lines written.
 
     The instruction gap is the trace's average (our generator models
@@ -33,7 +36,7 @@ def save_trace(trace: Trace, path: PathLike, block_bytes: int = 64) -> int:
     lines = []
     for req in trace:
         op = "W" if req.write else "R"
-        lines.append(f"{gap} {op} 0x{req.block * block_bytes:x}")
+        lines.append(f"{gap} {op} 0x{req.block * BLOCK_BYTES:x}")
     path.write_text("\n".join(lines) + "\n")
     return len(lines)
 
@@ -42,8 +45,6 @@ def load_trace(
     path: PathLike,
     name: str,
     n_oram_blocks: int,
-    block_bytes: int = 64,
-    suite: str = "file",
 ) -> Trace:
     """Parse a USIMM-format trace file.
 
@@ -75,7 +76,7 @@ def load_trace(
         if gap < 0 or addr < 0:
             raise ValueError(f"{path}:{lineno}: negative gap or address")
         write = op == "W"
-        block = (addr // block_bytes) % n_oram_blocks
+        block = (addr // BLOCK_BYTES) % n_oram_blocks
         requests.append(TraceRequest(block=block, write=write))
         total_gap += gap
         if write:
@@ -96,5 +97,5 @@ def load_trace(
         requests=requests,
         read_mpki=max(read_mpki, eps),
         write_mpki=max(write_mpki, eps),
-        suite=suite,
+        suite="file",
     )

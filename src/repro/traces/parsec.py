@@ -43,7 +43,6 @@ def parsec_trace(
     n_oram_blocks: int,
     n_requests: int,
     seed: int = 0,
-    working_set_fraction: float = 0.5,
 ) -> Trace:
     """Synthesize the named PARSEC benchmark's trace."""
     if name not in PARSEC:
@@ -51,11 +50,7 @@ def parsec_trace(
             f"unknown PARSEC benchmark {name!r}; choose from {parsec_benchmarks()}"
         )
     read_mpki, write_mpki = PARSEC[name]
-    gen = SyntheticTraceGenerator(
-        n_oram_blocks=n_oram_blocks,
-        working_set_fraction=working_set_fraction,
-        seed=seed,
-    )
+    gen = SyntheticTraceGenerator(n_oram_blocks=n_oram_blocks, seed=seed)
     return gen.generate(
         name,
         n_requests,

@@ -49,7 +49,6 @@ def spec_trace(
     n_oram_blocks: int,
     n_requests: int,
     seed: int = 0,
-    working_set_fraction: float = 0.5,
 ) -> Trace:
     """Synthesize the named SPEC benchmark's trace."""
     if name not in SPEC_CPU2017:
@@ -57,11 +56,7 @@ def spec_trace(
             f"unknown SPEC benchmark {name!r}; choose from {spec_benchmarks()}"
         )
     read_mpki, write_mpki = SPEC_CPU2017[name]
-    gen = SyntheticTraceGenerator(
-        n_oram_blocks=n_oram_blocks,
-        working_set_fraction=working_set_fraction,
-        seed=seed,
-    )
+    gen = SyntheticTraceGenerator(n_oram_blocks=n_oram_blocks, seed=seed)
     return gen.generate(
         name,
         n_requests,

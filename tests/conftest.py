@@ -144,10 +144,10 @@ class RecordingSink(MemorySink):
         self.calls.append(("data_access_many", (list(items), write)))
 
     def data_access_repeat(self, bucket, slot, level, count, write,
-                           onchip=False, remote=False):
+                           onchip=False):
         self.calls.append((
             "data_access_repeat",
-            (bucket, slot, level, count, write, onchip, remote),
+            (bucket, slot, level, count, write, onchip),
         ))
 
     def metadata_access_many(self, items, write, blocks=1):
@@ -181,13 +181,13 @@ def recorded_ab_stream(accesses: int = 300) -> tuple:
         ("metadata_access_many",
          ([(bottom, lv, False), (0, 0, True)], False, 2)),
         ("data_access_many", ([], False)),
-        ("data_access_repeat", (bottom, 0, lv, 0, False, False, False)),
-        ("data_access_repeat", (bottom, 0, lv, 3, False, False, True)),
+        ("data_access_repeat", (bottom, 0, lv, 0, False, False)),
+        ("data_access_repeat", (bottom, 0, lv, 3, False, False)),
         ("stall", (12.5,)),
-        ("data_access_repeat", (0, 0, 0, 2, True, True, False)),
+        ("data_access_repeat", (0, 0, 0, 2, True, True)),
         ("data_access_many",
          ([(bottom, 1, lv, False, True), (0, 0, 0, True, False)], True)),
-        ("data_access_repeat", (bottom, 0, lv, 0, True, False, False)),
+        ("data_access_repeat", (bottom, 0, lv, 0, True, False)),
         ("metadata_access_many", ([(bottom, lv, False)], True, 2)),
         ("end_op", ()),
     )
@@ -210,10 +210,9 @@ def replay_stream(sink, stream, scalar: bool = False) -> None:
                 sink.data_access(bucket, slot, level, write,
                                  onchip=onchip, remote=remote)
         elif name == "data_access_repeat":
-            bucket, slot, level, count, write, onchip, remote = args
+            bucket, slot, level, count, write, onchip = args
             for _ in range(count):
-                sink.data_access(bucket, slot, level, write,
-                                 onchip=onchip, remote=remote)
+                sink.data_access(bucket, slot, level, write, onchip=onchip)
         else:
             items, write, blocks = args
             for bucket, level, onchip in items:

@@ -43,12 +43,12 @@ class TestFacade:
             AbOram.from_scheme("bogus", levels=8)
 
     def test_read_write(self, cfg_ab_small):
-        oram = AbOram(cfg_ab_small, store_data=True)
+        oram = AbOram(cfg_ab_small)
         oram.write(1, "payload")
         assert oram.read(1) == "payload"
 
     def test_warm_start(self, cfg_ab_small):
-        oram = AbOram(cfg_ab_small, warm=True)
+        oram = AbOram(cfg_ab_small)
         oram.check()
         resident = int((oram.oram.store.slots >= 0).sum())
         assert resident + oram.oram.stash.occupancy == cfg_ab_small.n_real_blocks
@@ -60,7 +60,7 @@ class TestFacade:
         assert 0 < rep["space_utilization"] < 1
 
     def test_runtime_report_counts(self, cfg_ab_small):
-        oram = AbOram(cfg_ab_small, warm=True)
+        oram = AbOram(cfg_ab_small)
         for i in range(60):
             oram.read(i % oram.n_blocks)
         rep = oram.runtime_report()
@@ -80,7 +80,7 @@ class TestFacade:
         assert AbOram(cfg_small).oram.ext is None
 
     def test_check_delegates(self, cfg_ab_small):
-        oram = AbOram(cfg_ab_small, warm=True)
+        oram = AbOram(cfg_ab_small)
         for i in range(40):
             oram.read(i % oram.n_blocks)
         oram.check()

@@ -6,15 +6,15 @@ import pytest
 
 from conftest import tiny_ab_config, tiny_config
 
-from repro.analysis.deadblocks import DeadBlockCensus, LifetimeTracker
+from repro.analysis.deadblocks import LifetimeTracker
 from repro.analysis.report import (
+    BAR_WIDTH,
     format_cell,
     render_bars,
     render_mapping_table,
     render_series,
     render_table,
 )
-from repro.analysis.stash_stats import StashStats
 from repro.analysis.space import (
     level_space_profile,
     normalized_space,
@@ -35,13 +35,11 @@ class TestSpaceMath:
         assert norm["AB"] == pytest.approx(0.645, abs=0.003)
 
     def test_explicit_baseline(self, paper_schemes):
-        norm = normalized_space(paper_schemes, baseline="AB")
+        # The first scheme is the baseline.
+        ab = [cfg for cfg in paper_schemes if cfg.name == "AB"]
+        norm = normalized_space(ab + paper_schemes)
         assert norm["AB"] == 1.0
         assert norm["Baseline"] > 1.0
-
-    def test_missing_baseline(self, paper_schemes):
-        with pytest.raises(KeyError):
-            normalized_space(paper_schemes, baseline="nope")
 
     def test_empty(self):
         with pytest.raises(ValueError):
@@ -74,49 +72,33 @@ class TestSpaceMath:
 
 
 class TestDeadBlockCensus:
-    def test_sampling(self):
-        cfg = tiny_config()
-        oram = build_oram(cfg, seed=1)
-        census = DeadBlockCensus(interval=10).attach(oram)
-        for i in range(50):
-            oram.access(i % cfg.n_real_blocks)
-        assert len(census.samples) == 5
-        xs = [x for x, _ in census.samples]
-        assert xs == [10, 20, 30, 40, 50]
+    """The bucket store's dead-slot counts, which Figs. 2 and 3 read."""
 
     def test_population_rises_then_plateaus(self):
         """Fig. 2's shape: early growth, then stabilization."""
         cfg = tiny_config(levels=7)
         oram = build_oram(cfg, seed=1)
         oram.warm_fill()
-        census = DeadBlockCensus(interval=25).attach(oram)
         rng = np.random.default_rng(0)
-        for _ in range(800):
+        pops = []
+        for i in range(1, 801):
+            if i % 25 == 0:
+                pops.append(oram.store.total_dead_slots())
             oram.access(int(rng.integers(cfg.n_real_blocks)))
-        pops = [d for _, d in census.samples]
         early = np.mean(pops[:4])
         late = np.mean(pops[-8:])
         very_late = np.mean(pops[-4:])
         assert late > early  # rises
         assert abs(very_late - late) < 0.35 * late  # plateaus
 
-    def test_per_level_snapshot_requires_attach(self):
-        with pytest.raises(RuntimeError):
-            DeadBlockCensus().per_level_snapshot()
-
     def test_per_level_snapshot_shape(self):
         cfg = tiny_config()
         oram = build_oram(cfg, seed=1)
-        census = DeadBlockCensus(interval=5).attach(oram)
         for i in range(30):
             oram.access(i % cfg.n_real_blocks)
-        snap = census.per_level_snapshot()
+        snap = oram.store.dead_slots_by_level()
         assert snap.shape == (cfg.levels,)
         assert snap.sum() == oram.store.total_dead_slots()
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            DeadBlockCensus(interval=0)
 
 
 class TestLifetimeTracker:
@@ -190,65 +172,19 @@ class TestReport:
 
 class TestRenderBars:
     def test_scales_to_max(self):
-        out = render_bars({"a": 1.0, "b": 0.5}, width=10)
+        out = render_bars({"a": 1.0, "b": 0.5}, None, None)
         lines = out.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
+        assert lines[0].count("#") == BAR_WIDTH
+        assert lines[1].count("#") == BAR_WIDTH // 2
 
     def test_reference_marker(self):
-        out = render_bars({"a": 2.0, "b": 1.0}, width=10, reference=1.0)
+        out = render_bars({"a": 2.0, "b": 1.0}, None, reference=1.0)
         assert "|" in out
 
     def test_title_and_empty(self):
-        assert render_bars({}, title="T") == "T"
-        assert "T" in render_bars({"a": 1.0}, title="T")
+        assert render_bars({}, "T", None) == "T"
+        assert "T" in render_bars({"a": 1.0}, "T", None)
 
     def test_zero_values(self):
-        out = render_bars({"a": 0.0})
+        out = render_bars({"a": 0.0}, None, None)
         assert "#" not in out
-
-
-class TestStashStats:
-    def _drive(self, n=120):
-        cfg = tiny_config(levels=6)
-        stats = StashStats(timeline_interval=20)
-        oram = build_oram(cfg, seed=4)
-        stats.attach(oram)
-        oram.warm_fill()
-        for i in range(n):
-            oram.access(i % cfg.n_real_blocks)
-        return stats
-
-    def test_one_sample_per_access(self):
-        stats = self._drive(n=120)
-        assert stats.summary()["samples"] == 120
-
-    def test_summary_ordering(self):
-        s = self._drive().summary()
-        assert s["p50"] <= s["p90"] <= s["p99"] <= s["max"]
-        assert s["mean"] >= 0
-
-    def test_timeline_interval(self):
-        stats = self._drive(n=100)
-        assert [x for x, _ in stats.timeline] == [20, 40, 60, 80, 100]
-
-    def test_histogram_mass(self):
-        stats = self._drive(n=100)
-        assert stats.histogram().sum() == 100
-
-    def test_percentile(self):
-        stats = self._drive()
-        assert stats.percentile(0) <= stats.percentile(100)
-
-    def test_empty_raises(self):
-        stats = StashStats()
-        with pytest.raises(ValueError):
-            stats.summary()
-        with pytest.raises(ValueError):
-            stats.histogram()
-        with pytest.raises(ValueError):
-            stats.percentile(50)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            StashStats(timeline_interval=-1)

@@ -125,10 +125,11 @@ class TestCheckpointValidation:
         """A future format, format 1 (the sealed store's tags were a
         dict then), format 2 (rentals sat in a pooled side table, not
         in the bucket rows), format 3 (a controller without its
-        per-hook observer lists) and format 4 (DeadQs as numpy ring
-        buffers): the file would load and the run die later on a
+        per-hook observer lists), format 4 (DeadQs as numpy ring
+        buffers) and format 5 (a DRAM model with an address-mapping
+        object): the file would load and the run die later on a
         missing attribute."""
-        for fmt in (99, 1, 2, 3, 4):
+        for fmt in (99, 1, 2, 3, 4, 5):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

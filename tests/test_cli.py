@@ -54,6 +54,23 @@ class TestSimulate:
         assert "Sharded simulation (fleet of 2)" in out
         assert "Per-shard results" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--bench", "nosuch"],
+        ["--bench", "nosuch", "--shards", "2"],
+        ["--requests", "0"],
+        ["--pipeline-depth", "0"],
+        ["--metrics-every", "-1"],
+        ["--warmup", "100", "--requests", "100"],
+        ["--warmup", "100", "--requests", "100", "--shards", "2"],
+    ], ids=["bench", "bench-sharded", "requests", "pipeline-depth",
+            "metrics-every", "warmup", "warmup-sharded"])
+    def test_bad_input_is_a_clean_error(self, capsys, flags):
+        rc = main(["simulate", "--levels", "6", "--requests", "50",
+                   "--warmup", "0", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_parsec_suite(self, capsys):
         rc = main(["simulate", "--suite", "parsec", "--bench", "canneal",
                    "--scheme", "dr", "--levels", "9",
@@ -76,6 +93,12 @@ class TestSweep:
         rc = main(["sweep", "--benchmarks", "mcf", "nope", "--levels", "6"])
         assert rc == 2
         assert "unknown spec benchmark(s) nope" in capsys.readouterr().err
+
+    def test_warmup_past_the_trace_is_a_clean_error(self, capsys):
+        rc = main(["sweep", "--benchmarks", "mcf", "--levels", "6",
+                   "--requests", "100", "--warmup", "100"])
+        assert rc == 2
+        assert "--warmup (100) must be below" in capsys.readouterr().err
 
 
 class TestSimulateRobustness:

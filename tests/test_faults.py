@@ -56,6 +56,13 @@ def _only(plan_kind, rate=1.0, **kw):
     return FaultPlan(seed=0, rates={plan_kind: rate}, **kw)
 
 
+def _armed(store, plan):
+    """A fault wrapper injecting from its first operation."""
+    mem = FaultyMemory(store, plan)
+    mem.armed = True
+    return mem
+
+
 class TestFaultPlan:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -92,15 +99,11 @@ class TestFaultPlan:
             for op in range(50) for b in range(4) for s in range(4)
         )
 
-    def test_start_op_suppresses_early_faults(self):
-        plan = FaultPlan(rates={"bit_flip": 1.0}, start_op=10)
-        assert plan.pick_open_fault(9, 0, 0) is None
-        assert plan.pick_open_fault(10, 0, 0) == "bit_flip"
-
     def test_roundtrip(self):
-        plan = FaultPlan(seed=3, rates={"replay": 0.25}, start_op=5,
-                         max_outage_ops=4)
-        assert FaultPlan(**plan.to_dict()) == plan
+        plan = FaultPlan(seed=3, rates={"replay": 0.25}, max_outage_ops=4)
+        doc = plan.to_dict()
+        assert doc.pop("start_op") == 0
+        assert FaultPlan(**doc) == plan
 
     def test_flip_byte_in_range(self):
         plan = _only("bit_flip")
@@ -116,7 +119,7 @@ class TestFaultPlan:
 
 class TestFaultyMemoryDetection:
     def test_bit_flip_always_detected(self):
-        mem = FaultyMemory(_store(), _only("bit_flip"))
+        mem = _armed(_store(), _only("bit_flip"))
         for slot in range(3):
             mem.seal_slot(3, slot, b"payload")
             with pytest.raises(AuthenticationError):
@@ -126,7 +129,7 @@ class TestFaultyMemoryDetection:
         assert mem.undetected["bit_flip"] == 0
 
     def test_replay_always_detected_with_integrity(self):
-        mem = FaultyMemory(_store(), _only("replay"))
+        mem = _armed(_store(), _only("replay"))
         mem.seal_slot(3, 1, b"v1")
         mem.seal_slot(3, 1, b"v2")  # history now holds the v1 triple
         with pytest.raises(IntegrityError):
@@ -136,7 +139,7 @@ class TestFaultyMemoryDetection:
         assert mem.undetected["replay"] == 0
 
     def test_replay_undetected_without_integrity(self):
-        mem = FaultyMemory(_store(with_integrity=False), _only("replay"))
+        mem = _armed(_store(with_integrity=False), _only("replay"))
         mem.seal_slot(3, 1, b"v1")
         mem.seal_slot(3, 1, b"v2")
         value = mem.open_slot(3, 1)  # the stale plaintext comes back
@@ -145,7 +148,7 @@ class TestFaultyMemoryDetection:
         assert mem.detected["replay"] == 0
 
     def test_dropped_write_detected_on_next_read(self):
-        mem = FaultyMemory(_store(), _only("dropped_write"))
+        mem = _armed(_store(), _only("dropped_write"))
         mem.seal_slot(3, 1, b"v1")
         mem.seal_slot(3, 1, b"v2")  # this write is dropped
         assert mem.latent_drops == 1
@@ -155,10 +158,11 @@ class TestFaultyMemoryDetection:
         assert mem.latent_drops == 0
 
     def test_dropped_write_masked_by_reseal(self):
-        plan = FaultPlan(seed=0, rates={"dropped_write": 1.0}, start_op=2)
-        mem = FaultyMemory(_store(), plan)
+        plan = FaultPlan(seed=0, rates={"dropped_write": 1.0})
+        mem = _armed(_store(), FaultPlan())
         mem.seal_slot(3, 1, b"v1")   # op 0: clean
-        mem.seal_slot(3, 1, b"v2")   # op 1: clean (start_op)
+        mem.seal_slot(3, 1, b"v2")   # op 1: clean
+        mem.plan = plan
         mem.seal_slot(3, 1, b"v3")   # op 2: dropped
         assert mem.latent_drops == 1
         plan_off = dataclasses.replace(plan, rates={})
@@ -170,7 +174,7 @@ class TestFaultyMemoryDetection:
         assert mem.detected["dropped_write"] == 0
 
     def test_unavailable_raises_then_drains(self):
-        mem = FaultyMemory(_store(), _only("unavailable", max_outage_ops=1))
+        mem = _armed(_store(), _only("unavailable", max_outage_ops=1))
         mem.seal_slot(3, 1, b"v1")
         with pytest.raises(TransientBackendError):
             mem.open_slot(3, 1)
@@ -180,13 +184,13 @@ class TestFaultyMemoryDetection:
         assert mem.open_slot(3, 1) == pad_block(b"v1", 64)
 
     def test_disarmed_wrapper_injects_nothing(self):
-        mem = FaultyMemory(_store(), _only("bit_flip"), armed=False)
+        mem = FaultyMemory(_store(), _only("bit_flip"))
         mem.seal_slot(3, 1, b"payload")
         assert mem.open_slot(3, 1) == pad_block(b"payload", 64)
         assert sum(mem.injected.values()) == 0
 
     def test_passthrough_delegates_queries(self):
-        mem = FaultyMemory(_store(), FaultPlan())
+        mem = _armed(_store(), FaultPlan())
         mem.seal_slot(3, 1, b"x")
         assert mem.seals == 1  # inner counter, via __getattr__
         with pytest.raises(AttributeError):
@@ -206,7 +210,7 @@ class TestFaultyMemoryDetection:
         assert not missing, f"FaultyMemory passes {missing} straight through"
 
     def test_open_many_injects_per_slot(self):
-        mem = FaultyMemory(_store(), _only("bit_flip"))
+        mem = _armed(_store(), _only("bit_flip"))
         slots = [(3, 0), (3, 1), (4, 0)]
         mem.seal_many([(b, s, b"x") for b, s in slots])
         outcomes = list(mem.open_many(slots))
@@ -217,8 +221,8 @@ class TestFaultyMemoryDetection:
         """Each slot takes its op index when its outcome is asked for:
         a retry between two outcomes sits between them in the op
         sequence, as in a loop of scalar opens."""
-        batch = FaultyMemory(_store(), _only("unavailable", max_outage_ops=1))
-        scalar = FaultyMemory(_store(), _only("unavailable", max_outage_ops=1))
+        batch = _armed(_store(), _only("unavailable", max_outage_ops=1))
+        scalar = _armed(_store(), _only("unavailable", max_outage_ops=1))
         slots = [(3, 0), (3, 1)]
         for mem in (batch, scalar):
             mem.seal_many([(b, s, b"x") for b, s in slots])
@@ -235,7 +239,7 @@ class TestFaultyMemoryDetection:
         assert batch.summary() == scalar.summary()
 
     def test_summary_shape(self):
-        mem = FaultyMemory(_store(), FaultPlan())
+        mem = _armed(_store(), FaultPlan())
         s = mem.summary()
         assert set(s) == {"ops", "injected", "detected", "undetected",
                           "masked_drops", "latent_drops"}
@@ -311,8 +315,9 @@ def _play(mem, steps):
 
 
 def _assert_cut_equals_per_slot(plan, steps, with_integrity=True, armed=True):
-    cut = FaultyMemory(_store(with_integrity), plan, armed=armed)
-    ref = PerSlotFaultyMemory(_store(with_integrity), plan, armed=armed)
+    cut = FaultyMemory(_store(with_integrity), plan)
+    ref = PerSlotFaultyMemory(_store(with_integrity), plan)
+    cut.armed = ref.armed = armed
     assert _play(cut, steps) == _play(ref, steps)
 
 
@@ -343,16 +348,15 @@ class TestCutBatchesEqualPerSlot:
         seed=st.integers(0, 2**16),
         rates=st.fixed_dictionaries({k: _RATE for k in FAULT_KINDS}),
         max_outage_ops=st.integers(1, 3),
-        start_op=st.integers(0, 20),
         with_integrity=st.booleans(),
         armed=st.booleans(),
         steps=st.lists(st.one_of(_SEAL_STEP, _OPEN_STEP, _ARM_STEP),
                        min_size=1, max_size=10),
     )
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_scripts_of_batches(self, seed, rates, max_outage_ops, start_op,
+    def test_scripts_of_batches(self, seed, rates, max_outage_ops,
                                 with_integrity, armed, steps):
-        plan = FaultPlan(seed=seed, rates=rates, start_op=start_op,
+        plan = FaultPlan(seed=seed, rates=rates,
                          max_outage_ops=max_outage_ops)
         # Most of the corner starts sealed (bucket 5 does not), so
         # drawn opens mostly get past the never-sealed KeyError.
@@ -544,7 +548,6 @@ class TestBatchedReadPathEqualsPerLevel:
                 rates={"bit_flip": 0.01, "replay": 0.01,
                        "dropped_write": 0.005, "unavailable": 0.04},
             ),
-            armed=False,
         )
         sink = RecordingSink()
         oram = controller(

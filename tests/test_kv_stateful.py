@@ -16,6 +16,8 @@ from hypothesis.stateful import (
 )
 
 from repro.app.kvstore import ObliviousKV
+from repro.core import schemes
+from repro.core.ab_oram import build_oram
 
 KEYS = st.sampled_from([b"a", b"b", b"c", b"d", b"e"])
 VALUES = st.binary(min_size=0, max_size=200)
@@ -26,8 +28,8 @@ class KVModel(RuleBasedStateMachine):
     def setup(self):
         # Plaintext backend keeps the state machine fast; the encrypted
         # data path has its own differential tests.
-        self.kv = ObliviousKV.create(scheme="ab", levels=6, seed=5,
-                                     encrypted=False)
+        self.kv = ObliviousKV(build_oram(schemes.by_name("ab", 6), seed=5,
+                                         store_data=True))
         self.model = {}
 
     @rule(key=KEYS, value=VALUES)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.app.kvstore import KVFullError, ObliviousKV
+from repro.core import schemes
+from repro.core.ab_oram import build_oram
 
 
 @pytest.fixture(scope="module")
@@ -11,9 +13,13 @@ def kv():
     return ObliviousKV.create(scheme="ab", levels=8, seed=1)
 
 
-def fresh(levels=7, encrypted=True, **kw):
+def fresh(levels=7, encrypted=True, pad_chunks=1):
+    if not encrypted:
+        oram = build_oram(schemes.by_name("baseline", levels), seed=2,
+                          store_data=True)
+        return ObliviousKV(oram, pad_chunks=pad_chunks)
     return ObliviousKV.create(scheme="baseline", levels=levels, seed=2,
-                              encrypted=encrypted, **kw)
+                              pad_chunks=pad_chunks)
 
 
 class TestBasics:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import schemes
-from repro.mem.address_map import AddressMapping
+from repro.mem import address_map as am
 from repro.mem.dram import DramModel
 from repro.mem.layout import TreeLayout
 from repro.mem.timing import DDR3_1066, DDR3_1600, IDEAL_BUS, DramTiming
@@ -14,8 +14,7 @@ def _two_open_rows(first_write, second_write):
     rows are already open, so only the shared bus orders them; returns
     the gap between their completions."""
     dram = DramModel()
-    m = dram.mapping
-    other_bank = m.row_bytes * m.n_channels
+    other_bank = am.ROW_BYTES * am.N_CHANNELS
     dram.access(0, False, 0.0)
     dram.access(other_bank, False, 0.0)
     first = dram.access(0, first_write, 1000.0)
@@ -69,54 +68,44 @@ class TestTiming:
     def test_hoisted_model_constants_match_timing_source(self, preset):
         """The hot-path copies in DramModel track mem/timing exactly.
 
-        ``DramModel.__init__`` hoists every timing field (and the
-        address-mapping geometry) into ``_``-prefixed attributes so the
+        ``DramModel.__init__`` hoists every timing field into
+        ``_``-prefixed attributes so the
         per-access loops skip dataclass attribute lookups. The
         dataclasses in ``repro.mem.timing`` stay the single source of
         truth; this asserts each hoisted copy agrees with its source
         field, so a new timing parameter (or a renamed one) cannot
         silently fork the two definitions.
         """
-        mapping = AddressMapping()
-        model = DramModel(timing=preset, mapping=mapping)
+        model = DramModel(timing=preset)
         for field in ("t_refi", "t_rp", "t_rrd", "t_rcd", "t_cas",
                       "t_cwd", "t_wtr", "t_rtw", "t_wr", "burst_ns"):
             assert getattr(model, f"_{field}") == getattr(preset, field), field
-        for field in ("line_bytes", "n_channels", "lines_per_row",
-                      "n_banks"):
-            assert getattr(model, f"_{field}") == getattr(mapping, field), field
 
 
 class TestAddressMapping:
     def test_channel_interleaving_at_line_granularity(self):
-        m = AddressMapping(n_channels=4)
-        channels = [m.decompose(64 * i)[0] for i in range(8)]
+        channels = [am.decompose(64 * i)[0] for i in range(8)]
         assert channels == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_same_line_same_coordinates(self):
-        m = AddressMapping()
-        assert m.decompose(100) == m.decompose(64)
+        assert am.decompose(100) == am.decompose(64)
 
     def test_rows_change_after_row_span(self):
-        m = AddressMapping(n_channels=1, n_banks=1, row_bytes=256)
-        _, _, row0, _ = m.decompose(0)
-        _, _, row1, _ = m.decompose(256)
+        span = am.ROW_BYTES * am.N_CHANNELS * am.N_BANKS
+        _, _, row0, _ = am.decompose(0)
+        _, _, row1, _ = am.decompose(span)
         assert row1 == row0 + 1
 
     def test_consecutive_lines_in_channel_share_row(self):
-        m = AddressMapping(n_channels=2, row_bytes=1024)
-        c0, b0, r0, col0 = m.decompose(0)
-        c1, b1, r1, col1 = m.decompose(128)  # next line on channel 0
+        c0, b0, r0, col0 = am.decompose(0)
+        # The next line on channel 0.
+        c1, b1, r1, col1 = am.decompose(am.LINE_BYTES * am.N_CHANNELS)
         assert (c0, b0, r0) == (c1, b1, r1)
         assert col1 == col0 + 1
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
-            AddressMapping().decompose(-64)
-
-    def test_row_bytes_multiple_of_line(self):
-        with pytest.raises(ValueError):
-            AddressMapping(row_bytes=100)
+            am.decompose(-64)
 
 
 class TestDramModel:
@@ -137,11 +126,9 @@ class TestDramModel:
 
     def test_same_bank_serializes(self):
         dram = DramModel()
-        m = dram.mapping
         # Two lines in the same bank but different rows -> conflict.
-        m.n_channels * m.row_bytes * 0  # same row actually
         a = 0
-        b = m.n_channels * m.row_bytes * m.n_banks  # same bank, next row
+        b = am.N_CHANNELS * am.ROW_BYTES * am.N_BANKS  # same bank, next row
         t1 = dram.access(a, False, 0.0)
         t2 = dram.access(b, False, 0.0)
         assert t2 > t1
@@ -163,10 +150,8 @@ class TestDramModel:
     def test_activation_throttle(self):
         """Row misses on one channel cannot activate faster than tRRD."""
         dram = DramModel()
-        m = dram.mapping
-        m.n_channels * m.row_bytes * m.n_banks  # new row, same-ish
         # Hit different banks to avoid bank serialization; all misses.
-        addrs = [m.row_bytes * m.n_channels * b for b in range(8)]
+        addrs = [am.ROW_BYTES * am.N_CHANNELS * b for b in range(8)]
         busy_span = max(dram.access(a, False, 0.0) for a in addrs)
         assert busy_span >= DDR3_1600.t_rrd * (len(addrs) - 1)
 
@@ -252,10 +237,6 @@ class TestTreeLayout:
         lay = TreeLayout(cfg, metadata_blocks=1)
         assert lay.meta_bytes == cfg.n_buckets * 64
 
-    def test_base_addr_offset(self, cfg):
-        lay = TreeLayout(cfg, base_addr=1 << 20)
-        assert lay.data_addr(0, 0) == 1 << 20
-
     def test_bucket_out_of_range(self, cfg):
         lay = TreeLayout(cfg)
         with pytest.raises(ValueError):
@@ -289,8 +270,7 @@ class TestEntryPointsAgree:
         import random
 
         rng = random.Random(seed)
-        m = AddressMapping()
-        row_stride = m.row_bytes * m.n_channels * m.n_banks
+        row_stride = am.ROW_BYTES * am.N_CHANNELS * am.N_BANKS
         groups = []
         now = 0.0
         write = False

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sharding.control import (
-    ControlPlane, ShardEvent, heartbeat_events,
+    HEARTBEAT_NS, ControlPlane, ShardEvent, heartbeat_events,
 )
 from repro.serve.chaos import (
     ChaosCell, _mix, chaos_check, run_chaos, smoke_config,
@@ -360,11 +360,11 @@ class TestFleetTraceDoc:
         assert pids == {0, 1, 2}
 
     def test_control_and_slo_tracks(self):
-        control = ControlPlane(heartbeat_ns=100.0)
-        events = heartbeat_events(0, 0.0, 700.0, 100.0)
-        events += heartbeat_events(1, 0.0, 700.0, 100.0)
-        events.append(ShardEvent(0, "degraded_enter", 150.0))
-        events.append(ShardEvent(0, "degraded_exit", 250.0))
+        control = ControlPlane()
+        events = heartbeat_events(0, 0.0, 7 * HEARTBEAT_NS)
+        events += heartbeat_events(1, 0.0, 7 * HEARTBEAT_NS)
+        events.append(ShardEvent(0, "degraded_enter", 1.5 * HEARTBEAT_NS))
+        events.append(ShardEvent(0, "degraded_exit", 2.5 * HEARTBEAT_NS))
         control.run(events)
         eng = SloEngine((SloRule("avail", "availability", 0.9),), 100.0)
         for i in range(10):

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from conftest import RecordingSink
 
 from repro.core.ab_oram import build_oram
 from repro.oram.observer import BaseObserver
@@ -16,8 +17,6 @@ class Recorder(BaseObserver):
         self.read_paths = []
         self.deaths = []
         self.reclaims = []
-        self.reshuffles = []
-        self.evictions = []
 
     def on_access_start(self, access_no):
         self.accesses.append(access_no)
@@ -31,16 +30,10 @@ class Recorder(BaseObserver):
     def on_slot_reclaimed(self, bucket, slot, level, how):
         self.reclaims.append((bucket, slot, level, how))
 
-    def on_reshuffle(self, bucket, level, kind):
-        self.reshuffles.append((bucket, level, kind))
 
-    def on_evict_path(self, leaf):
-        self.evictions.append(leaf)
-
-
-def drive(cfg, n=60, seed=0):
+def drive(cfg, n=60, seed=0, sink=None):
     rec = Recorder()
-    oram = build_oram(cfg, seed=seed, observers=[rec])
+    oram = build_oram(cfg, seed=seed, observers=[rec], sink=sink)
     oram.warm_fill()
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -55,8 +48,6 @@ class TestBaseObserver:
         obs.on_read_path(0, [], -1)
         obs.on_slot_dead(0, 0, 0)
         obs.on_slot_reclaimed(0, 0, 0, "reshuffle")
-        obs.on_reshuffle(0, 0, OpKind.EVICT_PATH)
-        obs.on_evict_path(0)
 
 
 class TestEventStream:
@@ -84,9 +75,12 @@ class TestEventStream:
         assert found > 0
 
     def test_eviction_count_matches_rate(self, cfg_small):
-        oram, rec = drive(cfg_small, n=30)
+        sink = RecordingSink()
+        oram, _ = drive(cfg_small, n=30, sink=sink)
         expected = (30 + oram.background_accesses) // cfg_small.evict_rate
-        assert len(rec.evictions) == expected
+        evictions = [a for name, a in sink.calls
+                     if name == "begin_op" and a[0] == OpKind.EVICT_PATH]
+        assert len(evictions) == expected
 
     def test_every_death_eventually_reclaimable(self, cfg_small):
         """Reclaim events only ever name slots that died before."""
@@ -102,8 +96,9 @@ class TestEventStream:
         assert "remote" in reasons  # rentals happened
 
     def test_reshuffle_kinds(self, cfg_small):
-        _, rec = drive(cfg_small, n=80)
-        kinds = {k for _, _, k in rec.reshuffles}
+        sink = RecordingSink()
+        drive(cfg_small, n=80, sink=sink)
+        kinds = {a[0] for name, a in sink.calls if name == "begin_op"}
         assert OpKind.EVICT_PATH in kinds
 
     def test_remote_reads_flagged(self, cfg_ab_small):
@@ -123,75 +118,13 @@ class TestEventStream:
         assert len(a.read_paths) == len(b.read_paths) > 0
 
 
-class BatchRecorder(BaseObserver):
-    """Records raw ``on_slots_reclaimed`` batches without fan-out."""
-
-    def __init__(self):
-        self.batches = []
-
-    def on_slots_reclaimed(self, bucket, slots, level, how):
-        self.batches.append(
-            (int(bucket), [int(s) for s in slots], int(level), how)
-        )
-
-
-class TestBatchedReclaimFanout:
-    def test_default_fanout_property(self):
-        """The default on_slots_reclaimed is exactly one scalar call
-        per slot, in batch order, for any inputs."""
-        from hypothesis import given, strategies as st
-
-        @given(
-            bucket=st.integers(min_value=0, max_value=10_000),
-            slots=st.lists(st.integers(min_value=0, max_value=63),
-                           max_size=16),
-            level=st.integers(min_value=0, max_value=30),
-            how=st.sampled_from(["reshuffle", "remote"]),
-        )
-        def check(bucket, slots, level, how):
-            batched, scalar = Recorder(), Recorder()
-            batched.on_slots_reclaimed(bucket, slots, level, how)
-            for slot in slots:
-                scalar.on_slot_reclaimed(bucket, slot, level, how)
-            assert batched.reclaims == scalar.reclaims
-
-        check()
-
-    def test_recorded_ab_reshuffle_batches_replay_to_scalar_stream(
-            self, cfg_ab_small):
-        """For a real AB run, replaying the controller's coalesced
-        reshuffle batches through the default fan-out reproduces the
-        scalar observer's reshuffle-reclaim sequence, order included.
-
-        The controller emits remote reclaims as scalar events and
-        reshuffle reclaims as batches; both observers ride the same
-        run, so the comparison filters the scalar stream down to the
-        reshuffle events the batches cover.
-        """
-        scalar, batch = Recorder(), BatchRecorder()
-        oram = build_oram(cfg_ab_small, seed=3, observers=[scalar, batch])
-        oram.warm_fill()
-        rng = np.random.default_rng(3)
-        for _ in range(250):
-            oram.access(int(rng.integers(cfg_ab_small.n_real_blocks)))
-
-        assert batch.batches, "run produced no batched reclaims"
-        replay = Recorder()
-        for bucket, slots, level, how in batch.batches:
-            assert how == "reshuffle"  # remote reclaims are never batched
-            BaseObserver.on_slots_reclaimed(replay, bucket, slots, level, how)
-        expected = [r for r in scalar.reclaims if r[3] == "reshuffle"]
-        assert replay.reclaims == expected
-
-
 # ------------------------------------------------------- per-hook dispatch
 
 HOOKS = ("on_access_start", "on_read_path", "on_slot_dead",
-         "on_slot_reclaimed", "on_slots_reclaimed", "on_reshuffle",
-         "on_evict_path")
+         "on_slot_reclaimed")
 
 
-def test_the_protocol_has_these_seven_hooks():
+def test_the_protocol_has_these_four_hooks():
     from repro.oram import observer
     assert observer.HOOKS == HOOKS
 
@@ -218,10 +151,6 @@ def event_log(*hooks):
     return log
 
 
-#: Every scalar hook; ``on_slots_reclaimed`` keeps its default fan-out.
-SCALAR_HOOKS = tuple(h for h in HOOKS if h != "on_slots_reclaimed")
-
-
 def drive_ab(cfg, observers, n=250, seed=3, attach_late=()):
     oram = build_oram(cfg, seed=seed, observers=observers)
     for obs in attach_late:
@@ -238,10 +167,11 @@ class TestPerHookDispatch:
     each of which sees what it saw when every event reached everyone."""
 
     #: sha256 over the full event list of ``drive_ab`` with one
-    #: all-hooks log attached, recorded at the commit where every
-    #: emission site looped over every observer.
+    #: all-hooks log attached, recorded (over these four hooks) at the
+    #: commit where reshuffle reclaims were still a batched hook fanned
+    #: out per slot.
     FULL_LOG_DIGEST = (
-        "f0aef67ac81e54b9b2c2b7e5bd0d0f34fd98695df888f700e2c1eb84337b0edc"
+        "4773e4f45b7cc14191092b220faed15e5964fd1d6e83b371969b98ac62194910"
     )
 
     @staticmethod
@@ -251,17 +181,17 @@ class TestPerHookDispatch:
         return hashlib.sha256(json.dumps(events).encode()).hexdigest()
 
     def test_full_event_list_is_the_recorded_one(self, cfg_ab_small):
-        log = event_log(*SCALAR_HOOKS)
+        log = event_log(*HOOKS)
         drive_ab(cfg_ab_small, [log])
-        assert {hook for hook, _ in log.events} == set(SCALAR_HOOKS)
+        assert {hook for hook, _ in log.events} == set(HOOKS)
         assert self._digest(log.events) == self.FULL_LOG_DIGEST
 
     def test_same_events_beside_an_attacker(self, cfg_ab_small):
         from repro.core.security import GuessingAttacker
-        alone = event_log(*SCALAR_HOOKS)
+        alone = event_log(*HOOKS)
         drive_ab(cfg_ab_small, [alone])
         for order in (0, 1):
-            beside = event_log(*SCALAR_HOOKS)
+            beside = event_log(*HOOKS)
             attacker = GuessingAttacker(cfg_ab_small.levels, seed=1)
             pair = [attacker, beside] if order else [beside, attacker]
             drive_ab(cfg_ab_small, pair)
@@ -271,28 +201,17 @@ class TestPerHookDispatch:
     def test_one_hook_observer_sees_that_hooks_events(self, cfg_ab_small):
         """Every single-hook observer, all riding one run beside the
         all-hooks log, sees exactly the log's entries for its hook."""
-        full = event_log(*SCALAR_HOOKS)
+        full = event_log(*HOOKS)
         singles = {hook: event_log(hook) for hook in HOOKS}
         oram = drive_ab(cfg_ab_small, [full, *singles.values()])
         assert oram.observers == [full, *singles.values()]
-        for hook in SCALAR_HOOKS:
+        for hook in HOOKS:
             assert singles[hook].events == [
                 e for e in full.events if e[0] == hook
             ], hook
-        # The batched hook carries the reshuffle reclaims the scalar
-        # one receives fanned out, in the same order.
-        fanned = [
-            ("on_slot_reclaimed", [bucket, slot, level, how])
-            for _, (bucket, slots, level, how) in
-            singles["on_slots_reclaimed"].events for slot in slots
-        ]
-        assert fanned and fanned == [
-            e for e in full.events
-            if e[0] == "on_slot_reclaimed" and e[1][3] == "reshuffle"
-        ]
 
     def test_add_observer_is_the_constructor_argument(self, cfg_ab_small):
-        given, added = event_log(*SCALAR_HOOKS), event_log(*SCALAR_HOOKS)
+        given, added = event_log(*HOOKS), event_log(*HOOKS)
         drive_ab(cfg_ab_small, [given])
         drive_ab(cfg_ab_small, [], attach_late=[added])
         assert added.events == given.events
@@ -300,7 +219,7 @@ class TestPerHookDispatch:
     def test_instance_and_duck_typed_hooks_are_heard(self, cfg_small):
         patched = BaseObserver()
         seen = []
-        patched.on_evict_path = seen.append
+        patched.on_access_start = seen.append
 
         class Duck:                      # no BaseObserver in sight
             def __getattr__(self, name):
@@ -313,7 +232,7 @@ class TestPerHookDispatch:
             oram.access(i % cfg_small.n_real_blocks)
         assert [e for e in seen if isinstance(e, int)], "instance hook unheard"
         assert {"on_access_start", "on_read_path", "on_slot_dead",
-                "on_reshuffle", "on_evict_path"} <= set(seen)
+                "on_slot_reclaimed"} <= set(seen)
 
     def test_served_run_calls_no_unheard_hook(self, monkeypatch):
         """``build_stack`` attaches a GuessingAttacker, which overrides

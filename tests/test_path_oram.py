@@ -31,12 +31,12 @@ class TestConfig:
 
 class TestDataPath:
     def test_roundtrip(self):
-        oram, _ = make(store_data=True)
+        oram, _ = make()
         oram.access(3, write=True, value="v")
         assert oram.access(3) == "v"
 
     def test_many_roundtrips(self):
-        oram, cfg = make(store_data=True, seed=2)
+        oram, cfg = make(seed=2)
         n = min(30, cfg.n_real_blocks)
         for i in range(n):
             oram.access(i, write=True, value=i)
@@ -83,7 +83,7 @@ class TestAccessCosts:
 
 class TestInvariants:
     def test_held_through_traffic(self):
-        oram, cfg = make(seed=5, store_data=True)
+        oram, cfg = make(seed=5)
         rng = np.random.default_rng(0)
         shadow = {}
         for i in range(200):
@@ -128,7 +128,7 @@ class TestPinnedRun:
         cfg = path_oram_config(7, z=2, stash_capacity=500, treetop_levels=2,
                                utilization=0.95)
         sink = CountingSink(cfg.levels)
-        oram = PathOram(cfg, sink=sink, seed=11, store_data=True)
+        oram = PathOram(cfg, sink=sink, seed=11)
         rng = np.random.default_rng(5)
         shadow = {}
         for i in range(400):

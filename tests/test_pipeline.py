@@ -18,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import schemes
-from repro.mem.address_map import AddressMapping
 from repro.mem.dram import DramModel
 from repro.mem.timing import DDR3_1600
 from repro.perf.schema import (
@@ -167,11 +166,11 @@ class TestGoldenBitIdentity:
 
 class TestWindowedDram:
     def _model(self, window=8):
-        return DramModel(DDR3_1600, AddressMapping(), window=window)
+        return DramModel(DDR3_1600, window=window)
 
     def test_legacy_mode_unchanged_by_window_none(self):
-        a = DramModel(DDR3_1600, AddressMapping())
-        b = DramModel(DDR3_1600, AddressMapping(), window=None)
+        a = DramModel(DDR3_1600)
+        b = DramModel(DDR3_1600, window=None)
         for i in range(200):
             addr = (i * 4096 + (i % 3) * 64) % (1 << 22)
             assert (a.access(addr, i % 2 == 0, i * 10.0)
@@ -361,19 +360,25 @@ class TestSchema:
 
 
 class TestServeStack:
+    @staticmethod
+    def _kv(depth):
+        from repro.app.kvstore import ObliviousKV
+        from repro.sim.engine import build_oram_stack
+        stack = build_oram_stack(schemes.by_name("ns", 7), seed=0,
+                                 key_domain=b"serve", store_data=True,
+                                 pipeline_depth=depth)
+        return ObliviousKV(stack.oram)
+
     def test_pipelined_stack_serves_identically(self):
-        from repro.serve.stack import build_stack
-        serial = build_stack(scheme="ns", levels=7, seed=0)
-        piped = build_stack(scheme="ns", levels=7, seed=0, pipeline_depth=4)
+        serial, piped = self._kv(1), self._kv(4)
         items = [(f"k{i}".encode(), f"value-{i}".encode()) for i in range(8)]
         for k, v in items:
-            serial.kv.put(k, v)
-            piped.kv.put(k, v)
+            serial.put(k, v)
+            piped.put(k, v)
         for k, v in items:
-            assert serial.kv.get(k) == v
-            assert piped.kv.get(k) == v
+            assert serial.get(k) == v
+            assert piped.get(k) == v
 
     def test_bad_depth_rejected(self):
-        from repro.serve.stack import build_stack
         with pytest.raises(ValueError, match="pipeline_depth"):
-            build_stack(pipeline_depth=0)
+            self._kv(0)

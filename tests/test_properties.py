@@ -33,16 +33,6 @@ class TestTreeProperties:
         on = tree.bucket_on_path(bucket, leaf, levels)
         assert on == (bucket in tree.path_buckets(leaf, levels))
 
-    @given(levels=LEVELS, data=st.data())
-    def test_intersection_level_bounds(self, levels, data):
-        n = 1 << (levels - 1)
-        a = data.draw(st.integers(0, n - 1))
-        b = data.draw(st.integers(0, n - 1))
-        lv = tree.intersection_level(a, b, levels)
-        assert 0 <= lv <= levels - 1
-        if a == b:
-            assert lv == levels - 1
-
     @given(value=st.integers(0, 2**16 - 1), bits=st.integers(1, 16))
     def test_bit_reverse_involution(self, value, bits):
         value %= 1 << bits

@@ -53,3 +53,40 @@ def test_a_child_and_its_child_record_under_the_inherited_label(reach, tmp_path)
     assert f"{_where(schemes.baseline_cb)} baseline_cb" in tests_only
     assert f"{_where(schemes.classic_ring)} classic_ring" not in out
     assert f"{_where(schemes.ir_oram)} ir_oram" in out.split("tests-only functions:\n")[0]
+
+
+def test_a_setting_every_workflow_passes_one_value_is_counted(reach, tmp_path):
+    env = dict(os.environ, REACH_RECORDS=str(tmp_path), REACH_LABEL="make",
+               PYTHONPATH=os.pathsep.join([str(reach.SITE), str(ROOT / "src")]))
+
+    def run(code, label):
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(env, REACH_LABEL=label), timeout=120)
+
+    run("from repro.core import schemes\n"
+        "from repro.mem.dram import DramStats\n"
+        "schemes.classic_ring(8); schemes.classic_ring(8, s=3); "
+        "schemes.baseline_cb(9); DramStats()", "make")
+    run("from repro.core import schemes; schemes.baseline_cb(10)",
+        "tests/test_fake.py")
+    out = reach.report(tmp_path, list_all=True)
+    settings = out.split("single-valued settings:\n")[1].splitlines()[:-3]
+    where = _where(schemes.classic_ring)
+    assert f"  {where} classic_ring.levels = 8" in settings
+    assert f"  {_where(schemes.baseline_cb)} baseline_cb.levels = 9" in settings
+    assert "  oram/config.py OramConfig.block_bytes = 64" in settings
+    text = "\n".join(settings)
+    assert "classic_ring.s " not in text  # two values
+    assert "OramConfig.levels" not in text  # 8 and 9
+    assert "OramConfig.geometry" not in text  # data
+    assert "DramStats" not in text  # a run-state record
+    assert out.splitlines()[-1] == f"single-valued settings: {len(settings)}"
+
+
+def test_harness_fields_the_nightly_sets_differently_are_not_settings(reach):
+    nightly = reach.nightly_fields()
+    assert ("serve/chaos.py:ChaosConfig", "levels") in nightly
+    assert ("perf/runner.py:PerfConfig", "schemes") in nightly
+    assert ("serve/chaos.py:ChaosConfig", "max_batch") not in nightly
+    assert reach._is_deployment("trace_out") and reach._is_deployment("seed")
+    assert not reach._is_deployment("levels")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import schemes as schemes_mod
 from repro.faults.plan import FaultPlan
+from repro.oram import recovery, ring
 from repro.oram.recovery import RobustnessConfig, TransientBackendError
 from repro.sim.engine import SimConfig, Simulation
 from repro.sim.runner import make_trace
@@ -31,8 +32,12 @@ class TestRobustnessConfig:
 
     def test_roundtrip(self):
         cfg = RobustnessConfig(integrity=True, retry_budget=5,
-                               backoff_base_ns=100.0, quarantine=False)
-        assert RobustnessConfig(**cfg.to_dict()) == cfg
+                               quarantine=False)
+        doc = cfg.to_dict()
+        assert doc.pop("verify_paths") is True
+        assert doc.pop("backoff_base_ns") == recovery.BACKOFF_BASE_NS
+        assert doc.pop("backoff_factor") == recovery.BACKOFF_FACTOR
+        assert RobustnessConfig(**doc) == cfg
 
 
 class TestTransientRecovery:
@@ -45,12 +50,11 @@ class TestTransientRecovery:
         assert c["retry_exhausted"] == 0
         assert c["unrecovered"] == 0
 
-    def test_backoff_costs_simulated_time(self):
-        slow = _run(RobustnessConfig(integrity=True,
-                                     backoff_base_ns=50_000.0),
-                    "unavailable")
-        fast = _run(RobustnessConfig(integrity=True, backoff_base_ns=1.0),
-                    "unavailable")
+    def test_backoff_costs_simulated_time(self, monkeypatch):
+        monkeypatch.setattr(ring, "BACKOFF_BASE_NS", 50_000.0)
+        slow = _run(RobustnessConfig(integrity=True), "unavailable")
+        monkeypatch.setattr(ring, "BACKOFF_BASE_NS", 1.0)
+        fast = _run(RobustnessConfig(integrity=True), "unavailable")
         assert (slow.robustness["counters"]["retries"]
                 == fast.robustness["counters"]["retries"])
         assert slow.exec_ns > fast.exec_ns
@@ -130,9 +134,7 @@ class TestOptOut:
 
         cfg = tiny_config()
         store = EncryptedTreeStore(cfg, b"test master key.", seed=1)
-        mem = FaultyMemory(
-            store, FaultPlan(seed=0, rates={"bit_flip": 1.0}), armed=False,
-        )
+        mem = FaultyMemory(store, FaultPlan(seed=0, rates={"bit_flip": 1.0}))
         oram = build_oram(cfg, seed=0, datastore=mem)  # no robustness
         oram.warm_fill()
         mem.armed = True

@@ -687,9 +687,10 @@ class TestServerCloseBounded:
         server.close()
         assert time.perf_counter() - t0 < 5.0
 
-    def test_wedged_loop_close_is_bounded(self):
+    def test_wedged_loop_close_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.server.JOIN_TIMEOUT_S", 0.3)
         stack = plain_stack([(b"sk", b"sv")])
-        server = KVServer(stack.kv, join_timeout_s=0.3)
+        server = KVServer(stack.kv)
 
         def wedge(batch):
             time.sleep(3.0)
@@ -698,7 +699,7 @@ class TestServerCloseBounded:
         server.scheduler.serve_batch = wedge
         future = server.submit(GET, b"sk")
         t0 = time.perf_counter()
-        server.close(drain=True)
+        server.close()
         elapsed = time.perf_counter() - t0
         assert elapsed < 2.5
         with pytest.raises(RuntimeError, match="unresponsive"):

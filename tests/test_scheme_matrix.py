@@ -53,7 +53,7 @@ class TestSchemeMatrix:
 class TestPathOramDifferential:
     def test_path_oram_matches_scan(self):
         cfg = path_oram_config(6, z=4, stash_capacity=500)
-        path = PathOram(cfg, seed=2, store_data=True)
+        path = PathOram(cfg, seed=2)
         scan = LinearScanOram(cfg.n_real_blocks)
         rng = np.random.default_rng(5)
         for i in range(250):

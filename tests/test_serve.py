@@ -501,7 +501,7 @@ class TestKVServer:
         stack = small_stack()
         server = KVServer(stack.kv, max_batch=4)
         futures = [server.submit(PUT, b"k%d" % i, b"v") for i in range(6)]
-        server.close(drain=True)
+        server.close()
         assert all(f.result(timeout=5).ok for f in futures)
 
     def test_submit_after_close_raises(self):

@@ -41,6 +41,7 @@ from repro.core.sharding.control import (
     DEGRADED,
     EVENT_KINDS,
     HEALTHY,
+    HEARTBEAT_NS,
     REBUILDING,
     ControlPlane,
     ShardEvent,
@@ -174,7 +175,7 @@ class TestLevelsForBlocks:
 
     def test_overflow_raises(self):
         with pytest.raises(ValueError):
-            levels_for_blocks("ab", 10**12, max_levels=10)
+            levels_for_blocks("ab", 10**12)
 
 
 # --------------------------------------------------- sharded simulator
@@ -214,6 +215,19 @@ class TestShardedSim:
         # The merged block carries exactly the serial sim fields.
         from repro.perf.schema import PERF
         assert set(merged) == set(PERF.cell["sim"])
+
+    def test_every_shard_measures_past_its_warmup(self):
+        # 39 of 40 requests are warm-up; a shard's proportional share
+        # can round up to all its requests, which would measure them.
+        n_blocks = schemes_mod.by_name("ab", 8).n_real_blocks
+        trace = self._trace(n_blocks, n_requests=40)
+        out = run_sharded_sim("ab", trace, n_blocks, 4,
+                              warmup_requests=39, seed=4)
+        assert all(0 < r.requests < n for r, n in
+                   zip(out.per_shard, out.shard_requests))
+        with pytest.raises(ValueError, match="warmup_requests"):
+            run_sharded_sim("ab", trace, n_blocks, 4,
+                            warmup_requests=40, seed=4)
 
     def test_run_twice_is_byte_identical(self):
         n_blocks = schemes_mod.by_name("ab", 8).n_real_blocks
@@ -351,20 +365,11 @@ class TestFleetVsSerial:
         doc = run_fleet(tiny_fleet())
         assert set(doc) == {"num_shards", "shards", "fleet", "control"}
 
-    def test_drill_shard_validation(self):
-        drill = KillShardDrill(
-            shard=7,
-            faults=FaultPlan(seed=1, rates={"bit_flip": 0.01}),
-            resilience=ResilienceConfig(),
-        )
-        with pytest.raises(ValueError):
-            run_fleet(tiny_fleet(drill=drill))
 
 
 class TestKillShardDrill:
     def test_drill_degrades_detects_and_recovers(self):
         drill = KillShardDrill(
-            shard=0,
             faults=FaultPlan(
                 seed=202, rates={"bit_flip": 0.01, "replay": 0.008},
             ),
@@ -374,7 +379,6 @@ class TestKillShardDrill:
                 backoff_factor=1.6, journal_limit=96,
                 repair_ns=30_000.0,
             ),
-            min_availability=0.5,
         )
         cfg = tiny_fleet(
             workload=tiny_workload(n_requests=300, stored_keys=96),
@@ -387,7 +391,7 @@ class TestKillShardDrill:
         det = drilled["detection"]
         assert det["tamper_injected"] >= 1
         assert det["tamper_detected"] == det["tamper_injected"]
-        assert doc["fleet"]["availability"] >= drill.min_availability
+        assert doc["fleet"]["availability"] >= 0.5
         # The drilled shard's degraded episodes show up in the control
         # timeline and the fleet still ends all-healthy.
         shard0 = doc["control"]["shards"][0]
@@ -534,13 +538,14 @@ class TestLayering:
 # -------------------------------------------------------- control plane
 
 class TestControlPlane:
-    HB = 100.0
+    #: Timestamps below are in hundredths of a heartbeat interval.
+    U = HEARTBEAT_NS / 100
 
     def plane(self):
-        return ControlPlane(self.HB)
+        return ControlPlane()
 
     def test_heartbeat_train_shape(self):
-        events = heartbeat_events(2, 50.0, 420.0, self.HB)
+        events = heartbeat_events(2, 50.0 * self.U, 420.0 * self.U)
         assert events[0].kind == "register"
         assert events[-1].kind == "complete"
         assert [e.kind for e in events[1:-1]] == ["heartbeat"] * 3
@@ -550,19 +555,19 @@ class TestControlPlane:
         # A run shorter than one heartbeat interval: the completion
         # itself is the evidence of health.
         plane = self.plane()
-        plane.run(heartbeat_events(0, 0.0, 40.0, self.HB))
+        plane.run(heartbeat_events(0, 0.0 * self.U, 40.0 * self.U))
         assert plane.shards[0].state == HEALTHY
         assert plane.all_healthy()
 
     def test_degraded_cycle_returns_to_healthy(self):
         plane = self.plane()
         plane.run([
-            ShardEvent(0, "register", 0.0),
-            ShardEvent(0, "heartbeat", 100.0),
-            ShardEvent(0, "degraded_enter", 150.0),
-            ShardEvent(0, "degraded_exit", 180.0),
-            ShardEvent(0, "heartbeat", 200.0),
-            ShardEvent(0, "complete", 250.0),
+            ShardEvent(0, "register", 0.0 * self.U),
+            ShardEvent(0, "heartbeat", 100.0 * self.U),
+            ShardEvent(0, "degraded_enter", 150.0 * self.U),
+            ShardEvent(0, "degraded_exit", 180.0 * self.U),
+            ShardEvent(0, "heartbeat", 200.0 * self.U),
+            ShardEvent(0, "complete", 250.0 * self.U),
         ])
         walk = [(a, b) for _, a, b, _ in plane.shards[0].transitions]
         assert walk == [
@@ -576,12 +581,12 @@ class TestControlPlane:
     def test_silent_shard_is_dead_and_can_rejoin(self):
         plane = self.plane()
         plane.run([
-            ShardEvent(0, "register", 0.0),
-            ShardEvent(0, "heartbeat", 100.0),
+            ShardEvent(0, "register", 0.0 * self.U),
+            ShardEvent(0, "heartbeat", 100.0 * self.U),
             # Silence past miss_after * heartbeat_ns, then a rejoin.
-            ShardEvent(0, "heartbeat", 900.0),
-            ShardEvent(0, "heartbeat", 1000.0),
-            ShardEvent(0, "complete", 1050.0),
+            ShardEvent(0, "heartbeat", 900.0 * self.U),
+            ShardEvent(0, "heartbeat", 1000.0 * self.U),
+            ShardEvent(0, "complete", 1050.0 * self.U),
         ])
         states = [b for _, _, b, _ in plane.shards[0].transitions]
         assert DEAD in states
@@ -591,9 +596,9 @@ class TestControlPlane:
     def test_shard_that_never_completes_finalizes_dead(self):
         plane = self.plane()
         plane.run(
-            heartbeat_events(0, 0.0, 2000.0, self.HB)
-            + [ShardEvent(1, "register", 0.0),
-               ShardEvent(1, "heartbeat", 100.0)]
+            heartbeat_events(0, 0.0 * self.U, 2000.0 * self.U)
+            + [ShardEvent(1, "register", 0.0 * self.U),
+               ShardEvent(1, "heartbeat", 100.0 * self.U)]
         )
         assert plane.shards[0].state == HEALTHY
         assert plane.shards[1].state == DEAD
@@ -607,62 +612,30 @@ class TestControlPlane:
         )
         plane = self.plane()
         plane.run([
-            ShardEvent(0, "register", 0.0),
-            ShardEvent(0, "degraded_enter", 10.0),
-            ShardEvent(0, "heartbeat", 50.0),
-            ShardEvent(0, "degraded_exit", 50.0),
-            ShardEvent(0, "complete", 60.0),
+            ShardEvent(0, "register", 0.0 * self.U),
+            ShardEvent(0, "degraded_enter", 10.0 * self.U),
+            ShardEvent(0, "heartbeat", 50.0 * self.U),
+            ShardEvent(0, "degraded_exit", 50.0 * self.U),
+            ShardEvent(0, "complete", 60.0 * self.U),
         ])
         assert plane.shards[0].state == HEALTHY
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            ShardEvent(0, "reboot", 0.0)
-        with pytest.raises(ValueError):
-            ControlPlane(0.0)
+            ShardEvent(0, "reboot", 0.0 * self.U)
         plane = self.plane()
         plane.register(0)
         with pytest.raises(ValueError):
             plane.register(0)
         with pytest.raises(ValueError):
-            plane.observe(ShardEvent(5, "heartbeat", 10.0))
-
-    def test_zero_heartbeat_raises_instead_of_hanging(self):
-        # A non-positive cadence never advances the heartbeat train, so
-        # an unchecked loop would append forever: run it in a child with
-        # a memory cap and a timeout, so a regression fails, not hangs.
-        code = (
-            "import resource\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
-            "from repro.core.sharding.control import heartbeat_events\n"
-            "from repro.serve.fleet import FleetConfig, run_fleet\n"
-            "from repro.serve.loadgen import WorkloadConfig\n"
-            "wl = WorkloadConfig(name='tiny', n_requests=20, n_keys=200,\n"
-            "                    stored_keys=16, arrival='poisson')\n"
-            "for call in (lambda: heartbeat_events(0, 0.0, 1000.0, 0.0),\n"
-            "             lambda: run_fleet(FleetConfig(\n"
-            "                 workload=wl, levels=8, num_shards=2,\n"
-            "                 heartbeat_ns=0.0))):\n"
-            "    try:\n"
-            "        call()\n"
-            "    except ValueError as exc:\n"
-            "        assert str(exc) == 'heartbeat_ns must be positive'\n"
-            "    else:\n"
-            "        raise AssertionError('no ValueError')\n"
-        )
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        subprocess.run(
-            [sys.executable, "-c", code], check=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src,
-                 "OPENBLAS_NUM_THREADS": "1"},
-        )
+            plane.observe(ShardEvent(5, "heartbeat", 10.0 * self.U))
 
     def test_summary_is_deterministic(self):
         def build():
             plane = self.plane()
             plane.run(
-                heartbeat_events(1, 0.0, 500.0, self.HB)
-                + heartbeat_events(0, 0.0, 450.0, self.HB)
+                heartbeat_events(1, 0.0 * self.U, 500.0 * self.U)
+                + heartbeat_events(0, 0.0 * self.U, 450.0 * self.U)
             )
             return plane.summary()
         assert canon(build()) == canon(build())
@@ -682,7 +655,7 @@ def tiny_scaling_config(**overrides):
         for s in (1, 2)
     )
     kwargs = dict(
-        measured_levels=8, cells=cells, smoke=True, min_speedup=1.2,
+        measured_levels=8, cells=cells, smoke=True,
     )
     kwargs.update(overrides)
     return ScalingConfig(**kwargs)
@@ -715,7 +688,8 @@ class TestScalingHarness:
         from repro.serve.schema import SCALING, validate_scaling_report
         doc = run_scaling(tiny_scaling_config())
         assert validate_scaling_report(doc) == []
-        assert scaling_check(doc) == []
+        # Two shards of a tiny tree clear 1.2x, not the nightly 3x.
+        assert scaling_check(doc, min_speedup=1.2) == []
         by_shards = {c["shards"]: c for c in doc["cells"]}
         s1 = by_shards[1]["sim"]["fleet"]["ns_per_request"]
         s2 = by_shards[2]["sim"]["fleet"]["ns_per_request"]

@@ -170,6 +170,18 @@ class TestSimulate:
         assert part.requests == len(small_trace) - 150
         assert part.exec_ns < full.exec_ns
 
+    def test_warmup_must_leave_requests_to_measure(self, small_schemes,
+                                                   small_trace):
+        cfg = small_schemes[0]
+        n = len(small_trace)
+        for warmup in (n, n + 1):
+            with pytest.raises(ValueError, match="warmup_requests"):
+                simulate(cfg, small_trace,
+                         SimConfig(seed=1, warmup_requests=warmup))
+        last = simulate(cfg, small_trace,
+                        SimConfig(seed=1, warmup_requests=n - 1))
+        assert last.requests == 1
+
     def test_deterministic(self, small_schemes, small_trace):
         cfg = small_schemes[0]
         a = simulate(cfg, small_trace, SimConfig(seed=9))

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.core import schemes as schemes_mod
-from repro.sim.engine import SimConfig, Simulation, simulate
+from repro.sim.engine import SimConfig, Simulation
 from repro.sim.runner import make_trace
 from repro.telemetry import (
     Telemetry,
@@ -39,8 +39,8 @@ class TestInstruments:
     def test_counter_inc(self):
         reg = MetricsRegistry()
         c = reg.counter("x")
-        c.inc()
-        c.inc(5)
+        for _ in range(6):
+            c.inc()
         assert c.value == 6
         assert reg.counter("x") is c  # get-or-create returns the same
 
@@ -81,12 +81,6 @@ class TestInstruments:
         from repro.telemetry import default_time_buckets
         assert Histogram(bounds=()).bounds == default_time_buckets()
 
-    def test_registry_rejects_bounds_mismatch(self):
-        reg = MetricsRegistry()
-        reg.histogram("h", bounds=(1.0, 2.0))
-        with pytest.raises(ValueError, match="different bounds"):
-            reg.histogram("h", bounds=(1.0, 3.0))
-
     def test_quantile_range_checked(self):
         with pytest.raises(ValueError, match="quantile"):
             Histogram(bounds=(1.0,)).quantile(1.5)
@@ -96,21 +90,21 @@ class TestSnapshotMerge:
     def test_snapshot_is_sorted_and_json_able(self):
         reg = MetricsRegistry()
         reg.counter("zeta").inc()
-        reg.counter("alpha").inc(2)
+        reg.counter("alpha").inc()
         reg.gauge("g").set(7)
-        reg.histogram("h", bounds=(1.0,)).observe(0.5)
+        reg.histogram("h").observe(0.5)
         snap = reg.snapshot()
         assert list(snap["counters"]) == ["alpha", "zeta"]
         json.dumps(snap)  # plain data, round-trippable
 
     def test_quantiles_from_snapshot(self):
         reg = MetricsRegistry()
-        h = reg.histogram("h", bounds=(10.0, 20.0))
+        h = reg.histogram("h")
         for _ in range(100):
-            h.observe(15.0)
+            h.observe(100.0)           # all in the (64, 128] bucket
         entry = reg.snapshot()["histograms"]["h"]
         p50, p95, p99 = quantiles_from_snapshot(entry)
-        assert 10.0 <= p50 <= p95 <= p99 <= 20.0
+        assert 64.0 <= p50 <= p95 <= p99 <= 128.0
 
 
 class TestTracingSink:
@@ -232,11 +226,11 @@ class TestTelemetryHandle:
 
 
 class TestSimulateHelper:
-    def test_module_level_simulate_accepts_telemetry(self):
+    def test_ring_run_reports_well_formed_telemetry(self):
         cfg = schemes_mod.by_name("ring", LEVELS)
         trace = make_trace("spec", "mcf", cfg.n_real_blocks, 60, seed=0)
         t = Telemetry()
-        result = simulate(cfg, trace, SimConfig(seed=0), telemetry=t)
+        result = Simulation(cfg, trace, SimConfig(seed=0), telemetry=t).run()
         assert result.exec_ns > 0
         assert t.spans
         # Ring has no extension machinery; snapshots still well-formed.

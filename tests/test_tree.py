@@ -108,33 +108,6 @@ class TestBucketOnPath:
         assert not tree.bucket_on_path(1 << 10, 0, 4)
 
 
-class TestIntersectionLevel:
-    def test_same_leaf(self):
-        assert tree.intersection_level(5, 5, 6) == 5
-
-    def test_adjacent_leaves(self):
-        # Leaves 0 and 1 share everything but the last level.
-        assert tree.intersection_level(0, 1, 6) == 4
-
-    def test_opposite_halves(self):
-        levels = 6
-        assert tree.intersection_level(0, (1 << (levels - 1)) - 1, levels) == 0
-
-    def test_matches_path_prefix(self):
-        levels = 7
-        for a, b in [(0, 63), (10, 42), (33, 35), (12, 12)]:
-            pa = tree.path_buckets(a, levels)
-            pb = tree.path_buckets(b, levels)
-            common = sum(1 for x, y in zip(pa, pb) if x == y)
-            assert tree.intersection_level(a, b, levels) == common - 1
-
-    def test_symmetry(self):
-        for a in range(8):
-            for b in range(8):
-                assert (tree.intersection_level(a, b, 4)
-                        == tree.intersection_level(b, a, 4))
-
-
 class TestBitReverse:
     def test_zero(self):
         assert tree.bit_reverse(0, 8) == 0
@@ -181,8 +154,9 @@ class TestReverseLexicographicOrder:
 def deepest_common_bucket(leaf_a, leaf_b, levels):
     """The bucket both leaves' paths hold at their intersection level
     (what the refill greedy's ``leaf >> shift == position`` selects)."""
-    lv = tree.intersection_level(leaf_a, leaf_b, levels)
-    return tree.path_buckets(leaf_a, levels)[lv]
+    pa = tree.path_buckets(leaf_a, levels)
+    pb = tree.path_buckets(leaf_b, levels)
+    return [a for a, b in zip(pa, pb) if a == b][-1]
 
 
 class TestDeepestCommonBucket:

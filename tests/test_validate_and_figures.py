@@ -119,9 +119,3 @@ class TestDiagnoseRobustness:
         )
         assert "integrity-no-checkpoint" not in self._codes(findings)
 
-    def test_zero_backoff_with_retries_warns(self):
-        findings = diagnose_robustness(
-            RobustnessConfig(integrity=True, backoff_base_ns=0.0),
-            faults_enabled=True,
-        )
-        assert "backoff-zero" in self._codes(findings)

@@ -20,7 +20,16 @@ The report has one row per module with functions nothing entered
 ("unreached") or only ``tests/`` files entered ("tests-only", with those
 files named). Bodies that are only a docstring, ``...``, ``pass`` or
 ``raise NotImplementedError`` are interface stubs and are not counted.
-The last two lines are the two counts; CI prints them. A target failing
+
+The recorder also keeps the scalar values each parameter received, so
+the report counts the "single-valued settings": defaulted parameters and
+dataclass fields for which every non-``tests/`` label passed exactly one
+value. Run-state records (``RUN_STATE``), deployment names (``seed``,
+``workers``, ``progress``, ``smoke``, ``*_out``, ``*_path``) and the
+harness fields whose ``smoke_config()`` and ``full_config()`` differ
+(the nightly runs the full one) are not settings.
+
+The last three lines are the three counts; CI prints them. A target failing
 under the recorder (a noisy overhead bound, say) is reported, not fatal:
 the audit is about what ran.
 """
@@ -29,19 +38,28 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
+import importlib
 import json
 import os
 import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 SITE = ROOT / "tools" / "reach_site"
 
 TARGETS = ("ci", "bench", "examples", "fingerprint", "chacha-cutover")
+
+#: Records of what a run did or found, not settings of what it does.
+RUN_STATE = ("DramStats", "OpCounters", "RobustnessCounters", "ReplayResult",
+             "CellResult", "SimResult", "ShardedSimOutcome", "Finding")
+#: Names that say where a run goes, not what it computes.
+DEPLOYMENT = ("seed", "workers", "progress", "smoke")
+DEPLOYMENT_SUFFIXES = ("_out", "_path")
 
 #: The paper benchmarks at a size that runs in minutes.
 _SMALL_BENCH = {"REPRO_BENCH_LEVELS": "10", "REPRO_BENCH_REQUESTS": "300",
@@ -123,6 +141,162 @@ def load_records(records: Path) -> Dict[Tuple[str, int], Set[str]]:
     return by_fn
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(
+            target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _init_field(stmt: ast.stmt) -> Optional[str]:
+    """The name an annotated class-body line adds to ``__init__``, if any."""
+    if not (isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)):
+        return None
+    if "ClassVar" in ast.unparse(stmt.annotation):
+        return None
+    value = stmt.value
+    if isinstance(value, ast.Call) and ast.unparse(value.func).endswith("field"):
+        for kw in value.keywords:
+            if kw.arg == "init" and isinstance(kw.value, ast.Constant) \
+                    and kw.value.value is False:
+                return None
+    return stmt.target.id
+
+
+def _defaulted(args: ast.arguments) -> List[str]:
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    return names + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+
+
+def defined_settings() -> Dict[str, Tuple[str, List[str]]]:
+    """Record key -> (qualname, setting names) for src/repro.
+
+    A function's key is ``module:first line`` and its settings are its
+    defaulted parameters; a dataclass's key is ``module:Class`` and its
+    settings are the fields its ``__init__`` takes.
+    """
+    found: Dict[str, Tuple[str, List[str]]] = {}
+
+    def walk(nodes, prefix: str, rel: str) -> None:
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno]
+                            + [d.lineno for d in node.decorator_list])
+                qual = prefix + node.name
+                defaulted = _defaulted(node.args)
+                if defaulted:
+                    found[f"{rel}:{first}"] = (qual, defaulted)
+                walk(node.body, qual + ".<locals>.", rel)
+            elif isinstance(node, ast.ClassDef):
+                qual = prefix + node.name
+                if _is_dataclass(node):
+                    fields = [f for f in map(_init_field, node.body) if f]
+                    if fields:
+                        found[f"{rel}:{qual}"] = (qual, fields)
+                walk(node.body, qual + ".", rel)
+            else:
+                walk(ast.iter_child_nodes(node), prefix, rel)
+
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        walk(ast.parse(path.read_text()).body, "", rel)
+    return found
+
+
+def load_values(records: Path) -> Dict[Tuple[str, str], Optional[Set[str]]]:
+    """(record key, parameter) -> the values non-tests labels passed.
+
+    None means some label passed data (a value that is not a scalar).
+    """
+    seen: Dict[Tuple[str, str], Optional[Set[str]]] = {}
+    for path in sorted(records.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for label, by_key in doc.get("values", {}).items():
+            if label.split("/")[0] == "tests":
+                continue
+            for key, params in by_key.items():
+                for name, values in params.items():
+                    if values is None or seen.get((key, name), ()) is None:
+                        seen[(key, name)] = None
+                    else:
+                        seen.setdefault((key, name), set()).update(values)
+    return seen
+
+
+def _config_values(config: object,
+                   seen: Dict[Tuple[str, str], Set[str]]) -> None:
+    """(record key, field) -> reprs of the values ``config`` holds, its
+    nested configs (in fields, lists and tuples) included."""
+    cls = type(config)
+    module = sys.modules[cls.__module__].__file__
+    key = f"{Path(module).resolve().relative_to(SRC).as_posix()}:{cls.__qualname__}"
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        seen.setdefault((key, field.name), set()).add(repr(value))
+        nested = value if isinstance(value, (list, tuple)) else [value]
+        for item in nested:
+            if dataclasses.is_dataclass(item) and not isinstance(item, type):
+                _config_values(item, seen)
+
+
+def nightly_fields() -> Set[Tuple[str, str]]:
+    """(record key, field) of harness configs ``smoke_config()`` and
+    ``full_config()`` set differently, at any depth (the cells of a
+    matrix included)."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    differing: Set[Tuple[str, str]] = set()
+    # The audit's own calls are not traffic: a recorded process (the
+    # reach tests) would otherwise count the nightly configs as run.
+    profiler = sys.getprofile()
+    sys.setprofile(None)
+    try:
+        for path in sorted(SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            names = {n.name for n in tree.body
+                     if isinstance(n, ast.FunctionDef)}
+            if {"smoke_config", "full_config"} <= names:
+                dotted = ".".join(("repro",) + path.relative_to(
+                    SRC).with_suffix("").parts)
+                module = importlib.import_module(dotted)
+                full: Dict[Tuple[str, str], Set[str]] = {}
+                smoke: Dict[Tuple[str, str], Set[str]] = {}
+                _config_values(module.full_config(), full)
+                _config_values(module.smoke_config(), smoke)
+                differing.update(k for k in full.keys() | smoke.keys()
+                                 if full.get(k) != smoke.get(k))
+    finally:
+        sys.setprofile(profiler)
+    return differing
+
+
+def _is_deployment(name: str) -> bool:
+    return name in DEPLOYMENT or name.endswith(DEPLOYMENT_SUFFIXES)
+
+
+def single_valued(records: Path) -> Iterator[str]:
+    """``module:where qualname.setting = value`` per single-valued setting."""
+    values = load_values(records)
+    nightly = nightly_fields()
+    for key, (qual, names) in sorted(defined_settings().items()):
+        if qual.split(".")[0] in RUN_STATE:
+            continue
+        for name in names:
+            taken = values.get((key, name))
+            if (taken is None or len(taken) != 1 or _is_deployment(name)
+                    or (key, name) in nightly):
+                continue
+            where = key if key.rsplit(":", 1)[1].isdigit() else key.split(
+                ":")[0]
+            yield f"{where} {qual}.{name} = {next(iter(taken))}"
+
+
 def report(records: Path, list_all: bool) -> str:
     defined = defined_functions()
     by_fn = load_records(records)
@@ -151,12 +325,16 @@ def report(records: Path, list_all: bool) -> str:
                                   for lb in r["readers"]))
         lines.append(f"{rel:34s} {len(r['unreached']):9d} "
                      f"{len(r['tests_only']):10d}  {readers}")
+    settings = list(single_valued(records))
     if list_all:
         for kind in ("unreached", "tests_only"):
             lines.append(f"\n{kind.replace('_', '-')} functions:")
             lines += [f"  {fn}" for r in rows.values() for fn in r[kind]]
+        lines.append("\nsingle-valued settings:")
+        lines += [f"  {setting}" for setting in settings]
     lines.append(f"unreached functions: {n_unreached}")
     lines.append(f"tests-only functions: {n_tests}")
+    lines.append(f"single-valued settings: {len(settings)}")
     return "\n".join(lines)
 
 
