@@ -63,10 +63,11 @@ loc:
 # Reach audit (ROADMAP item 8): runs `make -k ci bench examples
 # fingerprint chacha-cutover` (bench at a small scale) with every
 # interpreter recording function entries, then lists the src/ functions
-# nothing entered and the ones only tests/ entered. The last two lines
-# are the counts. Not a gate.
+# nothing entered, the ones only tests/ entered and the single-valued
+# settings. The last three lines are the counts; it fails when one rises
+# above tools/reach_counts.json.
 reach:
-	$(PYTHON) tools/reach.py --list
+	$(PYTHON) tools/reach.py --list --ratchet tools/reach_counts.json
 
 # The measurement behind crypto.chacha.LANE_MIN_BLOCKS: N x {reference,
 # wide, lanes} us per call and the break-even (docs/perf.md quotes this
@@ -180,7 +181,7 @@ chaos-smoke:
 # soft-compares against the committed baseline curve.
 shard-smoke:
 	$(PYTHON) -m repro serve scaling --smoke \
-	  --out generated/BENCH_scaling.json --require-speedup 3.0
+	  --out generated/BENCH_scaling.json --require-speedup
 	$(PYTHON) -m repro serve scaling --smoke --workers 2 \
 	  --out generated/BENCH_scaling_w2.json
 	$(PYTHON) tools/report_determinism.py \
@@ -192,13 +193,12 @@ shard-smoke:
 # CI observability smoke: the chaos campaign as a 4-shard fleet with
 # the full observability plane on -- one merged Perfetto trace
 # (per-shard process tracks, router flow events, control/SLO
-# timelines), the streaming SLO JSONL and the ops stream the console
-# replays. Gates: the merged trace must pass the flow/process schema
-# checks; a --workers 2 rerun must reproduce the deterministic report
-# view AND the trace file byte-for-byte; the recorded ops stream must
-# replay through `serve top` and render through `telemetry view`; and
-# the observability plane must cost <= 10% wall time on the serving
-# loop.
+# timelines), the streaming SLO JSONL and the per-shard ops stream.
+# Gates: the merged trace must pass the flow/process schema checks; a
+# --workers 2 rerun must reproduce the deterministic report view AND
+# the trace file byte-for-byte; the recorded ops stream must render
+# through `telemetry view`; and the observability plane must cost
+# <= 10% wall time on the serving loop.
 obs-smoke:
 	$(PYTHON) -m repro serve chaos --smoke --shards 4 \
 	  --out generated/BENCH_chaos_fleet.json \
@@ -215,8 +215,6 @@ obs-smoke:
 	$(PYTHON) tools/report_determinism.py \
 	  generated/BENCH_chaos_fleet.json generated/BENCH_chaos_fleet_w2.json
 	cmp generated/trace_fleet.json generated/trace_fleet_w2.json
-	$(PYTHON) -m repro serve top --replay generated/ops_fleet.jsonl \
-	  --frames 3 --no-clear
 	$(PYTHON) -m repro telemetry view generated/ops_fleet.jsonl > /dev/null
 	$(PYTHON) tools/telemetry_overhead.py --serve --max-overhead-pct 10
 

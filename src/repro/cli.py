@@ -40,10 +40,9 @@ Commands:
   -- the capacity curve: fleet throughput, per-shard memory, the
   kill-a-shard drill and the control-plane health summary, with
   ``--require-speedup`` as its CI gate; ``serve compare`` diffs two
-  reports of any serve kind; ``serve top --replay FILE`` plays the ops
-  stream ``serve chaos --shards N --ops-out FILE`` recorded; ``serve
-  demo`` runs the threaded KV server front-end against live client
-  threads.
+  reports of any serve kind; ``serve demo`` runs the threaded KV server
+  front-end against live client threads. ``telemetry view`` renders
+  the ops stream ``serve chaos --shards N --ops-out FILE`` records.
 
 ``sweep``, ``perf run``, ``faults run``, ``serve bench``, ``serve
 chaos``, ``serve scaling`` and ``simulate --shards`` all accept
@@ -70,7 +69,6 @@ import numpy as np
 from repro.analysis.report import render_mapping_table
 from repro.analysis.space import space_table, utilization_table
 from repro.core import schemes as schemes_mod
-from repro.faults.plan import FAULT_KINDS
 from repro.sim import SimConfig
 from repro.sim.results import breakdown_fractions
 from repro.sim.runner import run_suite, suite_benchmarks
@@ -159,6 +157,7 @@ def _simulate_sharded(args: argparse.Namespace) -> int:
         ("--resume", bool(args.resume)),
         ("--trace-out", bool(args.trace_out)),
         ("--metrics-out", bool(args.metrics_out)),
+        ("--pipeline-depth", args.pipeline_depth > 1),
     ]
     bad = [flag for flag, on in incompatible if on]
     if bad:
@@ -173,8 +172,7 @@ def _simulate_sharded(args: argparse.Namespace) -> int:
         outcome = run_sharded_sim(
             args.scheme, trace, cfg.n_real_blocks, args.shards,
             warmup_requests=args.warmup, seed=args.seed,
-            pipeline_depth=args.pipeline_depth, workers=args.workers,
-            progress=stderr_progress,
+            workers=args.workers, progress=stderr_progress,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -401,21 +399,20 @@ _HARNESSES: Dict[str, _Harness] = {
     ),
     "faults": _Harness(
         "repro.faults.campaign", "run_campaign",
-        fields=("kinds", "rates", "levels", "n_requests", "seed",
-                "retry_budget", "quarantine", "integrity"),
+        fields=("rates", "levels", "n_requests", "seed", "integrity"),
         gate=("require_detection", "detection_check", "DETECTION GAP",
               "detection check: all tampering faults detected"),
     ),
     "serve": _Harness(
         "repro.serve.bench", "run_serve",
-        fields=("levels", "scheme", "seed", "max_batch", "trace_out"),
+        fields=("levels", "seed", "trace_out"),
         gate=("require_dedup_win", "dedup_check", "DEDUP GAP",
               "dedup check: batch policy beats naive FIFO"),
     ),
     "chaos": _Harness(
         "repro.serve.chaos", "run_chaos",
-        fields=("levels", "scheme", "seed", "max_batch", "trace_out",
-                "num_shards", "slo_out", "ops_out"),
+        fields=("levels", "seed", "trace_out", "num_shards", "slo_out",
+                "ops_out"),
         gate=("require_detection", "chaos_check", "CHAOS GAP",
               "chaos check: availability floors held, all tampering "
               "faults detected under live load"),
@@ -423,11 +420,11 @@ _HARNESSES: Dict[str, _Harness] = {
     ),
     "scaling": _Harness(
         "repro.serve.scaling", "run_scaling",
-        fields=("seed", "max_batch", "measured_levels"),
+        fields=("seed", "measured_levels"),
         gate=("require_speedup", "scaling_check", "SCALING GAP",
-              "scaling check: fleet speedup >= {:g}x at 4 shards, drills "
-              "recovered above their availability floors, control plane "
-              "healthy"),
+              "scaling check: fleet speedup >= {min_speedup:g}x at 4 "
+              "shards, drills recovered above their availability floors, "
+              "control plane healthy"),
     ),
 }
 
@@ -466,19 +463,14 @@ def cmd_harness_run(args: argparse.Namespace) -> int:
     for name in harness.fields:
         if name.endswith("_out") and getattr(args, name):
             print(f"wrote {getattr(args, name)}")
-    if harness.gate is not None:
-        flag, check, prefix, passed = harness.gate
-        level = getattr(args, flag)
-        if level is not None and level is not False:
-            # A boolean gate flag takes no argument; a valued one
-            # (--require-speedup RATIO) hands its value to the check.
-            extra = () if level is True else (level,)
-            problems = getattr(module, check)(doc, *extra)
-            if problems:
-                for line in problems:
-                    print(f"{prefix} {line}")
-                return 1
-            print(passed.format(*extra))
+    if harness.gate is not None and getattr(args, harness.gate[0]):
+        _, check, prefix, passed = harness.gate
+        problems = getattr(module, check)(doc)
+        if problems:
+            for line in problems:
+                print(f"{prefix} {line}")
+            return 1
+        print(passed.format(**doc["config"]))
     return 0
 
 
@@ -486,8 +478,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """``perf compare`` / ``serve compare``: gate two reports by kind."""
     from repro.report import EXIT_OK, compare_files
 
-    code, messages = compare_files(args.baseline, args.new,
-                                   args.threshold, args.kinds)
+    code, messages = compare_files(args.baseline, args.new, args.kinds)
     for msg in messages:
         print(msg)
     if args.warn_only and code != EXIT_OK:
@@ -496,34 +487,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_serve_top(args: argparse.Namespace) -> int:
-    """The ops console: ``top(1)`` over a recorded fleet ops stream."""
-    from repro.telemetry import run_console
-
-    try:
-        frames = run_console(args.replay, interval=args.interval,
-                             max_frames=args.frames,
-                             clear=not args.no_clear)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if frames == 0:
-        print(f"error: {args.replay}: no renderable frames", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_serve_demo(args: argparse.Namespace) -> int:
     """Exercise the threaded front-end with live client threads."""
     import threading
 
     from repro.serve import GET, KVServer, build_stack
     from repro.serve.loadgen import key_name, value_for
+    from repro.serve.server import POLICY
 
     stack = build_stack(scheme=args.scheme, levels=args.levels,
                         seed=args.seed, observer=True)
-    server = KVServer(stack.kv, policy=args.policy,
-                      max_batch=args.max_batch, seed=args.seed)
+    server = KVServer(stack.kv, seed=args.seed)
     n_keys = max(2, args.requests // 8)
 
     def client(cid: int) -> None:
@@ -555,7 +529,7 @@ def cmd_serve_demo(args: argparse.Namespace) -> int:
                            if stats["batches"] else 0.0),
         }],
         title=f"serve demo: {args.clients} clients x "
-              f"{args.requests // args.clients} ops ({args.policy})",
+              f"{args.requests // args.clients} ops ({POLICY})",
     ))
     if stack.attacker is not None:
         print(f"attacker advantage: {stack.attacker.advantage():+.4f} "
@@ -638,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition the trace over N independent subtrees "
                         "via the keyed-PRF shard map and report the fleet "
                         "makespan (default 1 = one tree; incompatible "
-                        "with checkpointing, telemetry and --integrity)")
+                        "with checkpointing, telemetry, --integrity and "
+                        "--pipeline-depth > 1)")
     p.add_argument("--workers", type=int, default=1,
                    help="process-pool width for --shards fan-out (results "
                         "are byte-identical to --workers 1)")
@@ -680,11 +655,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--repeats", type=int, default=None,
                     help="per-cell repeats; wall time is the best run")
 
-    pc = perf_sub.add_parser("compare", help="diff two perf reports")
+    pc = perf_sub.add_parser("compare", help="diff two perf reports (a "
+                                             "throughput drop over 10%% "
+                                             "is a regression)")
     pc.add_argument("baseline", help="baseline BENCH_perf.json")
     pc.add_argument("new", help="candidate BENCH_perf.json")
-    pc.add_argument("--threshold", type=float, default=10.0,
-                    help="max tolerated throughput drop, percent")
     pc.add_argument("--warn-only", action="store_true",
                     help="report regressions but exit 0 (CI soft gate)")
     pc.set_defaults(func=cmd_compare, kinds=("repro-perf-report",))
@@ -697,19 +672,12 @@ def build_parser() -> argparse.ArgumentParser:
         smoke_help="seconds-scale campaign for CI",
         workers_help="process-pool width for the kind x rate cells; "
                      "the report is byte-identical to --workers 1")
-    fr.add_argument("--kinds", nargs="+", default=None,
-                    choices=list(FAULT_KINDS))
     fr.add_argument("--rates", nargs="+", type=float, default=None,
                     help="per-operation fault probabilities to sweep")
     fr.add_argument("--levels", type=int, default=None)
     fr.add_argument("--requests", type=int, default=None,
                     dest="n_requests", metavar="REQUESTS")
     fr.add_argument("--seed", type=int, default=None)
-    fr.add_argument("--retry-budget", type=int, default=None,
-                    help="transient-fault retries before quarantine")
-    fr.add_argument("--no-quarantine", action="store_false", default=None,
-                    dest="quarantine",
-                    help="disable quarantine-and-rebuild (detect only)")
     fr.add_argument("--no-integrity", action="store_false", default=None,
                     dest="integrity",
                     help="drop the Merkle tree (replays go undetected; "
@@ -729,11 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
         workers_help="process-pool width for the workload x policy "
                      "cells; the sim blocks are byte-identical to "
                      "--workers 1, only wall_* fields are host-dependent")
-    sb.add_argument("--scheme", default=None, choices=ALL_SCHEMES)
     sb.add_argument("--levels", type=int, default=None)
     sb.add_argument("--seed", type=int, default=None)
-    sb.add_argument("--max-batch", type=int, default=None,
-                    help="admission batch cap per scheduling round")
     sb.add_argument("--trace-out", default=None, metavar="PATH",
                     help="write a per-request Perfetto trace of the most "
                          "loaded (workload, batch) cell: queue spans, "
@@ -751,11 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
         workers_help="process-pool width for the campaign cells; the "
                      "sim blocks are byte-identical to --workers 1, "
                      "only wall_* fields are host-dependent")
-    sx.add_argument("--scheme", default=None, choices=ALL_SCHEMES)
     sx.add_argument("--levels", type=int, default=None)
     sx.add_argument("--seed", type=int, default=None)
-    sx.add_argument("--max-batch", type=int, default=None,
-                    help="admission batch cap per scheduling round")
     sx.add_argument("--trace-out", default=None, metavar="PATH",
                     help="write a Perfetto trace of the degraded-mode "
                          "cell: request lanes plus a resilience track "
@@ -772,27 +734,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the streaming SLO engine's slo_window/"
                          "slo_alert records as JSONL (requires --shards)")
     sx.add_argument("--ops-out", default=None, metavar="PATH",
-                    help="write the per-shard ops stream 'repro serve "
-                         "top --replay' renders (requires --shards)")
+                    help="write the per-shard ops stream 'repro "
+                         "telemetry view' renders (requires --shards)")
     sx.add_argument("--require-detection", action="store_true",
                     help="exit 1 unless every cell held its availability "
                          "floor and every injected tampering fault was "
                          "detected while serving -- the CI gate")
-
-    st = serve_sub.add_parser("top", help="ops console: per-shard "
-                                          "health/queue/latency table over "
-                                          "a recorded fleet ops stream")
-    st.add_argument("--replay", required=True, metavar="FILE",
-                    help="replay a recorded ops JSONL stream (written by "
-                         "'serve chaos --shards N --ops-out FILE'); the "
-                         "rendered frames are deterministic")
-    st.add_argument("--frames", type=int, default=None,
-                    help="render at most N frames")
-    st.add_argument("--interval", type=float, default=0.0, metavar="SECONDS",
-                    help="pause between frames (0 prints them all at once)")
-    st.add_argument("--no-clear", action="store_true",
-                    help="never clear the screen between frames")
-    st.set_defaults(func=cmd_serve_top)
 
     ss = _harness_parser(
         serve_sub, "scaling", "scaling",
@@ -803,31 +750,27 @@ def build_parser() -> argparse.ArgumentParser:
                      "the report is byte-identical to --workers 1 "
                      "except the wall_s fields")
     ss.add_argument("--seed", type=int, default=None)
-    ss.add_argument("--max-batch", type=int, default=None,
-                    help="admission batch cap per shard scheduler round")
     ss.add_argument("--measured-levels", type=int, default=None,
                     help="tree depth the measured shard stacks run at "
                          "(memory analytics always use the right-sized "
                          "per-shard depth)")
-    ss.add_argument("--require-speedup", type=float, default=None,
-                    metavar="RATIO",
+    ss.add_argument("--require-speedup", action="store_true",
                     help="exit 1 unless every blocks row's 4-shard fleet "
-                         "beats its 1-shard fleet by RATIO in simulated "
-                         "ns/request, every drill recovers above its "
-                         "availability floor and the control plane ends "
-                         "healthy -- the CI gate")
+                         "beats its 1-shard fleet by the report's "
+                         "min_speedup (3x) in simulated ns/request, every "
+                         "drill recovers above its availability floor and "
+                         "the control plane ends healthy -- the CI gate")
 
     sc = serve_sub.add_parser("compare", help="diff two serve, chaos or "
                                               "scaling reports "
-                                              "(kind-dispatched)")
+                                              "(kind-dispatched; a 10%% "
+                                              "simulated-throughput drop "
+                                              "or p99 rise is a "
+                                              "regression)")
     sc.add_argument("baseline", help="baseline BENCH_serve.json, "
                                      "BENCH_chaos.json or "
                                      "BENCH_scaling.json")
     sc.add_argument("new", help="candidate report of the same kind")
-    sc.add_argument("--threshold", type=float, default=10.0,
-                    help="max tolerated simulated-throughput drop or p99 "
-                         "rise, percent (chaos reports additionally gate "
-                         "availability and tamper detection)")
     sc.add_argument("--warn-only", action="store_true",
                     help="report regressions but exit 0 (CI soft gate)")
     sc.set_defaults(func=cmd_compare, kinds=(
@@ -842,8 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--clients", type=int, default=4)
     sd.add_argument("--requests", type=int, default=200,
                     help="total operations across all clients")
-    sd.add_argument("--policy", default="batch", choices=["fifo", "batch"])
-    sd.add_argument("--max-batch", type=int, default=32)
     sd.set_defaults(func=cmd_serve_demo)
 
     p = sub.add_parser("telemetry", help="inspect telemetry streams")

@@ -142,13 +142,12 @@ class ShardedSimOutcome:
 
 def _shard_sim_task(payload: Any) -> SimResult:
     """One shard's simulation, runnable in-process or in a spawn worker."""
-    scheme, levels, sub_trace, warmup, seed, shard, pipeline_depth = payload
+    scheme, levels, sub_trace, warmup, seed, shard = payload
     report_progress(f"shard {shard}: {len(sub_trace)} requests ...")
     cfg = schemes_mod.by_name(scheme, levels)
     return simulate(cfg, sub_trace, SimConfig(
         seed=derive_seed(seed, f"shard:{shard}"),
         warmup_requests=warmup,
-        pipeline_depth=pipeline_depth,
     ))
 
 
@@ -159,19 +158,18 @@ def run_sharded_sim(
     num_shards: int,
     warmup_requests: int = 0,
     seed: int = 0,
-    pipeline_depth: int = 1,
     workers: int = 1,
     progress: Any = None,
 ) -> ShardedSimOutcome:
     """Partition ``trace`` over ``num_shards`` subtrees and simulate.
 
     Each shard is one :func:`repro.parallel.executor.run_cells` cell:
-    an independent, seed-pinned simulation of its slice at the smallest
-    tree depth that fits the largest slice (all shards share a depth so
-    their per-access costs are comparable). Warmup is split
-    proportionally to each shard's request share. The outcome's merge
-    is byte-identical at any ``workers`` width because every shard's
-    result is a pure function of ``(config, shard id)``.
+    an independent, seed-pinned serial-controller simulation of its
+    slice at the smallest tree depth that fits the largest slice (all
+    shards share a depth so their per-access costs are comparable).
+    Warmup is split proportionally to each shard's request share. The
+    outcome's merge is byte-identical at any ``workers`` width because
+    every shard's result is a pure function of ``(config, shard id)``.
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -192,9 +190,7 @@ def run_sharded_sim(
         warmup = int(round(warmup_requests * share))
         # Below the shard's request count, or its Simulation refuses.
         warmup = min(warmup, max(len(sub.requests) - 1, 0))
-        payloads.append(
-            (scheme, shard_levels, sub, warmup, seed, i, pipeline_depth)
-        )
+        payloads.append((scheme, shard_levels, sub, warmup, seed, i))
     outputs = run_cells(
         _shard_sim_task,
         [Cell(f"shard:{i}", p) for i, p in enumerate(payloads)],

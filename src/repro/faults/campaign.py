@@ -40,15 +40,17 @@ MAX_OUTAGE_OPS = 2
 
 @dataclass
 class CampaignConfig:
-    """One campaign invocation (the report's ``config`` block)."""
+    """One campaign invocation (the report's ``config`` block).
+
+    Every campaign sweeps all of :data:`~repro.faults.plan.FAULT_KINDS`
+    under the default recovery ladder (:class:`RobustnessConfig`'s retry
+    budget, then quarantine-and-rebuild).
+    """
 
     levels: int = 10
     n_requests: int = 600
     seed: int = 0
-    kinds: Sequence[str] = FAULT_KINDS
     rates: Sequence[float] = (0.002, 0.01)
-    retry_budget: int = 3
-    quarantine: bool = True
     integrity: bool = True
     smoke: bool = False
     #: Process-pool width for the kind x rate cells. Not part of
@@ -58,18 +60,11 @@ class CampaignConfig:
     progress: Any = field(default=None, repr=False)  # callable(str)
 
     def __post_init__(self) -> None:
-        unknown = sorted(set(self.kinds).difference(FAULT_KINDS))
-        if unknown:
-            raise ValueError(
-                f"unknown fault kinds {unknown}; choose from {FAULT_KINDS}"
-            )
         for r in self.rates:
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"fault rate must be in [0, 1], got {r}")
         if not self.rates:
             raise ValueError("need at least one fault rate")
-        if not self.kinds:
-            raise ValueError("need at least one fault kind")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -80,11 +75,11 @@ class CampaignConfig:
             "n_requests": self.n_requests,
             "warmup_requests": WARMUP_REQUESTS,
             "seed": self.seed,
-            "kinds": list(self.kinds),
+            "kinds": list(FAULT_KINDS),
             "rates": [float(r) for r in self.rates],
-            "retry_budget": self.retry_budget,
+            "retry_budget": RobustnessConfig().retry_budget,
             "backoff_base_ns": BACKOFF_BASE_NS,
-            "quarantine": self.quarantine,
+            "quarantine": True,
             "integrity": self.integrity,
             "max_outage_ops": MAX_OUTAGE_OPS,
             "smoke": self.smoke,
@@ -108,11 +103,7 @@ def smoke_config(**overrides: Any) -> CampaignConfig:
 
 
 def _robustness(cfg: CampaignConfig) -> RobustnessConfig:
-    return RobustnessConfig(
-        integrity=cfg.integrity,
-        retry_budget=cfg.retry_budget,
-        quarantine=cfg.quarantine,
-    )
+    return RobustnessConfig(integrity=cfg.integrity)
 
 
 def _run_one(
@@ -225,7 +216,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> Dict[str, Any]:
     worker_cfg = replace(cfg, progress=None, workers=1)
     identities = [
         {"fault": kind, "rate": float(rate)}
-        for kind in cfg.kinds for rate in cfg.rates
+        for kind in FAULT_KINDS for rate in cfg.rates
     ]
     outputs = run_cells(
         _campaign_cell_task,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Any, Callable, Dict, List, Union
 
 from repro.oram.config import BucketGeometry, OramConfig
 
@@ -28,13 +28,41 @@ def geometry_to_dict(g: BucketGeometry) -> Dict[str, int]:
     }
 
 
+def _field(data: Any, name: str, cast: Callable[[Any], Any],
+           where: str) -> Any:
+    """``cast(data[name])``, or a ValueError naming ``where.name``."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{where}: expected a JSON object, got {type(data).__name__}")
+    if name not in data:
+        raise ValueError(f"{where}.{name}: missing")
+    try:
+        return cast(data[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}.{name}: {exc}") from None
+
+
+def _as_list(value: Any) -> List[Any]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _geometry(d: Any, where: str) -> BucketGeometry:
+    if isinstance(d, dict):
+        d = {"overlap": 0, "remote_extension": 0, **d}
+    return BucketGeometry(**{
+        name: _field(d, name, int, where)
+        for name in ("z_real", "s_reserved", "overlap", "remote_extension")
+    })
+
+
 def geometry_from_dict(d: Dict[str, int]) -> BucketGeometry:
-    return BucketGeometry(
-        z_real=int(d["z_real"]),
-        s_reserved=int(d["s_reserved"]),
-        overlap=int(d.get("overlap", 0)),
-        remote_extension=int(d.get("remote_extension", 0)),
-    )
+    return _geometry(d, "bucket")
 
 
 def config_to_dict(cfg: OramConfig) -> Dict[str, object]:
@@ -69,30 +97,36 @@ def config_to_dict(cfg: OramConfig) -> Dict[str, object]:
 
 
 def config_from_dict(data: Dict[str, object]) -> OramConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Inverse of :func:`config_to_dict`.
+
+    A malformed document raises a ValueError naming the bad field
+    (``config.geometry_runs[0].bucket.z_real: missing``, say).
+    """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"config: expected a JSON object, got {type(data).__name__}")
     if data.get("_format") != _FORMAT:
         raise ValueError(f"unsupported config format {data.get('_format')!r}")
     geometry: List[BucketGeometry] = []
-    for run in data["geometry_runs"]:
+    runs = _field(data, "geometry_runs", _as_list, "config")
+    for i, run in enumerate(runs):
+        where = f"config.geometry_runs[{i}]"
+        bucket = _field(run, "bucket", _same, where)
         geometry.extend(
-            [geometry_from_dict(run["bucket"])] * int(run["count"])
+            [_geometry(bucket, f"{where}.bucket")]
+            * _field(run, "count", int, where)
         )
-    return OramConfig(
-        levels=int(data["levels"]),
-        geometry=tuple(geometry),
-        evict_rate=int(data["evict_rate"]),
-        block_bytes=int(data["block_bytes"]),
-        stash_capacity=int(data["stash_capacity"]),
-        background_evict_threshold=data["background_evict_threshold"],
-        treetop_levels=int(data["treetop_levels"]),
-        deadq_capacity=int(data["deadq_capacity"]),
-        deadq_levels=tuple(data["deadq_levels"]),
-        utilization=float(data["utilization"]),
-        base_z_real=data["base_z_real"],
-        n_real_blocks=data["n_real_blocks"],
-        max_remote_slots=int(data["max_remote_slots"]),
-        name=str(data["name"]),
-    )
+    casts: Dict[str, Callable[[Any], Any]] = {
+        "levels": int, "evict_rate": int, "block_bytes": int,
+        "stash_capacity": int, "background_evict_threshold": _same,
+        "treetop_levels": int, "deadq_capacity": int, "deadq_levels": tuple,
+        "utilization": float, "base_z_real": _same, "n_real_blocks": _same,
+        "max_remote_slots": int, "name": str,
+    }
+    return OramConfig(geometry=tuple(geometry), **{
+        name: _field(data, name, cast, "config")
+        for name, cast in casts.items()
+    })
 
 
 def save_config(cfg: OramConfig, path: PathLike) -> None:
@@ -100,4 +134,5 @@ def save_config(cfg: OramConfig, path: PathLike) -> None:
 
 
 def load_config(path: PathLike) -> OramConfig:
+    """Read a :func:`save_config` file; a bad field is a ValueError."""
     return config_from_dict(json.loads(Path(path).read_text()))

@@ -42,14 +42,13 @@ class RobustnessConfig:
                          readPath metadata fetch (catches dropped writes
                          on slots the access never opens);
     ``retry_budget``  -- transient-fault retries per open before the
-                         fault is escalated to quarantine;
-    ``quarantine``    -- enable quarantine-and-rebuild; when off, every
-                         persistent fault is counted unrecovered.
+                         fault is escalated to quarantine.
+
+    Quarantine-and-rebuild is always on (``to_dict`` still records it).
     """
 
     integrity: bool = False
     retry_budget: int = 3
-    quarantine: bool = True
 
     def __post_init__(self) -> None:
         if self.retry_budget < 0:
@@ -60,4 +59,4 @@ class RobustnessConfig:
                 "retry_budget": self.retry_budget,
                 "backoff_base_ns": BACKOFF_BASE_NS,
                 "backoff_factor": BACKOFF_FACTOR,
-                "quarantine": self.quarantine}
+                "quarantine": True}

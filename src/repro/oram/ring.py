@@ -614,7 +614,7 @@ class RingOram:
             # Failures while rebuilding this very bucket are expected
             # (its residents may be unrecoverable); don't re-queue it.
             return
-        if self.robustness is None or not self.robustness.quarantine:
+        if self.robustness is None:
             self.robust.unrecovered += 1
             return
         if bucket not in self._quarantined:

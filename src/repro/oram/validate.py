@@ -163,23 +163,10 @@ def diagnose_robustness(
         return findings
 
     if faults_enabled and robustness.retry_budget == 0:
-        if robustness.quarantine:
-            findings.append(Finding(
-                WARNING, "retry-zero",
-                "retry budget is 0 with faults enabled; every transient "
-                "outage escalates straight to quarantine-and-rebuild",
-            ))
-        else:
-            findings.append(Finding(
-                ERROR, "no-recovery",
-                "retry budget is 0 and quarantine is disabled with "
-                "faults enabled; every fault is unrecoverable",
-            ))
-    elif faults_enabled and not robustness.quarantine:
         findings.append(Finding(
-            WARNING, "quarantine-off",
-            "quarantine is disabled; persistent corruption is detected "
-            "but never repaired (counted unrecovered)",
+            WARNING, "retry-zero",
+            "retry budget is 0 with faults enabled; every transient "
+            "outage escalates straight to quarantine-and-rebuild",
         ))
 
     if faults_enabled and not robustness.integrity:

@@ -31,10 +31,10 @@ One cell per (scheme, trace) pair::
     }
 
 ``accesses_per_s`` is what the compare gate checks (exit 1 when a cell
-drops more than ``threshold`` percent); the ``sim`` block lets tests
-assert run-to-run determinism and is diffed for the summary text but
-never gates -- it legitimately changes when simulator behaviour
-changes, and such changes must be reviewed, not blocked.
+drops more than ``DEFAULT_THRESHOLD_PCT``, 10 percent); the ``sim``
+block lets tests assert run-to-run determinism and is diffed for the
+summary text but never gates -- it legitimately changes when simulator
+behaviour changes, and such changes must be reviewed, not blocked.
 
 A cell whose worker failed (crashed process, raised exception) is
 recorded as an *error cell* instead of silently shrinking the matrix::

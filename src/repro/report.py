@@ -47,6 +47,7 @@ EXIT_OK = 0
 EXIT_REGRESSION = 1
 EXIT_ERROR = 2
 
+#: A gated metric may move the wrong way by at most this many percent.
 DEFAULT_THRESHOLD_PCT = 10.0
 
 #: Availability may drop at most this many percentage points before a
@@ -157,8 +158,8 @@ class Gate:
 
     ``path`` is the gated metric inside a cell; ``better`` says which
     direction is good; ``mode`` how a change is measured -- ``pct``
-    (relative, against ``threshold_pct``), ``pp`` (absolute x100,
-    against ``availability_drop_pp``), ``abs`` (any move the wrong way)
+    (relative, against :data:`DEFAULT_THRESHOLD_PCT`), ``pp`` (absolute
+    x100, against :data:`DEFAULT_AVAILABILITY_DROP_PP`), ``abs`` (any move the wrong way)
     or ``flag`` (a perfect baseline, >= 1 / true, must stay perfect).
     ``show`` renders the metric into the cell's summary line and
     ``fail`` words the regression; ``positive`` marks a baseline <= 0
@@ -413,10 +414,7 @@ class ReportSpec:
         )
 
     def compare(
-        self,
-        baseline: Dict[str, Any],
-        new: Dict[str, Any],
-        threshold_pct: float = DEFAULT_THRESHOLD_PCT,
+        self, baseline: Dict[str, Any], new: Dict[str, Any],
     ) -> Tuple[int, List[str]]:
         """Gate two validated reports; returns (exit_code, messages).
 
@@ -427,7 +425,8 @@ class ReportSpec:
         degenerate -- a matrix that silently shrank is an error, never
         a pass. Cells only in ``new`` are informational.
         """
-        limits = {"pct": threshold_pct, "pp": DEFAULT_AVAILABILITY_DROP_PP}
+        limits = {"pct": DEFAULT_THRESHOLD_PCT,
+                  "pp": DEFAULT_AVAILABILITY_DROP_PP}
         base_cells = {self.cell_key(c): c for c in baseline["cells"]}
         new_cells = {self.cell_key(c): c for c in new["cells"]}
         messages: List[str] = []
@@ -511,7 +510,6 @@ def save_report(doc: Dict[str, Any], path: str) -> List[str]:
 def compare_files(
     baseline_path: str,
     new_path: str,
-    threshold_pct: float = DEFAULT_THRESHOLD_PCT,
     kinds: Optional[Sequence[str]] = None,
 ) -> Tuple[int, List[str]]:
     """File-level entry: load, validate, gate by the reports' kind."""
@@ -525,7 +523,7 @@ def compare_files(
             f"ERROR cannot compare {base['kind']!r} against "
             f"{new['kind']!r} reports"
         ]
-    return _REGISTRY[base["kind"]].compare(base, new, threshold_pct)
+    return _REGISTRY[base["kind"]].compare(base, new)
 
 
 # ---------------------------------------------------------------- assembly

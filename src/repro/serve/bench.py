@@ -17,7 +17,7 @@ evidence that dedup/coalescing buys real access savings
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,10 +34,12 @@ from repro.telemetry import request_trace_doc, write_trace
 class ServeConfig:
     """One serve-harness invocation (the report's ``config`` block)."""
 
-    scheme: str = "ab"
+    #: Every cell serves an AB tree, at most 32 requests per scheduling
+    #: round (class constants, not settings).
+    scheme: ClassVar[str] = "ab"
+    max_batch: ClassVar[int] = 32
     levels: int = 10
     seed: int = 0
-    max_batch: int = 32
     workloads: Sequence[WorkloadConfig] = ()
     smoke: bool = False
     workers: int = 1

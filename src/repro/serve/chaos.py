@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.sharding.control import (
     HEARTBEAT_NS, ControlPlane, heartbeat_events,
@@ -92,10 +92,12 @@ class ChaosCell:
 class ChaosConfig:
     """One chaos-harness invocation (the report's ``config`` block)."""
 
-    scheme: str = "ab"
+    #: Every cell serves an AB tree, at most 16 requests per scheduling
+    #: round (class constants, not settings).
+    scheme: ClassVar[str] = "ab"
+    max_batch: ClassVar[int] = 16
     levels: int = 8
     seed: int = 0
-    max_batch: int = 16
     #: ORAM-level recovery policy every cell's stack runs under. The
     #: retry budget comfortably exceeds the transient cell's longest
     #: outage so short blips recover inline, never via quarantine.
@@ -117,7 +119,7 @@ class ChaosConfig:
     #: single-stack path.
     num_shards: int = 1
     #: JSONL output paths (sharded campaigns only): the SLO event
-    #: stream and the per-shard ops stream ``serve top`` replays.
+    #: stream and the per-shard ops stream ``telemetry view`` renders.
     slo_out: Optional[str] = None
     ops_out: Optional[str] = None
 

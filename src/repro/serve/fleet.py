@@ -104,16 +104,16 @@ class FleetConfig:
     """One fleet serving run: workload, shard count, optional drill."""
 
     workload: WorkloadConfig
-    #: Every shard serves an AB tree under the batch policy
-    #: (class constants, not settings).
+    #: Every shard serves an AB tree under the batch policy, at most
+    #: 32 requests per scheduling round (class constants, not settings).
     scheme: ClassVar[str] = "ab"
     policy: ClassVar[str] = "batch"
+    max_batch: ClassVar[int] = 32
     #: Per-shard tree depth (every subtree runs at the same depth so
     #: per-access costs are comparable across shard counts).
     levels: int = 9
     num_shards: int = 4
     seed: int = 0
-    max_batch: int = 32
     drill: Optional[KillShardDrill] = None
     workers: int = 1
     progress: Any = None   # callable(str) for live shard updates

@@ -200,7 +200,7 @@ def resilient_replay(
     deadline expiry, the idle wake-up) run only while a request is
     backing off or can expire.
 
-    ``sampler`` (an :class:`~repro.telemetry.console.OpsSampler`) is
+    ``sampler`` (an :class:`~repro.telemetry.ops.OpsSampler`) is
     probed once per scheduling round with the live queue/journal state;
     it only reads, so attaching one changes nothing the loop decides.
     """

@@ -96,7 +96,6 @@ class ScalingConfig:
     #: counts so the throughput ratio isolates the fleet effect).
     measured_levels: int = 9
     seed: int = 0
-    max_batch: int = 32
     cells: Sequence[ScalingCell] = ()
     smoke: bool = False
     workers: int = 1
@@ -107,7 +106,7 @@ class ScalingConfig:
             "scheme": FleetConfig.scheme,
             "measured_levels": self.measured_levels,
             "seed": self.seed,
-            "max_batch": self.max_batch,
+            "max_batch": FleetConfig.max_batch,
             "policy": FleetConfig.policy,
             "min_speedup": MIN_SPEEDUP,
             "heartbeat_ns": HEARTBEAT_NS,
@@ -231,7 +230,6 @@ def _scaling_cell_task(
         levels=cfg.measured_levels,
         num_shards=cell.shards,
         seed=cfg.seed,
-        max_batch=cfg.max_batch,
         drill=cell.drill,
         workers=cfg.workers,
         progress=cfg.progress,
@@ -285,14 +283,11 @@ def run_scaling(cfg: Optional[ScalingConfig] = None) -> Dict[str, Any]:
 
 # --------------------------------------------------------------------- gate
 
-def scaling_check(
-    doc: Dict[str, Any], min_speedup: Optional[float] = None
-) -> List[str]:
+def scaling_check(doc: Dict[str, Any]) -> List[str]:
     """CI gate over one scaling report; returns findings (empty = pass).
 
     - every block row carrying shards=1 and shards=4 must show
-      ``ns_per_request(s1) / ns_per_request(s4) >= min_speedup``
-      (argument overrides ``config.min_speedup``);
+      ``ns_per_request(s1) / ns_per_request(s4) >= config.min_speedup``;
     - fleets without a drill must serve everything (availability 1.0);
     - drill cells must stay above their availability floor, record at
       least one degraded episode on the drilled shard, detect every
@@ -302,10 +297,7 @@ def scaling_check(
     """
     problems: List[str] = []
     config = doc.get("config", {})
-    floor = (
-        min_speedup if min_speedup is not None
-        else config.get("min_speedup", 0.0)
-    )
+    floor = config.get("min_speedup", 0.0)
     gates = {
         (c["name"], c["shards"]): c for c in config.get("cells", [])
     }

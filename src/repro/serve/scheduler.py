@@ -21,9 +21,15 @@ The scheduler takes a batch of queued requests and:
 Correctness contract: *per-key FIFO*. Operations on one key take
 effect in arrival order, so every client receives exactly the value a
 serial replay would have produced; only operations on different keys
-are reordered. The ORAM-level trace stays indistinguishable -- every
-issued access is an ordinary oblivious access, and skipping an access
-reveals nothing the (encrypted, padded) chain did not already mask.
+are reordered.
+
+What this leaks today: every issued access is an ordinary oblivious
+access, so *which* block it touches stays hidden, but *how many*
+accesses a batch issues does not. Dedup and coalescing make a batch's
+access count fall with its same-key duplicates, and a get of an absent
+key issues none (the client-side directory answers it). The access
+volume therefore depends on the data; ROADMAP item 6 tracks the fix
+(a fixed number of accesses per request).
 
 The ``"fifo"`` policy is the naive baseline: strict arrival order, one
 request at a time, no dedup or coalescing. The benchmark report pits

@@ -48,15 +48,15 @@ Error cells mirror the perf schema::
 The compare gate runs on the *simulated* metrics -- deterministic for a
 code version, so any delta is a real behavioural change, not runner
 noise: simulated throughput dropping, or simulated p99 rising, by more
-than ``threshold`` percent is a regression; other deterministic drift
+than ``DEFAULT_THRESHOLD_PCT`` (10) percent is a regression; other deterministic drift
 (dedup hits, access counts) is reported but never gates -- scheduler
 changes legitimately move it and must be reviewed, not blocked. CI
 runs the smoke compare with ``--warn-only`` so a reviewed improvement
 can land alongside its baseline refresh.
 
 Chaos cells (:mod:`repro.serve.chaos`) key by ``name`` and gate on what
-clients saw: availability dropping more than ``availability_drop_pp``
-points, served p99 rising more than ``threshold`` percent, or tamper
+clients saw: availability dropping more than ``DEFAULT_AVAILABILITY_DROP_PP``
+points, served p99 rising more than ``DEFAULT_THRESHOLD_PCT`` percent, or tamper
 detection falling below a baseline that had it perfect. Beyond field
 shapes their accounting must close: every generated request completed
 with exactly one terminal status. Sharded campaigns add the per-shard,

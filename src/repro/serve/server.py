@@ -29,26 +29,20 @@ from repro.serve.scheduler import BatchScheduler
 #: Seconds ``close`` waits for the serving thread before failing what
 #: is still pending.
 JOIN_TIMEOUT_S = 30.0
+#: The scheduler policy and the admission batch cap of every server.
+POLICY = "batch"
+MAX_BATCH = 32
 
 
 class KVServer:
     """Concurrent front-end: many submitters, one serving thread."""
 
-    def __init__(
-        self,
-        kv: ObliviousKV,
-        policy: str = "batch",
-        max_batch: int = 32,
-        seed: int = 0,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.max_batch = max_batch
+    def __init__(self, kv: ObliviousKV, seed: int = 0) -> None:
         #: The exception that killed the serve loop, if it died.
         self._worker_error: Optional[BaseException] = None
         self._t0 = time.perf_counter_ns()
         self.scheduler = BatchScheduler(
-            kv, policy=policy, seed=seed, clock=self._clock,
+            kv, policy=POLICY, seed=seed, clock=self._clock,
         )
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
@@ -114,8 +108,8 @@ class KVServer:
                     self._work.wait()
                 if not self._queue and self._closed:
                     return
-                batch = self._queue[:self.max_batch]
-                del self._queue[:self.max_batch]
+                batch = self._queue[:MAX_BATCH]
+                del self._queue[:MAX_BATCH]
             try:
                 completions = self.scheduler.serve_batch(batch)
             except BaseException as exc:   # noqa: BLE001 - fanned out below

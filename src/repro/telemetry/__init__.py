@@ -18,13 +18,7 @@ simulation leaves its RNG streams, DRAM timing and ``SimResult``
 bit-identical to a bare run.
 """
 
-from repro.telemetry.console import (
-    OpsSampler,
-    frames_from_stream,
-    render_frame,
-    render_replay,
-    run_console,
-)
+from repro.telemetry.ops import OpsSampler
 from repro.telemetry.fleet import (
     ShardFragment,
     assign_lanes,
@@ -64,16 +58,12 @@ __all__ = [
     "default_time_buckets",
     "fleet_trace_doc",
     "fold_completions",
-    "frames_from_stream",
     "load_stream",
     "mint_trace_id",
     "quantiles_from_snapshot",
     "quiet",
-    "render_frame",
-    "render_replay",
     "render_stream",
     "request_trace_doc",
-    "run_console",
     "stderr_progress",
     "trace_doc",
     "write_trace",

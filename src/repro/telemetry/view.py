@@ -20,18 +20,24 @@ from repro.telemetry.metrics import quantiles_from_snapshot
 def load_stream(path: str) -> Dict[str, Any]:
     """Parse one JSONL stream into {meta, snapshots, slo, summary}.
 
-    Handles both the single-run metrics stream (PR 5) and the fleet
-    ops stream: ``snapshot`` records may carry a ``shard`` field, and
+    Handles both the single-run metrics stream and the fleet ops
+    stream: ``snapshot`` records may carry a ``shard`` field, and
     ``slo_window`` / ``slo_alert`` records from the streaming SLO
-    engine collect under ``"slo"``.
+    engine collect under ``"slo"``. Every problem -- bytes that are not
+    UTF-8, a line that is not a JSON object, an unknown record type, a
+    ``shard`` or ``window`` that is not an integer -- is a ValueError
+    naming the file and the line.
     """
     meta: Dict[str, Any] = {}
     snapshots: List[Dict[str, Any]] = []
     slo: List[Dict[str, Any]] = []
     summary: Dict[str, Any] = {}
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:
@@ -41,6 +47,13 @@ def load_stream(path: str) -> Dict[str, Any]:
             if not isinstance(record, dict):
                 raise ValueError(
                     f"{path}:{line_no}: record is not a JSON object")
+            for field in ("shard", "window"):
+                value = record.get(field)
+                if field in record and (
+                        not isinstance(value, int) or isinstance(value, bool)):
+                    raise ValueError(
+                        f"{path}:{line_no}: {field} must be an integer, "
+                        f"got {value!r}")
             kind = record.get("type")
             if kind == "meta":
                 meta = record

@@ -62,8 +62,10 @@ class TestSimulate:
         ["--metrics-every", "-1"],
         ["--warmup", "100", "--requests", "100"],
         ["--warmup", "100", "--requests", "100", "--shards", "2"],
+        ["--pipeline-depth", "4", "--shards", "2"],
     ], ids=["bench", "bench-sharded", "requests", "pipeline-depth",
-            "metrics-every", "warmup", "warmup-sharded"])
+            "metrics-every", "warmup", "warmup-sharded",
+            "pipeline-depth-sharded"])
     def test_bad_input_is_a_clean_error(self, capsys, flags):
         rc = main(["simulate", "--levels", "6", "--requests", "50",
                    "--warmup", "0", *flags])
@@ -140,8 +142,7 @@ class TestFaultsCli:
     def test_smoke_campaign_with_detection_gate(self, capsys, tmp_path):
         out = tmp_path / "BENCH_faults.json"
         rc = main(["faults", "run", "--smoke", "--levels", "7",
-                   "--requests", "80", "--kinds", "bit_flip", "replay",
-                   "--rates", "0.02", "--out", str(out),
+                   "--requests", "80", "--rates", "0.02", "--out", str(out),
                    "--require-detection"])
         assert rc == 0
         text = capsys.readouterr().out
@@ -151,8 +152,7 @@ class TestFaultsCli:
     def test_run_sugar_inserted(self, capsys, tmp_path):
         out = tmp_path / "BENCH_faults.json"
         rc = main(["faults", "--smoke", "--levels", "7", "--requests", "60",
-                   "--kinds", "bit_flip", "--rates", "0.02",
-                   "--out", str(out)])
+                   "--rates", "0.02", "--out", str(out)])
         assert rc == 0
         assert "fault campaign (smoke)" in capsys.readouterr().out
 
@@ -167,8 +167,8 @@ class TestFaultsCli:
         must catch that configuration."""
         out = tmp_path / "BENCH_faults.json"
         rc = main(["faults", "run", "--smoke", "--levels", "7",
-                   "--requests", "80", "--kinds", "replay",
-                   "--rates", "0.02", "--no-integrity", "--out", str(out),
+                   "--requests", "80", "--rates", "0.02", "--no-integrity",
+                   "--out", str(out),
                    "--require-detection"])
         assert rc == 1
         assert "DETECTION GAP" in capsys.readouterr().out
@@ -212,8 +212,7 @@ class TestTelemetryCli:
                      str(tmp_path / "missing.jsonl")]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["telemetry", "view"],
-                                         ["serve", "top", "--replay"]])
+    @pytest.mark.parametrize("command", [["telemetry", "view"]])
     @pytest.mark.parametrize("record", ["3", "[1]"])
     def test_non_object_record_errors(self, capsys, tmp_path, command,
                                       record):

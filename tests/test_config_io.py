@@ -1,6 +1,7 @@
 """Tests for configuration serialization (repro.oram.config_io)."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,23 @@ class TestConfigRoundtrip:
     def test_format_checked(self):
         with pytest.raises(ValueError, match="unsupported"):
             config_from_dict({"_format": 99})
+
+    @pytest.mark.parametrize("corrupt, field", [
+        (lambda d: d.pop("geometry_runs"), "config.geometry_runs"),
+        (None, "config"),
+        (lambda d: d["geometry_runs"][0]["bucket"].pop("z_real"),
+         "config.geometry_runs[0].bucket.z_real"),
+    ], ids=["no-geometry-runs", "json-array", "bucket-without-z-real"])
+    def test_bad_file_names_the_field(self, tmp_path, corrupt, field):
+        doc = config_to_dict(schemes.ab_scheme(7))
+        if corrupt is None:
+            doc = [doc]
+        else:
+            corrupt(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(field + ":")):
+            load_config(path)
 
     def test_file_roundtrip(self, tmp_path):
         cfg = schemes.dr_scheme(12)

@@ -14,9 +14,9 @@ Four layers under test:
 3. **The sharded chaos campaign** (``ChaosConfig.num_shards > 1``):
    the report, the merged trace and both JSONL streams are
    byte-identical between a serial run and a ``--workers 2`` run.
-4. **The ops console** (:mod:`repro.telemetry.console`): window
-   attribution by completion stamp, deterministic replay, and the
-   per-shard ``telemetry view`` columns.
+4. **The ops stream** (:mod:`repro.telemetry.ops`): window
+   attribution by completion stamp, and the per-shard columns, SLO
+   windows and alerts ``telemetry view`` renders from it.
 """
 
 import importlib.util
@@ -45,10 +45,7 @@ from repro.telemetry import (
     default_slo_rules,
     fleet_trace_doc,
     fold_completions,
-    frames_from_stream,
     mint_trace_id,
-    render_frame,
-    render_replay,
 )
 from repro.telemetry.view import load_stream, render_stream
 
@@ -471,13 +468,11 @@ class TestShardedChaos:
         )
         assert errors == []
 
-    def test_replay_console_deterministic(self, artifacts):
+    def test_view_deterministic(self, artifacts):
         path = artifacts["serial"]["ops_path"]
-        first = render_replay(path)
-        second = render_replay(path)
-        assert first == second
-        assert len(first) > 0
-        assert "shard" in first[0]
+        first = render_stream(path)
+        assert render_stream(path) == first
+        assert "Fleet snapshots: tamper" in first
 
     def test_view_renders_fleet_columns(self, artifacts):
         text = render_stream(artifacts["serial"]["ops_path"])
@@ -486,40 +481,30 @@ class TestShardedChaos:
         assert "stash (peak)" in text
 
 
-# ------------------------------------------------------------ ops console
+# ------------------------------------------------------------- ops stream
 
 class TestOpsConsole:
-    def _stream(self):
-        return {
-            "meta": {"type": "meta"},
-            "snapshots": [
-                {"type": "snapshot", "cell": "c", "shard": s, "window": w,
-                 "ns": 100.0 * (w + 1), "state": "ok", "queue_depth": s,
-                 "stash_occupancy": 2, "deadq_depth": 0,
-                 "journal_depth": 0, "window_requests": 4, "window_ok": 4,
-                 "throughput_rps": 1e4, "p50_ns": 100.0, "p99_ns": 500.0}
-                for w in range(2) for s in (1, 0)
-            ],
-            "slo": [
-                {"type": "slo_alert", "cell": "c", "window": 1,
-                 "rule": "avail", "value": 0.5, "threshold": 0.9,
-                 "burn": 5.0},
-            ],
-            "summary": {},
-        }
-
-    def test_frames_group_and_sort(self):
-        frames = frames_from_stream(self._stream())
-        assert [f["window"] for f in frames] == [0, 1]
-        assert [s["shard"] for s in frames[0]["shards"]] == [0, 1]
-        assert frames[0]["alerts"] == []
-        assert [a["rule"] for a in frames[1]["alerts"]] == ["avail"]
-
-    def test_render_frame_has_alert_line(self):
-        frames = frames_from_stream(self._stream())
-        text = render_frame(frames[1])
-        assert "cell c | window 1" in text
-        assert "ALERT avail" in text and "5.00x" in text
+    def test_view_has_alert_row(self, tmp_path):
+        records = [{"type": "meta"}] + [
+            {"type": "snapshot", "cell": "c", "shard": s, "window": w,
+             "ns": 100.0 * (w + 1), "state": "ok", "queue_depth": s,
+             "stash_occupancy": 2, "deadq_depth": 0,
+             "journal_depth": 0, "window_requests": 4, "window_ok": 4,
+             "throughput_rps": 1e4, "p50_ns": 100.0, "p99_ns": 500.0}
+            for w in range(2) for s in (1, 0)
+        ] + [
+            {"type": "slo_alert", "cell": "c", "window": 1,
+             "rule": "avail", "value": 0.5, "threshold": 0.9, "burn": 5.0},
+        ]
+        path = tmp_path / "ops.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        text = render_stream(str(path))
+        assert "Fleet snapshots: c" in text
+        header = next(ln for ln in text.splitlines() if "metric" in ln)
+        assert header.index("s0") < header.index("s1")
+        alerts = text.split("SLO alerts (error-budget burn)")[1]
+        assert alerts.split()[-6:] == ["avail", "c", "1", "0.500", "0.900",
+                                       "5.000"]
 
     def test_sampler_attributes_by_done_ns(self):
         sampler = OpsSampler("c", 0, 100.0, _stub_stack(occupancy=3))

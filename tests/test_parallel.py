@@ -156,7 +156,7 @@ class TestFaultsHarness:
     def test_parallel_campaign_byte_identical(self):
         # The faults report has no wall-clock fields, so the whole JSON
         # document -- not just per-cell stats -- must match exactly.
-        cfg = dict(levels=8, n_requests=120, kinds=("bit_flip", "dropped_write"))
+        cfg = dict(levels=8, n_requests=120)
         serial = run_campaign(faults_smoke_config(**cfg))
         par = run_campaign(faults_smoke_config(workers=2, **cfg))
         dump = lambda d: json.dumps(d, indent=1, sort_keys=True)  # noqa: E731

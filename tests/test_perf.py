@@ -113,14 +113,14 @@ class TestCompare:
         new = copy.deepcopy(tiny_report)
         for cell in new["cells"]:
             cell["accesses_per_s"] *= 0.95
-        code, _ = compare_reports(tiny_report, new, threshold_pct=10.0)
+        code, _ = compare_reports(tiny_report, new)
         assert code == EXIT_OK
 
     def test_regression_beyond_threshold_fails(self, tiny_report):
         new = copy.deepcopy(tiny_report)
         for cell in new["cells"]:
             cell["accesses_per_s"] *= 0.5
-        code, messages = compare_reports(tiny_report, new, threshold_pct=10.0)
+        code, messages = compare_reports(tiny_report, new)
         assert code == EXIT_REGRESSION
         assert any(m.startswith("REGRESSION") for m in messages)
 

@@ -87,6 +87,18 @@ def test_harness_fields_the_nightly_sets_differently_are_not_settings(reach):
     nightly = reach.nightly_fields()
     assert ("serve/chaos.py:ChaosConfig", "levels") in nightly
     assert ("perf/runner.py:PerfConfig", "schemes") in nightly
-    assert ("serve/chaos.py:ChaosConfig", "max_batch") not in nightly
+    assert ("serve/chaos.py:ChaosConfig", "num_shards") not in nightly
     assert reach._is_deployment("trace_out") and reach._is_deployment("seed")
     assert not reach._is_deployment("levels")
+
+
+def test_the_ratchet_fails_only_a_count_that_rose(reach):
+    text = "\n".join(["reach audit: ...", "unreached functions: 5",
+                      "tests-only functions: 40",
+                      "single-valued settings: 33"])
+    committed = {"unreached functions": 5, "tests-only functions": 41,
+                 "single-valued settings": 32}
+    assert reach.ratchet(text, committed) == [
+        "single-valued settings rose from 32 to 33"]
+    committed["single-valued settings"] = 33
+    assert reach.ratchet(text, committed) == []

@@ -31,10 +31,10 @@ class TestRobustnessConfig:
             RobustnessConfig(retry_budget=-1)
 
     def test_roundtrip(self):
-        cfg = RobustnessConfig(integrity=True, retry_budget=5,
-                               quarantine=False)
+        cfg = RobustnessConfig(integrity=True, retry_budget=5)
         doc = cfg.to_dict()
         assert doc.pop("verify_paths") is True
+        assert doc.pop("quarantine") is True
         assert doc.pop("backoff_base_ns") == recovery.BACKOFF_BASE_NS
         assert doc.pop("backoff_factor") == recovery.BACKOFF_FACTOR
         assert RobustnessConfig(**doc) == cfg
@@ -94,16 +94,6 @@ class TestQuarantineRebuild:
         f = result.robustness["faults"]
         assert f["undetected"]["replay"] == 0
 
-    def test_quarantine_off_counts_unrecovered(self):
-        result = _run(
-            RobustnessConfig(integrity=True, quarantine=False), "bit_flip",
-        )
-        c = result.robustness["counters"]
-        assert c["rebuilds"] == 0
-        assert c["unrecovered"] > 0
-        # Reads served from zeroed payloads / the stash, not crashes.
-        assert c["payload_resets"] + c["stash_served_reads"] > 0
-
     def test_fault_free_run_counts_nothing(self):
         result = _run(RobustnessConfig(integrity=True))
         c = result.robustness["counters"]
@@ -111,16 +101,6 @@ class TestQuarantineRebuild:
 
 
 class TestOptOut:
-    def test_no_rungs_left_counts_unrecovered(self):
-        """retry_budget=0 + quarantine off: every transient fault falls
-        off the bottom of the ladder and is counted unrecovered."""
-        result = _run(
-            RobustnessConfig(integrity=True, retry_budget=0,
-                             quarantine=False),
-            "unavailable", rate=0.02,
-        )
-        assert result.robustness["counters"]["unrecovered"] > 0
-
     def test_without_policy_faults_propagate(self):
         """No robustness policy means no recovery ladder at all: the
         injected fault's error reaches the caller untouched (the legacy

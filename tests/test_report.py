@@ -33,7 +33,7 @@ def docs():
         CHAOS.kind: _baseline("chaos"),
         SCALING.kind: _baseline("scaling"),
         FAULTS.kind: run_campaign(faults_smoke(
-            levels=7, n_requests=60, kinds=("bit_flip",), rates=(0.02,),
+            levels=7, n_requests=60, rates=(0.02,),
         )),
     }
 

@@ -674,7 +674,7 @@ class _BrokenPop(dict):
 class TestServerCloseBounded:
     def test_dead_loop_fails_pending_and_close_returns(self):
         stack = plain_stack([(b"sk", b"sv")])
-        server = KVServer(stack.kv, max_batch=4)
+        server = KVServer(stack.kv)
         with server._work:
             server._futures = _BrokenPop(server._futures)
         future = server.submit(GET, b"sk")

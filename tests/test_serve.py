@@ -464,7 +464,7 @@ class TestPreload:
 class TestKVServer:
     def test_blocking_round_trip(self):
         stack = small_stack()
-        with KVServer(stack.kv, policy="batch", max_batch=8) as server:
+        with KVServer(stack.kv) as server:
             server.put(b"k", b"v1")
             assert server.submit(GET, b"k").result().value == b"v1"
             assert server.submit(DELETE, b"k").result().ok is True
@@ -474,7 +474,7 @@ class TestKVServer:
         import threading
 
         stack = small_stack()
-        server = KVServer(stack.kv, policy="batch", max_batch=16)
+        server = KVServer(stack.kv)
         errors = []
 
         def client(cid):
@@ -499,7 +499,7 @@ class TestKVServer:
 
     def test_close_drains_pending(self):
         stack = small_stack()
-        server = KVServer(stack.kv, max_batch=4)
+        server = KVServer(stack.kv)
         futures = [server.submit(PUT, b"k%d" % i, b"v") for i in range(6)]
         server.close()
         assert all(f.result(timeout=5).ok for f in futures)

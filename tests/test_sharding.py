@@ -688,8 +688,9 @@ class TestScalingHarness:
         from repro.serve.schema import SCALING, validate_scaling_report
         doc = run_scaling(tiny_scaling_config())
         assert validate_scaling_report(doc) == []
-        # Two shards of a tiny tree clear 1.2x, not the nightly 3x.
-        assert scaling_check(doc, min_speedup=1.2) == []
+        # Two shards of a tiny tree clear 1.2x, not the report's 3x.
+        floor = {**doc, "config": {**doc["config"], "min_speedup": 1.2}}
+        assert scaling_check(floor) == []
         by_shards = {c["shards"]: c for c in doc["cells"]}
         s1 = by_shards[1]["sim"]["fleet"]["ns_per_request"]
         s2 = by_shards[2]["sim"]["fleet"]["ns_per_request"]
@@ -722,8 +723,11 @@ class TestScalingHarness:
             for c, s in zip(cfg.cells, (1, 4))
         )
         doc = run_scaling(dc_replace(cfg, cells=cells))
-        assert scaling_check(doc, min_speedup=1.0) == []
-        problems = scaling_check(doc, min_speedup=50.0)
+        def at(floor):
+            return {**doc, "config": {**doc["config"], "min_speedup": floor}}
+
+        assert scaling_check(at(1.0)) == []
+        problems = scaling_check(at(50.0))
         assert any("below" in p for p in problems)
 
 

@@ -8,6 +8,7 @@ progress helper.
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -222,6 +223,13 @@ class TestTelemetryHandle:
             load_stream(str(bad))
         bad.write_text("not json\n")
         with pytest.raises(ValueError, match="not JSON"):
+            load_stream(str(bad))
+        bad.write_bytes(b'{"type": "meta"}\n\xff\xfe\n')
+        with pytest.raises(ValueError, match=re.escape(f"{bad}:2: not UTF-8")):
+            load_stream(str(bad))
+        bad.write_text('{"type": "snapshot", "shard": "x", "window": 0}\n')
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}:1: shard must be an integer, got 'x'")):
             load_stream(str(bad))
 
 

@@ -90,15 +90,6 @@ class TestDiagnoseRobustness:
         )
         assert "retry-zero" in self._codes(findings)
 
-    def test_zero_retries_without_quarantine_is_error(self):
-        findings = diagnose_robustness(
-            RobustnessConfig(integrity=True, retry_budget=0,
-                             quarantine=False),
-            faults_enabled=True,
-        )
-        by_code = {f.code: f for f in findings}
-        assert by_code["no-recovery"].severity == ERROR
-
     def test_faults_without_integrity_warns(self):
         findings = diagnose_robustness(
             RobustnessConfig(integrity=False), faults_enabled=True,

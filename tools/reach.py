@@ -14,7 +14,7 @@ included, loads the recorder in its ``sitecustomize.py``. Under pytest
 each entry is labelled with the test file that ran it, which is what
 separates a function a workflow runs from one that only tests run::
 
-    python tools/reach.py [--out DIR] [--list]
+    python tools/reach.py [--out DIR] [--list] [--ratchet COUNTS.json]
 
 The report has one row per module with functions nothing entered
 ("unreached") or only ``tests/`` files entered ("tests-only", with those
@@ -31,7 +31,9 @@ harness fields whose ``smoke_config()`` and ``full_config()`` differ
 
 The last three lines are the three counts; CI prints them. A target failing
 under the recorder (a noisy overhead bound, say) is reported, not fatal:
-the audit is about what ran.
+the audit is about what ran. ``--ratchet tools/reach_counts.json`` exits 1
+when any count is above the committed one, so the counts can only fall;
+a change that lowers one lowers the file too.
 """
 
 from __future__ import annotations
@@ -338,19 +340,34 @@ def report(records: Path, list_all: bool) -> str:
     return "\n".join(lines)
 
 
+def ratchet(text: str, committed: Dict[str, int]) -> List[str]:
+    """The counts in a :func:`report` that rose above ``committed``."""
+    counts = dict(line.rsplit(": ", 1) for line in text.splitlines()[-3:])
+    return [f"{name} rose from {limit} to {counts[name]}"
+            for name, limit in committed.items() if int(counts[name]) > limit]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="generated/reach",
                         help="records directory (default: generated/reach)")
     parser.add_argument("--list", action="store_true",
                         help="also list every unreached / tests-only function")
+    parser.add_argument("--ratchet", metavar="COUNTS.json", default=None,
+                        help="exit 1 if any count is above this file's")
     args = parser.parse_args(argv)
     out = Path(args.out).resolve()
     code = run_targets(out)
-    print(report(out, args.list))
+    text = report(out, args.list)
+    print(text)
     if code:
         print(f"warning: make -k {' '.join(TARGETS)} exited {code}",
               file=sys.stderr)
+    if args.ratchet:
+        risen = ratchet(text, json.loads(Path(args.ratchet).read_text()))
+        for line in risen:
+            print(f"reach ratchet: {line} ({args.ratchet})", file=sys.stderr)
+        return 1 if risen else 0
     return 0
 
 
