@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Union
+from typing import Any, Dict, List, Union
 
 from repro.oram.config import BucketGeometry, OramConfig
 
@@ -28,41 +28,24 @@ def geometry_to_dict(g: BucketGeometry) -> Dict[str, int]:
     }
 
 
-def _field(data: Any, name: str, cast: Callable[[Any], Any],
-           where: str) -> Any:
-    """``cast(data[name])``, or a ValueError naming ``where.name``."""
-    if not isinstance(data, dict):
+def _get(d: Any, key: str, where: str) -> Any:
+    """``d[key]``, or a ValueError naming ``where.key``."""
+    if not isinstance(d, dict):
         raise ValueError(
-            f"{where}: expected a JSON object, got {type(data).__name__}")
-    if name not in data:
-        raise ValueError(f"{where}.{name}: missing")
-    try:
-        return cast(data[name])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}.{name}: {exc}") from None
+            f"{where}: expected a JSON object, got {type(d).__name__}")
+    if key not in d:
+        raise ValueError(f"{where}.{key}: missing")
+    return d[key]
 
 
-def _as_list(value: Any) -> List[Any]:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return value
-
-
-def _same(value: Any) -> Any:
-    return value
-
-
-def _geometry(d: Any, where: str) -> BucketGeometry:
-    if isinstance(d, dict):
-        d = {"overlap": 0, "remote_extension": 0, **d}
-    return BucketGeometry(**{
-        name: _field(d, name, int, where)
-        for name in ("z_real", "s_reserved", "overlap", "remote_extension")
-    })
-
-
-def geometry_from_dict(d: Dict[str, int]) -> BucketGeometry:
-    return _geometry(d, "bucket")
+def geometry_from_dict(d: Dict[str, int],
+                       where: str = "bucket") -> BucketGeometry:
+    return BucketGeometry(
+        z_real=int(_get(d, "z_real", where)),
+        s_reserved=int(_get(d, "s_reserved", where)),
+        overlap=int(d.get("overlap", 0)),
+        remote_extension=int(d.get("remote_extension", 0)),
+    )
 
 
 def config_to_dict(cfg: OramConfig) -> Dict[str, object]:
@@ -102,31 +85,33 @@ def config_from_dict(data: Dict[str, object]) -> OramConfig:
     A malformed document raises a ValueError naming the bad field
     (``config.geometry_runs[0].bucket.z_real: missing``, say).
     """
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"config: expected a JSON object, got {type(data).__name__}")
-    if data.get("_format") != _FORMAT:
-        raise ValueError(f"unsupported config format {data.get('_format')!r}")
+    fmt = _get(data, "_format", "config")
+    if fmt != _FORMAT:
+        raise ValueError(f"unsupported config format {fmt!r}")
     geometry: List[BucketGeometry] = []
-    runs = _field(data, "geometry_runs", _as_list, "config")
-    for i, run in enumerate(runs):
+    for i, run in enumerate(_get(data, "geometry_runs", "config")):
         where = f"config.geometry_runs[{i}]"
-        bucket = _field(run, "bucket", _same, where)
         geometry.extend(
-            [_geometry(bucket, f"{where}.bucket")]
-            * _field(run, "count", int, where)
+            [geometry_from_dict(_get(run, "bucket", where), f"{where}.bucket")]
+            * int(_get(run, "count", where))
         )
-    casts: Dict[str, Callable[[Any], Any]] = {
-        "levels": int, "evict_rate": int, "block_bytes": int,
-        "stash_capacity": int, "background_evict_threshold": _same,
-        "treetop_levels": int, "deadq_capacity": int, "deadq_levels": tuple,
-        "utilization": float, "base_z_real": _same, "n_real_blocks": _same,
-        "max_remote_slots": int, "name": str,
-    }
-    return OramConfig(geometry=tuple(geometry), **{
-        name: _field(data, name, cast, "config")
-        for name, cast in casts.items()
-    })
+    return OramConfig(
+        levels=int(_get(data, "levels", "config")),
+        geometry=tuple(geometry),
+        evict_rate=int(_get(data, "evict_rate", "config")),
+        block_bytes=int(_get(data, "block_bytes", "config")),
+        stash_capacity=int(_get(data, "stash_capacity", "config")),
+        background_evict_threshold=_get(
+            data, "background_evict_threshold", "config"),
+        treetop_levels=int(_get(data, "treetop_levels", "config")),
+        deadq_capacity=int(_get(data, "deadq_capacity", "config")),
+        deadq_levels=tuple(_get(data, "deadq_levels", "config")),
+        utilization=float(_get(data, "utilization", "config")),
+        base_z_real=_get(data, "base_z_real", "config"),
+        n_real_blocks=_get(data, "n_real_blocks", "config"),
+        max_remote_slots=int(_get(data, "max_remote_slots", "config")),
+        name=str(_get(data, "name", "config")),
+    )
 
 
 def save_config(cfg: OramConfig, path: PathLike) -> None:

@@ -25,8 +25,9 @@ from repro.parallel.executor import Cell, report_progress, run_cells
 from repro.report import assemble
 from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
 from repro.serve.replay import serve_slice
-from repro.serve.scheduler import POLICIES
+from repro.serve.scheduler import MAX_BATCH, POLICIES
 from repro.serve.schema import SERVE
+from repro.serve.stack import SCHEME
 from repro.telemetry import request_trace_doc, write_trace
 
 
@@ -36,8 +37,8 @@ class ServeConfig:
 
     #: Every cell serves an AB tree, at most 32 requests per scheduling
     #: round (class constants, not settings).
-    scheme: ClassVar[str] = "ab"
-    max_batch: ClassVar[int] = 32
+    scheme: ClassVar[str] = SCHEME
+    max_batch: ClassVar[int] = MAX_BATCH
     levels: int = 10
     seed: int = 0
     workloads: Sequence[WorkloadConfig] = ()

@@ -53,6 +53,7 @@ from repro.serve.request import OK
 from repro.serve.replay import detection_block, episode_block, serve_slice
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.schema import CHAOS
+from repro.serve.stack import SCHEME
 from repro.telemetry import request_trace_doc, write_trace
 
 #: Simulated window the SLO engine and the ops sampler fold on.
@@ -94,7 +95,7 @@ class ChaosConfig:
 
     #: Every cell serves an AB tree, at most 16 requests per scheduling
     #: round (class constants, not settings).
-    scheme: ClassVar[str] = "ab"
+    scheme: ClassVar[str] = SCHEME
     max_batch: ClassVar[int] = 16
     levels: int = 8
     seed: int = 0

@@ -56,6 +56,8 @@ from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
 from repro.serve.replay import serve_slice
 from repro.serve.request import OK, STATUSES, Request
 from repro.serve.resilience import ResilienceConfig
+from repro.serve.scheduler import MAX_BATCH
+from repro.serve.stack import SCHEME
 
 #: ORAM-level recovery policy of every armed sealed stack -- a drilled
 #: shard's and the chaos campaign's alike: a retry budget past the
@@ -106,9 +108,9 @@ class FleetConfig:
     workload: WorkloadConfig
     #: Every shard serves an AB tree under the batch policy, at most
     #: 32 requests per scheduling round (class constants, not settings).
-    scheme: ClassVar[str] = "ab"
+    scheme: ClassVar[str] = SCHEME
     policy: ClassVar[str] = "batch"
-    max_batch: ClassVar[int] = 32
+    max_batch: ClassVar[int] = MAX_BATCH
     #: Per-shard tree depth (every subtree runs at the same depth so
     #: per-access costs are comparable across shard counts).
     levels: int = 9

@@ -26,7 +26,7 @@ from repro.serve.request import OK, STATUSES, Request
 from repro.serve.resilience import (
     ReplayResult, ResilienceConfig, resilient_replay,
 )
-from repro.serve.scheduler import BatchScheduler
+from repro.serve.scheduler import MAX_BATCH, BatchScheduler
 from repro.serve.stack import ServedStack, attacker_block, build_stack
 
 
@@ -34,7 +34,7 @@ def replay(
     stack: ServedStack,
     requests: Sequence[Request],
     scheduler: BatchScheduler,
-    max_batch: int = 32,
+    max_batch: int = MAX_BATCH,
 ) -> ReplayResult:
     """Serve ``requests`` (arrival-ordered) through ``scheduler``.
 
@@ -107,7 +107,7 @@ def serve_slice(
     levels: int,
     seed: int,
     policy: str = "batch",
-    max_batch: int = 32,
+    max_batch: int = MAX_BATCH,
     robustness: Optional[Any] = None,
     fault_plan: Optional[Any] = None,
     resilience: Optional[ResilienceConfig] = None,

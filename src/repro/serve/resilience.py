@@ -60,7 +60,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.serve.request import (
     DELETE, FAILED, GET, PUT, SHED, TIMED_OUT, Completion, Request,
 )
-from repro.serve.scheduler import BatchScheduler
+from repro.serve.scheduler import MAX_BATCH, BatchScheduler
 from repro.serve.stack import ServedStack
 
 SHED_POLICIES = ("reject-new", "drop-oldest")
@@ -174,7 +174,7 @@ def resilient_replay(
     requests: Sequence[Request],
     scheduler: BatchScheduler,
     rcfg: ResilienceConfig,
-    max_batch: int = 32,
+    max_batch: int = MAX_BATCH,
     sampler: Optional[Any] = None,
 ) -> ReplayResult:
     """Serve ``requests`` (arrival-ordered) open-loop, surviving faults.

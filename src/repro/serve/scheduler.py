@@ -48,6 +48,8 @@ from repro.serve.request import (
 )
 
 POLICIES = ("fifo", "batch")
+#: The admission batch cap: the most requests one scheduling round takes.
+MAX_BATCH = 32
 
 #: Sentinel distinguishing "no cached answer yet" from "cached absent".
 _UNSET = object()

@@ -23,15 +23,14 @@ from typing import Any, Dict, List, Optional
 
 from repro.app.kvstore import ObliviousKV
 from repro.serve.request import PUT, Completion, Request
-from repro.serve.scheduler import BatchScheduler
+from repro.serve.scheduler import MAX_BATCH, BatchScheduler
 
 
 #: Seconds ``close`` waits for the serving thread before failing what
 #: is still pending.
 JOIN_TIMEOUT_S = 30.0
-#: The scheduler policy and the admission batch cap of every server.
+#: The scheduler policy of every server.
 POLICY = "batch"
-MAX_BATCH = 32
 
 
 class KVServer:

@@ -22,6 +22,9 @@ from repro.core.security import GuessingAttacker
 from repro.oram.recovery import RobustnessConfig
 from repro.sim.engine import build_oram_stack
 
+#: The scheme every served stack runs: the paper's AB-ORAM.
+SCHEME = "ab"
+
 
 @dataclass
 class ServedStack:
@@ -45,7 +48,7 @@ class ServedStack:
 
 
 def build_stack(
-    scheme: str = "ab",
+    scheme: str = SCHEME,
     levels: int = 10,
     seed: int = 0,
     telemetry: Optional[Any] = None,

@@ -23,8 +23,8 @@ enforces offline:
 
 The engine emits two structured JSONL record types (``slo_window`` and
 ``slo_alert``) plus Perfetto instant events for the alert timeline, so
-one evaluation feeds the report, the ops console and the merged fleet
-trace without re-deriving anything.
+one evaluation feeds the report, the ops stream ``telemetry view``
+renders and the merged fleet trace without re-deriving anything.
 """
 
 from __future__ import annotations

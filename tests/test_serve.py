@@ -32,6 +32,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.replay import replay
 from repro.serve.resilience import ResilienceConfig, resilient_replay
+from repro.serve.scheduler import MAX_BATCH
 from repro.serve.schema import SERVE, validate_report
 from repro.telemetry import assign_lanes, request_trace_doc
 
@@ -498,9 +499,11 @@ class TestKVServer:
         assert server.stats()["requests"] == 4 * 10
 
     def test_close_drains_pending(self):
+        # More puts than one batch holds: close() drains several rounds.
         stack = small_stack()
         server = KVServer(stack.kv)
-        futures = [server.submit(PUT, b"k%d" % i, b"v") for i in range(6)]
+        futures = [server.submit(PUT, b"k%d" % i, b"v")
+                   for i in range(MAX_BATCH + 6)]
         server.close()
         assert all(f.result(timeout=5).ok for f in futures)
 

@@ -14,7 +14,7 @@ included, loads the recorder in its ``sitecustomize.py``. Under pytest
 each entry is labelled with the test file that ran it, which is what
 separates a function a workflow runs from one that only tests run::
 
-    python tools/reach.py [--out DIR] [--list] [--ratchet COUNTS.json]
+    python tools/reach.py [--out DIR] [--list]
 
 The report has one row per module with functions nothing entered
 ("unreached") or only ``tests/`` files entered ("tests-only", with those
@@ -31,9 +31,9 @@ harness fields whose ``smoke_config()`` and ``full_config()`` differ
 
 The last three lines are the three counts; CI prints them. A target failing
 under the recorder (a noisy overhead bound, say) is reported, not fatal:
-the audit is about what ran. ``--ratchet tools/reach_counts.json`` exits 1
-when any count is above the committed one, so the counts can only fall;
-a change that lowers one lowers the file too.
+the audit is about what ran. It exits 1 when any count is above the one
+committed in ``tools/reach_counts.json``, so the counts can only fall; a
+change that lowers one lowers the file too.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 SITE = ROOT / "tools" / "reach_site"
+#: The committed counts; a run whose count rises above one fails.
+COUNTS = ROOT / "tools" / "reach_counts.json"
 
 TARGETS = ("ci", "bench", "examples", "fingerprint", "chacha-cutover")
 
@@ -353,8 +355,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="records directory (default: generated/reach)")
     parser.add_argument("--list", action="store_true",
                         help="also list every unreached / tests-only function")
-    parser.add_argument("--ratchet", metavar="COUNTS.json", default=None,
-                        help="exit 1 if any count is above this file's")
     args = parser.parse_args(argv)
     out = Path(args.out).resolve()
     code = run_targets(out)
@@ -363,12 +363,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if code:
         print(f"warning: make -k {' '.join(TARGETS)} exited {code}",
               file=sys.stderr)
-    if args.ratchet:
-        risen = ratchet(text, json.loads(Path(args.ratchet).read_text()))
-        for line in risen:
-            print(f"reach ratchet: {line} ({args.ratchet})", file=sys.stderr)
-        return 1 if risen else 0
-    return 0
+    risen = ratchet(text, json.loads(COUNTS.read_text()))
+    for line in risen:
+        print(f"reach ratchet: {line} ({COUNTS.relative_to(ROOT)})",
+              file=sys.stderr)
+    return 1 if risen else 0
 
 
 if __name__ == "__main__":
