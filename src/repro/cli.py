@@ -387,6 +387,8 @@ class _Harness:
 
 
 def _chaos_precheck(cfg: Any) -> None:
+    if cfg.num_shards < 1:
+        raise ValueError(f"--shards must be >= 1, got {cfg.num_shards}")
     if cfg.num_shards <= 1 and (cfg.slo_out or cfg.ops_out):
         raise ValueError("--slo-out/--ops-out require --shards > 1")
 
@@ -436,6 +438,10 @@ def cmd_harness_run(args: argparse.Namespace) -> int:
 
     from repro.report import save_report, spec_for
 
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}",
+              file=sys.stderr)
+        return 2
     harness = _HARNESSES[args.harness]
     module = import_module(harness.module)
     overrides = {

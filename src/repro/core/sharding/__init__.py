@@ -4,33 +4,29 @@
   (block/key -> shard; the security-relevant piece).
 - :mod:`~repro.core.sharding.sharded` -- the partitioned trace
   simulator with its merged fleet ``sim`` block.
-- :mod:`~repro.core.sharding.control` -- shard registration,
-  heartbeats, and the health state machine.
+- :mod:`~repro.core.sharding.control` -- each shard's health log,
+  derived from its serving window and degraded episodes.
 
 The serving fleet built on these (per-shard worker processes, the
 kill-a-shard drill) is :mod:`repro.serve.fleet`: this package imports
 nothing from ``repro.serve``, and ``fleet.py`` here is only a
 compatibility import for the end-to-end benchmark. See
 ``docs/design/sharding.md`` for the partition-map security argument
-and the control-plane state diagram.
+and the control-plane health log.
 """
 
-from repro.core.sharding.control import (
-    ControlPlane, ShardEvent, ShardHealth, heartbeat_events,
-)
+from repro.core.sharding.control import control_block, shard_transitions
 from repro.core.sharding.partition import PartitionMap
 from repro.core.sharding.sharded import (
     ShardedSimOutcome, levels_for_blocks, run_sharded_sim, split_trace,
 )
 
 __all__ = [
-    "ControlPlane",
     "PartitionMap",
-    "ShardEvent",
-    "ShardHealth",
     "ShardedSimOutcome",
-    "heartbeat_events",
+    "control_block",
     "levels_for_blocks",
     "run_sharded_sim",
+    "shard_transitions",
     "split_trace",
 ]

@@ -5,9 +5,11 @@ partition map assigns every logical identity (a block id or a KV key)
 to one shard with a keyed pseudorandom function: SHA-256 over a
 seed-derived salt plus the identity, reduced mod N. The adversary
 watching shard traffic learns exactly which *shard* each access went
-to -- but that choice is a PRF of the identity, independent of the
-request stream, so it reveals nothing an N-times-smaller single tree
-would not (see docs/design/sharding.md for the full argument).
+to. That choice is a PRF of the identity, so it hides *which* key was
+accessed, but not that a key repeats: a key read k times shows up as
+k hits on one shard, which i.i.d. uniform shard choices would produce
+with probability N^-(k-1). ROADMAP item 6 measures this leak and
+tracks the fix (see docs/design/sharding.md for the argument).
 
 Determinism discipline: the map is a pure function of ``(num_shards,
 seed)``. Every harness that partitions work -- the sharded simulator,

@@ -34,9 +34,7 @@ import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.sharding.control import (
-    HEARTBEAT_NS, ControlPlane, heartbeat_events,
-)
+from repro.core.sharding.control import HEARTBEAT_NS, control_block
 from repro.core.sharding.partition import PartitionMap
 from repro.faults.plan import FAULT_KINDS, TAMPER_KINDS, FaultPlan
 from repro.oram.recovery import RobustnessConfig
@@ -424,8 +422,8 @@ def _merge_shard_cell(
     """Fold one cell's shard outputs into a report cell + SLO engine.
 
     :func:`_fold_slices` plus the fleet-only blocks: the per-shard
-    partials; the control plane replaying every shard's heartbeat
-    train and degraded markers on one merged timeline; the SLO engine
+    partials; the control block derived from every shard's serving
+    window and degraded episodes; the SLO engine
     folding the fleet's completion stream in ``(done_ns, rid)`` order.
     """
     from repro.telemetry import SloEngine, fold_completions
@@ -434,16 +432,13 @@ def _merge_shard_cell(
     merged = _fold_slices(cell.name, outputs)
     sim = merged["sim"]
     sim["shards"] = [o["partial"] for o in outputs]
-    # Control plane: every shard's deterministic heartbeat train plus
-    # its degraded-episode markers, merged into one fleet timeline.
-    control = ControlPlane()
-    control.run([
-        event for o in outputs for event in heartbeat_events(
-            o["partial"]["shard"], o["partial"]["start_ns"],
-            o["partial"]["end_ns"], o["episode_list"],
+    sim["control"] = control_block({
+        o["partial"]["shard"]: (
+            o["partial"]["start_ns"], o["partial"]["end_ns"],
+            o["episode_list"],
         )
-    ])
-    sim["control"] = control.summary()
+        for o in outputs
+    }, ())
     engine = SloEngine(_cell_slo_rules(cell), SLO_WINDOW_NS)
     fold_completions(
         engine, [c for o in outputs for c in o["completions"]],

@@ -28,10 +28,9 @@ over that makespan. That is the quantity the capacity benchmark's
 >=3x-at-4-shards gate measures.
 
 The fleet also carries the minimal control plane
-(:mod:`repro.core.sharding.control`): every shard cell emits a
-deterministic event stream on its simulated clock (register,
-heartbeats, degraded markers, complete) and the parent drives the
-health state machines over the merged timeline. The
+(:mod:`repro.core.sharding.control`): every shard cell returns its
+serving window and degraded episodes on its simulated clock, and the
+parent derives each shard's health log from them. The
 ``kill-a-shard-under-load`` drill arms a fault plan under exactly one
 shard (a sealed chaos stack), which drives that shard through
 quarantine -> degraded serving -> rebuild while the rest of the fleet
@@ -44,9 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.sharding.control import (
-    ControlPlane, ShardEvent, heartbeat_events,
-)
+from repro.core.sharding.control import ShardWindow, control_block
 from repro.core.sharding.partition import PartitionMap
 from repro.faults.plan import FaultPlan
 from repro.oram.recovery import RobustnessConfig
@@ -171,7 +168,8 @@ def _fleet_shard_task(payload: Tuple[FleetConfig, int]) -> Dict[str, Any]:
     scheduler seed are all derived from the payload, so the result is
     identical whether the shard runs in-process, in a spawn worker, or
     alone as a serial reference. Returns the shard's deterministic
-    report block plus its control-plane event stream and the latency
+    report block plus its serving window and degraded episodes (what
+    the control plane derives its health log from) and the latency
     samples the parent folds into fleet percentiles. No wall-clock
     fields: everything here lands in the deterministic view.
     """
@@ -199,10 +197,6 @@ def _fleet_shard_task(payload: Tuple[FleetConfig, int]) -> Dict[str, Any]:
         k: counters[k] for k in _SHARD_SIM_FIELDS if k in counters
     }
     sim["latency_ns"] = _percentiles(latencies)
-    events = heartbeat_events(
-        shard, result.start_ns, result.end_ns,
-        result.episodes if drilled else (),
-    )
     return {
         "cell": {
             "shard": shard,
@@ -210,7 +204,7 @@ def _fleet_shard_task(payload: Tuple[FleetConfig, int]) -> Dict[str, Any]:
             "stored_keys": len(items),
             "sim": sim,
         },
-        "events": [e.to_dict() for e in events],
+        "window": (result.start_ns, result.end_ns, list(result.episodes)),
         "latencies": latencies,
     }
 
@@ -220,11 +214,11 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
 
     Fans the shards over :func:`run_cells` (``cfg.workers > 1`` uses
     the spawn pool; the merged result is byte-identical at any worker
-    count), drives the control plane over the merged event timeline,
-    and folds per-shard telemetry snapshots in shard order. A shard
-    whose worker raises becomes an ``{"shard", "error"}`` entry; it
-    emitted no events, so the control plane registers it after the run
-    -- never healthy, which fails ``all_healthy``.
+    count), derives every shard's health log from its serving window
+    (:func:`~repro.core.sharding.control.control_block`), and folds
+    per-shard telemetry snapshots in shard order. A shard whose worker
+    raises becomes an ``{"shard", "error"}`` entry; it stays
+    ``registered`` -- never healthy, which fails ``all_healthy``.
     """
     if cfg.num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {cfg.num_shards}")
@@ -236,24 +230,17 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
         progress=cfg.progress,
     )
     shards: List[Dict[str, Any]] = []
-    events: List[ShardEvent] = []
+    windows: Dict[int, ShardWindow] = {}
     latencies: List[float] = []
-    failed = False
+    failed: List[int] = []
     for i, res in enumerate(outputs):
         if not res.ok:
             shards.append({"shard": i, "error": res.error})
-            failed = True
+            failed.append(i)
             continue
         shards.append(res.value["cell"])
-        events.extend(
-            ShardEvent(**e) for e in res.value["events"]
-        )
+        windows[i] = res.value["window"]
         latencies.extend(res.value["latencies"])
-    control = ControlPlane()
-    control.run(events)
-    for cell in shards:
-        if "error" in cell:
-            control.register(cell["shard"])
     ok_cells = [s for s in shards if "error" not in s]
     completions = sum(s["sim"]["completions"] for s in ok_cells)
     requests = sum(s["sim"]["requests"] for s in ok_cells)
@@ -281,7 +268,7 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
         "num_shards": cfg.num_shards,
         "shards": shards,
         "fleet": fleet,
-        "control": control.summary(),
+        "control": control_block(windows, failed),
     }
     if failed:
         doc["error"] = "one or more shards failed"

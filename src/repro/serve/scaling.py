@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import schemes as schemes_mod
-from repro.core.sharding.control import HEARTBEAT_NS, MISS_AFTER
+from repro.core.sharding.control import HEARTBEAT_NS
 from repro.core.sharding.sharded import levels_for_blocks
 from repro.parallel.executor import Cell, report_progress, run_cells
 from repro.report import assemble
@@ -110,7 +110,6 @@ class ScalingConfig:
             "policy": FleetConfig.policy,
             "min_speedup": MIN_SPEEDUP,
             "heartbeat_ns": HEARTBEAT_NS,
-            "miss_after": MISS_AFTER,
             "cells": [c.to_dict() for c in self.cells],
             "smoke": self.smoke,
         }

@@ -274,7 +274,6 @@ SCALING = ReportSpec(
         "policy": str,
         "min_speedup": NUM,
         "heartbeat_ns": NUM,
-        "miss_after": int,
         "cells": list,
         "smoke": bool,
     },

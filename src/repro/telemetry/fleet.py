@@ -228,8 +228,8 @@ def request_trace_doc(
 def control_instants(control: Dict[str, Any]) -> List[Event]:
     """Health-state transitions as instant events on the control track.
 
-    ``control`` is a :meth:`~repro.core.sharding.control.ControlPlane
-    .summary` block; each transition becomes one thread-scoped instant
+    ``control`` is a :func:`~repro.core.sharding.control.control_block`
+    block; each transition becomes one thread-scoped instant
     named after the state entered, so Perfetto shows the fleet's
     REGISTERED -> HEALTHY -> DEGRADED -> ... story on a single track.
     """

@@ -174,6 +174,22 @@ class TestFaultsCli:
         assert "DETECTION GAP" in capsys.readouterr().out
 
 
+class TestHarnessFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (["serve", "chaos", "--shards", "0"], "--shards"),
+        (["serve", "chaos", "--shards", "-2"], "--shards"),
+        (["serve", "scaling", "--workers", "0"], "--workers"),
+        (["faults", "run", "--workers", "-1"], "--workers"),
+    ])
+    def test_out_of_range_is_refused_before_running(
+        self, capsys, tmp_path, argv, flag
+    ):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--smoke", "--out", str(out)]) == 2
+        assert f"error: {flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTelemetryCli:
     def _simulate(self, tmp_path, *extra):
         trace_out = str(tmp_path / "trace.json")

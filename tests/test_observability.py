@@ -28,9 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sharding.control import (
-    HEARTBEAT_NS, ControlPlane, ShardEvent, heartbeat_events,
-)
+from repro.core.sharding.control import HEARTBEAT_NS, control_block
 from repro.serve.chaos import (
     ChaosCell, _mix, chaos_check, run_chaos, smoke_config,
 )
@@ -357,19 +355,20 @@ class TestFleetTraceDoc:
         assert pids == {0, 1, 2}
 
     def test_control_and_slo_tracks(self):
-        control = ControlPlane()
-        events = heartbeat_events(0, 0.0, 7 * HEARTBEAT_NS)
-        events += heartbeat_events(1, 0.0, 7 * HEARTBEAT_NS)
-        events.append(ShardEvent(0, "degraded_enter", 1.5 * HEARTBEAT_NS))
-        events.append(ShardEvent(0, "degraded_exit", 2.5 * HEARTBEAT_NS))
-        control.run(events)
+        control = control_block({
+            0: (0.0, 7 * HEARTBEAT_NS, [{
+                "enter_ns": 1.5 * HEARTBEAT_NS,
+                "exit_ns": 2.5 * HEARTBEAT_NS,
+            }]),
+            1: (0.0, 7 * HEARTBEAT_NS, []),
+        }, ())
         eng = SloEngine((SloRule("avail", "availability", 0.9),), 100.0)
         for i in range(10):
             eng.observe(float(i), False, 10.0)
         eng.finish(700.0)
         doc = fleet_trace_doc(
             self._fragments(), seed=3,
-            control=control.summary(),
+            control=control,
             slo_instants=eng.trace_instants(tid=2),
         )
         check = _load_check_trace()
@@ -450,6 +449,16 @@ class TestShardedChaos:
             for s in sim["control"]["shards"] for t in s["transitions"]
         }
         assert "degraded" in states and "rebuilding" in states
+
+    def test_control_logs_every_episode(self, artifacts):
+        for cell in artifacts["serial"]["doc"]["cells"]:
+            sim = cell["sim"]
+            enters = sum(
+                t["event"] == "degraded_enter"
+                for s in sim["control"]["shards"] for t in s["transitions"]
+            )
+            assert enters == sum(s["episodes"] for s in sim["shards"]) \
+                == sim["episodes"]["count"], cell["name"]
 
     def test_serial_vs_workers_byte_identical(self, artifacts):
         serial, fanned = artifacts["serial"], artifacts["fanned"]

@@ -105,6 +105,23 @@ def test_drilled_shard_blocks_are_shape_checked(docs):
     assert any("episodes: must be an object" in e for e in errors)
 
 
+def test_drilled_shard_logs_every_episode(docs):
+    # Each degraded episode of the drilled shard is one degraded_enter
+    # in its control log, also when a repair re-quarantines at its own
+    # exit instant and the next episode touches the last.
+    drills = [c for c in docs[SCALING.kind]["cells"] if c["drill"]]
+    assert drills
+    for cell in drills:
+        shard = next(s for s in cell["sim"]["shards"] if s["drill"])
+        log = next(
+            s for s in cell["sim"]["control"]["shards"]
+            if s["shard"] == shard["shard"]
+        )
+        enters = [t for t in log["transitions"]
+                  if t["event"] == "degraded_enter"]
+        assert len(enters) == shard["sim"]["episodes"]["count"], cell["name"]
+
+
 @pytest.mark.parametrize("command", ["perf", "serve"])
 def test_compare_cli_on_malformed_file_is_one_line_exit_2(
     command, docs, tmp_path, capsys

@@ -37,15 +37,13 @@ from hypothesis import strategies as st
 import repro
 from repro.core import schemes as schemes_mod
 from repro.core.sharding.control import (
-    DEAD,
     DEGRADED,
-    EVENT_KINDS,
     HEALTHY,
     HEARTBEAT_NS,
     REBUILDING,
-    ControlPlane,
-    ShardEvent,
-    heartbeat_events,
+    REGISTERED,
+    control_block,
+    shard_transitions,
 )
 from repro.core.sharding.partition import PartitionMap
 from repro.core.sharding.sharded import (
@@ -541,105 +539,90 @@ class TestControlPlane:
     #: Timestamps below are in hundredths of a heartbeat interval.
     U = HEARTBEAT_NS / 100
 
-    def plane(self):
-        return ControlPlane()
+    def episode(self, enter, exit):
+        return {"enter_ns": enter * self.U, "exit_ns": exit * self.U}
 
-    def test_heartbeat_train_shape(self):
-        events = heartbeat_events(2, 50.0 * self.U, 420.0 * self.U)
-        assert events[0].kind == "register"
-        assert events[-1].kind == "complete"
-        assert [e.kind for e in events[1:-1]] == ["heartbeat"] * 3
-        assert all(e.shard == 2 for e in events)
+    def walk(self, log):
+        return [(t["from"], t["to"], t["event"]) for t in log]
 
     def test_short_window_completes_healthy(self):
         # A run shorter than one heartbeat interval: the completion
         # itself is the evidence of health.
-        plane = self.plane()
-        plane.run(heartbeat_events(0, 0.0 * self.U, 40.0 * self.U))
-        assert plane.shards[0].state == HEALTHY
-        assert plane.all_healthy()
+        log = shard_transitions(0.0, 40.0 * self.U, [])
+        assert self.walk(log) == [(REGISTERED, HEALTHY, "complete")]
+        assert log[0]["ns"] == 40.0 * self.U
+        assert control_block({0: (0.0, 40.0 * self.U, [])}, ())[
+            "all_healthy"
+        ]
 
     def test_degraded_cycle_returns_to_healthy(self):
-        plane = self.plane()
-        plane.run([
-            ShardEvent(0, "register", 0.0 * self.U),
-            ShardEvent(0, "heartbeat", 100.0 * self.U),
-            ShardEvent(0, "degraded_enter", 150.0 * self.U),
-            ShardEvent(0, "degraded_exit", 180.0 * self.U),
-            ShardEvent(0, "heartbeat", 200.0 * self.U),
-            ShardEvent(0, "complete", 250.0 * self.U),
-        ])
-        walk = [(a, b) for _, a, b, _ in plane.shards[0].transitions]
-        assert walk == [
-            ("registered", HEALTHY),
-            (HEALTHY, DEGRADED),
-            (DEGRADED, REBUILDING),
-            (REBUILDING, HEALTHY),
-        ]
-        assert plane.all_healthy()
-
-    def test_silent_shard_is_dead_and_can_rejoin(self):
-        plane = self.plane()
-        plane.run([
-            ShardEvent(0, "register", 0.0 * self.U),
-            ShardEvent(0, "heartbeat", 100.0 * self.U),
-            # Silence past miss_after * heartbeat_ns, then a rejoin.
-            ShardEvent(0, "heartbeat", 900.0 * self.U),
-            ShardEvent(0, "heartbeat", 1000.0 * self.U),
-            ShardEvent(0, "complete", 1050.0 * self.U),
-        ])
-        states = [b for _, _, b, _ in plane.shards[0].transitions]
-        assert DEAD in states
-        assert states[states.index(DEAD):] == [DEAD, REBUILDING, HEALTHY]
-        assert plane.all_healthy()
-
-    def test_shard_that_never_completes_finalizes_dead(self):
-        plane = self.plane()
-        plane.run(
-            heartbeat_events(0, 0.0 * self.U, 2000.0 * self.U)
-            + [ShardEvent(1, "register", 0.0 * self.U),
-               ShardEvent(1, "heartbeat", 100.0 * self.U)]
+        log = shard_transitions(
+            0.0, 250.0 * self.U, [self.episode(150.0, 180.0)],
         )
-        assert plane.shards[0].state == HEALTHY
-        assert plane.shards[1].state == DEAD
-        assert not plane.all_healthy()
+        assert self.walk(log) == [
+            (REGISTERED, HEALTHY, "heartbeat"),
+            (HEALTHY, DEGRADED, "degraded_enter"),
+            (DEGRADED, REBUILDING, "degraded_exit"),
+            (REBUILDING, HEALTHY, "heartbeat"),
+        ]
+        assert [t["ns"] for t in log] == [
+            100.0 * self.U, 150.0 * self.U, 180.0 * self.U, 200.0 * self.U,
+        ]
 
     def test_tie_break_order_is_exit_before_heartbeat(self):
-        # Same timestamp: the degraded_exit processes before the
-        # heartbeat that proves the rebuild, so the shard lands HEALTHY.
-        assert EVENT_KINDS.index("degraded_exit") < EVENT_KINDS.index(
-            "heartbeat"
+        # An exit on a tick: the tick proves the rebuild, so the shard
+        # is HEALTHY at that instant. An enter on a tick: the tick does
+        # not count, so the shard never turns HEALTHY before it.
+        log = shard_transitions(
+            0.0, 160.0 * self.U, [self.episode(10.0, 100.0)],
         )
-        plane = self.plane()
-        plane.run([
-            ShardEvent(0, "register", 0.0 * self.U),
-            ShardEvent(0, "degraded_enter", 10.0 * self.U),
-            ShardEvent(0, "heartbeat", 50.0 * self.U),
-            ShardEvent(0, "degraded_exit", 50.0 * self.U),
-            ShardEvent(0, "complete", 60.0 * self.U),
-        ])
-        assert plane.shards[0].state == HEALTHY
+        assert log[-1] == {
+            "ns": 100.0 * self.U, "from": REBUILDING, "to": HEALTHY,
+            "event": "heartbeat",
+        }
+        log = shard_transitions(
+            0.0, 160.0 * self.U, [self.episode(100.0, 120.0)],
+        )
+        assert self.walk(log)[0] == (REGISTERED, DEGRADED, "degraded_enter")
+        assert log[-1]["event"] == "complete"
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            ShardEvent(0, "reboot", 0.0 * self.U)
-        plane = self.plane()
-        plane.register(0)
-        with pytest.raises(ValueError):
-            plane.register(0)
-        with pytest.raises(ValueError):
-            plane.observe(ShardEvent(5, "heartbeat", 10.0 * self.U))
+    def test_touching_episodes_stay_degraded(self):
+        # The repair re-quarantined at its own exit instant: the second
+        # episode is a second DEGRADED stretch, with no HEALTHY between.
+        log = shard_transitions(
+            0.0, 900.0 * self.U,
+            [self.episode(150.0, 180.0), self.episode(180.0, 520.0)],
+        )
+        assert self.walk(log) == [
+            (REGISTERED, HEALTHY, "heartbeat"),
+            (HEALTHY, DEGRADED, "degraded_enter"),
+            (DEGRADED, REBUILDING, "degraded_exit"),
+            (REBUILDING, DEGRADED, "degraded_enter"),
+            (DEGRADED, REBUILDING, "degraded_exit"),
+            (REBUILDING, HEALTHY, "heartbeat"),
+        ]
+        assert [t["ns"] for t in log][2:] == [
+            180.0 * self.U, 180.0 * self.U, 520.0 * self.U, 600.0 * self.U,
+        ]
+
+    def test_failed_shard_stays_registered(self):
+        block = control_block({0: (0.0, 300.0 * self.U, [])}, [1])
+        assert [(s["shard"], s["state"], s["completed"])
+                for s in block["shards"]] \
+            == [(0, HEALTHY, True), (1, REGISTERED, False)]
+        assert block["shards"][1]["transitions"] == []
+        assert block["all_healthy"] is False
+        assert control_block({}, ())["all_healthy"] is False
 
     def test_summary_is_deterministic(self):
         def build():
-            plane = self.plane()
-            plane.run(
-                heartbeat_events(1, 0.0 * self.U, 500.0 * self.U)
-                + heartbeat_events(0, 0.0 * self.U, 450.0 * self.U)
-            )
-            return plane.summary()
+            return control_block({
+                1: (0.0, 500.0 * self.U, []),
+                0: (0.0, 450.0 * self.U, []),
+            }, ())
         assert canon(build()) == canon(build())
         assert [s["shard"] for s in build()["shards"]] == [0, 1]
+        assert set(build()) == {"heartbeat_ns", "all_healthy", "shards"}
 
 
 # ------------------------------------------------------ capacity curve
