@@ -14,7 +14,7 @@ How it works
 
 Every protocol operation (``begin_op`` .. ``end_op``) is *buffered*:
 the sink is a :class:`~repro.sim.engine.DramSink` whose issue stage
-records each translated request (addresses, direction, phase) instead
+records each translated request (cache lines, direction, phase) instead
 of handing it to the DRAM model immediately. At ``end_op`` the
 operation is scheduled as a unit:
 
@@ -165,16 +165,16 @@ class PipelinedDramSink(DramSink):
     # Each hook buffers the serial sink's own stage call, bound, for
     # :meth:`_replay` to make once the operation's start is known.
 
-    def _issue(self, addrs, write, phase, items, onchip_at) -> None:
-        self._ev.append((super()._issue, (addrs, write, phase, (), 0)))
+    def _issue(self, lines, write, phase, items, onchip_at) -> None:
+        self._ev.append((super()._issue, (lines, write, phase, (), 0)))
         touched = [it[0] for it in items if not it[onchip_at]]
         self._op_buckets.update(touched)
         if phase == 2:
             self._op_wbuckets.update(touched)
 
-    def _issue_repeat(self, addr, count, write, phase, bucket) -> None:
+    def _issue_repeat(self, line, count, write, phase, bucket) -> None:
         self._ev.append(
-            (super()._issue_repeat, (addr, count, write, phase, bucket))
+            (super()._issue_repeat, (line, count, write, phase, bucket))
         )
         self._op_buckets.add(bucket)
         if write:

@@ -1,8 +1,8 @@
 """Event-based DRAM channel/bank timing model.
 
 One :class:`DramModel` holds per-bank open-row state and availability
-times plus a per-channel data-bus availability time. ``access_batch``
-computes when each 64B request completes:
+times plus a per-channel data-bus availability time. ``access_lines`` computes
+when each 64B request, named by its cache-line number, completes:
 
 1. the request waits for its bank (earlier requests to the same bank)
    and, on a row-buffer miss, pays precharge + activate;
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.mem.address_map import (
-    LINE_BYTES, LINES_PER_ROW, N_BANKS, N_CHANNELS,
+    BANK_MASK, BANK_SHIFT, CHANNEL_MASK, LINE_BYTES, N_BANKS, N_CHANNELS,
+    ROW_SHIFT,
 )
 from repro.mem.timing import DDR3_1600, DramTiming
 
@@ -92,7 +93,11 @@ class DramModel:
         self._bus_free = [0.0] * N_CHANNELS
         self._last_activate = [-1e18] * N_CHANNELS
         self._last_was_write = [False] * N_CHANNELS
-        self._refresh_epoch = [0] * N_CHANNELS
+        # When each channel's next refresh falls due: the per-request
+        # refresh test is one compare.
+        self._next_refresh = [
+            timing.t_refi if timing.t_refi > 0 else float("inf")
+        ] * N_CHANNELS
         self.stats = DramStats()
         # Plain list, not ndarray: one scalar += per access makes numpy
         # boxing measurable at millions of requests.
@@ -159,22 +164,23 @@ class DramModel:
         self._burst_ns = timing.burst_ns
 
     def _apply_refresh(self, channel: int, arrival_ns: float) -> None:
-        """Lazily account refreshes due on ``channel`` before ``arrival_ns``.
+        """Account the refreshes due on ``channel`` by ``arrival_ns``
+        (callers test ``arrival_ns >= _next_refresh[channel]``).
 
         Every elapsed tREFI window closes the channel's row buffers;
         the most recent one also stalls its banks for tRFC.
         """
-        t = self.timing
-        if t.t_refi <= 0:
+        t_refi = self._t_refi
+        epoch = int(arrival_ns // t_refi)
+        due = (epoch + 1) * t_refi
+        if due <= self._next_refresh[channel]:
+            # Float floor fell short of the due epoch: nothing new.
             return
-        epoch = int(arrival_ns // t.t_refi)
-        if epoch <= self._refresh_epoch[channel]:
-            return
-        self._refresh_epoch[channel] = epoch
+        self._next_refresh[channel] = due
         lo = channel * N_BANKS
         hi = lo + N_BANKS
         self._open_row[lo:hi] = [-1] * N_BANKS
-        stall_end = epoch * t.t_refi + t.t_rfc
+        stall_end = epoch * t_refi + self.timing.t_rfc
         ready = self._bank_ready
         for i in range(lo, hi):
             if ready[i] < stall_end:
@@ -323,133 +329,127 @@ class DramModel:
 
     def access(self, byte_addr: int, write: bool, arrival_ns: float) -> float:
         """Service one 64B request; returns its completion time (ns)."""
-        return self.access_batch((byte_addr,), write, arrival_ns)
+        return self.access_lines((byte_addr // LINE_BYTES,), write, arrival_ns)
 
-    def access_batch(
-        self, byte_addrs: Sequence[int], write: bool, arrival_ns: float
+    def access_lines(
+        self, lines: Sequence[int], write: bool, arrival_ns: float
     ) -> float:
         """Service several same-direction requests arriving together.
 
-        The one DDR request body: each request waits for its bank, pays
-        precharge + activate on a row miss, then takes the channel bus
-        (module docstring). Requests are processed in order; returns
-        the latest completion time. All mutable channel/bank state is
-        bound to locals once per batch (the lists are mutated in place,
+        The one DDR request body, over cache-line numbers: each request
+        waits for its bank, pays precharge + activate on a row miss,
+        then takes the channel bus (module docstring). Requests are
+        processed in order; returns the latest completion time. The
+        frontier (``window=None``) and the windowed placement are two
+        loops, chosen once per call. All mutable channel/bank state is
+        bound to locals once per call (the lists are mutated in place,
         so :meth:`_apply_refresh` stays coherent).
         """
-        line_bytes = LINE_BYTES
-        n_channels = N_CHANNELS
-        lines_per_row = LINES_PER_ROW
+        ch_mask = CHANNEL_MASK
         n_banks = N_BANKS
-        t_refi = self._t_refi
+        bank_shift = BANK_SHIFT
+        bank_mask = BANK_MASK
+        row_shift = ROW_SHIFT
         t_rp = self._t_rp
         t_rrd = self._t_rrd
-        t_col = self._t_rcd + (self._t_cwd if write else self._t_cas)
         t_hit = self._t_cwd if write else self._t_cas
-        t_turn = self._t_wtr if not write else self._t_rtw
+        t_col = self._t_rcd + t_hit
         t_wr = self._t_wr if write else 0.0
         burst_ns = self._burst_ns
         open_row = self._open_row
         bank_ready = self._bank_ready
         bus_free_l = self._bus_free
         last_activate = self._last_activate
-        last_was_write = self._last_was_write
-        refresh_epoch = self._refresh_epoch
+        next_refresh = self._next_refresh
         busy = self.channel_busy_ns
         bank_busy = self.bank_busy_ns
-        win_q = self._win_q
-        windowed = self._busy is not None
         hits = 0
         service = 0.0
         latest = 0.0
-        for byte_addr in byte_addrs:
-            # Inline address decomposition (see address_map.decompose);
-            # this runs once per simulated memory request.
-            line = byte_addr // line_bytes
-            channel = line % n_channels
-            rest = (line // n_channels) // lines_per_row
-            bank = rest % n_banks
-            row = rest // n_banks
-            if t_refi > 0 and arrival_ns >= (refresh_epoch[channel] + 1) * t_refi:
-                self._apply_refresh(channel, arrival_ns)
-            # Refresh is accounted at the nominal arrival time; ``arr``
-            # is the (possibly window-delayed) effective arrival, which
-            # never re-triggers refresh bookkeeping. With the window
-            # disabled it is exactly ``arrival_ns``.
-            arr = (
-                self._window_admit(channel, arrival_ns)
-                if win_q is not None else arrival_ns
-            )
-            bank_idx = channel * n_banks + bank
-            row_hit = open_row[bank_idx] == row
-            if row_hit:
-                hits += 1
-            if windowed:
-                # Out-of-order placement: the request holds its bank
-                # for the latency chain + burst + recovery at the
-                # earliest free slot, then its burst takes the earliest
-                # bus slot at or after the chain -- neither queues
-                # behind a monotone frontier, so overlapped pipeline
-                # stages interleave.
-                if row_hit:
-                    s = self._bank_place(
-                        bank_idx, arr, t_hit + burst_ns + t_wr
-                    )
-                    ready = s + t_hit
+        if self._busy is None:
+            t_turn = self._t_wtr if not write else self._t_rtw
+            last_was_write = self._last_was_write
+            for line in lines:
+                channel = line & ch_mask
+                if arrival_ns >= next_refresh[channel]:
+                    self._apply_refresh(channel, arrival_ns)
+                bank_idx = channel * n_banks + ((line >> bank_shift) & bank_mask)
+                row = line >> row_shift
+                brdy = bank_ready[bank_idx]
+                if open_row[bank_idx] == row:
+                    hits += 1
+                    ready = (arrival_ns if arrival_ns > brdy else brdy) + t_hit
                 else:
-                    s = self._bank_place(
-                        bank_idx, arr, t_rp + t_col + burst_ns + t_wr
-                    )
-                    precharged = s + t_rp
+                    # Precharge, then an activate constrained by the
+                    # channel's activation rate (tRRD / tFAW window).
+                    open_row[bank_idx] = row
+                    precharged = (
+                        arrival_ns if arrival_ns > brdy else brdy) + t_rp
                     rated = last_activate[channel] + t_rrd
                     activate = precharged if precharged > rated else rated
                     last_activate[channel] = activate
                     ready = activate + t_col
-                burst_start = self._bus_place(channel, ready, burst_ns, write)
+                bus_free = bus_free_l[channel]
+                if last_was_write[channel] != write:
+                    # Direction turnaround: tWTR after a write on the
+                    # channel, tRTW after a read.
+                    bus_free += t_turn
+                    last_was_write[channel] = write
+                burst_start = ready if ready > bus_free else bus_free
+                completion = burst_start + burst_ns
+                bus_free_l[channel] = completion
+                bank_ready[bank_idx] = completion + t_wr
+                busy[channel] += completion - burst_start
+                bank_busy[bank_idx] += completion - burst_start + t_wr
+                service += completion - arrival_ns
+                if completion > latest:
+                    latest = completion
+        else:
+            # Out-of-order placement: the request holds its bank for
+            # the latency chain + burst + recovery at the earliest free
+            # slot, then its burst takes the earliest bus slot at or
+            # after the chain -- neither queues behind a monotone
+            # frontier, so overlapped pipeline stages interleave.
+            # Refresh is accounted at the nominal arrival time; ``arr``
+            # is the (possibly window-delayed) effective arrival, which
+            # never re-triggers refresh bookkeeping.
+            admit = self._window_admit
+            track = self._window_track
+            bank_place = self._bank_place
+            bus_place = self._bus_place
+            hold_hit = t_hit + burst_ns + t_wr
+            hold_miss = t_rp + t_col + burst_ns + t_wr
+            for line in lines:
+                channel = line & ch_mask
+                if arrival_ns >= next_refresh[channel]:
+                    self._apply_refresh(channel, arrival_ns)
+                arr = admit(channel, arrival_ns)
+                bank_idx = channel * n_banks + ((line >> bank_shift) & bank_mask)
+                row = line >> row_shift
+                if open_row[bank_idx] == row:
+                    hits += 1
+                    ready = bank_place(bank_idx, arr, hold_hit) + t_hit
+                else:
+                    open_row[bank_idx] = row
+                    precharged = bank_place(bank_idx, arr, hold_miss) + t_rp
+                    rated = last_activate[channel] + t_rrd
+                    activate = precharged if precharged > rated else rated
+                    last_activate[channel] = activate
+                    ready = activate + t_col
+                burst_start = bus_place(channel, ready, burst_ns, write)
                 completion = burst_start + burst_ns
                 recovered = completion + t_wr
                 if recovered > bank_ready[bank_idx]:
                     bank_ready[bank_idx] = recovered
-                open_row[bank_idx] = row
                 busy[channel] += burst_ns
                 bank_busy[bank_idx] += burst_ns + t_wr
                 if completion > bus_free_l[channel]:
                     bus_free_l[channel] = completion
-                self._window_track(channel, completion)
+                track(channel, completion)
                 service += completion - arr
                 if completion > latest:
                     latest = completion
-                continue
-            brdy = bank_ready[bank_idx]
-            if row_hit:
-                ready = (arr if arr > brdy else brdy) + t_hit
-            else:
-                # Precharge, then an activate constrained by the
-                # channel's activation rate (tRRD / tFAW window).
-                precharged = (arr if arr > brdy else brdy) + t_rp
-                rated = last_activate[channel] + t_rrd
-                activate = precharged if precharged > rated else rated
-                last_activate[channel] = activate
-                ready = activate + t_col
-            bus_free = bus_free_l[channel]
-            if last_was_write[channel] != write:
-                # Direction turnaround: tWTR after a write on the
-                # channel, tRTW after a read.
-                bus_free += t_turn
-            burst_start = ready if ready > bus_free else bus_free
-            completion = burst_start + burst_ns
-            bus_free_l[channel] = completion
-            last_was_write[channel] = write
-            bank_ready[bank_idx] = completion + t_wr
-            open_row[bank_idx] = row
-            busy[channel] += completion - burst_start
-            bank_busy[bank_idx] += completion - burst_start + t_wr
-            if win_q is not None:
-                self._window_track(channel, completion)
-            service += completion - arr
-            if completion > latest:
-                latest = completion
-        n = len(byte_addrs)
+        n = len(lines)
         st = self.stats
         if write:
             st.writes += n
@@ -461,15 +461,15 @@ class DramModel:
         return latest
 
     def access_repeat(
-        self, byte_addr: int, count: int, write: bool, arrival_ns: float
+        self, line: int, count: int, write: bool, arrival_ns: float
     ) -> float:
-        """Service the same address ``count`` times arriving together.
+        """Service the same cache line ``count`` times arriving together.
 
-        The closed form of ``access_batch([byte_addr] * count, ...)``:
+        The closed form of ``access_lines([line] * count, ...)``:
         after the first request the chain collapses: the row is open,
         the bank/bus dependencies are the previous completion, and the
-        refresh check cannot fire again (``_apply_refresh`` advances the
-        channel's epoch past ``arrival_ns``). Ring ORAM's Z'-deep bucket
+        refresh check cannot fire again (``_apply_refresh`` moves the
+        channel's next refresh past ``arrival_ns``). Ring ORAM's Z'-deep bucket
         read bursts (reshuffle read phase) all take this shape, which is
         why the generic per-address loop is worth bypassing. Every
         floating-point operation matches the generic loop's order, so
@@ -481,13 +481,8 @@ class DramModel:
         """
         if count <= 0:
             return 0.0
-        line = byte_addr // LINE_BYTES
-        channel = line % N_CHANNELS
-        rest = (line // N_CHANNELS) // LINES_PER_ROW
-        bank = rest % N_BANKS
-        row = rest // N_BANKS
-        t_refi = self._t_refi
-        if t_refi > 0 and arrival_ns >= (self._refresh_epoch[channel] + 1) * t_refi:
+        channel = line & CHANNEL_MASK
+        if arrival_ns >= self._next_refresh[channel]:
             self._apply_refresh(channel, arrival_ns)
         win_q = self._win_q
         arr = (
@@ -495,7 +490,8 @@ class DramModel:
             if win_q is not None else arrival_ns
         )
         t_hit = self._t_cwd if write else self._t_cas
-        bank_idx = channel * N_BANKS + bank
+        bank_idx = channel * N_BANKS + ((line >> BANK_SHIFT) & BANK_MASK)
+        row = line >> ROW_SHIFT
         row_hit = self._open_row[bank_idx] == row
         burst_ns = self._burst_ns
         t_wr = self._t_wr if write else 0.0

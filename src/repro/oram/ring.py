@@ -99,34 +99,37 @@ def _draw(rng: np.random.Generator, bounds: List[int]) -> List[int]:
 
 
 def _scatter_draws(
-    rng: np.random.Generator, jobs: List[Tuple[int, int]]
-) -> List[List[int]]:
+    rng: np.random.Generator, jobs: List[Tuple[int, int, bool]]
+) -> List[Optional[List[int]]]:
     """What ``rng.choice`` of ``n`` with ``size=k, replace=False``
-    returns for each ``(n, k)`` of ``jobs``, from one bounded-draw call.
+    returns for each ``(n, k, wanted)`` of ``jobs``, from one
+    bounded-draw call; ``None`` for a job not ``wanted``.
 
     numpy's ``choice`` (n <= 10000) is Floyd's algorithm (k draws,
     bounds n-k+1 ... n), then a Fisher-Yates shuffle of the k results
     (k-1 draws, bounds k ... 2); replaying both over the same draws
     leaves results and generator as the calls would
-    (``tests/test_rng_identities.py``).
+    (``tests/test_rng_identities.py``). Every job's bounds are drawn;
+    only the wanted ones are replayed.
     """
     bounds: List[int] = []
-    for n, k in jobs:
+    for n, k, _ in jobs:
         bounds += range(n - k + 1, n + 1)
         bounds += range(k, 1, -1)
     draws = _draw(rng, bounds)
-    out = []
+    out: List[Optional[List[int]]] = []
     at = 0
-    for n, k in jobs:
+    for n, k, wanted in jobs:
         end = at + 2 * k - 1 if k else at
-        floyd, shuffle = draws[at:at + k], draws[at + k:end]
-        at = end
-        picked: List[int] = []
-        for j, v in zip(range(n - k, n), floyd):
-            picked.append(j if v in picked else v)
-        for i, r in zip(range(k - 1, 0, -1), shuffle):
-            picked[i], picked[r] = picked[r], picked[i]
+        picked: Optional[List[int]] = None
+        if wanted:
+            picked = []
+            for j, v in zip(range(n - k, n), draws[at:at + k]):
+                picked.append(j if v in picked else v)
+            for i, r in zip(range(k - 1, 0, -1), draws[at + k:end]):
+                picked[i], picked[r] = picked[r], picked[i]
         out.append(picked)
+        at = end
     return out
 
 
@@ -728,9 +731,10 @@ class RingOram:
         # Scatter each bucket's picks uniformly across its local +
         # remote positions so a remote read is indistinguishable from a
         # local one. Drawn whenever blocks are chosen -- even with no
-        # remote hosts -- so the RNG stream is the same for every scheme.
+        # remote hosts -- so the RNG stream is the same for every scheme;
+        # only a bucket with a rented host reads its positions.
         scatter = _scatter_draws(self.rng, [
-            (n_usable + len(hosts), len(chosen))
+            (n_usable + len(hosts), len(chosen), bool(hosts))
             for (_, _, n_usable, _, hosts), chosen in zip(refills, picks)
         ])
         # The sealed writes of all buckets go to the datastore as one
@@ -748,13 +752,14 @@ class RingOram:
 
     def _refill_bucket(
         self, b: int, lv: int, n_usable: int, granted: int,
-        hosts: List[Tuple[int, int]], chosen: List[int], positions: List[int],
+        hosts: List[Tuple[int, int]], chosen: List[int],
+        positions: Optional[List[int]],
         seal_batch: List[Tuple[int, int, Optional[bytes]]],
     ) -> None:
         """A reshuffle's write phase for bucket ``b`` as ``_reshuffle``
         fixed it (``granted`` rented columns at ``hosts``; ``chosen`` at
         ``positions`` among the ``n_usable`` local then the rented
-        slots): rewrites every usable and rented slot, reports the
+        slots, ``None`` without hosts): rewrites every usable and rented slot, reports the
         writes and, on the sealed path, appends the slots to seal to
         ``seal_batch``, the reshuffle's one seal batch.
         """

@@ -35,8 +35,10 @@ PathLike = Union[str, Path]
 #: per observer hook, the observers that override it (``_heard``).
 #: 5: a DeadQ is a deque of entry tuples (was three numpy columns).
 #: 6: the DRAM model holds no ``AddressMapping`` (the interleaving is
-#: module constants), so an older file no longer unpickles.
-CHECKPOINT_FORMAT = 6
+#: module constants), so an older file no longer unpickles. 7: the
+#: DRAM model keeps each channel's next refresh time (was an epoch)
+#: and the timed sink cache-line tables (was byte offsets).
+CHECKPOINT_FORMAT = 7
 _MAGIC = "repro-sim-checkpoint"
 
 

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.core.ab_oram import build_oram, needs_extensions
+from repro.mem.address_map import LINE_BYTES
 from repro.mem.dram import DramModel
 from repro.mem.layout import TreeLayout
 from repro.mem.timing import DDR3_1600, DramTiming
@@ -49,14 +50,14 @@ DRAM_WINDOW = 32
 
 class DramSink(MemorySink):
     """The timed sink: translates a controller's off-chip touches to
-    physical addresses and issues them, phase by phase, to the DRAM
+    cache-line numbers and issues them, phase by phase, to the DRAM
     model.
 
-    This class owns everything every timed run shares -- address
+    This class owns everything every timed run shares -- line
     translation, per-kind attribution, the measurement reset and span
     recording (``telemetry``) -- and hands each translated request to a
-    small *issue stage*: :meth:`_issue` (a batch of addresses),
-    :meth:`_issue_repeat` (one address ``count`` times) and
+    small *issue stage*: :meth:`_issue` (a list of lines),
+    :meth:`_issue_repeat` (one line ``count`` times) and
     :meth:`_issue_stall` (in-op backoff), which move the operation's
     ``_op_start``/``_op_end`` that ``end_op`` attributes. Here the
     stage is immediate (the request goes to the DRAM model as it is
@@ -75,13 +76,17 @@ class DramSink(MemorySink):
         self.layout = layout
         self.dram = dram
         self.telemetry = telemetry
-        # Address computation inlined from TreeLayout.data_addr /
-        # meta_addr: plain-int arithmetic over a materialized offset
-        # list, since this runs for every simulated memory request.
-        self._data_off = layout._offsets.tolist()
-        self._block_bytes = layout.cfg.block_bytes
-        self._meta_base = layout.meta_base
-        self._meta_stride = layout.meta_stride
+        # Cache-line numbers inlined from TreeLayout.data_addr /
+        # meta_addr: a slot is one line past its bucket's first line, a
+        # metadata record ``stride`` lines past the previous bucket's.
+        if layout.cfg.block_bytes != LINE_BYTES:
+            raise ValueError(
+                f"the timed sink models {LINE_BYTES}B blocks, got "
+                f"{layout.cfg.block_bytes}B"
+            )
+        self._data_line = (layout._offsets // LINE_BYTES).tolist()
+        self._meta_line = layout.meta_base // LINE_BYTES
+        self._meta_stride = layout.metadata_blocks
         self.now = 0.0
         self.time_by_kind: Dict[OpKind, float] = {k: 0.0 for k in OpKind}
         self.ops_by_kind: Dict[OpKind, int] = {k: 0 for k in OpKind}
@@ -141,50 +146,45 @@ class DramSink(MemorySink):
         # A batch with no off-chip item issues nothing, so it leaves
         # the phase untouched: later lower-phase requests still extend
         # the operation before the next transition samples its end.
-        off = self._data_off
-        bb = self._block_bytes
-        addrs = []
-        append = addrs.append
+        first = self._data_line
+        lines = []
+        append = lines.append
         remotes = 0
         for bucket, slot, level, onchip, remote in items:
             if onchip:
                 continue
             if remote:
                 remotes += 1
-            append(off[bucket] + slot * bb)
-        if not addrs:
+            append(first[bucket] + slot)
+        if not lines:
             return
         self.remote_accesses += remotes
-        self._issue(addrs, write, 2 if write else 1, items, 3)
+        self._issue(lines, write, 2 if write else 1, items, 3)
 
     def data_access_repeat(self, bucket, slot, level, count, write,
                            onchip=False):
         if onchip or count <= 0:
             return
-        addr = self._data_off[bucket] + slot * self._block_bytes
-        self._issue_repeat(addr, count, write, 2 if write else 1, bucket)
+        self._issue_repeat(self._data_line[bucket] + slot, count, write,
+                           2 if write else 1, bucket)
 
     def metadata_access_many(self, items, write, blocks=1):
-        base = self._meta_base
+        base = self._meta_line
         stride = self._meta_stride
-        bb = self._block_bytes
-        addrs = []
-        append = addrs.append
+        lines = []
+        append = lines.append
         if blocks == 1:
             for bucket, level, onchip in items:
                 if not onchip:
                     append(base + bucket * stride)
         else:
             for bucket, level, onchip in items:
-                if onchip:
-                    continue
-                addr = base + bucket * stride
-                for _ in range(blocks):
-                    append(addr)
-                    addr += bb
-        if not addrs:
+                if not onchip:
+                    line = base + bucket * stride
+                    lines += range(line, line + blocks)
+        if not lines:
             return
-        self._issue(addrs, write, 3 if write else 0, items, 2)
+        self._issue(lines, write, 3 if write else 0, items, 2)
 
     def end_op(self) -> None:
         kind = self._op_kind
@@ -204,26 +204,28 @@ class DramSink(MemorySink):
 
     # --------------------------------------------------------- issue stage
 
-    def _enter(self, phase: int) -> float:
-        """The phase rule: requests of one phase arrive together at the
-        phase's start, and entering a later phase waits for every
-        earlier request of the operation to complete."""
+    # Both request stages apply the phase rule inline: requests of one
+    # phase arrive together at the phase's start, and entering a later
+    # phase waits for every earlier request of the operation to
+    # complete.
+
+    def _issue(self, lines, write, phase, items, onchip_at) -> None:
+        """Issue cache ``lines`` in ``phase``. ``items`` is the reported
+        batch behind them and ``onchip_at`` the index of its items'
+        on-chip flag (bucket ids sit at index 0) -- unused here, read
+        by the buffering stage's conflict tracker."""
         if phase > self._phase:
             self._phase = phase
             self._phase_start = self._op_end
-        return self._phase_start
-
-    def _issue(self, addrs, write, phase, items, onchip_at) -> None:
-        """Issue translated ``addrs`` in ``phase``. ``items`` is the
-        reported batch behind them and ``onchip_at`` the index of its
-        items' on-chip flag (bucket ids sit at index 0) -- unused here,
-        read by the buffering stage's conflict tracker."""
-        done = self.dram.access_batch(addrs, write, self._enter(phase))
+        done = self.dram.access_lines(lines, write, self._phase_start)
         if done > self._op_end:
             self._op_end = done
 
-    def _issue_repeat(self, addr, count, write, phase, bucket) -> None:
-        done = self.dram.access_repeat(addr, count, write, self._enter(phase))
+    def _issue_repeat(self, line, count, write, phase, bucket) -> None:
+        if phase > self._phase:
+            self._phase = phase
+            self._phase_start = self._op_end
+        done = self.dram.access_repeat(line, count, write, self._phase_start)
         if done > self._op_end:
             self._op_end = done
 

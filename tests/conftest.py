@@ -9,6 +9,8 @@ import pytest
 
 from repro.core import schemes
 from repro.core.ab_oram import build_oram
+from repro.mem import address_map as am
+from repro.mem.dram import DramModel
 from repro.oram.config import BucketGeometry, OramConfig, uniform_geometry
 from repro.oram.stats import MemorySink, OpKind
 
@@ -249,3 +251,138 @@ def reference_replay(stack, requests, scheduler, max_batch=32):
             i += 1
         completions.extend(scheduler.serve_batch(batch))
     return completions
+
+
+# ------------------------------------------------- DRAM request reference
+
+class ReferenceDramModel(DramModel):
+    """The byte-address request loop ``DramModel.access_lines`` replaced,
+    kept as the model it must equal: one loop over both placements,
+    arithmetic address decomposition and an integer refresh epoch per
+    channel. Only the request body is the reference; the window ledger
+    helpers are the model's own."""
+
+    def __init__(self, *args, **kw) -> None:
+        super().__init__(*args, **kw)
+        self._refresh_epoch = [0] * am.N_CHANNELS
+
+    def _epoch_refresh(self, channel: int, arrival_ns: float) -> None:
+        t = self.timing
+        epoch = int(arrival_ns // t.t_refi)
+        if epoch <= self._refresh_epoch[channel]:
+            return
+        self._refresh_epoch[channel] = epoch
+        lo = channel * am.N_BANKS
+        hi = lo + am.N_BANKS
+        self._open_row[lo:hi] = [-1] * am.N_BANKS
+        stall_end = epoch * t.t_refi + t.t_rfc
+        ready = self._bank_ready
+        for i in range(lo, hi):
+            if ready[i] < stall_end:
+                ready[i] = stall_end
+        self.stats.refreshes += 1
+
+    def access_batch(self, byte_addrs, write, arrival_ns):
+        t_refi = self._t_refi
+        t_rp = self._t_rp
+        t_rrd = self._t_rrd
+        t_col = self._t_rcd + (self._t_cwd if write else self._t_cas)
+        t_hit = self._t_cwd if write else self._t_cas
+        t_turn = self._t_wtr if not write else self._t_rtw
+        t_wr = self._t_wr if write else 0.0
+        burst_ns = self._burst_ns
+        open_row = self._open_row
+        bank_ready = self._bank_ready
+        bus_free_l = self._bus_free
+        last_activate = self._last_activate
+        last_was_write = self._last_was_write
+        busy = self.channel_busy_ns
+        bank_busy = self.bank_busy_ns
+        win_q = self._win_q
+        windowed = self._busy is not None
+        hits = 0
+        service = 0.0
+        latest = 0.0
+        for byte_addr in byte_addrs:
+            line = byte_addr // am.LINE_BYTES
+            channel = line % am.N_CHANNELS
+            rest = (line // am.N_CHANNELS) // am.LINES_PER_ROW
+            bank = rest % am.N_BANKS
+            row = rest // am.N_BANKS
+            if t_refi > 0 and arrival_ns >= (
+                self._refresh_epoch[channel] + 1
+            ) * t_refi:
+                self._epoch_refresh(channel, arrival_ns)
+            arr = (
+                self._window_admit(channel, arrival_ns)
+                if win_q is not None else arrival_ns
+            )
+            bank_idx = channel * am.N_BANKS + bank
+            row_hit = open_row[bank_idx] == row
+            if row_hit:
+                hits += 1
+            if windowed:
+                if row_hit:
+                    s = self._bank_place(
+                        bank_idx, arr, t_hit + burst_ns + t_wr
+                    )
+                    ready = s + t_hit
+                else:
+                    s = self._bank_place(
+                        bank_idx, arr, t_rp + t_col + burst_ns + t_wr
+                    )
+                    precharged = s + t_rp
+                    rated = last_activate[channel] + t_rrd
+                    activate = precharged if precharged > rated else rated
+                    last_activate[channel] = activate
+                    ready = activate + t_col
+                burst_start = self._bus_place(channel, ready, burst_ns, write)
+                completion = burst_start + burst_ns
+                recovered = completion + t_wr
+                if recovered > bank_ready[bank_idx]:
+                    bank_ready[bank_idx] = recovered
+                open_row[bank_idx] = row
+                busy[channel] += burst_ns
+                bank_busy[bank_idx] += burst_ns + t_wr
+                if completion > bus_free_l[channel]:
+                    bus_free_l[channel] = completion
+                self._window_track(channel, completion)
+                service += completion - arr
+                if completion > latest:
+                    latest = completion
+                continue
+            brdy = bank_ready[bank_idx]
+            if row_hit:
+                ready = (arr if arr > brdy else brdy) + t_hit
+            else:
+                precharged = (arr if arr > brdy else brdy) + t_rp
+                rated = last_activate[channel] + t_rrd
+                activate = precharged if precharged > rated else rated
+                last_activate[channel] = activate
+                ready = activate + t_col
+            bus_free = bus_free_l[channel]
+            if last_was_write[channel] != write:
+                bus_free += t_turn
+            burst_start = ready if ready > bus_free else bus_free
+            completion = burst_start + burst_ns
+            bus_free_l[channel] = completion
+            last_was_write[channel] = write
+            bank_ready[bank_idx] = completion + t_wr
+            open_row[bank_idx] = row
+            busy[channel] += completion - burst_start
+            bank_busy[bank_idx] += completion - burst_start + t_wr
+            if win_q is not None:
+                self._window_track(channel, completion)
+            service += completion - arr
+            if completion > latest:
+                latest = completion
+        n = len(byte_addrs)
+        st = self.stats
+        if write:
+            st.writes += n
+        else:
+            st.reads += n
+        st.row_hits += hits
+        st.row_misses += n - hits
+        st.total_service_ns += service
+        return latest

@@ -126,10 +126,11 @@ class TestCheckpointValidation:
         dict then), format 2 (rentals sat in a pooled side table, not
         in the bucket rows), format 3 (a controller without its
         per-hook observer lists), format 4 (DeadQs as numpy ring
-        buffers) and format 5 (a DRAM model with an address-mapping
-        object): the file would load and the run die later on a
+        buffers), format 5 (a DRAM model with an address-mapping
+        object) and format 6 (refresh epochs, and a timed sink of byte
+        offsets): the file would load and the run die later on a
         missing attribute."""
-        for fmt in (99, 1, 2, 3, 4, 5):
+        for fmt in (99, 1, 2, 3, 4, 5, 6):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

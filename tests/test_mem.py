@@ -163,7 +163,7 @@ class TestDramModel:
 
     def test_burst_batch(self):
         dram = DramModel()
-        done = dram.access_batch([0, 64, 128], False, 10.0)
+        done = dram.access_lines([0, 1, 2], False, 10.0)
         assert done > 10.0
         assert dram.stats.reads == 3
 
@@ -255,14 +255,16 @@ class TestTreeLayout:
 
 
 class TestEntryPointsAgree:
-    """``access``, ``access_batch`` and ``access_repeat`` are one model.
+    """``access_lines``, ``access`` and ``access_repeat`` are the
+    byte-address loop they replaced (``conftest.ReferenceDramModel``).
 
     Seeded random streams of same-direction groups arriving together
     are driven through each entry point on fresh models; completion
-    times, every ``DramStats`` field and the busy tallies must agree
-    with ``==``. Arrivals sit on a 1/4-ns grid (as the DDR timings do):
-    there float sums are exact, so regrouping ``total_service_ns`` per
-    batch instead of per request cannot move the last bit.
+    times, every ``DramStats`` field and the busy tallies must equal
+    the reference's with ``==``. Arrivals sit on a 1/4-ns grid (as the
+    DDR timings do): there float sums are exact, so regrouping
+    ``total_service_ns`` per batch instead of per request cannot move
+    the last bit.
     """
 
     @staticmethod
@@ -298,41 +300,54 @@ class TestEntryPointsAgree:
     def _drive(groups, window, how, drained=False):
         from dataclasses import asdict
 
-        dram = DramModel(window=window)
+        from tests.conftest import ReferenceDramModel
+
+        dram = (ReferenceDramModel if how == "reference" else DramModel)(
+            window=window)
         done = []
         for addrs, write, arrival in groups:
             if drained:
                 # Nothing in flight: arrive after every completion.
                 arrival = max([arrival] + done)
-            if how == "access":
+            lines = [a // am.LINE_BYTES for a in addrs]
+            if how == "reference":
+                done.append(dram.access_batch(addrs, write, arrival))
+            elif how == "access":
                 done.append(max(dram.access(a, write, arrival)
                                 for a in addrs))
-            elif how == "repeat" and len(set(addrs)) == 1:
-                done.append(dram.access_repeat(addrs[0], len(addrs),
+            elif how == "repeat" and len(set(lines)) == 1:
+                done.append(dram.access_repeat(lines[0], len(lines),
                                                write, arrival))
             else:
-                done.append(dram.access_batch(addrs, write, arrival))
+                done.append(dram.access_lines(lines, write, arrival))
         return (done, asdict(dram.stats), dram.channel_busy_ns,
                 dram.bank_busy_ns)
 
     @pytest.mark.parametrize("window", [None, 8], ids=["frontier", "window8"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_access_is_the_batch_of_one(self, seed, window):
+    def test_lines_are_the_reference_loop(self, seed, window):
         groups = self._stream(seed)
-        batch = self._drive(groups, window, "batch")
-        assert self._drive(groups, window, "access") == batch
-        stats = batch[1]
+        reference = self._drive(groups, window, "reference")
+        assert self._drive(groups, window, "lines") == reference
+        stats = reference[1]
         assert stats["refreshes"] > 0
         assert stats["row_hits"] > 0 and stats["row_misses"] > 0
         assert stats["reads"] > 0 and stats["writes"] > 0
         if window is not None:
             assert stats["backfills"] > 0 and stats["queue_depth_peak"] > 0
 
+    @pytest.mark.parametrize("window", [None, 8], ids=["frontier", "window8"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_access_is_the_batch_of_one(self, seed, window):
+        groups = self._stream(seed)
+        assert (self._drive(groups, window, "access")
+                == self._drive(groups, window, "reference"))
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_repeat_is_the_closed_form_of_the_loop(self, seed):
         groups = self._stream(seed)
         assert (self._drive(groups, None, "repeat")
-                == self._drive(groups, None, "batch"))
+                == self._drive(groups, None, "reference"))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_windowed_repeat_matches_the_loop_on_a_drained_bus(self, seed):
@@ -344,7 +359,7 @@ class TestEntryPointsAgree:
         # frontier) the two must agree to the last bit.
         groups = self._stream(seed)
         assert (self._drive(groups, 8, "repeat", drained=True)
-                == self._drive(groups, 8, "batch", drained=True))
+                == self._drive(groups, 8, "reference", drained=True))
 
     def test_repeat_of_nothing_is_free(self):
         dram = DramModel()

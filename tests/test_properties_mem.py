@@ -66,6 +66,16 @@ class TestAddressMappingProperties:
         assert line == (addr // am.LINE_BYTES)
 
     @settings(max_examples=60, deadline=None)
+    @given(line=st.integers(0, 2**40))
+    def test_shift_decode_equals_decompose(self, line):
+        """The DRAM model's line decode (shifts and masks) is
+        ``decompose`` of the line's first byte."""
+        c, b, r, _ = am.decompose(line * am.LINE_BYTES)
+        assert line & am.CHANNEL_MASK == c
+        assert (line >> am.BANK_SHIFT) & am.BANK_MASK == b
+        assert line >> am.ROW_SHIFT == r
+
+    @settings(max_examples=60, deadline=None)
     @given(addr=st.integers(0, 2**40))
     def test_coordinates_in_range(self, addr):
         c, b, r, col = am.decompose(addr)

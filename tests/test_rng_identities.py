@@ -8,7 +8,8 @@ scatter positions, through one ``Generator.integers(0, bounds)`` call
   draw the scalar ``integers(n)`` makes, and
 - implements ``choice(n, size=k, replace=False)`` (n <= 10000) as
   Floyd's algorithm followed by a Fisher-Yates shuffle, which
-  ``RingOram._scatter_draws`` replays.
+  ``RingOram._scatter_draws`` replays for the jobs it wants and only
+  draws for the others.
 
 Both are numpy implementation details. A numpy release that changes
 either fails here first, naming its version, instead of only as a wall
@@ -52,11 +53,14 @@ def test_bound_array_draws_like_the_scalar_loop():
 
 
 def _check_replay(seed, jobs):
+    """``jobs`` are ``(n, k, wanted)``: an unwanted job's result is
+    ``None``, and the generator ends where ``choice`` leaves it."""
     replayed = np.random.default_rng(seed)
     reference = np.random.default_rng(seed)
     got = _replay(replayed, jobs)
     want = [reference.choice(n, size=k, replace=False).tolist()
-            for n, k in jobs]
+            for n, k, _ in jobs]
+    want = [w if wanted else None for w, (_, _, wanted) in zip(want, jobs)]
     assert got == want, (
         f"{WHERE}: the Floyd + Fisher-Yates replay of {jobs} gave {got}, "
         f"choice(n, size=k, replace=False) gives {want}"
@@ -71,7 +75,7 @@ def test_replay_equals_choice_for_every_small_shape():
     for n in range(1, 17):
         for k in range(1, n + 1):
             for seed in range(50):
-                _check_replay(seed, [(n, k)])
+                _check_replay(seed, [(n, k, True)])
 
 
 def test_replay_equals_choice_over_concatenated_jobs():
@@ -80,8 +84,15 @@ def test_replay_equals_choice_over_concatenated_jobs():
         jobs = []
         for _ in range(int(picker.integers(1, 9))):
             n = int(picker.integers(1, 17))
-            jobs.append((n, int(picker.integers(1, n + 1))))
+            jobs.append((n, int(picker.integers(1, n + 1)),
+                         bool(picker.random() < 0.7)))
         _check_replay(seed, jobs)
+
+
+def test_unwanted_job_draws_without_replaying():
+    for seed in range(50):
+        _check_replay(seed, [(9, 4, False)])
+        _check_replay(seed, [(9, 4, False), (7, 3, True)])
 
 
 def test_no_jobs_no_draw():

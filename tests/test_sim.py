@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import schemes
+from repro.mem.address_map import LINE_BYTES
 from repro.mem.dram import DramModel
 from repro.mem.layout import TreeLayout
 from repro.oram.stats import OpKind
@@ -35,21 +36,23 @@ class TestDramSink:
         return DramSink(TreeLayout(cfg), DramModel())
 
     def test_sink_issues_the_layout_addresses(self, small_schemes):
-        """The sink inlines the layout's address math; it must agree."""
+        """The sink inlines the layout's address math as cache-line
+        numbers; they must be the layout's addresses over 64B."""
         layout = TreeLayout(small_schemes[0], metadata_blocks=2)
         issued = []
 
         class Capture(DramSink):
-            def _issue(self, addrs, write, phase, items, onchip_at):
-                issued.extend(addrs)
+            def _issue(self, lines, write, phase, items, onchip_at):
+                issued.extend(lines)
 
         sink = Capture(layout, DramModel())
         sink.begin_op(OpKind.READ_PATH)
         sink.data_access_many([(5, 3, 2, False, False)], write=False)
         sink.metadata_access_many([(5, 2, False)], write=False, blocks=2)
         sink.end_op()
-        assert issued == [layout.data_addr(5, 3), layout.meta_addr(5, 0),
-                          layout.meta_addr(5, 1)]
+        assert issued == [layout.data_addr(5, 3) // LINE_BYTES,
+                          layout.meta_addr(5, 0) // LINE_BYTES,
+                          layout.meta_addr(5, 1) // LINE_BYTES]
 
     def test_clock_advances_with_ops(self, sink):
         sink.begin_op(OpKind.READ_PATH)
