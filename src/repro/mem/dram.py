@@ -168,7 +168,9 @@ class DramModel:
         (callers test ``arrival_ns >= _next_refresh[channel]``).
 
         Every elapsed tREFI window closes the channel's row buffers;
-        the most recent one also stalls its banks for tRFC.
+        the most recent one also stalls its banks for tRFC, for the
+        frontier (``_bank_ready``) and the windowed ledger's placement
+        floor (``_bank_floor``) alike.
         """
         t_refi = self._t_refi
         epoch = int(arrival_ns // t_refi)
@@ -182,9 +184,12 @@ class DramModel:
         self._open_row[lo:hi] = [-1] * N_BANKS
         stall_end = epoch * t_refi + self.timing.t_rfc
         ready = self._bank_ready
+        floor = self._bank_floor
         for i in range(lo, hi):
             if ready[i] < stall_end:
                 ready[i] = stall_end
+            if floor[i] < stall_end:
+                floor[i] = stall_end
         self.stats.refreshes += 1
 
     def _window_admit(self, channel: int, arrival_ns: float) -> float:

@@ -176,8 +176,12 @@ class TestDramModel:
         assert dram.stats.row_misses == 2
         assert dram.stats.refreshes >= 1
 
-    def test_refresh_stalls_banks(self):
-        dram = DramModel()
+    @pytest.mark.parametrize("window", [None, 8], ids=["frontier", "window8"])
+    def test_refresh_stalls_banks(self, window):
+        # Both placements: the windowed ledger places from its floor,
+        # so a refresh that only held the frontier's bank-ready times
+        # would let a windowed read finish inside tRFC.
+        dram = DramModel(window=window)
         t = dram.timing
         arrival = t.t_refi + 0.5  # just after the refresh fires
         done = dram.access(0, False, arrival)
