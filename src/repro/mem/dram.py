@@ -1,8 +1,9 @@
 """Event-based DRAM channel/bank timing model.
 
 One :class:`DramModel` holds per-bank open-row state and availability
-times plus a per-channel data-bus availability time. ``access_lines`` computes
-when each 64B request, named by its cache-line number, completes:
+times plus a per-channel data-bus availability time. ``access_lines``
+computes when each 64B request, named by its cache-line number,
+completes:
 
 1. the request waits for its bank (earlier requests to the same bank)
    and, on a row-buffer miss, pays precharge + activate;
@@ -404,8 +405,9 @@ class DramModel:
                 completion = burst_start + burst_ns
                 bus_free_l[channel] = completion
                 bank_ready[bank_idx] = completion + t_wr
-                busy[channel] += completion - burst_start
-                bank_busy[bank_idx] += completion - burst_start + t_wr
+                span = completion - burst_start
+                busy[channel] += span
+                bank_busy[bank_idx] += span + t_wr
                 service += completion - arrival_ns
                 if completion > latest:
                     latest = completion

@@ -759,9 +759,10 @@ class RingOram:
         """A reshuffle's write phase for bucket ``b`` as ``_reshuffle``
         fixed it (``granted`` rented columns at ``hosts``; ``chosen`` at
         ``positions`` among the ``n_usable`` local then the rented
-        slots, ``None`` without hosts): rewrites every usable and rented slot, reports the
-        writes and, on the sealed path, appends the slots to seal to
-        ``seal_batch``, the reshuffle's one seal batch.
+        slots, ``None`` without hosts): rewrites every usable and
+        rented slot, reports the writes and, on the sealed path,
+        appends the slots to seal to ``seal_batch``, the reshuffle's
+        one seal batch.
         """
         store = self.store
         onchip = lv < self.cfg.treetop_levels

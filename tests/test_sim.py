@@ -54,6 +54,11 @@ class TestDramSink:
                           layout.meta_addr(5, 0) // LINE_BYTES,
                           layout.meta_addr(5, 1) // LINE_BYTES]
 
+    def test_sink_rejects_blocks_that_are_not_one_line(self):
+        """A slot is one 64B line to the timed sink."""
+        with pytest.raises(ValueError, match="64B blocks"):
+            DramSink(TreeLayout(tiny_ab_config(block_bytes=128)), DramModel())
+
     def test_clock_advances_with_ops(self, sink):
         sink.begin_op(OpKind.READ_PATH)
         sink.data_access(0, 0, 0, write=False)

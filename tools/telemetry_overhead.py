@@ -10,8 +10,8 @@ on/off wall-time ratios exceeds 1 by more than ``--max-overhead-pct``
 
 Pairing is what keeps the gate honest on a shared runner: the two runs
 of a pair see the same host load, so a burst of contention moves one
-ratio, which the median then ignores. (Comparing the best of N on
-against the best of N off let one lucky off-run fail the gate.)
+ratio, which the median then ignores, where one lucky run on either
+side would move a best-of-N comparison.
 
 ``--serve`` adds a second measurement over the resilient serving loop:
 the same seeded workload served twice, once bare and once with the
@@ -142,9 +142,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             def measure(telemetry: bool, _depth: int = depth) -> float:
                 return _run_once(args.levels, args.requests, args.seed,
                                  telemetry, pipeline_depth=_depth)
-        # One throwaway run to warm imports, trace caches and the
-        # allocator before anything is timed.
+        # One throwaway run of each side warms imports, trace caches
+        # and the allocator before anything is timed.
         measure(False)
+        measure(True)
         offs, ratios = [], []
         for i in range(max(1, args.pairs)):
             if i % 2:
