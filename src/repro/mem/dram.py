@@ -94,11 +94,8 @@ class DramModel:
         self._bus_free = [0.0] * N_CHANNELS
         self._last_activate = [-1e18] * N_CHANNELS
         self._last_was_write = [False] * N_CHANNELS
-        # When each channel's next refresh falls due: the per-request
-        # refresh test is one compare.
-        self._next_refresh = [
-            timing.t_refi if timing.t_refi > 0 else float("inf")
-        ] * N_CHANNELS
+        # When each channel's next refresh falls due (t_refi 0: never).
+        self._next_refresh = [timing.t_refi or float("inf")] * N_CHANNELS
         self.stats = DramStats()
         # Plain list, not ndarray: one scalar += per access makes numpy
         # boxing measurable at millions of requests.
@@ -165,13 +162,12 @@ class DramModel:
         self._burst_ns = timing.burst_ns
 
     def _apply_refresh(self, channel: int, arrival_ns: float) -> None:
-        """Account the refreshes due on ``channel`` by ``arrival_ns``
-        (callers test ``arrival_ns >= _next_refresh[channel]``).
+        """Account the refreshes due on ``channel`` by ``arrival_ns``.
 
         Every elapsed tREFI window closes the channel's row buffers;
-        the most recent one also stalls its banks for tRFC, for the
-        frontier (``_bank_ready``) and the windowed ledger's placement
-        floor (``_bank_floor``) alike.
+        the most recent one also stalls its banks for tRFC, in the
+        frontier's ``_bank_ready`` and as one interval in each windowed
+        bank ledger (a request arriving earlier still fits ahead of it).
         """
         t_refi = self._t_refi
         epoch = int(arrival_ns // t_refi)
@@ -185,13 +181,24 @@ class DramModel:
         self._open_row[lo:hi] = [-1] * N_BANKS
         stall_end = epoch * t_refi + self.timing.t_rfc
         ready = self._bank_ready
-        floor = self._bank_floor
         for i in range(lo, hi):
             if ready[i] < stall_end:
                 ready[i] = stall_end
-            if floor[i] < stall_end:
-                floor[i] = stall_end
+            if self._bank_iv is not None:
+                self._bank_reserve(i, epoch * t_refi, stall_end)
         self.stats.refreshes += 1
+
+    def _bank_reserve(self, bank_idx: int, start: float, end: float) -> None:
+        """Hold ``[start, end)`` on a bank's ledger (a refresh stall),
+        merged with every interval it overlaps or touches."""
+        busy = self._bank_iv[bank_idx]
+        i = sum(1 for iv in busy if iv[1] < start)
+        j = len(busy) - sum(1 for iv in busy if iv[0] > end)
+        mid = busy[i:j] + [[start, end]]
+        busy[i:j] = [[min(iv[0] for iv in mid), max(iv[1] for iv in mid)]]
+        if len(busy) > self._bank_cap:
+            floor = self._bank_floor
+            floor[bank_idx] = max(floor[bank_idx], busy.pop(0)[1])
 
     def _window_admit(self, channel: int, arrival_ns: float) -> float:
         """Window admission: sample queue depth, delay when it is full.

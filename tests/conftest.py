@@ -259,9 +259,9 @@ class ReferenceDramModel(DramModel):
     """The byte-address request loop ``DramModel.access_lines`` replaced,
     kept as the model it must equal: one loop over both placements,
     arithmetic address decomposition and an integer refresh epoch per
-    channel (a refresh stalls the windowed placement floor too, the
-    fix that came with the line body). Only the request body is the
-    reference; the window ledger helpers are the model's own."""
+    channel (a refresh also holds each bank's windowed ledger for
+    tRFC, the fix that came with the line body). Only the request body
+    is the reference; the window ledger helpers are the model's own."""
 
     def __init__(self, *args, **kw) -> None:
         super().__init__(*args, **kw)
@@ -278,12 +278,11 @@ class ReferenceDramModel(DramModel):
         self._open_row[lo:hi] = [-1] * am.N_BANKS
         stall_end = epoch * t.t_refi + t.t_rfc
         ready = self._bank_ready
-        floor = self._bank_floor
         for i in range(lo, hi):
             if ready[i] < stall_end:
                 ready[i] = stall_end
-            if floor[i] < stall_end:
-                floor[i] = stall_end
+            if self._bank_iv is not None:
+                self._bank_reserve(i, epoch * t.t_refi, stall_end)
         self.stats.refreshes += 1
 
     def access_batch(self, byte_addrs, write, arrival_ns):

@@ -187,6 +187,22 @@ class TestDramModel:
         done = dram.access(0, False, arrival)
         assert done >= t.t_refi + t.t_rfc
 
+    def test_refresh_leaves_earlier_windowed_slots_free(self):
+        """Under a window, later calls may carry earlier arrivals. The
+        refresh holds the banks for [tREFI, tREFI + tRFC) only, so a
+        read that arrives well before tREFI, issued after a request
+        that fired the refresh, still completes before tREFI. (It is a
+        row hit on a row the firing call reopened: a miss would queue
+        behind that call's activates, the activation-rate chain.)"""
+        dram = DramModel(window=8)
+        t = dram.timing
+        bank1 = 1 << am.BANK_SHIFT  # channel 0, bank 1, row 0
+        dram.access_lines([0, bank1], False, t.t_refi + 0.5)
+        assert dram.stats.refreshes == 1
+        done = dram.access_lines([bank1], False, 100.0)
+        assert dram.stats.row_hits == 1
+        assert done < t.t_refi
+
     def test_no_refresh_when_disabled(self):
         dram = DramModel(IDEAL_BUS)
         dram.access(0, False, 0.0)

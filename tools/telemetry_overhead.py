@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Measure telemetry overhead and gate it (the perf-smoke bound).
 
-Runs the same small simulation as N alternating pairs -- telemetry
-off and telemetry on (span tracing plus periodic snapshots, outputs
-kept in memory so file I/O does not pollute the measurement), the
-order flipping every pair -- and fails when the median of the per-pair
-on/off wall-time ratios exceeds 1 by more than ``--max-overhead-pct``
-(default 10%).
+Runs the same small simulation as ``PAIRS`` (5) alternating pairs --
+telemetry off and telemetry on (span tracing plus periodic snapshots,
+outputs kept in memory so file I/O does not pollute the measurement),
+the order flipping every pair -- and fails when the median of the
+per-pair on/off wall-time ratios exceeds 1 by more than
+``--max-overhead-pct`` (default 10%).
 
 Pairing is what keeps the gate honest on a shared runner: the two runs
 of a pair see the same host load, so a burst of contention moves one
@@ -21,8 +21,7 @@ job enforces, because samplers that only *read* must also only barely
 *cost*.
 
 Usage: ``PYTHONPATH=src python tools/telemetry_overhead.py
-[--levels 10] [--requests 600] [--pairs 5] [--max-overhead-pct 10]
-[--serve]``
+[--levels 10] [--requests 600] [--max-overhead-pct 10] [--serve]``
 """
 
 from __future__ import annotations
@@ -32,6 +31,10 @@ import statistics
 import sys
 import time
 from typing import Sequence
+
+#: Alternating off/on pairs per measurement; the gate reads the median
+#: per-pair ratio.
+PAIRS = 5
 
 
 def _run_serve_once(levels: int, requests: int, seed: int,
@@ -108,9 +111,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--levels", type=int, default=10)
     parser.add_argument("--requests", type=int, default=600)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pairs", type=int, default=5,
-                        help="alternating off/on pairs; the gate reads "
-                             "the median per-pair ratio (default: 5)")
     parser.add_argument("--max-overhead-pct", type=float, default=10.0,
                         help="fail when the median telemetry-on / off "
                              "ratio exceeds 1 by more than this "
@@ -147,7 +147,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         measure(False)
         measure(True)
         offs, ratios = [], []
-        for i in range(max(1, args.pairs)):
+        for i in range(PAIRS):
             if i % 2:
                 on = measure(True)
                 off = measure(False)
