@@ -71,10 +71,8 @@ from repro.analysis.space import space_table, utilization_table
 from repro.core import schemes as schemes_mod
 from repro.sim import SimConfig
 from repro.sim.results import breakdown_fractions
-from repro.sim.runner import run_suite, suite_benchmarks
+from repro.sim.runner import make_trace, run_suite, suite_benchmarks
 from repro.telemetry import stderr_progress
-from repro.traces.parsec import parsec_trace
-from repro.traces.spec import spec_trace
 
 ALL_SCHEMES = ["baseline", "ir", "dr", "dr-perf", "ns", "ab", "ring"]
 
@@ -97,12 +95,6 @@ def cmd_space(args: argparse.Namespace) -> int:
         title="Space utilization",
     ))
     return 0
-
-
-def _make_trace(suite: str, bench: str, n_blocks: int, requests: int,
-                seed: int):
-    factory = spec_trace if suite == "spec" else parsec_trace
-    return factory(bench, n_blocks, requests, seed=seed)
 
 
 def _simulate_telemetry(args: argparse.Namespace):
@@ -166,8 +158,8 @@ def _simulate_sharded(args: argparse.Namespace) -> int:
               "against a single tree)", file=sys.stderr)
         return 2
     cfg = schemes_mod.by_name(args.scheme, args.levels)
-    trace = _make_trace(args.suite, args.bench, cfg.n_real_blocks,
-                        args.requests, args.seed)
+    trace = make_trace(args.suite, args.bench, cfg.n_real_blocks,
+                       args.requests, args.seed)
     try:
         outcome = run_sharded_sim(
             args.scheme, trace, cfg.n_real_blocks, args.shards,
@@ -253,8 +245,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ):
             print(finding, file=sys.stderr)
         cfg = schemes_mod.by_name(args.scheme, args.levels)
-        trace = _make_trace(args.suite, args.bench, cfg.n_real_blocks,
-                            args.requests, args.seed)
+        trace = make_trace(args.suite, args.bench, cfg.n_real_blocks,
+                           args.requests, args.seed)
         try:
             simulation = Simulation(cfg, trace, SimConfig(
                 seed=args.seed,

@@ -172,14 +172,6 @@ class PipelinedDramSink(DramSink):
         if phase == 2:
             self._op_wbuckets.update(touched)
 
-    def _issue_repeat(self, line, count, write, phase, bucket) -> None:
-        self._ev.append(
-            (super()._issue_repeat, (line, count, write, phase, bucket))
-        )
-        self._op_buckets.add(bucket)
-        if write:
-            self._op_wbuckets.add(bucket)
-
     def _issue_stall(self, ns: float) -> None:
         self._ev.append((super()._issue_stall, (ns,)))
 

@@ -474,123 +474,6 @@ class DramModel:
         st.total_service_ns += service
         return latest
 
-    def access_repeat(
-        self, line: int, count: int, write: bool, arrival_ns: float
-    ) -> float:
-        """Service the same cache line ``count`` times arriving together.
-
-        The closed form of ``access_lines([line] * count, ...)``:
-        after the first request the chain collapses: the row is open,
-        the bank/bus dependencies are the previous completion, and the
-        refresh check cannot fire again (``_apply_refresh`` moves the
-        channel's next refresh past ``arrival_ns``). Ring ORAM's Z'-deep bucket
-        read bursts (reshuffle read phase) all take this shape, which is
-        why the generic per-address loop is worth bypassing. Every
-        floating-point operation matches the generic loop's order, so
-        completion times and stat accumulations agree to the last bit
-        -- always on the unwindowed frontier; under a window only while
-        nothing overlaps the chain, because there it is reserved as one
-        bank and one bus interval (see below) where the loop would
-        leave the gaps between its bursts open to backfill.
-        """
-        if count <= 0:
-            return 0.0
-        channel = line & CHANNEL_MASK
-        if arrival_ns >= self._next_refresh[channel]:
-            self._apply_refresh(channel, arrival_ns)
-        win_q = self._win_q
-        arr = (
-            self._window_admit(channel, arrival_ns)
-            if win_q is not None else arrival_ns
-        )
-        t_hit = self._t_cwd if write else self._t_cas
-        bank_idx = channel * N_BANKS + ((line >> BANK_SHIFT) & BANK_MASK)
-        row = line >> ROW_SHIFT
-        row_hit = self._open_row[bank_idx] == row
-        burst_ns = self._burst_ns
-        t_wr = self._t_wr if write else 0.0
-        if self._busy is not None:
-            # The whole chain occupies its bank back-to-back; reserve
-            # the full bank and bus spans as one interval each so
-            # overlapped ops are never scheduled into the middle.
-            bus_span = burst_ns + (count - 1) * (t_wr + t_hit + burst_ns)
-            lat = t_hit if row_hit else self._t_rp + self._t_rcd + t_hit
-            s = self._bank_place(bank_idx, arr, lat + bus_span + t_wr)
-            if row_hit:
-                ready = s + t_hit
-            else:
-                precharged = s + self._t_rp
-                rated = self._last_activate[channel] + self._t_rrd
-                activate = precharged if precharged > rated else rated
-                self._last_activate[channel] = activate
-                ready = activate + (self._t_rcd + t_hit)
-            burst_start = self._bus_place(channel, ready, bus_span, write)
-        else:
-            brdy = self._bank_ready[bank_idx]
-            if row_hit:
-                ready = (arr if arr > brdy else brdy) + t_hit
-            else:
-                precharged = (arr if arr > brdy else brdy) + self._t_rp
-                rated = self._last_activate[channel] + self._t_rrd
-                activate = precharged if precharged > rated else rated
-                self._last_activate[channel] = activate
-                ready = activate + (self._t_rcd + t_hit)
-            bus_free = self._bus_free[channel]
-            if self._last_was_write[channel] != write:
-                bus_free += self._t_wtr if not write else self._t_rtw
-            burst_start = ready if ready > bus_free else bus_free
-        completion = burst_start + burst_ns
-        busy_c = self.channel_busy_ns[channel] + (completion - burst_start)
-        busy_b = self.bank_busy_ns[bank_idx] + (
-            completion - burst_start + t_wr
-        )
-        service = completion - arr
-        if win_q is not None:
-            self._window_track(channel, completion)
-        for _ in range(count - 1):
-            # Row hit, no turnaround, and the bank/bus frontier is the
-            # previous completion (``completion >= arr`` always, so the
-            # generic loop's max() picks the bank side too). With the
-            # window on, the per-step admission replays the generic
-            # loop's depth sampling; its delay can never exceed the
-            # bank-ready frontier (the oldest outstanding completion is
-            # <= the previous chain completion), so the timing chain is
-            # unchanged and only ``service`` sees the adjusted arrival.
-            arr = (
-                self._window_admit(channel, arrival_ns)
-                if win_q is not None else arrival_ns
-            )
-            ready = (completion + t_wr) + t_hit
-            burst_start = ready if ready > completion else completion
-            completion = burst_start + burst_ns
-            busy_c += completion - burst_start
-            busy_b += completion - burst_start + t_wr
-            service += completion - arr
-            if win_q is not None:
-                self._window_track(channel, completion)
-        if self._busy is not None:
-            if completion > self._bus_free[channel]:
-                self._bus_free[channel] = completion
-            if completion + t_wr > self._bank_ready[bank_idx]:
-                self._bank_ready[bank_idx] = completion + t_wr
-        else:
-            self._bus_free[channel] = completion
-            self._last_was_write[channel] = write
-            self._bank_ready[bank_idx] = completion + t_wr
-        self._open_row[bank_idx] = row
-        self.channel_busy_ns[channel] = busy_c
-        self.bank_busy_ns[bank_idx] = busy_b
-        st = self.stats
-        if write:
-            st.writes += count
-        else:
-            st.reads += count
-        hits = count if row_hit else count - 1
-        st.row_hits += hits
-        st.row_misses += count - hits
-        st.total_service_ns += service
-        return completion
-
     def reset_measurement(self) -> None:
         """Zero the counters and busy tallies (end of warm-up); bank,
         bus and row-buffer state are preserved."""

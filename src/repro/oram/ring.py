@@ -691,11 +691,13 @@ class RingOram:
         dead_obs = self._heard["on_slot_dead"]
         # Metadata is reported bucket by bucket, not as one batch: each
         # bucket's record is read right before its blocks and written
-        # right after them, and that issue order is timing.
+        # right after them, and that issue order is timing. The Z' reads
+        # are Z' ordinary requests, all reported against slot 0.
         for (b, lv), n_share in zip(plan, shares):
-            sink.metadata_access_many(((b, lv, lv < treetop),), False, mblocks)
-            sink.data_access_repeat(b, 0, lv, z_real[lv],
-                                    write=False, onchip=lv < treetop)
+            onchip = lv < treetop
+            sink.metadata_access_many(((b, lv, onchip),), False, mblocks)
+            sink.data_access_many(((b, 0, lv, onchip, False),) * z_real[lv],
+                                  write=False)
             for one in islice(opened, n_share):
                 self._admit_payload(*one)
             if ext is not None:

@@ -52,10 +52,10 @@ class MemorySink:
     ``super()``).
 
     The unit of memory work is a batch (a whole path of buckets), so the
-    protocol is the three batch primitives -- :meth:`data_access_many`,
-    :meth:`data_access_repeat`, :meth:`metadata_access_many` -- and a
-    sink implements only those. The scalar :meth:`data_access` /
-    :meth:`metadata_access` are the batch of one, defined once, here.
+    protocol is the two batch primitives -- :meth:`data_access_many` and
+    :meth:`metadata_access_many` -- and a sink implements only those.
+    The scalar :meth:`data_access` / :meth:`metadata_access` are the
+    batch of one, defined once, here.
     """
 
     _op_kind: Optional[OpKind] = None
@@ -70,23 +70,6 @@ class MemorySink:
 
     def data_access_many(self, items: Sequence[DataItem], write: bool) -> None:
         """Data touches sharing one direction and protocol phase."""
-
-    def data_access_repeat(
-        self,
-        bucket: int,
-        slot: int,
-        level: int,
-        count: int,
-        write: bool,
-        onchip: bool = False,
-    ) -> None:
-        """``count`` identical data touches of one slot (reshuffle read
-        phases report Z' reads against slot 0; never a rented slot).
-        Equivalent to
-        :meth:`data_access_many` over ``count`` copies of the item; a
-        primitive of its own because timing sinks have a closed form
-        for it.
-        """
 
     def metadata_access_many(
         self, items: Sequence[MetaItem], write: bool, blocks: int = 1
@@ -224,29 +207,6 @@ class CountingSink(MemorySink):
         else:
             c.data_reads += n
 
-    def data_access_repeat(
-        self,
-        bucket: int,
-        slot: int,
-        level: int,
-        count: int,
-        write: bool,
-        onchip: bool = False,
-    ) -> None:
-        c = self._cur_counters
-        if c is None:
-            self.unattributed_accesses += count
-            return
-        if onchip:
-            c.onchip_accesses += count
-            return
-        if write:
-            c.data_writes += count
-            self.data_writes_by_level[level] += count
-        else:
-            c.data_reads += count
-            self.data_reads_by_level[level] += count
-
     def metadata_access_many(
         self, items: Sequence[MetaItem], write: bool, blocks: int = 1
     ) -> None:
@@ -306,12 +266,6 @@ class TeeSink(MemorySink):
     def data_access_many(self, items, write):
         for s in self.sinks:
             s.data_access_many(items, write)
-
-    def data_access_repeat(self, bucket, slot, level, count, write,
-                           onchip=False):
-        for s in self.sinks:
-            s.data_access_repeat(bucket, slot, level, count, write,
-                                 onchip=onchip)
 
     def metadata_access_many(self, items, write, blocks=1):
         for s in self.sinks:

@@ -336,18 +336,18 @@ def _fold_slices(
 
     Counts sum; latency percentiles re-derive from the concatenated
     served latencies (slice order, so the fold is a pure function of
-    the outputs); the serving window spans the earliest start to the
-    latest end. Everything the ``sim`` block carries is derived from
-    worker-returned simulated state only -- byte-identical at any
-    worker count.
+    the outputs); ``sim_ns`` is the slowest slice's own serving window
+    (each shard runs on its own clock), the makespan rule of
+    :func:`repro.serve.fleet.run_fleet`. Everything the ``sim`` block
+    carries is derived from worker-returned simulated state only --
+    byte-identical at any worker count.
     """
     partials = [o["partial"] for o in outputs]
     sim: Dict[str, Any] = _sum_tree([
         {k: p[k] for k in _SUMMED} for p in partials
     ])
     n_comps = sim["completions"]
-    sim_ns = (max(p["end_ns"] for p in partials)
-              - min(p["start_ns"] for p in partials))
+    sim_ns = max(p["end_ns"] - p["start_ns"] for p in partials)
     sim_s = sim_ns / 1e9
     sim.update({
         "availability": (

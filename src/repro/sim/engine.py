@@ -56,8 +56,7 @@ class DramSink(MemorySink):
     This class owns everything every timed run shares -- line
     translation, per-kind attribution, the measurement reset and span
     recording (``telemetry``) -- and hands each translated request to a
-    small *issue stage*: :meth:`_issue` (a list of lines),
-    :meth:`_issue_repeat` (one line ``count`` times) and
+    small *issue stage*: :meth:`_issue` (a list of lines) and
     :meth:`_issue_stall` (in-op backoff), which move the operation's
     ``_op_start``/``_op_end`` that ``end_op`` attributes. Here the
     stage is immediate (the request goes to the DRAM model as it is
@@ -161,13 +160,6 @@ class DramSink(MemorySink):
         self.remote_accesses += remotes
         self._issue(lines, write, 2 if write else 1, items, 3)
 
-    def data_access_repeat(self, bucket, slot, level, count, write,
-                           onchip=False):
-        if onchip or count <= 0:
-            return
-        self._issue_repeat(self._data_line[bucket] + slot, count, write,
-                           2 if write else 1, bucket)
-
     def metadata_access_many(self, items, write, blocks=1):
         base = self._meta_line
         stride = self._meta_stride
@@ -204,7 +196,7 @@ class DramSink(MemorySink):
 
     # --------------------------------------------------------- issue stage
 
-    # Both request stages apply the phase rule inline: requests of one
+    # The request stage applies the phase rule inline: requests of one
     # phase arrive together at the phase's start, and entering a later
     # phase waits for every earlier request of the operation to
     # complete.
@@ -218,14 +210,6 @@ class DramSink(MemorySink):
             self._phase = phase
             self._phase_start = self._op_end
         done = self.dram.access_lines(lines, write, self._phase_start)
-        if done > self._op_end:
-            self._op_end = done
-
-    def _issue_repeat(self, line, count, write, phase, bucket) -> None:
-        if phase > self._phase:
-            self._phase = phase
-            self._phase_start = self._op_end
-        done = self.dram.access_repeat(line, count, write, self._phase_start)
         if done > self._op_end:
             self._op_end = done
 

@@ -145,13 +145,6 @@ class RecordingSink(MemorySink):
     def data_access_many(self, items, write):
         self.calls.append(("data_access_many", (list(items), write)))
 
-    def data_access_repeat(self, bucket, slot, level, count, write,
-                           onchip=False):
-        self.calls.append((
-            "data_access_repeat",
-            (bucket, slot, level, count, write, onchip),
-        ))
-
     def metadata_access_many(self, items, write, blocks=1):
         self.calls.append(
             ("metadata_access_many", (list(items), write, blocks))
@@ -164,9 +157,10 @@ def recorded_ab_stream(accesses: int = 300) -> tuple:
 
     Recorded from an AB controller with a treetop and live rentals
     (on-chip items, remote items and all-on-chip batches occur
-    naturally), followed by one hand-written operation holding the
-    shapes that run never produces: ``blocks=2`` metadata, an empty
-    batch, ``count=0`` repeats, a mid-op stall.
+    naturally, and every reshuffle reports its read phase as Z' copies
+    of one slot-0 item), followed by one hand-written operation holding
+    the shapes that run never produces: ``blocks=2`` metadata, an empty
+    batch, a mid-op stall.
     """
     cfg = tiny_ab_config(levels=7, treetop_levels=2)
     rec = RecordingSink()
@@ -183,20 +177,17 @@ def recorded_ab_stream(accesses: int = 300) -> tuple:
         ("metadata_access_many",
          ([(bottom, lv, False), (0, 0, True)], False, 2)),
         ("data_access_many", ([], False)),
-        ("data_access_repeat", (bottom, 0, lv, 0, False, False)),
-        ("data_access_repeat", (bottom, 0, lv, 3, False, False)),
+        ("data_access_many", ([(bottom, 0, lv, False, False)] * 3, False)),
         ("stall", (12.5,)),
-        ("data_access_repeat", (0, 0, 0, 2, True, True)),
         ("data_access_many",
          ([(bottom, 1, lv, False, True), (0, 0, 0, True, False)], True)),
-        ("data_access_repeat", (bottom, 0, lv, 0, True, False)),
         ("metadata_access_many", ([(bottom, lv, False)], True, 2)),
         ("end_op", ()),
     )
 
 
 def replay_stream(sink, stream, scalar: bool = False) -> None:
-    """Drive ``stream`` into ``sink`` through the three primitives, or
+    """Drive ``stream`` into ``sink`` through the two primitives, or
     (``scalar``) one ``data_access``/``metadata_access`` per touch.
     Clocked sinks get a CPU gap before every operation; 37.5 ns keeps
     every timestamp on the DDR timings' 1/4-ns grid, where float sums
@@ -211,10 +202,6 @@ def replay_stream(sink, stream, scalar: bool = False) -> None:
             for bucket, slot, level, onchip, remote in items:
                 sink.data_access(bucket, slot, level, write,
                                  onchip=onchip, remote=remote)
-        elif name == "data_access_repeat":
-            bucket, slot, level, count, write, onchip = args
-            for _ in range(count):
-                sink.data_access(bucket, slot, level, write, onchip=onchip)
         else:
             items, write, blocks = args
             for bucket, level, onchip in items:

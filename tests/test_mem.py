@@ -275,8 +275,8 @@ class TestTreeLayout:
 
 
 class TestEntryPointsAgree:
-    """``access_lines``, ``access`` and ``access_repeat`` are the
-    byte-address loop they replaced (``conftest.ReferenceDramModel``).
+    """``access_lines`` and ``access`` are the byte-address loop they
+    replaced (``conftest.ReferenceDramModel``).
 
     Seeded random streams of same-direction groups arriving together
     are driven through each entry point on fresh models; completion
@@ -317,7 +317,7 @@ class TestEntryPointsAgree:
         return groups
 
     @staticmethod
-    def _drive(groups, window, how, drained=False):
+    def _drive(groups, window, how):
         from dataclasses import asdict
 
         from tests.conftest import ReferenceDramModel
@@ -326,18 +326,12 @@ class TestEntryPointsAgree:
             window=window)
         done = []
         for addrs, write, arrival in groups:
-            if drained:
-                # Nothing in flight: arrive after every completion.
-                arrival = max([arrival] + done)
             lines = [a // am.LINE_BYTES for a in addrs]
             if how == "reference":
                 done.append(dram.access_batch(addrs, write, arrival))
             elif how == "access":
                 done.append(max(dram.access(a, write, arrival)
                                 for a in addrs))
-            elif how == "repeat" and len(set(lines)) == 1:
-                done.append(dram.access_repeat(lines[0], len(lines),
-                                               write, arrival))
             else:
                 done.append(dram.access_lines(lines, write, arrival))
         return (done, asdict(dram.stats), dram.channel_busy_ns,
@@ -362,26 +356,3 @@ class TestEntryPointsAgree:
         groups = self._stream(seed)
         assert (self._drive(groups, window, "access")
                 == self._drive(groups, window, "reference"))
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_repeat_is_the_closed_form_of_the_loop(self, seed):
-        groups = self._stream(seed)
-        assert (self._drive(groups, None, "repeat")
-                == self._drive(groups, None, "reference"))
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_windowed_repeat_matches_the_loop_on_a_drained_bus(self, seed):
-        # Under a window the closed form reserves the whole chain as
-        # one bank and one bus interval, where the loop leaves the
-        # column-latency gaps between its bursts open to backfill --
-        # deliberately different once operations overlap. With nothing
-        # left to interleave (each group arrives at or after the bus
-        # frontier) the two must agree to the last bit.
-        groups = self._stream(seed)
-        assert (self._drive(groups, 8, "repeat", drained=True)
-                == self._drive(groups, 8, "reference", drained=True))
-
-    def test_repeat_of_nothing_is_free(self):
-        dram = DramModel()
-        assert dram.access_repeat(0, 0, False, 5.0) == 0.0
-        assert dram.stats.accesses == 0

@@ -439,6 +439,16 @@ class TestShardedChaos:
             assert sum(s["requests"] for s in sim["shards"]) \
                 == sim["requests"]
 
+    def test_sim_ns_is_the_slowest_shard_window(self, artifacts):
+        # Each shard's clock starts where its own population left it, so
+        # the makespan is the slowest shard's end - start (run_fleet's
+        # rule), never a difference across two shards' clocks.
+        for cell in artifacts["serial"]["doc"]["cells"]:
+            sim = cell["sim"]
+            assert sim["sim_ns"] == max(
+                s["end_ns"] - s["start_ns"] for s in sim["shards"]
+            ), cell["name"]
+
     def test_tamper_cell_degrades_and_detects(self, artifacts):
         cells = {c["name"]: c for c in artifacts["serial"]["doc"]["cells"]}
         sim = cells["tamper"]["sim"]

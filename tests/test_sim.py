@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core import schemes
-from repro.mem.address_map import LINE_BYTES
+from repro.mem.address_map import (
+    BANK_MASK, BANK_SHIFT, CHANNEL_MASK, LINE_BYTES,
+)
 from repro.mem.dram import DramModel
 from repro.mem.layout import TreeLayout
 from repro.oram.stats import OpKind
-from repro.sim.engine import DramSink, SimConfig, simulate
+from repro.sim.engine import DRAM_WINDOW, DramSink, SimConfig, simulate
 from repro.sim.results import breakdown_fractions, geomean
 from repro.sim.runner import make_trace, run_suite, suite_benchmarks
 from repro.traces.spec import spec_trace
@@ -53,6 +55,47 @@ class TestDramSink:
         assert issued == [layout.data_addr(5, 3) // LINE_BYTES,
                           layout.meta_addr(5, 0) // LINE_BYTES,
                           layout.meta_addr(5, 1) // LINE_BYTES]
+
+    def test_windowed_burst_leaves_its_gaps_to_other_banks(
+            self, small_schemes):
+        """A reshuffle's read burst is Z' ordinary requests to one line.
+        Under a window each holds the bus for its own burst only, so a
+        read to another bank of the channel, arriving with the burst,
+        fits between two of its bursts: it completes before the
+        burst's last read."""
+        cfg = small_schemes[0]
+        layout = TreeLayout(cfg)
+        sink = DramSink(layout, DramModel(window=DRAM_WINDOW))
+        done = []
+        access_lines = sink.dram.access_lines
+
+        def spy(lines, write, arrival_ns):
+            done.append(access_lines(lines, write, arrival_ns))
+            return done[-1]
+
+        sink.dram.access_lines = spy
+
+        def channel_bank(bucket, slot):
+            line = layout.data_addr(bucket, slot) // LINE_BYTES
+            return line & CHANNEL_MASK, (line >> BANK_SHIFT) & BANK_MASK
+
+        lv = cfg.levels - 1
+        bucket = cfg.n_buckets - 1
+        z = cfg.geometry[lv].z_real
+        channel, bank = channel_bank(bucket, 0)
+        other = next(
+            (b, s) for b in range(cfg.n_buckets) for s in range(2)
+            if channel_bank(b, s)[0] == channel
+            and channel_bank(b, s)[1] != bank
+        )
+        sink.begin_op(OpKind.EVICT_PATH)
+        sink.data_access_many([(bucket, 0, lv, False, False)] * z,
+                              write=False)
+        sink.data_access_many([(*other, lv, False, False)], write=False)
+        sink.end_op()
+        burst_done, other_done = done
+        assert z > 1
+        assert other_done < burst_done
 
     def test_sink_rejects_blocks_that_are_not_one_line(self):
         """A slot is one 64B line to the timed sink."""
@@ -113,7 +156,7 @@ class TestDramSink:
 
 class TestSinkProtocolTiming:
     """One recorded op stream (see ``recorded_ab_stream``) through the
-    three primitives, through the scalar conveniences and through the
+    two primitives, through the scalar conveniences and through the
     buffered sink at depth 1: same clock, same attribution, same DRAM
     counters, compared with ``==``."""
 

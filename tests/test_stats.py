@@ -82,7 +82,7 @@ class TestCountingSink:
         sink.data_access(0, 0, 1, write=True)
         sink.metadata_access(0, 1, write=False, blocks=2)
         sink.data_access_many([(0, 0, 1, False, False)] * 2, write=False)
-        sink.data_access_repeat(0, 0, 1, 3, write=True)
+        sink.data_access_many([(0, 0, 1, False, False)] * 3, write=True)
         sink.metadata_access_many([(0, 1, False)], write=True)
         assert sink.unattributed_accesses == 9
         assert not sink.data_reads_by_level.any()
@@ -188,7 +188,7 @@ class TestOpBracketGuards:
 
 
 class TestSinkProtocol:
-    """The three primitives are the protocol; the scalar calls are the
+    """The two primitives are the protocol; the scalar calls are the
     batch of one, defined once on the base class."""
 
     def test_stream_covers_every_item_shape(self):
@@ -203,7 +203,8 @@ class TestSinkProtocol:
         assert any(it[4] for it in items), "no remote item"
         assert any(b and all(it[3] for it in b) for b in batches)
         assert any(not b for b in batches), "no empty batch"
-        assert any(a[3] == 0 for a in calls("data_access_repeat"))
+        assert any(len(b) > 1 and len(set(b)) == 1 for b in batches), \
+            "no Z'-copy burst"
         assert any(a[2] == 2 for a in calls("metadata_access_many"))
         assert {OpKind.READ_PATH, OpKind.EVICT_PATH,
                 OpKind.EARLY_RESHUFFLE} <= {a[0] for a in calls("begin_op")}
@@ -252,5 +253,5 @@ class TestSinkProtocol:
             for name in ("data_access", "metadata_access"):
                 assert name not in vars(cls), (
                     f"{cls.__module__}.{cls.__name__} overrides {name}: "
-                    "implement the *_many/_repeat primitives instead"
+                    "implement the *_many primitives instead"
                 )
