@@ -26,9 +26,7 @@ from repro.traces.spec import spec_trace
 
 
 def _simulate(cfg, trace, posmap_mode, warmup):
-    fields = (md.ab_metadata_fields(cfg) if needs_extensions(cfg)
-              else md.ring_metadata_fields(cfg))
-    layout = TreeLayout(cfg, metadata_blocks=md.metadata_blocks(cfg, fields))
+    layout = TreeLayout(cfg, metadata_blocks=md.record_blocks(cfg))
     counting = CountingSink(cfg.levels)
     dram_sink = DramSink(layout, DramModel())
     ext = RemoteAllocator(cfg) if needs_extensions(cfg) else None

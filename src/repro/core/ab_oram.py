@@ -22,15 +22,9 @@ from typing import Any, Dict, Optional, Sequence
 from repro.core import schemes as schemes_mod
 from repro.core.remote import RemoteAllocator
 from repro.oram.config import OramConfig
+from repro.oram.metadata import needs_extensions
 from repro.oram.ring import RingOram
 from repro.oram.stats import CountingSink, MemorySink
-
-
-def needs_extensions(cfg: OramConfig) -> bool:
-    """True if the configuration uses DeadQ tracking / remote allocation."""
-    return bool(cfg.deadq_levels) or any(
-        g.remote_extension > 0 for g in cfg.geometry
-    )
 
 
 def build_oram(

@@ -45,9 +45,12 @@ operation is scheduled as a unit:
   nothing for buffering).
 
 Operations are issued to the DRAM model in program order with
-possibly-earlier arrival stamps; the model's bank/bus frontiers only
-move forward, so earlier-issued operations are never retroactively
-delayed (a conservative, causal approximation). Two consequences are
+possibly-earlier arrival stamps. The model runs windowed, so each
+request is placed into the earliest free slot of its bank's and its
+channel bus's interval ledgers at or after its ready time: a later
+call may backfill a gap that an earlier call left open. A placed
+request is never moved later, so earlier-issued operations are never
+retroactively delayed (a causal approximation). Two consequences are
 documented rather than hidden: summed per-kind operation times can
 exceed ``exec_ns`` once operations overlap, and ``now`` is the
 completion frontier advanced by CPU pacing, so an idle ``advance``

@@ -100,6 +100,29 @@ def metadata_blocks(cfg: OramConfig, fields: List[MetadataField]) -> int:
     return max(1, math.ceil(metadata_bytes(fields) / cfg.block_bytes))
 
 
+def needs_extensions(cfg: OramConfig) -> bool:
+    """True if the configuration uses DeadQ tracking / remote allocation."""
+    return bool(cfg.deadq_levels) or any(
+        g.remote_extension > 0 for g in cfg.geometry
+    )
+
+
+def record_blocks(cfg: OramConfig) -> int:
+    """64B blocks of one bucket's metadata record under ``cfg``.
+
+    The one home of the record width: AB-ORAM's fields when the config
+    uses the extensions, Ring ORAM's otherwise. The controller's
+    ``metadata_blocks`` and the DRAM layout's stride both come from it,
+    so the lines the sink steps through match the blocks the controller
+    reports.
+    """
+    fields = (
+        ab_metadata_fields(cfg) if needs_extensions(cfg)
+        else ring_metadata_fields(cfg)
+    )
+    return metadata_blocks(cfg, fields)
+
+
 def table1(cfg: OramConfig) -> Dict[str, Dict[str, object]]:
     """Reproduce Table I: field -> {ring_bits, ab_bits, category, function}."""
     ring = {f.name: f for f in ring_metadata_fields(cfg)}

@@ -51,6 +51,7 @@ from repro.oram.bucket import (
     BucketStore, DUMMY, ST_DEAD, ST_QUEUED, ST_REFRESHED,
 )
 from repro.oram.config import OramConfig
+from repro.oram.metadata import record_blocks
 from repro.oram.observer import HOOKS, hears
 from repro.oram.position_map import PositionMap
 from repro.oram.plb import RecursivePosMap
@@ -206,11 +207,7 @@ class RingOram:
         self.background_accesses = 0
         if self.ext is not None:
             self.ext.bind(self)
-            from repro.oram.metadata import ab_metadata_fields, metadata_blocks
-            self.metadata_blocks = metadata_blocks(cfg, ab_metadata_fields(cfg))
-        else:
-            from repro.oram.metadata import metadata_blocks, ring_metadata_fields
-            self.metadata_blocks = metadata_blocks(cfg, ring_metadata_fields(cfg))
+        self.metadata_blocks = record_blocks(cfg)
 
     # ----------------------------------------------------------- public API
 

@@ -30,13 +30,13 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.core.ab_oram import build_oram, needs_extensions
+from repro.core.ab_oram import build_oram
 from repro.mem.address_map import LINE_BYTES
 from repro.mem.dram import DramModel
 from repro.mem.layout import TreeLayout
 from repro.mem.timing import DDR3_1600, DramTiming
-from repro.oram import metadata as md
 from repro.oram.config import OramConfig
+from repro.oram.metadata import record_blocks
 from repro.oram.recovery import RobustnessConfig
 from repro.oram.ring import RingOram
 from repro.oram.stats import MemorySink, OpKind
@@ -284,12 +284,7 @@ def build_oram_stack(
     """
     if pipeline_depth < 1:
         raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
-    # The layout must account for the scheme's metadata record width.
-    fields = (
-        md.ab_metadata_fields(cfg) if needs_extensions(cfg)
-        else md.ring_metadata_fields(cfg)
-    )
-    layout = TreeLayout(cfg, metadata_blocks=md.metadata_blocks(cfg, fields))
+    layout = TreeLayout(cfg, metadata_blocks=record_blocks(cfg))
     if pipeline_depth > 1:
         from repro.core.pipeline import PipelinedDramSink
         dram_sink: DramSink = PipelinedDramSink(

@@ -1,7 +1,7 @@
-"""The :class:`Telemetry` handle: one run's tracing + metrics state.
+"""The :class:`Telemetry` handle: one run's spans and snapshot stream.
 
-A ``Telemetry`` object owns a :class:`~repro.telemetry.metrics
-.MetricsRegistry`, a span list and (optionally) two output files:
+A ``Telemetry`` object owns a span list and (optionally) two output
+files:
 
 - ``trace_path`` -- Chrome trace-event JSON with one complete event per
   protocol operation (readPath / evictPath / earlyReshuffle / ...),
@@ -9,8 +9,8 @@ A ``Telemetry`` object owns a :class:`~repro.telemetry.metrics
 - ``metrics_path`` -- a JSONL stream: one ``meta`` line, one
   ``snapshot`` line per periodic capture (stash occupancy, per-level
   DeadQ depth, remote rentals outstanding, reshuffle counts) and one
-  final ``summary`` line with the full registry snapshot plus per-op
-  span totals.
+  final ``summary`` line with each op's span count, total and exact
+  p50/p95/p99 (``np.percentile`` over the span list).
 
 Telemetry *observes*: attaching it never changes protocol behaviour,
 RNG streams or DRAM timing, so a telemetry-on run's
@@ -26,12 +26,13 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
-from repro.telemetry.metrics import Histogram, MetricsRegistry
+import numpy as np
+
 from repro.telemetry.spans import Process, Span, trace_doc, write_trace
 
 
 class Telemetry:
-    """Tracing + metrics collection for one simulation run."""
+    """Span + snapshot collection for one simulation run."""
 
     def __init__(
         self,
@@ -46,14 +47,11 @@ class Telemetry:
         self.metrics_path = metrics_path
         self.metrics_every = metrics_every
         self.meta: Dict[str, Any] = dict(meta or {})
-        self.registry = MetricsRegistry()
         #: The run's one trace process: the sink's op spans on tid 0,
         #: plus any tracks a producer adds (the pipelined sink's lanes).
         self.process = Process(0, "repro-sim")
         self.spans: List[Span] = self.process.spans
         self.snapshots = 0
-        self._span_counters: Dict[str, Any] = {}
-        self._span_hists: Dict[str, Histogram] = {}
         self._metrics_file: Optional[Any] = None
         self._closed = False
 
@@ -62,52 +60,15 @@ class Telemetry:
     def record_span(self, name: str, start_ns: float, dur_ns: float) -> None:
         """One finished protocol operation (called by the sink)."""
         self.spans.append((name, start_ns, dur_ns))
-        c = self._span_counters.get(name)
-        if c is None:
-            c = self._span_counters[name] = self.registry.counter(f"ops.{name}")
-            self._span_hists[name] = self.registry.histogram(f"op_ns.{name}")
-        c.inc()
-        self._span_hists[name].observe(dur_ns)
 
     # ------------------------------------------------------------ snapshots
 
     def record_snapshot(self, record: Dict[str, Any]) -> None:
-        """Capture one periodic state snapshot into gauges + the stream.
+        """Count one periodic state snapshot and write it to the stream.
 
         ``record`` carries the simulation-state fields (built by
-        :meth:`Simulation.telemetry_record`); the well-known ones are
-        mirrored into registry gauges so the final summary carries
-        their last/max values even without parsing the stream.
+        :meth:`Simulation.telemetry_record`).
         """
-        reg = self.registry
-        for key, gauge_name in (
-            ("stash_occupancy", "stash.occupancy"),
-            ("stash_peak", "stash.peak"),
-            ("rentals_outstanding", "rentals.outstanding"),
-            ("reshuffles_total", "reshuffles.total"),
-            ("evictions", "evictions.total"),
-        ):
-            if key in record:
-                reg.gauge(gauge_name).set(record[key])
-        for lv, depth in record.get("deadq_depth", {}).items():
-            reg.gauge(f"deadq.depth.L{lv}").set(depth)
-        if "dram_stalled_ns" in record:
-            reg.gauge("dram.stalled_ns").set(record["dram_stalled_ns"])
-        dram = record.get("dram")
-        if dram:
-            busy = dram.get("channel_busy_ns", ())
-            for ch, ns in enumerate(busy):
-                reg.gauge(f"dram.channel_busy_ns.ch{ch}").set(ns)
-            if busy:
-                reg.gauge("dram.channel_busy_ns.max").set(max(busy))
-            for key in ("bank_busy_peak_ns", "queue_depth_peak",
-                        "queue_depth_mean"):
-                if key in dram:
-                    reg.gauge(f"dram.{key}").set(dram[key])
-        for name, value in (record.get("pipeline") or {}).items():
-            reg.gauge(f"pipeline.{name}").set(value)
-        for name, value in record.get("recovery", {}).items():
-            reg.gauge(f"recovery.{name}").set(value)
         self.snapshots += 1
         self._write_line({"type": "snapshot", **record})
 
@@ -128,13 +89,24 @@ class Telemetry:
         f.write("\n")
 
     def span_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-op totals: count and summed duration, sorted by name."""
-        out: Dict[str, Dict[str, float]] = {}
+        """Per-op count, summed duration and exact p50/p95/p99, by name."""
+        durs: Dict[str, List[float]] = {}
         for name, _start, dur in self.spans:
-            entry = out.setdefault(name, {"count": 0, "total_ns": 0.0})
-            entry["count"] += 1
-            entry["total_ns"] += dur
-        return {name: out[name] for name in sorted(out)}
+            durs.setdefault(name, []).append(dur)
+        out: Dict[str, Dict[str, float]] = {}
+        for name in sorted(durs):
+            # Left to right, not sum(): Python 3.12's sum() compensates
+            # float rounding, and total_ns must not move with the version.
+            total = 0.0
+            for dur in durs[name]:
+                total += dur
+            p50, p95, p99 = np.percentile(durs[name], (50, 95, 99))
+            out[name] = {
+                "count": len(durs[name]), "total_ns": total,
+                "p50_ns": float(p50), "p95_ns": float(p95),
+                "p99_ns": float(p99),
+            }
+        return out
 
     def close(self) -> None:
         """Flush the summary line, the trace file, and close outputs."""
@@ -145,7 +117,6 @@ class Telemetry:
             "type": "summary",
             "snapshots": self.snapshots,
             "spans": self.span_summary(),
-            "metrics": self.registry.snapshot(),
         })
         if self._metrics_file is not None:
             self._metrics_file.close()

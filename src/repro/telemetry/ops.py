@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-import numpy as np
+from repro.telemetry.slo import p50_p99
 
 
 class OpsSampler:
@@ -70,6 +70,7 @@ class OpsSampler:
         self._attributed += len(fresh)
         served = [c.latency_ns for c in fresh if c.status == "ok"]
         window_s = self.window_ns / 1e9
+        p50, p99 = p50_p99(served)
         record = {
             "type": "snapshot",
             "cell": self.cell,
@@ -80,12 +81,8 @@ class OpsSampler:
             "window_requests": len(fresh),
             "window_ok": len(served),
             "throughput_rps": len(fresh) / window_s,
-            "p50_ns": (
-                float(np.percentile(served, 50)) if served else 0.0
-            ),
-            "p99_ns": (
-                float(np.percentile(served, 99)) if served else 0.0
-            ),
+            "p50_ns": p50,
+            "p99_ns": p99,
         }
         record.update(self._state)
         self.records.append(record)

@@ -10,8 +10,9 @@ workload and replays byte-identically at any worker count.
 Three rule kinds cover the campaign gates the chaos harness already
 enforces offline:
 
-- ``latency_p99``   -- the window's served-request p99 (estimated from
-  a log-bucketed histogram) must stay under ``threshold`` ns.
+- ``latency_p99``   -- the window's served-request p99
+  (``np.percentile`` over the window's served latencies) must stay
+  under ``threshold`` ns.
 - ``availability``  -- the window's served fraction must stay above the
   ``threshold`` floor. The **burn rate** is the classic error-budget
   ratio ``(1 - availability) / (1 - floor)``: burn 1.0 spends budget
@@ -32,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.metrics import Histogram, default_time_buckets
+import numpy as np
+
 from repro.telemetry.spans import Event, instant_event
 
 #: Rule kinds the engine evaluates.
@@ -121,16 +123,15 @@ class SloEngine:
             raise ValueError(f"duplicate rule names: {names}")
         self.rules = tuple(rules)
         self.window_ns = float(window_ns)
-        self._bounds = default_time_buckets()
-        #: Cumulative served-latency histogram (the merge-property
-        #: anchor: shard-wise folds of this must equal a serial fold).
-        self.hist = Histogram(self._bounds)
+        #: Every served latency, in fold order (the merge-property
+        #: anchor: a fleet fold of this must equal a serial fold).
+        self.served: List[float] = []
         self.requests = 0
         self.ok = 0
         self.records: List[Dict[str, Any]] = []
         self.alerts: List[Dict[str, Any]] = []
         self._win: Optional[int] = None
-        self._win_hist = Histogram(self._bounds)
+        self._win_served: List[float] = []
         self._win_requests = 0
         self._win_ok = 0
         self._last_ns = float("-inf")
@@ -159,8 +160,8 @@ class SloEngine:
         if ok:
             self.ok += 1
             self._win_ok += 1
-            self.hist.observe(latency_ns)
-            self._win_hist.observe(latency_ns)
+            self.served.append(latency_ns)
+            self._win_served.append(latency_ns)
 
     def _burn(self, rule: SloRule, availability: float, p99: float) -> float:
         if rule.kind == "latency_p99":
@@ -176,8 +177,7 @@ class SloEngine:
         idx = self._win
         end_ns = (idx + 1) * self.window_ns
         availability = self._win_ok / self._win_requests
-        p50 = self._win_hist.quantile(0.5)
-        p99 = self._win_hist.quantile(0.99)
+        p50, p99 = p50_p99(self._win_served)
         burns = {
             r.name: self._burn(r, availability, p99)
             for r in self.rules if r.kind != "detection_rate"
@@ -222,7 +222,7 @@ class SloEngine:
         self.alerts.append(record)
 
     def _reset_window(self) -> None:
-        self._win_hist = Histogram(self._bounds)
+        self._win_served = []
         self._win_requests = 0
         self._win_ok = 0
 
@@ -254,6 +254,7 @@ class SloEngine:
                         end_ns, rate, burn,
                     )
         availability = self.ok / self.requests if self.requests else 1.0
+        p50, p99 = p50_p99(self.served)
         return {
             "rules": [r.to_dict() for r in self.rules],
             "window_ns": self.window_ns,
@@ -263,8 +264,8 @@ class SloEngine:
             "requests": self.requests,
             "ok": self.ok,
             "availability": availability,
-            "p50_ns": self.hist.quantile(0.5),
-            "p99_ns": self.hist.quantile(0.99),
+            "p50_ns": p50,
+            "p99_ns": p99,
             "alerts": len(self.alerts),
         }
 
@@ -282,6 +283,18 @@ class SloEngine:
                 },
             ))
         return out
+
+
+def p50_p99(latencies: Sequence[float]) -> Tuple[float, float]:
+    """Exact p50 and p99 of ``latencies``; zeros when nothing was served.
+
+    The one quantile rule of the SLO windows, the run summary and the
+    ops stream's per-window snapshots.
+    """
+    if not latencies:
+        return 0.0, 0.0
+    p50, p99 = np.percentile(latencies, (50, 99))
+    return float(p50), float(p99)
 
 
 def fold_completions(
@@ -306,4 +319,5 @@ __all__ = [
     "SloRule",
     "default_slo_rules",
     "fold_completions",
+    "p50_p99",
 ]

@@ -2,8 +2,8 @@
 
 The stream format (written by :class:`~repro.telemetry.handle
 .Telemetry`) is one JSON object per line: a ``meta`` header, zero or
-more ``snapshot`` records, and a trailing ``summary`` with the final
-registry state and per-op span totals. ``repro telemetry view`` feeds a
+more ``snapshot`` records, and a trailing ``summary`` with each op's
+span count, total and exact quantiles. ``repro telemetry view`` feeds a
 stream through :func:`render_stream` for a quick look without firing up
 Perfetto.
 """
@@ -14,7 +14,6 @@ import json
 from typing import Any, Dict, List
 
 from repro.analysis.report import render_mapping_table
-from repro.telemetry.metrics import quantiles_from_snapshot
 
 
 def load_stream(path: str) -> Dict[str, Any]:
@@ -73,22 +72,18 @@ def load_stream(path: str) -> Dict[str, Any]:
 
 def _span_rows(summary: Dict[str, Any]) -> List[Dict[str, Any]]:
     rows: List[Dict[str, Any]] = []
-    metrics = summary.get("metrics", {})
-    hists = metrics.get("histograms", {})
     for op, entry in summary.get("spans", {}).items():
         count = int(entry["count"])
         total = float(entry["total_ns"])
-        row: Dict[str, Any] = {
+        rows.append({
             "op": op,
             "spans": count,
             "total_ns": total,
             "mean_ns": total / count if count else 0.0,
-        }
-        hist = hists.get(f"op_ns.{op}")
-        if hist:
-            p50, p95, p99 = quantiles_from_snapshot(hist)
-            row.update({"p50_ns": p50, "p95_ns": p95, "p99_ns": p99})
-        rows.append(row)
+            "p50_ns": entry["p50_ns"],
+            "p95_ns": entry["p95_ns"],
+            "p99_ns": entry["p99_ns"],
+        })
     return rows
 
 
@@ -291,13 +286,6 @@ def render_stream(path: str) -> str:
     if slo_rows:
         parts.append(render_mapping_table(
             slo_rows, title="SLO alerts (error-budget burn)"))
-    counters = stream["summary"].get("metrics", {}).get("counters", {})
-    event_rows = [
-        {"counter": name, "count": value}
-        for name, value in counters.items() if not name.startswith("ops.")
-    ]
-    if event_rows:
-        parts.append(render_mapping_table(event_rows, title="Counters"))
     if not parts:
         return f"{path}: empty telemetry stream"
     return "\n\n".join(parts)

@@ -706,21 +706,9 @@ class TestServerCloseBounded:
             future.result(timeout=1)
 
 
-# --------------------------------------------------- telemetry mirror (PR)
+# ------------------------------------------------------ recovery telemetry
 
 class TestRecoveryTelemetry:
-    def test_snapshot_mirrors_recovery_gauges(self):
-        from repro.telemetry import Telemetry
-        t = Telemetry()
-        t.record_snapshot({
-            "recovery": {"retries": 3, "quarantines": 1},
-            "dram_stalled_ns": 42.0,
-        })
-        reg = t.registry
-        assert reg.gauge("recovery.retries").value == 3
-        assert reg.gauge("recovery.quarantines").value == 1
-        assert reg.gauge("dram.stalled_ns").value == 42.0
-
     def test_simulation_record_carries_recovery_fields(self):
         from repro.core import schemes as schemes_mod
         from repro.sim.engine import SimConfig, Simulation

@@ -10,10 +10,12 @@ from repro.core import schemes
 from repro.core.ab_oram import build_oram
 from repro.mem.timing import IDEAL_BUS
 from repro.oram.bucket import SlotStatus
+from repro.oram.metadata import record_blocks
 from repro.oram.ring import ProtocolError, RingOram
 from repro.oram.stats import CountingSink, OpKind
 from repro.oram.tree import position_of, reverse_lexicographic_leaf
 from repro.sim import SimConfig, simulate
+from repro.sim.engine import build_oram_stack
 from repro.traces.spec import spec_trace
 
 
@@ -30,6 +32,19 @@ class TestMetadataWidth:
     def test_narrow_metadata_single_block(self, cfg_small):
         oram = build_oram(cfg_small)
         assert oram.metadata_blocks == 1
+
+    @pytest.mark.parametrize("cfg", [
+        tiny_config(levels=6),
+        tiny_ab_config(levels=6),
+        tiny_ab_config(levels=6, max_remote_slots=120),
+    ], ids=["ring", "ab", "ab-wide"])
+    def test_stack_layout_stride_is_the_controller_width(self, cfg):
+        # The sink steps through metadata lines by the layout's stride
+        # while the controller reports its own block count: both come
+        # from metadata.record_blocks, so they cannot disagree.
+        stack = build_oram_stack(cfg, seed=0, key_domain=b"width")
+        assert stack.dram_sink.layout.metadata_blocks \
+            == stack.oram.metadata_blocks == record_blocks(cfg)
 
 
 class TestTreetopExtremes:

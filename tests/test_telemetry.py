@@ -1,7 +1,7 @@
 """Tests for the telemetry subsystem (repro.telemetry).
 
-Covers the metrics registry and its snapshots, the Telemetry handle's
-JSONL + Chrome-trace outputs, the traced DramSink's observe-only
+Covers the Telemetry handle's span summary and its JSONL +
+Chrome-trace outputs, the traced DramSink's observe-only
 guarantee (bit-identical simulation results), and the shared stderr
 progress helper.
 """
@@ -10,6 +10,7 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
 from repro.core import schemes as schemes_mod
@@ -18,11 +19,9 @@ from repro.sim.runner import make_trace
 from repro.telemetry import (
     Telemetry,
     load_stream,
-    quantiles_from_snapshot,
     render_stream,
     stderr_progress,
 )
-from repro.telemetry.metrics import Histogram, MetricsRegistry
 
 
 LEVELS = 9
@@ -34,78 +33,6 @@ def _small_sim(telemetry=None):
     cfg = schemes_mod.by_name("ab", LEVELS)
     trace = make_trace("spec", "mcf", cfg.n_real_blocks, REQUESTS, seed=SEED)
     return Simulation(cfg, trace, SimConfig(seed=SEED), telemetry=telemetry)
-
-
-class TestInstruments:
-    def test_counter_inc(self):
-        reg = MetricsRegistry()
-        c = reg.counter("x")
-        for _ in range(6):
-            c.inc()
-        assert c.value == 6
-        assert reg.counter("x") is c  # get-or-create returns the same
-
-    def test_gauge_tracks_max(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("g")
-        for v in (3, 9, 2):
-            g.set(v)
-        assert g.value == 2.0
-        assert g.max == 9.0
-
-    def test_histogram_buckets_and_mean(self):
-        h = Histogram(bounds=(10.0, 100.0))
-        for v in (5, 50, 500):
-            h.observe(v)
-        assert h.counts == [1, 1, 1]   # one per bucket incl. overflow
-        assert h.count == 3
-        assert h.sum / h.count == pytest.approx(555 / 3)
-
-    def test_histogram_quantile_interpolates(self):
-        h = Histogram(bounds=(10.0, 20.0))
-        for _ in range(10):
-            h.observe(15.0)            # all in the (10, 20] bucket
-        assert 10.0 <= h.quantile(0.5) <= 20.0
-        assert h.quantile(0.0) >= 0.0
-        assert h.quantile(1.0) == 20.0
-
-    def test_histogram_overflow_reports_last_bound(self):
-        h = Histogram(bounds=(1.0, 2.0))
-        h.observe(99.0)
-        assert h.quantile(0.5) == 2.0
-
-    def test_histogram_rejects_bad_bounds(self):
-        with pytest.raises(ValueError, match="ascending"):
-            Histogram(bounds=(2.0, 1.0))
-
-    def test_histogram_empty_bounds_fall_back_to_defaults(self):
-        from repro.telemetry import default_time_buckets
-        assert Histogram(bounds=()).bounds == default_time_buckets()
-
-    def test_quantile_range_checked(self):
-        with pytest.raises(ValueError, match="quantile"):
-            Histogram(bounds=(1.0,)).quantile(1.5)
-
-
-class TestSnapshotMerge:
-    def test_snapshot_is_sorted_and_json_able(self):
-        reg = MetricsRegistry()
-        reg.counter("zeta").inc()
-        reg.counter("alpha").inc()
-        reg.gauge("g").set(7)
-        reg.histogram("h").observe(0.5)
-        snap = reg.snapshot()
-        assert list(snap["counters"]) == ["alpha", "zeta"]
-        json.dumps(snap)  # plain data, round-trippable
-
-    def test_quantiles_from_snapshot(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h")
-        for _ in range(100):
-            h.observe(100.0)           # all in the (64, 128] bucket
-        entry = reg.snapshot()["histograms"]["h"]
-        p50, p95, p99 = quantiles_from_snapshot(entry)
-        assert 64.0 <= p50 <= p95 <= p99 <= 128.0
 
 
 class TestTracingSink:
@@ -144,9 +71,10 @@ class TestTracingSink:
     def test_span_counters_match_span_list(self):
         t = Telemetry()
         _small_sim(telemetry=t).run()
-        counters = t.registry.snapshot()["counters"]
-        for name, entry in t.span_summary().items():
-            assert counters[f"ops.{name}"] == entry["count"]
+        summary = t.span_summary()
+        assert sum(e["count"] for e in summary.values()) == len(t.spans)
+        for name, entry in summary.items():
+            assert entry["count"] == sum(1 for s in t.spans if s[0] == name)
 
 
 class TestTelemetryHandle:
@@ -174,7 +102,14 @@ class TestTelemetryHandle:
         assert stream["meta"]["scheme"] == "ab"
         # 150 requests at cadence 50 -> 3 periodic + 1 final snapshot.
         assert len(stream["snapshots"]) == 4
-        assert stream["summary"]["metrics"]["counters"]["ops.readPath"] > 0
+        assert "metrics" not in stream["summary"]
+        spans = stream["summary"]["spans"]
+        assert spans["readPath"]["count"] > 0
+        for name, entry in spans.items():
+            durs = [d for n, _, d in t.spans if n == name]
+            assert entry["count"] == len(durs)
+            for q in (50, 95, 99):
+                assert entry[f"p{q}_ns"] == float(np.percentile(durs, q))
 
     def test_snapshots_carry_protocol_state(self, tmp_path):
         metrics_path = tmp_path / "m.jsonl"
@@ -186,10 +121,6 @@ class TestTelemetryHandle:
         assert last["stash_peak"] >= last["stash_occupancy"] >= 0
         assert last["deadq_depth"], "AB run must report DeadQ depths"
         assert last["reshuffles_total"] > 0
-        gauges = t.registry.snapshot()["gauges"]
-        assert gauges["stash.peak"]["value"] == last["stash_peak"]
-        for lv, depth in last["deadq_depth"].items():
-            assert gauges[f"deadq.depth.L{lv}"]["value"] == depth
 
     def test_metrics_every_zero_disables_periodic(self, tmp_path):
         metrics_path = tmp_path / "m.jsonl"
@@ -234,16 +165,19 @@ class TestTelemetryHandle:
 
 
 class TestSimulateHelper:
-    def test_ring_run_reports_well_formed_telemetry(self):
+    def test_ring_run_reports_well_formed_telemetry(self, tmp_path):
         cfg = schemes_mod.by_name("ring", LEVELS)
         trace = make_trace("spec", "mcf", cfg.n_real_blocks, 60, seed=0)
-        t = Telemetry()
+        metrics_path = tmp_path / "ring.jsonl"
+        t = Telemetry(metrics_path=str(metrics_path))
         result = Simulation(cfg, trace, SimConfig(seed=0), telemetry=t).run()
+        t.close()
         assert result.exec_ns > 0
         assert t.spans
         # Ring has no extension machinery; snapshots still well-formed.
-        assert t.registry.snapshot()["gauges"]["rentals.outstanding"] == {
-            "value": 0.0, "max": 0.0}
+        snapshots = load_stream(str(metrics_path))["snapshots"]
+        assert snapshots
+        assert all(s["rentals_outstanding"] == 0 for s in snapshots)
 
 
 class TestStderrProgress:
