@@ -193,7 +193,7 @@ shard-smoke:
 # CI observability smoke: the chaos campaign as a 4-shard fleet with
 # the full observability plane on -- one merged Perfetto trace
 # (per-shard process tracks, router flow events, control/SLO
-# timelines), the streaming SLO JSONL and the per-shard ops stream.
+# timelines), the SLO window JSONL and the per-shard ops stream.
 # Gates: the merged trace must pass the flow/process schema checks; a
 # --workers 2 rerun must reproduce the deterministic report view AND
 # the trace file byte-for-byte; the recorded ops stream must render

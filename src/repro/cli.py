@@ -69,6 +69,7 @@ import numpy as np
 from repro.analysis.report import render_mapping_table
 from repro.analysis.space import space_table, utilization_table
 from repro.core import schemes as schemes_mod
+from repro.oram.config import MIN_LEVELS
 from repro.sim import SimConfig
 from repro.sim.results import breakdown_fractions
 from repro.sim.runner import make_trace, run_suite, suite_benchmarks
@@ -95,6 +96,12 @@ def cmd_space(args: argparse.Namespace) -> int:
         title="Space utilization",
     ))
     return 0
+
+
+def _refuse(problem: Any) -> int:
+    """Print ``problem`` as the command's one ``error:`` line; exit 2."""
+    print(f"error: {problem}", file=sys.stderr)
+    return 2
 
 
 def _simulate_telemetry(args: argparse.Namespace):
@@ -153,10 +160,9 @@ def _simulate_sharded(args: argparse.Namespace) -> int:
     ]
     bad = [flag for flag, on in incompatible if on]
     if bad:
-        print(f"error: --shards cannot be combined with {', '.join(bad)} "
-              "(shards are independent plain simulations; run those flags "
-              "against a single tree)", file=sys.stderr)
-        return 2
+        return _refuse(f"--shards cannot be combined with {', '.join(bad)} "
+                       "(shards are independent plain simulations; run "
+                       "those flags against a single tree)")
     cfg = schemes_mod.by_name(args.scheme, args.levels)
     trace = make_trace(args.suite, args.bench, cfg.n_real_blocks,
                        args.requests, args.seed)
@@ -167,8 +173,7 @@ def _simulate_sharded(args: argparse.Namespace) -> int:
             workers=args.workers, progress=stderr_progress,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(exc)
     merged = outcome.merged_sim_block()
     print(render_mapping_table(
         [{
@@ -203,34 +208,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim.engine import Simulation
 
     if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
+        return _refuse(f"--shards must be >= 1, got {args.shards}")
     problem = None if args.resume else _simulate_arg_error(args)
     if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
+        return _refuse(problem)
     if args.shards > 1:
         return _simulate_sharded(args)
     ckpt_path = args.checkpoint or args.resume
     if args.checkpoint_every and not ckpt_path:
-        print("error: --checkpoint-every requires --checkpoint PATH "
-              "(or --resume)", file=sys.stderr)
-        return 2
+        return _refuse("--checkpoint-every requires --checkpoint PATH "
+                       "(or --resume)")
     telemetry = _simulate_telemetry(args)
     if telemetry is not None and (args.resume or args.checkpoint_every):
         # Checkpoints pickle the whole Simulation; telemetry holds open
         # file handles and a half-written stream.
-        print("error: --trace-out/--metrics-out cannot be combined with "
-              "checkpointing or --resume", file=sys.stderr)
-        return 2
+        return _refuse("--trace-out/--metrics-out cannot be combined with "
+                       "checkpointing or --resume")
     if args.resume:
         from repro.sim.checkpoint import load_checkpoint
         try:
             simulation = load_checkpoint(args.resume)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _refuse(exc)
         print(f"resumed {args.resume} at request {simulation.position}"
               f"/{len(simulation.trace)}", file=sys.stderr)
     else:
@@ -258,8 +257,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             if telemetry is not None:
                 telemetry.close()
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _refuse(exc)
     try:
         result = simulation.run(
             checkpoint_every=args.checkpoint_every,
@@ -314,8 +312,7 @@ def cmd_telemetry_view(args: argparse.Namespace) -> int:
     try:
         print(render_stream(args.file))
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(exc)
     return 0
 
 
@@ -325,14 +322,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     benches = args.benchmarks or known
     unknown = [b for b in benches if b not in known]
     if unknown:
-        print(f"error: unknown {args.suite} benchmark(s) "
-              f"{', '.join(unknown)}; choose from {', '.join(known)}",
-              file=sys.stderr)
-        return 2
+        return _refuse(f"unknown {args.suite} benchmark(s) "
+                       f"{', '.join(unknown)}; choose from {', '.join(known)}")
     if 0 < args.warmup >= args.requests:
-        print(f"error: --warmup ({args.warmup}) must be below --requests "
-              f"({args.requests})", file=sys.stderr)
-        return 2
+        return _refuse(f"--warmup ({args.warmup}) must be below --requests "
+                       f"({args.requests})")
     results = run_suite(
         cfgs,
         suite=args.suite,
@@ -431,9 +425,7 @@ def cmd_harness_run(args: argparse.Namespace) -> int:
     from repro.report import save_report, spec_for
 
     if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}",
-              file=sys.stderr)
-        return 2
+        return _refuse(f"--workers must be >= 1, got {args.workers}")
     harness = _HARNESSES[args.harness]
     module = import_module(harness.module)
     overrides = {
@@ -448,8 +440,7 @@ def cmd_harness_run(args: argparse.Namespace) -> int:
         if harness.precheck is not None:
             harness.precheck(cfg)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(exc)
     doc = getattr(module, harness.run)(cfg)
     errors = save_report(doc, args.out)
     if errors:
@@ -493,6 +484,10 @@ def cmd_serve_demo(args: argparse.Namespace) -> int:
     from repro.serve.loadgen import key_name, value_for
     from repro.serve.server import POLICY
 
+    if not 1 <= args.clients <= args.requests:
+        # Every client thread serves requests // clients operations.
+        return _refuse(f"need 1 <= --clients ({args.clients}) <= "
+                       f"--requests ({args.requests})")
     stack = build_stack(scheme=args.scheme, levels=args.levels,
                         seed=args.seed, observer=True)
     server = KVServer(stack.kv, seed=args.seed)
@@ -729,8 +724,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "per-shard, control-plane and SLO blocks, all "
                          "byte-identical at any worker count")
     sx.add_argument("--slo-out", default=None, metavar="PATH",
-                    help="write the streaming SLO engine's slo_window/"
-                         "slo_alert records as JSONL (requires --shards)")
+                    help="write the slo_window/slo_alert records derived "
+                         "from the fleet's completions as JSONL (requires "
+                         "--shards)")
     sx.add_argument("--ops-out", default=None, metavar="PATH",
                     help="write the per-shard ops stream 'repro "
                          "telemetry view' renders (requires --shards)")
@@ -811,6 +807,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv.insert(1, "bench")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Every --levels builds a tree: refuse a height no tree has up front.
+    if getattr(args, "levels", None) is not None and args.levels < MIN_LEVELS:
+        return _refuse(f"--levels must be >= {MIN_LEVELS}, got {args.levels}")
     return args.func(args)
 
 

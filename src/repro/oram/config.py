@@ -27,6 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+#: The smallest tree: a root over two leaves.
+MIN_LEVELS = 2
+
 
 @dataclass(frozen=True)
 class BucketGeometry:
@@ -113,8 +116,8 @@ class OramConfig:
     name: str = "oram"
 
     def __post_init__(self) -> None:
-        if self.levels < 2:
-            raise ValueError(f"levels must be >= 2, got {self.levels}")
+        if self.levels < MIN_LEVELS:
+            raise ValueError(f"levels must be >= {MIN_LEVELS}, got {self.levels}")
         if len(self.geometry) != self.levels:
             raise ValueError(
                 f"geometry must have one entry per level: "

@@ -54,7 +54,7 @@ from repro.serve.schema import CHAOS
 from repro.serve.stack import SCHEME
 from repro.telemetry import request_trace_doc, write_trace
 
-#: Simulated window the SLO engine and the ops sampler fold on.
+#: Simulated window width of the SLO windows and the ops snapshots.
 SLO_WINDOW_NS = 50_000.0
 
 
@@ -117,8 +117,9 @@ class ChaosConfig:
     #: the distributed trace. ``num_shards == 1`` is the exact PR-7
     #: single-stack path.
     num_shards: int = 1
-    #: JSONL output paths (sharded campaigns only): the SLO event
-    #: stream and the per-shard ops stream ``telemetry view`` renders.
+    #: JSONL output paths (sharded campaigns only): the SLO window and
+    #: alert records and the per-shard ops stream ``telemetry view``
+    #: renders.
     slo_out: Optional[str] = None
     ops_out: Optional[str] = None
 
@@ -403,30 +404,20 @@ def _chaos_shard_task(
     return _chaos_slice(cfg, cell, shard)
 
 
-def _cell_slo_rules(cell: ChaosCell) -> Tuple[Any, ...]:
-    """Derive a cell's SLO rule set from its CI gate fields."""
-    from repro.telemetry import default_slo_rules
-    deadline = cell.resilience.deadline_ns
-    return default_slo_rules(
-        min_availability=cell.min_availability,
-        p99_ns=deadline if deadline > 0 else 2_000_000.0,
-        detection=cell.expect_faults,
-    )
-
-
 def _merge_shard_cell(
     cfg: ChaosConfig,
     cell: ChaosCell,
     outputs: Sequence[Dict[str, Any]],
-) -> Tuple[Dict[str, Any], Any]:
-    """Fold one cell's shard outputs into a report cell + SLO engine.
+) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """Fold one cell's shard outputs into a report cell + SLO records.
 
     :func:`_fold_slices` plus the fleet-only blocks: the per-shard
     partials; the control block derived from every shard's serving
-    window and degraded episodes; the SLO engine
-    folding the fleet's completion stream in ``(done_ns, rid)`` order.
+    window and degraded episodes; the SLO windows derived from the
+    fleet's whole completion list under the rules the cell's CI gate
+    fields imply.
     """
-    from repro.telemetry import SloEngine, fold_completions
+    from repro.telemetry import default_slo_rules, slo_windows
 
     outputs = sorted(outputs, key=lambda o: o["partial"]["shard"])
     merged = _fold_slices(cell.name, outputs)
@@ -439,13 +430,19 @@ def _merge_shard_cell(
         )
         for o in outputs
     }, ())
-    engine = SloEngine(_cell_slo_rules(cell), SLO_WINDOW_NS)
-    fold_completions(
-        engine, [c for o in outputs for c in o["completions"]],
+    deadline = cell.resilience.deadline_ns
+    rules = default_slo_rules(
+        min_availability=cell.min_availability,
+        p99_ns=deadline if deadline > 0 else 2_000_000.0,
+        detection=cell.expect_faults,
     )
-    end_ns = max(o["partial"]["end_ns"] for o in outputs)
-    sim["slo"] = engine.finish(end_ns, detection=sim.get("detection"))
-    return merged, engine
+    records, sim["slo"] = slo_windows(
+        rules, SLO_WINDOW_NS,
+        [c for o in outputs for c in o["completions"]],
+        max(o["partial"]["end_ns"] for o in outputs),
+        detection=sim.get("detection"),
+    )
+    return merged, records
 
 
 def _write_jsonl(path: str, records: Sequence[Dict[str, Any]]) -> None:
@@ -461,7 +458,7 @@ def _run_chaos_sharded(cfg: ChaosConfig) -> List[CellResult]:
     Returns one folded result per campaign cell (an errored shard fails
     its whole cell) and writes the trace / SLO / ops artifacts.
     """
-    from repro.telemetry import ShardFragment, fleet_trace_doc
+    from repro.telemetry import ShardFragment, fleet_trace_doc, slo_instants
     from repro.telemetry.fleet import SLO_TID
 
     worker_cfg = replace(cfg, progress=None, workers=1)
@@ -492,22 +489,16 @@ def _run_chaos_sharded(cfg: ChaosConfig) -> List[CellResult]:
             folded.append(CellResult(cell.name, False, error=errors[0]))
             continue
         shard_outputs = [res.value for res in chunk]
-        merged, engine = _merge_shard_cell(cfg, cell, shard_outputs)
+        merged, slo_records = _merge_shard_cell(cfg, cell, shard_outputs)
         folded.append(CellResult(cell.name, True, merged))
-        alerts = [
-            {**r, "cell": cell.name} for r in engine.records
-            if r["type"] == "slo_alert"
-        ]
-        slo_stream.extend(
-            {**r, "cell": cell.name} for r in engine.records
-        )
+        slo_cell = [{**r, "cell": cell.name} for r in slo_records]
+        slo_stream.extend(slo_cell)
         slo_summaries[cell.name] = merged["sim"]["slo"]
-        snapshots = [
-            snap for o in shard_outputs for snap in o["ops_records"]
-        ]
-        snapshots.sort(key=lambda s: (s["window"], s["shard"]))
-        ops_stream.extend(snapshots)
-        ops_stream.extend(alerts)
+        ops_stream.extend(sorted(
+            (snap for o in shard_outputs for snap in o["ops_records"]),
+            key=lambda s: (s["window"], s["shard"]),
+        ))
+        ops_stream.extend(r for r in slo_cell if r["type"] == "slo_alert")
         if cfg.trace_out is not None and cfg.trace_cell == cell.name:
             fragments = [
                 ShardFragment(
@@ -526,7 +517,7 @@ def _run_chaos_sharded(cfg: ChaosConfig) -> List[CellResult]:
                     "num_shards": cfg.num_shards,
                 },
                 control=merged["sim"]["control"],
-                slo_instants=engine.trace_instants(SLO_TID),
+                slo_instants=slo_instants(slo_records, SLO_TID),
             )
             write_trace(doc, cfg.trace_out)
     slo_stream.append({"type": "summary", "cells": slo_summaries})
@@ -547,9 +538,9 @@ def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
 
     ``cfg.num_shards > 1`` partitions every cell over a fleet of
     independently seeded shard stacks (one spawn cell per shard), folds
-    the shard results through the control plane and the streaming SLO
-    engine, and -- for the traced cell -- merges every shard's spans
-    into one distributed Perfetto trace.
+    the shard results through the control plane, derives the SLO
+    windows from the fleet's completions, and -- for the traced cell --
+    merges every shard's spans into one distributed Perfetto trace.
     """
     cfg = cfg or smoke_config()
     if not cfg.cells:

@@ -4,8 +4,8 @@ The observability layer of the simulator:
 
 - :class:`Telemetry` -- one run's handle: span list, snapshot stream,
   Chrome trace-event + JSONL outputs (see :mod:`repro.telemetry.handle`);
-- :class:`SloEngine` -- windowed objectives over a served completion
-  stream (:mod:`repro.telemetry.slo`);
+- :func:`slo_windows` -- windowed objectives derived from a finished
+  run's completions (:mod:`repro.telemetry.slo`);
 - :func:`trace_doc` / :class:`Process` -- the one Chrome trace builder
   every Perfetto file goes through (:mod:`repro.telemetry.spans`);
 - :func:`request_trace_doc` / :func:`fleet_trace_doc` -- the serving
@@ -29,7 +29,7 @@ from repro.telemetry.fleet import (
 )
 from repro.telemetry.handle import Telemetry
 from repro.telemetry.progress import quiet, stderr_progress
-from repro.telemetry.slo import SloEngine, SloRule, default_slo_rules, fold_completions
+from repro.telemetry.slo import SloRule, default_slo_rules, slo_instants, slo_windows
 from repro.telemetry.spans import Process, trace_doc, write_trace
 from repro.telemetry.view import load_stream, render_stream
 
@@ -37,19 +37,19 @@ __all__ = [
     "OpsSampler",
     "Process",
     "ShardFragment",
-    "SloEngine",
     "SloRule",
     "Telemetry",
     "assign_lanes",
     "control_instants",
     "default_slo_rules",
     "fleet_trace_doc",
-    "fold_completions",
     "load_stream",
     "mint_trace_id",
     "quiet",
     "render_stream",
     "request_trace_doc",
+    "slo_instants",
+    "slo_windows",
     "stderr_progress",
     "trace_doc",
     "write_trace",

@@ -1,11 +1,12 @@
 """The fleet ops stream: per-shard serving state on the simulated clock.
 
 Serving campaigns can record a per-shard *ops stream* -- one JSONL
-``snapshot`` record per (cell, shard, window) sampled on the simulated
-clock by :class:`OpsSampler` inside the resilient serving loop, plus
-the SLO engine's ``slo_window`` / ``slo_alert`` records. Each snapshot
-carries the shard's health state, queue depth, stash occupancy, DeadQ
-depth, journal depth, throughput and p50/p99.
+``snapshot`` record per (cell, shard, window) of the simulated clock,
+derived by :class:`OpsSampler` once the resilient serving loop
+finishes, plus the ``slo_window`` / ``slo_alert`` records of
+:func:`repro.telemetry.slo.slo_windows`. Each snapshot carries the
+shard's health state, queue depth, stash occupancy, DeadQ depth,
+journal depth, throughput and p50/p99.
 ``repro telemetry view`` (:mod:`repro.telemetry.view`) renders the
 stream as per-shard columns, SLO windows and alerts.
 
@@ -15,19 +16,22 @@ deterministic: the same campaign writes it byte for byte.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.telemetry.slo import p50_p99
 
 
 class OpsSampler:
-    """Sample one shard's serving state at window boundaries.
+    """One shard's serving state, one snapshot per simulated window.
 
     The resilient serving loop calls :meth:`sample` once per scheduling
-    round with its live state; the sampler emits one ``snapshot``
-    record per elapsed simulated window. Sampling only *reads* --
-    attaching a sampler never changes serving decisions, clocks or
-    results.
+    round with its live state; the sampler keeps, per window, the state
+    of the last round sampled in it. :meth:`finish` derives
+    :attr:`records`: one ``snapshot`` per window from the first sampled
+    window through the run's last, each with the state of the last
+    round sampled at or before it and the completions whose ``done_ns``
+    falls in it. Sampling only *reads* -- attaching a sampler never
+    changes serving decisions, clocks or results.
     """
 
     def __init__(
@@ -40,52 +44,7 @@ class OpsSampler:
         self.window_ns = float(window_ns)
         self._stack = stack
         self.records: List[Dict[str, Any]] = []
-        self._win: Optional[int] = None
-        self._taken = 0        # completions pulled off the live list
-        self._attributed = 0   # completions folded into closed windows
-        self._carry: List[Any] = []   # seen, but done after the window
-        self._state: Dict[str, Any] = {}
-
-    def _oram_depths(self) -> Dict[str, int]:
-        oram = self._stack.kv.oram
-        deadq = 0
-        if oram.ext is not None:
-            deadq = sum(
-                len(q) for q in oram.ext.queues.queues.values()
-            )
-        return {
-            "stash_occupancy": int(oram.stash.occupancy),
-            "deadq_depth": int(deadq),
-        }
-
-    def _close(self, window: int, completions: Sequence[Any]) -> None:
-        # Attribute by completion stamp: a clock jump can close several
-        # windows at once, and each completion belongs to the window
-        # its ``done_ns`` falls in, not to the first one closed.
-        end_ns = (window + 1) * self.window_ns
-        pool = self._carry + list(completions[self._taken:])
-        self._taken = len(completions)
-        fresh = [c for c in pool if c.done_ns < end_ns]
-        self._carry = [c for c in pool if c.done_ns >= end_ns]
-        self._attributed += len(fresh)
-        served = [c.latency_ns for c in fresh if c.status == "ok"]
-        window_s = self.window_ns / 1e9
-        p50, p99 = p50_p99(served)
-        record = {
-            "type": "snapshot",
-            "cell": self.cell,
-            "shard": self.shard,
-            "window": window,
-            "ns": end_ns,
-            "requests": self._attributed,
-            "window_requests": len(fresh),
-            "window_ok": len(served),
-            "throughput_rps": len(fresh) / window_s,
-            "p50_ns": p50,
-            "p99_ns": p99,
-        }
-        record.update(self._state)
-        self.records.append(record)
+        self._states: Dict[int, Dict[str, Any]] = {}
 
     def sample(
         self,
@@ -95,28 +54,50 @@ class OpsSampler:
         degraded: bool,
         journal_depth: int,
     ) -> None:
-        idx = int(now // self.window_ns)
-        if self._win is None:
-            self._win = idx
-        while self._win < idx:
-            self._close(self._win, completions)
-            self._win += 1
-        self._state = {
+        """Keep this round's state as its window's latest; the live
+        ``completions`` list is read once, by :meth:`finish`."""
+        oram = self._stack.kv.oram
+        deadq = 0
+        if oram.ext is not None:
+            deadq = sum(len(q) for q in oram.ext.queues.queues.values())
+        self._states[int(now // self.window_ns)] = {
             "state": "degraded" if degraded else "ok",
             "queue_depth": int(queue_depth),
             "journal_depth": int(journal_depth),
-            **self._oram_depths(),
+            "stash_occupancy": int(oram.stash.occupancy),
+            "deadq_depth": int(deadq),
         }
 
     def finish(self, end_ns: float, completions: Sequence[Any]) -> None:
-        """Close every window up to and including the run's last."""
-        idx = int(end_ns // self.window_ns)
-        if self._win is None:
-            self._win = idx
-        while self._win < idx:
-            self._close(self._win, completions)
-            self._win += 1
-        self._close(self._win, completions)
+        """Derive every window's snapshot up to and including the run's
+        last, from the run's final completion list."""
+        last = int(end_ns // self.window_ns)
+        done = sorted(completions, key=lambda c: c.done_ns)
+        state: Dict[str, Any] = {}
+        taken = 0
+        for window in range(min(self._states, default=last), last + 1):
+            state = self._states.get(window, state)
+            end = (window + 1) * self.window_ns
+            start = taken
+            while taken < len(done) and done[taken].done_ns < end:
+                taken += 1
+            fresh = done[start:taken]
+            served = [c.latency_ns for c in fresh if c.status == "ok"]
+            p50, p99 = p50_p99(served)
+            self.records.append({
+                "type": "snapshot",
+                "cell": self.cell,
+                "shard": self.shard,
+                "window": window,
+                "ns": end,
+                "requests": taken,
+                "window_requests": len(fresh),
+                "window_ok": len(served),
+                "throughput_rps": len(fresh) / (self.window_ns / 1e9),
+                "p50_ns": p50,
+                "p99_ns": p99,
+                **state,
+            })
 
 
 __all__ = ["OpsSampler"]

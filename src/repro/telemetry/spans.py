@@ -17,7 +17,7 @@ Every Perfetto file -- ``simulate --trace-out``, the ``serve bench`` /
 
 Everything else is a producer that hands this module processes or
 events (the :class:`~repro.telemetry.handle.Telemetry` handle, the
-layouts of :mod:`repro.telemetry.fleet`, the SLO engine, the pipelined
+layouts of :mod:`repro.telemetry.fleet`, the SLO instants, the pipelined
 sink): a new track is a producer, never a builder. The op spans are
 recorded by :class:`~repro.sim.engine.DramSink` from ``end_op`` with
 the same two floats it attributes to ``time_by_kind``, so recording

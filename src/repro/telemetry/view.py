@@ -20,12 +20,12 @@ def load_stream(path: str) -> Dict[str, Any]:
     """Parse one JSONL stream into {meta, snapshots, slo, summary}.
 
     Handles both the single-run metrics stream and the fleet ops
-    stream: ``snapshot`` records may carry a ``shard`` field, and
-    ``slo_window`` / ``slo_alert`` records from the streaming SLO
-    engine collect under ``"slo"``. Every problem -- bytes that are not
-    UTF-8, a line that is not a JSON object, an unknown record type, a
-    ``shard`` or ``window`` that is not an integer -- is a ValueError
-    naming the file and the line.
+    stream: ``snapshot`` records may carry a ``shard`` field, and the
+    ``slo_window`` / ``slo_alert`` records of
+    :func:`~repro.telemetry.slo.slo_windows` collect under ``"slo"``.
+    Every problem -- bytes that are not UTF-8, a line that is not a
+    JSON object, an unknown record type, a ``shard`` or ``window`` that
+    is not an integer -- is a ValueError naming the file and the line.
     """
     meta: Dict[str, Any] = {}
     snapshots: List[Dict[str, Any]] = []
@@ -198,12 +198,12 @@ def _fleet_snapshot_rows(
 
 
 def _slo_window_rows(slo: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """One summary row per cell over its closed SLO windows.
+    """One summary row per cell over its SLO windows.
 
     Alerts are the exceptional signal; the window summary is what shows
-    a *healthy* stream actually streamed -- windows closed, budget
-    burned (or not) -- so the view never renders an SLO stream as
-    nothing but its meta header.
+    a *healthy* run's windows -- requests served, budget burned (or
+    not) -- so the view never renders an SLO stream as nothing but its
+    meta header.
     """
     by_cell: Dict[Any, List[Dict[str, Any]]] = {}
     for record in slo:

@@ -63,9 +63,11 @@ class TestSimulate:
         ["--warmup", "100", "--requests", "100"],
         ["--warmup", "100", "--requests", "100", "--shards", "2"],
         ["--pipeline-depth", "4", "--shards", "2"],
+        ["--levels", "1"],
+        ["--levels", "1", "--shards", "2"],
     ], ids=["bench", "bench-sharded", "requests", "pipeline-depth",
             "metrics-every", "warmup", "warmup-sharded",
-            "pipeline-depth-sharded"])
+            "pipeline-depth-sharded", "levels", "levels-sharded"])
     def test_bad_input_is_a_clean_error(self, capsys, flags):
         rc = main(["simulate", "--levels", "6", "--requests", "50",
                    "--warmup", "0", *flags])
@@ -101,6 +103,15 @@ class TestSweep:
                    "--requests", "100", "--warmup", "100"])
         assert rc == 2
         assert "--warmup (100) must be below" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--benchmarks", "mcf", "--levels", "1"],
+        ["space", "--levels", "0"],
+    ], ids=["sweep", "space"])
+    def test_too_few_levels_is_a_clean_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --levels ") and err.count("\n") == 1
 
 
 class TestSimulateRobustness:

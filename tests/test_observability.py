@@ -2,11 +2,11 @@
 
 Four layers under test:
 
-1. **Streaming SLO engine** (:mod:`repro.telemetry.slo`): windowed
-   folding on the simulated clock, burn-rate alerting, and the merge
-   property the fleet depends on -- folding shard-split completion
-   streams through :func:`fold_completions` produces exactly the
-   records and histogram of a serial in-order fold.
+1. **SLO windows** (:mod:`repro.telemetry.slo`): windows of the
+   simulated clock derived from a finished completion list, burn-rate
+   alerting, and the merge property the fleet depends on --
+   :func:`slo_windows` returns the same records and summary for any
+   permutation or shard concatenation of one completion list.
 2. **Distributed tracing** (:mod:`repro.telemetry.fleet`): minted
    trace ids agree across process boundaries, and the merged Perfetto
    document carries per-shard process tracks and matched flow-event
@@ -15,7 +15,8 @@ Four layers under test:
    the report, the merged trace and both JSONL streams are
    byte-identical between a serial run and a ``--workers 2`` run.
 4. **The ops stream** (:mod:`repro.telemetry.ops`): window
-   attribution by completion stamp, and the per-shard columns, SLO
+   attribution by completion stamp, state carried across windows no
+   round was sampled in, and the per-shard columns, SLO
    windows and alerts ``telemetry view`` renders from it.
 """
 
@@ -39,12 +40,12 @@ from repro.serve.schema import CHAOS, validate_chaos_report
 from repro.telemetry import (
     OpsSampler,
     ShardFragment,
-    SloEngine,
     SloRule,
     default_slo_rules,
     fleet_trace_doc,
-    fold_completions,
     mint_trace_id,
+    slo_instants,
+    slo_windows,
 )
 from repro.telemetry.view import load_stream, render_stream
 
@@ -125,7 +126,7 @@ def _comp(rid, done_ns, status="ok", arrival_ns=None, latency_ns=100.0):
     )
 
 
-# ------------------------------------------------------------- SLO engine
+# ------------------------------------------------------------ SLO windows
 
 class TestSloRules:
     def test_unknown_kind_rejected(self):
@@ -135,6 +136,9 @@ class TestSloRules:
     def test_fraction_kind_bounded(self):
         with pytest.raises(ValueError, match="fraction"):
             SloRule("r", "availability", 1.5)
+        # A floor of 1 leaves no error budget to divide the burn by.
+        with pytest.raises(ValueError, match="fraction below 1"):
+            SloRule("a", "availability", 1.0)
 
     def test_default_rules_clamp_floor(self):
         rules = {r.name: r for r in default_slo_rules(min_availability=1.0)}
@@ -149,83 +153,90 @@ class TestSloRules:
         assert "detection_rate" not in kinds
 
 
+def _outcomes(*triples):
+    """Completions from ``(done_ns, ok, latency_ns)`` triples, rid order."""
+    return [
+        _comp(rid, ns, "ok" if ok else "failed", latency_ns=latency)
+        for rid, (ns, ok, latency) in enumerate(triples)
+    ]
+
+
 class TestSloEngine:
     def test_windows_close_on_crossing(self):
-        eng = SloEngine(default_slo_rules(), window_ns=100.0)
-        for ns in (10.0, 20.0, 150.0, 460.0):
-            eng.observe(ns, True, 50.0)
-        summary = eng.finish(500.0)
-        windows = [r for r in eng.records if r["type"] == "slo_window"]
+        records, summary = slo_windows(
+            default_slo_rules(), 100.0,
+            _outcomes(*((ns, True, 50.0) for ns in (10.0, 20.0, 150.0, 460.0))),
+            500.0,
+        )
+        windows = [r for r in records if r["type"] == "slo_window"]
         assert [w["window"] for w in windows] == [0, 1, 4]
         assert [w["requests"] for w in windows] == [2, 1, 1]
         assert summary["windows"] == 3
         assert summary["requests"] == 4
         assert summary["availability"] == 1.0
 
-    def test_out_of_order_rejected(self):
-        eng = SloEngine(default_slo_rules(), window_ns=100.0)
-        eng.observe(50.0, True, 10.0)
-        with pytest.raises(ValueError, match="time-ordered"):
-            eng.observe(40.0, True, 10.0)
-
     def test_availability_burn_alert(self):
         # Floor 0.9 -> budget 0.1. A window at availability 0.5 burns
         # 5x; with burn_alert 1.0 that must alert.
-        eng = SloEngine(
-            (SloRule("avail", "availability", 0.9),), window_ns=100.0,
+        records, _ = slo_windows(
+            (SloRule("avail", "availability", 0.9),), 100.0,
+            _outcomes(*((float(i), i < 5, 10.0) for i in range(10))),
+            200.0,
         )
-        for i in range(10):
-            eng.observe(float(i), i < 5, 10.0)
-        eng.finish(200.0)
-        alerts = [r for r in eng.records if r["type"] == "slo_alert"]
+        alerts = [r for r in records if r["type"] == "slo_alert"]
         assert len(alerts) == 1
         assert alerts[0]["rule"] == "avail"
         assert alerts[0]["value"] == 0.5
         assert alerts[0]["burn"] == pytest.approx(5.0)
 
     def test_no_alert_above_floor(self):
-        eng = SloEngine(
-            (SloRule("avail", "availability", 0.9),), window_ns=100.0,
+        records, summary = slo_windows(
+            (SloRule("avail", "availability", 0.9),), 100.0,
+            # availability 0.95
+            _outcomes(*((float(i), i != 0, 10.0) for i in range(20))),
+            200.0,
         )
-        for i in range(20):
-            eng.observe(float(i), i != 0, 10.0)   # availability 0.95
-        eng.finish(200.0)
-        assert eng.alerts == []
+        assert summary["alerts"] == 0
+        assert all(r["type"] == "slo_window" for r in records)
 
     def test_latency_burn_alert(self):
-        eng = SloEngine(
-            (SloRule("p99", "latency_p99", 1_000.0),), window_ns=100.0,
-        )
         served = [90_000.0 + 1_000.0 * i * i for i in range(10)]
-        for i, latency in enumerate(served):
-            eng.observe(float(i), True, latency)
-        eng.finish(200.0)
-        assert [a["rule"] for a in eng.alerts] == ["p99"]
-        assert eng.alerts[0]["burn"] > 1.0
-        window = next(r for r in eng.records if r["type"] == "slo_window")
+        records, _ = slo_windows(
+            (SloRule("p99", "latency_p99", 1_000.0),), 100.0,
+            _outcomes(*((float(i), True, lat) for i, lat in enumerate(served))),
+            200.0,
+        )
+        alerts = [r for r in records if r["type"] == "slo_alert"]
+        assert [a["rule"] for a in alerts] == ["p99"]
+        assert alerts[0]["burn"] > 1.0
+        window = next(r for r in records if r["type"] == "slo_window")
         assert window["p99_ns"] == float(np.percentile(served, 99))
         assert window["p50_ns"] == float(np.percentile(served, 50))
 
     def test_detection_alert_at_finish(self):
-        eng = SloEngine(default_slo_rules(detection=True), window_ns=100.0)
-        eng.observe(10.0, True, 50.0)
-        eng.finish(100.0, detection={"tamper_injected": 4,
-                                     "tamper_detected": 2, "rate": 0.5})
-        assert [a["kind"] for a in eng.alerts] == ["detection_rate"]
+        records, _ = slo_windows(
+            default_slo_rules(detection=True), 100.0,
+            _outcomes((10.0, True, 50.0)), 100.0,
+            detection={"tamper_injected": 4, "tamper_detected": 2,
+                       "rate": 0.5},
+        )
+        alerts = [r for r in records if r["type"] == "slo_alert"]
+        assert [a["kind"] for a in alerts] == ["detection_rate"]
+        assert records[-1] is alerts[0] and alerts[0]["ns"] == 100.0
 
     def test_trace_instants_match_alerts(self):
-        eng = SloEngine(
-            (SloRule("avail", "availability", 0.9),), window_ns=100.0,
+        records, _ = slo_windows(
+            (SloRule("avail", "availability", 0.9),), 100.0,
+            _outcomes(*((float(i), False, 10.0) for i in range(10))),
+            200.0,
         )
-        for i in range(10):
-            eng.observe(float(i), False, 10.0)
-        eng.finish(200.0)
-        instants = eng.trace_instants(tid=2)
-        assert len(instants) == len(eng.alerts) == 1
+        alerts = [r for r in records if r["type"] == "slo_alert"]
+        instants = slo_instants(records, tid=2)
+        assert len(instants) == len(alerts) == 1
         inst = instants[0]
         assert inst["ph"] == "i" and inst["s"] == "t"
         assert inst["cat"] == "fleet.slo"
-        assert inst["ts"] == pytest.approx(eng.alerts[0]["ns"] / 1000.0)
+        assert inst["ts"] == pytest.approx(alerts[0]["ns"] / 1000.0)
 
 
 @st.composite
@@ -246,32 +257,28 @@ def completion_streams(draw):
 
 class TestSloMergeProperty:
     @settings(max_examples=60, deadline=None)
-    @given(completion_streams())
-    def test_fleet_fold_equals_serial_fold(self, stream):
+    @given(completion_streams(), st.randoms(use_true_random=False))
+    def test_fleet_fold_equals_serial_fold(self, stream, rnd):
         """The tentpole determinism property, at the SLO layer.
 
-        Partition a completion stream over 4 "shards" arbitrarily,
-        hand the engine the shard-concatenated (unsorted) stream via
-        ``fold_completions``, and every window record, alert and
-        served latency must equal a serial engine fed the globally
-        time-ordered stream one completion at a time.
+        Partition a completion list over 4 "shards" arbitrarily and
+        concatenate them, or permute it: every window record, alert
+        and the summary must equal those of the time-ordered list.
         """
         comps, shard_of = stream
-        serial = SloEngine(default_slo_rules(), window_ns=100.0)
-        for c in sorted(comps, key=lambda c: (c.done_ns, c.rid)):
-            serial.observe(c.done_ns, c.status == "ok", c.latency_ns)
-        serial_summary = serial.finish(1_000.0)
-
+        serial = slo_windows(
+            default_slo_rules(), 100.0,
+            sorted(comps, key=lambda c: (c.done_ns, c.rid)), 1_000.0,
+        )
         shards = [[] for _ in range(4)]
         for c, s in zip(comps, shard_of):
             shards[s].append(c)
-        merged = SloEngine(default_slo_rules(), window_ns=100.0)
-        fold_completions(merged, [c for sh in shards for c in sh])
-        merged_summary = merged.finish(1_000.0)
-
-        assert merged.records == serial.records
-        assert merged_summary == serial_summary
-        assert merged.served == serial.served
+        permuted = list(comps)
+        rnd.shuffle(permuted)
+        for fleet in ([c for sh in shards for c in sh], permuted):
+            assert slo_windows(
+                default_slo_rules(), 100.0, fleet, 1_000.0,
+            ) == serial
 
 
 # ------------------------------------------------------ distributed tracing
@@ -342,14 +349,14 @@ class TestFleetTraceDoc:
             }]),
             1: (0.0, 7 * HEARTBEAT_NS, []),
         }, ())
-        eng = SloEngine((SloRule("avail", "availability", 0.9),), 100.0)
-        for i in range(10):
-            eng.observe(float(i), False, 10.0)
-        eng.finish(700.0)
+        records, _ = slo_windows(
+            (SloRule("avail", "availability", 0.9),), 100.0,
+            _outcomes(*((float(i), False, 10.0) for i in range(10))), 700.0,
+        )
         doc = fleet_trace_doc(
             self._fragments(), seed=3,
             control=control,
-            slo_instants=eng.trace_instants(tid=2),
+            slo_instants=slo_instants(records, tid=2),
         )
         check = _load_check_trace()
         assert check.validate_trace(doc) == []
@@ -521,6 +528,27 @@ class TestOpsConsole:
         assert by_window[2]["window_requests"] == 1   # done 250
         assert by_window[2]["requests"] == 3
         assert by_window[0]["stash_occupancy"] == 3
+
+    def test_sampler_state_carries_across_a_clock_jump(self):
+        stack = _stub_stack(occupancy=3)
+        sampler = OpsSampler("c", 0, 100.0, stack)
+        sampler.sample(10.0, 1, [], False, 0)
+        stack.kv.oram.stash.occupancy = 4
+        sampler.sample(50.0, 2, [], True, 1)    # last round of window 0
+        stack.kv.oram.stash.occupancy = 7
+        sampler.sample(310.0, 0, [], False, 0)  # jumps windows 1 and 2
+        sampler.finish(310.0, [])
+        states = [
+            (r["window"], r["stash_occupancy"], r["queue_depth"],
+             r["state"], r["journal_depth"])
+            for r in sampler.records
+        ]
+        assert states == [
+            (0, 4, 2, "degraded", 1),
+            (1, 4, 2, "degraded", 1),
+            (2, 4, 2, "degraded", 1),
+            (3, 7, 0, "ok", 0),
+        ]
 
     def test_sampler_never_writes(self):
         # load_stream round-trip: records are pure JSON.

@@ -632,6 +632,22 @@ class TestServeCli:
         assert "serve demo" in out
         assert "attacker advantage" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--clients", "0"],
+        ["--clients", "-1"],
+        ["--requests", "0"],
+        ["--levels", "1"],
+    ], ids=["clients-zero", "clients-negative", "requests-zero", "levels"])
+    def test_demo_bad_input_is_a_clean_error(self, capsys, flags):
+        from repro.cli import main
+        rc = main(["serve", "demo", "--levels", "8", "--clients", "2",
+                   "--requests", "40", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_compare_identical_reports(self, tmp_path, capsys):
         from repro.cli import main
         doc = run_serve(tiny_serve_config())

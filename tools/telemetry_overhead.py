@@ -15,8 +15,8 @@ side would move a best-of-N comparison.
 
 ``--serve`` adds a second measurement over the resilient serving loop:
 the same seeded workload served twice, once bare and once with the
-fleet observability plane attached (per-window ops sampling plus the
-streaming SLO fold over the completions) -- the bound the obs-smoke CI
+fleet observability plane attached (per-window ops snapshots plus the
+SLO windows derived from the completions) -- the bound the obs-smoke CI
 job enforces, because samplers that only *read* must also only barely
 *cost*.
 
@@ -45,9 +45,7 @@ def _run_serve_once(levels: int, requests: int, seed: int,
     from repro.serve.resilience import ResilienceConfig, resilient_replay
     from repro.serve.scheduler import BatchScheduler
     from repro.serve.stack import build_stack
-    from repro.telemetry import (
-        OpsSampler, SloEngine, default_slo_rules, fold_completions,
-    )
+    from repro.telemetry import OpsSampler, default_slo_rules, slo_windows
 
     wl = WorkloadConfig(
         name="overhead", n_requests=requests, n_keys=4_000,
@@ -70,9 +68,8 @@ def _run_serve_once(levels: int, requests: int, seed: int,
         stack, reqs, scheduler, ResilienceConfig(), sampler=sampler,
     )
     if telemetry:
-        engine = SloEngine(default_slo_rules(), window_ns=50_000.0)
-        fold_completions(engine, result.completions)
-        engine.finish(result.end_ns)
+        slo_windows(default_slo_rules(), 50_000.0, result.completions,
+                    result.end_ns)
     wall = time.perf_counter() - t0
     if telemetry and not sampler.records:
         raise SystemExit("observability run recorded no ops snapshots")
@@ -122,7 +119,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "1 = serial only (default)")
     parser.add_argument("--serve", action="store_true",
                         help="also measure the fleet observability plane "
-                             "(ops sampling + streaming SLO fold) over the "
+                             "(ops snapshots + SLO windows) over the "
                              "resilient serving loop")
     args = parser.parse_args(argv)
 
