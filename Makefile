@@ -10,7 +10,8 @@ export PYTHONPATH := src:$(PYTHONPATH)
 .PHONY: install test bench bench-full figures examples lint loc reach \
 	chacha-cutover fingerprint perf-smoke \
 	pipeline-smoke faults-smoke telemetry-smoke serve-smoke chaos-smoke \
-	shard-smoke obs-smoke readme-smoke determinism e2e-quick ci clean
+	shard-smoke obs-smoke smoke readme-smoke determinism e2e-quick ci \
+	clean FORCE
 
 install:
 	pip install -e . || python setup.py develop
@@ -61,7 +62,7 @@ loc:
 	@printf '  %-12s %6d\n' "(top level)" "$$(cat src/repro/*.py | wc -l)"
 
 # Reach audit (ROADMAP item 8): runs `make -k ci bench examples
-# fingerprint chacha-cutover` (bench at a small scale) with every
+# fingerprint` (bench at a small scale) with every
 # interpreter recording function entries, then lists the src/ functions
 # nothing entered, the ones only tests/ entered and the single-valued
 # settings. The last three lines are the counts; it fails when one rises
@@ -84,139 +85,130 @@ chacha-cutover:
 fingerprint:
 	$(PYTHON) tools/controller_fingerprint.py
 
-# CI smoke: seconds-scale perf matrix (two workers: also exercises the
-# parallel executor) + soft-gated comparison against the committed
-# baseline. Scratch reports live under generated/ (gitignored).
-perf-smoke:
-	$(PYTHON) -m repro perf run --smoke --workers 2 \
-	  --out generated/BENCH_perf_new.json
-	$(PYTHON) -m repro perf compare \
-	  benchmarks/baselines/BENCH_perf_smoke.json \
-	  generated/BENCH_perf_new.json --warn-only
+# The six smoke reports: perf, faults, serve, chaos, scaling and the
+# 4-shard chaos fleet. `make smoke` produces each exactly twice through
+# the two pattern rules below -- serially with its hard gates, and over
+# two spawn workers -- and `determinism` checks every pair; the *-smoke
+# targets gate the serial reports. RUN_x is report x's command, GATE_x
+# what its serial run adds, W2_x what its --workers 2 run adds. Make
+# takes the shortest stem, so BENCH_x_w2.json uses the second rule; FORCE
+# reruns both rules once per make invocation. Everything lands under
+# generated/.
+G := generated
+SMOKE_REPORTS := perf faults serve chaos scaling chaos_fleet
+RUN_perf := perf run --smoke
+RUN_faults := faults run --smoke
+GATE_faults := --require-detection
+RUN_serve := serve bench --smoke
+GATE_serve := --trace-out $(G)/trace_serve.json --require-dedup-win
+RUN_chaos := serve chaos --smoke
+GATE_chaos := --trace-out $(G)/trace_chaos.json --require-detection
+RUN_scaling := serve scaling --smoke
+GATE_scaling := --require-speedup
+RUN_chaos_fleet := serve chaos --smoke --shards 4
+GATE_chaos_fleet := --trace-out $(G)/trace_fleet.json \
+  --slo-out $(G)/slo_fleet.jsonl --ops-out $(G)/ops_fleet.jsonl \
+  --require-detection
+W2_chaos_fleet := --trace-out $(G)/trace_fleet_w2.json
+$(G)/BENCH_%.json: FORCE
+	$(PYTHON) -m repro $(RUN_$*) --out $@ $(GATE_$*)
+$(G)/BENCH_%_w2.json: FORCE
+	$(PYTHON) -m repro $(RUN_$*) --workers 2 --out $@ $(W2_$*) > /dev/null
+FORCE:
 
-# CI pipeline smoke: the transaction-pipelined controller's three
-# gates, all hard failures. (1) the smoke matrix's ns/mcf@p4 cell must
-# beat its serial twin by >= 1.5x on simulated DRAM-ns with every
-# logical sim field identical, and the serial cells must match the
-# committed baseline bit for bit (depth 1 untouched by the pipeline).
-# (2) a second run over two spawn workers must produce a byte-identical
-# deterministic report view. (3) a pipelined traced run must emit a
-# schema-valid Perfetto trace (per-lane pipeline tracks included).
-pipeline-smoke:
-	$(PYTHON) -m repro perf run --smoke \
-	  --out generated/BENCH_pipeline.json
-	$(PYTHON) tools/check_pipeline.py generated/BENCH_pipeline.json \
+# Perf: the pipelined controller's hard gates on simulated DRAM-ns --
+# the ns/mcf@p4 cell must beat its serial twin by >= 1.5x with every
+# logical sim field identical, and the depth-1 cells must match the
+# committed baseline bit for bit -- then a warn-only compare against it.
+perf-smoke: $(G)/BENCH_perf.json
+	$(PYTHON) tools/check_pipeline.py $< \
 	  --baseline benchmarks/baselines/BENCH_perf_smoke.json \
 	  --min-speedup 1.5
-	$(PYTHON) -m repro perf run --smoke --workers 2 \
-	  --out generated/BENCH_pipeline_w2.json
-	$(PYTHON) tools/report_determinism.py \
-	  generated/BENCH_pipeline.json generated/BENCH_pipeline_w2.json
+	$(PYTHON) -m repro perf compare \
+	  benchmarks/baselines/BENCH_perf_smoke.json $< --warn-only
+
+# A pipelined traced run must emit a schema-valid Perfetto trace
+# (per-lane pipeline tracks included) at <= 10% telemetry overhead.
+pipeline-smoke:
 	$(PYTHON) -m repro simulate --scheme ns --levels 10 --requests 500 \
-	  --warmup 100 --pipeline-depth 4 \
-	  --trace-out generated/trace_pipeline.json
-	$(PYTHON) tools/check_trace.py generated/trace_pipeline.json \
+	  --warmup 100 --pipeline-depth 4 --trace-out $(G)/trace_pipeline.json
+	$(PYTHON) tools/check_trace.py $(G)/trace_pipeline.json \
 	  --require-kinds readPath evictPath earlyReshuffle
 	$(PYTHON) tools/telemetry_overhead.py --max-overhead-pct 10 \
 	  --pipeline-depth 4
 
-# CI robustness smoke: fault-injection campaign; fails unless every
-# tampering fault (bit flip, replay) was detected. Fully deterministic.
-faults-smoke:
-	$(PYTHON) -m repro faults run --smoke \
-	  --out generated/BENCH_faults.json --require-detection
+# Fault-injection campaign: fails unless every tampering fault (bit
+# flip, replay) was detected. Fully deterministic.
+faults-smoke: $(G)/BENCH_faults.json
 
-# CI telemetry smoke: trace an L12 AB cell, validate the Chrome trace
-# against the schema checker, and bound the telemetry overhead.
+# Trace an L12 AB cell, validate the Chrome trace against the schema
+# checker, and bound the telemetry overhead.
 telemetry-smoke:
 	$(PYTHON) -m repro simulate --scheme ab --levels 12 --requests 600 \
-	  --warmup 0 --trace-out generated/BENCH_trace.json
-	$(PYTHON) tools/check_trace.py generated/BENCH_trace.json \
+	  --warmup 0 --trace-out $(G)/BENCH_trace.json
+	$(PYTHON) tools/check_trace.py $(G)/BENCH_trace.json \
 	  --require-kinds readPath evictPath earlyReshuffle
 	$(PYTHON) tools/telemetry_overhead.py --max-overhead-pct 10
 
-# CI serving smoke: open-loop workloads through the batching scheduler;
-# fails unless batch scheduling beats naive FIFO on oblivious accesses.
-# Also writes a per-request Perfetto trace and validates it, then
-# soft-compares latency percentiles against the committed baseline.
-serve-smoke:
-	$(PYTHON) -m repro serve bench --smoke \
-	  --out generated/BENCH_serve.json \
-	  --trace-out generated/trace_serve.json --require-dedup-win
-	$(PYTHON) tools/check_trace.py generated/trace_serve.json \
+# Serving: fails unless batch scheduling beats naive FIFO on oblivious
+# accesses; validates the per-request Perfetto trace, then soft-compares
+# latency percentiles against the committed baseline.
+serve-smoke: $(G)/BENCH_serve.json
+	$(PYTHON) tools/check_trace.py $(G)/trace_serve.json \
 	  --require-kinds readPath evictPath queue get --min-spans 500
 	$(PYTHON) -m repro serve compare \
-	  benchmarks/baselines/BENCH_serve_smoke.json \
-	  generated/BENCH_serve.json --warn-only
+	  benchmarks/baselines/BENCH_serve_smoke.json $< --warn-only
 
-# CI chaos smoke: fault injection under live serving load through the
-# resilient loop. Fails unless availability floors hold and every
-# tampering fault (bit flip, replay) was detected *while serving*.
-# Runs twice -- serial and over two spawn workers -- and requires the
-# deterministic report view byte-identical across the two, then
-# soft-compares availability/p99-under-fault against the committed
-# baseline. The traced cell's timeline (degraded windows, fault
-# markers) is schema-checked like the other Perfetto artifacts.
-chaos-smoke:
-	$(PYTHON) -m repro serve chaos --smoke \
-	  --out generated/BENCH_chaos.json \
-	  --trace-out generated/trace_chaos.json --require-detection
-	$(PYTHON) tools/check_trace.py generated/trace_chaos.json \
+# Chaos: fault injection under live serving load through the resilient
+# loop; fails unless availability floors hold and every tampering fault
+# was detected *while serving*. The traced cell's timeline (degraded
+# windows, fault markers) is schema-checked, then availability and
+# p99-under-fault are soft-compared against the committed baseline.
+chaos-smoke: $(G)/BENCH_chaos.json
+	$(PYTHON) tools/check_trace.py $(G)/trace_chaos.json \
 	  --require-kinds readPath queue get degraded_enter faults \
 	  --min-spans 200
-	$(PYTHON) -m repro serve chaos --smoke --workers 2 \
-	  --out generated/BENCH_chaos_w2.json --require-detection
-	$(PYTHON) tools/report_determinism.py \
-	  generated/BENCH_chaos.json generated/BENCH_chaos_w2.json
 	$(PYTHON) -m repro serve compare \
-	  benchmarks/baselines/BENCH_chaos_smoke.json \
-	  generated/BENCH_chaos.json --warn-only
+	  benchmarks/baselines/BENCH_chaos_smoke.json $< --warn-only
 
-# CI shard smoke: the sharded fleet's capacity curve. Hard gates: the
-# shards=4 fleet must clear 3x the single-shard served throughput, and
-# the kill-a-shard drill must stay above its availability floor with
-# 100% tamper detection and an all-healthy control plane. Runs twice
-# -- serial and with one spawn worker per shard -- and requires the
-# deterministic report view byte-identical across the two, then
-# soft-compares against the committed baseline curve.
-shard-smoke:
-	$(PYTHON) -m repro serve scaling --smoke \
-	  --out generated/BENCH_scaling.json --require-speedup
-	$(PYTHON) -m repro serve scaling --smoke --workers 2 \
-	  --out generated/BENCH_scaling_w2.json
-	$(PYTHON) tools/report_determinism.py \
-	  generated/BENCH_scaling.json generated/BENCH_scaling_w2.json
+# The sharded fleet's capacity curve: the shards=4 fleet must clear 3x
+# the single-shard served throughput, and the kill-a-shard drill must
+# hold its availability floor with 100% tamper detection and an
+# all-healthy control plane; then a soft compare against the baseline.
+shard-smoke: $(G)/BENCH_scaling.json
 	$(PYTHON) -m repro serve compare \
-	  benchmarks/baselines/BENCH_scaling_smoke.json \
-	  generated/BENCH_scaling.json --warn-only
+	  benchmarks/baselines/BENCH_scaling_smoke.json $< --warn-only
 
-# CI observability smoke: the chaos campaign as a 4-shard fleet with
-# the full observability plane on -- one merged Perfetto trace
-# (per-shard process tracks, router flow events, control/SLO
-# timelines), the SLO window JSONL and the per-shard ops stream.
-# Gates: the merged trace must pass the flow/process schema checks; a
-# --workers 2 rerun must reproduce the deterministic report view AND
-# the trace file byte-for-byte; the recorded ops stream must render
-# through `telemetry view`; and the observability plane must cost
-# <= 10% wall time on the serving loop.
-obs-smoke:
-	$(PYTHON) -m repro serve chaos --smoke --shards 4 \
-	  --out generated/BENCH_chaos_fleet.json \
-	  --trace-out generated/trace_fleet.json \
-	  --slo-out generated/slo_fleet.jsonl \
-	  --ops-out generated/ops_fleet.jsonl --require-detection
-	$(PYTHON) tools/check_trace.py generated/trace_fleet.json \
+# The chaos campaign as a 4-shard fleet with the full observability
+# plane on: the merged Perfetto trace (per-shard process tracks, router
+# flow events, control/SLO timelines) must pass the flow/process schema
+# checks, the recorded ops stream must render through `telemetry view`,
+# and the plane must cost <= 10% wall time on the serving loop.
+obs-smoke: $(G)/BENCH_chaos_fleet.json
+	$(PYTHON) tools/check_trace.py $(G)/trace_fleet.json \
 	  --require-kinds route readPath queue get --min-spans 500 \
 	  --require-flows 200 \
 	  --require-process fleet-router shard-0 shard-1 shard-2 shard-3
-	$(PYTHON) -m repro serve chaos --smoke --shards 4 --workers 2 \
-	  --out generated/BENCH_chaos_fleet_w2.json \
-	  --trace-out generated/trace_fleet_w2.json
-	$(PYTHON) tools/report_determinism.py \
-	  generated/BENCH_chaos_fleet.json generated/BENCH_chaos_fleet_w2.json
-	cmp generated/trace_fleet.json generated/trace_fleet_w2.json
-	$(PYTHON) -m repro telemetry view generated/ops_fleet.jsonl > /dev/null
+	$(PYTHON) -m repro telemetry view $(G)/ops_fleet.jsonl > /dev/null
 	$(PYTHON) tools/telemetry_overhead.py --serve --max-overhead-pct 10
+
+# The one determinism check every report harness shares: each serial /
+# --workers 2 pair must load through the report kernel with
+# byte-identical deterministic views (tools/report_determinism.py), and
+# the fleet's two merged traces must `cmp` equal. Its prerequisites are
+# the twelve report runs of `make smoke`; it starts none of its own.
+determinism: $(foreach r,$(SMOKE_REPORTS),$(G)/BENCH_$(r).json \
+	$(G)/BENCH_$(r)_w2.json)
+	@set -e; for r in $(SMOKE_REPORTS); do \
+	  echo "== $$r: serial vs --workers 2"; \
+	  $(PYTHON) tools/report_determinism.py \
+	    $(G)/BENCH_$$r.json $(G)/BENCH_$${r}_w2.json; \
+	done
+	cmp $(G)/trace_fleet.json $(G)/trace_fleet_w2.json
+
+# CI's smoke job: every smoke gate, then every serial/--workers 2 pair.
+smoke: perf-smoke pipeline-smoke faults-smoke telemetry-smoke \
+	serve-smoke chaos-smoke shard-smoke obs-smoke determinism
 
 # The README / EXPERIMENTS.md reproduction steps no other target runs,
 # at small scale (~10 s): the space tables, a one-benchmark sweep, a
@@ -245,29 +237,6 @@ readme-smoke:
 	! $(PYTHON) -m repro faults run --smoke --no-integrity \
 	  --require-detection --out $(RS)/faults_no_integrity.json
 
-# The one determinism check every report harness shares: run the smoke
-# matrix serially and over two spawn workers, load both reports through
-# the report kernel and require byte-identical deterministic views
-# (tools/report_determinism.py; perf, faults, serve, chaos, scaling and
-# the 4-shard chaos fleet, whose merged trace must also `cmp` equal).
-DET := generated/determinism
-determinism:
-	@set -e; for h in "perf run" "faults run" "serve bench" "serve chaos" \
-	    "serve scaling"; do \
-	  out=$(DET)/$$(echo $$h | tr ' ' '_'); \
-	  echo "== $$h: serial vs --workers 2"; \
-	  $(PYTHON) -m repro $$h --smoke --out $$out.json > /dev/null; \
-	  $(PYTHON) -m repro $$h --smoke --workers 2 --out $${out}_w2.json \
-	    > /dev/null; \
-	  $(PYTHON) tools/report_determinism.py $$out.json $${out}_w2.json; \
-	done
-	$(PYTHON) -m repro serve chaos --smoke --shards 4 \
-	  --out $(DET)/fleet.json --trace-out $(DET)/trace.json > /dev/null
-	$(PYTHON) -m repro serve chaos --smoke --shards 4 --workers 2 \
-	  --out $(DET)/fleet_w2.json --trace-out $(DET)/trace_w2.json > /dev/null
-	$(PYTHON) tools/report_determinism.py $(DET)/fleet.json $(DET)/fleet_w2.json
-	cmp $(DET)/trace.json $(DET)/trace_w2.json
-
 # Smoke-sized end-to-end benchmark (~20 s, one interpreter). Run for
 # its correctness checks, not its timings: reference-model answers,
 # every Merkle path on the sealed workloads, 100% tamper detection on
@@ -275,11 +244,10 @@ determinism:
 e2e-quick:
 	python3 benchmarks/e2e/run.py --quick
 
-# Mirror of the CI pipeline: lint, tier-1 tests, perf/pipeline/faults/
-# telemetry/serve/chaos/shard/observability smoke, the README steps,
-# e2e correctness.
-ci: lint test perf-smoke pipeline-smoke faults-smoke telemetry-smoke \
-	serve-smoke chaos-smoke shard-smoke obs-smoke readme-smoke e2e-quick
+# What CI runs: lint, tier-1 tests, the smoke gates, the README steps,
+# the ChaCha20 cut-over table and e2e correctness (`make reach` counts
+# what this reaches).
+ci: lint test smoke readme-smoke chacha-cutover e2e-quick
 
 # Removes only regenerated artifacts. Committed reference outputs
 # (benchmarks/out/, benchmarks/baselines/, BENCH_perf.json) survive.

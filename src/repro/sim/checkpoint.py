@@ -43,7 +43,10 @@ _MAGIC = "repro-sim-checkpoint"
 
 
 def save_checkpoint(simulation: Simulation, path: PathLike) -> None:
-    """Atomically persist a simulation's complete state."""
+    """Atomically persist a simulation's complete state.
+
+    The parent directory is created if missing.
+    """
     payload = {
         "magic": _MAGIC,
         "format": CHECKPOINT_FORMAT,
@@ -51,6 +54,7 @@ def save_checkpoint(simulation: Simulation, path: PathLike) -> None:
         "simulation": simulation,
     }
     path = str(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
@@ -62,6 +66,9 @@ def load_checkpoint(path: PathLike) -> Simulation:
     try:
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read checkpoint: "
+                         f"{exc.strerror or exc}") from exc
     except (pickle.UnpicklingError, EOFError, AttributeError,
             ImportError, IndexError) as exc:
         raise ValueError(f"{path}: not a simulation checkpoint: {exc}") from exc

@@ -101,6 +101,12 @@ class TestCheckpointRoundtrip:
         resumed = load_checkpoint(path)
         assert resumed.position == 80  # the last multiple of 40 before done
 
+    def test_checkpoint_into_a_new_directory(self, tmp_path):
+        path = tmp_path / "no" / "such" / "dir" / "ck.pkl"
+        sim = _fresh()
+        sim.run(checkpoint_every=40, checkpoint_path=str(path))
+        assert load_checkpoint(path).position == 80
+
     def test_checkpoint_every_requires_path(self):
         with pytest.raises(ValueError, match="checkpoint path"):
             _fresh().run(checkpoint_every=10)

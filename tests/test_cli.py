@@ -141,12 +141,21 @@ class TestSimulateRobustness:
         assert resumed.out == full
         assert "resumed" in resumed.err
 
-    def test_resume_rejects_garbage(self, capsys, tmp_path):
+    @pytest.mark.parametrize("kind", ["garbage", "missing", "directory"])
+    def test_resume_rejects_garbage(self, capsys, tmp_path, kind):
+        """Bytes that are not a checkpoint, no file at all, or a
+        directory: one error line and exit 2, never a traceback."""
         bad = tmp_path / "bad.pkl"
-        bad.write_bytes(b"not a checkpoint")
+        if kind == "garbage":
+            bad.write_bytes(b"not a checkpoint")
+        elif kind == "directory":
+            bad.mkdir()
         rc = main(["simulate", "--resume", str(bad)])
         assert rc == 2
-        assert "not a simulation checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("not a simulation checkpoint" if kind == "garbage"
+                else "cannot read checkpoint") in err
 
 
 class TestFaultsCli:

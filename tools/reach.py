@@ -5,10 +5,10 @@
 with ``sys.setprofile`` and compares them with every function the source
 defines (an AST walk of ``src/repro``).
 
-It runs the Makefile targets ``ci`` (lint, tier-1, every smoke target,
-the e2e quick run), ``bench`` (the paper benchmarks, at a small scale),
-``examples``, ``fingerprint`` and ``chacha-cutover`` with
-``tools/reach_site`` first on ``PYTHONPATH``,
+It runs the Makefile targets ``ci`` (what CI runs: lint, tier-1, the
+smoke gates, the README steps, the ChaCha20 cut-over, the e2e quick
+run), ``bench`` (the paper benchmarks, at a small scale), ``examples``
+and ``fingerprint`` with ``tools/reach_site`` first on ``PYTHONPATH``,
 so every interpreter they start, subprocesses and spawn workers
 included, loads the recorder in its ``sitecustomize.py``. Under pytest
 each entry is labelled with the test file that ran it, which is what
@@ -56,7 +56,7 @@ SITE = ROOT / "tools" / "reach_site"
 #: The committed counts; a run whose count rises above one fails.
 COUNTS = ROOT / "tools" / "reach_counts.json"
 
-TARGETS = ("ci", "bench", "examples", "fingerprint", "chacha-cutover")
+TARGETS = ("ci", "bench", "examples", "fingerprint")
 
 #: Records of what a run did or found, not settings of what it does.
 RUN_STATE = ("DramStats", "OpCounters", "RobustnessCounters", "ReplayResult",

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Measure telemetry overhead and gate it (the perf-smoke bound).
+"""Measure telemetry overhead and gate it (the telemetry-smoke bound).
 
 Runs the same small simulation as ``PAIRS`` (5) alternating pairs --
 telemetry off and telemetry on (span tracing plus periodic snapshots,
@@ -16,8 +16,8 @@ side would move a best-of-N comparison.
 ``--serve`` adds a second measurement over the resilient serving loop:
 the same seeded workload served twice, once bare and once with the
 fleet observability plane attached (per-window ops snapshots plus the
-SLO windows derived from the completions) -- the bound the obs-smoke CI
-job enforces, because samplers that only *read* must also only barely
+SLO windows derived from the completions) -- the bound ``make
+obs-smoke`` enforces, because samplers that only *read* must also only barely
 *cost*.
 
 Usage: ``PYTHONPATH=src python tools/telemetry_overhead.py
