@@ -8,7 +8,7 @@ PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: install test bench bench-full figures examples lint loc reach \
-	chacha-cutover fingerprint perf-smoke \
+	fingerprint perf-smoke \
 	pipeline-smoke faults-smoke telemetry-smoke serve-smoke chaos-smoke \
 	shard-smoke obs-smoke smoke readme-smoke determinism e2e-quick ci \
 	clean FORCE
@@ -69,13 +69,6 @@ loc:
 # above tools/reach_counts.json.
 reach:
 	$(PYTHON) tools/reach.py --list
-
-# The measurement behind crypto.chacha.LANE_MIN_BLOCKS: N x {reference,
-# wide, lanes} us per call and the break-even (docs/perf.md quotes this
-# table). Fails only if the three functions disagree; timings are
-# reported, not gated.
-chacha-cutover:
-	$(PYTHON) tools/chacha_cutover.py
 
 # One SHA-256 per configuration over the ring controller's state after
 # a fixed run (result, RNG, slots/status/generation, stash, DeadQ and
@@ -244,10 +237,9 @@ readme-smoke:
 e2e-quick:
 	python3 benchmarks/e2e/run.py --quick
 
-# What CI runs: lint, tier-1 tests, the smoke gates, the README steps,
-# the ChaCha20 cut-over table and e2e correctness (`make reach` counts
-# what this reaches).
-ci: lint test smoke readme-smoke chacha-cutover e2e-quick
+# What CI runs: lint, tier-1 tests, the smoke gates, the README steps
+# and e2e correctness (`make reach` counts what this reaches).
+ci: lint test smoke readme-smoke e2e-quick
 
 # Removes only regenerated artifacts. Committed reference outputs
 # (benchmarks/out/, benchmarks/baselines/, BENCH_perf.json) survive.

@@ -3,10 +3,10 @@
 
 Runs a small document store over AB-ORAM with the full secure data
 path: values are chunked over 64B blocks, every chunk access is an
-oblivious Ring ORAM access, payloads live in memory only as ChaCha20
-ciphertext under a Merkle tree, and chain padding hides value sizes.
-Prints what an integrator cares about: per-operation ORAM cost and the
-space bill of the underlying scheme.
+oblivious Ring ORAM access, payloads live in memory only as
+ciphertext (a keyed-BLAKE2b keystream) under a Merkle tree, and chain
+padding hides value sizes. Prints what an integrator cares about:
+per-operation ORAM cost and the space bill of the underlying scheme.
 
 Run:  python examples/oblivious_kv.py [--levels 9] [--pad-chunks 4]
 """

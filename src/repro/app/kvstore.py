@@ -68,8 +68,8 @@ class ObliviousKV:
         pad_chunks: int = 1,
     ) -> "ObliviousKV":
         """Build a sealed store over a fresh ORAM of the named paper
-        scheme: payloads go through the encrypted memory image (ChaCha20
-        + MAC + Merkle tree). A store over a plaintext ORAM is
+        scheme: payloads go through the encrypted memory image (BLAKE2b
+        keystream + MAC + Merkle tree). A store over a plaintext ORAM is
         ``ObliviousKV(build_oram(cfg, store_data=True))``, as the served
         stack builds it.
         """

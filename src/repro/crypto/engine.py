@@ -2,13 +2,18 @@
 
 ``seal`` turns a 64B plaintext block into (ciphertext, tag) for one
 physical slot; ``open`` reverses and authenticates it. The nonce is
-derived from the slot address and a per-write version counter, so the
-same plaintext written twice (or to two places) produces unrelated
+the slot address and a per-write version counter, so the same
+plaintext written twice (or to two places) produces unrelated
 ciphertexts -- the property that makes real and dummy blocks
 indistinguishable on the memory bus, which Ring ORAM's security
 argument relies on. ``seal_many``/``open_many`` do the same for a
-batch of slots (a whole evictPath) over one keystream computation;
-``seal``/``open`` are the batch of one.
+batch of slots (a whole evictPath); ``seal``/``open`` are the batch
+of one.
+
+The cipher is a PRF keystream: a block is XORed with keyed BLAKE2b
+(RFC 7693, from ``hashlib``) of its nonce, whose 64-byte digest is
+exactly one block of pad. The nonce is the full ``(address, version)``
+pair the MAC binds, so a pad never repeats while versions grow.
 
 Key separation: independent subkeys for encryption and authentication
 are derived from the master key with SHA256 domain tags.
@@ -21,7 +26,8 @@ import struct
 from typing import List, Sequence, Tuple, Union
 
 from repro.crypto.auth import AuthenticationError, BlockAuthenticator
-from repro.crypto.chacha import xor_blocks
+
+_NONCE = struct.Struct("<QQ")
 
 
 class SecureBlockEngine:
@@ -36,15 +42,48 @@ class SecureBlockEngine:
         self._auth = BlockAuthenticator(
             hashlib.sha256(b"repro/mac|" + master_key).digest()
         )
+        self._init_keyed()
+
+    def _init_keyed(self) -> None:
+        # The keyed state (key block absorbed) is built once and copied
+        # per block.
+        self._keyed = hashlib.blake2b(
+            key=self._enc_key, digest_size=self.BLOCK_BYTES
+        )
+
+    # hashlib states do not pickle; checkpoints carry the keys alone.
+    def __getstate__(self) -> dict:
+        return {"_enc_key": self._enc_key, "_auth": self._auth}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._init_keyed()
 
     @property
     def tag_bytes(self) -> int:
         return self._auth.TAG_BYTES
 
-    def _nonce(self, addr: int, version: int) -> bytes:
-        # 12-byte nonce: low 8 bytes of address + low 4 of version; the
-        # version also feeds the MAC, so wrap-around cannot alias.
-        return struct.pack("<QI", addr & (2**64 - 1), version & (2**32 - 1))
+    def keystream(self, addr: int, version: int) -> bytes:
+        """The 64-byte pad of slot ``addr`` at write ``version``."""
+        try:
+            nonce = _NONCE.pack(addr, version)
+        except struct.error:
+            raise ValueError(
+                "addr and version must be unsigned 64-bit integers"
+            ) from None
+        pad = self._keyed.copy()
+        pad.update(nonce)
+        return pad.digest()
+
+    def _xor(self, addr: int, version: int, block: bytes) -> bytes:
+        if len(block) != self.BLOCK_BYTES:
+            raise ValueError(
+                f"blocks must be {self.BLOCK_BYTES} bytes, got {len(block)}"
+            )
+        return (
+            int.from_bytes(block, "little")
+            ^ int.from_bytes(self.keystream(addr, version), "little")
+        ).to_bytes(self.BLOCK_BYTES, "little")
 
     def seal(self, addr: int, version: int, plaintext: bytes) -> Tuple[bytes, bytes]:
         """Encrypt + authenticate one block; returns (ciphertext, tag)."""
@@ -64,19 +103,14 @@ class SecureBlockEngine:
         """Seal a batch of ``(addr, version, plaintext)`` blocks.
 
         Returns one ``(ciphertext, tag)`` per item, in order -- the
-        same bytes ``seal`` gives item by item; the batch shares one
-        keystream computation.
+        same bytes ``seal`` gives item by item.
         """
-        ciphertexts = xor_blocks(
-            self._enc_key,
-            [self._nonce(addr, version) for addr, version, _ in items],
-            [plaintext for _, _, plaintext in items],
-        )
-        tag = self._auth.tag
-        return [
-            (ciphertext, tag(addr, version, ciphertext))
-            for (addr, version, _), ciphertext in zip(items, ciphertexts)
-        ]
+        xor, tag = self._xor, self._auth.tag
+        sealed = []
+        for addr, version, plaintext in items:
+            ciphertext = xor(addr, version, plaintext)
+            sealed.append((ciphertext, tag(addr, version, ciphertext)))
+        return sealed
 
     def open_many(
         self, items: Sequence[Tuple[int, int, bytes, bytes]]
@@ -91,8 +125,8 @@ class SecureBlockEngine:
         """
         outcomes: list = []
         for addr, version, ciphertext, tag in items:
-            # Checked here, not left to xor_blocks: a short ciphertext
-            # is a caller error, not a MAC failure.
+            # Checked before the MAC: a short ciphertext is a caller
+            # error, not a MAC failure.
             if len(ciphertext) != self.BLOCK_BYTES:
                 raise ValueError(
                     f"ciphertext must be {self.BLOCK_BYTES} bytes, "
@@ -104,12 +138,7 @@ class SecureBlockEngine:
                 outcomes.append(exc)
             else:
                 outcomes.append(None)
-        authentic = [i for i, exc in enumerate(outcomes) if exc is None]
-        plaintexts = xor_blocks(
-            self._enc_key,
-            [self._nonce(*items[i][:2]) for i in authentic],
-            [items[i][2] for i in authentic],
-        )
-        for i, plaintext in zip(authentic, plaintexts):
-            outcomes[i] = plaintext
+        for i, exc in enumerate(outcomes):
+            if exc is None:
+                outcomes[i] = self._xor(*items[i][:3])
         return outcomes

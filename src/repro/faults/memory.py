@@ -112,7 +112,7 @@ class FaultyMemory:
         is a pure function of ``(seed, kind, op, bucket, slot)``, so
         from ``op_index`` the wrapper can tell which seals ahead are
         fault-free; each such run goes to the store's own ``seal_many``
-        (one keystream computation, one Merkle rehash) and a write the
+        (one Merkle rehash per bucket) and a write the
         plan drops goes through :meth:`seal_slot`. Op indices, ledgers,
         dummy-filler draws and the store's end state are those of
         ``seal_slot``/``seal_dummy`` item by item.
@@ -169,8 +169,8 @@ class FaultyMemory:
 
         Explicit for the same reason as ``seal_many``, and cut the same
         way: the fault-free run ahead of ``op_index`` goes to the
-        store's ``open_many`` (one Merkle check per bucket, one
-        keystream computation), a struck slot through :meth:`open_slot`.
+        store's ``open_many`` (one Merkle check per bucket), a struck
+        slot through :meth:`open_slot`.
         Lazy on purpose: only a struck open can come back as the
         ``TransientBackendError`` a caller answers with retry
         ``open_slot`` calls of its own, so a run is planned when the

@@ -33,7 +33,7 @@ generation, and a stale entry is discarded at dequeue time.
 from __future__ import annotations
 
 import enum
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -144,19 +144,18 @@ class BucketStore:
         z = self._z_list[bucket]
         return (self.status[bucket, :z] != ST_IN_USE).nonzero()[0]
 
-    def path_slot_views(self, buckets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Slot contents and statuses of a whole path at once.
+    def path_slot_views(self, buckets: np.ndarray) -> np.ndarray:
+        """Slot contents of a whole path at once.
 
-        Returns ``(slots, status)`` as two ``(len(buckets), width)``
-        arrays (fancy-index copies, so later mutation of the store does
-        not affect them), local columns first, rented ones from
-        ``z_max`` on. Padding columns and empty rental columns hold
-        ``UNALLOCATED``, and every column that is not a local slot has
-        status REFRESHED, so content-based masks (``== DUMMY``,
-        ``>= 0``) classify local and rented slots alike with no extra
-        masking.
+        A ``(len(buckets), width)`` fancy-index copy (later mutation of
+        the store does not affect it), local columns first, rented ones
+        from ``z_max`` on. Padding columns and empty rental columns
+        hold ``UNALLOCATED``, and a slot holding ``DUMMY`` or a block
+        id is always REFRESHED (:meth:`check_tallies`), so content
+        masks (``== DUMMY``, ``>= 0``) classify local and rented slots
+        alike with no status mask.
         """
-        return self.slots[buckets], self.status[buckets]
+        return self.slots[buckets]
 
     # ------------------------------------------------------------- updates
 
@@ -318,7 +317,8 @@ class BucketStore:
 
     def check_tallies(self) -> None:
         """The per-bucket DEAD / QUEUED / IN_USE tallies equal a recount
-        of ``status`` (test hook; raises ``AssertionError``)."""
+        of ``status``, and every slot holding ``DUMMY`` or a block id is
+        REFRESHED (test hook; raises ``AssertionError``)."""
         for name, code in (("dead_count", ST_DEAD),
                            ("queued_count", ST_QUEUED),
                            ("in_use_count", ST_IN_USE)):
@@ -330,3 +330,11 @@ class BucketStore:
                     f"bucket {b}: {name}={getattr(self, name)[b]} but "
                     f"{int(recount[b])} slots have status {SlotStatus(code).name}"
                 )
+        # readPath's masks test content alone (``path_slot_views``).
+        stale = (self.slots >= DUMMY) & (self.status != ST_REFRESHED)
+        if stale.any():
+            b, s = (int(i[0]) for i in stale.nonzero())
+            raise AssertionError(
+                f"bucket {b} slot {s} holds {int(self.slots[b, s])} with "
+                f"status {SlotStatus(int(self.status[b, s])).name}"
+            )

@@ -4,9 +4,9 @@ The timing simulator only counts accesses; this module is the
 *functional* memory image for deployments and end-to-end tests: a byte
 array laid out exactly like the physical tree
 (:class:`~repro.mem.layout.TreeLayout`), where every slot holds a
-sealed 64B block -- ChaCha20-encrypted, MAC'd against its physical
-address and write version, and covered by a bucket-granular Merkle
-tree whose root stays on-chip (:mod:`repro.crypto`).
+sealed 64B block -- XORed with a keyed-BLAKE2b pad, MAC'd against its
+physical address and write version, and covered by a bucket-granular
+Merkle tree whose root stays on-chip (:mod:`repro.crypto`).
 
 The Ring ORAM controller drives it through two calls, each with a
 batch form that does the same work for many slots at once:
@@ -157,9 +157,8 @@ class EncryptedTreeStore:
         dummy-filler RNG stream, ``seals`` and ``integrity.updates`` --
         is what ``seal_slot``/``seal_dummy`` item by item would leave;
         fault campaigns and integrity counters pin that. What the batch
-        shares is the keystream computation (one lane-kernel call) and
-        the Merkle work: one content digest and one rehash per distinct
-        bucket instead of one per slot.
+        shares is the Merkle work: one content digest and one rehash
+        per distinct bucket instead of one per slot.
         """
         if not items:
             return

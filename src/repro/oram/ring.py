@@ -47,9 +47,7 @@ import numpy as np
 from repro.crypto.auth import AuthenticationError
 from repro.crypto.integrity import IntegrityError
 from repro.oram import tree as tree_mod
-from repro.oram.bucket import (
-    BucketStore, DUMMY, ST_DEAD, ST_QUEUED, ST_REFRESHED,
-)
+from repro.oram.bucket import BucketStore, DUMMY, ST_DEAD, ST_QUEUED
 from repro.oram.config import OramConfig
 from repro.oram.metadata import record_blocks
 from repro.oram.observer import HOOKS, hears
@@ -421,7 +419,7 @@ class RingOram:
         # exactly once below, so the snapshot stays valid while slots
         # are consumed; remote hosts are never path buckets (a renter's
         # host sits at the renter's own level, different position).
-        rows, sts = store.path_slot_views(bks)
+        rows = store.path_slot_views(bks)
         z_max = store.z_max
         # -- locate the target (the metadata identifies its bucket + slot)
         target_bucket = -1
@@ -434,9 +432,10 @@ class RingOram:
         # -- valid dummies of every bucket in one vectorized pass;
         # np.nonzero is row-major, so per-bucket slot lists are
         # contiguous runs of ``dummy_slot``, local slots ascending and
-        # then rented ones in rental order. A rented column's status is
-        # always REFRESHED, so the one mask covers both.
-        dmask = (rows == DUMMY) & (sts == ST_REFRESHED)
+        # then rented ones in rental order. A slot holding DUMMY is
+        # always REFRESHED (consumed, queued and rented-out slots hold
+        # CONSUMED), so the content test alone suffices.
+        dmask = rows == DUMMY
         dcounts = dmask.sum(axis=1).tolist()
         dummy_slot = dmask.nonzero()[1].tolist()
         dstarts = [0, *accumulate(dcounts)]

@@ -1,7 +1,7 @@
 """The chaos campaign: fault injection under live serving load.
 
 Every cell of ``BENCH_chaos.json`` serves one workload end-to-end on a
-*sealed* stack (ChaCha20 + MAC + Merkle) with a
+*sealed* stack (BLAKE2b keystream + MAC + Merkle) with a
 :class:`~repro.faults.memory.FaultyMemory` armed underneath it, through
 the resilient serving loop of :mod:`repro.serve.resilience`. Where the
 fault campaign of :mod:`repro.faults.campaign` asks "does the memory

@@ -73,7 +73,7 @@ class KillShardDrill:
     fault plan.
 
     The drilled shard is built as a sealed chaos stack
-    (ChaCha20 + MAC + Merkle with a
+    (BLAKE2b keystream + MAC + Merkle with a
     :class:`~repro.faults.memory.FaultyMemory` underneath) and served
     through :func:`~repro.serve.resilience.resilient_replay`; every
     other shard serves normally. The fleet gate then asks: did the

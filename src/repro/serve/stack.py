@@ -67,7 +67,7 @@ def build_stack(
     ``RobustnessConfig(integrity=True)``) builds the *chaos* variant
     instead, mirroring :class:`~repro.sim.engine.Simulation`: payloads
     route through an :class:`~repro.oram.datastore.EncryptedTreeStore`
-    (ChaCha20 + MAC + Merkle) optionally wrapped in a
+    (BLAKE2b keystream + MAC + Merkle) optionally wrapped in a
     :class:`~repro.faults.memory.FaultyMemory` injecting the plan's
     faults. The wrapper starts disarmed so the store can be populated
     cleanly; call :meth:`ServedStack.arm_faults` before the measured

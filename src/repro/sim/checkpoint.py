@@ -37,8 +37,11 @@ PathLike = Union[str, Path]
 #: 6: the DRAM model holds no ``AddressMapping`` (the interleaving is
 #: module constants), so an older file no longer unpickles. 7: the
 #: DRAM model keeps each channel's next refresh time (was an epoch)
-#: and the timed sink cache-line tables (was byte offsets).
-CHECKPOINT_FORMAT = 7
+#: and the timed sink cache-line tables (was byte offsets). 8: sealed
+#: payloads are XORed with a keyed-BLAKE2b pad (was ChaCha20); the
+#: layout is unchanged, but an older image's MACs still verify, so it
+#: would open to wrong bytes without an error.
+CHECKPOINT_FORMAT = 8
 _MAGIC = "repro-sim-checkpoint"
 
 

@@ -85,8 +85,8 @@ class TestConsume:
 def valid_dummy_slots(store, bucket):
     """The dummies readPath may serve from ``bucket``, by the mask it
     runs over the path snapshot."""
-    rows, sts = store.path_slot_views(np.array([bucket]))
-    return ((rows == DUMMY) & (sts == ST_REFRESHED)).nonzero()[1].tolist()
+    rows = store.path_slot_views(np.array([bucket]))
+    return (rows == DUMMY).nonzero()[1].tolist()
 
 
 class TestQueries:
@@ -97,9 +97,13 @@ class TestQueries:
     def test_valid_dummy_slots_excludes_allocated(self, store):
         """Slots rented to another bucket (IN_USE) or parked in a DeadQ
         (QUEUED) are not the bucket's to read: the paper marks them
-        ALLOCATED precisely so that "no one else will use" them."""
+        ALLOCATED precisely so that "no one else will use" them. Only a
+        consumed slot gets there, so its content is CONSUMED."""
+        for slot in (1, 2):
+            store.consume(0, slot)
         store.set_status(0, 1, SlotStatus.QUEUED)
         store.set_status(0, 2, SlotStatus.IN_USE)
+        store.check_tallies()
         assert valid_dummy_slots(store, 0) == [0, 3, 4]
 
     def test_valid_real_slots(self, store):
@@ -234,6 +238,20 @@ class TestGlobalScans:
         with pytest.raises(AssertionError, match="dead_count"):
             store.check_tallies()
 
+    @pytest.mark.parametrize("content", [DUMMY, 7])
+    def test_live_content_must_be_refreshed(self, store, content):
+        """readPath masks content alone: a dummy or a real block in a
+        slot that is not REFRESHED is an invariant violation."""
+        store.set_slot(0, 3, content)
+        store.check_tallies()
+        store.set_status(0, 3, SlotStatus.DEAD)   # tallies kept
+        with pytest.raises(
+            AssertionError, match=f"slot 3 holds {content} with status DEAD"
+        ):
+            store.check_tallies()
+        store.set_slot(0, 3, CONSUMED)
+        store.check_tallies()
+
 
 class TestWideRows:
     """A row is the bucket's local slots, then one column per slot it
@@ -274,7 +292,7 @@ class TestWideRows:
         assert store.valid_real_slots(b).tolist() == [1]    # local only
         store.slots[b, store.z_max] = DUMMY      # a rented dummy
         assert valid_dummy_slots(store, b)[-1] == store.z_max
-        rows, _ = store.path_slot_views(np.array([0, b]))
+        rows = store.path_slot_views(np.array([0, b]))
         assert [list(h) for h in (rows == 7).nonzero()] == [[1], [1]]
         with pytest.raises(ValueError):
             store.consume(b, store.z_max)        # not a local slot

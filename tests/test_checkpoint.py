@@ -7,7 +7,6 @@ import pytest
 from conftest import sealed_store_state
 
 from repro.core import schemes as schemes_mod
-from repro.crypto import chacha
 from repro.faults.plan import FaultPlan
 from repro.oram.recovery import RobustnessConfig
 from repro.sim.checkpoint import (
@@ -58,9 +57,9 @@ class TestCheckpointRoundtrip:
     ):
         """A sealed, fault-armed ``ab`` run stopped mid-way: the flat
         tag table and the sealed mask come back byte for byte and the
-        run finishes bit-identically, while the wide kernel's per-N
-        constants -- module state -- are neither in the file nor needed
-        from it."""
+        run finishes bit-identically, while the engine's keyed BLAKE2b
+        state -- precomputed from the key -- is neither in the file nor
+        needed from it."""
         plan = FaultPlan(
             seed=1, max_outage_ops=2,
             rates={"bit_flip": 0.01, "replay": 0.01, "unavailable": 0.02},
@@ -76,13 +75,13 @@ class TestCheckpointRoundtrip:
         store, ext = sim.oram.store, sim.oram.ext
         assert ext.active_rentals() > 0
         assert (store.slots[:, store.z_max:] >= 0).any()
-        assert chacha._wide_consts.cache_info().currsize > 0
         path = tmp_path / "ck.pkl"
         save_checkpoint(sim, path)
-        lane_mask = b"\xff\xff\xff\xff\x00\x00\x00\x00"
-        assert lane_mask * 3 not in path.read_bytes()
-        chacha._wide_consts.cache_clear()
+        assert b"_keyed" not in path.read_bytes()
         resumed = load_checkpoint(path)
+        assert resumed.datastore.engine.keystream(
+            64, 3
+        ) == sim.datastore.engine.keystream(64, 3)
         assert sealed_store_state(resumed.datastore) == sealed_store_state(
             sim.datastore
         )
@@ -135,8 +134,9 @@ class TestCheckpointValidation:
         buffers), format 5 (a DRAM model with an address-mapping
         object) and format 6 (refresh epochs, and a timed sink of byte
         offsets): the file would load and the run die later on a
-        missing attribute."""
-        for fmt in (99, 1, 2, 3, 4, 5, 6):
+        missing attribute. Format 7 (ChaCha20 payloads) would load and
+        run, its MACs verifying, but open to wrong bytes."""
+        for fmt in (99, 1, 2, 3, 4, 5, 6, 7):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

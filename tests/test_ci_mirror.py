@@ -145,3 +145,11 @@ def test_every_target_ci_calls_is_under_make_ci():
         f"CI calls make targets `make ci` does not reach: {missing}")
     assert {"smoke", "readme-smoke", "e2e-quick"} <= called, sorted(called)
 
+
+
+def test_every_target_under_make_ci_has_a_rule():
+    """A target deleted from the Makefile leaves no dangling name in
+    `make ci`'s prerequisites (make would stop there with "No rule")."""
+    rules = make_prerequisites(MAKEFILE.read_text())
+    dangling = sorted(t for t in reached_from(rules, "ci") if t not in rules)
+    assert not dangling, f"`make ci` needs targets with no rule: {dangling}"

@@ -1,350 +1,159 @@
 """Tests for the crypto boundary (repro.crypto).
 
-The ChaCha20 implementation is validated against the official RFC 8439
-test vectors; the authenticator, engine, and Merkle tree are tested for
-round-trips and -- more importantly -- for *detection*: every modelled
-attack (bit flips, splicing, version rollback, consistent replay) must
-raise.
+The keystream is pinned to known-answer vectors and to ``hashlib``'s
+keyed BLAKE2b; the authenticator, engine, and Merkle tree are tested
+for round-trips and -- more importantly -- for *detection*: every
+modelled attack (bit flips, splicing, version rollback, consistent
+replay) must raise.
 """
 
 import hashlib
-import importlib.util
 import pickle
 import struct
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.crypto.auth import AuthenticationError, BlockAuthenticator
-from repro.crypto.chacha import (
-    LANE_MIN_BLOCKS, ChaCha20, chacha20_xor, keystream_lanes, keystream_wide,
-    xor_blocks,
-)
 from repro.crypto.engine import SecureBlockEngine
 from repro.crypto.integrity import BucketMerkleTree, IntegrityError
 
 
+MASTER = b"master key bytes"
+
+
 class TestChaCha20Rfc8439:
-    """Official test vectors from RFC 8439."""
+    """Known-answer vectors of the sealing pad: keyed BLAKE2b (RFC 7693)
+    of the ``<QQ`` (address, version) nonce under the derived encryption
+    key. The class and its tests keep the names they had when the pad
+    was ChaCha20 (RFC 8439), so their test ids carry over."""
 
     def test_block_function_vector(self):
-        """RFC 8439 section 2.3.2."""
-        key = bytes(range(32))
-        nonce = bytes.fromhex("000000090000004a00000000")
-        block = ChaCha20(key, nonce).block(1)
-        expect = bytes.fromhex(
-            "10f1e7e4d13b5915500fdd1fa32071c4"
-            "c7d1f4c733c068030422aa9ac3d46c4e"
-            "d2826446079faa0914c2d705d98b02a2"
-            "b5129cd1de164eb9cbd083e8a2503c4e"
+        pad = SecureBlockEngine(MASTER).keystream(0xABC0, 7)
+        assert pad == bytes.fromhex(
+            "8d34cbda23210e8921f8b97f6e181a31"
+            "c17d53ffec136c14c6cf7ed72a0d0e16"
+            "d94ee9660af23ac2c3024fb28baf0d9e"
+            "39cb127a8db92db2d6accd816e345624"
         )
-        assert block == expect
 
     def test_encryption_vector(self):
-        """RFC 8439 section 2.4.2: the sunscreen plaintext."""
-        key = bytes(range(32))
-        nonce = bytes.fromhex("000000000000004a00000000")
         plaintext = (
             b"Ladies and Gentlemen of the class of '99: If I could offer you "
-            b"only one tip for the future, sunscreen would be it."
+            b"o"
         )
-        ciphertext = ChaCha20(key, nonce).xor(plaintext, counter=1)
-        expect = bytes.fromhex(
-            "6e2e359a2568f98041ba0728dd0d6981"
-            "e97e7aec1d4360c20a27afccfd9fae0b"
-            "f91b65c5524733ab8f593dabcd62b357"
-            "1639d624e65152ab8f530c359f0861d8"
-            "07ca0dbf500d6a6156a38e088a22b65e"
-            "52bc514d16ccf806818ce91ab7793736"
-            "5af90bbf74a35be6b40b8eedf2785e42"
-            "874d"
+        ciphertext, _ = SecureBlockEngine(MASTER).seal(0xABC0, 7, plaintext)
+        assert ciphertext == bytes.fromhex(
+            "c155afb346522ee84f9c99380b766e5d"
+            "a4103691cc7c0a34b2a71bf749616f65"
+            "aa6e86002ad503fbf92206d4abe62dfd"
+            "56be7e1eadd64bd4b3deedf80141764b"
         )
-        assert ciphertext == expect
 
     def test_keystream_block_zero_vector(self):
-        """RFC 8439 section 2.3.2 uses counter=1; appendix A.1 test
-        vector #1 is the all-zero state at counter 0."""
-        block = ChaCha20(bytes(32), bytes(12)).block(0)
-        expect = bytes.fromhex(
-            "76b8e0ada0f13d90405d6ae55386bd28"
-            "bdd219b8a08ded1aa836efcc8b770dc7"
-            "da41597c5157488d7724e03fb8d84a37"
-            "6a43b8f41518a11cc387b669b2ee6586"
+        pad = SecureBlockEngine(MASTER).keystream(0, 0)
+        assert pad == bytes.fromhex(
+            "6c1b3bbeca528f113b103c21b777c4a6"
+            "ad0adf7b99b755041bcedf620eba415b"
+            "34bb0d1a6d1009d3690d14220b51ed20"
+            "2491dc7d8445a2dfba5b9a190820de68"
         )
-        assert block == expect
-
-
-class TestChaCha20Lanes:
-    """The lane kernel against the RFC vectors and the scalar block."""
-
-    KEY = bytes(range(32))
-
-    def test_block_function_vector(self):
-        """RFC 8439 section 2.3.2, one lane."""
-        nonce = bytes.fromhex("000000090000004a00000000")
-        assert keystream_lanes(self.KEY, [nonce], [1]) == bytes.fromhex(
-            "10f1e7e4d13b5915500fdd1fa32071c4"
-            "c7d1f4c733c068030422aa9ac3d46c4e"
-            "d2826446079faa0914c2d705d98b02a2"
-            "b5129cd1de164eb9cbd083e8a2503c4e"
-        )
-
-    def test_encryption_vector(self):
-        """RFC 8439 section 2.4.2: two blocks from counter 1, two lanes."""
-        nonce = bytes.fromhex("000000000000004a00000000")
-        plaintext = (
-            b"Ladies and Gentlemen of the class of '99: If I could offer you "
-            b"only one tip for the future, sunscreen would be it."
-        )
-        keystream = keystream_lanes(self.KEY, [nonce, nonce], [1, 2])
-        ciphertext = bytes(p ^ k for p, k in zip(plaintext, keystream))
-        assert ciphertext == bytes.fromhex(
-            "6e2e359a2568f98041ba0728dd0d6981"
-            "e97e7aec1d4360c20a27afccfd9fae0b"
-            "f91b65c5524733ab8f593dabcd62b357"
-            "1639d624e65152ab8f530c359f0861d8"
-            "07ca0dbf500d6a6156a38e088a22b65e"
-            "52bc514d16ccf806818ce91ab7793736"
-            "5af90bbf74a35be6b40b8eedf2785e42"
-            "874d"
-        )
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 68])
-    def test_lanes_match_scalar_block(self, n):
-        """Every lane has its own nonce *and* counter."""
-        nonces = [struct.pack("<QI", 0x1000 + 64 * i, i + 1) for i in range(n)]
-        counters = [(i * 0x01000193 + 7) & 0xFFFFFFFF for i in range(n)]
-        counters[-1] = 0xFFFFFFFF
-        out = keystream_lanes(self.KEY, nonces, counters)
-        assert len(out) == 64 * n
-        for i in range(n):
-            assert out[64 * i:64 * i + 64] == ChaCha20(
-                self.KEY, nonces[i]
-            ).block(counters[i]), f"lane {i}"
-
-    def test_no_lanes(self):
-        assert keystream_lanes(self.KEY, [], []) == b""
-
-    @pytest.mark.parametrize("counter", [-1, 2**32])
-    def test_counter_range_same_on_both_paths(self, counter):
-        nonce = b"n" * 12
-        with pytest.raises(ValueError, match="counter out of range") as scalar:
-            ChaCha20(self.KEY, nonce).block(counter)
-        with pytest.raises(ValueError, match="counter out of range") as lanes:
-            keystream_lanes(self.KEY, [nonce, nonce], [0, counter])
-        assert str(scalar.value) == str(lanes.value)
-
-    def test_lane_arguments_validated(self):
-        with pytest.raises(ValueError):
-            keystream_lanes(b"short", [b"n" * 12], [0])
-        with pytest.raises(ValueError):
-            keystream_lanes(self.KEY, [b"short"], [0])
-        with pytest.raises(ValueError):
-            keystream_lanes(self.KEY, [b"n" * 12], [0, 1])
-
-    @pytest.mark.parametrize(
-        "n", [0, 1, 3, 4, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 100]
-    )
-    def test_xor_blocks_matches_scalar_xor(self, n):
-        """Same bytes on both sides of the wide/lanes cut-over, and at
-        the 3-4 blocks a readPath batch holds."""
-        nonces = [struct.pack("<QI", 64 * i, 3 * i) for i in range(n)]
-        blocks = [bytes([i % 251]) * 64 for i in range(n)]
-        assert xor_blocks(self.KEY, nonces, blocks) == [
-            ChaCha20(self.KEY, nonce).xor(block)
-            for nonce, block in zip(nonces, blocks)
-        ]
-
-    def test_xor_blocks_validates(self):
-        with pytest.raises(ValueError):
-            xor_blocks(self.KEY, [b"n" * 12], [b"short"])
-        with pytest.raises(ValueError):
-            xor_blocks(self.KEY, [b"n" * 12], [])
-
-
-class TestChaCha20Wide:
-    """The wide-integer kernel against the RFC vectors, the reference
-    block and the lane kernel: three functions, one keystream."""
-
-    KEY = bytes(range(32))
-
-    def test_block_function_vector(self):
-        """RFC 8439 section 2.3.2, one block."""
-        nonce = bytes.fromhex("000000090000004a00000000")
-        assert keystream_wide(self.KEY, [nonce], [1]) == bytes.fromhex(
-            "10f1e7e4d13b5915500fdd1fa32071c4"
-            "c7d1f4c733c068030422aa9ac3d46c4e"
-            "d2826446079faa0914c2d705d98b02a2"
-            "b5129cd1de164eb9cbd083e8a2503c4e"
-        )
-
-    def test_encryption_vector(self):
-        """RFC 8439 section 2.4.2: two blocks from counter 1."""
-        nonce = bytes.fromhex("000000000000004a00000000")
-        plaintext = (
-            b"Ladies and Gentlemen of the class of '99: If I could offer you "
-            b"only one tip for the future, sunscreen would be it."
-        )
-        keystream = keystream_wide(self.KEY, [nonce, nonce], [1, 2])
-        ciphertext = bytes(p ^ k for p, k in zip(plaintext, keystream))
-        assert ciphertext == bytes.fromhex(
-            "6e2e359a2568f98041ba0728dd0d6981"
-            "e97e7aec1d4360c20a27afccfd9fae0b"
-            "f91b65c5524733ab8f593dabcd62b357"
-            "1639d624e65152ab8f530c359f0861d8"
-            "07ca0dbf500d6a6156a38e088a22b65e"
-            "52bc514d16ccf806818ce91ab7793736"
-            "5af90bbf74a35be6b40b8eedf2785e42"
-            "874d"
-        )
-
-    @pytest.mark.parametrize(
-        "n", [0, 1, 2, 3, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 100]
-    )
-    def test_three_functions_one_keystream(self, n):
-        """Every block has its own nonce *and* counter."""
-        nonces = [struct.pack("<QI", 0x1000 + 64 * i, i + 1) for i in range(n)]
-        counters = [(i * 0x01000193 + 7) & 0xFFFFFFFF for i in range(n)]
-        if n:
-            counters[-1] = 0xFFFFFFFF
-        wide = keystream_wide(self.KEY, nonces, counters)
-        assert wide == b"".join(
-            ChaCha20(self.KEY, nonce).block(counter)
-            for nonce, counter in zip(nonces, counters)
-        )
-        assert wide == keystream_lanes(self.KEY, nonces, counters)
-
-    def test_all_ones_words_stay_in_their_lanes(self):
-        """Key, nonce and counter words all 0xFFFFFFFF: every add
-        carries and every rotate spills, in every lane at once."""
-        key, nonce, counter = b"\xff" * 32, b"\xff" * 12, 0xFFFFFFFF
-        block = ChaCha20(key, nonce).block(counter)
-        for n in (1, 2, 5):
-            assert keystream_wide(key, [nonce] * n, [counter] * n) == block * n
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        n=st.integers(2, 9),
-        first=st.booleans(),
-        key=st.sampled_from([bytes(32), b"\xff" * 32, bytes(range(32))]),
-        odd=st.integers(0, 8),
-        nonce=st.binary(min_size=12, max_size=12),
-        counter=st.integers(0, 0xFFFFFFFF),
-    )
-    def test_extreme_neighbours_do_not_leak(
-        self, n, first, key, odd, nonce, counter
-    ):
-        """Neighbouring lanes alternate all-zero / all-ones words (with
-        one arbitrary block among them): a carry or a shifted-out bit
-        crossing a lane boundary would change some block."""
-        extremes = [(bytes(12), 0), (b"\xff" * 12, 0xFFFFFFFF)]
-        lanes = [extremes[(i + first) % 2] for i in range(n)]
-        lanes[odd % n] = (nonce, counter)
-        nonces = [lane[0] for lane in lanes]
-        counters = [lane[1] for lane in lanes]
-        assert keystream_wide(key, nonces, counters) == b"".join(
-            ChaCha20(key, nc).block(ct) for nc, ct in lanes
-        )
-
-    @pytest.mark.parametrize("counter", [-1, 2**32])
-    def test_counter_range_as_the_lane_kernel(self, counter):
-        nonce = b"n" * 12
-        with pytest.raises(ValueError, match="counter out of range") as lanes:
-            keystream_lanes(self.KEY, [nonce, nonce], [0, counter])
-        with pytest.raises(ValueError, match="counter out of range") as wide:
-            keystream_wide(self.KEY, [nonce, nonce], [0, counter])
-        assert str(lanes.value) == str(wide.value)
-
-    @pytest.mark.parametrize("args", [
-        (b"short", [b"n" * 12], [0]),
-        (bytes(range(32)), [b"short"], [0]),
-        (bytes(range(32)), [b"n" * 12], [0, 1]),
-    ])
-    def test_arguments_validated_as_the_lane_kernel(self, args):
-        with pytest.raises(ValueError) as lanes:
-            keystream_lanes(*args)
-        with pytest.raises(ValueError) as wide:
-            keystream_wide(*args)
-        assert str(lanes.value) == str(wide.value)
-
-
-class TestCutoverTool:
-    """``tools/chacha_cutover.py``: the table behind LANE_MIN_BLOCKS."""
-
-    @pytest.fixture
-    def tool(self):
-        path = Path(__file__).resolve().parents[1] / "tools/chacha_cutover.py"
-        spec = importlib.util.spec_from_file_location("chacha_cutover", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    ARGS = ["--repeats", "1", "--budget-ms", "0.1", "--sizes", "1", "3"]
-
-    def test_prints_the_table_and_the_constant(self, tool, capsys):
-        assert tool.main(self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "reference" in out and "wide" in out and "lanes" in out
-        assert f"LANE_MIN_BLOCKS = {LANE_MIN_BLOCKS}" in out
-
-    def test_disagreement_on_one_lane_fails(self, tool, capsys, monkeypatch):
-        def wrong_last_lane(key, nonces, counters):
-            good = keystream_wide(key, nonces, counters)
-            return good[:-1] + bytes([good[-1] ^ 1])
-
-        monkeypatch.setattr(tool, "keystream_wide", wrong_last_lane)
-        assert tool.main(self.ARGS) == 1
-        assert "N=3: wide lane 2 differs" in capsys.readouterr().err
-
-    def test_break_even_needs_lanes_ahead_from_there_on(self, tool):
-        sizes = [1, 8, 32, 40, 48]
-        assert tool.break_even(sizes, [3, 6, 19, 21, 25], [20] * 5) == 40
-        # One noisy early win for lanes is not the break-even.
-        assert tool.break_even(sizes, [3, 21, 19, 21, 25], [20] * 5) == 40
-        assert tool.break_even(sizes, [3, 6, 9, 12, 15], [20] * 5) is None
 
 
 class TestChaCha20Api:
+    """The pad's API on ``SecureBlockEngine``. The class and its tests
+    keep the names they had when the pad was ChaCha20, so their test
+    ids carry over."""
+
     def test_xor_roundtrip(self):
-        c = ChaCha20(b"k" * 32, b"n" * 12)
-        msg = b"hello oram world" * 5
-        assert c.xor(c.xor(msg)) == msg
+        engine = SecureBlockEngine(MASTER)
+        msg = b"hello oram world" * 4
+        ciphertext, _ = engine.seal(64, 3, msg)
+        pad = engine.keystream(64, 3)
+        assert bytes(c ^ k for c, k in zip(ciphertext, pad)) == msg
 
     def test_one_shot_helper(self):
-        key, nonce = b"k" * 32, b"n" * 12
-        ct = chacha20_xor(key, nonce, b"data")
-        assert chacha20_xor(key, nonce, ct) == b"data"
+        """The copied keyed state gives what a one-shot ``hashlib``
+        call gives, over the whole 64-bit nonce range."""
+        enc_key = hashlib.sha256(b"repro/enc|" + MASTER).digest()
+        engine = SecureBlockEngine(MASTER)
+        for addr, version in [
+            (0, 0), (64, 1), (0xABC0, 2**32 + 7), (2**64 - 1, 2**64 - 1),
+        ]:
+            assert engine.keystream(addr, version) == hashlib.blake2b(
+                struct.pack("<QQ", addr, version),
+                key=enc_key, digest_size=64,
+            ).digest()
 
     def test_different_counters_differ(self):
-        c = ChaCha20(b"k" * 32, b"n" * 12)
-        assert c.block(0) != c.block(1)
+        engine = SecureBlockEngine(MASTER)
+        assert engine.keystream(64, 0) != engine.keystream(64, 1)
 
     def test_different_nonces_differ(self):
-        a = ChaCha20(b"k" * 32, b"a" * 12).block(0)
-        b = ChaCha20(b"k" * 32, b"b" * 12).block(0)
-        assert a != b
+        engine = SecureBlockEngine(MASTER)
+        nonces = [(a, v) for a in (0, 64, 2**32) for v in (0, 1, 2**32)]
+        pads = {engine.keystream(a, v) for a, v in nonces}
+        assert len(pads) == len(nonces)
 
     def test_keystream_prefix_property(self):
-        c = ChaCha20(b"k" * 32, b"n" * 12)
-        assert c.keystream(100)[:64] == c.block(0)
+        """A block's pad does not depend on the batch it is sealed in:
+        a batch's prefix seals as the batch's first items did."""
+        engine = SecureBlockEngine(MASTER)
+        items = [(64 * i, i, bytes([i]) * 64) for i in range(6)]
+        assert engine.seal_many(items[:2]) == engine.seal_many(items)[:2]
 
     def test_bad_key_length(self):
         with pytest.raises(ValueError):
-            ChaCha20(b"short", b"n" * 12)
+            SecureBlockEngine(b"k" * 15)
+        assert len(SecureBlockEngine(b"k" * 16).keystream(0, 0)) == 64
 
     def test_bad_nonce_length(self):
-        with pytest.raises(ValueError):
-            ChaCha20(b"k" * 32, b"short")
+        """The address half of the nonce is an unsigned 64-bit word."""
+        engine = SecureBlockEngine(MASTER)
+        for addr in (-1, 2**64):
+            with pytest.raises(ValueError):
+                engine.keystream(addr, 0)
+            with pytest.raises(ValueError):
+                engine.seal(addr, 0, bytes(64))
 
     def test_bad_counter(self):
-        with pytest.raises(ValueError):
-            ChaCha20(b"k" * 32, b"n" * 12).block(-1)
+        """So is the version half."""
+        engine = SecureBlockEngine(MASTER)
+        for version in (-1, 2**64):
+            with pytest.raises(ValueError):
+                engine.keystream(0, version)
+            with pytest.raises(ValueError):
+                engine.seal(0, version, bytes(64))
 
     def test_negative_length(self):
-        with pytest.raises(ValueError):
-            ChaCha20(b"k" * 32, b"n" * 12).keystream(-1)
+        """A block is exactly one 64-byte pad long, no shorter or
+        longer."""
+        engine = SecureBlockEngine(MASTER)
+        for size in (0, 63, 65):
+            with pytest.raises(ValueError):
+                engine.seal(0, 0, bytes(size))
+
+
+class TestKeystream:
+    def test_distinct_keys_distinct_pads(self):
+        one = SecureBlockEngine(MASTER).keystream(64, 1)
+        other = SecureBlockEngine(b"master key bytez").keystream(64, 1)
+        assert one != other
+
+    def test_version_past_32_bits_is_a_new_nonce(self):
+        """The whole version is nonce: a slot written 2**32 times more
+        does not reuse its pad."""
+        engine = SecureBlockEngine(MASTER)
+        v = 5
+        low, _ = engine.seal(0x1000, v, bytes(64))
+        high, _ = engine.seal(0x1000, v + 2**32, bytes(64))
+        assert low != high
+
+    def test_pickle_rebuilds_the_keyed_state(self):
+        """Checkpoints pickle the engine; the keyed BLAKE2b state cannot
+        be pickled and is rebuilt from the key."""
+        engine = SecureBlockEngine(MASTER)
+        clone = pickle.loads(pickle.dumps(engine))
+        assert clone.seal(64, 3, bytes(64)) == engine.seal(64, 3, bytes(64))
 
 
 class TestBlockAuthenticator:
@@ -434,7 +243,7 @@ class TestSecureBlockEngine:
         with pytest.raises(ValueError):
             SecureBlockEngine(b"short")
 
-    @pytest.mark.parametrize("n", sorted({0, 1, 4, LANE_MIN_BLOCKS, 40}))
+    @pytest.mark.parametrize("n", [0, 1, 4, 40])
     def test_batch_equals_scalar(self, n):
         eng = SecureBlockEngine(b"master key bytes")
         items = [(64 * i, i + 1, bytes([i]) * 64) for i in range(n)]

@@ -12,7 +12,6 @@ from conftest import tiny_ab_config, tiny_config
 
 from repro.core.remote import RemoteAllocator
 from repro.crypto.auth import AuthenticationError
-from repro.crypto.chacha import LANE_MIN_BLOCKS
 from repro.crypto.integrity import IntegrityError
 from repro.oram import tree as tree_mod
 from repro.oram.datastore import EncryptedTreeStore, pad_block
@@ -219,9 +218,8 @@ def _scalar_opens(store, slots):
 class TestBatchEqualsScalar:
     """``seal_many``/``open_many`` against the scalar calls they batch."""
 
-    # Both sides of the kernel cut-over, and the 3-4 slots of a
-    # readPath batch.
-    SIZES = [0, 1, 3, 4, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 100]
+    # The 3-4 slots of a readPath batch up to a whole warm fill.
+    SIZES = [0, 1, 3, 4, 39, 40, 100]
 
     def _pair(self, cfg, with_integrity=True):
         return [
@@ -245,7 +243,7 @@ class TestBatchEqualsScalar:
         assert batch.open_many(slots) == _scalar_opens(scalar, slots)
         assert _everything(batch) == _everything(scalar)
 
-    @pytest.mark.parametrize("n", [3, LANE_MIN_BLOCKS - 1, 40])
+    @pytest.mark.parametrize("n", [3, 39, 40])
     @pytest.mark.parametrize("attack", ["payload", "version"])
     def test_tampered_slot_fails_alone(self, cfg_small, n, attack):
         batch, scalar = self._pair(cfg_small)

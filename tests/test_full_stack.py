@@ -1,9 +1,9 @@
 """Full-stack integration: every optional subsystem enabled at once.
 
 One ORAM instance with the AB extensions (DeadQ + remote allocation),
-the encrypted tree store (ChaCha20 + MAC + Merkle), recursive position
-map with a tiny PLB, DRAM timing, security observers, and dead-block
-analytics -- all running together over a mixed workload, with data
+the encrypted tree store (BLAKE2b keystream + MAC + Merkle), recursive
+position map with a tiny PLB, DRAM timing, security observers, and
+dead-block analytics -- all running together over a mixed workload, with data
 correctness checked against a shadow dict and every subsystem's meters
 asserted to have moved.
 """

@@ -6,8 +6,7 @@ with ``sys.setprofile`` and compares them with every function the source
 defines (an AST walk of ``src/repro``).
 
 It runs the Makefile targets ``ci`` (what CI runs: lint, tier-1, the
-smoke gates, the README steps, the ChaCha20 cut-over, the e2e quick
-run), ``bench`` (the paper benchmarks, at a small scale), ``examples``
+smoke gates, the README steps, the e2e quick run), ``bench`` (the paper benchmarks, at a small scale), ``examples``
 and ``fingerprint`` with ``tools/reach_site`` first on ``PYTHONPATH``,
 so every interpreter they start, subprocesses and spawn workers
 included, loads the recorder in its ``sitecustomize.py``. Under pytest
