@@ -1,14 +1,13 @@
 """The per-block seal/open engine.
 
-``seal`` turns a 64B plaintext block into (ciphertext, tag) for one
-physical slot; ``open`` reverses and authenticates it. The nonce is
-the slot address and a per-write version counter, so the same
-plaintext written twice (or to two places) produces unrelated
-ciphertexts -- the property that makes real and dummy blocks
-indistinguishable on the memory bus, which Ring ORAM's security
-argument relies on. ``seal_many``/``open_many`` do the same for a
-batch of slots (a whole evictPath); ``seal``/``open`` are the batch
-of one.
+``seal_many`` turns 64B plaintext blocks into (ciphertext, tag) pairs,
+one per physical slot; ``open_many`` reverses and authenticates them,
+and ``open`` is its batch of one. The nonce is the slot address and a
+per-write version counter, so the same plaintext written twice (or to
+two places) produces unrelated ciphertexts -- the property that makes
+real and dummy blocks indistinguishable on the memory bus, which Ring
+ORAM's security argument relies on. A batch is a whole evictPath, or
+one readPath's opens.
 
 The cipher is a PRF keystream: a block is XORed with keyed BLAKE2b
 (RFC 7693, from ``hashlib``) of its nonce, whose 64-byte digest is
@@ -85,10 +84,6 @@ class SecureBlockEngine:
             ^ int.from_bytes(self.keystream(addr, version), "little")
         ).to_bytes(self.BLOCK_BYTES, "little")
 
-    def seal(self, addr: int, version: int, plaintext: bytes) -> Tuple[bytes, bytes]:
-        """Encrypt + authenticate one block; returns (ciphertext, tag)."""
-        return self.seal_many([(addr, version, plaintext)])[0]
-
     def open(self, addr: int, version: int, ciphertext: bytes,
              tag: bytes) -> bytes:
         """Authenticate + decrypt one block (raises on tampering)."""
@@ -102,8 +97,8 @@ class SecureBlockEngine:
     ) -> List[Tuple[bytes, bytes]]:
         """Seal a batch of ``(addr, version, plaintext)`` blocks.
 
-        Returns one ``(ciphertext, tag)`` per item, in order -- the
-        same bytes ``seal`` gives item by item.
+        Returns one ``(ciphertext, tag)`` per item, in order: each
+        block XORed with its :meth:`keystream`, then tagged.
         """
         xor, tag = self._xor, self._auth.tag
         sealed = []

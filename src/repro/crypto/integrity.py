@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.oram import tree as tree_mod
 
 _EMPTY = bytes(32)
+_NO_CHILDREN = _EMPTY + _EMPTY
 
 
 class IntegrityError(Exception):
@@ -59,62 +60,45 @@ class BucketMerkleTree:
         self.updates = 0
         self.verifications = 0
 
-    def _children(self, bucket: int) -> Tuple[int, int]:
-        left, right = tree_mod.children_of(bucket)
-        if left >= self.n_buckets:
-            return -1, -1
-        return left, right
-
     def _combine(self, bucket: int) -> bytes:
-        left, right = self._children(bucket)
-        h = hashlib.sha256()
-        h.update(self._content[bucket])
-        h.update(self._digest[left] if left >= 0 else _EMPTY)
-        h.update(self._digest[right] if right >= 0 else _EMPTY)
-        return h.digest()
+        left = 2 * bucket + 1
+        if left < self.n_buckets:
+            children = self._digest[left] + self._digest[left + 1]
+        else:
+            children = _NO_CHILDREN
+        return hashlib.sha256(self._content[bucket] + children).digest()
 
-    # -------------------------------------------------------------- update
-
-    def update_bucket(self, bucket: int, content_digest: bytes) -> None:
-        """Set a bucket's content digest and rehash its path to the root."""
-        if not 0 <= bucket < self.n_buckets:
-            raise ValueError(f"bucket {bucket} out of range")
-        if len(content_digest) != self.DIGEST_BYTES:
-            raise ValueError("content digest must be 32 bytes")
-        self._content[bucket] = content_digest
-        b = bucket
-        while True:
-            self._digest[b] = self._combine(b)
-            if b == 0:
-                break
-            b = tree_mod.parent_of(b)
-        self._root_onchip = self._digest[0]
-        self.updates += 1
-
-    def update_buckets(self, contents: Dict[int, bytes], updates: int) -> None:
-        """Set several buckets' content digests, rehashing once.
-
-        Equivalent to ``updates`` calls of :meth:`update_bucket` whose
-        last call per bucket carried ``contents[bucket]`` (a batch that
-        seals a bucket's slots one after another only needs the final
-        digest): the stored digests depend on the final contents alone,
-        so every affected node is recombined once, children first.
-        """
-        dirty = set()
-        for bucket, content_digest in contents.items():
+    def _chains(self, buckets) -> set:
+        """The union of the buckets' paths to the root (each node once)."""
+        chain = set()
+        for bucket in buckets:
             if not 0 <= bucket < self.n_buckets:
                 raise ValueError(f"bucket {bucket} out of range")
-            if len(content_digest) != self.DIGEST_BYTES:
-                raise ValueError("content digest must be 32 bytes")
-            self._content[bucket] = content_digest
             b = bucket
-            while b not in dirty:
-                dirty.add(b)
+            while b not in chain:
+                chain.add(b)
                 if b == 0:
                     break
                 b = tree_mod.parent_of(b)
+        return chain
+
+    # -------------------------------------------------------------- update
+
+    def update_buckets(self, contents: Dict[int, bytes], updates: int) -> None:
+        """Set buckets' content digests and rehash their paths once.
+
+        ``updates`` is how many slot seals the batch stands for. Sealing
+        a bucket's slots one after another needs only the final digest:
+        the stored digests depend on the final contents alone, so every
+        affected node is recombined once, children first.
+        """
+        chain = self._chains(contents)
+        for bucket, content_digest in contents.items():
+            if len(content_digest) != self.DIGEST_BYTES:
+                raise ValueError("content digest must be 32 bytes")
+            self._content[bucket] = content_digest
         # Level order numbers children above their parent.
-        for b in sorted(dirty, reverse=True):
+        for b in sorted(chain, reverse=True):
             self._digest[b] = self._combine(b)
         self._root_onchip = self._digest[0]
         self.updates += updates
@@ -132,36 +116,52 @@ class BucketMerkleTree:
             raise IntegrityError("root digest does not match on-chip copy")
 
     def verify_bucket(
-        self,
-        bucket: int,
-        content_digest: Optional[bytes] = None,
-        opens: int = 1,
+        self, bucket: int, content_digest: Optional[bytes] = None
     ) -> None:
-        """Check one bucket's digest (and its ancestors) to the root.
+        """Check one bucket's digest (and its ancestors) to the root:
+        the batch of one of :meth:`verify_buckets`, for one open."""
+        failed = self.verify_buckets({bucket: (content_digest, 1)})
+        if failed:
+            raise failed[bucket]
 
-        When ``content_digest`` is given, it is the verifier's own
-        recomputation of the bucket's content (from the untrusted tags
-        and versions it just fetched); a mismatch against the stored
-        content digest catches dropped writes the hash chain alone
-        would miss. ``opens`` is how many slot opens of one batch this
-        check stands for (``verifications`` counts per open).
+    def verify_buckets(
+        self, checks: Dict[int, Tuple[Optional[bytes], int]]
+    ) -> Dict[int, IntegrityError]:
+        """Check buckets to the root; returns the failing ones' errors.
+
+        ``checks`` maps a bucket to ``(content_digest, opens)``. A given
+        ``content_digest`` is the verifier's own recomputation of the
+        bucket's content (from the untrusted tags and versions it just
+        fetched): a mismatch against the stored one catches dropped
+        writes the hash chain alone would miss. Then the lowest
+        mismatching node of the bucket's chain, then the on-chip root.
+        Nothing changes between the checks, so the union of the chains
+        is recombined once. ``verifications`` counts ``opens`` per
+        bucket, the slot opens of one batch the check stands for.
         """
-        if not 0 <= bucket < self.n_buckets:
-            raise ValueError(f"bucket {bucket} out of range")
-        self.verifications += opens
-        if content_digest is not None and content_digest != self._content[bucket]:
-            raise IntegrityError(
-                f"content digest mismatch at bucket {bucket}", bucket=bucket
-            )
-        b = bucket
-        while True:
+        # lowest[b]: the lowest mismatching node on b's chain, or None.
+        lowest: Dict[int, Optional[int]] = {}
+        for b in sorted(self._chains(checks)):
             if self._digest[b] != self._combine(b):
-                raise IntegrityError(f"digest mismatch at bucket {b}", bucket=b)
-            if b == 0:
-                break
-            b = tree_mod.parent_of(b)
-        if self._digest[0] != self._root_onchip:
-            raise IntegrityError("root digest does not match on-chip copy")
+                lowest[b] = b
+            else:
+                lowest[b] = lowest[tree_mod.parent_of(b)] if b else None
+        root_ok = self._digest[0] == self._root_onchip
+        failed: Dict[int, IntegrityError] = {}
+        for bucket, (content_digest, opens) in checks.items():
+            self.verifications += opens
+            stored = self._content[bucket]
+            if content_digest is not None and content_digest != stored:
+                failed[bucket] = IntegrityError(
+                    f"content digest mismatch at bucket {bucket}", bucket=bucket)
+            elif lowest[bucket] is not None:
+                failed[bucket] = IntegrityError(
+                    f"digest mismatch at bucket {lowest[bucket]}",
+                    bucket=lowest[bucket])
+            elif not root_ok:
+                failed[bucket] = IntegrityError(
+                    "root digest does not match on-chip copy")
+        return failed
 
     # --------------------------------------------------------- tamper hooks
 
@@ -181,12 +181,8 @@ class BucketMerkleTree:
         the on-chip root copy -- the strongest replay attack an
         off-chip adversary can mount. Verification must still fail at
         the root comparison."""
-        b = bucket
-        while True:
+        for b in sorted(self._chains([bucket]), reverse=True):
             self._digest[b] = self._combine(b)
-            if b == 0:
-                break
-            b = tree_mod.parent_of(b)
 
     @property
     def root(self) -> bytes:

@@ -169,7 +169,7 @@ class FaultyMemory:
 
         Explicit for the same reason as ``seal_many``, and cut the same
         way: the fault-free run ahead of ``op_index`` goes to the
-        store's ``open_many`` (one Merkle check per bucket), a struck
+        store's ``open_many`` (one Merkle check for the run), a struck
         slot through :meth:`open_slot`.
         Lazy on purpose: only a struck open can come back as the
         ``TransientBackendError`` a caller answers with retry

@@ -123,18 +123,10 @@ class EncryptedTreeStore:
         self._sealed[i] = 1
 
     def seal_slot(self, bucket: int, slot: int, plaintext: bytes) -> None:
-        """Encrypt + authenticate one slot and update the Merkle path."""
+        """Encrypt + authenticate one slot and update the Merkle path
+        (the batch of one of :meth:`seal_many`)."""
         plaintext = pad_block(plaintext, self.cfg.block_bytes)
-        addr = self.layout.data_addr(bucket, slot)
-        version = int(self._version[bucket, slot]) + 1
-        self._version[bucket, slot] = version
-        ciphertext, tag = self.engine.seal(addr, version, plaintext)
-        self._memory[addr:addr + self.cfg.block_bytes] = ciphertext
-        self._set_tag(bucket, slot, tag)
-        self._sealed_buckets.add(bucket)
-        if self.integrity is not None:
-            self.integrity.update_bucket(bucket, self._content_digest(bucket))
-        self.seals += 1
+        self.seal_many([(bucket, slot, plaintext)])
 
     def _dummy_plaintext(self) -> bytes:
         """Fresh random filler for a dummy seal (dummies must look like
@@ -145,7 +137,7 @@ class EncryptedTreeStore:
 
     def seal_dummy(self, bucket: int, slot: int) -> None:
         """Seal fresh random bytes into a dummy slot."""
-        self.seal_slot(bucket, slot, self._dummy_plaintext())
+        self.seal_many([(bucket, slot, None)])
 
     def seal_many(
         self, items: Sequence[Tuple[int, int, Optional[bytes]]]
@@ -157,8 +149,9 @@ class EncryptedTreeStore:
         dummy-filler RNG stream, ``seals`` and ``integrity.updates`` --
         is what ``seal_slot``/``seal_dummy`` item by item would leave;
         fault campaigns and integrity counters pin that. What the batch
-        shares is the Merkle work: one content digest and one rehash
-        per distinct bucket instead of one per slot.
+        shares is the Merkle work (one content digest per distinct
+        bucket, each affected node rehashed once) and the dummy filler
+        (one RNG draw for all of it).
         """
         if not items:
             return
@@ -170,10 +163,18 @@ class EncryptedTreeStore:
             None if plaintext is None else pad_block(plaintext, bb)
             for _, _, plaintext in items
         ]
+        dummies = [i for i, p in enumerate(padded) if p is None]
+        if dummies:
+            # All of the batch's filler in one draw: row k holds the
+            # bytes the k-th _dummy_plaintext call would, and the
+            # generator ends where those calls leave it.
+            filler = self._rng.integers(
+                0, 256, (len(dummies), bb), dtype=np.uint8
+            ).tobytes()
+            for k, i in enumerate(dummies):
+                padded[i] = filler[k * bb:(k + 1) * bb]
         requests = []
         for (bucket, slot, _), plaintext in zip(items, padded):
-            if plaintext is None:
-                plaintext = self._dummy_plaintext()
             # A slot repeated inside the batch gets a fresh version
             # each time, exactly as back-to-back seal_slot calls would.
             v = int(version[bucket, slot]) + 1
@@ -219,9 +220,10 @@ class EncryptedTreeStore:
         Per slot, the plaintext -- or, in its place, the
         :class:`IntegrityError` / :class:`AuthenticationError` that
         ``open_slot`` would have raised, so one bad slot costs the
-        caller that slot only. Each bucket's Merkle check runs once for
-        all of its slots in the batch (nothing changes in between);
-        every MAC is checked before any plaintext of the batch exists
+        caller that slot only. One Merkle check covers the batch
+        (:meth:`BucketMerkleTree.verify_buckets`: each bucket's content
+        once, each shared ancestor once); every MAC is checked before
+        any plaintext of the batch exists
         (:meth:`SecureBlockEngine.open_many`). Counters land as the
         scalar calls would leave them.
         """
@@ -231,15 +233,10 @@ class EncryptedTreeStore:
         bb = self.cfg.block_bytes
         broken: Dict[int, IntegrityError] = {}
         if self.integrity is not None:
-            for bucket, n in Counter(b for b, _ in slots).items():
-                try:
-                    self.integrity.verify_bucket(
-                        bucket,
-                        content_digest=self._content_digest(bucket),
-                        opens=n,
-                    )
-                except IntegrityError as exc:
-                    broken[bucket] = exc
+            broken = self.integrity.verify_buckets({
+                bucket: (self._content_digest(bucket), n)
+                for bucket, n in Counter(b for b, _ in slots).items()
+            })
         outcomes: list = [broken.get(bucket) for bucket, _ in slots]
         intact = [i for i, exc in enumerate(outcomes) if exc is None]
         requests = []

@@ -46,11 +46,6 @@ def parent_of(bucket: int) -> int:
     return (bucket - 1) >> 1
 
 
-def children_of(bucket: int) -> tuple:
-    """The two child bucket ids."""
-    return (2 * bucket + 1, 2 * bucket + 2)
-
-
 def path_buckets(leaf: int, levels: int) -> List[int]:
     """Bucket ids on the path of ``leaf``, root first (length ``levels``)."""
     if not 0 <= leaf < (1 << (levels - 1)):

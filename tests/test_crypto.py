@@ -41,7 +41,8 @@ class TestChaCha20Rfc8439:
             b"Ladies and Gentlemen of the class of '99: If I could offer you "
             b"o"
         )
-        ciphertext, _ = SecureBlockEngine(MASTER).seal(0xABC0, 7, plaintext)
+        engine = SecureBlockEngine(MASTER)
+        ciphertext, _ = engine.seal_many([(0xABC0, 7, plaintext)])[0]
         assert ciphertext == bytes.fromhex(
             "c155afb346522ee84f9c99380b766e5d"
             "a4103691cc7c0a34b2a71bf749616f65"
@@ -67,7 +68,7 @@ class TestChaCha20Api:
     def test_xor_roundtrip(self):
         engine = SecureBlockEngine(MASTER)
         msg = b"hello oram world" * 4
-        ciphertext, _ = engine.seal(64, 3, msg)
+        ciphertext, _ = engine.seal_many([(64, 3, msg)])[0]
         pad = engine.keystream(64, 3)
         assert bytes(c ^ k for c, k in zip(ciphertext, pad)) == msg
 
@@ -113,7 +114,7 @@ class TestChaCha20Api:
             with pytest.raises(ValueError):
                 engine.keystream(addr, 0)
             with pytest.raises(ValueError):
-                engine.seal(addr, 0, bytes(64))
+                engine.seal_many([(addr, 0, bytes(64))])[0]
 
     def test_bad_counter(self):
         """So is the version half."""
@@ -122,7 +123,7 @@ class TestChaCha20Api:
             with pytest.raises(ValueError):
                 engine.keystream(0, version)
             with pytest.raises(ValueError):
-                engine.seal(0, version, bytes(64))
+                engine.seal_many([(0, version, bytes(64))])[0]
 
     def test_negative_length(self):
         """A block is exactly one 64-byte pad long, no shorter or
@@ -130,7 +131,7 @@ class TestChaCha20Api:
         engine = SecureBlockEngine(MASTER)
         for size in (0, 63, 65):
             with pytest.raises(ValueError):
-                engine.seal(0, 0, bytes(size))
+                engine.seal_many([(0, 0, bytes(size))])[0]
 
 
 class TestKeystream:
@@ -144,8 +145,8 @@ class TestKeystream:
         does not reuse its pad."""
         engine = SecureBlockEngine(MASTER)
         v = 5
-        low, _ = engine.seal(0x1000, v, bytes(64))
-        high, _ = engine.seal(0x1000, v + 2**32, bytes(64))
+        low, _ = engine.seal_many([(0x1000, v, bytes(64))])[0]
+        high, _ = engine.seal_many([(0x1000, v + 2**32, bytes(64))])[0]
         assert low != high
 
     def test_pickle_rebuilds_the_keyed_state(self):
@@ -153,7 +154,8 @@ class TestKeystream:
         be pickled and is rebuilt from the key."""
         engine = SecureBlockEngine(MASTER)
         clone = pickle.loads(pickle.dumps(engine))
-        assert clone.seal(64, 3, bytes(64)) == engine.seal(64, 3, bytes(64))
+        item = (64, 3, bytes(64))
+        assert clone.seal_many([item]) == engine.seal_many([item])
 
 
 class TestBlockAuthenticator:
@@ -205,36 +207,36 @@ class TestSecureBlockEngine:
     def test_seal_open_roundtrip(self):
         eng = SecureBlockEngine(b"master key bytes")
         pt = bytes(range(64))
-        ct, tag = eng.seal(0xABC0, 7, pt)
+        ct, tag = eng.seal_many([(0xABC0, 7, pt)])[0]
         assert eng.open(0xABC0, 7, ct, tag) == pt
 
     def test_ciphertext_differs_from_plaintext(self):
         eng = SecureBlockEngine(b"master key bytes")
-        ct, _ = eng.seal(0, 1, bytes(64))
+        ct, _ = eng.seal_many([(0, 1, bytes(64))])[0]
         assert ct != bytes(64)
 
     def test_same_plaintext_two_versions_unrelated(self):
         eng = SecureBlockEngine(b"master key bytes")
-        ct1, _ = eng.seal(0, 1, bytes(64))
-        ct2, _ = eng.seal(0, 2, bytes(64))
+        ct1, _ = eng.seal_many([(0, 1, bytes(64))])[0]
+        ct2, _ = eng.seal_many([(0, 2, bytes(64))])[0]
         assert ct1 != ct2
 
     def test_same_plaintext_two_addresses_unrelated(self):
         eng = SecureBlockEngine(b"master key bytes")
-        ct1, _ = eng.seal(64, 1, bytes(64))
-        ct2, _ = eng.seal(128, 1, bytes(64))
+        ct1, _ = eng.seal_many([(64, 1, bytes(64))])[0]
+        ct2, _ = eng.seal_many([(128, 1, bytes(64))])[0]
         assert ct1 != ct2
 
     def test_wrong_size_rejected(self):
         eng = SecureBlockEngine(b"master key bytes")
         with pytest.raises(ValueError):
-            eng.seal(0, 0, b"short")
+            eng.seal_many([(0, 0, b"short")])[0]
         with pytest.raises(ValueError):
             eng.open(0, 0, b"short", b"t" * 8)
 
     def test_tamper_detected(self):
         eng = SecureBlockEngine(b"master key bytes")
-        ct, tag = eng.seal(0, 1, bytes(64))
+        ct, tag = eng.seal_many([(0, 1, bytes(64))])[0]
         bad = bytes([ct[0] ^ 1]) + ct[1:]
         with pytest.raises(AuthenticationError):
             eng.open(0, 1, bad, tag)
@@ -248,7 +250,13 @@ class TestSecureBlockEngine:
         eng = SecureBlockEngine(b"master key bytes")
         items = [(64 * i, i + 1, bytes([i]) * 64) for i in range(n)]
         sealed = eng.seal_many(items)
-        assert sealed == [eng.seal(*item) for item in items]
+
+        def one(addr, version, pt):
+            pad = eng.keystream(addr, version)
+            ct = bytes(p ^ k for p, k in zip(pt, pad))
+            return ct, eng._auth.tag(addr, version, ct)
+
+        assert sealed == [one(*item) for item in items]
         opened = eng.open_many([
             (addr, version, ct, tag)
             for (addr, version, _), (ct, tag) in zip(items, sealed)
@@ -294,7 +302,7 @@ class TestBucketMerkleTree:
 
     def test_update_then_verify(self):
         t = self.make()
-        t.update_bucket(9, self.digest(b"bucket 9"))
+        t.update_buckets({9: self.digest(b"bucket 9")}, updates=1)
         for leaf in range(8):
             t.verify_path(leaf)
         assert t.updates == 1
@@ -302,12 +310,12 @@ class TestBucketMerkleTree:
     def test_root_changes_on_update(self):
         t = self.make()
         before = t.root
-        t.update_bucket(0, self.digest(b"new"))
+        t.update_buckets({0: self.digest(b"new")}, updates=1)
         assert t.root != before
 
     def test_tampered_content_detected(self):
         t = self.make()
-        t.update_bucket(9, self.digest(b"legit"))
+        t.update_buckets({9: self.digest(b"legit")}, updates=1)
         t.tamper_content(9, self.digest(b"evil"))
         with pytest.raises(IntegrityError):
             t.verify_bucket(9)
@@ -323,9 +331,9 @@ class TestBucketMerkleTree:
         """The strongest off-chip attack: rewrite a whole consistent
         hash chain. The on-chip root still disagrees."""
         t = self.make()
-        t.update_bucket(9, self.digest(b"v1"))
+        t.update_buckets({9: self.digest(b"v1")}, updates=1)
         old_content = t.stored_content(9)
-        t.update_bucket(9, self.digest(b"v2"))
+        t.update_buckets({9: self.digest(b"v2")}, updates=1)
         # Attacker restores the old content and re-hashes consistently.
         t.tamper_content(9, old_content)
         t.tamper_rehash(9)
@@ -333,19 +341,29 @@ class TestBucketMerkleTree:
             t.verify_bucket(9)
 
     def test_update_validates_args(self):
+        """An out-of-range bucket is refused before any content moves."""
         t = self.make()
         with pytest.raises(ValueError):
-            t.update_bucket(100, bytes(32))
-        with pytest.raises(ValueError):
-            t.update_bucket(0, b"short")
+            t.update_buckets({3: self.digest(b"x"), 100: bytes(32)}, updates=2)
+        assert t.stored_content(3) == bytes(32)
+        assert t.updates == 0
 
     def test_update_buckets_equals_update_sequence(self):
-        """One batched rehash lands where the per-call rehashes do,
-        including a bucket written twice and a parent/child pair."""
+        """One batched rehash lands where rehashing each write's path
+        from the bucket up, write by write, does -- including a bucket
+        written twice and a parent/child pair."""
         seq, batch = self.make(), self.make()
         writes = [(9, b"a"), (4, b"b"), (9, b"c"), (14, b"d"), (0, b"e")]
         for bucket, label in writes:
-            seq.update_bucket(bucket, self.digest(label))
+            seq._content[bucket] = self.digest(label)
+            b = bucket
+            while True:
+                seq._digest[b] = seq._combine(b)
+                if b == 0:
+                    break
+                b = (b - 1) // 2
+            seq._root_onchip = seq._digest[0]
+            seq.updates += 1
         batch.update_buckets(
             {bucket: self.digest(label) for bucket, label in writes},
             updates=len(writes),
@@ -365,12 +383,35 @@ class TestBucketMerkleTree:
             t.update_buckets({0: b"short"}, updates=1)
 
     def test_verify_bucket_counts_opens(self):
+        """One check counts one open; a batch counts each bucket's
+        ``opens``."""
         t = self.make()
-        t.verify_bucket(9, opens=3)
-        assert t.verifications == 3
+        t.verify_bucket(9)
+        assert t.verifications == 1
+        t.verify_buckets({9: (None, 3), 4: (None, 2)})
+        assert t.verifications == 6
+
+    def test_verify_buckets_hashes_each_shared_ancestor_once(
+            self, monkeypatch):
+        """Buckets 7 and 8 share parent 3 and the chain 3 -> 1 -> 0
+        with it: five nodes, five rehashes (one-by-one walks make 10)."""
+        t = self.make()
+        calls = []
+        combine = BucketMerkleTree._combine
+        monkeypatch.setattr(BucketMerkleTree, "_combine",
+                            lambda tree, b: calls.append(b) or combine(tree, b))
+        assert t.verify_buckets({7: (None, 1), 8: (None, 2), 3: (None, 1)}) == {}
+        assert sorted(calls) == [0, 1, 3, 7, 8]
+        assert t.verifications == 4
+
+    def test_verify_buckets_validates_args(self):
+        t = self.make()
+        with pytest.raises(ValueError):
+            t.verify_buckets({3: (None, 1), 15: (None, 1)})
+        assert t.verifications == 0
 
     def test_two_level_tree(self):
         t = BucketMerkleTree(2)
-        t.update_bucket(1, self.digest(b"x"))
+        t.update_buckets({1: self.digest(b"x")}, updates=1)
         t.verify_path(0)
         t.verify_path(1)

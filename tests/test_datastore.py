@@ -204,6 +204,34 @@ def _batch_items(cfg, n):
     return items
 
 
+def _reference_seal(store, bucket, slot, plaintext):
+    """One slot sealed as the store did before every seal was a batch:
+    its own filler draw, ``engine.seal``, and its Merkle path rehashed
+    from the bucket up. The reference the batches are held equal to."""
+    if plaintext is None:
+        plaintext = store._dummy_plaintext()
+    plaintext = pad_block(plaintext, store.cfg.block_bytes)
+    addr = store.layout.data_addr(bucket, slot)
+    version = int(store._version[bucket, slot]) + 1
+    store._version[bucket, slot] = version
+    ciphertext, tag = store.engine.seal_many([(addr, version, plaintext)])[0]
+    store._memory[addr:addr + store.cfg.block_bytes] = ciphertext
+    store._set_tag(bucket, slot, tag)
+    store._sealed_buckets.add(bucket)
+    tree = store.integrity
+    if tree is not None:
+        tree._content[bucket] = store._content_digest(bucket)
+        b = bucket
+        while True:
+            tree._digest[b] = tree._combine(b)
+            if b == 0:
+                break
+            b = (b - 1) // 2
+        tree._root_onchip = tree._digest[0]
+        tree.updates += 1
+    store.seals += 1
+
+
 def _scalar_opens(store, slots):
     """``open_slot`` per slot, failures kept in place like ``open_many``."""
     outcomes = []
@@ -233,11 +261,8 @@ class TestBatchEqualsScalar:
         batch, scalar = self._pair(cfg_small, with_integrity)
         items = _batch_items(cfg_small, n)
         batch.seal_many(items)
-        for bucket, slot, payload in items:
-            if payload is None:
-                scalar.seal_dummy(bucket, slot)
-            else:
-                scalar.seal_slot(bucket, slot, payload)
+        for item in items:
+            _reference_seal(scalar, *item)
         assert _everything(batch) == _everything(scalar)
         slots = [(bucket, slot) for bucket, slot, _ in items]
         assert batch.open_many(slots) == _scalar_opens(scalar, slots)
@@ -288,11 +313,8 @@ class _PerSlotStore(EncryptedTreeStore):
     """The store as it was before batches: loops of the scalar calls."""
 
     def seal_many(self, items):
-        for bucket, slot, payload in items:
-            if payload is None:
-                self.seal_dummy(bucket, slot)
-            else:
-                self.seal_slot(bucket, slot, payload)
+        for item in items:
+            _reference_seal(self, *item)
 
     def open_many(self, slots):
         return iter(_scalar_opens(self, slots))

@@ -1,5 +1,7 @@
 """Property-based tests for the crypto boundary."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,14 +21,14 @@ class TestEngineProperties:
     @settings(max_examples=60, deadline=None)
     @given(addr=ADDRS, version=VERSIONS, pt=BLOCKS)
     def test_seal_open_roundtrip(self, addr, version, pt):
-        ct, tag = ENGINE.seal(addr, version, pt)
+        ct, tag = ENGINE.seal_many([(addr, version, pt)])[0]
         assert ENGINE.open(addr, version, ct, tag) == pt
 
     @settings(max_examples=60, deadline=None)
     @given(addr=ADDRS, version=VERSIONS, pt=BLOCKS,
            flip=st.integers(0, 63), bit=st.integers(0, 7))
     def test_any_single_bit_flip_detected(self, addr, version, pt, flip, bit):
-        ct, tag = ENGINE.seal(addr, version, pt)
+        ct, tag = ENGINE.seal_many([(addr, version, pt)])[0]
         bad = bytearray(ct)
         bad[flip] ^= 1 << bit
         with pytest.raises(AuthenticationError):
@@ -37,21 +39,21 @@ class TestEngineProperties:
     def test_splice_to_other_address_detected(self, addr, version, pt, other):
         if other == addr:
             other += 64
-        ct, tag = ENGINE.seal(addr, version, pt)
+        ct, tag = ENGINE.seal_many([(addr, version, pt)])[0]
         with pytest.raises(AuthenticationError):
             ENGINE.open(other, version, ct, tag)
 
     @settings(max_examples=40, deadline=None)
     @given(addr=ADDRS, version=st.integers(0, 2**31 - 2), pt=BLOCKS)
     def test_version_replay_detected(self, addr, version, pt):
-        ct, tag = ENGINE.seal(addr, version, pt)
+        ct, tag = ENGINE.seal_many([(addr, version, pt)])[0]
         with pytest.raises(AuthenticationError):
             ENGINE.open(addr, version + 1, ct, tag)
 
     @settings(max_examples=40, deadline=None)
     @given(addr=ADDRS, version=VERSIONS, pt=BLOCKS)
     def test_ciphertext_never_equals_plaintext(self, addr, version, pt):
-        ct, _ = ENGINE.seal(addr, version, pt)
+        ct, _ = ENGINE.seal_many([(addr, version, pt)])[0]
         assert ct != pt  # 2^-512 failure probability: effectively never
 
 
@@ -67,7 +69,7 @@ class TestChaChaProperties:
     def test_xor_is_involution(self, addr, version, pt):
         """The ciphertext is the plaintext XOR a pad that depends on the
         nonce alone, over the full 64-bit address and version ranges."""
-        ct, _ = ENGINE.seal(addr, version, pt)
+        ct, _ = ENGINE.seal_many([(addr, version, pt)])[0]
         pad = ENGINE.keystream(addr, version)
         assert bytes(c ^ p for c, p in zip(ct, pad)) == pt
 
@@ -87,13 +89,12 @@ class TestMerkleProperties:
     @settings(max_examples=25, deadline=None)
     @given(levels=st.integers(2, 7), data=st.data())
     def test_updates_keep_tree_verifiable(self, levels, data):
-        import hashlib
         tree = BucketMerkleTree(levels)
         n = (1 << levels) - 1
         for i in range(data.draw(st.integers(1, 8))):
             bucket = data.draw(st.integers(0, n - 1))
-            tree.update_bucket(
-                bucket, hashlib.sha256(f"u{i}".encode()).digest()
+            tree.update_buckets(
+                {bucket: hashlib.sha256(f"u{i}".encode()).digest()}, updates=1
             )
         for leaf in range(min(4, 1 << (levels - 1))):
             tree.verify_path(leaf)
@@ -101,11 +102,87 @@ class TestMerkleProperties:
     @settings(max_examples=25, deadline=None)
     @given(levels=st.integers(2, 6), data=st.data())
     def test_any_content_tamper_detected(self, levels, data):
-        import hashlib
         tree = BucketMerkleTree(levels)
         n = (1 << levels) - 1
         victim = data.draw(st.integers(0, n - 1))
-        tree.update_bucket(victim, hashlib.sha256(b"legit").digest())
+        tree.update_buckets({victim: hashlib.sha256(b"legit").digest()}, 1)
         tree.tamper_content(victim, hashlib.sha256(b"evil").digest())
         with pytest.raises(IntegrityError):
             tree.verify_bucket(victim)
+
+
+def _scalar_walk(tree, bucket, content_digest):
+    """The per-bucket check written out, hashing with ``hashlib`` on
+    its own: the content, then every node from the bucket up to the
+    root, then the on-chip root. The error it would raise, or None."""
+    stored = tree.stored_content(bucket)
+    if content_digest is not None and content_digest != stored:
+        return IntegrityError(
+            f"content digest mismatch at bucket {bucket}", bucket=bucket
+        )
+    b = bucket
+    while True:
+        left = 2 * b + 1
+        children = (tree._digest[left] + tree._digest[left + 1]
+                    if left < tree.n_buckets else bytes(64))
+        combined = hashlib.sha256(tree._content[b] + children).digest()
+        if tree._digest[b] != combined:
+            return IntegrityError(f"digest mismatch at bucket {b}", bucket=b)
+        if b == 0:
+            break
+        b = (b - 1) // 2
+    if tree._digest[0] != tree.root:
+        return IntegrityError("root digest does not match on-chip copy")
+    return None
+
+
+def _seen(exc):
+    return None if exc is None else (type(exc), str(exc), exc.bucket)
+
+
+class TestBatchedMerkleCheck:
+    """``verify_buckets`` recombines each shared ancestor once; per
+    bucket it must still report what the scalar walk finds."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(levels=st.integers(1, 7), data=st.data())
+    def test_batch_equals_scalar_walk(self, levels, data):
+        tree = BucketMerkleTree(levels)
+        bucket = st.integers(0, tree.n_buckets - 1)
+        digest = st.binary(min_size=32, max_size=32)
+        for _ in range(data.draw(st.integers(0, 6))):
+            tree.update_buckets({data.draw(bucket): data.draw(digest)}, 1)
+        for kind, b, d in data.draw(st.lists(st.tuples(
+            st.sampled_from(["content", "digest", "rehash"]), bucket, digest,
+        ), max_size=4)):
+            if kind == "content":
+                tree.tamper_content(b, d)
+            elif kind == "digest":
+                tree.tamper_digest(b, d)
+            else:
+                tree.tamper_rehash(b)
+        checks = {}
+        for b in data.draw(st.lists(bucket, min_size=1, max_size=8)):
+            content = data.draw(st.sampled_from(["none", "stored", "other"]))
+            checks[b] = (
+                None if content == "none"
+                else tree.stored_content(b) if content == "stored"
+                else data.draw(digest),
+                data.draw(st.integers(0, 4)),
+            )
+        want = {b: _seen(_scalar_walk(tree, b, c))
+                for b, (c, _) in checks.items()}
+        before = tree.verifications
+        failed = tree.verify_buckets(checks)
+        assert {b: _seen(failed.get(b)) for b in checks} == want
+        assert set(failed) == {b for b, seen in want.items() if seen}
+        assert tree.verifications == before + sum(
+            opens for _, opens in checks.values())
+        # The batch of one raises exactly what the walk finds.
+        for b, (content, _) in checks.items():
+            try:
+                tree.verify_bucket(b, content_digest=content)
+            except IntegrityError as exc:
+                assert _seen(exc) == want[b]
+            else:
+                assert want[b] is None

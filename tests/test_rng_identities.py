@@ -1,17 +1,21 @@
-"""The two generator identities the controller's batched draws rest on.
+"""The generator identities the batched draws rest on.
 
 readPath draws every level's slot, and a reshuffle every bucket's
 scatter positions, through one ``Generator.integers(0, bounds)`` call
-(DESIGN.md section 14). That is the protocol's stream only while numpy
+(DESIGN.md section 14); the sealed store draws a write-back's dummy
+filler through one ``integers(0, 256, (n, 64), dtype=uint8)`` call.
+That is the protocol's stream only while numpy
 
 - draws a bound array element by element, in order, with the bounded
-  draw the scalar ``integers(n)`` makes, and
+  draw the scalar ``integers(n)`` makes,
 - implements ``choice(n, size=k, replace=False)`` (n <= 10000) as
   Floyd's algorithm followed by a Fisher-Yates shuffle, which
   ``RingOram._scatter_draws`` replays for the jobs it wants and only
-  draws for the others.
+  draws for the others, and
+- fills an ``(n, 64)`` byte array row by row with the bytes, and the
+  generator state, of ``n`` calls that draw 64 bytes each.
 
-Both are numpy implementation details. A numpy release that changes
+All three are numpy implementation details. A numpy release that changes
 either fails here first, naming its version, instead of only as a wall
 of controller fingerprints that no longer match.
 """
@@ -100,3 +104,22 @@ def test_no_jobs_no_draw():
     state = gen.bit_generator.state
     assert _replay(gen, []) == []
     assert gen.bit_generator.state == state
+
+
+def test_filler_rows_draw_like_one_block_per_call():
+    block = 64
+    for seed in range(50):
+        for n in range(6):
+            batched = np.random.default_rng(seed)
+            scalar = np.random.default_rng(seed)
+            got = batched.integers(0, 256, (n, block), dtype=np.uint8)
+            want = [scalar.integers(0, 256, block, dtype=np.uint8).tobytes()
+                    for _ in range(n)]
+            assert [row.tobytes() for row in got] == want, (
+                f"{WHERE}: {n} filler rows differ from {n} single draws"
+            )
+            assert batched.bit_generator.state == scalar.bit_generator.state, (
+                f"{WHERE}: {n} filler rows left the generator elsewhere "
+                f"than {n} single draws"
+            )
+

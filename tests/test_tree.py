@@ -51,11 +51,8 @@ class TestLevelOf:
 class TestParentChild:
     def test_parent_of_children(self):
         for b in range(1, 127):
-            left, right = tree.children_of(tree.parent_of(b))
-            assert b in (left, right)
-
-    def test_children_of_root(self):
-        assert tree.children_of(0) == (1, 2)
+            parent = tree.parent_of(b)
+            assert b in (2 * parent + 1, 2 * parent + 2)
 
     def test_root_has_no_parent(self):
         with pytest.raises(ValueError):
