@@ -5,8 +5,8 @@ memory as ciphertext, encrypted and integrity-protected by an on-chip
 secure engine; only access *patterns* remain observable, which is what
 the ORAM then hides. This package implements that boundary:
 
-- :mod:`repro.crypto.auth` -- keyed block authentication (HMAC-SHA256
-  tags with domain separation per slot address and version);
+- :mod:`repro.crypto.auth` -- keyed block authentication (8-byte
+  keyed-BLAKE2b tags bound to the slot address and version);
 - :mod:`repro.crypto.engine` -- the seal/open engine: a keyed-BLAKE2b
   keystream (one 64-byte digest per block, nonce = slot address and
   write version) plus the tags above, per block or per batch;

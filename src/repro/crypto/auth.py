@@ -4,9 +4,9 @@ Each sealed block carries a MAC binding its ciphertext to its physical
 slot address and write version, so the memory cannot substitute one
 ciphertext for another (spatial splicing) or an old one for a new one
 (the Merkle tree in :mod:`repro.crypto.integrity` then protects the
-versions themselves). HMAC-SHA256 comes from the standard library; the
-tag is truncated to 8 bytes, matching the budgets hardware integrity
-engines use.
+versions themselves). The MAC is keyed BLAKE2b (RFC 7693, from
+``hashlib``) with an 8-byte digest, matching the tag budgets hardware
+integrity engines use.
 """
 
 from __future__ import annotations
@@ -14,6 +14,18 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+
+_NONCE = struct.Struct("<QQ")
+
+
+def pack_nonce(addr: int, version: int) -> bytes:
+    """The ``<QQ`` (slot address, write version) word that both the
+    keystream and the tag bind; ``ValueError`` unless both are unsigned
+    64-bit integers."""
+    try:
+        return _NONCE.pack(addr, version)
+    except struct.error:
+        raise ValueError("addr and version must be unsigned 64-bit integers") from None
 
 
 class AuthenticationError(Exception):
@@ -26,12 +38,12 @@ class BlockAuthenticator:
     TAG_BYTES = 8
 
     def __init__(self, key: bytes) -> None:
-        if len(key) < 16:
-            raise ValueError("authentication key must be >= 16 bytes")
+        if not 16 <= len(key) <= 64:
+            raise ValueError("authentication key must be 16 to 64 bytes")
         self._key = key
-        # The keyed state (both HMAC pads absorbed) is built once and
-        # copied per tag.
-        self._keyed = hmac.new(key, digestmod=hashlib.sha256)
+        # The keyed state (key block absorbed) is built once and copied
+        # per tag.
+        self._keyed = hashlib.blake2b(key=key, digest_size=self.TAG_BYTES)
 
     # hashlib states do not pickle; checkpoints carry the key alone.
     def __getstate__(self) -> dict:
@@ -41,12 +53,10 @@ class BlockAuthenticator:
         self.__init__(state["_key"])
 
     def tag(self, addr: int, version: int, ciphertext: bytes) -> bytes:
-        """Compute the truncated tag for one sealed block."""
-        if addr < 0 or version < 0:
-            raise ValueError("addr and version must be non-negative")
+        """Compute the tag for one sealed block."""
         mac = self._keyed.copy()
-        mac.update(struct.pack("<QQ", addr, version) + ciphertext)
-        return mac.digest()[: self.TAG_BYTES]
+        mac.update(pack_nonce(addr, version) + ciphertext)
+        return mac.digest()
 
     def verify(self, addr: int, version: int, ciphertext: bytes,
                tag: bytes) -> None:

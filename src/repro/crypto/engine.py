@@ -12,7 +12,8 @@ one readPath's opens.
 The cipher is a PRF keystream: a block is XORed with keyed BLAKE2b
 (RFC 7693, from ``hashlib``) of its nonce, whose 64-byte digest is
 exactly one block of pad. The nonce is the full ``(address, version)``
-pair the MAC binds, so a pad never repeats while versions grow.
+pair the MAC binds (:func:`~repro.crypto.auth.pack_nonce` packs it for
+both), so a pad never repeats while versions grow.
 
 Key separation: independent subkeys for encryption and authentication
 are derived from the master key with SHA256 domain tags.
@@ -21,12 +22,9 @@ are derived from the master key with SHA256 domain tags.
 from __future__ import annotations
 
 import hashlib
-import struct
 from typing import List, Sequence, Tuple, Union
 
-from repro.crypto.auth import AuthenticationError, BlockAuthenticator
-
-_NONCE = struct.Struct("<QQ")
+from repro.crypto.auth import AuthenticationError, BlockAuthenticator, pack_nonce
 
 
 class SecureBlockEngine:
@@ -64,14 +62,8 @@ class SecureBlockEngine:
 
     def keystream(self, addr: int, version: int) -> bytes:
         """The 64-byte pad of slot ``addr`` at write ``version``."""
-        try:
-            nonce = _NONCE.pack(addr, version)
-        except struct.error:
-            raise ValueError(
-                "addr and version must be unsigned 64-bit integers"
-            ) from None
         pad = self._keyed.copy()
-        pad.update(nonce)
+        pad.update(pack_nonce(addr, version))
         return pad.digest()
 
     def _xor(self, addr: int, version: int, block: bytes) -> bytes:

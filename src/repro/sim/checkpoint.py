@@ -40,8 +40,10 @@ PathLike = Union[str, Path]
 #: and the timed sink cache-line tables (was byte offsets). 8: sealed
 #: payloads are XORed with a keyed-BLAKE2b pad (was ChaCha20); the
 #: layout is unchanged, but an older image's MACs still verify, so it
-#: would open to wrong bytes without an error.
-CHECKPOINT_FORMAT = 8
+#: would open to wrong bytes without an error. 9: tags are keyed
+#: BLAKE2b (were HMAC-SHA256); an older sealed image would fail every
+#: MAC after a resume.
+CHECKPOINT_FORMAT = 9
 _MAGIC = "repro-sim-checkpoint"
 
 

@@ -135,8 +135,9 @@ class TestCheckpointValidation:
         object) and format 6 (refresh epochs, and a timed sink of byte
         offsets): the file would load and the run die later on a
         missing attribute. Format 7 (ChaCha20 payloads) would load and
-        run, its MACs verifying, but open to wrong bytes."""
-        for fmt in (99, 1, 2, 3, 4, 5, 6, 7):
+        run, its MACs verifying, but open to wrong bytes; format 8
+        (HMAC-SHA256 tags) would fail every MAC."""
+        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

@@ -6,7 +6,8 @@ workflow calls it with ``make``. These tests read
 is not a dependency) and fail when a job outside ``lint``, ``test`` and
 ``reach`` runs anything but ``make`` or ``pip install``, or when CI
 calls a target that ``make ci`` does not reach -- so ``make ci`` stays
-what CI runs, and ``tools/reach.py`` counts it.
+what CI runs, and ``tools/reach.py`` counts it. The lint job keeps its
+own steps, and every one it gates on is run by ``make lint`` too.
 """
 
 from __future__ import annotations
@@ -153,3 +154,74 @@ def test_every_target_under_make_ci_has_a_rule():
     rules = make_prerequisites(MAKEFILE.read_text())
     dangling = sorted(t for t in reached_from(rules, "ci") if t not in rules)
     assert not dangling, f"`make ci` needs targets with no rule: {dangling}"
+
+
+def lint_job_gates(text: str) -> List[str]:
+    """The commands of ci.yml's lint job that gate: every ``run:``
+    line of a step without ``continue-on-error: true``, less the
+    installs and the reported-only tables."""
+    lines = text.splitlines()
+    start = lines.index("  lint:")
+    end = next((i for i in range(start + 1, len(lines))
+                if _JOB.match(lines[i])), len(lines))
+    steps: List[List[str]] = []
+    for line in lines[start + 1:end]:
+        if re.match(r"^      - ", line):
+            steps.append([])
+        if steps:
+            steps[-1].append(line)
+    gates = []
+    for step in steps:
+        if any(re.match(r"^\s*continue-on-error:\s*true\b", line)
+               for line in step):
+            continue
+        text = "\n".join(["jobs:", "  step:"] + step)
+        for cmd in ci_run_commands(text)["step"]:
+            targets = set(make_targets(cmd))
+            if cmd.startswith("pip install") or (
+                    targets and targets <= REPORTED_ONLY):
+                continue
+            gates.append(cmd)
+    return gates
+
+
+def make_recipe(text: str, target: str) -> List[str]:
+    """The logical shell lines of ``target``'s recipe, with ``@``
+    prefixes dropped and ``$(PYTHON)`` spelled ``python``."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if re.match(rf"^{re.escape(target)}\s*:(?!=)", line)) + 1
+    recipe = []
+    while i < len(lines) and lines[i].startswith("\t"):
+        recipe.append(lines[i])
+        i += 1
+    return [line.lstrip("@").replace("$(PYTHON)", "python")
+            for line in _logical(recipe)]
+
+
+def test_make_lint_runs_every_gate_of_the_lint_job():
+    """A gate CI's lint job holds a change to, ``make lint`` must hold
+    it to as well: as a recipe line of its own, or under nothing but a
+    check that its own tool is installed (``if command -v ruff``).
+    Advisory steps (``continue-on-error``) are left as they are."""
+    recipe = make_recipe(MAKEFILE.read_text(), "lint")
+    gates = lint_job_gates(CI.read_text())
+    assert any(g.startswith("ruff check") for g in gates), gates
+    assert any("tools/lint.py" in g for g in gates), gates
+
+    guarded = re.compile(r"^if command -v (\S+) [^;]*; then (.*?); (?:else|fi)")
+
+    def runs(cmd: str) -> bool:
+        for line in recipe:
+            if line == cmd:
+                return True
+            guard = guarded.match(line)
+            if (guard and guard.group(1) == cmd.split()[0]
+                    and cmd in guard.group(2)):
+                return True
+        return False
+
+    missing = [g for g in gates if not runs(g)]
+    assert not missing, (
+        f"ci.yml's lint job gates on commands `make lint` does not run "
+        f"unconditionally: {missing}")

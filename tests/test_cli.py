@@ -141,6 +141,28 @@ class TestSimulateRobustness:
         assert resumed.out == full
         assert "resumed" in resumed.err
 
+    def test_resume_refuses_a_sealed_checkpoint_of_the_old_tag_format(
+            self, capsys, tmp_path):
+        """A sealed format-8 file pickles the same objects, but its tags
+        are HMAC-SHA256: one error line and exit 2, not a MAC failure
+        on every open after the resume."""
+        import pickle
+
+        ck = tmp_path / "ck.pkl"
+        assert main(["simulate", "--scheme", "ring", "--levels", "7",
+                     "--requests", "40", "--warmup", "0", "--integrity",
+                     "--checkpoint", str(ck),
+                     "--checkpoint-every", "20"]) == 0
+        payload = pickle.loads(ck.read_bytes())
+        assert payload["simulation"].datastore is not None
+        payload["format"] = 8
+        ck.write_bytes(pickle.dumps(payload))
+        capsys.readouterr()
+        assert main(["simulate", "--resume", str(ck)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unsupported checkpoint format 8 (expected 9)" in err
+
     @pytest.mark.parametrize("kind", ["garbage", "missing", "directory"])
     def test_resume_rejects_garbage(self, capsys, tmp_path, kind):
         """Bytes that are not a checkpoint, no file at all, or a

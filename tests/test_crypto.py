@@ -191,7 +191,7 @@ class TestBlockAuthenticator:
             BlockAuthenticator(b"tiny")
 
     def test_pickle_roundtrip_keeps_the_key(self):
-        """Checkpoints pickle the engine; the cached HMAC state cannot
+        """Checkpoints pickle the engine; the keyed BLAKE2b state cannot
         be pickled and must be rebuilt from the key."""
         auth = BlockAuthenticator(b"k" * 16)
         clone = pickle.loads(pickle.dumps(auth))
@@ -201,6 +201,36 @@ class TestBlockAuthenticator:
         auth = BlockAuthenticator(b"x" * 32)
         with pytest.raises(ValueError):
             auth.tag(-1, 0, b"")
+
+    def test_tag_is_keyed_blake2b(self):
+        """The tag is ``hashlib``'s keyed BLAKE2b, 8-byte digest, of the
+        ``<QQ`` (address, version) nonce followed by the ciphertext."""
+        key, ct = b"x" * 32, bytes(range(64))
+        want = hashlib.blake2b(
+            struct.pack("<QQ", 0x1000, 3) + ct, key=key, digest_size=8
+        ).digest()
+        assert BlockAuthenticator(key).tag(0x1000, 3, ct) == want
+
+    def test_key_longer_than_a_blake2b_key_rejected(self):
+        BlockAuthenticator(b"k" * 64)
+        with pytest.raises(ValueError):
+            BlockAuthenticator(b"k" * 65)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_nonce_halves_are_unsigned_64_bit(self, bad):
+        """``tag``, ``verify`` and the keystream share one packer and
+        one error: a ``ValueError``, never a bare ``struct.error``."""
+        auth = BlockAuthenticator(b"x" * 32)
+        engine = SecureBlockEngine(MASTER)
+        for addr, version in ((bad, 0), (0, bad)):
+            calls = (
+                lambda: auth.tag(addr, version, b"c" * 64),
+                lambda: auth.verify(addr, version, b"c" * 64, bytes(8)),
+                lambda: engine.keystream(addr, version),
+            )
+            for call in calls:
+                with pytest.raises(ValueError, match="unsigned 64-bit"):
+                    call()
 
 
 class TestSecureBlockEngine:
