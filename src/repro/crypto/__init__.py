@@ -5,11 +5,12 @@ memory as ciphertext, encrypted and integrity-protected by an on-chip
 secure engine; only access *patterns* remain observable, which is what
 the ORAM then hides. This package implements that boundary:
 
-- :mod:`repro.crypto.auth` -- keyed block authentication (8-byte
-  keyed-BLAKE2b tags bound to the slot address and version);
+- :mod:`repro.crypto.auth` -- the block tag (8-byte keyed BLAKE2b
+  bound to the slot address and version) and its failure;
 - :mod:`repro.crypto.engine` -- the seal/open engine: a keyed-BLAKE2b
   keystream (one 64-byte digest per block, nonce = slot address and
-  write version) plus the tags above, per block or per batch;
+  write version) plus the tags above, per batch, each block's nonce
+  packed once for both;
 - :mod:`repro.crypto.integrity` -- a Merkle tree over the ORAM tree's
   buckets providing freshness (anti-replay), with the root held
   on-chip.
@@ -19,12 +20,11 @@ never change crypto cost), but the functional controller can: see
 ``EncryptedTreeStore`` in :mod:`repro.oram.datastore`.
 """
 
-from repro.crypto.auth import BlockAuthenticator, AuthenticationError
+from repro.crypto.auth import AuthenticationError
 from repro.crypto.engine import SecureBlockEngine
 from repro.crypto.integrity import BucketMerkleTree, IntegrityError
 
 __all__ = [
-    "BlockAuthenticator",
     "AuthenticationError",
     "SecureBlockEngine",
     "BucketMerkleTree",

@@ -1,30 +1,39 @@
 """The per-block seal/open engine.
 
 ``seal_many`` turns 64B plaintext blocks into (ciphertext, tag) pairs,
-one per physical slot; ``open_many`` reverses and authenticates them,
-and ``open`` is its batch of one. The nonce is the slot address and a
-per-write version counter, so the same plaintext written twice (or to
-two places) produces unrelated ciphertexts -- the property that makes
-real and dummy blocks indistinguishable on the memory bus, which Ring
-ORAM's security argument relies on. A batch is a whole evictPath, or
-one readPath's opens.
+one per physical slot; ``open_many`` reverses and authenticates them.
+The nonce is the slot address and a per-write version counter, so the
+same plaintext written twice (or to two places) produces unrelated
+ciphertexts -- the property that makes real and dummy blocks
+indistinguishable on the memory bus, which Ring ORAM's security
+argument relies on. A batch is a whole evictPath, or one readPath's
+opens.
 
-The cipher is a PRF keystream: a block is XORed with keyed BLAKE2b
-(RFC 7693, from ``hashlib``) of its nonce, whose 64-byte digest is
-exactly one block of pad. The nonce is the full ``(address, version)``
-pair the MAC binds (:func:`~repro.crypto.auth.pack_nonce` packs it for
-both), so a pad never repeats while versions grow.
+Each block's ``<QQ`` (address, version) nonce is packed once and feeds
+both halves of the seal:
+
+- the cipher is a PRF keystream: the block is XORed with keyed BLAKE2b
+  (RFC 7693, from ``hashlib``) of the nonce, whose 64-byte digest is
+  exactly one block of pad, so a pad never repeats while versions grow;
+- the tag (:mod:`repro.crypto.auth`) is an 8-byte keyed BLAKE2b of the
+  nonce followed by the ciphertext.
 
 Key separation: independent subkeys for encryption and authentication
-are derived from the master key with SHA256 domain tags.
+are derived from the master key with SHA256 domain tags. Each keyed
+state (key block absorbed) is built once and copied per block.
 """
 
 from __future__ import annotations
 
 import hashlib
+import hmac
+import struct
 from typing import List, Sequence, Tuple, Union
 
-from repro.crypto.auth import AuthenticationError, BlockAuthenticator, pack_nonce
+from repro.crypto.auth import TAG_BYTES, AuthenticationError
+
+_NONCE = struct.Struct("<QQ")
+_NONCE_RANGE = "addr and version must be unsigned 64-bit integers"
 
 
 class SecureBlockEngine:
@@ -36,21 +45,18 @@ class SecureBlockEngine:
         if len(master_key) < 16:
             raise ValueError("master key must be >= 16 bytes")
         self._enc_key = hashlib.sha256(b"repro/enc|" + master_key).digest()
-        self._auth = BlockAuthenticator(
-            hashlib.sha256(b"repro/mac|" + master_key).digest()
-        )
+        self._mac_key = hashlib.sha256(b"repro/mac|" + master_key).digest()
         self._init_keyed()
 
     def _init_keyed(self) -> None:
-        # The keyed state (key block absorbed) is built once and copied
-        # per block.
-        self._keyed = hashlib.blake2b(
+        self._pad = hashlib.blake2b(
             key=self._enc_key, digest_size=self.BLOCK_BYTES
         )
+        self._mac = hashlib.blake2b(key=self._mac_key, digest_size=TAG_BYTES)
 
     # hashlib states do not pickle; checkpoints carry the keys alone.
     def __getstate__(self) -> dict:
-        return {"_enc_key": self._enc_key, "_auth": self._auth}
+        return {"_enc_key": self._enc_key, "_mac_key": self._mac_key}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -58,31 +64,7 @@ class SecureBlockEngine:
 
     @property
     def tag_bytes(self) -> int:
-        return self._auth.TAG_BYTES
-
-    def keystream(self, addr: int, version: int) -> bytes:
-        """The 64-byte pad of slot ``addr`` at write ``version``."""
-        pad = self._keyed.copy()
-        pad.update(pack_nonce(addr, version))
-        return pad.digest()
-
-    def _xor(self, addr: int, version: int, block: bytes) -> bytes:
-        if len(block) != self.BLOCK_BYTES:
-            raise ValueError(
-                f"blocks must be {self.BLOCK_BYTES} bytes, got {len(block)}"
-            )
-        return (
-            int.from_bytes(block, "little")
-            ^ int.from_bytes(self.keystream(addr, version), "little")
-        ).to_bytes(self.BLOCK_BYTES, "little")
-
-    def open(self, addr: int, version: int, ciphertext: bytes,
-             tag: bytes) -> bytes:
-        """Authenticate + decrypt one block (raises on tampering)."""
-        outcome = self.open_many([(addr, version, ciphertext, tag)])[0]
-        if isinstance(outcome, AuthenticationError):
-            raise outcome
-        return outcome
+        return TAG_BYTES
 
     def seal_many(
         self, items: Sequence[Tuple[int, int, bytes]]
@@ -90,13 +72,31 @@ class SecureBlockEngine:
         """Seal a batch of ``(addr, version, plaintext)`` blocks.
 
         Returns one ``(ciphertext, tag)`` per item, in order: each
-        block XORed with its :meth:`keystream`, then tagged.
+        block XORed with its pad, then tagged. ``ValueError`` for a
+        block that is not 64 bytes or a nonce half outside 0..2**64-1.
         """
-        xor, tag = self._xor, self._auth.tag
+        bb = self.BLOCK_BYTES
+        pack, pad_state, mac_state = _NONCE.pack, self._pad, self._mac
         sealed = []
-        for addr, version, plaintext in items:
-            ciphertext = xor(addr, version, plaintext)
-            sealed.append((ciphertext, tag(addr, version, ciphertext)))
+        try:
+            for addr, version, plaintext in items:
+                if len(plaintext) != bb:
+                    raise ValueError(
+                        f"blocks must be {bb} bytes, got {len(plaintext)}"
+                    )
+                nonce = pack(addr, version)
+                pad = pad_state.copy()
+                pad.update(nonce)
+                ciphertext = (
+                    int.from_bytes(plaintext, "little")
+                    ^ int.from_bytes(pad.digest(), "little")
+                ).to_bytes(bb, "little")
+                mac = mac_state.copy()
+                mac.update(nonce)
+                mac.update(ciphertext)
+                sealed.append((ciphertext, mac.digest()))
+        except struct.error:
+            raise ValueError(_NONCE_RANGE) from None
         return sealed
 
     def open_many(
@@ -108,24 +108,40 @@ class SecureBlockEngine:
         :class:`AuthenticationError` its MAC check raised. Every MAC of
         the batch is checked before anything is decrypted, and only
         authenticated items are: a failing item neither stops the
-        checks on the rest nor gets a plaintext.
+        checks on the rest nor gets a plaintext. A ciphertext that is
+        not 64 bytes or a nonce out of range is a caller error, a
+        ``ValueError``, not a MAC failure.
         """
+        bb = self.BLOCK_BYTES
+        pack, pad_state, mac_state = _NONCE.pack, self._pad, self._mac
+        compare = hmac.compare_digest
+        # Per item, its nonce once its tag has verified, else None.
+        verified: list = []
+        try:
+            for addr, version, ciphertext, tag in items:
+                if len(ciphertext) != bb:
+                    raise ValueError(
+                        f"ciphertext must be {bb} bytes, "
+                        f"got {len(ciphertext)}"
+                    )
+                nonce = pack(addr, version)
+                mac = mac_state.copy()
+                mac.update(nonce)
+                mac.update(ciphertext)
+                verified.append(nonce if compare(mac.digest(), tag) else None)
+        except struct.error:
+            raise ValueError(_NONCE_RANGE) from None
         outcomes: list = []
-        for addr, version, ciphertext, tag in items:
-            # Checked before the MAC: a short ciphertext is a caller
-            # error, not a MAC failure.
-            if len(ciphertext) != self.BLOCK_BYTES:
-                raise ValueError(
-                    f"ciphertext must be {self.BLOCK_BYTES} bytes, "
-                    f"got {len(ciphertext)}"
-                )
-            try:
-                self._auth.verify(addr, version, ciphertext, tag)
-            except AuthenticationError as exc:
-                outcomes.append(exc)
-            else:
-                outcomes.append(None)
-        for i, exc in enumerate(outcomes):
-            if exc is None:
-                outcomes[i] = self._xor(*items[i][:3])
+        for (addr, version, ciphertext, _), nonce in zip(items, verified):
+            if nonce is None:
+                outcomes.append(AuthenticationError(
+                    f"MAC mismatch at addr {addr:#x} version {version}"
+                ))
+                continue
+            pad = pad_state.copy()
+            pad.update(nonce)
+            outcomes.append((
+                int.from_bytes(ciphertext, "little")
+                ^ int.from_bytes(pad.digest(), "little")
+            ).to_bytes(bb, "little"))
         return outcomes

@@ -115,15 +115,6 @@ class BucketMerkleTree:
         if self._digest[0] != self._root_onchip:
             raise IntegrityError("root digest does not match on-chip copy")
 
-    def verify_bucket(
-        self, bucket: int, content_digest: Optional[bytes] = None
-    ) -> None:
-        """Check one bucket's digest (and its ancestors) to the root:
-        the batch of one of :meth:`verify_buckets`, for one open."""
-        failed = self.verify_buckets({bucket: (content_digest, 1)})
-        if failed:
-            raise failed[bucket]
-
     def verify_buckets(
         self, checks: Dict[int, Tuple[Optional[bytes], int]]
     ) -> Dict[int, IntegrityError]:

@@ -95,12 +95,6 @@ class FaultyMemory:
             self.injected["dropped_write"] += 1
             self._outstanding_drops[key] = op
 
-    def seal_dummy(self, bucket: int, slot: int) -> None:
-        # Routed through our own seal_slot (not the inner one) so dummy
-        # writes are injectable too; the plaintext comes from the inner
-        # RNG exactly as an unwrapped seal_dummy would draw it.
-        self.seal_slot(bucket, slot, self.inner._dummy_plaintext())
-
     def seal_many(
         self, items: Sequence[Tuple[int, int, Optional[bytes]]]
     ) -> None:
@@ -115,8 +109,11 @@ class FaultyMemory:
         (one Merkle rehash per bucket) and a write the
         plan drops goes through :meth:`seal_slot`. Op indices, ledgers,
         dummy-filler draws and the store's end state are those of
-        ``seal_slot``/``seal_dummy`` item by item.
+        ``seal_slot`` item by item.
         """
+        # _snapshot and _drops per item, inlined: keep them in step.
+        snapshot, is_sealed = self.inner.snapshot_slot, self.inner.is_sealed
+        armed, pick_seal_fault = self.armed, self.plan.pick_seal_fault
         start = 0
         while start < len(items):
             # slot -> the triple this run overwrites. The run stops
@@ -127,15 +124,17 @@ class FaultyMemory:
             # whether it can be dropped at all, depend on the seal
             # before it).
             prevs: Dict[SlotKey, Optional[SlotSnapshot]] = {}
-            for i in range(start, len(items)):
-                bucket, slot, _ = items[i]
+            op = self.op_index
+            for bucket, slot, _ in items[start:]:
                 key = (bucket, slot)
                 if key in prevs:
                     break
-                prev = self._snapshot(key)
-                if self._drops(self.op_index + i - start, key, prev):
+                prev = snapshot(bucket, slot) if is_sealed(bucket, slot) else None
+                if armed and prev is not None and pick_seal_fault(
+                        op, bucket, slot) == "dropped_write":
                     break
                 prevs[key] = prev
+                op += 1
             if prevs:
                 end = start + len(prevs)
                 self.op_index += len(prevs)
@@ -146,9 +145,11 @@ class FaultyMemory:
             else:
                 bucket, slot, plaintext = items[start]
                 if plaintext is None:
-                    self.seal_dummy(bucket, slot)
-                else:
-                    self.seal_slot(bucket, slot, plaintext)
+                    # Through our own seal_slot, so a dummy write is
+                    # injectable too; the filler is the inner store's
+                    # next draw, as its own dummy seal would take it.
+                    plaintext = self.inner._dummy_plaintext()
+                self.seal_slot(bucket, slot, plaintext)
                 start += 1
 
     # ------------------------------------------------------------- opening

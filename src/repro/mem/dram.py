@@ -39,7 +39,6 @@ class DramStats:
     row_hits: int = 0
     row_misses: int = 0
     refreshes: int = 0
-    total_service_ns: float = 0.0
     #: Controller-imposed waiting (recovery retry backoff) charged to
     #: this memory system -- time the bus spent idle by decree, kept
     #: separate from service time so fault campaigns can attribute it.
@@ -377,7 +376,6 @@ class DramModel:
         busy = self.channel_busy_ns
         bank_busy = self.bank_busy_ns
         hits = 0
-        service = 0.0
         latest = 0.0
         if self._busy is None:
             t_turn = self._t_wtr if not write else self._t_rtw
@@ -415,7 +413,6 @@ class DramModel:
                 span = completion - burst_start
                 busy[channel] += span
                 bank_busy[bank_idx] += span + t_wr
-                service += completion - arrival_ns
                 if completion > latest:
                     latest = completion
         else:
@@ -460,7 +457,6 @@ class DramModel:
                 if completion > bus_free_l[channel]:
                     bus_free_l[channel] = completion
                 track(channel, completion)
-                service += completion - arr
                 if completion > latest:
                     latest = completion
         n = len(lines)
@@ -471,7 +467,6 @@ class DramModel:
             st.reads += n
         st.row_hits += hits
         st.row_misses += n - hits
-        st.total_service_ns += service
         return latest
 
     def reset_measurement(self) -> None:

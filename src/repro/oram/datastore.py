@@ -27,9 +27,7 @@ back as that exception in the block's place (``open_many``).
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -41,8 +39,7 @@ from repro.oram import tree as tree_mod
 from repro.oram.config import OramConfig
 
 
-@dataclass(frozen=True)
-class SlotSnapshot:
+class SlotSnapshot(NamedTuple):
     """One slot's off-chip state at a point in time.
 
     Everything an off-chip adversary can capture and later replay: the
@@ -67,7 +64,15 @@ def pad_block(value: bytes, block_bytes: int = 64) -> bytes:
 
 
 class EncryptedTreeStore:
-    """Sealed byte image of the ORAM data tree."""
+    """Sealed byte image of the ORAM data tree.
+
+    Slot ``(b, s)`` is entry ``i = b * z_max + s`` of every per-slot
+    table: its version in the flat view of ``_version``, its tag at
+    ``_tags[i * 8:(i + 1) * 8]``, its sealed flag at ``_sealed[i]``;
+    its bytes sit at ``_offsets[b] + s * 64`` in ``_memory``, the
+    physical address (:class:`~repro.mem.layout.TreeLayout`) that is
+    also its nonce. Every seal, open and snapshot derives these inline.
+    """
 
     def __init__(
         self,
@@ -83,14 +88,17 @@ class EncryptedTreeStore:
                 f"block_bytes={cfg.block_bytes}"
             )
         self.cfg = cfg
-        self.layout = TreeLayout(cfg)
+        layout = TreeLayout(cfg)
+        # Each bucket's first byte address (TreeLayout.data_addr of
+        # slot 0), as plain ints.
+        self._offsets: List[int] = layout._offsets.tolist()
         self.engine = SecureBlockEngine(master_key)
-        self._memory = bytearray(self.layout.data_bytes)
+        self._memory = bytearray(layout.data_bytes)
         self._version = np.zeros((cfg.n_buckets, cfg.z_max), dtype=np.uint32)
-        # Tags in one flat table, slot (b, s) at (b * z_max + s) *
-        # tag_bytes, so a bucket's tags are one slice. A never-sealed
-        # slot's tag is zero bytes (what the content digest has always
-        # hashed in its place); the mask tells it from a sealed one.
+        # Tags in one flat table, so a bucket's tags are one slice. A
+        # never-sealed slot's tag is zero bytes (what the content digest
+        # has always hashed in its place); the mask tells it from a
+        # sealed one.
         self._z_max = cfg.z_max
         self._tag_bytes = self.engine.tag_bytes
         self._tags = bytearray(cfg.n_buckets * self._z_max * self._tag_bytes)
@@ -104,23 +112,24 @@ class EncryptedTreeStore:
         self.seals = 0
         self.opens = 0
 
+    def _index(self, bucket: int, slot: int) -> int:
+        """Slot ``(bucket, slot)``'s entry in the per-slot tables;
+        ``IndexError`` outside the tree (the batches check inline)."""
+        if not (0 <= bucket < self.cfg.n_buckets and 0 <= slot < self._z_max):
+            raise IndexError(f"slot {(bucket, slot)} out of range")
+        return bucket * self._z_max + slot
+
+    def _versions(self) -> memoryview:
+        """The version table as one flat ``uint32`` view, slot ``(b, s)``
+        at ``b * z_max + s``: a scalar read or write without numpy's
+        per-element cost. Made per call -- a view does not pickle."""
+        return memoryview(self._version).cast("B").cast("I")
+
     # ------------------------------------------------------------- sealing
 
     def is_sealed(self, bucket: int, slot: int) -> bool:
         """Whether the slot has ever been sealed (and so can be opened)."""
         return bool(self._sealed[bucket * self._z_max + slot])
-
-    def _tag(self, bucket: int, slot: int) -> bytes:
-        """The slot's MAC tag; ``KeyError`` for a slot never sealed."""
-        i = bucket * self._z_max + slot
-        if not self._sealed[i]:
-            raise KeyError(f"slot {(bucket, slot)} was never sealed")
-        return bytes(self._tags[i * self._tag_bytes:(i + 1) * self._tag_bytes])
-
-    def _set_tag(self, bucket: int, slot: int, tag: bytes) -> None:
-        i = bucket * self._z_max + slot
-        self._tags[i * self._tag_bytes:(i + 1) * self._tag_bytes] = tag
-        self._sealed[i] = 1
 
     def seal_slot(self, bucket: int, slot: int, plaintext: bytes) -> None:
         """Encrypt + authenticate one slot and update the Merkle path
@@ -135,10 +144,6 @@ class EncryptedTreeStore:
         return self._rng.integers(0, 256, self.cfg.block_bytes,
                                   dtype=np.uint8).tobytes()
 
-    def seal_dummy(self, bucket: int, slot: int) -> None:
-        """Seal fresh random bytes into a dummy slot."""
-        self.seal_many([(bucket, slot, None)])
-
     def seal_many(
         self, items: Sequence[Tuple[int, int, Optional[bytes]]]
     ) -> None:
@@ -147,7 +152,7 @@ class EncryptedTreeStore:
         A whole evictPath's (or one reshuffle's) write-back in one
         call. The end state -- memory, tags, versions, Merkle root,
         dummy-filler RNG stream, ``seals`` and ``integrity.updates`` --
-        is what ``seal_slot``/``seal_dummy`` item by item would leave;
+        is what ``seal_many`` of one item by item would leave;
         fault campaigns and integrity counters pin that. What the batch
         shares is the Merkle work (one content digest per distinct
         bucket, each affected node rehashed once) and the dummy filler
@@ -156,13 +161,19 @@ class EncryptedTreeStore:
         if not items:
             return
         bb = self.cfg.block_bytes
-        data_addr = self.layout.data_addr
-        version = self._version
-        # Reject a bad payload before any version or RNG state moves.
-        padded = [
-            None if plaintext is None else pad_block(plaintext, bb)
-            for _, _, plaintext in items
-        ]
+        n_buckets, z_max = self.cfg.n_buckets, self._z_max
+        # Reject a bad slot or payload before any version or RNG state
+        # moves. A block-sized ``bytes`` (every payload the controller
+        # hands in) is already what ``pad_block`` would return.
+        padded: list = []
+        for bucket, slot, plaintext in items:
+            if not (0 <= bucket < n_buckets and 0 <= slot < z_max):
+                raise IndexError(f"slot {(bucket, slot)} out of range")
+            if plaintext is not None and (
+                type(plaintext) is not bytes or len(plaintext) != bb
+            ):
+                plaintext = pad_block(plaintext, bb)
+            padded.append(plaintext)
         dummies = [i for i, p in enumerate(padded) if p is None]
         if dummies:
             # All of the batch's filler in one draw: row k holds the
@@ -173,18 +184,24 @@ class EncryptedTreeStore:
             ).tobytes()
             for k, i in enumerate(dummies):
                 padded[i] = filler[k * bb:(k + 1) * bb]
+        offsets, version = self._offsets, self._versions()
         requests = []
         for (bucket, slot, _), plaintext in zip(items, padded):
             # A slot repeated inside the batch gets a fresh version
             # each time, exactly as back-to-back seal_slot calls would.
-            v = int(version[bucket, slot]) + 1
-            version[bucket, slot] = v
-            requests.append((data_addr(bucket, slot), v, plaintext))
+            i = bucket * z_max + slot
+            v = version[i] + 1
+            version[i] = v
+            requests.append((offsets[bucket] + slot * bb, v, plaintext))
+        memory, tags, sealed = self._memory, self._tags, self._sealed
+        tb = self._tag_bytes
         for (bucket, slot, _), (addr, _, _), (ciphertext, tag) in zip(
             items, requests, self.engine.seal_many(requests)
         ):
-            self._memory[addr:addr + bb] = ciphertext
-            self._set_tag(bucket, slot, tag)
+            memory[addr:addr + bb] = ciphertext
+            i = bucket * z_max + slot
+            tags[i * tb:(i + 1) * tb] = tag
+            sealed[i] = 1
         buckets = {bucket for bucket, _, _ in items}
         self._sealed_buckets |= buckets
         if self.integrity is not None:
@@ -197,20 +214,12 @@ class EncryptedTreeStore:
     # ------------------------------------------------------------- opening
 
     def open_slot(self, bucket: int, slot: int) -> bytes:
-        """Verify (MAC + Merkle) and decrypt one slot."""
-        tag = self._tag(bucket, slot)
-        if self.integrity is not None:
-            # Recomputing the content digest from the (untrusted) tags
-            # and versions just fetched catches dropped writes whose
-            # stale tag still hangs off a consistent hash chain.
-            self.integrity.verify_bucket(
-                bucket, content_digest=self._content_digest(bucket)
-            )
-        addr = self.layout.data_addr(bucket, slot)
-        ciphertext = bytes(self._memory[addr:addr + self.cfg.block_bytes])
-        version = int(self._version[bucket, slot])
-        self.opens += 1
-        return self.engine.open(addr, version, ciphertext, tag)
+        """Verify (MAC + Merkle) and decrypt one slot (the batch of one
+        of :meth:`open_many`, its failure raised)."""
+        outcome = self.open_many([(bucket, slot)])[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def open_many(
         self, slots: Sequence[Tuple[int, int]]
@@ -220,38 +229,50 @@ class EncryptedTreeStore:
         Per slot, the plaintext -- or, in its place, the
         :class:`IntegrityError` / :class:`AuthenticationError` that
         ``open_slot`` would have raised, so one bad slot costs the
-        caller that slot only. One Merkle check covers the batch
+        caller that slot only. ``KeyError``, before anything is checked,
+        if a slot was never sealed. One Merkle check covers the batch
         (:meth:`BucketMerkleTree.verify_buckets`: each bucket's content
-        once, each shared ancestor once); every MAC is checked before
-        any plaintext of the batch exists
-        (:meth:`SecureBlockEngine.open_many`). Counters land as the
-        scalar calls would leave them.
+        once, each shared ancestor once) -- recomputing the content
+        digests from the (untrusted) tags and versions just fetched
+        catches dropped writes whose stale tag still hangs off a
+        consistent hash chain; every MAC is checked before any plaintext
+        of the batch exists (:meth:`SecureBlockEngine.open_many`).
+        Counters land as the scalar calls would leave them.
         """
         if not slots:
             return []
-        tags = [self._tag(bucket, slot) for bucket, slot in slots]
-        bb = self.cfg.block_bytes
+        n_buckets, z_max, sealed = self.cfg.n_buckets, self._z_max, self._sealed
+        # Opens per bucket, in first-seen order.
+        opens: Dict[int, int] = {}
+        for bucket, slot in slots:
+            if not (0 <= bucket < n_buckets and 0 <= slot < z_max):
+                raise IndexError(f"slot {(bucket, slot)} out of range")
+            if not sealed[bucket * z_max + slot]:
+                raise KeyError(f"slot {(bucket, slot)} was never sealed")
+            opens[bucket] = opens.get(bucket, 0) + 1
         broken: Dict[int, IntegrityError] = {}
         if self.integrity is not None:
             broken = self.integrity.verify_buckets({
                 bucket: (self._content_digest(bucket), n)
-                for bucket, n in Counter(b for b, _ in slots).items()
+                for bucket, n in opens.items()
             })
         outcomes: list = [broken.get(bucket) for bucket, _ in slots]
         intact = [i for i, exc in enumerate(outcomes) if exc is None]
+        bb, tb = self.cfg.block_bytes, self._tag_bytes
+        memory, tags, offsets = self._memory, self._tags, self._offsets
+        version = self._versions()
         requests = []
-        for i in intact:
-            bucket, slot = slots[i]
-            addr = self.layout.data_addr(bucket, slot)
+        for k in intact:
+            bucket, slot = slots[k]
+            addr = offsets[bucket] + slot * bb
+            i = bucket * z_max + slot
             requests.append((
-                addr,
-                int(self._version[bucket, slot]),
-                bytes(self._memory[addr:addr + bb]),
-                tags[i],
+                addr, version[i], memory[addr:addr + bb],
+                tags[i * tb:(i + 1) * tb],
             ))
         self.opens += len(intact)
-        for i, outcome in zip(intact, self.engine.open_many(requests)):
-            outcomes[i] = outcome
+        for k, outcome in zip(intact, self.engine.open_many(requests)):
+            outcomes[k] = outcome
         return outcomes
 
     # ----------------------------------------------------------- integrity
@@ -289,11 +310,17 @@ class EncryptedTreeStore:
     # ---------------------------------------------------- snapshot/restore
 
     def snapshot_slot(self, bucket: int, slot: int) -> SlotSnapshot:
-        """Capture a slot's off-chip state (what an adversary could keep)."""
+        """Capture a slot's off-chip state (what an adversary could keep);
+        ``KeyError`` for a slot never sealed."""
+        i = self._index(bucket, slot)
+        if not self._sealed[i]:
+            raise KeyError(f"slot {(bucket, slot)} was never sealed")
+        bb, tb = self.cfg.block_bytes, self._tag_bytes
+        addr = self._offsets[bucket] + slot * bb
         return SlotSnapshot(
-            ciphertext=self.raw_ciphertext(bucket, slot),
-            tag=self._tag(bucket, slot),
-            version=int(self._version[bucket, slot]),
+            bytes(self._memory[addr:addr + bb]),
+            bytes(self._tags[i * tb:(i + 1) * tb]),
+            self._version.item(bucket, slot),
         )
 
     def restore_slot(
@@ -311,9 +338,12 @@ class EncryptedTreeStore:
         chain consistently -- everything an off-chip adversary controls.
         The on-chip root copy is never touched.
         """
-        off = self.layout.data_addr(bucket, slot)
-        self._memory[off:off + self.cfg.block_bytes] = snap.ciphertext
-        self._set_tag(bucket, slot, snap.tag)
+        i = self._index(bucket, slot)
+        bb, tb = self.cfg.block_bytes, self._tag_bytes
+        addr = self._offsets[bucket] + slot * bb
+        self._memory[addr:addr + bb] = snap.ciphertext
+        self._tags[i * tb:(i + 1) * tb] = snap.tag
+        self._sealed[i] = 1
         if restore_version:
             self._version[bucket, slot] = snap.version
         if rehash and self.integrity is not None:
@@ -323,14 +353,13 @@ class EncryptedTreeStore:
     # -------------------------------------------------------- attack hooks
 
     def tamper_payload(self, bucket: int, slot: int, flip_byte: int = 0) -> None:
-        """Flip one ciphertext byte in memory (for tamper tests)."""
-        off = self.layout.data_addr(bucket, slot) + flip_byte
-        self._memory[off] ^= 0xFF
+        """Flip the memory byte ``flip_byte`` past the slot's address
+        (for tamper tests; the offsets are not held to the slot)."""
+        if not 0 <= bucket < self.cfg.n_buckets:
+            raise ValueError(f"bucket {bucket} out of range")
+        self._memory[self._offsets[bucket] + slot * self.cfg.block_bytes
+                     + flip_byte] ^= 0xFF
 
     def tamper_version(self, bucket: int, slot: int) -> None:
         """Roll a slot's version back (replay attempt)."""
         self._version[bucket, slot] = max(0, int(self._version[bucket, slot]) - 1)
-
-    def raw_ciphertext(self, bucket: int, slot: int) -> bytes:
-        off = self.layout.data_addr(bucket, slot)
-        return bytes(self._memory[off:off + self.cfg.block_bytes])

@@ -590,7 +590,7 @@ class RingOram:
         """
         where = [(bucket, slot) for _, bucket, slot in residents]
         return (
-            (*resident, outcome)
+            resident + (outcome,)
             for resident, outcome in zip(
                 residents, self.datastore.open_many(where)
             )
@@ -809,11 +809,11 @@ class RingOram:
             blank = bytes(self.cfg.block_bytes)
             where = [(b, slot) for slot in written] + hosts
             contents = store.slots[b, written].tolist() + remote_contents
-            for (at, slot), content in zip(where, contents):
-                seal_batch.append(
-                    (at, slot, pop_payload(content, blank) if content >= 0
-                     else None)
-                )
+            seal_batch += [
+                (at, slot, pop_payload(content, blank) if content >= 0
+                 else None)
+                for (at, slot), content in zip(where, contents)
+            ]
         self.sink.data_access_many(write_items, write=True)
 
     def _background_evict(self) -> None:

@@ -42,8 +42,11 @@ PathLike = Union[str, Path]
 #: layout is unchanged, but an older image's MACs still verify, so it
 #: would open to wrong bytes without an error. 9: tags are keyed
 #: BLAKE2b (were HMAC-SHA256); an older sealed image would fail every
-#: MAC after a resume.
-CHECKPOINT_FORMAT = 9
+#: MAC after a resume. 10: the sealed store keeps its per-bucket
+#: byte offsets and no ``TreeLayout``, the engine its two subkeys (no
+#: authenticator object), a replay snapshot is a named tuple, and
+#: ``DramStats`` has no ``total_service_ns``.
+CHECKPOINT_FORMAT = 10
 _MAGIC = "repro-sim-checkpoint"
 
 

@@ -291,7 +291,6 @@ class ReferenceDramModel(DramModel):
         win_q = self._win_q
         windowed = self._busy is not None
         hits = 0
-        service = 0.0
         latest = 0.0
         for byte_addr in byte_addrs:
             line = byte_addr // am.LINE_BYTES
@@ -337,7 +336,6 @@ class ReferenceDramModel(DramModel):
                 if completion > bus_free_l[channel]:
                     bus_free_l[channel] = completion
                 self._window_track(channel, completion)
-                service += completion - arr
                 if completion > latest:
                     latest = completion
                 continue
@@ -363,7 +361,6 @@ class ReferenceDramModel(DramModel):
             bank_busy[bank_idx] += completion - burst_start + t_wr
             if win_q is not None:
                 self._window_track(channel, completion)
-            service += completion - arr
             if completion > latest:
                 latest = completion
         n = len(byte_addrs)
@@ -374,5 +371,4 @@ class ReferenceDramModel(DramModel):
             st.reads += n
         st.row_hits += hits
         st.row_misses += n - hits
-        st.total_service_ns += service
         return latest

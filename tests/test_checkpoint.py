@@ -77,11 +77,12 @@ class TestCheckpointRoundtrip:
         assert (store.slots[:, store.z_max:] >= 0).any()
         path = tmp_path / "ck.pkl"
         save_checkpoint(sim, path)
-        assert b"_keyed" not in path.read_bytes()
+        assert set(sim.datastore.engine.__getstate__()) == {
+            "_enc_key", "_mac_key"}
         resumed = load_checkpoint(path)
-        assert resumed.datastore.engine.keystream(
-            64, 3
-        ) == sim.datastore.engine.keystream(64, 3)
+        item = [(64, 3, bytes(64))]
+        assert resumed.datastore.engine.seal_many(
+            item) == sim.datastore.engine.seal_many(item)
         assert sealed_store_state(resumed.datastore) == sealed_store_state(
             sim.datastore
         )
@@ -136,8 +137,10 @@ class TestCheckpointValidation:
         offsets): the file would load and the run die later on a
         missing attribute. Format 7 (ChaCha20 payloads) would load and
         run, its MACs verifying, but open to wrong bytes; format 8
-        (HMAC-SHA256 tags) would fail every MAC."""
-        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8):
+        (HMAC-SHA256 tags) would fail every MAC; format 9 (a sealed
+        store with a ``TreeLayout``, an engine with a
+        ``BlockAuthenticator``) would die on a missing attribute."""
+        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

@@ -144,8 +144,10 @@ class TestSimulateRobustness:
     def test_resume_refuses_a_sealed_checkpoint_of_the_old_tag_format(
             self, capsys, tmp_path):
         """A sealed format-8 file pickles the same objects, but its tags
-        are HMAC-SHA256: one error line and exit 2, not a MAC failure
-        on every open after the resume."""
+        are HMAC-SHA256; a format-9 file's sealed store and engine have
+        the attributes of before their inline slot tables: one error
+        line and exit 2 for either, not a MAC failure or a missing
+        attribute after the resume."""
         import pickle
 
         ck = tmp_path / "ck.pkl"
@@ -155,13 +157,14 @@ class TestSimulateRobustness:
                      "--checkpoint-every", "20"]) == 0
         payload = pickle.loads(ck.read_bytes())
         assert payload["simulation"].datastore is not None
-        payload["format"] = 8
-        ck.write_bytes(pickle.dumps(payload))
         capsys.readouterr()
-        assert main(["simulate", "--resume", str(ck)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "unsupported checkpoint format 8 (expected 9)" in err
+        for fmt in (8, 9):
+            payload["format"] = fmt
+            ck.write_bytes(pickle.dumps(payload))
+            assert main(["simulate", "--resume", str(ck)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"unsupported checkpoint format {fmt} (expected 10)" in err
 
     @pytest.mark.parametrize("kind", ["garbage", "missing", "directory"])
     def test_resume_rejects_garbage(self, capsys, tmp_path, kind):

@@ -1,10 +1,10 @@
 """Tests for the crypto boundary (repro.crypto).
 
 The keystream is pinned to known-answer vectors and to ``hashlib``'s
-keyed BLAKE2b; the authenticator, engine, and Merkle tree are tested
-for round-trips and -- more importantly -- for *detection*: every
-modelled attack (bit flips, splicing, version rollback, consistent
-replay) must raise.
+keyed BLAKE2b; the tags, engine, and Merkle tree are tested for
+round-trips and -- more importantly -- for *detection*: every modelled
+attack (bit flips, splicing, version rollback, consistent replay) must
+raise.
 """
 
 import hashlib
@@ -13,12 +13,30 @@ import struct
 
 import pytest
 
-from repro.crypto.auth import AuthenticationError, BlockAuthenticator
+from repro.crypto.auth import TAG_BYTES, AuthenticationError
 from repro.crypto.engine import SecureBlockEngine
 from repro.crypto.integrity import BucketMerkleTree, IntegrityError
 
 
 MASTER = b"master key bytes"
+
+
+def _pad(engine, addr, version):
+    """The 64-byte pad of slot ``addr`` at ``version``: the ciphertext
+    of a zero block."""
+    return engine.seal_many([(addr, version, bytes(64))])[0][0]
+
+
+def _open(engine, addr, version, ciphertext, tag):
+    """One block through ``open_many``, its MAC failure raised."""
+    outcome = engine.open_many([(addr, version, ciphertext, tag)])[0]
+    if isinstance(outcome, AuthenticationError):
+        raise outcome
+    return outcome
+
+
+def _mac_key(master):
+    return hashlib.sha256(b"repro/mac|" + master).digest()
 
 
 class TestChaCha20Rfc8439:
@@ -28,7 +46,7 @@ class TestChaCha20Rfc8439:
     was ChaCha20 (RFC 8439), so their test ids carry over."""
 
     def test_block_function_vector(self):
-        pad = SecureBlockEngine(MASTER).keystream(0xABC0, 7)
+        pad = _pad(SecureBlockEngine(MASTER), 0xABC0, 7)
         assert pad == bytes.fromhex(
             "8d34cbda23210e8921f8b97f6e181a31"
             "c17d53ffec136c14c6cf7ed72a0d0e16"
@@ -51,7 +69,7 @@ class TestChaCha20Rfc8439:
         )
 
     def test_keystream_block_zero_vector(self):
-        pad = SecureBlockEngine(MASTER).keystream(0, 0)
+        pad = _pad(SecureBlockEngine(MASTER), 0, 0)
         assert pad == bytes.fromhex(
             "6c1b3bbeca528f113b103c21b777c4a6"
             "ad0adf7b99b755041bcedf620eba415b"
@@ -69,7 +87,7 @@ class TestChaCha20Api:
         engine = SecureBlockEngine(MASTER)
         msg = b"hello oram world" * 4
         ciphertext, _ = engine.seal_many([(64, 3, msg)])[0]
-        pad = engine.keystream(64, 3)
+        pad = _pad(engine, 64, 3)
         assert bytes(c ^ k for c, k in zip(ciphertext, pad)) == msg
 
     def test_one_shot_helper(self):
@@ -80,19 +98,19 @@ class TestChaCha20Api:
         for addr, version in [
             (0, 0), (64, 1), (0xABC0, 2**32 + 7), (2**64 - 1, 2**64 - 1),
         ]:
-            assert engine.keystream(addr, version) == hashlib.blake2b(
+            assert _pad(engine, addr, version) == hashlib.blake2b(
                 struct.pack("<QQ", addr, version),
                 key=enc_key, digest_size=64,
             ).digest()
 
     def test_different_counters_differ(self):
         engine = SecureBlockEngine(MASTER)
-        assert engine.keystream(64, 0) != engine.keystream(64, 1)
+        assert _pad(engine, 64, 0) != _pad(engine, 64, 1)
 
     def test_different_nonces_differ(self):
         engine = SecureBlockEngine(MASTER)
         nonces = [(a, v) for a in (0, 64, 2**32) for v in (0, 1, 2**32)]
-        pads = {engine.keystream(a, v) for a, v in nonces}
+        pads = {_pad(engine, a, v) for a, v in nonces}
         assert len(pads) == len(nonces)
 
     def test_keystream_prefix_property(self):
@@ -105,14 +123,14 @@ class TestChaCha20Api:
     def test_bad_key_length(self):
         with pytest.raises(ValueError):
             SecureBlockEngine(b"k" * 15)
-        assert len(SecureBlockEngine(b"k" * 16).keystream(0, 0)) == 64
+        assert len(_pad(SecureBlockEngine(b"k" * 16), 0, 0)) == 64
 
     def test_bad_nonce_length(self):
         """The address half of the nonce is an unsigned 64-bit word."""
         engine = SecureBlockEngine(MASTER)
         for addr in (-1, 2**64):
             with pytest.raises(ValueError):
-                engine.keystream(addr, 0)
+                engine.open_many([(addr, 0, bytes(64), bytes(8))])
             with pytest.raises(ValueError):
                 engine.seal_many([(addr, 0, bytes(64))])[0]
 
@@ -121,7 +139,7 @@ class TestChaCha20Api:
         engine = SecureBlockEngine(MASTER)
         for version in (-1, 2**64):
             with pytest.raises(ValueError):
-                engine.keystream(0, version)
+                engine.open_many([(0, version, bytes(64), bytes(8))])
             with pytest.raises(ValueError):
                 engine.seal_many([(0, version, bytes(64))])[0]
 
@@ -136,8 +154,8 @@ class TestChaCha20Api:
 
 class TestKeystream:
     def test_distinct_keys_distinct_pads(self):
-        one = SecureBlockEngine(MASTER).keystream(64, 1)
-        other = SecureBlockEngine(b"master key bytez").keystream(64, 1)
+        one = _pad(SecureBlockEngine(MASTER), 64, 1)
+        other = _pad(SecureBlockEngine(b"master key bytez"), 64, 1)
         assert one != other
 
     def test_version_past_32_bits_is_a_new_nonce(self):
@@ -159,74 +177,73 @@ class TestKeystream:
 
 
 class TestBlockAuthenticator:
+    """The block tag, computed and checked inside the engine's batches.
+    The class keeps the name it had when a separate authenticator
+    object held the MAC key, so its test ids carry over."""
+
     def test_roundtrip(self):
-        auth = BlockAuthenticator(b"x" * 32)
-        tag = auth.tag(0x1000, 3, b"c" * 64)
-        auth.verify(0x1000, 3, b"c" * 64, tag)
+        eng = SecureBlockEngine(MASTER)
+        ct, tag = eng.seal_many([(0x1000, 3, b"c" * 64)])[0]
+        assert _open(eng, 0x1000, 3, ct, tag) == b"c" * 64
 
     def test_tampered_ciphertext_rejected(self):
-        auth = BlockAuthenticator(b"x" * 32)
-        tag = auth.tag(0x1000, 3, b"c" * 64)
+        eng = SecureBlockEngine(MASTER)
+        ct, tag = eng.seal_many([(0x1000, 3, b"c" * 64)])[0]
         with pytest.raises(AuthenticationError):
-            auth.verify(0x1000, 3, b"d" + b"c" * 63, tag)
+            _open(eng, 0x1000, 3, bytes([ct[0] ^ 1]) + ct[1:], tag)
 
     def test_spliced_address_rejected(self):
-        auth = BlockAuthenticator(b"x" * 32)
-        tag = auth.tag(0x1000, 3, b"c" * 64)
-        with pytest.raises(AuthenticationError):
-            auth.verify(0x2000, 3, b"c" * 64, tag)
+        eng = SecureBlockEngine(MASTER)
+        ct, tag = eng.seal_many([(0x1000, 3, b"c" * 64)])[0]
+        with pytest.raises(AuthenticationError, match="addr 0x2000"):
+            _open(eng, 0x2000, 3, ct, tag)
 
     def test_rolled_back_version_rejected(self):
-        auth = BlockAuthenticator(b"x" * 32)
-        tag = auth.tag(0x1000, 3, b"c" * 64)
-        with pytest.raises(AuthenticationError):
-            auth.verify(0x1000, 2, b"c" * 64, tag)
+        eng = SecureBlockEngine(MASTER)
+        ct, tag = eng.seal_many([(0x1000, 3, b"c" * 64)])[0]
+        with pytest.raises(AuthenticationError, match="version 2$"):
+            _open(eng, 0x1000, 2, ct, tag)
 
     def test_tag_is_truncated(self):
-        auth = BlockAuthenticator(b"x" * 32)
-        assert len(auth.tag(0, 0, b"")) == auth.TAG_BYTES
-
-    def test_short_key_rejected(self):
-        with pytest.raises(ValueError):
-            BlockAuthenticator(b"tiny")
+        eng = SecureBlockEngine(MASTER)
+        _, tag = eng.seal_many([(0, 0, bytes(64))])[0]
+        assert len(tag) == TAG_BYTES == eng.tag_bytes
 
     def test_pickle_roundtrip_keeps_the_key(self):
-        """Checkpoints pickle the engine; the keyed BLAKE2b state cannot
-        be pickled and must be rebuilt from the key."""
-        auth = BlockAuthenticator(b"k" * 16)
-        clone = pickle.loads(pickle.dumps(auth))
-        assert clone.tag(64, 3, b"c" * 64) == auth.tag(64, 3, b"c" * 64)
+        """Checkpoints pickle the engine; the keyed BLAKE2b MAC state
+        cannot be pickled and must be rebuilt from the key: a clone
+        verifies what the original sealed."""
+        eng = SecureBlockEngine(MASTER)
+        clone = pickle.loads(pickle.dumps(eng))
+        ct, tag = eng.seal_many([(64, 3, b"c" * 64)])[0]
+        assert _open(clone, 64, 3, ct, tag) == b"c" * 64
 
     def test_negative_inputs_rejected(self):
-        auth = BlockAuthenticator(b"x" * 32)
         with pytest.raises(ValueError):
-            auth.tag(-1, 0, b"")
+            SecureBlockEngine(MASTER).seal_many([(-1, 0, bytes(64))])
 
     def test_tag_is_keyed_blake2b(self):
-        """The tag is ``hashlib``'s keyed BLAKE2b, 8-byte digest, of the
-        ``<QQ`` (address, version) nonce followed by the ciphertext."""
-        key, ct = b"x" * 32, bytes(range(64))
+        """The tag is ``hashlib``'s keyed BLAKE2b, 8-byte digest, under
+        the derived MAC key, of the ``<QQ`` (address, version) nonce
+        followed by the ciphertext."""
+        ct, tag = SecureBlockEngine(MASTER).seal_many(
+            [(0x1000, 3, bytes(range(64)))])[0]
         want = hashlib.blake2b(
-            struct.pack("<QQ", 0x1000, 3) + ct, key=key, digest_size=8
+            struct.pack("<QQ", 0x1000, 3) + ct,
+            key=_mac_key(MASTER), digest_size=8,
         ).digest()
-        assert BlockAuthenticator(key).tag(0x1000, 3, ct) == want
-
-    def test_key_longer_than_a_blake2b_key_rejected(self):
-        BlockAuthenticator(b"k" * 64)
-        with pytest.raises(ValueError):
-            BlockAuthenticator(b"k" * 65)
+        assert tag == want
 
     @pytest.mark.parametrize("bad", [-1, 2**64])
     def test_nonce_halves_are_unsigned_64_bit(self, bad):
-        """``tag``, ``verify`` and the keystream share one packer and
-        one error: a ``ValueError``, never a bare ``struct.error``."""
-        auth = BlockAuthenticator(b"x" * 32)
+        """Sealing and opening share one nonce packer and one error: a
+        ``ValueError``, never a bare ``struct.error``."""
         engine = SecureBlockEngine(MASTER)
         for addr, version in ((bad, 0), (0, bad)):
             calls = (
-                lambda: auth.tag(addr, version, b"c" * 64),
-                lambda: auth.verify(addr, version, b"c" * 64, bytes(8)),
-                lambda: engine.keystream(addr, version),
+                lambda: engine.seal_many([(addr, version, b"c" * 64)]),
+                lambda: engine.open_many(
+                    [(addr, version, b"c" * 64, bytes(8))]),
             )
             for call in calls:
                 with pytest.raises(ValueError, match="unsigned 64-bit"):
@@ -238,7 +255,7 @@ class TestSecureBlockEngine:
         eng = SecureBlockEngine(b"master key bytes")
         pt = bytes(range(64))
         ct, tag = eng.seal_many([(0xABC0, 7, pt)])[0]
-        assert eng.open(0xABC0, 7, ct, tag) == pt
+        assert _open(eng, 0xABC0, 7, ct, tag) == pt
 
     def test_ciphertext_differs_from_plaintext(self):
         eng = SecureBlockEngine(b"master key bytes")
@@ -262,14 +279,14 @@ class TestSecureBlockEngine:
         with pytest.raises(ValueError):
             eng.seal_many([(0, 0, b"short")])[0]
         with pytest.raises(ValueError):
-            eng.open(0, 0, b"short", b"t" * 8)
+            _open(eng, 0, 0, b"short", b"t" * 8)
 
     def test_tamper_detected(self):
         eng = SecureBlockEngine(b"master key bytes")
         ct, tag = eng.seal_many([(0, 1, bytes(64))])[0]
         bad = bytes([ct[0] ^ 1]) + ct[1:]
         with pytest.raises(AuthenticationError):
-            eng.open(0, 1, bad, tag)
+            _open(eng, 0, 1, bad, tag)
 
     def test_short_master_key_rejected(self):
         with pytest.raises(ValueError):
@@ -281,10 +298,14 @@ class TestSecureBlockEngine:
         items = [(64 * i, i + 1, bytes([i]) * 64) for i in range(n)]
         sealed = eng.seal_many(items)
 
+        enc_key = hashlib.sha256(b"repro/enc|" + MASTER).digest()
+
         def one(addr, version, pt):
-            pad = eng.keystream(addr, version)
+            nonce = struct.pack("<QQ", addr, version)
+            pad = hashlib.blake2b(nonce, key=enc_key, digest_size=64).digest()
             ct = bytes(p ^ k for p, k in zip(pt, pad))
-            return ct, eng._auth.tag(addr, version, ct)
+            return ct, hashlib.blake2b(
+                nonce + ct, key=_mac_key(MASTER), digest_size=8).digest()
 
         assert sealed == [one(*item) for item in items]
         opened = eng.open_many([
@@ -348,14 +369,14 @@ class TestBucketMerkleTree:
         t.update_buckets({9: self.digest(b"legit")}, updates=1)
         t.tamper_content(9, self.digest(b"evil"))
         with pytest.raises(IntegrityError):
-            t.verify_bucket(9)
+            raise t.verify_buckets({9: (None, 1)})[9]
 
     def test_tampered_digest_detected(self):
         t = self.make()
         t.tamper_digest(4, self.digest(b"evil"))
         # Bucket 4's parent chain no longer matches.
         with pytest.raises(IntegrityError):
-            t.verify_bucket(4)
+            raise t.verify_buckets({4: (None, 1)})[4]
 
     def test_consistent_replay_caught_at_root(self):
         """The strongest off-chip attack: rewrite a whole consistent
@@ -368,7 +389,23 @@ class TestBucketMerkleTree:
         t.tamper_content(9, old_content)
         t.tamper_rehash(9)
         with pytest.raises(IntegrityError):
-            t.verify_bucket(9)
+            raise t.verify_buckets({9: (None, 1)})[9]
+
+    def test_path_check_names_the_top_mismatch_batch_check_the_lowest(
+            self):
+        """One mid-path ``tamper_digest`` breaks the node and its parent.
+        ``verify_path`` walks root first and names the parent, the
+        topmost mismatch; ``verify_buckets`` names the node itself, the
+        lowest mismatch on the checked bucket's chain. The recovery
+        ladder quarantines ``exc.bucket``, so a readPath that folded
+        its path check into its open batch would rebuild another
+        bucket."""
+        t = BucketMerkleTree(5)
+        t.tamper_digest(3, self.digest(b"evil"))
+        with pytest.raises(IntegrityError) as path:
+            t.verify_path(0)   # path 0 -> 1 -> 3 -> 7 -> 15
+        assert path.value.bucket == 1
+        assert t.verify_buckets({15: (None, 1)})[15].bucket == 3
 
     def test_update_validates_args(self):
         """An out-of-range bucket is refused before any content moves."""
@@ -413,10 +450,9 @@ class TestBucketMerkleTree:
             t.update_buckets({0: b"short"}, updates=1)
 
     def test_verify_bucket_counts_opens(self):
-        """One check counts one open; a batch counts each bucket's
-        ``opens``."""
+        """A check counts each bucket's ``opens``."""
         t = self.make()
-        t.verify_bucket(9)
+        t.verify_buckets({9: (None, 1)})
         assert t.verifications == 1
         t.verify_buckets({9: (None, 3), 4: (None, 2)})
         assert t.verifications == 6

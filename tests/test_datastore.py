@@ -2,6 +2,7 @@
 path (controller + EncryptedTreeStore)."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import tiny_ab_config, tiny_config
 from repro.core.remote import RemoteAllocator
 from repro.crypto.auth import AuthenticationError
 from repro.crypto.integrity import IntegrityError
+from repro.mem.layout import TreeLayout
 from repro.oram import tree as tree_mod
 from repro.oram.datastore import EncryptedTreeStore, pad_block
 from repro.oram.recovery import RobustnessConfig
@@ -96,9 +98,9 @@ class TestEncryptedTreeStore:
 
     def test_reseal_bumps_version(self, store):
         store.seal_slot(3, 1, b"v1")
-        ct1 = store.raw_ciphertext(3, 1)
+        ct1 = store.snapshot_slot(3, 1).ciphertext
         store.seal_slot(3, 1, b"v1")
-        ct2 = store.raw_ciphertext(3, 1)
+        ct2 = store.snapshot_slot(3, 1).ciphertext
         assert ct1 != ct2  # same plaintext, fresh version -> new bytes
         assert store.open_slot(3, 1) == pad_block(b"v1", 64)
 
@@ -113,10 +115,10 @@ class TestEncryptedTreeStore:
 
     def test_ciphertext_is_not_plaintext(self, store):
         store.seal_slot(0, 0, b"secret")
-        assert b"secret" not in store.raw_ciphertext(0, 0)
+        assert b"secret" not in store.snapshot_slot(0, 0).ciphertext
 
     def test_dummy_seal_opens_to_noise(self, store):
-        store.seal_dummy(2, 0)
+        store.seal_many([(2, 0, None)])
         noise = store.open_slot(2, 0)
         assert len(noise) == 64
 
@@ -172,6 +174,51 @@ class TestEncryptedTreeStore:
                 )
             assert store._content_digest(bucket) == h.digest(), bucket
 
+    def test_merkle_leaf_bytes_per_level(self, store):
+        """For one bucket per level the Merkle leaf content is SHA-256
+        of the level's ``z`` versions as little-endian uint32, then
+        their ``z`` tags (eight zero bytes for a slot never sealed)."""
+        cfg = store.cfg
+        buckets = [(1 << lv) - 1 + lv % (1 << lv) for lv in range(cfg.levels)]
+        for lv, b in enumerate(buckets):
+            z = cfg.geometry[lv].z_total
+            store.seal_many([(b, s, bytes([s])) for s in range(z - 1)]
+                            + [(b, 0, None)] * (lv + 1))
+        for lv, b in enumerate(buckets):
+            z = cfg.geometry[lv].z_total
+            snaps = [store.snapshot_slot(b, s) if store.is_sealed(b, s)
+                     else None for s in range(z)]
+            assert snaps[-1] is None and snaps[0].version == lv + 2
+            leaf = hashlib.sha256(
+                b"".join(struct.pack("<I", 0 if sn is None else sn.version)
+                         for sn in snaps)
+                + b"".join(bytes(8) if sn is None else sn.tag
+                           for sn in snaps)
+            ).digest()
+            assert store._content_digest(b) == leaf, lv
+            assert store.integrity.stored_content(b) == leaf, lv
+
+    def test_slot_outside_the_tree_rejected_before_anything_moves(
+            self, store):
+        """Slot ``(b, z_max)`` would be bucket ``b + 1``'s first entry
+        in the flat per-slot tables: every slot-taking call refuses it,
+        a bucket outside the tree and a negative index with
+        ``IndexError`` and leaves the store as it was."""
+        store.seal_slot(3, 0, b"x")
+        store.seal_slot(4, 0, b"y")
+        before = _everything(store)
+        z_max, n = store.cfg.z_max, store.cfg.n_buckets
+        for bucket, slot in ((3, z_max), (n, 0), (-1, 0), (3, -1)):
+            with pytest.raises(IndexError):
+                store.seal_many([(0, 0, None), (bucket, slot, b"z")])
+            with pytest.raises(IndexError):
+                store.open_many([(3, 0), (bucket, slot)])
+            with pytest.raises(IndexError):
+                store.snapshot_slot(bucket, slot)
+            with pytest.raises(IndexError):
+                store.restore_slot(bucket, slot, store.snapshot_slot(3, 0))
+        assert _everything(store) == before
+
     def test_is_sealed(self, store):
         assert not store.is_sealed(3, 1)
         store.seal_slot(3, 1, b"x")
@@ -206,17 +253,21 @@ def _batch_items(cfg, n):
 
 def _reference_seal(store, bucket, slot, plaintext):
     """One slot sealed as the store did before every seal was a batch:
-    its own filler draw, ``engine.seal``, and its Merkle path rehashed
-    from the bucket up. The reference the batches are held equal to."""
+    its own filler draw, its address from ``TreeLayout.data_addr``, a
+    seal of one, its tag written at its place in the flat table, and its
+    Merkle path rehashed from the bucket up. The reference the batches
+    are held equal to."""
     if plaintext is None:
         plaintext = store._dummy_plaintext()
     plaintext = pad_block(plaintext, store.cfg.block_bytes)
-    addr = store.layout.data_addr(bucket, slot)
+    addr = TreeLayout(store.cfg).data_addr(bucket, slot)
     version = int(store._version[bucket, slot]) + 1
     store._version[bucket, slot] = version
     ciphertext, tag = store.engine.seal_many([(addr, version, plaintext)])[0]
     store._memory[addr:addr + store.cfg.block_bytes] = ciphertext
-    store._set_tag(bucket, slot, tag)
+    i = bucket * store.cfg.z_max + slot
+    store._tags[i * len(tag):(i + 1) * len(tag)] = tag
+    store._sealed[i] = 1
     store._sealed_buckets.add(bucket)
     tree = store.integrity
     if tree is not None:
@@ -233,13 +284,11 @@ def _reference_seal(store, bucket, slot, plaintext):
 
 
 def _scalar_opens(store, slots):
-    """``open_slot`` per slot, failures kept in place like ``open_many``."""
+    """One open per slot (``open_slot`` is the batch of one), failures
+    kept in place like ``open_many``."""
     outcomes = []
-    for bucket, slot in slots:
-        try:
-            outcomes.append(store.open_slot(bucket, slot))
-        except (AuthenticationError, IntegrityError) as exc:
-            outcomes.append(exc)
+    for slot in slots:
+        outcomes += EncryptedTreeStore.open_many(store, [slot])
     return outcomes
 
 

@@ -28,6 +28,7 @@ from repro.faults.campaign import (
 from repro.faults.memory import FaultyMemory
 from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.faults.schema import cell_key, render_report, validate_report
+from repro.mem.layout import TreeLayout
 from repro.oram.datastore import EncryptedTreeStore, pad_block
 from repro.oram import ring as ring_mod
 from repro.oram.recovery import RobustnessConfig, TransientBackendError
@@ -138,6 +139,31 @@ class TestFaultyMemoryDetection:
         assert mem.detected["replay"] == 1
         assert mem.undetected["replay"] == 0
 
+    def test_replay_restores_the_triple_the_slot_held(self):
+        """The replay ammunition is the slot's off-chip triple as it
+        stood before the reseal -- its bytes at ``TreeLayout.data_addr``,
+        its tag in the flat table, its version -- and the replay writes
+        exactly that back."""
+        store = _store()
+        mem = _armed(store, _only("replay"))
+        addr = TreeLayout(store.cfg).data_addr(3, 1)
+        i = 3 * store.cfg.z_max + 1
+
+        def triple():
+            return (bytes(store._memory[addr:addr + 64]),
+                    bytes(store._tags[i * 8:(i + 1) * 8]),
+                    int(store._version[3, 1]))
+
+        mem.seal_slot(3, 1, b"v1")
+        old = triple()
+        mem.seal_slot(3, 1, b"v2")
+        assert triple() != old
+        ammo = mem._history[(3, 1)]
+        assert (ammo.ciphertext, ammo.tag, ammo.version) == old
+        with pytest.raises(IntegrityError):
+            mem.open_slot(3, 1)
+        assert triple() == old
+
     def test_replay_undetected_without_integrity(self):
         mem = _armed(_store(with_integrity=False), _only("replay"))
         mem.seal_slot(3, 1, b"v1")
@@ -204,7 +230,7 @@ class TestFaultyMemoryDetection:
             name for name, attr in vars(EncryptedTreeStore).items()
             if name.startswith(("seal_", "open_")) and callable(attr)
         ]
-        assert {"seal_slot", "seal_dummy", "seal_many",
+        assert {"seal_slot", "seal_many",
                 "open_slot", "open_many"} <= set(entry_points)
         missing = [n for n in entry_points if n not in vars(FaultyMemory)]
         assert not missing, f"FaultyMemory passes {missing} straight through"
@@ -254,9 +280,8 @@ class PerSlotFaultyMemory(FaultyMemory):
     def seal_many(self, items):
         for bucket, slot, plaintext in items:
             if plaintext is None:
-                self.seal_dummy(bucket, slot)
-            else:
-                self.seal_slot(bucket, slot, plaintext)
+                plaintext = self.inner._dummy_plaintext()
+            self.seal_slot(bucket, slot, plaintext)
 
     def open_many(self, slots):
         for bucket, slot in slots:

@@ -282,9 +282,7 @@ class TestEntryPointsAgree:
     are driven through each entry point on fresh models; completion
     times, every ``DramStats`` field and the busy tallies must equal
     the reference's with ``==``. Arrivals sit on a 1/4-ns grid (as the
-    DDR timings do): there float sums are exact, so regrouping
-    ``total_service_ns`` per batch instead of per request cannot move
-    the last bit.
+    DDR timings do), so the float busy tallies are exact sums.
     """
 
     @staticmethod

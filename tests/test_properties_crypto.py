@@ -1,6 +1,8 @@
 """Property-based tests for the crypto boundary."""
 
 import hashlib
+import hmac
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,27 @@ from repro.crypto.auth import AuthenticationError
 from repro.crypto.engine import SecureBlockEngine
 from repro.crypto.integrity import BucketMerkleTree, IntegrityError
 
-ENGINE = SecureBlockEngine(b"property test master key")
+MASTER = b"property test master key"
+ENGINE = SecureBlockEngine(MASTER)
+ENC_KEY = hashlib.sha256(b"repro/enc|" + MASTER).digest()
+MAC_KEY = hashlib.sha256(b"repro/mac|" + MASTER).digest()
 
 ADDRS = st.integers(0, 2**48)
 VERSIONS = st.integers(0, 2**31)
 BLOCKS = st.binary(min_size=64, max_size=64)
+
+
+def _open(addr, version, ciphertext, tag):
+    """One block through ``open_many``, its MAC failure raised."""
+    outcome = ENGINE.open_many([(addr, version, ciphertext, tag)])[0]
+    if isinstance(outcome, AuthenticationError):
+        raise outcome
+    return outcome
+
+
+def _pad(addr, version):
+    """The pad of ``(addr, version)``: the ciphertext of a zero block."""
+    return ENGINE.seal_many([(addr, version, bytes(64))])[0][0]
 
 
 class TestEngineProperties:
@@ -22,7 +40,7 @@ class TestEngineProperties:
     @given(addr=ADDRS, version=VERSIONS, pt=BLOCKS)
     def test_seal_open_roundtrip(self, addr, version, pt):
         ct, tag = ENGINE.seal_many([(addr, version, pt)])[0]
-        assert ENGINE.open(addr, version, ct, tag) == pt
+        assert _open(addr, version, ct, tag) == pt
 
     @settings(max_examples=60, deadline=None)
     @given(addr=ADDRS, version=VERSIONS, pt=BLOCKS,
@@ -32,7 +50,7 @@ class TestEngineProperties:
         bad = bytearray(ct)
         bad[flip] ^= 1 << bit
         with pytest.raises(AuthenticationError):
-            ENGINE.open(addr, version, bytes(bad), tag)
+            _open(addr, version, bytes(bad), tag)
 
     @settings(max_examples=40, deadline=None)
     @given(addr=ADDRS, version=VERSIONS, pt=BLOCKS, other=ADDRS)
@@ -41,14 +59,14 @@ class TestEngineProperties:
             other += 64
         ct, tag = ENGINE.seal_many([(addr, version, pt)])[0]
         with pytest.raises(AuthenticationError):
-            ENGINE.open(other, version, ct, tag)
+            _open(other, version, ct, tag)
 
     @settings(max_examples=40, deadline=None)
     @given(addr=ADDRS, version=st.integers(0, 2**31 - 2), pt=BLOCKS)
     def test_version_replay_detected(self, addr, version, pt):
         ct, tag = ENGINE.seal_many([(addr, version, pt)])[0]
         with pytest.raises(AuthenticationError):
-            ENGINE.open(addr, version + 1, ct, tag)
+            _open(addr, version + 1, ct, tag)
 
     @settings(max_examples=40, deadline=None)
     @given(addr=ADDRS, version=VERSIONS, pt=BLOCKS)
@@ -70,19 +88,19 @@ class TestChaChaProperties:
         """The ciphertext is the plaintext XOR a pad that depends on the
         nonce alone, over the full 64-bit address and version ranges."""
         ct, _ = ENGINE.seal_many([(addr, version, pt)])[0]
-        pad = ENGINE.keystream(addr, version)
+        pad = _pad(addr, version)
         assert bytes(c ^ p for c, p in zip(ct, pad)) == pt
 
     @settings(max_examples=40, deadline=None)
     @given(v1=NONCE, v2=NONCE)
     def test_distinct_counters_distinct_blocks(self, v1, v2):
-        one, two = ENGINE.keystream(64, v1), ENGINE.keystream(64, v2)
+        one, two = _pad(64, v1), _pad(64, v2)
         assert (one == two) == (v1 == v2)
 
     @settings(max_examples=30, deadline=None)
     @given(addr=NONCE, version=NONCE)
     def test_keystream_length_exact(self, addr, version):
-        assert len(ENGINE.keystream(addr, version)) == ENGINE.BLOCK_BYTES
+        assert len(_pad(addr, version)) == ENGINE.BLOCK_BYTES
 
 
 class TestMerkleProperties:
@@ -107,8 +125,9 @@ class TestMerkleProperties:
         victim = data.draw(st.integers(0, n - 1))
         tree.update_buckets({victim: hashlib.sha256(b"legit").digest()}, 1)
         tree.tamper_content(victim, hashlib.sha256(b"evil").digest())
-        with pytest.raises(IntegrityError):
-            tree.verify_bucket(victim)
+        assert isinstance(
+            tree.verify_buckets({victim: (None, 1)}).get(victim),
+            IntegrityError)
 
 
 def _scalar_walk(tree, bucket, content_digest):
@@ -178,11 +197,103 @@ class TestBatchedMerkleCheck:
         assert set(failed) == {b for b, seen in want.items() if seen}
         assert tree.verifications == before + sum(
             opens for _, opens in checks.values())
-        # The batch of one raises exactly what the walk finds.
+        # The batch of one finds exactly what the walk finds.
         for b, (content, _) in checks.items():
-            try:
-                tree.verify_bucket(b, content_digest=content)
-            except IntegrityError as exc:
-                assert _seen(exc) == want[b]
-            else:
-                assert want[b] is None
+            one = tree.verify_buckets({b: (content, 1)})
+            assert _seen(one.get(b)) == want[b]
+
+
+def _reference_seal(addr, version, plaintext):
+    """One block sealed as the scheme is written: pack the ``<QQ``
+    nonce, XOR the block with the keyed-BLAKE2b pad of the nonce, tag
+    the nonce then the ciphertext with keyed BLAKE2b."""
+    nonce = struct.pack("<QQ", addr, version)
+    pad = hashlib.blake2b(nonce, key=ENC_KEY, digest_size=64).digest()
+    ciphertext = bytes(p ^ k for p, k in zip(plaintext, pad))
+    tag = hashlib.blake2b(nonce + ciphertext, key=MAC_KEY,
+                          digest_size=8).digest()
+    return ciphertext, tag
+
+
+def _reference_open(addr, version, ciphertext, tag):
+    """The per-block open: the plaintext, or the MAC failure as
+    ``(type, message)``."""
+    expect = _reference_seal(addr, version, bytes(64))
+    nonce = struct.pack("<QQ", addr, version)
+    mac = hashlib.blake2b(nonce + ciphertext, key=MAC_KEY,
+                          digest_size=8).digest()
+    if not hmac.compare_digest(mac, tag):
+        return (AuthenticationError,
+                f"MAC mismatch at addr {addr:#x} version {version}")
+    return bytes(c ^ k for c, k in zip(ciphertext, expect[0]))
+
+
+def _as_seen(outcome):
+    if isinstance(outcome, Exception):
+        return (type(outcome), str(outcome))
+    return outcome
+
+
+FULL = st.integers(0, 2**64 - 1)
+ATTACKS = st.sampled_from(["none", "flip", "tag", "rollback", "splice"])
+
+
+class TestBatchedSealOpen:
+    """``seal_many``/``open_many`` pack each block's nonce once for the
+    pad and the tag; per block they must give what the scheme written
+    out one block at a time gives, with tampered blocks in the batch."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(items=st.lists(st.tuples(FULL, FULL, BLOCKS), max_size=12),
+           data=st.data())
+    def test_batches_equal_the_per_block_reference(self, items, data):
+        sealed = ENGINE.seal_many(items)
+        assert sealed == [_reference_seal(*item) for item in items]
+        requests, attacks = [], []
+        for (addr, version, _), (ct, tag) in zip(items, sealed):
+            attack = data.draw(ATTACKS)
+            attacks.append(attack)
+            if attack == "flip":
+                at = data.draw(st.integers(0, 63))
+                bit = data.draw(st.integers(0, 7))
+                ct = ct[:at] + bytes([ct[at] ^ (1 << bit)]) + ct[at + 1:]
+            elif attack == "tag":
+                tag = bytes([tag[0] ^ 0x80]) + tag[1:]
+            elif attack == "rollback":
+                version = version - 1 if version else version + 1
+            elif attack == "splice":
+                addr ^= 64
+            requests.append((addr, version, ct, tag))
+        want = [_reference_open(*request) for request in requests]
+        assert [_as_seen(o) for o in ENGINE.open_many(requests)] == want
+        # Every attack changes what the tag covers: it fails, and only
+        # it; an untouched block opens to its plaintext.
+        assert want == [
+            pt if attack == "none" else (
+                AuthenticationError,
+                f"MAC mismatch at addr {addr:#x} version {version}")
+            for (_, _, pt), attack, (addr, version, _, _)
+            in zip(items, attacks, requests)
+        ]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(items=st.lists(st.tuples(FULL, FULL, BLOCKS), min_size=1,
+                          max_size=6),
+           bad=st.sampled_from([-1, 2**64]),
+           half=st.sampled_from(["addr", "version"]),
+           data=st.data())
+    def test_bad_nonce_is_the_same_value_error(self, items, bad, half, data):
+        """A nonce half outside 0..2**64-1 anywhere in a batch: the
+        reference cannot pack it, and both batch calls raise one
+        ``ValueError`` with the same message."""
+        at = data.draw(st.integers(0, len(items) - 1))
+        addr, version, pt = items[at]
+        items[at] = (bad, version, pt) if half == "addr" else (addr, bad, pt)
+        with pytest.raises(struct.error):
+            _reference_seal(*items[at])
+        with pytest.raises(ValueError) as sealing:
+            ENGINE.seal_many(items)
+        with pytest.raises(ValueError) as opening:
+            ENGINE.open_many([(a, v, pt, bytes(8)) for a, v, pt in items])
+        assert str(sealing.value) == str(opening.value) == (
+            "addr and version must be unsigned 64-bit integers")
