@@ -178,7 +178,8 @@ shard-smoke: $(G)/BENCH_scaling.json
 # plane on: the merged Perfetto trace (per-shard process tracks, router
 # flow events, control/SLO timelines) must pass the flow/process schema
 # checks, the recorded ops stream must render through `telemetry view`,
-# and the plane must cost <= 10% wall time on the serving loop.
+# and the plane must cost <= 10% wall time on the serving loop; then a
+# soft compare against the baseline.
 obs-smoke: $(G)/BENCH_chaos_fleet.json
 	$(PYTHON) tools/check_trace.py $(G)/trace_fleet.json \
 	  --require-kinds route readPath queue get --min-spans 500 \
@@ -186,6 +187,8 @@ obs-smoke: $(G)/BENCH_chaos_fleet.json
 	  --require-process fleet-router shard-0 shard-1 shard-2 shard-3
 	$(PYTHON) -m repro telemetry view $(G)/ops_fleet.jsonl > /dev/null
 	$(PYTHON) tools/telemetry_overhead.py --serve --max-overhead-pct 10
+	$(PYTHON) -m repro serve compare \
+	  benchmarks/baselines/BENCH_chaos_fleet_smoke.json $< --warn-only
 
 # The one determinism check every report harness shares: each serial /
 # --workers 2 pair must load through the report kernel with

@@ -7,6 +7,7 @@ for refactors of the harness: any change to what a report *contains*
 fails here and must land together with a reviewed baseline refresh.
 """
 
+import functools
 import json
 import os
 
@@ -31,6 +32,8 @@ HARNESSES = [
     ("perf", PERF, run_perf, perf_smoke),
     ("serve", SERVE, run_serve, serve_smoke),
     ("chaos", CHAOS, run_chaos, chaos_smoke),
+    ("chaos_fleet", CHAOS, run_chaos,
+     functools.partial(chaos_smoke, num_shards=4)),
     ("scaling", SCALING, run_scaling, scaling_smoke),
 ]
 
