@@ -23,7 +23,13 @@ from repro.oram.config import OramConfig
 
 
 class TreeLayout:
-    """Byte addresses for every (bucket, slot) and every metadata record."""
+    """Where every slot and every metadata record lives in memory.
+
+    Slot ``(b, s)`` is the 64B line at byte ``first_byte[b] + s *
+    block_bytes``; line ``k`` of bucket ``b``'s metadata record is at
+    byte ``meta_base + b * meta_stride + k * block_bytes``. The timed
+    sink and the sealed store read these tables.
+    """
 
     def __init__(
         self,
@@ -37,21 +43,10 @@ class TreeLayout:
             lo = (1 << lv) - 1
             hi = (1 << (lv + 1)) - 1
             bucket_bytes[lo:hi] = cfg.geometry[lv].z_total * cfg.block_bytes
-        self._offsets = np.zeros(cfg.n_buckets, dtype=np.int64)
-        np.cumsum(bucket_bytes[:-1], out=self._offsets[1:])
+        #: Each bucket's first byte address (its slot 0).
+        self.first_byte = np.zeros(cfg.n_buckets, dtype=np.int64)
+        np.cumsum(bucket_bytes[:-1], out=self.first_byte[1:])
         self.data_bytes = int(bucket_bytes.sum())
         self.meta_base = self.data_bytes
         self.meta_stride = metadata_blocks * cfg.block_bytes
         self.meta_bytes = cfg.n_buckets * self.meta_stride
-
-    def data_addr(self, bucket: int, slot: int) -> int:
-        """Byte address of one slot."""
-        if not 0 <= bucket < self.cfg.n_buckets:
-            raise ValueError(f"bucket {bucket} out of range")
-        return int(self._offsets[bucket]) + slot * self.cfg.block_bytes
-
-    def meta_addr(self, bucket: int, block: int = 0) -> int:
-        """Byte address of one 64B line of a bucket's metadata record."""
-        if not 0 <= bucket < self.cfg.n_buckets:
-            raise ValueError(f"bucket {bucket} out of range")
-        return self.meta_base + bucket * self.meta_stride + block * self.cfg.block_bytes

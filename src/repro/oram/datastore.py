@@ -89,9 +89,8 @@ class EncryptedTreeStore:
             )
         self.cfg = cfg
         layout = TreeLayout(cfg)
-        # Each bucket's first byte address (TreeLayout.data_addr of
-        # slot 0), as plain ints.
-        self._offsets: List[int] = layout._offsets.tolist()
+        # The layout's first byte of each bucket, as plain ints.
+        self._offsets: List[int] = layout.first_byte.tolist()
         self.engine = SecureBlockEngine(master_key)
         self._memory = bytearray(layout.data_bytes)
         self._version = np.zeros((cfg.n_buckets, cfg.z_max), dtype=np.uint32)
@@ -354,9 +353,16 @@ class EncryptedTreeStore:
 
     def tamper_payload(self, bucket: int, slot: int, flip_byte: int = 0) -> None:
         """Flip the memory byte ``flip_byte`` past the slot's address
-        (for tamper tests; the offsets are not held to the slot)."""
+        (for tamper tests; the offsets are not held to the slot). Only
+        the bucket's physical slots are its own: a rented column lives
+        in its host bucket, so resolve it there first."""
         if not 0 <= bucket < self.cfg.n_buckets:
             raise ValueError(f"bucket {bucket} out of range")
+        z = self.cfg.geometry[tree_mod.level_of(bucket)].z_total
+        if not 0 <= slot < z:
+            raise IndexError(
+                f"slot {slot} is not one of bucket {bucket}'s {z} slots"
+            )
         self._memory[self._offsets[bucket] + slot * self.cfg.block_bytes
                      + flip_byte] ^= 0xFF
 

@@ -28,10 +28,10 @@ The serving layer turns the single-caller
   admission with load shedding, and degraded-mode serving
   (stash-resident reads + a write journal) while quarantined buckets
   rebuild;
-- :mod:`repro.serve.fleet` -- the serving fleet: one spawn-pool cell
-  per shard behind the keyed-PRF partition map
-  (:mod:`repro.core.sharding`), the health control plane, the
-  kill-a-shard drill;
+- :mod:`repro.serve.fleet` -- the serving fleet: one shard task and
+  one fold behind the keyed-PRF partition map
+  (:mod:`repro.core.sharding`) for every sharded run, the health
+  control plane, the kill-a-shard drill;
 - :mod:`repro.serve.chaos` -- the ``BENCH_chaos.json`` campaign: fault
   injection under live load, gated on availability and detection;
 - :mod:`repro.serve.scaling` -- the ``BENCH_scaling.json`` capacity

@@ -34,25 +34,19 @@ import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.sharding.control import HEARTBEAT_NS, control_block
-from repro.core.sharding.partition import PartitionMap
+from repro.core.sharding.control import HEARTBEAT_NS
 from repro.faults.plan import FAULT_KINDS, TAMPER_KINDS, FaultPlan
 from repro.oram.recovery import RobustnessConfig
-from repro.parallel.executor import (
-    Cell, CellResult, derive_seed, report_progress, run_cells,
-)
+from repro.parallel.executor import CellResult, derive_seed
 from repro.report import SCHEMA_VERSION, assemble
-from repro.serve.bench import _percentiles
-from repro.serve.fleet import DRILL_ROBUSTNESS, shard_share
-from repro.serve.loadgen import (
-    WorkloadConfig, generate_requests, initial_items,
+from repro.serve.fleet import (
+    DRILL_ROBUSTNESS, FleetConfig, ShardArming, fold_shards, serve_fleets,
 )
-from repro.serve.request import OK
-from repro.serve.replay import detection_block, episode_block, serve_slice
+from repro.serve.loadgen import WorkloadConfig
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.schema import CHAOS
 from repro.serve.stack import SCHEME
-from repro.telemetry import request_trace_doc, write_trace
+from repro.telemetry import write_trace
 
 #: Simulated window width of the SLO windows and the ops snapshots.
 SLO_WINDOW_NS = 50_000.0
@@ -109,13 +103,12 @@ class ChaosConfig:
     progress: Any = None   # callable(str) for live cell updates
     trace_out: Optional[str] = None
     trace_cell: Optional[str] = None
-    #: ``num_shards > 1`` runs every cell as a partitioned fleet: the
-    #: workload is split by the keyed-PRF partition map, each shard
-    #: serves its slice on an independent seeded stack (with a
-    #: per-shard derived fault plan), and the parent folds the shard
-    #: results, drives the control plane, evaluates SLOs and merges
-    #: the distributed trace. ``num_shards == 1`` is the exact PR-7
-    #: single-stack path.
+    #: Every cell is a fleet of ``num_shards`` shards: the workload is
+    #: split by the keyed-PRF partition map, each shard serves its slice
+    #: on an independently seeded stack (with a per-shard derived fault
+    #: plan), and the parent folds the shard results, drives the control
+    #: plane, evaluates SLOs and merges the distributed trace. One shard
+    #: is the single-stack campaign, seeded from the config as is.
     num_shards: int = 1
     #: JSONL output paths (sharded campaigns only): the SLO window and
     #: alert records and the per-shard ops stream ``telemetry view``
@@ -244,7 +237,7 @@ def full_config(**overrides: Any) -> ChaosConfig:
 
 # ------------------------------------------------------------------ runner
 
-#: The per-slice counters a report ``sim`` block sums across slices.
+#: The per-shard counters a chaos cell's ``sim`` block sums.
 _SUMMED = (
     "requests", "completions", "status", "accesses_issued", "dedup_hits",
     "coalesced_puts", "absent_gets", "scheduler_timeouts", "degraded_reads",
@@ -252,184 +245,84 @@ _SUMMED = (
 )
 
 
-def _chaos_slice(
-    cfg: ChaosConfig, cell: ChaosCell, shard: Optional[int]
-) -> Dict[str, Any]:
-    """Serve one cell's slice: the whole cell, or one shard of it.
+def _arming(cfg: ChaosConfig, cell: ChaosCell, shard: int) -> ShardArming:
+    """One chaos shard's arming: the cell's plan re-seeded per shard,
+    the config's robustness and the cell's resilience policy; telemetry
+    on the traced cell, the ops sampler under ``--ops-out``.
 
-    ``shard=None`` is the single-stack campaign (stack and fault plan
-    seeded from the config). A shard serves exactly the keys the
-    fleet-wide keyed-PRF partition map assigns it, on an independently
-    seeded stack with an independently seeded fault plan -- the same
-    discipline the sharded simulator uses, so the split never depends
-    on which process runs it.
+    Shards serve exactly the keys the fleet-wide keyed-PRF partition map
+    assigns them on independently seeded stacks -- the discipline the
+    sharded simulator uses, so the split never depends on which process
+    runs it. An unsharded campaign keeps the config's stack seed and
+    the cell's fault seed.
     """
-    seed, faults = cfg.seed, cell.faults
-    items, requests = initial_items(cell.workload), generate_requests(cell.workload)
-    if shard is not None:
-        seed = derive_seed(cfg.seed, f"shard:{shard}")
-        if faults is not None:
-            faults = replace(
-                faults, seed=derive_seed(faults.seed, f"shard:{shard}"),
-            )
-        items, requests = shard_share(
-            items, requests, PartitionMap(cfg.num_shards, seed=cfg.seed),
-            shard,
-        )
-    want_trace = cfg.trace_out is not None and cfg.trace_cell == cell.name
-    telemetry = None
-    if want_trace:
-        from repro.telemetry import Telemetry
-        telemetry = Telemetry(meta={
-            "cell": cell.name, "scheme": cfg.scheme,
-            "levels": cfg.levels, "seed": cfg.seed,
-        })
+    sharded = cfg.num_shards > 1
+
+    def seed(base: int) -> int:
+        return derive_seed(base, f"shard:{shard}") if sharded else base
+
+    faults = cell.faults
+    if faults is not None:
+        faults = replace(faults, seed=seed(faults.seed))
     sampler = None
-    if cfg.ops_out is not None and shard is not None:
+    if cfg.ops_out is not None:
         from repro.telemetry import OpsSampler
         sampler = functools.partial(
             OpsSampler, cell.name, shard, SLO_WINDOW_NS,
         )
-    served = serve_slice(
-        items, requests, scheme=cfg.scheme, levels=cfg.levels, seed=seed,
-        max_batch=cfg.max_batch, robustness=cfg.robustness,
-        fault_plan=faults, resilience=cell.resilience,
-        telemetry=telemetry, sampler=sampler,
+    return ShardArming(
+        label=f"chaos {cell.name}" + (f"/s{shard}" if sharded else ""),
+        seed=seed(cfg.seed), max_batch=cfg.max_batch,
+        robustness=cfg.robustness, faults=faults,
+        resilience=cell.resilience,
+        traced=cfg.trace_out is not None and cfg.trace_cell == cell.name,
+        sampler=sampler, detail=True,
     )
-    result, counters = served.result, served.counters
-    partial: Dict[str, Any] = {
-        "shard": shard or 0,
-        **{k: counters[k] for k in _SUMMED},
-        "availability": counters["availability"],
-        "episodes": counters["episodes"]["count"],
-        "start_ns": result.start_ns,
-        "end_ns": result.end_ns,
-    }
-    if "faults" in counters:
-        partial["faults"] = counters["faults"]
-    return {
-        "partial": partial,
-        "episode_list": list(result.episodes),
-        "latencies": served.served_latencies,
-        "completions": result.completions,
-        "spans": list(telemetry.spans) if want_trace else None,
-        "events": list(result.events) if want_trace else None,
-        "trace_meta": telemetry.meta if want_trace else None,
-        "ops_records": (
-            list(served.sampler.records) if served.sampler is not None else []
-        ),
-        "security": counters.get("security"),
-        "wall_s": result.wall_s,
-    }
 
 
-def _sum_tree(blocks: Sequence[Any]) -> Any:
-    """Element-wise sum of parallel dict-of-numbers trees."""
-    if isinstance(blocks[0], dict):
-        return {k: _sum_tree([b[k] for b in blocks]) for k in blocks[0]}
-    return sum(blocks)
-
-
-def _fold_slices(
-    name: str, outputs: Sequence[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """Fold a cell's slice outputs (one, or one per shard) into its cell.
-
-    Counts sum; latency percentiles re-derive from the concatenated
-    served latencies (slice order, so the fold is a pure function of
-    the outputs); ``sim_ns`` is the slowest slice's own serving window
-    (each shard runs on its own clock), the makespan rule of
-    :func:`repro.serve.fleet.run_fleet`. Everything the ``sim`` block
-    carries is derived from worker-returned simulated state only --
-    byte-identical at any worker count.
-    """
-    partials = [o["partial"] for o in outputs]
-    sim: Dict[str, Any] = _sum_tree([
-        {k: p[k] for k in _SUMMED} for p in partials
-    ])
-    n_comps = sim["completions"]
-    sim_ns = max(p["end_ns"] - p["start_ns"] for p in partials)
-    sim_s = sim_ns / 1e9
-    sim.update({
-        "availability": (
-            sim["status"][OK] / sim["requests"] if sim["requests"] else 1.0
-        ),
-        "episodes": episode_block(
-            [e for o in outputs for e in o["episode_list"]]
-        ),
-        "sim_ns": sim_ns,
-        "requests_per_s_sim": n_comps / sim_s if sim_s > 0 else 0.0,
-        "latency_ns": _percentiles(
-            [lat for o in outputs for lat in o["latencies"]]
-        ),
-    })
-    if any("faults" in p for p in partials):
-        sim["faults"] = _sum_tree(
-            [p["faults"] for p in partials if "faults" in p]
-        )
-        sim["detection"] = detection_block(sim["faults"])
-    wall_s = sum(o["wall_s"] for o in outputs)
-    return {
-        "name": name,
-        "wall_s": wall_s,
-        "requests_per_s_wall": n_comps / wall_s if wall_s > 0 else 0.0,
-        "sim": sim,
-    }
-
-
-def _chaos_cell_task(payload: Tuple[ChaosConfig, ChaosCell]) -> Dict[str, Any]:
-    """One campaign cell, runnable in-process or in a spawn worker."""
-    cfg, cell = payload
-    report_progress(f"chaos {cell.name} ...")
-    out = _chaos_slice(cfg, cell, None)
-    doc = _fold_slices(cell.name, [out])
-    if out["security"] is not None:
-        doc["sim"]["security"] = out["security"]
-    if out["spans"] is not None:
-        write_trace(request_trace_doc(
-            out["completions"], out["spans"], meta=out["trace_meta"],
-            resilience_events=out["events"],
-        ), cfg.trace_out)
-    return doc
-
-
-# ----------------------------------------------------------- sharded runner
-
-def _chaos_shard_task(
-    payload: Tuple[ChaosConfig, ChaosCell, int],
-) -> Dict[str, Any]:
-    """One shard of one campaign cell, runnable in a spawn worker."""
-    cfg, cell, shard = payload
-    report_progress(f"chaos {cell.name}/s{shard} ...")
-    return _chaos_slice(cfg, cell, shard)
-
-
-def _merge_shard_cell(
-    cfg: ChaosConfig,
-    cell: ChaosCell,
-    outputs: Sequence[Dict[str, Any]],
+def _fold_cell(
+    cfg: ChaosConfig, cell: ChaosCell, results: Sequence[CellResult],
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Fold one cell's shard outputs into a report cell + SLO records.
+    """One cell's served shards into its report cell + SLO records.
 
-    :func:`_fold_slices` plus the fleet-only blocks: the per-shard
-    partials; the control block derived from every shard's serving
-    window and degraded episodes; the SLO windows derived from the
-    fleet's whole completion list under the rules the cell's CI gate
-    fields imply.
+    The ``sim`` block is :func:`~repro.serve.fleet.fold_shards` over the
+    chaos counters. A fleet cell adds the per-shard partials, keeps the
+    control block and derives the SLO windows from the fleet's whole
+    completion list under the rules the cell's CI gate fields imply; an
+    unsharded cell carries the guessing attacker's block instead.
     """
     from repro.telemetry import default_slo_rules, slo_windows
 
-    outputs = sorted(outputs, key=lambda o: o["partial"]["shard"])
-    merged = _fold_slices(cell.name, outputs)
-    sim = merged["sim"]
-    sim["shards"] = [o["partial"] for o in outputs]
-    sim["control"] = control_block({
-        o["partial"]["shard"]: (
-            o["partial"]["start_ns"], o["partial"]["end_ns"],
-            o["episode_list"],
-        )
-        for o in outputs
-    }, ())
+    sim = fold_shards(results, _SUMMED, cell.workload.n_requests)
+    shards = [res.value for res in results]
+    wall_s = sum(v["wall_s"] for v in shards)
+    doc = {
+        "name": cell.name,
+        "wall_s": wall_s,
+        "requests_per_s_wall": (
+            sim["completions"] / wall_s if wall_s > 0 else 0.0
+        ),
+        "sim": sim,
+    }
+    if cfg.num_shards == 1:
+        del sim["control"]
+        if "security" in shards[0]["counters"]:
+            sim["security"] = shards[0]["counters"]["security"]
+        return doc, []
+    sim["shards"] = []
+    for k, v in enumerate(shards):
+        counters, (start_ns, end_ns, episodes) = v["counters"], v["window"]
+        partial = {
+            "shard": k,
+            **{key: counters[key] for key in _SUMMED},
+            "availability": counters["availability"],
+            "episodes": len(episodes),
+            "start_ns": start_ns,
+            "end_ns": end_ns,
+        }
+        if "faults" in counters:
+            partial["faults"] = counters["faults"]
+        sim["shards"].append(partial)
     deadline = cell.resilience.deadline_ns
     rules = default_slo_rules(
         min_availability=cell.min_availability,
@@ -437,12 +330,10 @@ def _merge_shard_cell(
         detection=cell.expect_faults,
     )
     records, sim["slo"] = slo_windows(
-        rules, SLO_WINDOW_NS,
-        [c for o in outputs for c in o["completions"]],
-        max(o["partial"]["end_ns"] for o in outputs),
-        detection=sim.get("detection"),
+        rules, SLO_WINDOW_NS, [c for v in shards for c in v["completions"]],
+        max(v["window"][1] for v in shards), detection=sim.get("detection"),
     )
-    return merged, records
+    return doc, records
 
 
 def _write_jsonl(path: str, records: Sequence[Dict[str, Any]]) -> None:
@@ -452,95 +343,56 @@ def _write_jsonl(path: str, records: Sequence[Dict[str, Any]]) -> None:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _run_chaos_sharded(cfg: ChaosConfig) -> List[CellResult]:
-    """The fleet campaign: every cell partitioned over ``num_shards``.
-
-    Returns one folded result per campaign cell (an errored shard fails
-    its whole cell) and writes the trace / SLO / ops artifacts.
-    """
-    from repro.telemetry import ShardFragment, fleet_trace_doc, slo_instants
+def _write_trace(
+    cfg: ChaosConfig, cell: ChaosCell, shards: Sequence[Dict[str, Any]],
+    control: Optional[Dict[str, Any]], slo_records: Sequence[Dict[str, Any]],
+) -> None:
+    """The traced cell's Perfetto file: one stack's request trace, or
+    the merged fleet trace with its control and SLO timelines."""
+    from repro.telemetry import (
+        ShardFragment, fleet_trace_doc, request_trace_doc, slo_instants,
+    )
     from repro.telemetry.fleet import SLO_TID
 
-    worker_cfg = replace(cfg, progress=None, workers=1)
-    tasks = [
-        Cell(f"{c.name}/s{k}", (worker_cfg, c, k))
-        for c in cfg.cells for k in range(cfg.num_shards)
-    ]
-    outputs = run_cells(
-        _chaos_shard_task, tasks,
-        workers=cfg.workers, progress=cfg.progress,
-    )
-    folded: List[CellResult] = []
-    stream_meta = {
-        "type": "meta", "schema_version": SCHEMA_VERSION, "seed": cfg.seed,
-        "num_shards": cfg.num_shards, "window_ns": SLO_WINDOW_NS,
+    meta = {
+        "cell": cell.name, "scheme": cfg.scheme,
+        "levels": cfg.levels, "seed": cfg.seed,
     }
-    slo_stream: List[Dict[str, Any]] = [
-        {**stream_meta, "kind": "repro-slo-stream"}
-    ]
-    ops_stream: List[Dict[str, Any]] = [
-        {**stream_meta, "kind": "repro-ops-stream"}
-    ]
-    slo_summaries: Dict[str, Any] = {}
-    for i, cell in enumerate(cfg.cells):
-        chunk = outputs[i * cfg.num_shards:(i + 1) * cfg.num_shards]
-        errors = [res.error for res in chunk if not res.ok]
-        if errors:
-            folded.append(CellResult(cell.name, False, error=errors[0]))
-            continue
-        shard_outputs = [res.value for res in chunk]
-        merged, slo_records = _merge_shard_cell(cfg, cell, shard_outputs)
-        folded.append(CellResult(cell.name, True, merged))
-        slo_cell = [{**r, "cell": cell.name} for r in slo_records]
-        slo_stream.extend(slo_cell)
-        slo_summaries[cell.name] = merged["sim"]["slo"]
-        ops_stream.extend(sorted(
-            (snap for o in shard_outputs for snap in o["ops_records"]),
-            key=lambda s: (s["window"], s["shard"]),
-        ))
-        ops_stream.extend(r for r in slo_cell if r["type"] == "slo_alert")
-        if cfg.trace_out is not None and cfg.trace_cell == cell.name:
-            fragments = [
+    if cfg.num_shards == 1:
+        (v,) = shards
+        doc = request_trace_doc(
+            v["completions"], v["spans"], meta=meta,
+            resilience_events=v["events"],
+        )
+    else:
+        doc = fleet_trace_doc(
+            [
                 ShardFragment(
-                    shard=o["partial"]["shard"],
-                    completions=o["completions"],
-                    spans=o["spans"] or [],
-                    events=o["events"] or [],
+                    shard=k, completions=v["completions"], spans=v["spans"],
+                    events=v["events"],
                 )
-                for o in shard_outputs
-            ]
-            doc = fleet_trace_doc(
-                fragments, seed=cfg.seed,
-                meta={
-                    "cell": cell.name, "scheme": cfg.scheme,
-                    "levels": cfg.levels, "seed": cfg.seed,
-                    "num_shards": cfg.num_shards,
-                },
-                control=merged["sim"]["control"],
-                slo_instants=slo_instants(slo_records, SLO_TID),
-            )
-            write_trace(doc, cfg.trace_out)
-    slo_stream.append({"type": "summary", "cells": slo_summaries})
-    ops_stream.append({"type": "summary", "cells": slo_summaries})
-    if cfg.slo_out is not None:
-        _write_jsonl(cfg.slo_out, slo_stream)
-    if cfg.ops_out is not None:
-        _write_jsonl(cfg.ops_out, ops_stream)
-    return folded
+                for k, v in enumerate(shards)
+            ],
+            seed=cfg.seed, meta={**meta, "num_shards": cfg.num_shards},
+            control=control, slo_instants=slo_instants(slo_records, SLO_TID),
+        )
+    write_trace(doc, cfg.trace_out)
 
 
 def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
     """Run the chaos campaign and return the report document.
 
-    ``cfg.workers > 1`` fans the independent cells over a spawn pool;
-    the ``sim`` blocks are byte-identical to a serial run. A cell whose
-    worker raises becomes an ``{"name", "error"}`` entry.
+    Every cell is a fleet of ``cfg.num_shards`` shards (one, unsharded)
+    served through :func:`~repro.serve.fleet.serve_fleets`: all shards
+    of all cells are the independent cells of one fan-out, so
+    ``cfg.workers > 1`` spreads them over a spawn pool and the ``sim``
+    blocks are byte-identical to a serial run. A cell any of whose
+    shards raises becomes an ``{"name", "error"}`` entry.
 
-    ``cfg.num_shards > 1`` partitions every cell over a fleet of
-    independently seeded shard stacks (one spawn cell per shard), folds
-    the shard results through the control plane, derives the SLO
-    windows from the fleet's completions, and -- for the traced cell --
-    merges every shard's spans into one distributed Perfetto trace.
+    ``cfg.num_shards > 1`` folds each cell's shards through the control
+    plane, derives the SLO windows from the fleet's completions, writes
+    the SLO and ops streams and -- for the traced cell -- merges every
+    shard's spans into one distributed Perfetto trace.
     """
     cfg = cfg or smoke_config()
     if not cfg.cells:
@@ -552,16 +404,57 @@ def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
             (c for c in cfg.cells if c.expect_episodes), cfg.cells[0]
         )
         cfg = replace(cfg, trace_cell=interesting.name)
-    if cfg.num_shards > 1:
-        outputs = _run_chaos_sharded(cfg)
-    else:
-        worker_cfg = replace(cfg, progress=None, workers=1)
-        outputs = run_cells(
-            _chaos_cell_task,
-            [Cell(c.name, (worker_cfg, c)) for c in cfg.cells],
-            workers=cfg.workers,
-            progress=cfg.progress,
+    fleets = [
+        (
+            FleetConfig(
+                workload=cell.workload, levels=cfg.levels,
+                num_shards=cfg.num_shards, seed=cfg.seed,
+            ),
+            [_arming(cfg, cell, k) for k in range(cfg.num_shards)],
         )
+        for cell in cfg.cells
+    ]
+    served = serve_fleets(fleets, cfg.workers, cfg.progress)
+    outputs: List[CellResult] = []
+    stream_meta = {
+        "type": "meta", "schema_version": SCHEMA_VERSION, "seed": cfg.seed,
+        "num_shards": cfg.num_shards, "window_ns": SLO_WINDOW_NS,
+    }
+    slo_stream: List[Dict[str, Any]] = [
+        {**stream_meta, "kind": "repro-slo-stream"}
+    ]
+    ops_stream: List[Dict[str, Any]] = [
+        {**stream_meta, "kind": "repro-ops-stream"}
+    ]
+    slo_summaries: Dict[str, Any] = {}
+    for cell, results in zip(cfg.cells, served):
+        errors = [res.error for res in results if not res.ok]
+        if errors:
+            outputs.append(CellResult(cell.name, False, error=errors[0]))
+            continue
+        doc, slo_records = _fold_cell(cfg, cell, results)
+        shards = [res.value for res in results]
+        outputs.append(CellResult(cell.name, True, doc))
+        if cfg.trace_out is not None and cfg.trace_cell == cell.name:
+            _write_trace(
+                cfg, cell, shards, doc["sim"].get("control"), slo_records,
+            )
+        if cfg.num_shards == 1:
+            continue
+        slo_cell = [{**r, "cell": cell.name} for r in slo_records]
+        slo_stream.extend(slo_cell)
+        slo_summaries[cell.name] = doc["sim"]["slo"]
+        ops_stream.extend(sorted(
+            (snap for v in shards for snap in v["ops"]),
+            key=lambda s: (s["window"], s["shard"]),
+        ))
+        ops_stream.extend(r for r in slo_cell if r["type"] == "slo_alert")
+    slo_stream.append({"type": "summary", "cells": slo_summaries})
+    ops_stream.append({"type": "summary", "cells": slo_summaries})
+    if cfg.slo_out is not None:
+        _write_jsonl(cfg.slo_out, slo_stream)
+    if cfg.ops_out is not None:
+        _write_jsonl(cfg.ops_out, ops_stream)
     return assemble(
         CHAOS, cfg.to_dict(), [{"name": c.name} for c in cfg.cells], outputs,
     )

@@ -11,9 +11,9 @@ stack seed) -- the latency percentiles in ``BENCH_serve.json`` are
 exact, not sampled.
 
 :func:`serve_slice` is the one recipe every report cell is cut from
-(serve, chaos, chaos-shard and fleet-shard cells alike): build a stack,
-populate it, serve a request slice through the loop, and count what
-happened.
+(serve cells and every fleet shard, chaos shards included): build a
+stack, populate it, serve a request slice through the loop, and count
+what happened.
 """
 
 from __future__ import annotations

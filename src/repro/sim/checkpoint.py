@@ -45,8 +45,9 @@ PathLike = Union[str, Path]
 #: MAC after a resume. 10: the sealed store keeps its per-bucket
 #: byte offsets and no ``TreeLayout``, the engine its two subkeys (no
 #: authenticator object), a replay snapshot is a named tuple, and
-#: ``DramStats`` has no ``total_service_ns``.
-CHECKPOINT_FORMAT = 10
+#: ``DramStats`` has no ``total_service_ns``. 11: ``TreeLayout``'s
+#: per-bucket table is the public ``first_byte`` (was ``_offsets``).
+CHECKPOINT_FORMAT = 11
 _MAGIC = "repro-sim-checkpoint"
 
 

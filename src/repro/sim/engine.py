@@ -75,15 +75,15 @@ class DramSink(MemorySink):
         self.layout = layout
         self.dram = dram
         self.telemetry = telemetry
-        # Cache-line numbers inlined from TreeLayout.data_addr /
-        # meta_addr: a slot is one line past its bucket's first line, a
-        # metadata record ``stride`` lines past the previous bucket's.
+        # The layout's tables as cache-line numbers: a slot is one line
+        # past its bucket's first line, a metadata record ``stride``
+        # lines past the previous bucket's.
         if layout.cfg.block_bytes != LINE_BYTES:
             raise ValueError(
                 f"the timed sink models {LINE_BYTES}B blocks, got "
                 f"{layout.cfg.block_bytes}B"
             )
-        self._data_line = (layout._offsets // LINE_BYTES).tolist()
+        self._data_line = (layout.first_byte // LINE_BYTES).tolist()
         self._meta_line = layout.meta_base // LINE_BYTES
         self._meta_stride = layout.metadata_blocks
         self.now = 0.0

@@ -253,14 +253,14 @@ def _batch_items(cfg, n):
 
 def _reference_seal(store, bucket, slot, plaintext):
     """One slot sealed as the store did before every seal was a batch:
-    its own filler draw, its address from ``TreeLayout.data_addr``, a
+    its own filler draw, its address from ``TreeLayout.first_byte``, a
     seal of one, its tag written at its place in the flat table, and its
     Merkle path rehashed from the bucket up. The reference the batches
     are held equal to."""
     if plaintext is None:
         plaintext = store._dummy_plaintext()
     plaintext = pad_block(plaintext, store.cfg.block_bytes)
-    addr = TreeLayout(store.cfg).data_addr(bucket, slot)
+    addr = int(TreeLayout(store.cfg).first_byte[bucket]) + slot * 64
     version = int(store._version[bucket, slot]) + 1
     store._version[bucket, slot] = version
     ciphertext, tag = store.engine.seal_many([(addr, version, plaintext)])[0]
@@ -381,12 +381,17 @@ class TestControllerBatchesEqualPerSlot:
             robustness=RobustnessConfig(integrity=True),
         )
         oram.warm_fill()
+        ext = oram.ext
         rng = np.random.default_rng(3)
         answers = []
         for i in range(240):
             if i % 40 == 20:
-                # Corrupt two resident blocks where they lie.
+                # Corrupt two resident blocks where they lie: a rented
+                # column (b, z_max + c) lives in its host's slot.
                 for b, s in np.argwhere(oram.store.slots >= 0)[[5, -5]]:
+                    if s >= cfg.z_max:
+                        b, s = (ext.host_bucket[b, s - cfg.z_max],
+                                ext.host_slot[b, s - cfg.z_max])
                     ds.tamper_payload(int(b), int(s))
             blk = int(rng.integers(cfg.n_real_blocks))
             if rng.random() < 0.5:

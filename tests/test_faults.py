@@ -141,12 +141,12 @@ class TestFaultyMemoryDetection:
 
     def test_replay_restores_the_triple_the_slot_held(self):
         """The replay ammunition is the slot's off-chip triple as it
-        stood before the reseal -- its bytes at ``TreeLayout.data_addr``,
+        stood before the reseal -- its bytes at ``TreeLayout.first_byte``,
         its tag in the flat table, its version -- and the replay writes
         exactly that back."""
         store = _store()
         mem = _armed(store, _only("replay"))
-        addr = TreeLayout(store.cfg).data_addr(3, 1)
+        addr = int(TreeLayout(store.cfg).first_byte[3]) + 64
         i = 3 * store.cfg.z_max + 1
 
         def triple():

@@ -224,19 +224,20 @@ class TestTreeLayout:
     def cfg(self):
         return schemes.ab_scheme(8)
 
-    def test_slots_contiguous_within_bucket(self, cfg):
+    def test_tree_starts_at_zero(self, cfg):
         lay = TreeLayout(cfg)
-        assert lay.data_addr(0, 1) - lay.data_addr(0, 0) == 64
+        assert lay.first_byte[0] == 0
+        assert len(lay.first_byte) == cfg.n_buckets
 
     def test_buckets_sized_by_level(self, cfg):
         lay = TreeLayout(cfg)
         # Root bucket Z=8 -> next bucket starts 8 lines later.
-        assert lay.data_addr(1, 0) - lay.data_addr(0, 0) == 8 * 64
+        assert lay.first_byte[1] - lay.first_byte[0] == 8 * 64
 
     def test_nonuniform_spans(self, cfg):
         lay = TreeLayout(cfg)
         leaf_first = (1 << (cfg.levels - 1)) - 1
-        span = lay.data_addr(leaf_first + 1, 0) - lay.data_addr(leaf_first, 0)
+        span = lay.first_byte[leaf_first + 1] - lay.first_byte[leaf_first]
         assert span == cfg.geometry[-1].z_total * 64
 
     def test_data_bytes_matches_config(self, cfg):
@@ -245,31 +246,23 @@ class TestTreeLayout:
 
     def test_metadata_after_data(self, cfg):
         lay = TreeLayout(cfg, metadata_blocks=1)
-        assert lay.meta_addr(0) == lay.data_bytes
-        assert lay.meta_addr(1) - lay.meta_addr(0) == 64
+        assert lay.meta_base == lay.data_bytes
+        assert lay.meta_stride == 64
 
     def test_metadata_blocks_stride(self, cfg):
         lay = TreeLayout(cfg, metadata_blocks=2)
-        assert lay.meta_addr(1) - lay.meta_addr(0) == 128
-        assert lay.meta_addr(0, block=1) - lay.meta_addr(0) == 64
+        assert lay.meta_stride == 128
 
     def test_total_bytes(self, cfg):
         lay = TreeLayout(cfg, metadata_blocks=1)
         assert lay.meta_bytes == cfg.n_buckets * 64
-
-    def test_bucket_out_of_range(self, cfg):
-        lay = TreeLayout(cfg)
-        with pytest.raises(ValueError):
-            lay.data_addr(cfg.n_buckets, 0)
-        with pytest.raises(ValueError):
-            lay.meta_addr(-1)
 
     def test_no_overlapping_buckets(self, cfg):
         from repro.oram.tree import level_of
         lay = TreeLayout(cfg)
         prev_end = 0
         for b in range(min(cfg.n_buckets, 64)):
-            start = lay.data_addr(b, 0)
+            start = lay.first_byte[b]
             assert start == prev_end
             prev_end = start + cfg.geometry[level_of(b)].z_total * 64
 

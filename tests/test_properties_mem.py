@@ -16,30 +16,28 @@ class TestLayoutProperties:
     def test_slot_addresses_unique_and_aligned(self, levels, data):
         cfg = schemes.ab_scheme(levels)
         lay = TreeLayout(cfg)
-        seen = set()
+        owner = {}
         for _ in range(50):
             b = data.draw(st.integers(0, cfg.n_buckets - 1))
             lv = (b + 1).bit_length() - 1
             s = data.draw(st.integers(0, cfg.geometry[lv].z_total - 1))
-            addr = lay.data_addr(b, s)
+            addr = int(lay.first_byte[b]) + s * cfg.block_bytes
             assert addr % cfg.block_bytes == 0
             assert 0 <= addr < lay.data_bytes
-            key = (b, s)
-            if key not in seen:
-                # Same (bucket, slot) -> same address; distinct -> distinct.
-                assert lay.data_addr(b, s) == addr
-            seen.add(key)
+            # Distinct (bucket, slot) -> distinct address.
+            assert owner.setdefault(addr, (b, s)) == (b, s)
 
     @settings(max_examples=20, deadline=None)
     @given(levels=st.integers(3, 10))
     def test_data_and_metadata_regions_disjoint(self, levels):
         cfg = schemes.dr_scheme(levels)
         lay = TreeLayout(cfg, metadata_blocks=2)
-        last_data = lay.data_addr(cfg.n_buckets - 1,
-                                  cfg.geometry[-1].z_total - 1)
-        assert last_data + cfg.block_bytes <= lay.meta_addr(0)
-        assert (lay.meta_addr(cfg.n_buckets - 1, 1)
-                < lay.data_bytes + lay.meta_bytes)
+        last_data = (int(lay.first_byte[-1])
+                     + (cfg.geometry[-1].z_total - 1) * cfg.block_bytes)
+        assert last_data + cfg.block_bytes <= lay.meta_base
+        last_meta = (lay.meta_base + (cfg.n_buckets - 1) * lay.meta_stride
+                     + cfg.block_bytes)
+        assert last_meta < lay.data_bytes + lay.meta_bytes
 
     @settings(max_examples=20, deadline=None)
     @given(levels=st.integers(3, 10))
@@ -49,7 +47,7 @@ class TestLayoutProperties:
         lay = TreeLayout(cfg)
         cursor = 0
         for b in range(cfg.n_buckets):
-            assert lay.data_addr(b, 0) == cursor
+            assert lay.first_byte[b] == cursor
             lv = (b + 1).bit_length() - 1
             cursor += cfg.geometry[lv].z_total * cfg.block_bytes
         assert cursor == lay.data_bytes

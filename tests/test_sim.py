@@ -52,9 +52,10 @@ class TestDramSink:
         sink.data_access_many([(5, 3, 2, False, False)], write=False)
         sink.metadata_access_many([(5, 2, False)], write=False, blocks=2)
         sink.end_op()
-        assert issued == [layout.data_addr(5, 3) // LINE_BYTES,
-                          layout.meta_addr(5, 0) // LINE_BYTES,
-                          layout.meta_addr(5, 1) // LINE_BYTES]
+        meta = layout.meta_base + 5 * layout.meta_stride
+        assert issued == [(layout.first_byte[5] + 3 * 64) // LINE_BYTES,
+                          meta // LINE_BYTES,
+                          (meta + 64) // LINE_BYTES]
 
     def test_windowed_burst_leaves_its_gaps_to_other_banks(
             self, small_schemes):
@@ -76,7 +77,7 @@ class TestDramSink:
         sink.dram.access_lines = spy
 
         def channel_bank(bucket, slot):
-            line = layout.data_addr(bucket, slot) // LINE_BYTES
+            line = int(layout.first_byte[bucket]) // LINE_BYTES + slot
             return line & CHANNEL_MASK, (line >> BANK_SHIFT) & BANK_MASK
 
         lv = cfg.levels - 1
