@@ -139,8 +139,10 @@ class TestCheckpointValidation:
         run, its MACs verifying, but open to wrong bytes; format 8
         (HMAC-SHA256 tags) would fail every MAC; format 9 (a sealed
         store with a ``TreeLayout``, an engine with a
-        ``BlockAuthenticator``) would die on a missing attribute."""
-        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9):
+        ``BlockAuthenticator``) would die on a missing attribute.
+        Format 10 (a ``TreeLayout`` whose table is ``_offsets``, not
+        ``first_byte``) is refused by its number like the rest."""
+        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

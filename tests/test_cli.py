@@ -145,8 +145,9 @@ class TestSimulateRobustness:
             self, capsys, tmp_path):
         """A sealed format-8 file pickles the same objects, but its tags
         are HMAC-SHA256; a format-9 file's sealed store and engine have
-        the attributes of before their inline slot tables: one error
-        line and exit 2 for either, not a MAC failure or a missing
+        the attributes of before their inline slot tables, and a
+        format-10 file's layout its table under the old name: one error
+        line and exit 2 for each, not a MAC failure or a missing
         attribute after the resume."""
         import pickle
 
@@ -158,13 +159,13 @@ class TestSimulateRobustness:
         payload = pickle.loads(ck.read_bytes())
         assert payload["simulation"].datastore is not None
         capsys.readouterr()
-        for fmt in (8, 9):
+        for fmt in (8, 9, 10):
             payload["format"] = fmt
             ck.write_bytes(pickle.dumps(payload))
             assert main(["simulate", "--resume", str(ck)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert f"unsupported checkpoint format {fmt} (expected 10)" in err
+            assert f"unsupported checkpoint format {fmt} (expected 11)" in err
 
     @pytest.mark.parametrize("kind", ["garbage", "missing", "directory"])
     def test_resume_rejects_garbage(self, capsys, tmp_path, kind):

@@ -224,11 +224,6 @@ class TestTreeLayout:
     def cfg(self):
         return schemes.ab_scheme(8)
 
-    def test_tree_starts_at_zero(self, cfg):
-        lay = TreeLayout(cfg)
-        assert lay.first_byte[0] == 0
-        assert len(lay.first_byte) == cfg.n_buckets
-
     def test_buckets_sized_by_level(self, cfg):
         lay = TreeLayout(cfg)
         # Root bucket Z=8 -> next bucket starts 8 lines later.
