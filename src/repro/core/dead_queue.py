@@ -15,7 +15,10 @@ queues, the maintenance cost is low".
 
 The storage is a ``collections.deque`` of ``(host bucket, host slot,
 generation)`` tuples, bounded by ``capacity`` by hand (a ``maxlen``
-deque would silently drop the oldest entry).
+deque would silently drop the oldest entry). It is reached through
+three calls, one per allocator step: :meth:`DeadQueue.gather`
+(gatherDEADs), :meth:`DeadQueue.take` (a rental's all-or-nothing pop)
+and :meth:`DeadQueue.reclaim` (a rental's unconsumed slots).
 """
 
 from __future__ import annotations
@@ -43,65 +46,70 @@ class DeadQueue:
     def __len__(self) -> int:
         return len(self._q)
 
-    @property
-    def space(self) -> int:
-        """Free entries left before the queue is full."""
-        return self.capacity - len(self._q)
-
-    def push(self, bucket: int, slot: int, generation: int) -> bool:
-        """Queue a dead slot; False if the queue is full (slot skipped)."""
-        if len(self._q) >= self.capacity:
-            self.dropped_full += 1
-            return False
-        self._q.append((bucket, slot, generation))
-        self.pushed += 1
-        return True
-
-    def push_many(
+    def gather(
         self,
         bucket: int,
         slots: Sequence[int],
         generations: Sequence[int],
-    ) -> None:
-        """Append several slots of one host bucket, oldest-slot first.
+    ) -> int:
+        """Append one host bucket's dead slots, oldest-slot first, as
+        many as there is room for; returns how many.
 
-        Equivalent to one :meth:`push` per slot. The caller pre-limits
-        the batch to :attr:`space` (gatherDEADs stops collecting at the
-        queue's free room rather than dropping), so overflow here is a
-        caller bug, not an expected event.
+        gatherDEADs leaves a slot it has no room for DEAD, to be seen
+        again on a later path, so that is no drop.
         """
-        n = len(slots)
-        if n > self.space:
-            raise ValueError(
-                f"push_many of {n} entries exceeds free space {self.space}"
-            )
+        n = min(len(slots), self.capacity - len(self._q))
         self._q.extend(zip(repeat(bucket, n), slots, generations))
         self.pushed += n
+        return n
 
-    def pop_valid(self, store: BucketStore) -> Optional[Tuple[int, int]]:
-        """Pop the oldest entry that still describes a reclaimable slot.
+    def reclaim(self, entries: Sequence[Tuple[int, int, int]]) -> int:
+        """Append ``(bucket, slot, generation)`` entries in order, as
+        many as there is room for; returns how many. Each one left out
+        counts in :attr:`dropped_full` (its slot stays dead until its
+        host bucket reshuffles over it)."""
+        n = min(len(entries), self.capacity - len(self._q))
+        self._q.extend(entries[:n])
+        self.pushed += n
+        self.dropped_full += len(entries) - n
+        return n
 
-        An entry is valid iff the slot's generation is unchanged and its
-        status is still QUEUED (i.e. the host bucket has not reshuffled
-        it away and nobody else consumed it).
+    def take(
+        self, store: BucketStore, n: int, renter: int
+    ) -> Optional[List[Tuple[int, int]]]:
+        """Pop the ``n`` oldest entries that still describe a reclaimable
+        slot of a bucket other than ``renter``, all or nothing.
+
+        An entry is valid iff the slot's generation is unchanged and
+        its status is still QUEUED (the host bucket has not reshuffled
+        it away and nobody else consumed it); stale entries met on the
+        way are discarded. Valid entries of ``renter`` itself are
+        skipped (renting its own slot would just shrink its usable
+        set) and go back to the head, each pushed there in turn, so
+        they come back reversed. Short of ``n``, the valid entries
+        taken go back the same way, after the skipped ones, and the
+        result is ``None``.
         """
         q = self._q
         gen = store.generation.item
         status = store.status.item
-        while q:
-            b, s, g = q.popleft()
-            if gen(b, s) == g and status(b, s) == ST_QUEUED:
-                self.popped += 1
-                return b, s
-            self.stale_discarded += 1
-        return None
-
-    def requeue_front(self, bucket: int, slot: int, generation: int) -> None:
-        """Put an entry back at the head (used when a pop must be undone)."""
-        if len(self._q) >= self.capacity:
-            raise RuntimeError("requeue_front on a full DeadQueue")
-        self._q.appendleft((bucket, slot, generation))
-        self.popped -= 1
+        got: List[Tuple[int, int, int]] = []
+        skipped: List[Tuple[int, int, int]] = []
+        while q and len(got) < n:
+            entry = q.popleft()
+            b, s, g = entry
+            if gen(b, s) != g or status(b, s) != ST_QUEUED:
+                self.stale_discarded += 1
+            elif b == renter:
+                skipped.append(entry)
+            else:
+                got.append(entry)
+        if len(got) < n:
+            q.extendleft(skipped + got)
+            return None
+        q.extendleft(skipped)
+        self.popped += n
+        return [(b, s) for b, s, _ in got]
 
     def entries(self) -> List[Tuple[int, int, int]]:
         """Snapshot of (bucket, slot, generation) entries, oldest first."""

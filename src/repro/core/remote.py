@@ -11,20 +11,26 @@ keeps the paper's Fig. 7 attacker at exactly 1/L -- if remote slots
 only ever held dummies, the cleartext mapping would let an attacker
 exclude them from guessing).
 
-Lifecycle of a rented slot:
+Lifecycle of a rented slot (each call writes the status and the
+:class:`~repro.oram.bucket.BucketStore` tallies of the one transition
+it makes, reading nothing back):
 
 1. some bucket's slot dies (a readPath consumes it) -> status DEAD;
 2. ``gather_path`` sees it during a later readPath's metadata pass
-   and queues it in its level's DeadQ -> status QUEUED;
-3. a reshuffling bucket rents it (``acquire``) -> status IN_USE; the
+   and queues it in its level's DeadQ: DEAD -> QUEUED;
+3. a reshuffling bucket rents it (``acquire``): QUEUED -> IN_USE; the
    renter writes fresh content (real block or dummy) to the host
    address (``write_remote_all``). The *logical* content sits in the
    renter's row -- the host bucket's own slot keeps showing CONSUMED so
    host-side scans never touch the rented slot;
 4. either a readPath of the renter consumes the remote slot
-   (``consume_remote``: it turns DEAD again and may be gathered anew),
-   or the renter's next reshuffle returns it unconsumed to the DeadQ
-   (``reclaim`` -> QUEUED).
+   (``consume_remote``: IN_USE -> DEAD, gatherable anew), or the
+   renter's next reshuffle returns it unconsumed to the DeadQ
+   (``reclaim``: IN_USE -> QUEUED, or -> DEAD when the DeadQ is full).
+
+The controller calls ``acquire`` only at levels that rent and
+``reclaim`` only for buckets that do (``n_active``); both return early,
+touching no counter, anywhere else.
 
 Extension is all-or-nothing per bucket ("dynamicS is extended to S+2
 only for the buckets that allocate their two logical tree blocks in
@@ -53,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dead_queue import DeadQueue, DeadQueueSet
+from repro.core.dead_queue import DeadQueueSet
 from repro.oram.bucket import (
     CONSUMED,
     DUMMY,
@@ -72,12 +78,15 @@ class RemoteAllocator:
     def __init__(self, cfg: OramConfig) -> None:
         self.cfg = cfg
         self.queues = DeadQueueSet(cfg.deadq_levels, cfg.deadq_capacity)
-        #: (level, queue) pairs for the levels with a DeadQ, ascending
-        #: -- the only levels gather_path visits (gathering on any
-        #: other level is a guaranteed no-op).
-        self._tracked_queues = [
-            (lv, self.queues.get(lv)) for lv in self.queues.tracked_levels()
+        #: (level, queue, Z) for the levels with a DeadQ, ascending --
+        #: the only levels gather_path visits (gathering on any other
+        #: level is a guaranteed no-op).
+        self._tracked = [
+            (lv, self.queues.get(lv), cfg.geometry[lv].z_total)
+            for lv in self.queues.tracked_levels()
         ]
+        #: Slots a bucket of each level rents per round.
+        self._extension = [g.remote_extension for g in cfg.geometry]
         r_max = max(g.remote_extension for g in cfg.geometry)
         #: Physical (bucket, slot) behind rented column ``i`` of each
         #: bucket; meaningful only while that column is rented.
@@ -114,42 +123,41 @@ class RemoteAllocator:
         as is skipping buckets with no DEAD slot (O(1) tally check). A
         bucket always keeps at least one non-ALLOCATED slot so it can
         serve a readPath even when no extension is granted: a bucket
-        queues its first ``min(dead, Z - 1 - allocated, space)`` DEAD
-        slots, ascending. The amounts come from the tallies, so the
-        path costs one status fetch, then per queued slot one
-        generation read and one status store. Returns how many slots
-        were queued.
+        queues its first ``min(dead, Z - 1 - allocated, free room)`` DEAD
+        slots, ascending. The amounts come from the tallies, so one
+        pass costs, per bucket that queues, one status row read and
+        one append, and per queued slot one generation read and one
+        status store. Returns how many slots were queued.
         """
         store = self.store
-        dead_count = store.dead_count
-        todo: List[Tuple[DeadQueue, int, int]] = []     # (queue, bucket, n)
-        for lv, queue in self._tracked_queues:
+        dead = store.dead_count
+        queued = store.queued_count
+        in_use = store.in_use_count
+        status = store.status
+        gen = store.generation.item
+        total = 0
+        for lv, queue, z in self._tracked:
             b = buckets[lv]
-            if dead_count[b]:
-                allocated = store.queued_count[b] + store.in_use_count[b]
-                n = min(dead_count[b], store.z_phys(b) - 1 - allocated,
-                        queue.space)
-                if n > 0:
-                    todo.append((queue, b, n))
-        if not todo:
-            return 0
-        # Row-major nonzero: per bucket one ascending run of exactly
-        # ``dead_count[b]`` columns (no column past a bucket's local
-        # slots is ever DEAD).
-        dead_cols = (
-            store.status[[b for _, b, _ in todo]] == ST_DEAD
-        ).nonzero()[1].tolist()
-        start = 0
-        for queue, b, n in todo:
-            slots = dead_cols[start:start + n]
-            start += dead_count[b]
-            queue.push_many(b, slots,
-                            [store.generation.item(b, s) for s in slots])
-            for s in slots:
-                store.status[b, s] = ST_QUEUED
-            dead_count[b] -= n
-            store.queued_count[b] += n
-        return sum(n for _, _, n in todo)
+            d = dead[b]
+            if not d:
+                continue
+            room = min(d, z - 1 - queued[b] - in_use[b])
+            if room <= 0:
+                continue
+            # No column past a bucket's local slots is ever DEAD.
+            row = status[b].tolist()
+            slots = []
+            s = -1
+            for _ in range(room):
+                s = row.index(ST_DEAD, s + 1)
+                slots.append(s)
+            n = queue.gather(b, slots, [gen(b, s) for s in slots])
+            for s in slots[:n]:
+                status[b, s] = ST_QUEUED
+            dead[b] -= n
+            queued[b] += n
+            total += n
+        return total
 
     # ---------------------------------------------------------- extension
 
@@ -163,7 +171,7 @@ class RemoteAllocator:
         and reports the memory writes. The previous round must be over
         (:meth:`reclaim`).
         """
-        r = self.cfg.geometry[level].remote_extension
+        r = self._extension[level]
         if r == 0:
             return 0, []
         if self.n_active[bucket]:
@@ -172,37 +180,20 @@ class RemoteAllocator:
             )
         queue = self.queues.get(level)
         self.extension_attempts += 1
-        if queue is None or not len(queue):
-            # Popping an empty queue is side-effect free, so the empty
-            # case (common before the DeadQs warm up) can skip straight
-            # to the all-or-nothing denial.
-            return 0, []
         store = self.store
-        got: List[Tuple[int, int]] = []
-        rejected: List[Tuple[int, int]] = []
-        while len(got) < r:
-            entry = queue.pop_valid(store)
-            if entry is None:
-                break
-            if entry[0] == bucket:
-                # Renting a slot from the bucket being reshuffled would
-                # just shrink its own usable set; skip it.
-                rejected.append(entry)
-                continue
-            got.append(entry)
-        if rejected or len(got) < r:
-            gen = store.generation
-            for hb, hs in rejected:
-                queue.requeue_front(hb, hs, int(gen[hb, hs]))
-            if len(got) < r:
-                for hb, hs in got:
-                    queue.requeue_front(hb, hs, int(gen[hb, hs]))
-                return 0, []
+        got = None if queue is None else queue.take(store, r, bucket)
+        if got is None:
+            return 0, []
+        status = store.status
+        queued = store.queued_count
+        in_use = store.in_use_count
         for i, (hb, hs) in enumerate(got):
-            # A QUEUED slot already reads CONSUMED in its own bucket's
-            # row and keeps doing so: the host never sees what the
-            # renter stores there.
-            store.set_status(hb, hs, ST_IN_USE)
+            # QUEUED -> IN_USE. A QUEUED slot already reads CONSUMED in
+            # its own bucket's row and keeps doing so: the host never
+            # sees what the renter stores there.
+            status[hb, hs] = ST_IN_USE
+            queued[hb] -= 1
+            in_use[hb] += 1
             self.host_bucket[bucket, i] = hb
             self.host_slot[bucket, i] = hs
         store.slots[bucket, store.z_max:store.z_max + r] = DUMMY
@@ -237,19 +228,30 @@ class RemoteAllocator:
             return []
         store = self.store
         cols = store.slots[bucket, store.z_max:]
-        released: List[Tuple[int, int]] = []
-        for i in (cols != UNALLOCATED).nonzero()[0].tolist():
-            hb = self.host_bucket.item(bucket, i)
-            hs = self.host_slot.item(bucket, i)
-            released.append((hb, hs))
-            queue = self.queues.get(store.level(hb))
-            store.set_status(hb, hs, ST_QUEUED)
-            gen = int(store.generation[hb, hs])
-            if queue is None or not queue.push(hb, hs, gen):
-                # Queue full: the slot stays dead until its host bucket
-                # reshuffles over it.
-                store.set_status(hb, hs, ST_DEAD)
-            self.reclaimed_slots += 1
+        released = [
+            (self.host_bucket.item(bucket, i), self.host_slot.item(bucket, i))
+            for i, content in enumerate(cols.tolist())
+            if content != UNALLOCATED
+        ]
+        # A host sits at its renter's level.
+        queue = self.queues.get(store.level(bucket))
+        gen = store.generation.item
+        n_queued = 0 if queue is None else queue.reclaim(
+            [(hb, hs, gen(hb, hs)) for hb, hs in released]
+        )
+        status = store.status
+        in_use = store.in_use_count
+        for k, (hb, hs) in enumerate(released):
+            # IN_USE -> QUEUED; past a full queue IN_USE -> DEAD: the
+            # slot stays dead until its host bucket reshuffles over it.
+            in_use[hb] -= 1
+            if k < n_queued:
+                status[hb, hs] = ST_QUEUED
+                store.queued_count[hb] += 1
+            else:
+                status[hb, hs] = ST_DEAD
+                store.dead_count[hb] += 1
+        self.reclaimed_slots += len(released)
         cols[:] = UNALLOCATED
         self.n_active[bucket] = 0
         return released
@@ -273,7 +275,10 @@ class RemoteAllocator:
         self.n_active[bucket] -= 1
         hb = self.host_bucket.item(bucket, i)
         hs = self.host_slot.item(bucket, i)
-        store.set_status(hb, hs, ST_DEAD)
+        # IN_USE -> DEAD.
+        store.status[hb, hs] = ST_DEAD
+        store.in_use_count[hb] -= 1
+        store.dead_count[hb] += 1
         store.count[bucket] += 1
         self.remote_reads += 1
         if content >= 0:
@@ -323,7 +328,7 @@ class RemoteAllocator:
             )
         queued = store.status == ST_QUEUED
         tracked = np.zeros(self.cfg.levels, dtype=bool)
-        for lv, queue in self._tracked_queues:
+        for lv, queue, _ in self._tracked:
             tracked[lv] = True
             qb, qs, gen = np.array(queue.entries(), dtype=np.int64).reshape(-1, 3).T
             live = (store.generation[qb, qs] == gen) & queued[qb, qs]

@@ -102,18 +102,18 @@ class BucketStore:
             g.sustain_unextended for g in cfg.geometry
         ]
         # Per-bucket tallies of QUEUED / IN_USE slots, maintained by
-        # ``set_status``/``refresh`` and gatherDEADs (``consume`` only
-        # ever moves REFRESHED -> DEAD, so it never touches them). They
-        # make "how many slots are ALLOCATED" an O(1) lookup and keep
-        # ``refresh`` on contiguous slice stores for every bucket with
-        # no slot rented out. Plain lists: scalar numpy indexing would
-        # box a fresh object per lookup.
+        # ``refresh`` and the remote allocator's transitions
+        # (``consume`` only ever moves REFRESHED -> DEAD, so it never
+        # touches them). They make "how many slots are ALLOCATED" an
+        # O(1) lookup and keep ``refresh`` on contiguous slice stores
+        # for every bucket with no slot rented out. Plain lists: scalar
+        # numpy indexing would box a fresh object per lookup.
         self.queued_count: List[int] = [0] * n
         self.in_use_count: List[int] = [0] * n
         # Per-bucket tally of DEAD slots (consumed, not yet queued or
-        # reused), maintained by ``consume``/``refresh``/``set_status``
-        # and gatherDEADs, which checks it to skip the dead-slot
-        # scan on the (common) buckets with nothing to gather.
+        # reused), maintained by ``consume``/``refresh`` and the remote
+        # allocator's transitions; gatherDEADs checks it to skip the
+        # dead-slot scan on the (common) buckets with nothing to gather.
         self.dead_count: List[int] = [0] * n
 
     # ------------------------------------------------------------ geometry
@@ -240,7 +240,7 @@ class BucketStore:
             # Reclaim queued slots (lazy DeadQ invalidation). QUEUED
             # slots are never IN_USE, so they are all usable and the
             # bucket's queued tally drains to zero here.
-            self.generation[bucket, (st[:z] == ST_QUEUED).nonzero()[0]] += 1
+            self.generation[bucket, :z] += st[:z] == ST_QUEUED
             self.queued_count[bucket] = 0
         if usable is None:
             row[:z] = DUMMY
@@ -268,25 +268,6 @@ class BucketStore:
 
     def needs_reshuffle(self, bucket: int) -> bool:
         return self.count[bucket] >= self.sustain[bucket]
-
-    def set_status(self, bucket: int, slot: int, status: SlotStatus) -> None:
-        s = int(status)
-        old = int(self.status[bucket, slot])
-        if old == s:
-            return
-        if old == ST_QUEUED:
-            self.queued_count[bucket] -= 1
-        elif old == ST_IN_USE:
-            self.in_use_count[bucket] -= 1
-        elif old == ST_DEAD:
-            self.dead_count[bucket] -= 1
-        if s == ST_QUEUED:
-            self.queued_count[bucket] += 1
-        elif s == ST_IN_USE:
-            self.in_use_count[bucket] += 1
-        elif s == ST_DEAD:
-            self.dead_count[bucket] += 1
-        self.status[bucket, slot] = s
 
     def set_slot(self, bucket: int, slot: int, value: int) -> None:
         """Write one slot's content directly (warm fill)."""

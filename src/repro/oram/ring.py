@@ -196,6 +196,9 @@ class RingOram:
         self.defer_rebuilds = False
         self.evict_counter = 0
         self._z_real_by_level = [g.z_real for g in cfg.geometry]
+        # Levels whose reshuffles rent remote slots.
+        self._rents = [extensions is not None and g.remote_extension > 0
+                       for g in cfg.geometry]
         # leaf -> (bucket list, bucket index array, metadata sink items):
         # immutable per-path descriptors rebuilt constantly by readPath
         # otherwise. Bounded by n_leaves.
@@ -654,6 +657,7 @@ class RingOram:
         sink = self.sink
         ext = self.ext
         z_real = self._z_real_by_level
+        rents = self._rents
         treetop = self.cfg.treetop_levels
         mblocks = self.metadata_blocks
         sink.begin_op(kind)
@@ -696,7 +700,7 @@ class RingOram:
                                   write=False)
             for one in islice(opened, n_share):
                 self._admit_payload(*one)
-            if ext is not None:
+            if ext is not None and ext.n_active[b]:
                 for hb, hs in ext.reclaim(b):
                     # The released host slot holds stale data again.
                     for obs in dead_obs:
@@ -714,7 +718,7 @@ class RingOram:
         caps = []
         for b, lv in reversed(plan):
             n_usable = store.z_phys(b) - store.in_use_count[b]
-            granted, hosts = ext.acquire(b, lv) if ext is not None else (0, [])
+            granted, hosts = ext.acquire(b, lv) if rents[lv] else (0, [])
             refills.append((b, lv, n_usable, granted, hosts))
             caps.append(min(z_real[lv], n_usable + granted))
         # Path membership is the whole test: refilling leaf to root, a

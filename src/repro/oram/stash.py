@@ -112,9 +112,22 @@ class Stash:
         crosses it and no deeper bucket took: Path ORAM's greedy
         write-back. That is one pass: each block goes to the deepest
         bucket it may live in (``(block_leaf ^ leaf).bit_length()``
-        levels up) or the next one up with room.
+        levels up) or the next one up with room. A lone bucket (an
+        earlyReshuffle, a rebuild) takes the first ``caps[0]`` blocks
+        under it.
         """
         n = len(caps)
+        if n == 1:
+            lo = leaf >> height << height
+            hi = lo + (1 << height)
+            got: List[int] = []
+            if caps[0]:
+                for block, bl in self._blocks.items():
+                    if lo <= bl < hi:
+                        got.append(block)
+                        if len(got) == caps[0]:
+                            break
+            return [got]
         room = [*caps, 1]           # a sentinel above the top bucket
         left = sum(caps)
         picks: List[List[int]] = [[] for _ in caps]

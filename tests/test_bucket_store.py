@@ -11,6 +11,21 @@ from repro.oram.config import BucketGeometry, OramConfig, override_levels, unifo
 from repro.oram.path import path_oram_config
 
 
+_TALLY = {SlotStatus.DEAD: "dead_count", SlotStatus.QUEUED: "queued_count",
+          SlotStatus.IN_USE: "in_use_count"}
+
+
+def move(store, bucket, slot, status):
+    """Move one slot to ``status`` with its tallies, the way the remote
+    allocator writes them (gatherDEADs: DEAD -> QUEUED, a rental:
+    QUEUED -> IN_USE); a REFRESHED slot is consumed first."""
+    if store.status[bucket, slot] == ST_REFRESHED:
+        store.consume(bucket, slot)
+    getattr(store, _TALLY[store.status[bucket, slot]])[bucket] -= 1
+    store.status[bucket, slot] = status
+    getattr(store, _TALLY[status])[bucket] += 1
+
+
 @pytest.fixture
 def store(cfg_small):
     return BucketStore(cfg_small)
@@ -101,8 +116,8 @@ class TestQueries:
         consumed slot gets there, so its content is CONSUMED."""
         for slot in (1, 2):
             store.consume(0, slot)
-        store.set_status(0, 1, SlotStatus.QUEUED)
-        store.set_status(0, 2, SlotStatus.IN_USE)
+        move(store, 0, 1, SlotStatus.QUEUED)
+        move(store, 0, 2, SlotStatus.IN_USE)
         store.check_tallies()
         assert valid_dummy_slots(store, 0) == [0, 3, 4]
 
@@ -122,8 +137,8 @@ class TestQueries:
         assert list(store.dead_slots(1)) == [0, 2]
 
     def test_usable_slots_excludes_in_use_only(self, store):
-        store.set_status(5, 0, SlotStatus.IN_USE)
-        store.set_status(5, 1, SlotStatus.QUEUED)
+        move(store, 5, 0, SlotStatus.IN_USE)
+        move(store, 5, 1, SlotStatus.QUEUED)
         usable = list(store.usable_slots(5))
         assert 0 not in usable
         assert 1 in usable
@@ -148,14 +163,13 @@ class TestRefresh:
     def test_refresh_bumps_generation_of_queued(self, store):
         store.consume(0, 0)
         gen = int(store.generation[0, 0])
-        store.set_status(0, 0, SlotStatus.QUEUED)
+        move(store, 0, 0, SlotStatus.QUEUED)
         store.refresh(0, [])
         assert store.generation[0, 0] == gen + 1
         assert store.queued_count[0] == 0
 
     def test_refresh_skips_in_use(self, store):
-        store.slots[0, 0] = CONSUMED
-        store.set_status(0, 0, SlotStatus.IN_USE)
+        move(store, 0, 0, SlotStatus.IN_USE)
         written = store.refresh(0, [])
         assert 0 not in written
         assert store.slots[0, 0] == CONSUMED
@@ -167,8 +181,8 @@ class TestRefresh:
 
     def test_refresh_sustain_capped_by_rented_slots(self, store):
         # Rent out 2 of 5 slots: usable = 3 < sustain_unextended 4.
-        store.set_status(0, 0, SlotStatus.IN_USE)
-        store.set_status(0, 1, SlotStatus.IN_USE)
+        move(store, 0, 0, SlotStatus.IN_USE)
+        move(store, 0, 1, SlotStatus.IN_USE)
         store.refresh(0, [])
         assert store.sustain[0] == 3
 
@@ -198,12 +212,12 @@ class TestGlobalScans:
 
     def test_queued_counts_as_dead(self, store):
         store.consume(0, 0)
-        store.set_status(0, 0, SlotStatus.QUEUED)
+        move(store, 0, 0, SlotStatus.QUEUED)
         assert store.total_dead_slots() == 1
 
     def test_in_use_not_dead(self, store):
         store.consume(0, 0)
-        store.set_status(0, 0, SlotStatus.IN_USE)
+        move(store, 0, 0, SlotStatus.IN_USE)
         assert store.total_dead_slots() == 0
 
     def test_dead_slots_by_level(self, store):
@@ -224,9 +238,9 @@ class TestGlobalScans:
         store.consume(0, 0)
         store.consume(0, 1)
         store.consume(0, 2)
-        store.set_status(0, 0, SlotStatus.QUEUED)
-        store.set_status(0, 1, SlotStatus.QUEUED)
-        store.set_status(0, 1, SlotStatus.IN_USE)
+        move(store, 0, 0, SlotStatus.QUEUED)
+        move(store, 0, 1, SlotStatus.QUEUED)
+        move(store, 0, 1, SlotStatus.IN_USE)
         assert (store.dead_count[0], store.queued_count[0],
                 store.in_use_count[0]) == (1, 1, 1)
         store.check_tallies()
@@ -244,7 +258,8 @@ class TestGlobalScans:
         slot that is not REFRESHED is an invariant violation."""
         store.set_slot(0, 3, content)
         store.check_tallies()
-        store.set_status(0, 3, SlotStatus.DEAD)   # tallies kept
+        store.status[0, 3] = SlotStatus.DEAD      # tallies kept
+        store.dead_count[0] += 1
         with pytest.raises(
             AssertionError, match=f"slot 3 holds {content} with status DEAD"
         ):

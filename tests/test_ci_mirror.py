@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Dict, List, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 CI = ROOT / ".github" / "workflows" / "ci.yml"
@@ -47,9 +47,9 @@ def _logical(lines: List[str]) -> List[str]:
     return out
 
 
-def ci_run_commands(text: str) -> Dict[str, List[str]]:
-    """``job -> [command, ...]`` for every ``run:`` step of ci.yml."""
-    jobs: Dict[str, List[str]] = {}
+def _run_steps(text: str) -> Iterator[Tuple[str, Optional[List[str]]]]:
+    """``(job, None)`` at each job of ci.yml, then ``(job, commands)``
+    for each of its ``run:`` steps."""
     job = None
     lines = text.splitlines()
     i = lines.index("jobs:")
@@ -59,14 +59,14 @@ def ci_run_commands(text: str) -> Dict[str, List[str]]:
         head = _JOB.match(line)
         if head:
             job = head.group(1)
-            jobs[job] = []
+            yield job, None
             continue
         run = _RUN.match(line)
         if not run or job is None:
             continue
         value = run.group(2)
         if value[:1] not in ("|", ">"):
-            jobs[job].extend(_logical([value]))
+            yield job, _logical([value])
             continue
         indent = len(run.group(1))
         block = []
@@ -75,8 +75,30 @@ def ci_run_commands(text: str) -> Dict[str, List[str]]:
                 or len(lines[i]) - len(lines[i].lstrip()) > indent):
             block.append(lines[i])
             i += 1
-        jobs[job].extend(_logical(block))
+        yield job, _logical(block)
+
+
+def ci_run_commands(text: str) -> Dict[str, List[str]]:
+    """``job -> [command, ...]`` for every ``run:`` step of ci.yml."""
+    jobs: Dict[str, List[str]] = {}
+    for job, commands in _run_steps(text):
+        jobs.setdefault(job, []).extend(commands or ())
     return jobs
+
+
+def test_no_negated_gate_before_a_steps_last_line():
+    """Under ``bash -e`` a failing ``! cmd`` does not stop the step
+    (bash exempts negated commands from errexit), so only the step's
+    last line decides its status: a ``! grep`` gate above it must end
+    in ``|| exit 1`` or it gates nothing."""
+    silent = [
+        f"{job}: {line}" for job, commands in _run_steps(CI.read_text())
+        for line in (commands or [])[:-1]
+        if line.startswith("! ") and not line.endswith("|| exit 1")
+    ]
+    assert not silent, (
+        "ci.yml has `!` gates whose failure nothing sees:\n"
+        + "\n".join(silent))
 
 
 def make_targets(command: str) -> List[str]:

@@ -70,3 +70,44 @@ def test_fingerprint_sees_a_swapped_pair_of_slots():
 
     assert state(False) == state(False)
     assert state(True) != state(False)
+
+
+#: ``controller_state`` digest of :func:`_deadq_pressure_run`, recorded
+#: before the allocator's known-state transitions replaced its generic
+#: per-slot status writes.
+DEADQ_PRESSURE_DIGEST = (
+    "d08e2dffe6b91ec84b3ffcebef2ee105af7982dae8e6db30ff22458f9011bc55"
+)
+
+
+def _deadq_pressure_run():
+    """``ab`` at L8 with two-entry DeadQs: 3,000 uniform accesses after
+    a warm fill, the status tallies and the allocator's invariants
+    checked after every one. At the default capacity no DeadQ ever
+    fills, so this is the one whole-controller run through reclaim's
+    queue-full branch."""
+    import dataclasses
+
+    import numpy as np
+
+    from repro.core import schemes
+    from repro.core.ab_oram import build_oram
+
+    cfg = dataclasses.replace(schemes.by_name("ab", 8), deadq_capacity=2)
+    oram = build_oram(cfg, seed=11)
+    oram.warm_fill()
+    rng = np.random.default_rng(11)
+    for block in rng.integers(cfg.n_real_blocks, size=3000).tolist():
+        oram.access(block)
+        oram.store.check_tallies()
+        oram.ext.check_invariants()
+    return oram
+
+
+def test_deadq_pressure_run_matches_golden():
+    oram = _deadq_pressure_run()
+    queues = oram.ext.queues.stats().values()
+    assert sum(q["dropped_full"] for q in queues) > 0
+    assert sum(q["stale_discarded"] for q in queues) > 0
+    assert 0 < oram.ext.extension_grants < oram.ext.extension_attempts
+    assert TOOL._digest(TOOL.controller_state(oram)) == DEADQ_PRESSURE_DIGEST

@@ -186,7 +186,7 @@ class TestProtocolProperties:
         elif corruption == "n-active":
             ext.n_active[r1] += 1
         elif corruption == "deadq-duplicate":
-            queue.push(qb, qs, qg)
+            queue.reclaim([(qb, qs, qg)])
         elif corruption == "deadq-lost":
             store.generation[qb, qs] += 1
         else:

@@ -167,6 +167,29 @@ class TestAcquire:
         assert granted == 0
         assert alloc.extension_attempts == 0
 
+    def test_denial_requeues_reversed(self, cfg_ab_small):
+        """All or nothing: on a shortage the renter's own entries, then
+        the ones taken, go back to the DeadQ's head one at a time, so
+        they come back reversed (item 1 of ROADMAP owns this order)."""
+        lv = cfg_ab_small.levels - 1
+        geometry = list(cfg_ab_small.geometry)
+        geometry[lv] = BucketGeometry(3, 1, overlap=2, remote_extension=3)
+        cfg = dataclasses.replace(cfg_ab_small, geometry=tuple(geometry))
+        alloc = RemoteAllocator(cfg)
+        oram = RingOram(cfg, extensions=alloc, seed=0)
+        renter, donor = leaf_bucket(cfg, 0), leaf_bucket(cfg, 1)
+        make_dead(oram.store, renter, [0])
+        make_dead(oram.store, donor, [0, 1])
+        gather(alloc, cfg, renter)
+        gather(alloc, cfg, donor)
+        assert alloc.acquire(renter, lv) == (0, [])
+        queue = alloc.queues.get(lv)
+        assert [(b, s) for b, s, _ in queue.entries()] == [
+            (donor, 1), (donor, 0), (renter, 0)]
+        assert (alloc.extension_attempts, queue.popped) == (1, 0)
+        oram.store.check_tallies()
+        alloc.check_invariants()
+
     def test_acquire_over_a_live_round_raises(self, setup):
         """A round's columns are filled from 0; the previous round must
         have been reclaimed (the controller always does)."""
@@ -245,6 +268,24 @@ class TestRentalLifecycle:
         granted, hosts = alloc.acquire(leaf_bucket(cfg, 2), cfg.levels - 1)
         assert granted == 1
         assert hosts == [(donor, 0)]
+
+    def test_reclaim_past_a_full_queue_leaves_the_slot_dead(self, cfg_ab_small):
+        cfg = dataclasses.replace(cfg_ab_small, deadq_capacity=1)
+        alloc = RemoteAllocator(cfg)
+        oram = RingOram(cfg, extensions=alloc, seed=0)
+        store = oram.store
+        donor, renter, other = (leaf_bucket(cfg, p) for p in (0, 1, 2))
+        make_dead(store, donor, [0])
+        gather(alloc, cfg, donor)
+        assert alloc.acquire(renter, cfg.levels - 1) == (1, [(donor, 0)])
+        make_dead(store, other, [0])
+        gather(alloc, cfg, other)           # the queue is full again
+        assert alloc.reclaim(renter) == [(donor, 0)]
+        assert store.status[donor, 0] == SlotStatus.DEAD
+        assert (store.dead_count[donor], store.in_use_count[donor]) == (1, 0)
+        assert alloc.queues.get(cfg.levels - 1).dropped_full == 1
+        store.check_tallies()
+        alloc.check_invariants()
 
     def test_reclaim_without_rentals(self, setup):
         cfg, oram, alloc = setup
