@@ -11,7 +11,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 	fingerprint perf-smoke \
 	pipeline-smoke faults-smoke telemetry-smoke serve-smoke chaos-smoke \
 	shard-smoke obs-smoke smoke readme-smoke determinism e2e-quick ci \
-	clean FORCE
+	ab clean FORCE
 
 install:
 	pip install -e . || python setup.py develop
@@ -241,6 +241,13 @@ readme-smoke:
 # serve-chaos, fleet-vs-serial identity. Exits non-zero if one fails.
 e2e-quick:
 	python3 benchmarks/e2e/run.py --quick
+
+# A speed claim in one command: N alternating pairs of end-to-end runs
+# of workload W, the working tree against BASE=<rev>,
+# on seeds SEED.. (tools/ab.py; exits 1 if a simulated metric differs).
+ab:
+	$(PYTHON) tools/ab.py --base $(BASE) --workload $(W) \
+	  --pairs $(or $(N),10) --seed $(or $(SEED),1)
 
 # What CI runs: lint, tier-1 tests, the smoke gates, the README steps
 # and e2e correctness (`make reach` counts what this reaches).

@@ -17,19 +17,14 @@ Entry points most users want::
     print(oram.read(0))
 """
 
-from repro.core.ab_oram import AbOram, build_oram
-from repro.core import schemes
-from repro.oram.config import BucketGeometry, OramConfig
-from repro.app.kvstore import ObliviousKV
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AbOram",
-    "build_oram",
-    "schemes",
-    "BucketGeometry",
-    "OramConfig",
-    "ObliviousKV",
-    "__version__",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.core.ab_oram": ("AbOram", "build_oram"),
+    "repro.core": ("schemes",),
+    "repro.oram.config": ("BucketGeometry", "OramConfig"),
+    "repro.app.kvstore": ("ObliviousKV",),
+})
+__all__.append("__version__")

@@ -12,16 +12,11 @@
 - :mod:`repro.core.security` -- the empirical attacker of section VI-C.
 """
 
-from repro.core.dead_queue import DeadQueue, DeadQueueSet
-from repro.core.remote import RemoteAllocator
-from repro.core.ab_oram import AbOram, build_oram
-from repro.core import schemes
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeadQueue",
-    "DeadQueueSet",
-    "RemoteAllocator",
-    "AbOram",
-    "build_oram",
-    "schemes",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.core.dead_queue": ("DeadQueue", "DeadQueueSet"),
+    "repro.core.remote": ("RemoteAllocator",),
+    "repro.core.ab_oram": ("AbOram", "build_oram"),
+    "repro.core": ("schemes",),
+})

@@ -15,18 +15,13 @@ compatibility import for the end-to-end benchmark. See
 and the control-plane health log.
 """
 
-from repro.core.sharding.control import control_block, shard_transitions
-from repro.core.sharding.partition import PartitionMap
-from repro.core.sharding.sharded import (
-    ShardedSimOutcome, levels_for_blocks, run_sharded_sim, split_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PartitionMap",
-    "ShardedSimOutcome",
-    "control_block",
-    "levels_for_blocks",
-    "run_sharded_sim",
-    "shard_transitions",
-    "split_trace",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.core.sharding.control": ("control_block", "shard_transitions"),
+    "repro.core.sharding.partition": ("PartitionMap",),
+    "repro.core.sharding.sharded": (
+        "ShardedSimOutcome", "levels_for_blocks", "run_sharded_sim",
+        "split_trace",
+    ),
+})

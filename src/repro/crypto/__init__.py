@@ -20,13 +20,10 @@ never change crypto cost), but the functional controller can: see
 ``EncryptedTreeStore`` in :mod:`repro.oram.datastore`.
 """
 
-from repro.crypto.auth import AuthenticationError
-from repro.crypto.engine import SecureBlockEngine
-from repro.crypto.integrity import BucketMerkleTree, IntegrityError
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AuthenticationError",
-    "SecureBlockEngine",
-    "BucketMerkleTree",
-    "IntegrityError",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.crypto.auth": ("AuthenticationError",),
+    "repro.crypto.engine": ("SecureBlockEngine",),
+    "repro.crypto.integrity": ("BucketMerkleTree", "IntegrityError"),
+})

@@ -20,12 +20,9 @@ the way :mod:`repro.perf` made its speed measurable:
   them needs the campaign's report machinery.
 """
 
-from repro.faults.memory import FaultyMemory
-from repro.faults.plan import FAULT_KINDS, TAMPER_KINDS, FaultPlan
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultyMemory",
-    "TAMPER_KINDS",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.faults.memory": ("FaultyMemory",),
+    "repro.faults.plan": ("FAULT_KINDS", "TAMPER_KINDS", "FaultPlan"),
+})

@@ -14,14 +14,10 @@ exactly; absolute cycle counts are not.
 - :mod:`repro.mem.layout` -- ORAM tree -> physical address layout.
 """
 
-from repro.mem.timing import DramTiming, DDR3_1600
-from repro.mem.dram import DramModel, DramStats
-from repro.mem.layout import TreeLayout
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DramTiming",
-    "DDR3_1600",
-    "DramModel",
-    "DramStats",
-    "TreeLayout",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.mem.timing": ("DramTiming", "DDR3_1600"),
+    "repro.mem.dram": ("DramModel", "DramStats"),
+    "repro.mem.layout": ("TreeLayout",),
+})

@@ -20,32 +20,18 @@ contribution, in :mod:`repro.core`) builds on:
   substrate Ring ORAM historically builds on and as a comparator.
 """
 
-from repro.oram.config import BucketGeometry, OramConfig
-from repro.oram.stash import Stash, StashOverflowError
-from repro.oram.position_map import PositionMap
-from repro.oram.bucket import BucketStore, SlotStatus
-from repro.oram.ring import RingOram
-from repro.oram.path import PathOram
-from repro.oram.plb import RecursivePosMap
-from repro.oram.datastore import EncryptedTreeStore
-from repro.oram.validate import diagnose
-from repro.oram.linear import LinearScanOram
-from repro.oram.config_io import load_config, save_config
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LinearScanOram",
-    "load_config",
-    "save_config",
-    "RecursivePosMap",
-    "EncryptedTreeStore",
-    "diagnose",
-    "BucketGeometry",
-    "OramConfig",
-    "Stash",
-    "StashOverflowError",
-    "PositionMap",
-    "BucketStore",
-    "SlotStatus",
-    "RingOram",
-    "PathOram",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.oram.config": ("BucketGeometry", "OramConfig"),
+    "repro.oram.stash": ("Stash", "StashOverflowError"),
+    "repro.oram.position_map": ("PositionMap",),
+    "repro.oram.bucket": ("BucketStore", "SlotStatus"),
+    "repro.oram.ring": ("RingOram",),
+    "repro.oram.path": ("PathOram",),
+    "repro.oram.plb": ("RecursivePosMap",),
+    "repro.oram.datastore": ("EncryptedTreeStore",),
+    "repro.oram.validate": ("diagnose",),
+    "repro.oram.linear": ("LinearScanOram",),
+    "repro.oram.config_io": ("load_config", "save_config"),
+})

@@ -39,41 +39,21 @@ The serving layer turns the single-caller
   speedup, drill availability, and control-plane health.
 """
 
-from repro.serve.chaos import ChaosCell, ChaosConfig, run_chaos
-from repro.serve.scaling import (
-    ScalingCell, ScalingConfig, run_scaling, scaling_check,
-)
-from repro.serve.loadgen import WorkloadConfig, generate_requests, key_name, value_for
-from repro.serve.request import DELETE, GET, PUT, Completion, Request
-from repro.serve.resilience import (
-    ReplayResult, ResilienceConfig, resilient_replay,
-)
-from repro.serve.scheduler import BatchScheduler
-from repro.serve.server import KVServer
-from repro.serve.stack import ServedStack, build_stack
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchScheduler",
-    "ChaosCell",
-    "ChaosConfig",
-    "Completion",
-    "DELETE",
-    "GET",
-    "KVServer",
-    "PUT",
-    "ReplayResult",
-    "Request",
-    "ResilienceConfig",
-    "ScalingCell",
-    "ScalingConfig",
-    "ServedStack",
-    "WorkloadConfig",
-    "build_stack",
-    "run_scaling",
-    "scaling_check",
-    "generate_requests",
-    "key_name",
-    "resilient_replay",
-    "run_chaos",
-    "value_for",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.serve.chaos": ("ChaosCell", "ChaosConfig", "run_chaos"),
+    "repro.serve.scaling": (
+        "ScalingCell", "ScalingConfig", "run_scaling", "scaling_check",
+    ),
+    "repro.serve.loadgen": (
+        "WorkloadConfig", "generate_requests", "key_name", "value_for",
+    ),
+    "repro.serve.request": ("DELETE", "GET", "PUT", "Completion", "Request"),
+    "repro.serve.resilience": (
+        "ReplayResult", "ResilienceConfig", "resilient_replay",
+    ),
+    "repro.serve.scheduler": ("BatchScheduler",),
+    "repro.serve.server": ("KVServer",),
+    "repro.serve.stack": ("ServedStack", "build_stack"),
+})

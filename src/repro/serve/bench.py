@@ -19,12 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.parallel.executor import Cell, report_progress, run_cells
 from repro.report import assemble
 from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
-from repro.serve.replay import serve_slice
+from repro.serve.replay import percentiles, serve_slice
 from repro.serve.scheduler import MAX_BATCH, POLICIES
 from repro.serve.schema import SERVE
 from repro.serve.stack import SCHEME
@@ -151,21 +149,6 @@ def full_config(**overrides: Any) -> ServeConfig:
     return replace(base, **overrides)
 
 
-# ----------------------------------------------------------------- helpers
-
-def _percentiles(values: Sequence[float]) -> Dict[str, float]:
-    if not len(values):
-        return {"p50": 0.0, "p99": 0.0, "p999": 0.0, "mean": 0.0, "max": 0.0}
-    arr = np.asarray(values, dtype=np.float64)
-    return {
-        "p50": float(np.percentile(arr, 50)),
-        "p99": float(np.percentile(arr, 99)),
-        "p999": float(np.percentile(arr, 99.9)),
-        "mean": float(arr.mean()),
-        "max": float(arr.max()),
-    }
-
-
 def _serve_cell_task(
     payload: Tuple[ServeConfig, WorkloadConfig, str]
 ) -> Dict[str, Any]:
@@ -201,9 +184,9 @@ def _serve_cell_task(
             if counters["requests"] else 0.0
         ),
         "requests_per_s_sim": len(comps) / sim_s if sim_s > 0 else 0.0,
-        "latency_ns": _percentiles([c.latency_ns for c in comps]),
-        "queue_ns": _percentiles([c.queue_ns for c in comps]),
-        "service_ns": _percentiles([c.service_ns for c in comps]),
+        "latency_ns": percentiles([c.latency_ns for c in comps]),
+        "queue_ns": percentiles([c.queue_ns for c in comps]),
+        "service_ns": percentiles([c.service_ns for c in comps]),
     }
     if "security" in counters:
         sim["security"] = counters["security"]
@@ -212,7 +195,7 @@ def _serve_cell_task(
             comps, telemetry.spans, meta=telemetry.meta,
         )
         write_trace(doc, cfg.trace_out)
-    wall_lat_us = _percentiles([c.wall_s * 1e6 for c in comps])
+    wall_lat_us = percentiles([c.wall_s * 1e6 for c in comps])
     wall_lat_us.pop("mean", None)
     wall_lat_us.pop("max", None)
     return {

@@ -7,26 +7,29 @@ imports nothing from here): each shard is a complete
 :class:`~repro.serve.stack.ServedStack` -- its own ORAM, DRAM model,
 clock and scheduler -- and a request stream is split across them by
 the keyed-PRF partition map over the request *key*
-(:func:`shard_share`, the one share rule). Because one key maps to
+(:func:`split_shares`, the one share rule). Because one key maps to
 exactly one shard, and a share keeps arrival order, the per-key FIFO
 contract of the scheduler is inherited verbatim.
 
 Every sharded run -- :func:`run_fleet`, ``serve scaling``'s cells and
 ``serve chaos --shards N`` -- is one fan-out (:func:`serve_fleets`) of
-one shard task (:func:`_fleet_shard_task`), rebuilt in its worker from
-``(FleetConfig, shard id, ShardArming)`` alone, and one fold
-(:func:`fold_shards`). A shard regenerates the full workload, keeps
-exactly its share, and serves it on its own simulated clock -- so an
-N-shard fleet *is* N independently-run serial reference shards, and
-the merged per-shard blocks are byte-identical to running each shard
-alone (the fleet-vs-serial CI gate). The fleet's service time is the
-*makespan* -- the slowest shard's simulated serving window -- and its
-throughput total completions over that makespan; the control plane
-(:mod:`repro.core.sharding.control`) derives each shard's health log
-from its window and degraded episodes. The ``kill-a-shard-under-load``
-drill arms one shard as a sealed chaos stack, which drives it through
-quarantine -> degraded serving -> rebuild while the rest of the fleet
-serves untouched.
+one shard task (:func:`_fleet_shard_task`) and one fold
+(:func:`fold_shards`). The fan-out generates each distinct workload
+once, in the parent, and cuts every shard's share from it in one
+pass; a shard is pure in ``(FleetConfig, shard id, ShardArming,
+share)`` and serves its share on its own simulated clock -- so an
+N-shard fleet *is* N independently-run serial reference shards (the
+serial reference regenerates the workload and cuts its share through
+the same split), and the merged per-shard blocks are byte-identical to
+running each shard alone (the fleet-vs-serial CI gate). No state
+crosses calls: no pool, workload or cache outlives one fan-out. The
+fleet's service time is the *makespan* -- the slowest shard's
+simulated serving window -- and its throughput total completions over
+that makespan; the control plane (:mod:`repro.core.sharding.control`)
+derives each shard's health log from its window and degraded
+episodes. The ``kill-a-shard-under-load`` drill arms one shard as a
+sealed chaos stack, which drives it through quarantine -> degraded
+serving -> rebuild while the rest of the fleet serves untouched.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ from repro.oram.recovery import RobustnessConfig
 from repro.parallel.executor import (
     Cell, CellResult, derive_seed, report_progress, run_cells,
 )
-from repro.serve.bench import _percentiles
 from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
-from repro.serve.replay import detection_block, episode_block, serve_slice
+from repro.serve.replay import (
+    detection_block, episode_block, percentiles, serve_slice,
+)
 from repro.serve.request import OK, STATUSES, Request
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.scheduler import MAX_BATCH
@@ -93,6 +97,10 @@ class KillShardDrill:
         }
 
 
+#: A workload's (stored items, requests), or one shard's share of it.
+Share = Tuple[List[Tuple[bytes, bytes]], List[Request]]
+
+
 @dataclass
 class FleetConfig:
     """One fleet serving run: workload, shard count, optional drill."""
@@ -113,37 +121,42 @@ class FleetConfig:
     progress: Any = None   # callable(str) for live shard updates
 
 
-def shard_share(
+def split_shares(
     items: Sequence[Tuple[bytes, bytes]],
     requests: Sequence[Request],
     pmap: PartitionMap,
-    shard: int,
-) -> Tuple[List[Tuple[bytes, bytes]], List[Request]]:
-    """The share of a workload one shard owns -- the one share rule.
+) -> List[Share]:
+    """Every shard's share of a workload, in one pass -- the one share rule.
 
-    Keeps the items and requests whose key ``pmap`` routes to
-    ``shard``, preserving arrival order and request ids. Pure: shares
-    over all shards are disjoint and cover the input.
+    Shard ``k``'s share keeps the items and requests whose key ``pmap``
+    routes to ``k``, preserving arrival order and request ids; each
+    distinct key's PRF is computed once. Pure: the shares are disjoint
+    and cover the input.
     """
-    return (
-        [kv for kv in items if pmap.shard_of_bytes(kv[0]) == shard],
-        [r for r in requests if pmap.shard_of_bytes(r.key) == shard],
-    )
+    shard_of = {
+        key: pmap.shard_of_bytes(key)
+        for key in {kv[0] for kv in items} | {r.key for r in requests}
+    }
+    shares: List[Share] = [([], []) for _ in range(pmap.num_shards)]
+    for kv in items:
+        shares[shard_of[kv[0]]][0].append(kv)
+    for req in requests:
+        shares[shard_of[req.key]][1].append(req)
+    return shares
 
 
-def shard_requests(
-    cfg: FleetConfig, shard: int
-) -> Tuple[List[Tuple[bytes, bytes]], List[Request]]:
+def shard_requests(cfg: FleetConfig, shard: int) -> Share:
     """The slice of the fleet workload one shard owns.
 
     Regenerates the full workload (a pure function of its config) and
-    keeps ``shard``'s share -- this is the "serial reference shard" the
-    fleet-vs-serial identity gate quantifies over.
+    keeps ``shard``'s share through :func:`split_shares` -- this is the
+    "serial reference shard" the fleet-vs-serial identity gate
+    quantifies over.
     """
-    return shard_share(
+    return split_shares(
         initial_items(cfg.workload), generate_requests(cfg.workload),
-        PartitionMap(cfg.num_shards, seed=cfg.seed), shard,
-    )
+        PartitionMap(cfg.num_shards, seed=cfg.seed),
+    )[shard]
 
 
 #: The served-slice counters a shard's ``sim`` block carries (the
@@ -168,8 +181,9 @@ class ShardArming:
     re-seeded plan. ``traced`` records the shard's op spans, ``sampler``
     (an ``OpsSampler`` factory over the built stack) its ops snapshots,
     and ``detail`` ships the slice's counters, completions, spans,
-    events, ops records and wall time back for the chaos fold; a fleet
-    shard ships only what its fold reads.
+    events and ops records back for the chaos fold (and runs the
+    guessing attacker, whose ``security`` block rides in the counters);
+    a fleet shard ships only what its fold reads.
     """
 
     label: str
@@ -202,22 +216,27 @@ def fleet_arming(cfg: FleetConfig, shard: int) -> ShardArming:
 def _fleet_shard_task(payload: Tuple[Any, ...]) -> Dict[str, Any]:
     """Serve one shard's slice end-to-end; the one unit of shard fan-out.
 
-    ``payload`` is ``(cfg, shard, arming)``, or ``(cfg, shard)`` for
-    the shard's :func:`fleet_arming`. Pure in the payload: workload,
-    partition map, stack seed and scheduler seed are all derived from
-    it, so the result is identical whether the shard runs in-process,
-    in a spawn worker, or alone as a serial reference. Returns the
-    shard's deterministic report block plus its serving window and
-    degraded episodes (what the control plane derives its health log
-    from) and the latency samples the parent folds into fleet
-    percentiles -- and, under ``arming.detail``, the rest of the slice.
-    No wall-clock fields outside the detail: everything else lands in
-    the deterministic view.
+    ``payload`` is ``(cfg, shard, arming, share)`` as
+    :func:`serve_fleets` ships it, or ``(cfg, shard)`` -- the serial
+    reference shard -- for the shard's :func:`fleet_arming` and its
+    :func:`shard_requests` share, cut by the same :func:`split_shares`
+    from the regenerated workload. Pure in (cfg, shard, arming,
+    share): the partition map, stack seed and scheduler seed are all
+    derived from it, so the result is identical whether the shard runs
+    in-process, in a spawn worker, or alone as a serial reference, and
+    no state crosses calls. Returns the shard's deterministic report
+    block plus its serving window and degraded episodes (what the
+    control plane derives its health log from) and the latency samples
+    the parent folds into fleet percentiles -- and, under
+    ``arming.detail``, the rest of the slice. ``wall_s``, the slice's
+    host serving time, is the one wall-clock field: it stays out of
+    every deterministic view.
     """
     cfg, shard = payload[:2]
-    arming = payload[2] if len(payload) > 2 else fleet_arming(cfg, shard)
+    arming, (items, reqs) = payload[2:] or (
+        fleet_arming(cfg, shard), shard_requests(cfg, shard),
+    )
     report_progress(f"{arming.label} ...")
-    items, reqs = shard_requests(cfg, shard)
     telemetry = None
     if arming.traced:
         from repro.telemetry import Telemetry
@@ -226,14 +245,14 @@ def _fleet_shard_task(payload: Tuple[Any, ...]) -> Dict[str, Any]:
         items, reqs, scheme=cfg.scheme, levels=cfg.levels, seed=arming.seed,
         max_batch=arming.max_batch, robustness=arming.robustness,
         fault_plan=arming.faults, resilience=arming.resilience,
-        telemetry=telemetry, sampler=arming.sampler,
+        telemetry=telemetry, sampler=arming.sampler, observer=arming.detail,
     )
     result, counters = served.result, served.counters
     latencies = served.served_latencies
     sim: Dict[str, Any] = {
         k: counters[k] for k in _SHARD_SIM_FIELDS if k in counters
     }
-    sim["latency_ns"] = _percentiles(latencies)
+    sim["latency_ns"] = percentiles(latencies)
     out: Dict[str, Any] = {
         "cell": {
             "shard": shard,
@@ -244,6 +263,7 @@ def _fleet_shard_task(payload: Tuple[Any, ...]) -> Dict[str, Any]:
         },
         "window": (result.start_ns, result.end_ns, list(result.episodes)),
         "latencies": latencies,
+        "wall_s": result.wall_s,
     }
     if arming.detail:
         out.update(
@@ -252,7 +272,6 @@ def _fleet_shard_task(payload: Tuple[Any, ...]) -> Dict[str, Any]:
             spans=list(telemetry.spans) if telemetry else [],
             events=list(result.events) if telemetry else [],
             ops=list(served.sampler.records) if served.sampler else [],
-            wall_s=result.wall_s,
         )
     return out
 
@@ -264,12 +283,24 @@ def serve_fleets(
 ) -> List[List[CellResult]]:
     """The one fan-out: every shard of every fleet as one cell of one
     :func:`run_cells` call (``workers > 1`` uses the spawn pool; the
-    results are identical at any worker count). Returns each fleet's
-    shard results in shard order."""
-    tasks = [
-        Cell(arming.label, (replace(cfg, progress=None, workers=1), k, arming))
-        for cfg, armings in fleets for k, arming in enumerate(armings)
-    ]
+    results are identical at any worker count). Each distinct workload
+    is generated once, here, and every fleet's shares are cut from it
+    in one :func:`split_shares` pass; a shard's cell carries its share.
+    Returns each fleet's shard results in shard order."""
+    generated: Dict[WorkloadConfig, Share] = {}
+    tasks = []
+    for cfg, armings in fleets:
+        wl = cfg.workload
+        if wl not in generated:
+            generated[wl] = initial_items(wl), generate_requests(wl)
+        shares = split_shares(
+            *generated[wl], PartitionMap(cfg.num_shards, seed=cfg.seed),
+        )
+        worker_cfg = replace(cfg, progress=None, workers=1)
+        tasks += [
+            Cell(arming.label, (worker_cfg, k, arming, shares[k]))
+            for k, arming in enumerate(armings)
+        ]
     outputs = iter(run_cells(
         _fleet_shard_task, tasks, workers=workers, progress=progress,
     ))
@@ -320,7 +351,7 @@ def fold_shards(
         "requests_per_s_sim": (
             sim["completions"] / (makespan / 1e9) if makespan > 0 else 0.0
         ),
-        "latency_ns": _percentiles(
+        "latency_ns": percentiles(
             [lat for v in served.values() for lat in v["latencies"]]
         ),
         "control": control_block(
@@ -338,14 +369,21 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
     """Serve one workload across the fleet; returns the fleet block.
 
     Fans the shards out through :func:`serve_fleets` and folds them
-    through :func:`fold_shards`. A shard whose worker raises becomes an
-    ``{"shard", "error"}`` entry; it stays ``registered`` -- never
-    healthy, which fails ``all_healthy``.
+    through :func:`fleet_doc`.
     """
     if cfg.num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {cfg.num_shards}")
     armings = [fleet_arming(cfg, k) for k in range(cfg.num_shards)]
-    results = serve_fleets([(cfg, armings)], cfg.workers, cfg.progress)[0]
+    return fleet_doc(
+        cfg, serve_fleets([(cfg, armings)], cfg.workers, cfg.progress)[0],
+    )
+
+
+def fleet_doc(cfg: FleetConfig, results: Sequence[CellResult]) -> Dict[str, Any]:
+    """One fleet's shard results, folded through :func:`fold_shards`,
+    as its fleet block. A shard whose worker raised becomes an
+    ``{"shard", "error"}`` entry; it stays ``registered`` -- never
+    healthy, which fails ``all_healthy``."""
     sim = fold_shards(results, _FLEET_SUMMED, cfg.workload.n_requests)
     makespan, completions = sim["sim_ns"], sim["completions"]
     doc: Dict[str, Any] = {
@@ -374,10 +412,11 @@ __all__ = [
     "KillShardDrill",
     "ShardArming",
     "fleet_arming",
+    "fleet_doc",
     "fold_shards",
     "run_fleet",
     "serve_fleets",
     "shard_requests",
-    "shard_share",
+    "split_shares",
     "_fleet_shard_task",
 ]

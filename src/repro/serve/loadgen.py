@@ -174,8 +174,12 @@ def _zipf_ranks(
     """Bounded zipf(s) ranks in [0, n_keys) via inverse-CDF sampling."""
     if s <= 0:
         return rng.integers(0, n_keys, size=n)
-    weights = 1.0 / np.power(np.arange(1, n_keys + 1, dtype=np.float64), s)
-    cdf = np.cumsum(weights)
+    # One n_keys buffer, built in place (the same ops, so the same
+    # bits, as ``cumsum(1 / arange(1, n_keys + 1) ** s)`` normalised).
+    cdf = np.arange(1, n_keys + 1, dtype=np.float64)
+    np.power(cdf, s, out=cdf)
+    np.divide(1.0, cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     u = rng.random(n)
     return np.searchsorted(cdf, u, side="left")

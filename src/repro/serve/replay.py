@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.faults.plan import TAMPER_KINDS
 from repro.serve.request import OK, STATUSES, Request
 from repro.serve.resilience import (
@@ -58,6 +60,20 @@ def episode_block(episodes: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "recover_ns_max": max(spans) if spans else 0.0,
         "rebuilt": sum(e["rebuilt"] for e in episodes),
         "journal_replayed": sum(e["journal_replayed"] for e in episodes),
+    }
+
+
+def percentiles(values: Sequence[float]) -> Dict[str, float]:
+    """p50 / p99 / p99.9 / mean / max of a sample (all 0 when empty)."""
+    if not len(values):
+        return {"p50": 0.0, "p99": 0.0, "p999": 0.0, "mean": 0.0, "max": 0.0}
+    arr = np.asarray(values, dtype=np.float64)
+    return {
+        "p50": float(np.percentile(arr, 50)),
+        "p99": float(np.percentile(arr, 99)),
+        "p999": float(np.percentile(arr, 99.9)),
+        "mean": float(arr.mean()),
+        "max": float(arr.max()),
     }
 
 
@@ -113,6 +129,7 @@ def serve_slice(
     resilience: Optional[ResilienceConfig] = None,
     telemetry: Optional[Any] = None,
     sampler: Optional[Callable[[ServedStack], Any]] = None,
+    observer: bool = True,
 ) -> ServedSlice:
     """Build a stack, populate it, serve ``requests``, count the outcome.
 
@@ -122,13 +139,15 @@ def serve_slice(
     ``fault_plan`` builds the sealed stack; ``resilience`` is the
     loop's policy (``None`` serves under the null policy and leaves the
     degraded-mode counters out); ``sampler``, a factory over the built
-    stack, is probed once per scheduling round. Pure in its arguments:
-    the counters are identical whether the slice runs in-process or in
-    a spawn worker.
+    stack, is probed once per scheduling round; ``observer`` attaches
+    the guessing attacker whose ``security`` block the counters then
+    carry (it observes and never steers: every other counter is the
+    same without it). Pure in its arguments: the counters are identical
+    whether the slice runs in-process or in a spawn worker.
     """
     stack = build_stack(
         scheme=scheme, levels=levels, seed=seed, telemetry=telemetry,
-        observer=True, robustness=robustness, fault_plan=fault_plan,
+        observer=observer, robustness=robustness, fault_plan=fault_plan,
     )
     if stack.datastore is None:
         stack.kv.preload(items)

@@ -3,8 +3,9 @@
 ``BENCH_scaling.json`` answers the horizontal-scale question the
 serving harness cannot: how does served throughput grow, and per-shard
 memory shrink, as one workload spreads over 1..16 AB-ORAM shards?
-Every cell is one fleet run (:func:`repro.serve.fleet.run_fleet`)
-of the *same* workload at a given ``(total_blocks, shards)`` point:
+Every cell is one fleet of the *same* workload at a given
+``(total_blocks, shards)`` point, and every cell's shards are served by
+one fan-out (:func:`repro.serve.fleet.serve_fleets`):
 
 - **Throughput** is measured: the fleet's simulated-DRAM makespan for
   the workload (slowest shard's serving window) and the aggregate
@@ -37,17 +38,18 @@ to all-healthy) ride in the config like the chaos campaign's do.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core import schemes as schemes_mod
 from repro.core.sharding.control import HEARTBEAT_NS
 from repro.core.sharding.sharded import levels_for_blocks
-from repro.parallel.executor import Cell, report_progress, run_cells
+from repro.parallel.executor import CellResult
 from repro.report import assemble
 from repro.serve.chaos import TAMPER_FAULTS, TAMPER_RESILIENCE
-from repro.serve.fleet import FleetConfig, KillShardDrill, run_fleet
+from repro.serve.fleet import (
+    FleetConfig, KillShardDrill, fleet_arming, fleet_doc, serve_fleets,
+)
 from repro.serve.loadgen import WorkloadConfig
 from repro.serve.schema import SCALING
 
@@ -218,36 +220,24 @@ def memory_block(
     }
 
 
-def _scaling_cell_task(
-    payload: Tuple[ScalingConfig, ScalingCell]
-) -> Dict[str, Any]:
-    """One capacity point: a whole fleet run (fans out inside)."""
-    cfg, cell = payload
-    report_progress(f"scaling {cell.name}@s{cell.shards} ...")
-    fleet_cfg = FleetConfig(
-        workload=cell.workload,
-        levels=cfg.measured_levels,
-        num_shards=cell.shards,
-        seed=cfg.seed,
-        drill=cell.drill,
-        workers=cfg.workers,
-        progress=cfg.progress,
-    )
-    wall0 = time.perf_counter()
-    doc = run_fleet(fleet_cfg)
-    wall_s = time.perf_counter() - wall0
+def _scaling_cell(
+    key: str, cell: ScalingCell, doc: Dict[str, Any],
+    results: Sequence[CellResult],
+) -> CellResult:
+    """One capacity point's report cell from its fleet's shard results
+    (an errored shard makes the whole point an error cell)."""
     if "error" in doc:
         failed = [s for s in doc["shards"] if "error" in s]
-        raise RuntimeError(
+        return CellResult(key, False, error=(
             f"{len(failed)} shard(s) failed:\n"
             + "\n".join(s["error"] for s in failed)
-        )
-    return {
+        ))
+    return CellResult(key, True, {
         "name": cell.name,
         "shards": cell.shards,
         "total_blocks": cell.total_blocks,
         "drill": cell.drill is not None,
-        "wall_s": wall_s,
+        "serve_wall_s": sum(res.value["wall_s"] for res in results),
         "memory": memory_block(FleetConfig.scheme, cell.total_blocks,
                                cell.shards),
         "sim": {
@@ -255,28 +245,44 @@ def _scaling_cell_task(
             "shards": doc["shards"],
             "control": doc["control"],
         },
-    }
+    })
 
 
 def run_scaling(cfg: Optional[ScalingConfig] = None) -> Dict[str, Any]:
     """Run the capacity matrix and return the report document.
 
-    Cells run serially in the parent; ``cfg.workers > 1`` parallelizes
-    *within* each fleet (one spawn worker per shard), which is the
-    configuration the serial==workers determinism gate compares. A cell
-    whose fleet raises becomes an ``{"name", "shards", "error"}``
-    entry.
+    Every shard of every capacity point is one cell of one
+    :func:`~repro.serve.fleet.serve_fleets` fan-out, so the points
+    share one generation per workload and ``cfg.workers > 1`` one
+    spawn pool; the ``sim`` blocks are byte-identical to a serial run
+    (the serial==workers determinism gate). A point's ``serve_wall_s``
+    is the sum of its shards' serving-loop walls: it leaves out build,
+    preload and the pool, and adds up shards that ran side by side, so
+    it is not the point's elapsed wall (one shared fan-out has none).
+    A point any of whose shards raises becomes an
+    ``{"name", "shards", "error"}`` entry.
     """
     cfg = cfg or smoke_config()
     if not cfg.cells:
         raise ValueError("config has no cells")
+    fleets = []
+    for cell in cfg.cells:
+        fleet = FleetConfig(
+            workload=cell.workload, levels=cfg.measured_levels,
+            num_shards=cell.shards, seed=cfg.seed, drill=cell.drill,
+        )
+        armings = [fleet_arming(fleet, k) for k in range(cell.shards)]
+        fleets.append((fleet, [
+            replace(a, label=f"scaling {cell.name}@{a.label}") for a in armings
+        ]))
+    served = serve_fleets(fleets, cfg.workers, cfg.progress)
     identities = [{"name": c.name, "shards": c.shards} for c in cfg.cells]
-    outputs = run_cells(
-        _scaling_cell_task,
-        [Cell(SCALING.cell_key(ident), (cfg, cell))
-         for ident, cell in zip(identities, cfg.cells)],
-        progress=cfg.progress,
-    )
+    outputs = [
+        _scaling_cell(SCALING.cell_key(ident), cell,
+                      fleet_doc(fleet, results), results)
+        for ident, cell, (fleet, _), results
+        in zip(identities, cfg.cells, fleets, served)
+    ]
     return assemble(SCALING, cfg.to_dict(), identities, outputs)
 
 

@@ -12,19 +12,11 @@
   the figure benchmarks.
 """
 
-from repro.sim.checkpoint import load_checkpoint, save_checkpoint
-from repro.sim.engine import DramSink, SimConfig, Simulation, simulate
-from repro.sim.results import SimResult, geomean
-from repro.sim.runner import run_suite
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DramSink",
-    "SimConfig",
-    "Simulation",
-    "simulate",
-    "save_checkpoint",
-    "load_checkpoint",
-    "SimResult",
-    "geomean",
-    "run_suite",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.sim.checkpoint": ("load_checkpoint", "save_checkpoint"),
+    "repro.sim.engine": ("DramSink", "SimConfig", "Simulation", "simulate"),
+    "repro.sim.results": ("SimResult", "geomean"),
+    "repro.sim.runner": ("run_suite",),
+})

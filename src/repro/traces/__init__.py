@@ -10,22 +10,12 @@ read/write mix, and short-term reuse (stash hits) -- are reproduced;
 everything else is randomized away by the ORAM itself.
 """
 
-from repro.traces.trace import Trace, TraceRequest
-from repro.traces.generator import SyntheticTraceGenerator
-from repro.traces.spec import SPEC_CPU2017, spec_trace, spec_benchmarks
-from repro.traces.parsec import PARSEC, parsec_trace, parsec_benchmarks
-from repro.traces.io import load_trace, save_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "load_trace",
-    "save_trace",
-    "Trace",
-    "TraceRequest",
-    "SyntheticTraceGenerator",
-    "SPEC_CPU2017",
-    "spec_trace",
-    "spec_benchmarks",
-    "PARSEC",
-    "parsec_trace",
-    "parsec_benchmarks",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.traces.trace": ("Trace", "TraceRequest"),
+    "repro.traces.generator": ("SyntheticTraceGenerator",),
+    "repro.traces.spec": ("SPEC_CPU2017", "spec_trace", "spec_benchmarks"),
+    "repro.traces.parsec": ("PARSEC", "parsec_trace", "parsec_benchmarks"),
+    "repro.traces.io": ("load_trace", "save_trace"),
+})

@@ -25,6 +25,7 @@ from repro.serve import (
 from repro.serve.bench import dedup_check, run_serve, smoke_config
 from repro.serve.loadgen import (
     WorkloadConfig,
+    _zipf_ranks,
     generate_requests,
     initial_items,
     key_name,
@@ -264,6 +265,23 @@ class TestLoadgen:
         for r in reqs:
             counts[r.key] += 1
         assert counts[key_name(0)] > len(reqs) / 64
+
+    @pytest.mark.parametrize("n_keys,s", [
+        (1, 0.99), (7, 0.5), (10_000, 0.99), (200_000, 1.1), (2_000_000, 0.99),
+    ])
+    def test_zipf_cdf_in_place_matches_the_plain_expression(self, n_keys, s):
+        # The CDF is built in one buffer; the plain expression it
+        # replaced is the reference, ranks compared draw for draw.
+        def reference(rng):
+            weights = 1.0 / np.power(
+                np.arange(1, n_keys + 1, dtype=np.float64), s
+            )
+            cdf = np.cumsum(weights)
+            cdf /= cdf[-1]
+            return np.searchsorted(cdf, rng.random(5000), side="left")
+
+        got = _zipf_ranks(n_keys, s, 5000, np.random.default_rng(3))
+        assert np.array_equal(got, reference(np.random.default_rng(3)))
 
     def test_arrivals_sorted_and_open_loop(self):
         for arrival in ("poisson", "bursty"):

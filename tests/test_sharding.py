@@ -11,7 +11,7 @@ Three contracts carry the sharding subsystem's correctness story:
    width. The same holds for the partitioned trace simulator.
 3. **Per-key FIFO survives routing** (hypothesis): against a
    plain-dict reference model replaying operations in arrival order,
-   every get served from its shard's share (``shard_share`` +
+   every get served from its shard's share (``split_shares`` +
    ``serve_slice``, the path the fleet serves on) returns the
    reference value no matter how admission cuts the stream.
 
@@ -28,6 +28,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,11 +60,14 @@ from repro.serve.fleet import (
     FleetConfig,
     KillShardDrill,
     _fleet_shard_task,
+    fleet_arming,
+    fleet_doc,
     run_fleet,
+    serve_fleets,
     shard_requests,
-    shard_share,
+    split_shares,
 )
-from repro.serve.loadgen import WorkloadConfig
+from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
 from repro.serve.replay import serve_slice
 from repro.serve.resilience import ResilienceConfig
 from repro.sim.runner import make_trace
@@ -364,6 +368,75 @@ class TestFleetVsSerial:
         assert set(doc) == {"num_shards", "shards", "fleet", "control"}
 
 
+class TestOneGeneration:
+    """A fan-out generates each distinct workload once, in the parent,
+    and cuts every shard's share from it in one pass."""
+
+    @staticmethod
+    def _count_generations(monkeypatch):
+        import repro.serve.fleet as fleet_mod
+        calls = []
+        real = fleet_mod.generate_requests
+
+        def counting(workload):
+            calls.append(workload)
+            return real(workload)
+
+        monkeypatch.setattr(fleet_mod, "generate_requests", counting)
+        return calls
+
+    def test_run_fleet_generates_once(self, monkeypatch):
+        calls = self._count_generations(monkeypatch)
+        cfg = tiny_fleet(num_shards=4)
+        doc = run_fleet(cfg)
+        assert calls == [cfg.workload]
+        assert doc["fleet"]["completions"] == cfg.workload.n_requests
+
+    def test_fan_out_generates_once_per_distinct_workload(self, monkeypatch):
+        other = replace(tiny_workload(), seed=1)
+        cfgs = [tiny_fleet(num_shards=n) for n in (1, 2, 4)]
+        cfgs.append(tiny_fleet(num_shards=2, workload=other))
+        alone = [run_fleet(cfg) for cfg in cfgs]
+        calls = self._count_generations(monkeypatch)
+        served = serve_fleets(
+            [(cfg, [replace(fleet_arming(cfg, k), label=f"{i}/{k}")
+                    for k in range(cfg.num_shards)])
+             for i, cfg in enumerate(cfgs)],
+            workers=1, progress=None,
+        )
+        assert calls == [tiny_workload(), other]
+        for cfg, results, doc in zip(cfgs, served, alone):
+            assert canon(fleet_doc(cfg, results)) == canon(doc)
+
+    @pytest.mark.parametrize("shards", [1, 3, 5])
+    def test_split_equals_the_per_shard_filter(self, shards):
+        # The per-shard filter the one-pass split replaced, kept here as
+        # its reference: same items, same request objects, same order.
+        wl = tiny_workload(n_requests=400)
+        items, reqs = initial_items(wl), generate_requests(wl)
+        pmap = PartitionMap(shards, seed=11)
+        split = split_shares(items, reqs, pmap)
+        assert len(split) == shards
+        for shard, (its, rs) in enumerate(split):
+            assert its == [
+                kv for kv in items if pmap.shard_of_bytes(kv[0]) == shard
+            ]
+            want = [r for r in reqs if pmap.shard_of_bytes(r.key) == shard]
+            assert len(rs) == len(want)
+            assert all(a is b for a, b in zip(rs, want))
+
+    def test_observer_never_steers_a_slice(self):
+        # A fleet shard serves without the guessing attacker; with it,
+        # the slice counts the same and only adds its security block.
+        items, reqs = shard_requests(tiny_fleet(), 0)
+        kw = dict(scheme="ab", levels=8, seed=3)
+        bare = serve_slice(items, reqs, observer=False, **kw).counters
+        seen = serve_slice(items, reqs, observer=True, **kw).counters
+        assert "security" not in bare
+        assert seen.pop("security")["guesses"] > 0
+        assert canon(seen) == canon(bare)
+
+
 
 class TestKillShardDrill:
     def test_drill_degrades_detects_and_recovers(self):
@@ -411,7 +484,7 @@ fifo_ops = st.one_of(
 
 
 class TestRouterPerKeyFifo:
-    """The router is the partition map: ``shard_share`` is its one
+    """The router is the partition map: ``split_shares`` is its one
     rule and ``serve_slice`` on the derived seed is the shard, exactly
     as ``_fleet_shard_task`` composes them."""
 
@@ -434,8 +507,8 @@ class TestRouterPerKeyFifo:
         items = [(FIFO_KEYS[0], b"seed0"), (FIFO_KEYS[1], b"seed1")]
         pmap = PartitionMap(self.SHARDS, seed=self.SEED)
         comps = {}
-        for shard in range(self.SHARDS):
-            share_items, share_reqs = shard_share(items, reqs, pmap, shard)
+        shares = split_shares(items, reqs, pmap)
+        for shard, (share_items, share_reqs) in enumerate(shares):
             served = serve_slice(
                 share_items, share_reqs, scheme="ab", levels=8,
                 seed=derive_seed(self.SEED, f"shard:{shard}"),
@@ -469,10 +542,7 @@ class TestRouterPerKeyFifo:
             for i in range(30)
         ]
         items = [(b"q%d" % i, b"v%d" % i) for i in range(9)]
-        shares = [
-            shard_share(items, window, pmap, shard)
-            for shard in range(self.SHARDS)
-        ]
+        shares = split_shares(items, window, pmap)
         # Disjoint and covering ...
         assert sorted(kv for its, _ in shares for kv in its) == sorted(items)
         assert sorted(r.rid for _, rs in shares for r in rs) == list(range(30))
@@ -488,6 +558,10 @@ class TestRouterPerKeyFifo:
 
 
 # ------------------------------------------------------------- layering
+
+#: The ``repro`` package directory.
+SRC = os.path.dirname(repro.__file__)
+
 
 class TestLayering:
     def test_core_loads_nothing_from_serve(self):
@@ -517,6 +591,41 @@ class TestLayering:
         subprocess.run(
             [sys.executable, "-c", code], check=True,
             env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+
+    def test_shard_worker_imports_only_the_shard_path(self):
+        # What a spawn worker imports to serve a fleet shard: none of the
+        # campaigns, the report kernel, the telemetry plane or the trace
+        # simulator. The package re-exports stay whole: every name in a
+        # lazy package's __all__ resolves, and the README's import works.
+        lazy = sorted(
+            ".".join(path.relative_to(os.path.dirname(SRC)).parent.parts)
+            for path in Path(SRC).rglob("__init__.py")
+            if "lazy_exports" in path.read_text()
+        )
+        assert {"repro", "repro.serve", "repro.core.sharding"} <= set(lazy)
+        code = (
+            "import importlib, sys\n"
+            "import repro.parallel.executor, repro.serve.fleet\n"
+            "banned = ['repro.serve.chaos', 'repro.serve.scaling',\n"
+            "          'repro.serve.server', 'repro.serve.bench',\n"
+            "          'repro.report', 'repro.telemetry',\n"
+            "          'repro.core.sharding.sharded']\n"
+            "loaded = [m for m in banned if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            f"for pkg in {lazy!r}:\n"
+            "    mod = importlib.import_module(pkg)\n"
+            "    assert mod.__all__, pkg\n"
+            "    for name in mod.__all__:\n"
+            "        assert getattr(mod, name) is not None, (pkg, name)\n"
+            "from repro import AbOram, schemes\n"
+            "assert schemes.by_name('ab', 8).levels == 8\n"
+            "assert AbOram.__name__ == 'AbOram'\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code], check=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(SRC)},
+            timeout=120,
         )
 
     def test_shim_is_the_serve_fleet(self):
