@@ -83,7 +83,7 @@ fingerprint:
 # The six smoke reports: perf, faults, serve, chaos, scaling and the
 # 4-shard chaos fleet. `make smoke` produces each exactly twice through
 # the two pattern rules below -- serially with its hard gates, and over
-# two spawn workers -- and `determinism` checks every pair; the *-smoke
+# two pool workers -- and `determinism` checks every pair; the *-smoke
 # targets gate the serial reports. RUN_x is report x's command, GATE_x
 # what its serial run adds, W2_x what its --workers 2 run adds. Make
 # takes the shortest stem, so BENCH_x_w2.json uses the second rule; FORCE
@@ -245,9 +245,10 @@ e2e-quick:
 # A speed claim in one command: N alternating pairs of end-to-end runs
 # of workload W, the working tree against BASE=<rev>,
 # on seeds SEED.. (tools/ab.py; exits 1 if a simulated metric differs).
+# RECORD=1 appends the result to BENCH_e2e.json, the committed trajectory.
 ab:
 	$(PYTHON) tools/ab.py --base $(BASE) --workload $(W) \
-	  --pairs $(or $(N),10) --seed $(or $(SEED),1)
+	  --pairs $(or $(N),10) --seed $(or $(SEED),1) $(if $(RECORD),--record)
 
 # What CI runs: lint, tier-1 tests, the smoke gates, the README steps
 # and e2e correctness (`make reach` counts what this reaches).

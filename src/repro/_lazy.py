@@ -2,10 +2,10 @@
 
 A package ``__init__`` declares what it re-exports as a table and
 :func:`lazy_exports` defers each submodule import to the first use of
-one of its names. ``import repro.serve.fleet`` -- what a spawn worker
-does to serve one shard -- then loads the shard path only, not the
-campaigns, the report kernel or the telemetry plane the package
-re-exports beside it.
+one of its names. ``import repro.serve.fleet`` -- what a cold caller
+and, off Linux, a spawn worker do to serve shards -- then loads the
+shard path only, not the campaigns, the report kernel or the telemetry
+plane the package re-exports beside it.
 """
 
 from __future__ import annotations

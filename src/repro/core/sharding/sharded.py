@@ -9,7 +9,7 @@ per-shard security arguments are untouched and shards can run in
 separate processes.
 
 :func:`run_sharded_sim` partitions a trace by block id, simulates
-every shard independently (optionally over the spawn pool of
+every shard independently (optionally over the process pool of
 :mod:`repro.parallel`), and merges the per-shard results into one
 fleet-level ``sim`` block where ``exec_ns`` is the makespan (shards
 drain concurrently) and the counters are sums. Each shard's behaviour
@@ -141,7 +141,7 @@ class ShardedSimOutcome:
 
 
 def _shard_sim_task(payload: Any) -> SimResult:
-    """One shard's simulation, runnable in-process or in a spawn worker."""
+    """One shard's simulation, runnable in-process or in a pool worker."""
     scheme, levels, sub_trace, warmup, seed, shard = payload
     report_progress(f"shard {shard}: {len(sub_trace)} requests ...")
     cfg = schemes_mod.by_name(scheme, levels)

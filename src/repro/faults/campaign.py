@@ -170,7 +170,7 @@ def _cell(
 
 
 def _campaign_cell_task(payload: Any) -> Dict[str, Any]:
-    """One (kind, rate) cell, runnable in-process or in a spawn worker.
+    """One (kind, rate) cell, runnable in-process or in a pool worker.
 
     Returns the finished report cell; the baseline's exec_ns rides in
     the payload so workers never need shared state.
@@ -191,7 +191,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> Dict[str, Any]:
 
     The fault-free baseline always runs first (serially -- every cell
     normalizes against it); ``cfg.workers > 1`` then fans the kind x
-    rate cells over a spawn pool. The report contains no wall-clock
+    rate cells over a process pool. The report contains no wall-clock
     fields, so serial and parallel runs emit byte-identical JSON. A
     cell whose worker raises -- or dies outright -- becomes an
     ``{"fault", "rate", "error"}`` entry instead of aborting the sweep.

@@ -1,8 +1,8 @@
 """Importable task functions for exercising the parallel executor.
 
-Spawn workers import tasks by module path, so the tasks used by the
-test suite must live in a real module -- lambdas and locals defined in
-a test body cannot cross the process boundary. Kept inside the package
+Workers receive tasks pickled by module path, so the tasks used by
+the test suite must live in a real module -- lambdas and locals
+defined in a test body cannot cross the process boundary. Kept inside the package
 (not under ``tests/``) so they resolve regardless of how pytest sets
 up ``sys.path`` in the children.
 """

@@ -191,7 +191,7 @@ def _run_sharded_cell(
 def _perf_cell_task(
     payload: Tuple[PerfConfig, str, str, int, int]
 ) -> Dict[str, Any]:
-    """One matrix cell, runnable in-process or in a spawn worker.
+    """One matrix cell, runnable in-process or in a pool worker.
 
     Returns the finished report cell (plain JSON-able dict, so crossing
     the process boundary never pickles a SimResult or a callback).
@@ -227,7 +227,7 @@ def _identity(
 def run_perf(cfg: Optional[PerfConfig] = None) -> Dict[str, Any]:
     """Run the matrix of ``cfg`` and return the report document.
 
-    ``cfg.workers > 1`` fans the independent cells over a spawn pool;
+    ``cfg.workers > 1`` fans the independent cells over a process pool;
     the merged ``cells`` list keeps matrix order and its ``sim`` blocks
     are bit-identical to a serial run (only ``wall_s`` is
     host-dependent). A cell whose worker raises -- or dies outright --

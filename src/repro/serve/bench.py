@@ -152,7 +152,7 @@ def full_config(**overrides: Any) -> ServeConfig:
 def _serve_cell_task(
     payload: Tuple[ServeConfig, WorkloadConfig, str]
 ) -> Dict[str, Any]:
-    """One matrix cell, runnable in-process or in a spawn worker."""
+    """One matrix cell, runnable in-process or in a pool worker."""
     cfg, workload, policy = payload
     report_progress(f"serving {workload.name}/{policy} ...")
     want_trace = (
@@ -215,7 +215,7 @@ def _serve_cell_task(
 def run_serve(cfg: Optional[ServeConfig] = None) -> Dict[str, Any]:
     """Run the (workload x policy) matrix and return the report doc.
 
-    ``cfg.workers > 1`` fans the independent cells over a spawn pool;
+    ``cfg.workers > 1`` fans the independent cells over a process pool;
     the ``sim`` blocks are byte-identical to a serial run. A cell whose
     worker raises becomes an ``{"workload", "policy", "error"}`` entry.
     """

@@ -276,7 +276,7 @@ def _arming(cfg: ChaosConfig, cell: ChaosCell, shard: int) -> ShardArming:
         robustness=cfg.robustness, faults=faults,
         resilience=cell.resilience,
         traced=cfg.trace_out is not None and cfg.trace_cell == cell.name,
-        sampler=sampler, detail=True,
+        sampler=sampler, detail=True, observer=not sharded,
     )
 
 
@@ -385,7 +385,7 @@ def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
     Every cell is a fleet of ``cfg.num_shards`` shards (one, unsharded)
     served through :func:`~repro.serve.fleet.serve_fleets`: all shards
     of all cells are the independent cells of one fan-out, so
-    ``cfg.workers > 1`` spreads them over a spawn pool and the ``sim``
+    ``cfg.workers > 1`` spreads them over a process pool and the ``sim``
     blocks are byte-identical to a serial run. A cell any of whose
     shards raises becomes an ``{"name", "error"}`` entry.
 

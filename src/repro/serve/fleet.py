@@ -181,9 +181,10 @@ class ShardArming:
     re-seeded plan. ``traced`` records the shard's op spans, ``sampler``
     (an ``OpsSampler`` factory over the built stack) its ops snapshots,
     and ``detail`` ships the slice's counters, completions, spans,
-    events and ops records back for the chaos fold (and runs the
-    guessing attacker, whose ``security`` block rides in the counters);
-    a fleet shard ships only what its fold reads.
+    events and ops records back for the chaos fold; a fleet shard ships
+    only what its fold reads. ``observer`` runs the guessing attacker,
+    whose ``security`` block rides in the counters: only an unsharded
+    chaos cell keeps that block, so only its shard runs one.
     """
 
     label: str
@@ -195,6 +196,7 @@ class ShardArming:
     traced: bool
     sampler: Optional[Callable[[Any], Any]]
     detail: bool
+    observer: bool
 
 
 def fleet_arming(cfg: FleetConfig, shard: int) -> ShardArming:
@@ -209,7 +211,7 @@ def fleet_arming(cfg: FleetConfig, shard: int) -> ShardArming:
         robustness=drill.robustness if drill else None,
         faults=drill.faults if drill else None,
         resilience=drill.resilience if drill else None,
-        traced=False, sampler=None, detail=False,
+        traced=False, sampler=None, detail=False, observer=False,
     )
 
 
@@ -223,7 +225,7 @@ def _fleet_shard_task(payload: Tuple[Any, ...]) -> Dict[str, Any]:
     from the regenerated workload. Pure in (cfg, shard, arming,
     share): the partition map, stack seed and scheduler seed are all
     derived from it, so the result is identical whether the shard runs
-    in-process, in a spawn worker, or alone as a serial reference, and
+    in-process, in a pool worker, or alone as a serial reference, and
     no state crosses calls. Returns the shard's deterministic report
     block plus its serving window and degraded episodes (what the
     control plane derives its health log from) and the latency samples
@@ -245,7 +247,7 @@ def _fleet_shard_task(payload: Tuple[Any, ...]) -> Dict[str, Any]:
         items, reqs, scheme=cfg.scheme, levels=cfg.levels, seed=arming.seed,
         max_batch=arming.max_batch, robustness=arming.robustness,
         fault_plan=arming.faults, resilience=arming.resilience,
-        telemetry=telemetry, sampler=arming.sampler, observer=arming.detail,
+        telemetry=telemetry, sampler=arming.sampler, observer=arming.observer,
     )
     result, counters = served.result, served.counters
     latencies = served.served_latencies
@@ -282,7 +284,7 @@ def serve_fleets(
     progress: Any,
 ) -> List[List[CellResult]]:
     """The one fan-out: every shard of every fleet as one cell of one
-    :func:`run_cells` call (``workers > 1`` uses the spawn pool; the
+    :func:`run_cells` call (``workers > 1`` uses the process pool; the
     results are identical at any worker count). Each distinct workload
     is generated once, here, and every fleet's shares are cut from it
     in one :func:`split_shares` pass; a shard's cell carries its share.

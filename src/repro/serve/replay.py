@@ -143,7 +143,7 @@ def serve_slice(
     the guessing attacker whose ``security`` block the counters then
     carry (it observes and never steers: every other counter is the
     same without it). Pure in its arguments: the counters are identical
-    whether the slice runs in-process or in a spawn worker.
+    whether the slice runs in-process or in a pool worker.
     """
     stack = build_stack(
         scheme=scheme, levels=levels, seed=seed, telemetry=telemetry,

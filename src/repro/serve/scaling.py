@@ -254,7 +254,7 @@ def run_scaling(cfg: Optional[ScalingConfig] = None) -> Dict[str, Any]:
     Every shard of every capacity point is one cell of one
     :func:`~repro.serve.fleet.serve_fleets` fan-out, so the points
     share one generation per workload and ``cfg.workers > 1`` one
-    spawn pool; the ``sim`` blocks are byte-identical to a serial run
+    process pool; the ``sim`` blocks are byte-identical to a serial run
     (the serial==workers determinism gate). A point's ``serve_wall_s``
     is the sum of its shards' serving-loop walls: it leaves out build,
     preload and the pool, and adds up shards that ran side by side, so

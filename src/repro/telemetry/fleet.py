@@ -9,7 +9,7 @@ Two producers hand :func:`repro.telemetry.spans.trace_doc` processes:
   requests take different lanes by :func:`assign_lanes`), and a
   ``resilience`` track last (degraded windows, fault / shed / timeout
   markers). :func:`request_trace_doc` is the single-stack document.
-- **The fleet** (:func:`fleet_trace_doc`): each spawn-pool worker
+- **The fleet** (:func:`fleet_trace_doc`): each pool worker
   returns a picklable :class:`ShardFragment` stamped in its simulated
   ns. pid 0 carries the router, control-plane and SLO tracks, pid
   ``1 + shard`` that shard's request process, and a flow pair (``s`` at
@@ -72,7 +72,7 @@ class ShardFragment:
     """One shard's contribution to the merged fleet trace.
 
     Everything in here is stamped in the shard's simulated ns and
-    picklable, so fragments cross the spawn-pool boundary unchanged.
+    picklable, so fragments cross the process boundary unchanged.
     """
 
     shard: int

@@ -1,12 +1,16 @@
 """Tests for the parallel sweep executor (repro.parallel).
 
-The spawn-crossing task functions live in ``repro.parallel.testing``
-(workers import tasks by module path; test-local functions cannot
-cross the process boundary). Everything here runs on a tiny scale --
-the point is the merge/isolation/progress semantics, not throughput.
+The task functions that cross to workers live in
+``repro.parallel.testing`` (tasks are pickled by module path, so
+test-local functions cannot cross the process boundary). Everything
+here runs on a tiny scale -- the point is the merge/isolation/progress
+semantics, not throughput.
 """
 
 import json
+import os
+import sys
+import threading
 import time
 
 import pytest
@@ -113,6 +117,50 @@ class TestRunCells:
             progress=msgs.append,
         )
         assert msgs == [f"cell {i} running" for i in range(3)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="spawn off Linux")
+class TestForkedPool:
+    """On Linux the pool forks its workers from the parent, and never
+    while a thread of the executor's own is alive."""
+
+    def forks(self, monkeypatch, task, cells):
+        """``run_cells(workers=2)`` with a progress callback; returns
+        the thread count seen at each fork beside the test's own
+        baseline, and the results."""
+        seen = []
+        real_fork = os.fork
+
+        def fork():
+            seen.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        baseline = threading.active_count()
+        msgs = []
+        out = run_cells(task, cells, workers=2, progress=msgs.append)
+        return seen, baseline, out
+
+    def test_workers_fork_before_the_drain_starts(self, monkeypatch):
+        seen, baseline, out = self.forks(
+            monkeypatch, ptasks.progress_task,
+            [Cell(f"p{i}", i) for i in range(4)],
+        )
+        assert [r.value for r in out] == [0, 1, 2, 3]
+        assert len(seen) == 2, seen
+        assert seen == [baseline] * len(seen)
+        assert threading.active_count() == baseline
+
+    def test_crash_fallback_forks_with_no_executor_thread(self, monkeypatch):
+        # The fallback forks one pool per unfinished cell after the
+        # first pool broke; the drain is stopped across each fork.
+        seen, baseline, out = self.forks(
+            monkeypatch, ptasks.hard_exit_task,
+            [Cell("a", 1), Cell("b", "die"), Cell("c", 3), Cell("d", 4)],
+        )
+        assert not out[1].ok and "died" in out[1].error
+        assert len(seen) > 2, seen
+        assert seen == [baseline] * len(seen)
 
 
 def _tiny_perf(**overrides):

@@ -539,6 +539,36 @@ class TestChaosReport:
         assert any("duplicate" in e for e in validate_chaos_report(doc))
 
 
+class TestChaosAttackers:
+    """A chaos shard runs the guessing attacker only where its cell
+    keeps the ``security`` block: an unsharded cell."""
+
+    @staticmethod
+    def _count_attackers(monkeypatch):
+        import repro.serve.stack as stack_mod
+        built = []
+        real = stack_mod.GuessingAttacker
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stack_mod, "GuessingAttacker", counting)
+        return built
+
+    def test_unsharded_cell_runs_one_and_keeps_its_block(self, monkeypatch):
+        built = self._count_attackers(monkeypatch)
+        doc = run_chaos(_mini_config())
+        assert len(built) == len(doc["cells"]) == 2
+        assert all("security" in cell["sim"] for cell in doc["cells"])
+
+    def test_sharded_cells_build_none(self, monkeypatch):
+        built = self._count_attackers(monkeypatch)
+        doc = run_chaos(_mini_config(num_shards=2))
+        assert built == []
+        assert not any("security" in cell["sim"] for cell in doc["cells"])
+
+
 class TestChaosCheck:
     def test_availability_floor(self, mini_chaos_doc):
         doc = copy.deepcopy(mini_chaos_doc)

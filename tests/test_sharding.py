@@ -594,9 +594,9 @@ class TestLayering:
         )
 
     def test_shard_worker_imports_only_the_shard_path(self):
-        # What a spawn worker imports to serve a fleet shard: none of the
-        # campaigns, the report kernel, the telemetry plane or the trace
-        # simulator. The package re-exports stay whole: every name in a
+        # What a cold caller (and, off Linux, a spawn worker) imports to
+        # serve a fleet shard: none of the campaigns, the report kernel,
+        # the telemetry plane or the trace simulator. The package re-exports stay whole: every name in a
         # lazy package's __all__ resolves, and the README's import works.
         lazy = sorted(
             ".".join(path.relative_to(os.path.dirname(SRC)).parent.parts)
@@ -634,8 +634,8 @@ class TestLayering:
         assert shim.__all__
         for name in shim.__all__:
             assert getattr(shim, name) is getattr(home, name), name
-        # The spawn pool pickles the shard task by its home module, so
-        # a fleet started through the shim fans out like any other.
+        # The pool pickles the shard task by its home module, so a
+        # fleet started through the shim fans out like any other.
         serial = run_fleet(tiny_fleet())
         fanned = shim.run_fleet(tiny_fleet(workers=2))
         for field in ("num_shards", "shards", "fleet", "control"):

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """A/B one change on the end-to-end benchmark: alternating pairs.
 
-    python tools/ab.py --base REV --workload W [--pairs 10] [--seed 1]
+    python tools/ab.py --base REV --workload W [--pairs 10] [--seed 1] [--record]
 
-(``make ab BASE=<rev> W=<workload> N=<pairs> [SEED=<first seed>]``.)
+(``make ab BASE=<rev> W=<workload> N=<pairs> [SEED=<first seed>]
+[RECORD=1]``.)
 
 It exports BASE and the working tree's tracked and unignored files
 side by side under ``generated/ab/``, then runs
@@ -20,6 +21,14 @@ on any of the six simulated metrics, or on ``ok_share``: a host-only
 change must leave those byte-equal per (workload, seed). A tree is
 exported with ``git archive``, so nothing is checked out in place and
 no worktree is registered.
+
+``--record`` appends the finished comparison to the committed
+``BENCH_e2e.json`` at the repo root, the host-time trajectory: both
+revisions (the change as ``HEAD``'s short hash, ``-dirty`` when the
+working tree differs from it), the workload and seeds, each host
+metric's median, quartiles and wins, the median CPU seconds per side
+and a host line (Python version, ``os.cpu_count()``, platform). A run
+that fails records nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import resource
 import shutil
 import statistics
@@ -37,6 +47,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "generated" / "ab"
+#: The committed trajectory ``--record`` appends to.
+TRAJECTORY = ROOT / "BENCH_e2e.json"
 #: Measured on the host; everything else a run reports must be equal.
 HOST_METRICS = ("setup_s", "ops_per_s", "peak_rss_mb")
 
@@ -109,12 +121,55 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, q2, q3
 
 
+def change_rev() -> str:
+    """``HEAD``'s short hash, ``-dirty`` when the exported working tree
+    (tracked and unignored files) differs from it."""
+    head = git("rev-parse", "--short", "HEAD").decode().strip()
+    dirty = git("status", "--porcelain", "--untracked-files=all").strip()
+    return f"{head}-dirty" if dirty else head
+
+
+def summarize(
+    runs: Dict[str, List[Dict[str, Any]]], better: Dict[str, str],
+) -> Dict[str, Dict[str, Any]]:
+    """Per host metric: each side's median and quartiles, the change in
+    the medians, whether it clears the base's IQR, and the change's
+    wins over the pairs."""
+    out = {}
+    for metric in HOST_METRICS:
+        sign = 1 if better[metric] == "higher" else -1
+        sides = {side: [r["metrics"][metric] for r in runs[side]]
+                 for side in ("base", "change")}
+        (b1, b2, b3), (c1, c2, c3) = (quartiles(sides["base"]),
+                                      quartiles(sides["change"]))
+        out[metric] = {
+            "better": better[metric],
+            "base": {"median": b2, "q1": b1, "q3": b3},
+            "change": {"median": c2, "q1": c1, "q3": c3},
+            "delta": (c2 - b2) / b2,
+            "clears_iqr": sign * (c2 - b2) > b3 - b1,
+            "wins": sum(sign * (c - b) > 0
+                        for b, c in zip(sides["base"], sides["change"])),
+        }
+    return out
+
+
+def record(entry: Dict[str, Any]) -> None:
+    """Append ``entry`` to the trajectory file (a JSON list)."""
+    entries = (json.loads(TRAJECTORY.read_text())
+               if TRAJECTORY.exists() else [])
+    entries.append(entry)
+    TRAJECTORY.write_text(json.dumps(entries, indent=1) + "\n")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision of the base")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="first seed")
+    ap.add_argument("--record", action="store_true",
+                    help=f"append the result to {TRAJECTORY.name}")
     args = ap.parse_args(argv)
     with open(ROOT / "BENCHMARK.json") as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
@@ -147,23 +202,31 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{a['findings']}")
             return 1
 
+    summary = summarize(runs, better)
     print(f"{'metric':<12} {'base median [q1, q3]':>30} "
           f"{'change median [q1, q3]':>30} {'delta':>8} {'>IQR':>5} wins")
-    for metric in HOST_METRICS:
-        sign = 1 if better[metric] == "higher" else -1
-        base = [r["metrics"][metric] for r in runs["base"]]
-        change = [r["metrics"][metric] for r in runs["change"]]
-        (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
-        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
-        print(f"{metric:<12} {f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>30} "
-              f"{f'{c2:.4g} [{c1:.4g}, {c3:.4g}]':>30} "
-              f"{(c2 - b2) / b2:>+8.1%} "
-              f"{'yes' if sign * (c2 - b2) > b3 - b1 else 'no':>5} "
-              f"{wins}/{args.pairs}")
-    print(f"{'cpu_s':<12} "
-          f"{statistics.median(cpu['base']):>30.3f} "
-          f"{statistics.median(cpu['change']):>30.3f}")
+    for metric, m in summary.items():
+        base, change = (
+            "{median:.4g} [{q1:.4g}, {q3:.4g}]".format(**m[side])
+            for side in ("base", "change")
+        )
+        print(f"{metric:<12} {base:>30} {change:>30} {m['delta']:>+8.1%} "
+              f"{'yes' if m['clears_iqr'] else 'no':>5} "
+              f"{m['wins']}/{args.pairs}")
+    cpu_s = {side: statistics.median(cpu[side]) for side in cpu}
+    print(f"{'cpu_s':<12} {cpu_s['base']:>30.3f} {cpu_s['change']:>30.3f}")
     print("ab: simulated metrics and correctness byte-equal on every pair")
+    if args.record:
+        record({
+            "base": base_sha, "change": change_rev(),
+            "workload": args.workload, "pairs": args.pairs,
+            "seeds": [args.seed, args.seed + args.pairs - 1],
+            "metrics": summary, "cpu_s": cpu_s,
+            "host": {"python": platform.python_version(),
+                     "cpu_count": os.cpu_count(),
+                     "platform": platform.platform()},
+        })
+        print(f"ab: recorded in {TRAJECTORY.name}")
     return 0
 
 

@@ -9,9 +9,10 @@ It runs the Makefile targets ``ci`` (what CI runs: lint, tier-1, the
 smoke gates, the README steps, the e2e quick run), ``bench`` (the paper benchmarks, at a small scale), ``examples``
 and ``fingerprint`` with ``tools/reach_site`` first on ``PYTHONPATH``,
 so every interpreter they start, subprocesses and spawn workers
-included, loads the recorder in its ``sitecustomize.py``. Under pytest
-each entry is labelled with the test file that ran it, which is what
-separates a function a workflow runs from one that only tests run::
+included, loads the recorder in its ``sitecustomize.py`` (a forked pool
+worker inherits it). Under pytest each entry is labelled with the test
+file that ran it, which is what separates a function a workflow runs
+from one that only tests run::
 
     python tools/reach.py [--out DIR] [--list]
 

@@ -3,9 +3,10 @@
 ``reach.py`` puts this directory first on ``PYTHONPATH`` and sets
 ``REACH_RECORDS`` (where to write) and ``REACH_LABEL`` (who is running).
 Every Python process of its run -- the make recipes, the subprocesses
-they start, spawn workers -- imports this module at startup, records the
-``src/repro`` functions it enters (``sys.setprofile`` call events) under
-the current label and writes one JSON file at exit. A process started
+they start, spawn workers -- imports this module at startup (a forked
+pool worker inherits it, recording on), records the ``src/repro``
+functions it enters (``sys.setprofile`` call events) under the current
+label and writes one JSON file at exit. A process started
 with a ``PYTHONPATH`` of its own does not load it and is not recorded.
 
 On each entry into a ``src/repro`` function or a ``repro.*`` dataclass
