@@ -66,7 +66,7 @@ def main() -> None:
     # Find where the first chunk currently lives and flip one byte.
     import numpy as np
     store = kv.oram.store
-    loc = np.argwhere(store.slots == chain[0])
+    loc = np.argwhere(store.table("slots") == chain[0])
     tampered = False
     if loc.size:
         b, s = map(int, loc[0])

@@ -91,14 +91,16 @@ class DeadQueue:
         result is ``None``.
         """
         q = self._q
-        gen = store.generation.item
-        status = store.status.item
+        gen = store.generation
+        status = store.status
+        w = store.width
         got: List[Tuple[int, int, int]] = []
         skipped: List[Tuple[int, int, int]] = []
         while q and len(got) < n:
             entry = q.popleft()
             b, s, g = entry
-            if gen(b, s) != g or status(b, s) != ST_QUEUED:
+            i = b * w + s
+            if gen[i] != g or status[i] != ST_QUEUED:
                 self.stale_discarded += 1
             elif b == renter:
                 skipped.append(entry)

@@ -125,16 +125,20 @@ class RemoteAllocator:
         serve a readPath even when no extension is granted: a bucket
         queues its first ``min(dead, Z - 1 - allocated, free room)`` DEAD
         slots, ascending. The amounts come from the tallies, so one
-        pass costs, per bucket that queues, one status row read and
-        one append, and per queued slot one generation read and one
-        status store. Returns how many slots were queued.
+        pass costs, per bucket that queues, one append, and per queued
+        slot one bounded status search, one generation read and one
+        status store. The searches stop at the bucket's last local
+        slot: a tally that overstates the DEAD slots raises
+        ``ValueError`` instead of queuing the next bucket's. Returns
+        how many slots were queued.
         """
         store = self.store
         dead = store.dead_count
         queued = store.queued_count
         in_use = store.in_use_count
         status = store.status
-        gen = store.generation.item
+        gen = store.generation
+        w = store.width
         total = 0
         for lv, queue, z in self._tracked:
             b = buckets[lv]
@@ -145,15 +149,16 @@ class RemoteAllocator:
             if room <= 0:
                 continue
             # No column past a bucket's local slots is ever DEAD.
-            row = status[b].tolist()
-            slots = []
-            s = -1
+            base = b * w
+            end = base + z
+            at = []
+            i = base - 1
             for _ in range(room):
-                s = row.index(ST_DEAD, s + 1)
-                slots.append(s)
-            n = queue.gather(b, slots, [gen(b, s) for s in slots])
-            for s in slots[:n]:
-                status[b, s] = ST_QUEUED
+                i = status.index(ST_DEAD, i + 1, end)
+                at.append(i)
+            n = queue.gather(b, [i - base for i in at], [gen[i] for i in at])
+            for i in at[:n]:
+                status[i] = ST_QUEUED
             dead[b] -= n
             queued[b] += n
             total += n
@@ -187,16 +192,18 @@ class RemoteAllocator:
         status = store.status
         queued = store.queued_count
         in_use = store.in_use_count
+        w = store.width
         for i, (hb, hs) in enumerate(got):
             # QUEUED -> IN_USE. A QUEUED slot already reads CONSUMED in
             # its own bucket's row and keeps doing so: the host never
             # sees what the renter stores there.
-            status[hb, hs] = ST_IN_USE
+            status[hb * w + hs] = ST_IN_USE
             queued[hb] -= 1
             in_use[hb] += 1
             self.host_bucket[bucket, i] = hb
             self.host_slot[bucket, i] = hs
-        store.slots[bucket, store.z_max:store.z_max + r] = DUMMY
+        col = bucket * w + store.z_max
+        store.slots[col:col + r] = [DUMMY] * r
         self.n_active[bucket] = r
         self.extension_grants += 1
         return r, got
@@ -213,8 +220,8 @@ class RemoteAllocator:
             raise ValueError(
                 f"bucket {bucket} rents {n} slots, got {len(contents)} contents"
             )
-        z_max = self.store.z_max
-        self.store.slots[bucket, z_max:z_max + n] = contents
+        col = bucket * self.store.width + self.store.z_max
+        self.store.slots[col:col + n] = contents
 
     def reclaim(self, bucket: int) -> List[Tuple[int, int]]:
         """End ``bucket``'s rental round (its reshuffle begins).
@@ -227,17 +234,19 @@ class RemoteAllocator:
         if not self.n_active[bucket]:
             return []
         store = self.store
-        cols = store.slots[bucket, store.z_max:]
+        w = store.width
+        lo = bucket * w + store.z_max
+        hi = bucket * w + w
         released = [
             (self.host_bucket.item(bucket, i), self.host_slot.item(bucket, i))
-            for i, content in enumerate(cols.tolist())
+            for i, content in enumerate(store.slots[lo:hi])
             if content != UNALLOCATED
         ]
         # A host sits at its renter's level.
         queue = self.queues.get(store.level(bucket))
-        gen = store.generation.item
+        gen = store.generation
         n_queued = 0 if queue is None else queue.reclaim(
-            [(hb, hs, gen(hb, hs)) for hb, hs in released]
+            [(hb, hs, gen[hb * w + hs]) for hb, hs in released]
         )
         status = store.status
         in_use = store.in_use_count
@@ -246,13 +255,13 @@ class RemoteAllocator:
             # slot stays dead until its host bucket reshuffles over it.
             in_use[hb] -= 1
             if k < n_queued:
-                status[hb, hs] = ST_QUEUED
+                status[hb * w + hs] = ST_QUEUED
                 store.queued_count[hb] += 1
             else:
-                status[hb, hs] = ST_DEAD
+                status[hb * w + hs] = ST_DEAD
                 store.dead_count[hb] += 1
         self.reclaimed_slots += len(released)
-        cols[:] = UNALLOCATED
+        store.slots[lo:hi] = [UNALLOCATED] * (hi - lo)
         self.n_active[bucket] = 0
         return released
 
@@ -267,16 +276,16 @@ class RemoteAllocator:
         access count advances exactly as for a local read.
         """
         store = self.store
-        col = store.z_max + i
-        content = store.slots.item(bucket, col)
+        col = bucket * store.width + store.z_max + i
+        content = store.slots[col]
         if content < DUMMY:
             raise RuntimeError(f"bucket {bucket} rents no slot in column {i}")
-        store.slots[bucket, col] = UNALLOCATED
+        store.slots[col] = UNALLOCATED
         self.n_active[bucket] -= 1
         hb = self.host_bucket.item(bucket, i)
         hs = self.host_slot.item(bucket, i)
         # IN_USE -> DEAD.
-        store.status[hb, hs] = ST_DEAD
+        store.status[hb * store.width + hs] = ST_DEAD
         store.in_use_count[hb] -= 1
         store.dead_count[hb] += 1
         store.count[bucket] += 1
@@ -299,17 +308,20 @@ class RemoteAllocator:
         exactly that level's QUEUED slots; no other level has one.
         """
         store = self.store
-        width = store.slots.shape[1]
+        width = store.width
+        slots = store.table("slots")
+        status = store.table("status")
+        generation = store.table("generation")
         level_of = store.level_of_bucket
-        rented = store.slots[:, store.z_max:] != UNALLOCATED
+        rented = slots[:, store.z_max:] != UNALLOCATED
         if rented.sum(axis=1).tolist() != self.n_active:
             raise AssertionError("n_active disagrees with the rented columns")
         renter, col = rented.nonzero()
         hb = self.host_bucket[renter, col]
         hs = self.host_slot[renter, col]
         bad = (
-            (store.status[hb, hs] != ST_IN_USE)
-            | (store.slots[hb, hs] != CONSUMED)
+            (status[hb, hs] != ST_IN_USE)
+            | (slots[hb, hs] != CONSUMED)
             | (level_of[hb] != level_of[renter])
             | (hb == renter)
         ).nonzero()[0]
@@ -319,19 +331,19 @@ class RemoteAllocator:
                 f"bucket {renter[k]} column {col[k]}: host ({hb[k]}, {hs[k]}) "
                 f"is not an IN_USE, CONSUMED slot of another bucket at its level"
             )
-        in_use = store.status == ST_IN_USE
+        in_use = status == ST_IN_USE
         if (np.unique(hb * width + hs).size != renter.size
                 or renter.size != int(in_use.sum())):
             raise AssertionError(
                 f"{renter.size} rented columns over {int(in_use.sum())} "
                 f"IN_USE slots: a host is shared or orphaned"
             )
-        queued = store.status == ST_QUEUED
+        queued = status == ST_QUEUED
         tracked = np.zeros(self.cfg.levels, dtype=bool)
         for lv, queue, _ in self._tracked:
             tracked[lv] = True
             qb, qs, gen = np.array(queue.entries(), dtype=np.int64).reshape(-1, 3).T
-            live = (store.generation[qb, qs] == gen) & queued[qb, qs]
+            live = (generation[qb, qs] == gen) & queued[qb, qs]
             entries = np.sort((qb * width + qs)[live])
             lo = (1 << lv) - 1
             at_level = lo * width + queued[lo:2 * lo + 1].ravel().nonzero()[0]

@@ -1,17 +1,32 @@
 """Physical storage of the ORAM tree's buckets.
 
-State is numpy-backed so that trees with millions of buckets stay
-affordable: one row per bucket, plus per-bucket counters and per-slot
+One row per bucket, plus per-bucket counters and per-slot
 status/generation words. A row is the bucket's local slots (padded to
 the widest level's ``Z``, ``cfg.z_max`` columns) followed by one column
 per slot it may rent from a dead block elsewhere (``r_max`` = the
-largest ``remote_extension``; none for schemes without extension).
-Column ``z_max + i`` is the bucket's ``i``-th rented slot: its content
-lives here like any local slot's, its status stays REFRESHED, and
+largest ``remote_extension``; none for schemes without extension), so
+rows are ``width = z_max + r_max`` slots wide. Column ``z_max + i`` is
+the bucket's ``i``-th rented slot: its content lives here like any
+local slot's, its status stays REFRESHED, and
 :class:`repro.core.remote.RemoteAllocator` records which physical
 (bucket, slot) hosts the bytes.
 
-Slot contents are encoded in a single int64:
+The per-slot tables are flat and row-major -- slot ``(b, s)`` sits at
+``b * width + s`` -- in plain containers: ``slots`` a ``list``,
+``status`` a ``bytearray``, ``generation`` an ``array('I')``. The
+per-bucket ``count`` and ``sustain`` are lists. Every protocol step
+touches a few slots of a few rows (``width`` <= 12 for every scheme
+here), where a numpy call costs more than the work; whole-table scans (invariant checks,
+fingerprints) take a numpy copy through :meth:`BucketStore.table`.
+Every search of a row stays inside it (a bounded ``index``/``find`` or
+a row slice), so a wrong tally raises instead of reaching into the
+next bucket. The price is memory: a process that warm-fills an ``ab``
+tree and runs 2,500 accesses peaks at 38.1 MB RSS at L12 with numpy
+tables or these, and at 62.6 MB against 53.9 MB at L16, the depth of
+``make bench-full`` (a list slot is a pointer, plus an int object for
+each block id).
+
+Slot contents are ints:
 
 - ``>= 0``: id of the real block stored in the slot;
 - ``DUMMY`` (-1): a valid dummy block;
@@ -33,6 +48,7 @@ generation, and a stale entry is discarded at dequeue time.
 from __future__ import annotations
 
 import enum
+from array import array
 from typing import List, Sequence
 
 import numpy as np
@@ -60,6 +76,16 @@ ST_DEAD = int(SlotStatus.DEAD)
 ST_QUEUED = int(SlotStatus.QUEUED)
 ST_IN_USE = int(SlotStatus.IN_USE)
 
+#: The numpy dtype :meth:`BucketStore.table` gives each table; the
+#: first three are per slot, ``(n_buckets, width)``, the rest per bucket.
+TABLES = {
+    "slots": np.int64,
+    "status": np.uint8,
+    "generation": np.uint32,
+    "count": np.int32,
+    "sustain": np.int32,
+}
+
 
 class BucketStore:
     """All bucket state of one ORAM tree."""
@@ -69,29 +95,28 @@ class BucketStore:
         n = cfg.n_buckets
         #: Local columns; column ``z_max + i`` is the i-th rented slot.
         self.z_max = cfg.z_max
-        width = self.z_max + max(g.remote_extension for g in cfg.geometry)
+        self.width = width = self.z_max + max(
+            g.remote_extension for g in cfg.geometry
+        )
         self.level_of_bucket = np.empty(n, dtype=np.uint8)
         self.z_of_bucket = np.empty(n, dtype=np.uint8)
+        self.slots: List[int] = []
+        self.sustain: List[int] = []
         for lv in range(cfg.levels):
             lo = (1 << lv) - 1
             hi = (1 << (lv + 1)) - 1
+            g = cfg.geometry[lv]
             self.level_of_bucket[lo:hi] = lv
-            self.z_of_bucket[lo:hi] = cfg.geometry[lv].z_total
-        self.slots = np.full((n, width), UNALLOCATED, dtype=np.int64)
-        for lv in range(cfg.levels):
-            lo = (1 << lv) - 1
-            hi = (1 << (lv + 1)) - 1
-            self.slots[lo:hi, : cfg.geometry[lv].z_total] = DUMMY
-        self.count = np.zeros(n, dtype=np.int32)
-        # Sustain granted for the current round; starts at the
-        # *unextended* value (extensions are only granted at reshuffles).
-        self.sustain = np.empty(n, dtype=np.int32)
-        for lv in range(cfg.levels):
-            lo = (1 << lv) - 1
-            hi = (1 << (lv + 1)) - 1
-            self.sustain[lo:hi] = cfg.geometry[lv].sustain_unextended
-        self.status = np.zeros((n, width), dtype=np.uint8)
-        self.generation = np.zeros((n, width), dtype=np.uint32)
+            self.z_of_bucket[lo:hi] = g.z_total
+            row = [DUMMY] * g.z_total + [UNALLOCATED] * (width - g.z_total)
+            self.slots += row * (hi - lo)
+            # Sustain granted for the current round; starts at the
+            # *unextended* value (extensions are only granted at
+            # reshuffles).
+            self.sustain += [g.sustain_unextended] * (hi - lo)
+        self.count: List[int] = [0] * n
+        self.status = bytearray(n * width)
+        self.generation = array("I", [0]) * (n * width)
         self.reshuffles_by_level = np.zeros(cfg.levels, dtype=np.int64)
         # Plain-list mirrors of the (immutable) per-bucket geometry:
         # scalar numpy indexing boxes a fresh object per lookup, which
@@ -106,8 +131,7 @@ class BucketStore:
         # (``consume`` only ever moves REFRESHED -> DEAD, so it never
         # touches them). They make "how many slots are ALLOCATED" an
         # O(1) lookup and keep ``refresh`` on contiguous slice stores
-        # for every bucket with no slot rented out. Plain lists: scalar
-        # numpy indexing would box a fresh object per lookup.
+        # for every bucket with no slot rented out.
         self.queued_count: List[int] = [0] * n
         self.in_use_count: List[int] = [0] * n
         # Per-bucket tally of DEAD slots (consumed, not yet queued or
@@ -124,38 +148,59 @@ class BucketStore:
     def z_phys(self, bucket: int) -> int:
         return self._z_list[bucket]
 
-    def row(self, bucket: int) -> np.ndarray:
-        """Physical slot contents of ``bucket`` (length = its Z)."""
-        return self.slots[bucket, : self.z_of_bucket[bucket]]
+    def row(self, bucket: int) -> List[int]:
+        """Physical slot contents of ``bucket`` (length = its Z), a copy."""
+        base = bucket * self.width
+        return self.slots[base:base + self._z_list[bucket]]
+
+    def table(self, name: str) -> np.ndarray:
+        """A numpy copy of one table (a key of :data:`TABLES`), shaped
+        ``(n_buckets, width)`` per slot or ``(n_buckets,)`` per bucket,
+        for whole-table scans; writes to it do not reach the store."""
+        flat = getattr(self, name)
+        dtype = TABLES[name]
+        if isinstance(flat, list):
+            out = np.array(flat, dtype=dtype)
+        else:
+            out = np.frombuffer(flat, dtype=dtype).copy()
+        if name in ("slots", "status", "generation"):
+            return out.reshape(self.cfg.n_buckets, self.width)
+        return out
 
     # ------------------------------------------------------------- queries
 
-    def valid_real_slots(self, bucket: int) -> np.ndarray:
+    def valid_real_slots(self, bucket: int) -> List[int]:
         """Local slots of ``bucket`` holding a real block, ascending."""
-        return (self.row(bucket) >= 0).nonzero()[0]
+        return [s for s, v in enumerate(self.row(bucket)) if v >= 0]
 
-    def dead_slots(self, bucket: int) -> np.ndarray:
+    def dead_slots(self, bucket: int) -> List[int]:
         """Slots whose status is DEAD (consumed, not yet queued/reused)."""
-        z = self._z_list[bucket]
-        return (self.status[bucket, :z] == ST_DEAD).nonzero()[0]
+        base = bucket * self.width
+        st = self.status
+        return [s for s in range(self._z_list[bucket])
+                if st[base + s] == ST_DEAD]
 
-    def usable_slots(self, bucket: int) -> np.ndarray:
+    def usable_slots(self, bucket: int) -> List[int]:
         """Slots this bucket may rewrite at reshuffle (not rented out)."""
-        z = self._z_list[bucket]
-        return (self.status[bucket, :z] != ST_IN_USE).nonzero()[0]
+        base = bucket * self.width
+        st = self.status
+        return [s for s in range(self._z_list[bucket])
+                if st[base + s] != ST_IN_USE]
 
-    def path_slot_views(self, buckets: np.ndarray) -> np.ndarray:
+    def path_slot_views(self, buckets: Sequence[int]) -> List[List[int]]:
         """Slot contents of a whole path at once.
 
-        A ``(len(buckets), width)`` fancy-index copy (later mutation of
+        One ``width``-long list per bucket, a copy (later mutation of
         the store does not affect it), local columns first, rented ones
         from ``z_max`` on. Padding columns and empty rental columns
         hold ``UNALLOCATED``, and a slot holding ``DUMMY`` or a block
         id is always REFRESHED (:meth:`check_tallies`), so content
-        masks (``== DUMMY``, ``>= 0``) classify local and rented slots
-        alike with no status mask.
+        tests (``== DUMMY``, ``>= 0``) classify local and rented slots
+        alike with no status test.
         """
-        return self.slots[buckets]
+        slots = self.slots
+        w = self.width
+        return [slots[b * w:b * w + w] for b in buckets]
 
     # ------------------------------------------------------------- updates
 
@@ -166,18 +211,18 @@ class BucketStore:
                 f"slot {slot} out of range for bucket {bucket} "
                 f"(Z={self._z_list[bucket]})"
             )
-        # ``.item`` skips the numpy-scalar boxing of ``int(arr[i, j])``;
         # content < DUMMY covers exactly CONSUMED and UNALLOCATED.
-        content = self.slots.item(bucket, slot)
+        i = bucket * self.width + slot
+        content = self.slots[i]
         if content < DUMMY:
             raise RuntimeError(
                 f"double consume of bucket {bucket} slot {slot} (={content})"
             )
-        self.slots[bucket, slot] = CONSUMED
+        self.slots[i] = CONSUMED
         # A consumable slot is always REFRESHED (DEAD/QUEUED slots hold
         # CONSUMED content and IN_USE slots are hidden from their host),
         # so this transition is unconditionally REFRESHED -> DEAD.
-        self.status[bucket, slot] = ST_DEAD
+        self.status[i] = ST_DEAD
         self.dead_count[bucket] += 1
         self.count[bucket] += 1
         return content
@@ -189,17 +234,19 @@ class BucketStore:
 
         The caller picked each slot from a live snapshot of valid
         dummy/green candidates, so the double-consume and range guards
-        of the scalar call cannot fire and the writes collapse to two
-        fancy stores. Buckets are distinct (one per path level), so the
-        per-bucket tallies are plain increments.
+        of the scalar call cannot fire. Buckets are distinct (one per
+        path level), so the per-bucket tallies are plain increments.
         """
-        b_arr = np.asarray(buckets, dtype=np.int64)
-        s_arr = np.asarray(slots, dtype=np.int64)
-        self.slots[b_arr, s_arr] = CONSUMED
-        self.status[b_arr, s_arr] = ST_DEAD
-        self.count[b_arr] += 1
+        table = self.slots
+        st = self.status
+        w = self.width
+        count = self.count
         dc = self.dead_count
-        for b in buckets:
+        for b, s in zip(buckets, slots):
+            i = b * w + s
+            table[i] = CONSUMED
+            st[i] = ST_DEAD
+            count[b] += 1
             dc[b] += 1
 
     def refresh(
@@ -219,39 +266,40 @@ class BucketStore:
         exist (checked here).
         """
         z = self._z_list[bucket]
-        if self.in_use_count[bucket] == 0:
-            # No slot of this bucket is rented out, so every slot is
-            # usable (QUEUED and DEAD ones get rewritten) and the
-            # rewrite is contiguous slice stores. The only case for
-            # schemes without a DeadQ, whose queued tally stays zero.
-            usable = None
-            n_usable = z
-        else:
-            usable = self.usable_slots(bucket)
-            n_usable = int(usable.size)
-        if len(real_blocks) > n_usable:
+        base = bucket * self.width
+        end = base + z
+        st = self.status
+        # With no slot of this bucket rented out every slot is usable
+        # (QUEUED and DEAD ones get rewritten) and the rewrite is two
+        # slice stores. The only case for schemes without a DeadQ,
+        # whose queued tally stays zero.
+        whole = self.in_use_count[bucket] == 0
+        written = list(range(z)) if whole else self.usable_slots(bucket)
+        n_real = len(real_blocks)
+        if n_real > len(written):
             raise RuntimeError(
-                f"bucket {bucket}: {len(real_blocks)} real blocks but only "
-                f"{n_usable} usable slots"
+                f"bucket {bucket}: {n_real} real blocks but only "
+                f"{len(written)} usable slots"
             )
-        row = self.slots[bucket]
-        st = self.status[bucket]
         if self.queued_count[bucket]:
             # Reclaim queued slots (lazy DeadQ invalidation). QUEUED
             # slots are never IN_USE, so they are all usable and the
             # bucket's queued tally drains to zero here.
-            self.generation[bucket, :z] += st[:z] == ST_QUEUED
+            gen = self.generation
+            i = st.find(ST_QUEUED, base, end)
+            while i >= 0:
+                gen[i] += 1
+                i = st.find(ST_QUEUED, i + 1, end)
             self.queued_count[bucket] = 0
-        if usable is None:
-            row[:z] = DUMMY
-            row[:len(real_blocks)] = real_blocks
-            st[:z] = ST_REFRESHED
-            written = list(range(z))
+        contents = [*real_blocks, *[DUMMY] * (len(written) - n_real)]
+        if whole:
+            self.slots[base:end] = contents
+            st[base:end] = bytes(z)     # ST_REFRESHED
         else:
-            row[usable] = DUMMY
-            row[usable[:len(real_blocks)]] = real_blocks
-            st[usable] = ST_REFRESHED
-            written = usable.tolist()
+            table = self.slots
+            for s, content in zip(written, contents):
+                table[base + s] = content
+                st[base + s] = ST_REFRESHED
         # DEAD slots are never IN_USE, so every one of them was just
         # rewritten (on both branches above): the tally drains to zero.
         self.dead_count[bucket] = 0
@@ -261,7 +309,7 @@ class BucketStore:
         # policy sustain (S + Y) is capped by the slots actually
         # refreshed; remote extension adds slots beyond the bucket.
         self.sustain[bucket] = (
-            min(self._sustain_list[lvl], n_usable) + granted_extension
+            min(self._sustain_list[lvl], len(written)) + granted_extension
         )
         self.reshuffles_by_level[lvl] += 1
         return written
@@ -271,7 +319,7 @@ class BucketStore:
 
     def set_slot(self, bucket: int, slot: int, value: int) -> None:
         """Write one slot's content directly (warm fill)."""
-        self.slots[bucket, slot] = value
+        self.slots[bucket * self.width + slot] = value
 
     # --------------------------------------------------------- global scans
 
@@ -282,28 +330,28 @@ class BucketStore:
         QUEUED (queued slots still hold useless data until actually
         rented).
         """
-        st = self.status
-        return int(((st == SlotStatus.DEAD) | (st == SlotStatus.QUEUED)).sum())
+        return self.status.count(ST_DEAD) + self.status.count(ST_QUEUED)
 
     def dead_slots_by_level(self) -> np.ndarray:
         """Per-level dead-block census (Fig. 3)."""
-        dead = (self.status == SlotStatus.DEAD) | (self.status == SlotStatus.QUEUED)
-        per_bucket = dead.sum(axis=1)
+        st = self.status
+        w = self.width
         out = np.zeros(self.cfg.levels, dtype=np.int64)
         for lv in range(self.cfg.levels):
-            lo = (1 << lv) - 1
-            hi = (1 << (lv + 1)) - 1
-            out[lv] = per_bucket[lo:hi].sum()
+            lo = ((1 << lv) - 1) * w
+            hi = ((1 << (lv + 1)) - 1) * w
+            out[lv] = st.count(ST_DEAD, lo, hi) + st.count(ST_QUEUED, lo, hi)
         return out
 
     def check_tallies(self) -> None:
         """The per-bucket DEAD / QUEUED / IN_USE tallies equal a recount
         of ``status``, and every slot holding ``DUMMY`` or a block id is
         REFRESHED (test hook; raises ``AssertionError``)."""
+        status = self.table("status")
         for name, code in (("dead_count", ST_DEAD),
                            ("queued_count", ST_QUEUED),
                            ("in_use_count", ST_IN_USE)):
-            recount = (self.status == code).sum(axis=1)
+            recount = (status == code).sum(axis=1)
             off = (recount != getattr(self, name)).nonzero()[0]
             if off.size:
                 b = int(off[0])
@@ -311,11 +359,12 @@ class BucketStore:
                     f"bucket {b}: {name}={getattr(self, name)[b]} but "
                     f"{int(recount[b])} slots have status {SlotStatus(code).name}"
                 )
-        # readPath's masks test content alone (``path_slot_views``).
-        stale = (self.slots >= DUMMY) & (self.status != ST_REFRESHED)
+        # readPath's content tests read no status (``path_slot_views``).
+        slots = self.table("slots")
+        stale = (slots >= DUMMY) & (status != ST_REFRESHED)
         if stale.any():
             b, s = (int(i[0]) for i in stale.nonzero())
             raise AssertionError(
-                f"bucket {b} slot {s} holds {int(self.slots[b, s])} with "
-                f"status {SlotStatus(int(self.status[b, s])).name}"
+                f"bucket {b} slot {s} holds {int(slots[b, s])} with "
+                f"status {SlotStatus(int(status[b, s])).name}"
             )

@@ -124,7 +124,7 @@ class PathOram:
     def check_invariants(self) -> None:
         """Every mapped block in exactly one place, on its path."""
         seen: Dict[int, str] = {blk: "stash" for blk, _ in self.stash.blocks()}
-        rows = self.store.slots
+        rows = self.store.table("slots")
         for b, s in np.argwhere(rows >= 0):
             blk = int(rows[b, s])
             if blk in seen:

@@ -37,7 +37,7 @@ levels are flagged on-chip.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import islice
 from typing import (
     Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -199,10 +199,10 @@ class RingOram:
         # Levels whose reshuffles rent remote slots.
         self._rents = [extensions is not None and g.remote_extension > 0
                        for g in cfg.geometry]
-        # leaf -> (bucket list, bucket index array, metadata sink items):
-        # immutable per-path descriptors rebuilt constantly by readPath
-        # otherwise. Bounded by n_leaves.
-        self._path_cache: Dict[int, Tuple[List[int], np.ndarray, list]] = {}
+        # leaf -> (bucket list, metadata sink items): immutable per-path
+        # descriptors rebuilt constantly by readPath otherwise. Bounded
+        # by n_leaves.
+        self._path_cache: Dict[int, Tuple[List[int], list]] = {}
         self.online_accesses = 0       # real + stash-hit accesses (paper's X axis)
         self.accesses_since_evict = 0
         self.background_accesses = 0
@@ -383,12 +383,12 @@ class RingOram:
         """One Ring ORAM path read. Returns buckets now due a reshuffle.
 
         The metadata work is batched: one whole-path snapshot of slot
-        contents and statuses (local slots and rented ones alike)
-        replaces per-bucket scans, so the Python-level cost per access
-        is O(levels) list/sink work instead of O(levels) array-scan
-        pipelines. The block pass below is the only one: per level one
-        slot of the row, then one tail whether the bytes are local or
-        at a rented host.
+        contents (local slots and rented ones alike, one row slice per
+        bucket) answers every per-bucket question with C-level list
+        counts and bounded searches, so the cost per access is
+        O(levels) list/sink work. The block pass below is the only
+        one: per level one slot of the row, then one tail whether the
+        bytes are local or at a rented host.
         """
         cfg = self.cfg
         sink = self.sink
@@ -396,18 +396,17 @@ class RingOram:
         ext = self.ext
         treetop = cfg.treetop_levels
         mblocks = self.metadata_blocks
-        # Per-leaf path descriptors (bucket list, index array, metadata
-        # items) are immutable once built -- cache them across accesses.
+        # Per-leaf path descriptors (bucket list, metadata items) are
+        # immutable once built -- cache them across accesses.
         cached = self._path_cache.get(leaf)
         if cached is None:
             buckets = tree_mod.path_buckets(leaf, cfg.levels)
-            bks = np.asarray(buckets, dtype=np.int64)
             # A path holds exactly one bucket per level, root first, so
             # ``buckets[i]`` sits at level ``i``.
             meta_items = [(b, lv, lv < treetop) for lv, b in enumerate(buckets)]
-            self._path_cache[leaf] = (buckets, bks, meta_items)
+            self._path_cache[leaf] = (buckets, meta_items)
         else:
-            buckets, bks, meta_items = cached
+            buckets, meta_items = cached
         sink.begin_op(kind)
         # -- metadata pass (read now, write back at the end of the access)
         sink.metadata_access_many(meta_items, write=False, blocks=mblocks)
@@ -422,35 +421,28 @@ class RingOram:
         # exactly once below, so the snapshot stays valid while slots
         # are consumed; remote hosts are never path buckets (a renter's
         # host sits at the renter's own level, different position).
-        rows = store.path_slot_views(bks)
+        rows = store.path_slot_views(buckets)
         z_max = store.z_max
         # -- locate the target (the metadata identifies its bucket + slot)
         target_bucket = -1
         target_slot = -1
         if target is not None:
-            hit_lv, hit_slot = (rows == target).nonzero()
-            if hit_lv.size:
-                target_bucket = buckets[int(hit_lv[0])]
-                target_slot = int(hit_slot[0])
-        # -- valid dummies of every bucket in one vectorized pass;
-        # np.nonzero is row-major, so per-bucket slot lists are
-        # contiguous runs of ``dummy_slot``, local slots ascending and
-        # then rented ones in rental order. A slot holding DUMMY is
-        # always REFRESHED (consumed, queued and rented-out slots hold
-        # CONSUMED), so the content test alone suffices.
-        dmask = rows == DUMMY
-        dcounts = dmask.sum(axis=1).tolist()
-        dummy_slot = dmask.nonzero()[1].tolist()
-        dstarts = [0, *accumulate(dcounts)]
-        # -- green candidates (valid real slots) are computed the same
-        # way, but lazily: most accesses find a dummy at every level, so
-        # the scan runs only once a bucket turns up dry. A slot with
-        # real content is necessarily REFRESHED, so the content test
-        # alone suffices; ``rows`` is a snapshot, so deferring the scan
-        # changes nothing.
-        gcounts = None
-        green_slot: List[int] = []
-        gstarts: List[int] = []
+            for lv, row in enumerate(rows):
+                if target in row:
+                    target_bucket = buckets[lv]
+                    target_slot = row.index(target)
+                    break
+        # -- valid dummies per bucket: a row's candidates are its DUMMY
+        # slots in row order, local slots ascending and then rented ones
+        # in rental order. A slot holding DUMMY is always REFRESHED
+        # (consumed, queued and rented-out slots hold CONSUMED), so the
+        # content test alone suffices.
+        dcounts = [row.count(DUMMY) for row in rows]
+        # -- green candidates (valid real slots), only for a bucket that
+        # turns up dry (most accesses find a dummy at every level). A
+        # slot with real content is necessarily REFRESHED, so the
+        # content test alone suffices.
+        greens: Dict[int, List[int]] = {}
         # -- the snapshot fixes what every level reads: the target's
         # slot, else a uniform draw over its valid dummies, else (dry
         # bucket) over its green blocks, which spill to the stash (CB,
@@ -462,17 +454,14 @@ class RingOram:
             if dcounts[lv]:
                 bounds.append(dcounts[lv])
                 continue
-            if gcounts is None:
-                gmask = rows >= 0
-                gcounts = gmask.sum(axis=1).tolist()
-                green_slot = gmask.nonzero()[1].tolist()
-                gstarts = [0, *accumulate(gcounts)]
-            if not gcounts[lv]:
+            green = [s for s, v in enumerate(rows[lv]) if v >= 0]
+            if not green:
                 raise ProtocolError(
                     f"bucket {b} (level {lv}) has no readable slot: "
                     f"count={store.count[b]} sustain={store.sustain[b]}"
                 )
-            bounds.append(gcounts[lv])
+            greens[lv] = green
+            bounds.append(len(green))
         draws = iter(_draw(self.rng, bounds))
         # -- block pass: one read per bucket. Sink touches are collected
         # and issued as one batch (same order, one phase transition).
@@ -500,7 +489,6 @@ class RingOram:
         cons_b: List[int] = []
         cons_s: List[int] = []
         dead_obs = self._heard["on_slot_dead"]
-        item = rows.item
         for lv, b in enumerate(buckets):
             # One slot of the bucket's row, local and rented candidates
             # alike.
@@ -508,11 +496,15 @@ class RingOram:
                 slot = target_slot
                 blockval = target
             elif dcounts[lv]:
-                slot = dummy_slot[dstarts[lv] + next(draws)]
+                # The k-th DUMMY of the row; every search stays in it.
+                row = rows[lv]
+                slot = row.index(DUMMY)
+                for _ in range(next(draws)):
+                    slot = row.index(DUMMY, slot + 1)
                 blockval = DUMMY
             else:
-                slot = green_slot[gstarts[lv] + next(draws)]
-                blockval = item(lv, slot)
+                slot = greens[lv][next(draws)]
+                blockval = rows[lv][slot]
             # Where the bytes live: the bucket's own slot, or the host
             # of a rented column (same level, never on this path).
             remote = slot >= z_max
@@ -545,9 +537,9 @@ class RingOram:
         sink.end_op()
         for obs in path_obs:
             obs.on_read_path(leaf, reads, target_bucket)
-        citem = store.count.item
-        sitem = store.sustain.item
-        return [b for b in buckets if citem(b) >= sitem(b)]
+        count = store.count
+        sustain = store.sustain
+        return [b for b in buckets if count[b] >= sustain[b]]
 
     # ---------------------------------------------------------- maintenance
 
@@ -665,9 +657,8 @@ class RingOram:
         # The residents of all rows, row-major: bucket order, local
         # slots ascending, then rented ones in rental order. Read before
         # ``reclaim`` clears the rented columns.
-        rows = store.slots.take(buckets, axis=0)
-        real = rows >= 0
-        blocks = rows[real]
+        rows = store.path_slot_views(buckets)
+        blocks = [v for row in rows for v in row if v >= 0]
         shares = [0] * len(plan)
         opened: Iterator[_Opened] = iter(())
         if self.datastore is not None:
@@ -679,14 +670,14 @@ class RingOram:
             # its host.
             z_max = store.z_max
             residents = []
-            at_row, at_col = real.nonzero()
-            for block, i, col in zip(blocks.tolist(), at_row.tolist(),
-                                     at_col.tolist()):
-                b = buckets[i]
-                residents.append((block, b, col) if col < z_max else (
-                    block, ext.host_bucket.item(b, col - z_max),
-                    ext.host_slot.item(b, col - z_max)))
-            shares = real.sum(axis=1).tolist()
+            for i, (b, row) in enumerate(zip(buckets, rows)):
+                for col, block in enumerate(row):
+                    if block < 0:
+                        continue
+                    residents.append((block, b, col) if col < z_max else (
+                        block, ext.host_bucket.item(b, col - z_max),
+                        ext.host_slot.item(b, col - z_max)))
+                    shares[i] += 1
             opened = self._open_residents(residents)
         dead_obs = self._heard["on_slot_dead"]
         # Metadata is reported bucket by bucket, not as one batch: each
@@ -705,10 +696,8 @@ class RingOram:
                     # The released host slot holds stale data again.
                     for obs in dead_obs:
                         obs.on_slot_dead(hb, hs, lv)
-        if blocks.size:
-            self.stash.add_many(
-                blocks.tolist(), self.posmap.peek_many(blocks).tolist()
-            )
+        if blocks:
+            self.stash.add_many(blocks, self.posmap.peek_many(blocks).tolist())
         # Rentals, leaf side first. Each level's DeadQ is popped only by
         # its own path bucket and a refill touches only its own level,
         # so renting every bucket first pops what renting each right
@@ -767,15 +756,19 @@ class RingOram:
         one seal batch.
         """
         store = self.store
+        base = b * store.width
         onchip = lv < self.cfg.treetop_levels
         reclaimed_obs = self._heard["on_slot_reclaimed"]
         reclaimed_dead = None
         if reclaimed_obs:
             # The dead slots this rewrite reclaims, read before
-            # ``refresh`` turns them REFRESHED.
-            usable = store.usable_slots(b)
-            st = store.status[b, usable]
-            reclaimed_dead = usable[(st == ST_DEAD) | (st == ST_QUEUED)]
+            # ``refresh`` turns them REFRESHED (DEAD and QUEUED slots
+            # are never rented out, so all of them are usable).
+            st = store.status
+            reclaimed_dead = [
+                s for s in range(store.z_phys(b))
+                if st[base + s] in (ST_DEAD, ST_QUEUED)
+            ]
         # A host sits at its renter's level.
         for obs in reclaimed_obs:
             for hb, hs in hosts:
@@ -794,7 +787,7 @@ class RingOram:
         written = store.refresh(b, local_reals, granted_extension=granted)
         if reclaimed_dead is not None:
             for obs in reclaimed_obs:
-                for slot in reclaimed_dead.tolist():
+                for slot in reclaimed_dead:
                     obs.on_slot_reclaimed(b, slot, lv, "reshuffle")
         # One sink batch for the whole write phase: local slots, then
         # remote hosts. They share the same DRAM write phase, so they
@@ -812,7 +805,8 @@ class RingOram:
             pop_payload = self._stash_payload.pop
             blank = bytes(self.cfg.block_bytes)
             where = [(b, slot) for slot in written] + hosts
-            contents = store.slots[b, written].tolist() + remote_contents
+            table = store.slots
+            contents = [table[base + s] for s in written] + remote_contents
             seal_batch += [
                 (at, slot, pop_payload(content, blank) if content >= 0
                  else None)
@@ -942,7 +936,7 @@ class RingOram:
         seen: Dict[int, str] = {}
         for blk, _leaf in self.stash.blocks():
             seen[blk] = "stash"
-        rows = self.store.slots
+        rows = self.store.table("slots")
         for b, s in np.argwhere(rows >= 0):
             blk = int(rows[b, s])
             if blk in seen:

@@ -6,9 +6,10 @@ metadata-aware tree layout, the event-based DRAM model behind a
 :class:`~repro.sim.engine.DramSink` that records per-operation DRAM-ns
 spans into ``telemetry``). This module puts an
 :class:`~repro.app.kvstore.ObliviousKV` on top instead of a trace
-replayer and attaches the section VI-C
-:class:`~repro.core.security.GuessingAttacker` so every serve run can
-report that batching left per-access indistinguishability intact.
+replayer and, on request (``observer=True``), the section VI-C
+:class:`~repro.core.security.GuessingAttacker`, so a serve run that
+reports a ``security`` block can show that batching left per-access
+indistinguishability intact.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def build_stack(
     levels: int = 10,
     seed: int = 0,
     telemetry: Optional[Any] = None,
-    observer: bool = True,
+    observer: bool = False,
     robustness: Optional[RobustnessConfig] = None,
     fault_plan: Optional[Any] = None,
 ) -> ServedStack:
@@ -73,6 +74,11 @@ def build_stack(
     cleanly; call :meth:`ServedStack.arm_faults` before the measured
     run. Sealed stacks cannot ``preload`` -- populate with real puts.
     The stack serves on the serial controller (depth 1).
+
+    ``observer`` attaches the guessing attacker (``ServedStack
+    .attacker``), whose ``security`` block only the callers that report
+    one read; it observes and never steers, so every other counter is
+    the same without it.
     """
     cfg = schemes_mod.by_name(scheme, levels)
     attacker = GuessingAttacker(cfg.levels, seed=seed + 1) if observer else None

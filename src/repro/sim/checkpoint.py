@@ -47,7 +47,11 @@ PathLike = Union[str, Path]
 #: authenticator object), a replay snapshot is a named tuple, and
 #: ``DramStats`` has no ``total_service_ns``. 11: ``TreeLayout``'s
 #: per-bucket table is the public ``first_byte`` (was ``_offsets``).
-CHECKPOINT_FORMAT = 11
+#: 12: the ``BucketStore`` tables are flat row-major containers
+#: (``slots`` a list, ``status`` a bytearray, ``generation`` an
+#: ``array('I')``, ``count`` / ``sustain`` lists; were 2-D and 1-D
+#: numpy arrays), so an older store would fail its first flat index.
+CHECKPOINT_FORMAT = 12
 _MAGIC = "repro-sim-checkpoint"
 
 

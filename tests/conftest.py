@@ -91,6 +91,51 @@ def pick_for_bucket(stash, position, shift, capacity):
     return found
 
 
+class Grid(np.lib.mixins.NDArrayOperatorsMixin):
+    """One of a ``BucketStore``'s flat tables in the numpy shape
+    ``BucketStore.table`` gives it: ``(n_buckets, width)`` per slot,
+    ``(n_buckets,)`` per bucket.
+
+    Every read (subscript, operator, ``shape``, ``tolist``, numpy call)
+    sees the store as it is at that moment, through a fresh ``table``
+    copy; subscript stores write through to the flat container, slot
+    ``(b, s)`` at ``b * width + s``.
+    """
+
+    def __init__(self, store, name):
+        self._store = store
+        self._name = name
+
+    def __array__(self, dtype=None, copy=None):
+        out = self._store.table(self._name)
+        return out if dtype is None else out.astype(dtype)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) if isinstance(x, Grid) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    @property
+    def shape(self):
+        return np.asarray(self).shape
+
+    def tolist(self):
+        return np.asarray(self).tolist()
+
+    def tobytes(self):
+        return np.asarray(self).tobytes()
+
+    def __getitem__(self, key):
+        return np.asarray(self)[key]
+
+    def __setitem__(self, key, value):
+        flat = getattr(self._store, self._name)
+        at = np.arange(len(flat)).reshape(self.shape)[key]
+        values = np.broadcast_to(value, np.shape(at))
+        for i, v in zip(np.ravel(at).tolist(), np.ravel(values).tolist()):
+            flat[i] = v
+
+
 def sealed_store_state(store):
     """All state of an ``EncryptedTreeStore`` a batch must leave exactly
     as the scalar calls do."""

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import Grid
+
 from repro.core.ab_oram import AbOram, build_oram, needs_extensions
 from repro.core.remote import RemoteAllocator
 from repro.oram.ring import RingOram
@@ -50,7 +52,7 @@ class TestFacade:
     def test_warm_start(self, cfg_ab_small):
         oram = AbOram(cfg_ab_small)
         oram.check()
-        resident = int((oram.oram.store.slots >= 0).sum())
+        resident = int((Grid(oram.oram.store, "slots") >= 0).sum())
         assert resident + oram.oram.stash.occupancy == cfg_ab_small.n_real_blocks
 
     def test_space_report(self, cfg_ab_small):

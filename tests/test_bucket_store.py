@@ -10,6 +10,8 @@ from repro.oram.bucket import (
 from repro.oram.config import BucketGeometry, OramConfig, override_levels, uniform_geometry
 from repro.oram.path import path_oram_config
 
+from conftest import Grid
+
 
 _TALLY = {SlotStatus.DEAD: "dead_count", SlotStatus.QUEUED: "queued_count",
           SlotStatus.IN_USE: "in_use_count"}
@@ -19,10 +21,10 @@ def move(store, bucket, slot, status):
     """Move one slot to ``status`` with its tallies, the way the remote
     allocator writes them (gatherDEADs: DEAD -> QUEUED, a rental:
     QUEUED -> IN_USE); a REFRESHED slot is consumed first."""
-    if store.status[bucket, slot] == ST_REFRESHED:
+    if Grid(store, "status")[bucket, slot] == ST_REFRESHED:
         store.consume(bucket, slot)
-    getattr(store, _TALLY[store.status[bucket, slot]])[bucket] -= 1
-    store.status[bucket, slot] = status
+    getattr(store, _TALLY[Grid(store, "status")[bucket, slot]])[bucket] -= 1
+    Grid(store, "status")[bucket, slot] = status
     getattr(store, _TALLY[status])[bucket] += 1
 
 
@@ -57,22 +59,22 @@ class TestGeometry:
     def test_padding_columns_unallocated(self, nonuniform_store):
         leaf_bucket = 7
         assert all(
-            nonuniform_store.slots[leaf_bucket, 3:] == UNALLOCATED
+            Grid(nonuniform_store, "slots")[leaf_bucket, 3:] == UNALLOCATED
         )
 
     def test_initial_contents_all_dummies(self, store):
         for b in (0, 3, 17):
-            assert (store.row(b) == DUMMY).all()
+            assert store.row(b) == [DUMMY] * store.z_phys(b)
 
     def test_initial_sustain_unextended(self, store):
         # tiny config: S=2, Y=2 -> sustain 4.
-        assert (store.sustain == 4).all()
+        assert (Grid(store, "sustain") == 4).all()
 
 
 class TestConsume:
     def test_consume_returns_content(self, store):
         assert store.consume(0, 0) == DUMMY
-        assert store.slots[0, 0] == CONSUMED
+        assert Grid(store, "slots")[0, 0] == CONSUMED
 
     def test_consume_increments_count(self, store):
         store.consume(0, 0)
@@ -81,7 +83,7 @@ class TestConsume:
 
     def test_consume_sets_dead_status(self, store):
         store.consume(0, 0)
-        assert store.status[0, 0] == SlotStatus.DEAD
+        assert Grid(store, "status")[0, 0] == SlotStatus.DEAD
 
     def test_double_consume_raises(self, store):
         store.consume(0, 0)
@@ -93,14 +95,14 @@ class TestConsume:
             store.consume(0, 5)
 
     def test_consume_real_block(self, store):
-        store.slots[2, 1] = 42
+        Grid(store, "slots")[2, 1] = 42
         assert store.consume(2, 1) == 42
 
 
 def valid_dummy_slots(store, bucket):
     """The dummies readPath may serve from ``bucket``, by the mask it
     runs over the path snapshot."""
-    rows = store.path_slot_views(np.array([bucket]))
+    rows = np.array(store.path_slot_views([bucket]))
     return (rows == DUMMY).nonzero()[1].tolist()
 
 
@@ -122,14 +124,15 @@ class TestQueries:
         assert valid_dummy_slots(store, 0) == [0, 3, 4]
 
     def test_valid_real_slots(self, store):
-        store.slots[4, 0] = 10
-        store.slots[4, 3] = 11
+        Grid(store, "slots")[4, 0] = 10
+        Grid(store, "slots")[4, 3] = 11
         assert list(store.valid_real_slots(4)) == [0, 3]
 
     def test_real_count(self, store):
-        store.slots[4, 0] = 10
-        store.slots[4, 3] = 11
-        assert store.slots[4][store.slots[4] >= 0].tolist() == [10, 11]
+        slots = Grid(store, "slots")
+        slots[4, 0] = 10
+        slots[4, 3] = 11
+        assert slots[4][slots[4] >= 0].tolist() == [10, 11]
 
     def test_dead_slots(self, store):
         store.consume(1, 0)
@@ -153,38 +156,38 @@ class TestRefresh:
         assert set(written) == set(range(5))
         row = store.row(0)
         assert sorted(x for x in row if x >= 0) == [7, 8]
-        assert (row != CONSUMED).all()
+        assert CONSUMED not in row
 
     def test_refresh_restores_status(self, store):
         store.consume(0, 0)
         store.refresh(0, [])
-        assert store.status[0, 0] == SlotStatus.REFRESHED
+        assert Grid(store, "status")[0, 0] == SlotStatus.REFRESHED
 
     def test_refresh_bumps_generation_of_queued(self, store):
         store.consume(0, 0)
-        gen = int(store.generation[0, 0])
+        gen = int(Grid(store, "generation")[0, 0])
         move(store, 0, 0, SlotStatus.QUEUED)
         store.refresh(0, [])
-        assert store.generation[0, 0] == gen + 1
+        assert Grid(store, "generation")[0, 0] == gen + 1
         assert store.queued_count[0] == 0
 
     def test_refresh_skips_in_use(self, store):
         move(store, 0, 0, SlotStatus.IN_USE)
         written = store.refresh(0, [])
         assert 0 not in written
-        assert store.slots[0, 0] == CONSUMED
-        assert store.status[0, 0] == SlotStatus.IN_USE
+        assert Grid(store, "slots")[0, 0] == CONSUMED
+        assert Grid(store, "status")[0, 0] == SlotStatus.IN_USE
 
     def test_refresh_sustain_with_extension(self, store):
         store.refresh(0, [], granted_extension=2)
-        assert store.sustain[0] == 4 + 2
+        assert Grid(store, "sustain")[0] == 4 + 2
 
     def test_refresh_sustain_capped_by_rented_slots(self, store):
         # Rent out 2 of 5 slots: usable = 3 < sustain_unextended 4.
         move(store, 0, 0, SlotStatus.IN_USE)
         move(store, 0, 1, SlotStatus.IN_USE)
         store.refresh(0, [])
-        assert store.sustain[0] == 3
+        assert Grid(store, "sustain")[0] == 3
 
     def test_refresh_too_many_reals_raises(self, store):
         with pytest.raises(RuntimeError):
@@ -230,9 +233,9 @@ class TestGlobalScans:
         assert per.sum() == 3
 
     def test_write_dummy(self, store):
-        store.slots[0, 0] = CONSUMED
+        Grid(store, "slots")[0, 0] = CONSUMED
         store.set_slot(0, 0, DUMMY)
-        assert store.slots[0, 0] == DUMMY
+        assert Grid(store, "slots")[0, 0] == DUMMY
 
     def test_tallies_follow_every_transition(self, store):
         store.consume(0, 0)
@@ -248,7 +251,8 @@ class TestGlobalScans:
         assert (store.dead_count[0], store.queued_count[0],
                 store.in_use_count[0]) == (0, 0, 1)
         store.check_tallies()
-        store.status[0, 3] = SlotStatus.DEAD      # behind the tallies' back
+        # Behind the tallies' back:
+        Grid(store, "status")[0, 3] = SlotStatus.DEAD
         with pytest.raises(AssertionError, match="dead_count"):
             store.check_tallies()
 
@@ -258,7 +262,7 @@ class TestGlobalScans:
         slot that is not REFRESHED is an invariant violation."""
         store.set_slot(0, 3, content)
         store.check_tallies()
-        store.status[0, 3] = SlotStatus.DEAD      # tallies kept
+        Grid(store, "status")[0, 3] = SlotStatus.DEAD  # tallies kept
         store.dead_count[0] += 1
         with pytest.raises(
             AssertionError, match=f"slot 3 holds {content} with status DEAD"
@@ -276,13 +280,14 @@ class TestWideRows:
     def test_no_extension_no_extra_columns(self, name):
         cfg = schemes.by_name(name, 8)
         store = BucketStore(cfg)
-        for arr in (store.slots, store.status, store.generation):
-            assert arr.shape == (cfg.n_buckets, cfg.z_max)
+        for name in ("slots", "status", "generation"):
+            assert Grid(store, name).shape == (cfg.n_buckets, cfg.z_max)
         assert store.z_max == cfg.z_max
 
     def test_path_oram_no_extra_columns(self):
         cfg = path_oram_config(6)
-        assert BucketStore(cfg).slots.shape == (cfg.n_buckets, cfg.z_max)
+        store = BucketStore(cfg)
+        assert Grid(store, "slots").shape == (cfg.n_buckets, cfg.z_max)
 
     @pytest.mark.parametrize("name", ["dr", "dr-perf", "ab"])
     def test_extension_adds_r_max_columns(self, name):
@@ -290,24 +295,26 @@ class TestWideRows:
         r_max = max(g.remote_extension for g in cfg.geometry)
         assert r_max == 2
         store = BucketStore(cfg)
-        for arr in (store.slots, store.status, store.generation):
-            assert arr.shape == (cfg.n_buckets, cfg.z_max + r_max)
+        for name in ("slots", "status", "generation"):
+            shape = Grid(store, name).shape
+            assert shape == (cfg.n_buckets, cfg.z_max + r_max)
         # Nothing rented yet: the columns are empty, REFRESHED, and in
         # no scan's way.
-        assert (store.slots[:, store.z_max:] == UNALLOCATED).all()
-        assert (store.status[:, store.z_max:] == ST_REFRESHED).all()
+        assert (Grid(store, "slots")[:, store.z_max:] == UNALLOCATED).all()
+        assert (Grid(store, "status")[:, store.z_max:] == ST_REFRESHED).all()
         assert store.total_dead_slots() == 0
 
     def test_rented_columns_read_like_local_slots(self, cfg_ab_small):
         store = BucketStore(cfg_ab_small)
         b = cfg_ab_small.n_buckets - 1
-        store.slots[b, 1] = 7
-        store.slots[b, store.z_max] = 9          # a rented real block
-        assert store.slots[b][store.slots[b] >= 0].tolist() == [7, 9]
-        assert store.valid_real_slots(b).tolist() == [1]    # local only
-        store.slots[b, store.z_max] = DUMMY      # a rented dummy
+        slots = Grid(store, "slots")
+        slots[b, 1] = 7
+        slots[b, store.z_max] = 9          # a rented real block
+        assert slots[b][slots[b] >= 0].tolist() == [7, 9]
+        assert store.valid_real_slots(b) == [1]    # local only
+        slots[b, store.z_max] = DUMMY      # a rented dummy
         assert valid_dummy_slots(store, b)[-1] == store.z_max
-        rows = store.path_slot_views(np.array([0, b]))
+        rows = np.array(store.path_slot_views([0, b]))
         assert [list(h) for h in (rows == 7).nonzero()] == [[1], [1]]
         with pytest.raises(ValueError):
             store.consume(b, store.z_max)        # not a local slot

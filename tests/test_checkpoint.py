@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from conftest import sealed_store_state
+from conftest import Grid, sealed_store_state
 
 from repro.core import schemes as schemes_mod
 from repro.faults.plan import FaultPlan
@@ -74,7 +74,7 @@ class TestCheckpointRoundtrip:
         # rows and the allocator's host table ride the file too.
         store, ext = sim.oram.store, sim.oram.ext
         assert ext.active_rentals() > 0
-        assert (store.slots[:, store.z_max:] >= 0).any()
+        assert (Grid(store, "slots")[:, store.z_max:] >= 0).any()
         path = tmp_path / "ck.pkl"
         save_checkpoint(sim, path)
         assert set(sim.datastore.engine.__getstate__()) == {
@@ -87,7 +87,8 @@ class TestCheckpointRoundtrip:
             sim.datastore
         )
         assert resumed.faulty.summary() == sim.faulty.summary()
-        assert (resumed.oram.store.slots == store.slots).all()
+        resumed_slots = Grid(resumed.oram.store, "slots")
+        assert (resumed_slots == Grid(store, "slots")).all()
         assert (resumed.oram.ext.host_bucket == ext.host_bucket).all()
         assert (resumed.oram.ext.host_slot == ext.host_slot).all()
         assert resumed.oram.ext.n_active == ext.n_active
@@ -141,8 +142,11 @@ class TestCheckpointValidation:
         store with a ``TreeLayout``, an engine with a
         ``BlockAuthenticator``) would die on a missing attribute.
         Format 10 (a ``TreeLayout`` whose table is ``_offsets``, not
-        ``first_byte``) is refused by its number like the rest."""
-        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
+        ``first_byte``) is refused by its number like the rest; format
+        11 (numpy bucket tables, indexed ``[b, s]``) would die at the
+        first flat ``b * width + s`` subscript. Each refusal is one
+        line naming the format found and the one expected."""
+        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({
@@ -151,8 +155,12 @@ class TestCheckpointValidation:
             }))
             with pytest.raises(
                 ValueError, match="unsupported checkpoint format"
-            ):
+            ) as refused:
                 load_checkpoint(path)
+            assert str(refused.value) == (
+                f"{path}: unsupported checkpoint format {fmt} "
+                f"(expected {CHECKPOINT_FORMAT})"
+            )
 
     def test_non_simulation_payload_rejected(self, tmp_path):
         path = tmp_path / "shape.pkl"

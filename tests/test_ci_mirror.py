@@ -247,3 +247,30 @@ def test_make_lint_runs_every_gate_of_the_lint_job():
     assert not missing, (
         f"ci.yml's lint job gates on commands `make lint` does not run "
         f"unconditionally: {missing}")
+
+
+def test_flat_table_guard_refuses_2d_subscripts_only():
+    """The test job's "One flat slot table" step refuses a 2-D
+    subscript of the store's per-slot tables (a ``TypeError`` on the
+    flat containers, met only when its branch runs) and passes the
+    flat ones; its ERE reads the same under Python's ``re``."""
+    (pattern,) = [
+        m.group(1) for _, commands in _run_steps(CI.read_text())
+        for line in commands or ()
+        for m in [re.search(r'"(\\\.\(slots\|status\|generation\).*)"',
+                            line)] if m
+    ]
+    refused = [
+        "store.slots[b, s] = CONSUMED",
+        "st = self.status[bucket, :z]",
+        "gen = store.generation[:, :z]",
+    ]
+    passed = [
+        "store.slots[col] = UNALLOCATED",
+        "store.slots[lo:hi] = [UNALLOCATED] * (hi - lo)",
+        "store.status[hb * w + hs] = ST_DEAD",
+        "rows = [slots[b * w:b * w + w] for b in buckets]",
+        "hb = ext.host_bucket[b, i]",
+    ]
+    assert [line for line in refused if not re.search(pattern, line)] == []
+    assert [line for line in passed if re.search(pattern, line)] == []

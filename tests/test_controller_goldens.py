@@ -23,6 +23,8 @@ import os
 
 import pytest
 
+from conftest import Grid
+
 HERE = os.path.dirname(__file__)
 
 
@@ -64,8 +66,9 @@ def test_fingerprint_sees_a_swapped_pair_of_slots():
         oram = build_oram(schemes.by_name("ab", 7), seed=1)
         oram.warm_fill()
         if swap:
-            row = oram.store.slots[oram.cfg.n_buckets - 1]
-            row[0], row[1] = row[1], row[0]
+            slots = Grid(oram.store, "slots")
+            b = oram.cfg.n_buckets - 1
+            slots[b, 0], slots[b, 1] = slots[b, 1], slots[b, 0]
         return TOOL._digest(TOOL.controller_state(oram))
 
     assert state(False) == state(False)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import comparable_outcomes as _comparable
 from conftest import sealed_store_state as _everything
-from conftest import tiny_ab_config, tiny_config
+from conftest import Grid, tiny_ab_config, tiny_config
 
 from repro.core.remote import RemoteAllocator
 from repro.crypto.auth import AuthenticationError
@@ -65,8 +65,8 @@ class TestRefusedWrite:
         store = oram.store
         return (
             oram.rng.bit_generator.state, oram.online_accesses,
-            store.slots.tobytes(), store.status.tobytes(),
-            store.generation.tobytes(), store.count.tobytes(),
+            *(Grid(store, name).tobytes()
+              for name in ("slots", "status", "generation", "count")),
             sorted(oram.stash.blocks()),
         )
 
@@ -388,7 +388,8 @@ class TestControllerBatchesEqualPerSlot:
             if i % 40 == 20:
                 # Corrupt two resident blocks where they lie: a rented
                 # column (b, z_max + c) lives in its host's slot.
-                for b, s in np.argwhere(oram.store.slots >= 0)[[5, -5]]:
+                resident = np.argwhere(Grid(oram.store, "slots") >= 0)
+                for b, s in resident[[5, -5]]:
                     if s >= cfg.z_max:
                         b, s = (ext.host_bucket[b, s - cfg.z_max],
                                 ext.host_slot[b, s - cfg.z_max])
@@ -492,7 +493,7 @@ class TestEncryptedOramEndToEnd:
         oram, ds = self._oram(cfg, seed=5)
         oram.warm_fill()
         # Find some resident real block and flip a ciphertext byte.
-        rows = oram.store.slots
+        rows = np.asarray(Grid(oram.store, "slots"))
         reals = np.argwhere(rows >= 0)
         b, s = map(int, reals[0])
         blk = int(rows[b, s])

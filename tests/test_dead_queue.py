@@ -5,6 +5,8 @@ from collections import deque
 import numpy as np
 import pytest
 
+from conftest import Grid
+
 from repro.core.dead_queue import DeadQueue, DeadQueueSet
 from repro.oram.bucket import ST_DEAD, ST_QUEUED, BucketStore
 
@@ -20,8 +22,8 @@ def kill_slot(store, bucket, slot, queued=True):
     they are."""
     store.consume(bucket, slot)
     if queued:
-        store.status[bucket, slot] = ST_QUEUED
-    return int(store.generation[bucket, slot])
+        Grid(store, "status")[bucket, slot] = ST_QUEUED
+    return int(Grid(store, "generation")[bucket, slot])
 
 
 class TestDeadQueue:
@@ -49,7 +51,7 @@ class TestDeadQueue:
         q = DeadQueue(4)
         gen = kill_slot(store, 31, 0)
         q.gather(31, [0], [gen])
-        store.generation[31, 0] += 1  # host reshuffled the slot away
+        Grid(store, "generation")[31, 0] += 1  # host reshuffled the slot away
         assert q.take(store, 1, -1) is None
         assert q.stale_discarded == 1
         assert len(q) == 0
@@ -58,7 +60,7 @@ class TestDeadQueue:
         q = DeadQueue(4)
         gen = kill_slot(store, 31, 0)
         q.gather(31, [0], [gen])
-        store.status[31, 0] = ST_DEAD   # consumed from a rental
+        Grid(store, "status")[31, 0] = ST_DEAD   # consumed from a rental
         assert q.take(store, 1, -1) is None
         assert q.stale_discarded == 1
 
@@ -68,7 +70,7 @@ class TestDeadQueue:
         g2 = kill_slot(store, 32, 0)
         q.gather(31, [0], [g1])
         q.gather(32, [0], [g2])
-        store.generation[31, 0] += 1
+        Grid(store, "generation")[31, 0] += 1
         assert q.take(store, 1, -1) == [(32, 0)]
 
     def test_requeue_front(self, store):
@@ -111,16 +113,18 @@ class TestDeadQueueFifoProperties:
     class _AlwaysValidStore:
         """Minimal BucketStore facade: every entry validates."""
 
-        class _Zero:
-            def item(self, *key):
-                return 0
+        class _Same:
+            """A flat table holding ``value`` at every index."""
 
-        class _Queued:
-            def item(self, *key):
-                return ST_QUEUED
+            def __init__(self, value):
+                self.value = value
 
-        generation = _Zero()
-        status = _Queued()
+            def __getitem__(self, index):
+                return self.value
+
+        width = 1
+        generation = _Same(0)
+        status = _Same(ST_QUEUED)
 
     @staticmethod
     def _take(model, n, renter):

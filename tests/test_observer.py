@@ -235,8 +235,9 @@ class TestPerHookDispatch:
                 "on_slot_reclaimed"} <= set(seen)
 
     def test_served_run_calls_no_unheard_hook(self, monkeypatch):
-        """``build_stack`` attaches a GuessingAttacker, which overrides
-        ``on_read_path`` only: a served run reaches no other hook."""
+        """``build_stack(observer=True)`` attaches a GuessingAttacker,
+        which overrides ``on_read_path`` only: a served run reaches no
+        other hook."""
         from repro.serve import BatchScheduler, build_stack
         from repro.serve.loadgen import (
             WorkloadConfig, generate_requests, initial_items,
@@ -250,7 +251,7 @@ class TestPerHookDispatch:
 
         for hook in HOOKS:
             monkeypatch.setattr(BaseObserver, hook, unheard(hook))
-        stack = build_stack(levels=8, seed=0)
+        stack = build_stack(levels=8, seed=0, observer=True)
         load = WorkloadConfig("unheard", n_requests=150, stored_keys=40,
                               read_fraction=0.7, seed=5)
         stack.kv.preload(initial_items(load))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import Grid
+
 from repro.oram.path import PathOram, path_oram_config
 from repro.oram.stats import CountingSink, OpKind
 
@@ -147,8 +149,8 @@ class TestPinnedRun:
             sink.unattributed_accesses,
             list(oram.stash.blocks()),
             oram.stash.peak_occupancy,
-            oram.store.slots.tolist(),
-            oram.store.status.tolist(),
+            Grid(oram.store, "slots").tolist(),
+            Grid(oram.store, "status").tolist(),
             oram.rng.bit_generator.state["state"],
         ]
         digest = hashlib.sha256(

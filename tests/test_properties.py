@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_ab_config, tiny_config
+from conftest import Grid, tiny_ab_config, tiny_config
 
 from repro.core.ab_oram import build_oram
 from repro.oram import tree
@@ -126,7 +126,8 @@ class TestProtocolProperties:
         rng = np.random.default_rng(seed ^ 0xABCD)
         for _ in range(100):
             oram.access(int(rng.integers(cfg.n_real_blocks)))
-            assert (oram.store.count <= oram.store.sustain).all()
+            store = oram.store
+            assert (Grid(store, "count") <= Grid(store, "sustain")).all()
 
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -141,9 +142,10 @@ class TestProtocolProperties:
         rng = np.random.default_rng(seed)
         for _ in range(80):
             oram.access(int(rng.integers(cfg.n_real_blocks)))
-        in_use = np.argwhere(oram.store.status == SlotStatus.IN_USE)
+        status = Grid(oram.store, "status")
+        in_use = np.argwhere(status == SlotStatus.IN_USE)
         for b, s in in_use:
-            assert oram.store.slots[b, s] == -2  # CONSUMED
+            assert Grid(oram.store, "slots")[b, s] == -2  # CONSUMED
         oram.check_invariants()
 
     @pytest.mark.parametrize("corruption", [
@@ -162,20 +164,21 @@ class TestProtocolProperties:
             oram.access(int(rng.integers(cfg.n_real_blocks)))
         oram.check_invariants()
         store, ext = oram.store, oram.ext
-        renters = np.argwhere(store.slots[:, store.z_max:] != UNALLOCATED)
+        slots, status = Grid(store, "slots"), Grid(store, "status")
+        renters = np.argwhere(slots[:, store.z_max:] != UNALLOCATED)
         assert len(renters) >= 2
         (r1, c1), (r2, c2) = renters[0], renters[1]
         lv = cfg.levels - 1
         queue = ext.queues.get(lv)
         qb, qs, qg = next(
             e for e in queue.entries()
-            if store.status[e[0], e[1]] == ST_QUEUED
-            and store.generation[e[0], e[1]] == e[2]
+            if status[e[0], e[1]] == ST_QUEUED
+            and Grid(store, "generation")[e[0], e[1]] == e[2]
         )
         if corruption == "tally":
             store.dead_count[cfg.n_buckets - 1] += 1
         elif corruption == "host-not-in-use":
-            store.status[ext.host_bucket[r1, c1], ext.host_slot[r1, c1]] = ST_DEAD
+            status[ext.host_bucket[r1, c1], ext.host_slot[r1, c1]] = ST_DEAD
             store.dead_count[ext.host_bucket[r1, c1]] += 1
             store.in_use_count[ext.host_bucket[r1, c1]] -= 1
         elif corruption == "host-shared":
@@ -188,9 +191,9 @@ class TestProtocolProperties:
         elif corruption == "deadq-duplicate":
             queue.reclaim([(qb, qs, qg)])
         elif corruption == "deadq-lost":
-            store.generation[qb, qs] += 1
+            Grid(store, "generation")[qb, qs] += 1
         else:
-            store.status[0, 0] = ST_QUEUED
+            status[0, 0] = ST_QUEUED
             store.queued_count[0] += 1
         with pytest.raises(AssertionError):
             oram.check_invariants()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_ab_config
+from conftest import Grid, tiny_ab_config
 
 from repro.core.remote import RemoteAllocator
 from repro.oram import tree
@@ -44,7 +44,7 @@ def gather(alloc, cfg, bucket):
 
 def rented(oram, bucket):
     """``bucket``'s rented columns: content per column."""
-    return oram.store.slots[bucket, oram.store.z_max:].tolist()
+    return Grid(oram.store, "slots")[bucket, oram.store.z_max:].tolist()
 
 
 class TestGather:
@@ -56,7 +56,7 @@ class TestGather:
         expected = [(b, int(s)) for s in oram.store.dead_slots(b)]
         queued = gather(alloc, cfg, b)
         assert queued == 2
-        assert oram.store.status[b, 0] == SlotStatus.QUEUED
+        assert Grid(oram.store, "status")[b, 0] == SlotStatus.QUEUED
         entries = alloc.queues.get(lv).entries()
         assert [(bk, s) for bk, s, _ in entries] == expected
 
@@ -64,7 +64,21 @@ class TestGather:
         cfg, oram, alloc = setup
         make_dead(oram.store, 0, [0])
         assert gather(alloc, cfg, 0) == 0
-        assert oram.store.status[0, 0] == SlotStatus.DEAD
+        assert Grid(oram.store, "status")[0, 0] == SlotStatus.DEAD
+
+    def test_overstated_dead_tally_raises_inside_its_row(self, setup):
+        """Every gatherDEADs search stays in its bucket's row: a
+        ``dead_count`` claiming a DEAD slot the row does not hold
+        raises, and the next bucket's DEAD slot is not queued."""
+        cfg, oram, alloc = setup
+        store = oram.store
+        b = leaf_bucket(cfg, 0)
+        make_dead(store, b + 1, [0])        # the next row's first slot
+        store.dead_count[b] += 1            # b holds no DEAD slot
+        with pytest.raises(ValueError):
+            gather(alloc, cfg, b)
+        assert Grid(store, "status")[b + 1, 0] == SlotStatus.DEAD
+        assert len(alloc.queues.get(cfg.levels - 1)) == 0
 
     def test_leaves_one_free_slot(self, setup):
         """A bucket never has all its slots ALLOCATED."""
@@ -111,7 +125,7 @@ class TestAcquire:
         granted, hosts = alloc.acquire(renter, lv)
         assert granted == 1
         assert hosts == [(donor, 0)]
-        assert oram.store.status[donor, 0] == SlotStatus.IN_USE
+        assert Grid(oram.store, "status")[donor, 0] == SlotStatus.IN_USE
         assert (alloc.host_bucket[renter, 0], alloc.host_slot[renter, 0]) == (
             donor, 0)
         assert rented(oram, renter) == [DUMMY]
@@ -219,7 +233,7 @@ class TestRentalLifecycle:
         alloc.write_remote_all(renter, [42])
         assert rented(oram, renter) == [42]
         # The host's own row never shows what the renter stores there.
-        assert oram.store.slots[donor, 0] == CONSUMED
+        assert Grid(oram.store, "slots")[donor, 0] == CONSUMED
         assert (alloc.host_bucket[renter, 0], alloc.host_slot[renter, 0]) == (
             donor, 0)
 
@@ -235,8 +249,8 @@ class TestRentalLifecycle:
         cfg, oram, alloc, donor, renter = self._rent(setup)
         alloc.write_remote_all(renter, [42])
         assert alloc.consume_remote(renter, 0) == (donor, 0)
-        assert oram.store.status[donor, 0] == SlotStatus.DEAD
-        assert oram.store.slots[donor, 0] == CONSUMED
+        assert Grid(oram.store, "status")[donor, 0] == SlotStatus.DEAD
+        assert Grid(oram.store, "slots")[donor, 0] == CONSUMED
         assert oram.store.count[renter] == 1
         assert alloc.remote_real_reads == 1
 
@@ -246,6 +260,23 @@ class TestRentalLifecycle:
         alloc.consume_remote(renter, 0)
         assert alloc.remote_reads == 1
         assert alloc.remote_real_reads == 0
+
+    def test_path_snapshot_is_a_copy(self, setup):
+        """readPath selects from its ``path_slot_views`` snapshot while
+        ``consume_remote`` clears the rented column it picked: the
+        snapshot keeps what the path held, and writing to it reaches
+        no store table."""
+        cfg, oram, alloc, donor, renter = self._rent(setup)
+        alloc.write_remote_all(renter, [42])
+        z_max = oram.store.z_max
+        rows = oram.store.path_slot_views([donor, renter])
+        before = [list(row) for row in rows]
+        assert rows[1][z_max] == 42
+        alloc.consume_remote(renter, 0)
+        assert rented(oram, renter) == [UNALLOCATED]
+        assert rows == before
+        rows[0][0] = 7
+        assert Grid(oram.store, "slots")[donor, 0] == CONSUMED
 
     def test_consumed_rental_disappears(self, setup):
         cfg, oram, alloc, donor, renter = self._rent(setup)
@@ -259,11 +290,11 @@ class TestRentalLifecycle:
         cfg, oram, alloc, donor, renter = self._rent(setup)
         alloc.write_remote_all(renter, [99])
         # The reals leave with the row; reclaim hands back the hosts.
-        row = oram.store.slots[renter]
+        row = Grid(oram.store, "slots")[renter]
         assert row[row >= 0].tolist() == [99]
         assert alloc.reclaim(renter) == [(donor, 0)]
         assert rented(oram, renter) == [UNALLOCATED]
-        assert oram.store.status[donor, 0] == SlotStatus.QUEUED
+        assert Grid(oram.store, "status")[donor, 0] == SlotStatus.QUEUED
         # The slot is rentable again.
         granted, hosts = alloc.acquire(leaf_bucket(cfg, 2), cfg.levels - 1)
         assert granted == 1
@@ -281,7 +312,7 @@ class TestRentalLifecycle:
         make_dead(store, other, [0])
         gather(alloc, cfg, other)           # the queue is full again
         assert alloc.reclaim(renter) == [(donor, 0)]
-        assert store.status[donor, 0] == SlotStatus.DEAD
+        assert Grid(store, "status")[donor, 0] == SlotStatus.DEAD
         assert (store.dead_count[donor], store.in_use_count[donor]) == (1, 0)
         assert alloc.queues.get(cfg.levels - 1).dropped_full == 1
         store.check_tallies()
@@ -294,7 +325,7 @@ class TestRentalLifecycle:
     def test_remote_real_blocks_inventory(self, setup):
         cfg, oram, alloc, donor, renter = self._rent(setup)
         alloc.write_remote_all(renter, [77])
-        columns = oram.store.slots[:, oram.store.z_max:]
+        columns = Grid(oram.store, "slots")[:, oram.store.z_max:]
         assert np.argwhere(columns >= 0).tolist() == [[renter, 0]]
         assert columns[renter, 0] == 77
 

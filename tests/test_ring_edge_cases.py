@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from conftest import RecordingSink, tiny_ab_config, tiny_config
+from conftest import Grid, RecordingSink, tiny_ab_config, tiny_config
 
 from repro.core import schemes
 from repro.core.ab_oram import build_oram
@@ -134,7 +134,7 @@ class TestSlotStatusBookkeeping:
         rng = np.random.default_rng(0)
         for _ in range(300):
             oram.access(int(rng.integers(cfg.n_real_blocks)))
-        in_use = int((oram.store.status == SlotStatus.IN_USE).sum())
+        in_use = int((Grid(oram.store, "status") == SlotStatus.IN_USE).sum())
         assert in_use == oram.ext.active_rentals()
 
     def test_queued_entries_match_queue_or_stale(self):
@@ -144,7 +144,8 @@ class TestSlotStatusBookkeeping:
         rng = np.random.default_rng(1)
         for _ in range(200):
             oram.access(int(rng.integers(cfg.n_real_blocks)))
-        queued_status = int((oram.store.status == SlotStatus.QUEUED).sum())
+        status = Grid(oram.store, "status")
+        queued_status = int((status == SlotStatus.QUEUED).sum())
         # Queue may hold stale entries (fewer live QUEUED slots than
         # entries is impossible; more is, via lazy invalidation).
         assert queued_status <= oram.ext.queues.total_entries() + 1

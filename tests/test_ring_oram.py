@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import tiny_ab_config, tiny_config
+from conftest import Grid, tiny_ab_config, tiny_config
 
 from repro.core.remote import RemoteAllocator
 from repro.oram.ring import RingOram
@@ -96,7 +96,8 @@ class TestMaintenanceScheduling:
         oram = make_oram(seed=3)
         for i in range(120):
             oram.access((i * 13) % oram.cfg.n_real_blocks)
-            over = np.nonzero(oram.store.count > oram.store.sustain)[0]
+            store = oram.store
+            over = np.nonzero(Grid(store, "count") > Grid(store, "sustain"))[0]
             assert over.size == 0
 
 
@@ -182,7 +183,8 @@ class TestWarmFill:
     def test_every_block_placed(self):
         oram = make_oram(seed=4)
         overflow = oram.warm_fill()
-        resident = int((oram.store.slots >= 0).sum()) + oram.stash.occupancy
+        resident = (int((Grid(oram.store, "slots") >= 0).sum())
+                    + oram.stash.occupancy)
         assert resident == oram.cfg.n_real_blocks
         assert overflow == oram.stash.occupancy
 
@@ -195,8 +197,7 @@ class TestWarmFill:
         oram = make_oram(seed=4)
         oram.warm_fill()
         per_level = np.zeros(oram.cfg.levels)
-        rows = oram.store.slots
-        reals = np.argwhere(rows >= 0)
+        reals = np.argwhere(Grid(oram.store, "slots") >= 0)
         for b, _s in reals:
             per_level[oram.store.level(int(b))] += 1
         assert per_level[-1] > per_level.sum() * 0.4

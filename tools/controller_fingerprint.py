@@ -23,9 +23,11 @@ not reach: ``dr-perf``, DeadQ capacity 2 and 3, ``evict_rate`` 3,
 background eviction, a recursive position map behind a PLB small
 enough to miss.
 
-Only ``[:, :cfg.z_max]`` of the per-slot arrays is hashed, so the tool
-runs unmodified on either side of a change to what lies past those
-columns; ``tests/goldens/controller_state.json`` holds its output and
+Only ``[:, :cfg.z_max]`` of the per-slot tables is hashed, each read
+as the numpy array ``BucketStore.table`` gives (or, on older stores,
+the numpy attribute itself), so the tool runs unmodified on either
+side of a change to what lies past those columns or to how the store
+keeps them; ``tests/goldens/controller_state.json`` holds its output and
 ``tests/test_controller_goldens.py`` requires the tree to reproduce it.
 
 Usage: ``PYTHONPATH=src python tools/controller_fingerprint.py
@@ -95,6 +97,14 @@ def _observer_state(obs: Any) -> Dict[str, Any]:
     return {type(obs).__name__: state}
 
 
+def _table(store: Any, name: str) -> np.ndarray:
+    """``store.table(name)``, the numpy copy of one flat store table;
+    stores older than that accessor held the numpy arrays themselves."""
+    if hasattr(store, "table"):
+        return store.table(name)
+    return getattr(store, name)
+
+
 def controller_state(oram: RingOram) -> Dict[str, Any]:
     """Everything of one controller the fingerprint covers."""
     store = oram.store
@@ -102,11 +112,11 @@ def controller_state(oram: RingOram) -> Dict[str, Any]:
     integrity = getattr(oram.datastore, "integrity", None)
     return {
         "rng": oram.rng.bit_generator.state,
-        "slots": store.slots[:, :z],
-        "status": store.status[:, :z],
-        "generation": store.generation[:, :z],
-        "count": store.count,
-        "sustain": store.sustain,
+        "slots": _table(store, "slots")[:, :z],
+        "status": _table(store, "status")[:, :z],
+        "generation": _table(store, "generation")[:, :z],
+        "count": _table(store, "count"),
+        "sustain": _table(store, "sustain"),
         "stash": sorted(oram.stash.blocks()),
         "ext": None if oram.ext is None else oram.ext.stats(),
         "observers": [_observer_state(obs) for obs in oram.observers],
