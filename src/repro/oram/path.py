@@ -22,6 +22,7 @@ import numpy as np
 from repro.oram import tree as tree_mod
 from repro.oram.bucket import BucketStore
 from repro.oram.config import OramConfig, uniform_geometry
+from repro.oram.draws import Draws
 from repro.oram.position_map import PositionMap
 from repro.oram.stash import Stash
 from repro.oram.stats import CountingSink, MemorySink, OpKind
@@ -59,10 +60,10 @@ class PathOram:
             raise ValueError("Path ORAM buckets have no reserved dummies/overlap")
         self.cfg = cfg
         self.sink = sink if sink is not None else CountingSink(cfg.levels)
-        self.rng = np.random.default_rng(seed)
+        self.draws = Draws(seed)
         self.store = BucketStore(cfg)
         self.stash = Stash(cfg.stash_capacity)
-        self.posmap = PositionMap(cfg.n_real_blocks, cfg.n_leaves, self.rng)
+        self.posmap = PositionMap(cfg.n_real_blocks, cfg.n_leaves, self.draws)
         self._data: Dict[int, Any] = {}
         self.accesses = 0
 

@@ -7,12 +7,17 @@ affordable in a Python process.
 
 A block whose entry is ``UNMAPPED`` has never been touched; the first
 access assigns it a uniformly random leaf ("allocate on first touch"),
-which matches how trace-driven ORAM studies warm their trees.
+which matches how trace-driven ORAM studies warm their trees. Leaves
+are drawn with ``Draws.one`` from the controller's own
+:class:`~repro.oram.draws.Draws`, so they are part of its protocol
+stream (DESIGN.md section 14).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.oram.draws import Draws
 
 UNMAPPED = -1
 
@@ -20,14 +25,14 @@ UNMAPPED = -1
 class PositionMap:
     """Dense block -> leaf mapping with deferred random initialization."""
 
-    def __init__(self, n_blocks: int, n_leaves: int, rng: np.random.Generator) -> None:
+    def __init__(self, n_blocks: int, n_leaves: int, draws: Draws) -> None:
         if n_blocks < 1:
             raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
         if n_leaves < 1:
             raise ValueError(f"n_leaves must be >= 1, got {n_leaves}")
         self.n_blocks = n_blocks
         self.n_leaves = n_leaves
-        self._rng = rng
+        self._draws = draws
         self._leaf = np.full(n_blocks, UNMAPPED, dtype=np.int64)
         self.lookups = 0
         self.remaps = 0
@@ -38,7 +43,7 @@ class PositionMap:
         self.lookups += 1
         leaf = int(self._leaf[block])
         if leaf == UNMAPPED:
-            leaf = int(self._rng.integers(self.n_leaves))
+            leaf = self._draws.one(self.n_leaves)
             self._leaf[block] = leaf
         return leaf
 
@@ -60,7 +65,7 @@ class PositionMap:
     def remap(self, block: int) -> int:
         """Assign and return a fresh uniformly random leaf for ``block``."""
         self._check(block)
-        leaf = int(self._rng.integers(self.n_leaves))
+        leaf = self._draws.one(self.n_leaves)
         self._leaf[block] = leaf
         self.remaps += 1
         return leaf

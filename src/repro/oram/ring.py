@@ -30,6 +30,13 @@ over local + remote positions. A remote read (real or dummy) is
 therefore indistinguishable from a local one; the only observable
 difference is the redirected address -- which is public by design.
 
+Every random choice -- readPath's slot per level, the remap and
+background leaves, a reshuffle's scatter positions, ``warm_fill``'s
+leaves -- is drawn through the controller's one
+:class:`~repro.oram.draws.Draws` (``self.draws``), one call per
+operation; ``rng`` is its numpy generator, synced to the draws made so
+far (DESIGN.md section 14).
+
 The controller narrates every memory touch to a
 :class:`~repro.oram.stats.MemorySink`; accesses to treetop-cached
 levels are flagged on-chip.
@@ -37,7 +44,8 @@ levels are flagged on-chip.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import (
     Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -49,6 +57,7 @@ from repro.crypto.integrity import IntegrityError
 from repro.oram import tree as tree_mod
 from repro.oram.bucket import BucketStore, DUMMY, ST_DEAD, ST_QUEUED
 from repro.oram.config import OramConfig
+from repro.oram.draws import Draws
 from repro.oram.metadata import record_blocks
 from repro.oram.observer import HOOKS, hears
 from repro.oram.position_map import PositionMap
@@ -88,47 +97,43 @@ class ProtocolError(RuntimeError):
     """An invariant of the Ring ORAM protocol was violated."""
 
 
-def _draw(rng: np.random.Generator, bounds: List[int]) -> List[int]:
-    """One uniform draw below each bound, in order, in at most one
-    generator call; the array form draws element by element as the
-    scalar one does (DESIGN.md section 14), the cheaper for one."""
-    if len(bounds) == 1:
-        return [int(rng.integers(bounds[0]))]
-    return rng.integers(0, bounds).tolist() if bounds else []
-
-
 def _scatter_draws(
-    rng: np.random.Generator, jobs: List[Tuple[int, int, bool]]
+    draws: Draws, jobs: List[Tuple[int, int, bool]]
 ) -> List[Optional[List[int]]]:
-    """What ``rng.choice`` of ``n`` with ``size=k, replace=False``
-    returns for each ``(n, k, wanted)`` of ``jobs``, from one
-    bounded-draw call; ``None`` for a job not ``wanted``.
+    """What ``Generator.choice`` of ``n`` with ``size=k, replace=False``
+    returns for each ``(n, k, wanted)`` of ``jobs``, drawn in job order;
+    ``None`` for a job not ``wanted``.
 
     numpy's ``choice`` (n <= 10000) is Floyd's algorithm (k draws,
     bounds n-k+1 ... n), then a Fisher-Yates shuffle of the k results
     (k-1 draws, bounds k ... 2); replaying both over the same draws
     leaves results and generator as the calls would
-    (``tests/test_rng_identities.py``). Every job's bounds are drawn;
-    only the wanted ones are replayed.
+    (``tests/test_rng_identities.py``). Every job's bounds are drawn,
+    one call per run of jobs alike in ``wanted``; only the wanted ones
+    are replayed, and the others only move the stream.
     """
-    bounds: List[int] = []
-    for n, k, _ in jobs:
-        bounds += range(n - k + 1, n + 1)
-        bounds += range(k, 1, -1)
-    draws = _draw(rng, bounds)
     out: List[Optional[List[int]]] = []
-    at = 0
-    for n, k, wanted in jobs:
-        end = at + 2 * k - 1 if k else at
-        picked: Optional[List[int]] = None
-        if wanted:
-            picked = []
-            for j, v in zip(range(n - k, n), draws[at:at + k]):
+    for wanted, run in groupby(jobs, key=itemgetter(2)):
+        run = list(run)
+        bounds: List[int] = []
+        for n, k, _ in run:
+            bounds += range(n - k + 1, n + 1)
+            bounds += range(k, 1, -1)
+        if not wanted:
+            draws.skip(bounds)
+            out += [None] * len(run)
+            continue
+        drawn = draws.below(bounds)
+        at = 0
+        for n, k, _ in run:
+            picked: List[int] = []
+            for j, v in zip(range(n - k, n), drawn[at:at + k]):
                 picked.append(j if v in picked else v)
-            for i, r in zip(range(k - 1, 0, -1), draws[at + k:end]):
+            end = at + 2 * k - 1 if k else at
+            for i, r in zip(range(k - 1, 0, -1), drawn[at + k:end]):
                 picked[i], picked[r] = picked[r], picked[i]
-        out.append(picked)
-        at = end
+            out.append(picked)
+            at = end
     return out
 
 
@@ -150,10 +155,10 @@ class RingOram:
     ) -> None:
         self.cfg = cfg
         self.sink = sink if sink is not None else CountingSink(cfg.levels)
-        self.rng = np.random.default_rng(seed)
+        self.draws = Draws(seed)
         self.store = BucketStore(cfg)
         self.stash = Stash(cfg.stash_capacity)
-        self.posmap = PositionMap(cfg.n_real_blocks, cfg.n_leaves, self.rng)
+        self.posmap = PositionMap(cfg.n_real_blocks, cfg.n_leaves, self.draws)
         self.ext = extensions
         self.observers: List[Any] = []
         self._heard: Dict[str, List[Any]] = {hook: [] for hook in HOOKS}
@@ -210,6 +215,11 @@ class RingOram:
             self.ext.bind(self)
         self.metadata_blocks = record_blocks(cfg)
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The protocol generator, synced to the draws made so far."""
+        return self.draws.generator
+
     # ----------------------------------------------------------- public API
 
     def access(self, block: int, write: bool = False, value: Any = None) -> Any:
@@ -233,7 +243,7 @@ class RingOram:
             # Each PLB miss fetches one position-map block: a full,
             # protocol-complete ORAM access of its own (Freecursive).
             for _ in range(self.posmap_model.access(block)):
-                pm_leaf = int(self.rng.integers(self.cfg.n_leaves))
+                pm_leaf = self.draws.one(self.cfg.n_leaves)
                 self._tick(self._read_path(pm_leaf, target=None,
                                            kind=OpKind.POSMAP))
         leaf = self.posmap.lookup(block)
@@ -343,7 +353,7 @@ class RingOram:
         z_real = [g.z_real for g in cfg.geometry]
         levels = cfg.levels
         n_leaves = cfg.n_leaves
-        integers = self.rng.integers
+        one = self.draws.one
         set_slot = self.store.set_slot
         # Sealed path: placements are sealed in placement order, a
         # bounded chunk at a time (a whole tree's seal requests at once
@@ -351,7 +361,7 @@ class RingOram:
         seal_items: List[Tuple[int, int, Optional[bytes]]] = []
         blank = bytes(cfg.block_bytes)
         for block in order:
-            leaf = int(integers(n_leaves))
+            leaf = one(n_leaves)
             self.posmap.set_leaf(block, leaf)
             placed = False
             for lv in range(levels - 1, -1, -1):
@@ -462,7 +472,7 @@ class RingOram:
                 )
             greens[lv] = green
             bounds.append(len(green))
-        draws = iter(_draw(self.rng, bounds))
+        draws = iter(self.draws.below(bounds))
         # -- block pass: one read per bucket. Sink touches are collected
         # and issued as one batch (same order, one phase transition).
         # ``reads`` feeds only on_read_path, so unless someone hears it
@@ -724,7 +734,7 @@ class RingOram:
         # local one. Drawn whenever blocks are chosen -- even with no
         # remote hosts -- so the RNG stream is the same for every scheme;
         # only a bucket with a rented host reads its positions.
-        scatter = _scatter_draws(self.rng, [
+        scatter = _scatter_draws(self.draws, [
             (n_usable + len(hosts), len(chosen), bool(hosts))
             for (_, _, n_usable, _, hosts), chosen in zip(refills, picks)
         ])
@@ -826,7 +836,7 @@ class RingOram:
                     f"(occupancy {self.stash.occupancy})"
                 )
             self.background_accesses += 1
-            leaf = int(self.rng.integers(cfg.n_leaves))
+            leaf = self.draws.one(cfg.n_leaves)
             self._tick(self._read_path(leaf, target=None,
                                        kind=OpKind.BACKGROUND))
 

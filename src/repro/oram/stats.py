@@ -40,6 +40,11 @@ class OpKind(enum.Enum):
     POSMAP = "posMap"
     RECOVERY = "recovery"
 
+    # Members are singletons, so identity hashing keys the per-op dicts
+    # ``DramSink.end_op`` updates on every operation; ``Enum.__hash__``
+    # hashes the member's name in Python code each time.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -51,7 +51,10 @@ PathLike = Union[str, Path]
 #: (``slots`` a list, ``status`` a bytearray, ``generation`` an
 #: ``array('I')``, ``count`` / ``sustain`` lists; were 2-D and 1-D
 #: numpy arrays), so an older store would fail its first flat index.
-CHECKPOINT_FORMAT = 12
+#: 13: the controllers and the position map draw through a ``Draws``
+#: (``RingOram.draws``; ``rng`` is a property over it, was a bare
+#: ``Generator``), so an older controller would fail its first draw.
+CHECKPOINT_FORMAT = 13
 _MAGIC = "repro-sim-checkpoint"
 
 

@@ -144,9 +144,11 @@ class TestCheckpointValidation:
         Format 10 (a ``TreeLayout`` whose table is ``_offsets``, not
         ``first_byte``) is refused by its number like the rest; format
         11 (numpy bucket tables, indexed ``[b, s]``) would die at the
-        first flat ``b * width + s`` subscript. Each refusal is one
-        line naming the format found and the one expected."""
-        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
+        first flat ``b * width + s`` subscript; format 12 (a controller
+        whose generator sits at ``rng``, with no ``Draws``) at its first
+        draw. Each refusal is one line naming the format found and the
+        one expected."""
+        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

@@ -274,3 +274,28 @@ def test_flat_table_guard_refuses_2d_subscripts_only():
     ]
     assert [line for line in refused if not re.search(pattern, line)] == []
     assert [line for line in passed if re.search(pattern, line)] == []
+
+
+def test_draw_guard_refuses_numpy_integers_calls_only():
+    """The test job's "One pass per path" step refuses a numpy
+    ``integers`` call or alias in the controllers and the position map
+    (their draws go through ``Draws``) and passes the ``Draws`` calls;
+    its ERE reads the same under Python's ``re``."""
+    (pattern,) = [
+        m.group(1) for _, commands in _run_steps(CI.read_text())
+        for line in commands or ()
+        for m in [re.search(r'"([^"]*integers[^"]*)"', line)] if m
+    ]
+    refused = [
+        "leaf = int(self.rng.integers(cfg.n_leaves))",
+        "draws = rng.integers(0, bounds).tolist()",
+        "integers = self.rng.integers",
+    ]
+    passed = [
+        "leaf = self.draws.one(cfg.n_leaves)",
+        "draws = iter(self.draws.below(bounds))",
+        "n_integers = len(bounds)",
+        "rng.permutation(cfg.n_real_blocks)",
+    ]
+    assert [line for line in refused if not re.search(pattern, line)] == []
+    assert [line for line in passed if re.search(pattern, line)] == []

@@ -146,10 +146,11 @@ class TestSimulateRobustness:
         """A sealed format-8 file pickles the same objects, but its tags
         are HMAC-SHA256; a format-9 file's sealed store and engine have
         the attributes of before their inline slot tables, a format-10
-        file's layout its table under the old name, and a format-11
-        file's bucket store numpy tables where flat ones are indexed:
-        one error line and exit 2 for each, not a MAC failure or a
-        missing attribute after the resume."""
+        file's layout its table under the old name, a format-11
+        file's bucket store numpy tables where flat ones are indexed,
+        and a format-12 file's controller a bare generator where a
+        ``Draws`` is drawn from: one error line and exit 2 for each,
+        not a MAC failure or a missing attribute after the resume."""
         import pickle
 
         ck = tmp_path / "ck.pkl"
@@ -160,13 +161,13 @@ class TestSimulateRobustness:
         payload = pickle.loads(ck.read_bytes())
         assert payload["simulation"].datastore is not None
         capsys.readouterr()
-        for fmt in (8, 9, 10, 11):
+        for fmt in (8, 9, 10, 11, 12):
             payload["format"] = fmt
             ck.write_bytes(pickle.dumps(payload))
             assert main(["simulate", "--resume", str(ck)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert f"unsupported checkpoint format {fmt} (expected 12)" in err
+            assert f"unsupported checkpoint format {fmt} (expected 13)" in err
 
     @pytest.mark.parametrize("kind", ["garbage", "missing", "directory"])
     def test_resume_rejects_garbage(self, capsys, tmp_path, kind):

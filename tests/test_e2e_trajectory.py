@@ -2,9 +2,10 @@
 
 ``tools/ab.py --record`` appends one entry per recorded comparison:
 both revisions, the workload and seeds, each host metric's median,
-quartiles and wins, the median CPU seconds per side and the host line.
-Every committed entry must carry all of it, and what the tool writes
-must pass the same check.
+quartiles and wins, the median CPU seconds per side and the host line,
+and (entries recorded since the tool reports it) the median host
+microseconds per ORAM access per side. Every committed entry must
+carry all of it, and what the tool writes must pass the same check.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ def entry_problems(entry):
     cpu = entry.get("cpu_s", {})
     if set(cpu) != {"base", "change"} or not all(v > 0 for v in cpu.values()):
         problems.append(f"cpu_s {cpu!r}")
+    if "us_per_access" in entry:
+        us = entry["us_per_access"]
+        if not (isinstance(us, dict) and set(us) == {"base", "change"}
+                and all(isinstance(v, float) and v > 0
+                        for v in us.values())):
+            problems.append(f"us_per_access {us!r}")
     host = entry.get("host", {})
     if not (isinstance(host.get("python"), str)
             and isinstance(host.get("cpu_count"), int)
@@ -88,7 +95,7 @@ def test_every_committed_entry_is_complete():
 def test_record_appends_what_the_check_accepts(tmp_path, monkeypatch):
     def run(ops, rss):
         return {"metrics": {"setup_s": 0.2, "ops_per_s": ops,
-                            "peak_rss_mb": rss}}
+                            "peak_rss_mb": rss, "accesses_per_op": 2.5}}
 
     runs = {"base": [run(100.0 + i, 180.0) for i in range(4)],
             "change": [run(120.0 + i, 170.0 + i) for i in range(4)]}
@@ -105,7 +112,21 @@ def test_record_appends_what_the_check_accepts(tmp_path, monkeypatch):
         "host": {"python": "3.11.7", "cpu_count": 2, "platform": "Linux"},
     }
     ab.record(entry)
-    ab.record(entry)
+    with_us = dict(entry, us_per_access={
+        "base": ab.us_per_access(runs["base"][0]),
+        "change": ab.us_per_access(runs["change"][0]),
+    })
+    ab.record(with_us)
     written = json.loads((tmp_path / "BENCH_e2e.json").read_text())
-    assert written == [entry, entry]
+    assert written == [entry, with_us]
     assert entry_problems(written[0]) == []
+    assert entry_problems(written[1]) == []
+    assert written[1]["us_per_access"]["base"] == pytest.approx(4000.0)
+    for bad in ({"base": 1.0}, {"base": 1.0, "change": -2.0}, 3.0):
+        assert entry_problems(dict(entry, us_per_access=bad)) == [
+            f"us_per_access {bad!r}"]
+
+
+def test_us_per_access_is_none_without_accesses():
+    run = {"metrics": {"ops_per_s": 50.0, "accesses_per_op": 0.0}}
+    assert ab.us_per_access(run) is None

@@ -151,7 +151,7 @@ class TestPinnedRun:
             oram.stash.peak_occupancy,
             Grid(oram.store, "slots").tolist(),
             Grid(oram.store, "status").tolist(),
-            oram.rng.bit_generator.state["state"],
+            oram.draws.generator.bit_generator.state["state"],
         ]
         digest = hashlib.sha256(
             json.dumps(state, sort_keys=True).encode()

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.oram.draws import Draws
 from repro.oram.position_map import UNMAPPED, PositionMap
 
 
 @pytest.fixture
 def pm(rng):
-    return PositionMap(n_blocks=100, n_leaves=16, rng=rng)
+    return PositionMap(n_blocks=100, n_leaves=16, draws=Draws(rng))
 
 
 class TestLookup:
@@ -78,14 +79,14 @@ class TestMappedBlocks:
 class TestConstruction:
     def test_rejects_zero_blocks(self, rng):
         with pytest.raises(ValueError):
-            PositionMap(0, 4, rng)
+            PositionMap(0, 4, Draws(rng))
 
     def test_rejects_zero_leaves(self, rng):
         with pytest.raises(ValueError):
-            PositionMap(4, 0, rng)
+            PositionMap(4, 0, Draws(rng))
 
     def test_uniformity_of_first_touch(self, rng):
-        pm = PositionMap(4000, 8, rng)
+        pm = PositionMap(4000, 8, Draws(rng))
         leaves = [pm.lookup(i) for i in range(4000)]
         counts = np.bincount(leaves, minlength=8)
         # Each leaf expects 500; allow generous tolerance.

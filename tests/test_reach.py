@@ -102,3 +102,23 @@ def test_the_ratchet_fails_only_a_count_that_rose(reach):
         "single-valued settings rose from 32 to 33"]
     committed["single-valued settings"] = 33
     assert reach.ratchet(text, committed) == []
+
+
+def test_a_failing_target_leaves_a_log_and_names_its_failures(
+        reach, tmp_path, capsys):
+    (tmp_path / "Makefile").write_text(
+        "fine:\n\t@echo all fine\n"
+        "broken:\n\t@echo 'FAILED tests/test_fake.py::test_it - assert 0'"
+        "\n\t@exit 1\n")
+    records = tmp_path / "records"
+    assert reach.run_targets(records, ("fine", "broken"), tmp_path) != 0
+    log = records / "make.log"
+    assert "all fine" in log.read_text()
+    err = capsys.readouterr().err
+    assert f"its output is in {log}" in err
+    assert "FAILED tests/test_fake.py::test_it - assert 0" in err
+    # "make:" or, under an outer make, "make[1]:".
+    assert "*** [Makefile:5: broken] Error 1" in err
+    assert "all fine" not in err
+    assert reach.run_targets(records, ("fine",), tmp_path) == 0
+    assert capsys.readouterr().err == ""

@@ -255,3 +255,47 @@ class TestSinkProtocol:
                     f"{cls.__module__}.{cls.__name__} overrides {name}: "
                     "implement the *_many primitives instead"
                 )
+
+
+class TestOpKindHashing:
+    """``OpKind`` hashes by identity (its members are singletons), which
+    keys the per-op dicts the timed sink updates on every operation."""
+
+    def test_hash_is_identity_and_lookup_by_value_finds_the_member(self):
+        for kind in OpKind:
+            assert hash(kind) == object.__hash__(kind)
+            assert OpKind(kind.value) is kind
+            assert OpKind[kind.name] is kind
+
+    def test_keyed_dicts_and_online_membership(self):
+        from repro.core.pipeline import ONLINE_KINDS
+
+        index = {kind: i for i, kind in enumerate(OpKind)}
+        assert [index[OpKind(k.value)] for k in OpKind] == list(
+            range(len(OpKind)))
+        assert [k for k in OpKind if k in ONLINE_KINDS] == [
+            OpKind.READ_PATH, OpKind.POSMAP]
+        assert "readPath" not in ONLINE_KINDS
+        assert {str(k): v for k, v in index.items()}["evictPath"] == 1
+
+    def test_time_by_kind_survives_a_pickle_round_trip(self):
+        import pickle
+
+        from repro.core import schemes
+        from repro.sim.engine import SimConfig, Simulation
+        from repro.sim.runner import make_trace
+
+        scheme = schemes.by_name("ring", 7)
+        trace = make_trace("spec", "mcf", scheme.n_real_blocks, 60, seed=0)
+        sim = Simulation(scheme, trace, SimConfig(seed=0))
+        for _ in range(30):
+            sim.step()
+        sink = sim.dram_sink
+        assert sink.ops_by_kind[OpKind.READ_PATH] > 0
+        for table in (sink.time_by_kind, sink.ops_by_kind):
+            copy = pickle.loads(pickle.dumps(table))
+            assert copy == table
+            assert list(copy) == list(table) == list(OpKind)
+            assert all(a is b for a, b in zip(copy, table))
+            copy[OpKind.READ_PATH] += 1
+            assert copy[OpKind.READ_PATH] == table[OpKind.READ_PATH] + 1

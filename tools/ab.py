@@ -14,7 +14,9 @@ too) on seeds ``SEED .. SEED + pairs - 1``. It prints each host
 metric's median and quartiles per side, the change in the medians,
 whether that change clears the base's interquartile range, and the
 pairs the change won, plus the CPU seconds each side's runs used
-(work, where wall time also counts contention).
+(work, where wall time also counts contention) and each side's median
+host microseconds per ORAM access, ``1e6 / (ops_per_s *
+accesses_per_op)`` (host time per unit of protocol work).
 
 It exits 1 at the first pair whose two runs disagree on ``correct``,
 on any of the six simulated metrics, or on ``ok_share``: a host-only
@@ -26,9 +28,10 @@ no worktree is registered.
 ``BENCH_e2e.json`` at the repo root, the host-time trajectory: both
 revisions (the change as ``HEAD``'s short hash, ``-dirty`` when the
 working tree differs from it), the workload and seeds, each host
-metric's median, quartiles and wins, the median CPU seconds per side
-and a host line (Python version, ``os.cpu_count()``, platform). A run
-that fails records nothing.
+metric's median, quartiles and wins, the median CPU seconds and
+microseconds per access per side (``us_per_access``) and a host line
+(Python version, ``os.cpu_count()``, platform). A run that fails
+records nothing.
 """
 
 from __future__ import annotations
@@ -119,6 +122,14 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def us_per_access(result: Dict[str, Any]) -> Optional[float]:
+    """Host microseconds per ORAM access of one untraced run; ``None``
+    for a run that made no access."""
+    m = result["metrics"]
+    work = m["ops_per_s"] * m["accesses_per_op"]
+    return 1e6 / work if work > 0 else None
 
 
 def change_rev() -> str:
@@ -215,6 +226,13 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{m['wins']}/{args.pairs}")
     cpu_s = {side: statistics.median(cpu[side]) for side in cpu}
     print(f"{'cpu_s':<12} {cpu_s['base']:>30.3f} {cpu_s['change']:>30.3f}")
+    per_access = {side: [us_per_access(r) for r in runs[side]]
+                  for side in runs}
+    us = (None if any(None in v for v in per_access.values())
+          else {side: statistics.median(v) for side, v in per_access.items()})
+    if us is not None:
+        print(f"{'us/access':<12} {us['base']:>30.3f} {us['change']:>30.3f} "
+              f"{us['change'] / us['base'] - 1:>+8.1%}")
     print("ab: simulated metrics and correctness byte-equal on every pair")
     if args.record:
         record({
@@ -222,6 +240,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "workload": args.workload, "pairs": args.pairs,
             "seeds": [args.seed, args.seed + args.pairs - 1],
             "metrics": summary, "cpu_s": cpu_s,
+            **({"us_per_access": us} if us is not None else {}),
             "host": {"python": platform.python_version(),
                      "cpu_count": os.cpu_count(),
                      "platform": platform.platform()},

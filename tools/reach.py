@@ -31,9 +31,12 @@ harness fields whose ``smoke_config()`` and ``full_config()`` differ
 
 The last three lines are the three counts; CI prints them. A target failing
 under the recorder (a noisy overhead bound, say) is reported, not fatal:
-the audit is about what ran. It exits 1 when any count is above the one
-committed in ``tools/reach_counts.json``, so the counts can only fall; a
-change that lowers one lowers the file too.
+the audit is about what ran. make's output goes to ``make.log`` in the
+records directory; when make fails, the log's path and its ``FAILED`` /
+``ERROR`` / ``*** ... Error`` lines are printed to stderr. It exits 1
+when any count is above the one committed in
+``tools/reach_counts.json``, so the counts can only fall; a change that
+lowers one lowers the file too.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -70,8 +74,15 @@ _SMALL_BENCH = {"REPRO_BENCH_LEVELS": "10", "REPRO_BENCH_REQUESTS": "300",
                 "REPRO_BENCH_SUITE": "mcf"}
 
 
-def run_targets(records: Path) -> int:
-    """``make -k TARGETS`` with every interpreter recording; make's exit."""
+#: The lines of make's log a failure report quotes: pytest's failed and
+#: errored tests, and make's own error lines.
+_FAILURE_LINE = re.compile(r"^(FAILED|ERROR) |\*\*\* .*Error")
+
+
+def run_targets(records: Path, targets: Sequence[str] = TARGETS,
+                directory: Path = ROOT) -> int:
+    """``make -k targets`` in ``directory`` with every interpreter
+    recording, its output in ``records/make.log``; make's exit."""
     records.mkdir(parents=True, exist_ok=True)
     for stale in records.glob("*.json"):
         stale.unlink()
@@ -82,8 +93,19 @@ def run_targets(records: Path) -> int:
         [p for p in [env.get("PYTEST_PLUGINS")] if p] + ["sitecustomize"])
     env["REACH_RECORDS"] = str(records)
     env["REACH_LABEL"] = "make"
-    return subprocess.run(["make", "-k", *TARGETS], cwd=ROOT,
-                          stdout=subprocess.DEVNULL, env=env).returncode
+    log = records / "make.log"
+    with open(log, "w") as out:
+        code = subprocess.run(["make", "-k", *targets], cwd=directory,
+                              stdout=out, stderr=subprocess.STDOUT,
+                              env=env).returncode
+    if code:
+        print(f"reach: make -k {' '.join(targets)} exited {code}; "
+              f"its output is in {log}", file=sys.stderr)
+        with open(log, errors="replace") as text:
+            for line in text:
+                if _FAILURE_LINE.search(line):
+                    print(f"  {line.rstrip()}", file=sys.stderr)
+    return code
 
 
 # --------------------------------------------------------------- report
@@ -357,12 +379,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="also list every unreached / tests-only function")
     args = parser.parse_args(argv)
     out = Path(args.out).resolve()
-    code = run_targets(out)
+    run_targets(out)
     text = report(out, args.list)
     print(text)
-    if code:
-        print(f"warning: make -k {' '.join(TARGETS)} exited {code}",
-              file=sys.stderr)
     risen = ratchet(text, json.loads(COUNTS.read_text()))
     for line in risen:
         print(f"reach ratchet: {line} ({COUNTS.relative_to(ROOT)})",
