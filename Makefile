@@ -96,8 +96,10 @@ RUN_faults := faults run --smoke
 GATE_faults := --require-detection
 RUN_serve := serve bench --smoke
 GATE_serve := --trace-out $(G)/trace_serve.json --require-dedup-win
+W2_serve := --trace-out $(G)/trace_serve_w2.json
 RUN_chaos := serve chaos --smoke
 GATE_chaos := --trace-out $(G)/trace_chaos.json --require-detection
+W2_chaos := --trace-out $(G)/trace_chaos_w2.json
 RUN_scaling := serve scaling --smoke
 GATE_scaling := --require-speedup
 RUN_chaos_fleet := serve chaos --smoke --shards 4
@@ -193,8 +195,10 @@ obs-smoke: $(G)/BENCH_chaos_fleet.json
 # The one determinism check every report harness shares: each serial /
 # --workers 2 pair must load through the report kernel with
 # byte-identical deterministic views (tools/report_determinism.py), and
-# the fleet's two merged traces must `cmp` equal. Its prerequisites are
-# the twelve report runs of `make smoke`; it starts none of its own.
+# the two trace files of serve bench, serve chaos and the 4-shard fleet
+# must `cmp` equal (the parent writes every served trace). Its
+# prerequisites are the twelve report runs of `make smoke`; it starts
+# none of its own.
 determinism: $(foreach r,$(SMOKE_REPORTS),$(G)/BENCH_$(r).json \
 	$(G)/BENCH_$(r)_w2.json)
 	@set -e; for r in $(SMOKE_REPORTS); do \
@@ -202,6 +206,8 @@ determinism: $(foreach r,$(SMOKE_REPORTS),$(G)/BENCH_$(r).json \
 	  $(PYTHON) tools/report_determinism.py \
 	    $(G)/BENCH_$$r.json $(G)/BENCH_$${r}_w2.json; \
 	done
+	cmp $(G)/trace_serve.json $(G)/trace_serve_w2.json
+	cmp $(G)/trace_chaos.json $(G)/trace_chaos_w2.json
 	cmp $(G)/trace_fleet.json $(G)/trace_fleet_w2.json
 
 # CI's smoke job: every smoke gate, then every serial/--workers 2 pair.

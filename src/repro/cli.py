@@ -62,7 +62,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -368,15 +368,6 @@ class _Harness:
     fields: Tuple[str, ...]
     #: (flag, check function, finding prefix, pass message).
     gate: Optional[Tuple[str, str, str, str]] = None
-    #: Optional consistency check on the built config (ValueError).
-    precheck: Optional[Callable[[Any], None]] = None
-
-
-def _chaos_precheck(cfg: Any) -> None:
-    if cfg.num_shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {cfg.num_shards}")
-    if cfg.num_shards <= 1 and (cfg.slo_out or cfg.ops_out):
-        raise ValueError("--slo-out/--ops-out require --shards > 1")
 
 
 _HARNESSES: Dict[str, _Harness] = {
@@ -404,7 +395,6 @@ _HARNESSES: Dict[str, _Harness] = {
         gate=("require_detection", "chaos_check", "CHAOS GAP",
               "chaos check: availability floors held, all tampering "
               "faults detected under live load"),
-        precheck=_chaos_precheck,
     ),
     "scaling": _Harness(
         "repro.serve.scaling", "run_scaling",
@@ -437,8 +427,6 @@ def cmd_harness_run(args: argparse.Namespace) -> int:
     try:
         cfg = factory(progress=stderr_progress, workers=args.workers,
                       **overrides)
-        if harness.precheck is not None:
-            harness.precheck(cfg)
     except ValueError as exc:
         return _refuse(exc)
     doc = getattr(module, harness.run)(cfg)

@@ -13,7 +13,7 @@ The serving layer turns the single-caller
   seed-pinned Poisson and bursty arrivals, zipf key popularity over
   key universes up to millions of keys;
 - :mod:`repro.serve.replay` -- ``serve_slice``, the one recipe every
-  report cell is cut from, and ``replay``, the serving loop under its
+  served shard is cut from, and ``replay``, the serving loop under its
   null policy;
 - :mod:`repro.serve.server` -- a thread-pool front-end for wall-clock
   serving: clients submit concurrently, one scheduler thread services
@@ -28,12 +28,12 @@ The serving layer turns the single-caller
   admission with load shedding, and degraded-mode serving
   (stash-resident reads + a write journal) while quarantined buckets
   rebuild;
-- :mod:`repro.serve.fleet` -- the serving fleet: one shard task and
-  one fold behind the keyed-PRF partition map
-  (:mod:`repro.core.sharding`) for every sharded run, the health
-  control plane, the kill-a-shard drill;
+- :mod:`repro.serve.fleet` -- the serving fleet: one shard task, fold
+  and trace writer behind the keyed-PRF partition map
+  (:mod:`repro.core.sharding`) for every served report cell (a bench
+  cell is one shard), the health control plane, the kill-a-shard drill;
 - :mod:`repro.serve.chaos` -- the ``BENCH_chaos.json`` campaign: fault
-  injection under live load, gated on availability and detection;
+  injection under live load, gated by ``fault_gate`` (drills share it);
 - :mod:`repro.serve.scaling` -- the ``BENCH_scaling.json`` capacity
   curve: one workload served by 1..16-shard fleets, gated on fleet
   speedup, drill availability, and control-plane health.

@@ -1,11 +1,15 @@
 """Run the serving matrix and build the ``BENCH_serve.json`` report.
 
 Every cell is one (workload, policy) pair served end-to-end on a fresh
-stack: build the ORAM + DRAM model, preload the stored keys, generate
-the workload, replay it open-loop on the simulated clock. The ``sim``
-block of a cell is a pure function of the config, so the report's
-deterministic fields are byte-identical across runs, machines and
-worker counts; only wall-clock fields vary.
+stack: build the ORAM + DRAM model, preload the stored keys, replay the
+workload open-loop on the simulated clock. A cell is a one-shard fleet
+of :func:`repro.serve.fleet.serve_fleets` -- the one shard task every
+served report cell runs -- so each workload is generated once, in the
+parent, and served under every policy; the parent cuts the cell from
+the shard's shipped counters and completions and writes the trace. The
+``sim`` block of a cell is a pure function of the config, so the
+report's deterministic fields are byte-identical across runs, machines
+and worker counts; only wall-clock fields vary.
 
 The matrix always pairs the ``batch`` scheduler against the naive
 ``fifo`` baseline over identical workloads -- the report is the
@@ -19,14 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.parallel.executor import Cell, report_progress, run_cells
+from repro.parallel.executor import CellResult
 from repro.report import assemble
-from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
-from repro.serve.replay import percentiles, serve_slice
+from repro.serve.fleet import (
+    FleetConfig, ShardArming, serve_fleets, write_fleet_trace,
+)
+from repro.serve.loadgen import WorkloadConfig
+from repro.serve.replay import percentiles
 from repro.serve.scheduler import MAX_BATCH, POLICIES
 from repro.serve.schema import SERVE
 from repro.serve.stack import SCHEME
-from repro.telemetry import request_trace_doc, write_trace
 
 
 @dataclass
@@ -149,31 +155,13 @@ def full_config(**overrides: Any) -> ServeConfig:
     return replace(base, **overrides)
 
 
-def _serve_cell_task(
-    payload: Tuple[ServeConfig, WorkloadConfig, str]
+def _fold_cell(
+    workload: WorkloadConfig, policy: str, shard: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """One matrix cell, runnable in-process or in a pool worker."""
-    cfg, workload, policy = payload
-    report_progress(f"serving {workload.name}/{policy} ...")
-    want_trace = (
-        cfg.trace_out is not None
-        and cfg.trace_cell == (workload.name, policy)
-    )
-    telemetry = None
-    if want_trace:
-        from repro.telemetry import Telemetry
-        telemetry = Telemetry(meta={
-            "workload": workload.name, "policy": policy,
-            "scheme": cfg.scheme, "levels": cfg.levels, "seed": cfg.seed,
-        })
-    served = serve_slice(
-        initial_items(workload), generate_requests(workload),
-        scheme=cfg.scheme, levels=cfg.levels, seed=cfg.seed,
-        policy=policy, max_batch=cfg.max_batch, telemetry=telemetry,
-    )
-    result, counters = served.result, served.counters
-    comps = result.completions
-    sim_s = result.sim_ns / 1e9
+    """One matrix cell from its one shard's shipped counters and
+    completions."""
+    counters, comps = shard["counters"], shard["completions"]
+    sim_s = counters["sim_ns"] / 1e9
     sim: Dict[str, Any] = {
         **{k: counters[k] for k in (
             "requests", "accesses_issued", "dedup_hits", "coalesced_puts",
@@ -190,22 +178,14 @@ def _serve_cell_task(
     }
     if "security" in counters:
         sim["security"] = counters["security"]
-    if want_trace:
-        doc = request_trace_doc(
-            comps, telemetry.spans, meta=telemetry.meta,
-        )
-        write_trace(doc, cfg.trace_out)
-    wall_lat_us = percentiles([c.wall_s * 1e6 for c in comps])
-    wall_lat_us.pop("mean", None)
-    wall_lat_us.pop("max", None)
+    wall_s = shard["wall_s"]
+    wall_us = percentiles([c.wall_s * 1e6 for c in comps])
     return {
         "workload": workload.name,
         "policy": policy,
-        "wall_s": result.wall_s,
-        "requests_per_s_wall": (
-            len(comps) / result.wall_s if result.wall_s > 0 else 0.0
-        ),
-        "wall_latency_us": wall_lat_us,
+        "wall_s": wall_s,
+        "requests_per_s_wall": len(comps) / wall_s if wall_s > 0 else 0.0,
+        "wall_latency_us": {k: wall_us[k] for k in ("p50", "p99", "p999")},
         "sim": sim,
     }
 
@@ -229,14 +209,31 @@ def run_serve(cfg: Optional[ServeConfig] = None) -> Dict[str, Any]:
             (w for w in cfg.workloads if w.expect_dedup), cfg.workloads[0]
         )
         cfg = replace(cfg, trace_cell=(interesting.name, "batch"))
-    worker_cfg = replace(cfg, progress=None, workers=1)
     pairs = [(w, p) for w in cfg.workloads for p in POLICIES]
-    outputs = run_cells(
-        _serve_cell_task,
-        [Cell(f"{w.name}/{p}", (worker_cfg, w, p)) for w, p in pairs],
-        workers=cfg.workers,
-        progress=cfg.progress,
+    armings = [
+        ShardArming(
+            label=f"serving {w.name}/{p}", seed=cfg.seed, policy=p,
+            max_batch=cfg.max_batch, robustness=None, faults=None,
+            resilience=None, sampler=None, detail=True, observer=True,
+            traced=cfg.trace_out is not None and cfg.trace_cell == (w.name, p),
+        )
+        for w, p in pairs
+    ]
+    served = serve_fleets(
+        [(FleetConfig(w, levels=cfg.levels, num_shards=1, seed=cfg.seed), [a])
+         for (w, _), a in zip(pairs, armings)],
+        cfg.workers, cfg.progress,
     )
+    outputs = []
+    for (w, p), arming, (res,) in zip(pairs, armings, served):
+        if res.ok and arming.traced:
+            write_fleet_trace(cfg.trace_out, [res.value], {
+                "workload": w.name, "policy": p, "scheme": cfg.scheme,
+                "levels": cfg.levels, "seed": cfg.seed,
+            }, cfg.seed)
+        outputs.append(CellResult(
+            res.key, True, _fold_cell(w, p, res.value),
+        ) if res.ok else res)
     return assemble(
         SERVE, cfg.to_dict(),
         [{"workload": w.name, "policy": p} for w, p in pairs], outputs,

@@ -41,12 +41,12 @@ from repro.parallel.executor import CellResult, derive_seed
 from repro.report import SCHEMA_VERSION, assemble
 from repro.serve.fleet import (
     DRILL_ROBUSTNESS, FleetConfig, ShardArming, fold_shards, serve_fleets,
+    write_fleet_trace,
 )
 from repro.serve.loadgen import WorkloadConfig
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.schema import CHAOS
 from repro.serve.stack import SCHEME
-from repro.telemetry import write_trace
 
 #: Simulated window width of the SLO windows and the ops snapshots.
 SLO_WINDOW_NS = 50_000.0
@@ -129,6 +129,12 @@ class ChaosConfig:
             "heartbeat_ns": HEARTBEAT_NS,
             "slo_window_ns": SLO_WINDOW_NS,
         }
+
+    def __post_init__(self) -> None:
+        if self.num_shards < 1:
+            raise ValueError(f"--shards must be >= 1, got {self.num_shards}")
+        if self.num_shards == 1 and (self.slo_out or self.ops_out):
+            raise ValueError("--slo-out/--ops-out require --shards > 1")
 
 
 # ------------------------------------------------------------------- cells
@@ -272,8 +278,8 @@ def _arming(cfg: ChaosConfig, cell: ChaosCell, shard: int) -> ShardArming:
         )
     return ShardArming(
         label=f"chaos {cell.name}" + (f"/s{shard}" if sharded else ""),
-        seed=seed(cfg.seed), max_batch=cfg.max_batch,
-        robustness=cfg.robustness, faults=faults,
+        seed=seed(cfg.seed), policy=FleetConfig.policy,
+        max_batch=cfg.max_batch, robustness=cfg.robustness, faults=faults,
         resilience=cell.resilience,
         traced=cfg.trace_out is not None and cfg.trace_cell == cell.name,
         sampler=sampler, detail=True, observer=not sharded,
@@ -343,42 +349,6 @@ def _write_jsonl(path: str, records: Sequence[Dict[str, Any]]) -> None:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _write_trace(
-    cfg: ChaosConfig, cell: ChaosCell, shards: Sequence[Dict[str, Any]],
-    control: Optional[Dict[str, Any]], slo_records: Sequence[Dict[str, Any]],
-) -> None:
-    """The traced cell's Perfetto file: one stack's request trace, or
-    the merged fleet trace with its control and SLO timelines."""
-    from repro.telemetry import (
-        ShardFragment, fleet_trace_doc, request_trace_doc, slo_instants,
-    )
-    from repro.telemetry.fleet import SLO_TID
-
-    meta = {
-        "cell": cell.name, "scheme": cfg.scheme,
-        "levels": cfg.levels, "seed": cfg.seed,
-    }
-    if cfg.num_shards == 1:
-        (v,) = shards
-        doc = request_trace_doc(
-            v["completions"], v["spans"], meta=meta,
-            resilience_events=v["events"],
-        )
-    else:
-        doc = fleet_trace_doc(
-            [
-                ShardFragment(
-                    shard=k, completions=v["completions"], spans=v["spans"],
-                    events=v["events"],
-                )
-                for k, v in enumerate(shards)
-            ],
-            seed=cfg.seed, meta={**meta, "num_shards": cfg.num_shards},
-            control=control, slo_instants=slo_instants(slo_records, SLO_TID),
-        )
-    write_trace(doc, cfg.trace_out)
-
-
 def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
     """Run the chaos campaign and return the report document.
 
@@ -436,8 +406,11 @@ def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
         shards = [res.value for res in results]
         outputs.append(CellResult(cell.name, True, doc))
         if cfg.trace_out is not None and cfg.trace_cell == cell.name:
-            _write_trace(
-                cfg, cell, shards, doc["sim"].get("control"), slo_records,
+            write_fleet_trace(
+                cfg.trace_out, shards,
+                {"cell": cell.name, "scheme": cfg.scheme,
+                 "levels": cfg.levels, "seed": cfg.seed},
+                cfg.seed, doc["sim"].get("control"), slo_records,
             )
         if cfg.num_shards == 1:
             continue
@@ -462,15 +435,41 @@ def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
 
 # -------------------------------------------------------------------- gate
 
+def fault_gate(label: str, sim: Dict[str, Any], floor: float,
+               expect_faults: bool, expect_episodes: bool) -> List[str]:
+    """The one fault gate over a served ``sim`` block (a chaos cell's,
+    or a scaling drill's drilled shard under the fleet's availability);
+    returns findings (empty = pass): availability below ``floor``, an
+    injected tamper fault (bit flip / replay) missed *under live load*,
+    or expected faults / degraded episodes that never happened -- a
+    campaign that injected nothing proves nothing."""
+    problems: List[str] = []
+    avail = sim.get("availability", 0.0)
+    if avail < floor:
+        problems.append(
+            f"{label}: availability {avail:.4f} below floor {floor:.4f}"
+        )
+    det = sim.get("detection")
+    if det is not None and det["tamper_detected"] < det["tamper_injected"]:
+        problems.append(
+            f"{label}: tamper detection gap "
+            f"({det['tamper_detected']}/{det['tamper_injected']} detected)"
+        )
+    injected = sim.get("faults", {}).get("injected", {})
+    if expect_faults and not sum(injected.get(k, 0) for k in FAULT_KINDS):
+        problems.append(f"{label}: expected fault injection, none fired")
+    if expect_episodes and sim.get("episodes", {}).get("count", 0) < 1:
+        problems.append(
+            f"{label}: expected degraded-mode episodes, none occurred"
+        )
+    return problems
+
+
 def chaos_check(doc: Dict[str, Any]) -> List[str]:
     """CI gate over one chaos report; returns findings (empty = pass).
 
-    Per cell, from the gate fields its config carries: every injected
-    tamper fault (bit flip / replay) must have been detected *while
-    serving live load*; availability must not fall below the cell's
-    floor; cells expected to inject faults (or enter degraded mode)
-    must actually have done so -- a campaign that injected nothing
-    proves nothing.
+    Every served cell goes through :func:`fault_gate` with the gate
+    fields its config carries; an errored cell is a finding.
     """
     problems: List[str] = []
     gates = {c["name"]: c for c in doc.get("config", {}).get("cells", [])}
@@ -480,33 +479,11 @@ def chaos_check(doc: Dict[str, Any]) -> List[str]:
             problems.append(f"{name}: cell errored, chaos gate unverified")
             continue
         gate = gates.get(name, {})
-        sim = cell.get("sim", {})
-        avail = sim.get("availability", 0.0)
-        floor = gate.get("min_availability", 0.0)
-        if avail < floor:
-            problems.append(
-                f"{name}: availability {avail:.4f} below floor {floor:.4f}"
-            )
-        det = sim.get("detection")
-        if det is not None and det["tamper_detected"] < det["tamper_injected"]:
-            problems.append(
-                f"{name}: tamper detection gap "
-                f"({det['tamper_detected']}/{det['tamper_injected']} detected)"
-            )
-        if gate.get("expect_faults"):
-            injected = sum(
-                sim.get("faults", {}).get("injected", {}).get(k, 0)
-                for k in FAULT_KINDS
-            )
-            if injected == 0:
-                problems.append(
-                    f"{name}: expected fault injection, none fired"
-                )
-        if gate.get("expect_episodes"):
-            if sim.get("episodes", {}).get("count", 0) < 1:
-                problems.append(
-                    f"{name}: expected degraded-mode episodes, none occurred"
-                )
+        problems += fault_gate(
+            name, cell.get("sim", {}), gate.get("min_availability", 0.0),
+            gate.get("expect_faults", False),
+            gate.get("expect_episodes", False),
+        )
     return problems
 
 
@@ -515,6 +492,7 @@ __all__ = [
     "ChaosConfig",
     "TAMPER_KINDS",
     "chaos_check",
+    "fault_gate",
     "full_config",
     "run_chaos",
     "smoke_config",

@@ -11,25 +11,25 @@ the keyed-PRF partition map over the request *key*
 exactly one shard, and a share keeps arrival order, the per-key FIFO
 contract of the scheduler is inherited verbatim.
 
-Every sharded run -- :func:`run_fleet`, ``serve scaling``'s cells and
-``serve chaos --shards N`` -- is one fan-out (:func:`serve_fleets`) of
-one shard task (:func:`_fleet_shard_task`) and one fold
-(:func:`fold_shards`). The fan-out generates each distinct workload
-once, in the parent, and cuts every shard's share from it in one
-pass; a shard is pure in ``(FleetConfig, shard id, ShardArming,
-share)`` and serves its share on its own simulated clock -- so an
-N-shard fleet *is* N independently-run serial reference shards (the
-serial reference regenerates the workload and cuts its share through
-the same split), and the merged per-shard blocks are byte-identical to
-running each shard alone (the fleet-vs-serial CI gate). No state
-crosses calls: no pool, workload or cache outlives one fan-out. The
-fleet's service time is the *makespan* -- the slowest shard's
-simulated serving window -- and its throughput total completions over
-that makespan; the control plane (:mod:`repro.core.sharding.control`)
-derives each shard's health log from its window and degraded
-episodes. The ``kill-a-shard-under-load`` drill arms one shard as a
-sealed chaos stack, which drives it through quarantine -> degraded
-serving -> rebuild while the rest of the fleet serves untouched.
+Every served report run -- :func:`run_fleet`, ``serve scaling``,
+``serve chaos`` and ``serve bench`` (one-shard fleets) -- is one
+fan-out (:func:`serve_fleets`) of one shard task
+(:func:`_fleet_shard_task`); the parent folds fleets through
+:func:`fold_shards` and writes every trace (:func:`write_fleet_trace`).
+The fan-out generates each distinct workload once, in the parent, and
+cuts every shard's share from it in one pass; a shard is pure in
+``(FleetConfig, shard id, ShardArming, share)`` and serves its share on
+its own simulated clock -- so an N-shard fleet *is* N serial reference
+shards, and the merged per-shard blocks are byte-identical to running
+each shard alone (the fleet-vs-serial CI gate). No pool, workload or
+cache outlives one fan-out. The fleet's service time is the
+*makespan* -- the slowest shard's simulated serving window -- and its
+throughput total completions over that makespan; the control plane
+(:mod:`repro.core.sharding.control`) derives each shard's health log
+from its window and degraded episodes. The ``kill-a-shard-under-load``
+drill arms one shard as a sealed chaos stack, which drives it through
+quarantine -> degraded serving -> rebuild while the rest of the fleet
+serves untouched.
 """
 
 from __future__ import annotations
@@ -175,20 +175,20 @@ _FLEET_SUMMED = ("requests", "completions", "status")
 class ShardArming:
     """What one shard serves under beyond the fleet's workload and tree.
 
-    The parent computes it per shard, so every sharded run is one task:
-    a fleet arms its drilled shard with the drill as given
-    (:func:`fleet_arming`); a chaos cell arms every shard with its own
-    re-seeded plan. ``traced`` records the shard's op spans, ``sampler``
-    (an ``OpsSampler`` factory over the built stack) its ops snapshots,
-    and ``detail`` ships the slice's counters, completions, spans,
-    events and ops records back for the chaos fold; a fleet shard ships
-    only what its fold reads. ``observer`` runs the guessing attacker,
-    whose ``security`` block rides in the counters: only an unsharded
-    chaos cell keeps that block, so only its shard runs one.
+    The parent computes it per shard, so every served cell is one task:
+    a fleet arms its drilled shard with the drill (:func:`fleet_arming`),
+    a chaos cell every shard with its re-seeded plan, a bench cell its
+    one shard with its scheduler ``policy``. ``traced`` records op
+    spans, ``sampler`` (an ``OpsSampler`` factory over the built stack)
+    ops snapshots, ``detail`` ships the slice's counters, completions,
+    spans, events and ops records back for the bench and chaos folds,
+    and ``observer`` runs the guessing attacker, whose ``security``
+    block only bench and unsharded chaos cells keep.
     """
 
     label: str
     seed: int
+    policy: str
     max_batch: int
     robustness: Optional[RobustnessConfig]
     faults: Optional[FaultPlan]
@@ -207,7 +207,7 @@ def fleet_arming(cfg: FleetConfig, shard: int) -> ShardArming:
     return ShardArming(
         label=f"shard {shard}/{cfg.num_shards}{' [drill]' if drill else ''}",
         seed=derive_seed(cfg.seed, f"shard:{shard}"),
-        max_batch=cfg.max_batch,
+        policy=cfg.policy, max_batch=cfg.max_batch,
         robustness=drill.robustness if drill else None,
         faults=drill.faults if drill else None,
         resilience=drill.resilience if drill else None,
@@ -216,23 +216,19 @@ def fleet_arming(cfg: FleetConfig, shard: int) -> ShardArming:
 
 
 def _fleet_shard_task(payload: Tuple[Any, ...]) -> Dict[str, Any]:
-    """Serve one shard's slice end-to-end; the one unit of shard fan-out.
+    """Serve one shard's slice end-to-end; the one served cell task.
 
     ``payload`` is ``(cfg, shard, arming, share)`` as
     :func:`serve_fleets` ships it, or ``(cfg, shard)`` -- the serial
-    reference shard -- for the shard's :func:`fleet_arming` and its
-    :func:`shard_requests` share, cut by the same :func:`split_shares`
-    from the regenerated workload. Pure in (cfg, shard, arming,
-    share): the partition map, stack seed and scheduler seed are all
-    derived from it, so the result is identical whether the shard runs
-    in-process, in a pool worker, or alone as a serial reference, and
+    reference shard -- for its :func:`fleet_arming` and
+    :func:`shard_requests` share (the same :func:`split_shares` cut of
+    the regenerated workload). Pure in (cfg, shard, arming, share), so
+    the result is identical in-process, in a pool worker or alone, and
     no state crosses calls. Returns the shard's deterministic report
-    block plus its serving window and degraded episodes (what the
-    control plane derives its health log from) and the latency samples
-    the parent folds into fleet percentiles -- and, under
-    ``arming.detail``, the rest of the slice. ``wall_s``, the slice's
-    host serving time, is the one wall-clock field: it stays out of
-    every deterministic view.
+    block, its serving window and degraded episodes (the control
+    plane's input), its served latencies and -- under
+    ``arming.detail`` -- the rest of the slice. ``wall_s``, the host
+    serving time, stays out of every deterministic view.
     """
     cfg, shard = payload[:2]
     arming, (items, reqs) = payload[2:] or (
@@ -245,9 +241,10 @@ def _fleet_shard_task(payload: Tuple[Any, ...]) -> Dict[str, Any]:
         telemetry = Telemetry()
     served = serve_slice(
         items, reqs, scheme=cfg.scheme, levels=cfg.levels, seed=arming.seed,
-        max_batch=arming.max_batch, robustness=arming.robustness,
-        fault_plan=arming.faults, resilience=arming.resilience,
-        telemetry=telemetry, sampler=arming.sampler, observer=arming.observer,
+        policy=arming.policy, max_batch=arming.max_batch,
+        robustness=arming.robustness, fault_plan=arming.faults,
+        resilience=arming.resilience, telemetry=telemetry,
+        sampler=arming.sampler, observer=arming.observer,
     )
     result, counters = served.result, served.counters
     latencies = served.served_latencies
@@ -307,6 +304,35 @@ def serve_fleets(
         _fleet_shard_task, tasks, workers=workers, progress=progress,
     ))
     return [[next(outputs) for _ in armings] for _, armings in fleets]
+
+
+def write_fleet_trace(
+    path: str, shards: Sequence[Dict[str, Any]], meta: Dict[str, Any],
+    seed: int, control: Optional[Dict[str, Any]] = None,
+    slo_records: Sequence[Dict[str, Any]] = (),
+) -> None:
+    """The one trace writer, run by the parent over a traced cell's
+    shipped ``detail`` values: one shard's request trace (with its
+    resilience track), or N shards merged with the ``control`` and SLO
+    timelines."""
+    from repro.telemetry import (
+        ShardFragment, fleet_trace_doc, request_trace_doc, slo_instants,
+        write_trace,
+    )
+    from repro.telemetry.fleet import SLO_TID
+
+    if len(shards) == 1:
+        (v,) = shards
+        doc = request_trace_doc(v["completions"], v["spans"], meta=meta,
+                                resilience_events=v["events"])
+    else:
+        doc = fleet_trace_doc(
+            [ShardFragment(k, v["completions"], v["spans"], v["events"])
+             for k, v in enumerate(shards)],
+            seed=seed, meta={**meta, "num_shards": len(shards)},
+            control=control, slo_instants=slo_instants(slo_records, SLO_TID),
+        )
+    write_trace(doc, path)
 
 
 def _sum_tree(blocks: Sequence[Any]) -> Any:
@@ -420,5 +446,6 @@ __all__ = [
     "serve_fleets",
     "shard_requests",
     "split_shares",
+    "write_fleet_trace",
     "_fleet_shard_task",
 ]

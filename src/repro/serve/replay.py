@@ -10,10 +10,11 @@ policy. Everything it records is deterministic in (workload seed,
 stack seed) -- the latency percentiles in ``BENCH_serve.json`` are
 exact, not sampled.
 
-:func:`serve_slice` is the one recipe every report cell is cut from
-(serve cells and every fleet shard, chaos shards included): build a
-stack, populate it, serve a request slice through the loop, and count
-what happened.
+:func:`serve_slice` is the one recipe every served report cell is cut
+from: :func:`repro.serve.fleet._fleet_shard_task` calls it for every
+shard -- a ``serve bench`` cell's one shard, every chaos and scaling
+shard. It builds a stack, populates it, serves a request slice through
+the loop, and counts what happened.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ from repro.core.sharding.control import HEARTBEAT_NS
 from repro.core.sharding.sharded import levels_for_blocks
 from repro.parallel.executor import CellResult
 from repro.report import assemble
-from repro.serve.chaos import TAMPER_FAULTS, TAMPER_RESILIENCE
+from repro.serve.chaos import TAMPER_FAULTS, TAMPER_RESILIENCE, fault_gate
 from repro.serve.fleet import (
     FleetConfig, KillShardDrill, fleet_arming, fleet_doc, serve_fleets,
 )
@@ -294,10 +294,9 @@ def scaling_check(doc: Dict[str, Any]) -> List[str]:
     - every block row carrying shards=1 and shards=4 must show
       ``ns_per_request(s1) / ns_per_request(s4) >= config.min_speedup``;
     - fleets without a drill must serve everything (availability 1.0);
-    - drill cells must stay above their availability floor, record at
-      least one degraded episode on the drilled shard, detect every
-      injected tamper fault, and end with the control plane
-      all-healthy;
+    - drill cells pass :func:`~repro.serve.chaos.fault_gate` over the
+      drilled shard's block at the fleet's availability (floor, faults
+      fired, degraded episodes, 100% tamper detection);
     - every fleet (drilled or not) must end all-healthy.
     """
     problems: List[str] = []
@@ -318,7 +317,7 @@ def scaling_check(doc: Dict[str, Any]) -> List[str]:
         if not control.get("all_healthy", False):
             problems.append(f"{label}: fleet did not end all-healthy")
         gate = gates.get((cell.get("name"), cell.get("shards")), {})
-        drill = gate.get("drill")
+        drill = gate.get("drill") or {}
         if not cell.get("drill", False):
             rows.setdefault(cell["total_blocks"], {})[cell["shards"]] = (
                 fleet.get("ns_per_request", 0.0)
@@ -329,35 +328,18 @@ def scaling_check(doc: Dict[str, Any]) -> List[str]:
                     f"{fleet.get('availability', 0.0):.4f} < 1.0"
                 )
             continue
-        avail = fleet.get("availability", 0.0)
-        avail_floor = (drill or {}).get("min_availability", 0.0)
-        if avail < avail_floor:
-            problems.append(
-                f"{label}: availability {avail:.4f} below drill floor "
-                f"{avail_floor:.4f}"
-            )
-        drilled_shard = (drill or {}).get("shard", 0)
-        shard_cells = {
-            s.get("shard"): s for s in sim.get("shards", [])
-            if "error" not in s
-        }
-        drilled = shard_cells.get(drilled_shard, {}).get("sim", {})
-        if drilled.get("episodes", {}).get("count", 0) < 1:
-            problems.append(
-                f"{label}: drilled shard {drilled_shard} recorded no "
-                f"degraded episodes"
-            )
-        det = drilled.get("detection")
-        if det is None:
-            problems.append(
-                f"{label}: drilled shard {drilled_shard} has no detection "
-                f"block"
-            )
-        elif det["tamper_detected"] < det["tamper_injected"]:
-            problems.append(
-                f"{label}: tamper detection gap "
-                f"({det['tamper_detected']}/{det['tamper_injected']})"
-            )
+        drilled_shard = drill.get("shard", 0)
+        drilled = next(
+            (s.get("sim", {}) for s in sim.get("shards", [])
+             if s.get("shard") == drilled_shard and "error" not in s),
+            {},
+        )
+        problems += fault_gate(
+            f"{label} drilled shard {drilled_shard}",
+            {**drilled, "availability": fleet.get("availability", 0.0)},
+            drill.get("min_availability", 0.0),
+            expect_faults=True, expect_episodes=True,
+        )
     for blocks, by_shards in sorted(rows.items()):
         if 1 not in by_shards or 4 not in by_shards:
             continue

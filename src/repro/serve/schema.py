@@ -78,6 +78,25 @@ from repro.report import (
     FRACTION, NUM, PERCENTILES, POSITIVE, Gate, ReportSpec,
 )
 
+#: Terminal statuses: every ``status`` block carries all four counts.
+_STATUS = {"ok": int, "timed_out": int, "shed": int, "failed": int}
+_KIND_COUNTS = {
+    "bit_flip": int, "replay": int, "dropped_write": int, "unavailable": int,
+}
+
+#: The blocks only a fault-armed (sealed, resilient) slice emits.
+_DETECTION = {"tamper_injected": int, "tamper_detected": int, "rate": FRACTION}
+_FAULTS = {
+    "injected": _KIND_COUNTS, "detected": _KIND_COUNTS,
+    "undetected": _KIND_COUNTS,
+}
+_EPISODES = {"count": int, "recover_ns_mean": NUM, "recover_ns_max": NUM}
+_SECURITY = {
+    "guesses": int, "success_rate": NUM, "expected_rate": NUM,
+    "advantage": NUM,
+}
+_CONTROL = {"all_healthy": bool, "shards": list}
+
 SERVE = ReportSpec(
     kind="repro-serve-report",
     config={
@@ -109,6 +128,7 @@ SERVE = ReportSpec(
             "latency_ns": PERCENTILES,
             "queue_ns": PERCENTILES,
             "service_ns": PERCENTILES,
+            "security?": _SECURITY,
         },
     },
     key="{workload}/{policy}",
@@ -136,25 +156,6 @@ SERVE = ReportSpec(
         ("wall_s", "wall_s"),
     ),
 )
-
-#: Terminal statuses: every ``status`` block carries all four counts.
-_STATUS = {"ok": int, "timed_out": int, "shed": int, "failed": int}
-_KIND_COUNTS = {
-    "bit_flip": int, "replay": int, "dropped_write": int, "unavailable": int,
-}
-
-#: The blocks only a fault-armed (sealed, resilient) slice emits.
-_DETECTION = {"tamper_injected": int, "tamper_detected": int, "rate": FRACTION}
-_FAULTS = {
-    "injected": _KIND_COUNTS, "detected": _KIND_COUNTS,
-    "undetected": _KIND_COUNTS,
-}
-_EPISODES = {"count": int, "recover_ns_mean": NUM, "recover_ns_max": NUM}
-_SECURITY = {
-    "guesses": int, "success_rate": NUM, "expected_rate": NUM,
-    "advantage": NUM,
-}
-_CONTROL = {"all_healthy": bool, "shards": list}
 
 
 def _accounting_closes(cell: Dict[str, Any], where: str, errors: List[str]) -> None:

@@ -299,3 +299,31 @@ def test_draw_guard_refuses_numpy_integers_calls_only():
     ]
     assert [line for line in refused if not re.search(pattern, line)] == []
     assert [line for line in passed if re.search(pattern, line)] == []
+
+
+def test_shard_task_guard_refuses_a_second_cell_task_only():
+    """The test job's "One shard task" step refuses a fan-out, a cell
+    task or a trace builder call in ``serve/`` outside ``fleet.py`` and
+    passes the calls of the one fan-out and the one writer; its ERE
+    reads the same under Python's ``re``."""
+    (line,) = [
+        line for _, commands in _run_steps(CI.read_text())
+        for line in commands or () if "_serve_cell_task" in line
+    ]
+    pattern = re.search(r'"([^"]*_serve_cell_task[^"]*)"', line).group(1)
+    assert 'grep -v "^src/repro/serve/fleet.py:"' in line
+    refused = [
+        "outputs = run_cells(",
+        "from repro.parallel.executor import Cell, run_cells",
+        "def _serve_cell_task(payload):",
+        "doc = request_trace_doc(comps, telemetry.spans, meta=meta)",
+        "doc = fleet_trace_doc(fragments, seed=cfg.seed)",
+    ]
+    passed = [
+        "served = serve_fleets(fleets, cfg.workers, cfg.progress)",
+        "write_fleet_trace(cfg.trace_out, shards, meta, cfg.seed)",
+        "from repro.parallel.executor import CellResult",
+        "result = _fleet_shard_task((cfg, shard))",
+    ]
+    assert [line for line in refused if not re.search(pattern, line)] == []
+    assert [line for line in passed if re.search(pattern, line)] == []

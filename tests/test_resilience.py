@@ -569,6 +569,20 @@ class TestChaosAttackers:
         assert not any("security" in cell["sim"] for cell in doc["cells"])
 
 
+class TestChaosConfig:
+    @pytest.mark.parametrize("kw", [
+        dict(num_shards=0),
+        dict(num_shards=-2),
+        dict(slo_out="slo.jsonl"),
+        dict(ops_out="ops.jsonl"),
+    ], ids=["zero-shards", "negative-shards", "slo-one-shard",
+            "ops-one-shard"])
+    def test_config_refuses_itself(self, kw):
+        # Any caller, not just the CLI: the config checks itself.
+        with pytest.raises(ValueError, match="--shards"):
+            ChaosConfig(**kw)
+
+
 class TestChaosCheck:
     def test_availability_floor(self, mini_chaos_doc):
         doc = copy.deepcopy(mini_chaos_doc)

@@ -629,6 +629,15 @@ class TestBenchAndSchema:
         assert any("dedup_hits" in e for e in errors)
         assert any("wall_s" in e for e in errors)
 
+    def test_validator_checks_the_security_block(self, doc):
+        bad = json.loads(json.dumps(doc))
+        bad["cells"][0]["sim"]["security"]["guesses"] = "many"
+        del bad["cells"][1]["sim"]["security"]["advantage"]
+        errors = validate_report(bad)
+        assert any("security.guesses" in e for e in errors), errors
+        assert any("security: missing field 'advantage'" in e
+                   for e in errors), errors
+
     def test_dedup_check_flags_synthetic_loss(self, doc):
         bad = json.loads(json.dumps(doc))
         for cell in bad["cells"]:

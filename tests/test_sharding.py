@@ -374,6 +374,9 @@ class TestOneGeneration:
 
     @staticmethod
     def _count_generations(monkeypatch):
+        # Every serve module that holds the generator, so a harness that
+        # generates outside the fan-out is counted too.
+        import repro.serve.bench as bench_mod
         import repro.serve.fleet as fleet_mod
         calls = []
         real = fleet_mod.generate_requests
@@ -382,8 +385,20 @@ class TestOneGeneration:
             calls.append(workload)
             return real(workload)
 
-        monkeypatch.setattr(fleet_mod, "generate_requests", counting)
+        for mod in (fleet_mod, bench_mod):
+            if hasattr(mod, "generate_requests"):
+                monkeypatch.setattr(mod, "generate_requests", counting)
         return calls
+
+    def test_run_serve_generates_once_per_workload(self, monkeypatch):
+        from repro.serve.bench import run_serve, smoke_config
+        from repro.serve.scheduler import POLICIES
+        workloads = (tiny_workload(), replace(tiny_workload(), name="t2"))
+        calls = self._count_generations(monkeypatch)
+        doc = run_serve(smoke_config(levels=8, workloads=workloads))
+        assert calls == list(workloads)
+        assert len(doc["cells"]) == len(workloads) * len(POLICIES)
+        assert not [c for c in doc["cells"] if "error" in c]
 
     def test_run_fleet_generates_once(self, monkeypatch):
         calls = self._count_generations(monkeypatch)
@@ -801,6 +816,21 @@ class TestScalingHarness:
         rc, lines = SCALING.compare(doc, doc)
         assert rc == 0
         assert all(line.startswith("OK") for line in lines)
+
+    def test_drill_whose_shard_injected_nothing_fails(self):
+        # A drill with no fault plan serves its shard sealed and clean:
+        # the shared fault gate must refuse it, not pass it vacuously.
+        from repro.serve.scaling import ScalingCell, run_scaling, scaling_check
+        cfg = tiny_scaling_config()
+        quiet = ScalingCell(
+            name="drill-1k", total_blocks=2 ** 10, shards=2,
+            workload=cfg.cells[0].workload, drill=KillShardDrill(),
+        )
+        doc = run_scaling(replace(cfg, cells=(quiet,)))
+        problems = scaling_check(doc)
+        assert any(
+            "drilled shard 0" in p and "none fired" in p for p in problems
+        ), problems
 
     def test_speedup_gate_fires_on_a_doctored_report(self):
         from repro.serve.scaling import run_scaling, scaling_check

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Measure telemetry overhead and gate it (the telemetry-smoke bound).
 
-Runs the same small simulation as ``PAIRS`` (5) alternating pairs --
+Runs the same small simulation as ``PAIRS`` (11) alternating pairs --
 telemetry off and telemetry on (span tracing plus periodic snapshots,
 outputs kept in memory so file I/O does not pollute the measurement),
 the order flipping every pair -- and fails when the median of the
@@ -34,7 +34,7 @@ from typing import Sequence
 
 #: Alternating off/on pairs per measurement; the gate reads the median
 #: per-pair ratio.
-PAIRS = 5
+PAIRS = 11
 
 
 def _run_serve_once(levels: int, requests: int, seed: int,
