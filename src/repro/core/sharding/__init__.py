@@ -22,6 +22,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "repro.core.sharding.partition": ("PartitionMap",),
     "repro.core.sharding.sharded": (
         "ShardedSimOutcome", "levels_for_blocks", "run_sharded_sim",
-        "split_trace",
+        "shard_jobs", "split_trace",
     ),
 })

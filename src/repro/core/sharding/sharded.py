@@ -8,10 +8,11 @@ RNG stream and clock, and nothing is ever shared between shards -- so
 per-shard security arguments are untouched and shards can run in
 separate processes.
 
-:func:`run_sharded_sim` partitions a trace by block id, simulates
-every shard independently (optionally over the process pool of
-:mod:`repro.parallel`), and merges the per-shard results into one
-fleet-level ``sim`` block where ``exec_ns`` is the makespan (shards
+:func:`shard_jobs` partitions a trace by block id into one
+simulation job per shard; :func:`run_sharded_sim` runs those jobs
+through :func:`repro.sim.runner.run_sims` (optionally over the process
+pool of :mod:`repro.parallel`) and merges the per-shard results into
+one fleet-level ``sim`` block where ``exec_ns`` is the makespan (shards
 drain concurrently) and the counters are sums. Each shard's behaviour
 is *identical by construction* to running that shard alone, because
 the only cross-shard state is the stateless partition map.
@@ -27,15 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import schemes as schemes_mod
 from repro.core.sharding.partition import PartitionMap
-from repro.parallel.executor import Cell, derive_seed, report_progress, run_cells
-from repro.sim.engine import SimConfig, simulate
+from repro.parallel.executor import Cell, derive_seed
+from repro.sim.engine import SimConfig
 from repro.sim.results import SimResult
+from repro.sim.runner import SimJob, run_sims
 from repro.traces.trace import Trace, TraceRequest
 
 #: Smallest per-shard tree depth ``levels_for_blocks`` will pick; the
@@ -140,15 +142,56 @@ class ShardedSimOutcome:
         return merged
 
 
-def _shard_sim_task(payload: Any) -> SimResult:
-    """One shard's simulation, runnable in-process or in a pool worker."""
-    scheme, levels, sub_trace, warmup, seed, shard = payload
-    report_progress(f"shard {shard}: {len(sub_trace)} requests ...")
-    cfg = schemes_mod.by_name(scheme, levels)
-    return simulate(cfg, sub_trace, SimConfig(
-        seed=derive_seed(seed, f"shard:{shard}"),
-        warmup_requests=warmup,
-    ))
+def shard_jobs(
+    scheme: str,
+    trace: Trace,
+    n_blocks: int,
+    num_shards: int,
+    warmup_requests: int = 0,
+    seed: int = 0,
+) -> Tuple[ShardedSimOutcome, List[SimJob]]:
+    """Partition ``trace`` over ``num_shards`` subtrees: the outcome to
+    fill (``per_shard`` empty) and one simulation job per shard.
+
+    Every shard is an independent, seed-pinned serial-controller
+    simulation of its slice at the smallest tree depth that fits the
+    largest slice (all shards share a depth so their per-access costs
+    are comparable). Warmup is split proportionally to each shard's
+    request share. A shard's job is a pure function of ``(arguments,
+    shard id)``, so the merge is byte-identical however the jobs run.
+    """
+    if num_shards < 1:
+        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+    if 0 < warmup_requests >= len(trace.requests):
+        raise ValueError(
+            f"warmup_requests ({warmup_requests}) must be below the "
+            f"trace length ({len(trace.requests)}): nothing would be "
+            "measured")
+    pmap = PartitionMap(num_shards, seed=seed)
+    sub_traces = split_trace(trace, pmap, n_blocks)
+    shard_ids, _ = pmap.split_blocks(n_blocks)
+    counts = np.bincount(shard_ids, minlength=num_shards)
+    shard_levels = levels_for_blocks(scheme, max(1, int(counts.max())))
+    cfg = schemes_mod.by_name(scheme, shard_levels)
+    total = len(trace.requests)
+    jobs: List[SimJob] = []
+    for i, sub in enumerate(sub_traces):
+        share = len(sub.requests) / total if total else 0.0
+        warmup = int(round(warmup_requests * share))
+        # Below the shard's request count, or its Simulation refuses.
+        warmup = min(warmup, max(len(sub.requests) - 1, 0))
+        jobs.append((cfg, sub, SimConfig(
+            seed=derive_seed(seed, f"shard:{i}"), warmup_requests=warmup,
+        )))
+    return ShardedSimOutcome(
+        scheme=scheme,
+        trace=trace.name,
+        num_shards=num_shards,
+        shard_levels=shard_levels,
+        shard_blocks=[int(c) for c in counts],
+        shard_requests=[len(t.requests) for t in sub_traces],
+        per_shard=[],
+    ), jobs
 
 
 def run_sharded_sim(
@@ -163,54 +206,22 @@ def run_sharded_sim(
 ) -> ShardedSimOutcome:
     """Partition ``trace`` over ``num_shards`` subtrees and simulate.
 
-    Each shard is one :func:`repro.parallel.executor.run_cells` cell:
-    an independent, seed-pinned serial-controller simulation of its
-    slice at the smallest tree depth that fits the largest slice (all
-    shards share a depth so their per-access costs are comparable).
-    Warmup is split proportionally to each shard's request share. The
-    outcome's merge is byte-identical at any ``workers`` width because
-    every shard's result is a pure function of ``(config, shard id)``.
+    :func:`shard_jobs` followed by one :func:`run_sims` call, each
+    shard one job keyed ``shard:<i>``; a failed shard raises.
     """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if 0 < warmup_requests >= len(trace.requests):
-        raise ValueError(
-            f"warmup_requests ({warmup_requests}) must be below the "
-            f"trace length ({len(trace.requests)}): nothing would be "
-            "measured")
-    pmap = PartitionMap(num_shards, seed=seed)
-    sub_traces = split_trace(trace, pmap, n_blocks)
-    shard_ids, _ = pmap.split_blocks(n_blocks)
-    counts = np.bincount(shard_ids, minlength=num_shards)
-    shard_levels = levels_for_blocks(scheme, max(1, int(counts.max())))
-    total = len(trace.requests)
-    payloads = []
-    for i, sub in enumerate(sub_traces):
-        share = len(sub.requests) / total if total else 0.0
-        warmup = int(round(warmup_requests * share))
-        # Below the shard's request count, or its Simulation refuses.
-        warmup = min(warmup, max(len(sub.requests) - 1, 0))
-        payloads.append((scheme, shard_levels, sub, warmup, seed, i))
-    outputs = run_cells(
-        _shard_sim_task,
-        [Cell(f"shard:{i}", p) for i, p in enumerate(payloads)],
+    outcome, jobs = shard_jobs(
+        scheme, trace, n_blocks, num_shards, warmup_requests, seed,
+    )
+    outputs = run_sims(
+        [Cell(f"shard:{i}", job) for i, job in enumerate(jobs)],
         workers=workers,
         progress=progress,
     )
-    results: List[SimResult] = []
     for i, res in enumerate(outputs):
         if not res.ok:
             raise RuntimeError(f"shard {i} simulation failed:\n{res.error}")
-        results.append(res.value)
-    return ShardedSimOutcome(
-        scheme=scheme,
-        trace=trace.name,
-        num_shards=num_shards,
-        shard_levels=shard_levels,
-        shard_blocks=[int(c) for c in counts],
-        shard_requests=[len(t.requests) for t in sub_traces],
-        per_shard=results,
-    )
+        outcome.per_shard.append(res.value[0])
+    return outcome
 
 
 __all__: Sequence[str] = (
@@ -218,5 +229,6 @@ __all__: Sequence[str] = (
     "ShardedSimOutcome",
     "levels_for_blocks",
     "run_sharded_sim",
+    "shard_jobs",
     "split_trace",
 )

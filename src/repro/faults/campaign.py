@@ -22,13 +22,13 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core import schemes as schemes_mod
 from repro.faults.plan import FAULT_KINDS, TAMPER_KINDS, FaultPlan
 from repro.faults.schema import FAULTS
-from repro.parallel.executor import Cell, report_progress, run_cells
+from repro.parallel.executor import Cell, CellResult
 from repro.report import assemble
 from repro.oram.recovery import BACKOFF_BASE_NS, RobustnessConfig
 from repro.oram.validate import diagnose_robustness
-from repro.sim.engine import SimConfig, Simulation
+from repro.sim.engine import SimConfig
 from repro.sim.results import SimResult
-from repro.sim.runner import make_trace
+from repro.sim.runner import make_trace, run_sims
 
 
 #: Every campaign replays one SPEC benchmark on classic Ring ORAM,
@@ -53,9 +53,9 @@ class CampaignConfig:
     rates: Sequence[float] = (0.002, 0.01)
     integrity: bool = True
     smoke: bool = False
-    #: Process-pool width for the kind x rate cells. Not part of
-    #: to_dict(): the report's config block describes the sweep's
-    #: *content*, which worker count must never change.
+    #: Process-pool width for the baseline and the kind x rate cells.
+    #: Not part of to_dict(): the report's config block describes the
+    #: sweep's *content*, which worker count must never change.
     workers: int = 1
     progress: Any = field(default=None, repr=False)  # callable(str)
 
@@ -100,25 +100,6 @@ def smoke_config(**overrides: Any) -> CampaignConfig:
         smoke=True,
     )
     return replace(base, **overrides)
-
-
-def _robustness(cfg: CampaignConfig) -> RobustnessConfig:
-    return RobustnessConfig(integrity=cfg.integrity)
-
-
-def _run_one(
-    cfg: CampaignConfig, plan: Optional[FaultPlan]
-) -> SimResult:
-    scheme = schemes_mod.by_name(SCHEME, cfg.levels)
-    trace = make_trace(SUITE, BENCH, scheme.n_real_blocks, cfg.n_requests,
-                       seed=cfg.seed)
-    sim = SimConfig(
-        seed=cfg.seed,
-        warmup_requests=WARMUP_REQUESTS,
-        robustness=_robustness(cfg),
-        fault_plan=plan,
-    )
-    return Simulation(scheme, trace, sim).run()
 
 
 def _cell(
@@ -169,67 +150,69 @@ def _cell(
     }
 
 
-def _campaign_cell_task(payload: Any) -> Dict[str, Any]:
-    """One (kind, rate) cell, runnable in-process or in a pool worker.
-
-    Returns the finished report cell; the baseline's exec_ns rides in
-    the payload so workers never need shared state.
-    """
-    cfg, kind, rate, baseline_exec_ns = payload
-    report_progress(f"injecting {kind} at rate {rate:g} ...")
-    plan = FaultPlan(
-        seed=cfg.seed,
-        rates={kind: float(rate)},
-        max_outage_ops=MAX_OUTAGE_OPS,
-    )
-    result = _run_one(cfg, plan)
-    return _cell(kind, rate, result, baseline_exec_ns)
-
-
 def run_campaign(cfg: Optional[CampaignConfig] = None) -> Dict[str, Any]:
     """Run the sweep of ``cfg`` and return the report document.
 
-    The fault-free baseline always runs first (serially -- every cell
-    normalizes against it); ``cfg.workers > 1`` then fans the kind x
-    rate cells over a process pool. The report contains no wall-clock
-    fields, so serial and parallel runs emit byte-identical JSON. A
+    The fault-free baseline and every kind x rate cell are jobs of one
+    :func:`run_sims` fan-out over the one trace (``cfg.workers > 1``
+    uses a process pool); every cell is normalized against the baseline
+    after it. The report contains no wall-clock fields, so serial and
+    parallel runs emit byte-identical JSON. A failed baseline raises; a
     cell whose worker raises -- or dies outright -- becomes an
     ``{"fault", "rate", "error"}`` entry instead of aborting the sweep.
     """
     cfg = cfg or full_config()
+    robustness = RobustnessConfig(integrity=cfg.integrity)
     doctor = diagnose_robustness(
-        _robustness(cfg), n_requests=cfg.n_requests, faults_enabled=True
+        robustness, n_requests=cfg.n_requests, faults_enabled=True
     )
-    if cfg.progress is not None:
-        cfg.progress("running fault-free baseline ...")
-    base = _run_one(cfg, plan=None)
-    base_rb = base.robustness or {}
-    base_ds = base_rb.get("datastore") or {}
+    scheme = schemes_mod.by_name(SCHEME, cfg.levels)
+    trace = make_trace(SUITE, BENCH, scheme.n_real_blocks, cfg.n_requests,
+                       seed=cfg.seed)
+    identities = [
+        {"fault": kind, "rate": float(rate)}
+        for kind in FAULT_KINDS for rate in cfg.rates
+    ]
+    plans = [None] + [
+        FaultPlan(
+            seed=cfg.seed,
+            rates={ident["fault"]: ident["rate"]},
+            max_outage_ops=MAX_OUTAGE_OPS,
+        )
+        for ident in identities
+    ]
+    keys = ["baseline"] + [FAULTS.cell_key(ident) for ident in identities]
+    base_res, *outputs = run_sims(
+        [
+            Cell(key, (scheme, trace, SimConfig(
+                seed=cfg.seed,
+                warmup_requests=WARMUP_REQUESTS,
+                robustness=robustness,
+                fault_plan=plan,
+            )))
+            for key, plan in zip(keys, plans)
+        ],
+        workers=cfg.workers,
+        progress=cfg.progress,
+    )
+    if not base_res.ok:
+        raise RuntimeError(f"fault-free baseline failed:\n{base_res.error}")
+    base: SimResult = base_res.value[0]
+    base_ds = (base.robustness or {}).get("datastore") or {}
     baseline = {
         "exec_ns": float(base.exec_ns),
         "stash_peak": int(base.stash_peak),
         "seals": int(base_ds.get("seals", 0)),
         "opens": int(base_ds.get("opens", 0)),
     }
-    # What ships to workers must be progress-free (callbacks do not
-    # pickle; report_progress routes through the pool's queue).
-    worker_cfg = replace(cfg, progress=None, workers=1)
-    identities = [
-        {"fault": kind, "rate": float(rate)}
-        for kind in FAULT_KINDS for rate in cfg.rates
+    cells = [
+        CellResult(res.key, True, _cell(
+            ident["fault"], ident["rate"], res.value[0], baseline["exec_ns"],
+        )) if res.ok else res
+        for ident, res in zip(identities, outputs)
     ]
-    outputs = run_cells(
-        _campaign_cell_task,
-        [
-            Cell(FAULTS.cell_key(ident),
-                 (worker_cfg, ident["fault"], ident["rate"], baseline["exec_ns"]))
-            for ident in identities
-        ],
-        workers=cfg.workers,
-        progress=cfg.progress,
-    )
     return assemble(
-        FAULTS, cfg.to_dict(), identities, outputs,
+        FAULTS, cfg.to_dict(), identities, cells,
         doctor=[str(fd) for fd in doctor], baseline=baseline,
     )
 

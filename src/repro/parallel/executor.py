@@ -1,5 +1,11 @@
 """The parallel cell executor: pool fan-out, ordered merge, crash isolation.
 
+It has two callers, one per clock: :func:`repro.sim.runner.run_sims`
+runs every simulated job and :func:`repro.serve.fleet.serve_fleets`
+every served shard. A task never runs a sweep of its own, so sweeps
+do not nest: the serial path installs the progress callback for its
+cells and clears it after them.
+
 Design constraints, in order:
 
 1. **Determinism.** A sweep's *content* must not depend on worker count
@@ -214,26 +220,16 @@ def _run_serial(
     cells: List[Cell],
     progress: Optional[Callable[[str], None]],
 ) -> List[CellResult]:
-    """In-process execution; the default and the baseline for identity.
-
-    The sink is saved and restored, not cleared: sweeps nest (a perf
-    cell's task runs ``run_suite``, which is itself a ``run_cells``
-    sweep), and the inner serial sweep must not clobber the outer
-    sweep's progress routing -- including the queue sink a pool worker
-    was initialized with.
-    """
+    """In-process execution; the default and the baseline for identity."""
     global _progress_sink
-    prev = _progress_sink
     _progress_sink = progress
     try:
-        out: List[CellResult] = []
-        for cell in cells:
-            out.append(CellResult(cell.key, *_call_cell(
-                task, cell.key, cell.payload
-            )))
-        return out
+        return [
+            CellResult(cell.key, *_call_cell(task, cell.key, cell.payload))
+            for cell in cells
+        ]
     finally:
-        _progress_sink = prev
+        _progress_sink = None
 
 
 def _pool(workers: int, queue: Any) -> ProcessPoolExecutor:

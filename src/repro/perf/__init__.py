@@ -2,7 +2,7 @@
 
 This package turns the simulator into its own benchmark subject: a
 fixed, seed-pinned matrix of (scheme x trace) cells is replayed through
-:func:`repro.sim.runner.run_suite`, and each cell's wall time,
+:func:`repro.sim.runner.run_sims`, and each cell's wall time,
 throughput (accesses/sec) and deterministic simulation metrics are
 written to a machine-readable JSON report (``BENCH_perf.json``).
 

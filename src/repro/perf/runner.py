@@ -1,8 +1,11 @@
 """Run the perf matrix and build a report document.
 
-Every cell is one ``run_suite`` call over a single (scheme, benchmark)
-pair, timed with ``time.perf_counter``. The simulation itself is fully
-deterministic (pinned seeds for trace generation, warm fill and the
+Every repeat of a serial or pipelined cell is one job of one
+:func:`repro.sim.runner.run_sims` fan-out, and so is every shard of a
+sharded cell (:func:`repro.core.sharding.sharded.shard_jobs`). The
+parent makes each trace once and folds the jobs back into cells: a
+cell's ``wall_s`` is its best repeat, a sharded repeat's wall the sum
+of its shard walls. The simulation itself is fully deterministic (pinned seeds for trace generation, warm fill and the
 protocol RNG), so the ``sim`` block of a cell only changes when the
 simulator's behaviour changes -- which is exactly what makes the report
 comparable across commits.
@@ -10,17 +13,18 @@ comparable across commits.
 
 from __future__ import annotations
 
-import time
+import traceback
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import schemes as schemes_mod
-from repro.parallel.executor import Cell, report_progress, run_cells
+from repro.core.sharding.sharded import shard_jobs
+from repro.parallel.executor import Cell, CellResult
 from repro.perf.schema import PERF
 from repro.report import assemble
 from repro.sim.engine import SimConfig
-from repro.sim.results import SimResult
-from repro.sim.runner import make_trace, run_suite
+from repro.sim.runner import make_trace, run_sims
+from repro.traces.trace import Trace
 
 
 #: Every perf cell replays a SPEC trace.
@@ -127,91 +131,6 @@ def smoke_config(**overrides: Any) -> PerfConfig:
     return _prune_extras(replace(base, **overrides), overrides)
 
 
-_sim_block = SimResult.sim_block
-
-
-def _best_of(repeats: int, run: Callable[[], Any]) -> Tuple[float, Any]:
-    """Best-of-``repeats`` wall time plus the (deterministic) value."""
-    best, value = None, None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        value = run()
-        wall = time.perf_counter() - t0
-        if best is None or wall < best:
-            best = wall
-    assert best is not None
-    return best, value
-
-
-def _run_one_cell(
-    cfg: PerfConfig, scheme_name: str, bench: str, depth: int = 1
-) -> Tuple[float, SimResult]:
-    """Best wall time plus the result of one serial/pipelined cell."""
-    scheme = schemes_mod.by_name(scheme_name, cfg.levels)
-    wall, out = _best_of(cfg.repeats, lambda: run_suite(
-        [scheme],
-        suite=SUITE,
-        benchmarks=[bench],
-        n_requests=cfg.n_requests,
-        warmup_requests=cfg.warmup_requests,
-        seed=cfg.seed,
-        sim=SimConfig(
-            seed=cfg.seed,
-            warmup_requests=cfg.warmup_requests,
-            pipeline_depth=depth,
-        ),
-    ))
-    return wall, out[scheme.name][bench]
-
-
-def _run_sharded_cell(
-    cfg: PerfConfig, scheme_name: str, bench: str, num_shards: int
-) -> Tuple[float, Dict[str, Any]]:
-    """Best wall time plus the merged fleet sim block of a sharded cell.
-
-    The trace is the serial twin's trace exactly (same suite, block
-    count, request count and seed), partitioned over ``num_shards``
-    right-sized subtrees; ``exec_ns`` of the returned block is the
-    fleet makespan.
-    """
-    from repro.core.sharding.sharded import run_sharded_sim
-
-    scheme = schemes_mod.by_name(scheme_name, cfg.levels)
-    trace = make_trace(
-        SUITE, bench, scheme.n_real_blocks, cfg.n_requests,
-        seed=cfg.seed,
-    )
-    wall, outcome = _best_of(cfg.repeats, lambda: run_sharded_sim(
-        scheme_name, trace, scheme.n_real_blocks, num_shards,
-        warmup_requests=cfg.warmup_requests, seed=cfg.seed,
-    ))
-    return wall, outcome.merged_sim_block()
-
-
-def _perf_cell_task(
-    payload: Tuple[PerfConfig, str, str, int, int]
-) -> Dict[str, Any]:
-    """One matrix cell, runnable in-process or in a pool worker.
-
-    Returns the finished report cell (plain JSON-able dict, so crossing
-    the process boundary never pickles a SimResult or a callback).
-    """
-    cfg, scheme_name, bench, depth, num_shards = payload
-    identity = _identity(scheme_name, bench, depth, num_shards)
-    report_progress(f"running {PERF.cell_key(identity)} ...")
-    if num_shards > 1:
-        wall, sim = _run_sharded_cell(cfg, scheme_name, bench, num_shards)
-    else:
-        wall, result = _run_one_cell(cfg, scheme_name, bench, depth)
-        sim = _sim_block(result)
-    return {
-        **identity,
-        "wall_s": wall,
-        "accesses_per_s": cfg.n_requests / wall if wall > 0 else 0.0,
-        "sim": sim,
-    }
-
-
 def _identity(
     scheme: str, bench: str, depth: int, num_shards: int
 ) -> Dict[str, Any]:
@@ -227,29 +146,79 @@ def _identity(
 def run_perf(cfg: Optional[PerfConfig] = None) -> Dict[str, Any]:
     """Run the matrix of ``cfg`` and return the report document.
 
-    ``cfg.workers > 1`` fans the independent cells over a process pool;
-    the merged ``cells`` list keeps matrix order and its ``sim`` blocks
-    are bit-identical to a serial run (only ``wall_s`` is
-    host-dependent). A cell whose worker raises -- or dies outright --
-    becomes an ``{"scheme", "trace", "error"}`` entry instead of
-    aborting the sweep.
+    ``cfg.workers > 1`` fans the jobs of every cell over a process
+    pool; the merged ``cells`` list keeps matrix order and its ``sim``
+    blocks are bit-identical to a serial run (only ``wall_s`` is
+    host-dependent). A cell whose jobs cannot be built, or one of whose
+    jobs raises -- or dies outright -- becomes an ``{"scheme", "trace",
+    "error"}`` entry instead of aborting the sweep.
     """
     cfg = cfg or full_config()
-    # What ships to workers must be progress-free (callbacks do not
-    # pickle; report_progress routes through the pool's queue) and
-    # serial inside (parallelism lives at the matrix level).
-    worker_cfg = replace(cfg, progress=None, workers=1)
     quads = [(s, b, 1, 1) for s in cfg.schemes for b in cfg.benchmarks]
     quads += [(s, b, int(d), 1) for s, b, d in cfg.pipeline]
     quads += [(s, b, 1, int(n)) for s, b, n in cfg.shards]
     identities = [_identity(*quad) for quad in quads]
-    outputs = run_cells(
-        _perf_cell_task,
-        [
-            Cell(PERF.cell_key(identity), (worker_cfg, *quad))
-            for identity, quad in zip(identities, quads)
-        ],
-        workers=cfg.workers,
-        progress=cfg.progress,
-    )
-    return assemble(PERF, cfg.to_dict(), identities, outputs)
+    traces: Dict[Tuple[str, int], Trace] = {}
+    plans: List[Any] = []   # per cell: a CellResult error or (outcome, n)
+    jobs: List[Cell] = []
+    for identity, (scheme_name, bench, depth, num_shards) in zip(
+        identities, quads
+    ):
+        key = PERF.cell_key(identity)
+        try:
+            scheme = schemes_mod.by_name(scheme_name, cfg.levels)
+            n_blocks = scheme.n_real_blocks
+            if (bench, n_blocks) not in traces:
+                traces[bench, n_blocks] = make_trace(
+                    SUITE, bench, n_blocks, cfg.n_requests, seed=cfg.seed,
+                )
+            trace = traces[bench, n_blocks]
+            if num_shards > 1:
+                # The serial twin's trace over right-sized subtrees.
+                outcome, cell_jobs = shard_jobs(
+                    scheme_name, trace, n_blocks, num_shards,
+                    warmup_requests=cfg.warmup_requests, seed=cfg.seed,
+                )
+            else:
+                outcome, cell_jobs = None, [(scheme, trace, SimConfig(
+                    seed=cfg.seed,
+                    warmup_requests=cfg.warmup_requests,
+                    pipeline_depth=depth,
+                ))]
+        except Exception:
+            plans.append(CellResult(key, False, None, traceback.format_exc()))
+            continue
+        plans.append((outcome, len(cell_jobs)))
+        for r in range(cfg.repeats):
+            tag = key if cfg.repeats == 1 else f"{key}#{r + 1}"
+            jobs += [
+                Cell(tag if outcome is None else f"{tag}/shard:{i}", job)
+                for i, job in enumerate(cell_jobs)
+            ]
+    outputs = iter(run_sims(jobs, workers=cfg.workers, progress=cfg.progress))
+    cells: List[CellResult] = []
+    for identity, plan in zip(identities, plans):
+        if isinstance(plan, CellResult):
+            cells.append(plan)
+            continue
+        outcome, n_jobs = plan
+        runs = [[next(outputs) for _ in range(n_jobs)]
+                for _ in range(cfg.repeats)]
+        failed = [res for run in runs for res in run if not res.ok]
+        if failed:
+            cells.append(failed[0])
+            continue
+        wall = min(sum(res.value[1] for res in run) for run in runs)
+        results = [res.value[0] for res in runs[-1]]
+        if outcome is None:
+            sim = results[0].sim_block()
+        else:
+            outcome.per_shard = results
+            sim = outcome.merged_sim_block()
+        cells.append(CellResult(PERF.cell_key(identity), True, {
+            **identity,
+            "wall_s": wall,
+            "accesses_per_s": cfg.n_requests / wall if wall > 0 else 0.0,
+            "sim": sim,
+        }))
+    return assemble(PERF, cfg.to_dict(), identities, cells)

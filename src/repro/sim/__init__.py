@@ -8,8 +8,9 @@
   crash-resumable runs.
 - :mod:`repro.sim.results` -- result records and aggregation
   (geometric means, time breakdowns).
-- :mod:`repro.sim.runner` -- scheme x benchmark sweep drivers used by
-  the figure benchmarks.
+- :mod:`repro.sim.runner` -- ``run_sims``, the one fan-out of
+  simulated jobs, and the scheme x benchmark sweep drivers used by the
+  figure benchmarks.
 """
 
 from repro._lazy import lazy_exports
@@ -18,5 +19,5 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "repro.sim.checkpoint": ("load_checkpoint", "save_checkpoint"),
     "repro.sim.engine": ("DramSink", "SimConfig", "Simulation", "simulate"),
     "repro.sim.results": ("SimResult", "geomean"),
-    "repro.sim.runner": ("run_suite",),
+    "repro.sim.runner": ("run_sims", "run_suite"),
 })

@@ -5,19 +5,24 @@ every benchmark of a suite and aggregate"; this module centralizes that
 loop (trace caching, per-scheme result maps) so each benchmark file
 stays a thin description of its figure.
 
-``run_suite(..., workers=N)`` fans the independent (scheme, benchmark)
-cells over a process pool -- every cell is a self-contained simulation,
-so sweeps scale linearly with cores. Observers cannot cross process
-boundaries, so parallel runs require an observer-free ``SimConfig``.
+:func:`run_sims` is the one fan-out of simulated work: every simulated
+report cell -- a ``run_suite`` (scheme, benchmark) pair, each repeat or
+shard of a perf cell, the fault campaign's baseline and each of its
+cells, each shard of ``run_sharded_sim`` -- is one ``(OramConfig,
+Trace, SimConfig)`` job of one :func:`run_cells` call over one task. A
+job is a single simulation, never a sweep, so fan-outs do not nest.
+Every job is self-contained, so sweeps scale linearly with cores.
+Observers cannot cross process boundaries, so parallel runs require an
+observer-free ``SimConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.oram.config import OramConfig
-from repro.parallel.executor import Cell, run_cells
+from repro.parallel.executor import Cell, CellResult, report_progress, run_cells
 from repro.sim.engine import SimConfig, simulate
 from repro.sim.results import SimResult
 from repro.traces.parsec import parsec_benchmarks, parsec_trace
@@ -52,10 +57,37 @@ def make_trace(
     return _SUITES[suite](name, n_oram_blocks, n_requests, seed=seed)
 
 
-def _run_cell(args: Tuple[OramConfig, Trace, SimConfig]) -> SimResult:
-    """Picklable worker entry for one (scheme, trace) simulation."""
-    cfg, trace, sim = args
-    return simulate(cfg, trace, sim)
+#: One simulation: the scheme, the trace it replays, how it runs.
+SimJob = Tuple[OramConfig, Trace, SimConfig]
+
+
+def _sim_task(payload: Tuple[str, OramConfig, Trace, SimConfig]) -> Tuple[
+    SimResult, float
+]:
+    """Picklable worker entry for one job: its result and wall seconds."""
+    key, cfg, trace, sim = payload
+    report_progress(f"running {key} ...")
+    t0 = time.perf_counter()
+    result = simulate(cfg, trace, sim)
+    return result, time.perf_counter() - t0
+
+
+def run_sims(
+    jobs: Sequence[Cell], workers: int = 1, progress: Any = None,
+) -> List[CellResult]:
+    """Run every ``Cell(key, SimJob)``; results in submission order.
+
+    An ok result's value is ``(SimResult, wall_s)``, ``wall_s`` the
+    job's own simulation time. Every job is seeded by its ``SimConfig``
+    alone, so results are bit-identical at any ``workers`` width; each
+    job's progress line names its key.
+    """
+    return run_cells(
+        _sim_task,
+        [Cell(job.key, (job.key, *job.payload)) for job in jobs],
+        workers=workers,
+        progress=progress,
+    )
 
 
 def run_suite(
@@ -63,7 +95,6 @@ def run_suite(
     suite: str = "spec",
     benchmarks: Optional[Sequence[str]] = None,
     n_requests: int = 2000,
-    warmup_requests: int = 0,
     seed: int = 0,
     sim: Optional[SimConfig] = None,
     workers: int = 1,
@@ -93,25 +124,19 @@ def run_suite(
         raise ValueError(
             "observers cannot cross process boundaries; run with workers=1"
         )
-    run_sim = replace(
-        base_sim,
-        warmup_requests=warmup_requests or base_sim.warmup_requests,
-    )
-    cells: List[Tuple[str, str, Tuple[OramConfig, Trace, SimConfig]]] = []
+    cells: List[Tuple[str, str, Cell]] = []
     for bench in names:
         trace = make_trace(suite, bench, n_blocks, n_requests, seed=seed)
         for cfg in schemes:
-            cells.append((cfg.name, bench, (cfg, trace, run_sim)))
+            cells.append((cfg.name, bench, Cell(
+                f"{cfg.name}/{bench}", (cfg, trace, base_sim),
+            )))
     results: Dict[str, Dict[str, SimResult]] = {cfg.name: {} for cfg in schemes}
-    outputs = run_cells(
-        _run_cell,
-        [Cell(f"{name}/{bench}", args) for name, bench, args in cells],
-        workers=workers,
-    )
+    outputs = run_sims([job for _, _, job in cells], workers=workers)
     for (scheme_name, bench, _), res in zip(cells, outputs):
         if not res.ok:
             # run_suite callers expect a complete result map; a failed
             # cell here is a bug, not a sweep condition to tolerate.
             raise RuntimeError(f"simulation cell {res.key} failed:\n{res.error}")
-        results[scheme_name][bench] = res.value
+        results[scheme_name][bench] = res.value[0]
     return results

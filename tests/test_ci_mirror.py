@@ -327,3 +327,33 @@ def test_shard_task_guard_refuses_a_second_cell_task_only():
     ]
     assert [line for line in refused if not re.search(pattern, line)] == []
     assert [line for line in passed if re.search(pattern, line)] == []
+
+
+def test_fan_out_guard_refuses_a_third_call_site_only():
+    """The test job's "Two fan-outs" step refuses a ``run_cells`` call
+    outside ``sim/runner.py`` and ``serve/fleet.py`` and passes those
+    two callers, the executor's own ``def`` and a mention without a
+    call; its two EREs read the same under Python's ``re``."""
+    (line,) = [
+        line for _, commands in _run_steps(CI.read_text())
+        for line in commands or () if '"run_cells("' in line
+    ]
+    allowed = re.search(r'grep -vE "([^"]*)"', line).group(1)
+
+    def refused(hit: str) -> bool:
+        return "run_cells(" in hit and not re.search(allowed, hit)
+
+    third = [
+        "src/repro/perf/runner.py:246:    outputs = run_cells(",
+        "src/repro/faults/campaign.py:221:    outputs = run_cells(",
+        "src/repro/core/sharding/sharded.py:194:    return run_cells(_task, cells)",
+        "src/repro/sim/engine.py:9:    run_cells(_sim_task, jobs)",
+    ]
+    passed = [
+        "src/repro/sim/runner.py:85:    return run_cells(",
+        "src/repro/serve/fleet.py:303:    outputs = iter(run_cells(",
+        "src/repro/parallel/executor.py:267:def run_cells(",
+        "src/repro/report.py:550:    \"\"\"Fold ``run_cells`` outputs into a report",
+    ]
+    assert [hit for hit in third if not refused(hit)] == []
+    assert [hit for hit in passed if refused(hit)] == []

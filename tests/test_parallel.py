@@ -23,6 +23,7 @@ from repro.perf import compare_reports
 from repro.perf.runner import run_perf, smoke_config
 from repro.perf.schema import validate_report
 from repro.report import EXIT_ERROR
+from repro.sim import runner as runner_mod
 
 
 class TestDeriveSeed:
@@ -209,3 +210,43 @@ class TestFaultsHarness:
         par = run_campaign(faults_smoke_config(workers=2, **cfg))
         dump = lambda d: json.dumps(d, indent=1, sort_keys=True)  # noqa: E731
         assert dump(serial) == dump(par)
+
+    def test_failed_baseline_raises(self, monkeypatch):
+        # Every cell normalizes against the baseline, so a campaign
+        # without one has nothing to report.
+        real = runner_mod.simulate
+
+        def simulate(cfg, trace, sim):
+            if sim.fault_plan is None:
+                raise RuntimeError("baseline fell over")
+            return real(cfg, trace, sim)
+
+        monkeypatch.setattr(runner_mod, "simulate", simulate)
+        with pytest.raises(RuntimeError, match="baseline fell over"):
+            run_campaign(faults_smoke_config(levels=8, n_requests=60))
+
+
+class TestOneFanOut:
+    def test_each_distinct_trace_is_built_once(self, monkeypatch):
+        # The parent makes every trace once and hands it to every job
+        # that replays it: perf's serial, pipelined and sharded cells
+        # all share one, and so do the campaign's baseline and cells.
+        built = []
+        real = runner_mod._SUITES["spec"]
+
+        def spec_trace(name, n_blocks, n_requests, seed=0):
+            built.append((name, n_blocks, n_requests, seed))
+            return real(name, n_blocks, n_requests, seed=seed)
+
+        monkeypatch.setitem(runner_mod._SUITES, "spec", spec_trace)
+        doc = run_perf(_tiny_perf(
+            schemes=("ring", "ab"), benchmarks=("mcf", "xz"),
+            pipeline=(("ring", "mcf", 2),), shards=(("ab", "xz", 2),),
+            repeats=2,
+        ))
+        assert len(doc["cells"]) == 6
+        assert sorted(t[0] for t in built) == ["mcf", "xz"]
+        built.clear()
+        doc = run_campaign(faults_smoke_config(levels=8, n_requests=60))
+        assert len(doc["cells"]) == 4
+        assert [t[0] for t in built] == ["mcf"]

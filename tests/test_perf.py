@@ -19,7 +19,7 @@ from repro.report import (
     EXIT_REGRESSION,
     compare_files,
 )
-from repro.perf.schema import render_report
+from repro.perf.schema import PERF, render_report
 from repro.perf.runner import PerfConfig
 
 
@@ -204,9 +204,14 @@ class TestDeterminism:
 
     def test_parallel_workers_match_serial(self):
         # Exercises the ProcessPoolExecutor path end-to-end through the
-        # harness; the sim block must be bit-identical to the serial run.
-        serial = run_perf(tiny_config(workers=1))
-        parallel = run_perf(tiny_config(workers=2))
+        # harness, with the @s2 cell's shards crossing the pool as jobs
+        # of their own; the sim block must be bit-identical to the
+        # serial run.
+        shards = (("ring", "mcf", 2),)
+        serial = run_perf(tiny_config(workers=1, shards=shards))
+        parallel = run_perf(tiny_config(workers=2, shards=shards))
+        assert [PERF.cell_key(c) for c in serial["cells"]] == \
+            ["ring/mcf", "ring/mcf@s2"]
         assert [c["sim"] for c in parallel["cells"]] == \
             [c["sim"] for c in serial["cells"]]
 

@@ -133,30 +133,6 @@ class TestGoldenBitIdentity:
         keys = {cell_key(c) for c in baseline["cells"]}
         assert "ns/mcf@p4" in keys and "ns/mcf" in keys
 
-    def test_depth1_bit_identical_to_golden_cells(self, baseline):
-        """Re-simulating every serial golden cell reproduces its sim
-        block exactly -- the pipeline work must not perturb depth 1."""
-        from repro.perf.runner import _run_one_cell, _sim_block, smoke_config
-        cfg = smoke_config()
-        config = baseline["config"]
-        assert config["levels"] == cfg.levels
-        assert config["n_requests"] == cfg.n_requests
-        for cell in baseline["cells"]:
-            if (cell.get("pipeline_depth", 1) > 1
-                    or cell.get("shards", 1) > 1):
-                # Sharded cells have their own byte-identity tests in
-                # tests/test_sharding.py.
-                continue
-            _, result = _run_one_cell(cfg, cell["scheme"], cell["trace"])
-            assert _sim_block(result) == cell["sim"], cell_key(cell)
-
-    def test_pipelined_golden_cell_reproduces(self, baseline):
-        from repro.perf.runner import _run_one_cell, _sim_block, smoke_config
-        cell = next(c for c in baseline["cells"]
-                    if cell_key(c) == "ns/mcf@p4")
-        _, result = _run_one_cell(smoke_config(), "ns", "mcf", depth=4)
-        assert _sim_block(result) == cell["sim"]
-
     def test_golden_speedup_gate(self, baseline):
         cells = {cell_key(c): c for c in baseline["cells"]}
         serial = cells["ns/mcf"]["sim"]["exec_ns"]

@@ -20,12 +20,7 @@ the three promises the transaction pipeline makes:
 
 Usage: ``PYTHONPATH=src python tools/check_pipeline.py BENCH_perf.json
 [--baseline benchmarks/baselines/BENCH_perf_smoke.json]
-[--min-speedup 1.5] [--min-speedup-for ns/mcf@p4=1.40]``
-
-``--min-speedup-for KEY=RATIO`` (repeatable) overrides the default
-floor for one cell: overlap headroom depends on tree depth, so e.g.
-the L12 nightly run gates ``ns/mcf@p4`` at its calibrated 1.40x while
-every other cell keeps the strict default.
+[--min-speedup 1.5]``
 """
 
 from __future__ import annotations
@@ -74,26 +69,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--min-speedup", type=float, default=1.5,
                         help="required serial/pipelined exec_ns ratio "
                              "(default: 1.5)")
-    parser.add_argument("--min-speedup-for", action="append", default=[],
-                        metavar="KEY=RATIO",
-                        help="per-cell override of --min-speedup, e.g. "
-                             "ns/mcf@p4=1.40 (repeatable; keys are "
-                             "report cell keys). Lets deeper-tree runs "
-                             "keep a calibrated floor per cell while "
-                             "the default gate stays strict.")
     args = parser.parse_args(argv)
-
-    per_cell = {}
-    for spec in args.min_speedup_for:
-        key, sep, ratio = spec.rpartition("=")
-        try:
-            if not sep:
-                raise ValueError
-            per_cell[key] = float(ratio)
-        except ValueError:
-            raise SystemExit(
-                f"--min-speedup-for expects KEY=RATIO, got {spec!r}"
-            )
 
     doc = _load(args.report)
     cells = _cells_by_key(doc)
@@ -114,15 +90,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         serial_ns = twin["sim"]["exec_ns"]
         pipe_ns = cell["sim"]["exec_ns"]
         speedup = serial_ns / pipe_ns if pipe_ns > 0 else 0.0
-        floor = per_cell.get(key, args.min_speedup)
-        ok = speedup >= floor
+        ok = speedup >= args.min_speedup
         print(f"{key}: exec_ns {serial_ns:.1f} -> {pipe_ns:.1f}  "
               f"speedup {speedup:.3f}x  "
-              f"(gate: >= {floor:.2f}x)  "
+              f"(gate: >= {args.min_speedup:.2f}x)  "
               f"{'ok' if ok else 'FAIL'}")
         if not ok:
             failures.append(
-                f"{key}: speedup {speedup:.3f}x below {floor}x"
+                f"{key}: speedup {speedup:.3f}x below {args.min_speedup}x"
             )
         # 2. logical identity vs the serial twin
         for field in sorted(set(twin["sim"]) | set(cell["sim"])):
