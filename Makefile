@@ -252,9 +252,12 @@ e2e-quick:
 # of workload W, the working tree against BASE=<rev>,
 # on seeds SEED.. (tools/ab.py; exits 1 if a simulated metric differs).
 # RECORD=1 appends the result to BENCH_e2e.json, the committed trajectory.
+# MOVED=1 is for a change that means to move simulated metrics: it
+# prints their per-side medians and fails only on a failed check.
 ab:
 	$(PYTHON) tools/ab.py --base $(BASE) --workload $(W) \
-	  --pairs $(or $(N),10) --seed $(or $(SEED),1) $(if $(RECORD),--record)
+	  --pairs $(or $(N),10) --seed $(or $(SEED),1) $(if $(RECORD),--record) \
+	  $(if $(MOVED),--moved)
 
 # What CI runs: lint, tier-1 tests, the smoke gates, the README steps
 # and e2e correctness (`make reach` counts what this reaches).

@@ -45,10 +45,11 @@ of every readPath's buckets have one. The *content* of bucket ``b``'s
 :class:`~repro.oram.bucket.BucketStore` (block id, ``DUMMY``, or
 ``UNALLOCATED`` while nothing is rented there), so every scan the
 controller runs over a bucket's slots covers local and rented ones
-alike. This module keeps only *where the bytes live*: ``host_bucket`` /
-``host_slot``, two ``(n_buckets, r_max)`` arrays (the paper's Table I
-``remoteAddr`` / ``remoteInd`` fields), valid wherever the column is
-rented, and ``n_active``, how many columns each bucket rents. A round's
+alike. This module keeps only *where the bytes live*: ``hosts``, one
+flat list of ``(bucket, slot)`` pairs, column ``i`` of bucket ``b`` at
+``b * r_max + i`` (the paper's Table I ``remoteAddr`` / ``remoteInd``
+fields), valid wherever the column is rented, and ``n_active``, how
+many columns each bucket rents. A round's
 columns are filled from 0 in DeadQ pop order and cleared in place as
 they are consumed, so ascending column order is rental order.
 """
@@ -87,11 +88,12 @@ class RemoteAllocator:
         ]
         #: Slots a bucket of each level rents per round.
         self._extension = [g.remote_extension for g in cfg.geometry]
-        r_max = max(g.remote_extension for g in cfg.geometry)
-        #: Physical (bucket, slot) behind rented column ``i`` of each
-        #: bucket; meaningful only while that column is rented.
-        self.host_bucket = np.full((cfg.n_buckets, r_max), -1, dtype=np.int64)
-        self.host_slot = np.full((cfg.n_buckets, r_max), -1, dtype=np.int64)
+        #: Rented columns a bucket row has room for.
+        self.r_max = r_max = max(g.remote_extension for g in cfg.geometry)
+        #: Physical (bucket, slot) behind rented column ``i`` of bucket
+        #: ``b``, at ``b * r_max + i``; meaningful only while that
+        #: column is rented.
+        self.hosts: List[Tuple[int, int]] = [(-1, -1)] * (cfg.n_buckets * r_max)
         #: Rented columns per bucket (a plain list: O(1) unboxed reads).
         self.n_active: List[int] = [0] * cfg.n_buckets
         self._store: Optional[BucketStore] = None
@@ -193,15 +195,15 @@ class RemoteAllocator:
         queued = store.queued_count
         in_use = store.in_use_count
         w = store.width
-        for i, (hb, hs) in enumerate(got):
+        for hb, hs in got:
             # QUEUED -> IN_USE. A QUEUED slot already reads CONSUMED in
             # its own bucket's row and keeps doing so: the host never
             # sees what the renter stores there.
             status[hb * w + hs] = ST_IN_USE
             queued[hb] -= 1
             in_use[hb] += 1
-            self.host_bucket[bucket, i] = hb
-            self.host_slot[bucket, i] = hs
+        at = bucket * self.r_max
+        self.hosts[at:at + r] = got
         col = bucket * w + store.z_max
         store.slots[col:col + r] = [DUMMY] * r
         self.n_active[bucket] = r
@@ -237,9 +239,10 @@ class RemoteAllocator:
         w = store.width
         lo = bucket * w + store.z_max
         hi = bucket * w + w
+        at = bucket * self.r_max
         released = [
-            (self.host_bucket.item(bucket, i), self.host_slot.item(bucket, i))
-            for i, content in enumerate(store.slots[lo:hi])
+            host for host, content in zip(
+                self.hosts[at:at + self.r_max], store.slots[lo:hi])
             if content != UNALLOCATED
         ]
         # A host sits at its renter's level.
@@ -282,8 +285,7 @@ class RemoteAllocator:
             raise RuntimeError(f"bucket {bucket} rents no slot in column {i}")
         store.slots[col] = UNALLOCATED
         self.n_active[bucket] -= 1
-        hb = self.host_bucket.item(bucket, i)
-        hs = self.host_slot.item(bucket, i)
+        hb, hs = self.hosts[bucket * self.r_max + i]
         # IN_USE -> DEAD.
         store.status[hb * store.width + hs] = ST_DEAD
         store.in_use_count[hb] -= 1
@@ -295,6 +297,11 @@ class RemoteAllocator:
         return hb, hs
 
     # ------------------------------------------------------------ checking
+
+    def host_table(self) -> np.ndarray:
+        """``hosts`` as an ``(n_buckets, r_max, 2)`` int64 array (a copy)."""
+        return np.array(self.hosts, dtype=np.int64).reshape(
+            self.cfg.n_buckets, self.r_max, 2)
 
     def check_invariants(self) -> None:
         """Rental ownership and DeadQ validity over the whole tree (test
@@ -317,8 +324,7 @@ class RemoteAllocator:
         if rented.sum(axis=1).tolist() != self.n_active:
             raise AssertionError("n_active disagrees with the rented columns")
         renter, col = rented.nonzero()
-        hb = self.host_bucket[renter, col]
-        hs = self.host_slot[renter, col]
+        hb, hs = self.host_table()[renter, col].T
         bad = (
             (status[hb, hs] != ST_IN_USE)
             | (slots[hb, hs] != CONSUMED)

@@ -14,7 +14,8 @@ both halves of the seal:
 
 - the cipher is a PRF keystream: the block is XORed with keyed BLAKE2b
   (RFC 7693, from ``hashlib``) of the nonce, whose 64-byte digest is
-  exactly one block of pad, so a pad never repeats while versions grow;
+  exactly one block of pad, so a pad never repeats while versions
+  grow (a batch's blocks meet their pads in one big-int XOR);
 - the tag (:mod:`repro.crypto.auth`) is an 8-byte keyed BLAKE2b of the
   nonce followed by the ciphertext.
 
@@ -72,12 +73,13 @@ class SecureBlockEngine:
         """Seal a batch of ``(addr, version, plaintext)`` blocks.
 
         Returns one ``(ciphertext, tag)`` per item, in order: each
-        block XORed with its pad, then tagged. ``ValueError`` for a
+        block XORed with its pad (one big-int XOR per batch), then
+        tagged. ``ValueError`` for a
         block that is not 64 bytes or a nonce half outside 0..2**64-1.
         """
         bb = self.BLOCK_BYTES
         pack, pad_state, mac_state = _NONCE.pack, self._pad, self._mac
-        sealed = []
+        nonces, pads, blocks = [], [], []
         try:
             for addr, version, plaintext in items:
                 if len(plaintext) != bb:
@@ -87,16 +89,22 @@ class SecureBlockEngine:
                 nonce = pack(addr, version)
                 pad = pad_state.copy()
                 pad.update(nonce)
-                ciphertext = (
-                    int.from_bytes(plaintext, "little")
-                    ^ int.from_bytes(pad.digest(), "little")
-                ).to_bytes(bb, "little")
-                mac = mac_state.copy()
-                mac.update(nonce)
-                mac.update(ciphertext)
-                sealed.append((ciphertext, mac.digest()))
+                nonces.append(nonce)
+                pads.append(pad.digest())
+                blocks.append(plaintext)
         except struct.error:
             raise ValueError(_NONCE_RANGE) from None
+        ciphertext = (
+            int.from_bytes(b"".join(blocks), "little")
+            ^ int.from_bytes(b"".join(pads), "little")
+        ).to_bytes(len(pads) * bb, "little")
+        sealed = []
+        for nonce, at in zip(nonces, range(0, len(ciphertext), bb)):
+            block = ciphertext[at:at + bb]
+            mac = mac_state.copy()
+            mac.update(nonce)
+            mac.update(block)
+            sealed.append((block, mac.digest()))
         return sealed
 
     def open_many(
@@ -108,15 +116,15 @@ class SecureBlockEngine:
         :class:`AuthenticationError` its MAC check raised. Every MAC of
         the batch is checked before anything is decrypted, and only
         authenticated items are: a failing item neither stops the
-        checks on the rest nor gets a plaintext. A ciphertext that is
-        not 64 bytes or a nonce out of range is a caller error, a
-        ``ValueError``, not a MAC failure.
+        checks on the rest nor gets a plaintext (its block meets zeros
+        in the batch's one big-int XOR and is dropped). A ciphertext
+        that is not 64 bytes or a nonce out of range is a caller error,
+        a ``ValueError``, not a MAC failure.
         """
         bb = self.BLOCK_BYTES
         pack, pad_state, mac_state = _NONCE.pack, self._pad, self._mac
         compare = hmac.compare_digest
-        # Per item, its nonce once its tag has verified, else None.
-        verified: list = []
+        pads, blocks, failed = [], [], []
         try:
             for addr, version, ciphertext, tag in items:
                 if len(ciphertext) != bb:
@@ -128,20 +136,24 @@ class SecureBlockEngine:
                 mac = mac_state.copy()
                 mac.update(nonce)
                 mac.update(ciphertext)
-                verified.append(nonce if compare(mac.digest(), tag) else None)
+                if compare(mac.digest(), tag):
+                    pad = pad_state.copy()
+                    pad.update(nonce)
+                    pads.append(pad.digest())
+                else:
+                    failed.append(len(pads))
+                    pads.append(bytes(bb))
+                blocks.append(ciphertext)
         except struct.error:
             raise ValueError(_NONCE_RANGE) from None
-        outcomes: list = []
-        for (addr, version, ciphertext, _), nonce in zip(items, verified):
-            if nonce is None:
-                outcomes.append(AuthenticationError(
-                    f"MAC mismatch at addr {addr:#x} version {version}"
-                ))
-                continue
-            pad = pad_state.copy()
-            pad.update(nonce)
-            outcomes.append((
-                int.from_bytes(ciphertext, "little")
-                ^ int.from_bytes(pad.digest(), "little")
-            ).to_bytes(bb, "little"))
+        n = len(pads) * bb
+        plaintext = (
+            int.from_bytes(b"".join(blocks), "little")
+            ^ int.from_bytes(b"".join(pads), "little")
+        ).to_bytes(n, "little")
+        outcomes: list = [plaintext[at:at + bb] for at in range(0, n, bb)]
+        for k in failed:
+            addr, version = items[k][:2]
+            outcomes[k] = AuthenticationError(
+                f"MAC mismatch at addr {addr:#x} version {version}")
         return outcomes

@@ -23,8 +23,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.oram import tree as tree_mod
 
+#: The one hash of the tree: every walk looks it up once per call.
+_sha256 = hashlib.sha256
 _EMPTY = bytes(32)
-_NO_CHILDREN = _EMPTY + _EMPTY
 
 
 class IntegrityError(Exception):
@@ -50,23 +51,23 @@ class BucketMerkleTree:
         if levels < 1:
             raise ValueError("levels must be >= 1")
         self.levels = levels
-        self.n_buckets = (1 << levels) - 1
-        self._content: List[bytes] = [_EMPTY] * self.n_buckets
-        self._digest: List[bytes] = [_EMPTY] * self.n_buckets
+        self.n_buckets = n = (1 << levels) - 1
+        self._content: List[bytes] = [_EMPTY] * n
+        # Digests of the buckets, then n + 1 empty ones standing in for
+        # the leaves' children, so every combine reads two children.
+        self._digest: List[bytes] = [_EMPTY] * (2 * n + 1)
         # Initialize bottom-up so an untouched tree verifies.
-        for b in range(self.n_buckets - 1, -1, -1):
+        for b in range(n - 1, -1, -1):
             self._digest[b] = self._combine(b)
         self._root_onchip = self._digest[0]
         self.updates = 0
         self.verifications = 0
 
     def _combine(self, bucket: int) -> bytes:
-        left = 2 * bucket + 1
-        if left < self.n_buckets:
-            children = self._digest[left] + self._digest[left + 1]
-        else:
-            children = _NO_CHILDREN
-        return hashlib.sha256(self._content[bucket] + children).digest()
+        """``bucket``'s digest (the walks below inline the same line)."""
+        digest = self._digest
+        return _sha256(self._content[bucket] + digest[2 * bucket + 1]
+                       + digest[2 * bucket + 2]).digest()
 
     def _chains(self, buckets) -> set:
         """The union of the buckets' paths to the root (each node once)."""
@@ -79,7 +80,7 @@ class BucketMerkleTree:
                 chain.add(b)
                 if b == 0:
                     break
-                b = tree_mod.parent_of(b)
+                b = (b - 1) >> 1
         return chain
 
     # -------------------------------------------------------------- update
@@ -93,26 +94,39 @@ class BucketMerkleTree:
         affected node is recombined once, children first.
         """
         chain = self._chains(contents)
+        content, digest, sha = self._content, self._digest, _sha256
         for bucket, content_digest in contents.items():
             if len(content_digest) != self.DIGEST_BYTES:
                 raise ValueError("content digest must be 32 bytes")
-            self._content[bucket] = content_digest
+            content[bucket] = content_digest
         # Level order numbers children above their parent.
         for b in sorted(chain, reverse=True):
-            self._digest[b] = self._combine(b)
-        self._root_onchip = self._digest[0]
+            digest[b] = sha(content[b] + digest[2 * b + 1]
+                            + digest[2 * b + 2]).digest()
+        self._root_onchip = digest[0]
         self.updates += updates
 
     # -------------------------------------------------------------- verify
 
-    def verify_path(self, leaf: int) -> None:
-        """Check one path's hash chain against the on-chip root."""
+    def verify_path(
+        self, leaf: int, contents: Optional[Dict[int, bytes]] = None
+    ) -> None:
+        """Check one path's hash chain against the on-chip root, after
+        ``contents``, the caller's recomputed content digests of path
+        buckets (root side first; a mismatch raises before the chain is
+        walked and counts no verification)."""
         path = tree_mod.path_buckets(leaf, self.levels)
+        content, digest, sha = self._content, self._digest, _sha256
+        for b in path if contents else ():
+            if b in contents and contents[b] != content[b]:
+                raise IntegrityError(
+                    f"content digest mismatch at bucket {b}", bucket=b)
         self.verifications += 1
         for b in path:
-            if self._digest[b] != self._combine(b):
+            if digest[b] != sha(content[b] + digest[2 * b + 1]
+                                + digest[2 * b + 2]).digest():
                 raise IntegrityError(f"digest mismatch at bucket {b}", bucket=b)
-        if self._digest[0] != self._root_onchip:
+        if digest[0] != self._root_onchip:
             raise IntegrityError("root digest does not match on-chip copy")
 
     def verify_buckets(
@@ -127,22 +141,24 @@ class BucketMerkleTree:
         writes the hash chain alone would miss. Then the lowest
         mismatching node of the bucket's chain, then the on-chip root.
         Nothing changes between the checks, so the union of the chains
-        is recombined once. ``verifications`` counts ``opens`` per
-        bucket, the slot opens of one batch the check stands for.
+        is recombined once, root first. ``verifications`` counts
+        ``opens`` per bucket, the slot opens of one batch the check
+        stands for.
         """
+        content, digest, sha = self._content, self._digest, _sha256
         # lowest[b]: the lowest mismatching node on b's chain, or None.
         lowest: Dict[int, Optional[int]] = {}
         for b in sorted(self._chains(checks)):
-            if self._digest[b] != self._combine(b):
+            if digest[b] != sha(content[b] + digest[2 * b + 1]
+                                + digest[2 * b + 2]).digest():
                 lowest[b] = b
             else:
-                lowest[b] = lowest[tree_mod.parent_of(b)] if b else None
-        root_ok = self._digest[0] == self._root_onchip
+                lowest[b] = lowest[(b - 1) >> 1] if b else None
+        root_ok = digest[0] == self._root_onchip
         failed: Dict[int, IntegrityError] = {}
         for bucket, (content_digest, opens) in checks.items():
             self.verifications += opens
-            stored = self._content[bucket]
-            if content_digest is not None and content_digest != stored:
+            if content_digest is not None and content_digest != content[bucket]:
                 failed[bucket] = IntegrityError(
                     f"content digest mismatch at bucket {bucket}", bucket=bucket)
             elif lowest[bucket] is not None:
@@ -156,15 +172,14 @@ class BucketMerkleTree:
 
     # --------------------------------------------------------- tamper hooks
 
-    def stored_content(self, bucket: int) -> bytes:
-        return self._content[bucket]
-
     def tamper_content(self, bucket: int, content_digest: bytes) -> None:
         """Overwrite a content digest WITHOUT rehashing (attack model)."""
         self._content[bucket] = content_digest
 
     def tamper_digest(self, bucket: int, digest: bytes) -> None:
         """Overwrite a stored digest WITHOUT fixing ancestors (attack)."""
+        if not 0 <= bucket < self.n_buckets:    # past them: the leaves' children
+            raise IndexError(f"bucket {bucket} out of range")
         self._digest[bucket] = digest
 
     def tamper_rehash(self, bucket: int) -> None:

@@ -136,12 +136,15 @@ class EncryptedTreeStore:
         plaintext = pad_block(plaintext, self.cfg.block_bytes)
         self.seal_many([(bucket, slot, plaintext)])
 
-    def _dummy_plaintext(self) -> bytes:
-        """Fresh random filler for a dummy seal (dummies must look like
-        data). Split out so wrappers can route dummy seals through their
-        own ``seal_slot`` without perturbing the RNG stream."""
-        return self._rng.integers(0, 256, self.cfg.block_bytes,
-                                  dtype=np.uint8).tobytes()
+    def _dummy_plaintext(self, n: int = 1) -> bytes:
+        """Fresh random filler for ``n`` dummy seals (dummies must look
+        like data): raw words, the bytes of ``n`` ``integers(0, 256, 64,
+        dtype=uint8)`` calls (``tests/test_rng_identities.py``). Split
+        out so wrappers can route dummy seals through their own
+        ``seal_slot`` without perturbing the RNG stream."""
+        return self._rng.bit_generator.random_raw(
+            n * self.cfg.block_bytes // 8
+        ).astype("<u8", copy=False).tobytes()
 
     def seal_many(
         self, items: Sequence[Tuple[int, int, Optional[bytes]]]
@@ -153,9 +156,9 @@ class EncryptedTreeStore:
         dummy-filler RNG stream, ``seals`` and ``integrity.updates`` --
         is what ``seal_many`` of one item by item would leave;
         fault campaigns and integrity counters pin that. What the batch
-        shares is the Merkle work (one content digest per distinct
-        bucket, each affected node rehashed once) and the dummy filler
-        (one RNG draw for all of it).
+        shares is the engine call (one keystream XOR), the Merkle work
+        (one content digest per distinct bucket, each affected node
+        rehashed once) and the dummy filler (one draw for all of it).
         """
         if not items:
             return
@@ -164,50 +167,50 @@ class EncryptedTreeStore:
         # Reject a bad slot or payload before any version or RNG state
         # moves. A block-sized ``bytes`` (every payload the controller
         # hands in) is already what ``pad_block`` would return.
-        padded: list = []
+        n_dummies, odd = 0, False
         for bucket, slot, plaintext in items:
             if not (0 <= bucket < n_buckets and 0 <= slot < z_max):
                 raise IndexError(f"slot {(bucket, slot)} out of range")
-            if plaintext is not None and (
-                type(plaintext) is not bytes or len(plaintext) != bb
-            ):
-                plaintext = pad_block(plaintext, bb)
-            padded.append(plaintext)
-        dummies = [i for i, p in enumerate(padded) if p is None]
-        if dummies:
-            # All of the batch's filler in one draw: row k holds the
-            # bytes the k-th _dummy_plaintext call would, and the
-            # generator ends where those calls leave it.
-            filler = self._rng.integers(
-                0, 256, (len(dummies), bb), dtype=np.uint8
-            ).tobytes()
-            for k, i in enumerate(dummies):
-                padded[i] = filler[k * bb:(k + 1) * bb]
+            if plaintext is None:
+                n_dummies += 1
+            elif type(plaintext) is not bytes or len(plaintext) != bb:
+                pad_block(plaintext, bb)
+                odd = True
+        if odd:
+            items = [(b, s, p if p is None else pad_block(p, bb))
+                     for b, s, p in items]
+        # Dummy k takes block k of the filler: what the k-th
+        # _dummy_plaintext() call would draw.
+        filler = self._dummy_plaintext(n_dummies) if n_dummies else b""
+        at = 0
         offsets, version = self._offsets, self._versions()
         requests = []
-        for (bucket, slot, _), plaintext in zip(items, padded):
+        for bucket, slot, plaintext in items:
             # A slot repeated inside the batch gets a fresh version
             # each time, exactly as back-to-back seal_slot calls would.
             i = bucket * z_max + slot
             v = version[i] + 1
             version[i] = v
-            requests.append((offsets[bucket] + slot * bb, v, plaintext))
-        memory, tags, sealed = self._memory, self._tags, self._sealed
-        tb = self._tag_bytes
+            addr = offsets[bucket] + slot * bb
+            if plaintext is None:
+                plaintext = filler[at:at + bb]
+                at += bb
+            requests.append((addr, v, plaintext))
+        # Slice stores through memoryviews: half a bytearray's cost.
+        memory, tags = memoryview(self._memory), memoryview(self._tags)
+        sealed, tb = self._sealed, self._tag_bytes
         for (bucket, slot, _), (addr, _, _), (ciphertext, tag) in zip(
             items, requests, self.engine.seal_many(requests)
         ):
             memory[addr:addr + bb] = ciphertext
             i = bucket * z_max + slot
-            tags[i * tb:(i + 1) * tb] = tag
+            tags[i * tb:i * tb + tb] = tag
             sealed[i] = 1
         buckets = {bucket for bucket, _, _ in items}
         self._sealed_buckets |= buckets
         if self.integrity is not None:
-            self.integrity.update_buckets(
-                {b: self._content_digest(b) for b in buckets},
-                updates=len(items),
-            )
+            self.integrity.update_buckets(self._content_digests(buckets),
+                                          updates=len(items))
         self.seals += len(items)
 
     # ------------------------------------------------------------- opening
@@ -251,39 +254,44 @@ class EncryptedTreeStore:
             opens[bucket] = opens.get(bucket, 0) + 1
         broken: Dict[int, IntegrityError] = {}
         if self.integrity is not None:
+            digests = self._content_digests(opens)
             broken = self.integrity.verify_buckets({
-                bucket: (self._content_digest(bucket), n)
-                for bucket, n in opens.items()
+                bucket: (digests[bucket], n) for bucket, n in opens.items()
             })
-        outcomes: list = [broken.get(bucket) for bucket, _ in slots]
-        intact = [i for i, exc in enumerate(outcomes) if exc is None]
+        intact = [w for w in slots if w[0] not in broken] if broken else slots
         bb, tb = self.cfg.block_bytes, self._tag_bytes
         memory, tags, offsets = self._memory, self._tags, self._offsets
         version = self._versions()
         requests = []
-        for k in intact:
-            bucket, slot = slots[k]
+        for bucket, slot in intact:
             addr = offsets[bucket] + slot * bb
             i = bucket * z_max + slot
             requests.append((
                 addr, version[i], memory[addr:addr + bb],
-                tags[i * tb:(i + 1) * tb],
+                tags[i * tb:i * tb + tb],
             ))
         self.opens += len(intact)
-        for k, outcome in zip(intact, self.engine.open_many(requests)):
-            outcomes[k] = outcome
-        return outcomes
+        opened = self.engine.open_many(requests)
+        if not broken:
+            return opened
+        rest = iter(opened)
+        return [broken[bucket] if bucket in broken else next(rest)
+                for bucket, _ in slots]
 
     # ----------------------------------------------------------- integrity
 
-    def _content_digest(self, bucket: int) -> bytes:
-        """Digest of a bucket's tags + versions (Merkle leaf content)."""
-        z = self._z_by_level[(bucket + 1).bit_length() - 1]
-        at = bucket * self._z_max * self._tag_bytes
-        return hashlib.sha256(
-            self._version[bucket, :z].tobytes()
-            + self._tags[at:at + z * self._tag_bytes]
-        ).digest()
+    def _content_digests(self, buckets) -> Dict[int, bytes]:
+        """Each bucket's Merkle leaf content: SHA-256 of its slots'
+        versions (a flat byte view of the table), then of their tags."""
+        z_by_level, z_max, tb = self._z_by_level, self._z_max, self._tag_bytes
+        versions, tags, out = memoryview(self._version).cast("B"), self._tags, {}
+        for b in buckets:
+            z = z_by_level[(b + 1).bit_length() - 1]
+            i = b * z_max
+            h = hashlib.sha256(versions[4 * i:4 * (i + z)])
+            h.update(tags[i * tb:(i + z) * tb])
+            out[b] = h.digest()
+        return out
 
     def verify_path(self, leaf: int) -> None:
         """Verify one path's buckets end to end (readPath prefetch check).
@@ -291,20 +299,18 @@ class EncryptedTreeStore:
         For every sealed bucket on the path, the content digest is
         recomputed from the tags/versions currently in memory and
         checked against the Merkle tree's stored copy, then the whole
-        hash chain is checked against the on-chip root. Never-sealed
-        buckets only participate in the chain check (their stored
-        content is the initialization sentinel).
+        hash chain is checked against the on-chip root, in one call of
+        :meth:`BucketMerkleTree.verify_path`. Never-sealed buckets only
+        participate in the chain check (their stored content is the
+        initialization sentinel).
         """
         if self.integrity is None:
             return
-        for b in tree_mod.path_buckets(leaf, self.cfg.levels):
-            if b in self._sealed_buckets:
-                stored = self.integrity.stored_content(b)
-                if stored != self._content_digest(b):
-                    raise IntegrityError(
-                        f"content digest mismatch at bucket {b}", bucket=b
-                    )
-        self.integrity.verify_path(leaf)
+        sealed = self._sealed_buckets
+        self.integrity.verify_path(leaf, self._content_digests([
+            b for b in tree_mod.path_buckets(leaf, self.cfg.levels)
+            if b in sealed
+        ]))
 
     # ---------------------------------------------------- snapshot/restore
 
@@ -346,7 +352,8 @@ class EncryptedTreeStore:
         if restore_version:
             self._version[bucket, slot] = snap.version
         if rehash and self.integrity is not None:
-            self.integrity.tamper_content(bucket, self._content_digest(bucket))
+            self.integrity.tamper_content(
+                bucket, self._content_digests((bucket,))[bucket])
             self.integrity.tamper_rehash(bucket)
 
     # -------------------------------------------------------- attack hooks

@@ -57,6 +57,7 @@ from repro.crypto.integrity import IntegrityError
 from repro.oram import tree as tree_mod
 from repro.oram.bucket import BucketStore, DUMMY, ST_DEAD, ST_QUEUED
 from repro.oram.config import OramConfig
+from repro.oram.datastore import pad_block
 from repro.oram.draws import Draws
 from repro.oram.metadata import record_blocks
 from repro.oram.observer import HOOKS, hears
@@ -237,7 +238,6 @@ class RingOram:
         if write and self.datastore is not None:
             # Validated before anything moves: a refused payload must
             # leave no half-run access behind.
-            from repro.oram.datastore import pad_block
             value = pad_block(value, self.cfg.block_bytes)
         if self.posmap_model is not None:
             # Each PLB miss fetches one position-map block: a full,
@@ -685,8 +685,8 @@ class RingOram:
                     if block < 0:
                         continue
                     residents.append((block, b, col) if col < z_max else (
-                        block, ext.host_bucket.item(b, col - z_max),
-                        ext.host_slot.item(b, col - z_max)))
+                        (block,)
+                        + ext.hosts[b * ext.r_max + col - z_max]))
                     shares[i] += 1
             opened = self._open_residents(residents)
         dead_obs = self._heard["on_slot_dead"]
@@ -858,8 +858,12 @@ class RingOram:
         Without a robustness policy, crypto failures propagate (tamper
         experiments rely on that). With one, the recovery ladder runs:
         retries for transient faults, quarantine for corruption, then a
-        stash-served read or -- the last rung -- a zeroed payload.
+        stash-served read or -- the last rung -- a zeroed payload. A
+        plaintext skips the ladder, which would hand it back untouched.
         """
+        if type(outcome) is bytes:
+            self._stash_payload[block] = outcome
+            return
         if not self._recovery_active:
             if isinstance(outcome, Exception):
                 raise outcome

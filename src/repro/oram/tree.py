@@ -39,13 +39,6 @@ def position_of(bucket: int) -> int:
     return bucket - ((1 << lv) - 1)
 
 
-def parent_of(bucket: int) -> int:
-    """Parent bucket id (the root has no parent)."""
-    if bucket <= 0:
-        raise ValueError("the root has no parent")
-    return (bucket - 1) >> 1
-
-
 def path_buckets(leaf: int, levels: int) -> List[int]:
     """Bucket ids on the path of ``leaf``, root first (length ``levels``)."""
     if not 0 <= leaf < (1 << (levels - 1)):

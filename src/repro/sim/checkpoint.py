@@ -54,7 +54,10 @@ PathLike = Union[str, Path]
 #: 13: the controllers and the position map draw through a ``Draws``
 #: (``RingOram.draws``; ``rng`` is a property over it, was a bare
 #: ``Generator``), so an older controller would fail its first draw.
-CHECKPOINT_FORMAT = 13
+#: 14: the allocator's host table is one flat ``hosts`` list (was
+#: numpy ``host_bucket`` / ``host_slot``) and the Merkle digest list
+#: ends in the leaves' empty children: an older file fails to resume.
+CHECKPOINT_FORMAT = 14
 _MAGIC = "repro-sim-checkpoint"
 
 

@@ -89,8 +89,7 @@ class TestCheckpointRoundtrip:
         assert resumed.faulty.summary() == sim.faulty.summary()
         resumed_slots = Grid(resumed.oram.store, "slots")
         assert (resumed_slots == Grid(store, "slots")).all()
-        assert (resumed.oram.ext.host_bucket == ext.host_bucket).all()
-        assert (resumed.oram.ext.host_slot == ext.host_slot).all()
+        assert (resumed.oram.ext.host_table() == ext.host_table()).all()
         assert resumed.oram.ext.n_active == ext.n_active
         assert resumed.run().to_dict() == baseline.to_dict()
         resumed.oram.check_invariants()
@@ -146,9 +145,11 @@ class TestCheckpointValidation:
         11 (numpy bucket tables, indexed ``[b, s]``) would die at the
         first flat ``b * width + s`` subscript; format 12 (a controller
         whose generator sits at ``rng``, with no ``Draws``) at its first
-        draw. Each refusal is one line naming the format found and the
+        draw; format 13 (an allocator with numpy ``host_bucket`` /
+        ``host_slot`` tables, a Merkle digest list without the leaves'
+        children) at its first rental or rehash. Each refusal is one line naming the format found and the
         one expected."""
-        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
+        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

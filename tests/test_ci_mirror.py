@@ -257,7 +257,7 @@ def test_flat_table_guard_refuses_2d_subscripts_only():
     (pattern,) = [
         m.group(1) for _, commands in _run_steps(CI.read_text())
         for line in commands or ()
-        for m in [re.search(r'"(\\\.\(slots\|status\|generation\).*)"',
+        for m in [re.search(r'"(\\\.\(slots\|status\|generation.*)"',
                             line)] if m
     ]
     refused = [
@@ -274,6 +274,60 @@ def test_flat_table_guard_refuses_2d_subscripts_only():
     ]
     assert [line for line in refused if not re.search(pattern, line)] == []
     assert [line for line in passed if re.search(pattern, line)] == []
+
+
+def test_flat_table_guard_refuses_a_2d_host_subscript():
+    """The same step refuses a 2-D subscript of the allocator's flat
+    host table (column ``(b, i)`` sits at ``b * r_max + i``) and passes
+    its flat reads and writes."""
+    (pattern,) = [
+        m.group(1) for _, commands in _run_steps(CI.read_text())
+        for line in commands or ()
+        for m in [re.search(r'"(\\\.\(slots\|status\|generation.*)"',
+                            line)] if m
+    ]
+    refused = [
+        "hb, hs = ext.hosts[b, i]",
+        "self.hosts[bucket, i] = (hb, hs)",
+    ]
+    passed = [
+        "hb, hs = self.hosts[bucket * self.r_max + i]",
+        "self.hosts[at:at + r] = got",
+        "(block,) + ext.hosts[b * ext.r_max + col - z_max]",
+    ]
+    assert [line for line in refused if not re.search(pattern, line)] == []
+    assert [line for line in passed if re.search(pattern, line)] == []
+
+
+def test_derivation_guard_refuses_byte_draws_and_parent_calls():
+    """The test job's "One derivation per slot" step refuses a numpy
+    ``integers`` call in the sealed store (its filler is raw words) and
+    a ``parent_of`` call in the Merkle tree (its walks step to a parent
+    inline), and passes what replaced them; its basic regexes read the
+    same under Python's ``re`` once ``(`` is escaped, and both files
+    pass them."""
+    greps = {
+        path: re.compile(bre.replace("(", r"\("))
+        for _, commands in _run_steps(CI.read_text())
+        for line in commands or ()
+        for bre, path in re.findall(r"! grep -n '([^']*)' (\S+)", line)
+    }
+    store = greps["src/repro/oram/datastore.py"]
+    tree = greps["src/repro/crypto/integrity.py"]
+    cases = [
+        (store, "filler = self._rng.integers(", True),
+        (store, "return self._rng.integers(0, 256, self.cfg.block_bytes,", True),
+        (store, "return self._rng.bit_generator.random_raw(", False),
+        (store, "``integers(0, 256, 64, dtype=uint8)`` calls", False),
+        (tree, "b = tree_mod.parent_of(b)", True),
+        (tree, "lowest[b] = lowest[tree_mod.parent_of(b)] if b else None", True),
+        (tree, "b = (b - 1) >> 1", False),
+        (tree, "lowest[b] = lowest[(b - 1) >> 1] if b else None", False),
+    ]
+    assert [line for pattern, line, hit in cases
+            if bool(pattern.search(line)) != hit] == []
+    for path, pattern in greps.items():
+        assert not pattern.search((ROOT / path).read_text()), path
 
 
 def test_draw_guard_refuses_numpy_integers_calls_only():

@@ -148,8 +148,9 @@ class TestSimulateRobustness:
         the attributes of before their inline slot tables, a format-10
         file's layout its table under the old name, a format-11
         file's bucket store numpy tables where flat ones are indexed,
-        and a format-12 file's controller a bare generator where a
-        ``Draws`` is drawn from: one error line and exit 2 for each,
+        a format-12 file's controller a bare generator where a
+        ``Draws`` is drawn from, and a format-13 file's allocator numpy
+        host tables where a flat list is indexed: one error line and exit 2 for each,
         not a MAC failure or a missing attribute after the resume."""
         import pickle
 
@@ -161,13 +162,13 @@ class TestSimulateRobustness:
         payload = pickle.loads(ck.read_bytes())
         assert payload["simulation"].datastore is not None
         capsys.readouterr()
-        for fmt in (8, 9, 10, 11, 12):
+        for fmt in (8, 9, 10, 11, 12, 13):
             payload["format"] = fmt
             ck.write_bytes(pickle.dumps(payload))
             assert main(["simulate", "--resume", str(ck)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert f"unsupported checkpoint format {fmt} (expected 13)" in err
+            assert f"unsupported checkpoint format {fmt} (expected 14)" in err
 
     @pytest.mark.parametrize("kind", ["garbage", "missing", "directory"])
     def test_resume_rejects_garbage(self, capsys, tmp_path, kind):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.crypto.auth import TAG_BYTES, AuthenticationError
 from repro.crypto.engine import SecureBlockEngine
+from repro.crypto import integrity as integrity_mod
 from repro.crypto.integrity import BucketMerkleTree, IntegrityError
 
 
@@ -378,12 +379,22 @@ class TestBucketMerkleTree:
         with pytest.raises(IntegrityError):
             raise t.verify_buckets({4: (None, 1)})[4]
 
+    def test_tamper_digest_refuses_a_bucket_outside_the_tree(self):
+        """Past the buckets the digest list holds the leaves' empty
+        children; the attack hook writes only a bucket's own digest."""
+        t = self.make()
+        for bucket in (t.n_buckets, 2 * t.n_buckets, -1):
+            with pytest.raises(IndexError):
+                t.tamper_digest(bucket, self.digest(b"evil"))
+        for leaf in range(8):
+            t.verify_path(leaf)
+
     def test_consistent_replay_caught_at_root(self):
         """The strongest off-chip attack: rewrite a whole consistent
         hash chain. The on-chip root still disagrees."""
         t = self.make()
         t.update_buckets({9: self.digest(b"v1")}, updates=1)
-        old_content = t.stored_content(9)
+        old_content = t._content[9]
         t.update_buckets({9: self.digest(b"v2")}, updates=1)
         # Attacker restores the old content and re-hashes consistently.
         t.tamper_content(9, old_content)
@@ -412,7 +423,7 @@ class TestBucketMerkleTree:
         t = self.make()
         with pytest.raises(ValueError):
             t.update_buckets({3: self.digest(b"x"), 100: bytes(32)}, updates=2)
-        assert t.stored_content(3) == bytes(32)
+        assert t._content[3] == bytes(32)
         assert t.updates == 0
 
     def test_update_buckets_equals_update_sequence(self):
@@ -460,12 +471,23 @@ class TestBucketMerkleTree:
     def test_verify_buckets_hashes_each_shared_ancestor_once(
             self, monkeypatch):
         """Buckets 7 and 8 share parent 3 and the chain 3 -> 1 -> 0
-        with it: five nodes, five rehashes (one-by-one walks make 10)."""
+        with it: five nodes, five rehashes (one-by-one walks make 10).
+        The walk's hash calls are recorded through the module's one
+        hash and named by their input, a node's content then its
+        children's digests."""
         t = self.make()
+        t.update_buckets({b: self.digest(b"%d" % b) for b in range(15)},
+                         updates=15)
+        node_of = {}
+        for b in range(15):
+            children = (t._digest[2 * b + 1] + t._digest[2 * b + 2]
+                        if b < 7 else bytes(64))
+            node_of[t._content[b] + children] = b
         calls = []
-        combine = BucketMerkleTree._combine
-        monkeypatch.setattr(BucketMerkleTree, "_combine",
-                            lambda tree, b: calls.append(b) or combine(tree, b))
+        sha256 = integrity_mod._sha256
+        monkeypatch.setattr(integrity_mod, "_sha256",
+                            lambda data: calls.append(node_of[data])
+                            or sha256(data))
         assert t.verify_buckets({7: (None, 1), 8: (None, 2), 3: (None, 1)}) == {}
         assert sorted(calls) == [0, 1, 3, 7, 8]
         assert t.verifications == 4

@@ -172,7 +172,7 @@ class TestEncryptedTreeStore:
                     store.snapshot_slot(bucket, slot).tag
                     if store.is_sealed(bucket, slot) else b"\x00" * 8
                 )
-            assert store._content_digest(bucket) == h.digest(), bucket
+            assert store._content_digests([bucket])[bucket] == h.digest(), bucket
 
     def test_merkle_leaf_bytes_per_level(self, store):
         """For one bucket per level the Merkle leaf content is SHA-256
@@ -195,8 +195,8 @@ class TestEncryptedTreeStore:
                 + b"".join(bytes(8) if sn is None else sn.tag
                            for sn in snaps)
             ).digest()
-            assert store._content_digest(b) == leaf, lv
-            assert store.integrity.stored_content(b) == leaf, lv
+            assert store._content_digests([b])[b] == leaf, lv
+            assert store.integrity._content[b] == leaf, lv
 
     def test_slot_outside_the_tree_rejected_before_anything_moves(
             self, store):
@@ -271,7 +271,7 @@ def _reference_seal(store, bucket, slot, plaintext):
     store._sealed_buckets.add(bucket)
     tree = store.integrity
     if tree is not None:
-        tree._content[bucket] = store._content_digest(bucket)
+        tree._content[bucket] = store._content_digests([bucket])[bucket]
         b = bucket
         while True:
             tree._digest[b] = tree._combine(b)
@@ -391,8 +391,7 @@ class TestControllerBatchesEqualPerSlot:
                 resident = np.argwhere(Grid(oram.store, "slots") >= 0)
                 for b, s in resident[[5, -5]]:
                     if s >= cfg.z_max:
-                        b, s = (ext.host_bucket[b, s - cfg.z_max],
-                                ext.host_slot[b, s - cfg.z_max])
+                        b, s = ext.host_table()[b, s - cfg.z_max]
                     ds.tamper_payload(int(b), int(s))
             blk = int(rng.integers(cfg.n_real_blocks))
             if rng.random() < 0.5:

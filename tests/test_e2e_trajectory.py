@@ -4,8 +4,10 @@
 both revisions, the workload and seeds, each host metric's median,
 quartiles and wins, the median CPU seconds per side and the host line,
 and (entries recorded since the tool reports it) the median host
-microseconds per ORAM access per side. Every committed entry must
-carry all of it, and what the tool writes must pass the same check.
+microseconds per ORAM access per side. A ``--moved`` entry is marked
+``"moved": true`` and carries each simulated metric's per-side median.
+Every committed entry must carry all of it, and what the tool writes
+must pass the same check.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ ab = load_ab()
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
+SIMULATED = set(BETTER) - set(ab.HOST_METRICS)
 
 
 def entry_problems(entry):
@@ -77,6 +80,15 @@ def entry_problems(entry):
                 and all(isinstance(v, float) and v > 0
                         for v in us.values())):
             problems.append(f"us_per_access {us!r}")
+    if "moved" in entry or "simulated" in entry:
+        sim = entry.get("simulated")
+        if not (entry.get("moved") is True and isinstance(sim, dict)
+                and set(sim) == SIMULATED
+                and all(isinstance(m, dict) and set(m) == {"base", "change"}
+                        and all(isinstance(v, (int, float))
+                                for v in m.values())
+                        for m in sim.values())):
+            problems.append(f"moved {entry.get('moved')!r}: simulated {sim!r}")
     host = entry.get("host", {})
     if not (isinstance(host.get("python"), str)
             and isinstance(host.get("cpu_count"), int)
@@ -130,3 +142,34 @@ def test_record_appends_what_the_check_accepts(tmp_path, monkeypatch):
 def test_us_per_access_is_none_without_accesses():
     run = {"metrics": {"ops_per_s": 50.0, "accesses_per_op": 0.0}}
     assert ab.us_per_access(run) is None
+
+
+def test_a_moved_entry_carries_the_simulated_medians(tmp_path, monkeypatch):
+    """``--moved`` records each simulated metric's per-side median and
+    marks the entry; the check accepts it and refuses a half-marked
+    one."""
+    def run(ops, sim_ns):
+        metrics = {name: 1.0 for name in BETTER}
+        metrics.update(ops_per_s=ops, sim_ns_per_op=sim_ns)
+        return {"metrics": metrics}
+
+    runs = {"base": [run(100.0 + i, 900.0) for i in range(3)],
+            "change": [run(110.0 + i, 800.0 + i) for i in range(3)]}
+    simulated = ab.simulated_medians(runs, sorted(SIMULATED))
+    assert simulated["sim_ns_per_op"] == {"base": 900.0, "change": 801.0}
+    entry = {
+        "base": "abc1234", "change": "def5678", "workload": "serve-sealed",
+        "pairs": 3, "seeds": [1, 3], "metrics": ab.summarize(runs, BETTER),
+        "cpu_s": {"base": 4.0, "change": 3.9},
+        "host": {"python": "3.11.7", "cpu_count": 2, "platform": "Linux"},
+        "moved": True, "simulated": simulated,
+    }
+    monkeypatch.setattr(ab, "TRAJECTORY", tmp_path / "BENCH_e2e.json")
+    ab.record(entry)
+    (written,) = json.loads((tmp_path / "BENCH_e2e.json").read_text())
+    assert entry_problems(written) == []
+    for bad in ({"moved": False}, {"simulated": {}},
+                {"simulated": dict(simulated, sim_ns_per_op={"base": 1.0})}):
+        assert len(entry_problems(dict(entry, **bad))) == 1
+    unmarked = {k: v for k, v in entry.items() if k != "moved"}
+    assert len(entry_problems(unmarked)) == 1

@@ -24,7 +24,7 @@ class TestTreeProperties:
         path = tree.path_buckets(leaf, levels)
         assert path[0] == 0
         for parent, child in zip(path, path[1:]):
-            assert tree.parent_of(child) == parent
+            assert child in (2 * parent + 1, 2 * parent + 2)
 
     @given(levels=LEVELS, data=st.data())
     def test_bucket_on_path_iff_in_path_list(self, levels, data):
@@ -175,17 +175,19 @@ class TestProtocolProperties:
             if status[e[0], e[1]] == ST_QUEUED
             and Grid(store, "generation")[e[0], e[1]] == e[2]
         )
+        hosts = ext.hosts
+        h1, h2 = r1 * ext.r_max + c1, r2 * ext.r_max + c2
         if corruption == "tally":
             store.dead_count[cfg.n_buckets - 1] += 1
         elif corruption == "host-not-in-use":
-            status[ext.host_bucket[r1, c1], ext.host_slot[r1, c1]] = ST_DEAD
-            store.dead_count[ext.host_bucket[r1, c1]] += 1
-            store.in_use_count[ext.host_bucket[r1, c1]] -= 1
+            hb, hs = hosts[h1]
+            status[hb, hs] = ST_DEAD
+            store.dead_count[hb] += 1
+            store.in_use_count[hb] -= 1
         elif corruption == "host-shared":
-            ext.host_bucket[r2, c2] = ext.host_bucket[r1, c1]
-            ext.host_slot[r2, c2] = ext.host_slot[r1, c1]
+            hosts[h2] = hosts[h1]
         elif corruption == "host-is-renter":
-            ext.host_bucket[r1, c1] = r1
+            hosts[h1] = (int(r1), hosts[h1][1])
         elif corruption == "n-active":
             ext.n_active[r1] += 1
         elif corruption == "deadq-duplicate":

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import comparable_outcomes, sealed_store_state, tiny_config
+
 from repro.crypto.auth import AuthenticationError
 from repro.crypto.engine import SecureBlockEngine
 from repro.crypto.integrity import BucketMerkleTree, IntegrityError
+from repro.oram.datastore import EncryptedTreeStore
 
 MASTER = b"property test master key"
 ENGINE = SecureBlockEngine(MASTER)
@@ -134,7 +137,7 @@ def _scalar_walk(tree, bucket, content_digest):
     """The per-bucket check written out, hashing with ``hashlib`` on
     its own: the content, then every node from the bucket up to the
     root, then the on-chip root. The error it would raise, or None."""
-    stored = tree.stored_content(bucket)
+    stored = tree._content[bucket]
     if content_digest is not None and content_digest != stored:
         return IntegrityError(
             f"content digest mismatch at bucket {bucket}", bucket=bucket
@@ -185,7 +188,7 @@ class TestBatchedMerkleCheck:
             content = data.draw(st.sampled_from(["none", "stored", "other"]))
             checks[b] = (
                 None if content == "none"
-                else tree.stored_content(b) if content == "stored"
+                else tree._content[b] if content == "stored"
                 else data.draw(digest),
                 data.draw(st.integers(0, 4)),
             )
@@ -297,3 +300,67 @@ class TestBatchedSealOpen:
             ENGINE.open_many([(a, v, pt, bytes(8)) for a, v, pt in items])
         assert str(sealing.value) == str(opening.value) == (
             "addr and version must be unsigned 64-bit integers")
+
+
+SLOT_ATTACKS = st.sampled_from(["none", "flip", "tag", "version", "unsealed"])
+
+
+class TestStoreBatchesEqualSlotCalls:
+    """``EncryptedTreeStore.seal_many`` / ``open_many`` leave exactly what
+    per-slot ``seal_slot`` / ``open_slot`` calls leave on a twin store
+    (a dummy's filler there is the twin's next ``_dummy_plaintext``):
+    memory, tags, versions, Merkle digests and root, counters, the
+    filler generator's next draws and every outcome, with repeated
+    slots, all-dummy batches and tampered or never-sealed slots."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_batch_leaves_what_slot_calls_leave(self, data):
+        cfg = tiny_config(levels=4)
+        batch, twin = (EncryptedTreeStore(cfg, MASTER, seed=9)
+                       for _ in range(2))
+        # Seven buckets of a few slots each: batches repeat slots.
+        where = st.tuples(st.integers(0, 6), st.integers(0, 2))
+        payload = st.none() | st.binary(max_size=64)
+        for _ in range(data.draw(st.integers(1, 3))):
+            items = [w + (p,) for w, p in data.draw(st.lists(
+                st.tuples(where, payload), min_size=1, max_size=14))]
+            if data.draw(st.booleans()):
+                items = [(b, s, None) for b, s, _ in items]
+            batch.seal_many(items)
+            for b, s, p in items:
+                twin.seal_slot(b, s, twin._dummy_plaintext() if p is None
+                               else p)
+            assert sealed_store_state(batch) == sealed_store_state(twin)
+        sealed = [(b, s) for b in range(7) for s in range(3)
+                  if batch.is_sealed(b, s)]
+        slots = data.draw(st.lists(st.sampled_from(sealed), min_size=1,
+                                   max_size=10))
+        attack = data.draw(SLOT_ATTACKS)
+        victim = data.draw(st.sampled_from(slots))
+        flip = data.draw(st.integers(0, 63))
+        for store in (batch, twin):
+            if attack == "flip":
+                store.tamper_payload(*victim, flip_byte=flip)
+            elif attack == "tag":
+                i = victim[0] * cfg.z_max + victim[1]
+                store._tags[i * 8] ^= 0x01
+            elif attack == "version":
+                store.tamper_version(*victim)
+        if attack == "unsealed":
+            slots.append((7 + data.draw(st.integers(0, 7)), 0))
+            for store in (batch, twin):
+                with pytest.raises(KeyError):
+                    store.open_many(slots)
+        else:
+            outcomes = []
+            for slot in slots:
+                try:
+                    outcomes.append(twin.open_slot(*slot))
+                except (AuthenticationError, IntegrityError) as exc:
+                    outcomes.append(exc)
+            assert (comparable_outcomes(batch.open_many(slots))
+                    == comparable_outcomes(outcomes))
+        assert sealed_store_state(batch) == sealed_store_state(twin)
+        assert ([batch._dummy_plaintext() for _ in range(3)]
+                == [twin._dummy_plaintext() for _ in range(3)])

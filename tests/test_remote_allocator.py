@@ -126,8 +126,7 @@ class TestAcquire:
         assert granted == 1
         assert hosts == [(donor, 0)]
         assert Grid(oram.store, "status")[donor, 0] == SlotStatus.IN_USE
-        assert (alloc.host_bucket[renter, 0], alloc.host_slot[renter, 0]) == (
-            donor, 0)
+        assert tuple(alloc.host_table()[renter, 0]) == (donor, 0)
         assert rented(oram, renter) == [DUMMY]
         assert alloc.extension_ratio == pytest.approx(1.0)
 
@@ -234,8 +233,7 @@ class TestRentalLifecycle:
         assert rented(oram, renter) == [42]
         # The host's own row never shows what the renter stores there.
         assert Grid(oram.store, "slots")[donor, 0] == CONSUMED
-        assert (alloc.host_bucket[renter, 0], alloc.host_slot[renter, 0]) == (
-            donor, 0)
+        assert tuple(alloc.host_table()[renter, 0]) == (donor, 0)
 
     def test_write_remote_unknown_host_raises(self, setup):
         cfg, oram, alloc, donor, renter = self._rent(setup)
@@ -408,8 +406,7 @@ class TestRentedColumnOrder:
             ]
             for i in range(R):
                 if contents[i] is not None:
-                    assert (alloc.host_bucket[renter, i],
-                            alloc.host_slot[renter, i]) == hosts[i]
+                    assert tuple(alloc.host_table()[renter, i]) == hosts[i]
             assert alloc.n_active[renter] == R - contents.count(None)
             store.check_tallies()
             alloc.check_invariants()

@@ -3,9 +3,9 @@
 readPath draws every level's slot, and a reshuffle every bucket's
 scatter positions, through one ``Draws.below(bounds)`` call, and the
 position map its leaves through ``Draws.one(n)`` (DESIGN.md section
-14); the sealed store draws a write-back's dummy filler through one
-``integers(0, 256, (n, 64), dtype=uint8)`` call. That is the protocol's
-stream only while numpy
+14); the sealed store draws a write-back's dummy filler as ``8 * n``
+raw words, the bytes of ``integers(0, 256, (n, 64), dtype=uint8)``.
+That is the protocol's stream only while numpy
 
 - draws a bound array element by element, in order, with the bounded
   draw the scalar ``integers(n)`` makes,
@@ -19,7 +19,9 @@ stream only while numpy
   nothing for a bound of 1: ``Draws`` replays exactly that over
   ``random_raw`` words, and
 - fills an ``(n, 64)`` byte array row by row with the bytes, and the
-  generator state, of ``n`` calls that draw 64 bytes each.
+  generator state, of ``n`` calls that draw 64 bytes each, four bytes
+  per ``next_uint32``, low byte first: the little-endian bytes of the
+  raw words those calls use up.
 
 All four are numpy implementation details. A numpy release that changes
 any of them fails here first, naming its version, instead of only as a
@@ -33,6 +35,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tiny_config
+
+from repro.oram.datastore import EncryptedTreeStore
 from repro.oram.draws import Draws
 from repro.oram.ring import _scatter_draws as _replay
 
@@ -205,3 +210,34 @@ def test_filler_rows_draw_like_one_block_per_call():
                 f"{WHERE}: {n} filler rows left the generator elsewhere "
                 f"than {n} single draws"
             )
+
+
+def test_filler_is_the_raw_words_of_the_byte_draw():
+    """The store's filler, ``random_raw(8 * n)`` as little-endian bytes,
+    is what ``integers(0, 256, (n, 64), dtype=uint8)`` returns, and the
+    stream goes on alike. The state dicts differ only in the stale
+    ``uinteger`` (the byte draw leaves its last word's upper half there,
+    ``random_raw`` leaves it be): ``has_uint32`` is 0 after both, so no
+    draw reads it, and the store's generator is compared only with a
+    store of the same code (checkpoints pickle it whole)."""
+    cfg = tiny_config(levels=3)
+    for seed in range(50):
+        for n in range(6):
+            store = EncryptedTreeStore(cfg, b"filler identity.", seed=seed)
+            reference = np.random.default_rng(seed)
+            want = reference.integers(0, 256, (n, 64), dtype=np.uint8)
+            assert store._dummy_plaintext(n) == want.tobytes(), (
+                f"{WHERE}: {n} blocks of raw words differ from the byte draw"
+            )
+            got = store._rng.bit_generator.state
+            ref = reference.bit_generator.state
+            assert got["state"] == ref["state"]
+            assert got["has_uint32"] == ref["has_uint32"] == 0
+            for rng in (store._rng, reference):
+                rng.bit_generator.state = dict(
+                    rng.bit_generator.state, uinteger=0)
+            assert store._rng.bit_generator.state == reference.bit_generator.state
+            assert store._dummy_plaintext() == reference.integers(
+                0, 256, 64, dtype=np.uint8).tobytes()
+            assert store._rng.integers(2**32, size=3).tolist() == (
+                reference.integers(2**32, size=3).tolist())

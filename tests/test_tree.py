@@ -48,17 +48,6 @@ class TestLevelOf:
             tree.level_of(-1)
 
 
-class TestParentChild:
-    def test_parent_of_children(self):
-        for b in range(1, 127):
-            parent = tree.parent_of(b)
-            assert b in (2 * parent + 1, 2 * parent + 2)
-
-    def test_root_has_no_parent(self):
-        with pytest.raises(ValueError):
-            tree.parent_of(0)
-
-
 class TestPathBuckets:
     def test_length_equals_levels(self):
         assert len(tree.path_buckets(0, 5)) == 5
@@ -75,7 +64,7 @@ class TestPathBuckets:
     def test_consecutive_parent_links(self):
         path = tree.path_buckets(11, 6)
         for parent, child in zip(path, path[1:]):
-            assert tree.parent_of(child) == parent
+            assert child in (2 * parent + 1, 2 * parent + 2)
 
     def test_leaf_out_of_range(self):
         with pytest.raises(ValueError):

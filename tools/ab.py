@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """A/B one change on the end-to-end benchmark: alternating pairs.
 
-    python tools/ab.py --base REV --workload W [--pairs 10] [--seed 1] [--record]
+    python tools/ab.py --base REV --workload W [--pairs 10] [--seed 1]
+        [--record] [--moved]
 
 (``make ab BASE=<rev> W=<workload> N=<pairs> [SEED=<first seed>]
-[RECORD=1]``.)
+[RECORD=1] [MOVED=1]``.)
 
 It exports BASE and the working tree's tracked and unignored files
 side by side under ``generated/ab/``, then runs
@@ -20,7 +21,10 @@ accesses_per_op)`` (host time per unit of protocol work).
 
 It exits 1 at the first pair whose two runs disagree on ``correct``,
 on any of the six simulated metrics, or on ``ok_share``: a host-only
-change must leave those byte-equal per (workload, seed). A tree is
+change must leave those byte-equal per (workload, seed). ``--moved``
+is for a change that means to move them: it still exits 1 when
+``correct`` is false on either side, and prints each simulated
+metric's per-side median beside the host metrics. A tree is
 exported with ``git archive``, so nothing is checked out in place and
 no worktree is registered.
 
@@ -30,8 +34,9 @@ revisions (the change as ``HEAD``'s short hash, ``-dirty`` when the
 working tree differs from it), the workload and seeds, each host
 metric's median, quartiles and wins, the median CPU seconds and
 microseconds per access per side (``us_per_access``) and a host line
-(Python version, ``os.cpu_count()``, platform). A run that fails
-records nothing.
+(Python version, ``os.cpu_count()``, platform); a ``--moved`` entry is
+marked ``"moved": true`` and carries each simulated metric's per-side
+median (``simulated``). A run that fails records nothing.
 """
 
 from __future__ import annotations
@@ -132,6 +137,17 @@ def us_per_access(result: Dict[str, Any]) -> Optional[float]:
     return 1e6 / work if work > 0 else None
 
 
+def simulated_medians(
+    runs: Dict[str, List[Dict[str, Any]]], names: List[str],
+) -> Dict[str, Dict[str, float]]:
+    """Per simulated metric, each side's median over the pairs."""
+    return {
+        name: {side: statistics.median(r["metrics"][name] for r in runs[side])
+               for side in ("base", "change")}
+        for name in names
+    }
+
+
 def change_rev() -> str:
     """``HEAD``'s short hash, ``-dirty`` when the exported working tree
     (tracked and unignored files) differs from it."""
@@ -181,9 +197,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--seed", type=int, default=1, help="first seed")
     ap.add_argument("--record", action="store_true",
                     help=f"append the result to {TRAJECTORY.name}")
+    ap.add_argument("--moved", action="store_true",
+                    help="the change means to move simulated metrics: "
+                         "compare their medians instead of failing")
     args = ap.parse_args(argv)
     with open(ROOT / "BENCHMARK.json") as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    simulated = [name for name in better if name not in HOST_METRICS]
 
     base_sha = git("rev-parse", "--short", args.base).decode().strip()
     trees = {"base": export(args.base, "base"),
@@ -204,6 +224,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{m} {a['metrics'][m]:.4g} -> {b['metrics'][m]:.4g}"
             for m in HOST_METRICS
         ), flush=True)
+        if args.moved:
+            failing = [f"{side} {r['findings']}" for side, r in
+                       (("base", a), ("change", b)) if not r["correct"]]
+            if failing:
+                print(f"ab: FAIL seed {seed}: checks fail: "
+                      + "; ".join(failing))
+                return 1
+            continue
         if exact(a) != exact(b):
             print(f"ab: FAIL seed {seed}: simulated metrics or correctness "
                   f"differ:\n  base   {exact(a)}\n  change {exact(b)}")
@@ -233,7 +261,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if us is not None:
         print(f"{'us/access':<12} {us['base']:>30.3f} {us['change']:>30.3f} "
               f"{us['change'] / us['base'] - 1:>+8.1%}")
-    print("ab: simulated metrics and correctness byte-equal on every pair")
+    moved = simulated_medians(runs, simulated) if args.moved else None
+    if moved is not None:
+        for metric, m in moved.items():
+            print(f"{metric:<12} {m['base']:>30.6g} {m['change']:>30.6g} "
+                  f"{m['change'] / m['base'] - 1 if m['base'] else 0:>+8.1%}")
+        print("ab: moved mode: every run passed its checks")
+    else:
+        print("ab: simulated metrics and correctness byte-equal on every pair")
     if args.record:
         record({
             "base": base_sha, "change": change_rev(),
@@ -241,6 +276,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "seeds": [args.seed, args.seed + args.pairs - 1],
             "metrics": summary, "cpu_s": cpu_s,
             **({"us_per_access": us} if us is not None else {}),
+            **({"moved": True, "simulated": moved} if moved else {}),
             "host": {"python": platform.python_version(),
                      "cpu_count": os.cpu_count(),
                      "platform": platform.platform()},
