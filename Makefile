@@ -11,7 +11,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 	fingerprint perf-smoke \
 	pipeline-smoke faults-smoke telemetry-smoke serve-smoke chaos-smoke \
 	shard-smoke obs-smoke smoke readme-smoke determinism e2e-quick ci \
-	ab clean FORCE
+	ab workprofile clean FORCE
 
 install:
 	pip install -e . || python setup.py develop
@@ -258,6 +258,13 @@ ab:
 	$(PYTHON) tools/ab.py --base $(BASE) --workload $(W) \
 	  --pairs $(or $(N),10) --seed $(or $(SEED),1) $(if $(RECORD),--record) \
 	  $(if $(MOVED),--moved)
+
+# Calls per timed op of every named src/repro function on the six
+# sim-* and serve-* workloads at a fixed small size, summed per layer
+# (tools/workprofile.py): rewrites the committed BENCH_work.json, which
+# tests/test_workprofile.py holds to a fresh profile.
+workprofile:
+	$(PYTHON) tools/workprofile.py
 
 # What CI runs: lint, tier-1 tests, the smoke gates, the README steps
 # and e2e correctness (`make reach` counts what this reaches).

@@ -169,7 +169,7 @@ def _simulate_sharded(args: argparse.Namespace) -> int:
     try:
         outcome = run_sharded_sim(
             args.scheme, trace, cfg.n_real_blocks, args.shards,
-            warmup_requests=args.warmup, seed=args.seed,
+            SimConfig(seed=args.seed, warmup_requests=args.warmup),
             workers=args.workers, progress=stderr_progress,
         )
     except ValueError as exc:

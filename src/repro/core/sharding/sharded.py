@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,18 +199,19 @@ def run_sharded_sim(
     trace: Trace,
     n_blocks: int,
     num_shards: int,
-    warmup_requests: int = 0,
-    seed: int = 0,
+    sim: Optional[SimConfig] = None,
     workers: int = 1,
     progress: Any = None,
 ) -> ShardedSimOutcome:
     """Partition ``trace`` over ``num_shards`` subtrees and simulate.
 
-    :func:`shard_jobs` followed by one :func:`run_sims` call, each
-    shard one job keyed ``shard:<i>``; a failed shard raises.
+    :func:`shard_jobs` (at ``sim``'s warm-up and seed) followed by one
+    :func:`run_sims` call, each shard one job keyed ``shard:<i>``; a
+    failed shard raises.
     """
+    sim = sim or SimConfig()
     outcome, jobs = shard_jobs(
-        scheme, trace, n_blocks, num_shards, warmup_requests, seed,
+        scheme, trace, n_blocks, num_shards, sim.warmup_requests, sim.seed,
     )
     outputs = run_sims(
         [Cell(f"shard:{i}", job) for i, job in enumerate(jobs)],

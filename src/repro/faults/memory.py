@@ -14,7 +14,8 @@ protocol never observes are tracked too: a dropped write overwritten
 by a later seal is *masked*; one never touched again is *latent*.
 
 With every rate at zero the wrapper is a bit-identical passthrough:
-it draws no randomness and performs exactly the inner store's work.
+it draws no randomness and performs exactly the inner store's work,
+plus the capture of each seal run into the store's replay image.
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.crypto.auth import AuthenticationError
 from repro.crypto.integrity import IntegrityError
-from repro.faults.plan import FAULT_KINDS, FaultPlan
-from repro.oram.datastore import SlotSnapshot
+from repro.faults.plan import FAULT_KINDS, OPEN_KINDS, SEAL_KINDS, FaultPlan, strike
 from repro.oram.recovery import TransientBackendError
 
 SlotKey = Tuple[int, int]
 
 
 class FaultyMemory:
-    """Deterministic adversary-in-the-middle for the sealed data path."""
+    """Deterministic adversary-in-the-middle for the sealed data path;
+    its replay ammunition is the store's replay image (``previous``)."""
 
     def __init__(self, inner: Any, plan: FaultPlan) -> None:
         self.inner = inner
@@ -43,57 +44,24 @@ class FaultyMemory:
         self.detected: Dict[str, int] = {k: 0 for k in FAULT_KINDS}
         self.undetected: Dict[str, int] = {k: 0 for k in FAULT_KINDS}
         self.masked_drops = 0
-        # Previous sealed triple per slot -- replay ammunition.
-        self._history: Dict[SlotKey, SlotSnapshot] = {}
         # Dropped writes whose corruption is still in memory.
         self._outstanding_drops: Dict[SlotKey, int] = {}
         # Active outage: (slot key, remaining raises).
         self._outage: Optional[Tuple[SlotKey, int]] = None
 
     def __getattr__(self, name: str) -> Any:
-        # Everything not intercepted (verify_path, integrity, counters,
-        # layout, attack hooks, ...) passes straight through. Dunder and
+        # Everything not intercepted (integrity, counters, layout,
+        # attack hooks, ...) passes straight through. Dunder and
         # private lookups must fail normally or pickling recurses.
         if name.startswith("_") or name == "inner":
             raise AttributeError(name)
         return getattr(self.inner, name)
 
+    def verify_path(self, leaf: int) -> None:
+        # Once per readPath: not worth a trip through __getattr__.
+        self.inner.verify_path(leaf)
+
     # ------------------------------------------------------------- sealing
-
-    def _snapshot(self, key: SlotKey) -> Optional[SlotSnapshot]:
-        """The sealed triple a seal of ``key`` is about to overwrite."""
-        return self.inner.snapshot_slot(*key) if self.inner.is_sealed(*key) else None
-
-    def _drops(self, op: int, key: SlotKey, prev: Optional[SlotSnapshot]) -> bool:
-        """Whether the plan drops this seal (a first write cannot be:
-        there is no older triple to survive it)."""
-        return (self.armed and prev is not None
-                and self.plan.pick_seal_fault(op, *key) == "dropped_write")
-
-    def _sealed_over(self, key: SlotKey, prev: Optional[SlotSnapshot]) -> None:
-        """Ledger work once the store has resealed ``key`` over ``prev``."""
-        if key in self._outstanding_drops:
-            # The reseal overwrote the dropped write before anything
-            # could notice it -- the fault is masked, not detected.
-            del self._outstanding_drops[key]
-            self.masked_drops += 1
-        if prev is not None:
-            self._history[key] = prev
-
-    def seal_slot(self, bucket: int, slot: int, plaintext: bytes) -> None:
-        op = self.op_index
-        self.op_index += 1
-        key = (bucket, slot)
-        prev = self._snapshot(key)
-        self.inner.seal_slot(bucket, slot, plaintext)
-        self._sealed_over(key, prev)
-        if self._drops(op, key, prev):
-            # The write never lands: old ciphertext + tag survive in
-            # memory while the trusted version and the Merkle content
-            # digest already moved on.
-            self.inner.restore_slot(bucket, slot, prev)
-            self.injected["dropped_write"] += 1
-            self._outstanding_drops[key] = op
 
     def seal_many(
         self, items: Sequence[Tuple[int, int, Optional[bytes]]]
@@ -104,66 +72,54 @@ class FaultyMemory:
         passthrough would hand the whole batch to the inner store and
         a reshuffle's write-back would escape fault injection. The plan
         is a pure function of ``(seed, kind, op, bucket, slot)``, so
-        from ``op_index`` the wrapper can tell which seals ahead are
-        fault-free; each such run goes to the store's own ``seal_many``
-        (one Merkle rehash per bucket) and a write the
-        plan drops goes through :meth:`seal_slot`. Op indices, ledgers,
-        dummy-filler draws and the store's end state are those of
-        ``seal_slot`` item by item.
+        from ``op_index`` the wrapper can tell where the seals ahead
+        are dropped; each run up to one is captured into the replay
+        image in one pass and goes to the store's own ``seal_many``
+        (one Merkle rehash per bucket). Op indices, ledgers, replay
+        image, dummy-filler draws and the store's end state are those
+        of sealing item by item.
         """
-        # _snapshot and _drops per item, inlined: keep them in step.
-        snapshot, is_sealed = self.inner.snapshot_slot, self.inner.is_sealed
-        armed, pick_seal_fault = self.armed, self.plan.pick_seal_fault
-        start = 0
-        while start < len(items):
-            # slot -> the triple this run overwrites. The run stops
-            # before a dropped write (the bucket's leaf has to be
-            # digested with that write's tag before it is undone, and
-            # later seals of the bucket digest the stale one) and
-            # before a slot it already holds (a repeat's snapshot, and
-            # whether it can be dropped at all, depend on the seal
-            # before it).
-            prevs: Dict[SlotKey, Optional[SlotSnapshot]] = {}
-            op = self.op_index
-            for bucket, slot, _ in items[start:]:
-                key = (bucket, slot)
-                if key in prevs:
+        inner, drops = self.inner, self._outstanding_drops
+        drop = self.plan.primed(SEAL_KINDS) if self.armed else ()
+        sealed, width = inner.sealed_mask()
+        start, n = 0, len(items)
+        while start < n:
+            # A run ends before a slot it already holds (the repeat is
+            # captured after the seal before it) and with a dropped
+            # write: the bucket's leaf is digested with that write's
+            # tag before it is undone, and later seals of the bucket
+            # digest the stale one. A first write cannot be dropped:
+            # no older triple survives it.
+            op, end, seen, dropped = self.op_index, start, set(), None
+            while end < n and not dropped:
+                bucket, slot, _ = items[end]
+                if (bucket, slot) in seen:
                     break
-                prev = snapshot(bucket, slot) if is_sealed(bucket, slot) else None
-                if armed and prev is not None and pick_seal_fault(
-                        op, bucket, slot) == "dropped_write":
-                    break
-                prevs[key] = prev
+                seen.add((bucket, slot))
+                dropped = drop and sealed[bucket * width + slot] and strike(
+                    drop, op, bucket, slot)
                 op += 1
-            if prevs:
-                end = start + len(prevs)
-                self.op_index += len(prevs)
-                self.inner.seal_many(items[start:end])
-                for key, prev in prevs.items():
-                    self._sealed_over(key, prev)
-                start = end
-            else:
-                bucket, slot, plaintext = items[start]
-                if plaintext is None:
-                    # Through our own seal_slot, so a dummy write is
-                    # injectable too; the filler is the inner store's
-                    # next draw, as its own dummy seal would take it.
-                    plaintext = self.inner._dummy_plaintext()
-                self.seal_slot(bucket, slot, plaintext)
-                start += 1
+                end += 1
+            run = items[start:end]
+            self.op_index, start = op, end
+            inner.capture(run)
+            inner.seal_many(run)
+            if drops:
+                for bucket, slot, _ in run:
+                    if drops.pop((bucket, slot), None) is not None:
+                        # Resealed before anything could notice the
+                        # dropped write: masked, not detected.
+                        self.masked_drops += 1
+            if dropped:
+                # The write never lands: old ciphertext + tag survive in
+                # memory while the trusted version and the Merkle
+                # content digest already moved on.
+                bucket, slot, _ = run[-1]
+                inner.restore_slot(bucket, slot, inner.previous(bucket, slot))
+                self.injected["dropped_write"] += 1
+                drops[(bucket, slot)] = op - 1
 
     # ------------------------------------------------------------- opening
-
-    def _struck(self, op: int, key: SlotKey) -> bool:
-        """Whether this open may do anything but what the store does:
-        an outage holds the slot, the plan strikes the op, or the slot
-        was never sealed (the ``KeyError`` must surface at this op)."""
-        return (
-            (self._outage is not None and self._outage[0] == key)
-            or not self.inner.is_sealed(*key)
-            or (self.armed
-                and self.plan.pick_open_fault(op, *key) is not None)
-        )
 
     def open_many(self, slots: Sequence[SlotKey]) -> Iterator[Any]:
         """Open a batch in order, cut only where the plan strikes.
@@ -171,7 +127,9 @@ class FaultyMemory:
         Explicit for the same reason as ``seal_many``, and cut the same
         way: the fault-free run ahead of ``op_index`` goes to the
         store's ``open_many`` (one Merkle check for the run), a struck
-        slot through :meth:`open_slot`.
+        slot through :meth:`open_slot`. A slot is struck when an outage
+        holds it, when it was never sealed (the ``KeyError`` must
+        surface at its op) or when an armed kind fires on it.
         Lazy on purpose: only a struck open can come back as the
         ``TransientBackendError`` a caller answers with retry
         ``open_slot`` calls of its own, so a run is planned when the
@@ -179,17 +137,25 @@ class FaultyMemory:
         outcome before it caused -- and every op keeps the index the
         scalar loop gives it.
         """
-        start = 0
-        while start < len(slots):
-            end = start
-            while end < len(slots) and not self._struck(
-                self.op_index + end - start, slots[end]
-            ):
+        inner = self.inner
+        sealed, width = inner.sealed_mask()
+        start, n = 0, len(slots)
+        while start < n:
+            outage = self._outage[0] if self._outage is not None else None
+            kinds = self.plan.primed(OPEN_KINDS) if self.armed else ()
+            op, end = self.op_index, start
+            while end < n:
+                key = slots[end]
+                bucket, slot = key
+                if key == outage or not sealed[bucket * width + slot] or (
+                        kinds and strike(kinds, op, bucket, slot) is not None):
+                    break
+                op += 1
                 end += 1
             if end > start:
                 run = slots[start:end]
-                self.op_index += len(run)
-                for (bucket, _), outcome in zip(run, self.inner.open_many(run)):
+                self.op_index = op
+                for (bucket, _), outcome in zip(run, inner.open_many(run)):
                     if isinstance(outcome, (AuthenticationError, IntegrityError)):
                         self._credit_drops(bucket)
                     yield outcome
@@ -214,7 +180,8 @@ class FaultyMemory:
                     f"backend unavailable for slot {key} (outage ongoing)"
                 )
             self._outage = None
-        kind = self.plan.pick_open_fault(op, bucket, slot) if self.armed else None
+        kind = (strike(self.plan.primed(OPEN_KINDS), op, bucket, slot)
+                if self.armed else None)
         if kind == "unavailable":
             self.injected["unavailable"] += 1
             self.detected["unavailable"] += 1   # overt: the error IS the fault
@@ -231,33 +198,31 @@ class FaultyMemory:
                 flip_byte=self.plan.flip_byte(op, bucket, slot,
                                               self.inner.cfg.block_bytes),
             )
-            return self._open_expecting(bucket, slot, "bit_flip")
-        if kind == "replay" and key in self._history:
+            return self._open(bucket, slot, "bit_flip")
+        ammo = self.inner.previous(bucket, slot) if kind == "replay" else None
+        if ammo is not None:
             self.injected["replay"] += 1
-            self.inner.restore_slot(bucket, slot, self._history[key],
+            self.inner.restore_slot(bucket, slot, ammo,
                                     restore_version=True, rehash=True)
-            return self._open_expecting(bucket, slot, "replay")
-        return self._open_plain(bucket, slot)
+            return self._open(bucket, slot, "replay")
+        return self._open(bucket, slot)
 
-    def _open_expecting(self, bucket: int, slot: int, kind: str) -> bytes:
-        """Open a slot we just corrupted; credit the detection (or not)."""
+    def _open(self, bucket: int, slot: int, kind: Optional[str] = None) -> bytes:
+        """Open a slot, just corrupted by ``kind`` (credit its detection
+        or miss) or by nothing fresh (older dropped writes may surface)."""
         try:
             value = self.inner.open_slot(bucket, slot)
         except (AuthenticationError, IntegrityError):
-            self.detected[kind] += 1
+            if kind is None:
+                self._credit_drops(bucket)
+            else:
+                self.detected[kind] += 1
             raise
-        # The corruption went through: a successful replay returns the
-        # stale plaintext, a missed bit flip returns garbage.
-        self.undetected[kind] += 1
+        if kind is not None:
+            # The corruption went through: a successful replay returns
+            # the stale plaintext, a missed bit flip returns garbage.
+            self.undetected[kind] += 1
         return value
-
-    def _open_plain(self, bucket: int, slot: int) -> bytes:
-        """Open with no fresh fault; older dropped writes may surface."""
-        try:
-            return self.inner.open_slot(bucket, slot)
-        except (AuthenticationError, IntegrityError):
-            self._credit_drops(bucket)
-            raise
 
     def _credit_drops(self, bucket: int) -> None:
         """An unstruck open of ``bucket`` failed: its dropped writes

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from functools import lru_cache
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 FAULT_KINDS = ("bit_flip", "replay", "dropped_write", "unavailable")
 
@@ -37,7 +38,10 @@ TAMPER_KINDS = ("bit_flip", "replay")
 
 #: Kinds injected on ``open_slot`` (read-side), in priority order: at
 #: most one fault fires per operation.
-_OPEN_KINDS = ("unavailable", "bit_flip", "replay")
+OPEN_KINDS = ("unavailable", "bit_flip", "replay")
+
+#: Kinds injected on a seal (write-side).
+SEAL_KINDS = ("dropped_write",)
 
 
 def _unit(seed: int, tag: str, op: int, bucket: int, slot: int) -> float:
@@ -46,6 +50,27 @@ def _unit(seed: int, tag: str, op: int, bucket: int, slot: int) -> float:
         f"{seed}|{tag}|{op}|{bucket}|{slot}".encode(), digest_size=8
     ).digest()
     return int.from_bytes(h, "big") / 2.0 ** 64
+
+
+@lru_cache(maxsize=None)
+def _prefix(seed: int, kind: str) -> Any:
+    """BLAKE2b fed ``f"{seed}|{kind}|"``, the head of ``_unit``'s bytes:
+    made once per process, only ever copied."""
+    return hashlib.blake2b(f"{seed}|{kind}|".encode(), digest_size=8)
+
+
+def strike(primed: Sequence[Tuple[str, Any, float]], op: int, bucket: int,
+           slot: int) -> Optional[str]:
+    """The first kind of :meth:`FaultPlan.primed` firing on this op:
+    where ``_unit(seed, kind, op, bucket, slot) < rate``, its bytes'
+    tail hashed on a copy of the kind's primed state."""
+    suffix = f"{op}|{bucket}|{slot}".encode()
+    for kind, state, rate in primed:
+        h = state.copy()
+        h.update(suffix)
+        if int.from_bytes(h.digest(), "big") / 2.0 ** 64 < rate:
+            return kind
+    return None
 
 
 @dataclass(frozen=True)
@@ -76,24 +101,13 @@ class FaultPlan:
 
     # ------------------------------------------------------------- queries
 
-    def _fires(self, kind: str, op: int, bucket: int, slot: int) -> bool:
-        rate = self.rates.get(kind, 0.0)
-        if rate <= 0.0:
-            return False
-        return _unit(self.seed, kind, op, bucket, slot) < rate
-
-    def pick_open_fault(self, op: int, bucket: int, slot: int) -> Optional[str]:
-        """The fault (if any) striking this ``open_slot`` operation."""
-        for kind in _OPEN_KINDS:
-            if self._fires(kind, op, bucket, slot):
-                return kind
-        return None
-
-    def pick_seal_fault(self, op: int, bucket: int, slot: int) -> Optional[str]:
-        """The fault (if any) striking this ``seal_slot`` operation."""
-        if self._fires("dropped_write", op, bucket, slot):
-            return "dropped_write"
-        return None
+    def primed(self, kinds: Sequence[str]) -> List[Tuple[str, Any, float]]:
+        """``(kind, primed state, rate)`` for each of ``kinds`` that can
+        fire, in order, for :func:`strike`. The states live in a
+        per-process cache, so nothing unpicklable rides a plan or its
+        holder."""
+        return [(kind, _prefix(self.seed, kind), self.rates[kind])
+                for kind in kinds if self.rates.get(kind, 0.0) > 0.0]
 
     def outage_ops(self, op: int, bucket: int, slot: int) -> int:
         """How many consecutive attempts an outage swallows (>= 1)."""

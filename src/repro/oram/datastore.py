@@ -8,11 +8,11 @@ sealed 64B block -- XORed with a keyed-BLAKE2b pad, MAC'd against its
 physical address and write version, and covered by a bucket-granular
 Merkle tree whose root stays on-chip (:mod:`repro.crypto`).
 
-The Ring ORAM controller drives it through two calls, each with a
-batch form that does the same work for many slots at once:
+The Ring ORAM controller drives it through two calls (opens also have
+a scalar form, the batch of one):
 
-- ``seal_slot(bucket, slot, plaintext)`` / ``seal_many(items)``
-  whenever a reshuffle (or a remote allocation) writes slots;
+- ``seal_many(items)`` whenever a reshuffle (or a remote allocation)
+  writes slots;
 - ``open_slot(bucket, slot)`` / ``open_many(slots)`` whenever a
   readPath/eviction consumes a slot whose plaintext matters (the real
   target, a green block, or a resident collected for eviction). Dummy
@@ -27,6 +27,7 @@ back as that exception in the block's place (``open_many``).
 from __future__ import annotations
 
 import hashlib
+from array import array
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -71,7 +72,7 @@ class EncryptedTreeStore:
     ``_tags[i * 8:(i + 1) * 8]``, its sealed flag at ``_sealed[i]``;
     its bytes sit at ``_offsets[b] + s * 64`` in ``_memory``, the
     physical address (:class:`~repro.mem.layout.TreeLayout`) that is
-    also its nonce. Every seal, open and snapshot derives these inline.
+    also its nonce. Every seal, open and capture derives these inline.
     """
 
     def __init__(
@@ -108,6 +109,7 @@ class EncryptedTreeStore:
         )
         self._rng = np.random.default_rng(seed)
         self._sealed_buckets: Set[int] = set()
+        self._image: Optional[Tuple[bytearray, bytearray, array, bytearray]] = None
         self.seals = 0
         self.opens = 0
 
@@ -126,22 +128,15 @@ class EncryptedTreeStore:
 
     # ------------------------------------------------------------- sealing
 
-    def is_sealed(self, bucket: int, slot: int) -> bool:
-        """Whether the slot has ever been sealed (and so can be opened)."""
-        return bool(self._sealed[bucket * self._z_max + slot])
-
-    def seal_slot(self, bucket: int, slot: int, plaintext: bytes) -> None:
-        """Encrypt + authenticate one slot and update the Merkle path
-        (the batch of one of :meth:`seal_many`)."""
-        plaintext = pad_block(plaintext, self.cfg.block_bytes)
-        self.seal_many([(bucket, slot, plaintext)])
+    def sealed_mask(self) -> Tuple[bytearray, int]:
+        """Which slots were ever sealed (and so can be opened): flag
+        ``b * width + s`` for slot ``(b, s)``, and that width."""
+        return self._sealed, self._z_max
 
     def _dummy_plaintext(self, n: int = 1) -> bytes:
         """Fresh random filler for ``n`` dummy seals (dummies must look
         like data): raw words, the bytes of ``n`` ``integers(0, 256, 64,
-        dtype=uint8)`` calls (``tests/test_rng_identities.py``). Split
-        out so wrappers can route dummy seals through their own
-        ``seal_slot`` without perturbing the RNG stream."""
+        dtype=uint8)`` calls (``tests/test_rng_identities.py``)."""
         return self._rng.bit_generator.random_raw(
             n * self.cfg.block_bytes // 8
         ).astype("<u8", copy=False).tobytes()
@@ -187,7 +182,7 @@ class EncryptedTreeStore:
         requests = []
         for bucket, slot, plaintext in items:
             # A slot repeated inside the batch gets a fresh version
-            # each time, exactly as back-to-back seal_slot calls would.
+            # each time, exactly as back-to-back batches of one would.
             i = bucket * z_max + slot
             v = version[i] + 1
             version[i] = v
@@ -312,21 +307,50 @@ class EncryptedTreeStore:
             if b in sealed
         ]))
 
-    # ---------------------------------------------------- snapshot/restore
+    # ------------------------------------------------ replay image/restore
 
-    def snapshot_slot(self, bucket: int, slot: int) -> SlotSnapshot:
-        """Capture a slot's off-chip state (what an adversary could keep);
-        ``KeyError`` for a slot never sealed."""
+    def capture(
+        self, items: Sequence[Tuple[int, int, Optional[bytes]]]
+    ) -> None:
+        """Copy the sealed triple each slot of seal ``items`` holds now
+        into the replay image (:meth:`previous`), for an adversary to
+        call just before ``seal_many(items)``. The image, made on first
+        use, is laid out like the store's memory, tag and version tables
+        plus a per-slot held flag."""
+        n_buckets, z_max = self.cfg.n_buckets, self._z_max
+        if self._image is None:
+            n = n_buckets * z_max
+            self._image = (bytearray(len(self._memory)),
+                           bytearray(len(self._tags)),
+                           array("I", bytes(4 * n)), bytearray(n))
+        memory, tags, versions, held = self._image
+        # Slice copies through memoryviews, as seal_many stores.
+        memory, tags = memoryview(memory), memoryview(tags)
+        from_memory, from_tags = memoryview(self._memory), memoryview(self._tags)
+        bb, tb, offsets = self.cfg.block_bytes, self._tag_bytes, self._offsets
+        sealed, version = self._sealed, self._versions()
+        for bucket, slot, _ in items:
+            if not (0 <= bucket < n_buckets and 0 <= slot < z_max):
+                raise IndexError(f"slot {(bucket, slot)} out of range")
+            i = bucket * z_max + slot
+            if sealed[i]:
+                addr = offsets[bucket] + slot * bb
+                memory[addr:addr + bb] = from_memory[addr:addr + bb]
+                tags[i * tb:i * tb + tb] = from_tags[i * tb:i * tb + tb]
+                versions[i] = version[i]
+                held[i] = 1
+
+    def previous(self, bucket: int, slot: int) -> Optional[SlotSnapshot]:
+        """The triple the slot held when :meth:`capture` last saw it
+        sealed (replay ammunition), or ``None``."""
         i = self._index(bucket, slot)
-        if not self._sealed[i]:
-            raise KeyError(f"slot {(bucket, slot)} was never sealed")
+        if self._image is None or not self._image[3][i]:
+            return None
+        memory, tags, versions, _ = self._image
         bb, tb = self.cfg.block_bytes, self._tag_bytes
         addr = self._offsets[bucket] + slot * bb
-        return SlotSnapshot(
-            bytes(self._memory[addr:addr + bb]),
-            bytes(self._tags[i * tb:(i + 1) * tb]),
-            self._version.item(bucket, slot),
-        )
+        return SlotSnapshot(bytes(memory[addr:addr + bb]),
+                            bytes(tags[i * tb:(i + 1) * tb]), versions[i])
 
     def restore_slot(
         self,

@@ -57,7 +57,9 @@ PathLike = Union[str, Path]
 #: 14: the allocator's host table is one flat ``hosts`` list (was
 #: numpy ``host_bucket`` / ``host_slot``) and the Merkle digest list
 #: ends in the leaves' empty children: an older file fails to resume.
-CHECKPOINT_FORMAT = 14
+#: 15: replay ammunition is the sealed store's replay image (was the
+#: fault wrapper's ``_history`` dict): an older wrapper replays nothing.
+CHECKPOINT_FORMAT = 15
 _MAGIC = "repro-sim-checkpoint"
 
 

@@ -142,12 +142,8 @@ def sealed_store_state(store):
     tree = store.integrity
     return {
         "memory": bytes(store._memory),
-        "tags": {
-            (b, s): store.snapshot_slot(b, s).tag
-            for b in range(store.cfg.n_buckets)
-            for s in range(store.cfg.z_max)
-            if store.is_sealed(b, s)
-        },
+        "tags": bytes(store._tags),
+        "sealed": bytes(store._sealed),
         "version": store._version.tobytes(),
         "sealed_buckets": set(store._sealed_buckets),
         "merkle": None if tree is None else (

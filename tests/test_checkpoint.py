@@ -147,9 +147,11 @@ class TestCheckpointValidation:
         whose generator sits at ``rng``, with no ``Draws``) at its first
         draw; format 13 (an allocator with numpy ``host_bucket`` /
         ``host_slot`` tables, a Merkle digest list without the leaves'
-        children) at its first rental or rehash. Each refusal is one line naming the format found and the
+        children) at its first rental or rehash; format 14 (a fault
+        wrapper with a ``_history`` dict and no primed decisions) at its
+        first replay. Each refusal is one line naming the format found and the
         one expected."""
-        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13):
+        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

@@ -411,3 +411,32 @@ def test_fan_out_guard_refuses_a_third_call_site_only():
     ]
     assert [hit for hit in third if not refused(hit)] == []
     assert [hit for hit in passed if refused(hit)] == []
+
+
+def test_fault_decision_guard_refuses_the_per_slot_adversary_only():
+    """The test job's "One fault decision per op" step refuses the
+    per-slot snapshot call, the history dict and the per-slot planning
+    helper of the fault wrapper (lines of its older form) and passes
+    the replay image and the primed decisions that replaced them; its
+    ERE reads the same under Python's ``re`` and ``memory.py`` passes."""
+    (line,) = [
+        line for _, commands in _run_steps(CI.read_text())
+        for line in commands or () if "src/repro/faults/memory.py" in line
+    ]
+    pattern = re.search(r'grep -nE "([^"]*)"', line).group(1)
+    refused = [
+        "return self.inner.snapshot_slot(*key) if self.inner.is_sealed(*key) else None",
+        "self._history: Dict[SlotKey, SlotSnapshot] = {}",
+        'if kind == "replay" and key in self._history:',
+        "while end < len(slots) and not self._struck(",
+    ]
+    passed = [
+        "inner.capture(run)",
+        "ammo = self.inner.previous(bucket, slot) if kind == \"replay\" else None",
+        "kinds and strike(kinds, op, bucket, slot) is not None):",
+        "self._open_kinds = self._plan.primed(OPEN_KINDS)",
+    ]
+    assert [hit for hit in refused if not re.search(pattern, hit)] == []
+    assert [hit for hit in passed if re.search(pattern, hit)] == []
+    memory = (ROOT / "src/repro/faults/memory.py").read_text()
+    assert not re.search(pattern, memory)

@@ -16,11 +16,25 @@ from repro.crypto.auth import AuthenticationError
 from repro.crypto.integrity import IntegrityError
 from repro.mem.layout import TreeLayout
 from repro.oram import tree as tree_mod
-from repro.oram.datastore import EncryptedTreeStore, pad_block
+from repro.oram.datastore import EncryptedTreeStore, SlotSnapshot, pad_block
 from repro.oram.recovery import RobustnessConfig
 from repro.oram.ring import RingOram
 
 KEY = b"test master key."
+
+
+def _sealed(store, bucket, slot):
+    mask, width = store.sealed_mask()
+    return bool(mask[bucket * width + slot])
+
+
+def _triple(store, bucket, slot):
+    """The slot's off-chip (ciphertext, tag, version) as it stands."""
+    addr = int(TreeLayout(store.cfg).first_byte[bucket]) + slot * 64
+    i = bucket * store.cfg.z_max + slot
+    return SlotSnapshot(bytes(store._memory[addr:addr + 64]),
+                        bytes(store._tags[i * 8:(i + 1) * 8]),
+                        int(store._version[bucket, slot]))
 
 
 @pytest.fixture
@@ -93,14 +107,14 @@ class TestRefusedWrite:
 
 class TestEncryptedTreeStore:
     def test_seal_open_roundtrip(self, store):
-        store.seal_slot(3, 1, b"payload")
+        store.seal_many([(3, 1, b"payload")])
         assert store.open_slot(3, 1) == pad_block(b"payload", 64)
 
     def test_reseal_bumps_version(self, store):
-        store.seal_slot(3, 1, b"v1")
-        ct1 = store.snapshot_slot(3, 1).ciphertext
-        store.seal_slot(3, 1, b"v1")
-        ct2 = store.snapshot_slot(3, 1).ciphertext
+        store.seal_many([(3, 1, b"v1")])
+        ct1 = _triple(store, 3, 1).ciphertext
+        store.seal_many([(3, 1, b"v1")])
+        ct2 = _triple(store, 3, 1).ciphertext
         assert ct1 != ct2  # same plaintext, fresh version -> new bytes
         assert store.open_slot(3, 1) == pad_block(b"v1", 64)
 
@@ -114,8 +128,8 @@ class TestEncryptedTreeStore:
             EncryptedTreeStore(tiny_config(block_bytes=block_bytes), KEY)
 
     def test_ciphertext_is_not_plaintext(self, store):
-        store.seal_slot(0, 0, b"secret")
-        assert b"secret" not in store.snapshot_slot(0, 0).ciphertext
+        store.seal_many([(0, 0, b"secret")])
+        assert b"secret" not in _triple(store, 0, 0).ciphertext
 
     def test_dummy_seal_opens_to_noise(self, store):
         store.seal_many([(2, 0, None)])
@@ -123,14 +137,14 @@ class TestEncryptedTreeStore:
         assert len(noise) == 64
 
     def test_payload_tamper_detected(self, store):
-        store.seal_slot(3, 1, b"payload")
+        store.seal_many([(3, 1, b"payload")])
         store.tamper_payload(3, 1)
         with pytest.raises(AuthenticationError):
             store.open_slot(3, 1)
 
     def test_version_rollback_detected(self, store):
-        store.seal_slot(3, 1, b"v1")
-        store.seal_slot(3, 1, b"v2")
+        store.seal_many([(3, 1, b"v1")])
+        store.seal_many([(3, 1, b"v2")])
         store.tamper_version(3, 1)
         with pytest.raises((AuthenticationError, IntegrityError)):
             store.open_slot(3, 1)
@@ -138,12 +152,15 @@ class TestEncryptedTreeStore:
     def test_full_replay_detected_by_merkle_root(self, store):
         """Restore a consistent old (ciphertext, tag, version) triple
         AND rebuild the hash chain: the on-chip root still disagrees."""
-        store.seal_slot(3, 1, b"old")
-        old = store.snapshot_slot(3, 1)
-        store.seal_slot(3, 1, b"new")
+        store.seal_many([(3, 1, b"old")])
+        old = _triple(store, 3, 1)
+        store.capture([(3, 1, None)])
+        store.seal_many([(3, 1, b"new")])
         # Attacker restores everything off-chip, consistently.
-        store.restore_slot(3, 1, old, restore_version=True, rehash=True)
-        assert store.snapshot_slot(3, 1) == old
+        assert store.previous(3, 1) == old
+        store.restore_slot(3, 1, store.previous(3, 1),
+                           restore_version=True, rehash=True)
+        assert _triple(store, 3, 1) == old
         with pytest.raises(IntegrityError):
             store.open_slot(3, 1)
 
@@ -152,25 +169,25 @@ class TestEncryptedTreeStore:
         the version row, then each slot's tag, eight zero bytes for a
         slot never sealed."""
         cfg = store.cfg
-        store.seal_slot(3, 1, b"once")
-        store.seal_slot(3, 2, b"first")
-        stale = store.snapshot_slot(3, 2)
-        store.seal_slot(3, 2, b"resealed")
-        store.seal_slot(4, 0, b"old")
-        old = store.snapshot_slot(4, 0)
-        store.seal_slot(4, 0, b"new")
+        store.seal_many([(3, 1, b"once")])
+        store.seal_many([(3, 2, b"first")])
+        stale = _triple(store, 3, 2)
+        store.seal_many([(3, 2, b"resealed")])
+        store.seal_many([(4, 0, b"old")])
+        old = _triple(store, 4, 0)
+        store.seal_many([(4, 0, b"new")])
         store.restore_slot(4, 0, old)
         store.seal_many([(5, s, None) for s in range(cfg.z_max)])
-        assert store.snapshot_slot(3, 2).tag != stale.tag
-        assert store.snapshot_slot(4, 0).tag == old.tag
+        assert _triple(store, 3, 2).tag != stale.tag
+        assert _triple(store, 4, 0).tag == old.tag
         for bucket in (0, 3, 4, 5, cfg.n_buckets - 1):
             z = cfg.geometry[tree_mod.level_of(bucket)].z_total
             h = hashlib.sha256()
             h.update(store._version[bucket, :z].tobytes())
             for slot in range(z):
                 h.update(
-                    store.snapshot_slot(bucket, slot).tag
-                    if store.is_sealed(bucket, slot) else b"\x00" * 8
+                    _triple(store, bucket, slot).tag
+                    if _sealed(store, bucket, slot) else b"\x00" * 8
                 )
             assert store._content_digests([bucket])[bucket] == h.digest(), bucket
 
@@ -186,7 +203,7 @@ class TestEncryptedTreeStore:
                             + [(b, 0, None)] * (lv + 1))
         for lv, b in enumerate(buckets):
             z = cfg.geometry[lv].z_total
-            snaps = [store.snapshot_slot(b, s) if store.is_sealed(b, s)
+            snaps = [_triple(store, b, s) if _sealed(store, b, s)
                      else None for s in range(z)]
             assert snaps[-1] is None and snaps[0].version == lv + 2
             leaf = hashlib.sha256(
@@ -204,8 +221,8 @@ class TestEncryptedTreeStore:
         in the flat per-slot tables: every slot-taking call refuses it,
         a bucket outside the tree and a negative index with
         ``IndexError`` and leaves the store as it was."""
-        store.seal_slot(3, 0, b"x")
-        store.seal_slot(4, 0, b"y")
+        store.seal_many([(3, 0, b"x")])
+        store.seal_many([(4, 0, b"y")])
         before = _everything(store)
         z_max, n = store.cfg.z_max, store.cfg.n_buckets
         for bucket, slot in ((3, z_max), (n, 0), (-1, 0), (3, -1)):
@@ -214,24 +231,26 @@ class TestEncryptedTreeStore:
             with pytest.raises(IndexError):
                 store.open_many([(3, 0), (bucket, slot)])
             with pytest.raises(IndexError):
-                store.snapshot_slot(bucket, slot)
+                store.capture([(bucket, slot, None)])
             with pytest.raises(IndexError):
-                store.restore_slot(bucket, slot, store.snapshot_slot(3, 0))
+                store.previous(bucket, slot)
+            with pytest.raises(IndexError):
+                store.restore_slot(bucket, slot, _triple(store, 3, 0))
         assert _everything(store) == before
 
     def test_is_sealed(self, store):
-        assert not store.is_sealed(3, 1)
-        store.seal_slot(3, 1, b"x")
-        assert store.is_sealed(3, 1)
-        assert not store.is_sealed(3, 0) and not store.is_sealed(3, 2)
+        mask, width = store.sealed_mask()
+        assert width == store.cfg.z_max and not any(mask)
+        store.seal_many([(3, 1, b"x")])
+        assert [i for i, flag in enumerate(mask) if flag] == [3 * width + 1]
 
     def test_without_integrity_tree(self, cfg_small):
         s = EncryptedTreeStore(cfg_small, KEY, with_integrity=False)
-        s.seal_slot(0, 0, b"x")
+        s.seal_many([(0, 0, b"x")])
         assert s.open_slot(0, 0) == pad_block(b"x", 64)
 
     def test_counters(self, store):
-        store.seal_slot(0, 0, b"x")
+        store.seal_many([(0, 0, b"x")])
         store.open_slot(0, 0)
         assert store.seals == 1
         assert store.opens == 1
@@ -347,7 +366,7 @@ class TestBatchEqualsScalar:
         assert _everything(batch) == _everything(scalar)
 
     def test_never_sealed_slot_rejected(self, store):
-        store.seal_slot(0, 0, b"x")
+        store.seal_many([(0, 0, b"x")])
         with pytest.raises(KeyError):
             store.open_many([(0, 0), (1, 1)])
 

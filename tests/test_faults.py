@@ -26,7 +26,7 @@ from repro.faults.campaign import (
     smoke_config,
 )
 from repro.faults.memory import FaultyMemory
-from repro.faults.plan import FAULT_KINDS, FaultPlan
+from repro.faults.plan import FAULT_KINDS, OPEN_KINDS, FaultPlan, strike
 from repro.faults.schema import cell_key, render_report, validate_report
 from repro.mem.layout import TreeLayout
 from repro.oram.datastore import EncryptedTreeStore, pad_block
@@ -57,6 +57,11 @@ def _only(plan_kind, rate=1.0, **kw):
     return FaultPlan(seed=0, rates={plan_kind: rate}, **kw)
 
 
+def _pick_open(plan, op, bucket, slot):
+    """The open fault (if any) ``plan`` strikes this op with."""
+    return strike(plan.primed(OPEN_KINDS), op, bucket, slot)
+
+
 def _armed(store, plan):
     """A fault wrapper injecting from its first operation."""
     mem = FaultyMemory(store, plan)
@@ -80,8 +85,8 @@ class TestFaultPlan:
     def test_draws_are_deterministic(self):
         a = FaultPlan(seed=7, rates={"bit_flip": 0.3})
         b = FaultPlan(seed=7, rates={"bit_flip": 0.3})
-        picks_a = [a.pick_open_fault(op, 5, 1) for op in range(200)]
-        picks_b = [b.pick_open_fault(op, 5, 1) for op in range(200)]
+        picks_a = [_pick_open(a, op, 5, 1) for op in range(200)]
+        picks_b = [_pick_open(b, op, 5, 1) for op in range(200)]
         assert picks_a == picks_b
         assert "bit_flip" in picks_a  # the rate actually fires
 
@@ -89,14 +94,14 @@ class TestFaultPlan:
         a = FaultPlan(seed=0, rates={"bit_flip": 0.3})
         b = FaultPlan(seed=1, rates={"bit_flip": 0.3})
         assert (
-            [a.pick_open_fault(op, 5, 1) for op in range(200)]
-            != [b.pick_open_fault(op, 5, 1) for op in range(200)]
+            [_pick_open(a, op, 5, 1) for op in range(200)]
+            != [_pick_open(b, op, 5, 1) for op in range(200)]
         )
 
     def test_zero_rate_never_fires(self):
         plan = FaultPlan(rates={"bit_flip": 0.0})
         assert all(
-            plan.pick_open_fault(op, b, s) is None
+            _pick_open(plan, op, b, s) is None
             for op in range(50) for b in range(4) for s in range(4)
         )
 
@@ -122,7 +127,7 @@ class TestFaultyMemoryDetection:
     def test_bit_flip_always_detected(self):
         mem = _armed(_store(), _only("bit_flip"))
         for slot in range(3):
-            mem.seal_slot(3, slot, b"payload")
+            mem.seal_many([(3, slot, b"payload")])
             with pytest.raises(AuthenticationError):
                 mem.open_slot(3, slot)
         assert mem.injected["bit_flip"] == 3
@@ -131,8 +136,8 @@ class TestFaultyMemoryDetection:
 
     def test_replay_always_detected_with_integrity(self):
         mem = _armed(_store(), _only("replay"))
-        mem.seal_slot(3, 1, b"v1")
-        mem.seal_slot(3, 1, b"v2")  # history now holds the v1 triple
+        mem.seal_many([(3, 1, b"v1")])
+        mem.seal_many([(3, 1, b"v2")])  # history now holds the v1 triple
         with pytest.raises(IntegrityError):
             mem.open_slot(3, 1)
         assert mem.injected["replay"] == 1
@@ -154,11 +159,11 @@ class TestFaultyMemoryDetection:
                     bytes(store._tags[i * 8:(i + 1) * 8]),
                     int(store._version[3, 1]))
 
-        mem.seal_slot(3, 1, b"v1")
+        mem.seal_many([(3, 1, b"v1")])
         old = triple()
-        mem.seal_slot(3, 1, b"v2")
+        mem.seal_many([(3, 1, b"v2")])
         assert triple() != old
-        ammo = mem._history[(3, 1)]
+        ammo = store.previous(3, 1)
         assert (ammo.ciphertext, ammo.tag, ammo.version) == old
         with pytest.raises(IntegrityError):
             mem.open_slot(3, 1)
@@ -166,8 +171,8 @@ class TestFaultyMemoryDetection:
 
     def test_replay_undetected_without_integrity(self):
         mem = _armed(_store(with_integrity=False), _only("replay"))
-        mem.seal_slot(3, 1, b"v1")
-        mem.seal_slot(3, 1, b"v2")
+        mem.seal_many([(3, 1, b"v1")])
+        mem.seal_many([(3, 1, b"v2")])
         value = mem.open_slot(3, 1)  # the stale plaintext comes back
         assert value == pad_block(b"v1", 64)
         assert mem.undetected["replay"] == 1
@@ -175,8 +180,8 @@ class TestFaultyMemoryDetection:
 
     def test_dropped_write_detected_on_next_read(self):
         mem = _armed(_store(), _only("dropped_write"))
-        mem.seal_slot(3, 1, b"v1")
-        mem.seal_slot(3, 1, b"v2")  # this write is dropped
+        mem.seal_many([(3, 1, b"v1")])
+        mem.seal_many([(3, 1, b"v2")])  # this write is dropped
         assert mem.latent_drops == 1
         with pytest.raises((AuthenticationError, IntegrityError)):
             mem.open_slot(3, 1)
@@ -186,14 +191,14 @@ class TestFaultyMemoryDetection:
     def test_dropped_write_masked_by_reseal(self):
         plan = FaultPlan(seed=0, rates={"dropped_write": 1.0})
         mem = _armed(_store(), FaultPlan())
-        mem.seal_slot(3, 1, b"v1")   # op 0: clean
-        mem.seal_slot(3, 1, b"v2")   # op 1: clean
+        mem.seal_many([(3, 1, b"v1")])   # op 0: clean
+        mem.seal_many([(3, 1, b"v2")])   # op 1: clean
         mem.plan = plan
-        mem.seal_slot(3, 1, b"v3")   # op 2: dropped
+        mem.seal_many([(3, 1, b"v3")])   # op 2: dropped
         assert mem.latent_drops == 1
         plan_off = dataclasses.replace(plan, rates={})
         mem.plan = plan_off
-        mem.seal_slot(3, 1, b"v4")   # overwrites the damage
+        mem.seal_many([(3, 1, b"v4")])   # overwrites the damage
         assert mem.latent_drops == 0
         assert mem.masked_drops == 1
         assert mem.open_slot(3, 1) == pad_block(b"v4", 64)
@@ -201,7 +206,7 @@ class TestFaultyMemoryDetection:
 
     def test_unavailable_raises_then_drains(self):
         mem = _armed(_store(), _only("unavailable", max_outage_ops=1))
-        mem.seal_slot(3, 1, b"v1")
+        mem.seal_many([(3, 1, b"v1")])
         with pytest.raises(TransientBackendError):
             mem.open_slot(3, 1)
         assert mem.injected["unavailable"] == 1
@@ -211,13 +216,13 @@ class TestFaultyMemoryDetection:
 
     def test_disarmed_wrapper_injects_nothing(self):
         mem = FaultyMemory(_store(), _only("bit_flip"))
-        mem.seal_slot(3, 1, b"payload")
+        mem.seal_many([(3, 1, b"payload")])
         assert mem.open_slot(3, 1) == pad_block(b"payload", 64)
         assert sum(mem.injected.values()) == 0
 
     def test_passthrough_delegates_queries(self):
         mem = _armed(_store(), FaultPlan())
-        mem.seal_slot(3, 1, b"x")
+        mem.seal_many([(3, 1, b"x")])
         assert mem.seals == 1  # inner counter, via __getattr__
         with pytest.raises(AttributeError):
             mem._no_such_private  # noqa: B018 -- pickling relies on this
@@ -230,8 +235,7 @@ class TestFaultyMemoryDetection:
             name for name, attr in vars(EncryptedTreeStore).items()
             if name.startswith(("seal_", "open_")) and callable(attr)
         ]
-        assert {"seal_slot", "seal_many",
-                "open_slot", "open_many"} <= set(entry_points)
+        assert {"seal_many", "open_slot", "open_many"} <= set(entry_points)
         missing = [n for n in entry_points if n not in vars(FaultyMemory)]
         assert not missing, f"FaultyMemory passes {missing} straight through"
 
@@ -273,15 +277,14 @@ class TestFaultyMemoryDetection:
 
 
 class PerSlotFaultyMemory(FaultyMemory):
-    """The wrapper as it was before it cut batches: ``seal_many`` and
-    ``open_many`` loop its own scalar calls. The reference the cut
+    """The wrapper as it was before it cut batches: ``seal_many`` seals
+    item by item (a batch of one each) and
+    ``open_many`` loops its scalar ``open_slot``. The reference the cut
     batches are held equal to."""
 
     def seal_many(self, items):
-        for bucket, slot, plaintext in items:
-            if plaintext is None:
-                plaintext = self.inner._dummy_plaintext()
-            self.seal_slot(bucket, slot, plaintext)
+        for item in items:
+            super().seal_many([item])
 
     def open_many(self, slots):
         for bucket, slot in slots:
@@ -296,7 +299,11 @@ def _wrapper_state(mem):
         "store": sealed_store_state(mem.inner),
         "summary": mem.summary(),
         "op_index": mem.op_index,
-        "history": dict(mem._history),
+        "ammunition": [
+            mem.inner.previous(b, s)
+            for b in range(mem.inner.cfg.n_buckets)
+            for s in range(mem.inner.cfg.z_max)
+        ],
         "drops": dict(mem._outstanding_drops),
         "outage": mem._outage,
     }
@@ -406,7 +413,7 @@ class TestCutBatchesEqualPerSlot:
         ])
 
     def test_slot_repeated_inside_a_seal_batch(self):
-        """The repeat's snapshot is the first seal's triple, and only
+        """The repeat's ammunition is the first seal's triple, and only
         the repeat of a never-sealed slot can be dropped."""
         plan = FaultPlan(seed=1, rates={"dropped_write": 0.5, "replay": 0.3})
         twice = [(2, 1, b"first"), (3, 0, None), (2, 1, b"second"),
@@ -415,6 +422,29 @@ class TestCutBatchesEqualPerSlot:
             ("seal", twice), ("open", [(2, 1), (3, 0)], 0),
             ("seal", twice), ("open", [(2, 1), (3, 0)], 0),
         ])
+
+    @pytest.mark.parametrize("with_integrity", [True, False])
+    def test_slot_resealed_twice_in_one_batch_replays_the_middle_triple(
+            self, with_integrity):
+        """A slot resealed twice in one batch keeps, as ammunition, the
+        triple its first reseal wrote: the image captures each run
+        before the store writes it, and the repeat starts a run of its
+        own. Replaying it serves that triple back."""
+        plan = FaultPlan(seed=3, rates={"replay": 1.0})
+        twice = [(2, 1, b"first"), (4, 0, None), (2, 1, b"second")]
+        _assert_cut_equals_per_slot(plan, [
+            self._fill(b"a"), ("seal", twice), ("open", [(2, 1)], 0),
+        ], with_integrity)
+        mem = _armed(_store(with_integrity), plan)
+        mem.seal_many(self._fill(b"a")[1])
+        mem.seal_many(twice)
+        if with_integrity:
+            with pytest.raises(IntegrityError):
+                mem.open_slot(2, 1)
+            assert mem.detected["replay"] == 1
+        else:
+            assert mem.open_slot(2, 1) == pad_block(b"first", 64)
+            assert mem.undetected["replay"] == 1
 
     @pytest.mark.parametrize("retry_budget", [0, 1, 3])
     def test_outage_spanning_cuts_and_batches(self, retry_budget):

@@ -307,7 +307,7 @@ SLOT_ATTACKS = st.sampled_from(["none", "flip", "tag", "version", "unsealed"])
 
 class TestStoreBatchesEqualSlotCalls:
     """``EncryptedTreeStore.seal_many`` / ``open_many`` leave exactly what
-    per-slot ``seal_slot`` / ``open_slot`` calls leave on a twin store
+    per-slot ``seal_many`` / ``open_slot`` calls leave on a twin store
     (a dummy's filler there is the twin's next ``_dummy_plaintext``):
     memory, tags, versions, Merkle digests and root, counters, the
     filler generator's next draws and every outcome, with repeated
@@ -329,11 +329,12 @@ class TestStoreBatchesEqualSlotCalls:
                 items = [(b, s, None) for b, s, _ in items]
             batch.seal_many(items)
             for b, s, p in items:
-                twin.seal_slot(b, s, twin._dummy_plaintext() if p is None
-                               else p)
+                twin.seal_many([(b, s, twin._dummy_plaintext()
+                                 if p is None else p)])
             assert sealed_store_state(batch) == sealed_store_state(twin)
+        mask, width = batch.sealed_mask()
         sealed = [(b, s) for b in range(7) for s in range(3)
-                  if batch.is_sealed(b, s)]
+                  if mask[b * width + s]]
         slots = data.draw(st.lists(st.sampled_from(sealed), min_size=1,
                                    max_size=10))
         attack = data.draw(SLOT_ATTACKS)

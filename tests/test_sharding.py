@@ -70,6 +70,7 @@ from repro.serve.fleet import (
 from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
 from repro.serve.replay import serve_slice
 from repro.serve.resilience import ResilienceConfig
+from repro.sim.engine import SimConfig
 from repro.sim.runner import make_trace
 
 settings_kw = dict(
@@ -210,7 +211,7 @@ class TestShardedSim:
     def test_merge_is_max_makespan_and_summed_requests(self):
         n_blocks = schemes_mod.by_name("ab", 8).n_real_blocks
         trace = self._trace(n_blocks)
-        out = run_sharded_sim("ab", trace, n_blocks, 2, seed=4)
+        out = run_sharded_sim("ab", trace, n_blocks, 2, SimConfig(seed=4))
         assert sum(out.shard_requests) == len(trace.requests)
         merged = out.merged_sim_block()
         assert merged["exec_ns"] == max(r.exec_ns for r in out.per_shard)
@@ -224,26 +225,26 @@ class TestShardedSim:
         n_blocks = schemes_mod.by_name("ab", 8).n_real_blocks
         trace = self._trace(n_blocks, n_requests=40)
         out = run_sharded_sim("ab", trace, n_blocks, 4,
-                              warmup_requests=39, seed=4)
+                              SimConfig(seed=4, warmup_requests=39))
         assert all(0 < r.requests < n for r, n in
                    zip(out.per_shard, out.shard_requests))
         with pytest.raises(ValueError, match="warmup_requests"):
             run_sharded_sim("ab", trace, n_blocks, 4,
-                            warmup_requests=40, seed=4)
+                            SimConfig(seed=4, warmup_requests=40))
 
     def test_run_twice_is_byte_identical(self):
         n_blocks = schemes_mod.by_name("ab", 8).n_real_blocks
         trace = self._trace(n_blocks, n_requests=160)
-        a = run_sharded_sim("ab", trace, n_blocks, 2, seed=4)
-        b = run_sharded_sim("ab", trace, n_blocks, 2, seed=4)
+        a = run_sharded_sim("ab", trace, n_blocks, 2, SimConfig(seed=4))
+        b = run_sharded_sim("ab", trace, n_blocks, 2, SimConfig(seed=4))
         assert canon(a.merged_sim_block()) == canon(b.merged_sim_block())
 
     def test_workers_do_not_change_the_merge(self):
         n_blocks = schemes_mod.by_name("ab", 8).n_real_blocks
         trace = self._trace(n_blocks, n_requests=160)
-        serial = run_sharded_sim("ab", trace, n_blocks, 2, seed=4)
+        serial = run_sharded_sim("ab", trace, n_blocks, 2, SimConfig(seed=4))
         fanned = run_sharded_sim(
-            "ab", trace, n_blocks, 2, seed=4, workers=2
+            "ab", trace, n_blocks, 2, SimConfig(seed=4), workers=2
         )
         assert canon(serial.merged_sim_block()) == canon(
             fanned.merged_sim_block()
