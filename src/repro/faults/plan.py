@@ -52,7 +52,7 @@ def _unit(seed: int, tag: str, op: int, bucket: int, slot: int) -> float:
     return int.from_bytes(h, "big") / 2.0 ** 64
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _prefix(seed: int, kind: str) -> Any:
     """BLAKE2b fed ``f"{seed}|{kind}|"``, the head of ``_unit``'s bytes:
     made once per process, only ever copied."""
