@@ -76,14 +76,11 @@ def layer_of(module: str) -> str:
 
 
 class ProfiledClock:
-    """The e2e clock protocol, timing nothing: ``timed(fn)`` runs ``fn``
-    under one shared profiler."""
+    """The e2e clock's ``timed``, timing nothing: it runs ``fn`` under
+    one shared profiler."""
 
     def __init__(self) -> None:
         self.profile = cProfile.Profile()
-
-    def sample(self, n: int = 1) -> None:
-        pass
 
     def timed(self, fn: Callable[[], Any]) -> Any:
         from hostclock import Timed
