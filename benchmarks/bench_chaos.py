@@ -52,6 +52,6 @@ def test_chaos_smoke_campaign(benchmark):
             assert sim["degraded_reads"] == 0
 
     # Determinism: a second same-seed run reproduces every
-    # non-wall-clock byte.
+    # byte but the environment block.
     again = run_chaos(smoke_config())
     assert CHAOS.deterministic_bytes(again) == CHAOS.deterministic_bytes(doc)

@@ -55,6 +55,6 @@ def test_serve_smoke_matrix(benchmark):
         )
 
     # Determinism: a second same-seed run reproduces every
-    # non-wall-clock byte.
+    # byte but the environment block.
     again = run_serve(smoke_config())
     assert SERVE.deterministic_bytes(again) == SERVE.deterministic_bytes(doc)

@@ -18,8 +18,8 @@ Commands:
 - ``sweep``    -- scheme x benchmark matrix with normalized exec times;
 - ``perf``     -- the performance harness: ``perf run [--smoke]``
   emits a machine-readable report (default generated/BENCH_perf.json),
-  ``perf compare`` diffs two reports and fails on throughput
-  regressions (the CI gate);
+  ``perf compare`` diffs two reports and fails when simulated DRAM
+  ns per access rises (the CI gate);
 - ``faults``   -- the robustness harness: ``faults run [--smoke]``
   sweeps fault kind x rate against the integrity-verified data path
   and emits generated/BENCH_faults.json; ``--require-detection`` fails
@@ -28,7 +28,7 @@ Commands:
   replays seed-pinned open-loop workloads (Poisson / bursty arrivals,
   zipf popularity) through the batching request scheduler over the
   oblivious KV store and emits generated/BENCH_serve.json with
-  wall-clock and simulated-DRAM-ns latency percentiles;
+  simulated-DRAM-ns latency percentiles;
   ``--require-dedup-win`` fails unless the batch policy beats naive
   FIFO (the CI gate); ``--trace-out`` writes a per-request Perfetto
   timeline; ``serve chaos [--smoke]`` runs the fault-injection
@@ -374,7 +374,7 @@ _HARNESSES: Dict[str, _Harness] = {
     "perf": _Harness(
         "repro.perf.runner", "run_perf",
         fields=("schemes", "benchmarks", "levels", "n_requests",
-                "warmup_requests", "seed", "repeats"),
+                "warmup_requests", "seed"),
     ),
     "faults": _Harness(
         "repro.faults.campaign", "run_campaign",
@@ -622,8 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         perf_sub, "run", "perf", "run the perf matrix",
         smoke_help="seconds-scale matrix for CI",
         workers_help="process-pool width for the matrix cells; the "
-                     "sim blocks are identical to --workers 1, only "
-                     "wall_s/accesses_per_s are host-dependent")
+                     "report is byte-identical to --workers 1")
     pr.add_argument("--schemes", nargs="+", default=None,
                     choices=ALL_SCHEMES)
     pr.add_argument("--benchmarks", nargs="+", default=None)
@@ -633,12 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--warmup", type=int, default=None,
                     dest="warmup_requests", metavar="WARMUP")
     pr.add_argument("--seed", type=int, default=None)
-    pr.add_argument("--repeats", type=int, default=None,
-                    help="per-cell repeats; wall time is the best run")
 
     pc = perf_sub.add_parser("compare", help="diff two perf reports (a "
-                                             "throughput drop over 10%% "
-                                             "is a regression)")
+                                             "simulated ns/access rise "
+                                             "over 10%% is a regression)")
     pc.add_argument("baseline", help="baseline BENCH_perf.json")
     pc.add_argument("new", help="candidate BENCH_perf.json")
     pc.add_argument("--warn-only", action="store_true",
@@ -676,8 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay open-loop workloads through the batching scheduler",
         smoke_help="seconds-scale matrix for CI",
         workers_help="process-pool width for the workload x policy "
-                     "cells; the sim blocks are byte-identical to "
-                     "--workers 1, only wall_* fields are host-dependent")
+                     "cells; the report is byte-identical to --workers 1")
     sb.add_argument("--levels", type=int, default=None)
     sb.add_argument("--seed", type=int, default=None)
     sb.add_argument("--trace-out", default=None, metavar="PATH",
@@ -695,8 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fault-injection campaign under live serving load",
         smoke_help="seconds-scale campaign for CI",
         workers_help="process-pool width for the campaign cells; the "
-                     "sim blocks are byte-identical to --workers 1, "
-                     "only wall_* fields are host-dependent")
+                     "report is byte-identical to --workers 1")
     sx.add_argument("--levels", type=int, default=None)
     sx.add_argument("--seed", type=int, default=None)
     sx.add_argument("--trace-out", default=None, metavar="PATH",
@@ -729,8 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
         smoke_help="seconds-scale curve for CI (2^16 blocks, "
                    "shards 1/2/4, plus the kill-a-shard drill)",
         workers_help="process-pool width for each fleet's shards; "
-                     "the report is byte-identical to --workers 1 "
-                     "except the wall_s fields")
+                     "the report is byte-identical to --workers 1")
     ss.add_argument("--seed", type=int, default=None)
     ss.add_argument("--measured-levels", type=int, default=None,
                     help="tree depth the measured shard stacks run at "

@@ -221,7 +221,7 @@ def run_sharded_sim(
     for i, res in enumerate(outputs):
         if not res.ok:
             raise RuntimeError(f"shard {i} simulation failed:\n{res.error}")
-        outcome.per_shard.append(res.value[0])
+        outcome.per_shard.append(res.value)
     return outcome
 
 

@@ -197,7 +197,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> Dict[str, Any]:
     )
     if not base_res.ok:
         raise RuntimeError(f"fault-free baseline failed:\n{base_res.error}")
-    base: SimResult = base_res.value[0]
+    base: SimResult = base_res.value
     base_ds = (base.robustness or {}).get("datastore") or {}
     baseline = {
         "exec_ns": float(base.exec_ns),
@@ -207,7 +207,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> Dict[str, Any]:
     }
     cells = [
         CellResult(res.key, True, _cell(
-            ident["fault"], ident["rate"], res.value[0], baseline["exec_ns"],
+            ident["fault"], ident["rate"], res.value, baseline["exec_ns"],
         )) if res.ok else res
         for ident, res in zip(identities, outputs)
     ]

@@ -1,10 +1,10 @@
 """The ``BENCH_faults.json`` report format.
 
 Mirrors :mod:`repro.perf.schema`: a :class:`repro.report.ReportSpec`
-run by the shared report kernel. Unlike the perf report,
-every field here is *deterministic* -- there are no wall-clock numbers
-and no timestamps -- so two back-to-back runs of the same campaign
-produce byte-identical files, and CI can diff them directly.
+run by the shared report kernel. Like every report, every field here
+is *deterministic* -- there are no wall-clock numbers and no
+timestamps -- so two back-to-back runs of the same campaign produce
+byte-identical files, and CI can diff them directly.
 
 Top-level document::
 

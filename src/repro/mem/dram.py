@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.mem.address_map import (
-    BANK_MASK, BANK_SHIFT, CHANNEL_MASK, LINE_BYTES, N_BANKS, N_CHANNELS,
-    ROW_SHIFT,
+    BANK_MASK, BANK_SHIFT, CHANNEL_MASK, N_BANKS, N_CHANNELS, ROW_SHIFT,
 )
 from repro.mem.timing import DDR3_1600, DramTiming
 
@@ -338,10 +337,6 @@ class DramModel:
             if oldest[1] > self._bank_floor[bank_idx]:
                 self._bank_floor[bank_idx] = oldest[1]
         return t
-
-    def access(self, byte_addr: int, write: bool, arrival_ns: float) -> float:
-        """Service one 64B request; returns its completion time (ns)."""
-        return self.access_lines((byte_addr // LINE_BYTES,), write, arrival_ns)
 
     def access_lines(
         self, lines: Sequence[int], write: bool, arrival_ns: float

@@ -173,13 +173,6 @@ class BucketStore:
         """Local slots of ``bucket`` holding a real block, ascending."""
         return [s for s, v in enumerate(self.row(bucket)) if v >= 0]
 
-    def dead_slots(self, bucket: int) -> List[int]:
-        """Slots whose status is DEAD (consumed, not yet queued/reused)."""
-        base = bucket * self.width
-        st = self.status
-        return [s for s in range(self._z_list[bucket])
-                if st[base + s] == ST_DEAD]
-
     def usable_slots(self, bucket: int) -> List[int]:
         """Slots this bucket may rewrite at reshuffle (not rented out)."""
         base = bucket * self.width

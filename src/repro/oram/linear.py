@@ -52,8 +52,9 @@ class LinearScanOram:
         for i in range(self.n_blocks):
             # Every slot is read and rewritten so the memory cannot
             # tell which one mattered.
-            self.sink.data_access(0, i, 0, write=False)
-            self.sink.data_access(0, i, 0, write=True)
+            item = ((0, i, 0, False, False),)
+            self.sink.data_access_many(item, False)
+            self.sink.data_access_many(item, True)
         if write and self._data is not None:
             self._data[block] = value
         result = self._data[block] if self._data is not None else None

@@ -82,15 +82,11 @@ class Stash:
             raise KeyError(f"block {block} not in stash")
         self._blocks[block] = new_leaf
 
-    def remove(self, block: int) -> int:
-        """Remove a block; returns its leaf label."""
-        return self._blocks.pop(block)
-
     def remove_many(self, blocks: Iterable[int]) -> None:
-        """Bulk :meth:`remove` in iteration order (reshuffle refill).
+        """Remove resident blocks in iteration order (reshuffle refill).
 
-        Raises ``KeyError`` on the first non-resident block, exactly as
-        the per-block calls would.
+        Raises ``KeyError`` on the first non-resident block, the ones
+        before it already removed.
         """
         pop = self._blocks.pop
         for block in blocks:

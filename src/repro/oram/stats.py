@@ -59,8 +59,6 @@ class MemorySink:
     The unit of memory work is a batch (a whole path of buckets), so the
     protocol is the two batch primitives -- :meth:`data_access_many` and
     :meth:`metadata_access_many` -- and a sink implements only those.
-    The scalar :meth:`data_access` / :meth:`metadata_access` are the
-    batch of one, defined once, here.
     """
 
     _op_kind: Optional[OpKind] = None
@@ -80,29 +78,6 @@ class MemorySink:
         self, items: Sequence[MetaItem], write: bool, blocks: int = 1
     ) -> None:
         """Bucket-metadata touches, ``blocks`` 64B units per bucket."""
-
-    def data_access(
-        self,
-        bucket: int,
-        slot: int,
-        level: int,
-        write: bool,
-        onchip: bool = False,
-        remote: bool = False,
-    ) -> None:
-        """One data-block touch at ``(bucket, slot)``."""
-        self.data_access_many(((bucket, slot, level, onchip, remote),), write)
-
-    def metadata_access(
-        self,
-        bucket: int,
-        level: int,
-        write: bool,
-        onchip: bool = False,
-        blocks: int = 1,
-    ) -> None:
-        """One bucket-metadata touch (``blocks`` 64B units)."""
-        self.metadata_access_many(((bucket, level, onchip),), write, blocks)
 
     def stall(self, ns: float) -> None:
         """Charge ``ns`` of controller stall time (retry backoff) to the

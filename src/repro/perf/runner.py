@@ -1,14 +1,13 @@
 """Run the perf matrix and build a report document.
 
-Every repeat of a serial or pipelined cell is one job of one
+Every serial or pipelined cell is one job of one
 :func:`repro.sim.runner.run_sims` fan-out, and so is every shard of a
 sharded cell (:func:`repro.core.sharding.sharded.shard_jobs`). The
-parent makes each trace once and folds the jobs back into cells: a
-cell's ``wall_s`` is its best repeat, a sharded repeat's wall the sum
-of its shard walls. The simulation itself is fully deterministic (pinned seeds for trace generation, warm fill and the
-protocol RNG), so the ``sim`` block of a cell only changes when the
-simulator's behaviour changes -- which is exactly what makes the report
-comparable across commits.
+parent makes each trace once and folds the jobs back into cells. The
+simulation is fully deterministic (pinned seeds for trace generation,
+warm fill and the protocol RNG), so the ``sim`` block of a cell only
+changes when the simulator's behaviour changes -- which is exactly what
+makes the report comparable across commits.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class PerfConfig:
     n_requests: int = 2000
     warmup_requests: int = 400
     seed: int = 0
-    repeats: int = 1
     smoke: bool = False
     #: Extra pipelined cells as (scheme, bench, depth) triples, run
     #: after the serial cross product. Each shares the matrix sizes
@@ -56,10 +54,6 @@ class PerfConfig:
     workers: int = 1
     progress: Any = None  # callable(str) for live cell updates
 
-    def __post_init__(self) -> None:
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "schemes": list(self.schemes),
@@ -69,7 +63,6 @@ class PerfConfig:
             "n_requests": self.n_requests,
             "warmup_requests": self.warmup_requests,
             "seed": self.seed,
-            "repeats": self.repeats,
             "smoke": self.smoke,
             "pipeline_cells": [list(t) for t in self.pipeline],
             "shard_cells": [list(t) for t in self.shards],
@@ -119,7 +112,6 @@ def smoke_config(**overrides: Any) -> PerfConfig:
         levels=10,
         n_requests=500,
         warmup_requests=100,
-        repeats=1,
         smoke=True,
         # The reshuffle-heavy pipelined cell: ns/mcf at depth 4 is the
         # tracked >= 1.5x speedup cell (vs its serial ns/mcf twin).
@@ -148,10 +140,10 @@ def run_perf(cfg: Optional[PerfConfig] = None) -> Dict[str, Any]:
 
     ``cfg.workers > 1`` fans the jobs of every cell over a process
     pool; the merged ``cells`` list keeps matrix order and its ``sim``
-    blocks are bit-identical to a serial run (only ``wall_s`` is
-    host-dependent). A cell whose jobs cannot be built, or one of whose
-    jobs raises -- or dies outright -- becomes an ``{"scheme", "trace",
-    "error"}`` entry instead of aborting the sweep.
+    blocks are bit-identical to a serial run. A cell whose jobs cannot
+    be built, or one of whose jobs raises -- or dies outright --
+    becomes an ``{"scheme", "trace", "error"}`` entry instead of
+    aborting the sweep.
     """
     cfg = cfg or full_config()
     quads = [(s, b, 1, 1) for s in cfg.schemes for b in cfg.benchmarks]
@@ -189,12 +181,10 @@ def run_perf(cfg: Optional[PerfConfig] = None) -> Dict[str, Any]:
             plans.append(CellResult(key, False, None, traceback.format_exc()))
             continue
         plans.append((outcome, len(cell_jobs)))
-        for r in range(cfg.repeats):
-            tag = key if cfg.repeats == 1 else f"{key}#{r + 1}"
-            jobs += [
-                Cell(tag if outcome is None else f"{tag}/shard:{i}", job)
-                for i, job in enumerate(cell_jobs)
-            ]
+        jobs += [
+            Cell(key if outcome is None else f"{key}/shard:{i}", job)
+            for i, job in enumerate(cell_jobs)
+        ]
     outputs = iter(run_sims(jobs, workers=cfg.workers, progress=cfg.progress))
     cells: List[CellResult] = []
     for identity, plan in zip(identities, plans):
@@ -202,23 +192,18 @@ def run_perf(cfg: Optional[PerfConfig] = None) -> Dict[str, Any]:
             cells.append(plan)
             continue
         outcome, n_jobs = plan
-        runs = [[next(outputs) for _ in range(n_jobs)]
-                for _ in range(cfg.repeats)]
-        failed = [res for run in runs for res in run if not res.ok]
+        run = [next(outputs) for _ in range(n_jobs)]
+        failed = [res for res in run if not res.ok]
         if failed:
             cells.append(failed[0])
             continue
-        wall = min(sum(res.value[1] for res in run) for run in runs)
-        results = [res.value[0] for res in runs[-1]]
+        results = [res.value for res in run]
         if outcome is None:
             sim = results[0].sim_block()
         else:
             outcome.per_shard = results
             sim = outcome.merged_sim_block()
-        cells.append(CellResult(PERF.cell_key(identity), True, {
-            **identity,
-            "wall_s": wall,
-            "accesses_per_s": cfg.n_requests / wall if wall > 0 else 0.0,
-            "sim": sim,
-        }))
+        cells.append(CellResult(
+            PERF.cell_key(identity), True, {**identity, "sim": sim},
+        ))
     return assemble(PERF, cfg.to_dict(), identities, cells)

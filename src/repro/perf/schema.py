@@ -19,8 +19,6 @@ One cell per (scheme, trace) pair::
 
     {
       "scheme": "ring", "trace": "mcf",
-      "wall_s": 0.63,            # host-dependent
-      "accesses_per_s": 3171.9,  # host-dependent (requests / wall_s)
       "sim": {                   # bit-deterministic for a code version
         "exec_ns": ..., "ns_per_access": ..., "stash_peak": ...,
         "reshuffles_total": ..., "reshuffles_by_level": [...],
@@ -30,11 +28,12 @@ One cell per (scheme, trace) pair::
       }
     }
 
-``accesses_per_s`` is what the compare gate checks (exit 1 when a cell
-drops more than ``DEFAULT_THRESHOLD_PCT``, 10 percent); the ``sim``
-block lets tests assert run-to-run determinism and is diffed for the
-summary text but never gates -- it legitimately changes when simulator
-behaviour changes, and such changes must be reviewed, not blocked.
+``sim.ns_per_access`` is what the compare gate checks (exit 1 when a
+cell's simulated DRAM time per access rises more than
+``DEFAULT_THRESHOLD_PCT``, 10 percent). Every field is a pure function
+of the code and the config, so a failed compare is a change of
+behaviour, never host noise; the rest of ``sim`` is diffed for the
+summary text but never gates.
 
 A cell whose worker failed (crashed process, raised exception) is
 recorded as an *error cell* instead of silently shrinking the matrix::
@@ -48,7 +47,7 @@ gate treats a baseline cell that errored in the new report as an ERROR
 
 from __future__ import annotations
 
-from repro.report import AT_LEAST_ONE, NUM, POSITIVE, Gate, ReportSpec
+from repro.report import AT_LEAST_ONE, NUM, Gate, ReportSpec
 
 PERF = ReportSpec(
     kind="repro-perf-report",
@@ -60,7 +59,6 @@ PERF = ReportSpec(
         "n_requests": int,
         "warmup_requests": int,
         "seed": int,
-        "repeats": int,
         "smoke": bool,
         # Optional (reports written before they existed stay valid):
         # extra pipelined cells as [scheme, trace, depth] triples and
@@ -71,8 +69,6 @@ PERF = ReportSpec(
     cell={
         "scheme": str,
         "trace": str,
-        "wall_s": POSITIVE,
-        "accesses_per_s": NUM,
         # A pipelined cell carries the depth it ran at and a sharded
         # cell the fleet width (serial cells omit both, keeping
         # historical reports byte-identical).
@@ -99,19 +95,16 @@ PERF = ReportSpec(
     # keeps the historical two-part key).
     key="{scheme}/{trace}",
     key_suffixes=(("pipeline_depth", "@p{}"), ("shards", "@s{}")),
-    host_fields=("wall_s", "accesses_per_s"),
     gates=(
-        Gate("accesses_per_s", "higher", "pct",
-             show="{old:.1f} -> {new:.1f} acc/s ({delta:+.1f}%)",
-             fail=" exceeds -{limit:g}% threshold", positive=True),
+        Gate("sim.ns_per_access", "lower", "pct",
+             show="{old:.1f} -> {new:.1f} ns/access ({delta:+.1f}%)",
+             fail=" exceeds +{limit:g}% threshold", positive=True),
     ),
     drift=("sim.*",),
     drift_label="sim metrics drifted",
     title=("perf matrix ({flavor}): L={levels} requests={n_requests} "
            "warmup={warmup_requests} seed={seed}"),
     summary=(
-        ("wall_s", "wall_s"),
-        ("acc_per_s", "accesses_per_s"),
         ("ns_per_access", "sim.ns_per_access"),
         ("stash_peak", "sim.stash_peak"),
         ("reshuffles", "sim.reshuffles_total"),

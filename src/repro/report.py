@@ -11,9 +11,10 @@ envelope::
     }
 
 and differs only in *tables*: which config and cell fields exist, which
-fields name a cell, which are host-dependent, and which metrics gate a
-comparison. A :class:`ReportSpec` holds those tables (one per report
-kind, declared next to its format docstring in ``repro.perf.schema``,
+fields name a cell, and which metrics gate a comparison. Every field is
+simulated or counted; only ``environment`` describes the host. A
+:class:`ReportSpec` holds those tables (one per report kind, declared
+next to its format docstring in ``repro.perf.schema``,
 ``repro.faults.schema`` and ``repro.serve.schema``) and everything else
 -- validation, cell keys, error cells, the deterministic view, the
 regression gate, loading and assembling documents -- runs off the spec
@@ -200,8 +201,7 @@ class ReportSpec:
     ``key`` is a format string over the identity fields of a cell
     (``"{scheme}/{trace}"``); ``key_suffixes`` are optional integer
     identity fields appended when > 1 (``("shards", "@s{}")``).
-    ``blocks`` are extra required top-level blocks, ``host_fields`` the
-    per-cell fields :meth:`deterministic_view` strips, ``checks`` extra
+    ``blocks`` are extra required top-level blocks, ``checks`` extra
     ``(cell, where, errors)`` invariants run on shape-clean result
     cells, ``gates`` + ``drift`` the comparison (``drift`` paths are
     diffed for the note only; ``"sim.*"`` means every key of ``sim``).
@@ -219,7 +219,6 @@ class ReportSpec:
     key: str
     key_suffixes: Tuple[Tuple[str, str], ...] = ()
     blocks: Table = field(default_factory=dict)
-    host_fields: Tuple[str, ...] = ()
     checks: Tuple[Callable[[Dict[str, Any], str, List[str]], None], ...] = ()
     gates: Tuple[Gate, ...] = ()
     drift: Tuple[str, ...] = ()
@@ -309,18 +308,13 @@ class ReportSpec:
     # -------------------------------------------------- deterministic view
 
     def deterministic_view(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        """The report minus every host-dependent field.
+        """The report minus its host description.
 
         Two runs with the same config -- on any machine, at any worker
-        count -- must produce identical views: the ``environment``
-        block and the per-cell ``host_fields`` are dropped.
+        count -- must produce identical views: only the ``environment``
+        block is dropped.
         """
-        view = {k: v for k, v in doc.items() if k != "environment"}
-        view["cells"] = [
-            {k: v for k, v in cell.items() if k not in self.host_fields}
-            for cell in doc.get("cells", [])
-        ]
-        return view
+        return {k: v for k, v in doc.items() if k != "environment"}
 
     def deterministic_bytes(self, doc: Dict[str, Any]) -> bytes:
         """Canonical JSON encoding of :meth:`deterministic_view`."""

@@ -7,9 +7,8 @@ of :func:`repro.serve.fleet.serve_fleets` -- the one shard task every
 served report cell runs -- so each workload is generated once, in the
 parent, and served under every policy; the parent cuts the cell from
 the shard's shipped counters and completions and writes the trace. The
-``sim`` block of a cell is a pure function of the config, so the
-report's deterministic fields are byte-identical across runs, machines
-and worker counts; only wall-clock fields vary.
+``sim`` block of a cell is a pure function of the config, so every
+cell is byte-identical across runs, machines and worker counts.
 
 The matrix always pairs the ``batch`` scheduler against the naive
 ``fifo`` baseline over identical workloads -- the report is the
@@ -178,16 +177,7 @@ def _fold_cell(
     }
     if "security" in counters:
         sim["security"] = counters["security"]
-    wall_s = shard["wall_s"]
-    wall_us = percentiles([c.wall_s * 1e6 for c in comps])
-    return {
-        "workload": workload.name,
-        "policy": policy,
-        "wall_s": wall_s,
-        "requests_per_s_wall": len(comps) / wall_s if wall_s > 0 else 0.0,
-        "wall_latency_us": {k: wall_us[k] for k in ("p50", "p99", "p999")},
-        "sim": sim,
-    }
+    return {"workload": workload.name, "policy": policy, "sim": sim}
 
 
 # ------------------------------------------------------------------ runner

@@ -301,15 +301,7 @@ def _fold_cell(
 
     sim = fold_shards(results, _SUMMED, cell.workload.n_requests)
     shards = [res.value for res in results]
-    wall_s = sum(v["wall_s"] for v in shards)
-    doc = {
-        "name": cell.name,
-        "wall_s": wall_s,
-        "requests_per_s_wall": (
-            sim["completions"] / wall_s if wall_s > 0 else 0.0
-        ),
-        "sim": sim,
-    }
+    doc = {"name": cell.name, "sim": sim}
     if cfg.num_shards == 1:
         del sim["control"]
         if "security" in shards[0]["counters"]:

@@ -227,8 +227,7 @@ def _fleet_shard_task(payload: Tuple[Any, ...]) -> Dict[str, Any]:
     no state crosses calls. Returns the shard's deterministic report
     block, its serving window and degraded episodes (the control
     plane's input), its served latencies and -- under
-    ``arming.detail`` -- the rest of the slice. ``wall_s``, the host
-    serving time, stays out of every deterministic view.
+    ``arming.detail`` -- the rest of the slice.
     """
     cfg, shard = payload[:2]
     arming, (items, reqs) = payload[2:] or (
@@ -262,7 +261,6 @@ def _fleet_shard_task(payload: Tuple[Any, ...]) -> Dict[str, Any]:
         },
         "window": (result.start_ns, result.end_ns, list(result.episodes)),
         "latencies": latencies,
-        "wall_s": result.wall_s,
     }
     if arming.detail:
         out.update(

@@ -11,7 +11,7 @@ dedup hit off a batch-mate's access, or a coalesced write).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 #: Operation kinds (string constants keep records JSON-friendly).
@@ -87,10 +87,6 @@ class Completion:
     #: Served without an oblivious access while the store ran degraded
     #: (stash-resident payloads or the write journal answered it).
     degraded: bool = False
-    #: Host wall time spent in the executing operation (seconds);
-    #: shared by every waiter of a deduped access. Host-dependent --
-    #: never part of the deterministic report fields.
-    wall_s: float = field(default=0.0, repr=False)
 
     @property
     def latency_ns(self) -> float:

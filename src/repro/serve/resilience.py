@@ -53,7 +53,6 @@ every ``ok`` answer equals the serial-replay answer.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -131,8 +130,6 @@ class ReplayResult:
     #: Simulated serving window (loop entry to last completion).
     start_ns: float
     end_ns: float
-    #: Host wall time of the serving loop (host-dependent).
-    wall_s: float
     #: One entry per degraded episode: ``{"enter_ns", "exit_ns",
     #: "rebuilt", "journal_replayed"}`` (exit includes the rebuild and
     #: the journal replay, so ``exit - enter`` is time-to-recover).
@@ -213,7 +210,7 @@ def resilient_replay(
     faulty = stack.faulty
 
     result = ReplayResult(
-        completions=[], start_ns=sink.now, end_ns=sink.now, wall_s=0.0,
+        completions=[], start_ns=sink.now, end_ns=sink.now,
     )
     completions = result.completions
     events = result.events
@@ -338,7 +335,6 @@ def resilient_replay(
             enter_degraded(exit_ns)
 
     i, n = 0, len(requests)
-    wall0 = time.perf_counter()
     while True:
         now = sink.now
         if sampler is not None:
@@ -454,7 +450,6 @@ def resilient_replay(
         sink.advance(target - now)
 
     result.end_ns = sink.now
-    result.wall_s = time.perf_counter() - wall0
     if sampler is not None:
         sampler.finish(result.end_ns, completions)
     return result

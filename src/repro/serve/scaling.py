@@ -222,10 +222,9 @@ def memory_block(
 
 def _scaling_cell(
     key: str, cell: ScalingCell, doc: Dict[str, Any],
-    results: Sequence[CellResult],
 ) -> CellResult:
-    """One capacity point's report cell from its fleet's shard results
-    (an errored shard makes the whole point an error cell)."""
+    """One capacity point's report cell from its fleet document (an
+    errored shard makes the whole point an error cell)."""
     if "error" in doc:
         failed = [s for s in doc["shards"] if "error" in s]
         return CellResult(key, False, error=(
@@ -237,7 +236,6 @@ def _scaling_cell(
         "shards": cell.shards,
         "total_blocks": cell.total_blocks,
         "drill": cell.drill is not None,
-        "serve_wall_s": sum(res.value["wall_s"] for res in results),
         "memory": memory_block(FleetConfig.scheme, cell.total_blocks,
                                cell.shards),
         "sim": {
@@ -255,12 +253,8 @@ def run_scaling(cfg: Optional[ScalingConfig] = None) -> Dict[str, Any]:
     :func:`~repro.serve.fleet.serve_fleets` fan-out, so the points
     share one generation per workload and ``cfg.workers > 1`` one
     process pool; the ``sim`` blocks are byte-identical to a serial run
-    (the serial==workers determinism gate). A point's ``serve_wall_s``
-    is the sum of its shards' serving-loop walls: it leaves out build,
-    preload and the pool, and adds up shards that ran side by side, so
-    it is not the point's elapsed wall (one shared fan-out has none).
-    A point any of whose shards raises becomes an
-    ``{"name", "shards", "error"}`` entry.
+    (the serial==workers determinism gate). A point any of whose shards
+    raises becomes an ``{"name", "shards", "error"}`` entry.
     """
     cfg = cfg or smoke_config()
     if not cfg.cells:
@@ -278,8 +272,7 @@ def run_scaling(cfg: Optional[ScalingConfig] = None) -> Dict[str, Any]:
     served = serve_fleets(fleets, cfg.workers, cfg.progress)
     identities = [{"name": c.name, "shards": c.shards} for c in cfg.cells]
     outputs = [
-        _scaling_cell(SCALING.cell_key(ident), cell,
-                      fleet_doc(fleet, results), results)
+        _scaling_cell(SCALING.cell_key(ident), cell, fleet_doc(fleet, results))
         for ident, cell, (fleet, _), results
         in zip(identities, cfg.cells, fleets, served)
     ]

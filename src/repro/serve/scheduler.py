@@ -39,7 +39,6 @@ it against ``"batch"`` to quantify the scheduler's access savings.
 from __future__ import annotations
 
 import hashlib
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.app.kvstore import ObliviousKV
@@ -199,7 +198,7 @@ class BatchScheduler:
         kv = self.kv
         clock = self.clock
         cached: Any = _UNSET
-        cached_window = (0.0, 0.0, 0.0)   # (start_ns, done_ns, wall_s)
+        cached_window = (0.0, 0.0)   # (start_ns, done_ns)
         deferred: List[Completion] = []
         for i, req in enumerate(reqs):
             if (
@@ -230,29 +229,27 @@ class BatchScheduler:
                     # blocks sit in the stash after the shared access),
                     # so this client is served without a new access.
                     self.dedup_hits += 1
-                    start, done, wall = cached_window
+                    start, done = cached_window
                     out.append(Completion(
                         rid=req.rid, op=GET, key=req.key, value=cached,
                         ok=True, arrival_ns=req.arrival_ns,
                         start_ns=start, done_ns=done,
-                        accesses=0, dedup=True, wall_s=wall,
+                        accesses=0, dedup=True,
                     ))
                     continue
                 t0 = clock()
                 a0 = kv.oram.online_accesses
-                w0 = time.perf_counter()
                 value = kv.get(req.key)
-                wall = time.perf_counter() - w0
                 done = clock()
                 if value is None:
                     self.absent_gets += 1
                 cached = value
-                cached_window = (t0, done, wall)
+                cached_window = (t0, done)
                 out.append(Completion(
                     rid=req.rid, op=GET, key=req.key, value=value,
                     ok=value is not None, arrival_ns=req.arrival_ns,
                     start_ns=t0, done_ns=done,
-                    accesses=kv.oram.online_accesses - a0, wall_s=wall,
+                    accesses=kv.oram.online_accesses - a0,
                 ))
             elif req.op == PUT:
                 if superseded[i]:
@@ -269,42 +266,38 @@ class BatchScheduler:
                     continue
                 t0 = clock()
                 a0 = kv.oram.online_accesses
-                w0 = time.perf_counter()
                 kv.put(req.key, req.value)
-                wall = time.perf_counter() - w0
                 done = clock()
                 cached = req.value
-                cached_window = (t0, done, wall)
+                cached_window = (t0, done)
                 comp = Completion(
                     rid=req.rid, op=PUT, key=req.key, value=None, ok=True,
                     arrival_ns=req.arrival_ns, start_ns=t0, done_ns=done,
-                    accesses=kv.oram.online_accesses - a0, wall_s=wall,
+                    accesses=kv.oram.online_accesses - a0,
                 )
                 out.append(comp)
                 for d in deferred:
-                    d.start_ns, d.done_ns, d.wall_s = t0, done, wall
+                    d.start_ns, d.done_ns = t0, done
                 deferred.clear()
             else:   # DELETE
                 t0 = clock()
                 a0 = kv.oram.online_accesses
-                w0 = time.perf_counter()
                 existed = kv.delete(req.key)
-                wall = time.perf_counter() - w0
                 done = clock()
                 if cached is not _UNSET:
                     # A coalesced put may exist only logically; report
                     # the per-key-FIFO truth, not the store's.
                     existed = cached is not None
                 cached = None
-                cached_window = (t0, done, wall)
+                cached_window = (t0, done)
                 out.append(Completion(
                     rid=req.rid, op=DELETE, key=req.key, value=None,
                     ok=existed, arrival_ns=req.arrival_ns,
                     start_ns=t0, done_ns=done,
-                    accesses=kv.oram.online_accesses - a0, wall_s=wall,
+                    accesses=kv.oram.online_accesses - a0,
                 ))
                 for d in deferred:
-                    d.start_ns, d.done_ns, d.wall_s = t0, done, wall
+                    d.start_ns, d.done_ns = t0, done
                 deferred.clear()
         # Per-key FIFO guarantees deferred puts are always flushed: a
         # superseded put implies a later write in the same group.

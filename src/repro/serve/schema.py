@@ -18,9 +18,6 @@ One cell per (workload, policy) pair::
 
     {
       "workload": "zipf-bursty", "policy": "batch",
-      "wall_s": 1.2,                  # host-dependent
-      "requests_per_s_wall": 1630.0,  # host-dependent
-      "wall_latency_us": {"p50": ..., "p99": ..., "p999": ...},  # host-dep.
       "sim": {                        # deterministic for a code version
         "requests": ..., "accesses_issued": ..., "dedup_hits": ...,
         "coalesced_puts": ..., "absent_gets": ...,
@@ -37,9 +34,9 @@ One cell per (workload, policy) pair::
 
 The ``sim`` block is a pure function of the config (seeded workload
 generation, seeded ORAM, event-based DRAM timing), so CI asserts it is
-byte-identical across runs and worker counts; ``wall_*`` fields are
-the only host-dependent numbers, and the deterministic view strips
-exactly those (plus ``environment``) for the identity check.
+byte-identical across runs and worker counts; ``environment`` is the
+only host-dependent block, and the deterministic view strips it for
+the identity check.
 
 Error cells mirror the perf schema::
 
@@ -75,7 +72,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.report import (
-    FRACTION, NUM, PERCENTILES, POSITIVE, Gate, ReportSpec,
+    FRACTION, NUM, PERCENTILES, Gate, ReportSpec,
 )
 
 #: Terminal statuses: every ``status`` block carries all four counts.
@@ -111,9 +108,6 @@ SERVE = ReportSpec(
     cell={
         "workload": str,
         "policy": str,
-        "wall_s": POSITIVE,
-        "requests_per_s_wall": NUM,
-        "wall_latency_us": dict,
         "sim": {
             "requests": int,
             "accesses_issued": int,
@@ -132,7 +126,6 @@ SERVE = ReportSpec(
         },
     },
     key="{workload}/{policy}",
-    host_fields=("wall_s", "requests_per_s_wall", "wall_latency_us"),
     gates=(
         Gate("sim.requests_per_s_sim", "higher", "pct",
              show="{old:.0f} -> {new:.0f} req/s sim ({delta:+.1f}%)",
@@ -153,7 +146,6 @@ SERVE = ReportSpec(
         ("p50_us", "sim.latency_ns.p50", 1000.0),
         ("p99_us", "sim.latency_ns.p99", 1000.0),
         ("p999_us", "sim.latency_ns.p999", 1000.0),
-        ("wall_s", "wall_s"),
     ),
 )
 
@@ -186,8 +178,6 @@ CHAOS = ReportSpec(
     },
     cell={
         "name": str,
-        "wall_s": POSITIVE,
-        "requests_per_s_wall": NUM,
         "sim": {
             "requests": int,
             "completions": int,
@@ -216,7 +206,6 @@ CHAOS = ReportSpec(
         },
     },
     key="{name}",
-    host_fields=("wall_s", "requests_per_s_wall"),
     checks=(_accounting_closes,),
     gates=(
         Gate("sim.availability", "higher", "pp",
@@ -283,8 +272,6 @@ SCALING = ReportSpec(
         "shards": int,
         "total_blocks": int,
         "drill": bool,
-        # Sum of the shards' serving-loop walls (not elapsed time).
-        "serve_wall_s": POSITIVE,
         "memory": {
             "per_shard_capacity": int,
             "shard_levels": int,
@@ -318,7 +305,6 @@ SCALING = ReportSpec(
         },
     },
     key="{name}@s{shards}",
-    host_fields=("serve_wall_s",),
     checks=(_fleet_adds_up,),
     gates=(
         Gate("sim.fleet.ns_per_request", "lower", "pct",

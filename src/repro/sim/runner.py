@@ -6,8 +6,8 @@ loop (trace caching, per-scheme result maps) so each benchmark file
 stays a thin description of its figure.
 
 :func:`run_sims` is the one fan-out of simulated work: every simulated
-report cell -- a ``run_suite`` (scheme, benchmark) pair, each repeat or
-shard of a perf cell, the fault campaign's baseline and each of its
+report cell -- a ``run_suite`` (scheme, benchmark) pair, each perf cell
+or shard of one, the fault campaign's baseline and each of its
 cells, each shard of ``run_sharded_sim`` -- is one ``(OramConfig,
 Trace, SimConfig)`` job of one :func:`run_cells` call over one task. A
 job is a single simulation, never a sweep, so fan-outs do not nest.
@@ -18,14 +18,13 @@ observer-free ``SimConfig``.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.oram.config import OramConfig
 from repro.parallel.executor import Cell, CellResult, report_progress, run_cells
 from repro.sim.engine import SimConfig, simulate
 from repro.sim.results import SimResult
-from repro.traces.parsec import parsec_benchmarks, parsec_trace
+from repro.traces.parsec import PARSEC, parsec_trace
 from repro.traces.spec import spec_benchmarks, spec_trace
 from repro.traces.trace import Trace
 
@@ -38,7 +37,7 @@ _SUITES: Dict[str, Callable] = {
 
 _SUITE_NAMES: Dict[str, Callable] = {
     "spec": spec_benchmarks,
-    "parsec": parsec_benchmarks,
+    "parsec": lambda: list(PARSEC),
 }
 
 
@@ -61,15 +60,11 @@ def make_trace(
 SimJob = Tuple[OramConfig, Trace, SimConfig]
 
 
-def _sim_task(payload: Tuple[str, OramConfig, Trace, SimConfig]) -> Tuple[
-    SimResult, float
-]:
-    """Picklable worker entry for one job: its result and wall seconds."""
+def _sim_task(payload: Tuple[str, OramConfig, Trace, SimConfig]) -> SimResult:
+    """Picklable worker entry for one job: its result."""
     key, cfg, trace, sim = payload
     report_progress(f"running {key} ...")
-    t0 = time.perf_counter()
-    result = simulate(cfg, trace, sim)
-    return result, time.perf_counter() - t0
+    return simulate(cfg, trace, sim)
 
 
 def run_sims(
@@ -77,10 +72,9 @@ def run_sims(
 ) -> List[CellResult]:
     """Run every ``Cell(key, SimJob)``; results in submission order.
 
-    An ok result's value is ``(SimResult, wall_s)``, ``wall_s`` the
-    job's own simulation time. Every job is seeded by its ``SimConfig``
-    alone, so results are bit-identical at any ``workers`` width; each
-    job's progress line names its key.
+    An ok result's value is the job's ``SimResult``. Every job is
+    seeded by its ``SimConfig`` alone, so results are bit-identical at
+    any ``workers`` width; each job's progress line names its key.
     """
     return run_cells(
         _sim_task,
@@ -138,5 +132,5 @@ def run_suite(
             # run_suite callers expect a complete result map; a failed
             # cell here is a bug, not a sweep condition to tolerate.
             raise RuntimeError(f"simulation cell {res.key} failed:\n{res.error}")
-        results[scheme_name][bench] = res.value[0]
+        results[scheme_name][bench] = res.value
     return results

@@ -16,6 +16,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "repro.traces.trace": ("Trace", "TraceRequest"),
     "repro.traces.generator": ("SyntheticTraceGenerator",),
     "repro.traces.spec": ("SPEC_CPU2017", "spec_trace", "spec_benchmarks"),
-    "repro.traces.parsec": ("PARSEC", "parsec_trace", "parsec_benchmarks"),
+    "repro.traces.parsec": ("PARSEC", "parsec_trace"),
     "repro.traces.io": ("load_trace", "save_trace"),
 })

@@ -12,7 +12,7 @@ spread of request rates, not exact rates.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.traces.generator import SyntheticTraceGenerator
 from repro.traces.trace import Trace
@@ -34,10 +34,6 @@ PARSEC: Dict[str, Tuple[float, float]] = {
 }
 
 
-def parsec_benchmarks() -> List[str]:
-    return list(PARSEC)
-
-
 def parsec_trace(
     name: str,
     n_oram_blocks: int,
@@ -47,7 +43,7 @@ def parsec_trace(
     """Synthesize the named PARSEC benchmark's trace."""
     if name not in PARSEC:
         raise KeyError(
-            f"unknown PARSEC benchmark {name!r}; choose from {parsec_benchmarks()}"
+            f"unknown PARSEC benchmark {name!r}; choose from {list(PARSEC)}"
         )
     read_mpki, write_mpki = PARSEC[name]
     gen = SyntheticTraceGenerator(n_oram_blocks=n_oram_blocks, seed=seed)

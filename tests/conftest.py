@@ -229,7 +229,7 @@ def recorded_ab_stream(accesses: int = 300) -> tuple:
 
 def replay_stream(sink, stream, scalar: bool = False) -> None:
     """Drive ``stream`` into ``sink`` through the two primitives, or
-    (``scalar``) one ``data_access``/``metadata_access`` per touch.
+    (``scalar``) one primitive call per touch.
     Clocked sinks get a CPU gap before every operation; 37.5 ns keeps
     every timestamp on the DDR timings' 1/4-ns grid, where float sums
     are exact however they are grouped."""
@@ -240,14 +240,12 @@ def replay_stream(sink, stream, scalar: bool = False) -> None:
             getattr(sink, name)(*args)
         elif name == "data_access_many":
             items, write = args
-            for bucket, slot, level, onchip, remote in items:
-                sink.data_access(bucket, slot, level, write,
-                                 onchip=onchip, remote=remote)
+            for item in items:
+                sink.data_access_many((item,), write)
         else:
             items, write, blocks = args
-            for bucket, level, onchip in items:
-                sink.metadata_access(bucket, level, write,
-                                     onchip=onchip, blocks=blocks)
+            for item in items:
+                sink.metadata_access_many((item,), write, blocks)
 
 
 # ------------------------------------------------- serving-loop reference

@@ -137,7 +137,8 @@ class TestQueries:
     def test_dead_slots(self, store):
         store.consume(1, 0)
         store.consume(1, 2)
-        assert list(store.dead_slots(1)) == [0, 2]
+        dead = Grid(store, "status")[1] == SlotStatus.DEAD
+        assert np.flatnonzero(dead).tolist() == [0, 2]
 
     def test_usable_slots_excludes_in_use_only(self, store):
         move(store, 5, 0, SlotStatus.IN_USE)

@@ -13,6 +13,7 @@ own steps, and every one it gates on is run by ``make lint`` too.
 from __future__ import annotations
 
 import re
+import subprocess
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -440,3 +441,75 @@ def test_fault_decision_guard_refuses_the_per_slot_adversary_only():
     assert [hit for hit in passed if re.search(pattern, hit)] == []
     memory = (ROOT / "src/repro/faults/memory.py").read_text()
     assert not re.search(pattern, memory)
+
+
+def _bash(script: str, cwd: Path) -> int:
+    """``script``'s exit status under the shell GitHub Actions runs a
+    ``run:`` step with (``bash -eo pipefail``)."""
+    return subprocess.run(["bash", "-eo", "pipefail", "-c", script],
+                          cwd=cwd, capture_output=True).returncode
+
+
+def test_host_clock_guard_refuses_the_old_readers_only(tmp_path):
+    """The test job's "One host clock" step fails on a ``src/repro``
+    holding the host-clock reads this tree deleted (the scheduler's and
+    the serving loop's ``perf_counter`` pairs, the simulation task's
+    timing) and passes one whose only reader is the threaded server's
+    service clock; the tree itself passes."""
+    (line,) = [
+        line for _, commands in _run_steps(CI.read_text())
+        for line in commands or () if "perf_counter" in line
+    ]
+    assert _bash(line, ROOT) == 0
+
+    def tree(files: Dict[str, str]) -> Path:
+        root = tmp_path / str(len(list(tmp_path.iterdir())))
+        for rel, text in files.items():
+            path = root / "src" / "repro" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return root
+
+    server = {"serve/server.py":
+              "self._t0 = time.perf_counter_ns()\n"
+              "return float(time.perf_counter_ns() - self._t0)\n"}
+    assert _bash(line, tree(server)) == 0
+    refused = [
+        ("serve/scheduler.py", "wall = time.perf_counter() - w0\n"),
+        ("serve/resilience.py", "wall0 = time.perf_counter()\n"),
+        ("sim/runner.py", "return result, time.perf_counter() - t0\n"),
+        ("perf/runner.py", "t0 = time.time()\n"),
+        ("serve/fleet.py", "start = time.monotonic()\n"),
+    ]
+    for rel, text in refused:
+        assert _bash(line, tree({**server, rel: text})) != 0, text
+
+
+def test_fidelity_job_cmps_every_committed_table(tmp_path):
+    """CI's fidelity job is ``make fidelity``: ``make bench``, then a
+    ``cmp`` of every ``benchmarks/out/*.txt`` against its
+    ``benchmarks/generated/`` twin. The recipe passes identical tables
+    and fails on one changed row or a missing twin."""
+    jobs = ci_run_commands(CI.read_text())
+    assert jobs.get("fidelity") == ["pip install -e .[dev]", "make fidelity"]
+    text = MAKEFILE.read_text()
+    assert make_prerequisites(text)["fidelity"] == {"bench"}
+    (script,) = [line.replace("$$", "$")
+                 for line in make_recipe(text, "fidelity")]
+    committed = sorted(p.name for p in (ROOT / "benchmarks" / "out").iterdir())
+    assert committed and all(name.endswith(".txt") for name in committed)
+    assert "serve_smoke.txt" in committed
+
+    out = tmp_path / "benchmarks" / "out"
+    gen = tmp_path / "benchmarks" / "generated"
+    out.mkdir(parents=True)
+    gen.mkdir()
+    rows = "scheme  exec\nring    1.00\nab      1.04\n"
+    for name in ("fig08.txt", "serve_smoke.txt"):
+        (out / name).write_text(rows)
+        (gen / name).write_text(rows)
+    assert _bash(script, tmp_path) == 0
+    (gen / "fig08.txt").write_text(rows.replace("1.04", "1.05"))
+    assert _bash(script, tmp_path) != 0
+    (gen / "fig08.txt").unlink()
+    assert _bash(script, tmp_path) != 0

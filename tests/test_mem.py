@@ -14,11 +14,11 @@ def _two_open_rows(first_write, second_write):
     rows are already open, so only the shared bus orders them; returns
     the gap between their completions."""
     dram = DramModel()
-    other_bank = am.ROW_BYTES * am.N_CHANNELS
-    dram.access(0, False, 0.0)
-    dram.access(other_bank, False, 0.0)
-    first = dram.access(0, first_write, 1000.0)
-    return dram.access(other_bank, second_write, 1000.0) - first
+    other_bank = am.LINES_PER_ROW * am.N_CHANNELS
+    dram.access_lines([0], False, 0.0)
+    dram.access_lines([other_bank], False, 0.0)
+    first = dram.access_lines([0], first_write, 1000.0)
+    return dram.access_lines([other_bank], second_write, 1000.0) - first
 
 
 class TestTiming:
@@ -28,9 +28,9 @@ class TestTiming:
         t = DDR3_1600
         assert (t.t_cas, t.t_cwd) == (13.75, 10.0)
         # Idle model, closed row: precharge + activate + column + burst.
-        assert DramModel().access(0, False, 0.0) == (
+        assert DramModel().access_lines([0], False, 0.0) == (
             t.t_rp + t.t_rcd + t.t_cas + t.burst_ns)
-        assert DramModel().access(0, True, 0.0) == (
+        assert DramModel().access_lines([0], True, 0.0) == (
             t.t_rp + t.t_rcd + t.t_cwd + t.burst_ns)
 
     def test_recovery_only_for_writes(self):
@@ -39,8 +39,8 @@ class TestTiming:
         t = DDR3_1600
         assert t.t_wr == 15.0
         reads, writes = DramModel(), DramModel()
-        r1, r2 = (reads.access(0, False, 0.0) for _ in range(2))
-        w1, w2 = (writes.access(0, True, 0.0) for _ in range(2))
+        r1, r2 = (reads.access_lines([0], False, 0.0) for _ in range(2))
+        w1, w2 = (writes.access_lines([0], True, 0.0) for _ in range(2))
         assert r2 - r1 == t.t_cas + t.burst_ns
         assert w2 - w1 == t.t_wr + t.t_cwd + t.burst_ns
 
@@ -111,8 +111,8 @@ class TestAddressMapping:
 class TestDramModel:
     def test_row_miss_then_hit(self):
         dram = DramModel()
-        t1 = dram.access(0, False, 0.0)
-        t2 = dram.access(64 * 4, False, t1)  # same channel 0, next column
+        t1 = dram.access_lines([0], False, 0.0)
+        t2 = dram.access_lines([4], False, t1)  # same channel 0, next column
         assert dram.stats.row_misses == 1
         assert dram.stats.row_hits == 1
         # The hit is served faster than the miss.
@@ -120,45 +120,45 @@ class TestDramModel:
 
     def test_different_channels_overlap(self):
         dram = DramModel()
-        t1 = dram.access(0, False, 0.0)
-        t2 = dram.access(64, False, 0.0)  # channel 1
+        t1 = dram.access_lines([0], False, 0.0)
+        t2 = dram.access_lines([1], False, 0.0)  # channel 1
         assert t2 == pytest.approx(t1)
 
     def test_same_bank_serializes(self):
         dram = DramModel()
         # Two lines in the same bank but different rows -> conflict.
         a = 0
-        b = am.N_CHANNELS * am.ROW_BYTES * am.N_BANKS  # same bank, next row
-        t1 = dram.access(a, False, 0.0)
-        t2 = dram.access(b, False, 0.0)
+        b = am.N_CHANNELS * am.LINES_PER_ROW * am.N_BANKS  # same bank, next row
+        t1 = dram.access_lines([a], False, 0.0)
+        t2 = dram.access_lines([b], False, 0.0)
         assert t2 > t1
 
     def test_completion_monotonic_per_channel(self):
         dram = DramModel()
-        times = [dram.access(64 * 4 * i, False, 0.0) for i in range(10)]
+        times = [dram.access_lines([4 * i], False, 0.0) for i in range(10)]
         assert times == sorted(times)
 
     def test_write_read_turnaround_penalty(self):
         fast = DramModel()
-        fast.access(0, True, 0.0)
-        t_after_write = fast.access(64 * 4, False, 0.0)
+        fast.access_lines([0], True, 0.0)
+        t_after_write = fast.access_lines([4], False, 0.0)
         clean = DramModel()
-        clean.access(0, False, 0.0)
-        t_after_read = clean.access(64 * 4, False, 0.0)
+        clean.access_lines([0], False, 0.0)
+        t_after_read = clean.access_lines([4], False, 0.0)
         assert t_after_write > t_after_read
 
     def test_activation_throttle(self):
         """Row misses on one channel cannot activate faster than tRRD."""
         dram = DramModel()
         # Hit different banks to avoid bank serialization; all misses.
-        addrs = [am.ROW_BYTES * am.N_CHANNELS * b for b in range(8)]
-        busy_span = max(dram.access(a, False, 0.0) for a in addrs)
-        assert busy_span >= DDR3_1600.t_rrd * (len(addrs) - 1)
+        lines = [am.LINES_PER_ROW * am.N_CHANNELS * b for b in range(8)]
+        busy_span = max(dram.access_lines([ln], False, 0.0) for ln in lines)
+        assert busy_span >= DDR3_1600.t_rrd * (len(lines) - 1)
 
     def test_stats_bytes(self):
         dram = DramModel()
         for i in range(5):
-            dram.access(64 * i, False, 0.0)
+            dram.access_lines([i], False, 0.0)
         assert dram.stats.bytes_transferred == 5 * 64
 
     def test_burst_batch(self):
@@ -170,9 +170,9 @@ class TestDramModel:
     def test_refresh_closes_rows(self):
         dram = DramModel()
         t = dram.timing
-        dram.access(0, False, 0.0)             # opens a row
+        dram.access_lines([0], False, 0.0)             # opens a row
         # Same line long after a refresh window: must be a miss again.
-        dram.access(0, False, t.t_refi * 2 + 1.0)
+        dram.access_lines([0], False, t.t_refi * 2 + 1.0)
         assert dram.stats.row_misses == 2
         assert dram.stats.refreshes >= 1
 
@@ -184,7 +184,7 @@ class TestDramModel:
         dram = DramModel(window=window)
         t = dram.timing
         arrival = t.t_refi + 0.5  # just after the refresh fires
-        done = dram.access(0, False, arrival)
+        done = dram.access_lines([0], False, arrival)
         assert done >= t.t_refi + t.t_rfc
 
     def test_refresh_leaves_earlier_windowed_slots_free(self):
@@ -205,17 +205,16 @@ class TestDramModel:
 
     def test_no_refresh_when_disabled(self):
         dram = DramModel(IDEAL_BUS)
-        dram.access(0, False, 0.0)
-        dram.access(0, False, 1e9)
+        dram.access_lines([0], False, 0.0)
+        dram.access_lines([0], False, 1e9)
         assert dram.stats.refreshes == 0
         assert dram.stats.row_hits == 1
 
     def test_ideal_bus_is_faster(self):
         """The ablation profile must strictly lower total latency."""
         real, ideal = DramModel(DDR3_1600), DramModel(IDEAL_BUS)
-        addrs = [i * 64 for i in range(64)]
-        t_real = max(real.access(a, i % 2 == 0, 0.0) for i, a in enumerate(addrs))
-        t_ideal = max(ideal.access(a, i % 2 == 0, 0.0) for i, a in enumerate(addrs))
+        t_real = max(real.access_lines([i], i % 2 == 0, 0.0) for i in range(64))
+        t_ideal = max(ideal.access_lines([i], i % 2 == 0, 0.0) for i in range(64))
         assert t_ideal <= t_real
 
 
@@ -263,11 +262,12 @@ class TestTreeLayout:
 
 
 class TestEntryPointsAgree:
-    """``access_lines`` and ``access`` are the byte-address loop they
-    replaced (``conftest.ReferenceDramModel``).
+    """``access_lines`` is the byte-address loop it replaced
+    (``conftest.ReferenceDramModel``), whether a group arrives as one
+    call or as one call per request.
 
     Seeded random streams of same-direction groups arriving together
-    are driven through each entry point on fresh models; completion
+    are driven through each way on fresh models; completion
     times, every ``DramStats`` field and the busy tallies must equal
     the reference's with ``==``. Arrivals sit on a 1/4-ns grid (as the
     DDR timings do), so the float busy tallies are exact sums.
@@ -316,8 +316,8 @@ class TestEntryPointsAgree:
             if how == "reference":
                 done.append(dram.access_batch(addrs, write, arrival))
             elif how == "access":
-                done.append(max(dram.access(a, write, arrival)
-                                for a in addrs))
+                done.append(max(dram.access_lines([line], write, arrival)
+                                for line in lines))
             else:
                 done.append(dram.access_lines(lines, write, arrival))
         return (done, asdict(dram.stats), dram.channel_busy_ns,

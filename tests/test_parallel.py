@@ -242,7 +242,6 @@ class TestOneFanOut:
         doc = run_perf(_tiny_perf(
             schemes=("ring", "ab"), benchmarks=("mcf", "xz"),
             pipeline=(("ring", "mcf", 2),), shards=(("ab", "xz", 2),),
-            repeats=2,
         ))
         assert len(doc["cells"]) == 6
         assert sorted(t[0] for t in built) == ["mcf", "xz"]

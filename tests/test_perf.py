@@ -62,8 +62,8 @@ class TestSchema:
 
     def test_rejects_missing_cell_field(self, tiny_report):
         doc = copy.deepcopy(tiny_report)
-        del doc["cells"][0]["accesses_per_s"]
-        assert any("accesses_per_s" in e for e in validate_report(doc))
+        del doc["cells"][0]["sim"]["ns_per_access"]
+        assert any("ns_per_access" in e for e in validate_report(doc))
 
     def test_rejects_bool_where_int_expected(self, tiny_report):
         doc = copy.deepcopy(tiny_report)
@@ -79,11 +79,6 @@ class TestSchema:
         doc = copy.deepcopy(tiny_report)
         doc["cells"].append(copy.deepcopy(doc["cells"][0]))
         assert any("duplicate" in e for e in validate_report(doc))
-
-    def test_rejects_nonpositive_wall(self, tiny_report):
-        doc = copy.deepcopy(tiny_report)
-        doc["cells"][0]["wall_s"] = 0.0
-        assert any("wall_s" in e for e in validate_report(doc))
 
     def test_non_dict_root(self):
         assert validate_report([1, 2]) != []
@@ -103,23 +98,22 @@ class TestCompare:
     def test_improvement_passes(self, tiny_report):
         new = copy.deepcopy(tiny_report)
         for cell in new["cells"]:
-            cell["accesses_per_s"] *= 2.0
-            cell["wall_s"] /= 2.0
+            cell["sim"]["ns_per_access"] /= 2.0
         code, messages = compare_reports(tiny_report, new)
         assert code == EXIT_OK
-        assert any("+100.0%" in m for m in messages)
+        assert any("-50.0%" in m for m in messages)
 
     def test_small_drop_within_threshold_passes(self, tiny_report):
         new = copy.deepcopy(tiny_report)
         for cell in new["cells"]:
-            cell["accesses_per_s"] *= 0.95
+            cell["sim"]["ns_per_access"] *= 1.05
         code, _ = compare_reports(tiny_report, new)
         assert code == EXIT_OK
 
     def test_regression_beyond_threshold_fails(self, tiny_report):
         new = copy.deepcopy(tiny_report)
         for cell in new["cells"]:
-            cell["accesses_per_s"] *= 0.5
+            cell["sim"]["ns_per_access"] *= 2.0
         code, messages = compare_reports(tiny_report, new)
         assert code == EXIT_REGRESSION
         assert any(m.startswith("REGRESSION") for m in messages)
@@ -222,17 +216,6 @@ class TestDeterminism:
         assert doc["config"]["smoke"] is True
         assert doc["config"]["schemes"] == ["ring"]
 
-    @pytest.mark.parametrize("repeats", [0, -3])
-    def test_repeats_below_one_rejected(self, repeats, tmp_path, capsys):
-        # The config block records the repeats the cells ran, so a
-        # value no loop honours is refused up front.
-        with pytest.raises(ValueError, match="repeats must be >= 1"):
-            smoke_config(repeats=repeats)
-        code = cli_main(["perf", "run", "--smoke", "--repeats", str(repeats),
-                         "--out", str(tmp_path / "x.json")])
-        assert code == 2
-        assert "repeats must be >= 1" in capsys.readouterr().err
-
     def test_default_matrix_shape(self):
         cfg = PerfConfig()
         assert cfg.schemes[0] == "ring"
@@ -271,7 +254,7 @@ class TestCli:
         base.write_text(json.dumps(doc))
         worse = copy.deepcopy(doc)
         for cell in worse["cells"]:
-            cell["accesses_per_s"] *= 0.5
+            cell["sim"]["ns_per_access"] *= 2.0
         new = tmp_path / "new.json"
         new.write_text(json.dumps(worse))
 

@@ -148,9 +148,9 @@ class TestWindowedDram:
         a = DramModel(DDR3_1600)
         b = DramModel(DDR3_1600, window=None)
         for i in range(200):
-            addr = (i * 4096 + (i % 3) * 64) % (1 << 22)
-            assert (a.access(addr, i % 2 == 0, i * 10.0)
-                    == b.access(addr, i % 2 == 0, i * 10.0))
+            line = (i * 64 + i % 3) % (1 << 16)
+            assert (a.access_lines([line], i % 2 == 0, i * 10.0)
+                    == b.access_lines([line], i % 2 == 0, i * 10.0))
         assert a.stats.row_hits == b.stats.row_hits
 
     def test_same_direction_bursts_pack(self):
@@ -183,7 +183,7 @@ class TestWindowedDram:
         m = self._model()
         # Hammer one channel with mixed reads/writes at equal arrival.
         for i in range(64):
-            m.access((i % 16) * 64, i % 3 == 0, 0.0)
+            m.access_lines([i % 16], i % 3 == 0, 0.0)
         for busy in m._busy:
             for prev, cur in zip(busy, busy[1:]):
                 assert prev[1] <= cur[0], "bus intervals overlap"
@@ -191,32 +191,32 @@ class TestWindowedDram:
     def test_bank_placement_is_disjoint(self):
         m = self._model()
         for i in range(64):
-            m.access(i * 64, False, float(i % 5))
+            m.access_lines([i], False, float(i % 5))
         for ivs in m._bank_iv:
             for prev, cur in zip(ivs, ivs[1:]):
                 assert prev[1] <= cur[0], "bank intervals overlap"
 
     def test_backfill_counted(self):
         m = self._model()
-        m.access(0, False, 0.0)       # opens bank 0, row 0
-        m.access(256, False, 5000.0)  # same channel, bank 1, far future
+        m.access_lines([0], False, 0.0)      # opens bank 0, row 0
+        m.access_lines([4], False, 5000.0)   # same channel, far future
         # An early row hit on bank 0 lands on the bus *before* the
         # already-committed 5000ns burst: an out-of-order backfill.
-        done = m.access(0, False, 100.0)
+        done = m.access_lines([0], False, 100.0)
         assert done < 5000.0
         assert m.stats.backfills >= 1
 
     def test_window_admission_delays_when_full(self):
         m = self._model(window=2)
         # Saturate one channel's window with concurrent arrivals.
-        comps = [m.access((i % 8) * 64, False, 0.0) for i in range(12)]
+        comps = [m.access_lines([i % 8], False, 0.0) for i in range(12)]
         assert m.stats.queue_depth_peak <= 2
         assert comps == sorted(comps)
 
     def test_queue_depth_sampled(self):
         m = self._model(window=16)
         for i in range(32):
-            m.access((i % 8) * 64, False, 0.0)
+            m.access_lines([i % 8], False, 0.0)
         assert m.stats.queue_depth_peak >= 1
         assert m.stats.queue_depth_mean > 0
 
@@ -274,8 +274,7 @@ class TestSchema:
             "online_accesses": 1, "background_accesses": 0,
             "evictions": 0, "dead_blocks": 0, "remote_accesses": 0,
         }
-        cell = {"scheme": scheme, "trace": trace, "wall_s": 0.1,
-                "accesses_per_s": 10.0, "sim": sim}
+        cell = {"scheme": scheme, "trace": trace, "sim": sim}
         if depth is not None:
             cell["pipeline_depth"] = depth
         return cell
@@ -286,7 +285,7 @@ class TestSchema:
             "config": {
                 "schemes": ["ns"], "benchmarks": ["mcf"], "suite": "spec",
                 "levels": 8, "n_requests": 10, "warmup_requests": 2,
-                "seed": 0, "repeats": 1, "smoke": True,
+                "seed": 0, "smoke": True,
             },
             "environment": {"python": "x"},
             "cells": cells,
@@ -322,12 +321,10 @@ class TestSchema:
         doc = self._doc([self._cell(depth=4)])
         view = deterministic_view(doc)
         assert "environment" not in view
-        assert all("wall_s" not in c and "accesses_per_s" not in c
-                   for c in view["cells"])
+        assert view["cells"] == doc["cells"]
         assert view["cells"][0]["pipeline_depth"] == 4
-        # Byte-stable across wall-time changes.
+        # Byte-stable across host changes.
         doc2 = self._doc([self._cell(depth=4)])
-        doc2["cells"][0]["wall_s"] = 99.0
         doc2["environment"] = {"python": "y"}
         assert deterministic_bytes(doc) == deterministic_bytes(doc2)
 

@@ -86,7 +86,8 @@ class TestStashProperties:
         shadow = {}
         for block, leaf, remove in ops:
             if remove and block in shadow:
-                assert stash.remove(block) == shadow.pop(block)
+                assert dict(stash.blocks())[block] == shadow.pop(block)
+                stash.remove_many([block])
             else:
                 stash.add(block, leaf)
                 shadow[block] = leaf

@@ -87,7 +87,7 @@ class TestAddressMappingProperties:
     def test_dram_model_opens_the_row_decompose_names(self, addr):
         """The DRAM model inlines the decomposition; it must agree."""
         dram = DramModel()
-        dram.access(addr, False, 0.0)
+        dram.access_lines([addr // am.LINE_BYTES], False, 0.0)
         c, b, r, _ = am.decompose(addr)
         assert dram._open_row[c * am.N_BANKS + b] == r
 
@@ -105,7 +105,7 @@ class TestDramProperties:
         now = 0.0
         for addr, write, gap in reqs:
             now += gap
-            done = dram.access(addr * 64, write, now)
+            done = dram.access_lines([addr], write, now)
             # Completion is strictly after arrival, by at least the burst.
             assert done >= now + DDR3_1600.burst_ns
 
@@ -115,8 +115,8 @@ class TestDramProperties:
         """Completions on one channel are spaced by >= one burst."""
         dram = DramModel()
         # Every address on channel 0.
-        times = sorted(dram.access(a * am.LINE_BYTES * am.N_CHANNELS,
-                                   False, 0.0) for a in reqs)
+        times = sorted(dram.access_lines([a * am.N_CHANNELS], False, 0.0)
+                       for a in reqs)
         for t1, t2 in zip(times, times[1:]):
             assert t2 - t1 >= DDR3_1600.burst_ns - 1e-9
 
@@ -125,7 +125,7 @@ class TestDramProperties:
     def test_stats_conserved(self, reqs):
         dram = DramModel()
         for a in reqs:
-            dram.access(a * 64, False, 0.0)
+            dram.access_lines([a], False, 0.0)
         st_ = dram.stats
         assert st_.reads == len(reqs)
         assert st_.row_hits + st_.row_misses == len(reqs)

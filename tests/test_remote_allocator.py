@@ -53,7 +53,8 @@ class TestGather:
         b = leaf_bucket(cfg, 0)
         lv = cfg.levels - 1
         make_dead(oram.store, b, [0, 1])
-        expected = [(b, int(s)) for s in oram.store.dead_slots(b)]
+        dead = Grid(oram.store, "status")[b] == SlotStatus.DEAD
+        expected = [(b, int(s)) for s in np.flatnonzero(dead)]
         queued = gather(alloc, cfg, b)
         assert queued == 2
         assert Grid(oram.store, "status")[b, 0] == SlotStatus.QUEUED

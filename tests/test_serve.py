@@ -609,11 +609,10 @@ class TestBenchAndSchema:
             assert sec["guesses"] > 0
             assert abs(sec["advantage"]) < 0.12   # tiny-sample tolerance
 
-    def test_deterministic_view_strips_wall_fields(self, doc):
+    def test_deterministic_view_strips_environment(self, doc):
         view = SERVE.deterministic_view(doc)
+        assert view["cells"] == doc["cells"]
         for cell in view["cells"]:
-            assert "wall_s" not in cell
-            assert "wall_latency_us" not in cell
             assert "sim" in cell
         assert "environment" not in view
 
@@ -624,10 +623,10 @@ class TestBenchAndSchema:
     def test_validator_catches_corruption(self, doc):
         bad = json.loads(json.dumps(doc))
         del bad["cells"][0]["sim"]["dedup_hits"]
-        bad["cells"][1]["wall_s"] = -1.0
+        bad["cells"][1]["sim"]["latency_ns"]["p99"] = -1.0
         errors = validate_report(bad)
         assert any("dedup_hits" in e for e in errors)
-        assert any("wall_s" in e for e in errors)
+        assert any("p99" in e for e in errors)
 
     def test_validator_checks_the_security_block(self, doc):
         bad = json.loads(json.dumps(doc))

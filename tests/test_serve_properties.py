@@ -141,11 +141,7 @@ class TestFifoIsAGroupOfOne:
                 comps = [c for req in reqs for c in sched.serve_batch([req])]
             counters = sched.stats()
             del counters["batches"], counters["batch_size_hist"]
-            stamped = [
-                {k: v for k, v in vars(c).items() if k != "wall_s"}
-                for c in comps
-            ]
-            return stamped, counters, {k: stack.kv.get(k) for k in KEYS}
+            return comps, counters, {k: stack.kv.get(k) for k in KEYS}
 
         fifo, batch = served("fifo"), served("batch")
         assert fifo == batch

@@ -105,7 +105,7 @@ class TestDramSink:
 
     def test_clock_advances_with_ops(self, sink):
         sink.begin_op(OpKind.READ_PATH)
-        sink.data_access(0, 0, 0, write=False)
+        sink.data_access_many([(0, 0, 0, False, False)], False)
         sink.end_op()
         assert sink.now > 0
         assert sink.time_by_kind[OpKind.READ_PATH] > 0
@@ -113,23 +113,23 @@ class TestDramSink:
 
     def test_onchip_costs_nothing(self, sink):
         sink.begin_op(OpKind.READ_PATH)
-        sink.data_access(0, 0, 0, write=False, onchip=True)
-        sink.metadata_access(0, 0, write=False, onchip=True)
+        sink.data_access_many([(0, 0, 0, True, False)], False)
+        sink.metadata_access_many([(0, 0, True)], False)
         sink.end_op()
         assert sink.now == 0.0
 
     def test_phase_ordering_serializes_reads_before_writes(self, sink):
         sink.begin_op(OpKind.EVICT_PATH)
-        sink.data_access(0, 0, 0, write=False)
+        sink.data_access_many([(0, 0, 0, False, False)], False)
         t_read_done = sink._op_end
-        sink.data_access(0, 1, 0, write=True)
+        sink.data_access_many([(0, 1, 0, False, False)], True)
         sink.end_op()
         # The write phase started only after the read completed.
         assert sink.now > t_read_done
 
     def test_remote_accesses_counted(self, sink):
         sink.begin_op(OpKind.READ_PATH)
-        sink.data_access(5, 0, 2, write=False, remote=True)
+        sink.data_access_many([(5, 0, 2, False, True)], False)
         sink.end_op()
         assert sink.remote_accesses == 1
 
@@ -146,7 +146,7 @@ class TestDramSink:
 
     def test_reset_measurement_keeps_clock(self, sink):
         sink.begin_op(OpKind.READ_PATH)
-        sink.data_access(0, 0, 0, write=False)
+        sink.data_access_many([(0, 0, 0, False, False)], False)
         sink.end_op()
         now = sink.now
         start = sink.reset_measurement()

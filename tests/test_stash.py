@@ -33,13 +33,14 @@ class TestBasics:
     def test_remove(self):
         s = Stash(10)
         s.add(3, 7)
-        assert s.remove(3) == 7
+        assert dict(s.blocks())[3] == 7
+        s.remove_many([3])
         assert 3 not in s
 
     def test_remove_missing_raises(self):
         s = Stash(10)
         with pytest.raises(KeyError):
-            s.remove(3)
+            s.remove_many([3])
 
     def test_remap(self):
         s = Stash(10)
@@ -75,8 +76,7 @@ class TestOverflowAndPeak:
         s = Stash(10)
         for i in range(5):
             s.add(i, 0)
-        for i in range(5):
-            s.remove(i)
+        s.remove_many(range(5))
         assert s.peak_occupancy == 5
         assert s.occupancy == 0
 
@@ -121,9 +121,10 @@ class TestCandidates:
         s.add(1, 0)
         placed = {}
         for shift in range(4):           # leaf level first
-            for block in pick_for_bucket(s, 0 >> shift, shift, 4):
+            got = pick_for_bucket(s, 0 >> shift, shift, 4)
+            for block in got:
                 placed[block] = 3 - shift
-                s.remove(block)
+            s.remove_many(got)
         assert placed == {1: 3, 2: 2, 3: 0}
 
     def test_limit(self):
@@ -182,7 +183,9 @@ class TestPickPath:
             s.add(block, int(rng.integers(n_leaves)))
         for block in blocks[: size // 4]:
             if rng.random() < 0.5:
-                s.add(block, s.remove(block))
+                leaf = dict(s.blocks())[block]
+                s.remove_many([block])
+                s.add(block, leaf)
         leaf = data.draw(st.integers(0, n_leaves - 1))
         if shape == "path":
             height, n = 0, levels

@@ -24,8 +24,8 @@ class TestCountingSink:
 
     def test_data_reads_and_writes(self, sink):
         sink.begin_op(OpKind.READ_PATH)
-        sink.data_access(0, 0, 0, write=False)
-        sink.data_access(1, 0, 1, write=True)
+        sink.data_access_many([(0, 0, 0, False, False)], False)
+        sink.data_access_many([(1, 0, 1, False, False)], True)
         sink.end_op()
         c = sink.by_kind[OpKind.READ_PATH]
         assert c.data_reads == 1
@@ -33,9 +33,9 @@ class TestCountingSink:
 
     def test_per_level_attribution(self, sink):
         sink.begin_op(OpKind.READ_PATH)
-        sink.data_access(0, 0, 0, write=False)
-        sink.data_access(5, 0, 2, write=False)
-        sink.data_access(5, 1, 2, write=True)
+        sink.data_access_many([(0, 0, 0, False, False)], False)
+        sink.data_access_many([(5, 0, 2, False, False)], False)
+        sink.data_access_many([(5, 1, 2, False, False)], True)
         sink.end_op()
         assert sink.data_reads_by_level[0] == 1
         assert sink.data_reads_by_level[2] == 1
@@ -43,7 +43,7 @@ class TestCountingSink:
 
     def test_onchip_not_counted_as_traffic(self, sink):
         sink.begin_op(OpKind.READ_PATH)
-        sink.data_access(0, 0, 0, write=False, onchip=True)
+        sink.data_access_many([(0, 0, 0, True, False)], False)
         sink.end_op()
         c = sink.by_kind[OpKind.READ_PATH]
         assert c.data_reads == 0
@@ -51,13 +51,13 @@ class TestCountingSink:
 
     def test_remote_flag_counted(self, sink):
         sink.begin_op(OpKind.READ_PATH)
-        sink.data_access(0, 0, 0, write=False, remote=True)
+        sink.data_access_many([(0, 0, 0, False, True)], False)
         sink.end_op()
         assert sink.by_kind[OpKind.READ_PATH].remote_accesses == 1
 
     def test_metadata_blocks_multiplier(self, sink):
         sink.begin_op(OpKind.EARLY_RESHUFFLE)
-        sink.metadata_access(0, 0, write=False, blocks=2)
+        sink.metadata_access_many([(0, 0, False)], False, 2)
         sink.end_op()
         assert sink.by_kind[OpKind.EARLY_RESHUFFLE].meta_reads == 2
 
@@ -71,16 +71,16 @@ class TestCountingSink:
             sink.end_op()
 
     def test_unattributed_accesses_tolerated(self, sink):
-        sink.data_access(0, 0, 0, write=False)
+        sink.data_access_many([(0, 0, 0, False, False)], False)
         assert sink.unattributed_accesses == 1
 
     def test_stray_touch_counted_in_unattributed_only(self, sink):
         # One rule for every entry point: outside an operation a touch
         # lands in ``unattributed_accesses`` and nowhere else (the old
         # scalar path also bumped the per-level arrays).
-        sink.data_access(0, 0, 1, write=False)
-        sink.data_access(0, 0, 1, write=True)
-        sink.metadata_access(0, 1, write=False, blocks=2)
+        sink.data_access_many([(0, 0, 1, False, False)], False)
+        sink.data_access_many([(0, 0, 1, False, False)], True)
+        sink.metadata_access_many([(0, 1, False)], False, 2)
         sink.data_access_many([(0, 0, 1, False, False)] * 2, write=False)
         sink.data_access_many([(0, 0, 1, False, False)] * 3, write=True)
         sink.metadata_access_many([(0, 1, False)], write=True)
@@ -92,14 +92,14 @@ class TestCountingSink:
 
     def test_total_offchip_and_bytes(self, sink):
         sink.begin_op(OpKind.READ_PATH)
-        sink.data_access(0, 0, 0, write=False)
-        sink.metadata_access(0, 0, write=True)
+        sink.data_access_many([(0, 0, 0, False, False)], False)
+        sink.metadata_access_many([(0, 0, False)], True)
         sink.end_op()
         assert sink.total_offchip == 2
 
     def test_reset(self, sink):
         sink.begin_op(OpKind.READ_PATH)
-        sink.data_access(0, 0, 0, write=False)
+        sink.data_access_many([(0, 0, 0, False, False)], False)
         sink.end_op()
         sink.reset()
         assert sink.total_offchip == 0
@@ -119,8 +119,8 @@ class TestTeeSink:
         a, b = CountingSink(2), CountingSink(2)
         tee = TeeSink(a, b)
         tee.begin_op(OpKind.READ_PATH)
-        tee.data_access(0, 0, 0, write=False)
-        tee.metadata_access(0, 0, write=True)
+        tee.data_access_many([(0, 0, 0, False, False)], False)
+        tee.metadata_access_many([(0, 0, False)], True)
         tee.end_op()
         for s in (a, b):
             assert s.by_kind[OpKind.READ_PATH].data_reads == 1
@@ -135,8 +135,8 @@ class TestBaseSink:
     def test_base_sink_is_silent(self):
         s = MemorySink()
         s.begin_op(OpKind.READ_PATH)
-        s.data_access(0, 0, 0, write=False)
-        s.metadata_access(0, 0, write=False)
+        s.data_access_many([(0, 0, 0, False, False)], False)
+        s.metadata_access_many([(0, 0, False)], False)
         s.end_op()
 
 
@@ -188,8 +188,8 @@ class TestOpBracketGuards:
 
 
 class TestSinkProtocol:
-    """The two primitives are the protocol; the scalar calls are the
-    batch of one, defined once on the base class."""
+    """The two primitives are the protocol: a batch equals its touches
+    made one primitive call each."""
 
     def test_stream_covers_every_item_shape(self):
         stream = recorded_ab_stream()
@@ -249,7 +249,7 @@ class TestSinkProtocol:
         sinks = {c for c in seen if c.__module__.startswith("repro.")}
         assert {"CountingSink", "TeeSink", "DramSink",
                 "PipelinedDramSink"} <= {c.__name__ for c in sinks}
-        for cls in sinks:
+        for cls in sinks | {MemorySink}:
             for name in ("data_access", "metadata_access"):
                 assert name not in vars(cls), (
                     f"{cls.__module__}.{cls.__name__} overrides {name}: "

@@ -2,13 +2,19 @@
 
 Covers the Telemetry handle's span summary and its JSONL +
 Chrome-trace outputs, the traced DramSink's observe-only
-guarantee (bit-identical simulation results), and the shared stderr
-progress helper.
+guarantee (bit-identical simulation results), the shared stderr
+progress helper, and the call-count budget of
+``tools/telemetry_overhead.py``.
 """
 
 import hashlib
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +205,50 @@ class TestStderrProgress:
             monkeypatch.setenv("REPRO_QUIET", value)
             stderr_progress("visible")
         assert capsys.readouterr().err.count("visible") == 4
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _doubled(tmp_path, module, method):
+    """A copy of the ``repro`` package whose ``method`` in ``module``
+    does its work twice: the original body lives on as ``_once`` and
+    ``method`` calls it two times."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "repro", src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "repro" / "telemetry" / module
+    text = path.read_text()
+    head = f"    def {method}("
+    assert text.count(head) == 1
+    path.write_text(text.replace(head, (
+        f"    def {method}(self, *a):\n"
+        "        self._once(*a)\n"
+        "        self._once(*a)\n\n"
+        "    def _once("
+    )))
+    return src
+
+
+def _overhead(src, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "telemetry_overhead.py"), *args],
+        capture_output=True, text=True, cwd=src.parent,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+class TestOverheadBudget:
+    """The telemetry gate counts named calls, so telemetry that does
+    its work twice fails it on any host."""
+
+    def test_doubled_span_recording_fails(self, tmp_path):
+        proc = _overhead(_doubled(tmp_path, "handle.py", "record_span"))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "FAIL: [serial]" in proc.stderr
+
+    def test_doubled_ops_sampler_fails_the_serve_budget(self, tmp_path):
+        proc = _overhead(_doubled(tmp_path, "ops.py", "sample"), "--serve")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "FAIL: [serve-observability]" in proc.stderr
+        assert "FAIL: [serial]" not in proc.stderr

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.sim.runner import suite_benchmarks
 from repro.traces.generator import WORKING_SET_FRACTION, SyntheticTraceGenerator
-from repro.traces.parsec import PARSEC, parsec_benchmarks, parsec_trace
+from repro.traces.parsec import PARSEC, parsec_trace
 from repro.traces.spec import SPEC_CPU2017, spec_benchmarks, spec_trace
 from repro.traces.trace import Trace, TraceRequest
 
@@ -153,4 +154,4 @@ class TestParsec:
             parsec_trace("nope", 100, 10)
 
     def test_listing_matches_table(self):
-        assert set(parsec_benchmarks()) == set(PARSEC)
+        assert suite_benchmarks("parsec") == list(PARSEC)
