@@ -168,9 +168,9 @@ class PipelinedDramSink(DramSink):
     # Each hook buffers the serial sink's own stage call, bound, for
     # :meth:`_replay` to make once the operation's start is known.
 
-    def _issue(self, lines, write, phase, items, onchip_at) -> None:
-        self._ev.append((super()._issue, (lines, write, phase, (), 0)))
-        touched = [it[0] for it in items if not it[onchip_at]]
+    def _issue(self, lines, write, phase, buckets) -> None:
+        self._ev.append((super()._issue, (lines, write, phase, ())))
+        touched = list(buckets)
         self._op_buckets.update(touched)
         if phase == 2:
             self._op_wbuckets.update(touched)
@@ -259,12 +259,14 @@ class PipelinedDramSink(DramSink):
         """Issue the buffered op at ``start``; returns its completion.
 
         The buffered calls are the serial sink's issue stage, so the
-        phase rule exists once and depth 1 is the serial schedule.
+        phase rule exists once and depth 1 is the serial schedule; the
+        stage's held lines are sent before the completion is read.
         """
         self._op_start = self._op_end = self._phase_start = start
         self._phase = 0
         for issue, args in self._ev:
             issue(*args)
+        self._flush()
         return self._op_end
 
     # -------------------------------------------------------------- metrics

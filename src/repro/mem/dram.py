@@ -85,8 +85,9 @@ class DramModel:
         self.timing = timing
         n_banks_total = N_CHANNELS * N_BANKS
         # Per-bank/per-channel state lives in plain Python lists: the
-        # model is driven one scalar access at a time, and list indexing
-        # avoids the numpy-scalar boxing that dominated the profile.
+        # request loop reads and writes one scalar per request, and list
+        # indexing avoids the numpy-scalar boxing that dominated the
+        # profile.
         self._open_row = [-1] * n_banks_total
         self._bank_ready = [0.0] * n_banks_total
         self._bus_free = [0.0] * N_CHANNELS

@@ -32,6 +32,5 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "repro.oram.plb": ("RecursivePosMap",),
     "repro.oram.datastore": ("EncryptedTreeStore",),
     "repro.oram.validate": ("diagnose",),
-    "repro.oram.linear": ("LinearScanOram",),
     "repro.oram.config_io": ("load_config", "save_config"),
 })

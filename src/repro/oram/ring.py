@@ -202,13 +202,16 @@ class RingOram:
         self.defer_rebuilds = False
         self.evict_counter = 0
         self._z_real_by_level = [g.z_real for g in cfg.geometry]
+        # A reshuffle reads Z' slots of a bucket, reported against slot 0.
+        self._read_burst = [(0,) * z for z in self._z_real_by_level]
         # Levels whose reshuffles rent remote slots.
         self._rents = [extensions is not None and g.remote_extension > 0
                        for g in cfg.geometry]
-        # leaf -> (bucket list, metadata sink items): immutable per-path
-        # descriptors rebuilt constantly by readPath otherwise. Bounded
-        # by n_leaves.
-        self._path_cache: Dict[int, Tuple[List[int], list]] = {}
+        # leaf -> (bucket list, metadata batch prepared by the sink):
+        # immutable per-path descriptors rebuilt constantly by readPath
+        # otherwise. Bounded by n_leaves; emptied when the sink changes.
+        self._path_cache: Dict[int, Tuple[List[int], Any]] = {}
+        self._path_sink: Optional[MemorySink] = None
         self.online_accesses = 0       # real + stash-hit accesses (paper's X axis)
         self.accesses_since_evict = 0
         self.background_accesses = 0
@@ -405,21 +408,25 @@ class RingOram:
         store = self.store
         ext = self.ext
         treetop = cfg.treetop_levels
-        mblocks = self.metadata_blocks
-        # Per-leaf path descriptors (bucket list, metadata items) are
-        # immutable once built -- cache them across accesses.
+        # Per-leaf path descriptors (bucket list, metadata batch) are
+        # immutable once built -- cache them across accesses. The batch
+        # is in the sink's own form, so a new sink starts a new cache.
+        if self._path_sink is not sink:
+            self._path_cache = {}
+            self._path_sink = sink
         cached = self._path_cache.get(leaf)
         if cached is None:
             buckets = tree_mod.path_buckets(leaf, cfg.levels)
             # A path holds exactly one bucket per level, root first, so
             # ``buckets[i]`` sits at level ``i``.
-            meta_items = [(b, lv, lv < treetop) for lv, b in enumerate(buckets)]
-            self._path_cache[leaf] = (buckets, meta_items)
-        else:
-            buckets, meta_items = cached
+            cached = (buckets, sink.prepare_metadata(
+                [(b, lv, lv < treetop) for lv, b in enumerate(buckets)],
+                self.metadata_blocks))
+            self._path_cache[leaf] = cached
+        buckets, meta = cached
         sink.begin_op(kind)
         # -- metadata pass (read now, write back at the end of the access)
-        sink.metadata_access_many(meta_items, write=False, blocks=mblocks)
+        sink.metadata_access_prepared(meta, False)
         if self._verify_paths:
             self._verify_path_integrity(leaf, buckets)
         if ext is not None:
@@ -543,7 +550,7 @@ class RingOram:
                 self._admit_payload(*one)
         sink.data_access_many(sink_items, write=False)
         # -- metadata write-back
-        sink.metadata_access_many(meta_items, write=True, blocks=mblocks)
+        sink.metadata_access_prepared(meta, True)
         sink.end_op()
         for obs in path_obs:
             obs.on_read_path(leaf, reads, target_bucket)
@@ -690,15 +697,14 @@ class RingOram:
                     shares[i] += 1
             opened = self._open_residents(residents)
         dead_obs = self._heard["on_slot_dead"]
-        # Metadata is reported bucket by bucket, not as one batch: each
-        # bucket's record is read right before its blocks and written
-        # right after them, and that issue order is timing. The Z' reads
-        # are Z' ordinary requests, all reported against slot 0.
+        # Reported bucket by bucket, not as one batch: each bucket's
+        # record is read right before its blocks and written right after
+        # them, and that issue order is timing. The Z' reads are Z'
+        # ordinary requests, all reported against slot 0.
+        burst = self._read_burst
         for (b, lv), n_share in zip(plan, shares):
-            onchip = lv < treetop
-            sink.metadata_access_many(((b, lv, onchip),), False, mblocks)
-            sink.data_access_many(((b, 0, lv, onchip, False),) * z_real[lv],
-                                  write=False)
+            sink.bucket_access(b, lv, lv < treetop, False, burst[lv],
+                               (), mblocks)
             for one in islice(opened, n_share):
                 self._admit_payload(*one)
             if ext is not None and ext.n_active[b]:
@@ -746,7 +752,6 @@ class RingOram:
         ):
             self._refill_bucket(b, lv, n_usable, granted, hosts, chosen,
                                 positions, seal_items)
-            sink.metadata_access_many(((b, lv, lv < treetop),), True, mblocks)
         if seal_items:
             self.datastore.seal_many(seal_items)
         sink.end_op()
@@ -761,13 +766,12 @@ class RingOram:
         fixed it (``granted`` rented columns at ``hosts``; ``chosen`` at
         ``positions`` among the ``n_usable`` local then the rented
         slots, ``None`` without hosts): rewrites every usable and
-        rented slot, reports the writes and, on the sealed path,
+        rented slot, reports the bucket's writes and, on the sealed path,
         appends the slots to seal to ``seal_batch``, the reshuffle's
         one seal batch.
         """
         store = self.store
         base = b * store.width
-        onchip = lv < self.cfg.treetop_levels
         reclaimed_obs = self._heard["on_slot_reclaimed"]
         reclaimed_dead = None
         if reclaimed_obs:
@@ -799,15 +803,8 @@ class RingOram:
             for obs in reclaimed_obs:
                 for slot in reclaimed_dead:
                     obs.on_slot_reclaimed(b, slot, lv, "reshuffle")
-        # One sink batch for the whole write phase: local slots, then
-        # remote hosts. They share the same DRAM write phase, so they
-        # arrive together.
-        write_items: List[Tuple[int, int, int, bool, bool]] = [
-            (b, slot, lv, onchip, False) for slot in written
-        ]
         if hosts:
             self.ext.write_remote_all(b, remote_contents)
-            write_items += [(hb, hs, lv, onchip, True) for hb, hs in hosts]
         if self.datastore is not None:
             # Payload path: locals then remote hosts, the per-slot
             # sequence scalar seals would follow, so versions,
@@ -822,7 +819,11 @@ class RingOram:
                  else None)
                 for (at, slot), content in zip(where, contents)
             ]
-        self.sink.data_access_many(write_items, write=True)
+        # One sink call for the bucket: local slots, then remote hosts
+        # (one DRAM write phase, so they arrive together), then the
+        # record.
+        self.sink.bucket_access(b, lv, lv < self.cfg.treetop_levels, True,
+                                written, hosts, self.metadata_blocks)
 
     def _background_evict(self) -> None:
         """CB background eviction: dummy accesses until the stash drains."""

@@ -58,7 +58,14 @@ class MemorySink:
 
     The unit of memory work is a batch (a whole path of buckets), so the
     protocol is the two batch primitives -- :meth:`data_access_many` and
-    :meth:`metadata_access_many` -- and a sink implements only those.
+    :meth:`metadata_access_many` -- which every sink implements. Two
+    batch shapes recur often enough to have calls of their own, and
+    their base bodies are the primitive calls they stand for, so a sink
+    that implements only the primitives sees the same stream:
+    :meth:`bucket_access` (one bucket's share of a reshuffle) and
+    :meth:`metadata_access_prepared` (a readPath's per-leaf metadata,
+    put in the sink's own form once by :meth:`prepare_metadata`). The
+    timed sink overrides both to skip the per-touch tuples.
     """
 
     _op_kind: Optional[OpKind] = None
@@ -78,6 +85,39 @@ class MemorySink:
         self, items: Sequence[MetaItem], write: bool, blocks: int = 1
     ) -> None:
         """Bucket-metadata touches, ``blocks`` 64B units per bucket."""
+
+    def bucket_access(
+        self, bucket: int, level: int, onchip: bool, write: bool,
+        slots: Sequence[int], hosts: Sequence[Tuple[int, int]] = (),
+        blocks: int = 1,
+    ) -> None:
+        """One bucket's share of a reshuffle. A read is the bucket's
+        metadata record, then one read per entry of ``slots``; a write
+        is ``slots``, then the rented ``hosts`` (``(bucket, slot)`` at
+        the renter's level), then the record."""
+        meta = ((bucket, level, onchip),)
+        if write:
+            items = [(bucket, slot, level, onchip, False) for slot in slots]
+            items += [(hb, hs, level, onchip, True) for hb, hs in hosts]
+            self.data_access_many(items, True)
+            self.metadata_access_many(meta, True, blocks)
+        else:
+            self.metadata_access_many(meta, False, blocks)
+            self.data_access_many(
+                [(bucket, slot, level, onchip, False) for slot in slots],
+                False)
+
+    def prepare_metadata(self, items: Sequence[MetaItem], blocks: int = 1):
+        """A metadata batch reported many times (a readPath's records
+        are fixed per leaf), in the form :meth:`metadata_access_prepared`
+        takes. The caller keeps it for this sink only."""
+        return items, blocks
+
+    def metadata_access_prepared(self, prepared, write: bool) -> None:
+        """:meth:`metadata_access_many` over a :meth:`prepare_metadata`
+        batch."""
+        items, blocks = prepared
+        self.metadata_access_many(items, write, blocks)
 
     def stall(self, ns: float) -> None:
         """Charge ``ns`` of controller stall time (retry backoff) to the
@@ -250,6 +290,19 @@ class TeeSink(MemorySink):
     def metadata_access_many(self, items, write, blocks=1):
         for s in self.sinks:
             s.metadata_access_many(items, write, blocks=blocks)
+
+    def bucket_access(self, bucket, level, onchip, write, slots, hosts=(),
+                      blocks=1):
+        for s in self.sinks:
+            s.bucket_access(bucket, level, onchip, write, slots, hosts,
+                            blocks)
+
+    def prepare_metadata(self, items, blocks=1):
+        return [s.prepare_metadata(items, blocks) for s in self.sinks]
+
+    def metadata_access_prepared(self, prepared, write):
+        for s, one in zip(self.sinks, prepared):
+            s.metadata_access_prepared(one, write)
 
     def stall(self, ns: float) -> None:
         for s in self.sinks:

@@ -59,7 +59,10 @@ PathLike = Union[str, Path]
 #: ends in the leaves' empty children: an older file fails to resume.
 #: 15: replay ammunition is the sealed store's replay image (was the
 #: fault wrapper's ``_history`` dict): an older wrapper replays nothing.
-CHECKPOINT_FORMAT = 15
+#: 16: the timed sink holds back lines (``_held``) and the controller's
+#: per-leaf cache keeps the sink's prepared metadata batch (was its
+#: metadata items): an older sink fails its first issue.
+CHECKPOINT_FORMAT = 16
 _MAGIC = "repro-sim-checkpoint"
 
 

@@ -59,9 +59,11 @@ class DramSink(MemorySink):
     small *issue stage*: :meth:`_issue` (a list of lines) and
     :meth:`_issue_stall` (in-op backoff), which move the operation's
     ``_op_start``/``_op_end`` that ``end_op`` attributes. Here the
-    stage is immediate (the request goes to the DRAM model as it is
-    reported); :class:`~repro.core.pipeline.PipelinedDramSink` overrides
-    only the stage to buffer, and replays it at ``end_op``. Phases:
+    stage coalesces: consecutive requests of one direction and arrival
+    time go to the DRAM model as one call, sent at the next phase
+    transition, direction change, stall or ``end_op``;
+    :class:`~repro.core.pipeline.PipelinedDramSink` overrides only the
+    stage to buffer, and replays it at ``end_op``. Phases:
     0 = metadata read, 1 = data reads, 2 = data writes, 3 = metadata
     write-back.
     """
@@ -95,6 +97,10 @@ class DramSink(MemorySink):
         self._op_end = 0.0
         self._phase = 0
         self._phase_start = 0.0
+        # The coalescing stage's held lines and their direction; empty
+        # between operations.
+        self._held: List[int] = []
+        self._held_write = False
 
     # ------------------------------------------------------------- clocking
 
@@ -141,10 +147,13 @@ class DramSink(MemorySink):
         self._phase = 0
         self._phase_start = self.now
 
+    # A batch with no off-chip item issues nothing, so it leaves the
+    # phase untouched: later lower-phase requests still extend the
+    # operation before the next transition samples its end. Each call
+    # hands the stage the off-chip buckets behind its lines as a lazy
+    # iterable, read only by the buffering stage's conflict tracker.
+
     def data_access_many(self, items, write):
-        # A batch with no off-chip item issues nothing, so it leaves
-        # the phase untouched: later lower-phase requests still extend
-        # the operation before the next transition samples its end.
         first = self._data_line
         lines = []
         append = lines.append
@@ -158,27 +167,60 @@ class DramSink(MemorySink):
         if not lines:
             return
         self.remote_accesses += remotes
-        self._issue(lines, write, 2 if write else 1, items, 3)
+        self._issue(lines, write, 2 if write else 1,
+                    (it[0] for it in items if not it[3]))
 
     def metadata_access_many(self, items, write, blocks=1):
+        lines, buckets = self.prepare_metadata(items, blocks)
+        if lines:
+            self._issue(lines, write, 3 if write else 0, buckets)
+
+    def prepare_metadata(self, items, blocks=1):
+        """The batch's metadata lines and off-chip buckets."""
         base = self._meta_line
         stride = self._meta_stride
-        lines = []
-        append = lines.append
-        if blocks == 1:
-            for bucket, level, onchip in items:
-                if not onchip:
-                    append(base + bucket * stride)
-        else:
-            for bucket, level, onchip in items:
-                if not onchip:
-                    line = base + bucket * stride
-                    lines += range(line, line + blocks)
-        if not lines:
+        lines: List[int] = []
+        buckets: List[int] = []
+        for bucket, level, onchip in items:
+            if not onchip:
+                line = base + bucket * stride
+                lines += range(line, line + blocks)
+                buckets.append(bucket)
+        return lines, buckets
+
+    def metadata_access_prepared(self, prepared, write):
+        lines, buckets = prepared
+        if lines:
+            self._issue(lines, write, 3 if write else 0, buckets)
+
+    def bucket_access(self, bucket, level, onchip, write, slots, hosts=(),
+                      blocks=1):
+        # An on-chip bucket's rented hosts sit at its level: on-chip too.
+        if onchip:
             return
-        self._issue(lines, write, 3 if write else 0, items, 2)
+        first = self._data_line[bucket]
+        meta = self._meta_line + bucket * self._meta_stride
+        record = range(meta, meta + blocks)
+        touched = (bucket,)
+        if not write:
+            self._issue(record, False, 0, touched)
+            if slots:
+                self._issue([first + s for s in slots], False, 1, touched)
+            return
+        lines = [first + s for s in slots]
+        if hosts:
+            data = self._data_line
+            lines += [data[hb] + hs for hb, hs in hosts]
+            self.remote_accesses += len(hosts)
+            touched = [hb for hb, _ in hosts]
+            if slots:
+                touched.append(bucket)
+        if lines:
+            self._issue(lines, True, 2, touched)
+        self._issue(record, True, 3, (bucket,))
 
     def end_op(self) -> None:
+        self._flush()
         kind = self._op_kind
         super().end_op()
         start, end = self._op_start, self._op_end
@@ -199,22 +241,37 @@ class DramSink(MemorySink):
     # The request stage applies the phase rule inline: requests of one
     # phase arrive together at the phase's start, and entering a later
     # phase waits for every earlier request of the operation to
-    # complete.
+    # complete. The DRAM model services a list as the same lines in
+    # consecutive calls at one arrival and direction would be serviced,
+    # so holding such requests back and sending them as one call
+    # changes no timestamp.
 
-    def _issue(self, lines, write, phase, items, onchip_at) -> None:
-        """Issue cache ``lines`` in ``phase``. ``items`` is the reported
-        batch behind them and ``onchip_at`` the index of its items'
-        on-chip flag (bucket ids sit at index 0) -- unused here, read
-        by the buffering stage's conflict tracker."""
+    def _issue(self, lines, write, phase, buckets) -> None:
+        """Issue cache ``lines`` in ``phase``. ``buckets`` are the
+        off-chip buckets behind them -- unused here, read by the
+        buffering stage's conflict tracker."""
+        if self._held and (phase > self._phase
+                           or write != self._held_write):
+            self._flush()
         if phase > self._phase:
             self._phase = phase
             self._phase_start = self._op_end
-        done = self.dram.access_lines(lines, write, self._phase_start)
-        if done > self._op_end:
-            self._op_end = done
+        self._held_write = write
+        self._held += lines
 
     def _issue_stall(self, ns: float) -> None:
+        self._flush()
         self._op_end += ns
+
+    def _flush(self) -> None:
+        """Send the held lines, if any, to the DRAM model."""
+        lines = self._held
+        if lines:
+            self._held = []
+            done = self.dram.access_lines(
+                lines, self._held_write, self._phase_start)
+            if done > self._op_end:
+                self._op_end = done
 
 
 @dataclass

@@ -12,7 +12,7 @@ from repro.core.ab_oram import build_oram
 from repro.mem import address_map as am
 from repro.mem.dram import DramModel
 from repro.oram.config import BucketGeometry, OramConfig, uniform_geometry
-from repro.oram.stats import MemorySink, OpKind
+from repro.oram.stats import CountingSink, MemorySink, OpKind
 
 
 def tiny_config(
@@ -192,8 +192,26 @@ class RecordingSink(MemorySink):
         )
 
 
+class WholeRecordingSink(RecordingSink):
+    """A :class:`RecordingSink` that keeps each bucket report and each
+    prepared metadata batch as one call, as the controller made it;
+    a prepared batch is recorded as its ``(items, blocks)``."""
+
+    def bucket_access(self, bucket, level, onchip, write, slots, hosts=(),
+                      blocks=1):
+        self.calls.append(("bucket_access", (
+            bucket, level, onchip, write, tuple(slots), tuple(hosts),
+            blocks)))
+
+    def prepare_metadata(self, items, blocks=1):
+        return list(items), blocks
+
+    def metadata_access_prepared(self, prepared, write):
+        self.calls.append(("metadata_access_prepared", (prepared, write)))
+
+
 @functools.lru_cache(maxsize=None)
-def recorded_ab_stream(accesses: int = 300) -> tuple:
+def recorded_ab_stream(accesses: int = 300, whole: bool = False) -> tuple:
     """One op stream for the sink-protocol tests (read-only: cached).
 
     Recorded from an AB controller with a treetop and live rentals
@@ -201,10 +219,12 @@ def recorded_ab_stream(accesses: int = 300) -> tuple:
     naturally, and every reshuffle reports its read phase as Z' copies
     of one slot-0 item), followed by one hand-written operation holding
     the shapes that run never produces: ``blocks=2`` metadata, an empty
-    batch, a mid-op stall.
+    batch, a mid-op stall. ``whole`` keeps the controller's bucket
+    reports and prepared metadata batches as single calls; otherwise
+    the stream is the primitive calls they stand for.
     """
     cfg = tiny_ab_config(levels=7, treetop_levels=2)
-    rec = RecordingSink()
+    rec = WholeRecordingSink()
     oram = build_oram(cfg, sink=rec, seed=5)
     oram.warm_fill()
     rng = np.random.default_rng(1)
@@ -213,7 +233,7 @@ def recorded_ab_stream(accesses: int = 300) -> tuple:
     assert oram.ext.active_rentals() > 0
     bottom = cfg.n_buckets - 1
     lv = cfg.levels - 1
-    return tuple(rec.calls) + (
+    stream = tuple(rec.calls) + (
         ("begin_op", (OpKind.EARLY_RESHUFFLE,)),
         ("metadata_access_many",
          ([(bottom, lv, False), (0, 0, True)], False, 2)),
@@ -225,18 +245,37 @@ def recorded_ab_stream(accesses: int = 300) -> tuple:
         ("metadata_access_many", ([(bottom, lv, False)], True, 2)),
         ("end_op", ()),
     )
+    if whole:
+        return stream
+    flat = RecordingSink()
+    replay_stream(flat, stream)
+    return tuple(flat.calls)
 
 
-def replay_stream(sink, stream, scalar: bool = False) -> None:
-    """Drive ``stream`` into ``sink`` through the two primitives, or
-    (``scalar``) one primitive call per touch.
+def replay_stream(sink, stream, scalar: bool = False,
+                  base: bool = False) -> None:
+    """Drive ``stream`` into ``sink``: each call as recorded, or
+    (``base``) each bucket report and prepared metadata batch through
+    ``MemorySink``'s own bodies, i.e. as the primitive calls they stand
+    for, or (``scalar``) that and one primitive call per touch.
     Clocked sinks get a CPU gap before every operation; 37.5 ns keeps
     every timestamp on the DDR timings' 1/4-ns grid, where float sums
     are exact however they are grouped."""
     for name, args in stream:
         if name == "begin_op" and hasattr(sink, "advance"):
             sink.advance(37.5)
-        if not scalar or name in ("begin_op", "end_op", "stall"):
+        if name == "metadata_access_prepared":
+            (items, blocks), write = args
+            if not (base or scalar):
+                sink.metadata_access_prepared(
+                    sink.prepare_metadata(items, blocks), write)
+                continue
+            name, args = "metadata_access_many", (items, write, blocks)
+        if name == "bucket_access" and (base or scalar):
+            parts = RecordingSink()
+            MemorySink.bucket_access(parts, *args)
+            replay_stream(sink, parts.calls, scalar=scalar)
+        elif not scalar or name in ("begin_op", "end_op", "stall"):
             getattr(sink, name)(*args)
         elif name == "data_access_many":
             items, write = args
@@ -246,6 +285,45 @@ def replay_stream(sink, stream, scalar: bool = False) -> None:
             items, write, blocks = args
             for item in items:
                 sink.metadata_access_many((item,), write, blocks)
+
+
+class LinearScanOram:
+    """The textbook touch-everything ORAM over ``n_blocks`` blocks: each
+    access reads and rewrites every block, so the memory sees the same
+    trace for any request (perfect obliviousness at O(N) cost). Simple
+    enough to be obviously right, it is the differential oracle the
+    controllers' read results are held to."""
+
+    def __init__(self, n_blocks: int, sink=None) -> None:
+        if n_blocks < 1:
+            raise ValueError("n_blocks must be >= 1")
+        self.n_blocks = n_blocks
+        self.sink = sink if sink is not None else CountingSink(1)
+        self._data = [None] * n_blocks
+
+    def access(self, block: int, write: bool = False, value=None):
+        if not 0 <= block < self.n_blocks:
+            raise ValueError(f"block {block} out of range [0, {self.n_blocks})")
+        self.sink.begin_op(OpKind.READ_PATH)
+        for i in range(self.n_blocks):
+            item = ((0, i, 0, False, False),)
+            self.sink.data_access_many(item, False)
+            self.sink.data_access_many(item, True)
+        if write:
+            self._data[block] = value
+        self.sink.end_op()
+        return self._data[block]
+
+    def read(self, block: int):
+        return self.access(block)
+
+    def write(self, block: int, value) -> None:
+        self.access(block, write=True, value=value)
+
+    @property
+    def accesses_per_request(self) -> int:
+        """Memory touches per logical access (the O(N))."""
+        return 2 * self.n_blocks
 
 
 # ------------------------------------------------- serving-loop reference

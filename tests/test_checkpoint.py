@@ -149,9 +149,10 @@ class TestCheckpointValidation:
         ``host_slot`` tables, a Merkle digest list without the leaves'
         children) at its first rental or rehash; format 14 (a fault
         wrapper with a ``_history`` dict and no primed decisions) at its
-        first replay. Each refusal is one line naming the format found and the
+        first replay; format 15 (a timed sink without held lines, a
+        controller caching metadata items) at its first issue. Each refusal is one line naming the format found and the
         one expected."""
-        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
+        for fmt in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15):
             assert fmt != CHECKPOINT_FORMAT
             path = tmp_path / f"format-{fmt}.pkl"
             path.write_bytes(pickle.dumps({

@@ -513,3 +513,41 @@ def test_fidelity_job_cmps_every_committed_table(tmp_path):
     assert _bash(script, tmp_path) != 0
     (gen / "fig08.txt").unlink()
     assert _bash(script, tmp_path) != 0
+
+
+def test_request_body_guard_refuses_a_second_call_site_only(tmp_path):
+    """The test job's "One request body" step passes a ``src/repro``
+    whose one ``access_lines`` caller is the timed sink's issue stage
+    (plus the model's own ``def`` and mentions without a call) and
+    fails one where a controller or the pipelined sink calls the model
+    past that stage; the tree itself passes."""
+    (line,) = [
+        line for _, commands in _run_steps(CI.read_text())
+        for line in commands or () if '"access_lines("' in line
+    ]
+    assert _bash(line, ROOT) == 0
+
+    def tree(files: Dict[str, str]) -> Path:
+        root = tmp_path / str(len(list(tmp_path.iterdir())))
+        for rel, text in files.items():
+            path = root / "src" / "repro" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return root
+
+    one = {
+        "sim/engine.py": "done = self.dram.access_lines(\n",
+        "mem/dram.py": "    def access_lines(\n"
+                       "``access_lines`` computes when each request\n",
+    }
+    assert _bash(line, tree(one)) == 0
+    refused = [
+        ("core/pipeline.py",
+         "end = self.dram.access_lines(lines, write, start)\n"),
+        ("oram/ring.py", "sink.dram.access_lines([line], False, now)\n"),
+        ("mem/dram.py", "        return self.access_lines([line], w, t)\n"),
+    ]
+    for rel, text in refused:
+        files = dict(one)
+        files[rel] = files.get(rel, "") + text
+        assert _bash(line, tree(files)) != 0, text

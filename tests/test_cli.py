@@ -152,7 +152,8 @@ class TestSimulateRobustness:
         ``Draws`` is drawn from, a format-13 file's allocator numpy
         host tables where a flat list is indexed, and a format-14
         file's fault wrapper a replay dict where the store's image is
-        read: one error line and exit 2 for each,
+        read, a format-15 file's timed sink no held lines where they are
+        extended: one error line and exit 2 for each,
         not a MAC failure or a missing attribute after the resume."""
         import pickle
 
@@ -164,13 +165,13 @@ class TestSimulateRobustness:
         payload = pickle.loads(ck.read_bytes())
         assert payload["simulation"].datastore is not None
         capsys.readouterr()
-        for fmt in (8, 9, 10, 11, 12, 13, 14):
+        for fmt in (8, 9, 10, 11, 12, 13, 14, 15):
             payload["format"] = fmt
             ck.write_bytes(pickle.dumps(payload))
             assert main(["simulate", "--resume", str(ck)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert f"unsupported checkpoint format {fmt} (expected 15)" in err
+            assert f"unsupported checkpoint format {fmt} (expected 16)" in err
 
     @pytest.mark.parametrize("kind", ["garbage", "missing", "directory"])
     def test_resume_rejects_garbage(self, capsys, tmp_path, kind):

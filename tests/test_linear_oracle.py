@@ -9,11 +9,10 @@ encrypted store) and require identical read results everywhere.
 import numpy as np
 import pytest
 
-from conftest import tiny_ab_config
+from conftest import LinearScanOram, tiny_ab_config
 
 from repro.core.ab_oram import build_oram
 from repro.oram.datastore import EncryptedTreeStore
-from repro.oram.linear import LinearScanOram
 from repro.oram.stats import CountingSink, OpKind
 
 

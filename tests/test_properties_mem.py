@@ -8,6 +8,7 @@ from repro.mem import address_map as am
 from repro.mem.dram import DramModel
 from repro.mem.layout import TreeLayout
 from repro.mem.timing import DDR3_1600
+from repro.sim.engine import DRAM_WINDOW
 
 
 class TestLayoutProperties:
@@ -130,3 +131,45 @@ class TestDramProperties:
         assert st_.reads == len(reqs)
         assert st_.row_hits + st_.row_misses == len(reqs)
         assert st_.bytes_transferred == 64 * len(reqs)
+
+
+class TestOneCallEqualsConsecutiveCalls:
+    """The timed sink sends consecutive requests of one direction and
+    arrival time as one ``access_lines`` call: the model must service a
+    list exactly as the same lines split into consecutive calls."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        window=st.sampled_from([None, DRAM_WINDOW]),
+        history=st.lists(
+            st.tuples(st.lists(st.integers(0, 2**13), min_size=1,
+                               max_size=8),
+                      st.booleans(), st.integers(0, 4000)),
+            max_size=6),
+        lines=st.lists(st.integers(0, 2**13), min_size=1, max_size=48),
+        cuts=st.lists(st.integers(1, 47), max_size=6),
+        write=st.booleans(),
+        arrival=st.integers(0, 40000),
+    )
+    def test_split_calls_serve_the_list(self, window, history, lines, cuts,
+                                        write, arrival):
+        one, split = DramModel(window=window), DramModel(window=window)
+        # A shared past: open rows, busy banks and buses, refreshes due.
+        now = 0.0
+        for past, past_write, gap in history:
+            now += gap / 4
+            for dram in (one, split):
+                dram.access_lines(past, past_write, now)
+        at = now + arrival / 4
+        bounds = sorted({c for c in cuts if c < len(lines)})
+        parts = [lines[i:j] for i, j in
+                 zip([0] + bounds, bounds + [len(lines)])]
+        done = one.access_lines(list(lines), write, at)
+        assert done == max(split.access_lines(part, write, at)
+                           for part in parts)
+        # Everything a model carries from call to call: counters, busy
+        # tallies, open rows, bank and bus frontiers, refresh times and
+        # (windowed) the outstanding-request and interval ledgers.
+        assert vars(one) == vars(split)
+        assert one.stats.accesses == split.stats.accesses > 0

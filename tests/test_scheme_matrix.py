@@ -9,9 +9,9 @@ differential harness.
 import numpy as np
 import pytest
 
+from conftest import LinearScanOram
 from repro.core import schemes
 from repro.core.ab_oram import build_oram
-from repro.oram.linear import LinearScanOram
 from repro.oram.path import PathOram, path_oram_config
 
 SCHEMES = ["baseline", "ir", "dr", "dr-perf", "ns", "ab", "ring"]

@@ -44,7 +44,7 @@ class TestDramSink:
         issued = []
 
         class Capture(DramSink):
-            def _issue(self, lines, write, phase, items, onchip_at):
+            def _issue(self, lines, write, phase, buckets):
                 issued.extend(lines)
 
         sink = Capture(layout, DramModel())
@@ -63,7 +63,10 @@ class TestDramSink:
         Under a window each holds the bus for its own burst only, so a
         read to another bank of the channel, arriving with the burst,
         fits between two of its bursts: it completes before the
-        burst's last read."""
+        burst's last read. The sink may send both batches as one call,
+        so the spy serves each call one line at a time (the same
+        schedule: ``tests/test_properties_mem.py``) and keeps every
+        request's completion."""
         cfg = small_schemes[0]
         layout = TreeLayout(cfg)
         sink = DramSink(layout, DramModel(window=DRAM_WINDOW))
@@ -71,8 +74,9 @@ class TestDramSink:
         access_lines = sink.dram.access_lines
 
         def spy(lines, write, arrival_ns):
-            done.append(access_lines(lines, write, arrival_ns))
-            return done[-1]
+            done.extend(access_lines([line], write, arrival_ns)
+                        for line in lines)
+            return max(done[-len(lines):])
 
         sink.dram.access_lines = spy
 
@@ -94,9 +98,8 @@ class TestDramSink:
                               write=False)
         sink.data_access_many([(*other, lv, False, False)], write=False)
         sink.end_op()
-        burst_done, other_done = done
-        assert z > 1
-        assert other_done < burst_done
+        assert z > 1 and len(done) == z + 1
+        assert done[-1] < max(done[:-1])
 
     def test_sink_rejects_blocks_that_are_not_one_line(self):
         """A slot is one 64B line to the timed sink."""
@@ -157,18 +160,23 @@ class TestDramSink:
 
 class TestSinkProtocolTiming:
     """One recorded op stream (see ``recorded_ab_stream``) through the
-    two primitives, through the scalar conveniences and through the
-    buffered sink at depth 1: same clock, same attribution, same DRAM
-    counters, compared with ``==``."""
+    two primitives, through the scalar conveniences, as the
+    controller's whole bucket reports and through the buffered sink:
+    same clock, same attribution, same DRAM counters, compared with
+    ``==``."""
 
     @staticmethod
-    def _timed(cls=DramSink, scalar=False, **kw):
+    def _timed(cls=DramSink, whole=False, scalar=False, base=False,
+               window=None, **kw):
         from dataclasses import asdict
 
         cfg = tiny_ab_config(levels=7, treetop_levels=2)
-        sink = cls(TreeLayout(cfg, metadata_blocks=2), DramModel(), **kw)
-        replay_stream(sink, recorded_ab_stream(), scalar=scalar)
+        sink = cls(TreeLayout(cfg, metadata_blocks=2),
+                   DramModel(window=window), **kw)
+        replay_stream(sink, recorded_ab_stream(whole=whole),
+                      scalar=scalar, base=base)
         dram = sink.dram
+        metrics = getattr(sink, "pipeline_metrics", None)
         return {
             "now": sink.now,
             "time_by_kind": sink.time_by_kind,
@@ -178,6 +186,7 @@ class TestSinkProtocolTiming:
             "stats": asdict(dram.stats),
             "channel_busy_ns": dram.channel_busy_ns,
             "bank_busy_ns": dram.bank_busy_ns,
+            "pipeline": metrics() if metrics is not None else None,
         }
 
     def test_primitives_equal_scalar_conveniences(self):
@@ -191,8 +200,64 @@ class TestSinkProtocolTiming:
         from repro.core.pipeline import PipelinedDramSink
 
         serial = self._timed()
-        assert self._timed(PipelinedDramSink, depth=1) == serial
-        assert self._timed(PipelinedDramSink, scalar=True, depth=1) == serial
+        assert self._timed(PipelinedDramSink, depth=1)["pipeline"]
+        for kw in ({}, {"scalar": True}, {"whole": True}):
+            got = self._timed(PipelinedDramSink, depth=1, **kw)
+            got["pipeline"] = None
+            assert got == serial, kw
+
+    def test_whole_stream_holds_every_report_shape(self):
+        stream = recorded_ab_stream(whole=True)
+        reports = [args for name, args in stream if name == "bucket_access"]
+        # (bucket, level, onchip, write, slots, hosts, blocks)
+        assert any(r[2] for r in reports), "no on-chip bucket"
+        assert any(r[5] for r in reports), "no rented host"
+        assert any(not r[3] and len(r[4]) > 1 for r in reports)
+        assert any(name == "metadata_access_prepared" for name, _ in stream)
+
+    @pytest.mark.parametrize("depth", [None, 1, 4])
+    def test_native_bucket_reports_equal_their_decomposition(self, depth):
+        """The timed sink's own bucket report and prepared metadata
+        batch time exactly as the primitive calls ``MemorySink``
+        decomposes them into: serially, and buffered at depth 1 and at
+        depth 4 on the windowed model."""
+        from repro.core.pipeline import PipelinedDramSink
+
+        kw = {} if depth is None else {
+            "cls": PipelinedDramSink, "depth": depth,
+            "window": DRAM_WINDOW if depth > 1 else None}
+        native = self._timed(whole=True, **kw)
+        assert native == self._timed(whole=True, base=True, **kw)
+        assert native == self._timed(**kw)
+        assert native["remote_accesses"] > 0
+        if depth == 4:
+            assert native["pipeline"]["inflight_peak"] > 1
+
+    def test_a_stall_sends_the_held_lines_first(self):
+        """Two batches of one phase around a stall: the first batch's
+        completion is extended by the stall, and the second arrives at
+        the same phase start. Holding both back as one call across the
+        stall would extend only the operation's start."""
+        layout = TreeLayout(tiny_ab_config(levels=7, treetop_levels=2))
+        sink = DramSink(layout, DramModel())
+        twin = DramModel()
+        lv = 6
+        first = [(b, 0, lv, False, False) for b in range(63, 67)]
+        second = [(b, 1, lv, False, False) for b in range(67, 69)]
+        sink.begin_op(OpKind.EVICT_PATH)
+        sink.data_access_many(first, write=False)
+        sink.stall(1000.0)
+        sink.data_access_many(second, write=False)
+        sink.end_op()
+
+        def lines(items):
+            return [int(layout.first_byte[b]) // LINE_BYTES + s
+                    for b, s, *_ in items]
+
+        end = twin.access_lines(lines(first), False, 0.0) + 1000.0
+        end = max(end, twin.access_lines(lines(second), False, 0.0))
+        assert sink.now == end
+        assert sink.time_by_kind[OpKind.EVICT_PATH] == end
 
 
 class TestSimulate:

@@ -6,7 +6,9 @@ with ``sys.setprofile`` and compares them with every function the source
 defines (an AST walk of ``src/repro``).
 
 It runs the Makefile targets ``ci`` (what CI runs: lint, tier-1, the
-smoke gates, the README steps, the e2e quick run), ``bench`` (the paper benchmarks, at a small scale), ``examples``
+smoke gates, the README steps, the e2e quick run, figure fidelity),
+``bench`` (the paper benchmarks, at the default scale ``fidelity``
+compares), ``examples``
 and ``fingerprint`` with ``tools/reach_site`` first on ``PYTHONPATH``,
 so every interpreter they start, subprocesses and spawn workers
 included, loads the recorder in its ``sitecustomize.py`` (a forked pool
@@ -69,11 +71,6 @@ RUN_STATE = ("DramStats", "OpCounters", "RobustnessCounters", "ReplayResult",
 DEPLOYMENT = ("seed", "workers", "progress", "smoke")
 DEPLOYMENT_SUFFIXES = ("_out", "_path")
 
-#: The paper benchmarks at a size that runs in minutes.
-_SMALL_BENCH = {"REPRO_BENCH_LEVELS": "10", "REPRO_BENCH_REQUESTS": "300",
-                "REPRO_BENCH_SUITE": "mcf"}
-
-
 #: The lines of make's log a failure report quotes: pytest's failed and
 #: errored tests, and make's own error lines.
 _FAILURE_LINE = re.compile(r"^(FAILED|ERROR) |\*\*\* .*Error")
@@ -86,7 +83,7 @@ def run_targets(records: Path, targets: Sequence[str] = TARGETS,
     records.mkdir(parents=True, exist_ok=True)
     for stale in records.glob("*.json"):
         stale.unlink()
-    env = dict(os.environ, **_SMALL_BENCH)
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SITE)] + [p for p in [env.get("PYTHONPATH")] if p])
     env["PYTEST_PLUGINS"] = ",".join(
