@@ -291,19 +291,6 @@ class TeeSink(MemorySink):
         for s in self.sinks:
             s.metadata_access_many(items, write, blocks=blocks)
 
-    def bucket_access(self, bucket, level, onchip, write, slots, hosts=(),
-                      blocks=1):
-        for s in self.sinks:
-            s.bucket_access(bucket, level, onchip, write, slots, hosts,
-                            blocks)
-
-    def prepare_metadata(self, items, blocks=1):
-        return [s.prepare_metadata(items, blocks) for s in self.sinks]
-
-    def metadata_access_prepared(self, prepared, write):
-        for s, one in zip(self.sinks, prepared):
-            s.metadata_access_prepared(one, write)
-
     def stall(self, ns: float) -> None:
         for s in self.sinks:
             s.stall(ns)

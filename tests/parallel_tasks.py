@@ -2,9 +2,10 @@
 
 Workers receive tasks pickled by module path, so the tasks used by
 the test suite must live in a real module -- lambdas and locals
-defined in a test body cannot cross the process boundary. Kept inside the package
-(not under ``tests/``) so they resolve regardless of how pytest sets
-up ``sys.path`` in the children.
+defined in a test body cannot cross the process boundary. A forked
+worker has this module already; a spawned one imports it by name from
+the ``sys.path`` it inherits, which holds ``tests/`` as the parent's
+does.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Tests for the parallel sweep executor (repro.parallel).
 
 The task functions that cross to workers live in
-``repro.parallel.testing`` (tasks are pickled by module path, so
+``tests/parallel_tasks.py`` (tasks are pickled by module path, so
 test-local functions cannot cross the process boundary). Everything
 here runs on a tiny scale -- the point is the merge/isolation/progress
 semantics, not throughput.
@@ -15,10 +15,10 @@ import time
 
 import pytest
 
+import parallel_tasks as ptasks
 from repro.faults.campaign import run_campaign
 from repro.faults.campaign import smoke_config as faults_smoke_config
 from repro.parallel import Cell, CellResult, derive_seed, run_cells
-from repro.parallel import testing as ptasks
 from repro.perf import compare_reports
 from repro.perf.runner import run_perf, smoke_config
 from repro.perf.schema import validate_report
