@@ -88,8 +88,7 @@ class MemorySink:
 
     def bucket_access(
         self, bucket: int, level: int, onchip: bool, write: bool,
-        slots: Sequence[int], hosts: Sequence[Tuple[int, int]] = (),
-        blocks: int = 1,
+        slots: Sequence[int], hosts: Sequence[Tuple[int, int]], blocks: int,
     ) -> None:
         """One bucket's share of a reshuffle. A read is the bucket's
         metadata record, then one read per entry of ``slots``; a write
@@ -107,7 +106,7 @@ class MemorySink:
                 [(bucket, slot, level, onchip, False) for slot in slots],
                 False)
 
-    def prepare_metadata(self, items: Sequence[MetaItem], blocks: int = 1):
+    def prepare_metadata(self, items: Sequence[MetaItem], blocks: int):
         """A metadata batch reported many times (a readPath's records
         are fixed per leaf), in the form :meth:`metadata_access_prepared`
         takes. The caller keeps it for this sink only."""

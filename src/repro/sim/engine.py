@@ -175,7 +175,7 @@ class DramSink(MemorySink):
         if lines:
             self._issue(lines, write, 3 if write else 0, buckets)
 
-    def prepare_metadata(self, items, blocks=1):
+    def prepare_metadata(self, items, blocks):
         """The batch's metadata lines and off-chip buckets."""
         base = self._meta_line
         stride = self._meta_stride
@@ -193,8 +193,8 @@ class DramSink(MemorySink):
         if lines:
             self._issue(lines, write, 3 if write else 0, buckets)
 
-    def bucket_access(self, bucket, level, onchip, write, slots, hosts=(),
-                      blocks=1):
+    def bucket_access(self, bucket, level, onchip, write, slots, hosts,
+                      blocks):
         # An on-chip bucket's rented hosts sit at its level: on-chip too.
         if onchip:
             return

@@ -197,13 +197,13 @@ class WholeRecordingSink(RecordingSink):
     prepared metadata batch as one call, as the controller made it;
     a prepared batch is recorded as its ``(items, blocks)``."""
 
-    def bucket_access(self, bucket, level, onchip, write, slots, hosts=(),
-                      blocks=1):
+    def bucket_access(self, bucket, level, onchip, write, slots, hosts,
+                      blocks):
         self.calls.append(("bucket_access", (
             bucket, level, onchip, write, tuple(slots), tuple(hosts),
             blocks)))
 
-    def prepare_metadata(self, items, blocks=1):
+    def prepare_metadata(self, items, blocks):
         return list(items), blocks
 
     def metadata_access_prepared(self, prepared, write):
